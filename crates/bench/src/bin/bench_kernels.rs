@@ -11,9 +11,8 @@
 
 use std::time::Instant;
 
-use lighttrader::dnn::kernels::{
-    gemm_bt_bias_rows_bf16, gemm_packed_bt_bias_rows_bf16, pack_bt_panels,
-};
+use lighttrader::dnn::bf16_round;
+use lighttrader::dnn::kernels::{gemm_bt_bias_rows_bf16, gemm_packed, pack_bt_panels, Segment};
 use lighttrader::dnn::models::{CnnSpec, DeepLobSpec, QuantizedCnn, TransLobSpec};
 use lighttrader::dnn::ops::{Conv2d, Linear, LinearInt8, Lstm, MultiHeadAttention};
 use lighttrader::dnn::{Model, ScratchPad, Tensor};
@@ -159,9 +158,10 @@ fn main() {
         },
     ));
 
-    // Batch sweep: the packed-panel GEMM against the row-major GEMM on
-    // a batch-stacked output (DeepLOB trunk geometry: 16 output
+    // Batch sweep: the packed register tile against the row-major GEMM
+    // on a batch-stacked output (DeepLOB trunk geometry: 16 output
     // channels over k=64, 24 positions per sample, n = batch x 24).
+    // The 16 channels are the tile's lanes, the patch rows its rows.
     for (name, batch) in [
         ("gemm_packed_b1", 1usize),
         ("gemm_packed_b4", 4),
@@ -179,7 +179,17 @@ fn main() {
         kernels.push(measure(
             name,
             || gemm_bt_bias_rows_bf16(a.data(), b.data(), &bias, m, n, k, &mut out_naive),
-            || gemm_packed_bt_bias_rows_bf16(&packed, b.data(), &bias, m, n, k, &mut out_fast),
+            || {
+                gemm_packed(
+                    [Segment::packed(&packed, k, b.data(), k)],
+                    Some(&bias),
+                    n,
+                    m,
+                    bf16_round,
+                    &mut out_fast,
+                    (1, n),
+                )
+            },
         ));
     }
 

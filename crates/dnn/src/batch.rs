@@ -3,15 +3,15 @@
 //!
 //! The accelerator keeps weights stationary and streams batched queries
 //! past them (paper §III); the software path mirrors that with a
-//! [`PackedWeights`] cache built once per model. Every GEMM-shaped
-//! operand — convolution kernels, dense weights, the LSTM's `wx`/`wh`
-//! stacks — is repacked into register-tile panels
-//! ([`crate::kernels::pack_bt_panels`]) so steady-state batched
-//! forwards never touch the row-major weight tensors. Packing is a pure
-//! layout permutation: the packed kernels preserve each output
-//! element's accumulation order, so batched predictions are
-//! bit-identical to looped `forward_scratch` (pinned by the
-//! `batch_equivalence` proptests).
+//! [`PackedWeights`] cache built once per model. Every operand that
+//! supplies the lanes of the packed register tile — im2col convolution
+//! kernels, dense and attention weights, the LSTM's `wx`/`wh` stacks —
+//! is repacked into k-major panels
+//! ([`crate::kernels::pack_bt_panels`]). Packing is a pure layout
+//! permutation: the packed path preserves each output element's
+//! accumulation order, so batched predictions are bit-identical to
+//! looped `forward_scratch` (pinned by the `batch_equivalence`
+//! proptests).
 //!
 //! [`scatter_samples`] adds optional row-block thread parallelism for
 //! large batches, reusing the back-test farm's scoped scatter-pool
@@ -40,7 +40,7 @@ impl PackedPanels {
         PackedPanels { data, m, k }
     }
 
-    /// The packed storage, `m * k` elements.
+    /// The packed storage: `m` rounded up to whole panels, times `k`.
     pub fn data(&self) -> &[f32] {
         &self.data
     }
@@ -220,9 +220,14 @@ mod tests {
         let p = PackedPanels::pack(&a, 6, 5);
         assert_eq!(p.m(), 6);
         assert_eq!(p.k(), 5);
-        assert_eq!(p.data().len(), 30);
-        // Tail rows (4..6) stay at their row-major offsets.
-        assert_eq!(&p.data()[4 * 5..], &a[4 * 5..]);
+        // One 8-lane panel, k-major; lanes 6 and 7 are zero padding.
+        assert_eq!(p.data().len(), 8 * 5);
+        for t in 0..5 {
+            for l in 0..8 {
+                let want = if l < 6 { a[l * 5 + t] } else { 0.0 };
+                assert_eq!(p.data()[t * 8 + l], want, "t={t} lane={l}");
+            }
+        }
     }
 
     #[test]

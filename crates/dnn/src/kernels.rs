@@ -4,7 +4,7 @@
 //! through `Tensor::at` (rank assert + bounds checks + index arithmetic
 //! per multiply). These kernels compute the same contractions over raw
 //! slices with register tiling and cache blocking, which is where the
-//! fast `forward_scratch` paths get their speed.
+//! fast `forward_scratch` and batched paths get their speed.
 //!
 //! # The bit-exactness contract
 //!
@@ -28,6 +28,20 @@
 //! The `kernel_equivalence` integration test property-checks these
 //! guarantees against the `forward_reference` implementations across
 //! randomized shapes, strides, and paddings.
+//!
+//! # The packed path
+//!
+//! Everything the batched forwards contract runs on one micro-kernel,
+//! `tile_accumulate`: a register tile of [`MR`] chains x [`NR`] lanes.
+//! The lanes of a chain are `NR` *different outputs* whose operands sit
+//! side by side in memory (a k-major [`pack_bt_panels`] panel, or `NR`
+//! neighbouring positions of an activation map); the chain's input is
+//! one scalar per step, broadcast across them. A lane is therefore an
+//! ordinary scalar accumulator that happens to share an instruction with
+//! its neighbours — seeded, accumulated in increasing `k` and rounded
+//! exactly as the naive loop does it — and the contract above holds
+//! without a single partial sum. [`gemm_packed`] and
+//! [`conv2d_kw1_direct_bf16`] are the two sweeps that drive it.
 
 use crate::bf16::bf16_round;
 
@@ -451,146 +465,236 @@ pub fn attn_context(
     }
 }
 
-/// Repacks a row-major `[m, k]` operand into [`MR`]-row panels.
+/// Output lanes per packed register tile: the width of one k-major panel.
+pub const NR: usize = 8;
+
+/// One register tile of the packed path: [`MR`] independent accumulator
+/// chains of [`NR`] output lanes each.
+type Tile = [[f32; NR]; MR];
+
+/// The packed path's one micro-kernel: a register-resident tile of
+/// [`MR`] chains x [`NR`] lanes advanced over one reduction segment.
 ///
-/// Full panels hold `MR` consecutive rows interleaved `k`-major
-/// (`panel[t * MR + r] = a[(i0 + r) * k + t]`), so a register tile's
-/// inner `k` step loads its `MR` weights from one contiguous word —
-/// four independent accumulator chains the compiler can keep in a
-/// single SIMD register. The `m % MR` tail rows are stored row-major
-/// after the panels, which lands row `r` at flat offset `r * k` —
-/// exactly where the unpacked remainder loop would read it.
+/// Chain `c` reads its `NR` lane operands for step `t` from
+/// `panels[c][t * step..][..NR]` and broadcasts the scalar `xs[c][t]`
+/// across them: `acc[c][l] += panels[c][t * step + l] * xs[c][t]`, `t`
+/// increasing. Every output element therefore owns exactly one
+/// accumulator that sees its products in increasing-`k` order — the
+/// contract at the top of this file — while the `MR * NR` chains are
+/// mutually independent, so the adds pipeline instead of serialising on
+/// one chain's latency. Callers seed `acc`, may run several segments
+/// back to back (an LSTM gate's `W_x x` then `W_h h`), and round once
+/// when they store.
 ///
-/// Packing is a pure permutation of the operand layout: the packed
-/// GEMM's per-output accumulation order (and therefore every bit of
-/// its output) is unchanged. `out` is cleared and filled with exactly
-/// `m * k` elements.
+/// The chains are (panel, input) pairs, not a fixed shape: row-blocked
+/// callers pass one panel `MR` times with `MR` different inputs,
+/// panel-blocked callers `MR` panels with one input, so a single input
+/// row still runs `MR` independent chains.
+#[inline(always)]
+fn tile_accumulate(acc: &mut Tile, panels: [&[f32]; MR], step: usize, xs: [&[f32]; MR]) {
+    let len = xs[0].len();
+    let xs = xs.map(|x| &x[..len]);
+    for t in 0..len {
+        for c in 0..MR {
+            let lanes = &panels[c][t * step..t * step + NR];
+            let xv = xs[c][t];
+            for l in 0..NR {
+                acc[c][l] += lanes[l] * xv;
+            }
+        }
+    }
+}
+
+/// Writes `post` of a chain's leading lanes to `dst` (a full lane block,
+/// or the valid lanes of a tail block).
+#[inline(always)]
+fn store_lanes(dst: &mut [f32], lanes: &[f32; NR], post: impl Fn(f32) -> f32) {
+    match <&mut [f32; NR]>::try_from(&mut *dst) {
+        // Fixed width: the rounding and the store vectorize.
+        Ok(full) => {
+            for l in 0..NR {
+                full[l] = post(lanes[l]);
+            }
+        }
+        Err(_) => {
+            for (o, &v) in dst.iter_mut().zip(lanes) {
+                *o = post(v);
+            }
+        }
+    }
+}
+
+/// Repacks a row-major `[m, k]` operand into [`NR`]-lane panels.
+///
+/// Panel `p` holds rows `p * NR..(p + 1) * NR` interleaved `k`-major
+/// (`panel[t * NR + l] = a[(p * NR + l) * k + t]`), so one step of the
+/// register tile loads its `NR` lane operands from one contiguous word. The last panel's lanes past `m` are zero: they accumulate
+/// `0.0 * x` into lanes no caller stores, which is what lets every tile
+/// run full width with no scalar tail.
+///
+/// Packing is a pure permutation of the operand layout: the per-output
+/// accumulation order (and therefore every bit of the output) is
+/// unchanged. `out` is cleared and filled with `m.div_ceil(NR) * NR * k`
+/// elements.
 pub fn pack_bt_panels(a: &[f32], m: usize, k: usize, out: &mut Vec<f32>) {
     assert_eq!(a.len(), m * k, "pack operand length");
     out.clear();
-    out.reserve(m * k);
-    let mut i = 0;
-    while i + MR <= m {
-        for t in 0..k {
-            for r in 0..MR {
-                out.push(a[(i + r) * k + t]);
-            }
+    out.resize(m.div_ceil(NR) * NR * k, 0.0);
+    for (i, row) in a.chunks_exact(k.max(1)).take(m).enumerate() {
+        let panel = &mut out[(i / NR) * NR * k..][..NR * k];
+        for (t, &v) in row.iter().enumerate() {
+            panel[t * NR + i % NR] = v;
         }
-        i += MR;
     }
-    out.extend_from_slice(&a[i * k..]);
 }
 
-/// [`gemm_bt_bias_rows_bf16`] reading a prepacked A operand
-/// (see [`pack_bt_panels`]); bit-identical output.
+/// One reduction segment of a packed contraction: `k` steps of every
+/// output's dot product, lane operands against broadcast row inputs.
+#[derive(Debug, Clone, Copy)]
+pub struct Segment<'a> {
+    /// Lane operands. Lane block `b` starts at `b * block_stride` and
+    /// advances `step` elements per reduction step.
+    pub panels: &'a [f32],
+    /// Distance between consecutive lane blocks.
+    pub block_stride: usize,
+    /// Distance between consecutive reduction steps of one lane block
+    /// ([`NR`] for packed panels, the row width for a row-major
+    /// activation matrix read column-block-wise).
+    pub step: usize,
+    /// Reduction length.
+    pub k: usize,
+    /// Row inputs: row `r` reads `x[r * x_stride..][..k]`.
+    pub x: &'a [f32],
+    /// Distance between consecutive rows' inputs.
+    pub x_stride: usize,
+}
+
+impl<'a> Segment<'a> {
+    /// A [`pack_bt_panels`] operand of reduction width `k` against the
+    /// rows of `x`.
+    pub fn packed(panels: &'a [f32], k: usize, x: &'a [f32], x_stride: usize) -> Self {
+        Segment {
+            panels,
+            block_stride: k * NR,
+            step: NR,
+            k,
+            x,
+            x_stride,
+        }
+    }
+
+    /// Lane block `b`, cut to exactly the elements its `k` steps read.
+    fn block(&self, b: usize) -> &'a [f32] {
+        match self.k {
+            0 => &[],
+            k => &self.panels[b * self.block_stride..][..(k - 1) * self.step + NR],
+        }
+    }
+
+    fn row(&self, r: usize) -> &'a [f32] {
+        &self.x[r * self.x_stride..][..self.k]
+    }
+}
+
+/// The packed GEMM driver: `out[r * row_stride + o * lane_stride] =
+/// post(bias[o] + sum over segments, then over t, of lane operand
+/// (o, t) * row r's input t)` for `r < rows`, `o < n`.
 ///
-/// The full-tile inner loop walks `packed` panels `k`-major, so the
-/// four accumulator chains update from one contiguous 4-lane load per
-/// `k` step instead of four strided row reads — the layout change that
-/// lets steady-state batched forwards never touch the row-major weight
-/// tensors. Accumulation order per output element is exactly that of
-/// the unpacked kernel.
-pub fn gemm_packed_bt_bias_rows_bf16(
-    packed: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    m: usize,
+/// Dense layers, im2col convolutions, LSTM gate pre-activations and both
+/// attention contractions are this one sweep of the register tile; they
+/// differ in their segments, their seed (`None` seeds `0.0`), their
+/// store layout and `post` (BF16 rounding, a scale, or nothing). Full
+/// blocks of [`MR`] rows share each lane block; the `rows % MR` tail
+/// rows instead block across `MR` lane blocks each, so the lone row of a
+/// batch-1 forward keeps `MR` independent chains in flight. Lane blocks
+/// past `n` and clamped duplicate chains are computed and not stored.
+///
+/// # Panics
+///
+/// Panics when a segment, the bias or `out` is too short for the shape.
+pub fn gemm_packed<const S: usize>(
+    segs: [Segment<'_>; S],
+    bias: Option<&[f32]>,
+    rows: usize,
     n: usize,
-    k: usize,
+    post: impl Fn(f32) -> f32,
     out: &mut [f32],
+    (row_stride, lane_stride): (usize, usize),
 ) {
-    assert_eq!(packed.len(), m * k, "gemm packed A length");
-    assert_eq!(b.len(), n * k, "gemm B length");
-    assert_eq!(bias.len(), m, "gemm bias length");
-    assert_eq!(out.len(), m * n, "gemm output length");
-    let mut j0 = 0;
-    while j0 < n {
-        let j1 = (j0 + NB).min(n);
-        let mut i = 0;
-        while i + MR <= m {
-            let panel = &packed[i * k..(i + MR) * k];
-            for j in j0..j1 {
-                let bj = &b[j * k..(j + 1) * k];
-                let mut acc = [bias[i], bias[i + 1], bias[i + 2], bias[i + 3]];
-                for (&x, av) in bj.iter().zip(panel.chunks_exact(MR)) {
-                    acc[0] += av[0] * x;
-                    acc[1] += av[1] * x;
-                    acc[2] += av[2] * x;
-                    acc[3] += av[3] * x;
-                }
-                out[i * n + j] = bf16_round(acc[0]);
-                out[(i + 1) * n + j] = bf16_round(acc[1]);
-                out[(i + 2) * n + j] = bf16_round(acc[2]);
-                out[(i + 3) * n + j] = bf16_round(acc[3]);
-            }
-            i += MR;
+    if rows == 0 || n == 0 {
+        return;
+    }
+    if let Some(bias) = bias {
+        assert_eq!(bias.len(), n, "packed gemm bias length");
+    }
+    assert!(
+        out.len() > (rows - 1) * row_stride + (n - 1) * lane_stride,
+        "packed gemm output length"
+    );
+    let blocks = n.div_ceil(NR);
+    let seed = |b: usize| {
+        let mut lanes = [0.0f32; NR];
+        if let Some(bias) = bias {
+            let tail = &bias[b * NR..n.min((b + 1) * NR)];
+            lanes[..tail.len()].copy_from_slice(tail);
         }
-        // Tail rows sit row-major at their unpacked offsets.
-        for r in i..m {
-            let ar = &packed[r * k..(r + 1) * k];
-            for j in j0..j1 {
-                let bj = &b[j * k..(j + 1) * k];
-                let mut acc = bias[r];
-                for t in 0..k {
-                    acc += ar[t] * bj[t];
-                }
-                out[r * n + j] = bf16_round(acc);
+        lanes
+    };
+    let mut store = |lanes: &[f32; NR], r: usize, b: usize| {
+        let base = r * row_stride + b * NR * lane_stride;
+        let valid = NR.min(n - b * NR);
+        if lane_stride == 1 {
+            store_lanes(&mut out[base..base + valid], lanes, &post);
+        } else {
+            for (l, &v) in lanes.iter().enumerate().take(valid) {
+                out[base + l * lane_stride] = post(v);
             }
         }
-        j0 = j1;
+    };
+    let full = rows - rows % MR;
+    for b in 0..blocks {
+        let lanes = seed(b);
+        for r0 in (0..full).step_by(MR) {
+            let mut acc = [lanes; MR];
+            for seg in &segs {
+                let xs = std::array::from_fn(|c| seg.row(r0 + c));
+                tile_accumulate(&mut acc, [seg.block(b); MR], seg.step, xs);
+            }
+            for (c, lanes) in acc.iter().enumerate() {
+                store(lanes, r0 + c, b);
+            }
+        }
+    }
+    for r in full..rows {
+        for b0 in (0..blocks).step_by(MR) {
+            let bs: [usize; MR] = std::array::from_fn(|c| (b0 + c).min(blocks - 1));
+            let mut acc = bs.map(seed);
+            for seg in &segs {
+                tile_accumulate(
+                    &mut acc,
+                    bs.map(|b| seg.block(b)),
+                    seg.step,
+                    [seg.row(r); MR],
+                );
+            }
+            for (c, lanes) in acc.iter().enumerate().take(blocks - b0) {
+                store(lanes, r, b0 + c);
+            }
+        }
     }
 }
 
-/// [`matvec_bias_bf16`] reading a prepacked `[n, k]` weight operand
-/// (see [`pack_bt_panels`]); bit-identical output.
-pub fn matvec_packed_bias_bf16(
-    packed: &[f32],
-    bias: &[f32],
-    x: &[f32],
-    n: usize,
-    k: usize,
-    out: &mut [f32],
-) {
-    assert_eq!(packed.len(), n * k, "matvec packed weight length");
-    assert_eq!(bias.len(), n, "matvec bias length");
-    assert_eq!(x.len(), k, "matvec input length");
-    assert_eq!(out.len(), n, "matvec output length");
-    let mut o = 0;
-    while o + MR <= n {
-        let panel = &packed[o * k..(o + MR) * k];
-        let mut acc = [bias[o], bias[o + 1], bias[o + 2], bias[o + 3]];
-        for (&xv, wv) in x.iter().zip(panel.chunks_exact(MR)) {
-            acc[0] += wv[0] * xv;
-            acc[1] += wv[1] * xv;
-            acc[2] += wv[2] * xv;
-            acc[3] += wv[3] * xv;
-        }
-        out[o] = bf16_round(acc[0]);
-        out[o + 1] = bf16_round(acc[1]);
-        out[o + 2] = bf16_round(acc[2]);
-        out[o + 3] = bf16_round(acc[3]);
-        o += MR;
-    }
-    for r in o..n {
-        let wr = &packed[r * k..(r + 1) * k];
-        let mut acc = bias[r];
-        for t in 0..k {
-            acc += wr[t] * x[t];
-        }
-        out[r] = bf16_round(acc);
-    }
-}
-
-/// Batched [`lstm_gates`] over prepacked weights: one timestep's gate
-/// pre-activations for every sequence in a batch.
+/// Batched LSTM gate pre-activations over prepacked weights: one
+/// timestep's `gates[s][g] = bias[g] + dot(wx[g], x_s) + dot(wh[g], h_s)`
+/// for every sequence in a batch, unrounded.
 ///
 /// `packed_wx` / `packed_wh` are `[4 * hidden, input]` / `[4 * hidden,
 /// hidden]` operands packed by [`pack_bt_panels`]. Sample `s` reads its
 /// timestep input at `x[x_off + s * x_stride ..][..input]` (a strided
 /// view into a sample-major `[batch, steps, input]` sequence buffer)
 /// and its hidden state at `h[s * hidden..]`; its gates land at
-/// `gates[s * 4 * hidden..]`. Per (sample, gate) the accumulation is
-/// bias, then the `wx` dot, then the `wh` dot — exactly [`lstm_gates`].
+/// `gates[s * 4 * hidden..]`. The two dots are two segments of one
+/// [`gemm_packed`] sweep, input weights first — exactly [`lstm_gates`].
 #[allow(clippy::too_many_arguments)]
 pub fn lstm_gates_packed_batch(
     packed_wx: &[f32],
@@ -606,57 +710,20 @@ pub fn lstm_gates_packed_batch(
     gates: &mut [f32],
 ) {
     let n = 4 * hidden;
-    assert_eq!(packed_wx.len(), n * input, "lstm packed wx length");
-    assert_eq!(packed_wh.len(), n * hidden, "lstm packed wh length");
-    assert_eq!(bias.len(), n, "lstm bias length");
     assert_eq!(h.len(), batch * hidden, "lstm hidden length");
     assert_eq!(gates.len(), batch * n, "lstm gates length");
-    if batch > 0 {
-        assert!(
-            x.len() >= x_off + (batch - 1) * x_stride + input,
-            "lstm sequence buffer too short"
-        );
-    }
-    for s in 0..batch {
-        let xt = &x[x_off + s * x_stride..x_off + s * x_stride + input];
-        let hs = &h[s * hidden..(s + 1) * hidden];
-        let grow = &mut gates[s * n..(s + 1) * n];
-        let mut g = 0;
-        while g + MR <= n {
-            let px = &packed_wx[g * input..(g + MR) * input];
-            let mut acc = [bias[g], bias[g + 1], bias[g + 2], bias[g + 3]];
-            for (&xv, wv) in xt.iter().zip(px.chunks_exact(MR)) {
-                acc[0] += wv[0] * xv;
-                acc[1] += wv[1] * xv;
-                acc[2] += wv[2] * xv;
-                acc[3] += wv[3] * xv;
-            }
-            let ph = &packed_wh[g * hidden..(g + MR) * hidden];
-            for (&hv, wv) in hs.iter().zip(ph.chunks_exact(MR)) {
-                acc[0] += wv[0] * hv;
-                acc[1] += wv[1] * hv;
-                acc[2] += wv[2] * hv;
-                acc[3] += wv[3] * hv;
-            }
-            grow[g] = acc[0];
-            grow[g + 1] = acc[1];
-            grow[g + 2] = acc[2];
-            grow[g + 3] = acc[3];
-            g += MR;
-        }
-        for r in g..n {
-            let mut acc = bias[r];
-            let wxr = &packed_wx[r * input..(r + 1) * input];
-            for i in 0..input {
-                acc += wxr[i] * xt[i];
-            }
-            let whr = &packed_wh[r * hidden..(r + 1) * hidden];
-            for j in 0..hidden {
-                acc += whr[j] * hs[j];
-            }
-            grow[r] = acc;
-        }
-    }
+    gemm_packed(
+        [
+            Segment::packed(packed_wx, input, x.get(x_off..).unwrap_or(&[]), x_stride),
+            Segment::packed(packed_wh, hidden, h, hidden),
+        ],
+        Some(bias),
+        batch,
+        n,
+        |v| v,
+        gates,
+        (n, 1),
+    );
 }
 
 /// Direct convolution for width-1 kernels at unit stride with no
@@ -665,18 +732,22 @@ pub fn lstm_gates_packed_batch(
 /// inception branch). Bit-identical to `im2col` + GEMM.
 ///
 /// With `kw == 1`, `stride == (1, 1)`, `pw == 0`, the im2col "patch
-/// column" for tap `t = (ic, ky)` is just the input channel shifted by
-/// `(ky - ph)` rows — so instead of materializing an `[oh * ow, k]`
-/// patch matrix and re-reading it, this kernel accumulates each tap as
-/// one scalar-times-slice pass over the `f32` workspace `acc` (length
-/// `oh * w`), which vectorizes as a pure axpy. Per output element the
-/// accumulation order is exactly the GEMM's: seeded with the bias,
-/// taps in increasing `(ic, ky)` order, rounded once at the end.
-/// Out-of-range taps add `weight * 0.0`, exactly as the GEMM multiplies
-/// the patch matrix's materialized zeros.
+/// column" for tap `(ic, ky)` is just the input channel shifted by
+/// `(ky - ph)` rows, so no patch matrix is materialized: the sample is
+/// copied once into `stage` with `ph` zero rows around every channel,
+/// and each tap's [`NR`] lane operands are then one contiguous load from
+/// it. A tile is `NR` consecutive output positions x [`MR`] output
+/// channels, whose weights are the broadcast inputs; its accumulators
+/// stay in registers across all `in_c * kh` taps. Per output element the
+/// accumulation order is exactly the GEMM's: seeded with the bias, taps
+/// in increasing `(ic, ky)` order, rounded once at the end. Padded taps
+/// read the staged zeros and add `weight * 0.0`, exactly as the GEMM
+/// multiplies the patch matrix's materialized zeros.
 ///
 /// `a` is the row-major `[out_c, in_c * kh]` kernel matrix; `x` is one
-/// `[in_c, h, w]` sample; `out` is its `[out_c, oh * w]` output.
+/// `[in_c, h, w]` sample; `stage` is a workspace of
+/// [`conv2d_kw1_stage_len`] elements; `out` is the `[out_c, oh * w]`
+/// output.
 ///
 /// # Panics
 ///
@@ -692,49 +763,61 @@ pub fn conv2d_kw1_direct_bf16(
     kh: usize,
     ph: usize,
     out_c: usize,
-    acc: &mut [f32],
+    stage: &mut [f32],
     out: &mut [f32],
 ) {
     let k = in_c * kh;
     let oh = h + 2 * ph + 1 - kh;
     let positions = oh * w;
+    let chan = (h + 2 * ph) * w;
     assert_eq!(a.len(), out_c * k, "direct conv kernel length");
     assert_eq!(bias.len(), out_c, "direct conv bias length");
     assert_eq!(x.len(), in_c * h * w, "direct conv input length");
-    assert_eq!(acc.len(), positions, "direct conv workspace length");
+    assert_eq!(
+        stage.len(),
+        conv2d_kw1_stage_len(in_c, h, w, ph),
+        "direct conv workspace length"
+    );
     assert_eq!(out.len(), out_c * positions, "direct conv output length");
-    for oc in 0..out_c {
-        acc.fill(bias[oc]);
-        let wrow = &a[oc * k..(oc + 1) * k];
-        for ic in 0..in_c {
-            let chan = &x[ic * h * w..(ic + 1) * h * w];
-            for ky in 0..kh {
-                let wv = wrow[ic * kh + ky];
-                // Output rows whose tap row `oy + ky - ph` is in bounds.
-                let lo = ph.saturating_sub(ky).min(oh);
-                let hi = (h + ph).saturating_sub(ky).clamp(lo, oh);
-                // Padded taps contribute `wv * 0.0` (a signed zero),
-                // matching the GEMM against materialized zeros.
-                let z = wv * 0.0;
-                for v in &mut acc[..lo * w] {
-                    *v += z;
-                }
-                for v in &mut acc[hi * w..] {
-                    *v += z;
-                }
-                let src = &chan[(lo + ky - ph) * w..(hi + ky - ph) * w];
-                for (av, &xv) in acc[lo * w..hi * w].iter_mut().zip(src) {
-                    *av += wv * xv;
-                }
+    assert!(kh > 0, "direct conv kernel height");
+    if out_c == 0 {
+        return;
+    }
+    // The slack is what the last lane block over-reads into lanes
+    // nobody stores.
+    let (padded, slack) = stage.split_at_mut(in_c * chan);
+    slack.fill(0.0);
+    for (dst, src) in padded
+        .chunks_exact_mut(chan.max(1))
+        .zip(x.chunks_exact((h * w).max(1)))
+    {
+        dst[..ph * w].fill(0.0);
+        dst[ph * w..][..h * w].copy_from_slice(src);
+        dst[(ph + h) * w..].fill(0.0);
+    }
+    for oc0 in (0..out_c).step_by(MR) {
+        let ocs: [usize; MR] = std::array::from_fn(|c| (oc0 + c).min(out_c - 1));
+        let rows = ocs.map(|oc| &a[oc * k..(oc + 1) * k]);
+        for p0 in (0..positions).step_by(NR) {
+            let mut acc = ocs.map(|oc| [bias[oc]; NR]);
+            for ic in 0..in_c {
+                let lanes = &stage[ic * chan + p0..][..(kh - 1) * w + NR];
+                let taps = rows.map(|r| &r[ic * kh..(ic + 1) * kh]);
+                tile_accumulate(&mut acc, [lanes; MR], w, taps);
+            }
+            let valid = NR.min(positions - p0);
+            for (c, lanes) in acc.iter().enumerate().take(out_c - oc0) {
+                let dst = &mut out[(oc0 + c) * positions + p0..][..valid];
+                store_lanes(dst, lanes, bf16_round);
             }
         }
-        for (o, &v) in out[oc * positions..(oc + 1) * positions]
-            .iter_mut()
-            .zip(acc.iter())
-        {
-            *o = bf16_round(v);
-        }
     }
+}
+
+/// Workspace length [`conv2d_kw1_direct_bf16`] needs: every channel with
+/// its `ph` zero rows above and below, plus one lane block of slack.
+pub fn conv2d_kw1_stage_len(in_c: usize, h: usize, w: usize, ph: usize) -> usize {
+    in_c * (h + 2 * ph) * w + NR
 }
 
 /// Whole-batch [`im2col`]: unfolds a sample-major `[batch, in_c, h, w]`
@@ -926,9 +1009,58 @@ mod tests {
         }
     }
 
+    /// `gemm_packed` as a dense layer: `[rows, k]` inputs against a
+    /// packed `[n, k]` weight, BF16-rounded `[rows, n]` output.
+    fn packed_linear(w: &[f32], bias: &[f32], x: &[f32], rows: usize, k: usize) -> Vec<f32> {
+        let n = bias.len();
+        let mut packed = Vec::new();
+        pack_bt_panels(w, n, k, &mut packed);
+        let mut out = vec![f32::NAN; rows * n];
+        gemm_packed(
+            [Segment::packed(&packed, k, x, k)],
+            Some(bias),
+            rows,
+            n,
+            bf16_round,
+            &mut out,
+            (n, 1),
+        );
+        out
+    }
+
+    #[test]
+    fn tile_matches_scalar_loop_off_the_tile_grid() {
+        // Lane tails (n % NR), row tails (rows % MR, rows < MR), empty
+        // batches and empty reductions all run the one micro-kernel.
+        for &n in &[1usize, 7, 8, 9, 17] {
+            for &rows in &[0usize, 1, 3, 4, 5] {
+                for &k in &[0usize, 1, 16] {
+                    let w: Vec<f32> = (0..n * k).map(|i| (i as f32 * 0.37).sin()).collect();
+                    let x: Vec<f32> = (0..rows * k).map(|i| (i as f32 * 0.19).cos()).collect();
+                    let bias: Vec<f32> = (0..n).map(|i| i as f32 * 0.1 - 0.2).collect();
+                    let got = packed_linear(&w, &bias, &x, rows, k);
+                    for r in 0..rows {
+                        for o in 0..n {
+                            let mut acc = bias[o];
+                            for t in 0..k {
+                                acc += w[o * k + t] * x[r * k + t];
+                            }
+                            assert_eq!(
+                                got[r * n + o].to_bits(),
+                                bf16_round(acc).to_bits(),
+                                "n={n} rows={rows} k={k} r={r} o={o}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn packed_gemm_matches_unpacked_across_tile_boundaries() {
-        // m spans below/at/above MR, n spans below/at/above NB.
+        // m spans below/at/above the lane block, n spans below/at/above
+        // the unpacked kernel's NB cache block.
         for &m in &[1usize, 3, 4, 5, 8, 9] {
             for &n in &[1usize, 63, 64, 65] {
                 let k = 7usize;
@@ -940,7 +1072,15 @@ mod tests {
                 let mut want = vec![0.0; m * n];
                 gemm_bt_bias_rows_bf16(&a, &b, &bias, m, n, k, &mut want);
                 let mut got = vec![0.0; m * n];
-                gemm_packed_bt_bias_rows_bf16(&packed, &b, &bias, m, n, k, &mut got);
+                gemm_packed(
+                    [Segment::packed(&packed, k, &b, k)],
+                    Some(&bias),
+                    n,
+                    m,
+                    bf16_round,
+                    &mut got,
+                    (1, n),
+                );
                 assert_eq!(got, want, "m={m} n={n}");
             }
         }
@@ -953,13 +1093,9 @@ mod tests {
             let w: Vec<f32> = (0..n * k).map(|i| (i as f32).sin()).collect();
             let x: Vec<f32> = (0..k).map(|i| (i as f32).cos()).collect();
             let bias: Vec<f32> = (0..n).map(|i| i as f32 * 0.05).collect();
-            let mut packed = Vec::new();
-            pack_bt_panels(&w, n, k, &mut packed);
             let mut want = vec![0.0; n];
             matvec_bias_bf16(&w, &bias, &x, n, k, &mut want);
-            let mut got = vec![0.0; n];
-            matvec_packed_bias_bf16(&packed, &bias, &x, n, k, &mut got);
-            assert_eq!(got, want, "n={n}");
+            assert_eq!(packed_linear(&w, &bias, &x, 1, k), want, "n={n}");
         }
     }
 
@@ -1007,6 +1143,36 @@ mod tests {
             );
             assert_eq!(&gates[s * n..(s + 1) * n], &want[..], "sample {s}");
         }
+    }
+
+    #[test]
+    fn direct_conv_padded_taps_add_signed_zeros_like_the_gemm() {
+        // Same-padded (3, 1) kernel over an all-zero input with a -0.0
+        // bias: every product is a signed zero, so the output's sign bit
+        // records whether padded taps were added (`w * 0.0`) or skipped.
+        // Tap 0 is positive and the rest negative: at the top edge the
+        // padded tap 0 adds +0.0 and flips the -0.0 seed to +0.0, which
+        // the negative real taps (-0.0 each) cannot flip back. Skipping
+        // it would leave -0.0.
+        let (in_c, h, w, kh, ph, out_c) = (2usize, 5usize, 1usize, 3usize, 1usize, 5usize);
+        let k = in_c * kh;
+        let kern: Vec<f32> = (0..out_c * k)
+            .map(|i| if i % k == 0 { 0.5 } else { -0.25 })
+            .collect();
+        let bias = vec![-0.0f32; out_c];
+        let x = vec![0.0f32; in_c * h * w];
+        let mut stage = vec![f32::NAN; conv2d_kw1_stage_len(in_c, h, w, ph)];
+        let mut got = vec![f32::NAN; out_c * h * w];
+        conv2d_kw1_direct_bf16(
+            &kern, &bias, &x, in_c, h, w, kh, ph, out_c, &mut stage, &mut got,
+        );
+        let mut patches = vec![f32::NAN; h * w * k];
+        im2col(&x, in_c, h, w, kh, 1, (1, 1), (ph, 0), h, w, &mut patches);
+        let mut want = vec![f32::NAN; out_c * h * w];
+        gemm_bt_bias_rows_bf16(&kern, &patches, &bias, out_c, h * w, k, &mut want);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(got[0].to_bits(), 0.0f32.to_bits(), "padded tap was added");
     }
 
     #[test]

@@ -184,6 +184,61 @@ impl TransformerBlock {
     }
 }
 
+/// Packed operands one block pushes in [`TransformerBlock::pack_into`].
+const BLOCK_PANELS: usize = 6;
+
+impl TransformerBlock {
+    /// Pushes `wq, wk, wv, wo, ffn1, ffn2`, in that order.
+    fn pack_into(&self, pw: &mut PackedWeights) {
+        for panels in self.attn.pack() {
+            pw.push(panels);
+        }
+        pw.push(self.ffn1.pack());
+        pw.push(self.ffn2.pack());
+    }
+
+    /// The batched block over a flat `[batch * t, d]` token buffer,
+    /// updated in place; `base` is the index of the block's first packed
+    /// operand. Every sublayer sweeps all `batch * t` rows at once (the
+    /// attention core per sample and head); per sample bit-identical to
+    /// [`Self::forward_scratch`].
+    fn forward_batch_packed(
+        &self,
+        tokens: &mut [f32],
+        batch: usize,
+        t: usize,
+        packed: &PackedWeights,
+        base: usize,
+        pad: &mut ScratchPad,
+    ) {
+        let rows = batch * t;
+        // x = x + attn(ln1(x))
+        let mut norm = pad.take_dirty(tokens.len());
+        self.ln1.forward_rows(tokens, &mut norm);
+        let mut delta = pad.take_dirty(tokens.len());
+        let attn_panels = std::array::from_fn(|i| packed.panel(base + i));
+        self.attn
+            .forward_batch_packed(&norm, batch, t, attn_panels, pad, &mut delta);
+        for (v, add) in tokens.iter_mut().zip(&delta) {
+            *v += add;
+        }
+        // x = x + ffn(ln2(x))
+        self.ln2.forward_rows(tokens, &mut norm);
+        let mut hidden = pad.take_dirty(rows * self.ffn1.output_dim());
+        self.ffn1
+            .forward_batch_packed(&norm, rows, packed.panel(base + 4), &mut hidden);
+        pad.give(norm);
+        relu_slice(&mut hidden);
+        self.ffn2
+            .forward_batch_packed(&hidden, rows, packed.panel(base + 5), &mut delta);
+        pad.give(hidden);
+        for (v, add) in tokens.iter_mut().zip(&delta) {
+            *v += add;
+        }
+        pad.give(delta);
+    }
+}
+
 /// Standard sinusoidal positional encoding, `[T, D]`.
 fn positional_encoding(t: usize, d: usize) -> Tensor {
     let mut pe = Tensor::zeros(&[t, d]);
@@ -334,10 +389,8 @@ impl Model for TransLob {
         p
     }
 
-    /// Panel order: the five front-end convolutions, `proj`, `head`.
-    /// The transformer blocks run per sample on the existing scratch
-    /// path (attention is token-coupled; batching them would only
-    /// re-stage the same GEMV work).
+    /// Panel order: the five front-end convolutions, `proj`, `head`,
+    /// then each transformer block's [`BLOCK_PANELS`] operands.
     fn pack_weights(&self) -> PackedWeights {
         let mut pw = PackedWeights::empty(self.kind());
         for conv in &self.convs {
@@ -345,6 +398,9 @@ impl Model for TransLob {
         }
         pw.push(self.proj.pack());
         pw.push(self.head.pack());
+        for block in &self.blocks {
+            block.pack_into(&mut pw);
+        }
         pw
     }
 
@@ -407,28 +463,25 @@ impl Model for TransLob {
         self.proj
             .forward_batch_packed(&seq, batch * t, packed.panel(CONV_LAYERS), &mut tokens);
         pad.give(seq);
-        // Transformer blocks are token-coupled: run them per sample on
-        // the scratch path, pooling each sample's result as it finishes.
-        // `take` (not `take_dirty`): the pooled accumulator must start
-        // at zero, matching the single-sample path.
-        let mut pooled = pad.take(batch * d);
-        for s in 0..batch {
-            let mut tok = pad.take_tensor(&[t, d]);
-            tok.data_mut()
-                .copy_from_slice(&tokens[s * t * d..(s + 1) * t * d]);
-            for (v, p) in tok.data_mut().iter_mut().zip(self.pos.data()) {
+        for sample in tokens.chunks_exact_mut(t * d) {
+            for (v, p) in sample.iter_mut().zip(self.pos.data()) {
                 *v += p;
             }
-            for block in &self.blocks {
-                tok = block.forward_scratch(tok, pad);
-            }
-            let acc = &mut pooled[s * d..(s + 1) * d];
-            for ti in 0..t {
-                for (a, v) in acc.iter_mut().zip(tok.row(ti)) {
+        }
+        for (l, block) in self.blocks.iter().enumerate() {
+            let base = CONV_LAYERS + 2 + l * BLOCK_PANELS;
+            block.forward_batch_packed(&mut tokens, batch, t, packed, base, pad);
+        }
+        // Mean pool over time. `take` (not `take_dirty`): the pooled
+        // accumulator must start at zero, matching the single-sample
+        // path.
+        let mut pooled = pad.take(batch * d);
+        for (acc, sample) in pooled.chunks_exact_mut(d).zip(tokens.chunks_exact(t * d)) {
+            for row in sample.chunks_exact(d) {
+                for (a, v) in acc.iter_mut().zip(row) {
                     *a += v / t as f32;
                 }
             }
-            pad.give_tensor(tok);
         }
         pad.give(tokens);
         let mut logits = pad.take_dirty(batch * 3);

@@ -1,6 +1,7 @@
 //! Multi-head self-attention (the TransLOB building block).
 
-use crate::kernels::{attn_context, attn_scores};
+use crate::batch::PackedPanels;
+use crate::kernels::{attn_context, attn_scores, gemm_packed, pack_bt_panels, Segment, NR};
 use crate::ops::activation::{softmax_last_dim, softmax_rows};
 use crate::ops::count::attention_macs;
 use crate::ops::expect_rank;
@@ -113,6 +114,105 @@ impl MultiHeadAttention {
         let out = self.wo.forward_scratch(&context, pad);
         pad.give_tensor(context);
         out
+    }
+
+    /// Packs the Q, K, V and output projections, in that order, for
+    /// [`Self::forward_batch_packed`].
+    pub fn pack(&self) -> [PackedPanels; 4] {
+        [&self.wq, &self.wk, &self.wv, &self.wo].map(Linear::pack)
+    }
+
+    /// Batched self-attention over a flat `[batch * t, d_model]` token
+    /// buffer, writing the same shape into `out`; per sample
+    /// bit-identical to [`Self::forward_scratch`].
+    ///
+    /// The four projections each sweep all `batch * t` rows at once.
+    /// Attention itself couples tokens within a sample only, so scores,
+    /// softmax and context run per (sample, head) — both contractions on
+    /// the packed register tile. For the scores the lanes are keys: the
+    /// sample's K is transposed into k-major panels once, and each
+    /// head reads its `d_head` reduction steps out of them. For the
+    /// context the lanes are the head's value columns, read straight
+    /// from the row-major V with a row-width step. The `[t, t]` score
+    /// matrix of one head stays cache-resident between the two.
+    ///
+    /// # Panics
+    ///
+    /// Panics on buffer-length or packed-shape mismatches.
+    pub fn forward_batch_packed(
+        &self,
+        x: &[f32],
+        batch: usize,
+        t: usize,
+        packed: [&PackedPanels; 4],
+        pad: &mut ScratchPad,
+        out: &mut [f32],
+    ) {
+        let d = self.d_model;
+        let rows = batch * t;
+        let d_head = d / self.heads;
+        let scale = 1.0 / (d_head as f32).sqrt();
+        let [pq, pk, pv, po] = packed;
+        let mut q = pad.take_dirty(rows * d);
+        self.wq.forward_batch_packed(x, rows, pq, &mut q);
+        let mut k = pad.take_dirty(rows * d);
+        self.wk.forward_batch_packed(x, rows, pk, &mut k);
+        // A head's last lane block may read past its columns (into the
+        // next head's, or this slack); those lanes are never stored.
+        let mut v = pad.take_dirty(rows * d + NR);
+        self.wv
+            .forward_batch_packed(x, rows, pv, &mut v[..rows * d]);
+        v[rows * d..].fill(0.0);
+        let mut context = pad.take_dirty(rows * d);
+        let mut kt = pad.take_dirty(t.div_ceil(NR) * NR * d);
+        let mut scores = pad.take_dirty(t * t);
+        for s in 0..batch {
+            let sample = s * t * d;
+            pack_bt_panels(&k[sample..sample + t * d], t, d, &mut kt);
+            for h in 0..self.heads {
+                let off = h * d_head;
+                gemm_packed(
+                    [Segment {
+                        panels: &kt[off * NR..],
+                        block_stride: d * NR,
+                        step: NR,
+                        k: d_head,
+                        x: &q[sample + off..],
+                        x_stride: d,
+                    }],
+                    None,
+                    t,
+                    t,
+                    |dot| dot * scale,
+                    &mut scores,
+                    (t, 1),
+                );
+                softmax_rows(&mut scores, t, t);
+                gemm_packed(
+                    [Segment {
+                        panels: &v[sample + off..],
+                        block_stride: NR,
+                        step: d,
+                        k: t,
+                        x: &scores,
+                        x_stride: t,
+                    }],
+                    None,
+                    t,
+                    d_head,
+                    |acc| acc,
+                    &mut context[sample + off..],
+                    (d, 1),
+                );
+            }
+        }
+        pad.give(scores);
+        pad.give(kt);
+        pad.give(q);
+        pad.give(k);
+        pad.give(v);
+        self.wo.forward_batch_packed(&context, rows, po, out);
+        pad.give(context);
     }
 
     /// The naive reference implementation (kept for equivalence tests

@@ -3,7 +3,8 @@
 use crate::batch::{scatter_samples, PackedPanels};
 use crate::bf16::bf16_round;
 use crate::kernels::{
-    conv2d_kw1_direct_bf16, gemm_bt_bias_rows_bf16, gemm_packed_bt_bias_rows_bf16, im2col,
+    conv2d_kw1_direct_bf16, conv2d_kw1_stage_len, gemm_bt_bias_rows_bf16, gemm_packed, im2col,
+    Segment,
 };
 use crate::ops::count::{conv2d_macs, conv_out_len};
 use crate::ops::expect_rank;
@@ -161,9 +162,10 @@ impl Conv2d {
     /// Batched convolution over a sample-major `[batch, in_c, h, w]`
     /// activation block, writing `[batch, out_c, oh * ow]` into `out`.
     ///
-    /// Unfolds the whole batch into one stacked `[batch * oh * ow, k]`
-    /// im2col patch matrix drawn from `pad`, then sweeps it with the
-    /// prepacked-panel GEMM — per sample bit-identical to
+    /// Width-1 unit-stride kernels run the direct register-tile
+    /// convolution; every other shape unfolds into a stacked
+    /// `[batch * oh * ow, k]` im2col patch matrix drawn from `pad` and
+    /// sweeps it with the packed GEMM — per sample bit-identical to
     /// [`Self::forward_scratch`], since stacking only extends the GEMM's
     /// output `n` dimension and packing only permutes the A layout.
     /// `threads > 1` scatters contiguous sample chunks across scoped
@@ -199,18 +201,19 @@ impl Conv2d {
             "batched conv output length"
         );
         // Width-1 unit-stride kernels (the dominant shape in all three
-        // networks) skip patch materialization entirely: each tap is an
-        // axpy over a shifted input slice, bit-identical to the GEMM.
+        // networks) skip patch materialization entirely: each tap's lanes
+        // are a shifted slice of the zero-padded staged sample.
         if kw == 1 && self.stride == (1, 1) && self.padding.1 == 0 {
-            let mut work = pad.take_dirty(batch * positions);
+            let stage_len = conv2d_kw1_stage_len(in_c, h, w, self.padding.0);
+            let mut stage = pad.take_dirty(batch * stage_len);
             scatter_samples(
                 threads,
                 batch,
-                &mut work,
-                positions,
+                &mut stage,
+                stage_len,
                 out,
                 out_c * positions,
-                |s, acc, o| {
+                |s, stage, o| {
                     conv2d_kw1_direct_bf16(
                         self.kernel.data(),
                         &self.bias,
@@ -221,12 +224,12 @@ impl Conv2d {
                         kh,
                         self.padding.0,
                         out_c,
-                        acc,
+                        stage,
                         o,
                     );
                 },
             );
-            pad.give(work);
+            pad.give(stage);
             return;
         }
         // Fully overwritten below (im2col writes every patch element,
@@ -253,14 +256,16 @@ impl Conv2d {
                     ow,
                     patch,
                 );
-                gemm_packed_bt_bias_rows_bf16(
-                    packed.data(),
-                    patch,
-                    &self.bias,
-                    out_c,
+                // Lanes are output channels, rows are patch rows; the
+                // store transposes into the `[out_c, positions]` layout.
+                gemm_packed(
+                    [Segment::packed(packed.data(), k, patch, k)],
+                    Some(&self.bias),
                     positions,
-                    k,
+                    out_c,
+                    bf16_round,
                     o,
+                    (1, positions),
                 );
             },
         );

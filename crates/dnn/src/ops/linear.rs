@@ -2,7 +2,7 @@
 
 use crate::batch::PackedPanels;
 use crate::bf16::{bf16_round, quantize_int8, quantize_int8_into};
-use crate::kernels::{matvec_bias_bf16, matvec_i8_bias, matvec_packed_bias_bf16};
+use crate::kernels::{gemm_packed, matvec_bias_bf16, matvec_i8_bias, Segment};
 use crate::ops::count::linear_macs;
 use crate::scratch::ScratchPad;
 use crate::tensor::Tensor;
@@ -107,10 +107,11 @@ impl Linear {
         PackedPanels::pack(self.weight.data(), self.output_dim(), self.input_dim())
     }
 
-    /// Applies the layer row-wise over a flat `[rows, in]` buffer using
-    /// prepacked weight panels, writing `[rows, out]` into `out`.
-    /// Per row bit-identical to [`Self::forward_scratch`] — packing only
-    /// permutes the weight layout, never the `k` accumulation order.
+    /// Applies the layer over a flat `[rows, in]` buffer using prepacked
+    /// weight panels, writing `[rows, out]` into `out`: one sweep of the
+    /// packed register tile over row blocks. Per row bit-identical to
+    /// [`Self::forward_scratch`] — packing only permutes the weight
+    /// layout, never the `k` accumulation order.
     ///
     /// # Panics
     ///
@@ -127,16 +128,15 @@ impl Linear {
         assert_eq!(packed.k(), input, "packed weight width mismatch");
         assert_eq!(x.len(), rows * input, "batched linear input length");
         assert_eq!(out.len(), rows * output, "batched linear output length");
-        for r in 0..rows {
-            matvec_packed_bias_bf16(
-                packed.data(),
-                &self.bias,
-                &x[r * input..(r + 1) * input],
-                output,
-                input,
-                &mut out[r * output..(r + 1) * output],
-            );
-        }
+        gemm_packed(
+            [Segment::packed(packed.data(), input, x, input)],
+            Some(&self.bias),
+            rows,
+            output,
+            bf16_round,
+            out,
+            (output, 1),
+        );
     }
 
     /// The naive reference implementation (kept for equivalence tests

@@ -186,7 +186,7 @@ impl Lstm {
     /// into `out`.
     ///
     /// Each timestep computes every sample's fused gate vector in one
-    /// kernel sweep ([`lstm_gates_packed_batch`]) before the elementwise
+    /// packed sweep ([`lstm_gates_packed_batch`]) before the elementwise
     /// state update; per sample the bias -> `W_x x_t` -> `W_h h` chain
     /// and BF16 rounding points are exactly those of the serial path, so
     /// results are bit-identical.

@@ -50,17 +50,29 @@ impl LayerNorm {
         let (t, d) = (x.shape()[0], x.shape()[1]);
         assert_eq!(d, self.dim(), "width mismatch");
         let mut out = pad.take_tensor(&[t, d]);
-        for r in 0..t {
-            let row = x.row(r);
+        self.forward_rows(x.data(), out.data_mut());
+        out
+    }
+
+    /// Normalizes every `dim`-wide row of the flat `[rows, dim]` buffer
+    /// `x` into `out` — [`Self::forward_scratch`] without the tensors,
+    /// for the batched path's flat activation buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffers differ in length or are not whole rows.
+    pub fn forward_rows(&self, x: &[f32], out: &mut [f32]) {
+        let d = self.dim();
+        assert_eq!(x.len(), out.len(), "layer norm buffer lengths");
+        assert_eq!(x.len() % d, 0, "layer norm input is not whole rows");
+        for (row, orow) in x.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
             let mean = row.iter().sum::<f32>() / d as f32;
             let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / d as f32;
             let inv = 1.0 / (var + self.eps).sqrt();
-            let orow = &mut out.data_mut()[r * d..(r + 1) * d];
             for c in 0..d {
                 orow[c] = (row[c] - mean) * inv * self.gamma[c] + self.beta[c];
             }
         }
-        out
     }
 
     /// The naive reference implementation (kept for equivalence tests

@@ -4,10 +4,8 @@
 //! stacks GEMM output dimensions, neither touches any `k` accumulation
 //! chain. Also pins the packed/batched kernels at degenerate shapes.
 
-use lt_dnn::kernels::{
-    gemm_bt_bias_rows_bf16, gemm_packed_bt_bias_rows_bf16, im2col_batch, matvec_packed_bias_bf16,
-    pack_bt_panels,
-};
+use lt_dnn::bf16_round;
+use lt_dnn::kernels::{gemm_bt_bias_rows_bf16, gemm_packed, im2col_batch, pack_bt_panels, Segment};
 use lt_dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
 use lt_dnn::{Model, PackedWeights, Prediction, ScratchPad, Tensor};
 use proptest::prelude::*;
@@ -94,6 +92,69 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// VanillaCnn off the tile grid: odd channel and hidden widths leave
+    /// lane tails in every layer; batches 0..=9 cover the empty batch,
+    /// the lone row and row tails on either side of a full row block.
+    #[test]
+    fn vanilla_off_grid_batch_matches_loop(
+        (ci, hi, batch, seed) in (0usize..3, 0usize..3, 0usize..=9, 0u64..500),
+    ) {
+        let spec = CnnSpec {
+            channels: [3, 5, 7][ci],
+            hidden: [5, 9, 13][hi],
+            ..CnnSpec::tiny()
+        };
+        let model = spec.build(seed);
+        let packed = model.pack_weights();
+        let inputs = random_batch(&model, batch, seed);
+        assert_batch_matches_loop("VanillaCnn off-grid", &model, &packed, &inputs);
+    }
+
+    /// TransLob off the tile grid: model widths and head widths that are
+    /// not lane multiples, channel counts that are not chain multiples,
+    /// windows shorter than one lane block and between two.
+    #[test]
+    fn translob_off_grid_batch_matches_loop(
+        (di, hi, ci, wi) in (0usize..3, 0usize..3, 0usize..3, 0usize..3),
+        (batch, seed) in (0usize..=9, 0u64..500),
+    ) {
+        let d_model = [12, 20, 24][di];
+        let heads = [2, 3, 4][hi];
+        prop_assume!(d_model % heads == 0);
+        let spec = TransLobSpec {
+            window: [5, 13, 16][wi],
+            conv_channels: [3, 5, 8][ci],
+            d_model,
+            heads,
+            ..TransLobSpec::tiny()
+        };
+        let model = spec.build(seed);
+        let packed = model.pack_weights();
+        let inputs = random_batch(&model, batch, seed);
+        assert_batch_matches_loop("TransLob off-grid", &model, &packed, &inputs);
+    }
+
+    /// DeepLob off the tile grid: channel counts around one chain block,
+    /// an LSTM whose gate stack is not a lane multiple.
+    #[test]
+    fn deeplob_off_grid_batch_matches_loop(
+        (ci, hi, batch, seed) in (0usize..3, 0usize..2, 0usize..=9, 0u64..500),
+    ) {
+        let spec = DeepLobSpec {
+            channels: [3, 4, 5][ci],
+            lstm_hidden: [5, 8][hi],
+            ..DeepLobSpec::tiny()
+        };
+        let model = spec.build(seed);
+        let packed = model.pack_weights();
+        let inputs = random_batch(&model, batch, seed);
+        assert_batch_matches_loop("DeepLob off-grid", &model, &packed, &inputs);
+    }
+}
+
 /// An empty pack is the explicit looped-fallback marker.
 #[test]
 fn empty_pack_runs_looped_fallback() {
@@ -131,6 +192,22 @@ fn batch_output_order_and_reuse() {
 
 // ---- degenerate kernel shapes ---------------------------------------
 
+/// The packed GEMM laid out as the unpacked one: `a` packed into the
+/// tile's lanes, the rows of `b` broadcast, `[m, n]` output.
+fn packed_gemm(a: &[f32], b: &[f32], bias: &[f32], m: usize, n: usize, k: usize, out: &mut [f32]) {
+    let mut packed = Vec::new();
+    pack_bt_panels(a, m, k, &mut packed);
+    gemm_packed(
+        [Segment::packed(&packed, k, b, k)],
+        Some(bias),
+        n,
+        m,
+        bf16_round,
+        out,
+        (1, n),
+    );
+}
+
 /// k = 0: the GEMM reduces over nothing, so outputs are the
 /// BF16-rounded biases — packed and unpacked agree.
 #[test]
@@ -143,7 +220,7 @@ fn gemm_with_zero_k_emits_bias() {
     let mut a_out = vec![f32::NAN; m * n];
     gemm_bt_bias_rows_bf16(&[], &[], &bias, m, n, 0, &mut a_out);
     let mut b_out = vec![f32::NAN; m * n];
-    gemm_packed_bt_bias_rows_bf16(&packed, &[], &bias, m, n, 0, &mut b_out);
+    packed_gemm(&[], &[], &bias, m, n, 0, &mut b_out);
     assert_eq!(a_out, b_out);
     for i in 0..m {
         for j in 0..n {
@@ -152,24 +229,25 @@ fn gemm_with_zero_k_emits_bias() {
     }
 }
 
-/// m = 0 and n = 0 are no-ops for both GEMM layouts and the matvec.
+/// m = 0 and n = 0 are no-ops for both GEMM layouts, and a one-row
+/// input (the old matvec) runs.
 #[test]
 fn gemm_with_zero_rows_or_cols_is_noop() {
-    let mut packed = Vec::new();
-    pack_bt_panels(&[], 0, 4, &mut packed);
-    gemm_packed_bt_bias_rows_bf16(&packed, &[1.0, 2.0, 3.0, 4.0], &[], 0, 1, 4, &mut []);
+    packed_gemm(&[], &[1.0, 2.0, 3.0, 4.0], &[], 0, 1, 4, &mut []);
     gemm_bt_bias_rows_bf16(&[], &[1.0, 2.0, 3.0, 4.0], &[], 0, 1, 4, &mut []);
     let a = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
-    pack_bt_panels(&a, 2, 4, &mut packed);
-    gemm_packed_bt_bias_rows_bf16(&packed, &[], &[0.5, -0.5], 2, 0, 4, &mut []);
-    matvec_packed_bias_bf16(
-        &packed,
-        &[0.5, -0.5],
+    packed_gemm(&a, &[], &[0.5, -0.5], 2, 0, 4, &mut []);
+    let mut one_row = [f32::NAN; 2];
+    packed_gemm(
+        &a,
         &[1.0, 0.0, 0.0, 0.0],
+        &[0.5, -0.5],
         2,
+        1,
         4,
-        &mut [0.0; 2],
+        &mut one_row,
     );
+    assert_eq!(one_row, [1.5, 4.5]);
 }
 
 /// Batched im2col at batch 0 and batch 1; batch 1 equals plain im2col.
@@ -186,9 +264,10 @@ fn batched_im2col_degenerate_batches() {
     assert_eq!(single, batched);
 }
 
-/// Packing then multiplying at MR/NB boundary sizes (m = 4/5, n = 63/
-/// 64/65 around the n cache block) matches the unpacked GEMM bit for
-/// bit — the blocking seams introduce no reordering.
+/// Packing then multiplying at boundary sizes (m = 4/5 inside one lane
+/// block, n = 63/64/65 around the unpacked kernel's n cache block and
+/// off the row block) matches the unpacked GEMM bit for bit — the
+/// blocking seams introduce no reordering.
 #[test]
 fn packed_gemm_boundary_shapes_match_unpacked() {
     for m in [4usize, 5] {
@@ -199,10 +278,8 @@ fn packed_gemm_boundary_shapes_match_unpacked() {
             let bias: Vec<f32> = (0..m).map(|i| i as f32 - 1.0).collect();
             let mut reference = vec![0.0f32; m * n];
             gemm_bt_bias_rows_bf16(&a, &b, &bias, m, n, k, &mut reference);
-            let mut packed = Vec::new();
-            pack_bt_panels(&a, m, k, &mut packed);
             let mut fast = vec![0.0f32; m * n];
-            gemm_packed_bt_bias_rows_bf16(&packed, &b, &bias, m, n, k, &mut fast);
+            packed_gemm(&a, &b, &bias, m, n, k, &mut fast);
             assert_eq!(reference, fast, "m={m} n={n}");
         }
     }

@@ -117,6 +117,35 @@ fn assert_steady_state_batch_alloc_free(name: &str, model: &dyn Model, inputs: &
     );
 }
 
+/// A batch-size walk: once the largest batch has sized the pad and the
+/// output vector, smaller batches and a return to the largest allocate
+/// nothing — best-fit hands every smaller request one of the larger
+/// batch's buffers.
+fn assert_batch_walk_alloc_free(name: &str, model: &dyn Model, inputs: &[Tensor], small: usize) {
+    let packed = model.pack_weights();
+    let mut pad = ScratchPad::new();
+    let mut out: Vec<Prediction> = Vec::new();
+    for _ in 0..3 {
+        model.forward_batch_scratch(inputs, &packed, &mut pad, &mut out);
+    }
+    let misses_before = pad.misses();
+    let allocs_before = allocations();
+    for batch in [small, inputs.len(), small, inputs.len()] {
+        model.forward_batch_scratch(&inputs[..batch], &packed, &mut pad, &mut out);
+        assert_eq!(out.len(), batch, "{name}: prediction count");
+    }
+    assert_eq!(
+        allocations() - allocs_before,
+        0,
+        "{name}: batch walk allocated after the largest batch was seen"
+    );
+    assert_eq!(
+        pad.misses(),
+        misses_before,
+        "{name}: scratch pad missed during the batch walk"
+    );
+}
+
 #[test]
 fn steady_state_forward_is_allocation_free() {
     let vanilla = CnnSpec::tiny().build(3);
@@ -138,5 +167,10 @@ fn steady_state_forward_is_allocation_free() {
     };
     assert_steady_state_batch_alloc_free("VanillaCnn batch", &vanilla, &batch(20));
     assert_steady_state_batch_alloc_free("DeepLob batch", &deeplob, &batch(24));
+    // Batch 8 is the `multi_translob` round: convolutions, projection,
+    // both batched transformer blocks (attention included) and the head.
     assert_steady_state_batch_alloc_free("TransLob batch", &translob, &batch(16));
+    assert_batch_walk_alloc_free("TransLob 8 -> 3 -> 8", &translob, &batch(16), 3);
+    assert_batch_walk_alloc_free("DeepLob 8 -> 3 -> 8", &deeplob, &batch(24), 3);
+    assert_batch_walk_alloc_free("VanillaCnn 8 -> 3 -> 8", &vanilla, &batch(20), 3);
 }

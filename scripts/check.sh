@@ -21,6 +21,11 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
+echo "== benchmark package: harness units + every workload at smoke size =="
+# Its own workspace, so tier-1 does not reach it: the facade-vs-shadow
+# digest and the batched-vs-batch-1 answer parity fail here, not later.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== engine refactor gates: golden parity + determinism =="
 cargo test -q --release -p lt-sim --test golden_parity --test determinism
 
@@ -70,7 +75,7 @@ if [[ "$fast" == "0" ]]; then
     cargo run --release -p lt-bench --bin bench_sweep
     grep -q '"floor_met": true' BENCH_sweep.json
 
-    echo "== batched inference regression (2x DeepLOB per-query floor at batch 16) =="
+    echo "== batched inference regression (2x DeepLOB floor, 0.95 batch-16 scaling floor) =="
     cargo run --release -p lt-bench --bin bench_batch
     grep -q '"floor_met": true' BENCH_batch.json
 
