@@ -81,7 +81,7 @@ const HYPERBLOCK_FILL: u64 = 32;
 /// let layer = Linear::new(8, 4, 0);
 /// let x = Tensor::random(&[8], 1.0, 1);
 /// let y = sim.run_linear(&layer, &x);
-/// assert_eq!(y, layer.forward(&x)); // bit-identical to the host path
+/// assert_eq!(y, layer.forward_reference(&x)); // bit-identical to the host reference
 /// assert!(sim.cycles() > 0);
 /// ```
 #[derive(Debug, Clone)]
@@ -183,7 +183,7 @@ impl CgraSim {
     }
 
     /// Runs a dense layer on the grid; numerically identical to
-    /// [`Linear::forward`].
+    /// [`Linear::forward_reference`].
     pub fn run_linear(&mut self, layer: &Linear, x: &Tensor) -> Tensor {
         let rows = if x.shape().len() == 1 {
             1
@@ -193,7 +193,7 @@ impl CgraSim {
         self.charge_macs(layer.macs(rows as u64));
         // Arithmetic delegates to the reference layer so results stay
         // bit-identical to the host path; this simulator adds timing.
-        layer.forward(x)
+        layer.forward_reference(x)
     }
 
     /// Applies a non-linear function elementwise on the EPE columns.
@@ -238,7 +238,7 @@ mod tests {
         let mut sim = CgraSim::new(GridConfig::lighttrader());
         let layer = Linear::new(32, 16, 9);
         let x = Tensor::random(&[32], 1.0, 10);
-        assert_eq!(sim.run_linear(&layer, &x), layer.forward(&x));
+        assert_eq!(sim.run_linear(&layer, &x), layer.forward_reference(&x));
         assert_eq!(sim.macs_executed(), 32 * 16);
     }
 

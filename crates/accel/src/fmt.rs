@@ -126,7 +126,7 @@ mod tests {
         let conv_kernel = Tensor::random(&[3, 2, 2, 2], 1.0, 7);
         let conv = Conv2d::from_weights(conv_kernel.clone(), vec![0.0; 3], (1, 1), (0, 0));
         let x = Tensor::random(&[2, 4, 5], 1.0, 8);
-        let direct = conv.forward(&x);
+        let direct = conv.forward_reference(&x);
 
         // Lower and multiply: out[row, oc] = sum_col lowered[row, col] * kflat[oc, col].
         let lowered = lower_im2col(&x, 2, 2);

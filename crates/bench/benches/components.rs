@@ -5,8 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lighttrader::accel::cgra::{CgraSim, GridConfig};
 use lighttrader::accel::{DeviceProfile, DvfsTable, PowerCondition};
-use lighttrader::dnn::models::build_tiny;
-use lighttrader::dnn::{ModelKind, Tensor};
+use lighttrader::dnn::{ModelKind, ModelRegistry, Tensor};
 use lighttrader::feed::{NormStats, SessionBuilder};
 use lighttrader::pipeline::{OffloadEngine, PacketParser};
 use lighttrader::prelude::*;
@@ -89,12 +88,13 @@ fn bench_offload_engine(c: &mut Criterion) {
 fn bench_models(c: &mut Criterion) {
     let mut group = c.benchmark_group("dnn/tiny_forward");
     for kind in ModelKind::ALL {
-        let model = build_tiny(kind, 1);
+        let mut registry = ModelRegistry::tiny_with_kinds(&[kind], 1);
+        let model = registry.model(kind).expect("kind was just registered");
         let input = Tensor::random(&[model.window(), model.features()], 1.0, 2);
         group.bench_with_input(
             BenchmarkId::from_parameter(kind.name()),
             &input,
-            |b, input| b.iter(|| model.forward(input)),
+            |b, input| b.iter(|| registry.forward(kind, input)),
         );
     }
     group.finish();

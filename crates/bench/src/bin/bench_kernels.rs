@@ -1,6 +1,6 @@
 //! Kernel-regression benchmark: times every naive `forward_reference`
-//! against its fast `forward_scratch` counterpart and emits a
-//! machine-readable `BENCH_kernels.json` in the current directory.
+//! against its packed counterpart at batch 1 (the lone query) and emits
+//! a machine-readable `BENCH_kernels.json` in the current directory.
 //!
 //! ```text
 //! cargo run --release -p lt-bench --bin bench_kernels
@@ -11,11 +11,9 @@
 
 use std::time::Instant;
 
-use lighttrader::dnn::bf16_round;
-use lighttrader::dnn::kernels::{gemm_bt_bias_rows_bf16, gemm_packed, pack_bt_panels, Segment};
 use lighttrader::dnn::models::{CnnSpec, DeepLobSpec, QuantizedCnn, TransLobSpec};
 use lighttrader::dnn::ops::{Conv2d, Linear, LinearInt8, Lstm, MultiHeadAttention};
-use lighttrader::dnn::{Model, ScratchPad, Tensor};
+use lighttrader::dnn::{Model, Prediction, ScratchPad, Tensor};
 
 /// Minimum acceptable DeepLOB full-forward speedup (fast vs naive).
 const DEEPLOB_SPEEDUP_FLOOR: f64 = 5.0;
@@ -86,114 +84,108 @@ fn measure(name: &'static str, mut naive: impl FnMut(), mut fast: impl FnMut()) 
     row
 }
 
+/// One model row: `reference` against the packed trait path at batch 1.
+fn measure_model(
+    name: &'static str,
+    model: &dyn Model,
+    reference: impl Fn(&Tensor) -> Prediction,
+    input: &Tensor,
+) -> Row {
+    let packed = model.pack_weights();
+    let mut pad = ScratchPad::new();
+    let mut out = Vec::new();
+    measure(
+        name,
+        || {
+            let _ = reference(input);
+        },
+        || model.forward_batch_scratch(std::slice::from_ref(input), &packed, &mut pad, &mut out),
+    )
+}
+
 fn main() {
     let mut kernels = Vec::new();
+    let mut pad = ScratchPad::new();
 
     let conv = Conv2d::new(16, 16, (4, 1), (1, 1), (0, 0), 1);
     let xc = Tensor::random(&[16, 64, 10], 1.0, 2);
-    let mut pad = ScratchPad::new();
+    let conv_packed = conv.pack();
+    let mut conv_out = vec![0.0f32; 16 * 61 * 10];
     kernels.push(measure(
         "conv2d",
         || {
             let _ = conv.forward_reference(&xc);
         },
         || {
-            let out = conv.forward_scratch(&xc, &mut pad);
-            pad.give_tensor(out);
+            conv.forward_batch_packed(
+                xc.data(),
+                1,
+                64,
+                10,
+                &conv_packed,
+                1,
+                &mut pad,
+                &mut conv_out,
+            )
         },
     ));
 
     let linear = Linear::new(256, 128, 1);
     let xl = Tensor::random(&[256], 1.0, 2);
-    let mut pad = ScratchPad::new();
+    let linear_packed = linear.pack();
+    let mut linear_out = vec![0.0f32; 128];
     kernels.push(measure(
         "linear",
         || {
             let _ = linear.forward_reference(&xl);
         },
-        || {
-            let out = linear.forward_scratch(&xl, &mut pad);
-            pad.give_tensor(out);
-        },
+        || linear.forward_batch_packed(xl.data(), 1, &linear_packed, &mut linear_out),
     ));
 
     let linear_q = LinearInt8::from_linear(&linear);
-    let mut pad = ScratchPad::new();
     kernels.push(measure(
         "linear_int8",
         || {
             let _ = linear_q.forward_reference(&xl);
         },
-        || {
-            let out = linear_q.forward_scratch(&xl, &mut pad);
-            pad.give_tensor(out);
-        },
+        || linear_q.forward_rows(xl.data(), 1, &mut pad, &mut linear_out),
     ));
 
+    // The packed LSTM stores only the last hidden state; the recurrence
+    // it runs is the reference's.
     let lstm = Lstm::new(48, 64, 1);
     let xs = Tensor::random(&[16, 48], 1.0, 2);
-    let mut pad = ScratchPad::new();
+    let (pwx, pwh) = (lstm.pack_wx(), lstm.pack_wh());
+    let mut lstm_out = vec![0.0f32; 64];
     kernels.push(measure(
         "lstm",
         || {
             let _ = lstm.forward_reference(&xs);
         },
-        || {
-            let out = lstm.forward_scratch(&xs, &mut pad);
-            pad.give_tensor(out);
-        },
+        || lstm.last_hidden_batch_packed(xs.data(), 1, 16, &pwx, &pwh, &mut pad, &mut lstm_out),
     ));
 
     let mha = MultiHeadAttention::new(64, 4, 1);
     let xa = Tensor::random(&[32, 64], 1.0, 2);
-    let mut pad = ScratchPad::new();
+    let mha_packed = mha.pack();
+    let mut mha_out = vec![0.0f32; 32 * 64];
     kernels.push(measure(
         "attention",
         || {
             let _ = mha.forward_reference(&xa);
         },
         || {
-            let out = mha.forward_scratch(&xa, &mut pad);
-            pad.give_tensor(out);
+            mha.forward_batch_packed(
+                xa.data(),
+                1,
+                32,
+                mha_packed.each_ref(),
+                &mut pad,
+                &mut mha_out,
+            )
         },
     ));
 
-    // Batch sweep: the packed register tile against the row-major GEMM
-    // on a batch-stacked output (DeepLOB trunk geometry: 16 output
-    // channels over k=64, 24 positions per sample, n = batch x 24).
-    // The 16 channels are the tile's lanes, the patch rows its rows.
-    for (name, batch) in [
-        ("gemm_packed_b1", 1usize),
-        ("gemm_packed_b4", 4),
-        ("gemm_packed_b16", 16),
-    ] {
-        let (m, k, positions) = (16usize, 64usize, 24usize);
-        let n = batch * positions;
-        let a = Tensor::random(&[m, k], 1.0, 7);
-        let b = Tensor::random(&[n, k], 1.0, 8);
-        let bias = vec![0.1f32; m];
-        let mut packed = Vec::new();
-        pack_bt_panels(a.data(), m, k, &mut packed);
-        let mut out_naive = vec![0.0f32; m * n];
-        let mut out_fast = vec![0.0f32; m * n];
-        kernels.push(measure(
-            name,
-            || gemm_bt_bias_rows_bf16(a.data(), b.data(), &bias, m, n, k, &mut out_naive),
-            || {
-                gemm_packed(
-                    [Segment::packed(&packed, k, b.data(), k)],
-                    Some(&bias),
-                    n,
-                    m,
-                    bf16_round,
-                    &mut out_fast,
-                    (1, n),
-                )
-            },
-        ));
-    }
-
-    let mut models = Vec::new();
     let vanilla = CnnSpec::tiny().build(3);
     let quant = QuantizedCnn::from_float(&vanilla);
     let deeplob = DeepLobSpec::tiny().build(3);
@@ -201,47 +193,27 @@ fn main() {
     let x20 = Tensor::random(&[20, 40], 1.0, 5);
     let x24 = Tensor::random(&[24, 40], 1.0, 5);
     let x16 = Tensor::random(&[16, 40], 1.0, 5);
-
-    let mut pad = ScratchPad::new();
-    models.push(measure(
-        "vanilla_cnn",
-        || {
-            let _ = vanilla.forward_reference(&x20);
-        },
-        || {
-            let _ = vanilla.forward_scratch(&x20, &mut pad);
-        },
-    ));
-    let mut pad = ScratchPad::new();
-    models.push(measure(
-        "quantized_cnn",
-        || {
-            let _ = quant.forward_reference(&x20);
-        },
-        || {
-            let _ = quant.forward_scratch(&x20, &mut pad);
-        },
-    ));
-    let mut pad = ScratchPad::new();
-    models.push(measure(
-        "deeplob",
-        || {
-            let _ = deeplob.forward_reference(&x24);
-        },
-        || {
-            let _ = deeplob.forward_scratch(&x24, &mut pad);
-        },
-    ));
-    let mut pad = ScratchPad::new();
-    models.push(measure(
-        "translob",
-        || {
-            let _ = translob.forward_reference(&x16);
-        },
-        || {
-            let _ = translob.forward_scratch(&x16, &mut pad);
-        },
-    ));
+    let models = [
+        measure_model(
+            "vanilla_cnn",
+            &vanilla,
+            |x| vanilla.forward_reference(x),
+            &x20,
+        ),
+        measure_model(
+            "quantized_cnn",
+            &quant,
+            |x| quant.forward_reference(x),
+            &x20,
+        ),
+        measure_model("deeplob", &deeplob, |x| deeplob.forward_reference(x), &x24),
+        measure_model(
+            "translob",
+            &translob,
+            |x| translob.forward_reference(x),
+            &x16,
+        ),
+    ];
 
     let deeplob_speedup = models
         .iter()

@@ -9,9 +9,9 @@
 //! is repacked into k-major panels
 //! ([`crate::kernels::pack_bt_panels`]). Packing is a pure layout
 //! permutation: the packed path preserves each output element's
-//! accumulation order, so batched predictions are bit-identical to
-//! looped `forward_scratch` (pinned by the `batch_equivalence`
-//! proptests).
+//! accumulation order, so every sample of a batch is bit-identical to
+//! the same sample served alone, and `==` to its `forward_reference`
+//! (pinned by the `batch_equivalence` proptests).
 //!
 //! [`scatter_samples`] adds optional row-block thread parallelism for
 //! large batches, reusing the back-test farm's scoped scatter-pool
@@ -61,10 +61,8 @@ impl PackedPanels {
 ///
 /// Built once per model by `Model::pack_weights` and held in
 /// `ModelRegistry` beside each tier's `ScratchPad`. The panel order is
-/// model-private: each `forward_batch_scratch` override indexes the
-/// panels it pushed in `pack_weights`. An *empty* pack is the explicit
-/// "no packed path" marker — overrides fall back to the looped
-/// reference semantics when they receive one.
+/// model-private: each `forward_batch_scratch` indexes the panels it
+/// pushed in `pack_weights`.
 #[derive(Debug, Clone)]
 pub struct PackedWeights {
     kind: ModelKind,
@@ -73,9 +71,8 @@ pub struct PackedWeights {
 }
 
 impl PackedWeights {
-    /// An empty pack for `kind`: batched forwards receiving it run the
-    /// looped fallback.
-    pub fn empty(kind: ModelKind) -> Self {
+    /// A pack for `kind` holding no panels yet, serial (`threads == 1`).
+    pub fn new(kind: ModelKind) -> Self {
         PackedWeights {
             kind,
             panels: Vec::new(),
@@ -99,7 +96,7 @@ impl PackedWeights {
     /// # Panics
     ///
     /// Panics when the pack does not hold `idx` — a pack built for a
-    /// different model (or an empty pack reaching a packed code path).
+    /// different model.
     pub fn panel(&self, idx: usize) -> &PackedPanels {
         self.panels.get(idx).unwrap_or_else(|| {
             panic!(
@@ -108,16 +105,6 @@ impl PackedWeights {
                 self.panels.len()
             )
         })
-    }
-
-    /// Number of packed operands.
-    pub fn len(&self) -> usize {
-        self.panels.len()
-    }
-
-    /// True when no operands are packed (the looped-fallback marker).
-    pub fn is_empty(&self) -> bool {
-        self.panels.is_empty()
     }
 
     /// Worker threads batched forwards may scatter samples across
@@ -231,26 +218,25 @@ mod tests {
     }
 
     #[test]
-    fn packed_weights_index_and_fallback_marker() {
-        let mut pw = PackedWeights::empty(ModelKind::DeepLob);
-        assert!(pw.is_empty());
+    fn packed_weights_index_panels_in_push_order() {
+        let mut pw = PackedWeights::new(ModelKind::DeepLob);
         assert_eq!(pw.threads(), 1);
-        let idx = pw.push(PackedPanels::pack(&[1.0, 2.0], 1, 2));
-        assert_eq!(idx, 0);
-        assert_eq!(pw.len(), 1);
+        assert_eq!(pw.push(PackedPanels::pack(&[1.0, 2.0], 1, 2)), 0);
+        assert_eq!(pw.push(PackedPanels::pack(&[1.0, 2.0, 3.0], 3, 1)), 1);
         assert_eq!(pw.panel(0).m(), 1);
+        assert_eq!(pw.panel(1).m(), 3);
     }
 
     #[test]
     #[should_panic(expected = "panels")]
     fn missing_panel_panics_with_kind() {
-        let pw = PackedWeights::empty(ModelKind::TransLob);
+        let pw = PackedWeights::new(ModelKind::TransLob);
         let _ = pw.panel(3);
     }
 
     #[test]
     fn auto_threads_resolve_to_at_least_one() {
-        let pw = PackedWeights::empty(ModelKind::VanillaCnn).with_threads(0);
+        let pw = PackedWeights::new(ModelKind::VanillaCnn).with_threads(0);
         assert!(pw.threads() >= 1);
     }
 

@@ -1,17 +1,18 @@
 //! Cache-friendly inference kernels, bit-identical to the naive layers.
 //!
-//! The naive layer implementations in [`crate::ops`] index every element
-//! through `Tensor::at` (rank assert + bounds checks + index arithmetic
-//! per multiply). These kernels compute the same contractions over raw
-//! slices with register tiling and cache blocking, which is where the
-//! fast `forward_scratch` and batched paths get their speed.
+//! The `forward_reference` implementations in [`crate::ops`] index every
+//! element through `Tensor::at` (rank assert + bounds checks + index
+//! arithmetic per multiply). These kernels compute the same contractions
+//! over raw slices on a register tile, which is where the packed
+//! `forward_batch_packed` ops and `Model::forward_batch_scratch` get
+//! their speed.
 //!
 //! # The bit-exactness contract
 //!
 //! Floating-point addition is not associative, so a "faster but
 //! approximately equal" kernel would silently change every prediction
-//! downstream. Every kernel here therefore preserves the naive path's
-//! **per-output-element accumulation order** exactly:
+//! downstream. Every kernel here therefore preserves the reference
+//! path's **per-output-element accumulation order** exactly:
 //!
 //! * each accumulator is seeded with the bias (or `0.0`) exactly as the
 //!   naive loop seeds it, accumulates in the same increasing-`k` order,
@@ -31,7 +32,7 @@
 //!
 //! # The packed path
 //!
-//! Everything the batched forwards contract runs on one micro-kernel,
+//! Every floating-point contraction runs on one micro-kernel,
 //! `tile_accumulate`: a register tile of [`MR`] chains x [`NR`] lanes.
 //! The lanes of a chain are `NR` *different outputs* whose operands sit
 //! side by side in memory (a k-major [`pack_bt_panels`] panel, or `NR`
@@ -47,9 +48,6 @@ use crate::bf16::bf16_round;
 
 /// Register-tile width: independent accumulator chains per inner loop.
 const MR: usize = 4;
-/// Cache-block width over the GEMM `n` dimension, sized so an f32 block
-/// of typical `k` stays resident in L1 while every `m` row streams by.
-const NB: usize = 64;
 
 /// Unfolds a `[in_c, h, w]` input into im2col patch rows.
 ///
@@ -119,114 +117,6 @@ pub fn im2col(
     }
 }
 
-/// `out[m][n] = bf16(bias[m] + dot(a[m], b[n]))` — GEMM against a
-/// transposed B, bias indexed by the A row.
-///
-/// `a` is `[m, k]` row-major (convolution kernels), `b` is `[n, k]`
-/// row-major (im2col patches), `out` is `[m, n]` row-major — exactly the
-/// `[out_c, oh * ow]` layout of a convolution output. Blocked over `n`
-/// and register-tiled over `m`; each output's accumulation order matches
-/// the naive triple loop.
-pub fn gemm_bt_bias_rows_bf16(
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    m: usize,
-    n: usize,
-    k: usize,
-    out: &mut [f32],
-) {
-    assert_eq!(a.len(), m * k, "gemm A length");
-    assert_eq!(b.len(), n * k, "gemm B length");
-    assert_eq!(bias.len(), m, "gemm bias length");
-    assert_eq!(out.len(), m * n, "gemm output length");
-    let mut j0 = 0;
-    while j0 < n {
-        let j1 = (j0 + NB).min(n);
-        let mut i = 0;
-        while i + MR <= m {
-            let a0 = &a[i * k..(i + 1) * k];
-            let a1 = &a[(i + 1) * k..(i + 2) * k];
-            let a2 = &a[(i + 2) * k..(i + 3) * k];
-            let a3 = &a[(i + 3) * k..(i + 4) * k];
-            for j in j0..j1 {
-                let bj = &b[j * k..(j + 1) * k];
-                let mut acc0 = bias[i];
-                let mut acc1 = bias[i + 1];
-                let mut acc2 = bias[i + 2];
-                let mut acc3 = bias[i + 3];
-                for t in 0..k {
-                    let x = bj[t];
-                    acc0 += a0[t] * x;
-                    acc1 += a1[t] * x;
-                    acc2 += a2[t] * x;
-                    acc3 += a3[t] * x;
-                }
-                out[i * n + j] = bf16_round(acc0);
-                out[(i + 1) * n + j] = bf16_round(acc1);
-                out[(i + 2) * n + j] = bf16_round(acc2);
-                out[(i + 3) * n + j] = bf16_round(acc3);
-            }
-            i += MR;
-        }
-        for r in i..m {
-            let ar = &a[r * k..(r + 1) * k];
-            for j in j0..j1 {
-                let bj = &b[j * k..(j + 1) * k];
-                let mut acc = bias[r];
-                for t in 0..k {
-                    acc += ar[t] * bj[t];
-                }
-                out[r * n + j] = bf16_round(acc);
-            }
-        }
-        j0 = j1;
-    }
-}
-
-/// `out[o] = bf16(bias[o] + dot(w[o], x))` — dense layer on one input row.
-///
-/// `w` is `[n, k]` row-major. Register-tiled over output neurons so four
-/// accumulator chains share each `x` load; per-output accumulation order
-/// matches the naive loop.
-pub fn matvec_bias_bf16(w: &[f32], bias: &[f32], x: &[f32], n: usize, k: usize, out: &mut [f32]) {
-    assert_eq!(w.len(), n * k, "matvec weight length");
-    assert_eq!(bias.len(), n, "matvec bias length");
-    assert_eq!(x.len(), k, "matvec input length");
-    assert_eq!(out.len(), n, "matvec output length");
-    let mut o = 0;
-    while o + MR <= n {
-        let w0 = &w[o * k..(o + 1) * k];
-        let w1 = &w[(o + 1) * k..(o + 2) * k];
-        let w2 = &w[(o + 2) * k..(o + 3) * k];
-        let w3 = &w[(o + 3) * k..(o + 4) * k];
-        let mut acc0 = bias[o];
-        let mut acc1 = bias[o + 1];
-        let mut acc2 = bias[o + 2];
-        let mut acc3 = bias[o + 3];
-        for t in 0..k {
-            let xv = x[t];
-            acc0 += w0[t] * xv;
-            acc1 += w1[t] * xv;
-            acc2 += w2[t] * xv;
-            acc3 += w3[t] * xv;
-        }
-        out[o] = bf16_round(acc0);
-        out[o + 1] = bf16_round(acc1);
-        out[o + 2] = bf16_round(acc2);
-        out[o + 3] = bf16_round(acc3);
-        o += MR;
-    }
-    for r in o..n {
-        let wr = &w[r * k..(r + 1) * k];
-        let mut acc = bias[r];
-        for t in 0..k {
-            acc += wr[t] * x[t];
-        }
-        out[r] = bf16_round(acc);
-    }
-}
-
 /// INT8 dense layer: `out[o] = (Σ w[o][i] * x[i]) as f32 * w_scale
 /// * x_scale + bias[o]`, with an `i32` accumulator.
 ///
@@ -278,190 +168,6 @@ pub fn matvec_i8_bias(
             acc += wr[t] as i32 * x[t] as i32;
         }
         out[r] = acc as f32 * w_scale * x_scale + bias[r];
-    }
-}
-
-/// Fused LSTM gate pre-activations for one timestep:
-/// `gates[g] = bias[g] + dot(wx[g], xt) + dot(wh[g], h)`.
-///
-/// `wx` is `[4 * hidden, input]`, `wh` is `[4 * hidden, hidden]`. The two
-/// dots run sequentially per gate (input weights first), matching the
-/// naive per-gate loop; no rounding is applied here.
-#[allow(clippy::too_many_arguments)]
-pub fn lstm_gates(
-    wx: &[f32],
-    wh: &[f32],
-    bias: &[f32],
-    xt: &[f32],
-    h: &[f32],
-    input: usize,
-    hidden: usize,
-    gates: &mut [f32],
-) {
-    let n = 4 * hidden;
-    assert_eq!(wx.len(), n * input, "lstm wx length");
-    assert_eq!(wh.len(), n * hidden, "lstm wh length");
-    assert_eq!(bias.len(), n, "lstm bias length");
-    assert_eq!(xt.len(), input, "lstm input length");
-    assert_eq!(h.len(), hidden, "lstm hidden length");
-    assert_eq!(gates.len(), n, "lstm gates length");
-    let mut g = 0;
-    while g + MR <= n {
-        let wx0 = &wx[g * input..(g + 1) * input];
-        let wx1 = &wx[(g + 1) * input..(g + 2) * input];
-        let wx2 = &wx[(g + 2) * input..(g + 3) * input];
-        let wx3 = &wx[(g + 3) * input..(g + 4) * input];
-        let mut acc0 = bias[g];
-        let mut acc1 = bias[g + 1];
-        let mut acc2 = bias[g + 2];
-        let mut acc3 = bias[g + 3];
-        for i in 0..input {
-            let xv = xt[i];
-            acc0 += wx0[i] * xv;
-            acc1 += wx1[i] * xv;
-            acc2 += wx2[i] * xv;
-            acc3 += wx3[i] * xv;
-        }
-        let wh0 = &wh[g * hidden..(g + 1) * hidden];
-        let wh1 = &wh[(g + 1) * hidden..(g + 2) * hidden];
-        let wh2 = &wh[(g + 2) * hidden..(g + 3) * hidden];
-        let wh3 = &wh[(g + 3) * hidden..(g + 4) * hidden];
-        for j in 0..hidden {
-            let hv = h[j];
-            acc0 += wh0[j] * hv;
-            acc1 += wh1[j] * hv;
-            acc2 += wh2[j] * hv;
-            acc3 += wh3[j] * hv;
-        }
-        gates[g] = acc0;
-        gates[g + 1] = acc1;
-        gates[g + 2] = acc2;
-        gates[g + 3] = acc3;
-        g += MR;
-    }
-    for r in g..n {
-        let mut acc = bias[r];
-        let wxr = &wx[r * input..(r + 1) * input];
-        for i in 0..input {
-            acc += wxr[i] * xt[i];
-        }
-        let whr = &wh[r * hidden..(r + 1) * hidden];
-        for j in 0..hidden {
-            acc += whr[j] * h[j];
-        }
-        gates[r] = acc;
-    }
-}
-
-/// Attention scores for one head: `out[i][j] = dot(q_i, k_j) * scale`
-/// over the head's column slice `[off, off + d_head)` of `[t, d_model]`
-/// Q/K matrices.
-///
-/// The dot starts at `0.0` and the scale is applied after the full
-/// reduction, matching the naive `iter().zip().sum()` followed by
-/// `dot * scale`. No rounding. Register-tiled over `j` so four score
-/// chains share each `q` load.
-#[allow(clippy::too_many_arguments)]
-pub fn attn_scores(
-    q: &[f32],
-    k: &[f32],
-    t: usize,
-    d_model: usize,
-    off: usize,
-    d_head: usize,
-    scale: f32,
-    out: &mut [f32],
-) {
-    assert_eq!(q.len(), t * d_model, "attn q length");
-    assert_eq!(k.len(), t * d_model, "attn k length");
-    assert_eq!(out.len(), t * t, "attn scores length");
-    assert!(off + d_head <= d_model, "attn head slice out of range");
-    for i in 0..t {
-        let qi = &q[i * d_model + off..i * d_model + off + d_head];
-        let orow = &mut out[i * t..(i + 1) * t];
-        let mut j = 0;
-        while j + MR <= t {
-            let k0 = &k[j * d_model + off..j * d_model + off + d_head];
-            let k1 = &k[(j + 1) * d_model + off..(j + 1) * d_model + off + d_head];
-            let k2 = &k[(j + 2) * d_model + off..(j + 2) * d_model + off + d_head];
-            let k3 = &k[(j + 3) * d_model + off..(j + 3) * d_model + off + d_head];
-            let mut acc0 = 0.0f32;
-            let mut acc1 = 0.0f32;
-            let mut acc2 = 0.0f32;
-            let mut acc3 = 0.0f32;
-            for d in 0..d_head {
-                let qv = qi[d];
-                acc0 += qv * k0[d];
-                acc1 += qv * k1[d];
-                acc2 += qv * k2[d];
-                acc3 += qv * k3[d];
-            }
-            orow[j] = acc0 * scale;
-            orow[j + 1] = acc1 * scale;
-            orow[j + 2] = acc2 * scale;
-            orow[j + 3] = acc3 * scale;
-            j += MR;
-        }
-        for jj in j..t {
-            let kj = &k[jj * d_model + off..jj * d_model + off + d_head];
-            let mut acc = 0.0f32;
-            for d in 0..d_head {
-                acc += qi[d] * kj[d];
-            }
-            orow[jj] = acc * scale;
-        }
-    }
-}
-
-/// Attention context for one head:
-/// `ctx[i][off + d] = Σ_j scores[i][j] * v[j][off + d]`.
-///
-/// Accumulates over `j` in increasing order starting from `0.0` (as the
-/// naive loop does) and writes into the head's column slice of the
-/// `[t, d_model]` context. Tiled over `d` so four accumulator chains
-/// share each score load and the `v` loads are contiguous.
-pub fn attn_context(
-    scores: &[f32],
-    v: &[f32],
-    t: usize,
-    d_model: usize,
-    off: usize,
-    d_head: usize,
-    ctx: &mut [f32],
-) {
-    assert_eq!(scores.len(), t * t, "attn scores length");
-    assert_eq!(v.len(), t * d_model, "attn v length");
-    assert_eq!(ctx.len(), t * d_model, "attn context length");
-    assert!(off + d_head <= d_model, "attn head slice out of range");
-    for i in 0..t {
-        let srow = &scores[i * t..(i + 1) * t];
-        let mut d = 0;
-        while d + MR <= d_head {
-            let mut acc0 = 0.0f32;
-            let mut acc1 = 0.0f32;
-            let mut acc2 = 0.0f32;
-            let mut acc3 = 0.0f32;
-            for (j, &sv) in srow.iter().enumerate() {
-                let vrow = &v[j * d_model + off + d..j * d_model + off + d + MR];
-                acc0 += sv * vrow[0];
-                acc1 += sv * vrow[1];
-                acc2 += sv * vrow[2];
-                acc3 += sv * vrow[3];
-            }
-            let base = i * d_model + off + d;
-            ctx[base] = acc0;
-            ctx[base + 1] = acc1;
-            ctx[base + 2] = acc2;
-            ctx[base + 3] = acc3;
-            d += MR;
-        }
-        for dd in d..d_head {
-            let mut acc = 0.0f32;
-            for (j, &sv) in srow.iter().enumerate() {
-                acc += sv * v[j * d_model + off + dd];
-            }
-            ctx[i * d_model + off + dd] = acc;
-        }
     }
 }
 
@@ -694,7 +400,8 @@ pub fn gemm_packed<const S: usize>(
 /// view into a sample-major `[batch, steps, input]` sequence buffer)
 /// and its hidden state at `h[s * hidden..]`; its gates land at
 /// `gates[s * 4 * hidden..]`. The two dots are two segments of one
-/// [`gemm_packed`] sweep, input weights first — exactly [`lstm_gates`].
+/// [`gemm_packed`] sweep, input weights first — the reference LSTM's
+/// per-gate order.
 #[allow(clippy::too_many_arguments)]
 pub fn lstm_gates_packed_batch(
     packed_wx: &[f32],
@@ -820,46 +527,6 @@ pub fn conv2d_kw1_stage_len(in_c: usize, h: usize, w: usize, ph: usize) -> usize
     in_c * (h + 2 * ph) * w + NR
 }
 
-/// Whole-batch [`im2col`]: unfolds a sample-major `[batch, in_c, h, w]`
-/// activation block into the stacked `[batch * oh * ow, in_c * kh * kw]`
-/// patch matrix, sample `s`'s patch rows occupying the contiguous row
-/// range `[s * oh * ow, (s + 1) * oh * ow)`.
-#[allow(clippy::too_many_arguments)]
-pub fn im2col_batch(
-    x: &[f32],
-    batch: usize,
-    in_c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: (usize, usize),
-    padding: (usize, usize),
-    oh: usize,
-    ow: usize,
-    out: &mut [f32],
-) {
-    let sample_in = in_c * h * w;
-    let sample_out = oh * ow * in_c * kh * kw;
-    assert_eq!(x.len(), batch * sample_in, "im2col_batch input length");
-    assert_eq!(out.len(), batch * sample_out, "im2col_batch patch length");
-    for s in 0..batch {
-        im2col(
-            &x[s * sample_in..(s + 1) * sample_in],
-            in_c,
-            h,
-            w,
-            kh,
-            kw,
-            stride,
-            padding,
-            oh,
-            ow,
-            &mut out[s * sample_out..(s + 1) * sample_out],
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -925,8 +592,7 @@ mod tests {
             ow,
             &mut patches,
         );
-        let mut out = vec![0.0; out_c * oh * ow];
-        gemm_bt_bias_rows_bf16(&kern, &patches, &bias, out_c, oh * ow, k, &mut out);
+        let out = packed_gemm_bt(&kern, &patches, &bias, out_c, oh * ow, k);
         for oc in 0..out_c {
             for oy in 0..oh {
                 for ox in 0..ow {
@@ -953,18 +619,19 @@ mod tests {
 
     #[test]
     fn matvec_matches_scalar_loop() {
-        let (n, k) = (7usize, 13usize); // odd n exercises the remainder path
-        let w: Vec<f32> = (0..n * k).map(|i| (i as f32).sin()).collect();
-        let x: Vec<f32> = (0..k).map(|i| (i as f32).cos()).collect();
-        let bias: Vec<f32> = (0..n).map(|i| i as f32 * 0.1).collect();
-        let mut out = vec![0.0; n];
-        matvec_bias_bf16(&w, &bias, &x, n, k, &mut out);
-        for o in 0..n {
-            let mut acc = bias[o];
-            for t in 0..k {
-                acc += w[o * k + t] * x[t];
+        // One input row is the tail-row sweep: MR lane blocks per tile.
+        for &(n, k) in &[(1usize, 9usize), (4, 9), (7, 13), (16, 9)] {
+            let w: Vec<f32> = (0..n * k).map(|i| (i as f32).sin()).collect();
+            let x: Vec<f32> = (0..k).map(|i| (i as f32).cos()).collect();
+            let bias: Vec<f32> = (0..n).map(|i| i as f32 * 0.1).collect();
+            let out = packed_linear(&w, &bias, &x, 1, k);
+            for o in 0..n {
+                let mut acc = bias[o];
+                for t in 0..k {
+                    acc += w[o * k + t] * x[t];
+                }
+                assert_eq!(out[o], bf16_round(acc), "n={n} neuron {o}");
             }
-            assert_eq!(out[o], bf16_round(acc), "neuron {o}");
         }
     }
 
@@ -986,29 +653,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lstm_gates_match_scalar_loop() {
-        let (input, hidden) = (5usize, 3usize); // 4*hidden = 12 = 3 tiles
-        let n = 4 * hidden;
-        let wx: Vec<f32> = (0..n * input).map(|i| (i as f32 * 0.7).sin()).collect();
-        let wh: Vec<f32> = (0..n * hidden).map(|i| (i as f32 * 1.3).cos()).collect();
-        let bias: Vec<f32> = (0..n).map(|i| i as f32 * 0.05).collect();
-        let xt: Vec<f32> = (0..input).map(|i| i as f32 * 0.2 - 0.4).collect();
-        let h: Vec<f32> = (0..hidden).map(|i| 0.1 * i as f32).collect();
-        let mut gates = vec![0.0; n];
-        lstm_gates(&wx, &wh, &bias, &xt, &h, input, hidden, &mut gates);
-        for g in 0..n {
-            let mut acc = bias[g];
-            for i in 0..input {
-                acc += wx[g * input + i] * xt[i];
-            }
-            for j in 0..hidden {
-                acc += wh[g * hidden + j] * h[j];
-            }
-            assert_eq!(gates[g], acc, "gate {g}");
-        }
-    }
-
     /// `gemm_packed` as a dense layer: `[rows, k]` inputs against a
     /// packed `[n, k]` weight, BF16-rounded `[rows, n]` output.
     fn packed_linear(w: &[f32], bias: &[f32], x: &[f32], rows: usize, k: usize) -> Vec<f32> {
@@ -1024,6 +668,32 @@ mod tests {
             bf16_round,
             &mut out,
             (n, 1),
+        );
+        out
+    }
+
+    /// `gemm_packed` laid out as an im2col convolution: the `[m, k]`
+    /// operand `a` packed into the lanes, the `n` rows of `b` broadcast,
+    /// BF16-rounded `[m, n]` output.
+    fn packed_gemm_bt(
+        a: &[f32],
+        b: &[f32],
+        bias: &[f32],
+        m: usize,
+        n: usize,
+        k: usize,
+    ) -> Vec<f32> {
+        let mut packed = Vec::new();
+        pack_bt_panels(a, m, k, &mut packed);
+        let mut out = vec![f32::NAN; m * n];
+        gemm_packed(
+            [Segment::packed(&packed, k, b, k)],
+            Some(bias),
+            n,
+            m,
+            bf16_round,
+            &mut out,
+            (1, n),
         );
         out
     }
@@ -1059,48 +729,30 @@ mod tests {
 
     #[test]
     fn packed_gemm_matches_unpacked_across_tile_boundaries() {
-        // m spans below/at/above the lane block, n spans below/at/above
-        // the unpacked kernel's NB cache block.
+        // m spans below/at/above the lane block, n the row block and a
+        // long run of full row blocks with every tail length after it.
         for &m in &[1usize, 3, 4, 5, 8, 9] {
             for &n in &[1usize, 63, 64, 65] {
                 let k = 7usize;
                 let a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.37).sin()).collect();
                 let b: Vec<f32> = (0..n * k).map(|i| (i as f32 * 0.19).cos()).collect();
                 let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.1 - 0.2).collect();
-                let mut packed = Vec::new();
-                pack_bt_panels(&a, m, k, &mut packed);
-                let mut want = vec![0.0; m * n];
-                gemm_bt_bias_rows_bf16(&a, &b, &bias, m, n, k, &mut want);
-                let mut got = vec![0.0; m * n];
-                gemm_packed(
-                    [Segment::packed(&packed, k, &b, k)],
-                    Some(&bias),
-                    n,
-                    m,
-                    bf16_round,
-                    &mut got,
-                    (1, n),
-                );
-                assert_eq!(got, want, "m={m} n={n}");
+                let got = packed_gemm_bt(&a, &b, &bias, m, n, k);
+                for i in 0..m {
+                    for j in 0..n {
+                        let mut acc = bias[i];
+                        for t in 0..k {
+                            acc += a[i * k + t] * b[j * k + t];
+                        }
+                        assert_eq!(got[i * n + j], bf16_round(acc), "m={m} n={n} i={i} j={j}");
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn packed_matvec_matches_unpacked() {
-        for &n in &[1usize, 4, 7, 16] {
-            let k = 9usize;
-            let w: Vec<f32> = (0..n * k).map(|i| (i as f32).sin()).collect();
-            let x: Vec<f32> = (0..k).map(|i| (i as f32).cos()).collect();
-            let bias: Vec<f32> = (0..n).map(|i| i as f32 * 0.05).collect();
-            let mut want = vec![0.0; n];
-            matvec_bias_bf16(&w, &bias, &x, n, k, &mut want);
-            assert_eq!(packed_linear(&w, &bias, &x, 1, k), want, "n={n}");
-        }
-    }
-
-    #[test]
-    fn packed_lstm_gates_match_serial_kernel() {
+    fn lstm_gates_match_scalar_loop() {
         let (input, hidden, batch) = (5usize, 3usize, 4usize); // 4*hidden = 12
         let n = 4 * hidden;
         let wx: Vec<f32> = (0..n * input).map(|i| (i as f32 * 0.7).sin()).collect();
@@ -1130,18 +782,18 @@ mod tests {
             &mut gates,
         );
         for s in 0..batch {
-            let mut want = vec![0.0; n];
-            lstm_gates(
-                &wx,
-                &wh,
-                &bias,
-                &x[s * steps * input + input..s * steps * input + 2 * input],
-                &h[s * hidden..(s + 1) * hidden],
-                input,
-                hidden,
-                &mut want,
-            );
-            assert_eq!(&gates[s * n..(s + 1) * n], &want[..], "sample {s}");
+            let xt = &x[s * steps * input + input..][..input];
+            let hs = &h[s * hidden..][..hidden];
+            for g in 0..n {
+                let mut acc = bias[g];
+                for i in 0..input {
+                    acc += wx[g * input + i] * xt[i];
+                }
+                for j in 0..hidden {
+                    acc += wh[g * hidden + j] * hs[j];
+                }
+                assert_eq!(gates[s * n + g], acc, "sample {s} gate {g}");
+            }
         }
     }
 
@@ -1168,59 +820,10 @@ mod tests {
         );
         let mut patches = vec![f32::NAN; h * w * k];
         im2col(&x, in_c, h, w, kh, 1, (1, 1), (ph, 0), h, w, &mut patches);
-        let mut want = vec![f32::NAN; out_c * h * w];
-        gemm_bt_bias_rows_bf16(&kern, &patches, &bias, out_c, h * w, k, &mut want);
+        let want = packed_gemm_bt(&kern, &patches, &bias, out_c, h * w, k);
         let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&want));
         assert_eq!(got[0].to_bits(), 0.0f32.to_bits(), "padded tap was added");
-    }
-
-    #[test]
-    fn batched_im2col_stacks_per_sample_unfolds() {
-        let (batch, in_c, h, w) = (3usize, 2usize, 4usize, 3usize);
-        let (kh, kw) = (2usize, 2usize);
-        let (stride, padding) = ((1usize, 1usize), (1usize, 0usize));
-        let (oh, ow) = (5usize, 2usize);
-        let k = in_c * kh * kw;
-        let x: Vec<f32> = (0..batch * in_c * h * w)
-            .map(|i| (i as f32 - 11.0) * 0.25)
-            .collect();
-        let mut stacked = vec![0.0; batch * oh * ow * k];
-        im2col_batch(
-            &x,
-            batch,
-            in_c,
-            h,
-            w,
-            kh,
-            kw,
-            stride,
-            padding,
-            oh,
-            ow,
-            &mut stacked,
-        );
-        for s in 0..batch {
-            let mut single = vec![0.0; oh * ow * k];
-            im2col(
-                &x[s * in_c * h * w..(s + 1) * in_c * h * w],
-                in_c,
-                h,
-                w,
-                kh,
-                kw,
-                stride,
-                padding,
-                oh,
-                ow,
-                &mut single,
-            );
-            assert_eq!(
-                &stacked[s * oh * ow * k..(s + 1) * oh * ow * k],
-                &single[..],
-                "sample {s}"
-            );
-        }
     }
 
     #[test]
@@ -1228,10 +831,32 @@ mod tests {
         let (t, d_model, off, d_head) = (5usize, 8usize, 2usize, 6usize);
         let q: Vec<f32> = (0..t * d_model).map(|i| (i as f32 * 0.31).sin()).collect();
         let k: Vec<f32> = (0..t * d_model).map(|i| (i as f32 * 0.17).cos()).collect();
-        let v: Vec<f32> = (0..t * d_model).map(|i| (i as f32 * 0.11).sin()).collect();
+        // One lane block of slack: the head's last block over-reads.
+        let v: Vec<f32> = (0..t * d_model + NR)
+            .map(|i| (i as f32 * 0.11).sin())
+            .collect();
         let scale = 1.0 / (d_head as f32).sqrt();
-        let mut scores = vec![0.0; t * t];
-        attn_scores(&q, &k, t, d_model, off, d_head, scale, &mut scores);
+        // Scores: the lanes are keys, read `d_head` steps into k-major
+        // panels of the whole K matrix.
+        let mut kt = Vec::new();
+        pack_bt_panels(&k, t, d_model, &mut kt);
+        let mut scores = vec![f32::NAN; t * t];
+        gemm_packed(
+            [Segment {
+                panels: &kt[off * NR..],
+                block_stride: d_model * NR,
+                step: NR,
+                k: d_head,
+                x: &q[off..],
+                x_stride: d_model,
+            }],
+            None,
+            t,
+            t,
+            |dot| dot * scale,
+            &mut scores,
+            (t, 1),
+        );
         for i in 0..t {
             for j in 0..t {
                 let qi = &q[i * d_model + off..i * d_model + off + d_head];
@@ -1240,8 +865,25 @@ mod tests {
                 assert_eq!(scores[i * t + j], dot * scale, "score {i},{j}");
             }
         }
-        let mut ctx = vec![0.0; t * d_model];
-        attn_context(&scores, &v, t, d_model, off, d_head, &mut ctx);
+        // Context: the lanes are the head's value columns, read from the
+        // row-major V with a row-width step.
+        let mut ctx = vec![f32::NAN; t * d_model];
+        gemm_packed(
+            [Segment {
+                panels: &v[off..],
+                block_stride: NR,
+                step: d_model,
+                k: t,
+                x: &scores,
+                x_stride: t,
+            }],
+            None,
+            t,
+            d_head,
+            |acc| acc,
+            &mut ctx[off..],
+            (d_model, 1),
+        );
         for i in 0..t {
             for d in 0..d_head {
                 let mut acc = 0.0f32;

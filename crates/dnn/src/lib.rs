@@ -18,14 +18,15 @@
 //! * [`ops`] — linear, conv2d, LSTM, multi-head attention, layer norm,
 //!   pooling, and activations, each with an analytic MAC counter used by
 //!   the latency model;
-//! * [`kernels`] — the im2col + blocked-GEMM fast paths behind the ops'
-//!   `forward_scratch` methods, bit-identical to the naive references;
+//! * [`kernels`] — the register-tile micro-kernel and the packed GEMM,
+//!   direct-convolution and im2col sweeps behind the ops'
+//!   `forward_batch_packed` methods, bit-identical to the naive
+//!   `forward_reference` oracles;
 //! * [`scratch`] — the [`ScratchPad`] buffer pool that makes steady-state
 //!   inference allocation-free;
 //! * [`batch`] — prepacked weight panels ([`PackedWeights`]) and the
-//!   scoped sample scatter behind the batched
-//!   [`Model::forward_batch_scratch`] path, bit-identical per sample to
-//!   looped `forward_scratch`;
+//!   scoped sample scatter behind [`Model::forward_batch_scratch`], the
+//!   one inference method: a single query is a batch of one;
 //! * [`models`] — [`VanillaCnn`],
 //!   [`TransLob`], and [`DeepLob`],
 //!   each in two sizes: a `paper()` configuration whose analytic op count

@@ -157,45 +157,23 @@ pub trait Model: Send + Sync {
     /// Features per tick (40 for ten levels of `(price, qty)` x 2 sides).
     fn features(&self) -> usize;
 
-    /// Runs inference on a `[window, features]` input feature map.
-    ///
-    /// Provided: delegates to [`Self::forward_scratch`] with a throwaway
-    /// [`ScratchPad`]. Long-lived callers (the trading system, the
-    /// simulator) should hold a pad and call `forward_scratch` directly
-    /// so steady-state inference never touches the allocator.
-    fn forward(&self, input: &Tensor) -> Prediction {
-        self.forward_scratch(input, &mut ScratchPad::new())
-    }
-
-    /// Runs inference drawing every intermediate buffer from `pad`.
-    ///
-    /// After a warm-up call with the same input shape, the pad's free
-    /// list covers every buffer the network needs and this performs zero
-    /// heap allocations (asserted by the `zero_alloc` integration test).
-    fn forward_scratch(&self, input: &Tensor, pad: &mut ScratchPad) -> Prediction;
-
     /// Packs this model's GEMM operands into register-tile panels for
-    /// [`Self::forward_batch_scratch`].
-    ///
-    /// Provided: returns the empty pack — the explicit marker that this
-    /// model has no packed path, making `forward_batch_scratch` fall
-    /// back to looping [`Self::forward_scratch`]. Models with a batched
-    /// override also override this; the panel order is model-private.
-    fn pack_weights(&self) -> PackedWeights {
-        PackedWeights::empty(self.kind())
-    }
+    /// [`Self::forward_batch_scratch`]; the panel order is model-private.
+    fn pack_weights(&self) -> PackedWeights;
 
     /// Runs inference over a batch of `[window, features]` inputs,
     /// appending one [`Prediction`] per input to `out` (cleared first).
+    /// A single query is a batch of one.
     ///
-    /// Per sample bit-identical to [`Self::forward_scratch`]: batching
-    /// stacks samples along GEMM output dimensions and packing permutes
-    /// operand layout, neither touches any `k` accumulation chain
-    /// (pinned by the `batch_equivalence` proptests). Pass the pack from
-    /// [`Self::pack_weights`]; an empty pack (or a model without an
-    /// override) runs the looped fallback.
-    ///
-    /// Provided: [`Self::forward_batch_looped`].
+    /// Every intermediate buffer comes from `pad`: after a warm-up call
+    /// at the same batch size this performs zero heap allocations
+    /// (asserted by the `zero_alloc` integration test). Per sample the
+    /// result does not depend on the batch it rides in and is `==` to
+    /// the model's `forward_reference`: batching stacks samples along
+    /// GEMM output dimensions and packing permutes operand layout,
+    /// neither touches any `k` accumulation chain (pinned by the
+    /// `kernel_equivalence` and `batch_equivalence` proptests). Pass the
+    /// pack from [`Self::pack_weights`].
     ///
     /// # Panics
     ///
@@ -206,25 +184,7 @@ pub trait Model: Send + Sync {
         packed: &PackedWeights,
         pad: &mut ScratchPad,
         out: &mut Vec<Prediction>,
-    ) {
-        let _ = packed;
-        self.forward_batch_looped(inputs, pad, out);
-    }
-
-    /// The looped reference semantics of [`Self::forward_batch_scratch`]:
-    /// one [`Self::forward_scratch`] call per input, in order.
-    fn forward_batch_looped(
-        &self,
-        inputs: &[Tensor],
-        pad: &mut ScratchPad,
-        out: &mut Vec<Prediction>,
-    ) {
-        out.clear();
-        out.reserve(inputs.len());
-        for input in inputs {
-            out.push(self.forward_scratch(input, pad));
-        }
-    }
+    );
 
     /// Analytic multiply-accumulate count of one forward pass.
     fn total_macs(&self) -> u64;

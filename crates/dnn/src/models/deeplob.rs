@@ -176,15 +176,9 @@ impl DeepLob {
         y
     }
 
-    fn conv_act_scratch(conv: &Conv2d, x: &Tensor, pad: &mut ScratchPad) -> Tensor {
-        let mut y = conv.forward_scratch(x, pad);
-        leaky_relu(&mut y, LEAK);
-        y
-    }
-
     /// The naive reference forward pass, built entirely from the layers'
     /// `forward_reference` paths (kept for equivalence tests and the
-    /// benchmark baseline). Bit-identical to [`Model::forward`].
+    /// benchmark baseline); [`Model::forward_batch_scratch`] is `==` to it.
     pub fn forward_reference(&self, input: &Tensor) -> Prediction {
         let (t, f) = (self.spec.window, self.spec.features);
         assert_eq!(input.shape(), [t, f], "input must be [window, features]");
@@ -236,64 +230,10 @@ impl Model for DeepLob {
         self.spec.features
     }
 
-    fn forward_scratch(&self, input: &Tensor, pad: &mut ScratchPad) -> Prediction {
-        let (t, f) = (self.spec.window, self.spec.features);
-        assert_eq!(input.shape(), [t, f], "input must be [window, features]");
-        let mut x = pad.take_tensor(&[1, t, f]);
-        x.data_mut().copy_from_slice(input.data());
-        for conv in [
-            &self.b1a, &self.b1b, &self.b1c, &self.b2a, &self.b2b, &self.b2c, &self.b3a, &self.b3b,
-            &self.b3c,
-        ] {
-            let y = Self::conv_act_scratch(conv, &x, pad);
-            pad.give_tensor(x);
-            x = y;
-        }
-        // Inception over [C, steps, 1].
-        let br1 = Self::conv_act_scratch(&self.inc1, &x, pad);
-        let mid2 = Self::conv_act_scratch(&self.inc2a, &x, pad);
-        let br2 = Self::conv_act_scratch(&self.inc2b, &mid2, pad);
-        pad.give_tensor(mid2);
-        let mid3 = Self::conv_act_scratch(&self.inc3a, &x, pad);
-        let br3 = Self::conv_act_scratch(&self.inc3b, &mid3, pad);
-        pad.give_tensor(mid3);
-        pad.give_tensor(x);
-        let c = self.spec.channels;
-        let steps = self.spec.lstm_steps();
-        // Concatenate channels and flip to sequence-major [steps, 3C].
-        // Branch layout is [C, steps, 1] row-major, so channel `ch` at
-        // step `s` lives at flat index `ch * steps + s`.
-        let mut seq = pad.take_tensor(&[steps, 3 * c]);
-        {
-            let seq_data = seq.data_mut();
-            let (d1, d2, d3) = (br1.data(), br2.data(), br3.data());
-            for s in 0..steps {
-                let row = &mut seq_data[s * 3 * c..(s + 1) * 3 * c];
-                for ch in 0..c {
-                    row[ch] = d1[ch * steps + s];
-                    row[c + ch] = d2[ch * steps + s];
-                    row[2 * c + ch] = d3[ch * steps + s];
-                }
-            }
-        }
-        pad.give_tensor(br1);
-        pad.give_tensor(br2);
-        pad.give_tensor(br3);
-        let hidden = self.lstm.last_hidden_scratch(&seq, pad);
-        pad.give_tensor(seq);
-        let mut logits = self.fc.forward_scratch(&hidden, pad);
-        pad.give_tensor(hidden);
-        softmax_last_dim(&mut logits);
-        let out = logits.data();
-        let p = Prediction::new([out[0], out[1], out[2]]);
-        pad.give_tensor(logits);
-        p
-    }
-
     /// Panel order: the nine trunk convolutions, the five inception
     /// convolutions, `lstm.wx`, `lstm.wh`, `fc`.
     fn pack_weights(&self) -> PackedWeights {
-        let mut pw = PackedWeights::empty(self.kind());
+        let mut pw = PackedWeights::new(self.kind());
         for conv in [
             &self.b1a,
             &self.b1b,
@@ -325,9 +265,6 @@ impl Model for DeepLob {
         pad: &mut ScratchPad,
         out: &mut Vec<Prediction>,
     ) {
-        if packed.is_empty() {
-            return self.forward_batch_looped(inputs, pad, out);
-        }
         out.clear();
         let batch = inputs.len();
         if batch == 0 {
@@ -380,7 +317,8 @@ impl Model for DeepLob {
         pad.give(mid);
         pad.give(cur);
         // Concatenate channels and flip to sequence-major [steps, 3C]
-        // per sample, exactly as the single-sample path does.
+        // per sample. Branch layout is [C, steps, 1] row-major, so
+        // channel `ch` at step `st` lives at flat index `ch * steps + st`.
         let mut seq = pad.take_dirty(batch * steps * 3 * c);
         for s in 0..batch {
             let (d1, d2, d3) = (
@@ -432,6 +370,7 @@ impl Model for DeepLob {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::ModelRegistry;
 
     #[test]
     fn paper_spec_hits_table2() {
@@ -444,9 +383,9 @@ mod tests {
 
     #[test]
     fn forward_produces_distribution() {
-        let model = DeepLobSpec::tiny().build(1);
+        let mut reg = ModelRegistry::tiny_with_kinds(&[ModelKind::DeepLob], 1);
         let x = Tensor::random(&[24, 40], 1.0, 2);
-        let p = model.forward(&x);
+        let p = reg.forward(ModelKind::DeepLob, &x);
         assert!((p.probs.iter().sum::<f32>() - 1.0).abs() < 1e-4);
     }
 
@@ -484,13 +423,14 @@ mod tests {
     fn sensitive_to_recent_ticks() {
         // Perturbing the last tick of the window changes the prediction —
         // the LSTM must propagate late information.
-        let model = DeepLobSpec::tiny().build(5);
+        let mut reg = ModelRegistry::tiny_with_kinds(&[ModelKind::DeepLob], 5);
         let base = Tensor::random(&[24, 40], 1.0, 9);
         let mut bumped = base.clone();
         for fcol in 0..40 {
             bumped.set(&[23, fcol], base.at(&[23, fcol]) + 3.0);
         }
-        assert_ne!(model.forward(&base).probs, model.forward(&bumped).probs);
+        let before = reg.forward(ModelKind::DeepLob, &base);
+        assert_ne!(before.probs, reg.forward(ModelKind::DeepLob, &bumped).probs);
     }
 
     #[test]

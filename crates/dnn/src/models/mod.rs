@@ -3,9 +3,10 @@
 //! Each model comes as a *spec* (dimensions only — computes the analytic
 //! op count without allocating weights, so paper-scale networks can be
 //! priced) and an *instantiated network* built from a spec (owns weights,
-//! runs `forward`). The `paper()` specs are dimensioned so their analytic
-//! op counts reproduce Table II within 0.1%; the `tiny()` specs run
-//! functionally in microseconds and share the exact same code path.
+//! runs `forward_batch_scratch`). The `paper()` specs are dimensioned so
+//! their analytic op counts reproduce Table II within 0.1%; the `tiny()`
+//! specs run functionally in microseconds and share the exact same code
+//! path.
 
 mod deeplob;
 mod quantized;
@@ -71,13 +72,14 @@ mod tests {
     #[test]
     fn tiny_models_run() {
         for kind in ModelKind::ALL {
-            let model = build_tiny(kind, 42);
+            let mut reg = crate::registry::ModelRegistry::tiny_with_kinds(&[kind], 42);
+            let model = reg.model(kind).expect("kind was just registered");
             let input = crate::tensor::Tensor::random(&[model.window(), model.features()], 1.0, 1);
-            let pred = model.forward(&input);
-            let sum: f32 = pred.probs.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-4, "{kind}: probs {:?}", pred.probs);
             assert_eq!(model.kind(), kind);
             assert!(model.total_ops() > 0);
+            let pred = reg.forward(kind, &input);
+            let sum: f32 = pred.probs.iter().sum();
+            assert!((sum - 1.0).abs() < 1e-4, "{kind}: probs {:?}", pred.probs);
         }
     }
 }

@@ -9,10 +9,11 @@
 //! throughput (64 TOPS vs 16 TFLOPS) at the cost of small prediction
 //! deviations that this module's tests quantify.
 
+use crate::batch::PackedWeights;
 use crate::bf16::{dequantize_int8, quantize_int8};
 use crate::model::{Model, ModelKind, Prediction};
-use crate::models::vanilla_cnn::{CnnSpec, VanillaCnn};
-use crate::ops::activation::{relu, softmax_last_dim};
+use crate::models::vanilla_cnn::{conv_trunk_batch_packed, CnnSpec, VanillaCnn};
+use crate::ops::activation::{relu, relu_slice, softmax_last_dim, softmax_rows};
 use crate::ops::{Conv2d, LinearInt8};
 use crate::scratch::ScratchPad;
 use crate::tensor::Tensor;
@@ -54,7 +55,7 @@ impl QuantizedCnn {
 
     /// The naive reference forward pass, built entirely from the layers'
     /// `forward_reference` paths (kept for equivalence tests and the
-    /// benchmark baseline). Bit-identical to [`Model::forward`].
+    /// benchmark baseline); [`Model::forward_batch_scratch`] is `==` to it.
     pub fn forward_reference(&self, input: &Tensor) -> Prediction {
         assert_eq!(
             input.shape(),
@@ -94,35 +95,43 @@ impl Model for QuantizedCnn {
         self.spec.features
     }
 
-    fn forward_scratch(&self, input: &Tensor, pad: &mut ScratchPad) -> Prediction {
-        assert_eq!(
-            input.shape(),
-            [self.spec.window, self.spec.features],
-            "input must be [window, features]"
-        );
-        let mut x0 = pad.take_tensor(&[1, self.spec.window, self.spec.features]);
-        x0.data_mut().copy_from_slice(input.data());
-        let mut x = self.conv1.forward_scratch(&x0, pad);
-        pad.give_tensor(x0);
-        relu(&mut x);
-        let mut y = self.conv2.forward_scratch(&x, pad);
-        pad.give_tensor(x);
-        relu(&mut y);
-        let mut z = self.conv3.forward_scratch(&y, pad);
-        pad.give_tensor(y);
-        relu(&mut z);
-        let flat_len = z.len();
-        let flat = z.reshape(&[flat_len]);
-        let mut h = self.fc1.forward_scratch(&flat, pad);
-        pad.give_tensor(flat);
-        relu(&mut h);
-        let mut logits = self.fc2.forward_scratch(&h, pad);
-        pad.give_tensor(h);
-        softmax_last_dim(&mut logits);
-        let d = logits.data();
-        let p = Prediction::new([d[0], d[1], d[2]]);
-        pad.give_tensor(logits);
-        p
+    /// Panel order: conv1, conv2, conv3 — the INT8 dense layers multiply
+    /// their row-major `i8` weights as they are.
+    fn pack_weights(&self) -> PackedWeights {
+        let mut pw = PackedWeights::new(self.kind());
+        pw.push(self.conv1.pack());
+        pw.push(self.conv2.pack());
+        pw.push(self.conv3.pack());
+        pw
+    }
+
+    fn forward_batch_scratch(
+        &self,
+        inputs: &[Tensor],
+        packed: &PackedWeights,
+        pad: &mut ScratchPad,
+        out: &mut Vec<Prediction>,
+    ) {
+        out.clear();
+        let batch = inputs.len();
+        if batch == 0 {
+            return;
+        }
+        let convs = [&self.conv1, &self.conv2, &self.conv3];
+        let a3 = conv_trunk_batch_packed(&self.spec, convs, inputs, packed, pad);
+        // Fully overwritten before it is read, like `logits` below.
+        let mut h = pad.take_dirty(batch * self.spec.hidden);
+        self.fc1.forward_rows(&a3, batch, pad, &mut h);
+        pad.give(a3);
+        relu_slice(&mut h);
+        let mut logits = pad.take_dirty(batch * 3);
+        self.fc2.forward_rows(&h, batch, pad, &mut logits);
+        pad.give(h);
+        softmax_rows(&mut logits, batch, 3);
+        for row in logits.chunks_exact(3) {
+            out.push(Prediction::new([row[0], row[1], row[2]]));
+        }
+        pad.give(logits);
     }
 
     fn total_macs(&self) -> u64 {
@@ -151,11 +160,13 @@ pub fn quantization_report(
     if inputs.is_empty() {
         return QuantizationReport::default();
     }
+    let mut pad = ScratchPad::new();
+    let (mut exact, mut approx) = (Vec::new(), Vec::new());
+    float.forward_batch_scratch(inputs, &float.pack_weights(), &mut pad, &mut exact);
+    quant.forward_batch_scratch(inputs, &quant.pack_weights(), &mut pad, &mut approx);
     let mut agree = 0usize;
     let mut abs_err = 0.0f64;
-    for input in inputs {
-        let a = float.forward(input);
-        let b = quant.forward(input);
+    for (a, b) in exact.iter().zip(&approx) {
         if a.direction() == b.direction() {
             agree += 1;
         }
@@ -185,7 +196,7 @@ pub fn weight_round_trip_error(values: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Model;
+    use crate::registry::ModelRegistry;
 
     fn pair() -> (VanillaCnn, QuantizedCnn) {
         let float = CnnSpec::tiny().build(11);
@@ -196,11 +207,13 @@ mod tests {
     #[test]
     fn quantized_model_runs_and_sums_to_one() {
         let (_, quant) = pair();
-        let x = Tensor::random(&[20, 40], 1.0, 1);
-        let p = quant.forward(&x);
-        assert!((p.probs.iter().sum::<f32>() - 1.0).abs() < 1e-4);
         assert_eq!(quant.kind(), ModelKind::VanillaCnn);
         assert_eq!(quant.window(), 20);
+        let mut reg = ModelRegistry::new();
+        reg.register(Box::new(quant));
+        let x = Tensor::random(&[20, 40], 1.0, 1);
+        let p = reg.forward(ModelKind::VanillaCnn, &x);
+        assert!((p.probs.iter().sum::<f32>() - 1.0).abs() < 1e-4);
     }
 
     #[test]

@@ -156,32 +156,6 @@ impl TransformerBlock {
         }
         x1
     }
-
-    /// The fast path: takes `x` by value and accumulates both residuals
-    /// into it, drawing every intermediate from `pad`. Bit-identical to
-    /// [`Self::forward_reference`].
-    fn forward_scratch(&self, mut x: Tensor, pad: &mut ScratchPad) -> Tensor {
-        // x = x + attn(ln1(x))
-        let n1 = self.ln1.forward_scratch(&x, pad);
-        let a = self.attn.forward_scratch(&n1, pad);
-        pad.give_tensor(n1);
-        for (v, add) in x.data_mut().iter_mut().zip(a.data()) {
-            *v += add;
-        }
-        pad.give_tensor(a);
-        // x = x + ffn(ln2(x))
-        let n2 = self.ln2.forward_scratch(&x, pad);
-        let mut h = self.ffn1.forward_scratch(&n2, pad);
-        pad.give_tensor(n2);
-        relu(&mut h);
-        let f = self.ffn2.forward_scratch(&h, pad);
-        pad.give_tensor(h);
-        for (v, add) in x.data_mut().iter_mut().zip(f.data()) {
-            *v += add;
-        }
-        pad.give_tensor(f);
-        x
-    }
 }
 
 /// Packed operands one block pushes in [`TransformerBlock::pack_into`].
@@ -200,8 +174,8 @@ impl TransformerBlock {
     /// The batched block over a flat `[batch * t, d]` token buffer,
     /// updated in place; `base` is the index of the block's first packed
     /// operand. Every sublayer sweeps all `batch * t` rows at once (the
-    /// attention core per sample and head); per sample bit-identical to
-    /// [`Self::forward_scratch`].
+    /// attention core per sample and head); per sample `==` to
+    /// [`Self::forward_reference`].
     fn forward_batch_packed(
         &self,
         tokens: &mut [f32],
@@ -271,7 +245,7 @@ impl TransLob {
 
     /// The naive reference forward pass, built entirely from the layers'
     /// `forward_reference` paths (kept for equivalence tests and the
-    /// benchmark baseline). Bit-identical to [`Model::forward`].
+    /// benchmark baseline); [`Model::forward_batch_scratch`] is `==` to it.
     pub fn forward_reference(&self, input: &Tensor) -> Prediction {
         let (t, f) = (self.spec.window, self.spec.features);
         assert_eq!(input.shape(), [t, f], "input must be [window, features]");
@@ -329,70 +303,10 @@ impl Model for TransLob {
         self.spec.features
     }
 
-    fn forward_scratch(&self, input: &Tensor, pad: &mut ScratchPad) -> Prediction {
-        let (t, f) = (self.spec.window, self.spec.features);
-        assert_eq!(input.shape(), [t, f], "input must be [window, features]");
-        // To channels-first [F, T, 1] for the convolution stack: the input
-        // is [T, F] row-major, so feature `fi` at tick `ti` reads from flat
-        // index `ti * f + fi` and lands at `fi * t + ti`.
-        let mut x = pad.take_tensor(&[f, t, 1]);
-        {
-            let (xd, id) = (x.data_mut(), input.data());
-            for ti in 0..t {
-                for fi in 0..f {
-                    xd[fi * t + ti] = id[ti * f + fi];
-                }
-            }
-        }
-        for conv in &self.convs {
-            let mut y = conv.forward_scratch(&x, pad);
-            relu(&mut y);
-            pad.give_tensor(x);
-            x = y;
-        }
-        // Back to sequence-major [T, C].
-        let c = self.spec.conv_channels;
-        let mut seq = pad.take_tensor(&[t, c]);
-        {
-            let (sd, xd) = (seq.data_mut(), x.data());
-            for ti in 0..t {
-                for ci in 0..c {
-                    sd[ti * c + ci] = xd[ci * t + ti];
-                }
-            }
-        }
-        pad.give_tensor(x);
-        let mut tokens = self.proj.forward_scratch(&seq, pad);
-        pad.give_tensor(seq);
-        for (v, p) in tokens.data_mut().iter_mut().zip(self.pos.data()) {
-            *v += p;
-        }
-        for block in &self.blocks {
-            tokens = block.forward_scratch(tokens, pad);
-        }
-        // Mean pool over time (take_tensor zero-fills, matching the
-        // reference path's `vec![0.0; d]` accumulator).
-        let d = self.spec.d_model;
-        let mut pooled = pad.take_tensor(&[d]);
-        for ti in 0..t {
-            for (acc, v) in pooled.data_mut().iter_mut().zip(tokens.row(ti)) {
-                *acc += v / t as f32;
-            }
-        }
-        pad.give_tensor(tokens);
-        let mut logits = self.head.forward_scratch(&pooled, pad);
-        pad.give_tensor(pooled);
-        softmax_last_dim(&mut logits);
-        let out = logits.data();
-        let p = Prediction::new([out[0], out[1], out[2]]);
-        pad.give_tensor(logits);
-        p
-    }
-
     /// Panel order: the five front-end convolutions, `proj`, `head`,
     /// then each transformer block's [`BLOCK_PANELS`] operands.
     fn pack_weights(&self) -> PackedWeights {
-        let mut pw = PackedWeights::empty(self.kind());
+        let mut pw = PackedWeights::new(self.kind());
         for conv in &self.convs {
             pw.push(conv.pack());
         }
@@ -411,9 +325,6 @@ impl Model for TransLob {
         pad: &mut ScratchPad,
         out: &mut Vec<Prediction>,
     ) {
-        if packed.is_empty() {
-            return self.forward_batch_looped(inputs, pad, out);
-        }
         out.clear();
         let batch = inputs.len();
         if batch == 0 {
@@ -424,7 +335,9 @@ impl Model for TransLob {
         let d = self.spec.d_model;
         let threads = packed.threads();
         // Stage every sample channels-first [F, T, 1] (fully overwritten,
-        // so skip the zero fill), as the single-sample path does.
+        // so skip the zero fill): the input is [T, F] row-major, so
+        // feature `fi` at tick `ti` moves from `ti * f + fi` to
+        // `fi * t + ti`.
         let mut cur = pad.take_dirty(batch * f * t);
         for (s, input) in inputs.iter().enumerate() {
             assert_eq!(input.shape(), [t, f], "input must be [window, features]");
@@ -473,8 +386,8 @@ impl Model for TransLob {
             block.forward_batch_packed(&mut tokens, batch, t, packed, base, pad);
         }
         // Mean pool over time. `take` (not `take_dirty`): the pooled
-        // accumulator must start at zero, matching the single-sample
-        // path.
+        // accumulator must start at zero, matching the reference path's
+        // `vec![0.0; d]`.
         let mut pooled = pad.take(batch * d);
         for (acc, sample) in pooled.chunks_exact_mut(d).zip(tokens.chunks_exact(t * d)) {
             for row in sample.chunks_exact(d) {
@@ -503,6 +416,7 @@ impl Model for TransLob {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::ModelRegistry;
 
     #[test]
     fn paper_spec_hits_table2() {
@@ -520,9 +434,9 @@ mod tests {
 
     #[test]
     fn forward_produces_distribution() {
-        let model = TransLobSpec::tiny().build(1);
+        let mut reg = ModelRegistry::tiny_with_kinds(&[ModelKind::TransLob], 1);
         let x = Tensor::random(&[16, 40], 1.0, 2);
-        let p = model.forward(&x);
+        let p = reg.forward(ModelKind::TransLob, &x);
         assert!((p.probs.iter().sum::<f32>() - 1.0).abs() < 1e-4);
     }
 
@@ -530,7 +444,7 @@ mod tests {
     fn positional_encoding_breaks_permutation_symmetry() {
         // Same token content in different positions must produce different
         // predictions thanks to the positional encoding.
-        let model = TransLobSpec::tiny().build(3);
+        let mut reg = ModelRegistry::tiny_with_kinds(&[ModelKind::TransLob], 3);
         let base = Tensor::random(&[16, 40], 1.0, 5);
         // Reverse the window.
         let mut rev = Tensor::zeros(&[16, 40]);
@@ -539,7 +453,8 @@ mod tests {
                 rev.set(&[t, f], base.at(&[15 - t, f]));
             }
         }
-        assert_ne!(model.forward(&base).probs, model.forward(&rev).probs);
+        let forward = reg.forward(ModelKind::TransLob, &base);
+        assert_ne!(forward.probs, reg.forward(ModelKind::TransLob, &rev).probs);
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub fn softmax_last_dim(t: &mut Tensor) {
 }
 
 /// [`softmax_last_dim`] over a raw `rows x cols` slice (used by the
-/// scratch-pad attention path; identical arithmetic).
+/// packed path's flat buffers; identical arithmetic).
 pub fn softmax_rows(data: &mut [f32], rows: usize, cols: usize) {
     debug_assert_eq!(data.len(), rows * cols);
     for r in 0..rows {

@@ -1,7 +1,7 @@
 //! Multi-head self-attention (the TransLOB building block).
 
 use crate::batch::PackedPanels;
-use crate::kernels::{attn_context, attn_scores, gemm_packed, pack_bt_panels, Segment, NR};
+use crate::kernels::{gemm_packed, pack_bt_panels, Segment, NR};
 use crate::ops::activation::{softmax_last_dim, softmax_rows};
 use crate::ops::count::attention_macs;
 use crate::ops::expect_rank;
@@ -54,68 +54,6 @@ impl MultiHeadAttention {
         self.heads
     }
 
-    /// Applies self-attention to a `[T, D]` sequence.
-    ///
-    /// Runs the tiled fast path on a throwaway [`ScratchPad`]; use
-    /// [`Self::forward_scratch`] to reuse buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not rank 2 of width `d_model`.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.forward_scratch(x, &mut ScratchPad::new())
-    }
-
-    /// Applies self-attention with the tiled score/context kernels,
-    /// drawing every intermediate (Q/K/V, scores, context) from `pad`.
-    /// Bit-identical to [`Self::forward_reference`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not rank 2 of width `d_model`.
-    pub fn forward_scratch(&self, x: &Tensor, pad: &mut ScratchPad) -> Tensor {
-        expect_rank(x, 2, "MultiHeadAttention");
-        assert_eq!(x.shape()[1], self.d_model, "width mismatch");
-        let t = x.shape()[0];
-        let d_head = self.d_model / self.heads;
-        let q = self.wq.forward_scratch(x, pad);
-        let k = self.wk.forward_scratch(x, pad);
-        let v = self.wv.forward_scratch(x, pad);
-        let scale = 1.0 / (d_head as f32).sqrt();
-        let mut context = pad.take_tensor(&[t, self.d_model]);
-        let mut scores = pad.take(t * t);
-        for h in 0..self.heads {
-            let off = h * d_head;
-            attn_scores(
-                q.data(),
-                k.data(),
-                t,
-                self.d_model,
-                off,
-                d_head,
-                scale,
-                &mut scores,
-            );
-            softmax_rows(&mut scores, t, t);
-            attn_context(
-                &scores,
-                v.data(),
-                t,
-                self.d_model,
-                off,
-                d_head,
-                context.data_mut(),
-            );
-        }
-        pad.give(scores);
-        pad.give_tensor(q);
-        pad.give_tensor(k);
-        pad.give_tensor(v);
-        let out = self.wo.forward_scratch(&context, pad);
-        pad.give_tensor(context);
-        out
-    }
-
     /// Packs the Q, K, V and output projections, in that order, for
     /// [`Self::forward_batch_packed`].
     pub fn pack(&self) -> [PackedPanels; 4] {
@@ -123,8 +61,8 @@ impl MultiHeadAttention {
     }
 
     /// Batched self-attention over a flat `[batch * t, d_model]` token
-    /// buffer, writing the same shape into `out`; per sample
-    /// bit-identical to [`Self::forward_scratch`].
+    /// buffer, writing the same shape into `out`; per sample `==` to
+    /// [`Self::forward_reference`].
     ///
     /// The four projections each sweep all `batch * t` rows at once.
     /// Attention itself couples tokens within a sample only, so scores,
@@ -272,7 +210,7 @@ mod tests {
     fn output_shape_matches_input() {
         let mha = MultiHeadAttention::new(16, 4, 0);
         let x = Tensor::random(&[6, 16], 1.0, 1);
-        let y = mha.forward(&x);
+        let y = mha.forward_reference(&x);
         assert_eq!(y.shape(), &[6, 16]);
     }
 
@@ -287,7 +225,7 @@ mod tests {
             data.extend_from_slice(&row);
         }
         let x = Tensor::from_vec(data, &[4, 8]);
-        let y = mha.forward(&x);
+        let y = mha.forward_reference(&x);
         for t in 1..4 {
             assert_eq!(y.row(0), y.row(t));
         }
@@ -302,8 +240,8 @@ mod tests {
         let b = Tensor::random(&[1, 8], 1.0, 11);
         let ab = Tensor::from_vec([a.data(), b.data()].concat(), &[2, 8]);
         let ba = Tensor::from_vec([b.data(), a.data()].concat(), &[2, 8]);
-        let y_ab = mha.forward(&ab);
-        let y_ba = mha.forward(&ba);
+        let y_ab = mha.forward_reference(&ab);
+        let y_ba = mha.forward_reference(&ba);
         for (x, y) in y_ab.row(0).iter().zip(y_ba.row(1)) {
             assert!((x - y).abs() < 1e-4);
         }
@@ -313,8 +251,8 @@ mod tests {
     fn single_head_equals_heads_of_full_width() {
         // Sanity: single head runs and differs from multi-head chunking.
         let x = Tensor::random(&[3, 8], 1.0, 20);
-        let one = MultiHeadAttention::new(8, 1, 5).forward(&x);
-        let four = MultiHeadAttention::new(8, 4, 5).forward(&x);
+        let one = MultiHeadAttention::new(8, 1, 5).forward_reference(&x);
+        let four = MultiHeadAttention::new(8, 4, 5).forward_reference(&x);
         assert_eq!(one.shape(), four.shape());
         assert_ne!(one.data(), four.data());
     }

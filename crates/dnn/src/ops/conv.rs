@@ -2,10 +2,7 @@
 
 use crate::batch::{scatter_samples, PackedPanels};
 use crate::bf16::bf16_round;
-use crate::kernels::{
-    conv2d_kw1_direct_bf16, conv2d_kw1_stage_len, gemm_bt_bias_rows_bf16, gemm_packed, im2col,
-    Segment,
-};
+use crate::kernels::{conv2d_kw1_direct_bf16, conv2d_kw1_stage_len, gemm_packed, im2col, Segment};
 use crate::ops::count::{conv2d_macs, conv_out_len};
 use crate::ops::expect_rank;
 use crate::scratch::ScratchPad;
@@ -93,65 +90,6 @@ impl Conv2d {
         )
     }
 
-    /// Applies the convolution; outputs are BF16-rounded.
-    ///
-    /// Runs the fast im2col + blocked-GEMM path on a throwaway
-    /// [`ScratchPad`]; use [`Self::forward_scratch`] to reuse buffers
-    /// across calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not rank 3 or its channel count mismatches.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.forward_scratch(x, &mut ScratchPad::new())
-    }
-
-    /// Applies the convolution via im2col + cache-blocked GEMM, drawing
-    /// the patch buffer and output from `pad`.
-    ///
-    /// Bit-identical to [`Self::forward_reference`] (see
-    /// [`crate::kernels`] for the accumulation-order contract).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not rank 3 or its channel count mismatches.
-    pub fn forward_scratch(&self, x: &Tensor, pad: &mut ScratchPad) -> Tensor {
-        expect_rank(x, 3, "Conv2d");
-        let [in_c, h, w] = [x.shape()[0], x.shape()[1], x.shape()[2]];
-        assert_eq!(in_c, self.in_channels(), "input channel mismatch");
-        let (kh, kw) = (self.kernel.shape()[2], self.kernel.shape()[3]);
-        let (oh, ow) = self.output_hw(h, w);
-        let out_c = self.out_channels();
-        let k = in_c * kh * kw;
-        let positions = oh * ow;
-        let mut patches = pad.take(positions * k);
-        im2col(
-            x.data(),
-            in_c,
-            h,
-            w,
-            kh,
-            kw,
-            self.stride,
-            self.padding,
-            oh,
-            ow,
-            &mut patches,
-        );
-        let mut out = pad.take_tensor(&[out_c, oh, ow]);
-        gemm_bt_bias_rows_bf16(
-            self.kernel.data(),
-            &patches,
-            &self.bias,
-            out_c,
-            positions,
-            k,
-            out.data_mut(),
-        );
-        pad.give(patches);
-        out
-    }
-
     /// Packs the `[out_c, in_c * kh * kw]` kernel matrix into register
     /// panels for the batched forward path.
     pub fn pack(&self) -> PackedPanels {
@@ -165,9 +103,11 @@ impl Conv2d {
     /// Width-1 unit-stride kernels run the direct register-tile
     /// convolution; every other shape unfolds into a stacked
     /// `[batch * oh * ow, k]` im2col patch matrix drawn from `pad` and
-    /// sweeps it with the packed GEMM — per sample bit-identical to
-    /// [`Self::forward_scratch`], since stacking only extends the GEMM's
-    /// output `n` dimension and packing only permutes the A layout.
+    /// sweeps it with the packed GEMM — per sample `==` to
+    /// [`Self::forward_reference`], since stacking only extends the
+    /// GEMM's output `n` dimension and packing only permutes the A
+    /// layout (see [`crate::kernels`] for the accumulation-order
+    /// contract).
     /// `threads > 1` scatters contiguous sample chunks across scoped
     /// threads (disjoint patch/output slices, unchanged accumulation).
     ///
@@ -340,7 +280,7 @@ mod tests {
         let kernel = Tensor::from_vec(vec![1.0], &[1, 1, 1, 1]);
         let conv = Conv2d::from_weights(kernel, vec![0.0], (1, 1), (0, 0));
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 2, 2]);
-        assert_eq!(conv.forward(&x).data(), x.data());
+        assert_eq!(conv.forward_reference(&x).data(), x.data());
     }
 
     /// Hand-computed 2x2 box filter over a 3x3 input.
@@ -349,7 +289,7 @@ mod tests {
         let kernel = Tensor::from_vec(vec![1.0; 4], &[1, 1, 2, 2]);
         let conv = Conv2d::from_weights(kernel, vec![0.0], (1, 1), (0, 0));
         let x = Tensor::from_vec((1..=9).map(|v| v as f32).collect(), &[1, 3, 3]);
-        let y = conv.forward(&x);
+        let y = conv.forward_reference(&x);
         assert_eq!(y.shape(), &[1, 2, 2]);
         assert_eq!(y.data(), &[12.0, 16.0, 24.0, 28.0]); // sums of 2x2 blocks
     }
@@ -359,7 +299,7 @@ mod tests {
         let kernel = Tensor::from_vec(vec![1.0], &[1, 1, 1, 1]);
         let conv = Conv2d::from_weights(kernel, vec![0.0], (2, 2), (0, 0));
         let x = Tensor::from_vec((0..16).map(|v| v as f32).collect(), &[1, 4, 4]);
-        let y = conv.forward(&x);
+        let y = conv.forward_reference(&x);
         assert_eq!(y.shape(), &[1, 2, 2]);
         assert_eq!(y.data(), &[0.0, 2.0, 8.0, 10.0]);
     }
@@ -372,7 +312,7 @@ mod tests {
         );
         let conv = Conv2d::from_weights(kernel, vec![0.0], (1, 1), (1, 1));
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 2, 2]);
-        let y = conv.forward(&x);
+        let y = conv.forward_reference(&x);
         assert_eq!(y.shape(), &[1, 2, 2]);
         assert_eq!(y.data(), x.data(), "center-tap kernel with same padding");
     }
@@ -383,7 +323,7 @@ mod tests {
         let kernel = Tensor::from_vec(vec![1.0, 1.0], &[1, 2, 1, 1]);
         let conv = Conv2d::from_weights(kernel, vec![0.5], (1, 1), (0, 0));
         let x = Tensor::from_vec(vec![1.0, 2.0, 10.0, 20.0], &[2, 1, 2]);
-        let y = conv.forward(&x);
+        let y = conv.forward_reference(&x);
         assert_eq!(y.data(), &[11.5, 22.5]);
     }
 
@@ -392,7 +332,7 @@ mod tests {
         let kernel = Tensor::from_vec(vec![1.0, 2.0], &[2, 1, 1, 1]);
         let conv = Conv2d::from_weights(kernel, vec![10.0, 20.0], (1, 1), (0, 0));
         let x = Tensor::from_vec(vec![3.0], &[1, 1, 1]);
-        let y = conv.forward(&x);
+        let y = conv.forward_reference(&x);
         assert_eq!(y.data(), &[13.0, 26.0]);
     }
 
@@ -408,6 +348,6 @@ mod tests {
     #[should_panic(expected = "channel mismatch")]
     fn channel_mismatch_panics() {
         let conv = Conv2d::new(3, 8, (1, 1), (1, 1), (0, 0), 0);
-        let _ = conv.forward(&Tensor::zeros(&[2, 4, 4]));
+        let _ = conv.forward_reference(&Tensor::zeros(&[2, 4, 4]));
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::batch::PackedPanels;
 use crate::bf16::{bf16_round, quantize_int8, quantize_int8_into};
-use crate::kernels::{gemm_packed, matvec_bias_bf16, matvec_i8_bias, Segment};
+use crate::kernels::{gemm_packed, matvec_i8_bias, Segment};
 use crate::ops::count::linear_macs;
 use crate::scratch::ScratchPad;
 use crate::tensor::Tensor;
@@ -49,58 +49,6 @@ impl Linear {
         self.weight.shape()[0]
     }
 
-    /// Applies the layer; outputs are BF16-rounded.
-    ///
-    /// Runs the register-tiled matvec path on a throwaway
-    /// [`ScratchPad`]; use [`Self::forward_scratch`] to reuse buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input's last dimension is not [`Self::input_dim`].
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.forward_scratch(x, &mut ScratchPad::new())
-    }
-
-    /// Applies the layer via the register-tiled matvec kernel, drawing
-    /// the output from `pad`. Bit-identical to
-    /// [`Self::forward_reference`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input's last dimension is not [`Self::input_dim`].
-    pub fn forward_scratch(&self, x: &Tensor, pad: &mut ScratchPad) -> Tensor {
-        let (rows, input) = match x.shape() {
-            [n] => (1usize, *n),
-            [rows, n] => (*rows, *n),
-            other => panic!("Linear expects rank 1 or 2 input, got {other:?}"),
-        };
-        assert_eq!(
-            input,
-            self.input_dim(),
-            "input width {} != layer input {}",
-            input,
-            self.input_dim()
-        );
-        let output = self.output_dim();
-        let mut out = if x.shape().len() == 1 {
-            pad.take_tensor(&[output])
-        } else {
-            pad.take_tensor(&[rows, output])
-        };
-        for r in 0..rows {
-            let xin = &x.data()[r * input..(r + 1) * input];
-            matvec_bias_bf16(
-                self.weight.data(),
-                &self.bias,
-                xin,
-                output,
-                input,
-                &mut out.data_mut()[r * output..(r + 1) * output],
-            );
-        }
-        out
-    }
-
     /// Packs the `[out, in]` weight matrix into register panels for the
     /// batched forward path.
     pub fn pack(&self) -> PackedPanels {
@@ -109,8 +57,8 @@ impl Linear {
 
     /// Applies the layer over a flat `[rows, in]` buffer using prepacked
     /// weight panels, writing `[rows, out]` into `out`: one sweep of the
-    /// packed register tile over row blocks. Per row bit-identical to
-    /// [`Self::forward_scratch`] — packing only permutes the weight
+    /// packed register tile over row blocks. Per row `==` to
+    /// [`Self::forward_reference`] — packing only permutes the weight
     /// layout, never the `k` accumulation order.
     ///
     /// # Panics
@@ -211,39 +159,33 @@ impl LinearInt8 {
         }
     }
 
-    /// Applies the quantized layer to a rank-1 input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input width mismatches.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.forward_scratch(x, &mut ScratchPad::new())
-    }
-
-    /// Applies the quantized layer, drawing the activation-quantization
-    /// buffer and output from `pad`. Bit-identical to
+    /// Applies the quantized layer to every row of a flat `[rows, in]`
+    /// buffer, writing `[rows, out]` into `out`. Each row's activations
+    /// are quantized on their own (the i8 staging buffer comes from
+    /// `pad`), so per row this is bit-identical to
     /// [`Self::forward_reference`].
     ///
     /// # Panics
     ///
-    /// Panics if the input width mismatches.
-    pub fn forward_scratch(&self, x: &Tensor, pad: &mut ScratchPad) -> Tensor {
-        assert_eq!(x.shape(), [self.input], "LinearInt8 expects rank-1 input");
+    /// Panics on buffer-length mismatches.
+    pub fn forward_rows(&self, x: &[f32], rows: usize, pad: &mut ScratchPad, out: &mut [f32]) {
+        assert_eq!(x.len(), rows * self.input, "int8 linear input length");
+        assert_eq!(out.len(), rows * self.output, "int8 linear output length");
         let mut x_q = pad.take_i8(self.input);
-        let x_scale = quantize_int8_into(x.data(), &mut x_q);
-        let mut out = pad.take_tensor(&[self.output]);
-        matvec_i8_bias(
-            &self.weight_q,
-            &x_q,
-            &self.bias,
-            self.output,
-            self.input,
-            self.weight_scale,
-            x_scale,
-            out.data_mut(),
-        );
+        for r in 0..rows {
+            let x_scale = quantize_int8_into(&x[r * self.input..(r + 1) * self.input], &mut x_q);
+            matvec_i8_bias(
+                &self.weight_q,
+                &x_q,
+                &self.bias,
+                self.output,
+                self.input,
+                self.weight_scale,
+                x_scale,
+                &mut out[r * self.output..(r + 1) * self.output],
+            );
+        }
         pad.give_i8(x_q);
-        out
     }
 
     /// The naive reference implementation (kept for equivalence tests
@@ -280,7 +222,7 @@ mod tests {
     #[test]
     fn identity_passes_through() {
         let x = Tensor::from_vec(vec![1.0, -2.0, 3.0], &[3]);
-        let y = identity3().forward(&x);
+        let y = identity3().forward_reference(&x);
         assert_eq!(y.data(), x.data());
     }
 
@@ -289,7 +231,7 @@ mod tests {
         let w = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
         let layer = Linear::from_weights(w, vec![0.5, -0.5]);
         let x = Tensor::from_vec(vec![1.0, 1.0, 1.0], &[3]);
-        let y = layer.forward(&x);
+        let y = layer.forward_reference(&x);
         assert_eq!(y.data(), &[6.5, 14.5]);
     }
 
@@ -297,7 +239,7 @@ mod tests {
     fn rank2_applies_rowwise() {
         let layer = identity3();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let y = layer.forward(&x);
+        let y = layer.forward_reference(&x);
         assert_eq!(y.shape(), &[2, 3]);
         assert_eq!(y.row(1), &[4.0, 5.0, 6.0]);
     }
@@ -306,7 +248,7 @@ mod tests {
     fn outputs_are_bf16() {
         let layer = Linear::new(16, 8, 1);
         let x = Tensor::random(&[16], 1.0, 2);
-        let y = layer.forward(&x);
+        let y = layer.forward_reference(&x);
         for &v in y.data() {
             assert_eq!(bf16_round(v), v);
         }
@@ -323,8 +265,8 @@ mod tests {
     fn int8_approximates_bf16() {
         let layer = Linear::new(64, 32, 7);
         let x = Tensor::random(&[64], 1.0, 8);
-        let exact = layer.forward(&x);
-        let q = LinearInt8::from_linear(&layer).forward(&x);
+        let exact = layer.forward_reference(&x);
+        let q = LinearInt8::from_linear(&layer).forward_reference(&x);
         let mut max_err = 0.0f32;
         let mut max_mag = 0.0f32;
         for (a, b) in exact.data().iter().zip(q.data()) {
@@ -340,6 +282,6 @@ mod tests {
     #[should_panic(expected = "input width")]
     fn wrong_width_panics() {
         let layer = Linear::new(4, 2, 0);
-        let _ = layer.forward(&Tensor::zeros(&[5]));
+        let _ = layer.forward_reference(&Tensor::zeros(&[5]));
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::batch::PackedPanels;
 use crate::bf16::bf16_round;
-use crate::kernels::{lstm_gates, lstm_gates_packed_batch};
+use crate::kernels::lstm_gates_packed_batch;
 use crate::ops::activation::sigmoid;
 use crate::ops::count::lstm_macs;
 use crate::ops::expect_rank;
@@ -52,63 +52,6 @@ impl Lstm {
         self.hidden
     }
 
-    /// Runs the sequence, returning all hidden states as `[T, hidden]`.
-    ///
-    /// Runs the fused-gate fast path on a throwaway [`ScratchPad`]; use
-    /// [`Self::forward_scratch`] to reuse buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not `[T, input]`.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.forward_scratch(x, &mut ScratchPad::new())
-    }
-
-    /// Runs the sequence with the fused register-tiled gate kernel,
-    /// drawing state and output buffers from `pad`. Bit-identical to
-    /// [`Self::forward_reference`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not `[T, input]`.
-    pub fn forward_scratch(&self, x: &Tensor, pad: &mut ScratchPad) -> Tensor {
-        expect_rank(x, 2, "Lstm");
-        assert_eq!(x.shape()[1], self.input, "input width mismatch");
-        let t_steps = x.shape()[0];
-        let h_dim = self.hidden;
-        let mut h = pad.take(h_dim);
-        let mut c = pad.take(h_dim);
-        let mut gates = pad.take(4 * h_dim);
-        let mut out = pad.take_tensor(&[t_steps, h_dim]);
-        for t in 0..t_steps {
-            let xt = x.row(t);
-            lstm_gates(
-                self.wx.data(),
-                self.wh.data(),
-                &self.bias,
-                xt,
-                &h,
-                self.input,
-                h_dim,
-                &mut gates,
-            );
-            let orow = &mut out.data_mut()[t * h_dim..(t + 1) * h_dim];
-            for j in 0..h_dim {
-                let i_g = sigmoid(gates[j]);
-                let f_g = sigmoid(gates[h_dim + j]);
-                let g_g = gates[2 * h_dim + j].tanh();
-                let o_g = sigmoid(gates[3 * h_dim + j]);
-                c[j] = bf16_round(f_g * c[j] + i_g * g_g);
-                h[j] = bf16_round(o_g * c[j].tanh());
-                orow[j] = h[j];
-            }
-        }
-        pad.give(h);
-        pad.give(c);
-        pad.give(gates);
-        out
-    }
-
     /// The naive reference implementation (kept for equivalence tests
     /// and the benchmark baseline).
     ///
@@ -151,23 +94,6 @@ impl Lstm {
         out
     }
 
-    /// The final hidden state of a forward pass, as `[hidden]`.
-    pub fn last_hidden(&self, x: &Tensor) -> Tensor {
-        let all = self.forward(x);
-        let t = all.shape()[0];
-        Tensor::from_vec(all.row(t - 1).to_vec(), &[self.hidden])
-    }
-
-    /// [`Self::last_hidden`] drawing every buffer from `pad`.
-    pub fn last_hidden_scratch(&self, x: &Tensor, pad: &mut ScratchPad) -> Tensor {
-        let all = self.forward_scratch(x, pad);
-        let t = all.shape()[0];
-        let mut out = pad.take_tensor(&[self.hidden]);
-        out.data_mut().copy_from_slice(all.row(t - 1));
-        pad.give_tensor(all);
-        out
-    }
-
     /// Packs the stacked `[4 * hidden, input]` input-weight matrix into
     /// register panels for the batched forward path.
     pub fn pack_wx(&self) -> PackedPanels {
@@ -180,16 +106,16 @@ impl Lstm {
         PackedPanels::pack(self.wh.data(), 4 * self.hidden, self.hidden)
     }
 
-    /// Batched [`Self::last_hidden_scratch`]: runs `batch` sequences of
-    /// a sample-major `[batch, steps, input]` buffer with prepacked
-    /// weight panels, writing the final hidden states `[batch, hidden]`
-    /// into `out`.
+    /// Runs `batch` sequences of a sample-major `[batch, steps, input]`
+    /// buffer with prepacked weight panels, writing the final hidden
+    /// states `[batch, hidden]` into `out`.
     ///
     /// Each timestep computes every sample's fused gate vector in one
     /// packed sweep ([`lstm_gates_packed_batch`]) before the elementwise
     /// state update; per sample the bias -> `W_x x_t` -> `W_h h` chain
-    /// and BF16 rounding points are exactly those of the serial path, so
-    /// results are bit-identical.
+    /// and BF16 rounding points are exactly those of
+    /// [`Self::forward_reference`], so the result is `==` to its last
+    /// row.
     ///
     /// # Panics
     ///
@@ -267,9 +193,8 @@ mod tests {
     fn shapes_are_correct() {
         let lstm = Lstm::new(8, 16, 0);
         let x = Tensor::random(&[5, 8], 1.0, 1);
-        let y = lstm.forward(&x);
+        let y = lstm.forward_reference(&x);
         assert_eq!(y.shape(), &[5, 16]);
-        assert_eq!(lstm.last_hidden(&x).shape(), &[16]);
     }
 
     #[test]
@@ -277,7 +202,7 @@ mod tests {
         // h = o * tanh(c): |h| <= 1 always.
         let lstm = Lstm::new(4, 8, 3);
         let x = Tensor::random(&[50, 4], 10.0, 4);
-        let y = lstm.forward(&x);
+        let y = lstm.forward_reference(&x);
         assert!(y.data().iter().all(|v| v.abs() <= 1.0));
     }
 
@@ -287,7 +212,8 @@ mod tests {
         let lstm = Lstm::new(2, 4, 5);
         let a = Tensor::from_vec(vec![1.0, 0.0, 0.5, 0.5], &[2, 2]);
         let b = Tensor::from_vec(vec![-1.0, 0.7, 0.5, 0.5], &[2, 2]);
-        assert_ne!(lstm.last_hidden(&a).data(), lstm.last_hidden(&b).data());
+        let (ya, yb) = (lstm.forward_reference(&a), lstm.forward_reference(&b));
+        assert_ne!(ya.row(1), yb.row(1));
     }
 
     #[test]
@@ -297,7 +223,7 @@ mod tests {
         lstm.wh = Tensor::zeros(&[8, 2]);
         lstm.bias = vec![0.0; 8];
         let x = Tensor::zeros(&[3, 2]);
-        let y = lstm.forward(&x);
+        let y = lstm.forward_reference(&x);
         // gates = 0 -> i = 0.5, g = 0 -> c stays 0 -> h stays 0.
         assert!(y.data().iter().all(|&v| v == 0.0));
     }
@@ -305,8 +231,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let x = Tensor::random(&[5, 4], 1.0, 9);
-        let a = Lstm::new(4, 8, 7).forward(&x);
-        let b = Lstm::new(4, 8, 7).forward(&x);
+        let a = Lstm::new(4, 8, 7).forward_reference(&x);
+        let b = Lstm::new(4, 8, 7).forward_reference(&x);
         assert_eq!(a, b);
     }
 
@@ -320,6 +246,6 @@ mod tests {
     #[should_panic(expected = "input width mismatch")]
     fn wrong_width_panics() {
         let lstm = Lstm::new(4, 8, 0);
-        let _ = lstm.forward(&Tensor::zeros(&[5, 3]));
+        let _ = lstm.forward_reference(&Tensor::zeros(&[5, 3]));
     }
 }

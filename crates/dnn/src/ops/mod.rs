@@ -1,9 +1,11 @@
 //! Neural-network layers and their analytic cost counters.
 //!
-//! Each layer owns its weights, offers a `forward` pass on [`Tensor`]s,
-//! and exposes the MAC count of that pass through [`count`]. The counters
-//! are what the accelerator's latency model consumes; the forward passes
-//! are used functionally by tests, examples, and the CGRA simulator.
+//! Each layer owns its weights and offers two forward passes: a naive
+//! `forward_reference` on [`Tensor`]s (the oracle, also what the CGRA
+//! simulator delegates to) and a packed one over flat batch buffers (what
+//! the models serve through). It exposes the MAC count of a pass through
+//! [`count`]; the counters are what the accelerator's latency model
+//! consumes.
 
 pub mod activation;
 pub mod attention;

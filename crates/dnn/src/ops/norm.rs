@@ -1,7 +1,6 @@
 //! Layer normalization (used by the transformer blocks).
 
 use crate::ops::expect_rank;
-use crate::scratch::ScratchPad;
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -29,34 +28,10 @@ impl LayerNorm {
         self.gamma.len()
     }
 
-    /// Normalizes each row of `[T, D]` to zero mean / unit variance, then
-    /// applies scale and shift.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not rank 2 of width [`Self::dim`].
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.forward_scratch(x, &mut ScratchPad::new())
-    }
-
-    /// [`Self::forward`] drawing the output from `pad` and writing rows
-    /// through slices. Bit-identical to [`Self::forward_reference`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not rank 2 of width [`Self::dim`].
-    pub fn forward_scratch(&self, x: &Tensor, pad: &mut ScratchPad) -> Tensor {
-        expect_rank(x, 2, "LayerNorm");
-        let (t, d) = (x.shape()[0], x.shape()[1]);
-        assert_eq!(d, self.dim(), "width mismatch");
-        let mut out = pad.take_tensor(&[t, d]);
-        self.forward_rows(x.data(), out.data_mut());
-        out
-    }
-
     /// Normalizes every `dim`-wide row of the flat `[rows, dim]` buffer
-    /// `x` into `out` — [`Self::forward_scratch`] without the tensors,
-    /// for the batched path's flat activation buffers.
+    /// `x` to zero mean / unit variance, then applies scale and shift,
+    /// writing `out` — [`Self::forward_reference`] over the packed path's
+    /// flat activation buffers, bit-identical to it.
     ///
     /// # Panics
     ///
@@ -110,7 +85,7 @@ mod tests {
             vec![1.0, 2.0, 3.0, 4.0, 100.0, 200.0, 300.0, 400.0],
             &[2, 4],
         );
-        let y = ln.forward(&x);
+        let y = ln.forward_reference(&x);
         for r in 0..2 {
             let row = y.row(r);
             let mean: f32 = row.iter().sum::<f32>() / 4.0;
@@ -129,7 +104,7 @@ mod tests {
     fn constant_row_is_stable() {
         let ln = LayerNorm::new(3);
         let x = Tensor::from_vec(vec![5.0, 5.0, 5.0], &[1, 3]);
-        let y = ln.forward(&x);
+        let y = ln.forward_reference(&x);
         assert!(y.data().iter().all(|v| v.is_finite()));
         assert!(y.data().iter().all(|v| v.abs() < 1e-2));
     }
@@ -138,6 +113,6 @@ mod tests {
     #[should_panic(expected = "width mismatch")]
     fn width_mismatch_panics() {
         let ln = LayerNorm::new(3);
-        let _ = ln.forward(&Tensor::zeros(&[1, 4]));
+        let _ = ln.forward_reference(&Tensor::zeros(&[1, 4]));
     }
 }

@@ -168,9 +168,7 @@ impl ModelRegistry {
             entry.input.data_mut().copy_from_slice(src);
             &entry.input
         };
-        // Single queries ride the packed batch path at batch 1 — the
-        // panels are bit-identical to the row-major weights (pinned by
-        // `tests/batch_equivalence.rs`), so this only changes speed.
+        // A single query is a batch of one on the packed path.
         entry.model.forward_batch_scratch(
             std::slice::from_ref(staged),
             &entry.packed,
@@ -292,12 +290,11 @@ mod tests {
         let features = reg.model(ModelKind::VanillaCnn).unwrap().features();
         let wide = Tensor::random(&[max_window, features], 1.0, 99);
         for kind in ModelKind::ALL {
-            let model = build_tiny(kind, 42);
-            let window = model.window();
+            let window = reg.model(kind).unwrap().window();
             assert!(window <= max_window);
             let start = (max_window - window) * features;
             let direct_in = Tensor::from_vec(wide.data()[start..].to_vec(), &[window, features]);
-            let direct = model.forward(&direct_in);
+            let direct = ModelRegistry::tiny_with_kinds(&[kind], 42).forward(kind, &direct_in);
             let via_registry = reg.forward(kind, &wide);
             assert_eq!(via_registry.probs, direct.probs, "{kind}");
         }

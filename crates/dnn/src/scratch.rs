@@ -1,9 +1,9 @@
 //! A reusable buffer arena for allocation-free inference.
 //!
-//! Every layer's fast path ([`Conv2d::forward_scratch`] and friends)
-//! draws its intermediate buffers and output tensors from a
-//! [`ScratchPad`] instead of the global allocator. The pad keeps a
-//! free list of retired buffers; once a model has run a couple of
+//! Every packed layer ([`Conv2d::forward_batch_packed`] and friends) and
+//! every model's `forward_batch_scratch` draws its intermediate buffers
+//! from a [`ScratchPad`] instead of the global allocator. The pad keeps
+//! a free list of retired buffers; once a model has run a couple of
 //! forward passes the pool holds a buffer for every shape the network
 //! produces and steady-state inference performs **zero heap
 //! allocations** (asserted by the `zero_alloc` integration test with a
@@ -11,18 +11,17 @@
 //!
 //! Ownership protocol:
 //!
-//! * `take` / `take_tensor` hand out a **zero-filled** buffer of the
-//!   exact requested length (matching `Tensor::zeros` semantics).
-//! * The caller owns the buffer until it returns it with `give` /
-//!   `give_tensor`; buffers are never reclaimed implicitly, so holding
-//!   two live tensors from the same pad is always safe.
+//! * `take` hands out a **zero-filled** buffer of the exact requested
+//!   length; `take_dirty` skips the fill for buffers the caller fully
+//!   overwrites.
+//! * The caller owns the buffer until it returns it with `give`;
+//!   buffers are never reclaimed implicitly, so holding two live
+//!   buffers from the same pad is always safe.
 //! * A buffer that cannot be satisfied from the free list is allocated
 //!   fresh and counted in [`ScratchPad::misses`]; after warm-up the
 //!   miss counter must stop growing.
 //!
-//! [`Conv2d::forward_scratch`]: crate::ops::Conv2d::forward_scratch
-
-use crate::tensor::Tensor;
+//! [`Conv2d::forward_batch_packed`]: crate::ops::Conv2d::forward_batch_packed
 
 /// A best-fit free-list pool of `f32` and `i8` buffers.
 #[derive(Debug, Default)]
@@ -84,21 +83,6 @@ impl ScratchPad {
         if buf.capacity() > 0 {
             self.f32_pool.push(buf);
         }
-    }
-
-    /// Takes a zero-filled tensor of `shape` backed by a pooled buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shape is empty or has a zero dimension.
-    pub fn take_tensor(&mut self, shape: &[usize]) -> Tensor {
-        let len = shape.iter().product();
-        Tensor::from_vec(self.take(len), shape)
-    }
-
-    /// Returns a tensor's storage to the pool.
-    pub fn give_tensor(&mut self, t: Tensor) {
-        self.give(t.into_vec());
     }
 
     /// Takes a zero-filled `i8` buffer of exactly `len` elements (used by
@@ -219,18 +203,6 @@ mod tests {
 
     fn pad_buf(len: usize) -> Vec<f32> {
         vec![0.0; len]
-    }
-
-    #[test]
-    fn tensor_round_trip_reuses_storage() {
-        let mut pad = ScratchPad::new();
-        let t = pad.take_tensor(&[2, 3]);
-        assert_eq!(t.shape(), &[2, 3]);
-        let ptr = t.data().as_ptr();
-        pad.give_tensor(t);
-        let t2 = pad.take_tensor(&[3, 2]);
-        assert_eq!(t2.data().as_ptr(), ptr, "same buffer, new shape");
-        assert_eq!(pad.misses(), 1);
     }
 
     #[test]

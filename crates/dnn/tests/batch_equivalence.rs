@@ -1,11 +1,13 @@
 //! The batched-inference contract: `Model::forward_batch_scratch` over
-//! prepacked weight panels is **bit-identical**, per sample, to looping
-//! `forward_scratch` — packing permutes operand layout and batching
-//! stacks GEMM output dimensions, neither touches any `k` accumulation
-//! chain. Also pins the packed/batched kernels at degenerate shapes.
+//! prepacked weight panels answers every sample of a batch **bit for
+//! bit** as it answers that sample alone (batch 1 of the same packed
+//! path), and `==` to the model's per-sample `forward_reference` —
+//! packing permutes operand layout and batching stacks GEMM output
+//! dimensions, neither touches any `k` accumulation chain. Also pins the
+//! packed kernels at degenerate shapes against a scalar triple loop.
 
 use lt_dnn::bf16_round;
-use lt_dnn::kernels::{gemm_bt_bias_rows_bf16, gemm_packed, im2col_batch, pack_bt_panels, Segment};
+use lt_dnn::kernels::{gemm_packed, pack_bt_panels, Segment};
 use lt_dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
 use lt_dnn::{Model, PackedWeights, Prediction, ScratchPad, Tensor};
 use proptest::prelude::*;
@@ -23,26 +25,34 @@ fn random_batch(model: &dyn Model, batch: usize, seed: u64) -> Vec<Tensor> {
         .collect()
 }
 
-/// Asserts batched == looped, bit for bit, and returns the predictions.
+/// Asserts the batched forward == one `reference` call per sample
+/// (`f32 ==`) and == one batch-1 packed forward per sample (bit for
+/// bit), and returns the predictions.
 fn assert_batch_matches_loop(
     name: &str,
     model: &dyn Model,
+    reference: impl Fn(&Tensor) -> Prediction,
     packed: &PackedWeights,
     inputs: &[Tensor],
 ) -> Vec<Prediction> {
     let mut pad = ScratchPad::new();
-    let mut looped = Vec::new();
-    model.forward_batch_looped(inputs, &mut pad, &mut looped);
     let mut batched = Vec::new();
     model.forward_batch_scratch(inputs, packed, &mut pad, &mut batched);
     assert_eq!(batched.len(), inputs.len(), "{name}: prediction count");
-    for (s, (b, l)) in batched.iter().zip(&looped).enumerate() {
+    let mut single = Vec::new();
+    for (s, (b, input)) in batched.iter().zip(inputs).enumerate() {
+        let oracle = reference(input);
+        assert_eq!(
+            b.probs, oracle.probs,
+            "{name}: sample {s} diverged from forward_reference"
+        );
+        model.forward_batch_scratch(std::slice::from_ref(input), packed, &mut pad, &mut single);
         assert_eq!(
             b.probs.map(f32::to_bits),
-            l.probs.map(f32::to_bits),
-            "{name}: sample {s} diverged (batched {:?} vs looped {:?})",
+            single[0].probs.map(f32::to_bits),
+            "{name}: sample {s} diverged (batched {:?} vs alone {:?})",
             b.probs,
-            l.probs
+            single[0].probs
         );
     }
     batched
@@ -51,31 +61,31 @@ fn assert_batch_matches_loop(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// VanillaCnn: batched packed path == looped path, any batch size.
+    /// VanillaCnn: batched packed path == per-sample oracle, any batch size.
     #[test]
     fn vanilla_batch_matches_loop(seed in 0u64..500, batch in 0usize..6) {
         let model = CnnSpec::tiny().build(seed);
         let packed = model.pack_weights();
         let inputs = random_batch(&model, batch, seed);
-        assert_batch_matches_loop("VanillaCnn", &model, &packed, &inputs);
+        assert_batch_matches_loop("VanillaCnn", &model, |x| model.forward_reference(x), &packed, &inputs);
     }
 
-    /// TransLob: batched packed path == looped path, any batch size.
+    /// TransLob: batched packed path == per-sample oracle, any batch size.
     #[test]
     fn translob_batch_matches_loop(seed in 0u64..500, batch in 0usize..6) {
         let model = TransLobSpec::tiny().build(seed);
         let packed = model.pack_weights();
         let inputs = random_batch(&model, batch, seed);
-        assert_batch_matches_loop("TransLob", &model, &packed, &inputs);
+        assert_batch_matches_loop("TransLob", &model, |x| model.forward_reference(x), &packed, &inputs);
     }
 
-    /// DeepLob: batched packed path == looped path, any batch size.
+    /// DeepLob: batched packed path == per-sample oracle, any batch size.
     #[test]
     fn deeplob_batch_matches_loop(seed in 0u64..500, batch in 0usize..6) {
         let model = DeepLobSpec::tiny().build(seed);
         let packed = model.pack_weights();
         let inputs = random_batch(&model, batch, seed);
-        assert_batch_matches_loop("DeepLob", &model, &packed, &inputs);
+        assert_batch_matches_loop("DeepLob", &model, |x| model.forward_reference(x), &packed, &inputs);
     }
 
     /// Thread scatter only re-times work: multi-threaded batched
@@ -86,8 +96,9 @@ proptest! {
         let serial = model.pack_weights();
         let parallel = model.pack_weights().with_threads(threads);
         let inputs = random_batch(&model, 5, seed);
-        let a = assert_batch_matches_loop("DeepLob serial", &model, &serial, &inputs);
-        let b = assert_batch_matches_loop("DeepLob parallel", &model, &parallel, &inputs);
+        let oracle = |x: &Tensor| model.forward_reference(x);
+        let a = assert_batch_matches_loop("DeepLob serial", &model, oracle, &serial, &inputs);
+        let b = assert_batch_matches_loop("DeepLob parallel", &model, oracle, &parallel, &inputs);
         prop_assert_eq!(a, b);
     }
 }
@@ -110,7 +121,13 @@ proptest! {
         let model = spec.build(seed);
         let packed = model.pack_weights();
         let inputs = random_batch(&model, batch, seed);
-        assert_batch_matches_loop("VanillaCnn off-grid", &model, &packed, &inputs);
+        assert_batch_matches_loop(
+            "VanillaCnn off-grid",
+            &model,
+            |x| model.forward_reference(x),
+            &packed,
+            &inputs,
+        );
     }
 
     /// TransLob off the tile grid: model widths and head widths that are
@@ -134,7 +151,13 @@ proptest! {
         let model = spec.build(seed);
         let packed = model.pack_weights();
         let inputs = random_batch(&model, batch, seed);
-        assert_batch_matches_loop("TransLob off-grid", &model, &packed, &inputs);
+        assert_batch_matches_loop(
+            "TransLob off-grid",
+            &model,
+            |x| model.forward_reference(x),
+            &packed,
+            &inputs,
+        );
     }
 
     /// DeepLob off the tile grid: channel counts around one chain block,
@@ -151,17 +174,14 @@ proptest! {
         let model = spec.build(seed);
         let packed = model.pack_weights();
         let inputs = random_batch(&model, batch, seed);
-        assert_batch_matches_loop("DeepLob off-grid", &model, &packed, &inputs);
+        assert_batch_matches_loop(
+            "DeepLob off-grid",
+            &model,
+            |x| model.forward_reference(x),
+            &packed,
+            &inputs,
+        );
     }
-}
-
-/// An empty pack is the explicit looped-fallback marker.
-#[test]
-fn empty_pack_runs_looped_fallback() {
-    let model = CnnSpec::tiny().build(11);
-    let empty = PackedWeights::empty(model.kind());
-    let inputs = random_batch(&model, 3, 11);
-    assert_batch_matches_loop("VanillaCnn empty pack", &model, &empty, &inputs);
 }
 
 /// Results land in input order and `out` is cleared between calls.
@@ -174,12 +194,8 @@ fn batch_output_order_and_reuse() {
     let mut out = vec![Prediction::new([1.0, 0.0, 0.0]); 7];
     model.forward_batch_scratch(&inputs, &packed, &mut pad, &mut out);
     assert_eq!(out.len(), 4);
-    for (s, input) in inputs.iter().enumerate() {
-        let single = model.forward_scratch(input, &mut pad);
-        assert_eq!(
-            out[s].probs.map(f32::to_bits),
-            single.probs.map(f32::to_bits)
-        );
+    for (got, input) in out.iter().zip(&inputs) {
+        assert_eq!(got.probs, model.forward_reference(input).probs);
     }
     // Reversing the inputs reverses the outputs.
     let rev: Vec<Tensor> = inputs.iter().rev().cloned().collect();
@@ -192,8 +208,8 @@ fn batch_output_order_and_reuse() {
 
 // ---- degenerate kernel shapes ---------------------------------------
 
-/// The packed GEMM laid out as the unpacked one: `a` packed into the
-/// tile's lanes, the rows of `b` broadcast, `[m, n]` output.
+/// The packed GEMM laid out as an im2col convolution: `a` packed into
+/// the tile's lanes, the rows of `b` broadcast, `[m, n]` output.
 fn packed_gemm(a: &[f32], b: &[f32], bias: &[f32], m: usize, n: usize, k: usize, out: &mut [f32]) {
     let mut packed = Vec::new();
     pack_bt_panels(a, m, k, &mut packed);
@@ -208,8 +224,24 @@ fn packed_gemm(a: &[f32], b: &[f32], bias: &[f32], m: usize, n: usize, k: usize,
     );
 }
 
+/// The same contraction as a scalar triple loop: `out[i][j] =
+/// bf16(bias[i] + sum over t of a[i][t] * b[j][t])`, `t` increasing.
+fn scalar_gemm(a: &[f32], b: &[f32], bias: &[f32], m: usize, n: usize, k: usize) -> Vec<f32> {
+    let mut out = vec![f32::NAN; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = bias[i];
+            for t in 0..k {
+                acc += a[i * k + t] * b[j * k + t];
+            }
+            out[i * n + j] = bf16_round(acc);
+        }
+    }
+    out
+}
+
 /// k = 0: the GEMM reduces over nothing, so outputs are the
-/// BF16-rounded biases — packed and unpacked agree.
+/// BF16-rounded biases.
 #[test]
 fn gemm_with_zero_k_emits_bias() {
     let (m, n) = (5, 3);
@@ -217,24 +249,21 @@ fn gemm_with_zero_k_emits_bias() {
     let mut packed = Vec::new();
     pack_bt_panels(&[], m, 0, &mut packed);
     assert!(packed.is_empty());
-    let mut a_out = vec![f32::NAN; m * n];
-    gemm_bt_bias_rows_bf16(&[], &[], &bias, m, n, 0, &mut a_out);
-    let mut b_out = vec![f32::NAN; m * n];
-    packed_gemm(&[], &[], &bias, m, n, 0, &mut b_out);
-    assert_eq!(a_out, b_out);
+    let mut out = vec![f32::NAN; m * n];
+    packed_gemm(&[], &[], &bias, m, n, 0, &mut out);
+    assert_eq!(out, scalar_gemm(&[], &[], &bias, m, n, 0));
     for i in 0..m {
         for j in 0..n {
-            assert_eq!(a_out[i * n + j], bias[i]);
+            assert_eq!(out[i * n + j], bias[i]);
         }
     }
 }
 
-/// m = 0 and n = 0 are no-ops for both GEMM layouts, and a one-row
-/// input (the old matvec) runs.
+/// m = 0 and n = 0 are no-ops, and a one-row input (the lone query's
+/// matvec) runs.
 #[test]
 fn gemm_with_zero_rows_or_cols_is_noop() {
     packed_gemm(&[], &[1.0, 2.0, 3.0, 4.0], &[], 0, 1, 4, &mut []);
-    gemm_bt_bias_rows_bf16(&[], &[1.0, 2.0, 3.0, 4.0], &[], 0, 1, 4, &mut []);
     let a = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
     packed_gemm(&a, &[], &[0.5, -0.5], 2, 0, 4, &mut []);
     let mut one_row = [f32::NAN; 2];
@@ -250,24 +279,10 @@ fn gemm_with_zero_rows_or_cols_is_noop() {
     assert_eq!(one_row, [1.5, 4.5]);
 }
 
-/// Batched im2col at batch 0 and batch 1; batch 1 equals plain im2col.
-#[test]
-fn batched_im2col_degenerate_batches() {
-    im2col_batch(&[], 0, 2, 3, 4, 2, 2, (1, 1), (0, 0), 2, 3, &mut []);
-    let x: Vec<f32> = (0..2 * 3 * 4).map(|i| i as f32 * 0.5).collect();
-    let (oh, ow) = (2, 3);
-    let k = 2 * 2 * 2;
-    let mut single = vec![0.0f32; oh * ow * k];
-    lt_dnn::kernels::im2col(&x, 2, 3, 4, 2, 2, (1, 1), (0, 0), oh, ow, &mut single);
-    let mut batched = vec![f32::NAN; oh * ow * k];
-    im2col_batch(&x, 1, 2, 3, 4, 2, 2, (1, 1), (0, 0), oh, ow, &mut batched);
-    assert_eq!(single, batched);
-}
-
 /// Packing then multiplying at boundary sizes (m = 4/5 inside one lane
-/// block, n = 63/64/65 around the unpacked kernel's n cache block and
-/// off the row block) matches the unpacked GEMM bit for bit — the
-/// blocking seams introduce no reordering.
+/// block, n = 63/64/65/128 off and on the row block after a long run of
+/// full ones) matches the scalar loop bit for bit — the blocking seams
+/// introduce no reordering.
 #[test]
 fn packed_gemm_boundary_shapes_match_unpacked() {
     for m in [4usize, 5] {
@@ -276,11 +291,9 @@ fn packed_gemm_boundary_shapes_match_unpacked() {
             let a: Vec<f32> = (0..m * k).map(|i| ((i * 37 % 23) as f32) - 11.0).collect();
             let b: Vec<f32> = (0..n * k).map(|i| ((i * 13 % 31) as f32) * 0.25).collect();
             let bias: Vec<f32> = (0..m).map(|i| i as f32 - 1.0).collect();
-            let mut reference = vec![0.0f32; m * n];
-            gemm_bt_bias_rows_bf16(&a, &b, &bias, m, n, k, &mut reference);
             let mut fast = vec![0.0f32; m * n];
             packed_gemm(&a, &b, &bias, m, n, k, &mut fast);
-            assert_eq!(reference, fast, "m={m} n={n}");
+            assert_eq!(scalar_gemm(&a, &b, &bias, m, n, k), fast, "m={m} n={n}");
         }
     }
 }

@@ -1,22 +1,70 @@
-//! Bit-exactness property tests: every fast (im2col / blocked-GEMM /
-//! register-tiled) `forward_scratch` path must produce **bit-identical**
-//! output to its naive `forward_reference` counterpart, across randomized
-//! shapes, strides, and paddings.
+//! Bit-exactness property tests: every packed (register-tiled, batched)
+//! op and model forward must produce output `==` to its naive
+//! `forward_reference` counterpart, across randomized shapes, strides,
+//! and paddings. This is the only link between the production path and
+//! the oracle.
 //!
 //! Equality is asserted with `Tensor`'s derived `PartialEq` (elementwise
 //! f32 `==`), so even a one-ulp accumulation-order difference fails.
-//! Every property runs each fast path twice with the same [`ScratchPad`]
-//! so pooled-buffer reuse (the steady-state regime) is covered too.
+//! Every property runs at batch 1 (the lone query: row tails only) and
+//! batch 3, and runs each padded path twice with the same
+//! [`ScratchPad`] so pooled-buffer reuse (the steady-state regime) is
+//! covered too.
 
 use lt_dnn::models::{CnnSpec, DeepLobSpec, QuantizedCnn, TransLobSpec};
 use lt_dnn::ops::{Conv2d, LayerNorm, Linear, LinearInt8, Lstm, MultiHeadAttention};
-use lt_dnn::{Model, ScratchPad, Tensor};
+use lt_dnn::{Model, Prediction, ScratchPad, Tensor};
 use proptest::prelude::*;
 
+const BATCHES: [usize; 2] = [1, 3];
+
+/// `batch` random tensors of `shape`, seeded `seed + 1, seed + 2, ...`.
+fn random_inputs(shape: &[usize], scale: f32, batch: usize, seed: u64) -> Vec<Tensor> {
+    (1..=batch as u64)
+        .map(|i| Tensor::random(shape, scale, seed.wrapping_add(i)))
+        .collect()
+}
+
+/// The samples concatenated into the packed path's flat sample-major
+/// buffer.
+fn stack(xs: &[Tensor]) -> Vec<f32> {
+    xs.iter().flat_map(|x| x.data().iter().copied()).collect()
+}
+
+/// A flat sample-major output cut back into one `shape` tensor per
+/// sample.
+fn unstack(flat: &[f32], shape: &[usize]) -> Vec<Tensor> {
+    flat.chunks_exact(shape.iter().product())
+        .map(|sample| Tensor::from_vec(sample.to_vec(), shape))
+        .collect()
+}
+
+/// Full model: the packed trait path at batch 1 and 3 == the naive
+/// composition, sample by sample.
+fn assert_model_matches_reference(
+    model: &dyn Model,
+    reference: impl Fn(&Tensor) -> Prediction,
+    seed: u64,
+) {
+    let packed = model.pack_weights();
+    let mut pad = ScratchPad::new();
+    let mut out = Vec::new();
+    for batch in BATCHES {
+        let xs = random_inputs(&[model.window(), model.features()], 1.0, batch, seed);
+        let want: Vec<[f32; 3]> = xs.iter().map(|x| reference(x).probs).collect();
+        for _ in 0..2 {
+            model.forward_batch_scratch(&xs, &packed, &mut pad, &mut out);
+            let got: Vec<[f32; 3]> = out.iter().map(|p| p.probs).collect();
+            assert_eq!(got, want, "batch {batch}");
+        }
+    }
+}
+
 proptest! {
-    /// Conv2d: im2col + blocked GEMM == naive sliding window, across
-    /// channel counts, kernel sizes, strides, and paddings (including
-    /// padding > 0, which exercises the zero-filled im2col edge rows).
+    /// Conv2d: direct register-tile convolution / im2col + packed GEMM
+    /// == naive sliding window, across channel counts, kernel sizes,
+    /// strides, and paddings (including padding > 0, which exercises the
+    /// zero-filled im2col edge rows and the staged zero rows).
     #[test]
     fn conv_fast_matches_reference(
         (in_c, out_c, kh, kw) in (1usize..=3, 1usize..=4, 1usize..=3, 1usize..=3),
@@ -25,70 +73,114 @@ proptest! {
     ) {
         let (h, w) = (kh + extra_h, kw + extra_w);
         let conv = Conv2d::new(in_c, out_c, (kh, kw), (sh, sw), (ph, pw), seed);
-        let x = Tensor::random(&[in_c, h, w], 1.0, seed.wrapping_add(1));
-        let reference = conv.forward_reference(&x);
+        let packed = conv.pack();
+        let (oh, ow) = conv.output_hw(h, w);
         let mut pad = ScratchPad::new();
-        prop_assert_eq!(&conv.forward_scratch(&x, &mut pad), &reference);
-        // Second pass reuses pooled buffers; must still be identical.
-        prop_assert_eq!(&conv.forward_scratch(&x, &mut pad), &reference);
+        for batch in BATCHES {
+            let xs = random_inputs(&[in_c, h, w], 1.0, batch, seed);
+            let reference: Vec<Tensor> = xs.iter().map(|x| conv.forward_reference(x)).collect();
+            let flat = stack(&xs);
+            let mut out = vec![f32::NAN; batch * out_c * oh * ow];
+            // Second pass reuses pooled buffers; must still be identical.
+            for _ in 0..2 {
+                conv.forward_batch_packed(&flat, batch, h, w, &packed, 1, &mut pad, &mut out);
+                prop_assert_eq!(&unstack(&out, &[out_c, oh, ow]), &reference);
+            }
+        }
     }
 
-    /// Linear: register-tiled matvec == naive loop, rank-1 and rank-2.
+    /// Linear: packed register tile == naive loop, rank-1 and rank-2.
     #[test]
     fn linear_fast_matches_reference(
         (input, output, rows, seed) in (1usize..=33, 1usize..=17, 1usize..=5, 0u64..1000),
     ) {
         let layer = Linear::new(input, output, seed);
-        let mut pad = ScratchPad::new();
-        let x1 = Tensor::random(&[input], 1.0, seed.wrapping_add(1));
-        let r1 = layer.forward_reference(&x1);
-        prop_assert_eq!(&layer.forward_scratch(&x1, &mut pad), &r1);
-        let x2 = Tensor::random(&[rows, input], 1.0, seed.wrapping_add(2));
-        let r2 = layer.forward_reference(&x2);
-        prop_assert_eq!(&layer.forward_scratch(&x2, &mut pad), &r2);
-        prop_assert_eq!(&layer.forward_scratch(&x2, &mut pad), &r2);
+        let packed = layer.pack();
+        for batch in BATCHES {
+            let x1 = random_inputs(&[input], 1.0, batch, seed);
+            let r1: Vec<Tensor> = x1.iter().map(|x| layer.forward_reference(x)).collect();
+            let mut out = vec![f32::NAN; batch * output];
+            layer.forward_batch_packed(&stack(&x1), batch, &packed, &mut out);
+            prop_assert_eq!(&unstack(&out, &[output]), &r1);
+            let x2 = random_inputs(&[rows, input], 1.0, batch, seed.wrapping_add(1));
+            let r2: Vec<Tensor> = x2.iter().map(|x| layer.forward_reference(x)).collect();
+            let mut out = vec![f32::NAN; batch * rows * output];
+            layer.forward_batch_packed(&stack(&x2), batch * rows, &packed, &mut out);
+            prop_assert_eq!(&unstack(&out, &[rows, output]), &r2);
+        }
     }
 
     /// LinearInt8: the i32-accumulating tiled kernel == naive loop,
-    /// including the scale-multiplication order of the epilogue.
+    /// including the scale-multiplication order of the epilogue and the
+    /// per-row activation quantization.
     #[test]
     fn linear_int8_fast_matches_reference(
         (input, output, seed) in (1usize..=33, 1usize..=17, 0u64..1000),
     ) {
         let layer = LinearInt8::from_linear(&Linear::new(input, output, seed));
-        let x = Tensor::random(&[input], 1.0, seed.wrapping_add(1));
-        let reference = layer.forward_reference(&x);
         let mut pad = ScratchPad::new();
-        prop_assert_eq!(&layer.forward_scratch(&x, &mut pad), &reference);
-        prop_assert_eq!(&layer.forward_scratch(&x, &mut pad), &reference);
+        for batch in BATCHES {
+            let xs = random_inputs(&[input], 1.0, batch, seed);
+            let reference: Vec<Tensor> = xs.iter().map(|x| layer.forward_reference(x)).collect();
+            let flat = stack(&xs);
+            let mut out = vec![f32::NAN; batch * output];
+            for _ in 0..2 {
+                layer.forward_rows(&flat, batch, &mut pad, &mut out);
+                prop_assert_eq!(&unstack(&out, &[output]), &reference);
+            }
+        }
     }
 
-    /// LSTM: the fused tiled gate kernel == naive per-gate loops across
-    /// the whole recurrence.
+    /// LSTM: the packed fused-gate sweep == naive per-gate loops across
+    /// the whole recurrence. The packed op returns the last hidden state
+    /// only, so every prefix of the sequence is run: the recurrence is
+    /// causal, and prefix `p`'s last state is the reference's row `p - 1`.
     #[test]
     fn lstm_fast_matches_reference(
         (input, hidden, steps, seed) in (1usize..=9, 1usize..=9, 1usize..=6, 0u64..1000),
     ) {
         let lstm = Lstm::new(input, hidden, seed);
-        let x = Tensor::random(&[steps, input], 1.0, seed.wrapping_add(1));
-        let reference = lstm.forward_reference(&x);
+        let (pwx, pwh) = (lstm.pack_wx(), lstm.pack_wh());
         let mut pad = ScratchPad::new();
-        prop_assert_eq!(&lstm.forward_scratch(&x, &mut pad), &reference);
-        prop_assert_eq!(&lstm.forward_scratch(&x, &mut pad), &reference);
+        for batch in BATCHES {
+            let xs = random_inputs(&[steps, input], 1.0, batch, seed);
+            let reference: Vec<Tensor> = xs.iter().map(|x| lstm.forward_reference(x)).collect();
+            for p in 1..=steps {
+                let prefix: Vec<f32> = xs
+                    .iter()
+                    .flat_map(|x| x.data()[..p * input].iter().copied())
+                    .collect();
+                let mut out = vec![f32::NAN; batch * hidden];
+                for _ in 0..2 {
+                    lstm.last_hidden_batch_packed(&prefix, batch, p, &pwx, &pwh, &mut pad, &mut out);
+                    for (got, want) in out.chunks_exact(hidden).zip(&reference) {
+                        prop_assert_eq!(got, want.row(p - 1));
+                    }
+                }
+            }
+        }
     }
 
-    /// Attention: tiled score/context kernels == naive `at`-indexed loops.
+    /// Attention: packed score/context contractions == naive
+    /// `at`-indexed loops.
     #[test]
     fn attention_fast_matches_reference(
         (heads, d_head, t, seed) in (1usize..=4, 1usize..=5, 1usize..=7, 0u64..1000),
     ) {
         let d_model = heads * d_head;
         let mha = MultiHeadAttention::new(d_model, heads, seed);
-        let x = Tensor::random(&[t, d_model], 1.0, seed.wrapping_add(1));
-        let reference = mha.forward_reference(&x);
+        let packed = mha.pack();
         let mut pad = ScratchPad::new();
-        prop_assert_eq!(&mha.forward_scratch(&x, &mut pad), &reference);
-        prop_assert_eq!(&mha.forward_scratch(&x, &mut pad), &reference);
+        for batch in BATCHES {
+            let xs = random_inputs(&[t, d_model], 1.0, batch, seed);
+            let reference: Vec<Tensor> = xs.iter().map(|x| mha.forward_reference(x)).collect();
+            let flat = stack(&xs);
+            let mut out = vec![f32::NAN; batch * t * d_model];
+            for _ in 0..2 {
+                mha.forward_batch_packed(&flat, batch, t, packed.each_ref(), &mut pad, &mut out);
+                prop_assert_eq!(&unstack(&out, &[t, d_model]), &reference);
+            }
+        }
     }
 
     /// LayerNorm: slice-written rows == `set`-written rows.
@@ -97,58 +189,44 @@ proptest! {
         (t, d, seed) in (1usize..=6, 1usize..=16, 0u64..1000),
     ) {
         let ln = LayerNorm::new(d);
-        let x = Tensor::random(&[t, d], 2.0, seed);
-        let reference = ln.forward_reference(&x);
-        let mut pad = ScratchPad::new();
-        prop_assert_eq!(&ln.forward_scratch(&x, &mut pad), &reference);
-        prop_assert_eq!(&ln.forward_scratch(&x, &mut pad), &reference);
+        for batch in BATCHES {
+            let xs = random_inputs(&[t, d], 2.0, batch, seed);
+            let reference: Vec<Tensor> = xs.iter().map(|x| ln.forward_reference(x)).collect();
+            let mut out = vec![f32::NAN; batch * t * d];
+            ln.forward_rows(&stack(&xs), &mut out);
+            prop_assert_eq!(&unstack(&out, &[t, d]), &reference);
+        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Full VanillaCnn forward: fast trait path == naive composition.
+    /// Full VanillaCnn forward: packed trait path == naive composition.
     #[test]
     fn vanilla_cnn_forward_matches_reference(seed in 0u64..100) {
         let model = CnnSpec::tiny().build(seed);
-        let x = Tensor::random(&[20, 40], 1.0, seed.wrapping_add(1));
-        let reference = model.forward_reference(&x);
-        let mut pad = ScratchPad::new();
-        prop_assert_eq!(model.forward_scratch(&x, &mut pad).probs, reference.probs);
-        prop_assert_eq!(model.forward_scratch(&x, &mut pad).probs, reference.probs);
+        assert_model_matches_reference(&model, |x| model.forward_reference(x), seed);
     }
 
     /// Full DeepLob forward (conv trunk + inception + LSTM + head).
     #[test]
     fn deeplob_forward_matches_reference(seed in 0u64..100) {
         let model = DeepLobSpec::tiny().build(seed);
-        let x = Tensor::random(&[24, 40], 1.0, seed.wrapping_add(1));
-        let reference = model.forward_reference(&x);
-        let mut pad = ScratchPad::new();
-        prop_assert_eq!(model.forward_scratch(&x, &mut pad).probs, reference.probs);
-        prop_assert_eq!(model.forward_scratch(&x, &mut pad).probs, reference.probs);
+        assert_model_matches_reference(&model, |x| model.forward_reference(x), seed);
     }
 
     /// Full TransLob forward (conv stack + transformer blocks + head).
     #[test]
     fn translob_forward_matches_reference(seed in 0u64..100) {
         let model = TransLobSpec::tiny().build(seed);
-        let x = Tensor::random(&[16, 40], 1.0, seed.wrapping_add(1));
-        let reference = model.forward_reference(&x);
-        let mut pad = ScratchPad::new();
-        prop_assert_eq!(model.forward_scratch(&x, &mut pad).probs, reference.probs);
-        prop_assert_eq!(model.forward_scratch(&x, &mut pad).probs, reference.probs);
+        assert_model_matches_reference(&model, |x| model.forward_reference(x), seed);
     }
 
     /// Full QuantizedCnn forward (BF16 convs + INT8 dense layers).
     #[test]
     fn quantized_cnn_forward_matches_reference(seed in 0u64..100) {
         let model = QuantizedCnn::from_float(&CnnSpec::tiny().build(seed));
-        let x = Tensor::random(&[20, 40], 1.0, seed.wrapping_add(1));
-        let reference = model.forward_reference(&x);
-        let mut pad = ScratchPad::new();
-        prop_assert_eq!(model.forward_scratch(&x, &mut pad).probs, reference.probs);
-        prop_assert_eq!(model.forward_scratch(&x, &mut pad).probs, reference.probs);
+        assert_model_matches_reference(&model, |x| model.forward_reference(x), seed);
     }
 }

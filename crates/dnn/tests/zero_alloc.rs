@@ -1,6 +1,7 @@
 //! Proves the zero-allocation claim: after a warm-up pass populates the
-//! [`ScratchPad`]'s free lists, steady-state `forward_scratch` performs
-//! **zero** heap allocations for every benchmark model.
+//! [`ScratchPad`]'s free lists, steady-state `forward_batch_scratch`
+//! performs **zero** heap allocations for every benchmark model, for a
+//! lone query (batch 1) as for a batch.
 //!
 //! The proof uses a counting `#[global_allocator]` wrapping the system
 //! allocator; the whole file is one `#[test]` so the allocator and its
@@ -56,39 +57,11 @@ fn allocations() -> u64 {
     ALLOCS.with(|c| c.get())
 }
 
-fn assert_steady_state_alloc_free(name: &str, model: &dyn Model, input: &Tensor) {
-    let mut pad = ScratchPad::new();
-    // Warm up: the first passes populate the pad's free lists. Three
-    // passes (not one) so take/give ordering differences across calls
-    // are already settled before we start counting.
-    for _ in 0..3 {
-        let _ = model.forward_scratch(input, &mut pad);
-    }
-    let misses_before = pad.misses();
-    let allocs_before = allocations();
-    let p = model.forward_scratch(input, &mut pad);
-    let allocs_after = allocations();
-    let misses_after = pad.misses();
-    assert!(
-        p.probs.iter().all(|v| v.is_finite()),
-        "{name}: non-finite output"
-    );
-    assert_eq!(
-        allocs_after - allocs_before,
-        0,
-        "{name}: steady-state forward_scratch allocated"
-    );
-    assert_eq!(
-        misses_after, misses_before,
-        "{name}: scratch pad missed in steady state"
-    );
-}
-
-/// The batched twin: once the weight panels are packed and a warm-up
-/// batch has sized the pad's buffers and the output vector, serial
-/// (`threads = 1`) batched forwards at the same batch size allocate
-/// nothing — staging, unfold, packed GEMM, and prediction output all
-/// live in recycled storage.
+/// Once the weight panels are packed and a warm-up batch has sized the
+/// pad's buffers and the output vector, serial (`threads = 1`) forwards
+/// at the same batch size allocate nothing — staging, unfold, packed
+/// GEMM, i8 activation staging, and prediction output all live in
+/// recycled storage.
 fn assert_steady_state_batch_alloc_free(name: &str, model: &dyn Model, inputs: &[Tensor]) {
     let packed = model.pack_weights();
     let mut pad = ScratchPad::new();
@@ -155,10 +128,11 @@ fn steady_state_forward_is_allocation_free() {
     let x20 = Tensor::random(&[20, 40], 1.0, 5);
     let x24 = Tensor::random(&[24, 40], 1.0, 5);
     let x16 = Tensor::random(&[16, 40], 1.0, 5);
-    assert_steady_state_alloc_free("VanillaCnn", &vanilla, &x20);
-    assert_steady_state_alloc_free("QuantizedCnn", &quant, &x20);
-    assert_steady_state_alloc_free("DeepLob", &deeplob, &x24);
-    assert_steady_state_alloc_free("TransLob", &translob, &x16);
+    let one = std::slice::from_ref;
+    assert_steady_state_batch_alloc_free("VanillaCnn", &vanilla, one(&x20));
+    assert_steady_state_batch_alloc_free("QuantizedCnn", &quant, one(&x20));
+    assert_steady_state_batch_alloc_free("DeepLob", &deeplob, one(&x24));
+    assert_steady_state_batch_alloc_free("TransLob", &translob, one(&x16));
 
     let batch = |rows: usize| -> Vec<Tensor> {
         (0..8)

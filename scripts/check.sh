@@ -38,7 +38,10 @@ echo "== hot-path book gates: ladder/reference equivalence + zero-alloc =="
 cargo test -q --release -p lt-lob --test book_equivalence
 cargo test -q --release -p lt-pipeline --test zero_alloc
 
-echo "== batched inference gates: batch/loop bit-equivalence + batched zero-alloc =="
+echo "== inference gates: packed-vs-reference equivalence + batch-N-vs-batch-1 bit-equivalence + zero-alloc =="
+# kernel_equivalence is the only link between the production path and the
+# oracle, and release is what serves: run it optimized, not only in debug.
+cargo test -q --release -p lt-dnn --test kernel_equivalence
 cargo test -q --release -p lt-dnn --test batch_equivalence
 cargo test -q --release -p lt-dnn --test zero_alloc
 
@@ -75,7 +78,7 @@ if [[ "$fast" == "0" ]]; then
     cargo run --release -p lt-bench --bin bench_sweep
     grep -q '"floor_met": true' BENCH_sweep.json
 
-    echo "== batched inference regression (2x DeepLOB floor, 0.95 batch-16 scaling floor) =="
+    echo "== batched inference regression (0.95 batch-16 scaling floor on every model) =="
     cargo run --release -p lt-bench --bin bench_batch
     grep -q '"floor_met": true' BENCH_batch.json
 

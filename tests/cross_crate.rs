@@ -6,7 +6,7 @@ use lighttrader::accel::cgra::{CgraSim, GridConfig};
 use lighttrader::accel::{static_plan, DeviceProfile, DvfsTable};
 use lighttrader::dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
 use lighttrader::dnn::ops::Linear;
-use lighttrader::dnn::Tensor;
+use lighttrader::dnn::{ModelRegistry, Tensor};
 use lighttrader::pipeline::{LocalBook, OffloadEngine, PacketParser};
 use lighttrader::prelude::*;
 use lighttrader::protocol::framing::Datagram;
@@ -53,21 +53,13 @@ fn offload_feeds_models() {
         .duration_secs(1.0)
         .seed(4)
         .build();
-    for (window, model) in [
-        (
-            20usize,
-            lighttrader::dnn::models::build_tiny(ModelKind::VanillaCnn, 1),
-        ),
-        (
-            16,
-            lighttrader::dnn::models::build_tiny(ModelKind::TransLob, 1),
-        ),
-        (
-            24,
-            lighttrader::dnn::models::build_tiny(ModelKind::DeepLob, 1),
-        ),
+    for (window, kind) in [
+        (20usize, ModelKind::VanillaCnn),
+        (16, ModelKind::TransLob),
+        (24, ModelKind::DeepLob),
     ] {
-        assert_eq!(model.window(), window);
+        let mut registry = ModelRegistry::tiny_with_kinds(&[kind], 1);
+        assert_eq!(registry.max_window(), window);
         let mut offload = OffloadEngine::new(session.norm.clone(), window, 32);
         let mut predictions = 0;
         for tick in session.trace.iter().take(200) {
@@ -75,7 +67,7 @@ fn offload_feeds_models() {
             if offload.is_warm() {
                 let tensor = offload.latest_tensor();
                 assert_eq!(tensor.shape(), &[window, 40]);
-                let p = model.forward(&tensor);
+                let p = registry.forward(kind, &tensor);
                 assert!((p.probs.iter().sum::<f32>() - 1.0).abs() < 1e-3);
                 predictions += 1;
                 offload.pop_batch(usize::MAX);
@@ -92,7 +84,7 @@ fn cgra_functional_equivalence() {
     let mut sim = CgraSim::new(GridConfig::lighttrader());
     let layer = Linear::new(64, 32, 5);
     let x = Tensor::random(&[64], 1.0, 6);
-    let host = layer.forward(&x);
+    let host = layer.forward_reference(&x);
     let accel = sim.run_linear(&layer, &x);
     assert_eq!(host, accel);
     assert_eq!(sim.macs_executed(), 64 * 32);
