@@ -7,7 +7,7 @@
 //! tiny model configurations); use `lt-sim` when you need timing,
 //! response rates, or scheduling studies instead.
 
-use lt_dnn::{ModelKind, ModelRegistry, Prediction, Tensor};
+use lt_dnn::{ModelKind, ModelRegistry, Prediction, StreamStats, Tensor};
 use lt_feed::NormStats;
 use lt_lob::{MarketEvent, Symbol, Timestamp};
 use lt_pipeline::trading::NoOrderReason;
@@ -238,6 +238,18 @@ impl LightTrader {
     /// Inferences executed so far.
     pub fn inferences(&self) -> u64 {
         self.inferences
+    }
+
+    /// How tier `kind`'s inferences were served: `hits` pushed only the
+    /// newest tick row through the model's trunk (the window was the
+    /// tier's previous one slid by a row), `misses` ran the whole window.
+    /// One stream served tick after tick misses once per tier switch.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `kind` is not a registered tier.
+    pub fn stream_stats(&self, kind: ModelKind) -> StreamStats {
+        self.registry.stream_stats(kind)
     }
 
     /// Net position in contracts.
@@ -840,6 +852,95 @@ mod tests {
                 < max_window,
             "ladder spans distinct windows"
         );
+    }
+
+    /// What `kind` must count after `served` inferences of which `first`
+    /// opened a stretch: TransLOB has no streaming trunk and runs every
+    /// window whole.
+    fn streamed(kind: ModelKind, served: u64, first: u64) -> StreamStats {
+        let misses = if kind == ModelKind::TransLob {
+            served
+        } else {
+            first
+        };
+        StreamStats {
+            hits: served - misses,
+            misses,
+        }
+    }
+
+    /// One stream, one query per warm tick: after a tier's first query
+    /// every window is the previous one slid by a row.
+    #[test]
+    fn clean_replay_misses_once_per_served_tier() {
+        let session = SessionBuilder::normal_traffic()
+            .duration_secs(0.4)
+            .seed(3)
+            .build();
+        for kind in ModelKind::ALL {
+            let mut system = LightTrader::builder(kind)
+                .seed(7)
+                .normalization(session.norm.clone())
+                .build();
+            system.replay(&session.trace);
+            let served = system.inferences();
+            assert!(served > 100, "{kind}: {served} inferences");
+            assert_eq!(
+                system.stream_stats(kind),
+                streamed(kind, served, 1),
+                "{kind}"
+            );
+        }
+    }
+
+    /// Switching the serving tier costs the tier switched to exactly one
+    /// miss (its own last window has gone stale) and changes no answer:
+    /// every prediction is bit for bit what a registry that keeps nothing
+    /// between calls — `forward_batch` on that one window — returns, so
+    /// every outcome downstream of it is the same too.
+    #[test]
+    fn tier_switches_cost_one_miss_each_and_change_no_answer() {
+        let session = SessionBuilder::normal_traffic()
+            .duration_secs(0.4)
+            .seed(3)
+            .build();
+        let mut system = LightTrader::builder(ModelKind::DeepLob)
+            .seed(7)
+            .tier_models(&ModelKind::ALL)
+            .normalization(session.norm.clone())
+            .build();
+        let mut stateless = ModelRegistry::tiny(7);
+        let mut alone = Vec::new();
+        let mut served = [0u64; 3];
+        let mut stretches = [0u64; 3];
+        let mut last = None;
+        for (i, tick) in session.trace.iter().enumerate() {
+            let t = (i / 37) % 3;
+            system.serve_tier(ModelKind::ALL[t]);
+            system
+                .offload
+                .on_tick_staged(&tick.snapshot, tick.ts, &system.stages.clone());
+            if !system.offload.is_warm() {
+                continue;
+            }
+            let prediction = system.drain_and_forward();
+            let window = std::slice::from_ref(&system.window_buf);
+            stateless.forward_batch(ModelKind::ALL[t], window, &mut alone);
+            assert_eq!(
+                prediction.probs.map(f32::to_bits),
+                alone[0].probs.map(f32::to_bits),
+                "tick {i} on {}",
+                ModelKind::ALL[t]
+            );
+            served[t] += 1;
+            stretches[t] += u64::from(last != Some(t));
+            last = Some(t);
+        }
+        assert!(stretches.iter().all(|&n| n >= 2), "{stretches:?}");
+        for (t, kind) in ModelKind::ALL.into_iter().enumerate() {
+            let want = streamed(kind, served[t], stretches[t]);
+            assert_eq!(system.stream_stats(kind), want, "{kind}");
+        }
     }
 
     #[test]

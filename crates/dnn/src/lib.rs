@@ -24,6 +24,9 @@
 //!   `forward_reference` oracles;
 //! * [`scratch`] — the [`ScratchPad`] buffer pool that makes steady-state
 //!   inference allocation-free;
+//! * [`stream`] — the line buffers and the bitwise slid-window check
+//!   that let [`ModelRegistry::forward`] push only the newest tick row
+//!   through a valid-convolution trunk;
 //! * [`batch`] — prepacked weight panels ([`PackedWeights`]) and the
 //!   scoped sample scatter behind [`Model::forward_batch_scratch`], the
 //!   one inference method: a single query is a batch of one;
@@ -45,6 +48,7 @@ pub mod models;
 pub mod ops;
 pub mod registry;
 pub mod scratch;
+pub mod stream;
 pub mod tensor;
 
 pub use batch::{PackedPanels, PackedWeights};
@@ -53,4 +57,5 @@ pub use model::{Model, ModelKind, Prediction, PriceDirection};
 pub use models::{DeepLob, TransLob, VanillaCnn};
 pub use registry::ModelRegistry;
 pub use scratch::ScratchPad;
+pub use stream::StreamStats;
 pub use tensor::Tensor;

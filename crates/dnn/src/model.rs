@@ -3,6 +3,7 @@
 use crate::batch::PackedWeights;
 use crate::ops::count::macs_to_ops;
 use crate::scratch::ScratchPad;
+use crate::stream::LineBuffer;
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -185,6 +186,36 @@ pub trait Model: Send + Sync {
         pad: &mut ScratchPad,
         out: &mut Vec<Prediction>,
     );
+
+    /// The buffers [`Self::forward_stream`] works through, sized for this
+    /// model: one [`LineBuffer`] per trunk convolution and a last one for
+    /// the trunk's output. Empty (the default) when the trunk is not
+    /// shift-invariant in time, and such a model is never streamed.
+    fn stream_lines(&self) -> Vec<LineBuffer> {
+        Vec::new()
+    }
+
+    /// [`Self::forward_batch_scratch`] on the one `input`, bit for bit,
+    /// through the state in `lines` (from [`Self::stream_lines`]).
+    ///
+    /// `slid` is the caller's word that `input` is, bit for bit, the
+    /// window of the previous call on these `lines` slid by one row: then
+    /// only the newest row goes through the trunk, one output row per
+    /// layer by the same packed convolution at `h = kh`, and the model's
+    /// unchanged tail runs on the kept trunk output. Otherwise the whole
+    /// window runs and `lines` are refilled from its activations.
+    fn forward_stream(
+        &self,
+        input: &Tensor,
+        slid: bool,
+        lines: &mut [LineBuffer],
+        packed: &PackedWeights,
+        pad: &mut ScratchPad,
+        out: &mut Vec<Prediction>,
+    ) {
+        let _ = (slid, lines);
+        self.forward_batch_scratch(std::slice::from_ref(input), packed, pad, out);
+    }
 
     /// Analytic multiply-accumulate count of one forward pass.
     fn total_macs(&self) -> u64;

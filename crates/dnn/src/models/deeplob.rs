@@ -13,6 +13,7 @@ use crate::ops::activation::{leaky_relu, leaky_relu_slice, softmax_last_dim, sof
 use crate::ops::count::{conv2d_macs, linear_macs, lstm_macs, macs_to_ops};
 use crate::ops::{Conv2d, Linear, Lstm};
 use crate::scratch::ScratchPad;
+use crate::stream::{advance_trunk, trunk_lines, LineBuffer};
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -170,6 +171,14 @@ impl DeepLob {
         self.spec
     }
 
+    /// The nine valid-padded trunk convolutions, in order (panels 0..9).
+    fn trunk(&self) -> [&Conv2d; 9] {
+        [
+            &self.b1a, &self.b1b, &self.b1c, &self.b2a, &self.b2b, &self.b2c, &self.b3a, &self.b3b,
+            &self.b3c,
+        ]
+    }
+
     fn conv_act_reference(conv: &Conv2d, x: &Tensor) -> Tensor {
         let mut y = conv.forward_reference(x);
         leaky_relu(&mut y, LEAK);
@@ -215,52 +224,15 @@ impl DeepLob {
         let out = logits.data();
         Prediction::new([out[0], out[1], out[2]])
     }
-}
 
-impl Model for DeepLob {
-    fn kind(&self) -> ModelKind {
-        ModelKind::DeepLob
-    }
-
-    fn window(&self) -> usize {
-        self.spec.window
-    }
-
-    fn features(&self) -> usize {
-        self.spec.features
-    }
-
-    /// Panel order: the nine trunk convolutions, the five inception
-    /// convolutions, `lstm.wx`, `lstm.wh`, `fc`.
-    fn pack_weights(&self) -> PackedWeights {
-        let mut pw = PackedWeights::new(self.kind());
-        for conv in [
-            &self.b1a,
-            &self.b1b,
-            &self.b1c,
-            &self.b2a,
-            &self.b2b,
-            &self.b2c,
-            &self.b3a,
-            &self.b3b,
-            &self.b3c,
-            &self.inc1,
-            &self.inc2a,
-            &self.inc2b,
-            &self.inc3a,
-            &self.inc3b,
-        ] {
-            pw.push(conv.pack());
-        }
-        pw.push(self.lstm.pack_wx());
-        pw.push(self.lstm.pack_wh());
-        pw.push(self.fc.pack());
-        pw
-    }
-
-    fn forward_batch_scratch(
+    /// The whole-window packed forward behind both
+    /// [`Model::forward_batch_scratch`] (`lines` = `None`) and a streamed
+    /// miss, which passes its one input's `lines` to be refilled from the
+    /// trunk activations on the way.
+    fn forward_windows(
         &self,
         inputs: &[Tensor],
+        mut lines: Option<&mut [LineBuffer]>,
         packed: &PackedWeights,
         pad: &mut ScratchPad,
         out: &mut Vec<Prediction>,
@@ -270,6 +242,7 @@ impl Model for DeepLob {
         if batch == 0 {
             return;
         }
+        debug_assert!(lines.is_none() || batch == 1, "lines follow one stream");
         let (t, f) = (self.spec.window, self.spec.features);
         let c = self.spec.channels;
         let threads = packed.threads();
@@ -282,13 +255,10 @@ impl Model for DeepLob {
         }
         // Trunk: nine convolutions over the shrinking [h, w] map.
         let (mut h, mut w) = (t, f);
-        for (idx, conv) in [
-            &self.b1a, &self.b1b, &self.b1c, &self.b2a, &self.b2b, &self.b2c, &self.b3a, &self.b3b,
-            &self.b3c,
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        for (idx, conv) in self.trunk().into_iter().enumerate() {
+            if let Some(lines) = lines.as_deref_mut() {
+                lines[idx].prime(&cur, h);
+            }
             let (oh, ow) = conv.output_hw(h, w);
             let mut nxt = pad.take_dirty(batch * c * oh * ow);
             conv.forward_batch_packed(&cur, batch, h, w, packed.panel(idx), threads, pad, &mut nxt);
@@ -297,25 +267,44 @@ impl Model for DeepLob {
             cur = nxt;
             (h, w) = (oh, ow);
         }
+        debug_assert_eq!((h, w), (self.spec.lstm_steps(), 1));
+        if let Some(lines) = lines {
+            lines[9].prime(&cur, h);
+        }
+        self.tail(&cur, batch, packed, pad, out);
+        pad.give(cur);
+    }
+
+    /// Everything after the trunk — inception, LSTM, dense head, softmax —
+    /// over the trunk's `[batch, C, steps]` output, pushing one
+    /// prediction per sample.
+    fn tail(
+        &self,
+        trunk_out: &[f32],
+        batch: usize,
+        packed: &PackedWeights,
+        pad: &mut ScratchPad,
+        out: &mut Vec<Prediction>,
+    ) {
+        let c = self.spec.channels;
+        let threads = packed.threads();
         // Inception over [C, steps, 1]; same-padded branches keep shape.
         let steps = self.spec.lstm_steps();
-        debug_assert_eq!((h, w), (steps, 1));
         let act_len = batch * c * steps;
         let inc = |conv: &Conv2d, idx: usize, x: &[f32], y: &mut [f32], pad: &mut ScratchPad| {
             conv.forward_batch_packed(x, batch, steps, 1, packed.panel(idx), threads, pad, y);
             leaky_relu_slice(y, LEAK);
         };
         let mut br1 = pad.take_dirty(act_len);
-        inc(&self.inc1, 9, &cur, &mut br1, pad);
+        inc(&self.inc1, 9, trunk_out, &mut br1, pad);
         let mut mid = pad.take_dirty(act_len);
-        inc(&self.inc2a, 10, &cur, &mut mid, pad);
+        inc(&self.inc2a, 10, trunk_out, &mut mid, pad);
         let mut br2 = pad.take_dirty(act_len);
         inc(&self.inc2b, 11, &mid, &mut br2, pad);
-        inc(&self.inc3a, 12, &cur, &mut mid, pad);
+        inc(&self.inc3a, 12, trunk_out, &mut mid, pad);
         let mut br3 = pad.take_dirty(act_len);
         inc(&self.inc3b, 13, &mid, &mut br3, pad);
         pad.give(mid);
-        pad.give(cur);
         // Concatenate channels and flip to sequence-major [steps, 3C]
         // per sample. Branch layout is [C, steps, 1] row-major, so
         // channel `ch` at step `st` lives at flat index `ch * steps + st`.
@@ -360,6 +349,75 @@ impl Model for DeepLob {
             out.push(Prediction::new([row[0], row[1], row[2]]));
         }
         pad.give(logits);
+    }
+}
+
+impl Model for DeepLob {
+    fn kind(&self) -> ModelKind {
+        ModelKind::DeepLob
+    }
+
+    fn window(&self) -> usize {
+        self.spec.window
+    }
+
+    fn features(&self) -> usize {
+        self.spec.features
+    }
+
+    /// Panel order: the nine trunk convolutions, the five inception
+    /// convolutions, `lstm.wx`, `lstm.wh`, `fc`.
+    fn pack_weights(&self) -> PackedWeights {
+        let mut pw = PackedWeights::new(self.kind());
+        let inception = [
+            &self.inc1,
+            &self.inc2a,
+            &self.inc2b,
+            &self.inc3a,
+            &self.inc3b,
+        ];
+        for conv in self.trunk().into_iter().chain(inception) {
+            pw.push(conv.pack());
+        }
+        pw.push(self.lstm.pack_wx());
+        pw.push(self.lstm.pack_wh());
+        pw.push(self.fc.pack());
+        pw
+    }
+
+    fn forward_batch_scratch(
+        &self,
+        inputs: &[Tensor],
+        packed: &PackedWeights,
+        pad: &mut ScratchPad,
+        out: &mut Vec<Prediction>,
+    ) {
+        self.forward_windows(inputs, None, packed, pad, out);
+    }
+
+    /// Every trunk convolution's input rows, then the `[C, steps]` trunk
+    /// output the inception reads.
+    fn stream_lines(&self) -> Vec<LineBuffer> {
+        trunk_lines(self.trunk(), self.spec.features, self.spec.lstm_steps())
+    }
+
+    fn forward_stream(
+        &self,
+        input: &Tensor,
+        slid: bool,
+        lines: &mut [LineBuffer],
+        packed: &PackedWeights,
+        pad: &mut ScratchPad,
+        out: &mut Vec<Prediction>,
+    ) {
+        if !slid {
+            let inputs = std::slice::from_ref(input);
+            return self.forward_windows(inputs, Some(lines), packed, pad, out);
+        }
+        let act = |x: &mut [f32]| leaky_relu_slice(x, LEAK);
+        let trunk_out = advance_trunk(lines, self.trunk(), act, input.data(), packed, pad);
+        out.clear();
+        self.tail(trunk_out, 1, packed, pad, out);
     }
 
     fn total_macs(&self) -> u64 {

@@ -118,7 +118,7 @@ impl Model for QuantizedCnn {
             return;
         }
         let convs = [&self.conv1, &self.conv2, &self.conv3];
-        let a3 = conv_trunk_batch_packed(&self.spec, convs, inputs, packed, pad);
+        let a3 = conv_trunk_batch_packed(&self.spec, convs, inputs, None, packed, pad);
         // Fully overwritten before it is read, like `logits` below.
         let mut h = pad.take_dirty(batch * self.spec.hidden);
         self.fc1.forward_rows(&a3, batch, pad, &mut h);

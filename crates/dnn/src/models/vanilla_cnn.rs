@@ -10,6 +10,7 @@ use crate::ops::activation::{relu, relu_slice, softmax_last_dim, softmax_rows};
 use crate::ops::count::{conv2d_macs, linear_macs, macs_to_ops};
 use crate::ops::{Conv2d, Linear};
 use crate::scratch::ScratchPad;
+use crate::stream::{advance_trunk, trunk_lines, LineBuffer};
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -204,7 +205,9 @@ impl VanillaCnn {
 /// (which keeps its convolutions in BF16): stages `inputs` sample-major
 /// and returns the ReLU'd `[batch, channels * t_out(3)]` activations in a
 /// buffer the caller gives back to `pad`. `packed` holds the three
-/// kernels at panels 0, 1, 2.
+/// kernels at panels 0, 1, 2. A streamed miss passes its one input's
+/// `lines`, whose first three are refilled with the convolutions' input
+/// rows on the way.
 ///
 /// # Panics
 ///
@@ -213,6 +216,7 @@ pub(super) fn conv_trunk_batch_packed(
     spec: &CnnSpec,
     convs: [&Conv2d; 3],
     inputs: &[Tensor],
+    mut lines: Option<&mut [LineBuffer]>,
     packed: &PackedWeights,
     pad: &mut ScratchPad,
 ) -> Vec<f32> {
@@ -231,19 +235,84 @@ pub(super) fn conv_trunk_batch_packed(
     // Three calls with literal widths, not a loop over `convs`: looping
     // with a carried `(h, w)` measured +10 % on `t2t_cnn`'s op_p50_us.
     let (t1, t2, t3) = (spec.t_out(1), spec.t_out(2), spec.t_out(3));
+    if let Some(lines) = lines.as_deref_mut() {
+        debug_assert_eq!(batch, 1, "lines follow one stream");
+        lines[0].prime(&x0, t);
+    }
     let mut a1 = pad.take_dirty(batch * c * t1);
     conv1.forward_batch_packed(&x0, batch, t, f, packed.panel(0), threads, pad, &mut a1);
     pad.give(x0);
     relu_slice(&mut a1);
+    if let Some(lines) = lines.as_deref_mut() {
+        lines[1].prime(&a1, t1);
+    }
     let mut a2 = pad.take_dirty(batch * c * t2);
     conv2.forward_batch_packed(&a1, batch, t1, 1, packed.panel(1), threads, pad, &mut a2);
     pad.give(a1);
     relu_slice(&mut a2);
+    if let Some(lines) = lines {
+        lines[2].prime(&a2, t2);
+    }
     let mut a3 = pad.take_dirty(batch * c * t3);
     conv3.forward_batch_packed(&a2, batch, t2, 1, packed.panel(2), threads, pad, &mut a3);
     pad.give(a2);
     relu_slice(&mut a3);
     a3
+}
+
+impl VanillaCnn {
+    /// The whole-window packed forward behind both
+    /// [`Model::forward_batch_scratch`] (`lines` = `None`) and a streamed
+    /// miss, which passes its one input's `lines` to be refilled.
+    fn forward_windows(
+        &self,
+        inputs: &[Tensor],
+        mut lines: Option<&mut [LineBuffer]>,
+        packed: &PackedWeights,
+        pad: &mut ScratchPad,
+        out: &mut Vec<Prediction>,
+    ) {
+        out.clear();
+        let batch = inputs.len();
+        if batch == 0 {
+            return;
+        }
+        let convs = [&self.conv1, &self.conv2, &self.conv3];
+        let a3 =
+            conv_trunk_batch_packed(&self.spec, convs, inputs, lines.as_deref_mut(), packed, pad);
+        if let Some(lines) = lines {
+            lines[3].prime(&a3, self.spec.t_out(3));
+        }
+        self.tail(&a3, batch, packed, pad, out);
+        pad.give(a3);
+    }
+
+    /// Everything after the trunk — two dense layers and the softmax —
+    /// over its `[batch, C * t_out(3)]` output, pushing one prediction per
+    /// sample.
+    fn tail(
+        &self,
+        a3: &[f32],
+        batch: usize,
+        packed: &PackedWeights,
+        pad: &mut ScratchPad,
+        out: &mut Vec<Prediction>,
+    ) {
+        // Fully overwritten before it is read, like every buffer below.
+        let mut h = pad.take_dirty(batch * self.spec.hidden);
+        self.fc1
+            .forward_batch_packed(a3, batch, packed.panel(3), &mut h);
+        relu_slice(&mut h);
+        let mut logits = pad.take_dirty(batch * 3);
+        self.fc2
+            .forward_batch_packed(&h, batch, packed.panel(4), &mut logits);
+        pad.give(h);
+        softmax_rows(&mut logits, batch, 3);
+        for row in logits.chunks_exact(3) {
+            out.push(Prediction::new([row[0], row[1], row[2]]));
+        }
+        pad.give(logits);
+    }
 }
 
 impl Model for VanillaCnn {
@@ -277,28 +346,33 @@ impl Model for VanillaCnn {
         pad: &mut ScratchPad,
         out: &mut Vec<Prediction>,
     ) {
-        out.clear();
-        let batch = inputs.len();
-        if batch == 0 {
-            return;
+        self.forward_windows(inputs, None, packed, pad, out);
+    }
+
+    /// The three convolutions' input rows, then the `[C, t_out(3)]` trunk
+    /// output `fc1` reads.
+    fn stream_lines(&self) -> Vec<LineBuffer> {
+        let convs = [&self.conv1, &self.conv2, &self.conv3];
+        trunk_lines(convs, self.spec.features, self.spec.t_out(3))
+    }
+
+    fn forward_stream(
+        &self,
+        input: &Tensor,
+        slid: bool,
+        lines: &mut [LineBuffer],
+        packed: &PackedWeights,
+        pad: &mut ScratchPad,
+        out: &mut Vec<Prediction>,
+    ) {
+        if !slid {
+            let inputs = std::slice::from_ref(input);
+            return self.forward_windows(inputs, Some(lines), packed, pad, out);
         }
         let convs = [&self.conv1, &self.conv2, &self.conv3];
-        let a3 = conv_trunk_batch_packed(&self.spec, convs, inputs, packed, pad);
-        // Fully overwritten before it is read, like every buffer below.
-        let mut h = pad.take_dirty(batch * self.spec.hidden);
-        self.fc1
-            .forward_batch_packed(&a3, batch, packed.panel(3), &mut h);
-        pad.give(a3);
-        relu_slice(&mut h);
-        let mut logits = pad.take_dirty(batch * 3);
-        self.fc2
-            .forward_batch_packed(&h, batch, packed.panel(4), &mut logits);
-        pad.give(h);
-        softmax_rows(&mut logits, batch, 3);
-        for row in logits.chunks_exact(3) {
-            out.push(Prediction::new([row[0], row[1], row[2]]));
-        }
-        pad.give(logits);
+        let trunk_out = advance_trunk(lines, convs, relu_slice, input.data(), packed, pad);
+        out.clear();
+        self.tail(trunk_out, 1, packed, pad, out);
     }
 
     fn total_macs(&self) -> u64 {

@@ -80,6 +80,11 @@ impl Conv2d {
         self.kernel.shape()[1]
     }
 
+    /// Kernel height and width.
+    pub fn kernel_hw(&self) -> (usize, usize) {
+        (self.kernel.shape()[2], self.kernel.shape()[3])
+    }
+
     /// Output spatial size for an `(h, w)` input.
     pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
         let kh = self.kernel.shape()[2] as u64;
@@ -128,7 +133,7 @@ impl Conv2d {
     ) {
         let in_c = self.in_channels();
         let out_c = self.out_channels();
-        let (kh, kw) = (self.kernel.shape()[2], self.kernel.shape()[3]);
+        let (kh, kw) = self.kernel_hw();
         let (oh, ow) = self.output_hw(h, w);
         let k = in_c * kh * kw;
         let positions = oh * ow;
@@ -222,7 +227,7 @@ impl Conv2d {
         expect_rank(x, 3, "Conv2d");
         let [in_c, h, w] = [x.shape()[0], x.shape()[1], x.shape()[2]];
         assert_eq!(in_c, self.in_channels(), "input channel mismatch");
-        let (kh, kw) = (self.kernel.shape()[2], self.kernel.shape()[3]);
+        let (kh, kw) = self.kernel_hw();
         let (oh, ow) = self.output_hw(h, w);
         let out_c = self.out_channels();
         let mut out = Tensor::zeros(&[out_c, oh, ow]);

@@ -9,7 +9,7 @@
 //! steady state.
 //!
 //! The tiers have different input windows (e.g. tiny CNN sees 20 ticks,
-//! tiny DeepLOB 40); the feature pipeline stages the *largest* window
+//! tiny DeepLOB 24); the feature pipeline stages the *largest* window
 //! ([`ModelRegistry::max_window`]) and [`ModelRegistry::forward`] slices
 //! the trailing rows each smaller tier needs.
 
@@ -17,6 +17,7 @@ use crate::batch::PackedWeights;
 use crate::model::{Model, ModelKind, Prediction};
 use crate::models::build_tiny;
 use crate::scratch::ScratchPad;
+use crate::stream::{slid_by_one, LineBuffer, StreamStats};
 use crate::tensor::Tensor;
 
 /// Position of `kind` in [`ModelKind::ALL`] (Table II order).
@@ -34,9 +35,14 @@ struct Entry {
     /// steady-state forward multiplies against these instead of the
     /// row-major weight tensors.
     packed: PackedWeights,
-    /// Reusable `[window, features]` staging buffer for trailing-window
-    /// slices of a wider input.
+    /// The `[window, features]` trailing window of the last single
+    /// query: what `stream` was last advanced to.
     input: Tensor,
+    /// The model's streaming state ([`Model::stream_lines`]), consistent
+    /// with `input` from registration on; empty for a tier that is not
+    /// streamed.
+    stream: Vec<LineBuffer>,
+    stats: StreamStats,
     /// Reusable staging lanes for batched trailing-window slices, grown
     /// to the largest batch seen and then recycled.
     lanes: Vec<Tensor>,
@@ -48,14 +54,37 @@ impl Entry {
     fn new(model: Box<dyn Model>) -> Self {
         let input = Tensor::zeros(&[model.window(), model.features()]);
         let packed = model.pack_weights();
-        Entry {
+        let mut entry = Entry {
+            stream: model.stream_lines(),
             model,
             pad: ScratchPad::new(),
             packed,
             input,
+            stats: StreamStats::default(),
             lanes: Vec::new(),
             preds: Vec::new(),
+        };
+        // Fill the stream from the all-zero window `input` holds, so the
+        // two agree before the first query as after every later one.
+        if !entry.stream.is_empty() {
+            entry.run(false);
         }
+        entry
+    }
+
+    /// Serves the window staged in `input`; `slid` as in
+    /// [`Model::forward_stream`], whose default — the stateless forward,
+    /// a single query being a batch of one — serves an unstreamed tier.
+    fn run(&mut self, slid: bool) -> Prediction {
+        self.model.forward_stream(
+            &self.input,
+            slid,
+            &mut self.stream,
+            &self.packed,
+            &mut self.pad,
+            &mut self.preds,
+        );
+        self.preds[0]
     }
 }
 
@@ -144,6 +173,15 @@ impl ModelRegistry {
     /// most recent ticks). Uses the tier's own scratch pad and staging
     /// buffer, so steady-state calls are allocation-free.
     ///
+    /// Memoises per tier: a tier whose trunk is shift-invariant in time
+    /// (DeepLOB, the CNN) keeps its last window and trunk activations,
+    /// and a window that is bit for bit the last one slid by one row
+    /// sends only its newest row through the trunk
+    /// ([`Model::forward_stream`]). That is invisible in the result — the
+    /// reused rows are the ones this window would recompute from the
+    /// same operands in the same order, and any other window runs whole —
+    /// and visible only in [`Self::stream_stats`] and the clock.
+    ///
     /// # Panics
     ///
     /// Panics when `kind` is not registered, the input is not rank-2,
@@ -161,21 +199,28 @@ impl ModelRegistry {
             rows >= window,
             "{kind} needs {window} tick rows, got {rows}"
         );
-        let staged = if rows == window {
-            input
+        let src = &input.data()[(rows - window) * features..];
+        let slid = !entry.stream.is_empty() && slid_by_one(entry.input.data(), src, features);
+        entry.input.data_mut().copy_from_slice(src);
+        if slid {
+            entry.stats.hits += 1;
         } else {
-            let src = &input.data()[(rows - window) * features..];
-            entry.input.data_mut().copy_from_slice(src);
-            &entry.input
-        };
-        // A single query is a batch of one on the packed path.
-        entry.model.forward_batch_scratch(
-            std::slice::from_ref(staged),
-            &entry.packed,
-            &mut entry.pad,
-            &mut entry.preds,
-        );
-        entry.preds[0]
+            entry.stats.misses += 1;
+        }
+        entry.run(slid)
+    }
+
+    /// How many [`Self::forward`] calls on tier `kind` were served from
+    /// the previous call's trunk, and how many ran their whole window.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `kind` is not registered.
+    pub fn stream_stats(&self, kind: ModelKind) -> StreamStats {
+        self.entries[slot(kind)]
+            .as_ref()
+            .unwrap_or_else(|| panic!("{kind} is not registered"))
+            .stats
     }
 
     /// Runs tier `kind` once over a whole batch of inputs, writing one

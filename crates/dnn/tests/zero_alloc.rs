@@ -1,7 +1,9 @@
 //! Proves the zero-allocation claim: after a warm-up pass populates the
 //! [`ScratchPad`]'s free lists, steady-state `forward_batch_scratch`
 //! performs **zero** heap allocations for every benchmark model, for a
-//! lone query (batch 1) as for a batch.
+//! lone query (batch 1) as for a batch, and so does
+//! `ModelRegistry::forward` whether a query streams (hit), runs its whole
+//! window (miss) or lands on another tier.
 //!
 //! The proof uses a counting `#[global_allocator]` wrapping the system
 //! allocator; the whole file is one `#[test]` so the allocator and its
@@ -11,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use lt_dnn::models::{CnnSpec, DeepLobSpec, QuantizedCnn, TransLobSpec};
-use lt_dnn::{Model, Prediction, ScratchPad, Tensor};
+use lt_dnn::{Model, ModelKind, ModelRegistry, Prediction, ScratchPad, StreamStats, Tensor};
 
 thread_local! {
     // `const` init so reading the counter never allocates.
@@ -119,6 +121,60 @@ fn assert_batch_walk_alloc_free(name: &str, model: &dyn Model, inputs: &[Tensor]
     );
 }
 
+/// The registry's streaming forward: every stream buffer is sized at
+/// `register` and every pad buffer by the tiers' first queries, so a hit,
+/// a miss (a jump in the row stream, a repeated window) and a tier switch
+/// all allocate nothing. Windows are cut from one row stream: offset + 1
+/// is a slide.
+fn assert_streamed_walk_alloc_free() {
+    let mut reg = ModelRegistry::tiny(3);
+    let rows = reg.max_window();
+    let stream = Tensor::random(&[rows + 40, 40], 1.0, 8);
+    let windows: Vec<Tensor> = (0..=40)
+        .map(|o| Tensor::from_vec(stream.data()[o * 40..(o + rows) * 40].to_vec(), &[rows, 40]))
+        .collect();
+    use ModelKind::{DeepLob, TransLob, VanillaCnn};
+    for kind in ModelKind::ALL {
+        reg.forward(kind, &windows[0]);
+        reg.forward(kind, &windows[1]);
+    }
+    let warm = ModelKind::ALL.map(|k| reg.stream_stats(k));
+    let walk = [
+        (DeepLob, 2),     // hit: a tier's stream is its own
+        (DeepLob, 3),     // hit
+        (DeepLob, 30),    // miss: a jump
+        (DeepLob, 31),    // hit
+        (DeepLob, 31),    // miss: the same window again
+        (VanillaCnn, 32), // tier switch: its last window is stale, miss
+        (VanillaCnn, 33), // hit
+        (TransLob, 34),   // never streams
+        (DeepLob, 32),    // back: hit, 31 + 1
+        (DeepLob, 33),    // hit
+    ];
+    let allocs_before = allocations();
+    for (kind, offset) in walk {
+        let p = reg.forward(kind, &windows[offset]);
+        assert!(p.probs.iter().all(|v| v.is_finite()));
+    }
+    assert_eq!(
+        allocations() - allocs_before,
+        0,
+        "streamed registry walk allocated"
+    );
+    let moved = |kind: ModelKind, hits, misses| {
+        let (now, was) = (reg.stream_stats(kind), warm[kind as usize]);
+        assert_eq!(
+            (now.hits - was.hits, now.misses - was.misses),
+            (hits, misses),
+            "{kind}"
+        );
+    };
+    moved(DeepLob, 5, 2);
+    moved(VanillaCnn, 1, 1);
+    moved(TransLob, 0, 1);
+    assert_eq!(warm[2], StreamStats { hits: 1, misses: 1 });
+}
+
 #[test]
 fn steady_state_forward_is_allocation_free() {
     let vanilla = CnnSpec::tiny().build(3);
@@ -147,4 +203,5 @@ fn steady_state_forward_is_allocation_free() {
     assert_batch_walk_alloc_free("TransLob 8 -> 3 -> 8", &translob, &batch(16), 3);
     assert_batch_walk_alloc_free("DeepLob 8 -> 3 -> 8", &deeplob, &batch(24), 3);
     assert_batch_walk_alloc_free("VanillaCnn 8 -> 3 -> 8", &vanilla, &batch(20), 3);
+    assert_streamed_walk_alloc_free();
 }

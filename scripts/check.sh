@@ -38,11 +38,13 @@ echo "== hot-path book gates: ladder/reference equivalence + zero-alloc =="
 cargo test -q --release -p lt-lob --test book_equivalence
 cargo test -q --release -p lt-pipeline --test zero_alloc
 
-echo "== inference gates: packed-vs-reference equivalence + batch-N-vs-batch-1 bit-equivalence + zero-alloc =="
+echo "== inference gates: packed-vs-reference equivalence + batch-N-vs-batch-1 + streamed-vs-whole-window bit-equivalence + zero-alloc =="
 # kernel_equivalence is the only link between the production path and the
 # oracle, and release is what serves: run it optimized, not only in debug.
 cargo test -q --release -p lt-dnn --test kernel_equivalence
 cargo test -q --release -p lt-dnn --test batch_equivalence
+# Release also runs the NaN rows, which debug's Prediction assert refuses.
+cargo test -q --release -p lt-dnn --test stream_equivalence
 cargo test -q --release -p lt-dnn --test zero_alloc
 
 echo "== multi-symbol gates: single-shard parity + sharded determinism =="
