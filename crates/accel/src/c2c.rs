@@ -5,7 +5,7 @@
 //! dedicated bits, striping across 16-bit lanes, and watermark-based FIFO
 //! flow control. The paper credits these with a 2.4x effective-bandwidth
 //! gain over an Interlaken-style implementation; [`C2cLink`] and
-//! [`InterlakenLink`] model both so the ablation bench can reproduce the
+//! [`InterlakenLink`] model both so the unit tests can reproduce the
 //! ratio, and [`WatermarkFifo`] implements the flow-control state machine
 //! functionally.
 

@@ -82,7 +82,7 @@ impl DeviceProfile {
         batch as f64 / (latency * power)
     }
 
-    /// Energy per batch in joules (diagnostics and ablation benches).
+    /// Energy per batch in joules (diagnostics).
     pub fn energy_j(&self, kind: ModelKind, batch: u32, point: OperatingPoint) -> f64 {
         self.t_total(kind, batch, point).as_secs_f64() * self.power_w(kind, batch, point)
     }

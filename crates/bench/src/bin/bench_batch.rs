@@ -15,10 +15,9 @@
 //! `lt-dnn/tests/batch_equivalence.rs`), so this measures pure
 //! throughput.
 
-use std::time::Instant;
-
 use lighttrader::dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
 use lighttrader::dnn::{Model, Prediction, ScratchPad, Tensor};
+use lt_bench::time_ns;
 
 /// Minimum acceptable batch-16 scaling (batch-1 ns/query over batch-16
 /// ns/query) for every model.
@@ -26,31 +25,6 @@ const BATCH16_SCALING_FLOOR: f64 = 0.95;
 /// Batch sizes swept per model, batch 1 first; 8 is the
 /// `multi_translob` round.
 const BATCHES: [usize; 4] = [1, 4, 8, 16];
-/// Target wall time per measurement, nanoseconds.
-const TARGET_NS: u128 = 100_000_000;
-
-/// Times `f` adaptively: calibrates an iteration count that fills a
-/// tenth of [`TARGET_NS`] (which also warms pads and panels), runs three
-/// repetitions, and returns the best per-iteration nanoseconds.
-fn time_ns<F: FnMut()>(mut f: F) -> f64 {
-    let start = Instant::now();
-    let mut calib = 0u32;
-    while start.elapsed().as_nanos() < TARGET_NS / 10 {
-        f();
-        calib += 1;
-    }
-    let iters = calib.max(1);
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let per_iter = start.elapsed().as_nanos() as f64 / iters as f64;
-        best = best.min(per_iter);
-    }
-    best
-}
 
 struct Row {
     model: &'static str,

@@ -1,6 +1,6 @@
-//! Rendering helpers shared by the `tables` binary and the Criterion
-//! benches: each function formats one paper artifact (table or figure)
-//! as paper-vs-measured text.
+//! Rendering helpers for the `tables` binary (each function formats one
+//! paper artifact, table or figure, as paper-vs-measured text) and
+//! [`time_ns`], the one wall-clock loop the micro-benches share.
 
 use lighttrader::accel::PowerCondition;
 use lighttrader::dnn::ModelKind;
@@ -10,6 +10,36 @@ use lighttrader::sched::Policy;
 use lighttrader::sim::farm::{FarmRunner, GridDeadline, SweepGrid};
 use lighttrader::sim::traffic::{scheduling_deadline_for, shared_trace_cache};
 use lighttrader::sim::{run_lighttrader, BacktestConfig, FaultRates, IngressFaults};
+use std::time::Instant;
+
+/// Wall time `time_ns` calibrates over, and roughly what each of its
+/// three repetitions then takes, nanoseconds.
+const CALIBRATION_NS: u128 = 10_000_000;
+
+/// Best-of-three ns per call of `f`, after calibration: counts how many
+/// calls fill [`CALIBRATION_NS`] (which also warms pads and panels),
+/// times three repetitions of that many calls and returns the fastest.
+/// One call costs about 40 ms; a ratio of two results means something
+/// only if the calls were interleaved.
+pub fn time_ns<F: FnMut()>(mut f: F) -> f64 {
+    let start = Instant::now();
+    let mut calib = 0u32;
+    while start.elapsed().as_nanos() < CALIBRATION_NS {
+        f();
+        calib += 1;
+    }
+    let iters = calib.max(1);
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let start = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        let per_iter = start.elapsed().as_nanos() as f64 / iters as f64;
+        best = best.min(per_iter);
+    }
+    best
+}
 
 /// Renders Table I (accelerator specification).
 pub fn render_table1() -> String {

@@ -31,6 +31,8 @@ pub enum TraceIoError {
     BadChecksum,
     /// The payload ended mid-record.
     Truncated,
+    /// The symbol is not 1..=8 bytes of UTF-8.
+    BadSymbol,
 }
 
 impl fmt::Display for TraceIoError {
@@ -41,6 +43,7 @@ impl fmt::Display for TraceIoError {
             TraceIoError::BadVersion(v) => write!(f, "unsupported trace version {v}"),
             TraceIoError::BadChecksum => f.write_str("trace checksum mismatch"),
             TraceIoError::Truncated => f.write_str("trace file truncated"),
+            TraceIoError::BadSymbol => f.write_str("trace symbol is not 1..=8 bytes of UTF-8"),
         }
     }
 }
@@ -121,13 +124,17 @@ pub fn decode_trace(bytes: &[u8]) -> Result<TickTrace, TraceIoError> {
         return Err(TraceIoError::BadVersion(version));
     }
     let sym_len = buf.get_u8() as usize;
-    if buf.remaining() < sym_len {
+    // `Symbol::new` asserts this range; a file must not reach the assert.
+    if !(1..=8).contains(&sym_len) {
+        return Err(TraceIoError::BadSymbol);
+    }
+    if buf.remaining() < sym_len + 8 {
         return Err(TraceIoError::Truncated);
     }
-    let mut sym = vec![0u8; sym_len];
-    buf.copy_to_slice(&mut sym);
-    let symbol = Symbol::new(std::str::from_utf8(&sym).map_err(|_| TraceIoError::BadMagic)?);
-    let count = buf.get_u64_le() as usize;
+    let (sym, rest) = buf.split_at(sym_len);
+    let symbol = Symbol::new(std::str::from_utf8(sym).map_err(|_| TraceIoError::BadSymbol)?);
+    buf = rest;
+    let count = buf.get_u64_le();
     let mut trace = TickTrace::new(symbol);
     for _ in 0..count {
         if buf.remaining() < 8 + 8 + 2 {
@@ -238,25 +245,78 @@ mod tests {
         }
     }
 
+    /// `body` with a valid trailer: the checksum is not a MAC, any
+    /// writer can compute it.
+    fn sealed(body: &[u8]) -> Vec<u8> {
+        let mut bytes = body.to_vec();
+        bytes.extend_from_slice(&checksum(body).to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn rejects_wrong_magic_and_version() {
-        let t = trace();
+        let bytes = encode_trace(&trace());
+        let body = &bytes[..bytes.len() - 8];
         // Wrong magic: flip a magic byte and fix the checksum.
-        let mut bytes = encode_trace(&t);
-        bytes[0] = b'X';
-        let body_len = bytes.len() - 8;
-        let sum = checksum(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
-        assert!(matches!(decode_trace(&bytes), Err(TraceIoError::BadMagic)));
-
-        let mut bytes = encode_trace(&t);
-        bytes[4] = 99; // version low byte
-        let sum = checksum(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        let mut wrong = body.to_vec();
+        wrong[0] = b'X';
         assert!(matches!(
-            decode_trace(&bytes),
+            decode_trace(&sealed(&wrong)),
+            Err(TraceIoError::BadMagic)
+        ));
+
+        let mut wrong = body.to_vec();
+        wrong[4] = 99; // version low byte
+        assert!(matches!(
+            decode_trace(&sealed(&wrong)),
             Err(TraceIoError::BadVersion(99))
         ));
+    }
+
+    #[test]
+    fn crafted_headers_with_valid_checksums_are_errors() {
+        let header = |sym: &[u8]| {
+            let mut body = b"LTTR\x01\x00".to_vec();
+            body.push(sym.len() as u8);
+            body.extend_from_slice(sym);
+            body
+        };
+        // An 8-byte symbol with nothing after it: no tick count.
+        let no_count = sealed(&header(b"ESU6ESU6"));
+        assert!(matches!(
+            decode_trace(&no_count),
+            Err(TraceIoError::Truncated)
+        ));
+        // Symbol lengths outside 1..=8, each followed by a zero count.
+        for sym in [&b""[..], b"ESU6ESU6X"] {
+            let mut body = header(sym);
+            body.extend_from_slice(&0u64.to_le_bytes());
+            assert!(
+                matches!(decode_trace(&sealed(&body)), Err(TraceIoError::BadSymbol)),
+                "symbol of {} bytes",
+                sym.len()
+            );
+        }
+    }
+
+    #[test]
+    fn no_resealed_mutation_panics() {
+        let mut t = trace();
+        t.ticks.truncate(3);
+        let bytes = encode_trace(&t);
+        let body = &bytes[..bytes.len() - 8];
+        // Any `Ok` or `Err` passes; the test fails by panicking.
+        for cut in 0..=body.len() {
+            let _ = decode_trace(&sealed(&body[..cut]));
+        }
+        let header_len = 4 + 2 + 1 + t.symbol.as_str().len() + 8;
+        for pos in 0..header_len {
+            for byte in [0x00, 0xff] {
+                let mut mutated = body.to_vec();
+                mutated[pos] = byte;
+                let _ = decode_trace(&sealed(&mutated));
+            }
+        }
     }
 
     #[test]

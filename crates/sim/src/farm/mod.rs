@@ -35,5 +35,3 @@ mod runner;
 pub use grid::{FarmCell, GridDeadline, SweepGrid};
 pub use results::{CellSummary, FarmResults};
 pub use runner::{run_farm, try_run_farm, CellFailure, FarmFailures, FarmRunner, RetainFull};
-
-pub(crate) use pool::scatter;

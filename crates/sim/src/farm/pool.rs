@@ -1,9 +1,8 @@
 //! The farm's worker pool: work-stealing scatter into disjoint slots.
 //!
-//! One helper backs both the farm runner and the legacy sweep: `jobs`
-//! indices are claimed off a shared atomic counter by `workers` scoped
-//! threads, and each outcome is written straight into its own
-//! pre-allocated slot. No collector channel, no second pass over a
+//! One helper backs both phases of the farm runner: `jobs` indices are
+//! claimed off a shared atomic counter by `workers` scoped threads, and
+//! each outcome is written straight into its own pre-allocated slot. No collector channel, no second pass over a
 //! `Vec<Option<_>>` — a slot is a `OnceLock` only its claiming worker
 //! ever touches, so the scatter is race-free by construction and the
 //! results come back in input order for free.

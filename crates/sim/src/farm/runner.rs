@@ -101,19 +101,13 @@ pub struct FarmRunner {
     workers: usize,
     retain: RetainFull,
     cache: Option<Arc<TraceCache>>,
-    reuse_traces: bool,
 }
 
 impl FarmRunner {
-    /// A runner with auto worker count, no full-metrics retention, a
-    /// private trace cache, and trace reuse on.
+    /// A runner with auto worker count, no full-metrics retention and a
+    /// private trace cache.
     pub fn new() -> Self {
-        FarmRunner {
-            workers: 0,
-            retain: RetainFull::None,
-            cache: None,
-            reuse_traces: true,
-        }
+        Self::default()
     }
 
     /// Caps the worker count (0 = one per available CPU).
@@ -139,15 +133,6 @@ impl FarmRunner {
         self
     }
 
-    /// Disables trace reuse: every cell rebuilds its session from the
-    /// spec, exactly like the pre-farm per-experiment helpers. Only
-    /// useful as the baseline of the farm-vs-naive benchmark.
-    #[must_use]
-    pub fn without_trace_reuse(mut self) -> Self {
-        self.reuse_traces = false;
-        self
-    }
-
     /// Expands the grid and runs every cell.
     ///
     /// # Errors
@@ -168,30 +153,23 @@ impl FarmRunner {
             .clone()
             .unwrap_or_else(|| Arc::new(TraceCache::new()));
 
-        if self.reuse_traces {
-            // Phase 1: build each distinct session exactly once, in
-            // parallel. Build panics are swallowed here — the failing
-            // cell's own run re-triggers the build and reports it with
-            // the cell's identity attached.
-            let specs: Vec<SessionSpec> = {
-                let mut seen = HashSet::new();
-                cells
-                    .iter()
-                    .map(|c| c.spec)
-                    .filter(|s| seen.insert(*s))
-                    .collect()
-            };
-            let _ = scatter(specs.len(), self.workers, |i| cache.get_or_build(&specs[i]));
-        }
+        // Phase 1: build each distinct session exactly once, in
+        // parallel. Build panics are swallowed here — the failing
+        // cell's own run re-triggers the build and reports it with
+        // the cell's identity attached.
+        let specs: Vec<SessionSpec> = {
+            let mut seen = HashSet::new();
+            cells
+                .iter()
+                .map(|c| c.spec)
+                .filter(|s| seen.insert(*s))
+                .collect()
+        };
+        let _ = scatter(specs.len(), self.workers, |i| cache.get_or_build(&specs[i]));
 
         // Phase 2: scatter the cells; each replays an immutable artifact.
         let outcomes = scatter(cells.len(), self.workers, |i| {
-            let artifact = if self.reuse_traces {
-                cache.get_or_build(&cells[i].spec)
-            } else {
-                Arc::new(cells[i].spec.build())
-            };
-            run_cell(&cells[i].config, &artifact)
+            run_cell(&cells[i].config, &cache.get_or_build(&cells[i].spec))
         });
 
         let total = cells.len();

@@ -37,7 +37,6 @@ pub mod ingress;
 pub mod lighttrader;
 pub mod metrics;
 pub mod multi;
-pub mod sweep;
 pub mod telemetry;
 pub mod traffic;
 
@@ -54,7 +53,6 @@ pub use lighttrader::run_lighttrader;
 pub use lt_protocol::netem::FaultRates;
 pub use metrics::{BacktestMetrics, StageSummary, TierOutcomes};
 pub use multi::{run_multi, run_multi_merged, MultiMetrics, SymbolOutcome};
-pub use sweep::{run_sweep, try_run_sweep, SweepFailures};
 pub use telemetry::{QueryTimeline, Stage, StageBreakdown};
 pub use traffic::{
     burst_storm_session, burst_storm_trace, cached_evaluation_session, evaluation_deadline,

@@ -11,12 +11,59 @@ use lt_accel::PowerCondition;
 use lt_dnn::ModelKind;
 use lt_sched::Policy;
 use lt_sim::traffic::{burst_storm_trace, multi_evaluation_session, scheduling_deadline_for};
-use lt_sim::{run_lighttrader, run_multi, BacktestConfig, ExecutionConfig};
+use lt_sim::{
+    run_lighttrader, run_multi, BacktestConfig, ExecutionConfig, ExecutionStats, SignalConfig,
+};
+use std::time::Duration;
 
 fn storm_cfg() -> BacktestConfig {
     BacktestConfig::new(ModelKind::DeepLob, 2, PowerCondition::Limited)
         .with_policy(Policy::Both)
         .with_t_avail(scheduling_deadline_for(ModelKind::DeepLob))
+}
+
+/// Perfect foresight over large moves only, so every decision has
+/// positive edge net of the crossed spread and the P&L difference
+/// between two runs is *purely* an execution effect.
+const SIGNAL: SignalConfig = SignalConfig {
+    horizon_ticks: 100,
+    threshold_half: 4,
+    accuracy_pm: 1000,
+    seed: 1,
+};
+
+/// Every scheduler (the four fixed policies, then deadline-tiered at a
+/// 450 µs budget, last) trades [`SIGNAL`] over one 4 s storm twice:
+/// `(assume-fill, sweep-visible)` stats per scheduler.
+fn storm_fill_pairs() -> Vec<(ExecutionStats, ExecutionStats)> {
+    // Not the calibrated evaluation seed: the storm is a stress profile.
+    let trace = burst_storm_trace(4.0, 70_823);
+    // Only trade into one-tick-wide books (the storm's median spread), so
+    // the half-spread paid at entry stays below the signalled move.
+    let limits = lt_pipeline::RiskLimits {
+        max_spread_ticks: 1,
+        ..Default::default()
+    };
+    let schedulers = Policy::ALL
+        .iter()
+        .map(|&p| storm_cfg().with_policy(p))
+        .chain([storm_cfg().with_deadline_tiered(Some(Duration::from_micros(450)))]);
+    schedulers
+        .map(|cfg| {
+            let run = |mode: ExecutionConfig| {
+                let exec = mode.with_signal(SIGNAL).with_limits(limits);
+                let stats = run_lighttrader(&trace, &cfg.with_execution(exec))
+                    .execution
+                    .expect("enabled layer reports stats");
+                stats.assert_tiles();
+                stats
+            };
+            (
+                run(ExecutionConfig::assume_fill()),
+                run(ExecutionConfig::realistic()),
+            )
+        })
+        .collect()
 }
 
 #[test]
@@ -77,6 +124,39 @@ fn realistic_fills_diverge_from_assume_fill() {
         "the storm must move the book inside the pipeline latency for \
          at least one order: {real:?}"
     );
+}
+
+/// The IOC is priced at the decision-time touch, so it misses exactly
+/// when the signal was right and the market ran: adverse selection that
+/// assume-fill cannot see. Simulated, so exact: the smallest gap was 2
+/// half-ticks (WS) when this was written.
+#[test]
+fn assume_fill_overstates_equity_on_every_policy() {
+    const OVERSTATE_FLOOR_HALF: i64 = 1;
+    for (i, (assume, real)) in storm_fill_pairs().iter().enumerate() {
+        assert!(
+            assume.equity_half - real.equity_half >= OVERSTATE_FLOOR_HALF,
+            "scheduler #{i}: assume-fill equity {} vs sweep-visible {}",
+            assume.equity_half,
+            real.equity_half
+        );
+    }
+}
+
+/// Faster orders find fresher books: 36 half-ticks against the best
+/// fixed policy's 31 (WS+DS) when this was written.
+#[test]
+fn tiered_realistic_equity_beats_every_fixed_policy() {
+    let pairs = storm_fill_pairs();
+    let (tiered, fixed) = pairs.split_last().expect("five schedulers");
+    for (i, (_, real)) in fixed.iter().enumerate() {
+        assert!(
+            tiered.1.equity_half > real.equity_half,
+            "tiered sweep-visible equity {} vs fixed policy #{i}'s {}",
+            tiered.1.equity_half,
+            real.equity_half
+        );
+    }
 }
 
 #[test]

@@ -170,19 +170,3 @@ fn every_failing_cell_is_reported_and_the_rest_still_run() {
         .expect("panic message is a string");
     assert!(message.contains("2 of 4 farm cells failed"), "{message}");
 }
-
-#[test]
-fn naive_rebuild_mode_is_bit_identical_to_the_cached_farm() {
-    // The benchmark baseline (per-cell session rebuild) must agree with
-    // the cached farm exactly, or the speedup comparison is vacuous.
-    let grid = SweepGrid::evaluation(0.4)
-        .traffic(calm(), None)
-        .policies(Policy::ALL)
-        .seeds([5, 6]);
-    let cached = FarmRunner::new().run(&grid).to_grid_json();
-    let naive = FarmRunner::new()
-        .without_trace_reuse()
-        .run(&grid)
-        .to_grid_json();
-    assert_eq!(cached, naive);
-}

@@ -114,3 +114,40 @@ fn skew_concentrates_but_tail_still_answers() {
         );
     }
 }
+
+/// One sharded system with the whole fleet behind one tensor queue
+/// against one single-symbol system per chip, each replaying its own
+/// symbol in isolation. The skewed load overwhelms the hot symbol's
+/// private chip while the tail's chips sit idle; coalescing removes
+/// exactly that fragmentation. Simulated, so exact: 14 858 against
+/// 8 874 in-time responses per second (1.67x) when this was written.
+#[test]
+fn coalesced_fleet_beats_independent_pipelines_under_skew() {
+    const AGGREGATE_FLOOR: f64 = 1.5;
+    let (symbols, skew) = (8, 2.5);
+    let session = lt_feed::MultiSessionBuilder::normal_traffic()
+        .symbols(symbols)
+        .skew(skew)
+        .duration_secs(2.0)
+        .seed(SEED)
+        .build();
+    let fleet = |n_accels| {
+        let mut cfg = cfg_for(ModelKind::DeepLob, n_accels, Policy::Both);
+        cfg.condition = PowerCondition::Sufficient;
+        cfg
+    };
+    let coalesced = run_multi(&session, &fleet(symbols).with_symbols(symbols, skew))
+        .aggregate
+        .responded;
+    let independent: u64 = session
+        .sessions
+        .iter()
+        .map(|s| run_lighttrader(&s.trace, &fleet(1)).responded)
+        .sum();
+    // Same simulated span on both sides, so the response counts compare
+    // as rates.
+    assert!(
+        coalesced as f64 >= AGGREGATE_FLOOR * independent as f64,
+        "coalesced {coalesced} in-time responses vs {independent} from independent pipelines"
+    );
+}
