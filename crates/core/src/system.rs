@@ -321,26 +321,27 @@ impl LightTrader {
     fn process_event(&mut self, event: &MarketEvent) -> TickOutcome {
         self.book.apply(event);
         // The scratch snapshot is taken out of `self` for the duration of
-        // the tick (gated_decision needs `&mut self` alongside it) and
-        // put back on every exit path, keeping its level capacity.
+        // the tick (on_snapshot needs `&mut self` alongside it) and put
+        // back afterwards, keeping its level capacity.
         let mut snapshot = std::mem::take(&mut self.snap);
         self.book.snapshot_into(10, event.ts, &mut snapshot);
-        self.offload
-            .on_tick_staged(&snapshot, event.ts, &self.stages);
-        if !self.offload.is_warm() {
-            self.snap = snapshot;
-            return TickOutcome::Warmup;
-        }
-        // In the functional path the "accelerator" is the host: run the
-        // tiny model on the assembled window. Drain the queue into the
-        // reusable buffer and account for every popped ticket — the
-        // host answers before the next tick, so the invariant is exactly
-        // the one ticket this tick enqueued (anything else would mean a
-        // query was silently discarded instead of forwarded).
-        let prediction = self.drain_and_forward();
-        let outcome = self.gated_decision(&prediction, &snapshot, event.ts);
+        let outcome = self.on_snapshot(&snapshot, event.ts);
         self.snap = snapshot;
         outcome
+    }
+
+    /// One tick from its book snapshot to its outcome: stage the feature
+    /// row, and once the window is warm serve the query and gate the
+    /// decision.
+    fn on_snapshot(&mut self, snapshot: &lt_lob::LobSnapshot, ts: Timestamp) -> TickOutcome {
+        self.offload.on_tick_staged(snapshot, ts, &self.stages);
+        if !self.offload.is_warm() {
+            return TickOutcome::Warmup;
+        }
+        // In the functional path the "accelerator" is the host: it runs
+        // the tiny model on the assembled window before the next tick.
+        let prediction = self.drain_and_forward();
+        self.gated_decision(&prediction, snapshot, ts)
     }
 
     /// Drains the offload queue and serves the query it held: stages the
@@ -427,16 +428,10 @@ impl LightTrader {
     pub fn replay_outcomes(&mut self, trace: &lt_feed::TickTrace) -> Vec<(Timestamp, TickOutcome)> {
         let mut outcomes = Vec::new();
         for tick in trace {
-            self.offload
-                .on_tick_staged(&tick.snapshot, tick.ts, &self.stages);
-            if !self.offload.is_warm() {
-                continue;
+            match self.on_snapshot(&tick.snapshot, tick.ts) {
+                TickOutcome::Warmup => {}
+                outcome => outcomes.push((tick.ts, outcome)),
             }
-            let prediction = self.drain_and_forward();
-            outcomes.push((
-                tick.ts,
-                self.gated_decision(&prediction, &tick.snapshot, tick.ts),
-            ));
         }
         outcomes
     }
@@ -469,6 +464,16 @@ impl std::fmt::Debug for LightTrader {
 mod tests {
     use super::*;
     use lt_feed::SessionBuilder;
+
+    /// The model output an outcome carries: `None` while warming up.
+    fn prediction_of(outcome: &TickOutcome) -> Option<Prediction> {
+        match outcome {
+            TickOutcome::Warmup => None,
+            TickOutcome::NoOrder { prediction, .. } | TickOutcome::Order { prediction, .. } => {
+                Some(*prediction)
+            }
+        }
+    }
 
     #[test]
     fn warms_up_then_infers() {
@@ -752,13 +757,9 @@ mod tests {
             .build();
         let mut warm_ticks = 0u64;
         for tick in &session.trace {
-            system
-                .offload
-                .on_tick_staged(&tick.snapshot, tick.ts, &system.stages.clone());
-            if !system.offload.is_warm() {
+            if system.on_snapshot(&tick.snapshot, tick.ts) == TickOutcome::Warmup {
                 continue;
             }
-            let _ = system.drain_and_forward();
             warm_ticks += 1;
             assert_eq!(
                 system.offload.queue_len(),
@@ -821,13 +822,10 @@ mod tests {
         for (chunk, tick) in session.trace.iter().enumerate() {
             let tier = ModelKind::ALL[(chunk / 50) % 3];
             system.serve_tier(tier);
-            system
-                .offload
-                .on_tick_staged(&tick.snapshot, tick.ts, &system.stages.clone());
-            if !system.offload.is_warm() {
+            let Some(prediction) = prediction_of(&system.on_snapshot(&tick.snapshot, tick.ts))
+            else {
                 continue;
-            }
-            let prediction = system.drain_and_forward();
+            };
             let sum: f32 = prediction.probs.iter().sum();
             assert!((sum - 1.0).abs() < 1e-3, "{tier}: {:?}", prediction.probs);
             per_tier[(chunk / 50) % 3] += 1;
@@ -917,13 +915,10 @@ mod tests {
         for (i, tick) in session.trace.iter().enumerate() {
             let t = (i / 37) % 3;
             system.serve_tier(ModelKind::ALL[t]);
-            system
-                .offload
-                .on_tick_staged(&tick.snapshot, tick.ts, &system.stages.clone());
-            if !system.offload.is_warm() {
+            let Some(prediction) = prediction_of(&system.on_snapshot(&tick.snapshot, tick.ts))
+            else {
                 continue;
-            }
-            let prediction = system.drain_and_forward();
+            };
             let window = std::slice::from_ref(&system.window_buf);
             stateless.forward_batch(ModelKind::ALL[t], window, &mut alone);
             assert_eq!(

@@ -140,46 +140,4 @@ pub trait BookStore: Default {
             });
         });
     }
-
-    /// Writes the DeepLOB feature row straight from the live book into
-    /// `out`, bypassing the intermediate snapshot: one visitor pass per
-    /// side, no allocation. Produces bit-identical output to
-    /// `snapshot(depth, ts).to_features(depth)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `out.len() == LobSnapshot::feature_count(depth)`.
-    fn write_features(&self, depth: usize, out: &mut [f32]) {
-        assert_eq!(
-            out.len(),
-            LobSnapshot::feature_count(depth),
-            "feature buffer sized for depth"
-        );
-        let mut n_asks = 0usize;
-        let mut last_ask = 0i64;
-        self.for_each_level(Side::Ask, depth, |v| {
-            out[n_asks * 4] = v.price.ticks() as f32;
-            out[n_asks * 4 + 1] = v.qty.contracts() as f32;
-            last_ask = v.price.ticks();
-            n_asks += 1;
-        });
-        for i in n_asks..depth {
-            let pad = last_ask + (i as i64 - n_asks as i64 + 1);
-            out[i * 4] = pad as f32;
-            out[i * 4 + 1] = 0.0;
-        }
-        let mut n_bids = 0usize;
-        let mut last_bid = 0i64;
-        self.for_each_level(Side::Bid, depth, |v| {
-            out[n_bids * 4 + 2] = v.price.ticks() as f32;
-            out[n_bids * 4 + 3] = v.qty.contracts() as f32;
-            last_bid = v.price.ticks();
-            n_bids += 1;
-        });
-        for i in n_bids..depth {
-            let pad = last_bid - (i as i64 - n_bids as i64 + 1);
-            out[i * 4 + 2] = pad as f32;
-            out[i * 4 + 3] = 0.0;
-        }
-    }
 }

@@ -123,6 +123,7 @@ fn assert_books_match(
         );
     }
     let ts = Timestamp::from_nanos(step as u64 + 1);
+    let scratch = &mut LobSnapshot::default();
     for depth in [1usize, 3, 10] {
         let ls = lb.snapshot(depth, ts);
         let rs = rb.snapshot(depth, ts);
@@ -139,20 +140,23 @@ fn assert_books_match(
             rs.to_features(depth),
             "step {step}: in-place features depth {depth}"
         );
-        // Direct book→buffer extraction (no snapshot) on both stores.
+        // The row production builds: a recycled `snapshot_into` buffer,
+        // then `LobSnapshot::write_features`, on both stores.
+        lb.snapshot_into(depth, ts, scratch);
         written.fill(f32::NAN);
-        lb.write_features(depth, &mut written);
+        scratch.write_features(depth, &mut written);
         assert_eq!(
             written,
             rs.to_features(depth),
-            "step {step}: ladder direct features depth {depth}"
+            "step {step}: ladder recycled-snapshot features depth {depth}"
         );
+        rb.snapshot_into(depth, ts, scratch);
         written.fill(f32::NAN);
-        rb.write_features(depth, &mut written);
+        scratch.write_features(depth, &mut written);
         assert_eq!(
             written,
             rs.to_features(depth),
-            "step {step}: reference direct features depth {depth}"
+            "step {step}: reference recycled-snapshot features depth {depth}"
         );
     }
     for &id in known {

@@ -16,7 +16,6 @@ use crate::seq::{SeqObservation, SeqTracker};
 use lt_lob::MarketEvent;
 use lt_protocol::framing::Datagram;
 use lt_protocol::sbe::SbeDecoder;
-use lt_protocol::DecodeError;
 use serde::{Deserialize, Serialize};
 
 /// Which redundant feed a packet arrived on.
@@ -200,7 +199,7 @@ impl FeedArbiter {
         // Validate the payload *before* sequence accounting: a packet
         // whose events cannot be decoded must not mark its sequence as
         // delivered (the redundant copy may still be intact).
-        let events = match self.decode_events(&datagram) {
+        let events = match self.decoder.decode_datagram(&datagram) {
             Ok(events) => events,
             Err(_) => {
                 self.health[feed.index()].corrupt += 1;
@@ -214,17 +213,6 @@ impl FeedArbiter {
         } else {
             Vec::new()
         }
-    }
-
-    fn decode_events(&self, datagram: &Datagram) -> Result<Vec<MarketEvent>, DecodeError> {
-        let events = self.decoder.decode_all(&datagram.payload)?;
-        if events.len() != usize::from(datagram.msg_count) {
-            return Err(DecodeError::MessageCountMismatch {
-                declared: datagram.msg_count,
-                decoded: events.len(),
-            });
-        }
-        Ok(events)
     }
 
     /// Runs the sequence accounting for a validated datagram; `Some`

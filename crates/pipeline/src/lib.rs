@@ -13,13 +13,15 @@
 //!   health plus recovered/lost accounting survive the session;
 //! * [`local_book`] — the depth-limited local LOB mirror the HFT system
 //!   maintains from tick data;
-//! * [`offload`] — the offload engine of Fig. 5: Z-score normalization
-//!   against historical statistics, BF16 conversion, the feature-vector
-//!   FIFO that assembles `[window, 40]` input tensors, and stale-tensor
-//!   management;
-//! * [`multi_offload`] — the cross-symbol generalization: per-symbol
-//!   feature shards feeding one coalesced tensor queue, so a single
+//! * [`multi_offload`] — the offload engine of Fig. 5 over N ≥ 1
+//!   instruments: per-symbol feature shards feeding one coalesced tensor
+//!   queue (admission, tick ids, stale-tensor management), so a single
 //!   accelerator batch mixes rows from many instruments;
+//! * [`offload`] — one shard's parts: the [`FeatureWindow`] (Z-score
+//!   normalization against historical statistics, BF16 conversion, the
+//!   feature-vector FIFO that assembles `[window, 40]` input tensors),
+//!   the [`TensorTicket`], and [`OffloadEngine`], the one-shard view of
+//!   [`MultiOffload`] for callers that serve a single instrument;
 //! * [`dma`] — the DMA descriptor ring that carries input tensors to the
 //!   accelerators and results back;
 //! * [`trading`] — the trading engine: risk-checked order generation from

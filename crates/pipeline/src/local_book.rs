@@ -8,10 +8,11 @@
 //!
 //! The per-level aggregates live in contiguous [`PriceLadder`]s rather
 //! than `BTreeMap`s: after the price band warms up, applying a tick and
-//! extracting a snapshot ([`LocalBook::snapshot_into`]) or feature row
-//! ([`LocalBook::write_features`]) performs no heap allocation — this is
-//! the first hop of the zero-alloc tick path proven in
-//! `tests/zero_alloc.rs`.
+//! extracting a snapshot ([`LocalBook::snapshot_into`]) performs no heap
+//! allocation — this is the first hop of the zero-alloc tick path proven
+//! in `tests/zero_alloc.rs`. The feature row is read off that snapshot
+//! ([`LobSnapshot::write_features`]), which the trading engine needs
+//! anyway.
 
 use lt_lob::events::MarketEventKind;
 use lt_lob::snapshot::SnapshotLevel;
@@ -169,48 +170,6 @@ impl LocalBook {
             });
         });
     }
-
-    /// Writes the `depth`-level DeepLOB feature row straight from the
-    /// ladders into `out` — the direct book→buffer path, bit-identical to
-    /// `self.snapshot(depth, ts).to_features(depth)` but with no
-    /// intermediate snapshot at all.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `out.len() == LobSnapshot::feature_count(depth)`.
-    pub fn write_features(&self, depth: usize, out: &mut [f32]) {
-        assert_eq!(
-            out.len(),
-            LobSnapshot::feature_count(depth),
-            "feature buffer sized for depth"
-        );
-        let mut n_asks = 0usize;
-        let mut last_ask = 0i64;
-        self.asks.for_each_level(depth, |v| {
-            out[n_asks * 4] = v.price.ticks() as f32;
-            out[n_asks * 4 + 1] = v.qty.contracts() as f32;
-            last_ask = v.price.ticks();
-            n_asks += 1;
-        });
-        for i in n_asks..depth {
-            let pad = last_ask + (i as i64 - n_asks as i64 + 1);
-            out[i * 4] = pad as f32;
-            out[i * 4 + 1] = 0.0;
-        }
-        let mut n_bids = 0usize;
-        let mut last_bid = 0i64;
-        self.bids.for_each_level(depth, |v| {
-            out[n_bids * 4 + 2] = v.price.ticks() as f32;
-            out[n_bids * 4 + 3] = v.qty.contracts() as f32;
-            last_bid = v.price.ticks();
-            n_bids += 1;
-        });
-        for i in n_bids..depth {
-            let pad = last_bid - (i as i64 - n_bids as i64 + 1);
-            out[i * 4 + 2] = pad as f32;
-            out[i * 4 + 3] = 0.0;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -334,34 +293,6 @@ mod tests {
             let ts = Timestamp::from_nanos(depth as u64);
             book.snapshot_into(depth, ts, &mut reused);
             assert_eq!(reused, book.snapshot(depth, ts), "depth {depth}");
-        }
-    }
-
-    #[test]
-    fn write_features_matches_snapshot_features() {
-        let mut book = LocalBook::new();
-        // Empty book first.
-        let mut buf = vec![f32::NAN; LobSnapshot::feature_count(10)];
-        book.write_features(10, &mut buf);
-        assert_eq!(buf, book.snapshot(10, Timestamp::ZERO).to_features(10));
-        // Shallow one-sided book (padding from the bid side only).
-        book.apply(&add(1, 1, Side::Bid, 100, 5));
-        book.write_features(10, &mut buf);
-        assert_eq!(buf, book.snapshot(10, Timestamp::ZERO).to_features(10));
-        // Deep two-sided book, including modifies that shrink levels.
-        for (i, p) in (95..105).enumerate() {
-            book.apply(&add(i as u64 + 10, i as u64 + 10, Side::Bid, p, 2));
-            book.apply(&add(i as u64 + 60, i as u64 + 60, Side::Ask, p + 20, 3));
-        }
-        book.apply(&modify(200, 12, Side::Bid, 97, 1));
-        for depth in [1usize, 4, 10, 16] {
-            let mut buf = vec![f32::NAN; LobSnapshot::feature_count(depth)];
-            book.write_features(depth, &mut buf);
-            assert_eq!(
-                buf,
-                book.snapshot(depth, Timestamp::ZERO).to_features(depth),
-                "depth {depth}"
-            );
         }
     }
 

@@ -14,13 +14,14 @@
 //!
 //! All steady-state storage (every shard's ring, the shared queue) is
 //! allocated up front; the ingest → pop path is allocation-free after
-//! warm-up exactly like the single-symbol engine (`tests/zero_alloc.rs`).
+//! warm-up (`tests/zero_alloc.rs`). The single-symbol
+//! [`OffloadEngine`](crate::OffloadEngine) is this engine with one shard.
 
 use crate::offload::{FeatureWindow, TensorTicket};
-use crate::stages::{IngressStamp, PipelineLatencies};
+use crate::stages::PipelineLatencies;
 use lt_feed::NormStats;
 use lt_lob::{LobSnapshot, Timestamp};
-use std::collections::VecDeque;
+use std::collections::vec_deque::{Drain, VecDeque};
 
 /// A queued inference request tagged with the symbol shard it came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,16 +66,14 @@ pub struct MultiOffload {
     capacity: usize,
     dropped_full: u64,
     dropped_stale: u64,
-    deferred: u64,
-    dropped_deadline: u64,
 }
 
 impl MultiOffload {
     /// Creates an engine with one shard per entry of `norms`, each with
     /// the same `window`, sharing a queue of `capacity_per_shard` slots
-    /// per shard. With a single shard this is behaviourally identical to
-    /// [`crate::OffloadEngine`] — same warm-up, admission, and FIFO
-    /// semantics.
+    /// per shard. One shard is the paper's single-instrument engine;
+    /// [`crate::OffloadEngine`] is that case with the shard argument
+    /// dropped.
     ///
     /// # Panics
     ///
@@ -98,8 +97,6 @@ impl MultiOffload {
             capacity,
             dropped_full: 0,
             dropped_stale: 0,
-            deferred: 0,
-            dropped_deadline: 0,
         }
     }
 
@@ -126,16 +123,6 @@ impl MultiOffload {
     /// Tensors dropped stale while queued (all shards).
     pub fn dropped_stale(&self) -> u64 {
         self.dropped_stale
-    }
-
-    /// Tensors deferred to the conventional pipeline (all shards).
-    pub fn deferred(&self) -> u64 {
-        self.deferred
-    }
-
-    /// Tensors dropped by the deadline-tier planner (all shards).
-    pub fn dropped_deadline(&self) -> u64 {
-        self.dropped_deadline
     }
 
     /// Outcome counters of one shard.
@@ -179,9 +166,13 @@ impl MultiOffload {
         self.shards[shard].features.write_into(out);
     }
 
-    /// Ingests one tick for `shard`, deriving `ready_at` from the
-    /// pipeline's ingress budget (the staged twin of
-    /// [`crate::OffloadEngine::on_tick_staged`]).
+    /// Ingests one tick for `shard` arriving at `now`: normalizes its
+    /// features into the shard's FIFO and, once that window is warm,
+    /// enqueues an inference request that is ready after the pipeline's
+    /// ingress budget, stamped with the per-stage breakdown.
+    ///
+    /// Returns the ticket if one was enqueued (`None` while the shard is
+    /// warming up or when the shared queue is full).
     ///
     /// # Panics
     ///
@@ -192,31 +183,6 @@ impl MultiOffload {
         snapshot: &LobSnapshot,
         now: Timestamp,
         stages: &PipelineLatencies,
-    ) -> Option<ShardTicket> {
-        let stamp = stages.ingress_stamp();
-        self.ingest(shard, snapshot, now + stamp.total(), stamp)
-    }
-
-    /// Ingests one tick for `shard` with a pre-computed `ready_at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn on_tick(
-        &mut self,
-        shard: u16,
-        snapshot: &LobSnapshot,
-        ready_at: Timestamp,
-    ) -> Option<ShardTicket> {
-        self.ingest(shard, snapshot, ready_at, IngressStamp::ZERO)
-    }
-
-    fn ingest(
-        &mut self,
-        shard: u16,
-        snapshot: &LobSnapshot,
-        ready_at: Timestamp,
-        ingress: IngressStamp,
     ) -> Option<ShardTicket> {
         let s = &mut self.shards[shard as usize];
         let warm = s.features.push(snapshot);
@@ -230,12 +196,13 @@ impl MultiOffload {
             self.dropped_full += 1;
             return None;
         }
+        let ingress = stages.ingress_stamp();
         let ticket = ShardTicket {
             shard,
             ticket: TensorTicket {
                 tick_id,
                 tick_ts: snapshot.ts,
-                ready_at,
+                ready_at: now + ingress.total(),
                 ingress,
             },
         };
@@ -252,8 +219,14 @@ impl MultiOffload {
     /// appending them to `out` — the cross-symbol coalescing step.
     /// Allocation-free with a recycled caller-owned buffer.
     pub fn pop_batch_into(&mut self, batch: usize, out: &mut Vec<ShardTicket>) {
+        out.extend(self.drain_front(batch));
+    }
+
+    /// The oldest `batch` tickets (fewer if fewer are queued), removed
+    /// from the queue in FIFO order.
+    pub(crate) fn drain_front(&mut self, batch: usize) -> Drain<'_, ShardTicket> {
         let n = batch.min(self.queue.len());
-        out.extend(self.queue.drain(..n));
+        self.queue.drain(..n)
     }
 
     /// Removes the oldest ticket (Algorithm 1's defer path), attributing
@@ -262,7 +235,6 @@ impl MultiOffload {
         let t = self.queue.pop_front();
         if let Some(t) = t {
             self.shards[t.shard as usize].counters.deferred += 1;
-            self.deferred += 1;
         }
         t
     }
@@ -273,7 +245,6 @@ impl MultiOffload {
         let t = self.queue.pop_front();
         if let Some(t) = t {
             self.shards[t.shard as usize].counters.dropped_deadline += 1;
-            self.dropped_deadline += 1;
         }
         t
     }
@@ -310,13 +281,8 @@ impl MultiOffload {
     }
 
     /// Drains every still-queued ticket as stale (end-of-session
-    /// accounting), attributing each to its shard, and returns the count.
-    pub fn drain_leftover(&mut self) -> u64 {
-        self.drain_leftover_with(|_| {})
-    }
-
-    /// [`Self::drain_leftover`] with a per-ticket observer (see
-    /// [`Self::drop_stale_with`]).
+    /// accounting), attributing each to its shard and showing it to
+    /// `observe` in queue order, and returns the count.
     pub fn drain_leftover_with(&mut self, mut observe: impl FnMut(&ShardTicket)) -> u64 {
         let mut dropped = 0u64;
         while let Some(t) = self.queue.pop_front() {
@@ -332,24 +298,8 @@ impl MultiOffload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::OffloadEngine;
-    use lt_lob::snapshot::SnapshotLevel;
-    use lt_lob::{Price, Qty};
+    use crate::offload::tests::snap;
     use std::time::Duration;
-
-    fn snap(ts_us: u64, mid: i64) -> LobSnapshot {
-        LobSnapshot {
-            ts: Timestamp::from_micros(ts_us),
-            bids: vec![SnapshotLevel {
-                price: Price::new(mid - 1),
-                qty: Qty::new(5),
-            }],
-            asks: vec![SnapshotLevel {
-                price: Price::new(mid + 1),
-                qty: Qty::new(5),
-            }],
-        }
-    }
 
     fn engine(shards: usize, window: usize, capacity_per_shard: usize) -> MultiOffload {
         MultiOffload::new(
@@ -359,24 +309,27 @@ mod tests {
         )
     }
 
+    /// One tick for `shard` at `ts_us` with the book centred on `mid`.
+    fn tick(e: &mut MultiOffload, shard: u16, ts_us: u64, mid: i64) -> Option<ShardTicket> {
+        let stages = PipelineLatencies::fpga();
+        e.on_tick_staged(
+            shard,
+            &snap(ts_us, mid),
+            Timestamp::from_micros(ts_us),
+            &stages,
+        )
+    }
+
     #[test]
     fn shards_warm_independently() {
         let mut e = engine(2, 2, 8);
         // Shard 0 gets two ticks (warm), shard 1 only one (still cold).
-        assert!(e
-            .on_tick(0, &snap(1, 100), Timestamp::from_micros(1))
-            .is_none());
-        assert!(e
-            .on_tick(1, &snap(2, 200), Timestamp::from_micros(2))
-            .is_none());
-        let t = e
-            .on_tick(0, &snap(3, 100), Timestamp::from_micros(3))
-            .unwrap();
+        assert!(tick(&mut e, 0, 1, 100).is_none());
+        assert!(tick(&mut e, 1, 2, 200).is_none());
+        let t = tick(&mut e, 0, 3, 100).unwrap();
         assert_eq!(t.shard, 0);
         assert_eq!(t.ticket.tick_id, 1);
-        assert!(e
-            .on_tick(1, &snap(4, 200), Timestamp::from_micros(4))
-            .is_some());
+        assert!(tick(&mut e, 1, 4, 200).is_some());
         assert_eq!(e.queue_len(), 2);
     }
 
@@ -384,7 +337,7 @@ mod tests {
     fn queue_is_fifo_across_shards() {
         let mut e = engine(3, 1, 8);
         for (i, shard) in [(1u64, 2u16), (2, 0), (3, 1), (4, 2)] {
-            e.on_tick(shard, &snap(i, 100), Timestamp::from_micros(i));
+            tick(&mut e, shard, i, 100);
         }
         let mut out = Vec::new();
         e.pop_batch_into(3, &mut out);
@@ -396,9 +349,9 @@ mod tests {
     #[test]
     fn per_shard_tick_ids_are_independent() {
         let mut e = engine(2, 1, 8);
-        e.on_tick(0, &snap(1, 100), Timestamp::from_micros(1));
-        e.on_tick(0, &snap(2, 100), Timestamp::from_micros(2));
-        e.on_tick(1, &snap(3, 100), Timestamp::from_micros(3));
+        tick(&mut e, 0, 1, 100);
+        tick(&mut e, 0, 2, 100);
+        tick(&mut e, 1, 3, 100);
         let mut out = Vec::new();
         e.pop_batch_into(8, &mut out);
         assert_eq!(out[0].ticket.tick_id, 0);
@@ -410,7 +363,7 @@ mod tests {
     fn shared_capacity_scales_with_shards_and_attributes_drops() {
         let mut e = engine(2, 1, 2); // shared capacity 4
         for i in 0..6u64 {
-            e.on_tick((i % 2) as u16, &snap(i, 100), Timestamp::from_micros(i));
+            tick(&mut e, (i % 2) as u16, i, 100);
         }
         assert_eq!(e.queue_len(), 4);
         assert_eq!(e.dropped_full(), 2);
@@ -421,9 +374,9 @@ mod tests {
     #[test]
     fn stale_drops_and_defers_attribute_to_shards() {
         let mut e = engine(2, 1, 8);
-        e.on_tick(0, &snap(0, 100), Timestamp::from_micros(0));
-        e.on_tick(1, &snap(10, 100), Timestamp::from_micros(10));
-        e.on_tick(0, &snap(900, 100), Timestamp::from_micros(900));
+        tick(&mut e, 0, 0, 100);
+        tick(&mut e, 1, 10, 100);
+        tick(&mut e, 0, 900, 100);
         let dropped = e.drop_stale(Timestamp::from_micros(1_200), Duration::from_millis(1));
         assert_eq!(dropped, 2);
         assert_eq!(e.shard_counters(0).dropped_stale, 1);
@@ -431,67 +384,37 @@ mod tests {
         let d = e.defer_oldest().unwrap();
         assert_eq!(d.shard, 0);
         assert_eq!(e.shard_counters(0).deferred, 1);
-        assert_eq!(e.deferred(), 1);
         assert_eq!(e.queue_len(), 0);
     }
 
     #[test]
     fn deadline_drops_attribute_to_shards() {
         let mut e = engine(2, 1, 8);
-        e.on_tick(1, &snap(0, 100), Timestamp::from_micros(0));
-        e.on_tick(0, &snap(1, 100), Timestamp::from_micros(1));
+        tick(&mut e, 1, 0, 100);
+        tick(&mut e, 0, 1, 100);
         let d = e.drop_oldest_deadline().unwrap();
         assert_eq!(d.shard, 1);
         assert_eq!(e.shard_counters(1).dropped_deadline, 1);
         assert_eq!(e.shard_counters(0).dropped_deadline, 0);
-        assert_eq!(e.dropped_deadline(), 1);
         assert_eq!(e.queue_len(), 1);
         e.pop_ticket();
         assert!(e.drop_oldest_deadline().is_none());
-        assert_eq!(e.dropped_deadline(), 1);
+        assert_eq!(e.shard_counters(1).dropped_deadline, 1);
     }
 
     #[test]
     fn drain_leftover_accounts_every_queued_ticket() {
         let mut e = engine(2, 1, 8);
         for i in 0..5u64 {
-            e.on_tick((i % 2) as u16, &snap(i, 100), Timestamp::from_micros(i));
+            tick(&mut e, (i % 2) as u16, i, 100);
         }
-        assert_eq!(e.drain_leftover(), 5);
+        assert_eq!(e.drain_leftover_with(|_| {}), 5);
         assert_eq!(e.dropped_stale(), 5);
         assert_eq!(
             e.shard_counters(0).dropped_stale + e.shard_counters(1).dropped_stale,
             5
         );
         assert_eq!(e.queue_len(), 0);
-    }
-
-    /// A single shard must behave exactly like the single-symbol engine:
-    /// same warm-up, admission, FIFO, and stale semantics on the same
-    /// tick stream.
-    #[test]
-    fn single_shard_matches_offload_engine() {
-        let stages = PipelineLatencies::fpga();
-        let mut single = OffloadEngine::new(NormStats::identity(1), 3, 4);
-        let mut multi = engine(1, 3, 4);
-        for i in 0..12u64 {
-            let s = snap(i * 50, 100 + i as i64);
-            let now = Timestamp::from_micros(i * 50);
-            let a = single.on_tick_staged(&s, now, &stages);
-            let b = multi.on_tick_staged(0, &s, now, &stages);
-            assert_eq!(a, b.map(|t| t.ticket));
-            if i == 6 {
-                let popped = single.pop_ticket();
-                assert_eq!(popped, multi.pop_ticket().map(|t| t.ticket));
-            }
-        }
-        let deadline = Duration::from_micros(200);
-        let now = Timestamp::from_micros(520);
-        let stale = single.drop_stale(now, deadline);
-        assert_eq!(stale.len() as u64, multi.drop_stale(now, deadline));
-        assert_eq!(single.queue_len(), multi.queue_len());
-        assert_eq!(single.dropped_full(), multi.dropped_full());
-        assert_eq!(single.dropped_stale(), multi.dropped_stale());
     }
 
     #[test]

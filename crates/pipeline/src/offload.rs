@@ -9,12 +9,12 @@
 //! accelerator time, and Algorithm 1 may explicitly defer the oldest
 //! tensor when no schedule fits.
 
+use crate::multi_offload::MultiOffload;
 use crate::stages::{IngressStamp, PipelineLatencies};
 use lt_dnn::bf16::bf16_round;
 use lt_dnn::Tensor;
 use lt_feed::NormStats;
 use lt_lob::{LobSnapshot, Timestamp};
-use std::collections::VecDeque;
 
 /// A queued inference request: one tick whose input tensor is ready.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,18 +25,15 @@ pub struct TensorTicket {
     pub tick_ts: Timestamp,
     /// When the tensor became ready for DMA.
     pub ready_at: Timestamp,
-    /// Per-stage ingress latency that produced `ready_at` (all-zero for
-    /// callers that supply a pre-computed `ready_at` via
-    /// [`OffloadEngine::on_tick`]).
+    /// Per-stage ingress latency that produced `ready_at`.
     pub ingress: IngressStamp,
 }
 
 /// The sliding feature window of one instrument shard: one flat,
 /// pre-allocated ring of `window × 4·depth` floats. Each tick's features
 /// are written, normalized, and BF16-rounded *in place* in the next row
-/// slot, so steady-state ingestion never allocates. Both the
-/// single-symbol [`OffloadEngine`] and the cross-symbol
-/// [`MultiOffload`](crate::multi_offload::MultiOffload) build on it.
+/// slot, so steady-state ingestion never allocates. Every shard of a
+/// [`MultiOffload`] owns one.
 #[derive(Debug, Clone)]
 pub struct FeatureWindow {
     norm: NormStats,
@@ -103,9 +100,8 @@ impl FeatureWindow {
     }
 
     /// Writes the window into `out` as `window × 4·depth` floats, rows
-    /// in chronological order — the allocation-free staging primitive
-    /// behind [`Self::tensor`]; batched consumers use it to fill
-    /// recycled lane buffers.
+    /// in chronological order — the allocation-free staging primitive;
+    /// batched consumers use it to fill recycled lane buffers.
     ///
     /// # Panics
     ///
@@ -122,231 +118,128 @@ impl FeatureWindow {
             out[k * width..(k + 1) * width].copy_from_slice(&self.ring[r * width..(r + 1) * width]);
         }
     }
-
-    /// Materializes the window as a `[window, 4*depth]` tensor, rows in
-    /// chronological order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is not warm yet.
-    pub fn tensor(&self) -> Tensor {
-        let width = self.width();
-        let mut data = vec![0.0; self.window * width];
-        self.write_into(&mut data);
-        Tensor::from_vec(data, &[self.window, width])
-    }
 }
 
-/// The offload engine: normalization, windowing, and the tensor queue.
-///
-/// The sliding feature window is a [`FeatureWindow`] ring recycled in
-/// place, so steady-state ingestion never allocates. The ticket queue is
-/// likewise pre-sized to its capacity. Together with the ladder-backed
-/// [`LocalBook`](crate::local_book::LocalBook) this makes the whole
-/// book→features→ticket tick path allocation-free after warm-up (proven
-/// in `tests/zero_alloc.rs`).
+/// The single-symbol offload engine: the one-shard view of
+/// [`MultiOffload`]. It holds no queue, counter or window of its own —
+/// every method is the shard-0 call on the engine it wraps, with the
+/// shard tag taken off the tickets — so warm-up, admission, tick ids,
+/// FIFO order and stale management are [`MultiOffload`]'s by
+/// construction. It exists for the callers that serve exactly one
+/// instrument: `LightTrader`, the single-device baseline, the benchmark.
 #[derive(Debug, Clone)]
-pub struct OffloadEngine {
-    features: FeatureWindow,
-    /// Tensors awaiting an accelerator.
-    queue: VecDeque<TensorTicket>,
-    /// Queue capacity; ticks arriving beyond it are dropped immediately.
-    capacity: usize,
-    next_tick_id: u64,
-    dropped_full: u64,
-    dropped_stale: u64,
-    deferred: u64,
-}
+pub struct OffloadEngine(MultiOffload);
 
 impl OffloadEngine {
     /// Creates an engine with the paper's geometry: the feature FIFO
-    /// spans `window` ticks of `depth`-level snapshots. All steady-state
-    /// storage (the feature ring and the ticket queue) is allocated here,
-    /// up front.
+    /// spans `window` ticks of `norm.depth()`-level snapshots and the
+    /// tensor queue holds `capacity` tickets, all allocated here.
     ///
     /// # Panics
     ///
     /// Panics if `window`, `capacity`, or the stats' depth is unusable.
     pub fn new(norm: NormStats, window: usize, capacity: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        OffloadEngine {
-            features: FeatureWindow::new(norm, window),
-            queue: VecDeque::with_capacity(capacity),
-            capacity,
-            next_tick_id: 0,
-            dropped_full: 0,
-            dropped_stale: 0,
-            deferred: 0,
-        }
+        OffloadEngine(MultiOffload::new(vec![norm], window, capacity))
     }
 
     /// Tensors currently queued for the DNN pipeline.
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.0.queue_len()
     }
 
     /// The oldest queued ticket, if any.
     pub fn oldest(&self) -> Option<TensorTicket> {
-        self.queue.front().copied()
+        self.0.oldest().map(|t| t.ticket)
     }
 
     /// Ticks dropped because the queue was full.
     pub fn dropped_full(&self) -> u64 {
-        self.dropped_full
+        self.0.dropped_full()
     }
 
     /// Tensors dropped because their deadline lapsed while queued.
     pub fn dropped_stale(&self) -> u64 {
-        self.dropped_stale
+        self.0.dropped_stale()
     }
 
-    /// Tensors deferred to the conventional pipeline by Algorithm 1.
-    pub fn deferred(&self) -> u64 {
-        self.deferred
-    }
-
-    /// Ingests one tick: normalizes its features into the FIFO and, once
-    /// the window is warm, enqueues an inference request.
+    /// Ingests one tick arriving at `now`: normalizes its features into
+    /// the FIFO and, once the window is warm, enqueues an inference
+    /// request that is ready after the pipeline's ingress budget.
     ///
     /// Returns the ticket if one was enqueued (`None` while warming up or
     /// when the queue is full).
-    pub fn on_tick(&mut self, snapshot: &LobSnapshot, ready_at: Timestamp) -> Option<TensorTicket> {
-        self.ingest(snapshot, ready_at, IngressStamp::ZERO)
-    }
-
-    /// Like [`Self::on_tick`], but derives `ready_at` from the tick's
-    /// arrival time plus the pipeline's ingress budget and stamps the
-    /// per-stage breakdown onto the ticket, so downstream consumers can
-    /// attribute tick-to-trade latency stage by stage.
     pub fn on_tick_staged(
         &mut self,
         snapshot: &LobSnapshot,
         now: Timestamp,
         stages: &PipelineLatencies,
     ) -> Option<TensorTicket> {
-        let stamp = stages.ingress_stamp();
-        self.ingest(snapshot, now + stamp.total(), stamp)
-    }
-
-    fn ingest(
-        &mut self,
-        snapshot: &LobSnapshot,
-        ready_at: Timestamp,
-        ingress: IngressStamp,
-    ) -> Option<TensorTicket> {
-        let warm = self.features.push(snapshot);
-        let tick_id = self.next_tick_id;
-        self.next_tick_id += 1;
-        if !warm {
-            return None;
-        }
-        if self.queue.len() >= self.capacity {
-            self.dropped_full += 1;
-            return None;
-        }
-        let ticket = TensorTicket {
-            tick_id,
-            tick_ts: snapshot.ts,
-            ready_at,
-            ingress,
-        };
-        self.queue.push_back(ticket);
-        Some(ticket)
+        self.0
+            .on_tick_staged(0, snapshot, now, stages)
+            .map(|t| t.ticket)
     }
 
     /// True once the feature ring holds a full window.
     pub fn is_warm(&self) -> bool {
-        self.features.is_warm()
+        self.0.shard_is_warm(0)
     }
 
-    /// Pops the oldest queued ticket, if any — the allocation-free
-    /// single-ticket variant of [`Self::pop_batch`].
+    /// Pops the oldest queued ticket, if any.
     pub fn pop_ticket(&mut self) -> Option<TensorTicket> {
-        self.queue.pop_front()
-    }
-
-    /// Pops up to `batch` tickets, oldest first, for DMA to an
-    /// accelerator.
-    ///
-    /// Allocates a fresh vector per call; hot paths should prefer
-    /// [`Self::pop_batch_into`] with a recycled buffer.
-    pub fn pop_batch(&mut self, batch: usize) -> Vec<TensorTicket> {
-        let mut out = Vec::new();
-        self.pop_batch_into(batch, &mut out);
-        out
+        self.0.pop_ticket().map(|t| t.ticket)
     }
 
     /// Pops up to `batch` tickets, oldest first, appending them to `out`.
-    ///
-    /// With a recycled caller-owned buffer (cleared between batches and
-    /// grown to the maximum batch size once) this path performs zero
-    /// heap allocations in steady state (proven in
-    /// `tests/zero_alloc.rs`).
+    /// Allocation-free with a recycled caller-owned buffer
+    /// (`tests/zero_alloc.rs`).
     pub fn pop_batch_into(&mut self, batch: usize, out: &mut Vec<TensorTicket>) {
-        let n = batch.min(self.queue.len());
-        out.extend(self.queue.drain(..n));
-    }
-
-    /// Removes the oldest ticket (Algorithm 1's defer path).
-    pub fn defer_oldest(&mut self) -> Option<TensorTicket> {
-        let t = self.queue.pop_front();
-        if t.is_some() {
-            self.deferred += 1;
-        }
-        t
+        out.extend(self.0.drain_front(batch).map(|t| t.ticket));
     }
 
     /// Drops every queued ticket whose `tick_ts + deadline` is already in
-    /// the past, returning them (the stale-management duty of Fig. 5).
-    pub fn drop_stale(
-        &mut self,
-        now: Timestamp,
-        deadline: std::time::Duration,
-    ) -> Vec<TensorTicket> {
-        let mut stale = Vec::new();
-        while let Some(front) = self.queue.front() {
-            if (front.tick_ts + deadline) <= now {
-                stale.push(self.queue.pop_front().expect("front just seen"));
-            } else {
-                break;
-            }
-        }
-        self.dropped_stale += stale.len() as u64;
-        stale
+    /// the past (the stale-management duty of Fig. 5) and returns how
+    /// many were dropped.
+    pub fn drop_stale(&mut self, now: Timestamp, deadline: std::time::Duration) -> u64 {
+        self.0.drop_stale(now, deadline)
     }
 
-    /// Materializes the current window as a `[window, 4*depth]` input
-    /// tensor (the examples and the functional path use this; the
-    /// discrete-event simulator works with tickets alone).
+    /// Materializes the current window as a fresh `[window, 4*depth]`
+    /// input tensor; steady-state callers use [`Self::write_window_into`].
     ///
     /// # Panics
     ///
     /// Panics if the FIFO is not warm yet.
     pub fn latest_tensor(&self) -> Tensor {
-        self.features.tensor()
+        let (window, width) = (self.0.window(), self.0.width());
+        let mut data = vec![0.0; window * width];
+        self.write_window_into(&mut data);
+        Tensor::from_vec(data, &[window, width])
     }
 
     /// Writes the current window into `out` (`window × 4·depth` floats,
-    /// chronological) without allocating — the steady-state twin of
-    /// [`Self::latest_tensor`] for callers staging into a recycled
-    /// buffer.
+    /// chronological) without allocating.
     ///
     /// # Panics
     ///
     /// Panics if the FIFO is not warm yet or `out` has the wrong length.
     pub fn write_window_into(&self, out: &mut [f32]) {
-        self.features.write_into(out);
+        self.0.write_shard_window_into(0, out);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    //! The pin on one-shard semantics: literal tick ids, admission
+    //! order, capacity drops, the stale prefix, window recency and BF16
+    //! rounding, all through the view.
+
     use super::*;
     use lt_lob::snapshot::SnapshotLevel;
     use lt_lob::{Price, Qty};
     use std::time::Duration;
 
-    fn snap(ts_us: u64, mid: i64) -> LobSnapshot {
+    /// A one-level book centred on `mid`, stamped `ts_us`.
+    pub(crate) fn snap(ts_us: u64, mid: i64) -> LobSnapshot {
         LobSnapshot {
             ts: Timestamp::from_micros(ts_us),
             bids: vec![SnapshotLevel {
@@ -364,17 +257,19 @@ mod tests {
         OffloadEngine::new(NormStats::identity(1), window, capacity)
     }
 
+    /// One tick at `ts_us` with the book centred on `mid`.
+    fn tick(e: &mut OffloadEngine, ts_us: u64, mid: i64) -> Option<TensorTicket> {
+        let stages = PipelineLatencies::fpga();
+        e.on_tick_staged(&snap(ts_us, mid), Timestamp::from_micros(ts_us), &stages)
+    }
+
     #[test]
     fn warms_up_before_enqueueing() {
         let mut e = engine(3, 8);
-        assert!(e
-            .on_tick(&snap(1, 100), Timestamp::from_micros(1))
-            .is_none());
-        assert!(e
-            .on_tick(&snap(2, 100), Timestamp::from_micros(2))
-            .is_none());
+        assert!(tick(&mut e, 1, 100).is_none());
+        assert!(tick(&mut e, 2, 100).is_none());
         assert!(!e.is_warm());
-        let t = e.on_tick(&snap(3, 100), Timestamp::from_micros(3)).unwrap();
+        let t = tick(&mut e, 3, 100).unwrap();
         assert!(e.is_warm());
         assert_eq!(t.tick_id, 2);
         assert_eq!(e.queue_len(), 1);
@@ -384,7 +279,7 @@ mod tests {
     fn queue_capacity_drops_excess() {
         let mut e = engine(1, 2);
         for i in 0..5u64 {
-            e.on_tick(&snap(i, 100), Timestamp::from_micros(i));
+            tick(&mut e, i, 100);
         }
         assert_eq!(e.queue_len(), 2);
         assert_eq!(e.dropped_full(), 3);
@@ -394,26 +289,32 @@ mod tests {
     fn pop_batch_is_fifo() {
         let mut e = engine(1, 10);
         for i in 0..4u64 {
-            e.on_tick(&snap(i, 100), Timestamp::from_micros(i));
+            tick(&mut e, i, 100);
         }
-        let batch = e.pop_batch(3);
+        let mut batch = Vec::new();
+        e.pop_batch_into(3, &mut batch);
         assert_eq!(batch.len(), 3);
         assert_eq!(batch[0].tick_id, 0);
         assert_eq!(batch[2].tick_id, 2);
         assert_eq!(e.queue_len(), 1);
         // Requesting more than available returns what exists.
-        assert_eq!(e.pop_batch(10).len(), 1);
+        batch.clear();
+        e.pop_batch_into(10, &mut batch);
+        assert_eq!(batch.len(), 1);
     }
 
     #[test]
     fn pop_ticket_is_fifo_and_matches_pop_batch() {
         let mut e = engine(1, 10);
         for i in 0..3u64 {
-            e.on_tick(&snap(i, 100), Timestamp::from_micros(i));
+            tick(&mut e, i, 100);
         }
         assert_eq!(e.pop_ticket().unwrap().tick_id, 0);
         assert_eq!(e.pop_ticket().unwrap().tick_id, 1);
-        assert_eq!(e.pop_batch(5).len(), 1);
+        let mut batch = Vec::new();
+        e.pop_batch_into(5, &mut batch);
+        assert_eq!(batch.len(), 1);
+        assert_eq!(batch[0].tick_id, 2);
         assert!(e.pop_ticket().is_none());
     }
 
@@ -421,7 +322,7 @@ mod tests {
     fn pop_batch_into_recycles_the_buffer() {
         let mut e = engine(1, 10);
         for i in 0..6u64 {
-            e.on_tick(&snap(i, 100), Timestamp::from_micros(i));
+            tick(&mut e, i, 100);
         }
         let mut buf = Vec::with_capacity(4);
         e.pop_batch_into(4, &mut buf);
@@ -434,32 +335,21 @@ mod tests {
         assert_eq!(buf.len(), 2);
         assert_eq!(buf[0].tick_id, 4);
         // Appending without clearing extends rather than overwrites.
-        e.on_tick(&snap(7, 100), Timestamp::from_micros(7));
+        tick(&mut e, 7, 100);
         e.pop_batch_into(1, &mut buf);
         assert_eq!(buf.len(), 3);
         assert_eq!(buf[2].tick_id, 6);
     }
 
     #[test]
-    fn defer_oldest_counts() {
-        let mut e = engine(1, 10);
-        e.on_tick(&snap(1, 100), Timestamp::from_micros(1));
-        e.on_tick(&snap(2, 100), Timestamp::from_micros(2));
-        let d = e.defer_oldest().unwrap();
-        assert_eq!(d.tick_id, 0);
-        assert_eq!(e.deferred(), 1);
-        assert_eq!(e.queue_len(), 1);
-    }
-
-    #[test]
     fn drop_stale_removes_expired_prefix() {
         let mut e = engine(1, 10);
         for i in [0u64, 10, 500, 900] {
-            e.on_tick(&snap(i, 100), Timestamp::from_micros(i));
+            tick(&mut e, i, 100);
         }
         // Deadline 1 ms, now = 1.2 ms: ticks at 0 µs and 10 µs expired.
         let stale = e.drop_stale(Timestamp::from_micros(1_200), Duration::from_millis(1));
-        assert_eq!(stale.len(), 2);
+        assert_eq!(stale, 2);
         assert_eq!(e.dropped_stale(), 2);
         assert_eq!(e.queue_len(), 2);
         assert_eq!(e.oldest().unwrap().tick_ts, Timestamp::from_micros(500));
@@ -469,7 +359,7 @@ mod tests {
     fn latest_tensor_shape_and_recency() {
         let mut e = engine(3, 10);
         for i in 0..5u64 {
-            e.on_tick(&snap(i, 100 + i as i64), Timestamp::from_micros(i));
+            tick(&mut e, i, 100 + i as i64);
         }
         let t = e.latest_tensor();
         assert_eq!(t.shape(), &[3, 4]);
@@ -482,7 +372,7 @@ mod tests {
     #[test]
     fn features_are_bf16_rounded() {
         let mut e = engine(1, 4);
-        e.on_tick(&snap(1, 12_345), Timestamp::from_micros(1));
+        tick(&mut e, 1, 12_345);
         let t = e.latest_tensor();
         for &v in t.data() {
             assert_eq!(bf16_round(v), v);
@@ -498,20 +388,13 @@ mod tests {
 
     #[test]
     fn staged_ingest_stamps_ingress_and_derives_ready_at() {
-        let stages = crate::stages::PipelineLatencies::fpga();
+        let stages = PipelineLatencies::fpga();
         let mut e = engine(1, 10);
         let now = Timestamp::from_micros(7);
         let t = e.on_tick_staged(&snap(7, 100), now, &stages).unwrap();
         assert_eq!(t.ingress, stages.ingress_stamp());
         assert_eq!(t.ready_at, now + stages.ingress());
         assert_eq!(t.ready_at.since(t.tick_ts), t.ingress.total());
-    }
-
-    #[test]
-    fn legacy_ingest_carries_zero_stamp() {
-        let mut e = engine(1, 10);
-        let t = e.on_tick(&snap(1, 100), Timestamp::from_micros(9)).unwrap();
-        assert_eq!(t.ingress, IngressStamp::ZERO);
     }
 
     #[test]

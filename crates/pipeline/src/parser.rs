@@ -10,7 +10,6 @@ use crate::seq::{SeqObservation, SeqTracker};
 use lt_lob::MarketEvent;
 use lt_protocol::framing::Datagram;
 use lt_protocol::sbe::SbeDecoder;
-use lt_protocol::DecodeError;
 use serde::{Deserialize, Serialize};
 
 /// Intake counters the runtime driver exposes.
@@ -81,7 +80,7 @@ impl PacketParser {
             SeqObservation::Gap { missing } => self.stats.gap_packets += missing,
             SeqObservation::First | SeqObservation::InOrder => {}
         }
-        match self.decode_payload(&datagram) {
+        match self.decoder.decode_datagram(&datagram) {
             Ok(events) => {
                 self.stats.packets += 1;
                 self.stats.events += events.len() as u64;
@@ -92,17 +91,6 @@ impl PacketParser {
                 Vec::new()
             }
         }
-    }
-
-    fn decode_payload(&self, datagram: &Datagram) -> Result<Vec<MarketEvent>, DecodeError> {
-        let events = self.decoder.decode_all(&datagram.payload)?;
-        if events.len() != usize::from(datagram.msg_count) {
-            return Err(DecodeError::MessageCountMismatch {
-                declared: datagram.msg_count,
-                decoded: events.len(),
-            });
-        }
-        Ok(events)
     }
 }
 

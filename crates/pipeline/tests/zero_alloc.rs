@@ -320,32 +320,3 @@ fn cross_symbol_path_is_allocation_free_after_warmup() {
          MultiOffload ingest + coalesced pop_batch_into) must not allocate"
     );
 }
-
-#[test]
-fn write_features_path_is_allocation_free_after_warmup() {
-    // The snapshot-free variant: LocalBook::write_features straight into
-    // a caller-owned buffer, no LobSnapshot in the loop at all.
-    let events = generate_events(500);
-    let mut book = LocalBook::new();
-    book.reserve_orders(500);
-    let mut features = vec![0.0f32; LobSnapshot::feature_count(10)];
-
-    let mut replay_features = |book: &mut LocalBook, acc: &mut f32| {
-        for event in &events {
-            book.apply(event);
-            book.write_features(10, &mut features);
-            *acc += features[0];
-        }
-    };
-
-    let mut acc = 0.0f32;
-    replay_features(&mut book, &mut acc);
-    replay_features(&mut book, &mut acc);
-
-    let before = allocations();
-    replay_features(&mut book, &mut acc);
-    let after = allocations();
-
-    assert!(acc.is_finite());
-    assert_eq!(after - before, 0, "write_features path must not allocate");
-}

@@ -18,6 +18,8 @@ pub const TEMPLATE_REPLACE: u16 = 515;
 /// Template id for a cancel request.
 pub const TEMPLATE_CANCEL: u16 = 516;
 
+/// The fields every template starts with: client order id + symbol.
+const COMMON_BLOCK_LEN: u16 = 8 + 8;
 const NEW_ORDER_BLOCK_LEN: u16 = 8 + 8 + 1 + 8 + 8 + 1 + 1; // 35
 const REPLACE_BLOCK_LEN: u16 = 8 + 8 + 8 + 8 + 1; // 33
 const CANCEL_BLOCK_LEN: u16 = 8 + 8 + 1; // 17
@@ -143,26 +145,8 @@ impl OrderMessage {
     /// unknown templates, or out-of-range enum values.
     pub fn decode(bytes: &[u8]) -> Result<(Self, usize), DecodeError> {
         let mut buf = bytes;
-        if buf.len() < MessageHeader::SIZE {
-            return Err(DecodeError::Truncated {
-                needed: MessageHeader::SIZE,
-                available: buf.len(),
-            });
-        }
-        let block_length = buf.get_u16_le();
-        let template_id = buf.get_u16_le();
-        let schema_id = buf.get_u16_le();
-        let version = buf.get_u16_le();
-        if schema_id != SCHEMA_ID || version != SCHEMA_VERSION {
-            return Err(DecodeError::SchemaMismatch { schema_id, version });
-        }
-        let total = MessageHeader::SIZE + block_length as usize;
-        if bytes.len() < total {
-            return Err(DecodeError::Truncated {
-                needed: total,
-                available: bytes.len(),
-            });
-        }
+        let header = MessageHeader::read(&mut buf)?;
+        header.require_block(COMMON_BLOCK_LEN)?;
         let cl_ord_id = OrderId::new(buf.get_u64_le());
         let mut sym = [0u8; 8];
         buf.copy_to_slice(&mut sym);
@@ -171,8 +155,9 @@ impl OrderMessage {
             std::str::from_utf8(&sym[..len])
                 .map_err(|_| DecodeError::MalformedField("symbol".to_string()))?,
         );
-        let kind = match template_id {
+        let kind = match header.template_id {
             TEMPLATE_NEW_ORDER => {
+                header.require_block(NEW_ORDER_BLOCK_LEN)?;
                 let side = match buf.get_u8() {
                     0 => Side::Bid,
                     1 => Side::Ask,
@@ -204,11 +189,15 @@ impl OrderMessage {
                 }
             }
             TEMPLATE_REPLACE => {
+                header.require_block(REPLACE_BLOCK_LEN)?;
                 let price = Price::new(buf.get_i64_le());
                 let qty = Qty::new(buf.get_u64_le());
                 OrderMessageKind::Replace { price, qty }
             }
-            TEMPLATE_CANCEL => OrderMessageKind::Cancel,
+            TEMPLATE_CANCEL => {
+                header.require_block(CANCEL_BLOCK_LEN)?;
+                OrderMessageKind::Cancel
+            }
             other => return Err(DecodeError::UnknownTemplate(other)),
         };
         Ok((
@@ -217,7 +206,7 @@ impl OrderMessage {
                 symbol,
                 kind,
             },
-            total,
+            header.encoded_len(),
         ))
     }
 }

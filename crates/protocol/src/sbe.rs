@@ -6,6 +6,7 @@
 //! stream: book-delta refreshes and trade summaries.
 
 use crate::error::DecodeError;
+use crate::framing::Datagram;
 use bytes::{Buf, BufMut, BytesMut};
 use lt_lob::events::MarketEventKind;
 use lt_lob::{BookDelta, MarketEvent, OrderId, Price, Qty, Side, Timestamp, Trade};
@@ -49,19 +50,54 @@ impl MessageHeader {
         buf.put_u16_le(self.version);
     }
 
-    fn read(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        if buf.len() < Self::SIZE {
+    /// Reads the header off the front of `buf`, checking that it names
+    /// this feed's schema and that the body it declares is in the buffer.
+    pub(crate) fn read(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        let available = buf.len();
+        if available < Self::SIZE {
             return Err(DecodeError::Truncated {
                 needed: Self::SIZE,
-                available: buf.len(),
+                available,
             });
         }
-        Ok(MessageHeader {
+        let header = MessageHeader {
             block_length: buf.get_u16_le(),
             template_id: buf.get_u16_le(),
             schema_id: buf.get_u16_le(),
             version: buf.get_u16_le(),
-        })
+        };
+        if header.schema_id != SCHEMA_ID || header.version != SCHEMA_VERSION {
+            return Err(DecodeError::SchemaMismatch {
+                schema_id: header.schema_id,
+                version: header.version,
+            });
+        }
+        if available < header.encoded_len() {
+            return Err(DecodeError::Truncated {
+                needed: header.encoded_len(),
+                available,
+            });
+        }
+        Ok(header)
+    }
+
+    /// Header plus declared body, in bytes: what one message consumes.
+    pub(crate) fn encoded_len(&self) -> usize {
+        Self::SIZE + self.block_length as usize
+    }
+
+    /// Rejects a `block_length` shorter than `fixed`, the bytes a
+    /// template's field reads consume: [`Self::read`] checked the buffer
+    /// against the declared length only, so those reads could run off it.
+    /// A longer block is legal — its tail is skipped.
+    pub(crate) fn require_block(&self, fixed: u16) -> Result<(), DecodeError> {
+        if self.block_length < fixed {
+            return Err(DecodeError::Truncated {
+                needed: Self::SIZE + fixed as usize,
+                available: self.encoded_len(),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -210,21 +246,9 @@ impl SbeDecoder {
     pub fn decode(&self, bytes: &[u8]) -> Result<(MarketEvent, usize), DecodeError> {
         let mut buf = bytes;
         let header = MessageHeader::read(&mut buf)?;
-        if header.schema_id != SCHEMA_ID || header.version != SCHEMA_VERSION {
-            return Err(DecodeError::SchemaMismatch {
-                schema_id: header.schema_id,
-                version: header.version,
-            });
-        }
-        let body_len = header.block_length as usize;
-        if buf.len() < body_len {
-            return Err(DecodeError::Truncated {
-                needed: MessageHeader::SIZE + body_len,
-                available: bytes.len(),
-            });
-        }
         let event = match header.template_id {
             TEMPLATE_BOOK => {
+                header.require_block(BOOK_BLOCK_LEN)?;
                 let seq = buf.get_u64_le();
                 let ts = Timestamp::from_nanos(buf.get_u64_le());
                 let action = buf.get_u8();
@@ -260,6 +284,7 @@ impl SbeDecoder {
                 }
             }
             TEMPLATE_TRADE => {
+                header.require_block(TRADE_BLOCK_LEN)?;
                 let seq = buf.get_u64_le();
                 let ts = Timestamp::from_nanos(buf.get_u64_le());
                 let price = Price::new(buf.get_i64_le());
@@ -281,7 +306,7 @@ impl SbeDecoder {
             }
             other => return Err(DecodeError::UnknownTemplate(other)),
         };
-        Ok((event, MessageHeader::SIZE + body_len))
+        Ok((event, header.encoded_len()))
     }
 
     /// Decodes every message in a packed buffer.
@@ -297,6 +322,25 @@ impl SbeDecoder {
             bytes = &bytes[used..];
         }
         Ok(out)
+    }
+
+    /// Decodes a datagram's whole payload — what every intake path runs
+    /// on a checksum-valid datagram before its events may touch a book.
+    ///
+    /// # Errors
+    ///
+    /// Fails on the first malformed message, or with
+    /// [`DecodeError::MessageCountMismatch`] when the payload holds a
+    /// different number of messages than `msg_count` declares.
+    pub fn decode_datagram(&self, datagram: &Datagram) -> Result<Vec<MarketEvent>, DecodeError> {
+        let events = self.decode_all(&datagram.payload)?;
+        if events.len() != usize::from(datagram.msg_count) {
+            return Err(DecodeError::MessageCountMismatch {
+                declared: datagram.msg_count,
+                decoded: events.len(),
+            });
+        }
+        Ok(events)
     }
 }
 

@@ -127,8 +127,7 @@ impl SingleDeviceModel<'_> {
                 break;
             }
             // Stale management at issue time.
-            let stale = self.offload.drop_stale(start, self.stale_budget);
-            ctx.metrics.dropped_stale += stale.len() as u64;
+            ctx.metrics.dropped_stale += self.offload.drop_stale(start, self.stale_budget);
             let Some(ticket) = self.offload.pop_ticket() else {
                 break;
             };

@@ -31,10 +31,12 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 echo "== engine refactor gates: golden parity + determinism =="
 cargo test -q --release -p lt-sim --test golden_parity --test determinism
 
-echo "== ingress gates: fault injection + arbitration properties =="
+echo "== ingress gates: fault injection + arbitration properties + hostile block lengths =="
 cargo test -q --release -p lt-sim --test faults
 cargo test -q --release -p lt-pipeline --test arbiter_props
 cargo test -q --release -p lt-protocol --test roundtrip
+# Release drops the debug-only checks: it is the build that must not panic.
+cargo test -q --release -p lt-pipeline --test hostile_wire
 
 echo "== hot-path book gates: ladder/reference equivalence + zero-alloc =="
 cargo test -q --release -p lt-lob --test book_equivalence

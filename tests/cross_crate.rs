@@ -7,7 +7,7 @@ use lighttrader::accel::{static_plan, DeviceProfile, DvfsTable};
 use lighttrader::dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
 use lighttrader::dnn::ops::Linear;
 use lighttrader::dnn::{ModelRegistry, Tensor};
-use lighttrader::pipeline::{LocalBook, OffloadEngine, PacketParser};
+use lighttrader::pipeline::{LocalBook, OffloadEngine, PacketParser, PipelineLatencies};
 use lighttrader::prelude::*;
 use lighttrader::protocol::framing::Datagram;
 use lighttrader::protocol::sbe::SbeEncoder;
@@ -61,16 +61,16 @@ fn offload_feeds_models() {
         let mut registry = ModelRegistry::tiny_with_kinds(&[kind], 1);
         assert_eq!(registry.max_window(), window);
         let mut offload = OffloadEngine::new(session.norm.clone(), window, 32);
+        let stages = PipelineLatencies::fpga();
         let mut predictions = 0;
         for tick in session.trace.iter().take(200) {
-            offload.on_tick(&tick.snapshot, tick.ts);
-            if offload.is_warm() {
+            offload.on_tick_staged(&tick.snapshot, tick.ts, &stages);
+            if offload.pop_ticket().is_some() {
                 let tensor = offload.latest_tensor();
                 assert_eq!(tensor.shape(), &[window, 40]);
                 let p = registry.forward(kind, &tensor);
                 assert!((p.probs.iter().sum::<f32>() - 1.0).abs() < 1e-3);
                 predictions += 1;
-                offload.pop_batch(usize::MAX);
             }
         }
         assert_eq!(predictions, 200 - (window - 1));
