@@ -3,11 +3,11 @@
 //! Fig. 9 describes the link's latency/bandwidth optimizations: source
 //! synchronous clocking, out-of-band flow control carried on two
 //! dedicated bits, striping across 16-bit lanes, and watermark-based FIFO
-//! flow control. The paper credits these with a 2.4x effective-bandwidth
-//! gain over an Interlaken-style implementation; [`C2cLink`] and
-//! [`InterlakenLink`] model both so the unit tests can reproduce the
-//! ratio, and [`WatermarkFifo`] implements the flow-control state machine
-//! functionally.
+//! flow control. [`C2cLink`] is what the profile prices transfers with
+//! (`t_trans[bs]` in [`crate::profile`] and [`crate::latency`]).
+//! [`InterlakenLink`] has no caller outside this file: it is kept as the
+//! other side of the paper's 2.4x effective-bandwidth claim, which the
+//! unit test `custom_link_is_2_4x_interlaken` asserts.
 
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -91,69 +91,6 @@ impl InterlakenLink {
     }
 }
 
-/// Watermark-based flow control (Fig. 9(d)): the receiver FIFO raises
-/// `almost_full` above the high watermark and `almost_empty` below the
-/// low watermark; the two bits travel out-of-band to the sender.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WatermarkFifo {
-    capacity: usize,
-    high: usize,
-    low: usize,
-    occupancy: usize,
-}
-
-impl WatermarkFifo {
-    /// Creates a FIFO with the given capacity and watermarks.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `low < high <= capacity` and `capacity > 0`.
-    pub fn new(capacity: usize, low: usize, high: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        assert!(
-            low < high && high <= capacity,
-            "need low < high <= capacity"
-        );
-        WatermarkFifo {
-            capacity,
-            high,
-            low,
-            occupancy: 0,
-        }
-    }
-
-    /// Current fill level.
-    pub fn occupancy(&self) -> usize {
-        self.occupancy
-    }
-
-    /// The out-of-band `almost_full` bit: sender must pause.
-    pub fn almost_full(&self) -> bool {
-        self.occupancy >= self.high
-    }
-
-    /// The out-of-band `almost_empty` bit: sender may burst.
-    pub fn almost_empty(&self) -> bool {
-        self.occupancy <= self.low
-    }
-
-    /// Sender pushes `n` words; returns how many were accepted (the rest
-    /// are back-pressured; with correct flow control this never truncates
-    /// because the sender respects `almost_full`).
-    pub fn push(&mut self, n: usize) -> usize {
-        let accepted = n.min(self.capacity - self.occupancy);
-        self.occupancy += accepted;
-        accepted
-    }
-
-    /// Receiver drains up to `n` words; returns how many were available.
-    pub fn pop(&mut self, n: usize) -> usize {
-        let drained = n.min(self.occupancy);
-        self.occupancy -= drained;
-        drained
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,53 +133,5 @@ mod tests {
         // 16 lanes x 1.4 Gbaud x 16 bits = 358.4 Gb/s.
         let bw = C2cLink::lighttrader().payload_bits_per_sec();
         assert!((bw - 358.4e9).abs() / 358.4e9 < 1e-9, "bw = {bw:.3e}");
-    }
-
-    #[test]
-    fn watermark_bits_toggle() {
-        let mut fifo = WatermarkFifo::new(16, 4, 12);
-        assert!(fifo.almost_empty());
-        assert!(!fifo.almost_full());
-        assert_eq!(fifo.push(12), 12);
-        assert!(fifo.almost_full());
-        assert!(!fifo.almost_empty());
-        assert_eq!(fifo.pop(9), 9);
-        assert!(fifo.almost_empty());
-        assert_eq!(fifo.occupancy(), 3);
-    }
-
-    #[test]
-    fn fifo_never_overflows() {
-        let mut fifo = WatermarkFifo::new(8, 2, 6);
-        assert_eq!(fifo.push(100), 8, "capacity clamps the push");
-        assert_eq!(fifo.occupancy(), 8);
-        assert_eq!(fifo.pop(100), 8);
-        assert_eq!(fifo.occupancy(), 0);
-    }
-
-    /// A sender respecting `almost_full` never loses words.
-    #[test]
-    fn flow_controlled_sender_never_truncates() {
-        let mut fifo = WatermarkFifo::new(16, 4, 12);
-        let mut sent = 0usize;
-        let mut received = 0usize;
-        for step in 0..1_000 {
-            if !fifo.almost_full() {
-                let pushed = fifo.push(3);
-                assert_eq!(pushed, 3, "step {step}");
-                sent += pushed;
-            }
-            if step % 2 == 0 {
-                received += fifo.pop(4);
-            }
-        }
-        received += fifo.pop(usize::MAX);
-        assert_eq!(sent, received);
-    }
-
-    #[test]
-    #[should_panic(expected = "low < high")]
-    fn bad_watermarks_panic() {
-        let _ = WatermarkFifo::new(8, 6, 6);
     }
 }

@@ -1,45 +1,31 @@
-//! The CGRA AI-accelerator simulator.
+//! The profiled AI-accelerator model.
 //!
 //! The paper's accelerator is a 7 nm ASIC (Table I: 0.68–1.16 V, up to
 //! 2.2 GHz, up to 10.8 W) built around a Coarse-Grained Reconfigurable
-//! Array: a tensor engine of regular and extended PEs, a memory engine
-//! with double-buffered LSUs and a streaming data formatter, and a custom
-//! chip-to-chip link to the host FPGA (§III-C). Silicon obviously cannot
-//! be reproduced; this crate substitutes a simulator with two fidelity
-//! levels, exactly mirroring how the paper itself evaluates (it profiles
-//! the hardware once, then drives a back-test simulator from the
-//! profiles, §IV-A):
-//!
-//! * **functional** — [`cgra`] executes real (tiny) tensor programs on a
-//!   modeled PE grid with cycle accounting; [`pe`] steps a systolic
-//!   PE-to-neighbour dataflow cycle by cycle; [`fmt`] implements the data
-//!   formatter's layout transformations; [`memory`] models DMEM residency
-//!   and double-buffered LSU transfers; [`c2c`] models the link's lane
-//!   striping and watermark flow control, including the Interlaken-style
-//!   baseline for the paper's 2.4x bandwidth claim (Fig. 9); [`program`]
-//!   is the compiler layer lowering model specs into command streams;
-//! * **profiled** — [`latency`] and [`power`] are analytic models
-//!   calibrated to the paper's anchors (batch-1 latencies of Fig. 11a,
-//!   the Table I power envelope, and the Table III frequency grid, which
-//!   [`dvfs::static_plan`] reproduces cell-for-cell);
-//!   [`profile::DeviceProfile`] packages them into the `(latency, power,
-//!   PPW)` lookup the scheduler consumes.
+//! Array with a custom chip-to-chip link to the host FPGA (§III-C).
+//! Silicon obviously cannot be reproduced; this crate substitutes it the
+//! way the paper itself evaluates (it profiles the hardware once, then
+//! drives a back-test simulator from the profiles, §IV-A): [`latency`]
+//! and [`power`] are analytic models calibrated to the paper's anchors
+//! (batch-1 latencies of Fig. 11a, the Table I power envelope, and the
+//! Table III frequency grid, which [`dvfs::static_plan`] reproduces
+//! cell-for-cell); [`c2c`] prices the tensor transfers over the link and
+//! carries the Interlaken-style baseline of the 2.4x bandwidth claim
+//! (Fig. 9); [`profile::DeviceProfile`] packages them into the
+//! `(latency, power, PPW)` lookup the scheduler consumes. There is no
+//! functional or cycle-level model of the array: nothing the simulator,
+//! the tables or the benchmark runs would read one.
 //!
 //! [`device::Accelerator`] is the per-chip state machine (busy/idle, DVFS
 //! point with PMIC switching delay) that the discrete-event simulator
 //! drives.
 
 pub mod c2c;
-pub mod cgra;
 pub mod device;
 pub mod dvfs;
-pub mod fmt;
 pub mod latency;
-pub mod memory;
-pub mod pe;
 pub mod power;
 pub mod profile;
-pub mod program;
 
 pub use device::Accelerator;
 pub use dvfs::{static_plan, AccelSpec, DvfsTable, OperatingPoint, StaticPlan};

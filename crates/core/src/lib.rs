@@ -17,7 +17,7 @@
 //! | SBE / iLink3 / FIX codecs | `lt-protocol` | [`protocol`] |
 //! | synthetic bursty market data | `lt-feed` | [`feed`] |
 //! | BF16 tensors & the three DNNs | `lt-dnn` | [`dnn`] |
-//! | CGRA accelerator simulator | `lt-accel` | [`accel`] |
+//! | accelerator latency/power profile | `lt-accel` | [`accel`] |
 //! | Algorithms 1 & 2 | `lt-sched` | [`sched`] |
 //! | FPGA trading pipeline | `lt-pipeline` | [`pipeline`] |
 //! | back-test simulator | `lt-sim` | [`sim`] |

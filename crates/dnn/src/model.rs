@@ -61,7 +61,7 @@ impl std::fmt::Display for ModelKind {
 }
 
 /// The three-way price-movement classification of Fig. 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PriceDirection {
     /// Mid price expected to rise within the prediction horizon.
     Up,
@@ -107,7 +107,7 @@ impl std::fmt::Display for PriceDirection {
 }
 
 /// A model's output: class probabilities over `[up, stationary, down]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prediction {
     /// Probabilities in class-index order; they sum to one.
     pub probs: [f32; 3],

@@ -15,10 +15,9 @@ use crate::ops::{Conv2d, Linear, Lstm};
 use crate::scratch::ScratchPad;
 use crate::stream::{advance_trunk, trunk_lines, LineBuffer};
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Dimensions of a DeepLOB instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeepLobSpec {
     /// Tick-window length `T`.
     pub window: usize,

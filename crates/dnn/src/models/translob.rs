@@ -13,10 +13,9 @@ use crate::ops::count::{attention_macs, conv2d_macs, ffn_macs, linear_macs, macs
 use crate::ops::{Conv2d, LayerNorm, Linear, MultiHeadAttention};
 use crate::scratch::ScratchPad;
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Dimensions of a TransLOB instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransLobSpec {
     /// Tick-window length `T`.
     pub window: usize,

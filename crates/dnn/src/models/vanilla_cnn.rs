@@ -12,10 +12,9 @@ use crate::ops::{Conv2d, Linear};
 use crate::scratch::ScratchPad;
 use crate::stream::{advance_trunk, trunk_lines, LineBuffer};
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Dimensions of a Vanilla CNN instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CnnSpec {
     /// Tick-window length `T`.
     pub window: usize,

@@ -8,10 +8,9 @@ use crate::ops::expect_rank;
 use crate::ops::linear::Linear;
 use crate::scratch::ScratchPad;
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Multi-head scaled-dot-product self-attention over `[T, D]` sequences.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiHeadAttention {
     wq: Linear,
     wk: Linear,

@@ -7,14 +7,13 @@ use crate::ops::count::{conv2d_macs, conv_out_len};
 use crate::ops::expect_rank;
 use crate::scratch::ScratchPad;
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// A 2-D convolution with optional stride and zero padding.
 ///
 /// Input layout is `[in_c, H, W]`; kernels are `[out_c, in_c, k_h, k_w]`.
 /// LOB models treat `H` as tick time and `W` as the flattened level axis
 /// (paper Fig. 3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Conv2d {
     kernel: Tensor,
     bias: Vec<f32>,

@@ -6,13 +6,12 @@ use crate::kernels::{gemm_packed, matvec_i8_bias, Segment};
 use crate::ops::count::linear_macs;
 use crate::scratch::ScratchPad;
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// A dense layer `y = W x + b` with BF16-rounded weights.
 ///
 /// Accepts rank-1 input `[in]` (returns `[out]`) or rank-2 input
 /// `[rows, in]` (applied row-wise, returns `[rows, out]`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Linear {
     weight: Tensor, // [out, in]
     bias: Vec<f32>,
@@ -137,7 +136,7 @@ impl Linear {
 /// Weights are symmetric per-tensor quantized at construction; activations
 /// are quantized per call. Accuracy is strictly worse than [`Linear`] but
 /// the accelerator runs it at 4x throughput.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearInt8 {
     weight_q: Vec<i8>, // [out, in]
     weight_scale: f32,

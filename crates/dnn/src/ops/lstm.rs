@@ -8,14 +8,13 @@ use crate::ops::count::lstm_macs;
 use crate::ops::expect_rank;
 use crate::scratch::ScratchPad;
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// A single-layer LSTM processing `[T, input]` sequences.
 ///
 /// Gate order in the stacked weight matrices is `[i, f, g, o]`
 /// (input, forget, cell candidate, output), matching the usual
 /// `W_x x_t + W_h h_{t-1} + b` formulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lstm {
     wx: Tensor, // [4*hidden, input]
     wh: Tensor, // [4*hidden, hidden]

@@ -1,9 +1,8 @@
 //! Neural-network layers and their analytic cost counters.
 //!
 //! Each layer owns its weights and offers two forward passes: a naive
-//! `forward_reference` on [`Tensor`]s (the oracle, also what the CGRA
-//! simulator delegates to) and a packed one over flat batch buffers (what
-//! the models serve through). It exposes the MAC count of a pass through
+//! `forward_reference` on [`Tensor`]s (the oracle) and a packed one over
+//! flat batch buffers (what the models serve through). It exposes the MAC count of a pass through
 //! [`count`]; the counters are what the accelerator's latency model
 //! consumes.
 
@@ -14,7 +13,6 @@ pub mod count;
 pub mod linear;
 pub mod lstm;
 pub mod norm;
-pub mod pool;
 
 pub use activation::{
     leaky_relu, leaky_relu_slice, relu, relu_slice, sigmoid, softmax_last_dim, softmax_rows,
@@ -25,7 +23,6 @@ pub use conv::Conv2d;
 pub use linear::{Linear, LinearInt8};
 pub use lstm::Lstm;
 pub use norm::LayerNorm;
-pub use pool::{global_avg_pool, max_pool_1d};
 
 use crate::tensor::Tensor;
 

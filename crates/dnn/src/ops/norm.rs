@@ -2,11 +2,10 @@
 
 use crate::ops::expect_rank;
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Layer norm over the last dimension of a `[T, D]` tensor, with learned
 /// scale and shift.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerNorm {
     gamma: Vec<f32>,
     beta: Vec<f32>,

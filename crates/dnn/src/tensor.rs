@@ -3,7 +3,6 @@
 use crate::bf16::bf16_round_slice;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Maximum tensor rank supported by the inline shape representation.
 ///
@@ -17,7 +16,7 @@ pub const MAX_RANK: usize = 4;
 ///
 /// Unused trailing slots are always zero so derived `PartialEq` compares
 /// shapes of equal rank correctly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Shape {
     dims: [usize; MAX_RANK],
     rank: u8,
@@ -57,7 +56,7 @@ impl Shape {
 /// assert_eq!(t.at(&[1, 0]), 3.0);
 /// assert_eq!(t.shape(), &[2, 2]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,

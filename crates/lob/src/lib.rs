@@ -29,7 +29,6 @@
 //! assert_eq!(snap.best_ask().unwrap().price, Price::new(5001));
 //! ```
 
-pub mod analytics;
 pub mod book;
 pub mod events;
 pub mod execution;

@@ -307,17 +307,21 @@ impl Symbol {
     ///
     /// Panics if `name` is empty or longer than eight bytes.
     pub fn new(name: &str) -> Self {
-        assert!(
-            !name.is_empty() && name.len() <= 8,
-            "symbol must be 1..=8 bytes, got {:?}",
-            name
-        );
+        Self::try_new(name).unwrap_or_else(|| panic!("symbol must be 1..=8 bytes, got {name:?}"))
+    }
+
+    /// [`Symbol::new`] for a name that comes off the wire: `None` if it is
+    /// empty or longer than eight bytes.
+    pub fn try_new(name: &str) -> Option<Self> {
+        if name.is_empty() || name.len() > 8 {
+            return None;
+        }
         let mut bytes = [0u8; 8];
         bytes[..name.len()].copy_from_slice(name.as_bytes());
-        Symbol {
+        Some(Symbol {
             bytes,
             len: name.len() as u8,
-        }
+        })
     }
 
     /// The symbol as a string slice.

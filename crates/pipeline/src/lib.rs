@@ -22,8 +22,6 @@
 //!   feature-vector FIFO that assembles `[window, 40]` input tensors),
 //!   the [`TensorTicket`], and [`OffloadEngine`], the one-shard view of
 //!   [`MultiOffload`] for callers that serve a single instrument;
-//! * [`dma`] — the DMA descriptor ring that carries input tensors to the
-//!   accelerators and results back;
 //! * [`trading`] — the trading engine: risk-checked order generation from
 //!   inference results, with position tracking, P&L accounting, and
 //!   iLink3/FIX encoding;
@@ -33,7 +31,6 @@
 //!   pipeline (~1 µs end-to-end on an FPGA, §II-A).
 
 pub mod arbiter;
-pub mod dma;
 pub mod local_book;
 pub mod multi_offload;
 pub mod offload;
@@ -45,7 +42,6 @@ pub mod stages;
 pub mod trading;
 
 pub use arbiter::{ArbiterStats, FeedArbiter, FeedHealth, FeedId};
-pub use dma::{Descriptor, DescriptorRing};
 pub use local_book::LocalBook;
 pub use multi_offload::{MultiOffload, ShardCounters, ShardTicket};
 pub use offload::{FeatureWindow, OffloadEngine, TensorTicket};

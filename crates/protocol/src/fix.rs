@@ -141,7 +141,8 @@ impl FixDecoder {
                 .parse()
                 .map_err(|_| DecodeError::MalformedField("11".into()))?,
         );
-        let symbol = Symbol::new(get(tag::SYMBOL)?);
+        let symbol = Symbol::try_new(get(tag::SYMBOL)?)
+            .ok_or_else(|| DecodeError::MalformedField("symbol".to_string()))?;
         let parse_price = |s: &str| -> Result<Price, DecodeError> {
             Ok(Price::new(
                 s.parse()

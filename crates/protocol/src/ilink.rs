@@ -151,10 +151,10 @@ impl OrderMessage {
         let mut sym = [0u8; 8];
         buf.copy_to_slice(&mut sym);
         let len = sym.iter().position(|&b| b == 0).unwrap_or(8);
-        let symbol = Symbol::new(
-            std::str::from_utf8(&sym[..len])
-                .map_err(|_| DecodeError::MalformedField("symbol".to_string()))?,
-        );
+        let symbol = std::str::from_utf8(&sym[..len])
+            .ok()
+            .and_then(Symbol::try_new)
+            .ok_or_else(|| DecodeError::MalformedField("symbol".to_string()))?;
         let kind = match header.template_id {
             TEMPLATE_NEW_ORDER => {
                 header.require_block(NEW_ORDER_BLOCK_LEN)?;

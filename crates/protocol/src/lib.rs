@@ -14,8 +14,6 @@
 //!   replace and execution-report acknowledgements);
 //! * [`fix`] — classic `tag=value` FIX encoding of the same order messages,
 //!   including the `10=` checksum trailer;
-//! * [`session`] — the order-entry session layer (logon, heartbeats,
-//!   sequence-gap recovery) that wraps the business messages;
 //! * [`framing`] — UDP-style market-data datagrams (channel sequence,
 //!   packet time, message count, additive checksum) and wire-size
 //!   accounting used by the latency model;
@@ -32,7 +30,6 @@ pub mod framing;
 pub mod ilink;
 pub mod netem;
 pub mod sbe;
-pub mod session;
 
 pub use error::DecodeError;
 pub use fix::{FixDecoder, FixEncoder};
@@ -40,4 +37,3 @@ pub use framing::{Datagram, WireCost, ETHERNET_IPV4_UDP_OVERHEAD};
 pub use ilink::{OrderMessage, OrderMessageKind};
 pub use netem::{ChannelStats, Delivery, FaultRates, LossyChannel};
 pub use sbe::{MessageHeader, SbeDecoder, SbeEncoder, SCHEMA_ID, SCHEMA_VERSION};
-pub use session::{OrderSession, SessionMessage, SessionState};

@@ -1,4 +1,5 @@
-//! Property tests: every codec round-trips arbitrary messages losslessly.
+//! Property tests: every codec round-trips arbitrary messages losslessly,
+//! and the order decoders return errors for hostile bytes.
 
 use lt_lob::events::MarketEventKind;
 use lt_lob::{
@@ -188,5 +189,108 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// One order of each kind, the inputs of the hostile-byte cases below.
+fn one_of_each_kind() -> [OrderMessage; 3] {
+    let order = |id, kind| OrderMessage {
+        cl_ord_id: OrderId::new(id),
+        symbol: Symbol::new("ESU6"),
+        kind,
+    };
+    [
+        order(
+            1,
+            OrderMessageKind::New {
+                side: Side::Ask,
+                price: Price::new(18_000),
+                qty: Qty::new(3),
+                tif: TimeInForce::Ioc,
+            },
+        ),
+        order(
+            2,
+            OrderMessageKind::Replace {
+                price: Price::new(-5),
+                qty: Qty::new(1),
+            },
+        ),
+        order(3, OrderMessageKind::Cancel),
+    ]
+}
+
+/// `fields` (SOH-terminated `tag=value` pairs) under a valid `10=` trailer.
+fn fix_frame(fields: &[u8]) -> Vec<u8> {
+    let checksum = fields.iter().map(|&b| u32::from(b)).sum::<u32>() % 256;
+    [fields, format!("10={checksum:03}\u{1}").as_bytes()].concat()
+}
+
+fn malformed_symbol() -> lt_protocol::DecodeError {
+    lt_protocol::DecodeError::MalformedField("symbol".to_string())
+}
+
+/// The symbol field sits after the 8-byte header and the 8-byte order id.
+#[test]
+fn ilink_all_zero_symbol_is_an_error() {
+    for msg in one_of_each_kind() {
+        let mut bytes = msg.encode().to_vec();
+        bytes[16..24].fill(0);
+        assert_eq!(
+            OrderMessage::decode(&bytes).unwrap_err(),
+            malformed_symbol()
+        );
+    }
+}
+
+#[test]
+fn fix_empty_symbol_is_an_error() {
+    let frame = fix_frame(b"8=FIX.4.4\x019=17\x0135=F\x0111=3\x0155=\x01");
+    assert_eq!(
+        FixDecoder::new().decode(&frame).unwrap_err(),
+        malformed_symbol()
+    );
+}
+
+#[test]
+fn fix_overlong_symbol_is_an_error() {
+    let frame = fix_frame(b"8=FIX.4.4\x019=30\x0135=F\x0111=3\x0155=TOOLONGSYMBOL\x01");
+    assert_eq!(
+        FixDecoder::new().decode(&frame).unwrap_err(),
+        malformed_symbol()
+    );
+}
+
+/// Every truncation and every single-byte change of a valid iLink3 order
+/// and of a valid FIX frame decodes to `Ok` or `Err`, never a panic. A FIX
+/// frame's change is tried twice, as is (the checksum refuses it) and under
+/// a recomputed trailer (the field parsers see it).
+#[test]
+fn mutated_and_truncated_orders_never_panic() {
+    fn each_change(clean: &[u8], mut decode: impl FnMut(&[u8])) {
+        for len in 0..clean.len() {
+            decode(&clean[..len]);
+        }
+        let mut bytes = clean.to_vec();
+        for pos in 0..clean.len() {
+            for value in (0..=255u8).filter(|&v| v != clean[pos]) {
+                bytes[pos] = value;
+                decode(&bytes);
+            }
+            bytes[pos] = clean[pos];
+        }
+    }
+    for msg in one_of_each_kind() {
+        each_change(&msg.encode(), |bytes| {
+            let _ = OrderMessage::decode(bytes);
+        });
+        let frame = FixEncoder::new().encode(&msg);
+        let trailer = "10=000\u{1}".len();
+        each_change(&frame, |bytes| {
+            let _ = FixDecoder::new().decode(bytes);
+        });
+        each_change(&frame[..frame.len() - trailer], |fields| {
+            let _ = FixDecoder::new().decode(&fix_frame(fields));
+        });
     }
 }

@@ -14,6 +14,9 @@ fast=0
 echo "== cargo fmt --check =="
 cargo fmt --check
 
+echo "== reachability: no source file whose pub items nothing names =="
+./scripts/islands.sh
+
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -1,12 +1,10 @@
 //! Cross-crate integration below the system level: codecs over real
-//! matching-engine output, offload engine over real feed sessions, CGRA
-//! functional equivalence, and scheduler/profile consistency.
+//! matching-engine output, offload engine over real feed sessions, and
+//! scheduler/profile consistency.
 
-use lighttrader::accel::cgra::{CgraSim, GridConfig};
 use lighttrader::accel::{static_plan, DeviceProfile, DvfsTable};
 use lighttrader::dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
-use lighttrader::dnn::ops::Linear;
-use lighttrader::dnn::{ModelRegistry, Tensor};
+use lighttrader::dnn::ModelRegistry;
 use lighttrader::pipeline::{LocalBook, OffloadEngine, PacketParser, PipelineLatencies};
 use lighttrader::prelude::*;
 use lighttrader::protocol::framing::Datagram;
@@ -75,41 +73,6 @@ fn offload_feeds_models() {
         }
         assert_eq!(predictions, 200 - (window - 1));
     }
-}
-
-/// The CGRA simulator computes bit-identically to the host layers while
-/// charging cycles consistent with its grid geometry.
-#[test]
-fn cgra_functional_equivalence() {
-    let mut sim = CgraSim::new(GridConfig::lighttrader());
-    let layer = Linear::new(64, 32, 5);
-    let x = Tensor::random(&[64], 1.0, 6);
-    let host = layer.forward_reference(&x);
-    let accel = sim.run_linear(&layer, &x);
-    assert_eq!(host, accel);
-    assert_eq!(sim.macs_executed(), 64 * 32);
-    // Cycle floor: macs / lanes, plus pipeline fill.
-    let lanes = GridConfig::lighttrader().mac_lanes() as u64;
-    assert!(sim.cycles() >= sim.macs_executed() / lanes);
-}
-
-/// Two independent accelerator models — the hyperblock-level CGRA
-/// simulator and the cycle-stepped systolic array — compute identical
-/// matmuls, and the stepped model's cycle count respects the closed-form
-/// tile cost.
-#[test]
-fn accelerator_models_agree() {
-    use lighttrader::accel::pe::SystolicArray;
-    let a = Tensor::random(&[8, 24], 1.0, 31);
-    let b = Tensor::random(&[24, 8], 1.0, 32);
-    let mut cgra = CgraSim::new(GridConfig::lighttrader());
-    let coarse = cgra.matmul(&a, &b);
-    let array = SystolicArray::new(8, 8);
-    let (stepped, cycles) = array.matmul(&a, &b);
-    for (x, y) in coarse.data().iter().zip(stepped.data()) {
-        assert!((x - y).abs() < 1e-3, "{x} vs {y}");
-    }
-    assert_eq!(cycles, array.tile_cycles(24), "single tile closed form");
 }
 
 /// Paper-scale specs and tiny specs share one op-count code path.
