@@ -7,9 +7,9 @@
 //! tiny model configurations); use `lt-sim` when you need timing,
 //! response rates, or scheduling studies instead.
 
-use lt_dnn::{ModelKind, ModelRegistry, Prediction, StreamStats, Tensor};
+use lt_dnn::{ModelKind, ModelRegistry, Prediction, StreamStats, Tensor, MAX_SWEEP};
 use lt_feed::NormStats;
-use lt_lob::{MarketEvent, Symbol, Timestamp};
+use lt_lob::{LobSnapshot, MarketEvent, Symbol, Timestamp};
 use lt_pipeline::trading::NoOrderReason;
 use lt_pipeline::{
     KillSwitch, LocalBook, OffloadEngine, OrderRateLimiter, PacketParser, PipelineLatencies,
@@ -166,8 +166,9 @@ impl LightTraderBuilder {
                 .map(|floor| KillSwitch::new(floor, 10)),
             inferences: 0,
             tickets: Vec::with_capacity(4),
-            window_buf: Tensor::zeros(&[window, width]),
-            snap: lt_lob::LobSnapshot::default(),
+            window_buf: Tensor::zeros(&[window + MAX_SWEEP - 1, width]),
+            snaps: vec![LobSnapshot::default(); MAX_SWEEP],
+            preds: Vec::with_capacity(MAX_SWEEP),
             stages: self.stages,
             active: self.kind,
             registry,
@@ -193,13 +194,18 @@ pub struct LightTrader {
     /// Reusable drain buffer for the ticket queue: every popped ticket
     /// is accounted for (forwarded), none silently discarded.
     tickets: Vec<TensorTicket>,
-    /// Reusable `[max_window, features]` staging tensor the current
-    /// feature window is written into before inference — steady-state
-    /// ticks never materialize a fresh window tensor.
+    /// Reusable `[max_window + MAX_SWEEP - 1, features]` staging tensor: a
+    /// sweep of `k` ticks fills its trailing `max_window + k - 1` rows —
+    /// the first tick's whole window, then one newest row per further
+    /// tick — so window `j` is rows `j..j + max_window` of those and
+    /// steady-state ticks never materialize a fresh window tensor.
     window_buf: Tensor,
-    /// Snapshot scratch reused across ticks: once its level vectors
-    /// reach depth capacity, the tick path takes no snapshot allocation.
-    snap: lt_lob::LobSnapshot,
+    /// One snapshot slot per tick of a sweep, reused across sweeps: once
+    /// their level vectors reach depth capacity, the tick path takes no
+    /// snapshot allocation.
+    snaps: Vec<LobSnapshot>,
+    /// Reusable buffer for a sweep's predictions.
+    preds: Vec<Prediction>,
     /// Stage budget stamped onto each query's ingress telemetry.
     stages: PipelineLatencies,
 }
@@ -307,63 +313,109 @@ impl LightTrader {
 
     /// Feeds one raw market-data datagram through the full pipeline.
     ///
-    /// Returns one outcome per decoded tick.
+    /// Returns one outcome per decoded tick, in arrival order. The
+    /// datagram, not the tick, is the unit of inference: its ticks are
+    /// served in sweeps of up to [`MAX_SWEEP`], each one registry call,
+    /// and every outcome is what tick-by-tick [`Self::on_event`] calls
+    /// produce.
     pub fn on_datagram(&mut self, bytes: &[u8]) -> Vec<TickOutcome> {
         let events = self.parser.ingest(bytes);
-        events.iter().map(|e| self.process_event(e)).collect()
+        let mut outcomes = Vec::with_capacity(events.len());
+        self.on_events(&events, |outcome| outcomes.push(outcome));
+        outcomes
     }
 
     /// Feeds one already-decoded market event (bypasses the parser).
     pub fn on_event(&mut self, event: &MarketEvent) -> TickOutcome {
-        self.process_event(event)
+        let mut outcome = None;
+        self.on_events(std::slice::from_ref(event), |o| outcome = Some(o));
+        outcome.expect("one event, one outcome")
     }
 
-    fn process_event(&mut self, event: &MarketEvent) -> TickOutcome {
-        self.book.apply(event);
-        // The scratch snapshot is taken out of `self` for the duration of
-        // the tick (on_snapshot needs `&mut self` alongside it) and put
-        // back afterwards, keeping its level capacity.
-        let mut snapshot = std::mem::take(&mut self.snap);
-        self.book.snapshot_into(10, event.ts, &mut snapshot);
-        let outcome = self.on_snapshot(&snapshot, event.ts);
-        self.snap = snapshot;
-        outcome
-    }
-
-    /// One tick from its book snapshot to its outcome: stage the feature
-    /// row, and once the window is warm serve the query and gate the
-    /// decision.
-    fn on_snapshot(&mut self, snapshot: &lt_lob::LobSnapshot, ts: Timestamp) -> TickOutcome {
-        self.offload.on_tick_staged(snapshot, ts, &self.stages);
-        if !self.offload.is_warm() {
-            return TickOutcome::Warmup;
+    /// Applies `events` to the book and serves them, a sweep at a time,
+    /// handing `sink` one outcome per event in arrival order.
+    fn on_events(&mut self, events: &[MarketEvent], mut sink: impl FnMut(TickOutcome)) {
+        // The snapshot slots are taken out of `self` for the duration
+        // (`serve` needs `&mut self` alongside them) and put back
+        // afterwards, keeping their level capacity.
+        let mut snaps = std::mem::take(&mut self.snaps);
+        let mut rest = events;
+        while !rest.is_empty() {
+            // The event count is the peer's to choose; a sweep is not. A
+            // cold window is served tick by tick, so that every sweep is
+            // served whole or not at all.
+            let cap = if self.offload.is_warm() { MAX_SWEEP } else { 1 };
+            let (sweep, later) = rest.split_at(rest.len().min(cap));
+            for (event, snap) in sweep.iter().zip(&mut snaps) {
+                self.book.apply(event);
+                self.book.snapshot_into(10, event.ts, snap);
+            }
+            let ticks = snaps[..sweep.len()].iter().map(|snap| (snap, snap.ts));
+            self.serve(ticks, &mut sink);
+            rest = later;
         }
-        // In the functional path the "accelerator" is the host: it runs
-        // the tiny model on the assembled window before the next tick.
-        let prediction = self.drain_and_forward();
-        self.gated_decision(&prediction, snapshot, ts)
+        self.snaps = snaps;
     }
 
-    /// Drains the offload queue and serves the query it held: stages the
-    /// current window into the reusable tensor and runs the active tier
-    /// through the registry's packed forward path.
+    /// One sweep from its ticks' book snapshots to their outcomes: stages
+    /// every feature row and, once the window is warm, serves all the
+    /// queries with one registry call and gates the decisions one by one
+    /// in arrival order, each against its own snapshot and timestamp.
+    /// Nothing downstream of a prediction feeds back into book or
+    /// features, so kill switch, rate limiter and position see what a
+    /// sweep per tick shows them.
     ///
-    /// Every popped ticket must be served; in the functional path the
-    /// host drains after every warm tick, so exactly one ticket can be
-    /// queued. A longer queue would mean earlier queries were dropped
-    /// without inference, which this asserts against instead of hiding.
-    fn drain_and_forward(&mut self) -> Prediction {
-        self.tickets.clear();
-        self.offload.pop_batch_into(usize::MAX, &mut self.tickets);
-        assert_eq!(
-            self.tickets.len(),
-            1,
-            "functional path must drain one ticket per warm tick"
-        );
-        self.offload.write_window_into(self.window_buf.data_mut());
-        let prediction = self.registry.forward(self.active, &self.window_buf);
-        self.inferences += 1;
-        prediction
+    /// Every popped ticket must be served; the host drains as it stages,
+    /// so exactly one ticket can be queued per warm tick. A longer queue
+    /// would mean earlier queries were dropped without inference, which
+    /// this asserts against instead of hiding.
+    fn serve<'a>(
+        &mut self,
+        ticks: impl ExactSizeIterator<Item = (&'a LobSnapshot, Timestamp)> + Clone,
+        mut sink: impl FnMut(TickOutcome),
+    ) {
+        let n = ticks.len();
+        let (rows, width) = (self.window_buf.shape()[0], self.window_buf.shape()[1]);
+        let window = rows + 1 - MAX_SWEEP;
+        let mut at = (MAX_SWEEP - n) * width;
+        let mut served = 0;
+        for (snapshot, ts) in ticks.clone() {
+            self.offload.on_tick_staged(snapshot, ts, &self.stages);
+            if !self.offload.is_warm() {
+                sink(TickOutcome::Warmup);
+                continue;
+            }
+            self.tickets.clear();
+            self.offload.pop_batch_into(usize::MAX, &mut self.tickets);
+            assert_eq!(
+                self.tickets.len(),
+                1,
+                "functional path must drain one ticket per warm tick"
+            );
+            let staged = &mut self.window_buf.data_mut()[at..];
+            if served == 0 {
+                self.offload
+                    .write_window_into(&mut staged[..window * width]);
+                at += window * width;
+            } else {
+                self.offload.write_newest_row_into(&mut staged[..width]);
+                at += width;
+            }
+            served += 1;
+        }
+        if served == 0 {
+            return;
+        }
+        assert_eq!(at, rows * width, "a warm sweep is served whole");
+        // In the functional path the "accelerator" is the host: it runs
+        // the tiny model on the staged windows before the next sweep.
+        self.registry
+            .forward_slides(self.active, &self.window_buf, served, &mut self.preds);
+        self.inferences += served as u64;
+        for (i, (snapshot, ts)) in ticks.skip(n - served).enumerate() {
+            let prediction = self.preds[i];
+            sink(self.gated_decision(&prediction, snapshot, ts));
+        }
     }
 
     /// Applies the kill switch and rate limiter around the trading
@@ -371,7 +423,7 @@ impl LightTrader {
     fn gated_decision(
         &mut self,
         prediction: &Prediction,
-        snapshot: &lt_lob::LobSnapshot,
+        snapshot: &LobSnapshot,
         ts: Timestamp,
     ) -> TickOutcome {
         // Mark the open position to market on *every* post-warmup tick,
@@ -428,10 +480,11 @@ impl LightTrader {
     pub fn replay_outcomes(&mut self, trace: &lt_feed::TickTrace) -> Vec<(Timestamp, TickOutcome)> {
         let mut outcomes = Vec::new();
         for tick in trace {
-            match self.on_snapshot(&tick.snapshot, tick.ts) {
-                TickOutcome::Warmup => {}
-                outcome => outcomes.push((tick.ts, outcome)),
-            }
+            self.serve(std::iter::once((&tick.snapshot, tick.ts)), |outcome| {
+                if outcome != TickOutcome::Warmup {
+                    outcomes.push((tick.ts, outcome));
+                }
+            });
         }
         outcomes
     }
@@ -464,6 +517,15 @@ impl std::fmt::Debug for LightTrader {
 mod tests {
     use super::*;
     use lt_feed::SessionBuilder;
+
+    /// One tick from its book snapshot to its outcome: a sweep of one.
+    fn on_snapshot(system: &mut LightTrader, tick: &lt_feed::TickRecord) -> TickOutcome {
+        let mut outcome = None;
+        system.serve(std::iter::once((&tick.snapshot, tick.ts)), |o| {
+            outcome = Some(o)
+        });
+        outcome.expect("one tick, one outcome")
+    }
 
     /// The model output an outcome carries: `None` while warming up.
     fn prediction_of(outcome: &TickOutcome) -> Option<Prediction> {
@@ -757,7 +819,7 @@ mod tests {
             .build();
         let mut warm_ticks = 0u64;
         for tick in &session.trace {
-            if system.on_snapshot(&tick.snapshot, tick.ts) == TickOutcome::Warmup {
+            if on_snapshot(&mut system, tick) == TickOutcome::Warmup {
                 continue;
             }
             warm_ticks += 1;
@@ -794,9 +856,10 @@ mod tests {
                 .offload
                 .on_tick_staged(&tick.snapshot, tick.ts, &system.stages.clone());
             if system.offload.queue_len() >= 2 {
-                // Two admitted tickets, one window: forwarding would
-                // silently discard the older query.
-                let _ = system.drain_and_forward();
+                // Two admitted tickets and a third with this tick, one
+                // window each: forwarding would silently discard the
+                // older queries.
+                let _ = on_snapshot(&mut system, tick);
                 unreachable!("drain must reject a multi-ticket backlog");
             }
         }
@@ -822,8 +885,7 @@ mod tests {
         for (chunk, tick) in session.trace.iter().enumerate() {
             let tier = ModelKind::ALL[(chunk / 50) % 3];
             system.serve_tier(tier);
-            let Some(prediction) = prediction_of(&system.on_snapshot(&tick.snapshot, tick.ts))
-            else {
+            let Some(prediction) = prediction_of(&on_snapshot(&mut system, tick)) else {
                 continue;
             };
             let sum: f32 = prediction.probs.iter().sum();
@@ -915,8 +977,7 @@ mod tests {
         for (i, tick) in session.trace.iter().enumerate() {
             let t = (i / 37) % 3;
             system.serve_tier(ModelKind::ALL[t]);
-            let Some(prediction) = prediction_of(&system.on_snapshot(&tick.snapshot, tick.ts))
-            else {
+            let Some(prediction) = prediction_of(&on_snapshot(&mut system, tick)) else {
                 continue;
             };
             let window = std::slice::from_ref(&system.window_buf);
@@ -935,6 +996,210 @@ mod tests {
         for (t, kind) in ModelKind::ALL.into_iter().enumerate() {
             let want = streamed(kind, served[t], stretches[t]);
             assert_eq!(system.stream_stats(kind), want, "{kind}");
+        }
+    }
+
+    /// The first `n` market events of a seeded agent flow against a real
+    /// matching engine, 5 ms apart.
+    fn flow_events(seed: u64, n: usize) -> Vec<MarketEvent> {
+        let params = lt_feed::AgentParams::default();
+        let mut flow = lt_feed::AgentFlow::new(Symbol::new("ESU6"), params, seed);
+        let mut events = Vec::new();
+        for tick in 1.. {
+            events.extend(flow.step(Timestamp::from_micros(5_000 * tick)));
+            if events.len() >= n {
+                break;
+            }
+        }
+        events.truncate(n);
+        events
+    }
+
+    /// `events` as one framed, checksummed SBE datagram.
+    fn datagram(channel_seq: u32, events: &[MarketEvent]) -> Vec<u8> {
+        let encoder = lt_protocol::sbe::SbeEncoder::new();
+        let mut payload = Vec::new();
+        for event in events {
+            payload.extend_from_slice(&encoder.encode(event));
+        }
+        let sent = Timestamp::from_nanos(1);
+        lt_protocol::framing::Datagram::new(channel_seq, sent, events.len() as u16, payload)
+            .encode()
+    }
+
+    /// A trader with every gate armed, so that decision order shows.
+    fn gated(kind: ModelKind) -> LightTrader {
+        LightTrader::builder(kind)
+            .seed(7)
+            .tier_models(&ModelKind::ALL)
+            .risk(RiskLimits {
+                min_confidence: 0.0,
+                max_position: 100_000,
+                order_qty: 1,
+                max_spread_ticks: 1_000,
+            })
+            .order_rate_limit(30)
+            .kill_switch(-150)
+            .build()
+    }
+
+    /// Everything a trader shows of what it did.
+    fn books(system: &LightTrader) -> (u64, u64, u64, u64, i64, i64, [StreamStats; 3]) {
+        (
+            system.inferences(),
+            system.orders_sent(),
+            system.suppressed(),
+            system.rate_limited(),
+            system.position(),
+            system.cash_ticks(),
+            ModelKind::ALL.map(|kind| system.stream_stats(kind)),
+        )
+    }
+
+    /// A datagram that serves no query — empty, corrupt, or all of it
+    /// inside the warm-up — reaches no model.
+    #[test]
+    fn datagrams_that_serve_nothing_make_no_registry_call() {
+        let kind = ModelKind::VanillaCnn;
+        let events = flow_events(5, 60);
+        let mut system = LightTrader::builder(kind).seed(7).build();
+        let mut corrupt = datagram(1, &events[..3]);
+        let last = corrupt.len() - 1;
+        corrupt[last] ^= 0x40;
+        assert!(system.on_datagram(&datagram(0, &[])).is_empty());
+        assert!(system.on_datagram(&corrupt).is_empty());
+        assert_eq!(system.parser_stats().corrupt, 1);
+        // The CNN's window is 20 ticks: 19 events in are all warm-up.
+        let outcomes = system.on_datagram(&datagram(2, &events[..19]));
+        assert_eq!(outcomes, vec![TickOutcome::Warmup; 19]);
+        assert_eq!(system.stream_stats(kind), StreamStats::default());
+        assert_eq!(system.inferences(), 0);
+        // And the same once warm: one miss, then hits, then nothing moves.
+        assert_eq!(system.on_datagram(&datagram(3, &events[19..30])).len(), 11);
+        let warm = system.stream_stats(kind);
+        assert_eq!(warm, streamed(kind, 11, 1));
+        assert!(system.on_datagram(&datagram(4, &[])).is_empty());
+        corrupt[..4].copy_from_slice(&5u32.to_le_bytes());
+        assert!(system.on_datagram(&corrupt).is_empty());
+        assert_eq!(system.parser_stats().corrupt, 2);
+        assert_eq!(system.stream_stats(kind), warm);
+        assert_eq!(system.inferences(), 11);
+    }
+
+    /// A datagram that crosses the warm-up boundary answers `Warmup` for
+    /// its leading events, in place, and serves the rest: the first served
+    /// window is the stream's one miss, whatever `k` it arrives in.
+    #[test]
+    fn a_datagram_across_the_warmup_boundary_warms_in_place_and_misses_once() {
+        let events = flow_events(6, 40);
+        for kind in ModelKind::ALL {
+            let mut swept = gated(kind);
+            let mut single = gated(kind);
+            let window = swept.registry.max_window();
+            let cut = window - 8;
+            let mut outcomes = swept.on_datagram(&datagram(0, &events[..cut]));
+            outcomes.extend(swept.on_datagram(&datagram(1, &events[cut..])));
+            let one_by_one: Vec<TickOutcome> = events.iter().map(|e| single.on_event(e)).collect();
+            assert_eq!(outcomes, one_by_one, "{kind}");
+            let warmups = outcomes
+                .iter()
+                .take_while(|o| **o == TickOutcome::Warmup)
+                .count();
+            assert_eq!(warmups, window - 1, "{kind}");
+            assert!(
+                !outcomes[warmups..].contains(&TickOutcome::Warmup),
+                "{kind}"
+            );
+            let served = (events.len() - warmups) as u64;
+            assert_eq!(
+                swept.stream_stats(kind),
+                streamed(kind, served, 1),
+                "{kind}"
+            );
+            assert_eq!(books(&swept), books(&single), "{kind}");
+        }
+    }
+
+    /// Switching the serving tier between two datagrams costs the tier
+    /// switched to exactly one miss, on the first window of its next
+    /// sweep; the rest of that sweep streams behind it.
+    #[test]
+    fn a_tier_switch_between_datagrams_costs_the_next_sweeps_first_window() {
+        let events = flow_events(7, 24 + 5 + 6 + 4 + 7);
+        let mut swept = gated(ModelKind::DeepLob);
+        let mut single = gated(ModelKind::DeepLob);
+        // Warm-up and one miss, then datagrams of 5, 6, 4 and 7 events on
+        // DeepLOB, the CNN, TransLOB and DeepLOB again.
+        let legs = [
+            (ModelKind::DeepLob, 24),
+            (ModelKind::DeepLob, 5),
+            (ModelKind::VanillaCnn, 6),
+            (ModelKind::TransLob, 4),
+            (ModelKind::DeepLob, 7),
+        ];
+        let mut want = [StreamStats::default(); 3];
+        let mut at = 0;
+        for (seq, (kind, k)) in legs.into_iter().enumerate() {
+            swept.serve_tier(kind);
+            single.serve_tier(kind);
+            let leg = &events[at..at + k];
+            at += k;
+            let outcomes = swept.on_datagram(&datagram(seq as u32, leg));
+            let one_by_one: Vec<TickOutcome> = leg.iter().map(|e| single.on_event(e)).collect();
+            assert_eq!(outcomes, one_by_one, "leg {seq} on {kind}");
+            // Leg 0 serves only its last event; DeepLOB's later legs follow
+            // its own last window (leg 1) or a stretch it sat out (leg 4).
+            let (served, first) = match seq {
+                0 => (1, 1),
+                1 => (k as u64, 0),
+                _ => (k as u64, 1),
+            };
+            let leg_stats = streamed(kind, served, first);
+            want[kind as usize].hits += leg_stats.hits;
+            want[kind as usize].misses += leg_stats.misses;
+            let stats = ModelKind::ALL.map(|tier| swept.stream_stats(tier));
+            assert_eq!(stats, want, "leg {seq} on {kind}");
+        }
+        assert_eq!(books(&swept), books(&single));
+    }
+
+    /// The event count of a datagram is its sender's to choose: 300 of
+    /// them are 300 `on_event` calls, served in bounded sweeps that leave
+    /// every staging buffer the size a 16-event datagram leaves it, and
+    /// never queue past the offload engine's 64 tickets.
+    #[test]
+    fn a_300_event_datagram_is_300_events_in_bounded_sweeps() {
+        let events = flow_events(8, 30 + 300);
+        for kind in ModelKind::ALL {
+            let mut swept = gated(kind);
+            let mut small = gated(kind);
+            let mut single = gated(kind);
+            let warm_up = datagram(0, &events[..30]);
+            let mut outcomes = swept.on_datagram(&warm_up);
+            small.on_datagram(&warm_up);
+            small.on_datagram(&datagram(1, &events[30..30 + MAX_SWEEP]));
+            outcomes.extend(swept.on_datagram(&datagram(1, &events[30..])));
+            let one_by_one: Vec<TickOutcome> = events.iter().map(|e| single.on_event(e)).collect();
+            assert_eq!(outcomes.len(), 330, "{kind}");
+            assert_eq!(outcomes, one_by_one, "{kind}");
+            assert_eq!(books(&swept), books(&single), "{kind}");
+            assert_eq!(
+                swept.stream_stats(kind),
+                streamed(kind, 330 - 23, 1),
+                "{kind}"
+            );
+            assert_eq!(swept.offload.dropped_full(), 0, "{kind}");
+            assert_eq!(swept.offload.dropped_stale(), 0, "{kind}");
+            assert_eq!(swept.offload.queue_len(), 0, "{kind}");
+            let staging = |system: &LightTrader| {
+                (
+                    system.window_buf.len(),
+                    system.snaps.len(),
+                    system.preds.capacity(),
+                    system.tickets.capacity(),
+                )
+            };
+            assert_eq!(staging(&swept), staging(&small), "{kind}");
         }
     }
 

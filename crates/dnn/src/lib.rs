@@ -57,5 +57,5 @@ pub use model::{Model, ModelKind, Prediction, PriceDirection};
 pub use models::{DeepLob, TransLob, VanillaCnn};
 pub use registry::ModelRegistry;
 pub use scratch::ScratchPad;
-pub use stream::StreamStats;
+pub use stream::{StreamStats, MAX_SWEEP};
 pub use tensor::Tensor;

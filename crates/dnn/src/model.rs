@@ -164,7 +164,8 @@ pub trait Model: Send + Sync {
 
     /// Runs inference over a batch of `[window, features]` inputs,
     /// appending one [`Prediction`] per input to `out` (cleared first).
-    /// A single query is a batch of one.
+    /// A single query is a batch of one. Stateless: it never streams —
+    /// nothing of one call survives into the next but `pad`'s buffers.
     ///
     /// Every intermediate buffer comes from `pad`: after a warm-up call
     /// at the same batch size this performs zero heap allocations
@@ -195,26 +196,37 @@ pub trait Model: Send + Sync {
         Vec::new()
     }
 
-    /// [`Self::forward_batch_scratch`] on the one `input`, bit for bit,
-    /// through the state in `lines` (from [`Self::stream_lines`]).
+    /// One sweep through the state in `lines` (from
+    /// [`Self::stream_lines`]): `whole`, when given, and then the windows
+    /// that follow it — or, without it, the last window served through
+    /// these `lines` — each by sliding in one more row of `rows`
+    /// (`[k, features]`, `k` may be zero). `out` is cleared and gets one
+    /// prediction per window, in that order, each bit for bit
+    /// [`Self::forward_batch_scratch`] on that window alone.
     ///
-    /// `slid` is the caller's word that `input` is, bit for bit, the
-    /// window of the previous call on these `lines` slid by one row: then
-    /// only the newest row goes through the trunk, one output row per
-    /// layer by the same packed convolution at `h = kh`, and the model's
-    /// unchanged tail runs on the kept trunk output. Otherwise the whole
-    /// window runs and `lines` are refilled from its activations.
+    /// `whole` runs as a whole window and refills `lines` from its
+    /// activations; the caller passes it whenever the first window is not,
+    /// bit for bit, the previous one slid by a row. The `k` slid windows
+    /// send only their `k` new rows through the trunk — `k` output rows
+    /// per layer from one call of the same packed convolution, at
+    /// `h = kh - 1 + k` — and the model's unchanged tail runs once, at
+    /// batch `k`, over the `k` overlapping trunk outputs.
+    ///
+    /// # Panics
+    ///
+    /// The default panics: a model that returns no
+    /// [`Self::stream_lines`] has nothing to stream through.
     fn forward_stream(
         &self,
-        input: &Tensor,
-        slid: bool,
+        whole: Option<&Tensor>,
+        rows: &[f32],
         lines: &mut [LineBuffer],
         packed: &PackedWeights,
         pad: &mut ScratchPad,
         out: &mut Vec<Prediction>,
     ) {
-        let _ = (slid, lines);
-        self.forward_batch_scratch(std::slice::from_ref(input), packed, pad, out);
+        let _ = (whole, rows, lines, packed, pad, out);
+        unimplemented!("{} has no streaming trunk", self.kind());
     }
 
     /// Analytic multiply-accumulate count of one forward pass.

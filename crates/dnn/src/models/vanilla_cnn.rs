@@ -357,21 +357,25 @@ impl Model for VanillaCnn {
 
     fn forward_stream(
         &self,
-        input: &Tensor,
-        slid: bool,
+        whole: Option<&Tensor>,
+        rows: &[f32],
         lines: &mut [LineBuffer],
         packed: &PackedWeights,
         pad: &mut ScratchPad,
         out: &mut Vec<Prediction>,
     ) {
-        if !slid {
-            let inputs = std::slice::from_ref(input);
-            return self.forward_windows(inputs, Some(lines), packed, pad, out);
-        }
-        let convs = [&self.conv1, &self.conv2, &self.conv3];
-        let trunk_out = advance_trunk(lines, convs, relu_slice, input.data(), packed, pad);
         out.clear();
-        self.tail(trunk_out, 1, packed, pad, out);
+        if let Some(window) = whole {
+            let inputs = std::slice::from_ref(window);
+            self.forward_windows(inputs, Some(&mut *lines), packed, pad, out);
+        }
+        if !rows.is_empty() {
+            let convs = [&self.conv1, &self.conv2, &self.conv3];
+            let tail = |trunk_out: &[f32], k: usize, pad: &mut ScratchPad| {
+                self.tail(trunk_out, k, packed, pad, out)
+            };
+            advance_trunk(lines, convs, relu_slice, rows, packed, pad, tail);
+        }
     }
 
     fn total_macs(&self) -> u64 {

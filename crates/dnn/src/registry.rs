@@ -10,14 +10,14 @@
 //!
 //! The tiers have different input windows (e.g. tiny CNN sees 20 ticks,
 //! tiny DeepLOB 24); the feature pipeline stages the *largest* window
-//! ([`ModelRegistry::max_window`]) and [`ModelRegistry::forward`] slices
-//! the trailing rows each smaller tier needs.
+//! ([`ModelRegistry::max_window`]) and [`ModelRegistry::forward_slides`]
+//! slices the trailing rows each smaller tier needs.
 
 use crate::batch::PackedWeights;
 use crate::model::{Model, ModelKind, Prediction};
 use crate::models::build_tiny;
 use crate::scratch::ScratchPad;
-use crate::stream::{slid_by_one, LineBuffer, StreamStats};
+use crate::stream::{slid_by_one, LineBuffer, StreamStats, MAX_SWEEP};
 use crate::tensor::Tensor;
 
 /// Position of `kind` in [`ModelKind::ALL`] (Table II order).
@@ -35,19 +35,18 @@ struct Entry {
     /// steady-state forward multiplies against these instead of the
     /// row-major weight tensors.
     packed: PackedWeights,
-    /// The `[window, features]` trailing window of the last single
-    /// query: what `stream` was last advanced to.
+    /// The `[window, features]` window a streamed tier served last: what
+    /// `stream` was last advanced to.
     input: Tensor,
     /// The model's streaming state ([`Model::stream_lines`]), consistent
     /// with `input` from registration on; empty for a tier that is not
     /// streamed.
     stream: Vec<LineBuffer>,
     stats: StreamStats,
-    /// Reusable staging lanes for batched trailing-window slices, grown
-    /// to the largest batch seen and then recycled.
+    /// Reusable `[window, features]` staging lanes — a batch's
+    /// trailing-window slices, an unstreamed tier's sweep — grown to the
+    /// most seen and then recycled.
     lanes: Vec<Tensor>,
-    /// Reusable prediction buffer for the single-query forward.
-    preds: Vec<Prediction>,
 }
 
 impl Entry {
@@ -62,35 +61,28 @@ impl Entry {
             input,
             stats: StreamStats::default(),
             lanes: Vec::new(),
-            preds: Vec::new(),
         };
         // Fill the stream from the all-zero window `input` holds, so the
         // two agree before the first query as after every later one.
         if !entry.stream.is_empty() {
-            entry.run(false);
+            entry.model.forward_stream(
+                Some(&entry.input),
+                &[],
+                &mut entry.stream,
+                &entry.packed,
+                &mut entry.pad,
+                &mut Vec::new(),
+            );
         }
         entry
-    }
-
-    /// Serves the window staged in `input`; `slid` as in
-    /// [`Model::forward_stream`], whose default — the stateless forward,
-    /// a single query being a batch of one — serves an unstreamed tier.
-    fn run(&mut self, slid: bool) -> Prediction {
-        self.model.forward_stream(
-            &self.input,
-            slid,
-            &mut self.stream,
-            &self.packed,
-            &mut self.pad,
-            &mut self.preds,
-        );
-        self.preds[0]
     }
 }
 
 /// One instantiated network + scratch state per registered tier.
 pub struct ModelRegistry {
     entries: [Option<Entry>; 3],
+    /// Reusable one-prediction buffer behind [`Self::forward`].
+    single: Vec<Prediction>,
 }
 
 impl ModelRegistry {
@@ -98,6 +90,7 @@ impl ModelRegistry {
     pub fn new() -> Self {
         ModelRegistry {
             entries: [None, None, None],
+            single: Vec::with_capacity(1),
         }
     }
 
@@ -170,48 +163,112 @@ impl ModelRegistry {
     /// Runs tier `kind` on `input`, which must hold *at least* the
     /// tier's window of tick rows (extra leading rows — staged for a
     /// wider tier — are skipped; the trailing `window()` rows are the
-    /// most recent ticks). Uses the tier's own scratch pad and staging
-    /// buffer, so steady-state calls are allocation-free.
-    ///
-    /// Memoises per tier: a tier whose trunk is shift-invariant in time
-    /// (DeepLOB, the CNN) keeps its last window and trunk activations,
-    /// and a window that is bit for bit the last one slid by one row
-    /// sends only its newest row through the trunk
-    /// ([`Model::forward_stream`]). That is invisible in the result — the
-    /// reused rows are the ones this window would recompute from the
-    /// same operands in the same order, and any other window runs whole —
-    /// and visible only in [`Self::stream_stats`] and the clock.
+    /// most recent ticks): [`Self::forward_slides`] at `k = 1`.
     ///
     /// # Panics
     ///
-    /// Panics when `kind` is not registered, the input is not rank-2,
-    /// the feature count differs, or fewer rows than the tier's window
-    /// are supplied.
+    /// As [`Self::forward_slides`].
     pub fn forward(&mut self, kind: ModelKind, input: &Tensor) -> Prediction {
+        let mut single = std::mem::take(&mut self.single);
+        self.forward_slides(kind, input, 1, &mut single);
+        let prediction = single[0];
+        self.single = single;
+        prediction
+    }
+
+    /// Runs tier `kind` on the `k` windows that end at each of the last
+    /// `k` rows of `input`, oldest first — one *sweep*: window `j` is rows
+    /// `j..j + window()` of the trailing `window() + k - 1` rows, each the
+    /// one before slid by a tick (extra leading rows — staged for a wider
+    /// tier — are skipped). `out` is cleared and gets one prediction per
+    /// window, bit for bit what `k` single-window [`Self::forward`] calls
+    /// return. Uses the tier's own scratch pad and staging buffers, so
+    /// steady-state calls (`k` at or below the largest seen) are
+    /// allocation-free.
+    ///
+    /// Memoises per tier: a tier whose trunk is shift-invariant in time
+    /// (DeepLOB, the CNN) keeps its last window and trunk activations,
+    /// and a sweep whose first window is bit for bit the last one served
+    /// slid by one row sends only its `k` newest rows through the trunk,
+    /// one call per layer, and runs the tail once at batch `k`
+    /// ([`Model::forward_stream`]). Only the first window is compared —
+    /// the rest are slides by construction, being views of one buffer;
+    /// when it is not a slide it runs whole and the rest stream behind it.
+    /// A tier that cannot stream (TransLOB) stages the `k` windows and
+    /// runs them as one batch. All of that is invisible in the result —
+    /// the reused rows are the ones each window would recompute from the
+    /// same operands in the same order — and visible only in
+    /// [`Self::stream_stats`] and the clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `kind` is not registered, `k` is zero or above
+    /// [`MAX_SWEEP`], the input is not rank-2, the feature count differs,
+    /// or fewer than `window() + k - 1` rows are supplied.
+    pub fn forward_slides(
+        &mut self,
+        kind: ModelKind,
+        input: &Tensor,
+        k: usize,
+        out: &mut Vec<Prediction>,
+    ) {
         let entry = self.entries[slot(kind)]
             .as_mut()
             .unwrap_or_else(|| panic!("{kind} is not registered"));
         let (window, features) = (entry.model.window(), entry.model.features());
+        assert!(
+            (1..=MAX_SWEEP).contains(&k),
+            "a sweep is 1..={MAX_SWEEP} windows, got {k}"
+        );
         assert_eq!(input.shape().len(), 2, "input must be [rows, features]");
         let (rows, cols) = (input.shape()[0], input.shape()[1]);
         assert_eq!(cols, features, "feature width mismatch for {kind}");
+        let needed = window + k - 1;
         assert!(
-            rows >= window,
-            "{kind} needs {window} tick rows, got {rows}"
+            rows >= needed,
+            "{kind} needs {needed} tick rows, got {rows}"
         );
-        let src = &input.data()[(rows - window) * features..];
-        let slid = !entry.stream.is_empty() && slid_by_one(entry.input.data(), src, features);
-        entry.input.data_mut().copy_from_slice(src);
-        if slid {
-            entry.stats.hits += 1;
-        } else {
-            entry.stats.misses += 1;
+        let swept = &input.data()[(rows - needed) * features..];
+        if entry.stream.is_empty() {
+            while entry.lanes.len() < k {
+                entry.lanes.push(Tensor::zeros(&[window, features]));
+            }
+            let lanes = &mut entry.lanes[..k];
+            for (j, lane) in lanes.iter_mut().enumerate() {
+                let src = &swept[j * features..][..window * features];
+                lane.data_mut().copy_from_slice(src);
+            }
+            entry.stats.misses += k as u64;
+            return entry
+                .model
+                .forward_batch_scratch(lanes, &entry.packed, &mut entry.pad, out);
         }
-        entry.run(slid)
+        let (first, last) = (&swept[..window * features], &swept[(k - 1) * features..]);
+        let slid = slid_by_one(entry.input.data(), first, features);
+        let slides = if slid { k } else { k - 1 };
+        if !slid {
+            entry.input.data_mut().copy_from_slice(first);
+        }
+        entry.model.forward_stream(
+            (!slid).then_some(&entry.input),
+            &swept[(needed - slides) * features..],
+            &mut entry.stream,
+            &entry.packed,
+            &mut entry.pad,
+            out,
+        );
+        if slides > 0 {
+            entry.input.data_mut().copy_from_slice(last);
+        }
+        entry.stats.hits += slides as u64;
+        entry.stats.misses += u64::from(!slid);
     }
 
-    /// How many [`Self::forward`] calls on tier `kind` were served from
-    /// the previous call's trunk, and how many ran their whole window.
+    /// How many of the windows tier `kind` served through
+    /// [`Self::forward`] and [`Self::forward_slides`] came from the trunk
+    /// of the window before, and how many ran whole: `hits + misses` is
+    /// the number of windows served. [`Self::forward_batch`] never streams
+    /// and counts nothing.
     ///
     /// # Panics
     ///

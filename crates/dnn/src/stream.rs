@@ -1,6 +1,8 @@
 //! State for the streaming forward: what a model keeps between two
-//! single-query forwards so that a window slid by one tick row costs one
-//! new row per trunk layer instead of the whole map.
+//! registry calls so that a window slid by one tick row costs one new row
+//! per trunk layer instead of the whole map, and a *sweep* of `k` windows,
+//! each the one before slid by a row, costs `k` new rows per layer in one
+//! convolution call.
 //!
 //! A *valid*-padded convolution is shift-invariant in time: output row
 //! `y` reads input rows `y..y + kh` and nothing else, so when the window
@@ -13,6 +15,13 @@
 use crate::batch::PackedWeights;
 use crate::ops::Conv2d;
 use crate::scratch::ScratchPad;
+
+/// The most windows one sweep serves: `ModelRegistry::forward_slides`
+/// takes no more, and a caller holding more (a datagram's event count is
+/// its sender's to choose) serves them in sweeps of at most this many.
+/// Every buffer a sweep sizes by `k` is therefore bounded by it, and
+/// where the cut falls changes no answer.
+pub const MAX_SWEEP: usize = 16;
 
 /// The trailing `kh` rows of a `[in_c, h, w]` activation map, in the
 /// `[in_c, kh, w]` layout a convolution of kernel height `kh` reads: one
@@ -53,6 +62,31 @@ impl LineBuffer {
             dst[kept - w..].copy_from_slice(src);
         }
     }
+
+    /// [`Self::push`] for `k` rows at once (`rows` is `[in_c, k, w]`),
+    /// leaving in `map` what the buffer passed through on the way: every
+    /// channel's kept `kh - 1` rows followed by its `k` new ones,
+    /// `[in_c, kh - 1 + k, w]`. Rows `j..j + kh` of `map` are the buffer as
+    /// `j + 1` single pushes would have left it.
+    fn extend_into(&mut self, rows: &[f32], k: usize, map: &mut [f32]) {
+        let (kept, w) = (self.kh * self.w, self.w);
+        let (old, new) = (kept - w, k * w);
+        assert_eq!(rows.len() * kept, self.data.len() * new, "rows length");
+        assert_eq!(
+            map.len() * kept,
+            self.data.len() * (old + new),
+            "map length"
+        );
+        let channels = map.chunks_exact_mut(old + new);
+        for ((dst, line), src) in channels
+            .zip(self.data.chunks_exact(kept))
+            .zip(rows.chunks_exact(new))
+        {
+            dst[..old].copy_from_slice(&line[w..]);
+            dst[old..].copy_from_slice(src);
+        }
+        self.prime(map, self.kh - 1 + k);
+    }
 }
 
 /// The buffers [`advance_trunk`] works through for a trunk of `convs` over
@@ -74,38 +108,74 @@ pub(crate) fn trunk_lines<const N: usize>(
     lines
 }
 
-/// Streams the newest (last) tick row of `window`, a slid window, through
-/// a trunk of `N` convolutions (panels `0..N` of `packed`), each followed
-/// by `act`, and returns the trunk's `[C, out_rows]` output advanced by it.
+/// Streams `rows` — `k >= 1` tick rows, `[k, features]`, each sliding the
+/// window by one — through a trunk of `N` convolutions (panels `0..N` of
+/// `packed`), each followed by `act`, and hands `tail` the `k` trunk
+/// outputs they complete, `[k, C, out_rows]`, oldest window first, and `k`.
 ///
-/// Layer by layer the row is pushed into that convolution's line buffer
-/// and becomes one output row by the same packed convolution as the
-/// whole-window forward, at `h = kh`: each output's accumulator sees the
-/// same operands in the same order. `lines` is [`trunk_lines`] of `convs`.
-pub(crate) fn advance_trunk<'a, const N: usize>(
-    lines: &'a mut [LineBuffer],
+/// Layer by layer the kept `kh - 1` rows and the `k` new ones become `k`
+/// output rows by the same packed convolution as the whole-window
+/// forward, once, at `h = kh - 1 + k`: each output's accumulator sees the
+/// operands the whole-window forward gives it, in its order. At `k = 1`
+/// the line buffer with the row pushed *is* that input and the kept trunk
+/// output *is* the one window; a longer sweep assembles both in `pad`.
+/// `lines` is [`trunk_lines`] of `convs` and ends as `k` one-row calls
+/// would leave it.
+pub(crate) fn advance_trunk<const N: usize>(
+    lines: &mut [LineBuffer],
     convs: [&Conv2d; N],
     act: impl Fn(&mut [f32]),
-    window: &[f32],
+    rows: &[f32],
     packed: &PackedWeights,
     pad: &mut ScratchPad,
-) -> &'a [f32] {
+    tail: impl FnOnce(&[f32], usize, &mut ScratchPad),
+) {
     let (trunk, out) = lines.split_at_mut(N);
-    let row = trunk[0].data.len() / trunk[0].kh;
-    let mut cur = pad.take_dirty(row);
-    cur.copy_from_slice(&window[window.len() - row..]);
+    // The first layer reads one channel: a tick row is one of its rows.
+    let k = rows.len() / trunk[0].w;
+    let mut cur = pad.take_dirty(rows.len());
+    cur.copy_from_slice(rows);
     for (idx, (conv, line)) in convs.into_iter().zip(trunk).enumerate() {
-        line.push(&cur);
-        let ow = conv.output_hw(line.kh, line.w).1;
-        let mut nxt = pad.take_dirty(conv.out_channels() * ow);
+        let h = line.kh - 1 + k;
+        let ow = conv.output_hw(h, line.w).1;
+        let mut nxt = pad.take_dirty(conv.out_channels() * k * ow);
         let panel = packed.panel(idx);
-        conv.forward_batch_packed(&line.data, 1, line.kh, line.w, panel, 1, pad, &mut nxt);
+        if k == 1 {
+            line.push(&cur);
+            conv.forward_batch_packed(&line.data, 1, h, line.w, panel, 1, pad, &mut nxt);
+        } else {
+            let mut map = pad.take_dirty(line.data.len() / line.kh * h);
+            line.extend_into(&cur, k, &mut map);
+            conv.forward_batch_packed(&map, 1, h, line.w, panel, 1, pad, &mut nxt);
+            pad.give(map);
+        }
         pad.give(std::mem::replace(&mut cur, nxt));
         act(&mut cur);
     }
-    out[0].push(&cur);
+    let out = &mut out[0];
+    if k == 1 {
+        out.push(&cur);
+        pad.give(cur);
+        return tail(&out.data, k, pad);
+    }
+    // Window `j`'s trunk output is rows `j..j + out_rows` of the map.
+    let (per, h) = (out.kh * out.w, out.kh - 1 + k);
+    let channels = out.data.len() / per;
+    let mut map = pad.take_dirty(channels * h * out.w);
+    out.extend_into(&cur, k, &mut map);
     pad.give(cur);
-    &out[0].data
+    let mut windows = pad.take_dirty(k * channels * per);
+    for (j, window) in windows.chunks_exact_mut(channels * per).enumerate() {
+        for (dst, src) in window
+            .chunks_exact_mut(per)
+            .zip(map.chunks_exact(h * out.w))
+        {
+            dst.copy_from_slice(&src[j * out.w..][..per]);
+        }
+    }
+    pad.give(map);
+    tail(&windows, k, pad);
+    pad.give(windows);
 }
 
 /// True when the `[window, features]` map `next` is `prev` slid by one
@@ -125,15 +195,15 @@ pub(crate) fn slid_by_one(prev: &[f32], next: &[f32], features: usize) -> bool {
     differing == 0
 }
 
-/// How many of a tier's `ModelRegistry::forward` calls reused the
-/// previous call's trunk.
+/// How many of the windows a tier served through `ModelRegistry::forward`
+/// and `forward_slides` reused the trunk of the window before.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StreamStats {
-    /// Forwards whose window was the previous one slid by a row: only
-    /// the newest row went through the trunk.
+    /// Windows that were the previous one slid by a row: only the newest
+    /// row went through the trunk.
     pub hits: u64,
-    /// Forwards that ran the whole window — every forward of a tier
-    /// whose trunk is not shift-invariant.
+    /// Windows that ran whole — every window of a tier whose trunk is not
+    /// shift-invariant.
     pub misses: u64,
 }
 
@@ -160,5 +230,40 @@ mod tests {
         let mut one = LineBuffer::new(2, 1, 2);
         one.push(&[1., 2., 3., 4.]);
         assert_eq!(one.data, [1., 2., 3., 4.]);
+    }
+
+    /// `extend_into` at any `k` — shorter than, equal to and longer than
+    /// `kh` — leaves the buffer where `k` pushes leave it, and `map` holds
+    /// every state it passed through.
+    #[test]
+    fn extending_by_k_rows_is_k_pushes_and_the_map_keeps_every_step() {
+        let (in_c, w) = (3, 2);
+        for kh in [1, 3, 4] {
+            for k in 1..=6 {
+                let seed: Vec<f32> = (0..in_c * 5 * w).map(|v| v as f32).collect();
+                let mut swept = LineBuffer::new(in_c, kh, w);
+                swept.prime(&seed, 5);
+                let mut pushed = swept.clone();
+                // `rows` is [in_c, k, w]; row `j` of every channel is one push.
+                let rows: Vec<f32> = (0..in_c * k * w).map(|v| 100.0 + v as f32).collect();
+                let h = kh - 1 + k;
+                let mut map = vec![f32::NAN; in_c * h * w];
+                swept.extend_into(&rows, k, &mut map);
+                for j in 0..k {
+                    let row: Vec<f32> = (0..in_c)
+                        .flat_map(|c| rows[(c * k + j) * w..][..w].to_vec())
+                        .collect();
+                    pushed.push(&row);
+                    for c in 0..in_c {
+                        assert_eq!(
+                            map[(c * h + j) * w..][..kh * w],
+                            pushed.data[c * kh * w..][..kh * w],
+                            "kh {kh} k {k} step {j} channel {c}"
+                        );
+                    }
+                }
+                assert_eq!(swept.data, pushed.data, "kh {kh} k {k}");
+            }
+        }
     }
 }

@@ -1,20 +1,27 @@
-//! The streaming-forward contract: whatever sequence of windows
-//! `ModelRegistry::forward` is fed, every answer is **bit for bit** the
-//! model's `forward_reference` on that window alone (and the stateless
-//! `forward_batch_scratch`'s, which also pins the sign and payload of a
-//! NaN answer — there the packed path and the oracle already differ), and
-//! the tier's hit/miss counters say exactly which calls reused the
-//! previous trunk — a call hits when, and only when, its window is the
-//! tier's previous one slid by one row.
+//! The streaming-forward contract: whatever sequence of sweeps
+//! `ModelRegistry::forward_slides` is fed — `k` windows a call, each the
+//! one before slid by a row; `forward` is `k = 1` — every answer is **bit
+//! for bit** the model's `forward_reference` on that window alone (and the
+//! stateless `forward_batch_scratch`'s, which at `k = 1` also pins the
+//! sign and payload of a NaN answer — there the packed path and the oracle
+//! already differ, and so do the packed path's own batch sizes: a NaN that
+//! rode in a batch of four comes out with the other sign, from
+//! `forward_batch` as from a sweep's batch-`k` tail, so for `k > 1` a NaN
+//! answer need only be a NaN), and the tier's hit/miss counters say
+//! exactly which windows reused the previous trunk — a window hits when,
+//! and only when, it is the tier's previous one slid by one row.
 //!
-//! The generator knows which calls those are because it cuts every window
-//! out of one endless row stream at an offset it chooses: with rows that
-//! are all different, a window slides by one exactly when its offset is
-//! the tier's last offset plus one; with one constant row, every window
-//! after a tier's first is a (legitimate) slide.
+//! The generator knows which windows those are because it cuts every
+//! sweep out of one endless row stream at an offset it chooses: with rows
+//! that are all different, a sweep's first window slides by one exactly
+//! when its offset is the tier's last offset plus one; with one constant
+//! row, every window after a tier's first is a (legitimate) slide; and
+//! the windows behind a sweep's first always are.
 
-use lt_dnn::models::{CnnSpec, DeepLobSpec};
-use lt_dnn::{Model, ModelKind, ModelRegistry, Prediction, ScratchPad, StreamStats, Tensor};
+use lt_dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
+use lt_dnn::{
+    Model, ModelKind, ModelRegistry, PackedWeights, Prediction, ScratchPad, StreamStats, Tensor,
+};
 use proptest::prelude::*;
 
 const FEATURES: usize = 40;
@@ -58,28 +65,38 @@ fn bits(p: Prediction) -> [u32; 3] {
     p.probs.map(f32::to_bits)
 }
 
-/// Asserts `got` is bit for bit what `model` answers on `exact` alone:
-/// statelessly on the packed path, and by `reference` (where a NaN need
-/// only be a NaN).
-fn assert_is_the_lone_answer(
-    got: Prediction,
-    model: &dyn Model,
-    reference: Prediction,
-    exact: &Tensor,
-    what: &str,
-) {
-    let mut alone = Vec::new();
-    let packed = model.pack_weights();
-    let inputs = std::slice::from_ref(exact);
-    model.forward_batch_scratch(inputs, &packed, &mut ScratchPad::new(), &mut alone);
-    assert_eq!(bits(got), bits(alone[0]), "{what}: stateless forward");
-    for (g, r) in got.probs.into_iter().zip(reference.probs) {
+/// Asserts `got` is `want` bit for bit — or, when `nan_is_nan`, NaN where
+/// `want` is NaN.
+fn assert_same(got: Prediction, want: Prediction, nan_is_nan: bool, what: &str) {
+    for (g, w) in got.probs.into_iter().zip(want.probs) {
         assert!(
-            g.to_bits() == r.to_bits() || (g.is_nan() && r.is_nan()),
-            "{what}: {:?} vs forward_reference {:?}",
+            g.to_bits() == w.to_bits() || (nan_is_nan && g.is_nan() && w.is_nan()),
+            "{what}: {:?} vs {:?}",
             got.probs,
-            reference.probs
+            want.probs
         );
+    }
+}
+
+/// One tier under test: the model, its pack and its oracle.
+struct Tier<'a> {
+    model: &'a dyn Model,
+    packed: PackedWeights,
+    reference: &'a dyn Fn(&Tensor) -> Prediction,
+}
+
+impl Tier<'_> {
+    /// Asserts `got`, one of a sweep of `k`, is bit for bit what the model
+    /// answers on `exact` alone: statelessly on the packed path, and by
+    /// `forward_reference` (where a NaN need only be a NaN).
+    fn assert_is_the_lone_answer(&self, got: Prediction, k: usize, exact: &Tensor, what: &str) {
+        let mut alone = Vec::new();
+        let inputs = std::slice::from_ref(exact);
+        self.model
+            .forward_batch_scratch(inputs, &self.packed, &mut ScratchPad::new(), &mut alone);
+        assert_same(got, alone[0], k > 1, &format!("{what}: stateless forward"));
+        let reference = (self.reference)(exact);
+        assert_same(got, reference, true, &format!("{what}: forward_reference"));
     }
 }
 
@@ -88,18 +105,22 @@ fn assert_is_the_lone_answer(
 const GAPS: [usize; 8] = [0, 1, 1, 1, 1, 2, 24, 31];
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Two streamed tiers interleaved over one row stream, on tiny and
-    /// off-tile-grid specs. `lead` extra leading rows make every input
-    /// wider than its tier's window (the CNN's always is: the registry
-    /// stages the DeepLOB's 24 rows), so windows reach the models through
-    /// the registry's trailing-window staging too.
+    /// Three tiers — two streamed, on tiny and off-tile-grid specs, and
+    /// TransLOB, which never streams — interleaved over one row stream cut
+    /// into sweeps of 1 to 12 windows. `lead` extra leading rows make every
+    /// input wider than its tier's sweep (the CNN's and TransLOB's always
+    /// are: the registry stages the DeepLOB's 24 rows), so windows reach
+    /// the models through the registry's trailing-row slicing too. Beside
+    /// the lone answers, a second registry served the same windows one
+    /// `forward` at a time must give the same bits and count the same
+    /// hits and misses.
     #[test]
     fn every_answer_is_the_reference_and_every_hit_is_a_slide(
         (cnn_c, cnn_h, dl_c, dl_h) in (0usize..4, 0usize..4, 0usize..3, 0usize..2),
         (seed, flavour, lead) in (0u64..500, 0usize..4, 0usize..3),
-        walk in proptest::collection::vec((0usize..2, 0usize..GAPS.len()), 1..16),
+        walk in proptest::collection::vec((0usize..3, 0usize..GAPS.len(), 1usize..13), 1..8),
     ) {
         let rows = [Rows::Random, Rows::Random, Rows::Constant, Rows::Signed][flavour];
         let cnn = CnnSpec {
@@ -114,38 +135,62 @@ proptest! {
             ..DeepLobSpec::tiny()
         }
         .build(seed);
-        let mut reg = ModelRegistry::new();
-        reg.register(Box::new(cnn.clone()));
-        reg.register(Box::new(deeplob.clone()));
+        let translob = TransLobSpec::tiny().build(seed);
+        let tiers = [
+            Tier { model: &cnn, packed: cnn.pack_weights(), reference: &|x| cnn.forward_reference(x) },
+            Tier {
+                model: &translob,
+                packed: translob.pack_weights(),
+                reference: &|x| translob.forward_reference(x),
+            },
+            Tier {
+                model: &deeplob,
+                packed: deeplob.pack_weights(),
+                reference: &|x| deeplob.forward_reference(x),
+            },
+        ];
+        let registry = || {
+            let mut reg = ModelRegistry::new();
+            reg.register(Box::new(cnn.clone()));
+            reg.register(Box::new(translob.clone()));
+            reg.register(Box::new(deeplob.clone()));
+            reg
+        };
+        let (mut reg, mut one_by_one) = (registry(), registry());
         let staged = reg.max_window() + lead;
 
-        let kinds = [ModelKind::VanillaCnn, ModelKind::DeepLob];
-        let mut last = [None::<usize>; 2];
-        let mut want = [StreamStats::default(); 2];
+        let mut last = [None::<usize>; 3];
+        let mut want = [StreamStats::default(); 3];
+        let mut got = Vec::new();
         let mut end = 64;
-        for (tier, gap) in walk {
+        for (t, gap, k) in walk {
+            let (tier, kind) = (&tiers[t], ModelKind::ALL[t]);
+            // The sweep's windows end just before rows `end..end + k`.
             end += GAPS[gap];
-            let got = reg.forward(kinds[tier], &window(rows, seed, end, staged));
-            let what = format!("{:?} at row {end}", kinds[tier]);
-            if tier == 0 {
-                let exact = window(rows, seed, end, cnn.window());
-                assert_is_the_lone_answer(got, &cnn, cnn.forward_reference(&exact), &exact, &what);
-            } else {
-                let exact = window(rows, seed, end, deeplob.window());
-                let reference = deeplob.forward_reference(&exact);
-                assert_is_the_lone_answer(got, &deeplob, reference, &exact, &what);
+            let swept = window(rows, seed, end + k - 1, staged + k - 1);
+            reg.forward_slides(kind, &swept, k, &mut got);
+            prop_assert_eq!(got.len(), k);
+            for (j, &answer) in got.iter().enumerate() {
+                let what = format!("{kind:?} at row {}, {j} of {k}", end + j);
+                let exact = window(rows, seed, end + j, tier.model.window());
+                tier.assert_is_the_lone_answer(answer, k, &exact, &what);
+                let single = one_by_one.forward(kind, &window(rows, seed, end + j, staged));
+                assert_same(answer, single, k > 1, &format!("{what}: forward"));
             }
-            let slid = match last[tier] {
+            let slid = match last[t] {
                 None => false,
                 Some(prev) => rows == Rows::Constant || prev + 1 == end,
             };
-            if slid {
-                want[tier].hits += 1;
+            if kind == ModelKind::TransLob {
+                want[t].misses += k as u64;
             } else {
-                want[tier].misses += 1;
+                want[t].hits += (k - 1) as u64 + u64::from(slid);
+                want[t].misses += u64::from(!slid);
             }
-            last[tier] = Some(end);
-            prop_assert_eq!(reg.stream_stats(kinds[tier]), want[tier], "{:?}", kinds[tier]);
+            end += k - 1;
+            last[t] = Some(end);
+            prop_assert_eq!(reg.stream_stats(kind), want[t], "{:?}", kind);
+            prop_assert_eq!(one_by_one.stream_stats(kind), want[t], "{:?} by forward", kind);
         }
     }
 }

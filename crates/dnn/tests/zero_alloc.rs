@@ -3,7 +3,8 @@
 //! performs **zero** heap allocations for every benchmark model, for a
 //! lone query (batch 1) as for a batch, and so does
 //! `ModelRegistry::forward` whether a query streams (hit), runs its whole
-//! window (miss) or lands on another tier.
+//! window (miss) or lands on another tier, and `forward_slides` at any
+//! sweep length once the longest has been seen.
 //!
 //! The proof uses a counting `#[global_allocator]` wrapping the system
 //! allocator; the whole file is one `#[test]` so the allocator and its
@@ -175,6 +176,56 @@ fn assert_streamed_walk_alloc_free() {
     assert_eq!(warm[2], StreamStats { hits: 1, misses: 1 });
 }
 
+/// Sweeps of `k` windows through `forward_slides`: one pass at the
+/// largest `k` sizes every buffer a sweep sizes by `k` (the per-layer maps,
+/// the gathered trunk outputs, the batch-`k` tail, an unstreamed tier's
+/// lanes), after which shorter sweeps, a return to `k = 1`, a miss with a
+/// sweep streaming behind it and a mid-sized sweep allocate nothing.
+fn assert_swept_walk_alloc_free() {
+    let mut reg = ModelRegistry::tiny(3);
+    let rows = reg.max_window();
+    let stream = Tensor::random(&[rows + 80, 40], 1.0, 9);
+    // The sweep of `k` windows whose first ends just before row `end`.
+    let swept = |end: usize, k: usize| {
+        let data = stream.data()[(end - rows) * 40..(end + k - 1) * 40].to_vec();
+        Tensor::from_vec(data, &[rows + k - 1, 40])
+    };
+    let walk = [
+        (swept(30, 1), 1),   // hit
+        (swept(31, 12), 12), // hits
+        (swept(43, 1), 1),   // hit
+        (swept(60, 6), 6),   // a jump: one miss, five slides behind it
+        (swept(66, 6), 6),   // hits
+    ];
+    let mut out = Vec::with_capacity(12);
+    for kind in ModelKind::ALL {
+        reg.forward_slides(kind, &swept(28, 1), 1, &mut out);
+        reg.forward_slides(kind, &swept(29, 1), 1, &mut out);
+        reg.forward_slides(kind, &swept(30, 12), 12, &mut out);
+        reg.forward_slides(kind, &swept(29, 1), 1, &mut out);
+        let warm = reg.stream_stats(kind);
+        let allocs_before = allocations();
+        for (input, k) in &walk {
+            reg.forward_slides(kind, input, *k, &mut out);
+            assert_eq!(out.len(), *k, "{kind}");
+            assert!(out.iter().all(|p| p.probs.iter().all(|v| v.is_finite())));
+        }
+        assert_eq!(
+            allocations() - allocs_before,
+            0,
+            "{kind}: swept registry walk allocated"
+        );
+        let now = reg.stream_stats(kind);
+        let moved = (now.hits - warm.hits, now.misses - warm.misses);
+        let want = if kind == ModelKind::TransLob {
+            (0, 26)
+        } else {
+            (25, 1)
+        };
+        assert_eq!(moved, want, "{kind}");
+    }
+}
+
 #[test]
 fn steady_state_forward_is_allocation_free() {
     let vanilla = CnnSpec::tiny().build(3);
@@ -204,4 +255,5 @@ fn steady_state_forward_is_allocation_free() {
     assert_batch_walk_alloc_free("DeepLob 8 -> 3 -> 8", &deeplob, &batch(24), 3);
     assert_batch_walk_alloc_free("VanillaCnn 8 -> 3 -> 8", &vanilla, &batch(20), 3);
     assert_streamed_walk_alloc_free();
+    assert_swept_walk_alloc_free();
 }

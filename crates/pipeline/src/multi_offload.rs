@@ -166,6 +166,18 @@ impl MultiOffload {
         self.shards[shard].features.write_into(out);
     }
 
+    /// Writes the feature row of `shard`'s newest tick (`4·depth` floats)
+    /// into `out` — the last row of its current window, for a consumer
+    /// that holds the rest from a tick ago.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range or has seen no tick, or `out` has
+    /// the wrong length.
+    pub fn write_shard_newest_row_into(&self, shard: usize, out: &mut [f32]) {
+        self.shards[shard].features.write_newest_row_into(out);
+    }
+
     /// Ingests one tick for `shard` arriving at `now`: normalizes its
     /// features into the shard's FIFO and, once that window is warm,
     /// enqueues an inference request that is ready after the pipeline's

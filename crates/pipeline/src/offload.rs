@@ -118,6 +118,21 @@ impl FeatureWindow {
             out[k * width..(k + 1) * width].copy_from_slice(&self.ring[r * width..(r + 1) * width]);
         }
     }
+
+    /// Writes the row the last [`Self::push`] stored — the last row of
+    /// what [`Self::write_into`] would write — into `out`. A consumer that
+    /// wrote the window out one push ago appends this row to hold that
+    /// window and the current one in `window + 1` rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing was pushed yet or `out` is not one row long.
+    pub fn write_newest_row_into(&self, out: &mut [f32]) {
+        assert!(self.rows > 0, "feature FIFO is empty");
+        let width = self.width();
+        let r = (self.next_row + self.window - 1) % self.window;
+        out.copy_from_slice(&self.ring[r * width..(r + 1) * width]);
+    }
 }
 
 /// The single-symbol offload engine: the one-shard view of
@@ -224,6 +239,17 @@ impl OffloadEngine {
     /// Panics if the FIFO is not warm yet or `out` has the wrong length.
     pub fn write_window_into(&self, out: &mut [f32]) {
         self.0.write_shard_window_into(0, out);
+    }
+
+    /// Writes the newest tick's feature row (`4·depth` floats) into `out`:
+    /// the one row by which the current window differs from the one
+    /// [`Self::write_window_into`] wrote a tick ago.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no tick was ingested yet or `out` has the wrong length.
+    pub fn write_newest_row_into(&self, out: &mut [f32]) {
+        self.0.write_shard_newest_row_into(0, out);
     }
 }
 
@@ -367,6 +393,25 @@ pub(crate) mod tests {
         assert_eq!(t.at(&[2, 0]), 105.0);
         // And the first row is the oldest in-window tick (mid 102).
         assert_eq!(t.at(&[0, 0]), 103.0);
+    }
+
+    /// A window written out at one tick plus the newest row of each later
+    /// tick is every later window: window `j` is rows `j..j + window`.
+    #[test]
+    fn newest_rows_extend_a_written_window_into_the_later_ones() {
+        let (window, width) = (3, 4);
+        let mut e = engine(window, 10);
+        for i in 0..4u64 {
+            tick(&mut e, i, 100 + i as i64);
+        }
+        let mut swept = vec![0.0; (window + 5) * width];
+        e.write_window_into(&mut swept[..window * width]);
+        for j in 1..=5 {
+            tick(&mut e, 4 + j as u64, 200 + 7 * j as i64);
+            e.write_newest_row_into(&mut swept[(window + j - 1) * width..][..width]);
+            let later = &swept[j * width..][..window * width];
+            assert_eq!(later, e.latest_tensor().data(), "window {j}");
+        }
     }
 
     #[test]

@@ -2,6 +2,10 @@
 //! allocations**: feed event → [`LocalBook`] update → depth-10 snapshot →
 //! feature extraction → normalization → ticket queue.
 //!
+//! The facade on top of it, `LightTrader::on_datagram`, may allocate what
+//! it hands back and nothing else: per datagram, the parser's decoded
+//! events and the one `Vec` of outcomes, whatever the event count.
+//!
 //! Same counting-global-allocator technique as `lt-dnn`'s
 //! `tests/zero_alloc.rs`: every allocation on this thread bumps a
 //! thread-local counter, a warm-up replay sizes the ladder band, order
@@ -11,10 +15,17 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use lighttrader::LightTrader;
+use lt_dnn::ModelKind;
 use lt_feed::NormStats;
+use lt_lob::events::MarketEventKind;
 use lt_lob::prelude::*;
 use lt_pipeline::stages::PipelineLatencies;
-use lt_pipeline::{LocalBook, MultiOffload, OffloadEngine, ShardTicket, TensorTicket};
+use lt_pipeline::{
+    LocalBook, MultiOffload, OffloadEngine, PacketParser, ShardTicket, TensorTicket,
+};
+use lt_protocol::framing::Datagram;
+use lt_protocol::sbe::SbeEncoder;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -319,4 +330,106 @@ fn cross_symbol_path_is_allocation_free_after_warmup() {
         "steady-state cross-symbol path (per-shard book update + shared \
          MultiOffload ingest + coalesced pop_batch_into) must not allocate"
     );
+}
+
+/// Datagrams of 1 to 40 events — under, at and over the 16-window sweep —
+/// that change the book without growing it: twenty resting orders a side,
+/// then nothing but quantity changes on them.
+fn resizing_session(passes: usize) -> Vec<Vec<u8>> {
+    const SIZES: [usize; 12] = [1, 1, 2, 1, 6, 1, 3, 12, 1, 16, 1, 40];
+    let encoder = SbeEncoder::new();
+    let resting = |n: u64| {
+        let side = if n.is_multiple_of(2) {
+            Side::Bid
+        } else {
+            Side::Ask
+        };
+        let away = 1 + (n / 2) as i64;
+        let price = Price::new(if side == Side::Bid {
+            10_000 - away
+        } else {
+            10_000 + away
+        });
+        (OrderId::new(n + 1), side, price)
+    };
+    let mut seq = 0u64;
+    let mut datagram = |kinds: Vec<BookDelta>| {
+        let mut payload = Vec::new();
+        for (i, kind) in kinds.iter().enumerate() {
+            let event = MarketEvent {
+                seq: seq * 64 + i as u64,
+                ts: Timestamp::from_micros(seq * 50 + i as u64),
+                kind: MarketEventKind::Book(*kind),
+            };
+            payload.extend_from_slice(&encoder.encode(&event));
+        }
+        let sent = Timestamp::from_micros(seq * 50);
+        seq += 1;
+        Datagram::new(seq as u32 - 1, sent, kinds.len() as u16, payload).encode()
+    };
+    let adds = (0..40)
+        .map(|n| {
+            let (id, side, price) = resting(n);
+            let qty = Qty::new(5);
+            BookDelta::Add {
+                id,
+                side,
+                price,
+                qty,
+            }
+        })
+        .collect();
+    let mut session = vec![datagram(adds)];
+    let mut step = 0u64;
+    for _ in 0..passes {
+        for size in SIZES {
+            let resizes = (0..size)
+                .map(|_| {
+                    step += 1;
+                    let (id, side, price) = resting(step * 7 % 40);
+                    let remaining = Qty::new(1 + step * 5 % 9);
+                    BookDelta::Modify {
+                        id,
+                        side,
+                        price,
+                        remaining,
+                    }
+                })
+                .collect();
+            session.push(datagram(resizes));
+        }
+    }
+    session
+}
+
+#[test]
+fn facade_datagram_allocates_only_its_events_and_its_outcomes() {
+    let session = resizing_session(3);
+    let steady = session.len() - (session.len() - 1) / 3;
+    for kind in ModelKind::ALL {
+        let mut trader = LightTrader::builder(kind).seed(3).build();
+        let mut parser = PacketParser::new();
+        let mut served = 0;
+        for (i, bytes) in session.iter().enumerate() {
+            let before = allocations();
+            let events = parser.ingest(bytes);
+            let decoded = allocations();
+            let outcomes = trader.on_datagram(bytes);
+            let after = allocations();
+            assert_eq!(outcomes.len(), events.len(), "{kind}: datagram {i}");
+            // Two passes size the snapshots, pads and lanes for the widest
+            // sweep; the third must add nothing to the parser's own cost
+            // but the returned outcomes.
+            if i >= steady {
+                served += outcomes.len();
+                assert_eq!(
+                    after - decoded,
+                    decoded - before + 1,
+                    "{kind}: datagram {i} of {} events",
+                    events.len()
+                );
+            }
+        }
+        assert_eq!(served, 85, "{kind}: one pass of the size ladder");
+    }
 }

@@ -45,14 +45,19 @@ echo "== hot-path book gates: ladder/reference equivalence + zero-alloc =="
 cargo test -q --release -p lt-lob --test book_equivalence
 cargo test -q --release -p lt-pipeline --test zero_alloc
 
-echo "== inference gates: packed-vs-reference equivalence + batch-N-vs-batch-1 + streamed-vs-whole-window bit-equivalence + zero-alloc =="
+echo "== inference gates: packed-vs-reference equivalence + batch-N-vs-batch-1 + swept-vs-whole-window bit-equivalence + zero-alloc + datagram-vs-event differential =="
 # kernel_equivalence is the only link between the production path and the
 # oracle, and release is what serves: run it optimized, not only in debug.
 cargo test -q --release -p lt-dnn --test kernel_equivalence
 cargo test -q --release -p lt-dnn --test batch_equivalence
-# Release also runs the NaN rows, which debug's Prediction assert refuses.
+# Sweeps of 1..=12 windows through forward_slides. Release also runs the
+# NaN rows, which debug's Prediction assert refuses.
 cargo test -q --release -p lt-dnn --test stream_equivalence
+# Includes the k = 1 -> 12 -> 1 -> miss -> 6 sweep walk; the facade's
+# per-datagram allocations are in lt-pipeline's zero_alloc above.
 cargo test -q --release -p lt-dnn --test zero_alloc
+# One registry call per datagram sweep must trade as one call per event.
+cargo test -q --release -p lighttrader --test end_to_end datagrams_and_single_events_drive_the_same_trades
 
 echo "== multi-symbol gates: single-shard parity + sharded determinism + coalesced-vs-independent floor =="
 cargo test -q --release -p lt-sim --test multi_symbol

@@ -101,6 +101,105 @@ fn survives_packet_loss() {
     assert!(system.inferences() > 80);
 }
 
+/// The datagram is the unit of inference dispatch, the tick the unit of
+/// decision: a trader fed a wire session datagram by datagram — sweeps of
+/// up to 16 windows a registry call — and one fed the same decoded events
+/// one `on_event` at a time make the same decisions in the same order,
+/// with kill switch and rate limiter armed, on all three models.
+#[test]
+fn datagrams_and_single_events_drive_the_same_trades() {
+    use lighttrader::feed::{AgentFlow, AgentParams};
+    use lighttrader::pipeline::trading::NoOrderReason;
+    use lighttrader::pipeline::{PacketParser, RiskLimits};
+
+    // Agent actions per datagram: mostly one (1–3 events), with runs that
+    // cross no, one and several sweep cuts.
+    const ACTIONS: [usize; 12] = [1, 1, 2, 1, 1, 5, 1, 3, 1, 11, 1, 40];
+    let mut flow = AgentFlow::new(Symbol::new("ESU6"), AgentParams::default(), 23);
+    let encoder = SbeEncoder::new();
+    let mut tick = 0u64;
+    let mut widest = 0;
+    let wire: Vec<Vec<u8>> = (0..240u32)
+        .map(|seq| {
+            let mut payload = Vec::new();
+            let mut count = 0u16;
+            let ts = Timestamp::from_micros(1_500 * (tick + 1));
+            for _ in 0..ACTIONS[seq as usize % ACTIONS.len()] {
+                tick += 1;
+                for event in flow.step(Timestamp::from_micros(1_500 * tick)) {
+                    payload.extend_from_slice(&encoder.encode(&event));
+                    count += 1;
+                }
+            }
+            widest = widest.max(count);
+            Datagram::new(seq, ts, count, payload).encode()
+        })
+        .collect();
+    assert!(widest > 32, "a datagram of several sweeps: {widest} events");
+
+    let (mut rate_limited, mut killed) = (0, 0);
+    for kind in ModelKind::ALL {
+        let build = || {
+            LightTrader::builder(kind)
+                .seed(7)
+                .risk(RiskLimits {
+                    min_confidence: 0.0,
+                    max_position: 100_000,
+                    order_qty: 1,
+                    max_spread_ticks: 1_000,
+                })
+                .order_rate_limit(150)
+                .kill_switch(-300)
+                .build()
+        };
+        let (mut by_datagram, mut by_event) = (build(), build());
+        let mut decoder = PacketParser::new();
+        for (seq, bytes) in wire.iter().enumerate() {
+            let swept = by_datagram.on_datagram(bytes);
+            let single: Vec<TickOutcome> = decoder
+                .ingest(bytes)
+                .iter()
+                .map(|event| by_event.on_event(event))
+                .collect();
+            assert_eq!(swept, single, "{kind}: datagram {seq}");
+            killed += swept
+                .iter()
+                .filter(|o| {
+                    matches!(
+                        o,
+                        TickOutcome::NoOrder {
+                            reason: NoOrderReason::Killed,
+                            ..
+                        }
+                    )
+                })
+                .count();
+        }
+        let shown = |t: &LightTrader| {
+            (
+                t.inferences(),
+                t.orders_sent(),
+                t.suppressed(),
+                t.rate_limited(),
+                t.position(),
+                t.cash_ticks(),
+                t.stream_stats(kind),
+            )
+        };
+        assert_eq!(shown(&by_datagram), shown(&by_event), "{kind}");
+        for trader in [&by_datagram, &by_event] {
+            let stats = trader.stream_stats(kind);
+            assert_eq!(stats.hits + stats.misses, trader.inferences(), "{kind}");
+            assert!(trader.inferences() > 800, "{kind}: {}", trader.inferences());
+        }
+        rate_limited += by_datagram.rate_limited();
+    }
+    assert!(
+        rate_limited > 0 && killed > 0,
+        "both gates must have engaged: {rate_limited} rate-limited, {killed} killed"
+    );
+}
+
 /// The replay path processes a generated session deterministically.
 #[test]
 fn replay_is_deterministic_end_to_end() {
