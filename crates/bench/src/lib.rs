@@ -1,6 +1,6 @@
 //! Rendering helpers for the `tables` binary (each function formats one
 //! paper artifact, table or figure, as paper-vs-measured text) and
-//! [`time_ns`], the one wall-clock loop the micro-benches share.
+//! [`time_ns`], the wall-clock loop of the `bench_kernels` micro-bench.
 
 use lighttrader::accel::PowerCondition;
 use lighttrader::dnn::ModelKind;

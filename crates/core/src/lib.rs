@@ -70,8 +70,8 @@ pub mod prelude {
     pub use lt_lob::prelude::*;
     pub use lt_sched::Policy;
     pub use lt_sim::{
-        run_farm, run_lighttrader, run_multi, run_single_device, try_run_farm, BacktestConfig,
-        BacktestMetrics, ExecutionConfig, ExecutionStats, FarmResults, FarmRunner, GridDeadline,
-        MultiMetrics, RetainFull, SignalConfig, SweepGrid,
+        run_lighttrader, run_multi, run_single_device, BacktestConfig, BacktestMetrics,
+        ExecutionConfig, ExecutionStats, FarmResults, FarmRunner, GridDeadline, MultiMetrics,
+        SignalConfig, SweepGrid,
     };
 }

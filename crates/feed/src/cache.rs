@@ -102,23 +102,6 @@ impl SessionSpec {
         self
     }
 
-    /// Overrides the shared market-factor fraction (multi-symbol only).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a single-symbol spec (the knob cannot affect its build)
-    /// or a fraction outside `[0, 1)`.
-    #[must_use]
-    pub fn with_shared_fraction(mut self, f: f64) -> Self {
-        assert!(
-            self.symbols > 1,
-            "shared fraction only applies to multi-symbol specs"
-        );
-        assert!((0.0..1.0).contains(&f), "shared fraction must be in [0,1)");
-        self.shared_fraction = f;
-        self
-    }
-
     /// Builds the session this spec describes. Deterministic: equal
     /// specs produce bit-identical artifacts.
     pub fn build(&self) -> SessionArtifact {

@@ -15,11 +15,10 @@
 //! time-ordered stream with a parallel shard map, which is exactly what
 //! the sharded back-test core consumes.
 
-use crate::agents::{AgentFlow, AgentParams};
+use crate::agents::AgentParams;
 use crate::bursts::{merge_sorted, FlashParams};
 use crate::hawkes::{HawkesParams, HawkesProcess};
-use crate::session::{MarketSession, TRACE_DEPTH};
-use crate::stats::NormStats;
+use crate::session::MarketSession;
 use crate::trace::TickTrace;
 use lt_lob::{Symbol, Timestamp};
 
@@ -237,28 +236,15 @@ impl MultiSessionBuilder {
                     self.hawkes.alpha,
                     self.hawkes.beta,
                 );
-                let mut arrivals = HawkesProcess::new(own, seed_i).sample_for(self.duration_secs);
-                arrivals = merge_sorted(arrivals, shared.clone());
-                if let Some(flash) = self.flash {
-                    let bursts = flash.sample_for(self.duration_secs, seed_i.wrapping_add(17));
-                    arrivals = merge_sorted(arrivals, bursts);
-                }
-                let symbol = symbol_for(i);
-                let mut flow = AgentFlow::new(symbol, self.agents, seed_i.wrapping_add(1));
-                let mut trace = TickTrace::new(symbol);
-                for t in arrivals {
-                    let ts = Timestamp::from_nanos((t * 1e9) as u64);
-                    let events = flow.step(ts);
-                    debug_assert!(!events.is_empty());
-                    let snapshot = flow.engine().book().snapshot(TRACE_DEPTH, ts);
-                    trace.push(ts, snapshot);
-                }
-                let norm = if trace.is_empty() {
-                    NormStats::identity(TRACE_DEPTH)
-                } else {
-                    NormStats::fit(&trace, TRACE_DEPTH)
-                };
-                MarketSession { trace, norm }
+                let own = HawkesProcess::new(own, seed_i).sample_for(self.duration_secs);
+                MarketSession::record(
+                    symbol_for(i),
+                    self.agents,
+                    self.flash,
+                    self.duration_secs,
+                    seed_i,
+                    merge_sorted(own, shared.clone()),
+                )
             })
             .collect();
         MultiMarketSession { sessions }

@@ -25,6 +25,41 @@ pub struct MarketSession {
     pub norm: NormStats,
 }
 
+impl MarketSession {
+    /// The one recorder behind both builders: merges the flash bursts
+    /// (seed `seed + 17`) into `arrivals`, steps the agent flow (seed
+    /// `seed + 1`) once per arrival, snapshots the book after each step
+    /// and fits the normalization statistics over the result.
+    pub(crate) fn record(
+        symbol: Symbol,
+        agents: AgentParams,
+        flash: Option<FlashParams>,
+        duration_secs: f64,
+        seed: u64,
+        mut arrivals: Vec<f64>,
+    ) -> Self {
+        if let Some(flash) = flash {
+            let bursts = flash.sample_for(duration_secs, seed.wrapping_add(17));
+            arrivals = merge_sorted(arrivals, bursts);
+        }
+        let mut flow = AgentFlow::new(symbol, agents, seed.wrapping_add(1));
+        let mut trace = TickTrace::new(symbol);
+        for t in arrivals {
+            let ts = Timestamp::from_nanos((t * 1e9) as u64);
+            let events = flow.step(ts);
+            debug_assert!(!events.is_empty());
+            let snapshot = flow.engine().book().snapshot(TRACE_DEPTH, ts);
+            trace.push(ts, snapshot);
+        }
+        let norm = if trace.is_empty() {
+            NormStats::identity(TRACE_DEPTH)
+        } else {
+            NormStats::fit(&trace, TRACE_DEPTH)
+        };
+        MarketSession { trace, norm }
+    }
+}
+
 /// Builder for [`MarketSession`]s.
 ///
 /// # Example
@@ -107,12 +142,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Overrides the Hawkes parameters.
-    pub fn hawkes_params(mut self, params: HawkesParams) -> Self {
-        self.hawkes = params;
-        self
-    }
-
     /// Injects flash bursts (machine-speed order cascades) on top of the
     /// Hawkes background; see [`FlashParams`].
     pub fn flash_bursts(mut self, params: FlashParams) -> Self {
@@ -122,27 +151,15 @@ impl SessionBuilder {
 
     /// Generates the session.
     pub fn build(&self) -> MarketSession {
-        let mut process = HawkesProcess::new(self.hawkes, self.seed);
-        let mut arrivals = process.sample_for(self.duration_secs);
-        if let Some(flash) = self.flash {
-            let bursts = flash.sample_for(self.duration_secs, self.seed.wrapping_add(17));
-            arrivals = merge_sorted(arrivals, bursts);
-        }
-        let mut flow = AgentFlow::new(self.symbol, self.agents, self.seed.wrapping_add(1));
-        let mut trace = TickTrace::new(self.symbol);
-        for t in arrivals {
-            let ts = Timestamp::from_nanos((t * 1e9) as u64);
-            let events = flow.step(ts);
-            debug_assert!(!events.is_empty());
-            let snapshot = flow.engine().book().snapshot(TRACE_DEPTH, ts);
-            trace.push(ts, snapshot);
-        }
-        let norm = if trace.is_empty() {
-            NormStats::identity(TRACE_DEPTH)
-        } else {
-            NormStats::fit(&trace, TRACE_DEPTH)
-        };
-        MarketSession { trace, norm }
+        let arrivals = HawkesProcess::new(self.hawkes, self.seed).sample_for(self.duration_secs);
+        MarketSession::record(
+            self.symbol,
+            self.agents,
+            self.flash,
+            self.duration_secs,
+            self.seed,
+            arrivals,
+        )
     }
 }
 

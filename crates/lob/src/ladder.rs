@@ -31,6 +31,15 @@ const NIL: u32 = u32::MAX;
 /// never forces a rehome.
 const INITIAL_SPAN: usize = 256;
 
+/// Widest ladder, in ticks, a rehome will allocate. Prices come off the
+/// wire, so the span between the resting band and the next price is the
+/// peer's to choose; a price that would stretch one side of the book past
+/// this is refused instead of sized for. The widest band any generated
+/// session in this repository occupies is 21 ticks and the widest span
+/// any test asks for is 10 314; 65 536 ticks (1.5 MiB of slots a side)
+/// is 256 × [`INITIAL_SPAN`].
+const MAX_SPAN: usize = 1 << 16;
+
 /// One price level: aggregate totals plus an intrusive FIFO of arena nodes.
 #[derive(Debug, Clone, Copy)]
 struct LevelSlot {
@@ -181,13 +190,19 @@ impl PriceLadder {
     /// Adds `qty` to the level at `price`, creating it if absent. The
     /// aggregate-only entry point used by market-data mirrors; it does not
     /// maintain per-level order counts.
+    ///
+    /// Returns `false`, leaving the ladder as it was, when `price` lies
+    /// further from the resting band than a ladder may span.
     #[inline]
-    pub fn deposit(&mut self, price: Price, qty: Qty) {
-        let i = self.ensure_index(price);
+    pub fn deposit(&mut self, price: Price, qty: Qty) -> bool {
+        let Some(i) = self.ensure_index(price) else {
+            return false;
+        };
         if !self.slots[i].present {
             self.occupy(i);
         }
         self.slots[i].total += qty;
+        true
     }
 
     /// Subtracts `qty` (saturating) from the level at `price`, removing the
@@ -253,7 +268,9 @@ impl PriceLadder {
 
     #[inline]
     fn index_of(&self, price: Price) -> Option<usize> {
-        let off = price.ticks() - self.origin;
+        // Checked: a wire price may sit further from the origin than an
+        // `i64` holds, and a wrapped offset could land inside the slots.
+        let off = price.ticks().checked_sub(self.origin)?;
         if off >= 0 && (off as usize) < self.slots.len() {
             Some(off as usize)
         } else {
@@ -264,10 +281,12 @@ impl PriceLadder {
     /// Slot index for `price`, growing or rehoming the ladder when the
     /// price falls outside the current band. This is the only allocating
     /// path; once the band covers the session's price range it is never
-    /// taken again.
-    fn ensure_index(&mut self, price: Price) -> usize {
+    /// taken again. `None`, with the ladder untouched, when covering both
+    /// the occupied band and `price` would take more than [`MAX_SPAN`]
+    /// slots.
+    fn ensure_index(&mut self, price: Price) -> Option<usize> {
         if let Some(i) = self.index_of(price) {
-            return i;
+            return Some(i);
         }
         let ticks = price.ticks();
         if self.occupied == 0 {
@@ -276,8 +295,8 @@ impl PriceLadder {
             if self.slots.is_empty() {
                 self.slots.resize(INITIAL_SPAN, LevelSlot::EMPTY);
             }
-            self.origin = ticks - self.slots.len() as i64 / 2;
-            return (ticks - self.origin) as usize;
+            self.origin = ticks.saturating_sub(self.slots.len() as i64 / 2);
+            return Some((ticks - self.origin) as usize);
         }
         // Rehome: copy the occupied band into a larger array whose span
         // covers both the band and the new price, with headroom on each
@@ -286,10 +305,16 @@ impl PriceLadder {
         let band_hi = self.origin + self.hi as i64;
         let new_lo = band_lo.min(ticks);
         let new_hi = band_hi.max(ticks);
-        let needed = (new_hi - new_lo + 1) as usize;
-        let span = needed.max(self.slots.len().saturating_mul(2));
+        let needed = new_hi
+            .checked_sub(new_lo)
+            .and_then(|width| usize::try_from(width).ok())
+            .filter(|&width| width < MAX_SPAN)?
+            + 1;
+        let span = needed.max(self.slots.len().saturating_mul(2)).min(MAX_SPAN);
         let pad = (span - needed) / 2;
-        let new_origin = new_lo - pad as i64;
+        // Saturating: an origin clamped at `i64::MIN` still has `new_lo`
+        // and, with it, the whole `needed` range inside the span.
+        let new_origin = new_lo.saturating_sub(pad as i64);
         let mut slots = vec![LevelSlot::EMPTY; span];
         let delta = self.origin - new_origin;
         for i in self.lo..=self.hi {
@@ -299,7 +324,7 @@ impl PriceLadder {
         self.origin = new_origin;
         self.lo = (self.lo as i64 + delta) as usize;
         self.hi = (self.hi as i64 + delta) as usize;
-        (ticks - self.origin) as usize
+        Some((ticks - self.origin) as usize)
     }
 
     /// Marks `idx` occupied and tightens the band / best cursors.
@@ -539,7 +564,9 @@ impl LadderBook {
         let prior = self.index.insert(order.id, node);
         assert!(prior.is_none(), "duplicate order id {}", order.id);
         let (ladder, arena) = self.split_mut(order.side);
-        let i = ladder.ensure_index(order.price);
+        let i = ladder
+            .ensure_index(order.price)
+            .expect("resting price within MAX_SPAN ticks of the side's band");
         if !ladder.slots[i].present {
             ladder.occupy(i);
         }
@@ -811,6 +838,44 @@ mod tests {
         assert_eq!(ladder.qty_at(Price::new(5_000)), Qty::new(3));
         assert_eq!(ladder.best_price(), Some(Price::new(15_000)));
         assert_eq!(ladder.level_count(), 3);
+    }
+
+    #[test]
+    fn rehome_is_bounded_by_max_span() {
+        let mut ladder = PriceLadder::new(Side::Ask);
+        assert!(ladder.deposit(Price::new(18_000), Qty::new(1)));
+        let span = ladder.slots.len();
+        // Out of span in either direction, and past what an `i64`
+        // difference holds: refused, nothing allocated or moved.
+        for far in [
+            18_000 + MAX_SPAN as i64,
+            18_000 - (1 << 40),
+            i64::MAX,
+            i64::MIN,
+        ] {
+            assert!(!ladder.deposit(Price::new(far), Qty::new(1)), "{far}");
+            assert_eq!(ladder.qty_at(Price::new(far)), Qty::ZERO);
+        }
+        assert_eq!(ladder.slots.len(), span);
+        assert_eq!(ladder.best_price(), Some(Price::new(18_000)));
+        assert_eq!(ladder.level_count(), 1);
+        // The widest band that fits is accepted, and the doubling that
+        // follows a drift stops at the bound.
+        let edge = 18_000 + MAX_SPAN as i64 - 1;
+        assert!(ladder.deposit(Price::new(edge), Qty::new(2)));
+        assert_eq!(ladder.slots.len(), MAX_SPAN);
+        ladder.withdraw(Price::new(18_000), Qty::new(1));
+        assert!(ladder.deposit(Price::new(edge + 10), Qty::new(3)));
+        assert_eq!(ladder.slots.len(), MAX_SPAN);
+        assert_eq!(ladder.qty_at(Price::new(edge)), Qty::new(2));
+        assert_eq!(ladder.best_price(), Some(Price::new(edge)));
+        // An empty ladder re-centers on any price an `i64` holds.
+        let mut empty = PriceLadder::new(Side::Bid);
+        for extreme in [i64::MIN, i64::MAX] {
+            assert!(empty.deposit(Price::new(extreme), Qty::new(1)));
+            assert_eq!(empty.best_price(), Some(Price::new(extreme)));
+            empty.withdraw(Price::new(extreme), Qty::new(1));
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@ pub struct LocalBook {
     asks: PriceLadder,
     orders: HashMap<OrderId, (Side, Price, Qty), IdHashBuilder>,
     applied: u64,
+    out_of_span: u64,
     last_trade: Option<(Price, Qty)>,
 }
 
@@ -46,6 +47,7 @@ impl LocalBook {
             asks: PriceLadder::new(Side::Ask),
             orders: HashMap::default(),
             applied: 0,
+            out_of_span: 0,
             last_trade: None,
         }
     }
@@ -69,6 +71,12 @@ impl LocalBook {
         self.applied
     }
 
+    /// Adds ignored because their price lay further from the side's
+    /// resting band than a ladder may span.
+    pub fn out_of_span(&self) -> u64 {
+        self.out_of_span
+    }
+
     /// The most recent trade print, if any.
     pub fn last_trade(&self) -> Option<(Price, Qty)> {
         self.last_trade
@@ -87,7 +95,9 @@ impl LocalBook {
     /// Applies one tick to the mirror.
     ///
     /// Unknown deletes/modifies (e.g. after joining mid-session) are
-    /// ignored rather than treated as fatal, matching real feed handlers.
+    /// ignored rather than treated as fatal, matching real feed handlers;
+    /// so is an add priced out of the ladder's span, which is counted
+    /// ([`Self::out_of_span`]).
     pub fn apply(&mut self, event: &MarketEvent) {
         self.applied += 1;
         match &event.kind {
@@ -106,8 +116,11 @@ impl LocalBook {
                 price,
                 qty,
             } => {
-                self.orders.insert(id, (side, price, qty));
-                self.side_mut(side).deposit(price, qty);
+                if self.side_mut(side).deposit(price, qty) {
+                    self.orders.insert(id, (side, price, qty));
+                } else {
+                    self.out_of_span += 1;
+                }
             }
             BookDelta::Modify {
                 id,

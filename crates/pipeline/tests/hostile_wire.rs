@@ -3,30 +3,36 @@
 //! Both binary codecs carry a `block_length` in their 8-byte message
 //! header. A peer that declares a body shorter than the template's fixed
 //! layout — and sends exactly that many bytes, correctly checksummed —
-//! must come back as a decode error from every intake path. Run in
-//! release too (`scripts/check.sh`): that is the build that serves, and
-//! it drops the debug-only checks.
+//! must come back as a decode error from every intake path. A
+//! well-formed `Add` carries any `i64` as its price; one far from the
+//! book must not size the ladder. Run in release too
+//! (`scripts/check.sh`): that is the build that serves, and it drops the
+//! debug-only checks.
 
 use lighttrader::LightTrader;
 use lt_dnn::ModelKind;
 use lt_lob::events::MarketEventKind;
 use lt_lob::{BookDelta, MarketEvent, OrderId, Price, Qty, Side, Symbol, Timestamp, Trade};
-use lt_pipeline::{FeedArbiter, FeedId, PacketParser};
+use lt_pipeline::{FeedArbiter, FeedId, LocalBook, PacketParser};
 use lt_protocol::framing::Datagram;
 use lt_protocol::ilink::{OrderMessage, OrderMessageKind};
 use lt_protocol::sbe::{MessageHeader, SbeEncoder};
 
-fn book_event(seq: u64) -> MarketEvent {
+fn add_event(seq: u64, side: Side, price: i64) -> MarketEvent {
     MarketEvent {
         seq,
         ts: Timestamp::from_nanos(seq * 10),
         kind: MarketEventKind::Book(BookDelta::Add {
             id: OrderId::new(seq + 1),
-            side: Side::Bid,
-            price: Price::new(100),
+            side,
+            price: Price::new(price),
             qty: Qty::new(1),
         }),
     }
+}
+
+fn book_event(seq: u64) -> MarketEvent {
+    add_event(seq, Side::Bid, 100)
 }
 
 fn trade_event(seq: u64) -> MarketEvent {
@@ -89,6 +95,57 @@ fn short_blocks_are_counted_corrupt_on_every_intake_path() {
         vec![book_event(9)]
     );
     assert_eq!(trader.on_datagram(&good).len(), 1);
+}
+
+/// Checksum-valid adds priced 2^40 ticks from the book, at `i64::MAX`
+/// and at `i64::MIN`, on either side, through all three intake paths:
+/// each is decoded, ignored by the book and counted, and the next
+/// in-band add lands on an untouched book.
+#[test]
+fn far_priced_adds_are_counted_and_leave_the_book_alone() {
+    let mut parser = PacketParser::new();
+    let mut arbiter = FeedArbiter::new();
+    let mut trader = LightTrader::builder(ModelKind::VanillaCnn).build();
+    let mut parsed_book = LocalBook::new();
+    let mut arbited_book = LocalBook::new();
+    let mut seq = 0u32;
+    // One add, one datagram, every path; the two mirrors agree, and
+    // their refusal count and snapshot come back.
+    let mut send = |side, price| {
+        seq += 1;
+        let event = add_event(u64::from(seq), side, price);
+        let bytes = datagram(seq, SbeEncoder::new().encode(&event));
+        assert_eq!(parser.ingest(&bytes), vec![event]);
+        assert_eq!(arbiter.on_packet_events(FeedId::A, &bytes), vec![event]);
+        assert_eq!(trader.on_datagram(&bytes).len(), 1, "{event:?}");
+        parsed_book.apply(&event);
+        arbited_book.apply(&event);
+        let snapshot = parsed_book.snapshot(10, Timestamp::ZERO);
+        assert_eq!(arbited_book.snapshot(10, Timestamp::ZERO), snapshot);
+        assert_eq!(arbited_book.out_of_span(), parsed_book.out_of_span());
+        (parsed_book.out_of_span(), snapshot)
+    };
+    for tick in 0..5 {
+        send(Side::Bid, 17_999 - tick);
+        send(Side::Ask, 18_001 + tick);
+    }
+    let (_, resting) = send(Side::Bid, 17_990);
+    let mut refused = 0u64;
+    for side in [Side::Bid, Side::Ask] {
+        for far in [18_000 + (1i64 << 40), i64::MAX, i64::MIN] {
+            refused += 1;
+            assert_eq!(
+                send(side, far),
+                (refused, resting.clone()),
+                "{side:?} @ {far}"
+            );
+        }
+    }
+    let (count, after) = send(Side::Ask, 18_000);
+    assert_eq!(count, refused);
+    assert_eq!(after.best_ask().map(|l| l.price), Some(Price::new(18_000)));
+    assert_eq!(after.bids, resting.bids);
+    assert_eq!(trader.parser_stats().corrupt, 0);
 }
 
 #[test]

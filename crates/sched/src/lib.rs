@@ -13,7 +13,10 @@
 //!   scale every accelerator down to the slowest point that still meets
 //!   the deadline (saving power), then greedily hand the freed budget to
 //!   the busy accelerator with the highest marginal PPW gain until no
-//!   upgrade fits.
+//!   upgrade fits. One function per half: [`scale_down_to_deadline`] and
+//!   [`plan_uprates`]. The simulator runs only the second
+//!   (`SimState::rebalance`): it never under-clocks below the static
+//!   plan, so nothing in `lt-sim` calls `scale_down_to_deadline`.
 //!
 //! [`Policy`] selects which of the two run, matching the four
 //! configurations of the paper's Fig. 13 (baseline, WS, DS, WS+DS).
@@ -31,7 +34,7 @@ pub mod tier;
 pub mod workload;
 
 pub use policy::Policy;
-pub use power_dist::{plan_uprates, redistribute_power, scale_down_to_deadline, AccelLoad};
+pub use power_dist::{plan_uprates, scale_down_to_deadline};
 pub use tier::{
     EwmaEstimator, LatencyModel, QuantileEstimator, TierDecision, TierLadder, TierPlanner,
 };

@@ -5,21 +5,6 @@ use lt_accel::profile::DeviceProfile;
 use lt_dnn::ModelKind;
 use std::time::Duration;
 
-/// The load one accelerator is carrying, as seen by the DVFS scheduler.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AccelLoad {
-    /// Device id.
-    pub id: usize,
-    /// Model being served.
-    pub kind: ModelKind,
-    /// Batch size in flight (or about to be issued).
-    pub batch: u32,
-    /// Current operating point.
-    pub point: OperatingPoint,
-    /// Deadline budget for this batch.
-    pub t_avail: Duration,
-}
-
 /// Phase 1 of Algorithm 2 ("saving power"): the slowest point at which
 /// `kind`/`batch` still meets `t_avail`. Falls back to the fastest point
 /// when even it misses the deadline (the workload scheduler will then
@@ -39,59 +24,13 @@ pub fn scale_down_to_deadline(
         .unwrap_or_else(|| table.max())
 }
 
-/// Phase 2 of Algorithm 2 ("redistributing power"): greedily upgrade the
-/// non-idle accelerator with the highest marginal PPW gain, one DVFS
-/// notch at a time, while the pool's total power stays within
-/// `total_budget_w`. Idle accelerators contribute their idle draw.
-///
-/// Returns the upgraded loads (same order as the input). The loop runs
-/// until no upgrade fits, exactly as the paper iterates Algorithm 2
-/// "until it can not distribute the available power budget".
-pub fn redistribute_power(
-    profile: &DeviceProfile,
-    loads: &[AccelLoad],
-    idle_draw_w: f64,
-    total_budget_w: f64,
-    table: &DvfsTable,
-) -> Vec<AccelLoad> {
-    let mut loads = loads.to_vec();
-    loop {
-        let consumed: f64 = loads
-            .iter()
-            .map(|l| profile.power_w(l.kind, l.batch, l.point))
-            .sum::<f64>()
-            + idle_draw_w;
-        let power_avail = total_budget_w - consumed;
-        // candidate_queue: (ppw_inc, index, new point).
-        let mut best: Option<(f64, usize, OperatingPoint)> = None;
-        for (i, load) in loads.iter().enumerate() {
-            let Some(new_point) = table.step_up(load.point) else {
-                continue;
-            };
-            // Upgrades must still meet the deadline (a faster clock always
-            // does) and fit the remaining budget.
-            let power_inc = profile.power_w(load.kind, load.batch, new_point)
-                - profile.power_w(load.kind, load.batch, load.point);
-            if power_inc <= power_avail {
-                let ppw_inc = profile.ppw(load.kind, load.batch, new_point)
-                    - profile.ppw(load.kind, load.batch, load.point);
-                if best.is_none_or(|(b, _, _)| ppw_inc > b) {
-                    best = Some((ppw_inc, i, new_point));
-                }
-            }
-        }
-        match best {
-            Some((_, i, new_point)) => loads[i].point = new_point,
-            None => break,
-        }
-    }
-    loads
-}
-
-/// Algorithm 2's redistribution applied to *running* batches: greedily
-/// climb the busy accelerator with the highest marginal PPW gain, one
-/// DVFS notch at a time, while the pool total (busy draws plus one idle
-/// reservation per idle slot) stays within `pool_budget_w`.
+/// Phase 2 of Algorithm 2 ("redistributing power") applied to *running*
+/// batches: greedily climb the busy accelerator with the highest
+/// marginal PPW gain, one DVFS notch at a time, while the pool total
+/// (busy draws plus one idle reservation per idle slot) stays within
+/// `pool_budget_w`. The loop runs until no upgrade fits, exactly as the
+/// paper iterates Algorithm 2 "until it can not distribute the available
+/// power budget".
 ///
 /// `desired` holds one entry per accelerator — `Some((batch, point))`
 /// for a running batch, `None` for an idle slot — and is updated in
@@ -153,14 +92,13 @@ mod tests {
         DvfsTable::evaluation()
     }
 
-    fn load(id: usize, kind: ModelKind, freq: f64) -> AccelLoad {
-        AccelLoad {
-            id,
-            kind,
-            batch: 1,
-            point: OperatingPoint::at_freq(freq),
-            t_avail: Duration::from_millis(1),
-        }
+    /// Pool draw of a plan: busy slots at their point, idle slots at
+    /// the reservation.
+    fn pool_w(kind: ModelKind, idle_w: f64, desired: &[Option<(u32, OperatingPoint)>]) -> f64 {
+        desired
+            .iter()
+            .map(|d| d.map_or(idle_w, |(b, pt)| profile().power_w(kind, b, pt)))
+            .sum()
     }
 
     #[test]
@@ -202,37 +140,41 @@ mod tests {
 
     #[test]
     fn redistribution_spends_available_budget() {
-        // Two busy accelerators at the bottom of the ladder, generous
-        // budget: both should climb to the top.
-        let loads = vec![
-            load(0, ModelKind::VanillaCnn, 0.8),
-            load(1, ModelKind::VanillaCnn, 0.8),
-        ];
-        let out = redistribute_power(&profile(), &loads, 0.0, 55.0, &table());
-        for l in &out {
-            assert!((l.point.freq_ghz - 2.0).abs() < 1e-9, "accel {}", l.id);
+        // Two busy accelerators at the bottom of the ladder beside an
+        // idle one, generous budget: both busy ones climb to the top.
+        let low = Some((1u32, OperatingPoint::at_freq(0.8)));
+        let mut desired = vec![low, None, low];
+        plan_uprates(
+            &profile(),
+            ModelKind::VanillaCnn,
+            0.5,
+            55.0,
+            &table(),
+            &mut desired,
+        );
+        assert_eq!(desired[1], None);
+        for slot in [desired[0], desired[2]] {
+            let (_, point) = slot.unwrap();
+            assert!((point.freq_ghz - 2.0).abs() < 1e-9, "stopped at {point}");
         }
     }
 
     #[test]
     fn redistribution_respects_budget() {
         let p = profile();
-        let loads = vec![
-            load(0, ModelKind::DeepLob, 0.8),
-            load(1, ModelKind::DeepLob, 0.8),
-        ];
-        let budget = 6.0;
-        let out = redistribute_power(&p, &loads, 0.0, budget, &table());
-        let total: f64 = out
-            .iter()
-            .map(|l| p.power_w(l.kind, l.batch, l.point))
-            .sum();
+        let kind = ModelKind::DeepLob;
+        let idle_w = p.idle_power_w(kind);
+        let low = Some((1u32, OperatingPoint::at_freq(0.8)));
+        let mut desired = vec![low, None, low];
+        let budget = 6.0 + idle_w;
+        plan_uprates(&p, kind, idle_w, budget, &table(), &mut desired);
+        let total = pool_w(kind, idle_w, &desired);
         assert!(total <= budget + 1e-9, "total {total} > budget {budget}");
         // And no further single-notch upgrade fits.
-        for l in &out {
-            if let Some(up) = table().step_up(l.point) {
-                let inc = p.power_w(l.kind, l.batch, up) - p.power_w(l.kind, l.batch, l.point);
-                assert!(total + inc > budget, "upgrade still fits for {}", l.id);
+        for (aid, (batch, point)) in desired.iter().flatten().enumerate() {
+            if let Some(up) = table().step_up(*point) {
+                let inc = p.power_w(kind, *batch, up) - p.power_w(kind, *batch, *point);
+                assert!(total + inc > budget, "upgrade still fits for busy #{aid}");
             }
         }
     }
@@ -240,19 +182,32 @@ mod tests {
     #[test]
     fn idle_draw_reduces_headroom() {
         let p = profile();
-        let loads = vec![load(0, ModelKind::DeepLob, 0.8)];
-        let generous = redistribute_power(&p, &loads, 0.0, 4.0, &table());
-        let squeezed = redistribute_power(&p, &loads, 2.0, 4.0, &table());
+        let kind = ModelKind::DeepLob;
+        let start = vec![Some((1u32, OperatingPoint::at_freq(0.8))), None];
+        let mut generous = start.clone();
+        plan_uprates(&p, kind, 0.0, 4.0, &table(), &mut generous);
+        let mut squeezed = start;
+        plan_uprates(&p, kind, 2.0, 4.0, &table(), &mut squeezed);
         assert!(
-            squeezed[0].point.freq_ghz < generous[0].point.freq_ghz,
+            squeezed[0].unwrap().1.freq_ghz < generous[0].unwrap().1.freq_ghz,
             "idle draw must eat into the distributable budget"
         );
     }
 
     #[test]
     fn empty_pool_is_noop() {
-        let out = redistribute_power(&profile(), &[], 1.0, 10.0, &table());
-        assert!(out.is_empty());
+        plan_uprates(&profile(), ModelKind::DeepLob, 1.0, 10.0, &table(), &mut []);
+        // Nothing busy: nothing to climb, whatever the budget.
+        let mut idle = vec![None, None];
+        plan_uprates(
+            &profile(),
+            ModelKind::DeepLob,
+            1.0,
+            10.0,
+            &table(),
+            &mut idle,
+        );
+        assert_eq!(idle, vec![None, None]);
     }
 
     /// The headline DS mechanism: when only one of many accelerators is
@@ -266,25 +221,21 @@ mod tests {
         let kind = ModelKind::DeepLob;
         let plan = static_plan(kind, n, PowerCondition::Sufficient);
         // 15 idle accelerators at idle draw; one busy.
-        let idle_draw = (n - 1) as f64 * p.idle_power_w(kind);
-        let start = AccelLoad {
-            id: 0,
-            kind,
-            batch: 1,
-            point: table().min(),
-            t_avail: Duration::from_millis(1),
-        };
-        let out = redistribute_power(
+        let mut desired = vec![None; n];
+        desired[0] = Some((1u32, table().min()));
+        plan_uprates(
             &p,
-            &[start],
-            idle_draw,
+            kind,
+            p.idle_power_w(kind),
             PowerCondition::Sufficient.accelerator_budget_w(),
             &table(),
+            &mut desired,
         );
+        let (_, point) = desired[0].unwrap();
         assert!(
-            out[0].point.freq_ghz > plan.point.freq_ghz,
+            point.freq_ghz > plan.point.freq_ghz,
             "DS point {:.1} GHz should beat static {:.1} GHz",
-            out[0].point.freq_ghz,
+            point.freq_ghz,
             plan.point.freq_ghz
         );
     }

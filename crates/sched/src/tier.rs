@@ -312,11 +312,6 @@ impl LatencyModel {
         self.slack.predicted() + self.service[tier_index(kind)].predicted()
     }
 
-    /// The tracked queue-wait upper quantile.
-    pub fn predicted_wait(&self) -> Duration {
-        self.wait.predicted()
-    }
-
     /// True when the observed queue-wait tail exceeds `horizon`: queries
     /// are typically spending more of their budget waiting than the
     /// horizon allows, so the planner should drain with cheap tiers.

@@ -3,7 +3,7 @@
 use lt_accel::dvfs::{DvfsTable, OperatingPoint};
 use lt_accel::DeviceProfile;
 use lt_dnn::ModelKind;
-use lt_sched::{redistribute_power, scale_down_to_deadline, schedule_workload, AccelLoad};
+use lt_sched::{plan_uprates, scale_down_to_deadline, schedule_workload};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -137,43 +137,55 @@ proptest! {
         }
     }
 
-    /// Redistribution never exceeds the budget and never downgrades.
+    /// Redistribution — `plan_uprates`, the loop `SimState::rebalance`
+    /// runs — never exceeds the pool budget, never downgrades a busy
+    /// slot, never touches an idle one, and stops only when no single
+    /// notch fits.
     #[test]
     fn redistribution_is_budget_safe_and_monotone(
         kind in kind_strategy(),
         n in 1usize..8,
+        busy_mask in 0u32..256,
+        batch in 1u32..8,
         start_tenths in 8u64..20,
-        idle_draw in 0.0f64..10.0,
+        idle_w in 0.0f64..2.0,
         budget in 5.0f64..55.0,
     ) {
         let profile = DeviceProfile::lighttrader();
         let table = DvfsTable::evaluation();
         let start = OperatingPoint::at_freq(start_tenths as f64 / 10.0);
-        let loads: Vec<AccelLoad> = (0..n)
-            .map(|id| AccelLoad {
-                id,
-                kind,
-                batch: 1,
-                point: start,
-                t_avail: Duration::from_millis(1),
-            })
+        let before: Vec<Option<(u32, OperatingPoint)>> = (0..n)
+            .map(|aid| (busy_mask >> aid & 1 == 1).then_some((batch, start)))
             .collect();
-        let initial: f64 = loads
-            .iter()
-            .map(|l| profile.power_w(l.kind, l.batch, l.point))
-            .sum::<f64>() + idle_draw;
-        let out = redistribute_power(&profile, &loads, idle_draw, budget, &table);
-        let total: f64 = out
-            .iter()
-            .map(|l| profile.power_w(l.kind, l.batch, l.point))
-            .sum::<f64>() + idle_draw;
+        let pool_w = |plan: &[Option<(u32, OperatingPoint)>]| -> f64 {
+            plan.iter()
+                .map(|d| d.map_or(idle_w, |(b, pt)| profile.power_w(kind, b, pt)))
+                .sum()
+        };
+        let initial = pool_w(&before);
+        let mut after = before.clone();
+        plan_uprates(&profile, kind, idle_w, budget, &table, &mut after);
+        let total = pool_w(&after);
         // Budget respected unless it was already blown at entry.
         if initial <= budget {
             prop_assert!(total <= budget + 1e-9, "total {total} > budget {budget}");
         }
-        // Monotone: points never go down.
-        for (before, after) in loads.iter().zip(&out) {
-            prop_assert!(after.point.freq_ghz >= before.point.freq_ghz - 1e-12);
+        for (b, a) in before.iter().zip(&after) {
+            match (b, a) {
+                (None, None) => {}
+                (Some((b_batch, b_pt)), Some((a_batch, a_pt))) => {
+                    prop_assert_eq!(b_batch, a_batch);
+                    // Monotone: points never go down.
+                    prop_assert!(a_pt.freq_ghz >= b_pt.freq_ghz - 1e-12);
+                    // Maximal: the next notch of any busy slot overshoots.
+                    if let Some(up) = table.step_up(*a_pt) {
+                        let inc = profile.power_w(kind, *a_batch, up)
+                            - profile.power_w(kind, *a_batch, *a_pt);
+                        prop_assert!(inc > budget - total, "a notch still fits");
+                    }
+                }
+                _ => prop_assert!(false, "a slot changed between busy and idle"),
+            }
         }
     }
 }

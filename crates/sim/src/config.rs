@@ -114,13 +114,6 @@ impl BacktestConfig {
         self
     }
 
-    /// Overrides the conventional-pipeline stage budget.
-    #[must_use]
-    pub fn with_stages(mut self, stages: PipelineLatencies) -> Self {
-        self.stages = stages;
-        self
-    }
-
     /// Injects ingress faults on the redundant A/B feed pair.
     #[must_use]
     pub fn with_faults(mut self, faults: IngressFaults) -> Self {

@@ -118,13 +118,6 @@ impl ExecutionConfig {
         self
     }
 
-    /// Overrides the venue fee schedule.
-    #[must_use]
-    pub fn with_fees(mut self, fees: FeeModel) -> Self {
-        self.fees = fees;
-        self
-    }
-
     /// Arms a kill switch with a loss floor in whole ticks.
     #[must_use]
     pub fn with_kill_floor(mut self, floor_ticks: i64) -> Self {

@@ -1,5 +1,5 @@
 //! The back-test farm: declarative grids, shared-trace caching, and a
-//! work-stealing runner with structure-of-arrays results.
+//! work-stealing runner with one scalar result row per cell.
 //!
 //! The paper's evaluation is a grid — 3 models × accelerator counts ×
 //! 2 power conditions × 4 policies × seeds — and every result axis the
@@ -17,8 +17,7 @@
 //!   FarmRunner ──scatter──▶ worker pool       work-stealing over cells,
 //!       │                                     disjoint result slots
 //!       ▼
-//!   FarmResults ◀──merge in expansion order── SoA columns (+ retained
-//!                                             full metrics on request)
+//!   FarmResults ◀──merge in expansion order── one CellSummary row per cell
 //! ```
 //!
 //! Correctness is pinned by construction and by test: each cell replays
@@ -34,4 +33,4 @@ mod runner;
 
 pub use grid::{FarmCell, GridDeadline, SweepGrid};
 pub use results::{CellSummary, FarmResults};
-pub use runner::{run_farm, try_run_farm, CellFailure, FarmFailures, FarmRunner, RetainFull};
+pub use runner::{CellFailure, FarmFailures, FarmRunner};

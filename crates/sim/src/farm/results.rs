@@ -1,18 +1,16 @@
-//! Structure-of-arrays farm results.
+//! Farm results: one scalar row per cell.
 //!
-//! A thousand-cell grid must not hold a thousand heavyweight
-//! [`BacktestMetrics`] (each carries every latency sample and its full
-//! per-stage decomposition). [`FarmResults`] keeps one scalar *column*
-//! per headline statistic — outcome counters, latency quantiles,
-//! energy, batching — indexed by cell in expansion order, and retains
-//! the full metrics only for the cells the caller designated. The
-//! columns of a retained cell tile its full metrics exactly
-//! ([`FarmResults::assert_full_consistent`]).
+//! A grid must not hold one heavyweight [`BacktestMetrics`] per cell
+//! (each carries every latency sample and its full per-stage
+//! decomposition). [`FarmResults`] keeps one [`CellSummary`] per cell —
+//! outcome counters, latency quantiles, energy, batching — indexed in
+//! expansion order. A caller that wants one cell's full metrics runs
+//! [`crate::run_lighttrader`] on the cached session.
 
 use super::grid::FarmCell;
 use crate::metrics::BacktestMetrics;
 
-/// The scalar summary of one cell — one row across the SoA columns.
+/// The scalar summary of one cell — one row of [`FarmResults`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellSummary {
     /// Queries answered within the available time.
@@ -56,8 +54,7 @@ pub struct CellSummary {
 }
 
 impl CellSummary {
-    /// Extracts the scalar row from full metrics. This is the ONLY path
-    /// that fills columns, so columns and retained metrics cannot drift.
+    /// Extracts the scalar row from full metrics.
     pub fn from_metrics(m: &BacktestMetrics) -> Self {
         let exec = m.execution.unwrap_or_default();
         CellSummary {
@@ -118,31 +115,12 @@ impl CellSummary {
     }
 }
 
-/// Results of one farm run: cells in expansion order, scalar columns
-/// per statistic, and optional full-metrics retention per cell.
+/// Results of one farm run: cells and their scalar rows, both in
+/// expansion order.
 #[derive(Debug, Clone, Default)]
 pub struct FarmResults {
     cells: Vec<FarmCell>,
-    responded: Vec<u64>,
-    late: Vec<u64>,
-    dropped_full: Vec<u64>,
-    dropped_stale: Vec<u64>,
-    dropped_deadline: Vec<u64>,
-    deferred: Vec<u64>,
-    mean_t2t_ns: Vec<u64>,
-    p50_ns: Vec<u64>,
-    p99_ns: Vec<u64>,
-    p999_ns: Vec<u64>,
-    energy_j: Vec<f64>,
-    batches: Vec<u64>,
-    batched_queries: Vec<u64>,
-    orders_sent: Vec<u64>,
-    filled: Vec<u64>,
-    missed: Vec<u64>,
-    contracts_filled: Vec<u64>,
-    equity_half: Vec<i64>,
-    fees_half: Vec<i64>,
-    full: Vec<Option<BacktestMetrics>>,
+    rows: Vec<CellSummary>,
 }
 
 impl FarmResults {
@@ -150,59 +128,14 @@ impl FarmResults {
     pub(crate) fn with_capacity(capacity: usize) -> Self {
         FarmResults {
             cells: Vec::with_capacity(capacity),
-            responded: Vec::with_capacity(capacity),
-            late: Vec::with_capacity(capacity),
-            dropped_full: Vec::with_capacity(capacity),
-            dropped_stale: Vec::with_capacity(capacity),
-            dropped_deadline: Vec::with_capacity(capacity),
-            deferred: Vec::with_capacity(capacity),
-            mean_t2t_ns: Vec::with_capacity(capacity),
-            p50_ns: Vec::with_capacity(capacity),
-            p99_ns: Vec::with_capacity(capacity),
-            p999_ns: Vec::with_capacity(capacity),
-            energy_j: Vec::with_capacity(capacity),
-            batches: Vec::with_capacity(capacity),
-            batched_queries: Vec::with_capacity(capacity),
-            orders_sent: Vec::with_capacity(capacity),
-            filled: Vec::with_capacity(capacity),
-            missed: Vec::with_capacity(capacity),
-            contracts_filled: Vec::with_capacity(capacity),
-            equity_half: Vec::with_capacity(capacity),
-            fees_half: Vec::with_capacity(capacity),
-            full: Vec::with_capacity(capacity),
+            rows: Vec::with_capacity(capacity),
         }
     }
 
-    /// Appends one cell's outcome; `full` is the metrics object to
-    /// retain, if this cell was designated.
-    pub(crate) fn push(
-        &mut self,
-        cell: FarmCell,
-        metrics: &BacktestMetrics,
-        full: Option<BacktestMetrics>,
-    ) {
-        let s = CellSummary::from_metrics(metrics);
+    /// Appends one cell's outcome.
+    pub(crate) fn push(&mut self, cell: FarmCell, metrics: &BacktestMetrics) {
         self.cells.push(cell);
-        self.responded.push(s.responded);
-        self.late.push(s.late);
-        self.dropped_full.push(s.dropped_full);
-        self.dropped_stale.push(s.dropped_stale);
-        self.dropped_deadline.push(s.dropped_deadline);
-        self.deferred.push(s.deferred);
-        self.mean_t2t_ns.push(s.mean_t2t_ns);
-        self.p50_ns.push(s.p50_ns);
-        self.p99_ns.push(s.p99_ns);
-        self.p999_ns.push(s.p999_ns);
-        self.energy_j.push(s.energy_j);
-        self.batches.push(s.batches);
-        self.batched_queries.push(s.batched_queries);
-        self.orders_sent.push(s.orders_sent);
-        self.filled.push(s.filled);
-        self.missed.push(s.missed);
-        self.contracts_filled.push(s.contracts_filled);
-        self.equity_half.push(s.equity_half);
-        self.fees_half.push(s.fees_half);
-        self.full.push(full);
+        self.rows.push(CellSummary::from_metrics(metrics));
     }
 
     /// Number of cells.
@@ -220,95 +153,20 @@ impl FarmResults {
         &self.cells
     }
 
-    /// One cell's scalar row, reassembled from the columns.
+    /// One cell's scalar row.
     pub fn summary(&self, i: usize) -> CellSummary {
-        CellSummary {
-            responded: self.responded[i],
-            late: self.late[i],
-            dropped_full: self.dropped_full[i],
-            dropped_stale: self.dropped_stale[i],
-            dropped_deadline: self.dropped_deadline[i],
-            deferred: self.deferred[i],
-            mean_t2t_ns: self.mean_t2t_ns[i],
-            p50_ns: self.p50_ns[i],
-            p99_ns: self.p99_ns[i],
-            p999_ns: self.p999_ns[i],
-            energy_j: self.energy_j[i],
-            batches: self.batches[i],
-            batched_queries: self.batched_queries[i],
-            orders_sent: self.orders_sent[i],
-            filled: self.filled[i],
-            missed: self.missed[i],
-            contracts_filled: self.contracts_filled[i],
-            equity_half: self.equity_half[i],
-            fees_half: self.fees_half[i],
-        }
-    }
-
-    /// The `responded` column.
-    pub fn responded(&self) -> &[u64] {
-        &self.responded
-    }
-
-    /// The p99 tick-to-trade column, nanoseconds.
-    pub fn p99_ns(&self) -> &[u64] {
-        &self.p99_ns
-    }
-
-    /// The energy column, joules.
-    pub fn energy_j(&self) -> &[f64] {
-        &self.energy_j
-    }
-
-    /// The final-equity column, half-ticks × contracts (0 for
-    /// latency-only cells).
-    pub fn equity_half(&self) -> &[i64] {
-        &self.equity_half
-    }
-
-    /// The orders-sent column (0 for latency-only cells).
-    pub fn orders_sent(&self) -> &[u64] {
-        &self.orders_sent
-    }
-
-    /// The retained full metrics of cell `i`, when designated.
-    pub fn full_metrics(&self, i: usize) -> Option<&BacktestMetrics> {
-        self.full[i].as_ref()
-    }
-
-    /// Number of cells that retained full metrics.
-    pub fn n_retained(&self) -> usize {
-        self.full.iter().filter(|f| f.is_some()).count()
-    }
-
-    /// Panics unless, for every cell with retained full metrics, the
-    /// scalar columns equal [`CellSummary::from_metrics`] of the
-    /// retained object — the invariant that the cheap columns really
-    /// tile the expensive metrics.
-    pub fn assert_full_consistent(&self) {
-        for (i, full) in self.full.iter().enumerate() {
-            if let Some(m) = full {
-                let expect = CellSummary::from_metrics(m);
-                let got = self.summary(i);
-                assert!(
-                    got == expect && got.energy_j.to_bits() == expect.energy_j.to_bits(),
-                    "cell #{i} [{}]: columns {got:?} drifted from retained metrics {expect:?}",
-                    self.cells[i].id
-                );
-            }
-        }
+        self.rows[i]
     }
 
     /// Renders the grid as deterministic JSON: one row per cell with its
-    /// ID, axis values, and scalar columns. Formatting is fixed-notation
+    /// ID, axis values, and scalar row. Formatting is fixed-notation
     /// (no float shortest-round-trip), so equal results are equal bytes.
     pub fn to_grid_json(&self) -> String {
         let rows: Vec<String> = self
             .cells
             .iter()
-            .enumerate()
-            .map(|(i, cell)| {
-                let s = self.summary(i);
+            .zip(&self.rows)
+            .map(|(cell, s)| {
                 format!(
                     "    {{\"id\": \"{}\", \"model\": \"{:?}\", \"n_accels\": {}, \
                      \"condition\": \"{:?}\", \"policy\": \"{}\", \"symbols\": {}, \
@@ -384,21 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn columns_round_trip_through_summary() {
-        let mut r = FarmResults::with_capacity(2);
-        let m = metrics(5);
-        r.push(cell(0), &m, None);
-        r.push(cell(1), &metrics(3), Some(metrics(3)));
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.summary(0), CellSummary::from_metrics(&m));
-        assert_eq!(r.responded(), &[5, 3]);
-        assert_eq!(r.n_retained(), 1);
-        assert!(r.full_metrics(0).is_none());
-        assert!(r.full_metrics(1).is_some());
-        r.assert_full_consistent();
-    }
-
-    #[test]
     fn summary_rates_match_metrics() {
         let m = metrics(7);
         let s = CellSummary::from_metrics(&m);
@@ -410,20 +253,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "drifted")]
-    fn drifted_columns_are_caught() {
-        let mut r = FarmResults::with_capacity(1);
-        r.push(cell(0), &metrics(4), Some(metrics(4)));
-        r.responded[0] += 1;
-        r.assert_full_consistent();
-    }
-
-    #[test]
     fn grid_json_is_deterministic() {
         let mut a = FarmResults::with_capacity(1);
-        a.push(cell(0), &metrics(4), None);
+        a.push(cell(0), &metrics(4));
         let mut b = FarmResults::with_capacity(1);
-        b.push(cell(0), &metrics(4), None);
+        b.push(cell(0), &metrics(4));
         assert_eq!(a.to_grid_json(), b.to_grid_json());
         assert!(a.to_grid_json().contains("\"n_cells\": 1"));
         assert!(a.to_grid_json().contains("\"id\": \"cell-0\""));

@@ -21,29 +21,6 @@ use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
-/// Which cells keep their full [`BacktestMetrics`] (latency samples,
-/// stage decompositions) next to the scalar columns.
-#[derive(Debug, Clone, Default)]
-pub enum RetainFull {
-    /// Columns only — the cheap default for big grids.
-    #[default]
-    None,
-    /// Every cell (small grids, parity tests).
-    All,
-    /// The designated cell indices (expansion order).
-    Cells(Vec<usize>),
-}
-
-impl RetainFull {
-    fn wants(&self, index: usize) -> bool {
-        match self {
-            RetainFull::None => false,
-            RetainFull::All => true,
-            RetainFull::Cells(cells) => cells.contains(&index),
-        }
-    }
-}
-
 /// One failed cell of a farm run.
 #[derive(Debug, Clone)]
 pub struct CellFailure {
@@ -99,13 +76,11 @@ impl std::error::Error for FarmFailures {}
 #[derive(Debug, Default)]
 pub struct FarmRunner {
     workers: usize,
-    retain: RetainFull,
     cache: Option<Arc<TraceCache>>,
 }
 
 impl FarmRunner {
-    /// A runner with auto worker count, no full-metrics retention and a
-    /// private trace cache.
+    /// A runner with auto worker count and a private trace cache.
     pub fn new() -> Self {
         Self::default()
     }
@@ -114,13 +89,6 @@ impl FarmRunner {
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Chooses which cells retain full metrics.
-    #[must_use]
-    pub fn retain(mut self, retain: RetainFull) -> Self {
-        self.retain = retain;
         self
     }
 
@@ -177,10 +145,7 @@ impl FarmRunner {
         let mut failures = Vec::new();
         for (cell, outcome) in cells.into_iter().zip(outcomes) {
             match outcome {
-                Ok(metrics) => {
-                    let full = self.retain.wants(cell.index).then(|| metrics.clone());
-                    results.push(cell, &metrics, full);
-                }
+                Ok(metrics) => results.push(cell, &metrics),
                 Err(message) => failures.push(CellFailure {
                     index: cell.index,
                     id: cell.id,
@@ -219,22 +184,4 @@ fn run_cell(config: &BacktestConfig, artifact: &SessionArtifact) -> BacktestMetr
             shards,
         } => run_multi_merged(session, merged, shards, config).aggregate,
     }
-}
-
-/// Runs `grid` with a default-configured [`FarmRunner`] at `workers`.
-///
-/// # Errors
-///
-/// Returns [`FarmFailures`] naming every failed cell.
-pub fn try_run_farm(grid: &SweepGrid, workers: usize) -> Result<FarmResults, FarmFailures> {
-    FarmRunner::new().workers(workers).try_run(grid)
-}
-
-/// [`try_run_farm`], panicking with the full failure report.
-///
-/// # Panics
-///
-/// Panics when any cell fails, naming every failed cell.
-pub fn run_farm(grid: &SweepGrid, workers: usize) -> FarmResults {
-    try_run_farm(grid, workers).unwrap_or_else(|f| panic!("{f}"))
 }

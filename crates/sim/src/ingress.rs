@@ -107,17 +107,6 @@ pub struct IngressReport {
     pub feed_b: FeedReport,
 }
 
-impl IngressReport {
-    /// Fraction of offered ticks that reached the book (1.0 = nothing
-    /// permanently lost).
-    pub fn delivery_rate(&self) -> f64 {
-        if self.offered == 0 {
-            return 1.0;
-        }
-        self.delivered as f64 / self.offered as f64
-    }
-}
-
 /// Pushes every tick of `trace` through two independently faulted paths
 /// and re-assembles the survivors by A/B arbitration.
 ///

@@ -45,8 +45,7 @@ pub use config::{BacktestConfig, TierParams};
 pub use engine::{EngineCtx, Event, EventQueue, PendingOrder, SimModel};
 pub use execution::{precompute_signals, ExecutionConfig, ExecutionStats, SignalConfig};
 pub use farm::{
-    run_farm, try_run_farm, CellSummary, FarmCell, FarmFailures, FarmResults, FarmRunner,
-    GridDeadline, RetainFull, SweepGrid,
+    CellSummary, FarmCell, FarmFailures, FarmResults, FarmRunner, GridDeadline, SweepGrid,
 };
 pub use ingress::{degrade_trace, FeedReport, IngressFaults, IngressReport};
 pub use lighttrader::run_lighttrader;

@@ -77,11 +77,6 @@ impl StageBreakdown {
         Duration::from_nanos(self.ns[stage as usize])
     }
 
-    /// Raw nanoseconds in [`Stage::ALL`] order.
-    pub fn as_ns(&self) -> &[u64; 8] {
-        &self.ns
-    }
-
     /// Sum of every stage — always exactly the query's tick-to-trade.
     pub fn total(&self) -> Duration {
         Duration::from_nanos(self.ns.iter().sum())

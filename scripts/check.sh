@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # CI gate: formatting, lints, tier-1 build+test, the release-mode
-# correctness gates, and the two micro-bench floors. Absolute timings
+# correctness gates, and the kernel micro-bench floor. Absolute timings
 # are the benchmark's job (BENCHMARK.json), not this script's.
 #
 #   ./scripts/check.sh            # everything
-#   ./scripts/check.sh --fast     # skip the two micro-bench floors
+#   ./scripts/check.sh --fast     # skip the kernel micro-bench floor
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -79,10 +79,6 @@ if [[ "$fast" == "0" ]]; then
     echo "== kernel regression (5x DeepLOB packed-vs-reference floor at batch 1) =="
     cargo run --release -p lt-bench --bin bench_kernels
     grep -q '"floor_met": true' BENCH_kernels.json
-
-    echo "== batched inference regression (0.95 batch-16 scaling floor on every model) =="
-    cargo run --release -p lt-bench --bin bench_batch
-    grep -q '"floor_met": true' BENCH_batch.json
 fi
 
 echo "== all checks passed =="

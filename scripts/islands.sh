@@ -6,6 +6,11 @@
 # lib.rs/mod.rs and test code (a file's tail from its first #[cfg(test)]).
 # Such a file is an island: nothing that runs reaches it. Connect it to a
 # caller or delete it; the allow-list is empty and stays empty.
+#
+# Item pass: a `pub fn` (any indentation) under crates/*/src whose name
+# occurs once, as a whole word, in all of the repo's .rs files (crates,
+# benchmark/src, examples, tests) is its own only mention: no test, doc
+# or caller names it. Same rule, same empty allow-list.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,5 +25,13 @@ for f in $(find crates/*/src -name '*.rs' ! -name lib.rs ! -name mod.rs | sort);
         /^[ \t]*#\[cfg\(test\)\]/ { test = 1 }
         !test && $0 ~ pat { hit = 1; exit }
         END { exit !hit }' $others || { echo "island: $f ($names)"; status=1; }
+done
+
+names=$(sed -nE 's/^[ \t]*pub (const )?fn ([A-Za-z0-9_]+).*/\2/p' $(find crates/*/src -name '*.rs') | sort -u)
+lonely=$(cat $(find crates benchmark/src examples tests -name '*.rs') |
+    grep -owF "$names" | sort | uniq -c | awk '$1 == 1 { print $2 }')
+for name in $lonely; do
+    echo "zero-caller pub fn: $name ($(grep -rlw "fn $name" crates/*/src))"
+    status=1
 done
 exit $status
