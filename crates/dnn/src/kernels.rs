@@ -33,7 +33,10 @@
 //! # The packed path
 //!
 //! Every floating-point contraction runs on one micro-kernel,
-//! `tile_accumulate`: a register tile of [`MR`] chains x [`NR`] lanes.
+//! `tile_accumulate`: a register tile of up to [`MR`] chains x [`NR`]
+//! lanes. A tile computes each output once: where fewer than `MR`
+//! chains are live (a row tail's last lane blocks, the last group of
+//! output channels) it runs that many, not clamped duplicates.
 //! The lanes of a chain are `NR` *different outputs* whose operands sit
 //! side by side in memory (a k-major [`pack_bt_panels`] panel, or `NR`
 //! neighbouring positions of an activation map); the chain's input is
@@ -174,19 +177,16 @@ pub fn matvec_i8_bias(
 /// Output lanes per packed register tile: the width of one k-major panel.
 pub const NR: usize = 8;
 
-/// One register tile of the packed path: [`MR`] independent accumulator
-/// chains of [`NR`] output lanes each.
-type Tile = [[f32; NR]; MR];
-
-/// The packed path's one micro-kernel: a register-resident tile of
-/// [`MR`] chains x [`NR`] lanes advanced over one reduction segment.
+/// The packed path's one micro-kernel: a register-resident tile of `C`
+/// chains (at most [`MR`]) x [`NR`] lanes advanced over one reduction
+/// segment.
 ///
 /// Chain `c` reads its `NR` lane operands for step `t` from
 /// `panels[c][t * step..][..NR]` and broadcasts the scalar `xs[c][t]`
 /// across them: `acc[c][l] += panels[c][t * step + l] * xs[c][t]`, `t`
 /// increasing. Every output element therefore owns exactly one
 /// accumulator that sees its products in increasing-`k` order — the
-/// contract at the top of this file — while the `MR * NR` chains are
+/// contract at the top of this file — while the `C * NR` chains are
 /// mutually independent, so the adds pipeline instead of serialising on
 /// one chain's latency. Callers seed `acc`, may run several segments
 /// back to back (an LSTM gate's `W_x x` then `W_h h`), and round once
@@ -194,14 +194,21 @@ type Tile = [[f32; NR]; MR];
 ///
 /// The chains are (panel, input) pairs, not a fixed shape: row-blocked
 /// callers pass one panel `MR` times with `MR` different inputs,
-/// panel-blocked callers `MR` panels with one input, so a single input
-/// row still runs `MR` independent chains.
+/// panel-blocked callers up to `MR` panels with one input, so a single
+/// input row still runs up to `MR` independent chains. A tile computes
+/// each output once: a caller with fewer than `MR` live chains left runs
+/// that many, never a duplicate.
 #[inline(always)]
-fn tile_accumulate(acc: &mut Tile, panels: [&[f32]; MR], step: usize, xs: [&[f32]; MR]) {
+fn tile_accumulate<const C: usize>(
+    acc: &mut [[f32; NR]; C],
+    panels: [&[f32]; C],
+    step: usize,
+    xs: [&[f32]; C],
+) {
     let len = xs[0].len();
     let xs = xs.map(|x| &x[..len]);
     for t in 0..len {
-        for c in 0..MR {
+        for c in 0..C {
             let lanes = &panels[c][t * step..t * step + NR];
             let xv = xs[c][t];
             for l in 0..NR {
@@ -311,9 +318,10 @@ impl<'a> Segment<'a> {
 /// differ in their segments, their seed (`None` seeds `0.0`), their
 /// store layout and `post` (BF16 rounding, a scale, or nothing). Full
 /// blocks of [`MR`] rows share each lane block; the `rows % MR` tail
-/// rows instead block across `MR` lane blocks each, so the lone row of a
-/// batch-1 forward keeps `MR` independent chains in flight. Lane blocks
-/// past `n` and clamped duplicate chains are computed and not stored.
+/// rows instead block across up to `MR` lane blocks each, so the lone
+/// row of a batch-1 forward keeps up to `MR` independent chains in
+/// flight, one per live lane block. Padded lanes past `n` are computed
+/// and not stored.
 ///
 /// # Panics
 ///
@@ -373,20 +381,33 @@ pub fn gemm_packed<const S: usize>(
     }
     for r in full..rows {
         for b0 in (0..blocks).step_by(MR) {
-            let bs: [usize; MR] = std::array::from_fn(|c| (b0 + c).min(blocks - 1));
-            let mut acc = bs.map(seed);
-            for seg in &segs {
-                tile_accumulate(
-                    &mut acc,
-                    bs.map(|b| seg.block(b)),
-                    seg.step,
-                    [seg.row(r); MR],
-                );
-            }
-            for (c, lanes) in acc.iter().enumerate().take(blocks - b0) {
-                store(lanes, r, b0 + c);
+            match blocks - b0 {
+                1 => row_tile::<1, S>(&segs, r, b0, &seed, &mut store),
+                2 => row_tile::<2, S>(&segs, r, b0, &seed, &mut store),
+                3 => row_tile::<3, S>(&segs, r, b0, &seed, &mut store),
+                _ => row_tile::<MR, S>(&segs, r, b0, &seed, &mut store),
             }
         }
+    }
+}
+
+/// One tail row `r` of [`gemm_packed`] against lane blocks `b0..b0 + C`,
+/// one chain per block.
+#[inline(always)]
+fn row_tile<const C: usize, const S: usize>(
+    segs: &[Segment<'_>; S],
+    r: usize,
+    b0: usize,
+    seed: impl Fn(usize) -> [f32; NR],
+    store: &mut impl FnMut(&[f32; NR], usize, usize),
+) {
+    let mut acc = std::array::from_fn(|c| seed(b0 + c));
+    for seg in segs {
+        let panels = std::array::from_fn(|c| seg.block(b0 + c));
+        tile_accumulate::<C>(&mut acc, panels, seg.step, [seg.row(r); C]);
+    }
+    for (c, lanes) in acc.iter().enumerate() {
+        store(lanes, r, b0 + c);
     }
 }
 
@@ -443,8 +464,9 @@ pub fn lstm_gates_packed_batch(
 /// `(ky - ph)` rows, so no patch matrix is materialized: the sample is
 /// copied once into `stage` with `ph` zero rows around every channel,
 /// and each tap's [`NR`] lane operands are then one contiguous load from
-/// it. A tile is `NR` consecutive output positions x [`MR`] output
-/// channels, whose weights are the broadcast inputs; its accumulators
+/// it. A tile is `NR` consecutive output positions x up to [`MR`] output
+/// channels (the last group runs only the channels left), whose weights
+/// are the broadcast inputs; its accumulators
 /// stay in registers across all `in_c * kh` taps. Per output element the
 /// accumulation order is exactly the GEMM's: seeded with the bias, taps
 /// in increasing `(ic, ky)` order, rounded once at the end. Padded taps
@@ -502,21 +524,42 @@ pub fn conv2d_kw1_direct_bf16(
         dst[ph * w..][..h * w].copy_from_slice(src);
         dst[(ph + h) * w..].fill(0.0);
     }
+    let (stage, shape) = (&*stage, (in_c, kh, w, chan, positions));
     for oc0 in (0..out_c).step_by(MR) {
-        let ocs: [usize; MR] = std::array::from_fn(|c| (oc0 + c).min(out_c - 1));
-        let rows = ocs.map(|oc| &a[oc * k..(oc + 1) * k]);
-        for p0 in (0..positions).step_by(NR) {
-            let mut acc = ocs.map(|oc| [bias[oc]; NR]);
-            for ic in 0..in_c {
-                let lanes = &stage[ic * chan + p0..][..(kh - 1) * w + NR];
-                let taps = rows.map(|r| &r[ic * kh..(ic + 1) * kh]);
-                tile_accumulate(&mut acc, [lanes; MR], w, taps);
-            }
-            let valid = NR.min(positions - p0);
-            for (c, lanes) in acc.iter().enumerate().take(out_c - oc0) {
-                let dst = &mut out[(oc0 + c) * positions + p0..][..valid];
-                store_lanes(dst, lanes, bf16_round);
-            }
+        match out_c - oc0 {
+            1 => kw1_channel_group::<1>(a, bias, stage, shape, oc0, out),
+            2 => kw1_channel_group::<2>(a, bias, stage, shape, oc0, out),
+            3 => kw1_channel_group::<3>(a, bias, stage, shape, oc0, out),
+            _ => kw1_channel_group::<MR>(a, bias, stage, shape, oc0, out),
+        }
+    }
+}
+
+/// Output channels `oc0..oc0 + C` of [`conv2d_kw1_direct_bf16`] over the
+/// staged sample, one chain per channel; `chan` is one staged channel's
+/// length.
+#[inline(always)]
+fn kw1_channel_group<const C: usize>(
+    a: &[f32],
+    bias: &[f32],
+    stage: &[f32],
+    (in_c, kh, w, chan, positions): (usize, usize, usize, usize, usize),
+    oc0: usize,
+    out: &mut [f32],
+) {
+    let k = in_c * kh;
+    let rows: [&[f32]; C] = std::array::from_fn(|c| &a[(oc0 + c) * k..][..k]);
+    for p0 in (0..positions).step_by(NR) {
+        let mut acc = std::array::from_fn(|c| [bias[oc0 + c]; NR]);
+        for ic in 0..in_c {
+            let lanes = &stage[ic * chan + p0..][..(kh - 1) * w + NR];
+            let taps = rows.map(|r| &r[ic * kh..(ic + 1) * kh]);
+            tile_accumulate::<C>(&mut acc, [lanes; C], w, taps);
+        }
+        let valid = NR.min(positions - p0);
+        for (c, lanes) in acc.iter().enumerate() {
+            let dst = &mut out[(oc0 + c) * positions + p0..][..valid];
+            store_lanes(dst, lanes, bf16_round);
         }
     }
 }
@@ -630,7 +673,11 @@ mod tests {
                 for t in 0..k {
                     acc += w[o * k + t] * x[t];
                 }
-                assert_eq!(out[o], bf16_round(acc), "n={n} neuron {o}");
+                assert_eq!(
+                    out[o].to_bits(),
+                    bf16_round(acc).to_bits(),
+                    "n={n} neuron {o}"
+                );
             }
         }
     }
@@ -701,10 +748,12 @@ mod tests {
     #[test]
     fn tile_matches_scalar_loop_off_the_tile_grid() {
         // Lane tails (n % NR), row tails (rows % MR, rows < MR), empty
-        // batches and empty reductions all run the one micro-kernel.
-        for &n in &[1usize, 7, 8, 9, 17] {
-            for &rows in &[0usize, 1, 3, 4, 5] {
-                for &k in &[0usize, 1, 16] {
+        // batches and empty reductions all run the one micro-kernel; a
+        // tail row's last tile runs 1..=MR live chains (n up to 33 is up
+        // to five lane blocks: one full tile and a one-chain remainder).
+        for &n in &[1usize, 3, 7, 8, 9, 16, 17, 24, 25, 32, 33] {
+            for &rows in &[0usize, 1, 2, 3, 4, 5, 7] {
+                for &k in &[0usize, 1, 16, 160] {
                     let w: Vec<f32> = (0..n * k).map(|i| (i as f32 * 0.37).sin()).collect();
                     let x: Vec<f32> = (0..rows * k).map(|i| (i as f32 * 0.19).cos()).collect();
                     let bias: Vec<f32> = (0..n).map(|i| i as f32 * 0.1 - 0.2).collect();
@@ -744,7 +793,11 @@ mod tests {
                         for t in 0..k {
                             acc += a[i * k + t] * b[j * k + t];
                         }
-                        assert_eq!(got[i * n + j], bf16_round(acc), "m={m} n={n} i={i} j={j}");
+                        assert_eq!(
+                            got[i * n + j].to_bits(),
+                            bf16_round(acc).to_bits(),
+                            "m={m} n={n} i={i} j={j}"
+                        );
                     }
                 }
             }
@@ -805,25 +858,52 @@ mod tests {
         // Tap 0 is positive and the rest negative: at the top edge the
         // padded tap 0 adds +0.0 and flips the -0.0 seed to +0.0, which
         // the negative real taps (-0.0 each) cannot flip back. Skipping
-        // it would leave -0.0.
-        let (in_c, h, w, kh, ph, out_c) = (2usize, 5usize, 1usize, 3usize, 1usize, 5usize);
-        let k = in_c * kh;
-        let kern: Vec<f32> = (0..out_c * k)
-            .map(|i| if i % k == 0 { 0.5 } else { -0.25 })
-            .collect();
-        let bias = vec![-0.0f32; out_c];
-        let x = vec![0.0f32; in_c * h * w];
-        let mut stage = vec![f32::NAN; conv2d_kw1_stage_len(in_c, h, w, ph)];
-        let mut got = vec![f32::NAN; out_c * h * w];
-        conv2d_kw1_direct_bf16(
-            &kern, &bias, &x, in_c, h, w, kh, ph, out_c, &mut stage, &mut got,
-        );
-        let mut patches = vec![f32::NAN; h * w * k];
-        im2col(&x, in_c, h, w, kh, 1, (1, 1), (ph, 0), h, w, &mut patches);
-        let want = packed_gemm_bt(&kern, &patches, &bias, out_c, h * w, k);
+        // it would leave -0.0. Every out_c in 1..=9 puts 1..=MR live
+        // chains in the last channel group, over two lane blocks of
+        // positions; a random input is also checked against the scalar
+        // loop, which skips padded taps (a nonzero sum hides the sign).
+        let (in_c, h, w, kh, ph) = (2usize, 5usize, 3usize, 3usize, 1usize);
+        let (k, positions) = (in_c * kh, h * w);
         let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got), bits(&want));
-        assert_eq!(got[0].to_bits(), 0.0f32.to_bits(), "padded tap was added");
+        let zeros = vec![0.0f32; in_c * h * w];
+        let random: Vec<f32> = (0..in_c * h * w).map(|i| (i as f32 * 0.37).sin()).collect();
+        for out_c in 1..=9 {
+            let kern: Vec<f32> = (0..out_c * k)
+                .map(|i| if i % k == 0 { 0.5 } else { -0.25 })
+                .collect();
+            let bias = vec![-0.0f32; out_c];
+            for (x, signed_zeros) in [(&zeros, true), (&random, false)] {
+                let mut stage = vec![f32::NAN; conv2d_kw1_stage_len(in_c, h, w, ph)];
+                let mut got = vec![f32::NAN; out_c * positions];
+                conv2d_kw1_direct_bf16(
+                    &kern, &bias, x, in_c, h, w, kh, ph, out_c, &mut stage, &mut got,
+                );
+                let mut patches = vec![f32::NAN; positions * k];
+                im2col(x, in_c, h, w, kh, 1, (1, 1), (ph, 0), h, w, &mut patches);
+                let want = packed_gemm_bt(&kern, &patches, &bias, out_c, positions, k);
+                assert_eq!(bits(&got), bits(&want), "out_c={out_c}");
+                if signed_zeros {
+                    let top = got[0].to_bits();
+                    assert_eq!(top, 0.0f32.to_bits(), "out_c={out_c}: padded tap skipped");
+                    continue;
+                }
+                for (i, v) in got.iter().enumerate() {
+                    let (oc, p) = (i / positions, i % positions);
+                    let cell = naive_conv_cell(
+                        x,
+                        &kern,
+                        bias[oc],
+                        (in_c, h, w),
+                        (kh, 1),
+                        (1, 1),
+                        (ph, 0),
+                        (p / w, p % w),
+                        oc,
+                    );
+                    assert_eq!(v.to_bits(), cell.to_bits(), "out_c={out_c} oc={oc} p={p}");
+                }
+            }
+        }
     }
 
     #[test]

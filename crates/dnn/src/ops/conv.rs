@@ -104,8 +104,11 @@ impl Conv2d {
     /// Batched convolution over a sample-major `[batch, in_c, h, w]`
     /// activation block, writing `[batch, out_c, oh * ow]` into `out`.
     ///
-    /// Width-1 unit-stride kernels run the direct register-tile
-    /// convolution; every other shape unfolds into a stacked
+    /// A sample exactly one kernel in size with no padding is its own
+    /// patch row and runs as one GEMM row over `x` in place (all samples
+    /// in one call on the calling thread). Width-1 unit-stride kernels
+    /// run the direct register-tile convolution; every other shape
+    /// unfolds into a stacked
     /// `[batch * oh * ow, k]` im2col patch matrix drawn from `pad` and
     /// sweeps it with the packed GEMM — per sample `==` to
     /// [`Self::forward_reference`], since stacking only extends the
@@ -144,6 +147,22 @@ impl Conv2d {
             batch * out_c * positions,
             "batched conv output length"
         );
+        // A sample exactly one kernel in size — a streamed `k = 1` row's
+        // line buffer — is its own (single) im2col patch row: `[in_c, kh,
+        // kw]` is `ic → ky → kx` order. One GEMM row per sample reads `x`
+        // in place, lanes on output channels; nothing is staged.
+        if (h, w) == (kh, kw) && self.padding == (0, 0) {
+            gemm_packed(
+                [Segment::packed(packed.data(), k, x, k)],
+                Some(&self.bias),
+                batch,
+                out_c,
+                bf16_round,
+                out,
+                (out_c, 1),
+            );
+            return;
+        }
         // Width-1 unit-stride kernels (the dominant shape in all three
         // networks) skip patch materialization entirely: each tap's lanes
         // are a shifted slice of the zero-padded staged sample.
@@ -338,6 +357,24 @@ mod tests {
         let x = Tensor::from_vec(vec![3.0], &[1, 1, 1]);
         let y = conv.forward_reference(&x);
         assert_eq!(y.data(), &[13.0, 26.0]);
+    }
+
+    /// A kernel-sized sample is its own patch row: the packed forward
+    /// reads `x` in place, so the pad neither allocates nor lends.
+    #[test]
+    fn kernel_sized_sample_reads_its_input_in_place() {
+        // The CNN's conv1 (im2col otherwise) and conv2 (direct otherwise).
+        for (in_c, (h, w)) in [(1, (4, 40)), (5, (4, 1))] {
+            let conv = Conv2d::new(in_c, 9, (h, w), (1, 1), (0, 0), 3);
+            let packed = conv.pack();
+            let x = Tensor::random(&[in_c, h, w], 1.0, 4);
+            let mut pad = ScratchPad::new();
+            let mut out = vec![f32::NAN; 9];
+            conv.forward_batch_packed(x.data(), 1, h, w, &packed, 1, &mut pad, &mut out);
+            assert_eq!((pad.misses(), pad.pooled_buffers()), (0, 0));
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(conv.forward_reference(&x).data()));
+        }
     }
 
     #[test]

@@ -60,17 +60,45 @@ fn assert_model_matches_reference(
     }
 }
 
+/// An unpadded convolution over samples exactly one kernel in size: the
+/// packed path's `[batch, out_c]` output is `forward_reference`'s bit for
+/// bit, at batch 1 and 3, on a fresh and a warmed pad.
+fn assert_kernel_sized_matches_reference(conv: &Conv2d, seed: u64) {
+    let (in_c, out_c, (h, w)) = (conv.in_channels(), conv.out_channels(), conv.kernel_hw());
+    assert_eq!(conv.output_hw(h, w), (1, 1));
+    let packed = conv.pack();
+    let mut pad = ScratchPad::new();
+    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    for batch in BATCHES {
+        let xs = random_inputs(&[in_c, h, w], 1.0, batch, seed);
+        let want: Vec<u32> = xs
+            .iter()
+            .flat_map(|x| bits(conv.forward_reference(x).data()))
+            .collect();
+        let mut out = vec![f32::NAN; batch * out_c];
+        for _ in 0..2 {
+            conv.forward_batch_packed(&stack(&xs), batch, h, w, &packed, 1, &mut pad, &mut out);
+            assert_eq!(bits(&out), want, "batch {batch}");
+        }
+    }
+}
+
 proptest! {
     /// Conv2d: direct register-tile convolution / im2col + packed GEMM
     /// == naive sliding window, across channel counts, kernel sizes,
     /// strides, and paddings (including padding > 0, which exercises the
-    /// zero-filled im2col edge rows and the staged zero rows).
+    /// zero-filled im2col edge rows and the staged zero rows). Every case
+    /// also runs a sample exactly one kernel in size — a streamed row's
+    /// line buffer, which is its own patch row — bit for bit.
     #[test]
     fn conv_fast_matches_reference(
         (in_c, out_c, kh, kw) in (1usize..=3, 1usize..=4, 1usize..=3, 1usize..=3),
         (extra_h, extra_w, sh, sw) in (0usize..=4, 0usize..=4, 1usize..=2, 1usize..=2),
         (ph, pw, seed) in (0usize..=2, 0usize..=2, 0u64..1000),
+        (one_in_c, one_out_c, one_kh, one_kw) in (1usize..=8, 1usize..=33, 1usize..=4, 1usize..=40),
     ) {
+        let one = Conv2d::new(one_in_c, one_out_c, (one_kh, one_kw), (sh, sw), (0, 0), seed);
+        assert_kernel_sized_matches_reference(&one, seed);
         let (h, w) = (kh + extra_h, kw + extra_w);
         let conv = Conv2d::new(in_c, out_c, (kh, kw), (sh, sw), (ph, pw), seed);
         let packed = conv.pack();

@@ -49,6 +49,9 @@ echo "== inference gates: packed-vs-reference equivalence + batch-N-vs-batch-1 +
 # kernel_equivalence is the only link between the production path and the
 # oracle, and release is what serves: run it optimized, not only in debug.
 cargo test -q --release -p lt-dnn --test kernel_equivalence
+# The register tile's own grids (every live-chain count, lane and row tail)
+# against scalar loops, for the same reason.
+cargo test -q --release -p lt-dnn --lib kernels
 cargo test -q --release -p lt-dnn --test batch_equivalence
 # Sweeps of 1..=12 windows through forward_slides. Release also runs the
 # NaN rows, which debug's Prediction assert refuses.
