@@ -165,6 +165,7 @@ impl LightTraderBuilder {
                 .loss_floor_ticks
                 .map(|floor| KillSwitch::new(floor, 10)),
             inferences: 0,
+            events: Vec::new(),
             tickets: Vec::with_capacity(4),
             window_buf: Tensor::zeros(&[window + MAX_SWEEP - 1, width]),
             snaps: vec![LobSnapshot::default(); MAX_SWEEP],
@@ -191,6 +192,9 @@ pub struct LightTrader {
     limiter: Option<OrderRateLimiter>,
     kill: Option<KillSwitch>,
     inferences: u64,
+    /// Reusable buffer for a datagram's decoded events: once it has held
+    /// the largest datagram, intake takes no allocation.
+    events: Vec<MarketEvent>,
     /// Reusable drain buffer for the ticket queue: every popped ticket
     /// is accounted for (forwarded), none silently discarded.
     tickets: Vec<TensorTicket>,
@@ -311,18 +315,31 @@ impl LightTrader {
         self.parser.stats()
     }
 
-    /// Feeds one raw market-data datagram through the full pipeline.
-    ///
-    /// Returns one outcome per decoded tick, in arrival order. The
-    /// datagram, not the tick, is the unit of inference: its ticks are
-    /// served in sweeps of up to [`MAX_SWEEP`], each one registry call,
-    /// and every outcome is what tick-by-tick [`Self::on_event`] calls
-    /// produce.
+    /// Feeds one raw market-data datagram through the full pipeline,
+    /// returning its outcomes in a fresh vector; the allocating wrapper
+    /// over [`Self::on_datagram_into`].
     pub fn on_datagram(&mut self, bytes: &[u8]) -> Vec<TickOutcome> {
-        let events = self.parser.ingest(bytes);
-        let mut outcomes = Vec::with_capacity(events.len());
-        self.on_events(&events, |outcome| outcomes.push(outcome));
+        let mut outcomes = Vec::new();
+        self.on_datagram_into(bytes, &mut outcomes);
         outcomes
+    }
+
+    /// Feeds one raw market-data datagram through the full pipeline,
+    /// appending one outcome per decoded tick to `out`, in arrival order
+    /// (none for a datagram the parser rejects). The datagram, not the
+    /// tick, is the unit of inference: its ticks are served in sweeps of
+    /// up to [`MAX_SWEEP`], each one registry call, and every outcome is
+    /// what tick-by-tick [`Self::on_event`] calls produce.
+    ///
+    /// Once the buffers have seen the largest datagram and sweep, this
+    /// allocates nothing, `out` included when it has room.
+    pub fn on_datagram_into(&mut self, bytes: &[u8], out: &mut Vec<TickOutcome>) {
+        let mut events = std::mem::take(&mut self.events);
+        events.clear();
+        self.parser.ingest_into(bytes, &mut events);
+        out.reserve(events.len());
+        self.on_events(&events, |outcome| out.push(outcome));
+        self.events = events;
     }
 
     /// Feeds one already-decoded market event (bypasses the parser).

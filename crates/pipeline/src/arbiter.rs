@@ -14,7 +14,7 @@
 
 use crate::seq::{SeqObservation, SeqTracker};
 use lt_lob::MarketEvent;
-use lt_protocol::framing::Datagram;
+use lt_protocol::framing::{Datagram, DatagramRef};
 use lt_protocol::sbe::SbeDecoder;
 use serde::{Deserialize, Serialize};
 
@@ -174,51 +174,62 @@ impl FeedArbiter {
     /// the first time its channel sequence is seen on either feed, and
     /// `None` for corrupt packets and duplicates.
     pub fn on_packet(&mut self, feed: FeedId, bytes: &[u8]) -> Option<Datagram> {
-        let datagram = match Datagram::decode(bytes) {
-            Ok(d) => d,
-            Err(_) => {
-                self.health[feed.index()].corrupt += 1;
-                self.stats.corrupt += 1;
-                return None;
-            }
+        let Ok(datagram) = DatagramRef::decode(bytes) else {
+            self.note_corrupt(feed);
+            return None;
         };
-        self.accept(feed, datagram)
+        self.accept(feed, datagram.channel_seq)
+            .then(|| datagram.to_owned())
     }
 
-    /// Offers one raw packet from `feed` and decodes its SBE payload.
-    /// Returns the decoded market events on first delivery of the
-    /// sequence; corrupt packets (framing, SBE, or a header `msg_count`
-    /// that disagrees with the payload) and duplicates yield an empty
-    /// vector.
+    /// Offers one raw packet from `feed`, returning its decoded events in
+    /// a fresh vector; the allocating wrapper over
+    /// [`Self::on_packet_events_into`].
     pub fn on_packet_events(&mut self, feed: FeedId, bytes: &[u8]) -> Vec<MarketEvent> {
-        let Ok(datagram) = Datagram::decode(bytes) else {
-            self.health[feed.index()].corrupt += 1;
-            self.stats.corrupt += 1;
-            return Vec::new();
-        };
+        let mut events = Vec::new();
+        self.on_packet_events_into(feed, bytes, &mut events);
+        events
+    }
+
+    /// Offers one raw packet from `feed` and decodes its SBE payload in
+    /// place, appending the market events to `out` on first delivery of
+    /// the sequence. Corrupt packets (framing, SBE, or a header
+    /// `msg_count` that disagrees with the payload) and duplicates leave
+    /// `out` as it was.
+    pub fn on_packet_events_into(
+        &mut self,
+        feed: FeedId,
+        bytes: &[u8],
+        out: &mut Vec<MarketEvent>,
+    ) {
+        let start = out.len();
         // Validate the payload *before* sequence accounting: a packet
         // whose events cannot be decoded must not mark its sequence as
         // delivered (the redundant copy may still be intact).
-        let events = match self.decoder.decode_datagram(&datagram) {
-            Ok(events) => events,
-            Err(_) => {
-                self.health[feed.index()].corrupt += 1;
-                self.stats.corrupt += 1;
-                return Vec::new();
-            }
+        let decoded = DatagramRef::decode(bytes).and_then(|datagram| {
+            self.decoder
+                .decode_datagram_into(datagram, out)
+                .map(|()| datagram)
+        });
+        let Ok(datagram) = decoded else {
+            self.note_corrupt(feed);
+            return;
         };
-        if self.accept(feed, datagram).is_some() {
-            self.stats.events += events.len() as u64;
-            events
+        if self.accept(feed, datagram.channel_seq) {
+            self.stats.events += (out.len() - start) as u64;
         } else {
-            Vec::new()
+            out.truncate(start);
         }
     }
 
-    /// Runs the sequence accounting for a validated datagram; `Some`
-    /// means first delivery.
-    fn accept(&mut self, feed: FeedId, datagram: Datagram) -> Option<Datagram> {
-        let seq = datagram.channel_seq;
+    fn note_corrupt(&mut self, feed: FeedId) {
+        self.health[feed.index()].corrupt += 1;
+        self.stats.corrupt += 1;
+    }
+
+    /// Runs the sequence accounting for a validated datagram's `seq`;
+    /// `true` means first delivery.
+    fn accept(&mut self, feed: FeedId, seq: u32) -> bool {
         // Per-feed health first: this feed saw the sequence, whatever the
         // combined stream decides.
         match self.feeds[feed.index()].observe(seq) {
@@ -228,16 +239,16 @@ impl FeedArbiter {
         match self.combined.observe(seq) {
             SeqObservation::Duplicate => {
                 self.stats.cross_duplicates += 1;
-                None
+                false
             }
             SeqObservation::Recovered => {
                 self.stats.late_recoveries += 1;
                 self.stats.delivered += 1;
-                Some(datagram)
+                true
             }
             SeqObservation::First | SeqObservation::InOrder | SeqObservation::Gap { .. } => {
                 self.stats.delivered += 1;
-                Some(datagram)
+                true
             }
         }
     }

@@ -8,7 +8,7 @@
 
 use crate::seq::{SeqObservation, SeqTracker};
 use lt_lob::MarketEvent;
-use lt_protocol::framing::Datagram;
+use lt_protocol::framing::DatagramRef;
 use lt_protocol::sbe::SbeDecoder;
 use serde::{Deserialize, Serialize};
 
@@ -55,41 +55,46 @@ impl PacketParser {
         self.tracker.outstanding()
     }
 
-    /// Ingests one raw datagram, returning its decoded events.
-    ///
-    /// Corrupt datagrams are counted and skipped (an empty vector comes
-    /// back); gapped sequence numbers are recorded but later data is
-    /// still processed — the trading pipeline must keep up with the live
-    /// feed rather than stall on retransmission. A late packet that
-    /// fills a recorded gap is accepted and counted as `recovered`; only
-    /// already-delivered sequences are dropped as duplicates.
+    /// Ingests one raw datagram, returning its decoded events in a fresh
+    /// vector; the allocating wrapper over [`Self::ingest_into`].
     pub fn ingest(&mut self, bytes: &[u8]) -> Vec<MarketEvent> {
-        let datagram = match Datagram::decode(bytes) {
-            Ok(d) => d,
-            Err(_) => {
-                self.stats.corrupt += 1;
-                return Vec::new();
-            }
+        let mut events = Vec::new();
+        self.ingest_into(bytes, &mut events);
+        events
+    }
+
+    /// Ingests one raw datagram, appending its decoded events to `out`.
+    /// The payload is decoded where it lies; nothing is allocated once
+    /// `out` has room for the datagram's events.
+    ///
+    /// Corrupt datagrams are counted and skipped (`out` is left as it
+    /// was: a datagram is decoded whole or not at all); gapped sequence
+    /// numbers are recorded but later data is still processed — the
+    /// trading pipeline must keep up with the live feed rather than stall
+    /// on retransmission. A late packet that fills a recorded gap is
+    /// accepted and counted as `recovered`; only already-delivered
+    /// sequences are dropped as duplicates.
+    pub fn ingest_into(&mut self, bytes: &[u8], out: &mut Vec<MarketEvent>) {
+        let Ok(datagram) = DatagramRef::decode(bytes) else {
+            self.stats.corrupt += 1;
+            return;
         };
         match self.tracker.observe(datagram.channel_seq) {
             SeqObservation::Duplicate => {
                 self.stats.duplicates += 1;
-                return Vec::new();
+                return;
             }
             SeqObservation::Recovered => self.stats.recovered += 1,
             SeqObservation::Gap { missing } => self.stats.gap_packets += missing,
             SeqObservation::First | SeqObservation::InOrder => {}
         }
-        match self.decoder.decode_datagram(&datagram) {
-            Ok(events) => {
+        let start = out.len();
+        match self.decoder.decode_datagram_into(datagram, out) {
+            Ok(()) => {
                 self.stats.packets += 1;
-                self.stats.events += events.len() as u64;
-                events
+                self.stats.events += (out.len() - start) as u64;
             }
-            Err(_) => {
-                self.stats.corrupt += 1;
-                Vec::new()
-            }
+            Err(_) => self.stats.corrupt += 1,
         }
     }
 }
@@ -100,6 +105,7 @@ mod tests {
     use bytes::BytesMut;
     use lt_lob::events::MarketEventKind;
     use lt_lob::{BookDelta, OrderId, Price, Qty, Side, Timestamp};
+    use lt_protocol::framing::Datagram;
     use lt_protocol::sbe::SbeEncoder;
 
     fn event(seq: u64) -> MarketEvent {

@@ -14,7 +14,6 @@ use lt_dnn::{Prediction, PriceDirection};
 use lt_lob::execution::{fill_ioc, FeeModel, Fill, FillModel};
 use lt_lob::{LobSnapshot, OrderId, Price, Qty, Side, Symbol};
 use lt_protocol::ilink::{OrderMessage, OrderMessageKind};
-use lt_protocol::FixEncoder;
 use serde::{Deserialize, Serialize};
 
 /// Risk gates applied before any order leaves the system.
@@ -68,7 +67,6 @@ pub struct TradingEngine {
     next_order_id: u64,
     orders_sent: u64,
     suppressed: u64,
-    fix: FixEncoder,
 }
 
 impl TradingEngine {
@@ -81,7 +79,6 @@ impl TradingEngine {
             next_order_id: 1,
             orders_sent: 0,
             suppressed: 0,
-            fix: FixEncoder::new(),
         }
     }
 
@@ -245,17 +242,6 @@ impl TradingEngine {
     /// a no-op on the ledger.
     pub fn settle(&mut self, side: Side, fill: &Fill) {
         self.portfolio.apply(side, fill);
-    }
-
-    /// Encodes an order in the binary iLink3-style format.
-    pub fn encode_binary(&self, order: &OrderMessage) -> Vec<u8> {
-        order.encode()
-    }
-
-    /// Encodes an order as a FIX frame (the alternative template the
-    /// paper stores in on-chip SRAM).
-    pub fn encode_fix(&self, order: &OrderMessage) -> Vec<u8> {
-        self.fix.encode(order)
     }
 }
 
@@ -473,9 +459,9 @@ mod tests {
         let b = e.on_prediction(&p, &book(99, 101)).unwrap();
         assert_ne!(a.cl_ord_id, b.cl_ord_id);
         // Both wire formats round-trip.
-        let bin = e.encode_binary(&a);
+        let bin = a.encode();
         assert_eq!(OrderMessage::decode(&bin).unwrap().0, a);
-        let fix = e.encode_fix(&a);
+        let fix = lt_protocol::FixEncoder::new().encode(&a);
         assert_eq!(lt_protocol::FixDecoder::new().decode(&fix).unwrap(), a);
     }
 }

@@ -5,14 +5,17 @@
 //! layout — and sends exactly that many bytes, correctly checksummed —
 //! must come back as a decode error from every intake path. A
 //! well-formed `Add` carries any `i64` as its price; one far from the
-//! book must not size the ladder. Run in release too
-//! (`scripts/check.sh`): that is the build that serves, and it drops the
-//! debug-only checks.
+//! book must not size the ladder. Every intake path runs twice: as the
+//! allocating wrapper, and as its `_into` form appending to a buffer that
+//! holds a sentinel, which a rejected datagram must leave as it was. Run
+//! in release too (`scripts/check.sh`): that is the build that serves,
+//! and it drops the debug-only checks.
 
-use lighttrader::LightTrader;
-use lt_dnn::ModelKind;
+use lighttrader::{LightTrader, TickOutcome};
+use lt_dnn::{ModelKind, Prediction};
 use lt_lob::events::MarketEventKind;
 use lt_lob::{BookDelta, MarketEvent, OrderId, Price, Qty, Side, Symbol, Timestamp, Trade};
+use lt_pipeline::trading::NoOrderReason;
 use lt_pipeline::{FeedArbiter, FeedId, LocalBook, PacketParser};
 use lt_protocol::framing::Datagram;
 use lt_protocol::ilink::{OrderMessage, OrderMessageKind};
@@ -49,6 +52,10 @@ fn trade_event(seq: u64) -> MarketEvent {
     }
 }
 
+fn encode(event: &MarketEvent) -> Vec<u8> {
+    SbeEncoder::new().encode(event)
+}
+
 /// `message` with its header's `block_length` rewritten to `declared`
 /// and its body cut to exactly that many bytes.
 fn with_block_length(message: &[u8], declared: u16) -> Vec<u8> {
@@ -57,8 +64,97 @@ fn with_block_length(message: &[u8], declared: u16) -> Vec<u8> {
     cut
 }
 
-fn datagram(channel_seq: u32, payload: Vec<u8>) -> Vec<u8> {
-    Datagram::new(channel_seq, Timestamp::from_nanos(1), 1, payload).encode()
+/// A checksum-valid datagram packing `messages`, declaring their count.
+fn datagram(channel_seq: u32, messages: &[Vec<u8>]) -> Vec<u8> {
+    let count = messages.len() as u16;
+    Datagram::new(
+        channel_seq,
+        Timestamp::from_nanos(1),
+        count,
+        messages.concat(),
+    )
+    .encode()
+}
+
+/// What the intake paths made of one datagram.
+struct Intake {
+    parsed: Vec<MarketEvent>,
+    arbitrated: Vec<MarketEvent>,
+    outcomes: usize,
+}
+
+/// Every intake path twice over: the allocating wrappers, and twin
+/// instances driving the `_into` forms.
+struct Paths {
+    parser: PacketParser,
+    arbiter: FeedArbiter,
+    trader: LightTrader,
+    parser_into: PacketParser,
+    arbiter_into: FeedArbiter,
+    trader_into: LightTrader,
+}
+
+impl Paths {
+    fn new() -> Self {
+        let trader = || LightTrader::builder(ModelKind::VanillaCnn).build();
+        Paths {
+            parser: PacketParser::new(),
+            arbiter: FeedArbiter::new(),
+            trader: trader(),
+            parser_into: PacketParser::new(),
+            arbiter_into: FeedArbiter::new(),
+            trader_into: trader(),
+        }
+    }
+
+    /// Offers `bytes` on `feed` to every path. Each `_into` form must
+    /// append to its sentinel-holding buffer exactly what its wrapper
+    /// returned (nothing, for a rejected datagram), and its instance must
+    /// count what the wrapper's did.
+    fn offer(&mut self, feed: FeedId, bytes: &[u8]) -> Intake {
+        let event = book_event(u64::MAX / 16);
+        let outcome = TickOutcome::NoOrder {
+            prediction: Prediction::new([0.25, 0.5, 0.25]),
+            reason: NoOrderReason::Killed,
+        };
+
+        let parsed = self.parser.ingest(bytes);
+        let mut events = vec![event];
+        self.parser_into.ingest_into(bytes, &mut events);
+        assert_eq!(
+            events,
+            [vec![event], parsed.clone()].concat(),
+            "ingest_into"
+        );
+        assert_eq!(self.parser_into.stats(), self.parser.stats());
+
+        let arbitrated = self.arbiter.on_packet_events(feed, bytes);
+        let mut events = vec![event];
+        self.arbiter_into
+            .on_packet_events_into(feed, bytes, &mut events);
+        assert_eq!(
+            events,
+            [vec![event], arbitrated.clone()].concat(),
+            "on_packet_events_into"
+        );
+        assert_eq!(self.arbiter_into.stats(), self.arbiter.stats());
+
+        let outcomes = self.trader.on_datagram(bytes);
+        let mut appended = vec![outcome.clone()];
+        self.trader_into.on_datagram_into(bytes, &mut appended);
+        assert_eq!(
+            appended,
+            [vec![outcome], outcomes.clone()].concat(),
+            "on_datagram_into"
+        );
+        assert_eq!(self.trader_into.parser_stats(), self.trader.parser_stats());
+
+        Intake {
+            parsed,
+            arbitrated,
+            outcomes: outcomes.len(),
+        }
+    }
 }
 
 /// Both market-data templates, every `block_length` short of the fixed
@@ -66,35 +162,118 @@ fn datagram(channel_seq: u32, payload: Vec<u8>) -> Vec<u8> {
 /// and each path still decodes the well-formed datagram that follows.
 #[test]
 fn short_blocks_are_counted_corrupt_on_every_intake_path() {
-    let mut parser = PacketParser::new();
-    let mut arbiter = FeedArbiter::new();
-    let mut trader = LightTrader::builder(ModelKind::VanillaCnn).build();
+    let mut paths = Paths::new();
     let mut sent = 0u32;
     for event in [book_event(1), trade_event(2)] {
-        let message = SbeEncoder::new().encode(&event);
+        let message = encode(&event);
         let fixed = (message.len() - MessageHeader::SIZE) as u16;
         for declared in 0..fixed {
-            let bytes = datagram(sent, with_block_length(&message, declared));
+            let bytes = datagram(sent, &[with_block_length(&message, declared)]);
             sent += 1;
             let case = format!("{:?} block_length {declared}", event.kind);
-            assert!(parser.ingest(&bytes).is_empty(), "{case}");
-            assert_eq!(parser.stats().corrupt, u64::from(sent), "{case}");
             let feed = FeedId::ALL[sent as usize % 2];
-            assert!(arbiter.on_packet_events(feed, &bytes).is_empty(), "{case}");
-            assert_eq!(arbiter.stats().corrupt, u64::from(sent), "{case}");
-            assert!(trader.on_datagram(&bytes).is_empty(), "{case}");
-            assert_eq!(trader.parser_stats().corrupt, u64::from(sent), "{case}");
+            let intake = paths.offer(feed, &bytes);
+            assert!(intake.parsed.is_empty(), "{case}");
+            assert_eq!(paths.parser.stats().corrupt, u64::from(sent), "{case}");
+            assert!(intake.arbitrated.is_empty(), "{case}");
+            assert_eq!(paths.arbiter.stats().corrupt, u64::from(sent), "{case}");
+            assert_eq!(intake.outcomes, 0, "{case}");
+            assert_eq!(
+                paths.trader.parser_stats().corrupt,
+                u64::from(sent),
+                "{case}"
+            );
         }
     }
     // A corrupt copy never marks its sequence delivered.
-    assert_eq!(arbiter.stats().delivered, 0);
-    let good = datagram(sent, SbeEncoder::new().encode(&book_event(9)));
-    assert_eq!(parser.ingest(&good), vec![book_event(9)]);
+    assert_eq!(paths.arbiter.stats().delivered, 0);
+    let good = datagram(sent, &[encode(&book_event(9))]);
+    let intake = paths.offer(FeedId::A, &good);
+    assert_eq!(intake.parsed, vec![book_event(9)]);
+    assert_eq!(intake.arbitrated, vec![book_event(9)]);
+    assert_eq!(intake.outcomes, 1);
+}
+
+/// Datagrams of `k` messages whose last one alone is malformed — an
+/// out-of-range side, or a body one byte short — behind `k - 1` good
+/// ones: every path rejects the whole datagram, appending nothing, and
+/// takes the intact datagram that follows whole.
+#[test]
+fn a_malformed_last_message_rejects_the_whole_datagram() {
+    let mut paths = Paths::new();
+    let mut seq = 0u32;
+    for k in [1, 2, 5, 16, 17, 40] {
+        let events: Vec<MarketEvent> = (0..k)
+            .map(|i| {
+                if i % 3 == 2 {
+                    trade_event(i)
+                } else {
+                    book_event(i)
+                }
+            })
+            .collect();
+        let good: Vec<Vec<u8>> = events[..events.len() - 1].iter().map(encode).collect();
+        let intact = encode(&events[events.len() - 1]);
+        let mut bad_side = intact.clone();
+        // The side (book) or aggressor (trade) byte, out of range.
+        let side_at = if k % 3 == 0 { 40 } else { 25 };
+        bad_side[side_at] = 9;
+        let short = intact[..intact.len() - 1].to_vec();
+        let mut send = |last: Vec<u8>| {
+            seq += 1;
+            paths.offer(
+                FeedId::A,
+                &datagram(seq, &[good.clone(), vec![last]].concat()),
+            )
+        };
+        for (name, last) in [("bad side", bad_side), ("short body", short)] {
+            let case = format!("{k} messages, the last with a {name}");
+            let intake = send(last);
+            assert!(intake.parsed.is_empty(), "{case}");
+            assert!(intake.arbitrated.is_empty(), "{case}");
+            assert_eq!(intake.outcomes, 0, "{case}");
+        }
+        let intake = send(intact);
+        assert_eq!(intake.parsed, events, "{k} intact messages");
+        assert_eq!(intake.arbitrated, events, "{k} intact messages");
+        assert_eq!(intake.outcomes, events.len(), "{k} intact messages");
+    }
+    // Two rejected datagrams per size, each counted once by every path.
+    assert_eq!(paths.parser.stats().corrupt, 12);
+    assert_eq!(paths.arbiter.stats().corrupt, 12);
+    assert_eq!(paths.trader.parser_stats().corrupt, 12);
+    assert_eq!(paths.arbiter.stats().delivered, 6);
+}
+
+/// The redundant copy of a delivered datagram decodes cleanly, and only
+/// then does sequence accounting find it a cross-duplicate: the events
+/// already appended are truncated away.
+#[test]
+fn a_cross_duplicate_is_decoded_then_truncated_away() {
+    let mut paths = Paths::new();
+    let events = vec![book_event(1), trade_event(2)];
+    let bytes = datagram(0, &events.iter().map(encode).collect::<Vec<_>>());
+    let first = paths.offer(FeedId::A, &bytes);
+    assert_eq!(first.arbitrated, events);
+    assert_eq!(first.parsed, events);
+    assert_eq!(first.outcomes, 2);
+    let copy = paths.offer(FeedId::B, &bytes);
+    assert!(copy.arbitrated.is_empty());
+    let stats = paths.arbiter.stats();
     assert_eq!(
-        arbiter.on_packet_events(FeedId::A, &good),
-        vec![book_event(9)]
+        (
+            stats.delivered,
+            stats.events,
+            stats.cross_duplicates,
+            stats.corrupt
+        ),
+        (1, 2, 1, 0)
     );
-    assert_eq!(trader.on_datagram(&good).len(), 1);
+    // One channel to the parser: the same sequence again is a duplicate.
+    assert!(copy.parsed.is_empty());
+    assert_eq!(copy.outcomes, 0);
+    assert_eq!(paths.parser.stats().duplicates, 1);
+    assert_eq!(paths.trader.parser_stats().duplicates, 1);
 }
 
 /// Checksum-valid adds priced 2^40 ticks from the book, at `i64::MAX`
@@ -103,9 +282,7 @@ fn short_blocks_are_counted_corrupt_on_every_intake_path() {
 /// in-band add lands on an untouched book.
 #[test]
 fn far_priced_adds_are_counted_and_leave_the_book_alone() {
-    let mut parser = PacketParser::new();
-    let mut arbiter = FeedArbiter::new();
-    let mut trader = LightTrader::builder(ModelKind::VanillaCnn).build();
+    let mut paths = Paths::new();
     let mut parsed_book = LocalBook::new();
     let mut arbited_book = LocalBook::new();
     let mut seq = 0u32;
@@ -114,10 +291,11 @@ fn far_priced_adds_are_counted_and_leave_the_book_alone() {
     let mut send = |side, price| {
         seq += 1;
         let event = add_event(u64::from(seq), side, price);
-        let bytes = datagram(seq, SbeEncoder::new().encode(&event));
-        assert_eq!(parser.ingest(&bytes), vec![event]);
-        assert_eq!(arbiter.on_packet_events(FeedId::A, &bytes), vec![event]);
-        assert_eq!(trader.on_datagram(&bytes).len(), 1, "{event:?}");
+        let intake = paths.offer(FeedId::A, &datagram(seq, &[encode(&event)]));
+        assert_eq!(intake.parsed, vec![event]);
+        assert_eq!(intake.arbitrated, vec![event]);
+        assert_eq!(intake.outcomes, 1, "{event:?}");
+        assert_eq!(paths.trader.parser_stats().corrupt, 0);
         parsed_book.apply(&event);
         arbited_book.apply(&event);
         let snapshot = parsed_book.snapshot(10, Timestamp::ZERO);
@@ -145,7 +323,6 @@ fn far_priced_adds_are_counted_and_leave_the_book_alone() {
     assert_eq!(count, refused);
     assert_eq!(after.best_ask().map(|l| l.price), Some(Price::new(18_000)));
     assert_eq!(after.bids, resting.bids);
-    assert_eq!(trader.parser_stats().corrupt, 0);
 }
 
 #[test]

@@ -2,9 +2,12 @@
 //! allocations**: feed event → [`LocalBook`] update → depth-10 snapshot →
 //! feature extraction → normalization → ticket queue.
 //!
-//! The facade on top of it, `LightTrader::on_datagram`, may allocate what
-//! it hands back and nothing else: per datagram, the parser's decoded
-//! events and the one `Vec` of outcomes, whatever the event count.
+//! So is the whole wire path on top of it: datagram bytes through
+//! `LightTrader::on_datagram_into` (or `FeedArbiter::on_packet_events_into`
+//! and `LightTrader::on_event`) to iLink3 order bytes from
+//! `OrderMessage::encode_into`, into kept buffers, allocates nothing per
+//! datagram; the allocating `on_datagram` wrapper allocates exactly the
+//! `Vec` it returns.
 //!
 //! Same counting-global-allocator technique as `lt-dnn`'s
 //! `tests/zero_alloc.rs`: every allocation on this thread bumps a
@@ -15,14 +18,15 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use lighttrader::LightTrader;
+use lighttrader::{LightTrader, TickOutcome};
 use lt_dnn::ModelKind;
 use lt_feed::NormStats;
 use lt_lob::events::MarketEventKind;
 use lt_lob::prelude::*;
 use lt_pipeline::stages::PipelineLatencies;
 use lt_pipeline::{
-    LocalBook, MultiOffload, OffloadEngine, PacketParser, ShardTicket, TensorTicket,
+    FeedArbiter, FeedId, LocalBook, MultiOffload, OffloadEngine, RiskLimits, ShardTicket,
+    TensorTicket,
 };
 use lt_protocol::framing::Datagram;
 use lt_protocol::sbe::SbeEncoder;
@@ -402,34 +406,81 @@ fn resizing_session(passes: usize) -> Vec<Vec<u8>> {
     session
 }
 
+/// Appends the iLink3 bytes of every order among `outcomes` to `wire`,
+/// returning how many there were.
+fn encode_orders(outcomes: &[TickOutcome], wire: &mut Vec<u8>) -> usize {
+    let mut orders = 0;
+    for outcome in outcomes {
+        if let TickOutcome::Order { order, .. } = outcome {
+            order.encode_into(wire);
+            orders += 1;
+        }
+    }
+    orders
+}
+
 #[test]
-fn facade_datagram_allocates_only_its_events_and_its_outcomes() {
+fn datagram_to_order_bytes_allocates_nothing() {
     let session = resizing_session(3);
     let steady = session.len() - (session.len() - 1) / 3;
+    // Gates wide open, so that every tier's orders reach the encoder.
+    let risk = RiskLimits {
+        min_confidence: 0.0,
+        max_position: i64::MAX / 2,
+        order_qty: 1,
+        max_spread_ticks: i64::MAX / 2,
+    };
     for kind in ModelKind::ALL {
-        let mut trader = LightTrader::builder(kind).seed(3).build();
-        let mut parser = PacketParser::new();
-        let mut served = 0;
+        let build = || LightTrader::builder(kind).seed(3).risk(risk).build();
+        let (mut direct, mut arbitrated, mut wrapped) = (build(), build(), build());
+        let mut arbiter = FeedArbiter::new();
+        let (mut outcomes, mut wire) = (Vec::new(), Vec::new());
+        let (mut events, mut arbitrated_outcomes, mut arbitrated_wire) =
+            (Vec::new(), Vec::new(), Vec::new());
+        let (mut served, mut orders) = (0, 0);
         for (i, bytes) in session.iter().enumerate() {
             let before = allocations();
-            let events = parser.ingest(bytes);
-            let decoded = allocations();
-            let outcomes = trader.on_datagram(bytes);
-            let after = allocations();
-            assert_eq!(outcomes.len(), events.len(), "{kind}: datagram {i}");
-            // Two passes size the snapshots, pads and lanes for the widest
-            // sweep; the third must add nothing to the parser's own cost
-            // but the returned outcomes.
+            outcomes.clear();
+            wire.clear();
+            direct.on_datagram_into(bytes, &mut outcomes);
+            let sent = encode_orders(&outcomes, &mut wire);
+            let direct_allocs = allocations() - before;
+
+            // Both feeds carry the datagram: the B copy is decoded, found
+            // a cross-duplicate and truncated away.
+            let before = allocations();
+            events.clear();
+            arbitrated_outcomes.clear();
+            arbitrated_wire.clear();
+            for feed in FeedId::ALL {
+                arbiter.on_packet_events_into(feed, bytes, &mut events);
+            }
+            for event in &events {
+                arbitrated_outcomes.push(arbitrated.on_event(event));
+            }
+            encode_orders(&arbitrated_outcomes, &mut arbitrated_wire);
+            let arbitrated_allocs = allocations() - before;
+
+            let before = allocations();
+            let returned = wrapped.on_datagram(bytes);
+            let wrapper_allocs = allocations() - before;
+
+            assert_eq!(arbitrated_outcomes, outcomes, "{kind}: datagram {i}");
+            assert_eq!(arbitrated_wire, wire, "{kind}: datagram {i}");
+            assert_eq!(returned, outcomes, "{kind}: datagram {i}");
+            // Two passes size the events, snapshots, pads, lanes and wire
+            // for the widest datagram and sweep; the third allocates
+            // nothing but the wrapper's returned `Vec`.
             if i >= steady {
                 served += outcomes.len();
-                assert_eq!(
-                    after - decoded,
-                    decoded - before + 1,
-                    "{kind}: datagram {i} of {} events",
-                    events.len()
-                );
+                orders += sent;
+                let case = format!("{kind}: datagram {i} of {} events", outcomes.len());
+                assert_eq!(direct_allocs, 0, "direct intake, {case}");
+                assert_eq!(arbitrated_allocs, 0, "arbitrated intake, {case}");
+                assert_eq!(wrapper_allocs, 1, "on_datagram wrapper, {case}");
             }
         }
         assert_eq!(served, 85, "{kind}: one pass of the size ladder");
+        assert!(orders > 0, "{kind}: the steady pass must encode orders");
     }
 }

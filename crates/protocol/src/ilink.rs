@@ -6,8 +6,7 @@
 //! messages with the same 8-byte header as the market-data feed.
 
 use crate::error::DecodeError;
-use crate::sbe::{MessageHeader, SCHEMA_ID, SCHEMA_VERSION};
-use bytes::{Buf, BufMut, BytesMut};
+use crate::sbe::{field, put, MessageHeader};
 use lt_lob::{OrderId, Price, Qty, Side, Symbol, TimeInForce};
 use serde::{Deserialize, Serialize};
 
@@ -19,10 +18,12 @@ pub const TEMPLATE_REPLACE: u16 = 515;
 pub const TEMPLATE_CANCEL: u16 = 516;
 
 /// The fields every template starts with: client order id + symbol.
-const COMMON_BLOCK_LEN: u16 = 8 + 8;
-const NEW_ORDER_BLOCK_LEN: u16 = 8 + 8 + 1 + 8 + 8 + 1 + 1; // 35
-const REPLACE_BLOCK_LEN: u16 = 8 + 8 + 8 + 8 + 1; // 33
-const CANCEL_BLOCK_LEN: u16 = 8 + 8 + 1; // 17
+const COMMON_BLOCK: usize = 8 + 8;
+const NEW_ORDER_BLOCK: usize = 8 + 8 + 1 + 8 + 8 + 1 + 1; // 35
+const REPLACE_BLOCK: usize = 8 + 8 + 8 + 8 + 1; // 33
+const CANCEL_BLOCK: usize = 8 + 8 + 1; // 17
+/// The longest frame, header included: a new order.
+const MAX_FRAME: usize = MessageHeader::SIZE + NEW_ORDER_BLOCK;
 
 /// What an order-entry message asks the exchange to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -83,27 +84,31 @@ impl OrderMessage {
 
     /// Encodes the message into a fresh buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(64);
+        let mut buf = Vec::with_capacity(MAX_FRAME);
         self.encode_into(&mut buf);
-        buf.to_vec()
+        buf
     }
 
-    /// Appends the encoded message to `buf`, returning bytes written.
-    pub fn encode_into(&self, buf: &mut BytesMut) -> usize {
-        let start = buf.len();
-        let (template, block_len) = match self.kind {
-            OrderMessageKind::New { .. } => (TEMPLATE_NEW_ORDER, NEW_ORDER_BLOCK_LEN),
-            OrderMessageKind::Replace { .. } => (TEMPLATE_REPLACE, REPLACE_BLOCK_LEN),
-            OrderMessageKind::Cancel => (TEMPLATE_CANCEL, CANCEL_BLOCK_LEN),
+    /// Appends the encoded message to `buf`, returning bytes written. The
+    /// frame is laid out at fixed offsets on the stack and appended in
+    /// one copy; a `buf` with room for it does not allocate.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) -> usize {
+        let (template, block) = match self.kind {
+            OrderMessageKind::New { .. } => (TEMPLATE_NEW_ORDER, NEW_ORDER_BLOCK),
+            OrderMessageKind::Replace { .. } => (TEMPLATE_REPLACE, REPLACE_BLOCK),
+            OrderMessageKind::Cancel => (TEMPLATE_CANCEL, CANCEL_BLOCK),
         };
-        buf.put_u16_le(block_len);
-        buf.put_u16_le(template);
-        buf.put_u16_le(SCHEMA_ID);
-        buf.put_u16_le(SCHEMA_VERSION);
-        buf.put_u64_le(self.cl_ord_id.raw());
-        let mut sym = [0u8; 8];
-        sym[..self.symbol.as_str().len()].copy_from_slice(self.symbol.as_str().as_bytes());
-        buf.put_slice(&sym);
+        // Unwritten bytes stay zero: the symbol's padding and each
+        // template's trailing reserved byte.
+        let mut frame = [0u8; MAX_FRAME];
+        put(
+            &mut frame,
+            0,
+            MessageHeader::of_template(template, block).to_le_bytes(),
+        );
+        put(&mut frame, 8, self.cl_ord_id.raw().to_le_bytes());
+        let symbol = self.symbol.as_str().as_bytes();
+        frame[16..16 + symbol.len()].copy_from_slice(symbol);
         match self.kind {
             OrderMessageKind::New {
                 side,
@@ -111,29 +116,27 @@ impl OrderMessage {
                 qty,
                 tif,
             } => {
-                buf.put_u8(match side {
+                frame[24] = match side {
                     Side::Bid => 0,
                     Side::Ask => 1,
-                });
-                buf.put_i64_le(price.ticks());
-                buf.put_u64_le(qty.contracts());
-                buf.put_u8(match tif {
+                };
+                put(&mut frame, 25, price.ticks().to_le_bytes());
+                put(&mut frame, 33, qty.contracts().to_le_bytes());
+                frame[41] = match tif {
                     TimeInForce::Gtc => 0,
                     TimeInForce::Ioc => 1,
                     TimeInForce::Fok => 2,
-                });
-                buf.put_u8(0); // reserved / manual-order-indicator
+                };
             }
             OrderMessageKind::Replace { price, qty } => {
-                buf.put_i64_le(price.ticks());
-                buf.put_u64_le(qty.contracts());
-                buf.put_u8(0); // reserved
+                put(&mut frame, 24, price.ticks().to_le_bytes());
+                put(&mut frame, 32, qty.contracts().to_le_bytes());
             }
-            OrderMessageKind::Cancel => {
-                buf.put_u8(0); // reserved
-            }
+            OrderMessageKind::Cancel => {}
         }
-        buf.len() - start
+        let len = MessageHeader::SIZE + block;
+        buf.extend_from_slice(&frame[..len]);
+        len
     }
 
     /// Decodes one message from the front of `bytes`, returning it together
@@ -146,10 +149,9 @@ impl OrderMessage {
     pub fn decode(bytes: &[u8]) -> Result<(Self, usize), DecodeError> {
         let mut buf = bytes;
         let header = MessageHeader::read(&mut buf)?;
-        header.require_block(COMMON_BLOCK_LEN)?;
-        let cl_ord_id = OrderId::new(buf.get_u64_le());
-        let mut sym = [0u8; 8];
-        buf.copy_to_slice(&mut sym);
+        let common: &[u8; COMMON_BLOCK] = header.require_block(buf)?;
+        let cl_ord_id = OrderId::new(u64::from_le_bytes(field(common, 0)));
+        let sym: [u8; 8] = field(common, 8);
         let len = sym.iter().position(|&b| b == 0).unwrap_or(8);
         let symbol = std::str::from_utf8(&sym[..len])
             .ok()
@@ -157,8 +159,8 @@ impl OrderMessage {
             .ok_or_else(|| DecodeError::MalformedField("symbol".to_string()))?;
         let kind = match header.template_id {
             TEMPLATE_NEW_ORDER => {
-                header.require_block(NEW_ORDER_BLOCK_LEN)?;
-                let side = match buf.get_u8() {
+                let body: &[u8; NEW_ORDER_BLOCK] = header.require_block(buf)?;
+                let side = match body[16] {
                     0 => Side::Bid,
                     1 => Side::Ask,
                     v => {
@@ -168,9 +170,7 @@ impl OrderMessage {
                         })
                     }
                 };
-                let price = Price::new(buf.get_i64_le());
-                let qty = Qty::new(buf.get_u64_le());
-                let tif = match buf.get_u8() {
+                let tif = match body[33] {
                     0 => TimeInForce::Gtc,
                     1 => TimeInForce::Ioc,
                     2 => TimeInForce::Fok,
@@ -183,19 +183,20 @@ impl OrderMessage {
                 };
                 OrderMessageKind::New {
                     side,
-                    price,
-                    qty,
+                    price: Price::new(i64::from_le_bytes(field(body, 17))),
+                    qty: Qty::new(u64::from_le_bytes(field(body, 25))),
                     tif,
                 }
             }
             TEMPLATE_REPLACE => {
-                header.require_block(REPLACE_BLOCK_LEN)?;
-                let price = Price::new(buf.get_i64_le());
-                let qty = Qty::new(buf.get_u64_le());
-                OrderMessageKind::Replace { price, qty }
+                let body: &[u8; REPLACE_BLOCK] = header.require_block(buf)?;
+                OrderMessageKind::Replace {
+                    price: Price::new(i64::from_le_bytes(field(body, 16))),
+                    qty: Qty::new(u64::from_le_bytes(field(body, 24))),
+                }
             }
             TEMPLATE_CANCEL => {
-                header.require_block(CANCEL_BLOCK_LEN)?;
+                header.require_block::<CANCEL_BLOCK>(buf)?;
                 OrderMessageKind::Cancel
             }
             other => return Err(DecodeError::UnknownTemplate(other)),

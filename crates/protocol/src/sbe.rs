@@ -6,8 +6,8 @@
 //! stream: book-delta refreshes and trade summaries.
 
 use crate::error::DecodeError;
-use crate::framing::Datagram;
-use bytes::{Buf, BufMut, BytesMut};
+use crate::framing::DatagramRef;
+use bytes::{BufMut, BytesMut};
 use lt_lob::events::MarketEventKind;
 use lt_lob::{BookDelta, MarketEvent, OrderId, Price, Qty, Side, Timestamp, Trade};
 
@@ -22,9 +22,24 @@ pub const TEMPLATE_BOOK: u16 = 32;
 pub const TEMPLATE_TRADE: u16 = 33;
 
 /// Body length of a book-delta message.
-const BOOK_BLOCK_LEN: u16 = 8 + 8 + 1 + 1 + 8 + 8 + 8; // 42
+const BOOK_BLOCK: usize = 8 + 8 + 1 + 1 + 8 + 8 + 8; // 42
 /// Body length of a trade message.
-const TRADE_BLOCK_LEN: u16 = 8 + 8 + 8 + 8 + 1 + 8 + 8; // 49
+const TRADE_BLOCK: usize = 8 + 8 + 8 + 8 + 1 + 8 + 8; // 49
+
+/// The `N` bytes at offset `at` of a fixed-layout block. Every caller
+/// passes a constant offset inside a fixed-size block, so the range check
+/// folds away.
+pub(crate) fn field<const N: usize>(block: &[u8], at: usize) -> [u8; N] {
+    let mut raw = [0u8; N];
+    raw.copy_from_slice(&block[at..at + N]);
+    raw
+}
+
+/// Writes `raw` at offset `at` of a fixed-layout frame: the inverse of
+/// [`field`].
+pub(crate) fn put<const N: usize>(frame: &mut [u8], at: usize, raw: [u8; N]) {
+    frame[at..at + N].copy_from_slice(&raw);
+}
 
 /// The 8-byte SBE message header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,28 +58,42 @@ impl MessageHeader {
     /// Encoded size of the header in bytes.
     pub const SIZE: usize = 8;
 
-    fn write(&self, buf: &mut BytesMut) {
-        buf.put_u16_le(self.block_length);
-        buf.put_u16_le(self.template_id);
-        buf.put_u16_le(self.schema_id);
-        buf.put_u16_le(self.version);
+    /// This feed's header for a template whose fixed body is `block`
+    /// bytes.
+    pub(crate) fn of_template(template_id: u16, block: usize) -> Self {
+        MessageHeader {
+            block_length: block as u16,
+            template_id,
+            schema_id: SCHEMA_ID,
+            version: SCHEMA_VERSION,
+        }
+    }
+
+    /// The header as it goes on the wire.
+    pub(crate) fn to_le_bytes(self) -> [u8; Self::SIZE] {
+        let mut raw = [0u8; Self::SIZE];
+        put(&mut raw, 0, self.block_length.to_le_bytes());
+        put(&mut raw, 2, self.template_id.to_le_bytes());
+        put(&mut raw, 4, self.schema_id.to_le_bytes());
+        put(&mut raw, 6, self.version.to_le_bytes());
+        raw
     }
 
     /// Reads the header off the front of `buf`, checking that it names
     /// this feed's schema and that the body it declares is in the buffer.
     pub(crate) fn read(buf: &mut &[u8]) -> Result<Self, DecodeError> {
         let available = buf.len();
-        if available < Self::SIZE {
+        let Some((raw, body)) = buf.split_first_chunk::<{ Self::SIZE }>() else {
             return Err(DecodeError::Truncated {
                 needed: Self::SIZE,
                 available,
             });
-        }
+        };
         let header = MessageHeader {
-            block_length: buf.get_u16_le(),
-            template_id: buf.get_u16_le(),
-            schema_id: buf.get_u16_le(),
-            version: buf.get_u16_le(),
+            block_length: u16::from_le_bytes(field(raw, 0)),
+            template_id: u16::from_le_bytes(field(raw, 2)),
+            schema_id: u16::from_le_bytes(field(raw, 4)),
+            version: u16::from_le_bytes(field(raw, 6)),
         };
         if header.schema_id != SCHEMA_ID || header.version != SCHEMA_VERSION {
             return Err(DecodeError::SchemaMismatch {
@@ -78,6 +107,7 @@ impl MessageHeader {
                 available,
             });
         }
+        *buf = body;
         Ok(header)
     }
 
@@ -86,18 +116,22 @@ impl MessageHeader {
         Self::SIZE + self.block_length as usize
     }
 
-    /// Rejects a `block_length` shorter than `fixed`, the bytes a
-    /// template's field reads consume: [`Self::read`] checked the buffer
-    /// against the declared length only, so those reads could run off it.
-    /// A longer block is legal — its tail is skipped.
-    pub(crate) fn require_block(&self, fixed: u16) -> Result<(), DecodeError> {
-        if self.block_length < fixed {
-            return Err(DecodeError::Truncated {
-                needed: Self::SIZE + fixed as usize,
+    /// The first `N` bytes of `body` (the bytes after the header): the
+    /// fixed block a template's field reads consume. Rejects a
+    /// `block_length` shorter than `N`: [`Self::read`] checked the buffer
+    /// against the declared length only, so those reads could run off
+    /// it. A longer block is legal — its tail is skipped.
+    pub(crate) fn require_block<'b, const N: usize>(
+        &self,
+        body: &'b [u8],
+    ) -> Result<&'b [u8; N], DecodeError> {
+        match body.first_chunk() {
+            Some(block) if usize::from(self.block_length) >= N => Ok(block),
+            _ => Err(DecodeError::Truncated {
+                needed: Self::SIZE + N,
                 available: self.encoded_len(),
-            });
+            }),
         }
-        Ok(())
     }
 }
 
@@ -154,7 +188,7 @@ impl SbeEncoder {
     pub fn encode(&self, event: &MarketEvent) -> Vec<u8> {
         let mut buf = BytesMut::with_capacity(MessageHeader::SIZE + 64);
         self.encode_into(event, &mut buf);
-        buf.to_vec()
+        buf.into()
     }
 
     /// Appends one encoded event to `buf`, returning the bytes written.
@@ -162,13 +196,7 @@ impl SbeEncoder {
         let start = buf.len();
         match &event.kind {
             MarketEventKind::Book(delta) => {
-                MessageHeader {
-                    block_length: BOOK_BLOCK_LEN,
-                    template_id: TEMPLATE_BOOK,
-                    schema_id: SCHEMA_ID,
-                    version: SCHEMA_VERSION,
-                }
-                .write(buf);
+                buf.put_slice(&MessageHeader::of_template(TEMPLATE_BOOK, BOOK_BLOCK).to_le_bytes());
                 buf.put_u64_le(event.seq);
                 buf.put_u64_le(event.ts.nanos());
                 let (action, id, side, price, qty) = match *delta {
@@ -193,13 +221,9 @@ impl SbeEncoder {
                 buf.put_u64_le(id.raw());
             }
             MarketEventKind::Trade(trade) => {
-                MessageHeader {
-                    block_length: TRADE_BLOCK_LEN,
-                    template_id: TEMPLATE_TRADE,
-                    schema_id: SCHEMA_ID,
-                    version: SCHEMA_VERSION,
-                }
-                .write(buf);
+                buf.put_slice(
+                    &MessageHeader::of_template(TEMPLATE_TRADE, TRADE_BLOCK).to_le_bytes(),
+                );
                 buf.put_u64_le(event.seq);
                 buf.put_u64_le(event.ts.nanos());
                 buf.put_i64_le(trade.price.ticks());
@@ -216,8 +240,8 @@ impl SbeEncoder {
     pub fn encoded_len(&self, event: &MarketEvent) -> usize {
         MessageHeader::SIZE
             + match event.kind {
-                MarketEventKind::Book(_) => BOOK_BLOCK_LEN as usize,
-                MarketEventKind::Trade(_) => TRADE_BLOCK_LEN as usize,
+                MarketEventKind::Book(_) => BOOK_BLOCK,
+                MarketEventKind::Trade(_) => TRADE_BLOCK,
             }
     }
 }
@@ -248,15 +272,12 @@ impl SbeDecoder {
         let header = MessageHeader::read(&mut buf)?;
         let event = match header.template_id {
             TEMPLATE_BOOK => {
-                header.require_block(BOOK_BLOCK_LEN)?;
-                let seq = buf.get_u64_le();
-                let ts = Timestamp::from_nanos(buf.get_u64_le());
-                let action = buf.get_u8();
-                let side = side_from_u8(buf.get_u8())?;
-                let price = Price::new(buf.get_i64_le());
-                let qty = Qty::new(buf.get_u64_le());
-                let id = OrderId::new(buf.get_u64_le());
-                let delta = match action {
+                let body: &[u8; BOOK_BLOCK] = header.require_block(buf)?;
+                let side = side_from_u8(body[17])?;
+                let price = Price::new(i64::from_le_bytes(field(body, 18)));
+                let qty = Qty::new(u64::from_le_bytes(field(body, 26)));
+                let id = OrderId::new(u64::from_le_bytes(field(body, 34)));
+                let delta = match body[16] {
                     0 => BookDelta::Add {
                         id,
                         side,
@@ -278,28 +299,22 @@ impl SbeDecoder {
                     }
                 };
                 MarketEvent {
-                    seq,
-                    ts,
+                    seq: u64::from_le_bytes(field(body, 0)),
+                    ts: Timestamp::from_nanos(u64::from_le_bytes(field(body, 8))),
                     kind: MarketEventKind::Book(delta),
                 }
             }
             TEMPLATE_TRADE => {
-                header.require_block(TRADE_BLOCK_LEN)?;
-                let seq = buf.get_u64_le();
-                let ts = Timestamp::from_nanos(buf.get_u64_le());
-                let price = Price::new(buf.get_i64_le());
-                let qty = Qty::new(buf.get_u64_le());
-                let aggressor = side_from_u8(buf.get_u8())?;
-                let maker = OrderId::new(buf.get_u64_le());
-                let taker = OrderId::new(buf.get_u64_le());
+                let body: &[u8; TRADE_BLOCK] = header.require_block(buf)?;
+                let aggressor = side_from_u8(body[32])?;
                 MarketEvent {
-                    seq,
-                    ts,
+                    seq: u64::from_le_bytes(field(body, 0)),
+                    ts: Timestamp::from_nanos(u64::from_le_bytes(field(body, 8))),
                     kind: MarketEventKind::Trade(Trade {
-                        taker,
-                        maker,
-                        price,
-                        qty,
+                        taker: OrderId::new(u64::from_le_bytes(field(body, 41))),
+                        maker: OrderId::new(u64::from_le_bytes(field(body, 33))),
+                        price: Price::new(i64::from_le_bytes(field(body, 16))),
+                        qty: Qty::new(u64::from_le_bytes(field(body, 24))),
                         aggressor,
                     }),
                 }
@@ -314,33 +329,54 @@ impl SbeDecoder {
     /// # Errors
     ///
     /// Fails on the first malformed message.
-    pub fn decode_all(&self, mut bytes: &[u8]) -> Result<Vec<MarketEvent>, DecodeError> {
+    pub fn decode_all(&self, bytes: &[u8]) -> Result<Vec<MarketEvent>, DecodeError> {
         let mut out = Vec::new();
-        while !bytes.is_empty() {
-            let (event, used) = self.decode(bytes)?;
-            out.push(event);
-            bytes = &bytes[used..];
-        }
+        self.append_all(bytes, &mut out)?;
         Ok(out)
     }
 
-    /// Decodes a datagram's whole payload — what every intake path runs
-    /// on a checksum-valid datagram before its events may touch a book.
+    /// Decodes a datagram's whole payload onto the end of `out` — what
+    /// every intake path runs on a checksum-valid datagram before its
+    /// events may touch a book. All or nothing: on an error `out` is left
+    /// as it was.
     ///
     /// # Errors
     ///
     /// Fails on the first malformed message, or with
     /// [`DecodeError::MessageCountMismatch`] when the payload holds a
     /// different number of messages than `msg_count` declares.
-    pub fn decode_datagram(&self, datagram: &Datagram) -> Result<Vec<MarketEvent>, DecodeError> {
-        let events = self.decode_all(&datagram.payload)?;
-        if events.len() != usize::from(datagram.msg_count) {
-            return Err(DecodeError::MessageCountMismatch {
-                declared: datagram.msg_count,
-                decoded: events.len(),
-            });
+    pub fn decode_datagram_into(
+        &self,
+        datagram: DatagramRef<'_>,
+        out: &mut Vec<MarketEvent>,
+    ) -> Result<(), DecodeError> {
+        let start = out.len();
+        let decoded = self.append_all(datagram.payload, out).and_then(|()| {
+            let decoded = out.len() - start;
+            if decoded == usize::from(datagram.msg_count) {
+                Ok(())
+            } else {
+                Err(DecodeError::MessageCountMismatch {
+                    declared: datagram.msg_count,
+                    decoded,
+                })
+            }
+        });
+        if decoded.is_err() {
+            out.truncate(start);
         }
-        Ok(events)
+        decoded
+    }
+
+    /// Pushes every message in `bytes` onto `out`, stopping at the first
+    /// malformed one (whatever decoded before it stays pushed).
+    fn append_all(&self, mut bytes: &[u8], out: &mut Vec<MarketEvent>) -> Result<(), DecodeError> {
+        while !bytes.is_empty() {
+            let (event, used) = self.decode(bytes)?;
+            out.push(event);
+            bytes = &bytes[used..];
+        }
+        Ok(())
     }
 }
 

@@ -128,3 +128,21 @@ fn datagram_golden_bytes() {
     assert_eq!(&bytes[14..18], &[0x20, 0x6B, 0x3C, 0x70], "checksum");
     assert_eq!(&bytes[18..], &[0xAA, 0xBB], "payload");
 }
+
+/// A payload long enough to run the checksum through many 8-byte chunks
+/// and a tail, pinned to the byte-serial definition's value.
+#[test]
+fn datagram_long_payload_checksum_golden() {
+    let payload: Vec<u8> = (0..130u32).map(|i| (i * 151 + 7) as u8).collect();
+    let d = Datagram::new(
+        0xDEAD_BEEF,
+        Timestamp::from_nanos(0x0123_4567_89AB_CDEF),
+        3,
+        payload,
+    );
+    let bytes = d.encode();
+    // Folding seq LE, sent LE, count LE [3, 0], then the 130 payload
+    // bytes, one `acc·31 + b` step per byte, gives 0x2F05660C.
+    assert_eq!(&bytes[14..18], &[0x0C, 0x66, 0x05, 0x2F], "checksum");
+    assert_eq!(Datagram::decode(&bytes), Ok(d));
+}

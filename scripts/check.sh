@@ -34,14 +34,16 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 echo "== engine refactor gates: golden parity + determinism =="
 cargo test -q --release -p lt-sim --test golden_parity --test determinism
 
-echo "== ingress gates: fault injection + arbitration properties + hostile block lengths =="
+echo "== ingress gates: fault injection + arbitration properties + codec goldens + hostile block lengths =="
 cargo test -q --release -p lt-sim --test faults
 cargo test -q --release -p lt-pipeline --test arbiter_props
 cargo test -q --release -p lt-protocol --test roundtrip
+# Exact bytes of every codec, and the chunked checksum on a long payload.
+cargo test -q --release -p lt-protocol --test golden
 # Release drops the debug-only checks: it is the build that must not panic.
 cargo test -q --release -p lt-pipeline --test hostile_wire
 
-echo "== hot-path book gates: ladder/reference equivalence + zero-alloc =="
+echo "== hot-path gates: ladder/reference equivalence + zero-alloc from datagram bytes to order bytes =="
 cargo test -q --release -p lt-lob --test book_equivalence
 cargo test -q --release -p lt-pipeline --test zero_alloc
 
