@@ -9,8 +9,8 @@
 //! Exits nonzero if the DeepLOB full-forward speedup falls below the
 //! 5x regression floor, so CI catches fast-path regressions.
 
-use lighttrader::dnn::models::{CnnSpec, DeepLobSpec, QuantizedCnn, TransLobSpec};
-use lighttrader::dnn::ops::{Conv2d, Linear, LinearInt8, Lstm, MultiHeadAttention};
+use lighttrader::dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
+use lighttrader::dnn::ops::{Conv2d, Linear, Lstm, MultiHeadAttention};
 use lighttrader::dnn::{Model, Prediction, ScratchPad, Tensor};
 use lt_bench::time_ns;
 
@@ -124,15 +124,6 @@ fn main() {
         || linear.forward_batch_packed(xl.data(), 1, &linear_packed, &mut linear_out),
     ));
 
-    let linear_q = LinearInt8::from_linear(&linear);
-    kernels.push(measure(
-        "linear_int8",
-        || {
-            let _ = linear_q.forward_reference(&xl);
-        },
-        || linear_q.forward_rows(xl.data(), 1, &mut pad, &mut linear_out),
-    ));
-
     // The packed LSTM stores only the last hidden state; the recurrence
     // it runs is the reference's.
     let lstm = Lstm::new(48, 64, 1);
@@ -169,7 +160,6 @@ fn main() {
     ));
 
     let vanilla = CnnSpec::tiny().build(3);
-    let quant = QuantizedCnn::from_float(&vanilla);
     let deeplob = DeepLobSpec::tiny().build(3);
     let translob = TransLobSpec::tiny().build(3);
     let x20 = Tensor::random(&[20, 40], 1.0, 5);
@@ -180,12 +170,6 @@ fn main() {
             "vanilla_cnn",
             &vanilla,
             |x| vanilla.forward_reference(x),
-            &x20,
-        ),
-        measure_model(
-            "quantized_cnn",
-            &quant,
-            |x| quant.forward_reference(x),
             &x20,
         ),
         measure_model("deeplob", &deeplob, |x| deeplob.forward_reference(x), &x24),

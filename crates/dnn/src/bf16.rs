@@ -1,4 +1,4 @@
-//! Brain-float-16 rounding and INT8 quantization.
+//! Brain-float-16 rounding and the inference [`Precision`].
 //!
 //! The accelerator computes in BF16 "to maintain the original network
 //! accuracy across different networks, whereas the lower INT precision,
@@ -6,7 +6,9 @@
 //! latency is prioritized over the accuracy" (§III-C). We model BF16 as
 //! `f32` with the mantissa truncated to 7 bits using round-to-nearest-even
 //! — bit-exact with hardware BF16 for normal values — rather than carrying
-//! a distinct storage type through the hot path.
+//! a distinct storage type through the hot path. INT8 exists at the
+//! profiled level only: [`Precision::Int8`] scales the accelerator's
+//! latency model, and every functional forward runs in BF16.
 
 use serde::{Deserialize, Serialize};
 
@@ -18,18 +20,15 @@ pub enum Precision {
     Bf16,
     /// 8-bit integers: 4x the throughput (64 TOPS peak), lossy.
     Int8,
-    /// 4-bit integers: supported by the PE array, rarely used.
-    Int4,
 }
 
 impl Precision {
     /// Peak-throughput multiplier relative to BF16 (the paper's
-    /// 16 TFLOPS vs 64 TOPS gives 4x for INT8; INT4 doubles that).
+    /// 16 TFLOPS vs 64 TOPS gives 4x for INT8).
     pub fn throughput_multiplier(self) -> f64 {
         match self {
             Precision::Bf16 => 1.0,
             Precision::Int8 => 4.0,
-            Precision::Int4 => 8.0,
         }
     }
 }
@@ -39,7 +38,6 @@ impl std::fmt::Display for Precision {
         match self {
             Precision::Bf16 => f.write_str("bf16"),
             Precision::Int8 => f.write_str("int8"),
-            Precision::Int4 => f.write_str("int4"),
         }
     }
 }
@@ -70,42 +68,6 @@ pub fn bf16_round_slice(xs: &mut [f32]) {
     for x in xs {
         *x = bf16_round(*x);
     }
-}
-
-/// Symmetric per-tensor INT8 quantization.
-///
-/// Returns the quantized bytes and the scale such that
-/// `value ≈ q as f32 * scale`.
-pub fn quantize_int8(xs: &[f32]) -> (Vec<i8>, f32) {
-    let mut q = vec![0i8; xs.len()];
-    let scale = quantize_int8_into(xs, &mut q);
-    (q, scale)
-}
-
-/// [`quantize_int8`] into a caller-provided buffer (no allocation).
-///
-/// Returns the scale.
-///
-/// # Panics
-///
-/// Panics if `out.len() != xs.len()`.
-pub fn quantize_int8_into(xs: &[f32], out: &mut [i8]) -> f32 {
-    assert_eq!(out.len(), xs.len(), "int8 output buffer length");
-    let max_abs = xs.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-    if max_abs == 0.0 {
-        out.fill(0);
-        return 1.0;
-    }
-    let scale = max_abs / 127.0;
-    for (o, &x) in out.iter_mut().zip(xs) {
-        *o = (x / scale).round().clamp(-127.0, 127.0) as i8;
-    }
-    scale
-}
-
-/// Reverses [`quantize_int8`].
-pub fn dequantize_int8(q: &[i8], scale: f32) -> Vec<f32> {
-    q.iter().map(|&v| v as f32 * scale).collect()
 }
 
 #[cfg(test)]
@@ -165,29 +127,9 @@ mod tests {
     }
 
     #[test]
-    fn int8_round_trip_error_bounded() {
-        let xs: Vec<f32> = (0..256).map(|i| (i as f32 - 128.0) * 0.11).collect();
-        let (q, scale) = quantize_int8(&xs);
-        let back = dequantize_int8(&q, scale);
-        let max_abs = xs.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-        for (a, b) in xs.iter().zip(&back) {
-            assert!((a - b).abs() <= scale * 0.5 + 1e-6, "{a} vs {b}");
-        }
-        assert!(scale > 0.0 && scale <= max_abs / 126.0);
-    }
-
-    #[test]
-    fn int8_zero_tensor() {
-        let (q, scale) = quantize_int8(&[0.0, 0.0]);
-        assert_eq!(q, vec![0, 0]);
-        assert_eq!(scale, 1.0);
-    }
-
-    #[test]
     fn precision_multipliers() {
         assert_eq!(Precision::Bf16.throughput_multiplier(), 1.0);
         assert_eq!(Precision::Int8.throughput_multiplier(), 4.0);
-        assert_eq!(Precision::Int4.throughput_multiplier(), 8.0);
         assert_eq!(Precision::default(), Precision::Bf16);
         assert_eq!(Precision::Int8.to_string(), "int8");
     }

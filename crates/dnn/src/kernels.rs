@@ -120,60 +120,6 @@ pub fn im2col(
     }
 }
 
-/// INT8 dense layer: `out[o] = (Σ w[o][i] * x[i]) as f32 * w_scale
-/// * x_scale + bias[o]`, with an `i32` accumulator.
-///
-/// The float epilogue multiplies the two scales in the same order as the
-/// naive loop (`acc * w_scale * x_scale + bias`), so results are
-/// bit-identical; the integer dot itself is exact in any order.
-#[allow(clippy::too_many_arguments)]
-pub fn matvec_i8_bias(
-    w: &[i8],
-    x: &[i8],
-    bias: &[f32],
-    n: usize,
-    k: usize,
-    w_scale: f32,
-    x_scale: f32,
-    out: &mut [f32],
-) {
-    assert_eq!(w.len(), n * k, "int8 matvec weight length");
-    assert_eq!(x.len(), k, "int8 matvec input length");
-    assert_eq!(bias.len(), n, "int8 matvec bias length");
-    assert_eq!(out.len(), n, "int8 matvec output length");
-    let mut o = 0;
-    while o + MR <= n {
-        let w0 = &w[o * k..(o + 1) * k];
-        let w1 = &w[(o + 1) * k..(o + 2) * k];
-        let w2 = &w[(o + 2) * k..(o + 3) * k];
-        let w3 = &w[(o + 3) * k..(o + 4) * k];
-        let mut acc0: i32 = 0;
-        let mut acc1: i32 = 0;
-        let mut acc2: i32 = 0;
-        let mut acc3: i32 = 0;
-        for t in 0..k {
-            let xv = x[t] as i32;
-            acc0 += w0[t] as i32 * xv;
-            acc1 += w1[t] as i32 * xv;
-            acc2 += w2[t] as i32 * xv;
-            acc3 += w3[t] as i32 * xv;
-        }
-        out[o] = acc0 as f32 * w_scale * x_scale + bias[o];
-        out[o + 1] = acc1 as f32 * w_scale * x_scale + bias[o + 1];
-        out[o + 2] = acc2 as f32 * w_scale * x_scale + bias[o + 2];
-        out[o + 3] = acc3 as f32 * w_scale * x_scale + bias[o + 3];
-        o += MR;
-    }
-    for r in o..n {
-        let wr = &w[r * k..(r + 1) * k];
-        let mut acc: i32 = 0;
-        for t in 0..k {
-            acc += wr[t] as i32 * x[t] as i32;
-        }
-        out[r] = acc as f32 * w_scale * x_scale + bias[r];
-    }
-}
-
 /// Output lanes per packed register tile: the width of one k-major panel.
 pub const NR: usize = 8;
 
@@ -679,24 +625,6 @@ mod tests {
                     "n={n} neuron {o}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn int8_matvec_matches_scalar_loop() {
-        let (n, k) = (5usize, 9usize);
-        let w: Vec<i8> = (0..n * k).map(|i| ((i * 37) % 255) as i8).collect();
-        let x: Vec<i8> = (0..k).map(|i| ((i * 91) % 255) as i8).collect();
-        let bias: Vec<f32> = (0..n).map(|i| i as f32 - 2.0).collect();
-        let (ws, xs) = (0.03f32, 0.07f32);
-        let mut out = vec![0.0; n];
-        matvec_i8_bias(&w, &x, &bias, n, k, ws, xs, &mut out);
-        for o in 0..n {
-            let mut acc: i32 = 0;
-            for t in 0..k {
-                acc += w[o * k + t] as i32 * x[t] as i32;
-            }
-            assert_eq!(out[o], acc as f32 * ws * xs + bias[o], "neuron {o}");
         }
     }
 

@@ -11,13 +11,13 @@
 //! This crate implements all three from scratch on a small tensor library:
 //!
 //! * [`bf16`] — Brain-float-16 rounding, the accelerator's "main
-//!   computational precision" (§III-C), plus symmetric INT8 quantization
-//!   for the low-latency path;
+//!   computational precision" (§III-C), and the [`Precision`] the
+//!   latency model prices (INT8 is profiled, never run);
 //! * [`tensor`] — a dense row-major `f32` tensor with the shape algebra
 //!   the layers need;
-//! * [`ops`] — linear, conv2d, LSTM, multi-head attention, layer norm,
-//!   pooling, and activations, each with an analytic MAC counter used by
-//!   the latency model;
+//! * [`ops`] — linear, conv2d, LSTM, multi-head attention, layer norm
+//!   and activations, each with an analytic MAC counter used by the
+//!   latency model;
 //! * [`kernels`] — the register-tile micro-kernel and the packed GEMM,
 //!   direct-convolution and im2col sweeps behind the ops'
 //!   `forward_batch_packed` methods, bit-identical to the naive
@@ -34,7 +34,7 @@
 //!   [`TransLob`], and [`DeepLob`],
 //!   each in two sizes: a `paper()` configuration whose analytic op count
 //!   matches Table II, and a `tiny()` configuration that runs functionally
-//!   in microseconds for tests, examples, and the CGRA simulator.
+//!   in microseconds for tests, examples and the benchmark.
 //!
 //! Every op has a naive-reference test; property tests cover numerical
 //! invariants (softmax sums to one, layer norm normalizes, BF16
@@ -52,7 +52,7 @@ pub mod stream;
 pub mod tensor;
 
 pub use batch::{PackedPanels, PackedWeights};
-pub use bf16::{bf16_round, quantize_int8, Precision};
+pub use bf16::{bf16_round, Precision};
 pub use model::{Model, ModelKind, Prediction, PriceDirection};
 pub use models::{DeepLob, TransLob, VanillaCnn};
 pub use registry::ModelRegistry;

@@ -9,14 +9,10 @@
 //! path.
 
 mod deeplob;
-mod quantized;
 mod translob;
 mod vanilla_cnn;
 
 pub use deeplob::{DeepLob, DeepLobSpec};
-pub use quantized::{
-    quantization_report, weight_round_trip_error, QuantizationReport, QuantizedCnn,
-};
 pub use translob::{TransLob, TransLobSpec};
 pub use vanilla_cnn::{CnnSpec, VanillaCnn};
 

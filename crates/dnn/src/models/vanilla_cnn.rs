@@ -146,31 +146,6 @@ impl VanillaCnn {
         self.spec
     }
 
-    /// First convolution layer (read access for quantization).
-    pub fn conv1_ref(&self) -> &Conv2d {
-        &self.conv1
-    }
-
-    /// Second convolution layer.
-    pub fn conv2_ref(&self) -> &Conv2d {
-        &self.conv2
-    }
-
-    /// Third convolution layer.
-    pub fn conv3_ref(&self) -> &Conv2d {
-        &self.conv3
-    }
-
-    /// First dense layer.
-    pub fn fc1_ref(&self) -> &Linear {
-        &self.fc1
-    }
-
-    /// Output dense layer.
-    pub fn fc2_ref(&self) -> &Linear {
-        &self.fc2
-    }
-
     /// The naive reference forward pass, built entirely from the layers'
     /// `forward_reference` paths (kept for equivalence tests and the
     /// benchmark baseline); [`Model::forward_batch_scratch`] is `==` to it.
@@ -200,18 +175,16 @@ impl VanillaCnn {
     }
 }
 
-/// The three-convolution trunk, shared with [`super::QuantizedCnn`]
-/// (which keeps its convolutions in BF16): stages `inputs` sample-major
-/// and returns the ReLU'd `[batch, channels * t_out(3)]` activations in a
-/// buffer the caller gives back to `pad`. `packed` holds the three
-/// kernels at panels 0, 1, 2. A streamed miss passes its one input's
-/// `lines`, whose first three are refilled with the convolutions' input
-/// rows on the way.
+/// The three-convolution trunk: stages `inputs` sample-major and returns
+/// the ReLU'd `[batch, channels * t_out(3)]` activations in a buffer the
+/// caller gives back to `pad`. `packed` holds the three kernels at panels
+/// 0, 1, 2. A streamed miss passes its one input's `lines`, whose first
+/// three are refilled with the convolutions' input rows on the way.
 ///
 /// # Panics
 ///
 /// Panics if any input is not `[window, features]`.
-pub(super) fn conv_trunk_batch_packed(
+fn conv_trunk_batch_packed(
     spec: &CnnSpec,
     convs: [&Conv2d; 3],
     inputs: &[Tensor],

@@ -1,10 +1,9 @@
-//! Dense (fully connected) layers in BF16 and INT8.
+//! Dense (fully connected) layers in BF16.
 
 use crate::batch::PackedPanels;
-use crate::bf16::{bf16_round, quantize_int8, quantize_int8_into};
-use crate::kernels::{gemm_packed, matvec_i8_bias, Segment};
+use crate::bf16::bf16_round;
+use crate::kernels::{gemm_packed, Segment};
 use crate::ops::count::linear_macs;
-use crate::scratch::ScratchPad;
 use crate::tensor::Tensor;
 
 /// A dense layer `y = W x + b` with BF16-rounded weights.
@@ -131,84 +130,6 @@ impl Linear {
     }
 }
 
-/// An INT8-quantized dense layer (the latency-prioritized path, §III-C).
-///
-/// Weights are symmetric per-tensor quantized at construction; activations
-/// are quantized per call. Accuracy is strictly worse than [`Linear`] but
-/// the accelerator runs it at 4x throughput.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinearInt8 {
-    weight_q: Vec<i8>, // [out, in]
-    weight_scale: f32,
-    bias: Vec<f32>,
-    input: usize,
-    output: usize,
-}
-
-impl LinearInt8 {
-    /// Quantizes an existing BF16 layer.
-    pub fn from_linear(layer: &Linear) -> Self {
-        let (weight_q, weight_scale) = quantize_int8(layer.weight.data());
-        LinearInt8 {
-            weight_q,
-            weight_scale,
-            bias: layer.bias.clone(),
-            input: layer.input_dim(),
-            output: layer.output_dim(),
-        }
-    }
-
-    /// Applies the quantized layer to every row of a flat `[rows, in]`
-    /// buffer, writing `[rows, out]` into `out`. Each row's activations
-    /// are quantized on their own (the i8 staging buffer comes from
-    /// `pad`), so per row this is bit-identical to
-    /// [`Self::forward_reference`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on buffer-length mismatches.
-    pub fn forward_rows(&self, x: &[f32], rows: usize, pad: &mut ScratchPad, out: &mut [f32]) {
-        assert_eq!(x.len(), rows * self.input, "int8 linear input length");
-        assert_eq!(out.len(), rows * self.output, "int8 linear output length");
-        let mut x_q = pad.take_i8(self.input);
-        for r in 0..rows {
-            let x_scale = quantize_int8_into(&x[r * self.input..(r + 1) * self.input], &mut x_q);
-            matvec_i8_bias(
-                &self.weight_q,
-                &x_q,
-                &self.bias,
-                self.output,
-                self.input,
-                self.weight_scale,
-                x_scale,
-                &mut out[r * self.output..(r + 1) * self.output],
-            );
-        }
-        pad.give_i8(x_q);
-    }
-
-    /// The naive reference implementation (kept for equivalence tests
-    /// and the benchmark baseline).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input width mismatches.
-    pub fn forward_reference(&self, x: &Tensor) -> Tensor {
-        assert_eq!(x.shape(), [self.input], "LinearInt8 expects rank-1 input");
-        let (x_q, x_scale) = quantize_int8(x.data());
-        let mut out = vec![0.0f32; self.output];
-        for (o, slot) in out.iter_mut().enumerate() {
-            let w = &self.weight_q[o * self.input..(o + 1) * self.input];
-            let mut acc: i32 = 0;
-            for i in 0..self.input {
-                acc += w[i] as i32 * x_q[i] as i32;
-            }
-            *slot = acc as f32 * self.weight_scale * x_scale + self.bias[o];
-        }
-        Tensor::from_vec(out, &[self.output])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,23 +179,6 @@ mod tests {
         let layer = Linear::new(128, 64, 0);
         assert_eq!(layer.macs(1), 8192);
         assert_eq!(layer.macs(10), 81920);
-    }
-
-    #[test]
-    fn int8_approximates_bf16() {
-        let layer = Linear::new(64, 32, 7);
-        let x = Tensor::random(&[64], 1.0, 8);
-        let exact = layer.forward_reference(&x);
-        let q = LinearInt8::from_linear(&layer).forward_reference(&x);
-        let mut max_err = 0.0f32;
-        let mut max_mag = 0.0f32;
-        for (a, b) in exact.data().iter().zip(q.data()) {
-            max_err = max_err.max((a - b).abs());
-            max_mag = max_mag.max(a.abs());
-        }
-        assert!(max_err < 0.1 * max_mag.max(1.0), "int8 error {max_err}");
-        // But not bit-identical: quantization is lossy.
-        assert_ne!(exact.data(), q.data());
     }
 
     #[test]

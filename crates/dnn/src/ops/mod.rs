@@ -20,7 +20,7 @@ pub use activation::{
 };
 pub use attention::MultiHeadAttention;
 pub use conv::Conv2d;
-pub use linear::{Linear, LinearInt8};
+pub use linear::Linear;
 pub use lstm::Lstm;
 pub use norm::LayerNorm;
 

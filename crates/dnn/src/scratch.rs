@@ -23,11 +23,10 @@
 //!
 //! [`Conv2d::forward_batch_packed`]: crate::ops::Conv2d::forward_batch_packed
 
-/// A best-fit free-list pool of `f32` and `i8` buffers.
+/// A best-fit free-list pool of `f32` buffers.
 #[derive(Debug, Default)]
 pub struct ScratchPad {
     f32_pool: Vec<Vec<f32>>,
-    i8_pool: Vec<Vec<i8>>,
     misses: u64,
 }
 
@@ -85,28 +84,6 @@ impl ScratchPad {
         }
     }
 
-    /// Takes a zero-filled `i8` buffer of exactly `len` elements (used by
-    /// the INT8 activation-quantization path).
-    pub fn take_i8(&mut self, len: usize) -> Vec<i8> {
-        let mut buf = match best_fit(&self.i8_pool, len) {
-            Some(i) => self.i8_pool.swap_remove(i),
-            None => {
-                self.misses += 1;
-                Vec::with_capacity(len)
-            }
-        };
-        buf.clear();
-        buf.resize(len, 0);
-        buf
-    }
-
-    /// Returns an `i8` buffer to the pool.
-    pub fn give_i8(&mut self, buf: Vec<i8>) {
-        if buf.capacity() > 0 {
-            self.i8_pool.push(buf);
-        }
-    }
-
     /// How many `take`s could not be served from the pool (each miss is
     /// one heap allocation). Stable across calls once warmed up.
     pub fn misses(&self) -> u64 {
@@ -115,12 +92,12 @@ impl ScratchPad {
 
     /// Buffers currently sitting in the free list.
     pub fn pooled_buffers(&self) -> usize {
-        self.f32_pool.len() + self.i8_pool.len()
+        self.f32_pool.len()
     }
 }
 
 /// Index of the smallest pooled buffer with capacity >= `len`.
-fn best_fit<T>(pool: &[Vec<T>], len: usize) -> Option<usize> {
+fn best_fit(pool: &[Vec<f32>], len: usize) -> Option<usize> {
     let mut best: Option<(usize, usize)> = None;
     for (i, v) in pool.iter().enumerate() {
         let cap = v.capacity();
@@ -203,16 +180,5 @@ mod tests {
 
     fn pad_buf(len: usize) -> Vec<f32> {
         vec![0.0; len]
-    }
-
-    #[test]
-    fn i8_pool_is_separate() {
-        let mut pad = ScratchPad::new();
-        let q = pad.take_i8(10);
-        assert_eq!(q.len(), 10);
-        pad.give_i8(q);
-        let _ = pad.take_i8(10);
-        assert_eq!(pad.misses(), 1);
-        assert_eq!(pad.pooled_buffers(), 0);
     }
 }

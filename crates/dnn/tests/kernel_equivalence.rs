@@ -11,8 +11,8 @@
 //! [`ScratchPad`] so pooled-buffer reuse (the steady-state regime) is
 //! covered too.
 
-use lt_dnn::models::{CnnSpec, DeepLobSpec, QuantizedCnn, TransLobSpec};
-use lt_dnn::ops::{Conv2d, LayerNorm, Linear, LinearInt8, Lstm, MultiHeadAttention};
+use lt_dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
+use lt_dnn::ops::{Conv2d, LayerNorm, Linear, Lstm, MultiHeadAttention};
 use lt_dnn::{Model, Prediction, ScratchPad, Tensor};
 use proptest::prelude::*;
 
@@ -138,27 +138,6 @@ proptest! {
         }
     }
 
-    /// LinearInt8: the i32-accumulating tiled kernel == naive loop,
-    /// including the scale-multiplication order of the epilogue and the
-    /// per-row activation quantization.
-    #[test]
-    fn linear_int8_fast_matches_reference(
-        (input, output, seed) in (1usize..=33, 1usize..=17, 0u64..1000),
-    ) {
-        let layer = LinearInt8::from_linear(&Linear::new(input, output, seed));
-        let mut pad = ScratchPad::new();
-        for batch in BATCHES {
-            let xs = random_inputs(&[input], 1.0, batch, seed);
-            let reference: Vec<Tensor> = xs.iter().map(|x| layer.forward_reference(x)).collect();
-            let flat = stack(&xs);
-            let mut out = vec![f32::NAN; batch * output];
-            for _ in 0..2 {
-                layer.forward_rows(&flat, batch, &mut pad, &mut out);
-                prop_assert_eq!(&unstack(&out, &[output]), &reference);
-            }
-        }
-    }
-
     /// LSTM: the packed fused-gate sweep == naive per-gate loops across
     /// the whole recurrence. The packed op returns the last hidden state
     /// only, so every prefix of the sequence is run: the recurrence is
@@ -248,13 +227,6 @@ proptest! {
     #[test]
     fn translob_forward_matches_reference(seed in 0u64..100) {
         let model = TransLobSpec::tiny().build(seed);
-        assert_model_matches_reference(&model, |x| model.forward_reference(x), seed);
-    }
-
-    /// Full QuantizedCnn forward (BF16 convs + INT8 dense layers).
-    #[test]
-    fn quantized_cnn_forward_matches_reference(seed in 0u64..100) {
-        let model = QuantizedCnn::from_float(&CnnSpec::tiny().build(seed));
         assert_model_matches_reference(&model, |x| model.forward_reference(x), seed);
     }
 }

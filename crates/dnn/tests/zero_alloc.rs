@@ -13,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use lt_dnn::models::{CnnSpec, DeepLobSpec, QuantizedCnn, TransLobSpec};
+use lt_dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
 use lt_dnn::{Model, ModelKind, ModelRegistry, Prediction, ScratchPad, StreamStats, Tensor};
 
 thread_local! {
@@ -63,8 +63,7 @@ fn allocations() -> u64 {
 /// Once the weight panels are packed and a warm-up batch has sized the
 /// pad's buffers and the output vector, serial (`threads = 1`) forwards
 /// at the same batch size allocate nothing — staging, unfold, packed
-/// GEMM, i8 activation staging, and prediction output all live in
-/// recycled storage.
+/// GEMM and prediction output all live in recycled storage.
 fn assert_steady_state_batch_alloc_free(name: &str, model: &dyn Model, inputs: &[Tensor]) {
     let packed = model.pack_weights();
     let mut pad = ScratchPad::new();
@@ -229,7 +228,6 @@ fn assert_swept_walk_alloc_free() {
 #[test]
 fn steady_state_forward_is_allocation_free() {
     let vanilla = CnnSpec::tiny().build(3);
-    let quant = QuantizedCnn::from_float(&vanilla);
     let deeplob = DeepLobSpec::tiny().build(3);
     let translob = TransLobSpec::tiny().build(3);
     let x20 = Tensor::random(&[20, 40], 1.0, 5);
@@ -237,7 +235,6 @@ fn steady_state_forward_is_allocation_free() {
     let x16 = Tensor::random(&[16, 40], 1.0, 5);
     let one = std::slice::from_ref;
     assert_steady_state_batch_alloc_free("VanillaCnn", &vanilla, one(&x20));
-    assert_steady_state_batch_alloc_free("QuantizedCnn", &quant, one(&x20));
     assert_steady_state_batch_alloc_free("DeepLob", &deeplob, one(&x24));
     assert_steady_state_batch_alloc_free("TransLob", &translob, one(&x16));
 

@@ -1,12 +1,13 @@
 //! The contiguous price-ladder book: the zero-steady-state-allocation
-//! resting book behind the hot path.
+//! resting book behind the matching engine and the pipeline's local book.
 //!
-//! [`ReferenceBook`](crate::book::ReferenceBook) keeps each side in a
-//! `BTreeMap<Price, VecDeque<Order>>` — clear, but every level lives behind
-//! a pointer chase and every snapshot walks tree nodes. Futures and
-//! equities tick in a narrow price band around the last trade, so
-//! [`PriceLadder`] instead stores levels in one contiguous array indexed by
-//! tick offset from a moving origin (the JAX-LOB layout, arXiv:2308.13289):
+//! A map-based book keeps each side in a `BTreeMap<Price, VecDeque<Order>>`
+//! — clear, but every level lives behind a pointer chase and every
+//! snapshot walks tree nodes. (That book survives as the test-side oracle
+//! in `tests/support/reference_book.rs`.) Futures and equities tick in a
+//! narrow price band around the last trade, so [`PriceLadder`] instead
+//! stores levels in one contiguous array indexed by tick offset from a
+//! moving origin (the JAX-LOB layout, arXiv:2308.13289):
 //! best-price lookup is an index read, depth iteration is a linear scan,
 //! and the only allocations left are range growth when prices escape the
 //! current band — which settles after warm-up.
@@ -16,11 +17,9 @@
 //! indices, so insert/cancel/fill touch a handful of cache lines and
 //! recycle nodes instead of allocating.
 
-use crate::book::LevelView;
 use crate::hash::IdHashBuilder;
 use crate::order::Order;
-use crate::snapshot::LobSnapshot;
-use crate::store::BookStore;
+use crate::snapshot::{LobSnapshot, SnapshotLevel};
 use crate::types::{OrderId, Price, Qty, Side, Timestamp};
 use std::collections::HashMap;
 
@@ -39,6 +38,17 @@ const INITIAL_SPAN: usize = 256;
 /// any test asks for is 10 314; 65 536 ticks (1.5 MiB of slots a side)
 /// is 256 × [`INITIAL_SPAN`].
 const MAX_SPAN: usize = 1 << 16;
+
+/// A read-only view of one price level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LevelView {
+    /// Level price in ticks.
+    pub price: Price,
+    /// Aggregate resting quantity at the level.
+    pub qty: Qty,
+    /// Number of resting orders at the level.
+    pub orders: usize,
+}
 
 /// One price level: aggregate totals plus an intrusive FIFO of arena nodes.
 #[derive(Debug, Clone, Copy)]
@@ -433,11 +443,13 @@ impl OrderArena {
 /// The hot-path limit order book: two [`PriceLadder`]s over a shared
 /// [`OrderArena`], plus an id → arena-index map.
 ///
-/// Behaviorally identical to [`ReferenceBook`](crate::book::ReferenceBook)
-/// — same price/time priority, same panics, same snapshots — which the
-/// differential suite in `tests/book_equivalence.rs` pins. The difference
-/// is mechanical: levels are array slots, FIFOs are intrusive links, and
-/// after the price band and slab warm up, no operation allocates.
+/// It only *stores* orders in price/time priority (paper §II-A); crossing
+/// and trade generation live in
+/// [`MatchingEngine`](crate::matching::MatchingEngine), the only caller of
+/// the crate-private mutators. Levels are array slots, FIFOs are intrusive
+/// links, and after the price band and slab warm up, no operation
+/// allocates. `tests/book_equivalence.rs` checks it, action by action,
+/// against a map-based reference book that mirrors the engine's events.
 #[derive(Debug, Clone)]
 pub struct LadderBook {
     bids: PriceLadder,
@@ -555,9 +567,29 @@ impl LadderBook {
     /// Refills `out` with the `depth`-level snapshot, reusing its level
     /// buffers so steady-state snapshotting never allocates.
     pub fn snapshot_into(&self, depth: usize, ts: Timestamp, out: &mut LobSnapshot) {
-        BookStore::snapshot_into(self, depth, ts, out);
+        out.ts = ts;
+        out.bids.clear();
+        out.asks.clear();
+        self.for_each_level(Side::Bid, depth, |v| {
+            out.bids.push(SnapshotLevel {
+                price: v.price,
+                qty: v.qty,
+            });
+        });
+        self.for_each_level(Side::Ask, depth, |v| {
+            out.asks.push(SnapshotLevel {
+                price: v.price,
+                qty: v.qty,
+            });
+        });
     }
 
+    /// Inserts a resting order at the back of its price-level queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an order with the same id already rests on the book; the
+    /// matching engine rejects duplicates before insertion.
     #[inline]
     pub(crate) fn insert(&mut self, order: Order) {
         let node = self.arena.alloc(order);
@@ -582,6 +614,7 @@ impl LadderBook {
         slot.orders += 1;
     }
 
+    /// Removes a resting order, returning it if present.
     #[inline]
     pub(crate) fn remove(&mut self, id: OrderId) -> Option<Order> {
         let node = self.index.remove(&id)?;
@@ -615,6 +648,7 @@ impl LadderBook {
         Some(order)
     }
 
+    /// Peeks at the front (oldest) order at the best level of `side`.
     #[inline]
     pub(crate) fn front(&self, side: Side) -> Option<&Order> {
         let ladder = self.ladder(side);
@@ -624,6 +658,13 @@ impl LadderBook {
         Some(&self.arena.nodes[head as usize].order)
     }
 
+    /// Reduces the front order at the best level of `side` by `fill`,
+    /// removing it when fully filled. Returns the order's id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the side is empty or `fill` exceeds the front order's
+    /// remaining quantity.
     #[inline]
     pub(crate) fn fill_front(&mut self, side: Side, fill: Qty) -> OrderId {
         let (ladder, arena) = self.split_mut(side);
@@ -658,6 +699,8 @@ impl LadderBook {
         id
     }
 
+    /// Total resting quantity on `side` at prices that cross `limit`
+    /// (the fill-or-kill feasibility check).
     #[inline]
     pub(crate) fn crossable_qty(&self, side: Side, limit: Price) -> Qty {
         let ladder = self.ladder(side);
@@ -711,68 +754,6 @@ impl LadderBook {
             Side::Bid => (&mut self.bids, &mut self.arena),
             Side::Ask => (&mut self.asks, &mut self.arena),
         }
-    }
-}
-
-impl BookStore for LadderBook {
-    #[inline]
-    fn len(&self) -> usize {
-        LadderBook::len(self)
-    }
-
-    #[inline]
-    fn best_bid(&self) -> Option<Price> {
-        LadderBook::best_bid(self)
-    }
-
-    #[inline]
-    fn best_ask(&self) -> Option<Price> {
-        LadderBook::best_ask(self)
-    }
-
-    #[inline]
-    fn qty_at(&self, side: Side, price: Price) -> Qty {
-        LadderBook::qty_at(self, side, price)
-    }
-
-    #[inline]
-    fn order(&self, id: OrderId) -> Option<&Order> {
-        LadderBook::order(self, id)
-    }
-
-    #[inline]
-    fn contains(&self, id: OrderId) -> bool {
-        LadderBook::contains(self, id)
-    }
-
-    #[inline]
-    fn for_each_level<F: FnMut(LevelView)>(&self, side: Side, depth: usize, f: F) {
-        LadderBook::for_each_level(self, side, depth, f);
-    }
-
-    #[inline]
-    fn insert(&mut self, order: Order) {
-        LadderBook::insert(self, order);
-    }
-
-    #[inline]
-    fn remove(&mut self, id: OrderId) -> Option<Order> {
-        LadderBook::remove(self, id)
-    }
-
-    #[inline]
-    fn front(&self, side: Side) -> Option<&Order> {
-        LadderBook::front(self, side)
-    }
-
-    #[inline]
-    fn fill_front(&mut self, side: Side, fill: Qty) -> OrderId {
-        LadderBook::fill_front(self, side, fill)
-    }
-
-    #[inline]
-    fn crossable_qty(&self, side: Side, limit: Price) -> Qty {
-        LadderBook::crossable_qty(self, side, limit)
     }
 }
 

@@ -1,16 +1,27 @@
-//! Differential suite pinning [`LadderBook`] to [`ReferenceBook`].
+//! Differential suite pinning [`MatchingEngine`] and its [`LadderBook`] to
+//! a map-based [`ReferenceBook`].
 //!
-//! The contiguous ladder replaces the map-based book on the hot path; its
-//! contract is *bit-identical behavior* — same execution reports, same
-//! market-data events, same snapshots, level views, and features — over
-//! any action stream. Both books are driven through identical
-//! [`MatchingEngine`] instances and compared after every single action,
-//! mirroring the `forward_reference` pattern that pinned the PR 1 kernels.
+//! Each action stream runs through one engine. For every outcome,
+//! [`mirror`] follows the events the engine published and checks each
+//! decision against the reference before applying it there: a trade's
+//! maker is the reference's front and crosses the taker's limit, each
+//! maker update is what the reference's fill leaves, a remainder leaves
+//! nothing crossable, and every rejection (zero quantity, duplicate or
+//! unknown id, unfillable fill-or-kill) holds exactly when the reference
+//! says it should. The two books must then agree on every observable
+//! surface — best prices, level views, snapshots, features, and each
+//! order's `seq`, `original` and `arrival`.
 
+#[path = "support/reference_book.rs"]
+mod reference_book;
+
+use lt_lob::events::MarketEventKind;
 use lt_lob::prelude::*;
 use proptest::prelude::*;
+use reference_book::ReferenceBook;
+use std::iter::Peekable;
 
-/// A random order action both engines must process identically.
+/// A random order action the engine must process as the reference does.
 #[derive(Debug, Clone)]
 enum Action {
     New {
@@ -56,16 +67,23 @@ fn action_strategy() -> impl Strategy<Value = Action> {
     ]
 }
 
-/// Applies one action to an engine, tracking ids exactly like the property
-/// suite does so both engines see the same id stream.
-fn apply<B: BookStore>(
-    engine: &mut MatchingEngine<B>,
-    next_id: &mut u64,
-    known: &mut Vec<OrderId>,
-    step: usize,
-    action: &Action,
-) -> MatchOutcome {
-    let ts = Timestamp::from_nanos(step as u64 + 1);
+/// One action with its ids resolved, as the engine receives it.
+#[derive(Debug, Clone, Copy)]
+enum Request {
+    New(NewOrder),
+    Cancel(OrderId),
+    Replace { id: OrderId, price: Price, qty: Qty },
+}
+
+/// Resolves one action's ids exactly like the property suite does: a new
+/// order takes the next id, a cancel or replace targets a known one.
+fn resolve(next_id: &mut u64, known: &mut Vec<OrderId>, action: &Action) -> Request {
+    let target = |t: u64, known: &[OrderId]| {
+        known
+            .get(t as usize % known.len().max(1))
+            .copied()
+            .unwrap_or(OrderId::new(9999))
+    };
     match *action {
         Action::New {
             side,
@@ -76,26 +94,202 @@ fn apply<B: BookStore>(
             let id = OrderId::new(*next_id);
             *next_id += 1;
             known.push(id);
-            let order = match tif {
-                0 => NewOrder::limit(id, side, Price::new(price), Qty::new(qty)),
-                1 => NewOrder::ioc(id, side, Price::new(price), Qty::new(qty)),
-                _ => NewOrder::fok(id, side, Price::new(price), Qty::new(qty)),
+            let (price, qty) = (Price::new(price), Qty::new(qty));
+            Request::New(match tif {
+                0 => NewOrder::limit(id, side, price, qty),
+                1 => NewOrder::ioc(id, side, price, qty),
+                _ => NewOrder::fok(id, side, price, qty),
+            })
+        }
+        Action::Cancel { target: t } => Request::Cancel(target(t, known)),
+        Action::Replace {
+            target: t,
+            price,
+            qty,
+        } => Request::Replace {
+            id: target(t, known),
+            price: Price::new(price),
+            qty: Qty::new(qty),
+        },
+    }
+}
+
+fn send(engine: &mut MatchingEngine, request: Request, ts: Timestamp) -> MatchOutcome {
+    match request {
+        Request::New(order) => engine.submit(order, ts),
+        Request::Cancel(id) => engine.cancel(id, ts),
+        Request::Replace { id, price, qty } => engine.replace(id, price, qty, ts),
+    }
+}
+
+/// Checks one engine outcome against the reference book, one decision at a
+/// time and before the reference applies it, so the reference ends where
+/// the engine's book should be. Returns the trades and volume the
+/// reference agreed to.
+fn mirror(
+    reference: &mut ReferenceBook,
+    request: &Request,
+    ts: Timestamp,
+    outcome: &MatchOutcome,
+) -> (u64, Qty) {
+    let mut m = Mirror {
+        reference,
+        events: outcome.events.iter().peekable(),
+        report: outcome.report,
+        ts,
+        at: format!("{ts:?} {request:?}"),
+        trades: 0,
+        volume: Qty::ZERO,
+    };
+    let report = match *request {
+        Request::New(order) => m.submit(order),
+        Request::Cancel(id) => match m.reference.remove(id) {
+            None => ExecutionReport::Rejected(RejectReason::UnknownOrder),
+            Some(old) => {
+                m.expect(delete(&old), "cancel");
+                ExecutionReport::Cancelled { filled: Qty::ZERO }
+            }
+        },
+        Request::Replace { id, price, qty } => match m.reference.remove(id) {
+            None => ExecutionReport::Rejected(RejectReason::UnknownOrder),
+            Some(old) => {
+                m.expect(delete(&old), "replace's delete");
+                if qty.is_zero() {
+                    ExecutionReport::Cancelled { filled: Qty::ZERO }
+                } else {
+                    m.submit(NewOrder::limit(id, old.side, price, qty))
+                }
+            }
+        },
+    };
+    assert_eq!(m.report, report, "{}: report", m.at);
+    assert_eq!(m.events.next(), None, "{}: an unexpected event", m.at);
+    (m.trades, m.volume)
+}
+
+fn delete(order: &Order) -> MarketEventKind {
+    MarketEventKind::Book(BookDelta::Delete {
+        id: order.id,
+        side: order.side,
+        price: order.price,
+    })
+}
+
+/// One outcome's events, consumed as the reference checks them.
+struct Mirror<'a> {
+    reference: &'a mut ReferenceBook,
+    events: Peekable<std::slice::Iter<'a, MarketEvent>>,
+    report: ExecutionReport,
+    ts: Timestamp,
+    at: String,
+    trades: u64,
+    volume: Qty,
+}
+
+impl Mirror<'_> {
+    fn expect(&mut self, kind: MarketEventKind, what: &str) {
+        let got = self.events.next().map(|e| e.kind);
+        assert_eq!(got, Some(kind), "{}: {what}", self.at);
+    }
+
+    /// A new order (or a replace's re-entry): the reference decides each
+    /// rejection, then follows the engine's sweep trade by trade and
+    /// decides what the remainder does.
+    fn submit(&mut self, order: NewOrder) -> ExecutionReport {
+        let opposite = order.side.opposite();
+        let reject = ExecutionReport::Rejected;
+        if order.qty.is_zero() {
+            return reject(RejectReason::ZeroQty);
+        }
+        if self.reference.contains(order.id) {
+            return reject(RejectReason::DuplicateOrder);
+        }
+        if order.tif == TimeInForce::Fok
+            && self.reference.crossable_qty(opposite, order.price) < order.qty
+        {
+            return reject(RejectReason::FokUnfillable);
+        }
+        let (at, report) = (&self.at, self.report);
+        assert!(
+            !report.is_rejected(),
+            "{at}: the reference accepts: {report:?}"
+        );
+        let mut remaining = order.qty;
+        while let Some(&&MarketEvent {
+            kind: MarketEventKind::Trade(trade),
+            ..
+        }) = self.events.peek()
+        {
+            self.events.next();
+            let at = &self.at;
+            let maker = *self
+                .reference
+                .front(opposite)
+                .unwrap_or_else(|| panic!("{at}: {trade:?} with no maker resting"));
+            assert!(
+                opposite.crosses(maker.price, order.price),
+                "{at}: {trade:?} against {maker:?}, which does not cross"
+            );
+            let fill = remaining.min(maker.remaining);
+            let want = Trade {
+                taker: order.id,
+                maker: maker.id,
+                price: maker.price,
+                qty: fill,
+                aggressor: order.side,
             };
-            engine.submit(order, ts)
+            assert_eq!(trade, want, "{at}: trade");
+            self.reference.fill_front(opposite, fill);
+            remaining -= fill;
+            self.trades += 1;
+            self.volume += fill;
+            let left = maker.remaining - fill;
+            let update = if left.is_zero() {
+                delete(&maker)
+            } else {
+                MarketEventKind::Book(BookDelta::Modify {
+                    id: maker.id,
+                    side: opposite,
+                    price: maker.price,
+                    remaining: left,
+                })
+            };
+            self.expect(update, "maker update");
         }
-        Action::Cancel { target } => {
-            let id = known
-                .get(target as usize % known.len().max(1))
-                .copied()
-                .unwrap_or(OrderId::new(9999));
-            engine.cancel(id, ts)
+        let filled = order.qty - remaining;
+        if remaining.is_zero() {
+            return ExecutionReport::Filled { filled };
         }
-        Action::Replace { target, price, qty } => {
-            let id = known
-                .get(target as usize % known.len().max(1))
-                .copied()
-                .unwrap_or(OrderId::new(9999));
-            engine.replace(id, Price::new(price), Qty::new(qty), ts)
+        if let Some(front) = self.reference.front(opposite) {
+            assert!(
+                !opposite.crosses(front.price, order.price),
+                "{}: a remainder of {remaining} left {front:?} crossing",
+                self.at
+            );
+        }
+        match order.tif {
+            TimeInForce::Gtc => {
+                let seq = self.reference.next_seq();
+                self.reference.insert(Order {
+                    id: order.id,
+                    side: order.side,
+                    price: order.price,
+                    remaining,
+                    original: order.qty,
+                    arrival: self.ts,
+                    seq,
+                });
+                let add = MarketEventKind::Book(BookDelta::Add {
+                    id: order.id,
+                    side: order.side,
+                    price: order.price,
+                    qty: remaining,
+                });
+                self.expect(add, "resting remainder");
+                ExecutionReport::Resting { filled, remaining }
+            }
+            TimeInForce::Ioc => ExecutionReport::Cancelled { filled },
+            TimeInForce::Fok => panic!("{}: a feasible FOK left {remaining}", self.at),
         }
     }
 }
@@ -104,11 +298,11 @@ fn apply<B: BookStore>(
 fn assert_books_match(
     step: usize,
     known: &[OrderId],
-    ladder: &MatchingEngine<LadderBook>,
-    reference: &ReferenceMatchingEngine,
+    engine: &MatchingEngine,
+    rb: &ReferenceBook,
+    (trades, volume): (u64, Qty),
 ) {
-    let lb = ladder.book();
-    let rb = reference.book();
+    let lb = engine.book();
     assert_eq!(lb.len(), rb.len(), "step {step}: order count");
     assert_eq!(lb.best_bid(), rb.best_bid(), "step {step}: best bid");
     assert_eq!(lb.best_ask(), rb.best_ask(), "step {step}: best ask");
@@ -171,42 +365,30 @@ fn assert_books_match(
             "step {step}: order {id}"
         );
     }
-    assert_eq!(
-        ladder.trade_count(),
-        reference.trade_count(),
-        "step {step}: trades"
-    );
-    assert_eq!(
-        ladder.traded_volume(),
-        reference.traded_volume(),
-        "step {step}: volume"
-    );
+    assert_eq!(engine.trade_count(), trades, "step {step}: trades");
+    assert_eq!(engine.traded_volume(), volume, "step {step}: volume");
 }
 
-/// Drives both engines through `actions`, comparing outcomes and full book
-/// state after every action.
+/// Drives one engine through `actions`, checking every outcome against the
+/// reference and then the full book state, action by action.
 fn run_differential(actions: &[Action]) {
-    let mut ladder = MatchingEngine::new(Symbol::new("ESU6"));
-    let mut reference = MatchingEngine::new_reference(Symbol::new("ESU6"));
-    let mut ladder_ids = (1u64, Vec::new());
-    let mut reference_ids = (1u64, Vec::new());
+    let mut engine = MatchingEngine::new(Symbol::new("ESU6"));
+    let mut reference = ReferenceBook::new();
+    let (mut next_id, mut known) = (1u64, Vec::new());
+    let (mut trades, mut volume) = (0u64, Qty::ZERO);
+    let mut next_seq = 1u64;
     for (step, action) in actions.iter().enumerate() {
-        let lout = apply(
-            &mut ladder,
-            &mut ladder_ids.0,
-            &mut ladder_ids.1,
-            step,
-            action,
-        );
-        let rout = apply(
-            &mut reference,
-            &mut reference_ids.0,
-            &mut reference_ids.1,
-            step,
-            action,
-        );
-        assert_eq!(lout, rout, "step {step}: outcome for {action:?}");
-        assert_books_match(step, &ladder_ids.1, &ladder, &reference);
+        let ts = Timestamp::from_nanos(step as u64 + 1);
+        let request = resolve(&mut next_id, &mut known, action);
+        let outcome = send(&mut engine, request, ts);
+        for event in &outcome.events {
+            assert_eq!((event.seq, event.ts), (next_seq, ts), "step {step}: event");
+            next_seq += 1;
+        }
+        let (t, v) = mirror(&mut reference, &request, ts, &outcome);
+        trades += t;
+        volume += v;
+        assert_books_match(step, &known, &engine, &reference, (trades, volume));
     }
 }
 

@@ -43,7 +43,7 @@ cargo test -q --release -p lt-protocol --test golden
 # Release drops the debug-only checks: it is the build that must not panic.
 cargo test -q --release -p lt-pipeline --test hostile_wire
 
-echo "== hot-path gates: ladder/reference equivalence + zero-alloc from datagram bytes to order bytes =="
+echo "== hot-path gates: ladder ≡ reference through the engine's events + zero-alloc from datagram bytes to order bytes =="
 cargo test -q --release -p lt-lob --test book_equivalence
 cargo test -q --release -p lt-pipeline --test zero_alloc
 

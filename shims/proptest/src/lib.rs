@@ -5,8 +5,10 @@
 //! ranges / [`Just`] / tuples / [`collection::vec`] / [`prop_oneof!`] /
 //! [`any`], and the `prop_assert*` family. Unlike upstream proptest,
 //! cases are sampled from a deterministic per-test seed (derived from
-//! the test name) and failing inputs are not shrunk — a failure panics
-//! with the assertion message directly.
+//! the test name) and failing inputs are not shrunk. A failing case is
+//! re-sampled from its seed and re-panics with the test name, the case
+//! index, the seed, the `Debug` of every input and the original message
+//! (so `#[should_panic(expected = ...)]` still matches).
 
 use std::fmt::Debug;
 use std::ops::{Range, RangeInclusive};
@@ -309,6 +311,7 @@ pub mod sample {
 /// The case-loop driver used by the generated test functions.
 pub mod runner {
     use super::{ProptestConfig, SeedableRng, TestRng};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn fnv1a(name: &str) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -320,13 +323,30 @@ pub mod runner {
     }
 
     /// Runs `case` for each configured case with a per-test
-    /// deterministic seed sequence.
-    pub fn run<F: FnMut(&mut TestRng)>(config: &ProptestConfig, name: &str, mut case: F) {
+    /// deterministic seed sequence. A case that panics is re-panicked
+    /// with `describe`'s account of its inputs, re-sampled from the same
+    /// seed, so passing cases pay nothing for the report.
+    pub fn run<F, D>(config: &ProptestConfig, name: &str, mut case: F, describe: D)
+    where
+        F: FnMut(&mut TestRng),
+        D: Fn(&mut TestRng) -> String,
+    {
         let base = fnv1a(name);
         for i in 0..config.cases {
             let seed = base ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let mut rng = TestRng::seed_from_u64(seed);
-            case(&mut rng);
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| case(&mut rng))) {
+                let message = payload
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| payload.downcast_ref::<&str>().copied())
+                    .unwrap_or("(non-string panic payload)");
+                let inputs = describe(&mut TestRng::seed_from_u64(seed));
+                panic!(
+                    "property {name} failed at case {i} (seed {seed:#018x}, not shrunk)\n\
+                     inputs:\n{inputs}{message}"
+                );
+            }
         }
     }
 }
@@ -364,14 +384,29 @@ macro_rules! __proptest_items {
             #[allow(clippy::redundant_closure_call)]
             fn $name() {
                 let config = $cfg;
-                $crate::runner::run(&config, stringify!($name), |rng| {
-                    $(let $arg = $crate::Strategy::sample(&($strat), rng);)+
-                    let outcome: $crate::TestCaseResult = (|| {
-                        { $body }
-                        ::std::result::Result::Ok(())
-                    })();
-                    let _ = outcome;
-                });
+                $crate::runner::run(
+                    &config,
+                    stringify!($name),
+                    |rng| {
+                        $(let $arg = $crate::Strategy::sample(&($strat), rng);)+
+                        let outcome: $crate::TestCaseResult = (|| {
+                            { $body }
+                            ::std::result::Result::Ok(())
+                        })();
+                        let _ = outcome;
+                    },
+                    |rng| {
+                        let mut inputs = ::std::string::String::new();
+                        $(
+                            inputs.push_str(&::std::format!(
+                                "  {} = {:?}\n",
+                                stringify!($arg),
+                                $crate::Strategy::sample(&($strat), rng),
+                            ));
+                        )+
+                        inputs
+                    },
+                );
             }
         )*
     };
@@ -484,6 +519,30 @@ mod tests {
         ]) {
             prop_assert!(v == -1 || (0..10).contains(&v));
         }
+    }
+
+    proptest! {
+        // No `#[test]`: run, and expected to fail, by the test below.
+        fn never_empty(
+            xs in crate::collection::vec(0u8..4, 1..3),
+            (tag, n) in (Just(7u8), 0i64..1),
+        ) {
+            prop_assert!(xs.is_empty(), "never empty: tag {}, n {}", tag, n);
+        }
+    }
+
+    #[test]
+    fn failing_case_reports_its_inputs() {
+        let payload = std::panic::catch_unwind(never_empty).expect_err("every case fails");
+        let report = payload
+            .downcast_ref::<String>()
+            .expect("a formatted report");
+        let first = "property never_empty failed at case 0 (seed 0x";
+        assert!(report.starts_with(first), "{report}");
+        assert!(report.contains("\ninputs:\n  xs = ["), "{report}");
+        assert!(report.contains("]\n  (tag, n) = (7, 0)\n"), "{report}");
+        // The original message survives, so `should_panic(expected)` matches.
+        assert!(report.ends_with("never empty: tag 7, n 0"), "{report}");
     }
 
     #[test]
