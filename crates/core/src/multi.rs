@@ -166,7 +166,7 @@ impl MultiSymbolTrader {
 mod tests {
     use super::*;
     use lt_feed::MultiSessionBuilder;
-    use lt_pipeline::OffloadEngine;
+    use lt_pipeline::FeatureWindow;
 
     fn session(symbols: usize, seed: u64) -> lt_feed::MultiMarketSession {
         MultiSessionBuilder::normal_traffic()
@@ -177,19 +177,20 @@ mod tests {
     }
 
     /// The cross-symbol batch is bit-identical, ticket for ticket, to
-    /// running each shard through its own single-symbol engine and a
-    /// plain registry forward — batching never changes an answer.
+    /// running each shard through its own feature window and a plain
+    /// registry forward — batching never changes an answer.
     #[test]
     fn cross_symbol_batch_matches_single_symbol_forwards() {
         let multi = session(3, 21);
         let norms: Vec<NormStats> = multi.sessions.iter().map(|s| s.norm.clone()).collect();
         let mut trader = MultiSymbolTrader::new(ModelKind::VanillaCnn, norms.clone(), 5);
         let mut reference = ModelRegistry::tiny_with_kinds(&[ModelKind::VanillaCnn], 5);
-        let window = trader.offload.window();
-        let mut singles: Vec<OffloadEngine> = norms
+        let (window, width) = (trader.offload.window(), trader.offload.width());
+        let mut singles: Vec<FeatureWindow> = norms
             .into_iter()
-            .map(|n| OffloadEngine::new(n, window, 64))
+            .map(|n| FeatureWindow::new(n, window))
             .collect();
+        let mut alone = Tensor::zeros(&[window, width]);
 
         let rounds = multi.sessions.iter().map(|s| s.trace.len()).min().unwrap();
         let mut out = Vec::new();
@@ -198,20 +199,19 @@ mod tests {
             for (shard, session) in multi.sessions.iter().enumerate() {
                 let tick = &session.trace.ticks[round];
                 trader.on_tick(shard as u16, &tick.snapshot, tick.ts);
-                singles[shard].on_tick_staged(&tick.snapshot, tick.ts, &trader.stages.clone());
+                singles[shard].push(&tick.snapshot);
             }
             let n = trader.drain_batch(&mut out);
             assert_eq!(n, trader.queue_len().max(n), "drain empties the queue");
             for (ticket, prediction) in &out {
                 let shard = ticket.shard as usize;
-                let expect =
-                    reference.forward(ModelKind::VanillaCnn, &singles[shard].latest_tensor());
+                singles[shard].write_into(alone.data_mut());
+                let expect = reference.forward(ModelKind::VanillaCnn, &alone);
                 assert_eq!(
                     prediction.probs.map(f32::to_bits),
                     expect.probs.map(f32::to_bits),
                     "round {round} shard {shard}"
                 );
-                singles[shard].pop_ticket();
             }
             served += n;
         }

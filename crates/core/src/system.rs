@@ -2,18 +2,19 @@
 //!
 //! [`LightTrader`] wires the whole tick-to-trade path of Fig. 4(b)
 //! together for applications: datagram in → packet parser → local book →
-//! offload engine → DNN inference → trading engine → order out. It runs
+//! feature window → DNN inference → trading engine → order out. It runs
 //! *functionally* (real parsing, real tensors, real inference on the
 //! tiny model configurations); use `lt-sim` when you need timing,
-//! response rates, or scheduling studies instead.
+//! response rates, queueing or scheduling studies instead. The host
+//! serves every warm tick before the next sweep, so no query ever waits:
+//! there is no ticket queue to batch, defer or drop from.
 
 use lt_dnn::{ModelKind, ModelRegistry, Prediction, StreamStats, Tensor, MAX_SWEEP};
 use lt_feed::NormStats;
-use lt_lob::{LobSnapshot, MarketEvent, Symbol, Timestamp};
+use lt_lob::{LobSnapshot, MarketEvent, Symbol};
 use lt_pipeline::trading::NoOrderReason;
 use lt_pipeline::{
-    KillSwitch, LocalBook, OffloadEngine, OrderRateLimiter, PacketParser, PipelineLatencies,
-    RiskLimits, TensorTicket, TradingEngine,
+    FeatureWindow, KillSwitch, LocalBook, OrderRateLimiter, PacketParser, RiskLimits, TradingEngine,
 };
 use lt_protocol::ilink::OrderMessage;
 
@@ -50,7 +51,6 @@ pub struct LightTraderBuilder {
     norm: Option<NormStats>,
     rate_limit: Option<u32>,
     loss_floor_ticks: Option<i64>,
-    stages: PipelineLatencies,
 }
 
 impl LightTraderBuilder {
@@ -65,7 +65,6 @@ impl LightTraderBuilder {
             norm: None,
             rate_limit: None,
             loss_floor_ticks: None,
-            stages: PipelineLatencies::fpga(),
         }
     }
 
@@ -124,20 +123,11 @@ impl LightTraderBuilder {
         self
     }
 
-    /// Overrides the pipeline stage budget stamped onto each query's
-    /// ingress telemetry (default: the FPGA profile).
-    #[must_use]
-    pub fn stages(mut self, stages: PipelineLatencies) -> Self {
-        self.stages = stages;
-        self
-    }
-
     /// Builds the system.
     ///
     /// # Panics
     ///
-    /// Panics when the stage budget has a zero-latency stage or the
-    /// normalization stats do not cover ten book levels.
+    /// Panics when the normalization stats do not cover ten book levels.
     pub fn build(self) -> LightTrader {
         let mut kinds = self.tiers.clone();
         if !kinds.contains(&self.kind) {
@@ -150,27 +140,21 @@ impl LightTraderBuilder {
             10,
             "normalization stats must cover ten book levels"
         );
-        if let Err(stage) = self.stages.validate() {
-            panic!("pipeline stage '{stage}' has zero latency");
-        }
         let window = registry.max_window();
         let width = norm.depth() * 4;
         LightTrader {
             parser: PacketParser::new(),
             book: LocalBook::new(),
-            offload: OffloadEngine::new(norm, window, 64),
+            window: FeatureWindow::new(norm, window),
             trading: TradingEngine::new(self.symbol, self.risk),
             limiter: self.rate_limit.map(OrderRateLimiter::per_second),
             kill: self
                 .loss_floor_ticks
                 .map(|floor| KillSwitch::new(floor, 10)),
-            inferences: 0,
             events: Vec::new(),
-            tickets: Vec::with_capacity(4),
             window_buf: Tensor::zeros(&[window + MAX_SWEEP - 1, width]),
             snaps: vec![LobSnapshot::default(); MAX_SWEEP],
             preds: Vec::with_capacity(MAX_SWEEP),
-            stages: self.stages,
             active: self.kind,
             registry,
         }
@@ -181,7 +165,9 @@ impl LightTraderBuilder {
 pub struct LightTrader {
     parser: PacketParser,
     book: LocalBook,
-    offload: OffloadEngine,
+    /// The normalized feature rows of the widest registered tier's
+    /// window, newest last.
+    window: FeatureWindow,
     /// Every registered tier's weights + per-tier scratch pads: after
     /// the first (warm-up) forward pass per tier, steady-state inference
     /// is allocation-free.
@@ -191,13 +177,9 @@ pub struct LightTrader {
     trading: TradingEngine,
     limiter: Option<OrderRateLimiter>,
     kill: Option<KillSwitch>,
-    inferences: u64,
     /// Reusable buffer for a datagram's decoded events: once it has held
     /// the largest datagram, intake takes no allocation.
     events: Vec<MarketEvent>,
-    /// Reusable drain buffer for the ticket queue: every popped ticket
-    /// is accounted for (forwarded), none silently discarded.
-    tickets: Vec<TensorTicket>,
     /// Reusable `[max_window + MAX_SWEEP - 1, features]` staging tensor: a
     /// sweep of `k` ticks fills its trailing `max_window + k - 1` rows —
     /// the first tick's whole window, then one newest row per further
@@ -210,8 +192,6 @@ pub struct LightTrader {
     snaps: Vec<LobSnapshot>,
     /// Reusable buffer for a sweep's predictions.
     preds: Vec<Prediction>,
-    /// Stage budget stamped onto each query's ingress telemetry.
-    stages: PipelineLatencies,
 }
 
 impl LightTrader {
@@ -245,9 +225,10 @@ impl LightTrader {
         self.active = kind;
     }
 
-    /// Inferences executed so far.
+    /// Inferences executed so far: every one ends as exactly one order or
+    /// one suppression.
     pub fn inferences(&self) -> u64 {
-        self.inferences
+        self.orders_sent() + self.suppressed()
     }
 
     /// How tier `kind`'s inferences were served: `hits` pushed only the
@@ -273,9 +254,7 @@ impl LightTrader {
     }
 
     /// Signals suppressed by any risk gate — the trading engine's own
-    /// gates, the kill switch, or the rate limiter. Always equals
-    /// `inferences() - orders_sent()`: every inference ends as exactly
-    /// one order or one suppression.
+    /// gates, the kill switch, or the rate limiter.
     pub fn suppressed(&self) -> u64 {
         self.trading.suppressed()
     }
@@ -361,61 +340,41 @@ impl LightTrader {
             // The event count is the peer's to choose; a sweep is not. A
             // cold window is served tick by tick, so that every sweep is
             // served whole or not at all.
-            let cap = if self.offload.is_warm() { MAX_SWEEP } else { 1 };
+            let cap = if self.window.is_warm() { MAX_SWEEP } else { 1 };
             let (sweep, later) = rest.split_at(rest.len().min(cap));
             for (event, snap) in sweep.iter().zip(&mut snaps) {
                 self.book.apply(event);
                 self.book.snapshot_into(10, event.ts, snap);
             }
-            let ticks = snaps[..sweep.len()].iter().map(|snap| (snap, snap.ts));
-            self.serve(ticks, &mut sink);
+            self.serve(&snaps[..sweep.len()], &mut sink);
             rest = later;
         }
         self.snaps = snaps;
     }
 
-    /// One sweep from its ticks' book snapshots to their outcomes: stages
+    /// One sweep from its ticks' book snapshots to their outcomes: pushes
     /// every feature row and, once the window is warm, serves all the
     /// queries with one registry call and gates the decisions one by one
     /// in arrival order, each against its own snapshot and timestamp.
     /// Nothing downstream of a prediction feeds back into book or
     /// features, so kill switch, rate limiter and position see what a
     /// sweep per tick shows them.
-    ///
-    /// Every popped ticket must be served; the host drains as it stages,
-    /// so exactly one ticket can be queued per warm tick. A longer queue
-    /// would mean earlier queries were dropped without inference, which
-    /// this asserts against instead of hiding.
-    fn serve<'a>(
-        &mut self,
-        ticks: impl ExactSizeIterator<Item = (&'a LobSnapshot, Timestamp)> + Clone,
-        mut sink: impl FnMut(TickOutcome),
-    ) {
-        let n = ticks.len();
+    fn serve(&mut self, snaps: &[LobSnapshot], mut sink: impl FnMut(TickOutcome)) {
         let (rows, width) = (self.window_buf.shape()[0], self.window_buf.shape()[1]);
-        let window = rows + 1 - MAX_SWEEP;
-        let mut at = (MAX_SWEEP - n) * width;
+        let window_len = rows + 1 - MAX_SWEEP;
+        let mut at = (MAX_SWEEP - snaps.len()) * width;
         let mut served = 0;
-        for (snapshot, ts) in ticks.clone() {
-            self.offload.on_tick_staged(snapshot, ts, &self.stages);
-            if !self.offload.is_warm() {
+        for snap in snaps {
+            if !self.window.push(snap) {
                 sink(TickOutcome::Warmup);
                 continue;
             }
-            self.tickets.clear();
-            self.offload.pop_batch_into(usize::MAX, &mut self.tickets);
-            assert_eq!(
-                self.tickets.len(),
-                1,
-                "functional path must drain one ticket per warm tick"
-            );
             let staged = &mut self.window_buf.data_mut()[at..];
             if served == 0 {
-                self.offload
-                    .write_window_into(&mut staged[..window * width]);
-                at += window * width;
+                self.window.write_into(&mut staged[..window_len * width]);
+                at += window_len * width;
             } else {
-                self.offload.write_newest_row_into(&mut staged[..width]);
+                self.window.write_newest_row_into(&mut staged[..width]);
                 at += width;
             }
             served += 1;
@@ -428,21 +387,16 @@ impl LightTrader {
         // the tiny model on the staged windows before the next sweep.
         self.registry
             .forward_slides(self.active, &self.window_buf, served, &mut self.preds);
-        self.inferences += served as u64;
-        for (i, (snapshot, ts)) in ticks.skip(n - served).enumerate() {
+        for (i, snap) in snaps[snaps.len() - served..].iter().enumerate() {
             let prediction = self.preds[i];
-            sink(self.gated_decision(&prediction, snapshot, ts));
+            sink(self.gated_decision(&prediction, snap));
         }
     }
 
     /// Applies the kill switch and rate limiter around the trading
-    /// engine's decision.
-    fn gated_decision(
-        &mut self,
-        prediction: &Prediction,
-        snapshot: &LobSnapshot,
-        ts: Timestamp,
-    ) -> TickOutcome {
+    /// engine's decision on `snapshot`, at its timestamp.
+    fn gated_decision(&mut self, prediction: &Prediction, snapshot: &LobSnapshot) -> TickOutcome {
+        let ts = snapshot.ts;
         // Mark the open position to market on *every* post-warmup tick,
         // before any gating: a drawdown during a run of stationary or
         // suppressed ticks must trip the switch even with zero orders in
@@ -491,39 +445,13 @@ impl LightTrader {
             },
         }
     }
-
-    /// Feeds a recorded trace, returning one outcome per inference with
-    /// its triggering timestamp (warmup ticks produce no entry).
-    pub fn replay_outcomes(&mut self, trace: &lt_feed::TickTrace) -> Vec<(Timestamp, TickOutcome)> {
-        let mut outcomes = Vec::new();
-        for tick in trace {
-            self.serve(std::iter::once((&tick.snapshot, tick.ts)), |outcome| {
-                if outcome != TickOutcome::Warmup {
-                    outcomes.push((tick.ts, outcome));
-                }
-            });
-        }
-        outcomes
-    }
-
-    /// Convenience: feeds a recorded trace, returning every order it
-    /// generated with its triggering timestamp.
-    pub fn replay(&mut self, trace: &lt_feed::TickTrace) -> Vec<(Timestamp, OrderMessage)> {
-        self.replay_outcomes(trace)
-            .into_iter()
-            .filter_map(|(ts, outcome)| match outcome {
-                TickOutcome::Order { order, .. } => Some((ts, order)),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 impl std::fmt::Debug for LightTrader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LightTrader")
             .field("model", &self.active)
-            .field("inferences", &self.inferences)
+            .field("inferences", &self.inferences())
             .field("position", &self.trading.position())
             .field("orders_sent", &self.trading.orders_sent())
             .finish()
@@ -533,15 +461,25 @@ impl std::fmt::Debug for LightTrader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lt_feed::SessionBuilder;
+    use lt_feed::{SessionBuilder, TickRecord};
+    use lt_lob::Timestamp;
 
-    /// One tick from its book snapshot to its outcome: a sweep of one.
-    fn on_snapshot(system: &mut LightTrader, tick: &lt_feed::TickRecord) -> TickOutcome {
-        let mut outcome = None;
-        system.serve(std::iter::once((&tick.snapshot, tick.ts)), |o| {
-            outcome = Some(o)
-        });
-        outcome.expect("one tick, one outcome")
+    /// Serves a recorded trace's ticks from their book snapshots, each
+    /// one a sweep of one, returning one outcome per tick.
+    fn serve_ticks(system: &mut LightTrader, ticks: &[TickRecord]) -> Vec<TickOutcome> {
+        let mut outcomes = Vec::with_capacity(ticks.len());
+        for tick in ticks {
+            system.serve(std::slice::from_ref(&tick.snapshot), |o| outcomes.push(o));
+        }
+        outcomes
+    }
+
+    /// How many of `outcomes` sent an order.
+    fn orders(outcomes: &[TickOutcome]) -> usize {
+        outcomes
+            .iter()
+            .filter(|o| matches!(o, TickOutcome::Order { .. }))
+            .count()
     }
 
     /// The model output an outcome carries: `None` while warming up.
@@ -564,9 +502,7 @@ mod tests {
         let mut warmups = 0;
         let mut decided = 0;
         for tick in session.trace.iter().take(60) {
-            // Build a synthetic event per tick via the event-free path:
-            // replay handles traces; here we exercise on_event via a
-            // minimal Add event carrying the tick's timestamp.
+            // A minimal Add event carrying the tick's timestamp.
             let event = MarketEvent {
                 seq: 1,
                 ts: tick.ts,
@@ -598,12 +534,15 @@ mod tests {
             .seed(7)
             .normalization(session.norm.clone())
             .build();
-        let orders = system.replay(&session.trace);
+        let outcomes = serve_ticks(&mut system, &session.trace.ticks);
         assert!(system.inferences() > 100);
         // Random-weight models still fire sometimes; position stays capped.
         assert!(system.position().unsigned_abs() <= 50);
-        for (ts, order) in &orders {
-            assert!(ts.nanos() > 0);
+        for (tick, outcome) in session.trace.iter().zip(&outcomes) {
+            let TickOutcome::Order { order, .. } = outcome else {
+                continue;
+            };
+            assert!(tick.ts.nanos() > 0);
             // Orders round-trip the binary codec.
             let (decoded, _) = OrderMessage::decode(&order.encode()).unwrap();
             assert_eq!(&decoded, order);
@@ -635,8 +574,8 @@ mod tests {
             .normalization(session.norm.clone())
             .order_rate_limit(5)
             .build();
-        let unlimited = free.replay(&session.trace).len();
-        let limited = capped.replay(&session.trace).len();
+        let unlimited = orders(&serve_ticks(&mut free, &session.trace.ticks));
+        let limited = orders(&serve_ticks(&mut capped, &session.trace.ticks));
         assert!(unlimited > 20, "aggressive strategy fired only {unlimited}");
         assert!(limited < unlimited, "{limited} vs {unlimited}");
         // The 0.5 s session can pass at most ~5/s plus window slop.
@@ -655,12 +594,12 @@ mod tests {
             .normalization(session.norm.clone())
             .kill_switch(-1)
             .build();
-        let with_kill = system.replay(&session.trace).len();
+        let with_kill = orders(&serve_ticks(&mut system, &session.trace.ticks));
         let mut free = LightTrader::builder(ModelKind::VanillaCnn)
             .seed(7)
             .normalization(session.norm.clone())
             .build();
-        let without = free.replay(&session.trace).len();
+        let without = orders(&serve_ticks(&mut free, &session.trace.ticks));
         // The switch can only reduce (or match) order flow.
         assert!(with_kill <= without);
     }
@@ -689,7 +628,7 @@ mod tests {
         // order is ever proposed, yet the held position is 11 ticks
         // under water (mid 90 vs. 101 entry), breaching the −5 floor.
         let stationary = Prediction::new([0.05, 0.9, 0.05]);
-        let outcome = system.gated_decision(&stationary, &book(89, 91), Timestamp::from_nanos(1));
+        let outcome = system.gated_decision(&stationary, &book(89, 91));
         assert!(
             matches!(
                 outcome,
@@ -707,7 +646,7 @@ mod tests {
             Some(lt_pipeline::KillReason::LossLimit { pnl_ticks: -11 })
         );
         // Trading stays halted on subsequent ticks.
-        let outcome = system.gated_decision(&up, &book(99, 101), Timestamp::from_nanos(2));
+        let outcome = system.gated_decision(&up, &book(99, 101));
         assert!(matches!(
             outcome,
             TickOutcome::NoOrder {
@@ -765,13 +704,13 @@ mod tests {
             .normalization(session.norm.clone())
             .order_rate_limit(5)
             .build();
-        let mut orders = 0u64;
+        let mut sent = 0u64;
         let mut no_orders = 0u64;
         let mut rate_limited = 0u64;
-        for (_, outcome) in system.replay_outcomes(&session.trace) {
+        for outcome in serve_ticks(&mut system, &session.trace.ticks) {
             match outcome {
                 TickOutcome::Warmup => {}
-                TickOutcome::Order { .. } => orders += 1,
+                TickOutcome::Order { .. } => sent += 1,
                 TickOutcome::NoOrder { reason, .. } => {
                     no_orders += 1;
                     if reason == NoOrderReason::RateLimited {
@@ -782,8 +721,8 @@ mod tests {
         }
         // Every inference is exactly one order or one suppression, and
         // the engine/limiter counters must agree with the outcomes.
-        assert_eq!(system.inferences(), orders + no_orders);
-        assert_eq!(system.orders_sent(), orders);
+        assert_eq!(system.inferences(), sent + no_orders);
+        assert_eq!(system.orders_sent(), sent);
         assert_eq!(system.suppressed(), no_orders);
         assert_eq!(system.rate_limited(), rate_limited);
         assert!(rate_limited > 0, "rate limiter never engaged");
@@ -795,10 +734,10 @@ mod tests {
             .normalization(session.norm.clone())
             .kill_switch(-1)
             .build();
-        let outcomes = killed_system.replay_outcomes(&session.trace);
+        let outcomes = serve_ticks(&mut killed_system, &session.trace.ticks);
         let killed = outcomes
             .iter()
-            .filter(|(_, o)| {
+            .filter(|o| {
                 matches!(
                     o,
                     TickOutcome::NoOrder {
@@ -808,79 +747,18 @@ mod tests {
                 )
             })
             .count() as u64;
-        let kill_orders = outcomes
+        let decided = outcomes
             .iter()
-            .filter(|(_, o)| matches!(o, TickOutcome::Order { .. }))
+            .filter(|o| **o != TickOutcome::Warmup)
             .count() as u64;
+        let kill_orders = orders(&outcomes) as u64;
         assert!(killed > 0, "kill switch never engaged");
+        assert_eq!(killed_system.inferences(), decided);
         assert_eq!(
             killed_system.suppressed(),
-            killed_system.inferences() - kill_orders,
+            decided - kill_orders,
             "kill-switch suppressions must land in the counter"
         );
-    }
-
-    /// Every ticket the offload queue admits is served by an inference —
-    /// the drain never discards queries. Pinned by matching the
-    /// inference counter against the warm-tick count tick by tick, with
-    /// the queue empty after each drain.
-    #[test]
-    fn every_queued_ticket_is_forwarded() {
-        let session = SessionBuilder::normal_traffic()
-            .duration_secs(0.3)
-            .seed(11)
-            .build();
-        let mut system = LightTrader::builder(ModelKind::VanillaCnn)
-            .seed(5)
-            .normalization(session.norm.clone())
-            .build();
-        let mut warm_ticks = 0u64;
-        for tick in &session.trace {
-            if on_snapshot(&mut system, tick) == TickOutcome::Warmup {
-                continue;
-            }
-            warm_ticks += 1;
-            assert_eq!(
-                system.offload.queue_len(),
-                0,
-                "queue must be fully drained every tick"
-            );
-            assert_eq!(
-                system.inferences(),
-                warm_ticks,
-                "each admitted ticket produces exactly one inference"
-            );
-        }
-        assert!(warm_ticks > 0, "session long enough to warm the window");
-    }
-
-    /// A backlog in the functional queue means queries were admitted but
-    /// never served; the drain refuses to paper over that by forwarding
-    /// only the freshest window.
-    #[test]
-    #[should_panic(expected = "drain one ticket per warm tick")]
-    fn undrained_backlog_is_rejected_not_dropped() {
-        let session = SessionBuilder::normal_traffic()
-            .duration_secs(0.3)
-            .seed(13)
-            .build();
-        let mut system = LightTrader::builder(ModelKind::VanillaCnn)
-            .seed(5)
-            .normalization(session.norm.clone())
-            .build();
-        for tick in &session.trace {
-            system
-                .offload
-                .on_tick_staged(&tick.snapshot, tick.ts, &system.stages.clone());
-            if system.offload.queue_len() >= 2 {
-                // Two admitted tickets and a third with this tick, one
-                // window each: forwarding would silently discard the
-                // older queries.
-                let _ = on_snapshot(&mut system, tick);
-                unreachable!("drain must reject a multi-ticket backlog");
-            }
-        }
-        panic!("session too short to queue two tickets");
     }
 
     #[test]
@@ -902,7 +780,8 @@ mod tests {
         for (chunk, tick) in session.trace.iter().enumerate() {
             let tier = ModelKind::ALL[(chunk / 50) % 3];
             system.serve_tier(tier);
-            let Some(prediction) = prediction_of(&on_snapshot(&mut system, tick)) else {
+            let outcome = &serve_ticks(&mut system, std::slice::from_ref(tick))[0];
+            let Some(prediction) = prediction_of(outcome) else {
                 continue;
             };
             let sum: f32 = prediction.probs.iter().sum();
@@ -959,7 +838,7 @@ mod tests {
                 .seed(7)
                 .normalization(session.norm.clone())
                 .build();
-            system.replay(&session.trace);
+            serve_ticks(&mut system, &session.trace.ticks);
             let served = system.inferences();
             assert!(served > 100, "{kind}: {served} inferences");
             assert_eq!(
@@ -994,7 +873,8 @@ mod tests {
         for (i, tick) in session.trace.iter().enumerate() {
             let t = (i / 37) % 3;
             system.serve_tier(ModelKind::ALL[t]);
-            let Some(prediction) = prediction_of(&on_snapshot(&mut system, tick)) else {
+            let outcome = &serve_ticks(&mut system, std::slice::from_ref(tick))[0];
+            let Some(prediction) = prediction_of(outcome) else {
                 continue;
             };
             let window = std::slice::from_ref(&system.window_buf);
@@ -1182,8 +1062,7 @@ mod tests {
 
     /// The event count of a datagram is its sender's to choose: 300 of
     /// them are 300 `on_event` calls, served in bounded sweeps that leave
-    /// every staging buffer the size a 16-event datagram leaves it, and
-    /// never queue past the offload engine's 64 tickets.
+    /// every staging buffer the size a 16-event datagram leaves it.
     #[test]
     fn a_300_event_datagram_is_300_events_in_bounded_sweeps() {
         let events = flow_events(8, 30 + 300);
@@ -1205,15 +1084,11 @@ mod tests {
                 streamed(kind, 330 - 23, 1),
                 "{kind}"
             );
-            assert_eq!(swept.offload.dropped_full(), 0, "{kind}");
-            assert_eq!(swept.offload.dropped_stale(), 0, "{kind}");
-            assert_eq!(swept.offload.queue_len(), 0, "{kind}");
             let staging = |system: &LightTrader| {
                 (
                     system.window_buf.len(),
                     system.snaps.len(),
                     system.preds.capacity(),
-                    system.tickets.capacity(),
                 )
             };
             assert_eq!(staging(&swept), staging(&small), "{kind}");
@@ -1232,15 +1107,5 @@ mod tests {
         let system = LightTrader::builder(ModelKind::TransLob).build();
         let s = format!("{system:?}");
         assert!(s.contains("TransLOB") || s.contains("TransLob"));
-    }
-
-    #[test]
-    #[should_panic(expected = "zero latency")]
-    fn zero_stage_budget_is_rejected_at_build() {
-        let mut stages = lt_pipeline::PipelineLatencies::fpga();
-        stages.parse = std::time::Duration::ZERO;
-        let _ = LightTrader::builder(ModelKind::VanillaCnn)
-            .stages(stages)
-            .build();
     }
 }

@@ -15,7 +15,6 @@
 //! time-ordered stream with a parallel shard map, which is exactly what
 //! the sharded back-test core consumes.
 
-use crate::agents::AgentParams;
 use crate::bursts::{merge_sorted, FlashParams};
 use crate::hawkes::{HawkesParams, HawkesProcess};
 use crate::session::MarketSession;
@@ -124,7 +123,6 @@ pub struct MultiSessionBuilder {
     seed: u64,
     duration_secs: f64,
     hawkes: HawkesParams,
-    agents: AgentParams,
     flash: Option<FlashParams>,
 }
 
@@ -138,7 +136,6 @@ impl MultiSessionBuilder {
             seed: 0,
             duration_secs: 1.0,
             hawkes,
-            agents: AgentParams::default(),
             flash: None,
         }
     }
@@ -199,12 +196,6 @@ impl MultiSessionBuilder {
         self
     }
 
-    /// Overrides the agent-flow parameters.
-    pub fn agent_params(mut self, params: AgentParams) -> Self {
-        self.agents = params;
-        self
-    }
-
     /// Injects flash bursts on every symbol (per-symbol burst seeds).
     pub fn flash_bursts(mut self, params: FlashParams) -> Self {
         self.flash = Some(params);
@@ -239,7 +230,6 @@ impl MultiSessionBuilder {
                 let own = HawkesProcess::new(own, seed_i).sample_for(self.duration_secs);
                 MarketSession::record(
                     symbol_for(i),
-                    self.agents,
                     self.flash,
                     self.duration_secs,
                     seed_i,

@@ -27,12 +27,11 @@ pub struct MarketSession {
 
 impl MarketSession {
     /// The one recorder behind both builders: merges the flash bursts
-    /// (seed `seed + 17`) into `arrivals`, steps the agent flow (seed
-    /// `seed + 1`) once per arrival, snapshots the book after each step
-    /// and fits the normalization statistics over the result.
+    /// (seed `seed + 17`) into `arrivals`, steps the default agent flow
+    /// (seed `seed + 1`) once per arrival, snapshots the book after each
+    /// step and fits the normalization statistics over the result.
     pub(crate) fn record(
         symbol: Symbol,
-        agents: AgentParams,
         flash: Option<FlashParams>,
         duration_secs: f64,
         seed: u64,
@@ -42,7 +41,7 @@ impl MarketSession {
             let bursts = flash.sample_for(duration_secs, seed.wrapping_add(17));
             arrivals = merge_sorted(arrivals, bursts);
         }
-        let mut flow = AgentFlow::new(symbol, agents, seed.wrapping_add(1));
+        let mut flow = AgentFlow::new(symbol, AgentParams::default(), seed.wrapping_add(1));
         let mut trace = TickTrace::new(symbol);
         for t in arrivals {
             let ts = Timestamp::from_nanos((t * 1e9) as u64);
@@ -79,7 +78,6 @@ pub struct SessionBuilder {
     seed: u64,
     duration_secs: f64,
     hawkes: HawkesParams,
-    agents: AgentParams,
     flash: Option<FlashParams>,
 }
 
@@ -91,7 +89,6 @@ impl SessionBuilder {
             seed: 0,
             duration_secs: 1.0,
             hawkes,
-            agents: AgentParams::default(),
             flash: None,
         }
     }
@@ -136,12 +133,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Overrides the agent-flow parameters.
-    pub fn agent_params(mut self, params: AgentParams) -> Self {
-        self.agents = params;
-        self
-    }
-
     /// Injects flash bursts (machine-speed order cascades) on top of the
     /// Hawkes background; see [`FlashParams`].
     pub fn flash_bursts(mut self, params: FlashParams) -> Self {
@@ -154,7 +145,6 @@ impl SessionBuilder {
         let arrivals = HawkesProcess::new(self.hawkes, self.seed).sample_for(self.duration_secs);
         MarketSession::record(
             self.symbol,
-            self.agents,
             self.flash,
             self.duration_secs,
             self.seed,

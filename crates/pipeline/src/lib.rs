@@ -20,15 +20,18 @@
 //! * [`offload`] — one shard's parts: the [`FeatureWindow`] (Z-score
 //!   normalization against historical statistics, BF16 conversion, the
 //!   feature-vector FIFO that assembles `[window, 40]` input tensors),
-//!   the [`TensorTicket`], and [`OffloadEngine`], the one-shard view of
-//!   [`MultiOffload`] for callers that serve a single instrument;
+//!   which the functional trader reads directly since it never queues a
+//!   query; the [`TensorTicket`]; and [`OffloadEngine`], the one-shard
+//!   view of [`MultiOffload`], which only the benchmark's shadow paths
+//!   use;
 //! * [`trading`] — the trading engine: risk-checked order generation from
 //!   inference results, with position tracking, P&L accounting, and
 //!   iLink3/FIX encoding;
 //! * [`rate_limit`] — exchange messaging-rate limiting and the latching
 //!   kill switch behind the risk gates;
 //! * [`stages`] — the per-stage latency budget of the conventional
-//!   pipeline (~1 µs end-to-end on an FPGA, §II-A).
+//!   pipeline (~1 µs end-to-end on an FPGA, §II-A), which the simulator
+//!   holds as configuration.
 
 pub mod arbiter;
 pub mod local_book;
@@ -49,5 +52,5 @@ pub use parser::{PacketParser, ParserStats};
 pub use portfolio::Portfolio;
 pub use rate_limit::{KillReason, KillSwitch, OrderRateLimiter};
 pub use seq::{SeqObservation, SeqTracker};
-pub use stages::{IngressStamp, PipelineLatencies};
+pub use stages::PipelineLatencies;
 pub use trading::{RiskLimits, TradingEngine};

@@ -14,8 +14,8 @@
 //!
 //! All steady-state storage (every shard's ring, the shared queue) is
 //! allocated up front; the ingest → pop path is allocation-free after
-//! warm-up (`tests/zero_alloc.rs`). The single-symbol
-//! [`OffloadEngine`](crate::OffloadEngine) is this engine with one shard.
+//! warm-up (`tests/zero_alloc.rs`). One shard is the paper's
+//! single-instrument engine; the single-device baseline runs it so.
 
 use crate::offload::{FeatureWindow, TensorTicket};
 use crate::stages::PipelineLatencies;
@@ -71,9 +71,7 @@ pub struct MultiOffload {
 impl MultiOffload {
     /// Creates an engine with one shard per entry of `norms`, each with
     /// the same `window`, sharing a queue of `capacity_per_shard` slots
-    /// per shard. One shard is the paper's single-instrument engine;
-    /// [`crate::OffloadEngine`] is that case with the shard argument
-    /// dropped.
+    /// per shard. One shard is the paper's single-instrument engine.
     ///
     /// # Panics
     ///
@@ -166,22 +164,10 @@ impl MultiOffload {
         self.shards[shard].features.write_into(out);
     }
 
-    /// Writes the feature row of `shard`'s newest tick (`4·depth` floats)
-    /// into `out` — the last row of its current window, for a consumer
-    /// that holds the rest from a tick ago.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range or has seen no tick, or `out` has
-    /// the wrong length.
-    pub fn write_shard_newest_row_into(&self, shard: usize, out: &mut [f32]) {
-        self.shards[shard].features.write_newest_row_into(out);
-    }
-
     /// Ingests one tick for `shard` arriving at `now`: normalizes its
     /// features into the shard's FIFO and, once that window is warm,
     /// enqueues an inference request that is ready after the pipeline's
-    /// ingress budget, stamped with the per-stage breakdown.
+    /// ingress budget.
     ///
     /// Returns the ticket if one was enqueued (`None` while the shard is
     /// warming up or when the shared queue is full).
@@ -208,14 +194,12 @@ impl MultiOffload {
             self.dropped_full += 1;
             return None;
         }
-        let ingress = stages.ingress_stamp();
         let ticket = ShardTicket {
             shard,
             ticket: TensorTicket {
                 tick_id,
                 tick_ts: snapshot.ts,
-                ready_at: now + ingress.total(),
-                ingress,
+                ready_at: now + stages.ingress(),
             },
         };
         self.queue.push_back(ticket);

@@ -10,7 +10,7 @@
 //! tensor when no schedule fits.
 
 use crate::multi_offload::MultiOffload;
-use crate::stages::{IngressStamp, PipelineLatencies};
+use crate::stages::PipelineLatencies;
 use lt_dnn::bf16::bf16_round;
 use lt_dnn::Tensor;
 use lt_feed::NormStats;
@@ -23,17 +23,18 @@ pub struct TensorTicket {
     pub tick_id: u64,
     /// Exchange timestamp of the triggering tick.
     pub tick_ts: Timestamp,
-    /// When the tensor became ready for DMA.
+    /// When the tensor became ready for DMA: the tick's arrival plus the
+    /// stage budget's ingress (later than `tick_ts` plus it when the tick
+    /// arrived late).
     pub ready_at: Timestamp,
-    /// Per-stage ingress latency that produced `ready_at`.
-    pub ingress: IngressStamp,
 }
 
 /// The sliding feature window of one instrument shard: one flat,
 /// pre-allocated ring of `window × 4·depth` floats. Each tick's features
 /// are written, normalized, and BF16-rounded *in place* in the next row
 /// slot, so steady-state ingestion never allocates. Every shard of a
-/// [`MultiOffload`] owns one.
+/// [`MultiOffload`] owns one, and `LightTrader`, which serves each warm
+/// tick before the next sweep and so never queues one, reads its own.
 #[derive(Debug, Clone)]
 pub struct FeatureWindow {
     norm: NormStats,
@@ -138,10 +139,9 @@ impl FeatureWindow {
 /// The single-symbol offload engine: the one-shard view of
 /// [`MultiOffload`]. It holds no queue, counter or window of its own —
 /// every method is the shard-0 call on the engine it wraps, with the
-/// shard tag taken off the tickets — so warm-up, admission, tick ids,
-/// FIFO order and stale management are [`MultiOffload`]'s by
-/// construction. It exists for the callers that serve exactly one
-/// instrument: `LightTrader`, the single-device baseline, the benchmark.
+/// shard tag taken off the tickets — so warm-up, admission, tick ids and
+/// FIFO order are [`MultiOffload`]'s by construction. No library code
+/// uses it: it is kept for the benchmark's shadow paths, which name it.
 #[derive(Debug, Clone)]
 pub struct OffloadEngine(MultiOffload);
 
@@ -160,11 +160,6 @@ impl OffloadEngine {
     /// Tensors currently queued for the DNN pipeline.
     pub fn queue_len(&self) -> usize {
         self.0.queue_len()
-    }
-
-    /// The oldest queued ticket, if any.
-    pub fn oldest(&self) -> Option<TensorTicket> {
-        self.0.oldest().map(|t| t.ticket)
     }
 
     /// Ticks dropped because the queue was full.
@@ -211,13 +206,6 @@ impl OffloadEngine {
         out.extend(self.0.drain_front(batch).map(|t| t.ticket));
     }
 
-    /// Drops every queued ticket whose `tick_ts + deadline` is already in
-    /// the past (the stale-management duty of Fig. 5) and returns how
-    /// many were dropped.
-    pub fn drop_stale(&mut self, now: Timestamp, deadline: std::time::Duration) -> u64 {
-        self.0.drop_stale(now, deadline)
-    }
-
     /// Materializes the current window as a fresh `[window, 4*depth]`
     /// input tensor; steady-state callers use [`Self::write_window_into`].
     ///
@@ -240,29 +228,17 @@ impl OffloadEngine {
     pub fn write_window_into(&self, out: &mut [f32]) {
         self.0.write_shard_window_into(0, out);
     }
-
-    /// Writes the newest tick's feature row (`4·depth` floats) into `out`:
-    /// the one row by which the current window differs from the one
-    /// [`Self::write_window_into`] wrote a tick ago.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no tick was ingested yet or `out` has the wrong length.
-    pub fn write_newest_row_into(&self, out: &mut [f32]) {
-        self.0.write_shard_newest_row_into(0, out);
-    }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     //! The pin on one-shard semantics: literal tick ids, admission
-    //! order, capacity drops, the stale prefix, window recency and BF16
-    //! rounding, all through the view.
+    //! order, capacity drops, window recency and BF16 rounding, all
+    //! through the view; and the window's newest-row staging.
 
     use super::*;
     use lt_lob::snapshot::SnapshotLevel;
     use lt_lob::{Price, Qty};
-    use std::time::Duration;
 
     /// A one-level book centred on `mid`, stamped `ts_us`.
     pub(crate) fn snap(ts_us: u64, mid: i64) -> LobSnapshot {
@@ -368,20 +344,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn drop_stale_removes_expired_prefix() {
-        let mut e = engine(1, 10);
-        for i in [0u64, 10, 500, 900] {
-            tick(&mut e, i, 100);
-        }
-        // Deadline 1 ms, now = 1.2 ms: ticks at 0 µs and 10 µs expired.
-        let stale = e.drop_stale(Timestamp::from_micros(1_200), Duration::from_millis(1));
-        assert_eq!(stale, 2);
-        assert_eq!(e.dropped_stale(), 2);
-        assert_eq!(e.queue_len(), 2);
-        assert_eq!(e.oldest().unwrap().tick_ts, Timestamp::from_micros(500));
-    }
-
-    #[test]
     fn latest_tensor_shape_and_recency() {
         let mut e = engine(3, 10);
         for i in 0..5u64 {
@@ -400,17 +362,18 @@ pub(crate) mod tests {
     #[test]
     fn newest_rows_extend_a_written_window_into_the_later_ones() {
         let (window, width) = (3, 4);
-        let mut e = engine(window, 10);
+        let mut w = FeatureWindow::new(NormStats::identity(1), window);
         for i in 0..4u64 {
-            tick(&mut e, i, 100 + i as i64);
+            w.push(&snap(i, 100 + i as i64));
         }
         let mut swept = vec![0.0; (window + 5) * width];
-        e.write_window_into(&mut swept[..window * width]);
+        w.write_into(&mut swept[..window * width]);
+        let mut whole = vec![0.0; window * width];
         for j in 1..=5 {
-            tick(&mut e, 4 + j as u64, 200 + 7 * j as i64);
-            e.write_newest_row_into(&mut swept[(window + j - 1) * width..][..width]);
-            let later = &swept[j * width..][..window * width];
-            assert_eq!(later, e.latest_tensor().data(), "window {j}");
+            w.push(&snap(4 + j as u64, 200 + 7 * j as i64));
+            w.write_newest_row_into(&mut swept[(window + j - 1) * width..][..width]);
+            w.write_into(&mut whole);
+            assert_eq!(&swept[j * width..][..window * width], whole, "window {j}");
         }
     }
 
@@ -431,15 +394,20 @@ pub(crate) mod tests {
         let _ = e.latest_tensor();
     }
 
+    /// `ready_at` is the arrival plus the ingress budget, whatever the
+    /// exchange stamped on the tick.
     #[test]
     fn staged_ingest_stamps_ingress_and_derives_ready_at() {
         let stages = PipelineLatencies::fpga();
         let mut e = engine(1, 10);
         let now = Timestamp::from_micros(7);
         let t = e.on_tick_staged(&snap(7, 100), now, &stages).unwrap();
-        assert_eq!(t.ingress, stages.ingress_stamp());
+        assert_eq!(t.tick_ts, now);
         assert_eq!(t.ready_at, now + stages.ingress());
-        assert_eq!(t.ready_at.since(t.tick_ts), t.ingress.total());
+        let late = Timestamp::from_micros(50);
+        let t = e.on_tick_staged(&snap(9, 100), late, &stages).unwrap();
+        assert_eq!(t.tick_ts, Timestamp::from_micros(9));
+        assert_eq!(t.ready_at, late + stages.ingress());
     }
 
     #[test]

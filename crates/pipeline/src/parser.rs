@@ -75,27 +75,31 @@ impl PacketParser {
     /// accepted and counted as `recovered`; only already-delivered
     /// sequences are dropped as duplicates.
     pub fn ingest_into(&mut self, bytes: &[u8], out: &mut Vec<MarketEvent>) {
-        let Ok(datagram) = DatagramRef::decode(bytes) else {
+        let start = out.len();
+        // Decode *before* sequence accounting: a datagram whose events
+        // cannot be decoded must not mark its sequence as delivered, or an
+        // intact retransmission of it would be dropped as a duplicate.
+        let decoded = DatagramRef::decode(bytes).and_then(|datagram| {
+            self.decoder
+                .decode_datagram_into(datagram, out)
+                .map(|()| datagram)
+        });
+        let Ok(datagram) = decoded else {
             self.stats.corrupt += 1;
             return;
         };
         match self.tracker.observe(datagram.channel_seq) {
             SeqObservation::Duplicate => {
                 self.stats.duplicates += 1;
+                out.truncate(start);
                 return;
             }
             SeqObservation::Recovered => self.stats.recovered += 1,
             SeqObservation::Gap { missing } => self.stats.gap_packets += missing,
             SeqObservation::First | SeqObservation::InOrder => {}
         }
-        let start = out.len();
-        match self.decoder.decode_datagram_into(datagram, out) {
-            Ok(()) => {
-                self.stats.packets += 1;
-                self.stats.events += (out.len() - start) as u64;
-            }
-            Err(_) => self.stats.corrupt += 1,
-        }
+        self.stats.packets += 1;
+        self.stats.events += (out.len() - start) as u64;
     }
 }
 

@@ -26,42 +26,6 @@ pub struct PipelineLatencies {
     pub network_tx: Duration,
 }
 
-/// The ingress components of one tick's tick-to-trade, stamped onto a
-/// [`crate::TensorTicket`] when the offload engine registers the tensor.
-///
-/// These are the pre-DNN stages of Fig. 4(b); the simulator's event
-/// engine adds queue-wait, inference, and DVFS-switch time on top, and
-/// egress (`order_gen + network_tx`) closes the decomposition. The sum
-/// of the four fields always equals the `ready_at - tick_ts` gap of the
-/// ticket carrying the stamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IngressStamp {
-    /// Ethernet MAC + UDP/IP receive path.
-    pub network_rx: Duration,
-    /// SBE decode of one message.
-    pub parse: Duration,
-    /// Local LOB update.
-    pub book_update: Duration,
-    /// Offload engine: normalization + FIFO push + tensor registration.
-    pub offload: Duration,
-}
-
-impl IngressStamp {
-    /// A stamp with every component zero (legacy callers that supply a
-    /// pre-computed `ready_at` and do not track per-stage latency).
-    pub const ZERO: IngressStamp = IngressStamp {
-        network_rx: Duration::ZERO,
-        parse: Duration::ZERO,
-        book_update: Duration::ZERO,
-        offload: Duration::ZERO,
-    };
-
-    /// Total wire-in-to-tensor-ready latency.
-    pub fn total(&self) -> Duration {
-        self.network_rx + self.parse + self.book_update + self.offload
-    }
-}
-
 impl PipelineLatencies {
     /// The FPGA implementation's budget: ~1 µs end-to-end before DNN time.
     pub fn fpga() -> Self {
@@ -103,16 +67,6 @@ impl PipelineLatencies {
     /// The whole conventional tick-to-trade (no DNN).
     pub fn total(&self) -> Duration {
         self.ingress() + self.egress()
-    }
-
-    /// The ingress half as a per-stage [`IngressStamp`].
-    pub fn ingress_stamp(&self) -> IngressStamp {
-        IngressStamp {
-            network_rx: self.network_rx,
-            parse: self.parse,
-            book_update: self.book_update,
-            offload: self.offload,
-        }
     }
 
     /// Rejects degenerate budgets.
@@ -167,12 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn ingress_stamp_matches_ingress_total() {
-        let l = PipelineLatencies::software();
-        assert_eq!(l.ingress_stamp().total(), l.ingress());
-    }
-
-    #[test]
     fn builtin_budgets_validate() {
         assert_eq!(PipelineLatencies::fpga().validate(), Ok(()));
         assert_eq!(PipelineLatencies::software().validate(), Ok(()));
@@ -183,10 +131,5 @@ mod tests {
         let mut l = PipelineLatencies::fpga();
         l.book_update = Duration::ZERO;
         assert_eq!(l.validate(), Err("book_update"));
-    }
-
-    #[test]
-    fn zero_stamp_totals_zero() {
-        assert_eq!(IngressStamp::ZERO.total(), Duration::ZERO);
     }
 }

@@ -185,8 +185,16 @@ fn short_blocks_are_counted_corrupt_on_every_intake_path() {
             );
         }
     }
-    // A corrupt copy never marks its sequence delivered.
+    // A corrupt copy never marks its sequence delivered: an intact resend
+    // of a sequence a corrupt datagram used is delivered by every path.
     assert_eq!(paths.arbiter.stats().delivered, 0);
+    let resent = datagram(0, &[encode(&book_event(8))]);
+    let intake = paths.offer(FeedId::B, &resent);
+    assert_eq!(intake.parsed, vec![book_event(8)]);
+    assert_eq!(intake.arbitrated, vec![book_event(8)]);
+    assert_eq!(intake.outcomes, 1);
+    assert_eq!(paths.parser.stats().duplicates, 0);
+    assert_eq!(paths.trader.parser_stats().duplicates, 0);
     let good = datagram(sent, &[encode(&book_event(9))]);
     let intake = paths.offer(FeedId::A, &good);
     assert_eq!(intake.parsed, vec![book_event(9)]);

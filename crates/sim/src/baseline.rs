@@ -18,7 +18,7 @@ use lt_dnn::ModelKind;
 use lt_feed::NormStats;
 use lt_feed::{TickRecord, TickTrace};
 use lt_lob::Timestamp;
-use lt_pipeline::{OffloadEngine, PipelineLatencies};
+use lt_pipeline::{MultiOffload, PipelineLatencies};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -100,7 +100,8 @@ struct SingleDeviceModel<'a> {
     egress: Duration,
     stale_budget: Duration,
     t_avail: Duration,
-    offload: OffloadEngine,
+    /// One instrument: every tick is shard 0.
+    offload: MultiOffload,
     /// The device is free from this time onward.
     device_free: Timestamp,
 }
@@ -116,7 +117,7 @@ impl SingleDeviceModel<'_> {
             // Work through queued tensors while the device can start.
             let start = self
                 .device_free
-                .max(self.offload.oldest().map_or(now, |t| t.ready_at));
+                .max(self.offload.oldest().map_or(now, |t| t.ticket.ready_at));
             if start > now {
                 if self.device_free <= now {
                     // Idle device waiting on tensor readiness: wake up
@@ -128,7 +129,7 @@ impl SingleDeviceModel<'_> {
             }
             // Stale management at issue time.
             ctx.metrics.dropped_stale += self.offload.drop_stale(start, self.stale_budget);
-            let Some(ticket) = self.offload.pop_ticket() else {
+            let Some(ticket) = self.offload.pop_ticket().map(|t| t.ticket) else {
                 break;
             };
             let issue = start.max(ticket.ready_at);
@@ -137,15 +138,13 @@ impl SingleDeviceModel<'_> {
             ctx.metrics.batched_queries += 1;
             self.device_free = completion;
             let breakdown = QueryTimeline {
-                ingress: ticket.ingress,
                 tick_ts: ticket.tick_ts,
                 ready_at: ticket.ready_at,
                 issue,
                 completion,
                 dvfs_switch: Duration::ZERO,
-                egress: self.egress,
             }
-            .breakdown();
+            .breakdown(&self.system.stages);
             ctx.queue.push_at(
                 completion + self.egress,
                 Event::OrderOut {
@@ -174,7 +173,7 @@ impl SimModel for SingleDeviceModel<'_> {
     fn on_tick(&mut self, tick: &TickRecord, ctx: &mut EngineCtx) {
         let before_full = self.offload.dropped_full();
         self.offload
-            .on_tick_staged(&tick.snapshot, tick.ts, &self.system.stages);
+            .on_tick_staged(0, &tick.snapshot, tick.ts, &self.system.stages);
         ctx.metrics.dropped_full += self.offload.dropped_full() - before_full;
         self.try_issue(ctx);
     }
@@ -224,7 +223,7 @@ pub fn run_single_device(
         egress,
         stale_budget: t_avail.saturating_sub(egress + service),
         t_avail,
-        offload: OffloadEngine::new(NormStats::identity(10), window, queue_capacity),
+        offload: MultiOffload::new(vec![NormStats::identity(10)], window, queue_capacity),
         device_free: Timestamp::ZERO,
     };
     engine::run(&mut model, trace)

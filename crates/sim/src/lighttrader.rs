@@ -120,7 +120,8 @@ pub(crate) struct SimState {
     /// Deadline-tier scheduler state; `None` for fixed-model policies.
     tiered: Option<TieredSched>,
     t_avail: Duration,
-    /// Conventional-pipeline stage budget (ingress stamps + egress).
+    /// Conventional-pipeline stage budget: when a tensor is ready, and
+    /// how each answered query's ingress and egress split into stages.
     stages: PipelineLatencies,
     egress: Duration,
     /// Deadline budget for the DNN pipeline (t_avail minus egress).
@@ -312,15 +313,13 @@ impl SimState {
                 tick_ts: t.ticket.tick_ts,
                 deadline: t.ticket.tick_ts + self.t_avail,
                 breakdown: QueryTimeline {
-                    ingress: t.ticket.ingress,
                     tick_ts: t.ticket.tick_ts,
                     ready_at: t.ticket.ready_at,
                     issue: flight.issue_base,
                     completion: flight.completion,
                     dvfs_switch: flight.switch_total,
-                    egress: self.egress,
                 }
-                .breakdown(),
+                .breakdown(&self.stages),
                 shard: t.shard,
                 tier: flight.kind,
                 intent: flight.intents.get(i).copied().flatten(),

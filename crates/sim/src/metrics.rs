@@ -446,29 +446,28 @@ mod tests {
     use lt_lob::Timestamp;
     use lt_pipeline::PipelineLatencies;
 
-    /// A well-ordered timeline whose queue wait is `wait_ns`.
-    fn timeline(wait_ns: u64) -> QueryTimeline {
+    /// The stage breakdown of a well-ordered FPGA-budget timeline whose
+    /// queue wait is `wait_ns`.
+    fn breakdown(wait_ns: u64) -> StageBreakdown {
         let stages = PipelineLatencies::fpga();
-        let stamp = stages.ingress_stamp();
         let tick_ts = Timestamp::from_nanos(1_000);
-        let ready_at = tick_ts + stamp.total();
+        let ready_at = tick_ts + stages.ingress();
         let issue = ready_at + Duration::from_nanos(wait_ns);
         QueryTimeline {
-            ingress: stamp,
             tick_ts,
             ready_at,
             issue,
             completion: issue + Duration::from_micros(100),
             dvfs_switch: Duration::ZERO,
-            egress: stages.egress(),
         }
+        .breakdown(&stages)
     }
 
     #[test]
     fn breakdowns_feed_both_latency_and_stage_streams() {
         let mut m = BacktestMetrics::new();
-        m.record_breakdown(&timeline(500).breakdown());
-        m.record_breakdown(&timeline(2_500).breakdown());
+        m.record_breakdown(&breakdown(500));
+        m.record_breakdown(&breakdown(2_500));
         assert_eq!(m.responded, 2);
         assert_eq!(m.latency_samples(), 2);
         assert!(m.has_stage_samples());
@@ -481,7 +480,7 @@ mod tests {
     fn stage_quantiles_and_summaries() {
         let mut m = BacktestMetrics::new();
         for wait in [100u64, 200, 300, 400, 500] {
-            m.record_breakdown(&timeline(wait).breakdown());
+            m.record_breakdown(&breakdown(wait));
         }
         assert_eq!(
             m.stage_quantile(Stage::QueueWait, 0.5),
@@ -492,8 +491,10 @@ mod tests {
             Duration::from_nanos(500)
         );
         // The ingress stages are constant, so every quantile agrees.
-        let stamp = PipelineLatencies::fpga().ingress_stamp();
-        assert_eq!(m.stage_quantile(Stage::Parse, 0.99), stamp.parse);
+        assert_eq!(
+            m.stage_quantile(Stage::Parse, 0.99),
+            PipelineLatencies::fpga().parse
+        );
         let summaries = m.stage_summaries();
         assert_eq!(summaries.len(), Stage::ALL.len());
         let wait = summaries.iter().find(|s| s.stage == "queue_wait").unwrap();

@@ -1,17 +1,17 @@
 //! Per-stage tick-to-trade attribution.
 //!
 //! Every answered query's end-to-end latency is decomposed into the
-//! stages it actually crossed: the four ingress stages stamped by the
-//! offload engine ([`lt_pipeline::IngressStamp`]), the queue-wait /
-//! DVFS-switch / inference time the event engine observes, and the
-//! egress (order generation + transmit). The decomposition is *exact by
-//! construction*: [`QueryTimeline::breakdown`] allocates the integer
-//! nanoseconds of `order_out - tick_ts` greedily across the stages, so
-//! the stage sums always reconcile with the recorded tick-to-trade to
-//! the nanosecond.
+//! stages it actually crossed: the four ingress stages and the egress
+//! (order generation + transmit), priced by the model's stage budget
+//! ([`lt_pipeline::PipelineLatencies`]), and the queue-wait /
+//! DVFS-switch / inference time the event engine observes. The
+//! decomposition is *exact by construction*: [`QueryTimeline::breakdown`]
+//! allocates the integer nanoseconds of `order_out - tick_ts` greedily
+//! across the stages, so the stage sums always reconcile with the
+//! recorded tick-to-trade to the nanosecond.
 
 use lt_lob::Timestamp;
-use lt_pipeline::IngressStamp;
+use lt_pipeline::PipelineLatencies;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -87,8 +87,6 @@ impl StageBreakdown {
 /// input to the stage decomposition.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryTimeline {
-    /// Per-stage ingress latency stamped on the ticket.
-    pub ingress: IngressStamp,
     /// Exchange timestamp of the triggering tick.
     pub tick_ts: Timestamp,
     /// When the input tensor became ready (end of ingress).
@@ -99,13 +97,13 @@ pub struct QueryTimeline {
     pub completion: Timestamp,
     /// Total PMIC switch + dwell delay charged inside `issue..completion`.
     pub dvfs_switch: Duration,
-    /// Order generation + transmit after the result.
-    pub egress: Duration,
 }
 
 impl QueryTimeline {
     /// Splits `order_out - tick_ts` (with `order_out = completion +
-    /// egress`) exactly across the stages.
+    /// stages.egress()`) exactly across the stages, pricing the ingress
+    /// stages and the egress from `stages`, the budget the query ran
+    /// under.
     ///
     /// Works greedily in pipeline order: each stage takes its nominal
     /// share, clamped to what remains, and **inference absorbs the
@@ -114,8 +112,8 @@ impl QueryTimeline {
     /// clamp is a no-op and every stage gets its true value; the greedy
     /// form just makes the sum invariant unconditional, so reconciliation
     /// can never drift even by a nanosecond.
-    pub fn breakdown(&self) -> StageBreakdown {
-        let order_out = self.completion + self.egress;
+    pub fn breakdown(&self, stages: &PipelineLatencies) -> StageBreakdown {
+        let order_out = self.completion + stages.egress();
         let mut rem = order_out.nanos_since(self.tick_ts);
         let mut take = |want: u64| {
             let got = want.min(rem);
@@ -123,16 +121,16 @@ impl QueryTimeline {
             got
         };
         let ingress_total = self.ready_at.nanos_since(self.tick_ts);
-        let network_rx = take(self.ingress.network_rx.as_nanos() as u64);
-        let parse = take(self.ingress.parse.as_nanos() as u64);
-        let book_update = take(self.ingress.book_update.as_nanos() as u64);
-        // The offload stage absorbs whatever remains of the ingress gap,
-        // so legacy zero stamps attribute the whole gap to the offload
-        // engine rather than losing it.
+        let network_rx = take(stages.network_rx.as_nanos() as u64);
+        let parse = take(stages.parse.as_nanos() as u64);
+        let book_update = take(stages.book_update.as_nanos() as u64);
+        // The offload stage absorbs whatever remains of the ingress gap —
+        // a tick that arrived late is ready later than `tick_ts` plus the
+        // budget — so the gap is attributed rather than lost.
         let offload = take(ingress_total.saturating_sub(network_rx + parse + book_update));
         let queue_wait = take(self.issue.nanos_since(self.ready_at));
         let dvfs_switch = take(self.dvfs_switch.as_nanos() as u64);
-        let egress = take(self.egress.as_nanos() as u64);
+        let egress = take(stages.egress().as_nanos() as u64);
         let inference = rem;
         StageBreakdown {
             ns: [
@@ -152,7 +150,6 @@ impl QueryTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lt_pipeline::PipelineLatencies;
 
     fn ts(ns: u64) -> Timestamp {
         Timestamp::from_nanos(ns)
@@ -161,24 +158,21 @@ mod tests {
     #[test]
     fn well_ordered_timeline_decomposes_exactly() {
         let stages = PipelineLatencies::fpga();
-        let stamp = stages.ingress_stamp();
         let tl = QueryTimeline {
-            ingress: stamp,
             tick_ts: ts(1_000),
-            ready_at: ts(1_000) + stamp.total(),
+            ready_at: ts(1_000) + stages.ingress(),
             issue: ts(5_000),
             completion: ts(305_000),
             dvfs_switch: Duration::from_nanos(10_000),
-            egress: stages.egress(),
         };
-        let b = tl.breakdown();
-        assert_eq!(b.get(Stage::NetworkRx), stamp.network_rx);
-        assert_eq!(b.get(Stage::Parse), stamp.parse);
-        assert_eq!(b.get(Stage::BookUpdate), stamp.book_update);
-        assert_eq!(b.get(Stage::Offload), stamp.offload);
+        let b = tl.breakdown(&stages);
+        assert_eq!(b.get(Stage::NetworkRx), stages.network_rx);
+        assert_eq!(b.get(Stage::Parse), stages.parse);
+        assert_eq!(b.get(Stage::BookUpdate), stages.book_update);
+        assert_eq!(b.get(Stage::Offload), stages.offload);
         assert_eq!(
             b.get(Stage::QueueWait),
-            tl.issue.since(ts(1_000) + stamp.total())
+            tl.issue.since(ts(1_000) + stages.ingress())
         );
         assert_eq!(b.get(Stage::DvfsSwitch), Duration::from_nanos(10_000));
         assert_eq!(
@@ -187,24 +181,49 @@ mod tests {
         );
         assert_eq!(b.get(Stage::Egress), stages.egress());
         // The invariant: stage sum == order_out - tick_ts, exactly.
-        assert_eq!(b.total(), (tl.completion + tl.egress).since(tl.tick_ts));
+        assert_eq!(
+            b.total(),
+            (tl.completion + stages.egress()).since(tl.tick_ts)
+        );
     }
 
+    /// Offload absorbs whatever of the ingress gap the budget's first
+    /// three stages leave: all of it under a zero budget, and the delay
+    /// of a tick that arrived late under the FPGA one.
     #[test]
     fn zero_stamp_attributes_ingress_to_offload() {
+        let zero = PipelineLatencies {
+            network_rx: Duration::ZERO,
+            parse: Duration::ZERO,
+            book_update: Duration::ZERO,
+            offload: Duration::ZERO,
+            order_gen: Duration::from_nanos(400),
+            network_tx: Duration::ZERO,
+        };
         let tl = QueryTimeline {
-            ingress: IngressStamp::ZERO,
             tick_ts: ts(0),
             ready_at: ts(700),
             issue: ts(700),
             completion: ts(10_700),
             dvfs_switch: Duration::ZERO,
-            egress: Duration::from_nanos(400),
         };
-        let b = tl.breakdown();
+        let b = tl.breakdown(&zero);
         assert_eq!(b.get(Stage::Offload), Duration::from_nanos(700));
         assert_eq!(b.get(Stage::Inference), Duration::from_nanos(10_000));
         assert_eq!(b.total(), Duration::from_nanos(11_100));
+
+        let fpga = PipelineLatencies::fpga();
+        let late = Duration::from_nanos(2_500);
+        let ready = ts(0) + late + fpga.ingress();
+        let tl = QueryTimeline {
+            ready_at: ready,
+            issue: ready,
+            ..tl
+        };
+        let b = tl.breakdown(&fpga);
+        assert_eq!(b.get(Stage::Parse), fpga.parse);
+        assert_eq!(b.get(Stage::Offload), fpga.offload + late);
+        assert_eq!(b.total(), (tl.completion + fpga.egress()).since(tl.tick_ts));
     }
 
     #[test]
@@ -212,16 +231,17 @@ mod tests {
         // A rescale corner: completion landed before the nominal issue.
         let stages = PipelineLatencies::fpga();
         let tl = QueryTimeline {
-            ingress: stages.ingress_stamp(),
             tick_ts: ts(1_000),
             ready_at: ts(1_705),
             issue: ts(9_000),
             completion: ts(2_000),
             dvfs_switch: Duration::from_nanos(50_000),
-            egress: stages.egress(),
         };
-        let b = tl.breakdown();
-        assert_eq!(b.total(), (tl.completion + tl.egress).since(tl.tick_ts));
+        let b = tl.breakdown(&stages);
+        assert_eq!(
+            b.total(),
+            (tl.completion + stages.egress()).since(tl.tick_ts)
+        );
     }
 
     #[test]

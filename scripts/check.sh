@@ -43,9 +43,12 @@ cargo test -q --release -p lt-protocol --test golden
 # Release drops the debug-only checks: it is the build that must not panic.
 cargo test -q --release -p lt-pipeline --test hostile_wire
 
-echo "== hot-path gates: ladder ≡ reference through the engine's events + zero-alloc from datagram bytes to order bytes =="
+echo "== hot-path gates: ladder ≡ reference through the engine's events + zero-alloc from datagram bytes to order bytes + the trader's datagram-vs-event differentials =="
 cargo test -q --release -p lt-lob --test book_equivalence
 cargo test -q --release -p lt-pipeline --test zero_alloc
+# Warm-up boundary, tier switch and 300-event datagram, each against
+# event-by-event intake, optimized as the facade serves.
+cargo test -q --release -p lighttrader --lib
 
 echo "== inference gates: packed-vs-reference equivalence + batch-N-vs-batch-1 + swept-vs-whole-window bit-equivalence + zero-alloc + datagram-vs-event differential =="
 # kernel_equivalence is the only link between the production path and the

@@ -8,9 +8,11 @@
 # caller or delete it; the allow-list is empty and stays empty.
 #
 # Item pass: a `pub fn` (any indentation) under crates/*/src whose name
-# occurs once, as a whole word, in all of the repo's .rs files (crates,
-# benchmark/src, examples, tests) is its own only mention: no test, doc
-# or caller names it. Same rule, same empty allow-list.
+# occurs, as a whole word, in all of the repo's .rs files (crates,
+# benchmark/src, examples, tests) no more often than `fn <name>` defines
+# it is named only by its definitions: no test, doc or caller names it,
+# however many same-named methods there are. Same rule, same empty
+# allow-list.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,10 +30,12 @@ for f in $(find crates/*/src -name '*.rs' ! -name lib.rs ! -name mod.rs | sort);
 done
 
 names=$(sed -nE 's/^[ \t]*pub (const )?fn ([A-Za-z0-9_]+).*/\2/p' $(find crates/*/src -name '*.rs') | sort -u)
-lonely=$(cat $(find crates benchmark/src examples tests -name '*.rs') |
-    grep -owF "$names" | sort | uniq -c | awk '$1 == 1 { print $2 }')
+all=$(cat $(find crates benchmark/src examples tests -name '*.rs'))
+lonely=$(awk 'NR == FNR { defs[$2] = $1; next } $1 <= defs[$2] { print $2 }' \
+    <(grep -oE '\bfn [A-Za-z0-9_]+' <<<"$all" | cut -c4- | sort | uniq -c) \
+    <(grep -owF "$names" <<<"$all" | sort | uniq -c))
 for name in $lonely; do
-    echo "zero-caller pub fn: $name ($(grep -rlw "fn $name" crates/*/src))"
+    echo "zero-caller pub fn: $name ($(grep -rlw "fn $name" crates/*/src | paste -sd' ' -))"
     status=1
 done
 exit $status

@@ -101,25 +101,20 @@ fn survives_packet_loss() {
     assert!(system.inferences() > 80);
 }
 
-/// The datagram is the unit of inference dispatch, the tick the unit of
-/// decision: a trader fed a wire session datagram by datagram — sweeps of
-/// up to 16 windows a registry call — and one fed the same decoded events
-/// one `on_event` at a time make the same decisions in the same order,
-/// with kill switch and rate limiter armed, on all three models.
-#[test]
-fn datagrams_and_single_events_drive_the_same_trades() {
+/// A wire session: 240 framed SBE datagrams of a seeded agent flow
+/// against a real matching engine, one agent step every 1.5 ms. Agent
+/// steps per datagram are mostly one (1–3 events), with runs that cross
+/// no, one and several sweep cuts; returns the datagrams and the most
+/// events any one of them carries.
+fn agent_wire() -> (Vec<Vec<u8>>, u16) {
     use lighttrader::feed::{AgentFlow, AgentParams};
-    use lighttrader::pipeline::trading::NoOrderReason;
-    use lighttrader::pipeline::{PacketParser, RiskLimits};
 
-    // Agent actions per datagram: mostly one (1–3 events), with runs that
-    // cross no, one and several sweep cuts.
     const ACTIONS: [usize; 12] = [1, 1, 2, 1, 1, 5, 1, 3, 1, 11, 1, 40];
     let mut flow = AgentFlow::new(Symbol::new("ESU6"), AgentParams::default(), 23);
     let encoder = SbeEncoder::new();
     let mut tick = 0u64;
     let mut widest = 0;
-    let wire: Vec<Vec<u8>> = (0..240u32)
+    let wire = (0..240u32)
         .map(|seq| {
             let mut payload = Vec::new();
             let mut count = 0u16;
@@ -135,6 +130,20 @@ fn datagrams_and_single_events_drive_the_same_trades() {
             Datagram::new(seq, ts, count, payload).encode()
         })
         .collect();
+    (wire, widest)
+}
+
+/// The datagram is the unit of inference dispatch, the tick the unit of
+/// decision: a trader fed a wire session datagram by datagram — sweeps of
+/// up to 16 windows a registry call — and one fed the same decoded events
+/// one `on_event` at a time make the same decisions in the same order,
+/// with kill switch and rate limiter armed, on all three models.
+#[test]
+fn datagrams_and_single_events_drive_the_same_trades() {
+    use lighttrader::pipeline::trading::NoOrderReason;
+    use lighttrader::pipeline::{PacketParser, RiskLimits};
+
+    let (wire, widest) = agent_wire();
     assert!(widest > 32, "a datagram of several sweeps: {widest} events");
 
     let (mut rate_limited, mut killed) = (0, 0);
@@ -200,27 +209,43 @@ fn datagrams_and_single_events_drive_the_same_trades() {
     );
 }
 
-/// The replay path processes a generated session deterministically.
+/// A wire session replayed into two fresh traders comes out the same,
+/// outcome for outcome, counter for counter, on every model.
 #[test]
 fn replay_is_deterministic_end_to_end() {
-    let session = SessionBuilder::normal_traffic()
-        .duration_secs(0.4)
-        .seed(5)
-        .build();
-    let run = || {
-        let mut system = LightTrader::builder(ModelKind::DeepLob)
-            .seed(9)
-            .normalization(session.norm.clone())
-            .build();
-        let orders = system.replay(&session.trace);
-        (orders, system.inferences(), system.position())
-    };
-    let (orders_a, inf_a, pos_a) = run();
-    let (orders_b, inf_b, pos_b) = run();
-    assert_eq!(orders_a, orders_b);
-    assert_eq!(inf_a, inf_b);
-    assert_eq!(pos_a, pos_b);
-    assert!(inf_a > 0);
+    use lighttrader::pipeline::RiskLimits;
+
+    let (wire, _) = agent_wire();
+    let mut sent = 0;
+    for kind in ModelKind::ALL {
+        let run = || {
+            let mut system = LightTrader::builder(kind)
+                .seed(7)
+                .risk(RiskLimits {
+                    min_confidence: 0.0,
+                    max_position: 100_000,
+                    order_qty: 1,
+                    max_spread_ticks: 1_000,
+                })
+                .build();
+            let mut outcomes = Vec::new();
+            for bytes in &wire {
+                system.on_datagram_into(bytes, &mut outcomes);
+            }
+            let shown = (
+                system.inferences(),
+                system.orders_sent(),
+                system.position(),
+                system.cash_ticks(),
+            );
+            (outcomes, shown)
+        };
+        let (outcomes, shown) = run();
+        assert_eq!(run(), (outcomes, shown), "{kind}");
+        assert!(shown.0 > 0, "{kind}");
+        sent += shown.1;
+    }
+    assert!(sent > 0, "no model sent an order");
 }
 
 /// All three benchmark models run through the same back-test harness and
