@@ -15,6 +15,9 @@
 //!   latency model prices (INT8 is profiled, never run);
 //! * [`tensor`] — a dense row-major `f32` tensor with the shape algebra
 //!   the layers need;
+//! * [`math`] — the repo's own `exp`, `tanh` and `sigmoid` (scalar and
+//!   in-place slice forms), so no answer depends on the host's libm and
+//!   the elementwise steps vectorise;
 //! * [`ops`] — linear, conv2d, LSTM, multi-head attention, layer norm
 //!   and activations, each with an analytic MAC counter used by the
 //!   latency model;
@@ -43,6 +46,7 @@
 pub mod batch;
 pub mod bf16;
 pub mod kernels;
+pub mod math;
 pub mod model;
 pub mod models;
 pub mod ops;

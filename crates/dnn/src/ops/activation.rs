@@ -1,5 +1,7 @@
-//! Elementwise activations and softmax.
+//! Elementwise activations and softmax. The transcendental functions
+//! themselves (`exp`, `tanh`, `sigmoid`) are [`crate::math`]'s.
 
+use crate::math::exp_slice;
 use crate::ops::expect_rank;
 use crate::tensor::Tensor;
 
@@ -32,19 +34,6 @@ pub fn leaky_relu_slice(data: &mut [f32], alpha: f32) {
     }
 }
 
-/// Logistic sigmoid of a scalar.
-#[inline]
-pub fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
-
-/// Hyperbolic tangent in place.
-pub fn tanh_inplace(t: &mut Tensor) {
-    for v in t.data_mut() {
-        *v = v.tanh();
-    }
-}
-
 /// Numerically stable softmax over the last dimension of a rank-1 or
 /// rank-2 tensor, in place.
 ///
@@ -66,15 +55,22 @@ pub fn softmax_last_dim(t: &mut Tensor) {
 
 /// [`softmax_last_dim`] over a raw `rows x cols` slice (used by the
 /// packed path's flat buffers; identical arithmetic).
+///
+/// Three passes a row — subtract the max, [`exp_slice`], then sum left to
+/// right and divide — so the exponentials run as one vector loop; a sum
+/// fused into it would serialise the loop on its float adds.
 pub fn softmax_rows(data: &mut [f32], rows: usize, cols: usize) {
     debug_assert_eq!(data.len(), rows * cols);
     for r in 0..rows {
         let row = &mut data[r * cols..(r + 1) * cols];
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
         for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
+            *v -= max;
+        }
+        exp_slice(row);
+        let mut sum = 0.0;
+        for &v in row.iter() {
+            sum += v;
         }
         for v in row.iter_mut() {
             *v /= sum;
@@ -98,14 +94,6 @@ mod tests {
         let mut t = Tensor::from_vec(vec![-2.0, 3.0], &[2]);
         leaky_relu(&mut t, 0.01);
         assert_eq!(t.data(), &[-0.02, 3.0]);
-    }
-
-    #[test]
-    fn sigmoid_bounds_and_symmetry() {
-        assert!((sigmoid(0.0) - 0.5).abs() < 1e-7);
-        assert!(sigmoid(10.0) > 0.9999);
-        assert!(sigmoid(-10.0) < 0.0001);
-        assert!((sigmoid(2.0) + sigmoid(-2.0) - 1.0).abs() < 1e-6);
     }
 
     #[test]
@@ -138,13 +126,5 @@ mod tests {
         softmax_last_dim(&mut t);
         assert!(t.data().iter().all(|v| v.is_finite()));
         assert!((t.data().iter().sum::<f32>() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn tanh_matches_std() {
-        let mut t = Tensor::from_vec(vec![-1.0, 0.5], &[2]);
-        tanh_inplace(&mut t);
-        assert!((t.data()[0] - (-1.0f32).tanh()).abs() < 1e-7);
-        assert!((t.data()[1] - 0.5f32.tanh()).abs() < 1e-7);
     }
 }

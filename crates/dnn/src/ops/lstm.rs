@@ -3,7 +3,7 @@
 use crate::batch::PackedPanels;
 use crate::bf16::bf16_round;
 use crate::kernels::lstm_gates_packed_batch;
-use crate::ops::activation::sigmoid;
+use crate::math::{sigmoid, sigmoid_slice, tanh, tanh_slice};
 use crate::ops::count::lstm_macs;
 use crate::ops::expect_rank;
 use crate::scratch::ScratchPad;
@@ -83,10 +83,10 @@ impl Lstm {
             for j in 0..h_dim {
                 let i_g = sigmoid(gates[j]);
                 let f_g = sigmoid(gates[h_dim + j]);
-                let g_g = gates[2 * h_dim + j].tanh();
+                let g_g = tanh(gates[2 * h_dim + j]);
                 let o_g = sigmoid(gates[3 * h_dim + j]);
                 c[j] = bf16_round(f_g * c[j] + i_g * g_g);
-                h[j] = bf16_round(o_g * c[j].tanh());
+                h[j] = bf16_round(o_g * tanh(c[j]));
                 out.set(&[t, j], h[j]);
             }
         }
@@ -111,8 +111,12 @@ impl Lstm {
     ///
     /// Each timestep computes every sample's fused gate vector in one
     /// packed sweep ([`lstm_gates_packed_batch`]) before the elementwise
-    /// state update; per sample the bias -> `W_x x_t` -> `W_h h` chain
-    /// and BF16 rounding points are exactly those of
+    /// state update, which runs over slices: `sigmoid` on the `i`/`f`
+    /// gates, `tanh` on `g`, `sigmoid` on `o`, the BF16 cell update, then
+    /// `tanh` of a copy of `c` and the BF16 product with `o`. Per sample
+    /// the bias -> `W_x x_t` -> `W_h h` chain, every element's operations
+    /// ([`crate::math`]'s slice forms are its scalars, element by element)
+    /// and the BF16 rounding points are exactly those of
     /// [`Self::forward_reference`], so the result is `==` to its last
     /// row.
     ///
@@ -159,16 +163,22 @@ impl Lstm {
                 &mut gates,
             );
             for s in 0..batch {
-                let g = &gates[s * 4 * h_dim..(s + 1) * 4 * h_dim];
+                let g = &mut gates[s * 4 * h_dim..(s + 1) * 4 * h_dim];
+                let (i_f, g_o) = g.split_at_mut(2 * h_dim);
+                let (g_g, o_g) = g_o.split_at_mut(h_dim);
+                sigmoid_slice(i_f);
+                tanh_slice(g_g);
+                sigmoid_slice(o_g);
+                let (i_g, f_g) = i_f.split_at(h_dim);
                 let cs = &mut c[s * h_dim..(s + 1) * h_dim];
                 let hs = &mut h[s * h_dim..(s + 1) * h_dim];
                 for j in 0..h_dim {
-                    let i_g = sigmoid(g[j]);
-                    let f_g = sigmoid(g[h_dim + j]);
-                    let g_g = g[2 * h_dim + j].tanh();
-                    let o_g = sigmoid(g[3 * h_dim + j]);
-                    cs[j] = bf16_round(f_g * cs[j] + i_g * g_g);
-                    hs[j] = bf16_round(o_g * cs[j].tanh());
+                    cs[j] = bf16_round(f_g[j] * cs[j] + i_g[j] * g_g[j]);
+                }
+                hs.copy_from_slice(cs);
+                tanh_slice(hs);
+                for j in 0..h_dim {
+                    hs[j] = bf16_round(o_g[j] * hs[j]);
                 }
             }
         }

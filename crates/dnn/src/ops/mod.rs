@@ -15,8 +15,7 @@ pub mod lstm;
 pub mod norm;
 
 pub use activation::{
-    leaky_relu, leaky_relu_slice, relu, relu_slice, sigmoid, softmax_last_dim, softmax_rows,
-    tanh_inplace,
+    leaky_relu, leaky_relu_slice, relu, relu_slice, softmax_last_dim, softmax_rows,
 };
 pub use attention::MultiHeadAttention;
 pub use conv::Conv2d;

@@ -205,7 +205,10 @@ impl TradingEngine {
         if direction == PriceDirection::Stationary {
             return Err(NoOrderReason::Stationary);
         }
-        if prediction.confidence() < self.limits.min_confidence {
+        // Negated so a NaN confidence is low: every NaN comparison is
+        // false, and a NaN answer's direction reads as Up.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        if !(prediction.confidence() >= self.limits.min_confidence) {
             return Err(NoOrderReason::LowConfidence);
         }
         let (Some(bid), Some(ask)) = (book.best_bid(), book.best_ask()) else {
@@ -319,6 +322,30 @@ mod tests {
         );
         assert_eq!(e.position(), 0);
         assert_eq!(e.suppressed(), 2);
+    }
+
+    #[test]
+    fn nan_prediction_never_trades() {
+        // Built directly: `Prediction::new` debug-asserts a sum of one.
+        let nan = Prediction {
+            probs: [f32::NAN; 3],
+        };
+        assert_eq!(nan.direction(), PriceDirection::Up, "NaN compares false");
+        for min_confidence in [0.0, 0.45] {
+            let mut e = TradingEngine::new(
+                Symbol::new("ESU6"),
+                RiskLimits {
+                    min_confidence,
+                    ..RiskLimits::default()
+                },
+            );
+            assert_eq!(
+                e.on_prediction(&nan, &book(99, 101)),
+                Err(NoOrderReason::LowConfidence)
+            );
+            assert_eq!((e.orders_sent(), e.suppressed()), (0, 1));
+            assert_eq!(e.position(), 0);
+        }
     }
 
     #[test]

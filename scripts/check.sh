@@ -17,6 +17,19 @@ cargo fmt --check
 echo "== reachability: no source file whose pub items nothing names =="
 ./scripts/islands.sh
 
+echo "== own nonlinearities: no libm transcendental in the inference ops' non-test code =="
+# The per-query path takes exp/tanh/sigmoid from lt_dnn::math, so no answer
+# depends on the host's libm. sqrt and powi(2) are exact IEEE operations.
+libm=0
+for f in crates/dnn/src/ops/*.rs crates/dnn/src/kernels.rs crates/dnn/src/math.rs; do
+    if sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$f" \
+        | grep -nE '\.(exp|exp_m1|tanh|ln|powf|sin|cos)\('; then
+        echo "libm call in $f (use lt_dnn::math)"
+        libm=1
+    fi
+done
+[[ "$libm" == "0" ]]
+
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -50,7 +63,12 @@ cargo test -q --release -p lt-pipeline --test zero_alloc
 # event-by-event intake, optimized as the facade serves.
 cargo test -q --release -p lighttrader --lib
 
-echo "== inference gates: packed-vs-reference equivalence + batch-N-vs-batch-1 + swept-vs-whole-window bit-equivalence + zero-alloc + datagram-vs-event differential =="
+echo "== inference gates: nonlinearity contract + model-output goldens + packed-vs-reference equivalence + batch-N-vs-batch-1 + swept-vs-whole-window bit-equivalence + zero-alloc + datagram-vs-event differential =="
+# exp/tanh/sigmoid against f64, special values, oddness, slice == scalar
+# at every vector tail, and a pinned bit table.
+cargo test -q --release -p lt-dnn --lib math
+# The answers' bits; release also runs the NaN-window check.
+cargo test -q --release -p lt-dnn --test golden
 # kernel_equivalence is the only link between the production path and the
 # oracle, and release is what serves: run it optimized, not only in debug.
 cargo test -q --release -p lt-dnn --test kernel_equivalence
