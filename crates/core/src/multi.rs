@@ -1,37 +1,46 @@
 //! Functional cross-symbol batched inference.
 //!
 //! [`MultiSymbolTrader`] is the multi-instrument sibling of
-//! [`LightTrader`](crate::system::LightTrader): N symbol shards feed one
-//! shared [`MultiOffload`] queue, and each drain serves the coalesced
-//! cross-symbol batch with **one** batched forward pass through the
+//! [`LightTrader`](crate::system::LightTrader): each of N symbol shards
+//! keeps its own [`FeatureWindow`], and each drain serves the shards with
+//! a pending ticket through **one** batched forward pass through the
 //! registry's prepacked weight panels (`ModelRegistry::forward_batch`) —
-//! per layer, every queued symbol's window runs through a single packed
+//! per layer, every pending symbol's window runs through a single packed
 //! GEMM instead of one forward per symbol. Per-sample outputs are
 //! bit-identical to serving each shard alone (pinned by the tests
 //! below), so batching is purely a throughput lever.
+//!
+//! Like `LightTrader`, the fleet serves its newest windows: a shard holds
+//! at most one pending ticket, and a warm tick that arrives before the
+//! shard's ticket is drained replaces that ticket in place (counted in
+//! [`MultiSymbolTrader::superseded`]). A shard's window only ever holds
+//! its newest tick, so that is the one query it can answer.
 
 use lt_dnn::{ModelKind, ModelRegistry, Prediction, Tensor};
 use lt_feed::NormStats;
 use lt_lob::{LobSnapshot, Timestamp};
-use lt_pipeline::{MultiOffload, PipelineLatencies, ShardTicket};
+use lt_pipeline::{FeatureWindow, ShardTicket, TensorTicket};
 
 /// A functional multi-symbol pipeline serving cross-symbol batches.
 pub struct MultiSymbolTrader {
-    offload: MultiOffload,
+    /// One feature window per symbol shard.
+    windows: Vec<FeatureWindow>,
+    /// Ticks seen per shard, warm-up included: the next ticket's id.
+    ticks: Vec<u64>,
+    /// Tickets awaiting a drain, oldest first, at most one per shard.
+    pending: Vec<ShardTicket>,
     registry: ModelRegistry,
     active: ModelKind,
-    stages: PipelineLatencies,
     /// Most tickets one drain coalesces into a single batched forward.
     batch_cap: usize,
-    /// Reusable ticket drain buffer.
-    tickets: Vec<ShardTicket>,
     /// Reusable per-lane `[window, features]` staging tensors, one per
-    /// batch slot, filled from each ticket's shard ring.
+    /// batch slot, filled from each ticket's shard window.
     lanes: Vec<Tensor>,
     /// Reusable prediction output buffer.
     preds: Vec<Prediction>,
     inferences: u64,
     batches: u64,
+    superseded: u64,
 }
 
 impl MultiSymbolTrader {
@@ -40,28 +49,35 @@ impl MultiSymbolTrader {
     ///
     /// # Panics
     ///
-    /// Panics when `norms` is empty or its normalization depth does not
-    /// match the model's feature width.
+    /// Panics when `norms` is empty or holds more shards than a `u16`
+    /// indexes, or when a normalization depth does not match the model's
+    /// feature width.
     pub fn new(kind: ModelKind, norms: Vec<NormStats>, seed: u64) -> Self {
+        assert!(!norms.is_empty(), "need at least one shard");
+        assert!(norms.len() <= u16::MAX as usize, "shard index must fit u16");
         let registry = ModelRegistry::tiny_with_kinds(&[kind], seed);
         let window = registry.max_window();
-        let offload = MultiOffload::new(norms, window, 64);
-        assert_eq!(
-            offload.width(),
-            registry.model(kind).expect("just registered").features(),
+        let features = registry.model(kind).expect("just registered").features();
+        let windows: Vec<FeatureWindow> = norms
+            .into_iter()
+            .map(|norm| FeatureWindow::new(norm, window))
+            .collect();
+        assert!(
+            windows.iter().all(|w| w.width() == features),
             "normalization depth must match the model's feature width"
         );
         MultiSymbolTrader {
-            offload,
+            ticks: vec![0; windows.len()],
+            pending: Vec::with_capacity(windows.len()),
+            windows,
             registry,
             active: kind,
-            stages: PipelineLatencies::fpga(),
             batch_cap: 16,
-            tickets: Vec::new(),
             lanes: Vec::new(),
             preds: Vec::new(),
             inferences: 0,
             batches: 0,
+            superseded: 0,
         }
     }
 
@@ -77,14 +93,9 @@ impl MultiSymbolTrader {
         self.registry.set_batch_threads(threads);
     }
 
-    /// Number of symbol shards.
-    pub fn n_shards(&self) -> usize {
-        self.offload.n_shards()
-    }
-
-    /// Tickets currently queued across all shards.
+    /// Tickets currently pending across all shards (at most one each).
     pub fn queue_len(&self) -> usize {
-        self.offload.queue_len()
+        self.pending.len()
     }
 
     /// Inferences served so far (one per batched query).
@@ -97,8 +108,15 @@ impl MultiSymbolTrader {
         self.batches
     }
 
-    /// Ingests one tick for `shard`, returning its ticket once the
-    /// shard's window is warm and the shared queue admits it.
+    /// Pending tickets replaced, unanswered, by a newer warm tick of
+    /// their shard.
+    pub fn superseded(&self) -> u64 {
+        self.superseded
+    }
+
+    /// Ingests one tick for `shard` arriving at `ts`, returning its
+    /// ticket once the shard's window is warm. The ticket replaces the
+    /// shard's pending one, if any, in its place in the drain order.
     ///
     /// # Panics
     ///
@@ -109,56 +127,58 @@ impl MultiSymbolTrader {
         snapshot: &LobSnapshot,
         ts: Timestamp,
     ) -> Option<ShardTicket> {
-        self.offload
-            .on_tick_staged(shard, snapshot, ts, &self.stages)
+        let i = shard as usize;
+        let warm = self.windows[i].push(snapshot);
+        let tick_id = self.ticks[i];
+        self.ticks[i] += 1;
+        if !warm {
+            return None;
+        }
+        let ticket = ShardTicket {
+            shard,
+            ticket: TensorTicket {
+                tick_id,
+                tick_ts: snapshot.ts,
+                ready_at: ts,
+            },
+        };
+        match self.pending.iter_mut().find(|t| t.shard == shard) {
+            Some(older) => {
+                *older = ticket;
+                self.superseded += 1;
+            }
+            None => self.pending.push(ticket),
+        }
+        Some(ticket)
     }
 
-    /// Drains up to the batch cap of queued tickets (oldest first across
+    /// Drains up to the batch cap of pending tickets (oldest first across
     /// all shards) and serves them with **one** batched forward, pushing
     /// `(ticket, prediction)` pairs onto `out` (which is cleared first)
-    /// in queue order. Returns the number of queries served.
+    /// in drain order. Returns the number of queries served.
     ///
     /// Steady-state drains at or below the largest batch seen are
     /// allocation-free: tickets, staging lanes, and predictions all live
-    /// in recycled buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics when one drained batch holds two tickets from the same
-    /// shard: a shard ring only retains its *current* window, so the
-    /// older ticket's input no longer exists and serving the fresh
-    /// window twice would silently answer a different query. Drain at
-    /// least once per per-shard tick round to uphold the invariant.
+    /// in recycled buffers (`lt-pipeline`'s `tests/zero_alloc.rs`).
     pub fn drain_batch(&mut self, out: &mut Vec<(ShardTicket, Prediction)>) -> usize {
         out.clear();
-        self.tickets.clear();
-        self.offload
-            .pop_batch_into(self.batch_cap, &mut self.tickets);
-        if self.tickets.is_empty() {
+        let n = self.batch_cap.min(self.pending.len());
+        if n == 0 {
             return 0;
         }
-        let (window, width) = (self.offload.window(), self.offload.width());
-        while self.lanes.len() < self.tickets.len() {
+        let (window, width) = (self.windows[0].window(), self.windows[0].width());
+        while self.lanes.len() < n {
             self.lanes.push(Tensor::zeros(&[window, width]));
         }
-        for (i, t) in self.tickets.iter().enumerate() {
-            assert!(
-                self.tickets[..i].iter().all(|p| p.shard != t.shard),
-                "shard {} queued twice in one batch; drain between tick rounds",
-                t.shard
-            );
-            self.offload
-                .write_shard_window_into(t.shard as usize, self.lanes[i].data_mut());
+        for (t, lane) in self.pending[..n].iter().zip(&mut self.lanes) {
+            self.windows[t.shard as usize].write_into(lane.data_mut());
         }
-        self.registry.forward_batch(
-            self.active,
-            &self.lanes[..self.tickets.len()],
-            &mut self.preds,
-        );
-        self.inferences += self.preds.len() as u64;
+        self.registry
+            .forward_batch(self.active, &self.lanes[..n], &mut self.preds);
+        self.inferences += n as u64;
         self.batches += 1;
-        out.extend(self.tickets.iter().copied().zip(self.preds.iter().copied()));
-        out.len()
+        out.extend(self.pending.drain(..n).zip(self.preds.iter().copied()));
+        n
     }
 }
 
@@ -166,7 +186,6 @@ impl MultiSymbolTrader {
 mod tests {
     use super::*;
     use lt_feed::MultiSessionBuilder;
-    use lt_pipeline::FeatureWindow;
 
     fn session(symbols: usize, seed: u64) -> lt_feed::MultiMarketSession {
         MultiSessionBuilder::normal_traffic()
@@ -185,7 +204,7 @@ mod tests {
         let norms: Vec<NormStats> = multi.sessions.iter().map(|s| s.norm.clone()).collect();
         let mut trader = MultiSymbolTrader::new(ModelKind::VanillaCnn, norms.clone(), 5);
         let mut reference = ModelRegistry::tiny_with_kinds(&[ModelKind::VanillaCnn], 5);
-        let (window, width) = (trader.offload.window(), trader.offload.width());
+        let (window, width) = (trader.windows[0].window(), trader.windows[0].width());
         let mut singles: Vec<FeatureWindow> = norms
             .into_iter()
             .map(|n| FeatureWindow::new(n, window))
@@ -222,23 +241,69 @@ mod tests {
         assert!(trader.batches() < trader.inferences());
     }
 
-    /// Two tickets from one shard in a single drained batch would serve
-    /// a window the older query never saw — rejected loudly.
+    /// With more shards than the batch cap, a shard's ticket can wait
+    /// while its shard ticks again. The newer tick replaces it, and every
+    /// answer is its own tick's batch-1 forward, bit for bit. (This
+    /// covers what `duplicate_shard_in_one_batch_panics` guarded: a
+    /// drain cannot meet one shard twice.)
     #[test]
-    #[should_panic(expected = "queued twice in one batch")]
-    fn duplicate_shard_in_one_batch_panics() {
-        let multi = session(1, 9);
-        let norms = vec![multi.sessions[0].norm.clone()];
-        let mut trader = MultiSymbolTrader::new(ModelKind::VanillaCnn, norms, 5);
+    fn a_ticket_is_answered_with_its_own_window() {
+        let multi = session(2, 9);
+        let norms: Vec<NormStats> = multi.sessions.iter().map(|s| s.norm.clone()).collect();
+        let mut trader =
+            MultiSymbolTrader::new(ModelKind::VanillaCnn, norms.clone(), 5).with_batch_cap(1);
+        let mut reference = ModelRegistry::tiny_with_kinds(&[ModelKind::VanillaCnn], 5);
+        let (window, width) = (trader.windows[0].window(), trader.windows[0].width());
+        let mut singles: Vec<FeatureWindow> = norms
+            .into_iter()
+            .map(|n| FeatureWindow::new(n, window))
+            .collect();
+        let mut alone = Tensor::zeros(&[window, width]);
+        // Per shard, the batch-1 answer of every tick id, and the ids
+        // issued but not yet answered or replaced.
+        let mut expected: Vec<Vec<Option<Prediction>>> = vec![Vec::new(); 2];
+        let mut unanswered: Vec<Option<u64>> = vec![None; 2];
+        let (mut replaced, mut answered) = (0u64, 0usize);
         let mut out = Vec::new();
-        for tick in &multi.sessions[0].trace {
-            trader.on_tick(0, &tick.snapshot, tick.ts);
-            if trader.queue_len() >= 2 {
-                trader.drain_batch(&mut out);
-                unreachable!("drain must reject the stale duplicate");
+        let rounds = multi.sessions.iter().map(|s| s.trace.len()).min().unwrap();
+        for round in 0..rounds {
+            for (shard, session) in multi.sessions.iter().enumerate() {
+                let tick = &session.trace.ticks[round];
+                let ticket = trader.on_tick(shard as u16, &tick.snapshot, tick.ts);
+                let answer = singles[shard].push(&tick.snapshot).then(|| {
+                    singles[shard].write_into(alone.data_mut());
+                    reference.forward(ModelKind::VanillaCnn, &alone)
+                });
+                expected[shard].push(answer);
+                assert_eq!(
+                    ticket.map(|t| t.ticket.tick_id),
+                    answer.map(|_| round as u64),
+                    "a warm tick issues a ticket with its own tick id"
+                );
+                if let Some(t) = ticket {
+                    replaced += u64::from(unanswered[shard].is_some());
+                    unanswered[shard] = Some(t.ticket.tick_id);
+                }
+            }
+            trader.drain_batch(&mut out);
+            for (ticket, prediction) in &out {
+                let (shard, id) = (ticket.shard as usize, ticket.ticket.tick_id);
+                assert_eq!(unanswered[shard].take(), Some(id), "newest ticket served");
+                let want = expected[shard][id as usize].expect("a warm tick");
+                assert_eq!(
+                    prediction.probs.map(f32::to_bits),
+                    want.probs.map(f32::to_bits),
+                    "shard {shard} tick {id} answered from another window"
+                );
+                answered += 1;
             }
         }
-        panic!("trace too short to queue two tickets");
+        assert!(
+            answered > 20 && replaced > 0,
+            "{answered} answers, {replaced} replaced"
+        );
+        assert_eq!(trader.superseded(), replaced);
+        assert_eq!(trader.inferences(), answered as u64);
     }
 
     /// The batch cap bounds each drain; leftovers stay queued for the

@@ -148,9 +148,7 @@ impl LightTraderBuilder {
             window: FeatureWindow::new(norm, window),
             trading: TradingEngine::new(self.symbol, self.risk),
             limiter: self.rate_limit.map(OrderRateLimiter::per_second),
-            kill: self
-                .loss_floor_ticks
-                .map(|floor| KillSwitch::new(floor, 10)),
+            kill: self.loss_floor_ticks.map(KillSwitch::new),
             events: Vec::new(),
             window_buf: Tensor::zeros(&[window + MAX_SWEEP - 1, width]),
             snaps: vec![LobSnapshot::default(); MAX_SWEEP],

@@ -16,6 +16,9 @@
 //! allocated up front; the ingest → pop path is allocation-free after
 //! warm-up (`tests/zero_alloc.rs`). One shard is the paper's
 //! single-instrument engine; the single-device baseline runs it so.
+//! The queue is the back-test's, where the scheduler batches, defers and
+//! drops stale tensors; the wall-clock traders queue nothing and read
+//! their shards' [`FeatureWindow`]s directly.
 
 use crate::offload::{FeatureWindow, TensorTicket};
 use crate::stages::PipelineLatencies;
@@ -249,24 +252,11 @@ impl MultiOffload {
     /// the past, attributing each to its shard, and returns how many
     /// were dropped. Allocation-free.
     pub fn drop_stale(&mut self, now: Timestamp, deadline: std::time::Duration) -> u64 {
-        self.drop_stale_with(now, deadline, |_| {})
-    }
-
-    /// [`Self::drop_stale`] with a per-ticket observer — the execution
-    /// layer uses it to retire the order intents of dropped queries in
-    /// queue order.
-    pub fn drop_stale_with(
-        &mut self,
-        now: Timestamp,
-        deadline: std::time::Duration,
-        mut observe: impl FnMut(&ShardTicket),
-    ) -> u64 {
         let mut dropped = 0u64;
         while let Some(front) = self.queue.front() {
             if (front.ticket.tick_ts + deadline) <= now {
                 let t = self.queue.pop_front().expect("front just seen");
                 self.shards[t.shard as usize].counters.dropped_stale += 1;
-                observe(&t);
                 dropped += 1;
             } else {
                 break;
@@ -277,13 +267,11 @@ impl MultiOffload {
     }
 
     /// Drains every still-queued ticket as stale (end-of-session
-    /// accounting), attributing each to its shard and showing it to
-    /// `observe` in queue order, and returns the count.
-    pub fn drain_leftover_with(&mut self, mut observe: impl FnMut(&ShardTicket)) -> u64 {
+    /// accounting), attributing each to its shard, and returns the count.
+    pub fn drain_leftover(&mut self) -> u64 {
         let mut dropped = 0u64;
         while let Some(t) = self.queue.pop_front() {
             self.shards[t.shard as usize].counters.dropped_stale += 1;
-            observe(&t);
             dropped += 1;
         }
         self.dropped_stale += dropped;
@@ -404,7 +392,7 @@ mod tests {
         for i in 0..5u64 {
             tick(&mut e, (i % 2) as u16, i, 100);
         }
-        assert_eq!(e.drain_leftover_with(|_| {}), 5);
+        assert_eq!(e.drain_leftover(), 5);
         assert_eq!(e.dropped_stale(), 5);
         assert_eq!(
             e.shard_counters(0).dropped_stale + e.shard_counters(1).dropped_stale,

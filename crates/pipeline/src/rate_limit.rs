@@ -4,9 +4,8 @@
 //! trading system carries a hard kill switch — the last line of the
 //! "conservative risk management policy" the paper's trading engine
 //! embodies (§III-A). [`OrderRateLimiter`] is a token bucket over a
-//! sliding one-second window; [`KillSwitch`] trips permanently on a
-//! configured loss or error condition and can only be reset by an
-//! explicit operator action.
+//! sliding one-second window; [`KillSwitch`] trips permanently once the
+//! mark-to-market loss breaches a configured floor.
 
 use lt_lob::Timestamp;
 use serde::{Deserialize, Serialize};
@@ -99,35 +98,22 @@ pub enum KillReason {
         /// The P&L (ticks x contracts) observed at the trip.
         pnl_ticks: i64,
     },
-    /// Too many consecutive order rejections (venue or risk).
-    RejectStorm {
-        /// Consecutive rejections observed.
-        count: u32,
-    },
-    /// An operator pulled the handle.
-    Manual,
 }
 
-/// A latching kill switch: once tripped, all trading stops until an
-/// explicit [`KillSwitch::reset`].
+/// A latching kill switch: once tripped, all trading stops for good.
 #[derive(Debug, Clone)]
 pub struct KillSwitch {
     /// Most negative tolerable P&L in **half-ticks** x contracts (stored
     /// doubled so half-tick marks compare exactly).
     loss_floor_half: i64,
-    /// Consecutive rejections that trip the switch.
-    max_consecutive_rejects: u32,
-    consecutive_rejects: u32,
     tripped: Option<KillReason>,
 }
 
 impl KillSwitch {
     /// Creates an armed switch with the loss floor in whole ticks.
-    pub fn new(loss_floor_ticks: i64, max_consecutive_rejects: u32) -> Self {
+    pub fn new(loss_floor_ticks: i64) -> Self {
         KillSwitch {
             loss_floor_half: 2 * loss_floor_ticks,
-            max_consecutive_rejects,
-            consecutive_rejects: 0,
             tripped: None,
         }
     }
@@ -142,12 +128,6 @@ impl KillSwitch {
         self.tripped.is_none()
     }
 
-    /// Feeds the latest mark-to-market P&L in whole ticks; trips on
-    /// breach.
-    pub fn observe_pnl(&mut self, pnl_ticks: i64) {
-        self.observe_pnl_half(2 * pnl_ticks);
-    }
-
     /// Feeds the latest mark-to-market P&L in **half-ticks** (the exact
     /// mid-valuation unit, see [`lt_lob::LobSnapshot::mid_half_ticks`]);
     /// trips on breach. The reason reports the trip P&L truncated to
@@ -158,37 +138,6 @@ impl KillSwitch {
                 pnl_ticks: pnl_half / 2,
             });
         }
-    }
-
-    /// Records an order rejection; trips on a storm.
-    pub fn observe_reject(&mut self) {
-        if self.tripped.is_some() {
-            return;
-        }
-        self.consecutive_rejects += 1;
-        if self.consecutive_rejects >= self.max_consecutive_rejects {
-            self.tripped = Some(KillReason::RejectStorm {
-                count: self.consecutive_rejects,
-            });
-        }
-    }
-
-    /// Records a successful send, clearing the reject streak.
-    pub fn observe_accept(&mut self) {
-        self.consecutive_rejects = 0;
-    }
-
-    /// Operator trip.
-    pub fn trip_manual(&mut self) {
-        if self.tripped.is_none() {
-            self.tripped = Some(KillReason::Manual);
-        }
-    }
-
-    /// Operator reset: re-arms the switch and clears streaks.
-    pub fn reset(&mut self) {
-        self.tripped = None;
-        self.consecutive_rejects = 0;
     }
 }
 
@@ -225,20 +174,18 @@ mod tests {
 
     #[test]
     fn kill_switch_trips_on_loss() {
-        let mut ks = KillSwitch::new(-100, 5);
+        let mut ks = KillSwitch::new(-100);
         assert!(ks.is_armed());
-        ks.observe_pnl(-50);
+        ks.observe_pnl_half(-100);
         assert!(ks.is_armed());
-        ks.observe_pnl(-101);
+        ks.observe_pnl_half(-202);
         assert_eq!(
             ks.tripped(),
             Some(KillReason::LossLimit { pnl_ticks: -101 })
         );
         // Latching: recovery does not re-arm.
-        ks.observe_pnl(500);
+        ks.observe_pnl_half(1_000);
         assert!(!ks.is_armed());
-        ks.reset();
-        assert!(ks.is_armed());
     }
 
     #[test]
@@ -246,39 +193,13 @@ mod tests {
         // Floor −100 ticks = −200 half-ticks. A −100.5-tick mark (−201
         // half-ticks) must trip even though it truncates to −100 in whole
         // ticks — the half-tick comparison is exact.
-        let mut ks = KillSwitch::new(-100, 5);
+        let mut ks = KillSwitch::new(-100);
         ks.observe_pnl_half(-199);
         assert!(ks.is_armed());
         ks.observe_pnl_half(-201);
         assert_eq!(
             ks.tripped(),
             Some(KillReason::LossLimit { pnl_ticks: -100 })
-        );
-    }
-
-    #[test]
-    fn kill_switch_trips_on_reject_storm() {
-        let mut ks = KillSwitch::new(-1_000, 3);
-        ks.observe_reject();
-        ks.observe_reject();
-        ks.observe_accept(); // streak broken
-        ks.observe_reject();
-        ks.observe_reject();
-        assert!(ks.is_armed());
-        ks.observe_reject();
-        assert_eq!(ks.tripped(), Some(KillReason::RejectStorm { count: 3 }));
-    }
-
-    #[test]
-    fn manual_trip_wins_and_first_reason_sticks() {
-        let mut ks = KillSwitch::new(-10, 2);
-        ks.trip_manual();
-        assert_eq!(ks.tripped(), Some(KillReason::Manual));
-        ks.observe_pnl(-100);
-        assert_eq!(
-            ks.tripped(),
-            Some(KillReason::Manual),
-            "first reason sticks"
         );
     }
 

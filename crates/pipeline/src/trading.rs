@@ -87,22 +87,12 @@ impl TradingEngine {
         self.portfolio.position()
     }
 
-    /// The underlying half-tick ledger.
-    pub fn portfolio(&self) -> &Portfolio {
-        &self.portfolio
-    }
-
     /// Realized cash in ticks x contracts (positive = net proceeds). The
     /// functional path fills fee-free at integer tick prices, so the
     /// half-tick ledger's cash is always an even number of half-ticks and
     /// this conversion is exact.
     pub fn cash_ticks(&self) -> i64 {
         self.portfolio.cash_half() / 2
-    }
-
-    /// Net cash in half-ticks (see [`Portfolio::cash_half`]).
-    pub fn cash_half(&self) -> i64 {
-        self.portfolio.cash_half()
     }
 
     /// Orders transmitted so far.
@@ -152,8 +142,9 @@ impl TradingEngine {
     /// book at order-arrival time. The order is assumed to fill at its
     /// limit, but — unlike the historical behavior that booked the full
     /// `order_qty` unconditionally — the assumed fill is capped at the
-    /// quantity visible at the touch. The back-test path settles real
-    /// fills instead via [`Self::settle`].
+    /// quantity visible at the touch. The back-test does not come through
+    /// here: it fills each order against the book at its arrival and
+    /// books the fill in its own per-shard [`Portfolio`].
     pub fn on_prediction(
         &mut self,
         prediction: &Prediction,

@@ -7,7 +7,8 @@
 //! and `LightTrader::on_event`) to iLink3 order bytes from
 //! `OrderMessage::encode_into`, into kept buffers, allocates nothing per
 //! datagram; the allocating `on_datagram` wrapper allocates exactly the
-//! `Vec` it returns.
+//! `Vec` it returns. The fleet's `MultiSymbolTrader` rounds — one tick
+//! per shard, then one batched drain — allocate nothing either.
 //!
 //! Same counting-global-allocator technique as `lt-dnn`'s
 //! `tests/zero_alloc.rs`: every allocation on this thread bumps a
@@ -18,7 +19,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use lighttrader::{LightTrader, TickOutcome};
+use lighttrader::{LightTrader, MultiSymbolTrader, TickOutcome};
 use lt_dnn::ModelKind;
 use lt_feed::NormStats;
 use lt_lob::events::MarketEventKind;
@@ -333,6 +334,66 @@ fn cross_symbol_path_is_allocation_free_after_warmup() {
         0,
         "steady-state cross-symbol path (per-shard book update + shared \
          MultiOffload ingest + coalesced pop_batch_into) must not allocate"
+    );
+}
+
+/// The fleet's rounds: each event goes to the next shard's book, and
+/// once every shard has ticked, one drain serves them as a single batch.
+fn replay_fleet(
+    events: &[MarketEvent],
+    books: &mut [LocalBook],
+    trader: &mut MultiSymbolTrader,
+    snap: &mut LobSnapshot,
+    answers: &mut Vec<(ShardTicket, lt_dnn::Prediction)>,
+) -> u64 {
+    let n = books.len();
+    let mut served = 0u64;
+    for (i, event) in events.iter().enumerate() {
+        let shard = i % n;
+        books[shard].apply(event);
+        books[shard].snapshot_into(10, event.ts, snap);
+        trader.on_tick(shard as u16, snap, event.ts);
+        if shard == n - 1 {
+            served += trader.drain_batch(answers) as u64;
+        }
+    }
+    served
+}
+
+#[test]
+fn fleet_rounds_allocate_nothing_after_warmup() {
+    // Short: every drain is a batch-4 DeepLOB forward, and tier-1 runs
+    // this unoptimized.
+    let events = generate_events(600);
+    let mut books: Vec<LocalBook> = (0..4).map(|_| LocalBook::new()).collect();
+    for book in &mut books {
+        book.reserve_orders(600);
+    }
+    let mut trader =
+        MultiSymbolTrader::new(ModelKind::DeepLob, vec![NormStats::identity(10); 4], 3)
+            .with_batch_cap(4);
+    trader.set_batch_threads(1);
+    let mut snap = LobSnapshot::default();
+    let mut answers = Vec::new();
+
+    let warm_a = replay_fleet(&events, &mut books, &mut trader, &mut snap, &mut answers);
+    let warm_b = replay_fleet(&events, &mut books, &mut trader, &mut snap, &mut answers);
+    assert!(warm_a > 0 && warm_b > 0, "the fleet must serve batches");
+
+    let before = allocations();
+    let served = replay_fleet(&events, &mut books, &mut trader, &mut snap, &mut answers);
+    let after = allocations();
+
+    assert_eq!(
+        served,
+        4 * (events.len() / 4) as u64,
+        "every round serves all four"
+    );
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state fleet rounds (per-shard book update + on_tick + \
+         batch-4 drain_batch) must not allocate"
     );
 }
 

@@ -154,7 +154,7 @@ impl SingleDeviceModel<'_> {
                         breakdown,
                         shard: 0,
                         tier: self.kind,
-                        intent: None,
+                        tick_id: ticket.tick_id,
                     }],
                 },
             );

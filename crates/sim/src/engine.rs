@@ -51,11 +51,10 @@ pub struct PendingOrder {
     /// for fixed-model policies; the planner's pick under
     /// `DeadlineTiered`).
     pub tier: ModelKind,
-    /// The order the strategy decided to send on this tick, captured at
-    /// decision time; `None` when the strategy held (or the execution
-    /// layer is disabled). Settled against the arrival-time book when
-    /// this order wires out.
-    pub intent: Option<lt_lob::OrderIntent>,
+    /// The triggering tick's index within its shard, warm-up ticks
+    /// included (the ticket's `tick_id`): the execution layer settles
+    /// the decision it recorded on that tick.
+    pub tick_id: u64,
 }
 
 /// A scheduled simulation event.

@@ -4,12 +4,11 @@
 //! latency: an answered query was a "response" and no order ever
 //! *traded*. This module closes the loop with the venue. At every tick
 //! the strategy may capture an [`OrderIntent`] (an IOC at the
-//! decision-time touch); the intent rides through the offload queue and
-//! the accelerator batch with its ticket, and when the engine's
-//! `OrderOut` event fires — after the full tick-to-trade pipeline
-//! latency — the order is filled against the book state *at arrival
-//! time* via [`lt_lob::fill_ioc`], the venue-side sweep pinned against
-//! the real matching engine. A per-shard [`Portfolio`] books the fills
+//! decision-time touch), recorded under the tick's per-shard id; when
+//! the engine's `OrderOut` event fires for that tick's ticket — after
+//! the full tick-to-trade pipeline latency — the order is filled against
+//! the book state *at arrival time* via [`lt_lob::fill_ioc`], the
+//! venue-side sweep pinned against the real matching engine. A per-shard [`Portfolio`] books the fills
 //! (cash, position, realized/unrealized P&L, fees — all in half-tick
 //! fixed point), and a latching [`KillSwitch`] marks to market on every
 //! tick.
@@ -28,7 +27,6 @@ use lt_feed::TickTrace;
 use lt_lob::{fill_ioc, FeeModel, Fill, FillModel, LobSnapshot, OrderIntent, Qty, Side};
 use lt_pipeline::{KillSwitch, Portfolio, RiskLimits};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// The oracle momentum signal's parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -296,6 +294,31 @@ pub fn precompute_signals(
     dirs
 }
 
+/// The order a signal direction asks for on `snap`: an IOC at the touch
+/// it crosses, or `None` when the signal holds or the book is one-sided
+/// or wider than the spread gate.
+fn decide(dir: i8, snap: &LobSnapshot, limits: &RiskLimits) -> Option<OrderIntent> {
+    if dir == 0 {
+        return None;
+    }
+    let bid = snap.best_bid()?;
+    let ask = snap.best_ask()?;
+    if ask.price.ticks() - bid.price.ticks() > limits.max_spread_ticks {
+        return None;
+    }
+    let (side, touch) = if dir > 0 {
+        (Side::Bid, ask)
+    } else {
+        (Side::Ask, bid)
+    };
+    Some(OrderIntent {
+        side,
+        limit: touch.price,
+        qty: Qty::new(limits.order_qty),
+        touch_qty: touch.qty,
+    })
+}
+
 /// Per-shard execution state: the venue-side view of one instrument.
 struct ShardExec {
     portfolio: Portfolio,
@@ -305,22 +328,20 @@ struct ShardExec {
     /// on the previous tick IS the arrival-time book).
     last_snap: LobSnapshot,
     last_mid_half: Option<i64>,
+    /// The decision of every tick so far, indexed by the shard's tick id
+    /// (`None`: the strategy held).
+    decided: Vec<Option<OrderIntent>>,
     stats: ExecutionStats,
 }
 
-/// Runtime state of the execution layer: per-shard portfolios plus the
-/// intent queue mirroring the offload engine's shared tensor queue.
+/// Runtime state of the execution layer: per-shard portfolios and the
+/// decisions their orders settle.
 pub(crate) struct ExecState {
     fill_model: FillModel,
     limits: RiskLimits,
     fees: FeeModel,
     /// Precomputed per-tick signal directions, indexed by trace position.
     signals: Vec<i8>,
-    /// Decision-time intents of the tickets currently queued in the
-    /// offload engine, in queue order: every queue admission pushes one
-    /// entry (possibly `None` — the strategy held) and every queue
-    /// removal, whatever its reason, pops one.
-    intents: VecDeque<Option<OrderIntent>>,
     shards: Vec<ShardExec>,
 }
 
@@ -331,15 +352,13 @@ impl ExecState {
             limits: cfg.limits,
             fees: cfg.fees,
             signals,
-            intents: VecDeque::new(),
             shards: (0..n_shards.max(1))
                 .map(|_| ShardExec {
                     portfolio: Portfolio::default(),
-                    kill: cfg
-                        .kill_floor_ticks
-                        .map(|floor| KillSwitch::new(floor, u32::MAX)),
+                    kill: cfg.kill_floor_ticks.map(KillSwitch::new),
                     last_snap: LobSnapshot::default(),
                     last_mid_half: None,
+                    decided: Vec::new(),
                     stats: ExecutionStats::default(),
                 })
                 .collect(),
@@ -349,14 +368,9 @@ impl ExecState {
     /// Handles one arriving tick for `shard`: refreshes the venue-side
     /// book view, marks the portfolio to market (the kill switch
     /// observes P&L on *every* tick, orders in flight or not), and
-    /// returns the decision-time intent, if the signal fires on a
-    /// tradeable book.
-    pub(crate) fn on_tick(
-        &mut self,
-        shard: usize,
-        tick_index: usize,
-        snap: &LobSnapshot,
-    ) -> Option<OrderIntent> {
+    /// records the tick's decision under its per-shard tick id: an
+    /// intent when the signal fires on a tradeable book, else `None`.
+    pub(crate) fn on_tick(&mut self, shard: usize, tick_index: usize, snap: &LobSnapshot) {
         let s = &mut self.shards[shard];
         s.last_snap.ts = snap.ts;
         s.last_snap.bids.clone_from(&snap.bids);
@@ -365,54 +379,18 @@ impl ExecState {
         if let (Some(kill), Some(mid)) = (s.kill.as_mut(), s.last_mid_half) {
             kill.observe_pnl_half(s.portfolio.equity_half(mid));
         }
-        let dir = *self.signals.get(tick_index)?;
-        if dir == 0 {
-            return None;
-        }
-        let bid = snap.best_bid()?;
-        let ask = snap.best_ask()?;
-        if ask.price.ticks() - bid.price.ticks() > self.limits.max_spread_ticks {
-            return None;
-        }
-        let (side, touch) = if dir > 0 {
-            (Side::Bid, ask)
-        } else {
-            (Side::Ask, bid)
-        };
-        Some(OrderIntent {
-            side,
-            limit: touch.price,
-            qty: Qty::new(self.limits.order_qty),
-            touch_qty: touch.qty,
-        })
-    }
-
-    /// Mirrors a queue admission: the ticket at the queue's back carries
-    /// this decision-time intent.
-    pub(crate) fn push_intent(&mut self, intent: Option<OrderIntent>) {
-        self.intents.push_back(intent);
-    }
-
-    /// Mirrors a queue removal that never reaches the wire (stale drop,
-    /// deadline shed, defer, end-of-session drain): the order is simply
-    /// never sent.
-    pub(crate) fn discard_intent(&mut self) {
-        self.intents.pop_front();
-    }
-
-    /// Mirrors a batch pop: the front `n` intents ride with the batch.
-    pub(crate) fn pop_intents(&mut self, n: usize) -> Vec<Option<OrderIntent>> {
-        self.intents.drain(..n.min(self.intents.len())).collect()
+        let dir = self.signals.get(tick_index).copied().unwrap_or(0);
+        s.decided.push(decide(dir, snap, &self.limits));
     }
 
     /// Settles one wired-out order against the arrival-time book. Both
     /// in-time and late orders trade — a late order still went out on
     /// the wire; it just finds a book that moved even further.
     pub(crate) fn settle_order(&mut self, order: &PendingOrder) {
-        let Some(intent) = order.intent else {
+        let s = &mut self.shards[order.shard as usize];
+        let Some(intent) = s.decided[order.tick_id as usize] else {
             return;
         };
-        let s = &mut self.shards[order.shard as usize];
         if s.kill.as_ref().is_some_and(|k| !k.is_armed()) {
             s.stats.suppressed += 1;
             return;

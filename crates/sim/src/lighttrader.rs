@@ -44,7 +44,7 @@ use lt_accel::dvfs::{static_plan, DvfsTable, OperatingPoint};
 use lt_accel::{Accelerator, DeviceProfile};
 use lt_dnn::ModelKind;
 use lt_feed::{NormStats, TickRecord, TickTrace};
-use lt_lob::{OrderIntent, Timestamp};
+use lt_lob::Timestamp;
 use lt_pipeline::{MultiOffload, PipelineLatencies, ShardTicket};
 use lt_sched::{plan_uprates, schedule_workload, LatencyModel, TierDecision, TierPlanner};
 use std::time::Duration;
@@ -63,9 +63,6 @@ struct InFlight {
     /// fixed-model policies).
     kind: ModelKind,
     tickets: Vec<ShardTicket>,
-    /// Decision-time order intents riding with `tickets` (parallel, one
-    /// per ticket); empty when the execution layer is disabled.
-    intents: Vec<Option<OrderIntent>>,
     /// Completion token; a rescale invalidates the previous one.
     batch_id: BatchId,
     /// When the batch claimed the accelerator (before the DVFS switch).
@@ -137,10 +134,9 @@ pub(crate) struct SimState {
     /// Shard of each trace tick, parallel to the merged trace (empty for
     /// single-instrument runs, where every tick is shard 0).
     tick_shards: Vec<u16>,
-    /// Ticks consumed so far (ticks arrive strictly in trace order).
-    cursor: usize,
-    /// Global tick index (every tick, all shards) — the key into the
-    /// execution layer's precomputed signal stream.
+    /// Global tick index (every tick, all shards; ticks arrive strictly
+    /// in trace order) — the key into the shard map and the execution
+    /// layer's precomputed signal stream.
     tick_index: usize,
     /// The execution & portfolio layer; `None` when disabled.
     exec: Option<ExecState>,
@@ -308,8 +304,7 @@ impl SimState {
         let orders: Vec<PendingOrder> = flight
             .tickets
             .iter()
-            .enumerate()
-            .map(|(i, t)| PendingOrder {
+            .map(|t| PendingOrder {
                 tick_ts: t.ticket.tick_ts,
                 deadline: t.ticket.tick_ts + self.t_avail,
                 breakdown: QueryTimeline {
@@ -322,7 +317,7 @@ impl SimState {
                 .breakdown(&self.stages),
                 shard: t.shard,
                 tier: flight.kind,
-                intent: flight.intents.get(i).copied().flatten(),
+                tick_id: t.ticket.tick_id,
             })
             .collect();
         ctx.queue.push_at(order_out, Event::OrderOut { orders });
@@ -369,18 +364,9 @@ impl SimState {
                 continue;
             }
             loop {
-                // Stale management before every scheduling attempt. Every
-                // queue removal pops the matching decision-time intent —
-                // a dropped tensor means the order is never sent.
-                let stale = {
-                    let exec = &mut self.exec;
-                    self.offload.drop_stale_with(now, self.stale_budget, |_| {
-                        if let Some(e) = exec.as_mut() {
-                            e.discard_intent();
-                        }
-                    })
-                };
-                ctx.metrics.dropped_stale += stale;
+                // Stale management before every scheduling attempt: a
+                // dropped tensor means its tick's order is never sent.
+                ctx.metrics.dropped_stale += self.offload.drop_stale(now, self.stale_budget);
                 let Some(oldest) = self.offload.oldest() else {
                     break 'accels; // queue empty: nothing for any accel
                 };
@@ -437,11 +423,7 @@ impl SimState {
                         // No registered tier fits the remaining budget:
                         // shed the query outright instead of burning
                         // accelerator time on a guaranteed miss.
-                        if self.offload.drop_oldest_deadline().is_some() {
-                            if let Some(e) = self.exec.as_mut() {
-                                e.discard_intent();
-                            }
-                        }
+                        self.offload.drop_oldest_deadline();
                         ctx.metrics.dropped_deadline += 1;
                         continue;
                     }
@@ -472,14 +454,6 @@ impl SimState {
                         let mut tickets = self.spare.pop().unwrap_or_default();
                         self.offload.pop_batch_into(batch as usize, &mut tickets);
                         debug_assert_eq!(tickets.len(), batch as usize);
-                        // Intents attach at queue-pop time: batches settle
-                        // out of order across accelerators, so matching at
-                        // settle time would mispair them.
-                        let intents = self
-                            .exec
-                            .as_mut()
-                            .map(|e| e.pop_intents(batch as usize))
-                            .unwrap_or_default();
                         let ready = tickets
                             .iter()
                             .map(|t| t.ticket.ready_at)
@@ -497,7 +471,6 @@ impl SimState {
                             point,
                             kind: serve_kind,
                             tickets,
-                            intents,
                             batch_id,
                             issue_base,
                             switch_total: switch,
@@ -519,9 +492,6 @@ impl SimState {
                         // conventional pipeline (Algorithm 1's "remove
                         // oldest input tensor") and reschedule.
                         if self.offload.defer_oldest().is_some() {
-                            if let Some(e) = self.exec.as_mut() {
-                                e.discard_intent();
-                            }
                             ctx.metrics.deferred += 1;
                             continue;
                         }
@@ -643,32 +613,24 @@ impl SimState {
 
 impl SimModel for SimState {
     fn on_tick(&mut self, tick: &TickRecord, ctx: &mut EngineCtx) {
-        // Ticks arrive strictly in trace order, so the cursor tracks the
-        // engine's tick index; single-instrument runs carry no shard map
-        // and route everything to shard 0.
+        // Single-instrument runs carry no shard map and route everything
+        // to shard 0.
         let shard = if self.tick_shards.is_empty() {
             0
         } else {
-            let s = self.tick_shards[self.cursor];
-            self.cursor += 1;
-            s
+            self.tick_shards[self.tick_index]
         };
         self.per_shard[shard as usize].ticks += 1;
         let before_full = self.offload.dropped_full();
-        let admitted = self
-            .offload
+        self.offload
             .on_tick_staged(shard, &tick.snapshot, tick.ts, &self.stages);
         ctx.metrics.dropped_full += self.offload.dropped_full() - before_full;
         if let Some(exec) = self.exec.as_mut() {
             // The strategy decides on every tick (mark-to-market and the
-            // kill switch run tick-by-tick), but an intent only enters
-            // the venue path when its tensor was actually admitted: a
-            // tick dropped at admission never produces an inference,
-            // hence never an order.
-            let intent = exec.on_tick(shard as usize, self.tick_index, &tick.snapshot);
-            if admitted.is_some() {
-                exec.push_intent(intent);
-            }
+            // kill switch run tick-by-tick); a decision reaches the venue
+            // only if its tick's ticket is served, since an order settles
+            // the decision recorded under its ticket's tick id.
+            exec.on_tick(shard as usize, self.tick_index, &tick.snapshot);
         }
         self.tick_index += 1;
         self.try_issue(ctx);
@@ -727,15 +689,7 @@ impl SimModel for SimState {
 
     fn on_finish(&mut self, ctx: &mut EngineCtx) {
         // Any tensors still queued at session end can never be answered.
-        let leftover = {
-            let exec = &mut self.exec;
-            self.offload.drain_leftover_with(|_| {
-                if let Some(e) = exec.as_mut() {
-                    e.discard_intent();
-                }
-            })
-        };
-        ctx.metrics.dropped_stale += leftover;
+        ctx.metrics.dropped_stale += self.offload.drain_leftover();
         if let Some(exec) = self.exec.as_mut() {
             exec.finalize();
             ctx.metrics.execution = Some(exec.aggregate());
@@ -876,7 +830,6 @@ pub(crate) fn build_state(
             cfg.queue_capacity,
         ),
         tick_shards,
-        cursor: 0,
         tick_index: 0,
         exec: None,
         per_shard: vec![ShardScore::default(); n_shards],

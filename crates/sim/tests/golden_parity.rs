@@ -19,10 +19,12 @@ use lt_accel::PowerCondition;
 use lt_dnn::ModelKind;
 use lt_feed::TickTrace;
 use lt_sched::Policy;
-use lt_sim::traffic::{evaluation_trace, scheduling_deadline_for};
+use lt_sim::traffic::{
+    burst_storm_trace, evaluation_trace, multi_evaluation_session, scheduling_deadline_for,
+};
 use lt_sim::{
-    run_lighttrader, run_single_device, BacktestConfig, BacktestMetrics, ExecutionConfig,
-    SingleDeviceSystem, TierParams,
+    run_lighttrader, run_multi, run_single_device, BacktestConfig, BacktestMetrics,
+    ExecutionConfig, SignalConfig, SingleDeviceSystem, TierParams,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -335,6 +337,78 @@ fn assume_fill_mode_matches_goldens() {
     }
 }
 
+/// The exact [`lt_sim::ExecutionStats`] of every scheduler under every
+/// fill mode on one storm, then per symbol of a sharded run at one and
+/// four accelerators, one line each. Every fill, miss, suppression and
+/// half-tick of P&L is pinned, so an order settled with another tick's
+/// decision moves a line even where the relative floors of
+/// `tests/execution.rs` would still hold.
+fn fills_report() -> String {
+    let mut s = String::new();
+    let storm = burst_storm_trace(4.0, 70_823);
+    let base = BacktestConfig::new(ModelKind::DeepLob, 2, PowerCondition::Limited)
+        .with_t_avail(scheduling_deadline_for(ModelKind::DeepLob));
+    let schedulers = Policy::ALL
+        .iter()
+        .map(|&p| (format!("{p:?}"), base.with_policy(p)))
+        .chain([(
+            "DeadlineTiered(450us)".to_string(),
+            base.with_deadline_tiered(Some(Duration::from_micros(450))),
+        )]);
+    let modes = [
+        ("realistic", ExecutionConfig::realistic()),
+        ("assume_fill", ExecutionConfig::assume_fill()),
+        (
+            "kill_floor_-40",
+            ExecutionConfig::realistic().with_kill_floor(-40),
+        ),
+    ];
+    for (scheduler, cfg) in schedulers {
+        for (mode, exec) in modes {
+            let stats = run_lighttrader(&storm, &cfg.with_execution(exec))
+                .execution
+                .expect("enabled layer reports stats");
+            writeln!(s, "storm {scheduler} {mode} {stats:?}").unwrap();
+        }
+    }
+    let session = multi_evaluation_session(2.0, 42, 4, 1.0);
+    // The default 100-tick horizon leaves every symbol but the hot one
+    // without a signal once its window is warm; at 10 ticks two trade.
+    let signal = SignalConfig {
+        horizon_ticks: 10,
+        ..SignalConfig::default()
+    };
+    for accels in [1, 4] {
+        let cfg = BacktestConfig::new(ModelKind::DeepLob, accels, PowerCondition::Sufficient)
+            .with_policy(Policy::Both)
+            .with_t_avail(scheduling_deadline_for(ModelKind::DeepLob))
+            .with_symbols(4, 1.0)
+            .with_execution(ExecutionConfig::realistic().with_signal(signal));
+        for (i, symbol) in run_multi(&session, &cfg).per_symbol.iter().enumerate() {
+            let stats = symbol.execution.expect("trading run reports per symbol");
+            writeln!(s, "multi {accels} accels, symbol {i} {stats:?}").unwrap();
+        }
+    }
+    s
+}
+
+/// Fills are pinned exactly, not only by the floors and tiling checks of
+/// `tests/execution.rs`: each order must trade its own tick's decision.
+#[test]
+fn execution_fills_match_goldens() {
+    let got = fills_report();
+    let want = std::fs::read_to_string(golden_path("fills"))
+        .unwrap_or_else(|e| panic!("missing golden fills: {e}"));
+    for (got, want) in got.lines().zip(want.lines()) {
+        assert_eq!(got, want, "fills diverged from the golden");
+    }
+    assert_eq!(
+        got.lines().count(),
+        want.lines().count(),
+        "fills golden rows"
+    );
+}
+
 /// Rewrites every golden from the current implementation. Run only when a
 /// semantic change is intended; the diff is the review artifact.
 #[test]
@@ -342,6 +416,7 @@ fn assume_fill_mode_matches_goldens() {
 fn regenerate_goldens() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens");
     std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(golden_path("fills"), fills_report()).unwrap();
     let mut traces: Vec<(u64, TickTrace)> = Vec::new();
     for s in scenarios() {
         if !traces.iter().any(|(seed, _)| *seed == s.trace_seed) {

@@ -56,11 +56,12 @@ cargo test -q --release -p lt-protocol --test golden
 # Release drops the debug-only checks: it is the build that must not panic.
 cargo test -q --release -p lt-pipeline --test hostile_wire
 
-echo "== hot-path gates: ladder ≡ reference through the engine's events + zero-alloc from datagram bytes to order bytes + the trader's datagram-vs-event differentials =="
+echo "== hot-path gates: ladder ≡ reference through the engine's events + zero-alloc from datagram bytes to order bytes and for the fleet's rounds + the trader's datagram-vs-event and the fleet's own-window differentials =="
 cargo test -q --release -p lt-lob --test book_equivalence
 cargo test -q --release -p lt-pipeline --test zero_alloc
 # Warm-up boundary, tier switch and 300-event datagram, each against
-# event-by-event intake, optimized as the facade serves.
+# event-by-event intake, optimized as the facade serves; and the fleet at
+# batch cap 1, where every answer must be its own tick's batch-1 forward.
 cargo test -q --release -p lighttrader --lib
 
 echo "== inference gates: nonlinearity contract + model-output goldens + packed-vs-reference equivalence + batch-N-vs-batch-1 + swept-vs-whole-window bit-equivalence + zero-alloc + datagram-vs-event differential =="
@@ -95,8 +96,10 @@ echo "== tier scheduler gates: planner/estimator properties + outcome accounting
 cargo test -q --release -p lt-sched --test tier_props
 cargo test -q --release -p lt-sim --test tier_accounting
 
-echo "== execution gates: assume-fill golden differential + fill-model floors + portfolio properties + kill-switch drawdown =="
+echo "== execution gates: assume-fill golden differential + pinned fills + fill-model floors + portfolio properties + kill-switch drawdown =="
 cargo test -q --release -p lt-sim --test golden_parity assume_fill_mode_matches_goldens
+# Every order settles its own tick's decision: exact ExecutionStats.
+cargo test -q --release -p lt-sim --test golden_parity execution_fills_match_goldens
 cargo test -q --release -p lt-sim --test execution
 cargo test -q --release -p lt-pipeline --test portfolio_props
 cargo test -q --release -p lighttrader drawdown_on_held_position_trips_kill_with_no_orders_in_flight
