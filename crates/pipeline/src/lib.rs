@@ -13,17 +13,19 @@
 //!   health plus recovered/lost accounting survive the session;
 //! * [`local_book`] — the depth-limited local LOB mirror the HFT system
 //!   maintains from tick data;
-//! * [`multi_offload`] — the offload engine of Fig. 5 over N ≥ 1
-//!   instruments: per-symbol feature shards feeding one coalesced tensor
-//!   queue (admission, tick ids, stale-tensor management), so a single
-//!   accelerator batch mixes rows from many instruments;
-//! * [`offload`] — one shard's parts: the [`FeatureWindow`] (Z-score
+//! * [`multi_offload`] — the queueing half of Fig. 5's offload engine
+//!   over N ≥ 1 instruments: [`TicketQueue`], the back-test's one
+//!   coalesced ticket queue (warm-up, admission, tick ids, stale-ticket
+//!   management), so a single accelerator batch mixes queries from many
+//!   instruments; and [`MultiOffload`], a feature window per shard in
+//!   front of it, which only the benchmark and the zero-alloc gates use;
+//! * [`offload`] — the staging half: the [`FeatureWindow`] (Z-score
 //!   normalization against historical statistics, BF16 conversion, the
 //!   feature-vector FIFO that assembles `[window, 40]` input tensors),
-//!   which the functional trader reads directly since it never queues a
-//!   query; the [`TensorTicket`]; and [`OffloadEngine`], the one-shard
-//!   view of [`MultiOffload`], which only the benchmark's shadow paths
-//!   use;
+//!   which the functional traders read directly since they never queue a
+//!   query; the [`TensorTicket`]; and [`OffloadEngine`], a window in
+//!   front of a one-shard queue, kept for the same callers as
+//!   [`MultiOffload`];
 //! * [`trading`] — the trading engine: risk-checked order generation from
 //!   inference results, with position tracking, P&L accounting, and
 //!   iLink3/FIX encoding;
@@ -46,7 +48,7 @@ pub mod trading;
 
 pub use arbiter::{ArbiterStats, FeedArbiter, FeedHealth, FeedId};
 pub use local_book::LocalBook;
-pub use multi_offload::{MultiOffload, ShardCounters, ShardTicket};
+pub use multi_offload::{MultiOffload, ShardCounters, ShardTicket, TicketQueue};
 pub use offload::{FeatureWindow, OffloadEngine, TensorTicket};
 pub use parser::{PacketParser, ParserStats};
 pub use portfolio::Portfolio;

@@ -1,24 +1,16 @@
-//! The cross-symbol offload engine: per-symbol feature shards feeding
-//! one coalesced tensor queue.
+//! The back-test's ticket queue, and the benchmark's cross-symbol
+//! offload view over it.
 //!
-//! The paper's offload engine (Fig. 5) serves a single instrument. To
-//! serve N symbols with one accelerator fleet, each symbol keeps its own
-//! sliding [`FeatureWindow`] (its book history is independent), but every
-//! warm tick enqueues into a *shared* FIFO of [`ShardTicket`]s. The
-//! scheduler batches straight off that shared queue, so a single
-//! accelerator batch coalesces feature rows from many symbols and the
-//! per-batch fixed costs (DMA descriptor setup, kernel launch) amortize
-//! across the whole fleet's traffic instead of fragmenting per symbol.
-//! Tickets carry their shard index, so completions fan back out to the
-//! right symbol's trading engine.
-//!
-//! All steady-state storage (every shard's ring, the shared queue) is
-//! allocated up front; the ingest → pop path is allocation-free after
-//! warm-up (`tests/zero_alloc.rs`). One shard is the paper's
-//! single-instrument engine; the single-device baseline runs it so.
-//! The queue is the back-test's, where the scheduler batches, defers and
-//! drops stale tensors; the wall-clock traders queue nothing and read
-//! their shards' [`FeatureWindow`]s directly.
+//! The paper's offload engine (Fig. 5) stages feature windows for the
+//! accelerators and queues tickets so Algorithms 1 and 2 can batch, defer
+//! and drop stale work. The simulator needs only the queueing, so
+//! [`TicketQueue`] is that alone: per-shard tick counts and outcome
+//! counters, warm-up counted without a ring, and one *shared* FIFO of
+//! [`ShardTicket`]s across N ≥ 1 symbol shards, so one accelerator batch
+//! coalesces queries from many symbols. Tickets carry their shard index,
+//! so completions fan back out to the right symbol. All storage is
+//! allocated up front; intake → pop allocates nothing
+//! (`tests/zero_alloc.rs`).
 
 use crate::offload::{FeatureWindow, TensorTicket};
 use crate::stages::PipelineLatencies;
@@ -40,60 +32,55 @@ pub struct ShardTicket {
 pub struct ShardCounters {
     /// Ticks dropped at admission because the shared queue was full.
     pub dropped_full: u64,
-    /// Tensors dropped because their deadline lapsed while queued.
+    /// Tickets dropped because their deadline lapsed while queued.
     pub dropped_stale: u64,
-    /// Tensors deferred to the conventional pipeline by Algorithm 1.
+    /// Tickets deferred to the conventional pipeline by Algorithm 1.
     pub deferred: u64,
-    /// Tensors dropped by the deadline-tier planner: no registered model
+    /// Tickets dropped by the deadline-tier planner: no registered model
     /// tier's predicted cost fit the remaining budget.
     pub dropped_deadline: u64,
 }
 
-/// One symbol's slice of the engine: its feature window, tick counter,
-/// and outcome counters.
-#[derive(Debug, Clone)]
+/// One symbol's slice of the queue: its tick counter and outcome
+/// counters.
+#[derive(Debug, Clone, Copy, Default)]
 struct Shard {
-    features: FeatureWindow,
     next_tick_id: u64,
     counters: ShardCounters,
 }
 
-/// The cross-symbol offload engine: N feature shards, one shared
-/// coalesced ticket queue.
+/// The back-test's ticket queue: N symbol shards, one shared FIFO.
 #[derive(Debug, Clone)]
-pub struct MultiOffload {
+pub struct TicketQueue {
     shards: Vec<Shard>,
-    /// The shared tensor queue, FIFO across all shards.
+    /// Ticks a shard takes to warm up: its first ticket is tick
+    /// `window - 1`, the first with a full window behind it.
+    window: usize,
+    /// The shared ticket FIFO, across all shards.
     queue: VecDeque<ShardTicket>,
-    /// Shared capacity: `capacity_per_shard × n_shards`.
+    /// Shared capacity: `capacity_per_shard × shards`.
     capacity: usize,
     dropped_full: u64,
     dropped_stale: u64,
 }
 
-impl MultiOffload {
-    /// Creates an engine with one shard per entry of `norms`, each with
-    /// the same `window`, sharing a queue of `capacity_per_shard` slots
-    /// per shard. One shard is the paper's single-instrument engine.
+impl TicketQueue {
+    /// Creates a queue of `shards` shards, each warming up over `window`
+    /// ticks, sharing `capacity_per_shard` slots per shard.
     ///
     /// # Panics
     ///
-    /// Panics if `norms` is empty, any window/stats is unusable, or
-    /// `capacity_per_shard` is zero.
-    pub fn new(norms: Vec<NormStats>, window: usize, capacity_per_shard: usize) -> Self {
-        assert!(!norms.is_empty(), "need at least one shard");
+    /// Panics if `shards`, `window` or `capacity_per_shard` is zero, or
+    /// `shards` does not fit a `u16` index.
+    pub fn new(shards: usize, window: usize, capacity_per_shard: usize) -> Self {
+        assert!(shards > 0, "need at least one shard");
+        assert!(window > 0, "window must be positive");
         assert!(capacity_per_shard > 0, "capacity must be positive");
-        assert!(norms.len() <= u16::MAX as usize, "shard index must fit u16");
-        let capacity = capacity_per_shard * norms.len();
-        MultiOffload {
-            shards: norms
-                .into_iter()
-                .map(|norm| Shard {
-                    features: FeatureWindow::new(norm, window),
-                    next_tick_id: 0,
-                    counters: ShardCounters::default(),
-                })
-                .collect(),
+        assert!(shards <= u16::MAX as usize, "shard index must fit u16");
+        let capacity = capacity_per_shard * shards;
+        TicketQueue {
+            shards: vec![Shard::default(); shards],
+            window,
             queue: VecDeque::with_capacity(capacity),
             capacity,
             dropped_full: 0,
@@ -101,12 +88,46 @@ impl MultiOffload {
         }
     }
 
-    /// Number of symbol shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
+    /// Counts one tick for `shard`, stamped `tick_ts` by the exchange and
+    /// ready for the accelerators at `ready_at`, and once the shard is
+    /// warm enqueues its ticket.
+    ///
+    /// Returns the ticket if one was enqueued (`None` while the shard is
+    /// warming up or when the shared queue is full).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range.
+    pub fn on_tick(
+        &mut self,
+        shard: u16,
+        tick_ts: Timestamp,
+        ready_at: Timestamp,
+    ) -> Option<ShardTicket> {
+        let s = &mut self.shards[shard as usize];
+        let tick_id = s.next_tick_id;
+        s.next_tick_id += 1;
+        if tick_id + 1 < self.window as u64 {
+            return None;
+        }
+        if self.queue.len() >= self.capacity {
+            s.counters.dropped_full += 1;
+            self.dropped_full += 1;
+            return None;
+        }
+        let ticket = ShardTicket {
+            shard,
+            ticket: TensorTicket {
+                tick_id,
+                tick_ts,
+                ready_at,
+            },
+        };
+        self.queue.push_back(ticket);
+        Some(ticket)
     }
 
-    /// Tensors currently queued for the DNN pipeline, across all shards.
+    /// Tickets currently queued, across all shards.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
     }
@@ -121,7 +142,7 @@ impl MultiOffload {
         self.dropped_full
     }
 
-    /// Tensors dropped stale while queued (all shards).
+    /// Tickets dropped stale while queued (all shards).
     pub fn dropped_stale(&self) -> u64 {
         self.dropped_stale
     }
@@ -133,80 +154,6 @@ impl MultiOffload {
     /// Panics if `shard` is out of range.
     pub fn shard_counters(&self, shard: usize) -> ShardCounters {
         self.shards[shard].counters
-    }
-
-    /// True once `shard`'s feature ring holds a full window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn shard_is_warm(&self, shard: usize) -> bool {
-        self.shards[shard].features.is_warm()
-    }
-
-    /// The configured window length, in ticks (identical across shards).
-    pub fn window(&self) -> usize {
-        self.shards[0].features.window()
-    }
-
-    /// Feature columns per row (`4 × depth`, identical across shards).
-    pub fn width(&self) -> usize {
-        self.shards[0].features.width()
-    }
-
-    /// Writes `shard`'s current window into `out` (`window × 4·depth`
-    /// floats, chronological) without allocating — the staging step of
-    /// the cross-symbol batched forward: each popped [`ShardTicket`]
-    /// fills one lane of a recycled batch buffer from its shard's ring.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range, the shard is not warm yet, or
-    /// `out` has the wrong length.
-    pub fn write_shard_window_into(&self, shard: usize, out: &mut [f32]) {
-        self.shards[shard].features.write_into(out);
-    }
-
-    /// Ingests one tick for `shard` arriving at `now`: normalizes its
-    /// features into the shard's FIFO and, once that window is warm,
-    /// enqueues an inference request that is ready after the pipeline's
-    /// ingress budget.
-    ///
-    /// Returns the ticket if one was enqueued (`None` while the shard is
-    /// warming up or when the shared queue is full).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn on_tick_staged(
-        &mut self,
-        shard: u16,
-        snapshot: &LobSnapshot,
-        now: Timestamp,
-        stages: &PipelineLatencies,
-    ) -> Option<ShardTicket> {
-        let s = &mut self.shards[shard as usize];
-        let warm = s.features.push(snapshot);
-        let tick_id = s.next_tick_id;
-        s.next_tick_id += 1;
-        if !warm {
-            return None;
-        }
-        if self.queue.len() >= self.capacity {
-            s.counters.dropped_full += 1;
-            self.dropped_full += 1;
-            return None;
-        }
-        let ticket = ShardTicket {
-            shard,
-            ticket: TensorTicket {
-                tick_id,
-                tick_ts: snapshot.ts,
-                ready_at: now + stages.ingress(),
-            },
-        };
-        self.queue.push_back(ticket);
-        Some(ticket)
     }
 
     /// Pops the oldest queued ticket, if any.
@@ -279,65 +226,110 @@ impl MultiOffload {
     }
 }
 
+/// The cross-symbol offload engine: one [`FeatureWindow`] per shard in
+/// front of a [`TicketQueue`]. Kept only because the benchmark's shadow
+/// batch path and the zero-alloc gates name it; no library code uses it.
+#[derive(Debug, Clone)]
+pub struct MultiOffload {
+    windows: Vec<FeatureWindow>,
+    queue: TicketQueue,
+}
+
+impl MultiOffload {
+    /// One window per entry of `norms` in front of a [`TicketQueue`] of
+    /// `capacity_per_shard` slots per shard; panics as that queue does.
+    pub fn new(norms: Vec<NormStats>, window: usize, capacity_per_shard: usize) -> Self {
+        MultiOffload {
+            queue: TicketQueue::new(norms.len(), window, capacity_per_shard),
+            windows: norms
+                .into_iter()
+                .map(|norm| FeatureWindow::new(norm, window))
+                .collect(),
+        }
+    }
+
+    /// The configured window length, in ticks (identical across shards).
+    pub fn window(&self) -> usize {
+        self.windows[0].window()
+    }
+
+    /// Feature columns per row (`4 × depth`, identical across shards).
+    pub fn width(&self) -> usize {
+        self.windows[0].width()
+    }
+
+    /// As [`FeatureWindow::write_into`], on `shard`'s window.
+    pub fn write_shard_window_into(&self, shard: usize, out: &mut [f32]) {
+        self.windows[shard].write_into(out);
+    }
+
+    /// Stages one tick for `shard` arriving at `now` into its window and
+    /// hands it to the queue, ready after the pipeline's ingress budget.
+    pub fn on_tick_staged(
+        &mut self,
+        shard: u16,
+        snapshot: &LobSnapshot,
+        now: Timestamp,
+        stages: &PipelineLatencies,
+    ) -> Option<ShardTicket> {
+        self.windows[shard as usize].push(snapshot);
+        self.queue
+            .on_tick(shard, snapshot.ts, now + stages.ingress())
+    }
+
+    /// As [`TicketQueue::pop_batch_into`].
+    pub fn pop_batch_into(&mut self, batch: usize, out: &mut Vec<ShardTicket>) {
+        self.queue.pop_batch_into(batch, out);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::offload::tests::snap;
+    use crate::offload::OffloadEngine;
     use std::time::Duration;
 
-    fn engine(shards: usize, window: usize, capacity_per_shard: usize) -> MultiOffload {
-        MultiOffload::new(
-            vec![NormStats::identity(1); shards],
-            window,
-            capacity_per_shard,
-        )
-    }
-
-    /// One tick for `shard` at `ts_us` with the book centred on `mid`.
-    fn tick(e: &mut MultiOffload, shard: u16, ts_us: u64, mid: i64) -> Option<ShardTicket> {
-        let stages = PipelineLatencies::fpga();
-        e.on_tick_staged(
-            shard,
-            &snap(ts_us, mid),
-            Timestamp::from_micros(ts_us),
-            &stages,
-        )
+    /// One tick for `shard` stamped and arriving at `ts_us`.
+    fn tick(q: &mut TicketQueue, shard: u16, ts_us: u64) -> Option<ShardTicket> {
+        let ts = Timestamp::from_micros(ts_us);
+        q.on_tick(shard, ts, ts + PipelineLatencies::fpga().ingress())
     }
 
     #[test]
     fn shards_warm_independently() {
-        let mut e = engine(2, 2, 8);
+        let mut q = TicketQueue::new(2, 2, 8);
         // Shard 0 gets two ticks (warm), shard 1 only one (still cold).
-        assert!(tick(&mut e, 0, 1, 100).is_none());
-        assert!(tick(&mut e, 1, 2, 200).is_none());
-        let t = tick(&mut e, 0, 3, 100).unwrap();
+        assert!(tick(&mut q, 0, 1).is_none());
+        assert!(tick(&mut q, 1, 2).is_none());
+        let t = tick(&mut q, 0, 3).unwrap();
         assert_eq!(t.shard, 0);
         assert_eq!(t.ticket.tick_id, 1);
-        assert!(tick(&mut e, 1, 4, 200).is_some());
-        assert_eq!(e.queue_len(), 2);
+        assert!(tick(&mut q, 1, 4).is_some());
+        assert_eq!(q.queue_len(), 2);
     }
 
     #[test]
     fn queue_is_fifo_across_shards() {
-        let mut e = engine(3, 1, 8);
+        let mut q = TicketQueue::new(3, 1, 8);
         for (i, shard) in [(1u64, 2u16), (2, 0), (3, 1), (4, 2)] {
-            tick(&mut e, shard, i, 100);
+            tick(&mut q, shard, i);
         }
         let mut out = Vec::new();
-        e.pop_batch_into(3, &mut out);
+        q.pop_batch_into(3, &mut out);
         let shards: Vec<u16> = out.iter().map(|t| t.shard).collect();
         assert_eq!(shards, vec![2, 0, 1], "arrival order, not shard order");
-        assert_eq!(e.oldest().unwrap().shard, 2);
+        assert_eq!(q.oldest().unwrap().shard, 2);
     }
 
     #[test]
     fn per_shard_tick_ids_are_independent() {
-        let mut e = engine(2, 1, 8);
-        tick(&mut e, 0, 1, 100);
-        tick(&mut e, 0, 2, 100);
-        tick(&mut e, 1, 3, 100);
+        let mut q = TicketQueue::new(2, 1, 8);
+        tick(&mut q, 0, 1);
+        tick(&mut q, 0, 2);
+        tick(&mut q, 1, 3);
         let mut out = Vec::new();
-        e.pop_batch_into(8, &mut out);
+        q.pop_batch_into(8, &mut out);
         assert_eq!(out[0].ticket.tick_id, 0);
         assert_eq!(out[1].ticket.tick_id, 1);
         assert_eq!(out[2].ticket.tick_id, 0, "shard 1 counts from zero");
@@ -345,65 +337,127 @@ mod tests {
 
     #[test]
     fn shared_capacity_scales_with_shards_and_attributes_drops() {
-        let mut e = engine(2, 1, 2); // shared capacity 4
+        let mut q = TicketQueue::new(2, 1, 2); // shared capacity 4
         for i in 0..6u64 {
-            tick(&mut e, (i % 2) as u16, i, 100);
+            tick(&mut q, (i % 2) as u16, i);
         }
-        assert_eq!(e.queue_len(), 4);
-        assert_eq!(e.dropped_full(), 2);
-        assert_eq!(e.shard_counters(0).dropped_full, 1);
-        assert_eq!(e.shard_counters(1).dropped_full, 1);
+        assert_eq!(q.queue_len(), 4);
+        assert_eq!(q.dropped_full(), 2);
+        assert_eq!(q.shard_counters(0).dropped_full, 1);
+        assert_eq!(q.shard_counters(1).dropped_full, 1);
     }
 
     #[test]
     fn stale_drops_and_defers_attribute_to_shards() {
-        let mut e = engine(2, 1, 8);
-        tick(&mut e, 0, 0, 100);
-        tick(&mut e, 1, 10, 100);
-        tick(&mut e, 0, 900, 100);
-        let dropped = e.drop_stale(Timestamp::from_micros(1_200), Duration::from_millis(1));
+        let mut q = TicketQueue::new(2, 1, 8);
+        tick(&mut q, 0, 0);
+        tick(&mut q, 1, 10);
+        tick(&mut q, 0, 900);
+        let dropped = q.drop_stale(Timestamp::from_micros(1_200), Duration::from_millis(1));
         assert_eq!(dropped, 2);
-        assert_eq!(e.shard_counters(0).dropped_stale, 1);
-        assert_eq!(e.shard_counters(1).dropped_stale, 1);
-        let d = e.defer_oldest().unwrap();
+        assert_eq!(q.shard_counters(0).dropped_stale, 1);
+        assert_eq!(q.shard_counters(1).dropped_stale, 1);
+        let d = q.defer_oldest().unwrap();
         assert_eq!(d.shard, 0);
-        assert_eq!(e.shard_counters(0).deferred, 1);
-        assert_eq!(e.queue_len(), 0);
+        assert_eq!(q.shard_counters(0).deferred, 1);
+        assert_eq!(q.queue_len(), 0);
     }
 
     #[test]
     fn deadline_drops_attribute_to_shards() {
-        let mut e = engine(2, 1, 8);
-        tick(&mut e, 1, 0, 100);
-        tick(&mut e, 0, 1, 100);
-        let d = e.drop_oldest_deadline().unwrap();
+        let mut q = TicketQueue::new(2, 1, 8);
+        tick(&mut q, 1, 0);
+        tick(&mut q, 0, 1);
+        let d = q.drop_oldest_deadline().unwrap();
         assert_eq!(d.shard, 1);
-        assert_eq!(e.shard_counters(1).dropped_deadline, 1);
-        assert_eq!(e.shard_counters(0).dropped_deadline, 0);
-        assert_eq!(e.queue_len(), 1);
-        e.pop_ticket();
-        assert!(e.drop_oldest_deadline().is_none());
-        assert_eq!(e.shard_counters(1).dropped_deadline, 1);
+        assert_eq!(q.shard_counters(1).dropped_deadline, 1);
+        assert_eq!(q.shard_counters(0).dropped_deadline, 0);
+        assert_eq!(q.queue_len(), 1);
+        q.pop_ticket();
+        assert!(q.drop_oldest_deadline().is_none());
+        assert_eq!(q.shard_counters(1).dropped_deadline, 1);
     }
 
     #[test]
     fn drain_leftover_accounts_every_queued_ticket() {
-        let mut e = engine(2, 1, 8);
+        let mut q = TicketQueue::new(2, 1, 8);
         for i in 0..5u64 {
-            tick(&mut e, (i % 2) as u16, i, 100);
+            tick(&mut q, (i % 2) as u16, i);
         }
-        assert_eq!(e.drain_leftover(), 5);
-        assert_eq!(e.dropped_stale(), 5);
+        assert_eq!(q.drain_leftover(), 5);
+        assert_eq!(q.dropped_stale(), 5);
         assert_eq!(
-            e.shard_counters(0).dropped_stale + e.shard_counters(1).dropped_stale,
+            q.shard_counters(0).dropped_stale + q.shard_counters(1).dropped_stale,
             5
         );
-        assert_eq!(e.queue_len(), 0);
+        assert_eq!(q.queue_len(), 0);
     }
 
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
-        let _ = MultiOffload::new(Vec::new(), 3, 4);
+        let _ = TicketQueue::new(0, 3, 4);
+    }
+
+    /// Tick `i` of the drift walk: its shard, and a snapshot stamped at
+    /// the exchange that arrives up to 10 µs late, so `ready_at` is not
+    /// `tick_ts` plus ingress.
+    fn drift_tick(i: u64, shards: u64) -> (u16, LobSnapshot, Timestamp) {
+        let shard = ((i * 7 + i / 3) % shards) as u16;
+        let s = snap(10 * i, 100 + (i % 5) as i64);
+        let now = s.ts + Duration::from_micros(5 * (i % 3));
+        (shard, s, now)
+    }
+
+    /// The benchmark's two views issue exactly the bare queue's tickets,
+    /// drop exactly its overflow, and have a full feature window behind
+    /// every ticket they issue.
+    #[test]
+    fn views_issue_the_queues_tickets() {
+        let stages = PipelineLatencies::fpga();
+        let ingress = stages.ingress();
+        let (mut multi, mut bare) = (
+            MultiOffload::new(vec![NormStats::identity(1); 3], 4, 2),
+            TicketQueue::new(3, 4, 2),
+        );
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut issued = [0u64; 3];
+        for i in 0..40 {
+            let (shard, s, now) = drift_tick(i, 3);
+            let ticket = multi.on_tick_staged(shard, &s, now, &stages);
+            assert_eq!(ticket, bare.on_tick(shard, s.ts, now + ingress), "tick {i}");
+            if ticket.is_some() && issued[shard as usize] == 0 {
+                assert!(multi.windows[shard as usize].is_warm(), "tick {i}");
+            }
+            issued[shard as usize] += u64::from(ticket.is_some());
+            if i % 5 == 4 {
+                multi.pop_batch_into(2, &mut got);
+                bare.pop_batch_into(2, &mut want);
+            }
+        }
+        assert_eq!(got, want);
+        assert_eq!(multi.queue.dropped_full(), bare.dropped_full());
+        assert!(bare.dropped_full() > 0);
+        assert!(issued.iter().all(|&n| n > 0));
+
+        let mut single = OffloadEngine::new(NormStats::identity(1), 4, 2);
+        let mut bare = TicketQueue::new(1, 4, 2);
+        let mut first = true;
+        for i in 0..40 {
+            let (_, s, now) = drift_tick(i, 1);
+            let ticket = single.on_tick_staged(&s, now, &stages);
+            let want = bare.on_tick(0, s.ts, now + ingress).map(|t| t.ticket);
+            assert_eq!(ticket, want, "tick {i}");
+            if ticket.is_some() && first {
+                assert!(single.is_warm(), "tick {i}");
+                first = false;
+            }
+            if i % 5 == 4 {
+                assert_eq!(single.pop_ticket(), bare.pop_ticket().map(|t| t.ticket));
+            }
+        }
+        assert_eq!(single.dropped_full(), bare.dropped_full());
+        assert!(bare.dropped_full() > 0);
+        assert!(!first);
     }
 }

@@ -9,7 +9,7 @@
 //! accelerator time, and Algorithm 1 may explicitly defer the oldest
 //! tensor when no schedule fits.
 
-use crate::multi_offload::MultiOffload;
+use crate::multi_offload::TicketQueue;
 use crate::stages::PipelineLatencies;
 use lt_dnn::bf16::bf16_round;
 use lt_dnn::Tensor;
@@ -32,9 +32,10 @@ pub struct TensorTicket {
 /// The sliding feature window of one instrument shard: one flat,
 /// pre-allocated ring of `window × 4·depth` floats. Each tick's features
 /// are written, normalized, and BF16-rounded *in place* in the next row
-/// slot, so steady-state ingestion never allocates. Every shard of a
-/// [`MultiOffload`] owns one, and `LightTrader`, which serves each warm
-/// tick before the next sweep and so never queues one, reads its own.
+/// slot, so steady-state ingestion never allocates. `LightTrader`, which
+/// serves each warm tick before the next sweep and so never queues one,
+/// and `MultiSymbolTrader`'s shards read their own; the back-test stages
+/// no window at all, only [`TicketQueue`] tickets.
 #[derive(Debug, Clone)]
 pub struct FeatureWindow {
     norm: NormStats,
@@ -136,74 +137,70 @@ impl FeatureWindow {
     }
 }
 
-/// The single-symbol offload engine: the one-shard view of
-/// [`MultiOffload`]. It holds no queue, counter or window of its own —
-/// every method is the shard-0 call on the engine it wraps, with the
-/// shard tag taken off the tickets — so warm-up, admission, tick ids and
-/// FIFO order are [`MultiOffload`]'s by construction. No library code
-/// uses it: it is kept for the benchmark's shadow paths, which name it.
+/// The single-symbol offload engine: a [`FeatureWindow`] in front of a
+/// one-shard [`TicketQueue`], so warm-up, admission, tick ids and FIFO
+/// order are the queue's by construction. Kept only because the
+/// benchmark's shadow paths, `tests/cross_crate.rs` and the zero-alloc
+/// gates name it; no library code uses it.
 #[derive(Debug, Clone)]
-pub struct OffloadEngine(MultiOffload);
+pub struct OffloadEngine {
+    window: FeatureWindow,
+    queue: TicketQueue,
+}
 
 impl OffloadEngine {
-    /// Creates an engine with the paper's geometry: the feature FIFO
-    /// spans `window` ticks of `norm.depth()`-level snapshots and the
-    /// tensor queue holds `capacity` tickets, all allocated here.
+    /// Creates an engine whose feature FIFO spans `window` ticks of
+    /// `norm.depth()`-level snapshots and whose queue holds `capacity`
+    /// tickets, all allocated here.
     ///
     /// # Panics
     ///
     /// Panics if `window`, `capacity`, or the stats' depth is unusable.
     pub fn new(norm: NormStats, window: usize, capacity: usize) -> Self {
-        OffloadEngine(MultiOffload::new(vec![norm], window, capacity))
-    }
-
-    /// Tensors currently queued for the DNN pipeline.
-    pub fn queue_len(&self) -> usize {
-        self.0.queue_len()
+        OffloadEngine {
+            window: FeatureWindow::new(norm, window),
+            queue: TicketQueue::new(1, window, capacity),
+        }
     }
 
     /// Ticks dropped because the queue was full.
     pub fn dropped_full(&self) -> u64 {
-        self.0.dropped_full()
+        self.queue.dropped_full()
     }
 
-    /// Tensors dropped because their deadline lapsed while queued.
+    /// Tickets dropped because their deadline lapsed while queued.
     pub fn dropped_stale(&self) -> u64 {
-        self.0.dropped_stale()
+        self.queue.dropped_stale()
     }
 
-    /// Ingests one tick arriving at `now`: normalizes its features into
-    /// the FIFO and, once the window is warm, enqueues an inference
-    /// request that is ready after the pipeline's ingress budget.
-    ///
-    /// Returns the ticket if one was enqueued (`None` while warming up or
-    /// when the queue is full).
+    /// Stages one tick arriving at `now` into the window and hands it to
+    /// the queue, ready after the pipeline's ingress budget.
     pub fn on_tick_staged(
         &mut self,
         snapshot: &LobSnapshot,
         now: Timestamp,
         stages: &PipelineLatencies,
     ) -> Option<TensorTicket> {
-        self.0
-            .on_tick_staged(0, snapshot, now, stages)
+        self.window.push(snapshot);
+        self.queue
+            .on_tick(0, snapshot.ts, now + stages.ingress())
             .map(|t| t.ticket)
     }
 
     /// True once the feature ring holds a full window.
     pub fn is_warm(&self) -> bool {
-        self.0.shard_is_warm(0)
+        self.window.is_warm()
     }
 
     /// Pops the oldest queued ticket, if any.
     pub fn pop_ticket(&mut self) -> Option<TensorTicket> {
-        self.0.pop_ticket().map(|t| t.ticket)
+        self.queue.pop_ticket().map(|t| t.ticket)
     }
 
     /// Pops up to `batch` tickets, oldest first, appending them to `out`.
-    /// Allocation-free with a recycled caller-owned buffer
-    /// (`tests/zero_alloc.rs`).
+    /// Allocation-free with a recycled caller-owned buffer.
     pub fn pop_batch_into(&mut self, batch: usize, out: &mut Vec<TensorTicket>) {
-        out.extend(self.0.drain_front(batch).map(|t| t.ticket));
+        out.extend(self.queue.drain_front(batch).map(|t| t.ticket));
     }
 
     /// Materializes the current window as a fresh `[window, 4*depth]`
@@ -213,20 +210,15 @@ impl OffloadEngine {
     ///
     /// Panics if the FIFO is not warm yet.
     pub fn latest_tensor(&self) -> Tensor {
-        let (window, width) = (self.0.window(), self.0.width());
+        let (window, width) = (self.window.window(), self.window.width());
         let mut data = vec![0.0; window * width];
         self.write_window_into(&mut data);
         Tensor::from_vec(data, &[window, width])
     }
 
-    /// Writes the current window into `out` (`window × 4·depth` floats,
-    /// chronological) without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the FIFO is not warm yet or `out` has the wrong length.
+    /// As [`FeatureWindow::write_into`].
     pub fn write_window_into(&self, out: &mut [f32]) {
-        self.0.write_shard_window_into(0, out);
+        self.window.write_into(out);
     }
 }
 
@@ -274,7 +266,7 @@ pub(crate) mod tests {
         let t = tick(&mut e, 3, 100).unwrap();
         assert!(e.is_warm());
         assert_eq!(t.tick_id, 2);
-        assert_eq!(e.queue_len(), 1);
+        assert_eq!(e.queue.queue_len(), 1);
     }
 
     #[test]
@@ -283,7 +275,7 @@ pub(crate) mod tests {
         for i in 0..5u64 {
             tick(&mut e, i, 100);
         }
-        assert_eq!(e.queue_len(), 2);
+        assert_eq!(e.queue.queue_len(), 2);
         assert_eq!(e.dropped_full(), 3);
     }
 
@@ -298,7 +290,7 @@ pub(crate) mod tests {
         assert_eq!(batch.len(), 3);
         assert_eq!(batch[0].tick_id, 0);
         assert_eq!(batch[2].tick_id, 2);
-        assert_eq!(e.queue_len(), 1);
+        assert_eq!(e.queue.queue_len(), 1);
         // Requesting more than available returns what exists.
         batch.clear();
         e.pop_batch_into(10, &mut batch);

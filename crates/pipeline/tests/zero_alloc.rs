@@ -8,7 +8,8 @@
 //! `OrderMessage::encode_into`, into kept buffers, allocates nothing per
 //! datagram; the allocating `on_datagram` wrapper allocates exactly the
 //! `Vec` it returns. The fleet's `MultiSymbolTrader` rounds — one tick
-//! per shard, then one batched drain — allocate nothing either.
+//! per shard, then one batched drain — allocate nothing either, and nor
+//! does the back-test's `TicketQueue` under its scheduler's calls.
 //!
 //! Same counting-global-allocator technique as `lt-dnn`'s
 //! `tests/zero_alloc.rs`: every allocation on this thread bumps a
@@ -27,10 +28,11 @@ use lt_lob::prelude::*;
 use lt_pipeline::stages::PipelineLatencies;
 use lt_pipeline::{
     FeedArbiter, FeedId, LocalBook, MultiOffload, OffloadEngine, RiskLimits, ShardTicket,
-    TensorTicket,
+    TensorTicket, TicketQueue,
 };
 use lt_protocol::framing::Datagram;
 use lt_protocol::sbe::SbeEncoder;
+use std::time::Duration;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -334,6 +336,74 @@ fn cross_symbol_path_is_allocation_free_after_warmup() {
         0,
         "steady-state cross-symbol path (per-shard book update + shared \
          MultiOffload ingest + coalesced pop_batch_into) must not allocate"
+    );
+}
+
+/// The back-test's queue walk, driven as `SimState` drives its
+/// `TicketQueue`: every event is one of four shards' ticks, stale
+/// tickets go before each scheduling look at the oldest, and at fixed
+/// strides the oldest is deferred (Algorithm 1), shed by the tier
+/// planner, or popped with its batch into a recycled buffer. Returns the
+/// tickets popped.
+fn replay_queue(
+    events: &[MarketEvent],
+    queue: &mut TicketQueue,
+    ingress: Duration,
+    batch_buf: &mut Vec<ShardTicket>,
+) -> u64 {
+    let mut popped = 0u64;
+    for (i, event) in events.iter().enumerate() {
+        queue.on_tick((i % 4) as u16, event.ts, event.ts + ingress);
+        queue.drop_stale(event.ts, Duration::from_nanos(300));
+        if queue.oldest().is_none() {
+            continue;
+        }
+        if i % 7 == 3 {
+            queue.defer_oldest();
+        } else if i % 11 == 5 {
+            queue.drop_oldest_deadline();
+        } else if i % 8 == 7 {
+            batch_buf.clear();
+            queue.pop_batch_into(4, batch_buf);
+            popped += batch_buf.len() as u64;
+        }
+    }
+    popped
+}
+
+#[test]
+fn backtest_ticket_queue_allocates_nothing_after_warmup() {
+    let events = generate_events(2_000);
+    let mut queue = TicketQueue::new(4, 50, 64);
+    let ingress = PipelineLatencies::fpga().ingress();
+    let mut batch_buf: Vec<ShardTicket> = Vec::new();
+
+    let warm_a = replay_queue(&events, &mut queue, ingress, &mut batch_buf);
+    let warm_b = replay_queue(&events, &mut queue, ingress, &mut batch_buf);
+    assert!(warm_a > 0 && warm_b > 0, "the walk must pop batches");
+
+    let before = allocations();
+    let popped = replay_queue(&events, &mut queue, ingress, &mut batch_buf);
+    let after = allocations();
+
+    assert!(popped > 0);
+    let counters = (0..4).map(|s| queue.shard_counters(s));
+    let (stale, deferred, deadline) = counters.fold((0, 0, 0), |acc, c| {
+        (
+            acc.0 + c.dropped_stale,
+            acc.1 + c.deferred,
+            acc.2 + c.dropped_deadline,
+        )
+    });
+    assert!(
+        stale > 0 && deferred > 0 && deadline > 0,
+        "every exit must be taken: stale {stale}, deferred {deferred}, deadline {deadline}"
+    );
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state back-test queue walk (on_tick + drop_stale + \
+         defer_oldest + drop_oldest_deadline + pop_batch_into) must not allocate"
     );
 }
 

@@ -3,9 +3,9 @@
 //! Both baselines are profiled single-device systems: a fixed per-model
 //! inference latency (no batching — "most job batch sizes in AI-enabled
 //! HFT are set to single"), a software or FPGA conventional pipeline, and
-//! an input queue with the same stale-management as LightTrader's offload
-//! engine. Latency profiles are scaled from LightTrader's measured
-//! anchors by per-model factors whose averages equal the paper's reported
+//! a ticket queue with the same stale-management as LightTrader's.
+//! Latency profiles are scaled from LightTrader's measured anchors by
+//! per-model factors whose averages equal the paper's reported
 //! speed-ups (13.92x over GPU, 7.28x over FPGA); device powers are
 //! calibrated so the Fig. 11(c) energy-efficiency ratios (23.6x / 11.6x)
 //! come out.
@@ -15,10 +15,9 @@ use crate::metrics::BacktestMetrics;
 use crate::telemetry::QueryTimeline;
 use lt_accel::device::BatchId;
 use lt_dnn::ModelKind;
-use lt_feed::NormStats;
 use lt_feed::{TickRecord, TickTrace};
 use lt_lob::Timestamp;
-use lt_pipeline::{MultiOffload, PipelineLatencies};
+use lt_pipeline::{PipelineLatencies, TicketQueue};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -101,7 +100,7 @@ struct SingleDeviceModel<'a> {
     stale_budget: Duration,
     t_avail: Duration,
     /// One instrument: every tick is shard 0.
-    offload: MultiOffload,
+    queue: TicketQueue,
     /// The device is free from this time onward.
     device_free: Timestamp,
 }
@@ -109,18 +108,18 @@ struct SingleDeviceModel<'a> {
 impl SingleDeviceModel<'_> {
     /// Issues queued queries whose start time has arrived; schedules a
     /// [`Event::BatchIssue`] wake-up when the device is idle but the
-    /// oldest tensor is not ready yet (the completion event resumes the
+    /// oldest ticket is not ready yet (the completion event resumes the
     /// busy case).
     fn try_issue(&mut self, ctx: &mut EngineCtx) {
         let now = ctx.now;
         loop {
-            // Work through queued tensors while the device can start.
+            // Work through queued tickets while the device can start.
             let start = self
                 .device_free
-                .max(self.offload.oldest().map_or(now, |t| t.ticket.ready_at));
+                .max(self.queue.oldest().map_or(now, |t| t.ticket.ready_at));
             if start > now {
                 if self.device_free <= now {
-                    // Idle device waiting on tensor readiness: wake up
+                    // Idle device waiting on ticket readiness: wake up
                     // exactly then. (A busy device resumes at its
                     // completion event instead.)
                     ctx.queue.push_at(start, Event::BatchIssue { aid: 0 });
@@ -128,8 +127,8 @@ impl SingleDeviceModel<'_> {
                 break;
             }
             // Stale management at issue time.
-            ctx.metrics.dropped_stale += self.offload.drop_stale(start, self.stale_budget);
-            let Some(ticket) = self.offload.pop_ticket().map(|t| t.ticket) else {
+            ctx.metrics.dropped_stale += self.queue.drop_stale(start, self.stale_budget);
+            let Some(ticket) = self.queue.pop_ticket().map(|t| t.ticket) else {
                 break;
             };
             let issue = start.max(ticket.ready_at);
@@ -171,10 +170,10 @@ impl SingleDeviceModel<'_> {
 
 impl SimModel for SingleDeviceModel<'_> {
     fn on_tick(&mut self, tick: &TickRecord, ctx: &mut EngineCtx) {
-        let before_full = self.offload.dropped_full();
-        self.offload
-            .on_tick_staged(0, &tick.snapshot, tick.ts, &self.system.stages);
-        ctx.metrics.dropped_full += self.offload.dropped_full() - before_full;
+        let before_full = self.queue.dropped_full();
+        self.queue
+            .on_tick(0, tick.snapshot.ts, tick.ts + self.system.stages.ingress());
+        ctx.metrics.dropped_full += self.queue.dropped_full() - before_full;
         self.try_issue(ctx);
     }
 
@@ -205,7 +204,7 @@ impl SimModel for SingleDeviceModel<'_> {
 ///
 /// The device serves queries one at a time in FIFO order; queued queries
 /// whose deadline lapses are dropped (stale management); the queue is
-/// capacity-bounded like the offload engine.
+/// capacity-bounded like LightTrader's.
 pub fn run_single_device(
     trace: &TickTrace,
     system: &SingleDeviceSystem,
@@ -223,7 +222,7 @@ pub fn run_single_device(
         egress,
         stale_budget: t_avail.saturating_sub(egress + service),
         t_avail,
-        offload: MultiOffload::new(vec![NormStats::identity(10)], window, queue_capacity),
+        queue: TicketQueue::new(1, window, queue_capacity),
         device_free: Timestamp::ZERO,
     };
     engine::run(&mut model, trace)

@@ -52,7 +52,7 @@ pub struct BacktestConfig {
     pub policy: Policy,
     /// Available time per query (prediction-horizon validity window).
     pub t_avail: Duration,
-    /// Offload-engine tensor queue capacity.
+    /// Ticket-queue slots per symbol shard.
     pub queue_capacity: usize,
     /// Feature-window length (ticks) before queries start.
     pub window: usize,

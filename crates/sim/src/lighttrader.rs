@@ -43,9 +43,9 @@ use lt_accel::device::BatchId;
 use lt_accel::dvfs::{static_plan, DvfsTable, OperatingPoint};
 use lt_accel::{Accelerator, DeviceProfile};
 use lt_dnn::ModelKind;
-use lt_feed::{NormStats, TickRecord, TickTrace};
+use lt_feed::{TickRecord, TickTrace};
 use lt_lob::Timestamp;
-use lt_pipeline::{MultiOffload, PipelineLatencies, ShardTicket};
+use lt_pipeline::{PipelineLatencies, ShardTicket, TicketQueue};
 use lt_sched::{plan_uprates, schedule_workload, LatencyModel, TierDecision, TierPlanner};
 use std::time::Duration;
 
@@ -83,7 +83,7 @@ struct TieredSched {
 }
 
 /// Per-shard outcome tallies the engine cannot see (it scores orders
-/// shard-blind); drops and defers live in the offload engine's own
+/// shard-blind); drops and defers live in the ticket queue's own
 /// per-shard counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ShardScore {
@@ -101,7 +101,7 @@ pub(crate) struct ShardScore {
 ///
 /// One instance serves both the single-instrument back-test (one shard,
 /// the historical configuration) and the sharded multi-symbol back-test:
-/// per-symbol feature windows feed one coalesced tensor queue, and the
+/// every symbol's ticks feed one coalesced ticket queue, and the
 /// scheduler batches across symbols off that shared queue.
 pub(crate) struct SimState {
     profile: DeviceProfile,
@@ -117,7 +117,7 @@ pub(crate) struct SimState {
     /// Deadline-tier scheduler state; `None` for fixed-model policies.
     tiered: Option<TieredSched>,
     t_avail: Duration,
-    /// Conventional-pipeline stage budget: when a tensor is ready, and
+    /// Conventional-pipeline stage budget: when a ticket is ready, and
     /// how each answered query's ingress and egress split into stages.
     stages: PipelineLatencies,
     egress: Duration,
@@ -130,7 +130,7 @@ pub(crate) struct SimState {
     per_accel_budget_w: f64,
     accels: Vec<Accelerator>,
     in_flight: Vec<Option<InFlight>>,
-    offload: MultiOffload,
+    queue: TicketQueue,
     /// Shard of each trace tick, parallel to the merged trace (empty for
     /// single-instrument runs, where every tick is shard 0).
     tick_shards: Vec<u16>,
@@ -365,15 +365,15 @@ impl SimState {
             }
             loop {
                 // Stale management before every scheduling attempt: a
-                // dropped tensor means its tick's order is never sent.
-                ctx.metrics.dropped_stale += self.offload.drop_stale(now, self.stale_budget);
-                let Some(oldest) = self.offload.oldest() else {
+                // dropped ticket means its tick's order is never sent.
+                ctx.metrics.dropped_stale += self.queue.drop_stale(now, self.stale_budget);
+                let Some(oldest) = self.queue.oldest() else {
                     break 'accels; // queue empty: nothing for any accel
                 };
                 let deadline = oldest.ticket.tick_ts + self.dnn_budget;
                 let effective_now = now.max(oldest.ticket.ready_at);
                 let t_remaining = deadline.since(effective_now.min(deadline));
-                let queued = self.offload.queue_len() as u32;
+                let queued = self.queue.queue_len() as u32;
 
                 // Tier planning: pick which registered model the oldest
                 // query gets, from the remaining per-query budget and the
@@ -423,7 +423,7 @@ impl SimState {
                         // No registered tier fits the remaining budget:
                         // shed the query outright instead of burning
                         // accelerator time on a guaranteed miss.
-                        self.offload.drop_oldest_deadline();
+                        self.queue.drop_oldest_deadline();
                         ctx.metrics.dropped_deadline += 1;
                         continue;
                     }
@@ -452,7 +452,7 @@ impl SimState {
                     Some((batch, point)) => {
                         let switch = self.accels[aid].set_point(point, effective_now);
                         let mut tickets = self.spare.pop().unwrap_or_default();
-                        self.offload.pop_batch_into(batch as usize, &mut tickets);
+                        self.queue.pop_batch_into(batch as usize, &mut tickets);
                         debug_assert_eq!(tickets.len(), batch as usize);
                         let ready = tickets
                             .iter()
@@ -487,11 +487,11 @@ impl SimState {
                         continue 'accels;
                     }
                     None if self.hopeless(aid, t_remaining, serve_kind) => {
-                        // The oldest tensor cannot make its deadline at
+                        // The oldest ticket cannot make its deadline at
                         // any affordable speed — defer it to the
                         // conventional pipeline (Algorithm 1's "remove
                         // oldest input tensor") and reschedule.
-                        if self.offload.defer_oldest().is_some() {
+                        if self.queue.defer_oldest().is_some() {
                             ctx.metrics.deferred += 1;
                             continue;
                         }
@@ -499,7 +499,7 @@ impl SimState {
                     }
                     None => {
                         // Power headroom is momentarily insufficient;
-                        // the tensor stays queued until a completion
+                        // the ticket stays queued until a completion
                         // frees budget.
                         continue 'accels;
                     }
@@ -511,7 +511,7 @@ impl SimState {
         }
     }
 
-    /// True when the oldest tensor cannot meet its deadline even at the
+    /// True when the oldest ticket cannot meet its deadline even at the
     /// fastest point the *currently affordable* power allows on `aid` —
     /// the signal to drop it rather than waste accelerator time (or block
     /// the queue) on a doomed query. A power-blocked state (no point
@@ -621,10 +621,10 @@ impl SimModel for SimState {
             self.tick_shards[self.tick_index]
         };
         self.per_shard[shard as usize].ticks += 1;
-        let before_full = self.offload.dropped_full();
-        self.offload
-            .on_tick_staged(shard, &tick.snapshot, tick.ts, &self.stages);
-        ctx.metrics.dropped_full += self.offload.dropped_full() - before_full;
+        let before_full = self.queue.dropped_full();
+        self.queue
+            .on_tick(shard, tick.snapshot.ts, tick.ts + self.stages.ingress());
+        ctx.metrics.dropped_full += self.queue.dropped_full() - before_full;
         if let Some(exec) = self.exec.as_mut() {
             // The strategy decides on every tick (mark-to-market and the
             // kill switch run tick-by-tick); a decision reaches the venue
@@ -688,8 +688,8 @@ impl SimModel for SimState {
     }
 
     fn on_finish(&mut self, ctx: &mut EngineCtx) {
-        // Any tensors still queued at session end can never be answered.
-        ctx.metrics.dropped_stale += self.offload.drain_leftover();
+        // Any tickets still queued at session end can never be answered.
+        ctx.metrics.dropped_stale += self.queue.drain_leftover();
         if let Some(exec) = self.exec.as_mut() {
             exec.finalize();
             ctx.metrics.execution = Some(exec.aggregate());
@@ -824,11 +824,7 @@ pub(crate) fn build_state(
             .map(|i| Accelerator::new(i, plan.point))
             .collect(),
         in_flight: vec![None; cfg.n_accels],
-        offload: MultiOffload::new(
-            vec![NormStats::identity(10); n_shards],
-            cfg.window,
-            cfg.queue_capacity,
-        ),
+        queue: TicketQueue::new(n_shards, cfg.window, cfg.queue_capacity),
         tick_shards,
         tick_index: 0,
         exec: None,
@@ -843,9 +839,9 @@ impl SimState {
         &self.per_shard
     }
 
-    /// Per-shard drop/defer counters from the offload engine.
+    /// Per-shard drop/defer counters from the ticket queue.
     pub(crate) fn shard_counters(&self, shard: usize) -> lt_pipeline::ShardCounters {
-        self.offload.shard_counters(shard)
+        self.queue.shard_counters(shard)
     }
 
     /// Arms the execution & portfolio layer when `cfg` enables it: the

@@ -115,8 +115,8 @@ pub struct StageSummary {
 
 /// Aggregated results of one back-test run.
 ///
-/// Every tick that produces an inference query (i.e. every tick after the
-/// feature window warms up) ends in exactly one of the outcome buckets;
+/// Every tick that produces an inference query (i.e. every tick after its
+/// shard's `window`-tick warm-up) ends in exactly one of the outcome buckets;
 /// `responded` is the only success. The paper's **response rate** is
 /// `responded / total`; its **miss rate** is the complement.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]

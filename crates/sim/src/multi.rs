@@ -2,12 +2,12 @@
 //!
 //! [`run_multi`] replays a correlated multi-instrument session
 //! ([`lt_feed::MultiMarketSession`]) through ONE LightTrader system
-//! model: per-symbol book shards feed a single coalesced tensor queue,
-//! so one accelerator batch mixes rows from many instruments and the
+//! model: every symbol's ticks feed a single coalesced ticket queue, so
+//! one accelerator batch mixes queries from many instruments and the
 //! whole fleet absorbs any one symbol's burst. The per-symbol traces are
 //! k-way-merged into a single time-ordered stream whose shard map routes
-//! every tick to its feature shard; completions fan back to the right
-//! shard through the ticket's shard id.
+//! every tick to its symbol's queue shard; completions fan back to the
+//! right shard through the ticket's shard id.
 //!
 //! With one symbol the sharded core degenerates to the historical
 //! single-instrument back-test **bit for bit** — the aggregate metrics

@@ -30,6 +30,19 @@ for f in crates/dnn/src/ops/*.rs crates/dnn/src/kernels.rs crates/dnn/src/math.r
 done
 [[ "$libm" == "0" ]]
 
+echo "== the back-test stages no tensor: no feature window, normalization or offload view in lt-sim's non-test code =="
+# The simulator queues TicketQueue tickets only; staging feature windows is
+# the wall-clock traders' job, and the offload views are the benchmark's.
+staged=0
+for f in $(find crates/sim/src -name '*.rs' | sort); do
+    if sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$f" \
+        | grep -nE 'FeatureWindow|NormStats|MultiOffload|OffloadEngine|on_tick_staged'; then
+        echo "tensor staging in $f (the back-test queues tickets: use TicketQueue)"
+        staged=1
+    fi
+done
+[[ "$staged" == "0" ]]
+
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -56,7 +69,7 @@ cargo test -q --release -p lt-protocol --test golden
 # Release drops the debug-only checks: it is the build that must not panic.
 cargo test -q --release -p lt-pipeline --test hostile_wire
 
-echo "== hot-path gates: ladder ≡ reference through the engine's events + zero-alloc from datagram bytes to order bytes and for the fleet's rounds + the trader's datagram-vs-event and the fleet's own-window differentials =="
+echo "== hot-path gates: ladder ≡ reference through the engine's events + zero-alloc from datagram bytes to order bytes, for the fleet's rounds and for the back-test's ticket-queue walk + the trader's datagram-vs-event and the fleet's own-window differentials =="
 cargo test -q --release -p lt-lob --test book_equivalence
 cargo test -q --release -p lt-pipeline --test zero_alloc
 # Warm-up boundary, tier switch and 300-event datagram, each against
