@@ -20,6 +20,8 @@
 //! point with PMIC switching delay) that the discrete-event simulator
 //! drives.
 
+#![forbid(unsafe_code)]
+
 pub mod c2c;
 pub mod device;
 pub mod dvfs;

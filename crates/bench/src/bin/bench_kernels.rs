@@ -1,6 +1,7 @@
 //! Kernel-regression benchmark: times every naive `forward_reference`
 //! against its packed counterpart at batch 1 (the lone query) and emits
-//! a machine-readable `BENCH_kernels.json` in the current directory.
+//! a machine-readable `BENCH_kernels.json` in the current directory,
+//! with the register tile's instruction set on this CPU (`"tile_isa"`).
 //!
 //! ```text
 //! cargo run --release -p lt-bench --bin bench_kernels
@@ -9,6 +10,9 @@
 //! Exits nonzero if the DeepLOB full-forward speedup falls below the
 //! 5x regression floor, so CI catches fast-path regressions.
 
+#![forbid(unsafe_code)]
+
+use lighttrader::dnn::kernels::tile_isa;
 use lighttrader::dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
 use lighttrader::dnn::ops::{Conv2d, Linear, Lstm, MultiHeadAttention};
 use lighttrader::dnn::{Model, Prediction, ScratchPad, Tensor};
@@ -190,10 +194,12 @@ fn main() {
 
     let kernel_rows: Vec<String> = kernels.iter().map(Row::json).collect();
     let model_rows: Vec<String> = models.iter().map(Row::json).collect();
+    // Which instance of the register tile the packed timings ran on.
     let json = format!(
-        "{{\n  \"kernels\": [\n{}\n  ],\n  \"models\": [\n{}\n  ],\n  \
+        "{{\n  \"tile_isa\": \"{}\",\n  \"kernels\": [\n{}\n  ],\n  \"models\": [\n{}\n  ],\n  \
          \"deeplob_speedup\": {:.2},\n  \"deeplob_speedup_floor\": {:.1},\n  \
          \"floor_met\": {}\n}}\n",
+        tile_isa(),
         kernel_rows.join(",\n"),
         model_rows.join(",\n"),
         deeplob_speedup,

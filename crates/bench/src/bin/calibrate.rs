@@ -7,6 +7,8 @@
 //! machine-speed flash bursts (sets the LightTrader loss; §II-C's
 //! "market disruption occurred more than once a day").
 
+#![forbid(unsafe_code)]
+
 use lighttrader::accel::PowerCondition;
 use lighttrader::dnn::ModelKind;
 use lighttrader::feed::{FlashParams, HawkesParams, SessionBuilder};

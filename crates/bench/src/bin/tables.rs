@@ -10,6 +10,8 @@
 //! seed. `grid` additionally writes the machine-readable
 //! `GRID_sweep.json`.
 
+#![forbid(unsafe_code)]
+
 use lighttrader::sim::traffic::EVALUATION_SEED;
 
 fn main() {

@@ -2,6 +2,8 @@
 //! paper artifact, table or figure, as paper-vs-measured text) and
 //! [`time_ns`], the wall-clock loop of the `bench_kernels` micro-bench.
 
+#![forbid(unsafe_code)]
+
 use lighttrader::accel::PowerCondition;
 use lighttrader::dnn::ModelKind;
 use lighttrader::experiments::{self, Fig11, Fig13};

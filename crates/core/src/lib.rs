@@ -40,6 +40,8 @@
 //! assert!(metrics.response_rate() > 0.5);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod multi;
 pub mod report;

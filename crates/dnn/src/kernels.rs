@@ -46,6 +46,15 @@
 //! exactly as the naive loop does it — and the contract above holds
 //! without a single partial sum. [`gemm_packed`] and
 //! [`conv2d_kw1_direct_bf16`] are the two sweeps that drive it.
+//!
+//! # Two instances, one body
+//!
+//! Each sweep's body is compiled twice: for the x86-64 baseline (SSE2,
+//! an `NR`-lane block in two xmm registers) and with AVX2 enabled (one
+//! ymm register). The entry picks the AVX2 instance when the CPU has it
+//! ([`tile_isa`] reports which). Only `avx2` is enabled, never `fma`,
+//! and Rust never contracts `a * b + c`, so both instances round every
+//! product and every sum exactly as the scalar loop does: same bits.
 
 use crate::bf16::bf16_round;
 
@@ -123,6 +132,31 @@ pub fn im2col(
 /// Output lanes per packed register tile: the width of one k-major panel.
 pub const NR: usize = 8;
 
+/// Whether this CPU runs AVX2: the two sweeps' entries pick their
+/// instance by it (the standard library caches the probe).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn avx2() -> bool {
+    std::arch::is_x86_feature_detected!("avx2")
+}
+
+/// The instruction set the register tile runs at on this CPU: `"avx2"`
+/// (an [`NR`]-lane block is one ymm register), `"sse2"` (two xmm
+/// registers: the x86-64 baseline) or `"portable"` on other targets.
+/// An observation, not a setting: nothing forces either instance, and
+/// both compute the same bits.
+pub fn tile_isa() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        return "avx2";
+    }
+    if cfg!(target_arch = "x86_64") {
+        "sse2"
+    } else {
+        "portable"
+    }
+}
+
 /// The packed path's one micro-kernel: a register-resident tile of `C`
 /// chains (at most [`MR`]) x [`NR`] lanes advanced over one reduction
 /// segment.
@@ -152,10 +186,19 @@ fn tile_accumulate<const C: usize>(
     xs: [&[f32]; C],
 ) {
     let len = xs[0].len();
+    if len == 0 {
+        return;
+    }
+    // Every panel cut once to the words its `len` steps read; a step's
+    // lanes are then one fixed-width `[f32; NR]` load.
     let xs = xs.map(|x| &x[..len]);
+    let span = (len - 1) * step + NR;
+    let panels = panels.map(|p| &p[..span]);
     for t in 0..len {
         for c in 0..C {
-            let lanes = &panels[c][t * step..t * step + NR];
+            let lanes: &[f32; NR] = panels[c][t * step..][..NR]
+                .try_into()
+                .expect("a lane block is NR wide");
             let xv = xs[c][t];
             for l in 0..NR {
                 acc[c][l] += lanes[l] * xv;
@@ -272,7 +315,43 @@ impl<'a> Segment<'a> {
 /// # Panics
 ///
 /// Panics when a segment, the bias or `out` is too short for the shape.
+#[allow(unsafe_code)]
 pub fn gemm_packed<const S: usize>(
+    segs: [Segment<'_>; S],
+    bias: Option<&[f32]>,
+    rows: usize,
+    n: usize,
+    post: impl Fn(f32) -> f32,
+    out: &mut [f32],
+    strides: (usize, usize),
+) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: `avx2()` has just found AVX2 on this CPU, the one
+        // feature `gemm_packed_avx2` is compiled for.
+        return unsafe { gemm_packed_avx2(segs, bias, rows, n, post, out, strides) };
+    }
+    gemm_packed_body(segs, bias, rows, n, post, out, strides)
+}
+
+/// [`gemm_packed_body`] compiled for AVX2: one ymm register per lane block.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_packed_avx2<const S: usize>(
+    segs: [Segment<'_>; S],
+    bias: Option<&[f32]>,
+    rows: usize,
+    n: usize,
+    post: impl Fn(f32) -> f32,
+    out: &mut [f32],
+    strides: (usize, usize),
+) {
+    gemm_packed_body(segs, bias, rows, n, post, out, strides)
+}
+
+/// [`gemm_packed`]'s one body, inlined into both instances.
+#[inline(always)]
+fn gemm_packed_body<const S: usize>(
     segs: [Segment<'_>; S],
     bias: Option<&[f32]>,
     rows: usize,
@@ -427,8 +506,55 @@ pub fn lstm_gates_packed_batch(
 /// # Panics
 ///
 /// Panics on buffer-length mismatches.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, unsafe_code)]
 pub fn conv2d_kw1_direct_bf16(
+    a: &[f32],
+    bias: &[f32],
+    x: &[f32],
+    in_c: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    ph: usize,
+    out_c: usize,
+    stage: &mut [f32],
+    out: &mut [f32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: `avx2()` has just found AVX2 on this CPU, the one
+        // feature `conv2d_kw1_direct_avx2` is compiled for.
+        return unsafe {
+            conv2d_kw1_direct_avx2(a, bias, x, in_c, h, w, kh, ph, out_c, stage, out)
+        };
+    }
+    conv2d_kw1_direct_body(a, bias, x, in_c, h, w, kh, ph, out_c, stage, out)
+}
+
+/// [`conv2d_kw1_direct_body`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+fn conv2d_kw1_direct_avx2(
+    a: &[f32],
+    bias: &[f32],
+    x: &[f32],
+    in_c: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    ph: usize,
+    out_c: usize,
+    stage: &mut [f32],
+    out: &mut [f32],
+) {
+    conv2d_kw1_direct_body(a, bias, x, in_c, h, w, kh, ph, out_c, stage, out)
+}
+
+/// [`conv2d_kw1_direct_bf16`]'s one body, inlined into both instances.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn conv2d_kw1_direct_body(
     a: &[f32],
     bias: &[f32],
     x: &[f32],
@@ -519,6 +645,8 @@ pub fn conv2d_kw1_stage_len(in_c: usize, h: usize, w: usize, ph: usize) -> usize
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Scalar model of the naive convolution accumulation, for one output.
     #[allow(clippy::too_many_arguments)]
@@ -899,6 +1027,224 @@ mod tests {
                     acc += scores[i * t + j] * v[j * d_model + off + d];
                 }
                 assert_eq!(ctx[i * d_model + off + d], acc, "ctx {i},{d}");
+            }
+        }
+    }
+
+    /// A [`Segment`]'s operands, owned.
+    struct SegmentData {
+        panels: Vec<f32>,
+        block_stride: usize,
+        step: usize,
+        k: usize,
+        x: Vec<f32>,
+    }
+
+    /// One randomized [`gemm_packed`] case: its segments' operands, as
+    /// laid out in memory, and the shape they are swept at.
+    struct GemmCase {
+        segs: Vec<SegmentData>,
+        bias: Option<Vec<f32>>,
+        rows: usize,
+        n: usize,
+        strides: (usize, usize),
+    }
+
+    impl GemmCase {
+        /// Draws a case. Each segment is either [`pack_bt_panels`] panels
+        /// (`step == NR`) or a row-major matrix read column-block-wise
+        /// with a row-width step (the attention context's `step != NR`);
+        /// the store is row-major or transposed (im2col's `lane_stride !=
+        /// 1`).
+        fn draw<const S: usize>(rng: &mut StdRng) -> Self {
+            let rows = rng.gen_range(0..=9usize);
+            let n = rng.gen_range(1..=33usize);
+            let val = |rng: &mut StdRng| rng.gen_range(-2.0f32..=2.0);
+            let segs = (0..S)
+                .map(|_| {
+                    let k = rng.gen_range(0..=19usize);
+                    let x = (0..rows * k).map(|_| val(rng)).collect();
+                    if rng.gen_range(0..2u32) == 0 {
+                        let w: Vec<f32> = (0..n * k).map(|_| val(rng)).collect();
+                        let mut panels = Vec::new();
+                        pack_bt_panels(&w, n, k, &mut panels);
+                        SegmentData {
+                            panels,
+                            block_stride: k * NR,
+                            step: NR,
+                            k,
+                            x,
+                        }
+                    } else {
+                        // Width `step >= n`, one lane block of slack after
+                        // the last row: the last block over-reads it.
+                        let step = n + rng.gen_range(0..=5usize);
+                        let panels = (0..k * step + NR).map(|_| val(rng)).collect();
+                        SegmentData {
+                            panels,
+                            block_stride: NR,
+                            step,
+                            k,
+                            x,
+                        }
+                    }
+                })
+                .collect();
+            let bias = (rng.gen_range(0..2u32) == 0).then(|| (0..n).map(|_| val(rng)).collect());
+            let strides = match rng.gen_range(0..2u32) {
+                0 => (n, 1),
+                _ => (1, rows.max(1)),
+            };
+            GemmCase {
+                segs,
+                bias,
+                rows,
+                n,
+                strides,
+            }
+        }
+
+        fn segments<const S: usize>(&self) -> [Segment<'_>; S] {
+            std::array::from_fn(|i| {
+                let seg = &self.segs[i];
+                Segment {
+                    panels: &seg.panels,
+                    block_stride: seg.block_stride,
+                    step: seg.step,
+                    k: seg.k,
+                    x: &seg.x,
+                    x_stride: seg.k,
+                }
+            })
+        }
+
+        /// The scalar loop: each output seeded with its bias and
+        /// accumulated segment by segment in increasing `t`.
+        fn scalar(&self) -> Vec<f32> {
+            let (rs, ls) = self.strides;
+            let mut out = vec![f32::NAN; self.rows * self.n];
+            for r in 0..self.rows {
+                for o in 0..self.n {
+                    let mut acc = self.bias.as_ref().map_or(0.0, |b| b[o]);
+                    for seg in &self.segs {
+                        for t in 0..seg.k {
+                            let at = (o / NR) * seg.block_stride + t * seg.step + o % NR;
+                            acc += seg.panels[at] * seg.x[r * seg.k + t];
+                        }
+                    }
+                    out[r * rs + o * ls] = bf16_round(acc);
+                }
+            }
+            out
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    fn gemm_instances_agree<const S: usize>(rng: &mut StdRng) {
+        let case = GemmCase::draw::<S>(rng);
+        let (rows, n) = (case.rows, case.n);
+        let want = bits(&case.scalar());
+        let bias = case.bias.as_deref();
+        let mut entry = vec![f32::NAN; rows * n];
+        let segs = case.segments::<S>();
+        gemm_packed(segs, bias, rows, n, bf16_round, &mut entry, case.strides);
+        let mut body = vec![f32::NAN; rows * n];
+        gemm_packed_body(segs, bias, rows, n, bf16_round, &mut body, case.strides);
+        let ks: Vec<usize> = case.segs.iter().map(|s| s.k).collect();
+        let shape = format!(
+            "S={S} rows={rows} n={n} k={ks:?} strides={:?}",
+            case.strides
+        );
+        let isa = tile_isa();
+        assert_eq!(bits(&entry), bits(&body), "{shape}: {isa} vs portable");
+        assert_eq!(bits(&body), want, "{shape}: portable vs scalar");
+    }
+
+    #[test]
+    fn both_tile_instances_match_the_scalar_loops() {
+        // The entries run this CPU's instance (`tile_isa()`); the bodies,
+        // called directly, the baseline one. Both must equal the scalar
+        // loops bit for bit, over row tails (rows % MR), lane tails
+        // (n % NR), one and two segments, packed and strided lanes,
+        // row-major and transposed stores.
+        let mut rng = StdRng::seed_from_u64(0x7113);
+        for _ in 0..300 {
+            gemm_instances_agree::<1>(&mut rng);
+            gemm_instances_agree::<2>(&mut rng);
+        }
+        for _ in 0..200 {
+            let kh = rng.gen_range(1..=5usize);
+            let ph = rng.gen_range(0..=2usize);
+            let (in_c, out_c) = (rng.gen_range(1..=3usize), rng.gen_range(1..=9usize));
+            let w = rng.gen_range(1..=11usize);
+            let h = rng.gen_range(kh.saturating_sub(2 * ph).max(1)..=kh + 6);
+            let k = in_c * kh;
+            let kern: Vec<f32> = (0..out_c * k)
+                .map(|_| rng.gen_range(-1.0f32..=1.0))
+                .collect();
+            // Half the cases: an all-zero input under a -0.0 bias, so each
+            // output's sign bit records whether its padded taps were added.
+            let zeros = rng.gen_range(0..2u32) == 0;
+            let x: Vec<f32> = (0..in_c * h * w)
+                .map(|_| {
+                    if zeros {
+                        0.0
+                    } else {
+                        rng.gen_range(-1.0f32..=1.0)
+                    }
+                })
+                .collect();
+            let bias: Vec<f32> = (0..out_c)
+                .map(|_| {
+                    if zeros {
+                        -0.0
+                    } else {
+                        rng.gen_range(-1.0f32..=1.0)
+                    }
+                })
+                .collect();
+            let oh = h + 2 * ph + 1 - kh;
+            let run = |dispatch: bool| {
+                let mut stage = vec![f32::NAN; conv2d_kw1_stage_len(in_c, h, w, ph)];
+                let mut out = vec![f32::NAN; out_c * oh * w];
+                let sweep = match dispatch {
+                    true => conv2d_kw1_direct_bf16,
+                    false => conv2d_kw1_direct_body,
+                };
+                sweep(
+                    &kern, &bias, &x, in_c, h, w, kh, ph, out_c, &mut stage, &mut out,
+                );
+                bits(&out)
+            };
+            let (entry, body) = (run(true), run(false));
+            let shape =
+                format!("in_c={in_c} h={h} w={w} kh={kh} ph={ph} out_c={out_c} zeros={zeros}");
+            assert_eq!(entry, body, "{shape}: {} vs portable", tile_isa());
+            let mut patches = vec![f32::NAN; oh * w * k];
+            im2col(&x, in_c, h, w, kh, 1, (1, 1), (ph, 0), oh, w, &mut patches);
+            let gemm = packed_gemm_bt(&kern, &patches, &bias, out_c, oh * w, k);
+            assert_eq!(body, bits(&gemm), "{shape}: portable vs im2col gemm");
+            for (i, &v) in body.iter().enumerate() {
+                let (oc, p) = (i / (oh * w), i % (oh * w));
+                let cell = naive_conv_cell(
+                    &x,
+                    &kern,
+                    bias[oc],
+                    (in_c, h, w),
+                    (kh, 1),
+                    (1, 1),
+                    (ph, 0),
+                    (p / w, p % w),
+                    oc,
+                );
+                // The scalar loop skips padded taps; the sweeps add
+                // `w * 0.0`, which can only move a zero's sign.
+                if cell != 0.0 {
+                    assert_eq!(v, cell.to_bits(), "{shape}: oc={oc} p={p}");
+                }
             }
         }
     }

@@ -24,7 +24,8 @@
 //! * [`kernels`] — the register-tile micro-kernel and the packed GEMM,
 //!   direct-convolution and im2col sweeps behind the ops'
 //!   `forward_batch_packed` methods, bit-identical to the naive
-//!   `forward_reference` oracles;
+//!   `forward_reference` oracles (an SSE2 and an AVX2 instance of each
+//!   sweep, picked at run time, with the same bits);
 //! * [`scratch`] — the [`ScratchPad`] buffer pool that makes steady-state
 //!   inference allocation-free;
 //! * [`stream`] — the line buffers and the bitwise slid-window check
@@ -42,6 +43,10 @@
 //! Every op has a naive-reference test; property tests cover numerical
 //! invariants (softmax sums to one, layer norm normalizes, BF16
 //! round-trips, ...).
+
+// Only the two register-tile sweeps in `kernels` may call their
+// AVX2 instances (`#[allow(unsafe_code)]` on each entry).
+#![deny(unsafe_code)]
 
 pub mod batch;
 pub mod bf16;

@@ -2,7 +2,7 @@
 //! themselves (`exp`, `tanh`, `sigmoid`) are [`crate::math`]'s.
 
 use crate::math::exp_slice;
-use crate::ops::expect_rank;
+use crate::ops::{expect_rank, fold_rows, ROW_LANES};
 use crate::tensor::Tensor;
 
 /// ReLU in place.
@@ -56,24 +56,28 @@ pub fn softmax_last_dim(t: &mut Tensor) {
 /// [`softmax_last_dim`] over a raw `rows x cols` slice (used by the
 /// packed path's flat buffers; identical arithmetic).
 ///
-/// Three passes a row — subtract the max, [`exp_slice`], then sum left to
-/// right and divide — so the exponentials run as one vector loop; a sum
-/// fused into it would serialise the loop on its float adds.
+/// Per row: subtract the max, [`exp_slice`], then sum left to right and
+/// divide. The max and the sum are [`fold_rows`] folds, eight rows to a
+/// block, one row per lane; the exponentials run over the whole block as
+/// one vector loop.
 pub fn softmax_rows(data: &mut [f32], rows: usize, cols: usize) {
     debug_assert_eq!(data.len(), rows * cols);
-    for r in 0..rows {
-        let row = &mut data[r * cols..(r + 1) * cols];
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        for v in row.iter_mut() {
-            *v -= max;
+    if cols == 0 {
+        return;
+    }
+    for block in data[..rows * cols].chunks_mut(ROW_LANES * cols) {
+        let max = fold_rows(block, cols, f32::NEG_INFINITY, |m, v, _| m.max(v));
+        for (row, max) in block.chunks_exact_mut(cols).zip(max) {
+            for v in row {
+                *v -= max;
+            }
         }
-        exp_slice(row);
-        let mut sum = 0.0;
-        for &v in row.iter() {
-            sum += v;
-        }
-        for v in row.iter_mut() {
-            *v /= sum;
+        exp_slice(block);
+        let sum = fold_rows(block, cols, 0.0, |s, v, _| s + v);
+        for (row, sum) in block.chunks_exact_mut(cols).zip(sum) {
+            for v in row {
+                *v /= sum;
+            }
         }
     }
 }

@@ -23,6 +23,8 @@
 //! * [`session`] — one-call builders combining all of the above, with
 //!   presets calibrated for the evaluation scenarios.
 
+#![forbid(unsafe_code)]
+
 pub mod agents;
 pub mod bursts;
 pub mod cache;

@@ -28,6 +28,8 @@
 //! assert_eq!(snap.best_ask().unwrap().price, Price::new(5001));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod events;
 pub mod execution;
 pub mod hash;

@@ -35,6 +35,8 @@
 //!   pipeline (~1 µs end-to-end on an FPGA, §II-A), which the simulator
 //!   holds as configuration.
 
+#![forbid(unsafe_code)]
+
 pub mod arbiter;
 pub mod local_book;
 pub mod multi_offload;

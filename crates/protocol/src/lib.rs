@@ -24,6 +24,8 @@
 //! All codecs round-trip losslessly; this is verified by unit tests and
 //! property tests over arbitrary messages.
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod fix;
 pub mod framing;

@@ -28,6 +28,8 @@
 //! dropping — under burst storms, with predictions from the online
 //! [`LatencyModel`].
 
+#![forbid(unsafe_code)]
+
 pub mod policy;
 pub mod power_dist;
 pub mod tier;

@@ -28,6 +28,8 @@
 //! back-tests can sweep packet-loss rates against tick-to-trade and
 //! response-rate degradation deterministically.
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod config;
 pub mod engine;

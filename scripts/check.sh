@@ -43,6 +43,29 @@ for f in $(find crates/sim/src -name '*.rs' | sort); do
 done
 [[ "$staged" == "0" ]]
 
+echo "== bounded unsafe: the two tile-sweep entries in lt-dnn's kernels.rs, each under a // SAFETY: comment, AVX2 only =="
+# Every crate root forbids unsafe_code but lt-dnn's, which denies it:
+# gemm_packed and conv2d_kw1_direct_bf16 allow it to call their AVX2
+# instance right after the runtime feature check. A third site fails here,
+# as does an instance compiled for anything but avx2 (fma would fuse a
+# multiply-add and change the answers' bits).
+sites=$(for f in $(find crates/*/src -name '*.rs' | sort); do
+    sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$f" | awk -v f="$f" '
+        /^[[:space:]]*\/\// { if ($0 ~ /\/\/ SAFETY: /) safety = 1; next }
+        /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/ { print f ":" NR ":" (safety ? "safety" : "NO SAFETY COMMENT") }
+        { safety = 0 }'
+done)
+echo "$sites"
+if [[ "$(grep -c . <<< "$sites")" != "2" ]] \
+    || grep -v '^crates/dnn/src/kernels.rs:[0-9]*:safety$' <<< "$sites"; then
+    echo "unsafe outside the two tile-sweep entries, or without a // SAFETY: comment"
+    exit 1
+fi
+if grep -rnE 'target_feature\(enable = "' crates/*/src | grep -v 'enable = "avx2")'; then
+    echo "a target_feature other than avx2"
+    exit 1
+fi
+
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -87,8 +110,12 @@ cargo test -q --release -p lt-dnn --test golden
 # oracle, and release is what serves: run it optimized, not only in debug.
 cargo test -q --release -p lt-dnn --test kernel_equivalence
 # The register tile's own grids (every live-chain count, lane and row tail)
-# against scalar loops, for the same reason.
+# against scalar loops, for the same reason; the sweeps' dispatched entries
+# (this CPU's instance, `tile_isa()`) against their portable bodies.
 cargo test -q --release -p lt-dnn --lib kernels
+# softmax_rows and LayerNorm::forward_rows, eight rows to a block, against
+# per-row oracles, with NaN, infinite and signed-zero rows.
+cargo test -q --release -p lt-dnn --test row_reductions
 cargo test -q --release -p lt-dnn --test batch_equivalence
 # Sweeps of 1..=12 windows through forward_slides. Release also runs the
 # NaN rows, which debug's Prediction assert refuses.
