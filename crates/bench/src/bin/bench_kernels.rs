@@ -1,7 +1,9 @@
 //! Kernel-regression benchmark: times every naive `forward_reference`
-//! against its packed counterpart at batch 1 (the lone query) and emits
-//! a machine-readable `BENCH_kernels.json` in the current directory,
-//! with the register tile's instruction set on this CPU (`"tile_isa"`).
+//! against its packed counterpart at batch 1 (the lone query), plus one
+//! batched dense layer (`linear_b128`: TransLOB's FFN shape over a batch
+//! of eight 16-step windows, full row blocks throughout), and emits a
+//! machine-readable `BENCH_kernels.json` in the current directory, with
+//! the register tile's instruction set on this CPU (`"tile_isa"`).
 //!
 //! ```text
 //! cargo run --release -p lt-bench --bin bench_kernels
@@ -128,6 +130,20 @@ fn main() {
         || linear.forward_batch_packed(xl.data(), 1, &linear_packed, &mut linear_out),
     ));
 
+    // 128 rows, 16 -> 64: the batched sweep, which an AVX-512 CPU runs on
+    // its wide instance.
+    let ffn = Linear::new(16, 64, 1);
+    let xb = Tensor::random(&[128, 16], 1.0, 2);
+    let ffn_packed = ffn.pack();
+    let mut ffn_out = vec![0.0f32; 128 * 64];
+    kernels.push(measure(
+        "linear_b128",
+        || {
+            let _ = ffn.forward_reference(&xb);
+        },
+        || ffn.forward_batch_packed(xb.data(), 128, &ffn_packed, &mut ffn_out),
+    ));
+
     // The packed LSTM stores only the last hidden state; the recurrence
     // it runs is the reference's.
     let lstm = Lstm::new(48, 64, 1);
@@ -194,7 +210,8 @@ fn main() {
 
     let kernel_rows: Vec<String> = kernels.iter().map(Row::json).collect();
     let model_rows: Vec<String> = models.iter().map(Row::json).collect();
-    // Which instance of the register tile the packed timings ran on.
+    // The instance the batched sweeps ran on; batch-1 sweeps run AVX2 on
+    // an AVX-512 CPU (see `tile_isa`).
     let json = format!(
         "{{\n  \"tile_isa\": \"{}\",\n  \"kernels\": [\n{}\n  ],\n  \"models\": [\n{}\n  ],\n  \
          \"deeplob_speedup\": {:.2},\n  \"deeplob_speedup_floor\": {:.1},\n  \

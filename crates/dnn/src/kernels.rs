@@ -32,29 +32,38 @@
 //!
 //! # The packed path
 //!
-//! Every floating-point contraction runs on one micro-kernel,
-//! `tile_accumulate`: a register tile of up to [`MR`] chains x [`NR`]
-//! lanes. A tile computes each output once: where fewer than `MR`
-//! chains are live (a row tail's last lane blocks, the last group of
-//! output channels) it runs that many, not clamped duplicates.
-//! The lanes of a chain are `NR` *different outputs* whose operands sit
-//! side by side in memory (a k-major [`pack_bt_panels`] panel, or `NR`
-//! neighbouring positions of an activation map); the chain's input is
-//! one scalar per step, broadcast across them. A lane is therefore an
-//! ordinary scalar accumulator that happens to share an instruction with
-//! its neighbours — seeded, accumulated in increasing `k` and rounded
+//! Every floating-point contraction runs on one register tile of up to
+//! [`MR`] chains, in two loops. A chain's lanes are `NR` (or, paired,
+//! `2 * NR`) *different outputs* whose operands sit side by side in
+//! memory (a k-major [`pack_bt_panels`] panel, or neighbouring positions
+//! of an activation map); the chain's input is one scalar per step,
+//! broadcast across them. In `shared_panel_tile` up to `MR` chains read
+//! the same lanes against different inputs (a full block of `MR` rows,
+//! or up to `MR` output channels of the direct convolution); in
+//! `row_tail_tile` one input row runs up to `MR` chains over different
+//! lane blocks, so a lone row still keeps several chains in flight. A
+//! tile computes each output once: where fewer than `MR` chains are live
+//! it runs that many, not clamped duplicates. A lane is an ordinary
+//! scalar accumulator that happens to share an instruction with its
+//! neighbours — seeded, accumulated in increasing `k` and rounded
 //! exactly as the naive loop does it — and the contract above holds
 //! without a single partial sum. [`gemm_packed`] and
-//! [`conv2d_kw1_direct_bf16`] are the two sweeps that drive it.
+//! [`conv2d_kw1_direct_bf16`] are the two sweeps that drive the tile.
 //!
-//! # Two instances, one body
+//! # One body, three instances
 //!
-//! Each sweep's body is compiled twice: for the x86-64 baseline (SSE2,
-//! an `NR`-lane block in two xmm registers) and with AVX2 enabled (one
-//! ymm register). The entry picks the AVX2 instance when the CPU has it
-//! ([`tile_isa`] reports which). Only `avx2` is enabled, never `fma`,
-//! and Rust never contracts `a * b + c`, so both instances round every
-//! product and every sum exactly as the scalar loop does: same bits.
+//! Each sweep's body is compiled for the x86-64 baseline (SSE2, an
+//! `NR`-lane block in two xmm registers) and with AVX2 enabled (one ymm
+//! register). [`gemm_packed`]'s body is also compiled with AVX-512F at
+//! width `2 * NR`: each chain of a full row block carries two
+//! neighbouring lane blocks in one zmm register. Its entry picks that
+//! instance only for sweeps of at least `MR` rows over more than one lane
+//! block; batch-1 and single-block sweeps, and the direct convolution,
+//! run AVX2 ([`tile_isa`] reports the batched sweeps' instance). `NR`
+//! and the panel layout are the same in all three. Rust never contracts
+//! `a * b + c` into a fused multiply-add — even where `avx512f` makes the
+//! instruction available — so every instance rounds every product and
+//! every sum exactly as the scalar loop does: same bits.
 
 use crate::bf16::bf16_round;
 
@@ -140,12 +149,27 @@ fn avx2() -> bool {
     std::arch::is_x86_feature_detected!("avx2")
 }
 
-/// The instruction set the register tile runs at on this CPU: `"avx2"`
-/// (an [`NR`]-lane block is one ymm register), `"sse2"` (two xmm
-/// registers: the x86-64 baseline) or `"portable"` on other targets.
-/// An observation, not a setting: nothing forces either instance, and
-/// both compute the same bits.
+/// Whether this CPU runs AVX-512F: [`gemm_packed`] runs its batched
+/// sweeps at `2 * NR` lanes by it.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn avx512() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+}
+
+/// The instruction set the register tile's batched sweeps run at on this
+/// CPU: `"avx512"` (a [`gemm_packed`] sweep of at least [`MR`] rows over
+/// more than one lane block pairs its [`NR`]-lane blocks into one zmm
+/// register), `"avx2"` (an `NR`-lane block is one ymm register), `"sse2"`
+/// (two xmm registers: the x86-64 baseline) or `"portable"` on other
+/// targets. On an AVX-512 host, batch-1 and single-block sweeps and the
+/// direct convolution still run AVX2. An observation, not a setting:
+/// nothing forces any instance, and all compute the same bits.
 pub fn tile_isa() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if avx512() {
+        return "avx512";
+    }
     #[cfg(target_arch = "x86_64")]
     if avx2() {
         return "avx2";
@@ -157,64 +181,108 @@ pub fn tile_isa() -> &'static str {
     }
 }
 
-/// The packed path's one micro-kernel: a register-resident tile of `C`
-/// chains (at most [`MR`]) x [`NR`] lanes advanced over one reduction
-/// segment.
+/// The shared-panel loop of the register tile: `C` chains (at most
+/// [`MR`]) x `W` lanes, every chain reading the same lanes.
 ///
-/// Chain `c` reads its `NR` lane operands for step `t` from
-/// `panels[c][t * step..][..NR]` and broadcasts the scalar `xs[c][t]`
-/// across them: `acc[c][l] += panels[c][t * step + l] * xs[c][t]`, `t`
-/// increasing. Every output element therefore owns exactly one
-/// accumulator that sees its products in increasing-`k` order — the
-/// contract at the top of this file — while the `C * NR` chains are
-/// mutually independent, so the adds pipeline instead of serialising on
-/// one chain's latency. Callers seed `acc`, may run several segments
-/// back to back (an LSTM gate's `W_x x` then `W_h h`), and round once
-/// when they store.
+/// At step `t` the tile reads one lane word, `lanes(t)`, and chain `c`
+/// broadcasts its own input `xs[c][t]` across it: `acc[c][l] +=
+/// lanes(t)[l] * xs[c][t]`, `t` increasing. Every output element
+/// therefore owns exactly one accumulator that sees its products in
+/// increasing-`k` order — the contract at the top of this file — while
+/// the `C * W` chains are mutually independent, so the adds pipeline
+/// instead of serialising on one chain's latency. Callers seed `acc`, may
+/// run several segments back to back (an LSTM gate's `W_x x` then `W_h
+/// h`), and round once when they store.
 ///
-/// The chains are (panel, input) pairs, not a fixed shape: row-blocked
-/// callers pass one panel `MR` times with `MR` different inputs,
-/// panel-blocked callers up to `MR` panels with one input, so a single
-/// input row still runs up to `MR` independent chains. A tile computes
-/// each output once: a caller with fewer than `MR` live chains left runs
-/// that many, never a duplicate.
+/// The accumulators live in locals for the whole loop, and every input is
+/// cut to the reduction length once, so a step stores nothing and checks
+/// no input's range: a `lanes` that reads packed words checks nothing.
 #[inline(always)]
-fn tile_accumulate<const C: usize>(
-    acc: &mut [[f32; NR]; C],
-    panels: [&[f32]; C],
-    step: usize,
-    xs: [&[f32]; C],
+fn shared_panel_tile<const C: usize, const W: usize>(
+    acc: &mut [[f32; W]; C],
+    mut xs: [&[f32]; C],
+    lanes: impl Fn(usize) -> [f32; W],
 ) {
     let len = xs[0].len();
-    if len == 0 {
-        return;
+    for x in &mut xs {
+        *x = &x[..len];
     }
-    // Every panel cut once to the words its `len` steps read; a step's
-    // lanes are then one fixed-width `[f32; NR]` load.
-    let xs = xs.map(|x| &x[..len]);
-    let span = (len - 1) * step + NR;
-    let panels = panels.map(|p| &p[..span]);
+    let mut chains = *acc;
     for t in 0..len {
-        for c in 0..C {
-            let lanes: &[f32; NR] = panels[c][t * step..][..NR]
-                .try_into()
-                .expect("a lane block is NR wide");
-            let xv = xs[c][t];
-            for l in 0..NR {
-                acc[c][l] += lanes[l] * xv;
+        let word = lanes(t);
+        for (chain, x) in chains.iter_mut().zip(xs) {
+            let xv = x[t];
+            for l in 0..W {
+                chain[l] += word[l] * xv;
             }
         }
     }
+    *acc = chains;
 }
 
-/// Writes `post` of a chain's leading lanes to `dst` (a full lane block,
-/// or the valid lanes of a tail block).
+/// The row-tail loop of the register tile: `C` chains (at most [`MR`]) x
+/// [`NR`] lanes against one input row, chain `c` reading its own lane
+/// block: `acc[c][l] += lanes(c, t)[l] * x[t]`, `t` increasing.
+///
+/// A lone row thus still keeps up to `MR` independent chains in flight,
+/// one per live lane block. The accumulators live in locals, as in
+/// [`shared_panel_tile`].
 #[inline(always)]
-fn store_lanes(dst: &mut [f32], lanes: &[f32; NR], post: impl Fn(f32) -> f32) {
-    match <&mut [f32; NR]>::try_from(&mut *dst) {
+fn row_tail_tile<const C: usize>(
+    acc: &mut [[f32; NR]; C],
+    x: &[f32],
+    lanes: impl Fn(usize, usize) -> [f32; NR],
+) {
+    let mut chains = *acc;
+    for (t, &xv) in x.iter().enumerate() {
+        for (c, chain) in chains.iter_mut().enumerate() {
+            let word = lanes(c, t);
+            for l in 0..NR {
+                chain[l] += word[l] * xv;
+            }
+        }
+    }
+    *acc = chains;
+}
+
+/// `lo`'s lanes then `hi`'s, `W` of them (`NR` or `2 * NR`): one lane
+/// block, or two neighbouring blocks as one wide word.
+#[inline(always)]
+fn join<const W: usize>(lo: &[f32; NR], hi: &[f32; NR]) -> [f32; W] {
+    let mut word = [0.0; W];
+    word[..NR].copy_from_slice(lo);
+    if W > NR {
+        word[NR..].copy_from_slice(hi);
+    }
+    word
+}
+
+/// `[f(0), .., f(C - 1)]`, filled in place. In the sweeps' large bodies
+/// the compiler leaves `std::array::from_fn` out of line, and the tile's
+/// loops then check lengths they could otherwise have known.
+#[inline(always)]
+fn each<const C: usize, T: Copy>(fill: T, f: impl Fn(usize) -> T) -> [T; C] {
+    let mut out = [fill; C];
+    for (c, o) in out.iter_mut().enumerate() {
+        *o = f(c);
+    }
+    out
+}
+
+/// The `NR` lanes at `at` of a strided lane operand.
+#[inline(always)]
+fn lane_block(p: &[f32], at: usize) -> &[f32; NR] {
+    p[at..].first_chunk().expect("a lane block is NR wide")
+}
+
+/// Writes `post` of a chain's leading lanes to `dst` (a full chain, or
+/// the valid lanes of a tail block).
+#[inline(always)]
+fn store_lanes<const W: usize>(dst: &mut [f32], lanes: &[f32; W], post: impl Fn(f32) -> f32) {
+    match <&mut [f32; W]>::try_from(&mut *dst) {
         // Fixed width: the rounding and the store vectorize.
         Ok(full) => {
-            for l in 0..NR {
+            for l in 0..W {
                 full[l] = post(lanes[l]);
             }
         }
@@ -286,6 +354,7 @@ impl<'a> Segment<'a> {
     }
 
     /// Lane block `b`, cut to exactly the elements its `k` steps read.
+    #[inline(always)]
     fn block(&self, b: usize) -> &'a [f32] {
         match self.k {
             0 => &[],
@@ -293,8 +362,47 @@ impl<'a> Segment<'a> {
         }
     }
 
+    /// Lane block `b` of a `step == NR` segment as its `k` lane words.
+    #[inline(always)]
+    fn words(&self, b: usize) -> &'a [[f32; NR]] {
+        &self.block(b).as_chunks().0[..self.k]
+    }
+
+    #[inline(always)]
     fn row(&self, r: usize) -> &'a [f32] {
         &self.x[r * self.x_stride..][..self.k]
+    }
+
+    /// This segment's steps of a shared-panel tile over lane blocks
+    /// `b..b + W / NR`: at `W = 2 * NR` a chain's second `NR` lanes are
+    /// block `b + 1`'s.
+    #[inline(always)]
+    fn accumulate_rows<const W: usize>(&self, acc: &mut [[f32; W]; MR], b: usize, r0: usize) {
+        let xs = each(&[][..], |c| self.row(r0 + c));
+        let hi = b + W / NR - 1;
+        if self.step == NR {
+            let (lo, hi) = (self.words(b), self.words(hi));
+            shared_panel_tile(acc, xs, |t| join(&lo[t], &hi[t]));
+        } else {
+            let (lo, hi, step) = (self.block(b), self.block(hi), self.step);
+            shared_panel_tile(acc, xs, |t| {
+                join(lane_block(lo, t * step), lane_block(hi, t * step))
+            });
+        }
+    }
+
+    /// This segment's steps of a row-tail tile: row `r` against lane
+    /// blocks `b0..b0 + C`.
+    #[inline(always)]
+    fn accumulate_blocks<const C: usize>(&self, acc: &mut [[f32; NR]; C], r: usize, b0: usize) {
+        let x = self.row(r);
+        if self.step == NR {
+            let words: [_; C] = each(&[][..], |c| self.words(b0 + c));
+            row_tail_tile(acc, x, |c, t| words[c][t]);
+        } else {
+            let blocks: [_; C] = each(&[][..], |c| self.block(b0 + c));
+            row_tail_tile(acc, x, |c, t| *lane_block(blocks[c], t * self.step));
+        }
     }
 }
 
@@ -306,11 +414,16 @@ impl<'a> Segment<'a> {
 /// attention contractions are this one sweep of the register tile; they
 /// differ in their segments, their seed (`None` seeds `0.0`), their
 /// store layout and `post` (BF16 rounding, a scale, or nothing). Full
-/// blocks of [`MR`] rows share each lane block; the `rows % MR` tail
-/// rows instead block across up to `MR` lane blocks each, so the lone
-/// row of a batch-1 forward keeps up to `MR` independent chains in
-/// flight, one per live lane block. Padded lanes past `n` are computed
-/// and not stored.
+/// blocks of [`MR`] rows share each lane block (`shared_panel_tile`);
+/// the `rows % MR` tail rows instead block across up to `MR` lane blocks
+/// each (`row_tail_tile`), so the lone row of a batch-1 forward keeps
+/// up to `MR` independent chains in flight, one per live lane block.
+/// Padded lanes past `n` are computed and not stored.
+///
+/// A sweep with at least `MR` rows over more than one lane block runs,
+/// on an AVX-512 CPU, the instance whose full row blocks carry two
+/// neighbouring lane blocks per chain; every other sweep runs the AVX2
+/// (or baseline) instance. All compute the same bits.
 ///
 /// # Panics
 ///
@@ -326,12 +439,34 @@ pub fn gemm_packed<const S: usize>(
     strides: (usize, usize),
 ) {
     #[cfg(target_arch = "x86_64")]
+    if rows >= MR && n > NR && avx512() {
+        // SAFETY: `avx512()` has just found AVX-512F on this CPU, the one
+        // feature `gemm_packed_avx512` is compiled for.
+        return unsafe { gemm_packed_avx512(segs, bias, rows, n, post, out, strides) };
+    }
+    #[cfg(target_arch = "x86_64")]
     if avx2() {
         // SAFETY: `avx2()` has just found AVX2 on this CPU, the one
         // feature `gemm_packed_avx2` is compiled for.
         return unsafe { gemm_packed_avx2(segs, bias, rows, n, post, out, strides) };
     }
-    gemm_packed_body(segs, bias, rows, n, post, out, strides)
+    gemm_packed_body::<S, NR>(segs, bias, rows, n, post, out, strides)
+}
+
+/// [`gemm_packed_body`] at `2 * NR` lanes compiled for AVX-512F: a full
+/// row block's chain is one zmm register over two lane blocks.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn gemm_packed_avx512<const S: usize>(
+    segs: [Segment<'_>; S],
+    bias: Option<&[f32]>,
+    rows: usize,
+    n: usize,
+    post: impl Fn(f32) -> f32,
+    out: &mut [f32],
+    strides: (usize, usize),
+) {
+    gemm_packed_body::<S, { 2 * NR }>(segs, bias, rows, n, post, out, strides)
 }
 
 /// [`gemm_packed_body`] compiled for AVX2: one ymm register per lane block.
@@ -346,12 +481,15 @@ fn gemm_packed_avx2<const S: usize>(
     out: &mut [f32],
     strides: (usize, usize),
 ) {
-    gemm_packed_body(segs, bias, rows, n, post, out, strides)
+    gemm_packed_body::<S, NR>(segs, bias, rows, n, post, out, strides)
 }
 
-/// [`gemm_packed`]'s one body, inlined into both instances.
+/// [`gemm_packed`]'s one body, inlined into every instance. Full row
+/// blocks run `W` lanes a chain (`NR`, or `2 * NR`: neighbouring lane
+/// blocks in pairs, an odd last block alone at `NR`); tail rows always
+/// run `NR`.
 #[inline(always)]
-fn gemm_packed_body<const S: usize>(
+fn gemm_packed_body<const S: usize, const W: usize>(
     segs: [Segment<'_>; S],
     bias: Option<&[f32]>,
     rows: usize,
@@ -379,39 +517,78 @@ fn gemm_packed_body<const S: usize>(
         }
         lanes
     };
-    let mut store = |lanes: &[f32; NR], r: usize, b: usize| {
-        let base = r * row_stride + b * NR * lane_stride;
-        let valid = NR.min(n - b * NR);
-        if lane_stride == 1 {
-            store_lanes(&mut out[base..base + valid], lanes, &post);
-        } else {
-            for (l, &v) in lanes.iter().enumerate().take(valid) {
-                out[base + l * lane_stride] = post(v);
-            }
-        }
+    let mut sink = Sink {
+        out,
+        post,
+        n,
+        row_stride,
+        lane_stride,
     };
     let full = rows - rows % MR;
-    for b in 0..blocks {
-        let lanes = seed(b);
-        for r0 in (0..full).step_by(MR) {
-            let mut acc = [lanes; MR];
-            for seg in &segs {
-                let xs = std::array::from_fn(|c| seg.row(r0 + c));
-                tile_accumulate(&mut acc, [seg.block(b); MR], seg.step, xs);
-            }
-            for (c, lanes) in acc.iter().enumerate() {
-                store(lanes, r0 + c, b);
-            }
-        }
+    let paired = blocks - blocks % (W / NR);
+    for b in (0..paired).step_by(W / NR) {
+        row_block::<W, S>(&segs, full, b, &seed, &mut sink);
+    }
+    for b in paired..blocks {
+        row_block::<NR, S>(&segs, full, b, &seed, &mut sink);
     }
     for r in full..rows {
         for b0 in (0..blocks).step_by(MR) {
             match blocks - b0 {
-                1 => row_tile::<1, S>(&segs, r, b0, &seed, &mut store),
-                2 => row_tile::<2, S>(&segs, r, b0, &seed, &mut store),
-                3 => row_tile::<3, S>(&segs, r, b0, &seed, &mut store),
-                _ => row_tile::<MR, S>(&segs, r, b0, &seed, &mut store),
+                1 => row_tail::<1, S>(&segs, r, b0, &seed, &mut sink),
+                2 => row_tail::<2, S>(&segs, r, b0, &seed, &mut sink),
+                3 => row_tail::<3, S>(&segs, r, b0, &seed, &mut sink),
+                _ => row_tail::<MR, S>(&segs, r, b0, &seed, &mut sink),
             }
+        }
+    }
+}
+
+/// Where [`gemm_packed`] writes: `post` of lane `l` of row `r`'s lane
+/// block `b` goes to `out[r * row_stride + (b * NR + l) * lane_stride]`,
+/// for the lanes below `n`.
+struct Sink<'o, P> {
+    out: &'o mut [f32],
+    post: P,
+    n: usize,
+    row_stride: usize,
+    lane_stride: usize,
+}
+
+impl<P: Fn(f32) -> f32> Sink<'_, P> {
+    /// Stores a chain of `W` lanes, lane blocks `b..b + W / NR` of row `r`.
+    #[inline(always)]
+    fn store<const W: usize>(&mut self, lanes: &[f32; W], r: usize, b: usize) {
+        let base = r * self.row_stride + b * NR * self.lane_stride;
+        let valid = W.min(self.n - b * NR);
+        if self.lane_stride == 1 {
+            store_lanes(&mut self.out[base..base + valid], lanes, &self.post);
+        } else {
+            for (l, &v) in lanes.iter().enumerate().take(valid) {
+                self.out[base + l * self.lane_stride] = (self.post)(v);
+            }
+        }
+    }
+}
+
+/// Rows `0..full` of [`gemm_packed`] against lane blocks `b..b + W / NR`,
+/// [`MR`] rows to a tile.
+#[inline(always)]
+fn row_block<const W: usize, const S: usize>(
+    segs: &[Segment<'_>; S],
+    full: usize,
+    b: usize,
+    seed: impl Fn(usize) -> [f32; NR],
+    sink: &mut Sink<'_, impl Fn(f32) -> f32>,
+) {
+    let lanes = join(&seed(b), &seed(b + W / NR - 1));
+    for r0 in (0..full).step_by(MR) {
+        let mut acc = [lanes; MR];
+        for seg in segs {
+            seg.accumulate_rows::<W>(&mut acc, b, r0);
+        }
+        for (c, chain) in acc.iter().enumerate() {
+            sink.store(chain, r0 + c, b);
         }
     }
 }
@@ -419,20 +596,19 @@ fn gemm_packed_body<const S: usize>(
 /// One tail row `r` of [`gemm_packed`] against lane blocks `b0..b0 + C`,
 /// one chain per block.
 #[inline(always)]
-fn row_tile<const C: usize, const S: usize>(
+fn row_tail<const C: usize, const S: usize>(
     segs: &[Segment<'_>; S],
     r: usize,
     b0: usize,
     seed: impl Fn(usize) -> [f32; NR],
-    store: &mut impl FnMut(&[f32; NR], usize, usize),
+    sink: &mut Sink<'_, impl Fn(f32) -> f32>,
 ) {
-    let mut acc = std::array::from_fn(|c| seed(b0 + c));
+    let mut acc = each([0.0; NR], |c| seed(b0 + c));
     for seg in segs {
-        let panels = std::array::from_fn(|c| seg.block(b0 + c));
-        tile_accumulate::<C>(&mut acc, panels, seg.step, [seg.row(r); C]);
+        seg.accumulate_blocks::<C>(&mut acc, r, b0);
     }
     for (c, lanes) in acc.iter().enumerate() {
-        store(lanes, r, b0 + c);
+        sink.store(lanes, r, b0 + c);
     }
 }
 
@@ -626,7 +802,7 @@ fn kw1_channel_group<const C: usize>(
         for ic in 0..in_c {
             let lanes = &stage[ic * chan + p0..][..(kh - 1) * w + NR];
             let taps = rows.map(|r| &r[ic * kh..(ic + 1) * kh]);
-            tile_accumulate::<C>(&mut acc, [lanes; C], w, taps);
+            shared_panel_tile(&mut acc, taps, |t| *lane_block(lanes, t * w));
         }
         let valid = NR.min(positions - p0);
         for (c, lanes) in acc.iter().enumerate() {
@@ -1057,8 +1233,11 @@ mod tests {
         /// the store is row-major or transposed (im2col's `lane_stride !=
         /// 1`).
         fn draw<const S: usize>(rng: &mut StdRng) -> Self {
-            let rows = rng.gen_range(0..=9usize);
-            let n = rng.gen_range(1..=33usize);
+            // Up to two full row blocks and every tail; one to five lane
+            // blocks, so the wide instance pairs all of them or leaves
+            // an odd last block alone.
+            let rows = rng.gen_range(0..=2 * MR + 3);
+            let n = rng.gen_range(1..=5 * NR);
             let val = |rng: &mut StdRng| rng.gen_range(-2.0f32..=2.0);
             let segs = (0..S)
                 .map(|_| {
@@ -1076,10 +1255,8 @@ mod tests {
                             x,
                         }
                     } else {
-                        // Width `step >= n`, one lane block of slack after
-                        // the last row: the last block over-reads it.
                         let step = n + rng.gen_range(0..=5usize);
-                        let panels = (0..k * step + NR).map(|_| val(rng)).collect();
+                        let panels = (0..strided_len(k, step, n)).map(|_| val(rng)).collect();
                         SegmentData {
                             panels,
                             block_stride: NR,
@@ -1143,6 +1320,21 @@ mod tests {
         v.iter().map(|f| f.to_bits()).collect()
     }
 
+    /// The words a row-major strided operand of width `step >= n` needs
+    /// for `k` steps: its last lane block over-reads the last row by up
+    /// to `NR - 1` lanes, and nothing further. The draw cuts every strided
+    /// operand to exactly this, so a chain over a pair of lane blocks
+    /// that read past one block's slack would panic.
+    fn strided_len(k: usize, step: usize, n: usize) -> usize {
+        match k {
+            0 => 0,
+            k => (k - 1) * step + n.div_ceil(NR) * NR,
+        }
+    }
+
+    /// Runs a drawn case through the dispatched entry and the body at
+    /// both widths, compiled for the baseline, and asserts that all three
+    /// equal the scalar loop bit for bit.
     fn gemm_instances_agree<const S: usize>(rng: &mut StdRng) {
         let case = GemmCase::draw::<S>(rng);
         let (rows, n) = (case.rows, case.n);
@@ -1152,23 +1344,37 @@ mod tests {
         let segs = case.segments::<S>();
         gemm_packed(segs, bias, rows, n, bf16_round, &mut entry, case.strides);
         let mut body = vec![f32::NAN; rows * n];
-        gemm_packed_body(segs, bias, rows, n, bf16_round, &mut body, case.strides);
+        gemm_packed_body::<S, NR>(segs, bias, rows, n, bf16_round, &mut body, case.strides);
+        let mut paired = vec![f32::NAN; rows * n];
+        gemm_packed_body::<S, { 2 * NR }>(
+            segs,
+            bias,
+            rows,
+            n,
+            bf16_round,
+            &mut paired,
+            case.strides,
+        );
         let ks: Vec<usize> = case.segs.iter().map(|s| s.k).collect();
+        let steps: Vec<usize> = case.segs.iter().map(|s| s.step).collect();
         let shape = format!(
-            "S={S} rows={rows} n={n} k={ks:?} strides={:?}",
+            "S={S} rows={rows} n={n} k={ks:?} step={steps:?} strides={:?}",
             case.strides
         );
         let isa = tile_isa();
-        assert_eq!(bits(&entry), bits(&body), "{shape}: {isa} vs portable");
+        assert_eq!(bits(&entry), want, "{shape}: {isa} entry vs scalar");
         assert_eq!(bits(&body), want, "{shape}: portable vs scalar");
+        assert_eq!(bits(&paired), want, "{shape}: portable paired vs scalar");
     }
 
     #[test]
     fn both_tile_instances_match_the_scalar_loops() {
-        // The entries run this CPU's instance (`tile_isa()`); the bodies,
-        // called directly, the baseline one. Both must equal the scalar
-        // loops bit for bit, over row tails (rows % MR), lane tails
-        // (n % NR), one and two segments, packed and strided lanes,
+        // The entries run this CPU's instances (`tile_isa()`); the bodies,
+        // called directly, the baseline ones, the GEMM's at both widths,
+        // so a host without AVX-512 still runs the block pairing. All
+        // must equal the scalar loops bit for bit, over row tails
+        // (rows % MR), lane tails (n % NR), odd and even lane-block
+        // counts, one and two segments, packed and strided lanes,
         // row-major and transposed stores.
         let mut rng = StdRng::seed_from_u64(0x7113);
         for _ in 0..300 {

@@ -43,12 +43,12 @@ for f in $(find crates/sim/src -name '*.rs' | sort); do
 done
 [[ "$staged" == "0" ]]
 
-echo "== bounded unsafe: the two tile-sweep entries in lt-dnn's kernels.rs, each under a // SAFETY: comment, AVX2 only =="
+echo "== bounded unsafe: the three tile-sweep dispatches in lt-dnn's kernels.rs, each under a // SAFETY: comment, AVX2 or AVX-512F only =="
 # Every crate root forbids unsafe_code but lt-dnn's, which denies it:
-# gemm_packed and conv2d_kw1_direct_bf16 allow it to call their AVX2
-# instance right after the runtime feature check. A third site fails here,
-# as does an instance compiled for anything but avx2 (fma would fuse a
-# multiply-add and change the answers' bits).
+# gemm_packed (its AVX-512F and AVX2 instances) and conv2d_kw1_direct_bf16
+# (its AVX2 instance) allow it to call an instance right after the runtime
+# feature check. A fourth site fails here, as does an instance compiled for
+# any feature but avx2 or avx512f.
 sites=$(for f in $(find crates/*/src -name '*.rs' | sort); do
     sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$f" | awk -v f="$f" '
         /^[[:space:]]*\/\// { if ($0 ~ /\/\/ SAFETY: /) safety = 1; next }
@@ -56,15 +56,29 @@ sites=$(for f in $(find crates/*/src -name '*.rs' | sort); do
         { safety = 0 }'
 done)
 echo "$sites"
-if [[ "$(grep -c . <<< "$sites")" != "2" ]] \
+if [[ "$(grep -c . <<< "$sites")" != "3" ]] \
     || grep -v '^crates/dnn/src/kernels.rs:[0-9]*:safety$' <<< "$sites"; then
-    echo "unsafe outside the two tile-sweep entries, or without a // SAFETY: comment"
+    echo "unsafe outside the three tile-sweep dispatches, or without a // SAFETY: comment"
     exit 1
 fi
-if grep -rnE 'target_feature\(enable = "' crates/*/src | grep -v 'enable = "avx2")'; then
-    echo "a target_feature other than avx2"
+if grep -rnE 'target_feature\(enable = "' crates/*/src | grep -vE 'enable = "(avx2|avx512f)"\)'; then
+    echo "a target_feature other than avx2 or avx512f"
     exit 1
 fi
+
+echo "== unfused: no mul_add and no fmadd intrinsic in lt-dnn's non-test code =="
+# Comment lines may name them. The instances keep the scalar loop's bits because Rust rounds every
+# product before its add unless asked to fuse them; avx512f alone already
+# lets LLVM emit FMA instructions, so the feature list cannot guard this.
+fused=0
+for f in $(find crates/dnn/src -name '*.rs' | sort); do
+    if sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$f" | grep -nE 'mul_add|fmadd|fmsub|fnmadd|fnmsub' \
+        | grep -vE '^[0-9]+:[[:space:]]*//'; then
+        echo "fused multiply-add in $f (round the product, then add)"
+        fused=1
+    fi
+done
+[[ "$fused" == "0" ]]
 
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
