@@ -24,7 +24,7 @@
 
 use crate::c2c::C2cLink;
 use crate::dvfs::OperatingPoint;
-use lt_dnn::{ModelKind, Precision};
+use lt_dnn::ModelKind;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -73,18 +73,11 @@ impl LatencyModel {
     }
 
     /// Inference latency (`t_infer` in Algorithm 1) for a batch of
-    /// `batch` queries of `kind` at `point` and `precision`.
-    pub fn infer(
-        &self,
-        kind: ModelKind,
-        batch: u32,
-        point: OperatingPoint,
-        precision: Precision,
-    ) -> Duration {
+    /// `batch` queries of `kind` at `point`, in BF16.
+    pub fn infer(&self, kind: ModelKind, batch: u32, point: OperatingPoint) -> Duration {
         assert!(batch >= 1, "batch must be at least 1");
         let scale = REFERENCE_FREQ_GHZ / point.freq_ghz;
-        let compute = batch as f64 * Self::batch_efficiency(batch) * self.sample_ns(kind) * scale
-            / precision.throughput_multiplier();
+        let compute = batch as f64 * Self::batch_efficiency(batch) * self.sample_ns(kind) * scale;
         Duration::from_nanos((self.fixed_ns + compute) as u64)
     }
 
@@ -111,7 +104,7 @@ impl LatencyModel {
     /// Effective throughput in TFLOPS sustained at batch 1 on `point`
     /// (used by the Fig. 11(c) energy-efficiency comparison).
     pub fn effective_tflops(&self, kind: ModelKind, point: OperatingPoint) -> f64 {
-        let t = self.infer(kind, 1, point, Precision::Bf16).as_secs_f64();
+        let t = self.infer(kind, 1, point).as_secs_f64();
         Self::ops_per_inference(kind) / t / 1e12
     }
 }
@@ -134,7 +127,7 @@ mod tests {
             (ModelKind::DeepLob, 296),
         ];
         for (kind, micros) in cases {
-            let t = m.infer(kind, 1, p(2.0), Precision::Bf16);
+            let t = m.infer(kind, 1, p(2.0));
             assert_eq!(t, Duration::from_micros(micros), "{kind}");
         }
     }
@@ -142,8 +135,8 @@ mod tests {
     #[test]
     fn latency_scales_inversely_with_frequency() {
         let m = LatencyModel::calibrated();
-        let fast = m.infer(ModelKind::DeepLob, 1, p(2.0), Precision::Bf16);
-        let slow = m.infer(ModelKind::DeepLob, 1, p(1.0), Precision::Bf16);
+        let fast = m.infer(ModelKind::DeepLob, 1, p(2.0));
+        let slow = m.infer(ModelKind::DeepLob, 1, p(1.0));
         // Compute portion doubles; fixed floor does not.
         assert!(slow > fast);
         let expected = 5_000.0 + 291_000.0 * 2.0;
@@ -153,8 +146,8 @@ mod tests {
     #[test]
     fn batching_amortizes_but_costs_latency() {
         let m = LatencyModel::calibrated();
-        let b1 = m.infer(ModelKind::VanillaCnn, 1, p(2.0), Precision::Bf16);
-        let b4 = m.infer(ModelKind::VanillaCnn, 4, p(2.0), Precision::Bf16);
+        let b1 = m.infer(ModelKind::VanillaCnn, 1, p(2.0));
+        let b4 = m.infer(ModelKind::VanillaCnn, 4, p(2.0));
         // A batch of 4 is slower than one query...
         assert!(b4 > b1);
         // ...but much faster than four sequential queries.
@@ -162,22 +155,8 @@ mod tests {
         // Per-query throughput strictly improves with batch size.
         let per_q1 = b1.as_nanos() as f64;
         let per_q4 = b4.as_nanos() as f64 / 4.0;
-        let per_q16 = m
-            .infer(ModelKind::VanillaCnn, 16, p(2.0), Precision::Bf16)
-            .as_nanos() as f64
-            / 16.0;
+        let per_q16 = m.infer(ModelKind::VanillaCnn, 16, p(2.0)).as_nanos() as f64 / 16.0;
         assert!(per_q4 < per_q1 && per_q16 < per_q4);
-    }
-
-    #[test]
-    fn int8_is_faster_than_bf16() {
-        let m = LatencyModel::calibrated();
-        let bf16 = m.infer(ModelKind::DeepLob, 1, p(2.0), Precision::Bf16);
-        let int8 = m.infer(ModelKind::DeepLob, 1, p(2.0), Precision::Int8);
-        assert!(int8 < bf16);
-        // Compute portion is 4x faster.
-        let expect = 5_000.0 + 291_000.0 / 4.0;
-        assert!((int8.as_nanos() as f64 - expect).abs() < 1_000.0);
     }
 
     #[test]
@@ -186,7 +165,7 @@ mod tests {
         let link = C2cLink::lighttrader();
         for kind in ModelKind::ALL {
             let t_trans = m.transfer(kind, 1, &link);
-            let t_infer = m.infer(kind, 1, p(2.0), Precision::Bf16);
+            let t_infer = m.infer(kind, 1, p(2.0));
             assert!(t_trans.as_nanos() * 20 < t_infer.as_nanos());
         }
     }

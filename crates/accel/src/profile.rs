@@ -14,7 +14,7 @@ use crate::c2c::C2cLink;
 use crate::dvfs::OperatingPoint;
 use crate::latency::LatencyModel;
 use crate::power::PowerModel;
-use lt_dnn::{ModelKind, Precision};
+use lt_dnn::ModelKind;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -24,7 +24,6 @@ pub struct DeviceProfile {
     latency: LatencyModel,
     power: PowerModel,
     link: C2cLink,
-    precision: Precision,
 }
 
 impl DeviceProfile {
@@ -34,25 +33,12 @@ impl DeviceProfile {
             latency: LatencyModel::calibrated(),
             power: PowerModel::calibrated(),
             link: C2cLink::lighttrader(),
-            precision: Precision::Bf16,
         }
-    }
-
-    /// The same profile with a different execution precision.
-    #[must_use]
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
-    }
-
-    /// Execution precision of this profile.
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// Inference latency `t_infer[dvfs][bs]`.
     pub fn t_infer(&self, kind: ModelKind, batch: u32, point: OperatingPoint) -> Duration {
-        self.latency.infer(kind, batch, point, self.precision)
+        self.latency.infer(kind, batch, point)
     }
 
     /// Transfer latency `t_trans[bs]`.
@@ -136,17 +122,6 @@ mod tests {
             prof.ppw(kind, 1, fast) < prof.ppw(kind, 1, slow),
             "higher clock must be less energy-efficient"
         );
-    }
-
-    #[test]
-    fn int8_profile_is_faster() {
-        let bf16 = DeviceProfile::lighttrader();
-        let int8 = DeviceProfile::lighttrader().with_precision(Precision::Int8);
-        assert!(
-            int8.t_infer(ModelKind::DeepLob, 1, p(2.0))
-                < bf16.t_infer(ModelKind::DeepLob, 1, p(2.0))
-        );
-        assert_eq!(int8.precision(), Precision::Int8);
     }
 
     #[test]

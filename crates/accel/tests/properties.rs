@@ -2,7 +2,7 @@
 
 use lt_accel::dvfs::{DvfsTable, OperatingPoint};
 use lt_accel::{DeviceProfile, PowerModel};
-use lt_dnn::{ModelKind, Precision};
+use lt_dnn::ModelKind;
 use proptest::prelude::*;
 
 fn kind_strategy() -> impl Strategy<Value = ModelKind> {
@@ -47,18 +47,6 @@ proptest! {
         if let Some(up) = DvfsTable::full_range().step_up(point) {
             prop_assert!(power.power_w(kind, batch, up) > w);
         }
-    }
-
-    /// INT8 is always faster than BF16 at the same point & batch.
-    #[test]
-    fn int8_dominates_bf16(
-        kind in kind_strategy(),
-        point in point_strategy(),
-        batch in 1u32..16,
-    ) {
-        let bf16 = DeviceProfile::lighttrader();
-        let int8 = DeviceProfile::lighttrader().with_precision(Precision::Int8);
-        prop_assert!(int8.t_infer(kind, batch, point) < bf16.t_infer(kind, batch, point));
     }
 
     /// Full batching beats single-query PPW at every point of the

@@ -104,18 +104,7 @@ fn main() {
         || {
             let _ = conv.forward_reference(&xc);
         },
-        || {
-            conv.forward_batch_packed(
-                xc.data(),
-                1,
-                64,
-                10,
-                &conv_packed,
-                1,
-                &mut pad,
-                &mut conv_out,
-            )
-        },
+        || conv.forward_batch_packed(xc.data(), 1, 64, 10, &conv_packed, &mut pad, &mut conv_out),
     ));
 
     let linear = Linear::new(256, 128, 1);

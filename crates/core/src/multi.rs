@@ -87,10 +87,14 @@ impl MultiSymbolTrader {
         self
     }
 
-    /// Sets the row-block worker count for the batched forwards (see
-    /// `PackedWeights::set_threads`; `0` = auto, `1` = serial).
+    /// Kept only for the benchmark's callers, which pass 1; ROADMAP item
+    /// 0 deletes it. Batched forwards run on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `threads` is 1.
     pub fn set_batch_threads(&mut self, threads: usize) {
-        self.registry.set_batch_threads(threads);
+        assert_eq!(threads, 1, "batched forwards run on the calling thread");
     }
 
     /// Tickets currently pending across all shards (at most one each).

@@ -875,8 +875,12 @@ mod tests {
             let Some(prediction) = prediction_of(outcome) else {
                 continue;
             };
-            let window = std::slice::from_ref(&system.window_buf);
-            stateless.forward_batch(ModelKind::ALL[t], window, &mut alone);
+            let model = stateless.model(ModelKind::ALL[t]).expect("registered");
+            let (window, features) = (model.window(), model.features());
+            let staged = system.window_buf.data();
+            let trailing = staged[staged.len() - window * features..].to_vec();
+            let input = Tensor::from_vec(trailing, &[window, features]);
+            stateless.forward_batch(ModelKind::ALL[t], &[input], &mut alone);
             assert_eq!(
                 prediction.probs.map(f32::to_bits),
                 alone[0].probs.map(f32::to_bits),
@@ -1050,8 +1054,8 @@ mod tests {
                 _ => (k as u64, 1),
             };
             let leg_stats = streamed(kind, served, first);
-            want[kind as usize].hits += leg_stats.hits;
-            want[kind as usize].misses += leg_stats.misses;
+            want[kind.index()].hits += leg_stats.hits;
+            want[kind.index()].misses += leg_stats.misses;
             let stats = ModelKind::ALL.map(|tier| swept.stream_stats(tier));
             assert_eq!(stats, want, "leg {seq} on {kind}");
         }

@@ -1,4 +1,4 @@
-//! Brain-float-16 rounding and the inference [`Precision`].
+//! Brain-float-16 rounding.
 //!
 //! The accelerator computes in BF16 "to maintain the original network
 //! accuracy across different networks, whereas the lower INT precision,
@@ -6,41 +6,9 @@
 //! latency is prioritized over the accuracy" (§III-C). We model BF16 as
 //! `f32` with the mantissa truncated to 7 bits using round-to-nearest-even
 //! — bit-exact with hardware BF16 for normal values — rather than carrying
-//! a distinct storage type through the hot path. INT8 exists at the
-//! profiled level only: [`Precision::Int8`] scales the accelerator's
-//! latency model, and every functional forward runs in BF16.
-
-use serde::{Deserialize, Serialize};
-
-/// Numeric precision of an inference (paper §III-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum Precision {
-    /// Brain float 16: the default, full-accuracy mode (16 TFLOPS peak).
-    #[default]
-    Bf16,
-    /// 8-bit integers: 4x the throughput (64 TOPS peak), lossy.
-    Int8,
-}
-
-impl Precision {
-    /// Peak-throughput multiplier relative to BF16 (the paper's
-    /// 16 TFLOPS vs 64 TOPS gives 4x for INT8).
-    pub fn throughput_multiplier(self) -> f64 {
-        match self {
-            Precision::Bf16 => 1.0,
-            Precision::Int8 => 4.0,
-        }
-    }
-}
-
-impl std::fmt::Display for Precision {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Precision::Bf16 => f.write_str("bf16"),
-            Precision::Int8 => f.write_str("int8"),
-        }
-    }
-}
+//! a distinct storage type through the hot path. Every forward, functional
+//! or priced by the latency model, runs in BF16; INT8 appears only as
+//! Table I's peak-throughput row (`lt_accel::AccelSpec::peak_tops_int8`).
 
 /// Rounds an `f32` to the nearest representable BF16 value
 /// (round-to-nearest-even), returned as `f32`.
@@ -124,13 +92,5 @@ mod tests {
         for x in &xs {
             assert_eq!(bf16_round(*x), *x);
         }
-    }
-
-    #[test]
-    fn precision_multipliers() {
-        assert_eq!(Precision::Bf16.throughput_multiplier(), 1.0);
-        assert_eq!(Precision::Int8.throughput_multiplier(), 4.0);
-        assert_eq!(Precision::default(), Precision::Bf16);
-        assert_eq!(Precision::Int8.to_string(), "int8");
     }
 }

@@ -11,8 +11,7 @@
 //! This crate implements all three from scratch on a small tensor library:
 //!
 //! * [`bf16`] — Brain-float-16 rounding, the accelerator's "main
-//!   computational precision" (§III-C), and the [`Precision`] the
-//!   latency model prices (INT8 is profiled, never run);
+//!   computational precision" (§III-C), and the only one modelled;
 //! * [`tensor`] — a dense row-major `f32` tensor with the shape algebra
 //!   the layers need;
 //! * [`math`] — the repo's own `exp`, `tanh` and `sigmoid` (scalar and
@@ -61,7 +60,7 @@ pub mod stream;
 pub mod tensor;
 
 pub use batch::{PackedPanels, PackedWeights};
-pub use bf16::{bf16_round, Precision};
+pub use bf16::bf16_round;
 pub use model::{Model, ModelKind, Prediction, PriceDirection};
 pub use models::{DeepLob, TransLob, VanillaCnn};
 pub use registry::ModelRegistry;

@@ -26,6 +26,12 @@ impl ModelKind {
         ModelKind::DeepLob,
     ];
 
+    /// Position of `self` in [`Self::ALL`] (Table II order, cheapest
+    /// first): the discriminants follow that order.
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
     /// The display name used in the paper's tables.
     pub fn name(self) -> &'static str {
         match self {
@@ -248,6 +254,9 @@ mod tests {
         assert_eq!(ModelKind::TransLob.table2_ops(), 203_900_000_000);
         assert_eq!(ModelKind::DeepLob.table2_ops(), 515_400_000_000);
         assert_eq!(ModelKind::ALL.len(), 3);
+        for (i, kind) in ModelKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i, "{kind}");
+        }
         assert_eq!(ModelKind::DeepLob.name(), "DeepLOB");
         assert_eq!(ModelKind::TransLob.network_family(), "CNN+Transformer");
     }

@@ -244,7 +244,6 @@ impl DeepLob {
         debug_assert!(lines.is_none() || batch == 1, "lines follow one stream");
         let (t, f) = (self.spec.window, self.spec.features);
         let c = self.spec.channels;
-        let threads = packed.threads();
         // Every buffer below is fully overwritten before it is read, so
         // all of them skip the pool's zero fill.
         let mut cur = pad.take_dirty(batch * t * f);
@@ -260,7 +259,7 @@ impl DeepLob {
             }
             let (oh, ow) = conv.output_hw(h, w);
             let mut nxt = pad.take_dirty(batch * c * oh * ow);
-            conv.forward_batch_packed(&cur, batch, h, w, packed.panel(idx), threads, pad, &mut nxt);
+            conv.forward_batch_packed(&cur, batch, h, w, packed.panel(idx), pad, &mut nxt);
             pad.give(cur);
             leaky_relu_slice(&mut nxt, LEAK);
             cur = nxt;
@@ -286,12 +285,11 @@ impl DeepLob {
         out: &mut Vec<Prediction>,
     ) {
         let c = self.spec.channels;
-        let threads = packed.threads();
         // Inception over [C, steps, 1]; same-padded branches keep shape.
         let steps = self.spec.lstm_steps();
         let act_len = batch * c * steps;
         let inc = |conv: &Conv2d, idx: usize, x: &[f32], y: &mut [f32], pad: &mut ScratchPad| {
-            conv.forward_batch_packed(x, batch, steps, 1, packed.panel(idx), threads, pad, y);
+            conv.forward_batch_packed(x, batch, steps, 1, packed.panel(idx), pad, y);
             leaky_relu_slice(y, LEAK);
         };
         let mut br1 = pad.take_dirty(act_len);

@@ -332,7 +332,6 @@ impl Model for TransLob {
         let (t, f) = (self.spec.window, self.spec.features);
         let c = self.spec.conv_channels;
         let d = self.spec.d_model;
-        let threads = packed.threads();
         // Stage every sample channels-first [F, T, 1] (fully overwritten,
         // so skip the zero fill): the input is [T, F] row-major, so
         // feature `fi` at tick `ti` moves from `ti * f + fi` to
@@ -351,7 +350,7 @@ impl Model for TransLob {
         // Same-padded convolution stack: shape stays [C, T, 1].
         for (idx, conv) in self.convs.iter().enumerate() {
             let mut nxt = pad.take_dirty(batch * c * t);
-            conv.forward_batch_packed(&cur, batch, t, 1, packed.panel(idx), threads, pad, &mut nxt);
+            conv.forward_batch_packed(&cur, batch, t, 1, packed.panel(idx), pad, &mut nxt);
             relu_slice(&mut nxt);
             pad.give(cur);
             cur = nxt;

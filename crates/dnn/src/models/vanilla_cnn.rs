@@ -195,7 +195,6 @@ fn conv_trunk_batch_packed(
     let batch = inputs.len();
     let (t, f) = (spec.window, spec.features);
     let c = spec.channels;
-    let threads = packed.threads();
     let [conv1, conv2, conv3] = convs;
     // Every buffer is fully overwritten before it is read, so all of
     // them skip the pool's zero fill.
@@ -212,21 +211,21 @@ fn conv_trunk_batch_packed(
         lines[0].prime(&x0, t);
     }
     let mut a1 = pad.take_dirty(batch * c * t1);
-    conv1.forward_batch_packed(&x0, batch, t, f, packed.panel(0), threads, pad, &mut a1);
+    conv1.forward_batch_packed(&x0, batch, t, f, packed.panel(0), pad, &mut a1);
     pad.give(x0);
     relu_slice(&mut a1);
     if let Some(lines) = lines.as_deref_mut() {
         lines[1].prime(&a1, t1);
     }
     let mut a2 = pad.take_dirty(batch * c * t2);
-    conv2.forward_batch_packed(&a1, batch, t1, 1, packed.panel(1), threads, pad, &mut a2);
+    conv2.forward_batch_packed(&a1, batch, t1, 1, packed.panel(1), pad, &mut a2);
     pad.give(a1);
     relu_slice(&mut a2);
     if let Some(lines) = lines {
         lines[2].prime(&a2, t2);
     }
     let mut a3 = pad.take_dirty(batch * c * t3);
-    conv3.forward_batch_packed(&a2, batch, t2, 1, packed.panel(2), threads, pad, &mut a3);
+    conv3.forward_batch_packed(&a2, batch, t2, 1, packed.panel(2), pad, &mut a3);
     pad.give(a2);
     relu_slice(&mut a3);
     a3

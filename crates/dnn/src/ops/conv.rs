@@ -1,6 +1,6 @@
 //! 2-D convolution over `[C, H, W]` feature maps.
 
-use crate::batch::{scatter_samples, PackedPanels};
+use crate::batch::PackedPanels;
 use crate::bf16::bf16_round;
 use crate::kernels::{conv2d_kw1_direct_bf16, conv2d_kw1_stage_len, gemm_packed, im2col, Segment};
 use crate::ops::count::{conv2d_macs, conv_out_len};
@@ -105,18 +105,14 @@ impl Conv2d {
     /// activation block, writing `[batch, out_c, oh * ow]` into `out`.
     ///
     /// A sample exactly one kernel in size with no padding is its own
-    /// patch row and runs as one GEMM row over `x` in place (all samples
-    /// in one call on the calling thread). Width-1 unit-stride kernels
-    /// run the direct register-tile convolution; every other shape
-    /// unfolds into a stacked
-    /// `[batch * oh * ow, k]` im2col patch matrix drawn from `pad` and
-    /// sweeps it with the packed GEMM — per sample `==` to
-    /// [`Self::forward_reference`], since stacking only extends the
-    /// GEMM's output `n` dimension and packing only permutes the A
-    /// layout (see [`crate::kernels`] for the accumulation-order
-    /// contract).
-    /// `threads > 1` scatters contiguous sample chunks across scoped
-    /// threads (disjoint patch/output slices, unchanged accumulation).
+    /// patch row, so the whole batch runs as one GEMM sweep over `x` in
+    /// place. Every other shape runs sample by sample: width-1
+    /// unit-stride kernels through the direct register-tile convolution,
+    /// the rest by unfolding the sample into an `[oh * ow, k]` im2col
+    /// patch matrix drawn from `pad` and sweeping it with the packed
+    /// GEMM. Each sample is `==` to [`Self::forward_reference`], since
+    /// packing only permutes the A layout (see [`crate::kernels`] for the
+    /// accumulation-order contract).
     ///
     /// # Panics
     ///
@@ -129,7 +125,6 @@ impl Conv2d {
         h: usize,
         w: usize,
         packed: &PackedPanels,
-        threads: usize,
         pad: &mut ScratchPad,
         out: &mut [f32],
     ) {
@@ -169,69 +164,63 @@ impl Conv2d {
         if kw == 1 && self.stride == (1, 1) && self.padding.1 == 0 {
             let stage_len = conv2d_kw1_stage_len(in_c, h, w, self.padding.0);
             let mut stage = pad.take_dirty(batch * stage_len);
-            scatter_samples(
-                threads,
-                batch,
-                &mut stage,
-                stage_len,
-                out,
-                out_c * positions,
-                |s, stage, o| {
-                    conv2d_kw1_direct_bf16(
-                        self.kernel.data(),
-                        &self.bias,
-                        &x[s * in_c * h * w..(s + 1) * in_c * h * w],
-                        in_c,
-                        h,
-                        w,
-                        kh,
-                        self.padding.0,
-                        out_c,
-                        stage,
-                        o,
-                    );
-                },
-            );
+            let samples = x.chunks_exact(in_c * h * w);
+            let stages = stage.chunks_exact_mut(stage_len);
+            for ((xs, st), o) in samples
+                .zip(stages)
+                .zip(out.chunks_exact_mut(out_c * positions))
+            {
+                conv2d_kw1_direct_bf16(
+                    self.kernel.data(),
+                    &self.bias,
+                    xs,
+                    in_c,
+                    h,
+                    w,
+                    kh,
+                    self.padding.0,
+                    out_c,
+                    st,
+                    o,
+                );
+            }
             pad.give(stage);
             return;
         }
         // Fully overwritten below (im2col writes every patch element,
         // the GEMM writes every output), so both skip the zero fill.
         let mut patches = pad.take_dirty(batch * positions * k);
-        scatter_samples(
-            threads,
-            batch,
-            &mut patches,
-            positions * k,
-            out,
-            out_c * positions,
-            |s, patch, o| {
-                im2col(
-                    &x[s * in_c * h * w..(s + 1) * in_c * h * w],
-                    in_c,
-                    h,
-                    w,
-                    kh,
-                    kw,
-                    self.stride,
-                    self.padding,
-                    oh,
-                    ow,
-                    patch,
-                );
-                // Lanes are output channels, rows are patch rows; the
-                // store transposes into the `[out_c, positions]` layout.
-                gemm_packed(
-                    [Segment::packed(packed.data(), k, patch, k)],
-                    Some(&self.bias),
-                    positions,
-                    out_c,
-                    bf16_round,
-                    o,
-                    (1, positions),
-                );
-            },
-        );
+        let samples = x.chunks_exact(in_c * h * w);
+        let patch_rows = patches.chunks_exact_mut(positions * k);
+        for ((xs, patch), o) in samples
+            .zip(patch_rows)
+            .zip(out.chunks_exact_mut(out_c * positions))
+        {
+            im2col(
+                xs,
+                in_c,
+                h,
+                w,
+                kh,
+                kw,
+                self.stride,
+                self.padding,
+                oh,
+                ow,
+                patch,
+            );
+            // Lanes are output channels, rows are patch rows; the store
+            // transposes into the `[out_c, positions]` layout.
+            gemm_packed(
+                [Segment::packed(packed.data(), k, patch, k)],
+                Some(&self.bias),
+                positions,
+                out_c,
+                bf16_round,
+                o,
+                (1, positions),
+            );
+        }
         pad.give(patches);
     }
 
@@ -370,7 +359,7 @@ mod tests {
             let x = Tensor::random(&[in_c, h, w], 1.0, 4);
             let mut pad = ScratchPad::new();
             let mut out = vec![f32::NAN; 9];
-            conv.forward_batch_packed(x.data(), 1, h, w, &packed, 1, &mut pad, &mut out);
+            conv.forward_batch_packed(x.data(), 1, h, w, &packed, &mut pad, &mut out);
             assert_eq!((pad.misses(), pad.pooled_buffers()), (0, 0));
             let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&out), bits(conv.forward_reference(&x).data()));

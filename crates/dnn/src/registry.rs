@@ -20,14 +20,6 @@ use crate::scratch::ScratchPad;
 use crate::stream::{slid_by_one, LineBuffer, StreamStats, MAX_SWEEP};
 use crate::tensor::Tensor;
 
-/// Position of `kind` in [`ModelKind::ALL`] (Table II order).
-fn slot(kind: ModelKind) -> usize {
-    ModelKind::ALL
-        .iter()
-        .position(|&k| k == kind)
-        .expect("every kind has a slot")
-}
-
 struct Entry {
     model: Box<dyn Model>,
     pad: ScratchPad,
@@ -43,9 +35,8 @@ struct Entry {
     /// streamed.
     stream: Vec<LineBuffer>,
     stats: StreamStats,
-    /// Reusable `[window, features]` staging lanes — a batch's
-    /// trailing-window slices, an unstreamed tier's sweep — grown to the
-    /// most seen and then recycled.
+    /// Reusable `[window, features]` staging lanes for an unstreamed
+    /// tier's sweep, grown to the most seen and then recycled.
     lanes: Vec<Tensor>,
 }
 
@@ -111,13 +102,13 @@ impl ModelRegistry {
 
     /// Adds (or replaces) the tier `model.kind()`.
     pub fn register(&mut self, model: Box<dyn Model>) {
-        let idx = slot(model.kind());
+        let idx = model.kind().index();
         self.entries[idx] = Some(Entry::new(model));
     }
 
     /// True when `kind` is registered.
     pub fn contains(&self, kind: ModelKind) -> bool {
-        self.entries[slot(kind)].is_some()
+        self.entries[kind.index()].is_some()
     }
 
     /// Registered kinds, cheapest first (Table II order).
@@ -142,7 +133,7 @@ impl ModelRegistry {
 
     /// The registered model for `kind`.
     pub fn model(&self, kind: ModelKind) -> Option<&dyn Model> {
-        self.entries[slot(kind)].as_ref().map(|e| &*e.model)
+        self.entries[kind.index()].as_ref().map(|e| &*e.model)
     }
 
     /// The widest input window across registered tiers: the number of
@@ -212,7 +203,7 @@ impl ModelRegistry {
         k: usize,
         out: &mut Vec<Prediction>,
     ) {
-        let entry = self.entries[slot(kind)]
+        let entry = self.entries[kind.index()]
             .as_mut()
             .unwrap_or_else(|| panic!("{kind} is not registered"));
         let (window, features) = (entry.model.window(), entry.model.features());
@@ -274,76 +265,48 @@ impl ModelRegistry {
     ///
     /// Panics when `kind` is not registered.
     pub fn stream_stats(&self, kind: ModelKind) -> StreamStats {
-        self.entries[slot(kind)]
+        self.entries[kind.index()]
             .as_ref()
             .unwrap_or_else(|| panic!("{kind} is not registered"))
             .stats
     }
 
-    /// Runs tier `kind` once over a whole batch of inputs, writing one
-    /// prediction per input (in order) into `out`. Each input obeys the
-    /// same contract as [`Self::forward`]: rank-2, matching feature
-    /// width, at least the tier's window of tick rows, trailing rows
-    /// most recent.
-    ///
-    /// Inputs already shaped exactly `[window, features]` are handed to
-    /// the model's batched forward directly; wider inputs are staged
-    /// through per-lane trailing-window buffers first. Either way the
-    /// whole batch runs as **one** packed batched forward per layer, and
-    /// steady-state calls (batch size at or below the largest seen)
-    /// allocate nothing.
+    /// Runs tier `kind` once over a whole batch of `[window, features]`
+    /// windows, writing one prediction per input (in order) into `out`.
+    /// The whole batch runs as **one** packed batched forward per layer,
+    /// and steady-state calls (batch size at or below the largest seen)
+    /// allocate nothing. Batches never stream: each window is served
+    /// whole.
     ///
     /// # Panics
     ///
-    /// Panics when `kind` is not registered or any input violates the
-    /// shape contract.
+    /// Panics when `kind` is not registered or any input is not exactly
+    /// the tier's `[window, features]`.
     pub fn forward_batch(&mut self, kind: ModelKind, inputs: &[Tensor], out: &mut Vec<Prediction>) {
-        let entry = self.entries[slot(kind)]
+        let entry = self.entries[kind.index()]
             .as_mut()
             .unwrap_or_else(|| panic!("{kind} is not registered"));
-        let (window, features) = (entry.model.window(), entry.model.features());
+        let shape = [entry.model.window(), entry.model.features()];
         for input in inputs {
-            assert_eq!(input.shape().len(), 2, "input must be [rows, features]");
             assert_eq!(
-                input.shape()[1],
-                features,
-                "feature width mismatch for {kind}"
-            );
-            assert!(
-                input.shape()[0] >= window,
-                "{kind} needs {window} tick rows, got {}",
-                input.shape()[0]
+                input.shape(),
+                shape,
+                "{kind} batches take exact {shape:?} windows"
             );
         }
-        if inputs.iter().all(|t| t.shape() == [window, features]) {
-            entry
-                .model
-                .forward_batch_scratch(inputs, &entry.packed, &mut entry.pad, out);
-            return;
-        }
-        while entry.lanes.len() < inputs.len() {
-            entry.lanes.push(Tensor::zeros(&[window, features]));
-        }
-        for (lane, input) in entry.lanes.iter_mut().zip(inputs) {
-            let rows = input.shape()[0];
-            let src = &input.data()[(rows - window) * features..];
-            lane.data_mut().copy_from_slice(src);
-        }
-        entry.model.forward_batch_scratch(
-            &entry.lanes[..inputs.len()],
-            &entry.packed,
-            &mut entry.pad,
-            out,
-        );
+        entry
+            .model
+            .forward_batch_scratch(inputs, &entry.packed, &mut entry.pad, out);
     }
 
-    /// Sets the row-block worker count used by batched forwards on every
-    /// registered tier (`0` = auto-detect, `1` = serial; see
-    /// [`PackedWeights::set_threads`]).
+    /// Kept only for the benchmark's callers, which pass 1; ROADMAP item
+    /// 0 deletes it. Batched forwards run on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `threads` is 1.
     pub fn set_batch_threads(&mut self, threads: usize) {
-        for entry in self.entries.iter_mut().flatten() {
-            entry.packed.set_threads(threads);
-        }
+        assert_eq!(threads, 1, "batched forwards run on the calling thread");
     }
 }
 
@@ -419,58 +382,53 @@ mod tests {
         }
     }
 
-    /// `forward_batch` equals repeated `forward`, both for exact-window
-    /// inputs (direct path) and wide staged inputs (lane path), bit for
-    /// bit.
+    /// `forward_batch` equals repeated `forward`, bit for bit.
     #[test]
     fn forward_batch_matches_repeated_forward() {
         let mut reg = ModelRegistry::tiny(42);
-        let max_window = reg.max_window();
         for kind in ModelKind::ALL {
             let window = reg.model(kind).unwrap().window();
             let features = reg.model(kind).unwrap().features();
-            for rows in [window, max_window] {
-                let inputs: Vec<Tensor> = (0..4)
-                    .map(|i| Tensor::random(&[rows, features], 1.0, 100 + i))
-                    .collect();
-                let singles: Vec<[u32; 3]> = inputs
-                    .iter()
-                    .map(|t| reg.forward(kind, t).probs.map(f32::to_bits))
-                    .collect();
-                let mut batched = Vec::new();
-                reg.forward_batch(kind, &inputs, &mut batched);
-                assert_eq!(batched.len(), inputs.len());
-                for (s, (b, l)) in batched.iter().zip(&singles).enumerate() {
-                    assert_eq!(
-                        &b.probs.map(f32::to_bits),
-                        l,
-                        "{kind} rows={rows} sample {s}"
-                    );
-                }
+            let inputs: Vec<Tensor> = (0..4)
+                .map(|i| Tensor::random(&[window, features], 1.0, 100 + i))
+                .collect();
+            let singles: Vec<[u32; 3]> = inputs
+                .iter()
+                .map(|t| reg.forward(kind, t).probs.map(f32::to_bits))
+                .collect();
+            let mut batched = Vec::new();
+            reg.forward_batch(kind, &inputs, &mut batched);
+            assert_eq!(batched.len(), inputs.len());
+            for (s, (b, l)) in batched.iter().zip(&singles).enumerate() {
+                assert_eq!(&b.probs.map(f32::to_bits), l, "{kind} sample {s}");
             }
         }
     }
 
-    /// Batched forwards with row-block workers enabled stay bit-equal to
-    /// the serial batch, and empty batches clear `out`.
+    /// A batch takes exact windows only: a wider input is refused, not
+    /// sliced.
     #[test]
-    fn forward_batch_threads_and_empty() {
-        let mut serial = ModelRegistry::tiny(7);
-        let mut threaded = ModelRegistry::tiny(7);
-        threaded.set_batch_threads(3);
-        let features = serial.model(ModelKind::DeepLob).unwrap().features();
-        let inputs: Vec<Tensor> = (0..3)
-            .map(|i| Tensor::random(&[serial.max_window(), features], 1.0, 50 + i))
-            .collect();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        serial.forward_batch(ModelKind::DeepLob, &inputs, &mut a);
-        threaded.forward_batch(ModelKind::DeepLob, &inputs, &mut b);
-        assert_eq!(a.len(), 3);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.probs.map(f32::to_bits), y.probs.map(f32::to_bits));
-        }
-        serial.forward_batch(ModelKind::DeepLob, &[], &mut a);
-        assert!(a.is_empty(), "empty batch clears out");
+    #[should_panic(expected = "exact")]
+    fn wide_batch_input_panics() {
+        let mut reg = ModelRegistry::tiny(7);
+        let (window, features) = {
+            let model = reg.model(ModelKind::VanillaCnn).unwrap();
+            (model.window(), model.features())
+        };
+        let wide = Tensor::zeros(&[window + 1, features]);
+        reg.forward_batch(ModelKind::VanillaCnn, &[wide], &mut Vec::new());
+    }
+
+    #[test]
+    fn empty_batch_clears_out() {
+        let mut reg = ModelRegistry::tiny(7);
+        let window = reg.model(ModelKind::DeepLob).unwrap().window();
+        let input = Tensor::random(&[window, 40], 1.0, 50);
+        let mut out = Vec::new();
+        reg.forward_batch(ModelKind::DeepLob, &[input], &mut out);
+        assert_eq!(out.len(), 1);
+        reg.forward_batch(ModelKind::DeepLob, &[], &mut out);
+        assert!(out.is_empty(), "empty batch clears out");
     }
 
     #[test]

@@ -142,11 +142,11 @@ pub(crate) fn advance_trunk<const N: usize>(
         let panel = packed.panel(idx);
         if k == 1 {
             line.push(&cur);
-            conv.forward_batch_packed(&line.data, 1, h, line.w, panel, 1, pad, &mut nxt);
+            conv.forward_batch_packed(&line.data, 1, h, line.w, panel, pad, &mut nxt);
         } else {
             let mut map = pad.take_dirty(line.data.len() / line.kh * h);
             line.extend_into(&cur, k, &mut map);
-            conv.forward_batch_packed(&map, 1, h, line.w, panel, 1, pad, &mut nxt);
+            conv.forward_batch_packed(&map, 1, h, line.w, panel, pad, &mut nxt);
             pad.give(map);
         }
         pad.give(std::mem::replace(&mut cur, nxt));

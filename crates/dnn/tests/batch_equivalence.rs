@@ -87,20 +87,6 @@ proptest! {
         let inputs = random_batch(&model, batch, seed);
         assert_batch_matches_loop("DeepLob", &model, |x| model.forward_reference(x), &packed, &inputs);
     }
-
-    /// Thread scatter only re-times work: multi-threaded batched
-    /// forwards are bit-identical to the serial batched forward.
-    #[test]
-    fn parallel_batch_matches_serial(seed in 0u64..500, threads in 2usize..5) {
-        let model = DeepLobSpec::tiny().build(seed);
-        let serial = model.pack_weights();
-        let parallel = model.pack_weights().with_threads(threads);
-        let inputs = random_batch(&model, 5, seed);
-        let oracle = |x: &Tensor| model.forward_reference(x);
-        let a = assert_batch_matches_loop("DeepLob serial", &model, oracle, &serial, &inputs);
-        let b = assert_batch_matches_loop("DeepLob parallel", &model, oracle, &parallel, &inputs);
-        prop_assert_eq!(a, b);
-    }
 }
 
 proptest! {

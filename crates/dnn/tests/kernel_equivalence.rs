@@ -77,7 +77,7 @@ fn assert_kernel_sized_matches_reference(conv: &Conv2d, seed: u64) {
             .collect();
         let mut out = vec![f32::NAN; batch * out_c];
         for _ in 0..2 {
-            conv.forward_batch_packed(&stack(&xs), batch, h, w, &packed, 1, &mut pad, &mut out);
+            conv.forward_batch_packed(&stack(&xs), batch, h, w, &packed, &mut pad, &mut out);
             assert_eq!(bits(&out), want, "batch {batch}");
         }
     }
@@ -111,7 +111,7 @@ proptest! {
             let mut out = vec![f32::NAN; batch * out_c * oh * ow];
             // Second pass reuses pooled buffers; must still be identical.
             for _ in 0..2 {
-                conv.forward_batch_packed(&flat, batch, h, w, &packed, 1, &mut pad, &mut out);
+                conv.forward_batch_packed(&flat, batch, h, w, &packed, &mut pad, &mut out);
                 prop_assert_eq!(&unstack(&out, &[out_c, oh, ow]), &reference);
             }
         }

@@ -61,9 +61,9 @@ fn allocations() -> u64 {
 }
 
 /// Once the weight panels are packed and a warm-up batch has sized the
-/// pad's buffers and the output vector, serial (`threads = 1`) forwards
-/// at the same batch size allocate nothing — staging, unfold, packed
-/// GEMM and prediction output all live in recycled storage.
+/// pad's buffers and the output vector, forwards at the same batch size
+/// allocate nothing — staging, unfold, packed GEMM and prediction output
+/// all live in recycled storage.
 fn assert_steady_state_batch_alloc_free(name: &str, model: &dyn Model, inputs: &[Tensor]) {
     let packed = model.pack_weights();
     let mut pad = ScratchPad::new();
@@ -162,7 +162,7 @@ fn assert_streamed_walk_alloc_free() {
         "streamed registry walk allocated"
     );
     let moved = |kind: ModelKind, hits, misses| {
-        let (now, was) = (reg.stream_stats(kind), warm[kind as usize]);
+        let (now, was) = (reg.stream_stats(kind), warm[kind.index()]);
         assert_eq!(
             (now.hits - was.hits, now.misses - was.misses),
             (hits, misses),

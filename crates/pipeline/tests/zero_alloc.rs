@@ -442,7 +442,6 @@ fn fleet_rounds_allocate_nothing_after_warmup() {
     let mut trader =
         MultiSymbolTrader::new(ModelKind::DeepLob, vec![NormStats::identity(10); 4], 3)
             .with_batch_cap(4);
-    trader.set_batch_threads(1);
     let mut snap = LobSnapshot::default();
     let mut answers = Vec::new();
 

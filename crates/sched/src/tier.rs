@@ -23,15 +23,6 @@ use lt_dnn::ModelKind;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
-/// Position of `kind` on the latency/accuracy ladder (Table II order:
-/// cheapest first).
-fn tier_index(kind: ModelKind) -> usize {
-    ModelKind::ALL
-        .iter()
-        .position(|&k| k == kind)
-        .expect("every kind is on the ladder")
-}
-
 /// The set of model tiers registered with a deadline-tiered scheduler,
 /// as a bitmask over [`ModelKind::ALL`] (cheapest tier = lowest bit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -55,7 +46,7 @@ impl TierLadder {
     /// Exactly one registered tier.
     pub fn single(kind: ModelKind) -> Self {
         TierLadder {
-            mask: 1 << tier_index(kind),
+            mask: 1 << kind.index(),
         }
     }
 
@@ -63,20 +54,20 @@ impl TierLadder {
     /// ladder for a system whose preferred model is `kind`).
     pub fn up_to(kind: ModelKind) -> Self {
         TierLadder {
-            mask: (1u8 << (tier_index(kind) + 1)) - 1,
+            mask: (1u8 << (kind.index() + 1)) - 1,
         }
     }
 
     /// This ladder with `kind` added.
     #[must_use]
     pub fn with(mut self, kind: ModelKind) -> Self {
-        self.mask |= 1 << tier_index(kind);
+        self.mask |= 1 << kind.index();
         self
     }
 
     /// True when `kind` is registered.
     pub fn contains(&self, kind: ModelKind) -> bool {
-        self.mask & (1 << tier_index(kind)) != 0
+        self.mask & (1 << kind.index()) != 0
     }
 
     /// Number of registered tiers.
@@ -303,13 +294,13 @@ impl LatencyModel {
 
     /// Records one batch's service time (issue → completion) for `kind`.
     pub fn observe_service(&mut self, kind: ModelKind, service: Duration) {
-        self.service[tier_index(kind)].observe(service);
+        self.service[kind.index()].observe(service);
     }
 
     /// Predicted cost of serving at `kind` from an idle accelerator now:
     /// start slack plus batch service.
     pub fn predicted_cost(&self, kind: ModelKind) -> Duration {
-        self.slack.predicted() + self.service[tier_index(kind)].predicted()
+        self.slack.predicted() + self.service[kind.index()].predicted()
     }
 
     /// True when the observed queue-wait tail exceeds `horizon`: queries

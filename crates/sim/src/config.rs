@@ -64,13 +64,6 @@ pub struct BacktestConfig {
     /// (The shim serde derive has no `default` attribute, so configs are
     /// always serialized in full.)
     pub faults: IngressFaults,
-    /// Number of instruments served by the sharded pipeline. The default
-    /// of 1 is the historical single-instrument configuration and stays
-    /// bit-identical to configs predating the field.
-    pub symbols: usize,
-    /// Zipf traffic-skew exponent across symbols (0 = even split); only
-    /// meaningful when `symbols > 1`.
-    pub symbol_skew: f64,
     /// Deadline-tier scheduler parameters; only consulted when `policy`
     /// is [`Policy::DeadlineTiered`].
     pub tier: TierParams,
@@ -93,8 +86,6 @@ impl BacktestConfig {
             window: 100,
             stages: PipelineLatencies::fpga(),
             faults: IngressFaults::lossless(),
-            symbols: 1,
-            symbol_skew: 0.0,
             tier: TierParams::passthrough(kind, Policy::Both),
             execution: ExecutionConfig::default(),
         }
@@ -118,15 +109,6 @@ impl BacktestConfig {
     #[must_use]
     pub fn with_faults(mut self, faults: IngressFaults) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Serves `symbols` instruments with a Zipf traffic skew of `skew`
-    /// through the sharded pipeline (see [`crate::run_multi`]).
-    #[must_use]
-    pub fn with_symbols(mut self, symbols: usize, skew: f64) -> Self {
-        self.symbols = symbols;
-        self.symbol_skew = skew;
         self
     }
 
@@ -179,16 +161,6 @@ impl BacktestConfig {
         if let Err(stage) = self.stages.validate() {
             panic!("pipeline stage '{stage}' has zero latency");
         }
-        assert!(self.symbols >= 1, "need at least one symbol");
-        assert!(
-            self.symbols <= lt_feed::multi::MAX_SYMBOLS,
-            "at most {} symbols",
-            lt_feed::multi::MAX_SYMBOLS
-        );
-        assert!(
-            self.symbol_skew >= 0.0 && self.symbol_skew.is_finite(),
-            "symbol skew must be >= 0"
-        );
         if self.policy == Policy::DeadlineTiered {
             assert!(
                 matches!(

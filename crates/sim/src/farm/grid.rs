@@ -270,8 +270,7 @@ impl SweepGrid {
                                     let mut config = BacktestConfig::new(kind, n_accels, condition)
                                         .with_policy(policy)
                                         .with_t_avail(self.deadline.resolve(kind))
-                                        .with_faults(faults)
-                                        .with_symbols(symbols, skew);
+                                        .with_faults(faults);
                                     if policy == Policy::DeadlineTiered {
                                         config = config.with_deadline_tiered(self.tier_budget);
                                     }
@@ -399,7 +398,7 @@ mod tests {
         assert_eq!(cells.len(), 3);
         assert!(cells
             .iter()
-            .all(|c| !(c.config.faults.enabled() && c.config.symbols > 1)));
+            .all(|c| !(c.config.faults.enabled() && c.spec.symbols > 1)));
     }
 
     #[test]

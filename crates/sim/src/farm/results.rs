@@ -182,7 +182,7 @@ impl FarmResults {
                     cell.config.n_accels,
                     cell.config.condition,
                     cell.config.policy.label(),
-                    cell.config.symbols,
+                    cell.spec.symbols,
                     cell.spec.seed,
                     s.responded,
                     s.late,

@@ -19,17 +19,10 @@ pub struct TierOutcomes {
 }
 
 impl TierOutcomes {
-    fn slot(kind: ModelKind) -> usize {
-        ModelKind::ALL
-            .iter()
-            .position(|&k| k == kind)
-            .expect("every kind has a slot")
-    }
-
     /// Records one scored query served at `kind`; `degraded` marks a
     /// below-preferred tier.
     pub fn record(&mut self, kind: ModelKind, degraded: bool) {
-        self.served[Self::slot(kind)] += 1;
+        self.served[kind.index()] += 1;
         if degraded {
             self.degraded += 1;
         }
@@ -37,7 +30,7 @@ impl TierOutcomes {
 
     /// Scored queries served at `kind`.
     pub fn served_at(&self, kind: ModelKind) -> u64 {
-        self.served[Self::slot(kind)]
+        self.served[kind.index()]
     }
 
     /// Scored queries across all tiers.

@@ -138,15 +138,14 @@ impl MultiMetrics {
 /// configuration and reports aggregate plus per-symbol metrics.
 ///
 /// The accelerator fleet, power condition, and scheduling policy come
-/// from `cfg` exactly as in [`crate::run_lighttrader`]; `cfg.symbols`
-/// must match the session's symbol count.
+/// from `cfg` exactly as in [`crate::run_lighttrader`]; the session
+/// alone sets the symbol count.
 ///
 /// # Panics
 ///
-/// Panics if the configuration is invalid, if `cfg.symbols` disagrees
-/// with the session, or if the configuration carries ingress faults —
-/// the fault-injected A/B ingress models a single feed pair and is not
-/// defined for merged multi-symbol streams.
+/// Panics if the configuration is invalid, or if it carries ingress
+/// faults — the fault-injected A/B ingress models a single feed pair and
+/// is not defined for merged multi-symbol streams.
 pub fn run_multi(session: &MultiMarketSession, cfg: &BacktestConfig) -> MultiMetrics {
     let (trace, tick_shards) = session.merged();
     run_multi_merged(session, &trace, &tick_shards, cfg)
@@ -171,11 +170,6 @@ pub fn run_multi_merged(
     cfg: &BacktestConfig,
 ) -> MultiMetrics {
     cfg.validate();
-    assert_eq!(
-        cfg.symbols,
-        session.n_symbols(),
-        "config symbol count must match the session"
-    );
     assert!(
         !cfg.faults.enabled(),
         "ingress fault injection is defined per feed pair, not for merged \
@@ -227,17 +221,16 @@ mod tests {
     use lt_dnn::ModelKind;
     use lt_sched::Policy;
 
-    fn quick_cfg(symbols: usize, skew: f64) -> BacktestConfig {
+    fn quick_cfg() -> BacktestConfig {
         BacktestConfig::new(ModelKind::DeepLob, 4, PowerCondition::Sufficient)
             .with_policy(Policy::Both)
             .with_t_avail(scheduling_deadline_for(ModelKind::DeepLob))
-            .with_symbols(symbols, skew)
     }
 
     #[test]
     fn shards_fan_back_to_their_symbols() {
         let session = multi_evaluation_session(2.0, 42, 4, 1.0);
-        let m = run_multi(&session, &quick_cfg(4, 1.0));
+        let m = run_multi(&session, &quick_cfg());
         assert_eq!(m.per_symbol.len(), 4);
         // Every symbol both contributed ticks and got answers.
         for s in &m.per_symbol {
@@ -253,7 +246,7 @@ mod tests {
     #[test]
     fn skew_shows_up_in_per_symbol_tallies() {
         let session = multi_evaluation_session(2.0, 42, 4, 2.0);
-        let m = run_multi(&session, &quick_cfg(4, 2.0));
+        let m = run_multi(&session, &quick_cfg());
         assert!(
             m.per_symbol[0].ticks > 2 * m.per_symbol[3].ticks,
             "hot symbol must dominate: {:?}",
@@ -262,17 +255,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must match the session")]
-    fn symbol_count_mismatch_rejected() {
-        let session = multi_evaluation_session(0.1, 1, 2, 0.0);
-        let _ = run_multi(&session, &quick_cfg(4, 0.0));
-    }
-
-    #[test]
     #[should_panic(expected = "lossless fault profile")]
     fn faulted_config_rejected() {
         let session = multi_evaluation_session(0.1, 1, 2, 0.0);
-        let mut cfg = quick_cfg(2, 0.0);
+        let mut cfg = quick_cfg();
         cfg.faults.feed_a.drop = 0.1;
         let _ = run_multi(&session, &cfg);
     }

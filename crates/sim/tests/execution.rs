@@ -165,7 +165,6 @@ fn multi_symbol_fill_outcomes_tile_per_symbol() {
     let cfg = BacktestConfig::new(ModelKind::DeepLob, 4, PowerCondition::Sufficient)
         .with_policy(Policy::Both)
         .with_t_avail(scheduling_deadline_for(ModelKind::DeepLob))
-        .with_symbols(4, 1.0)
         .with_execution(ExecutionConfig::realistic());
     // run_multi's assert_consistent already checks per-symbol tiling and
     // aggregate-equals-sum; re-derive the headline pieces here.

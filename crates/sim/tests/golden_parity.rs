@@ -382,7 +382,6 @@ fn fills_report() -> String {
         let cfg = BacktestConfig::new(ModelKind::DeepLob, accels, PowerCondition::Sufficient)
             .with_policy(Policy::Both)
             .with_t_avail(scheduling_deadline_for(ModelKind::DeepLob))
-            .with_symbols(4, 1.0)
             .with_execution(ExecutionConfig::realistic().with_signal(signal));
         for (i, symbol) in run_multi(&session, &cfg).per_symbol.iter().enumerate() {
             let stats = symbol.execution.expect("trading run reports per symbol");

@@ -39,7 +39,7 @@ fn cfg_for(kind: ModelKind, n_accels: usize, policy: Policy) -> BacktestConfig {
 fn single_symbol_matches_run_lighttrader_exactly() {
     for policy in Policy::ALL {
         let session = multi_evaluation_session(SECS, SEED, 1, 0.0);
-        let cfg = cfg_for(ModelKind::DeepLob, 4, policy).with_symbols(1, 0.0);
+        let cfg = cfg_for(ModelKind::DeepLob, 4, policy);
         let multi = run_multi(&session, &cfg);
         let single_cfg = cfg_for(ModelKind::DeepLob, 4, policy);
         let single = run_lighttrader(&session.sessions[0].trace, &single_cfg);
@@ -60,7 +60,7 @@ fn multi_symbol_runs_are_byte_identical() {
     for (symbols, skew) in [(2usize, 0.0), (4, 1.0), (8, 2.5)] {
         let run = || {
             let session = multi_evaluation_session(SECS, SEED, symbols, skew);
-            let cfg = cfg_for(ModelKind::DeepLob, 8, Policy::Both).with_symbols(symbols, skew);
+            let cfg = cfg_for(ModelKind::DeepLob, 8, Policy::Both);
             run_multi(&session, &cfg)
         };
         let first = serialize_multi(&run());
@@ -76,7 +76,7 @@ fn multi_symbol_runs_are_byte_identical() {
 fn per_symbol_tallies_tile_the_aggregate() {
     let symbols = 4;
     let session = multi_evaluation_session(SECS, SEED, symbols, 1.5);
-    let cfg = cfg_for(ModelKind::DeepLob, 4, Policy::Both).with_symbols(symbols, 1.5);
+    let cfg = cfg_for(ModelKind::DeepLob, 4, Policy::Both);
     let m = run_multi(&session, &cfg);
     m.assert_consistent();
     assert_eq!(m.per_symbol.len(), symbols);
@@ -96,7 +96,7 @@ fn per_symbol_tallies_tile_the_aggregate() {
 fn skew_concentrates_but_tail_still_answers() {
     let symbols = 8;
     let session = multi_evaluation_session(SECS, SEED, symbols, 2.5);
-    let mut cfg = cfg_for(ModelKind::DeepLob, 8, Policy::Both).with_symbols(symbols, 2.5);
+    let mut cfg = cfg_for(ModelKind::DeepLob, 8, Policy::Both);
     // The coldest tail symbol sees only tens of ticks in a short
     // session; a short feature window lets every shard warm up.
     cfg.window = 20;
@@ -136,9 +136,7 @@ fn coalesced_fleet_beats_independent_pipelines_under_skew() {
         cfg.condition = PowerCondition::Sufficient;
         cfg
     };
-    let coalesced = run_multi(&session, &fleet(symbols).with_symbols(symbols, skew))
-        .aggregate
-        .responded;
+    let coalesced = run_multi(&session, &fleet(symbols)).aggregate.responded;
     let independent: u64 = session
         .sessions
         .iter()

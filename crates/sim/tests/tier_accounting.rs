@@ -129,8 +129,7 @@ fn multi_symbol_breakdown_tiles_per_symbol() {
     let session = multi_evaluation_session(2.0, 23, 4, 1.0);
     let cfg = BacktestConfig::new(ModelKind::DeepLob, 4, PowerCondition::Limited)
         .with_t_avail(scheduling_deadline_for(ModelKind::DeepLob))
-        .with_deadline_tiered(Some(BUDGET))
-        .with_symbols(4, 1.0);
+        .with_deadline_tiered(Some(BUDGET));
     let m = run_multi(&session, &cfg);
     // run_multi already ran assert_consistent (aggregate == Σ symbols);
     // additionally each symbol's own buckets must tile its total.

@@ -43,6 +43,25 @@ for f in $(find crates/sim/src -name '*.rs' | sort); do
 done
 [[ "$staged" == "0" ]]
 
+echo "== one way to run a batch: no thread in lt-dnn's non-test code, no precision knob in any crate's =="
+# A batch runs on the calling thread (the zero-alloc gates count this
+# thread's allocations only), and every forward is priced in BF16.
+knobs=0
+for f in $(find crates/dnn/src -name '*.rs' | sort); do
+    if sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$f" \
+        | grep -nE 'std::thread|thread::scope|available_parallelism'; then
+        echo "threads in $f (batched forwards run on the calling thread)"
+        knobs=1
+    fi
+done
+for f in $(find crates/*/src -name '*.rs' | sort); do
+    if sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$f" | grep -nw 'Precision'; then
+        echo "a precision knob in $f (INT8 is Table I's spec row only)"
+        knobs=1
+    fi
+done
+[[ "$knobs" == "0" ]]
+
 echo "== bounded unsafe: the three tile-sweep dispatches in lt-dnn's kernels.rs, each under a // SAFETY: comment, AVX2 or AVX-512F only =="
 # Every crate root forbids unsafe_code but lt-dnn's, which denies it:
 # gemm_packed (its AVX-512F and AVX2 instances) and conv2d_kw1_direct_bf16
