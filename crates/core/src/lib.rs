@@ -24,7 +24,8 @@
 //!
 //! [`experiments`] regenerates every table and figure of the paper's
 //! evaluation; [`system`] offers a one-object end-to-end functional
-//! LightTrader for applications.
+//! LightTrader for applications, of one symbol shard or a fleet of N
+//! ([`MultiSymbolTrader`] names the fleet).
 //!
 //! ## Quickstart
 //!
@@ -43,7 +44,6 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-pub mod multi;
 pub mod report;
 pub mod system;
 
@@ -56,13 +56,11 @@ pub use lt_protocol as protocol;
 pub use lt_sched as sched;
 pub use lt_sim as sim;
 
-pub use multi::MultiSymbolTrader;
-pub use system::{LightTrader, LightTraderBuilder, TickOutcome};
+pub use system::{LightTrader, LightTraderBuilder, MultiSymbolTrader, TickOutcome};
 
 /// The names most applications need, in one import.
 pub mod prelude {
-    pub use crate::multi::MultiSymbolTrader;
-    pub use crate::system::{LightTrader, LightTraderBuilder, TickOutcome};
+    pub use crate::system::{LightTrader, LightTraderBuilder, MultiSymbolTrader, TickOutcome};
     pub use lt_accel::{AccelSpec, DeviceProfile, OperatingPoint, PowerCondition};
     pub use lt_dnn::{Model, ModelKind, Prediction, PriceDirection, Tensor};
     pub use lt_feed::{

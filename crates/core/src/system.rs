@@ -8,13 +8,20 @@
 //! response rates, queueing or scheduling studies instead. The host
 //! serves every warm tick before the next sweep, so no query ever waits:
 //! there is no ticket queue to batch, defer or drop from.
+//!
+//! One trader holds N ≥ 1 symbol shards, each with its own
+//! [`FeatureWindow`]; shard 0 is the traded symbol, which datagrams feed.
+//! [`LightTrader::on_tick`] takes any shard's snapshots, and
+//! [`LightTrader::drain_batch`] answers every pending ticket, at most one
+//! per shard, with one batched forward. The fleet trades nothing yet.
 
 use lt_dnn::{ModelKind, ModelRegistry, Prediction, StreamStats, Tensor, MAX_SWEEP};
 use lt_feed::NormStats;
-use lt_lob::{LobSnapshot, MarketEvent, Symbol};
+use lt_lob::{LobSnapshot, MarketEvent, Symbol, Timestamp};
 use lt_pipeline::trading::NoOrderReason;
 use lt_pipeline::{
-    FeatureWindow, KillSwitch, LocalBook, OrderRateLimiter, PacketParser, RiskLimits, TradingEngine,
+    FeatureWindow, KillSwitch, LocalBook, OrderRateLimiter, PacketParser, RiskLimits, ShardTicket,
+    TensorTicket, TradingEngine,
 };
 use lt_protocol::ilink::OrderMessage;
 
@@ -48,7 +55,8 @@ pub struct LightTraderBuilder {
     symbol: Symbol,
     seed: u64,
     risk: RiskLimits,
-    norm: Option<NormStats>,
+    /// One normalization per shard, shard 0 the traded symbol.
+    norms: Vec<NormStats>,
     rate_limit: Option<u32>,
     loss_floor_ticks: Option<i64>,
 }
@@ -62,7 +70,7 @@ impl LightTraderBuilder {
             symbol: Symbol::new("ESU6"),
             seed: 0,
             risk: RiskLimits::default(),
-            norm: None,
+            norms: vec![NormStats::identity(10)],
             rate_limit: None,
             loss_floor_ticks: None,
         }
@@ -104,7 +112,7 @@ impl LightTraderBuilder {
     /// identity, i.e. raw features).
     #[must_use]
     pub fn normalization(mut self, norm: NormStats) -> Self {
-        self.norm = Some(norm);
+        self.norms = vec![norm];
         self
     }
 
@@ -127,45 +135,64 @@ impl LightTraderBuilder {
     ///
     /// # Panics
     ///
-    /// Panics when the normalization stats do not cover ten book levels.
+    /// Panics when there is no shard or more than a `u16` indexes, or
+    /// when a shard's normalization stats do not cover ten book levels.
     pub fn build(self) -> LightTrader {
         let mut kinds = self.tiers.clone();
         if !kinds.contains(&self.kind) {
             kinds.push(self.kind);
         }
         let registry = ModelRegistry::tiny_with_kinds(&kinds, self.seed);
-        let norm = self.norm.unwrap_or_else(|| NormStats::identity(10));
-        assert_eq!(
-            norm.depth(),
-            10,
+        let shards = self.norms.len();
+        assert!(shards > 0, "need at least one shard");
+        assert!(shards <= u16::MAX as usize, "shard index must fit u16");
+        assert!(
+            self.norms.iter().all(|norm| norm.depth() == 10),
             "normalization stats must cover ten book levels"
         );
         let window = registry.max_window();
-        let width = norm.depth() * 4;
+        let width = LobSnapshot::feature_count(10);
         LightTrader {
             parser: PacketParser::new(),
             book: LocalBook::new(),
-            window: FeatureWindow::new(norm, window),
+            windows: self
+                .norms
+                .into_iter()
+                .map(|norm| FeatureWindow::new(norm, window))
+                .collect(),
+            ticks: vec![0; shards],
+            pending: Vec::with_capacity(shards),
             trading: TradingEngine::new(self.symbol, self.risk),
             limiter: self.rate_limit.map(OrderRateLimiter::per_second),
             kill: self.loss_floor_ticks.map(KillSwitch::new),
             events: Vec::new(),
             window_buf: Tensor::zeros(&[window + MAX_SWEEP - 1, width]),
+            lanes: Vec::new(),
             snaps: vec![LobSnapshot::default(); MAX_SWEEP],
             preds: Vec::with_capacity(MAX_SWEEP),
             active: self.kind,
             registry,
+            inferences: 0,
+            batches: 0,
+            superseded: 0,
         }
     }
 }
+
+/// The fleet's name: a [`LightTrader`] built by [`LightTrader::new`].
+pub type MultiSymbolTrader = LightTrader;
 
 /// The functional end-to-end system.
 pub struct LightTrader {
     parser: PacketParser,
     book: LocalBook,
-    /// The normalized feature rows of the widest registered tier's
-    /// window, newest last.
-    window: FeatureWindow,
+    /// One feature window per shard, each sized for the widest
+    /// registered tier; shard 0 is the traded symbol.
+    windows: Vec<FeatureWindow>,
+    /// Ticks seen per shard, warm-up included: the next tick's id.
+    ticks: Vec<u64>,
+    /// Tickets awaiting a drain, oldest first, at most one per shard.
+    pending: Vec<ShardTicket>,
     /// Every registered tier's weights + per-tier scratch pads: after
     /// the first (warm-up) forward pass per tier, steady-state inference
     /// is allocation-free.
@@ -179,23 +206,67 @@ pub struct LightTrader {
     /// the largest datagram, intake takes no allocation.
     events: Vec<MarketEvent>,
     /// Reusable `[max_window + MAX_SWEEP - 1, features]` staging tensor: a
-    /// sweep of `k` ticks fills its trailing `max_window + k - 1` rows —
-    /// the first tick's whole window, then one newest row per further
-    /// tick — so window `j` is rows `j..j + max_window` of those and
-    /// steady-state ticks never materialize a fresh window tensor.
+    /// sweep of `k` ticks fills its trailing `max_window + k - 1` rows, so
+    /// window `j` is rows `j..j + max_window` of those and steady-state
+    /// ticks never materialize a fresh window tensor.
     window_buf: Tensor,
+    /// Reusable per-lane staging tensors of a drain, one per batch slot,
+    /// each the active tier's `[window, features]`.
+    lanes: Vec<Tensor>,
     /// One snapshot slot per tick of a sweep, reused across sweeps: once
     /// their level vectors reach depth capacity, the tick path takes no
     /// snapshot allocation.
     snaps: Vec<LobSnapshot>,
-    /// Reusable buffer for a sweep's predictions.
+    /// Reusable buffer for a sweep's or a drain's predictions.
     preds: Vec<Prediction>,
+    inferences: u64,
+    batches: u64,
+    superseded: u64,
 }
 
 impl LightTrader {
     /// Starts a builder.
     pub fn builder(kind: ModelKind) -> LightTraderBuilder {
         LightTraderBuilder::new(kind)
+    }
+
+    /// Builds a fleet with one shard per entry of `norms`, serving tier
+    /// `kind` with deterministic tiny weights derived from `seed`.
+    ///
+    /// # Panics
+    ///
+    /// As [`LightTraderBuilder::build`].
+    pub fn new(kind: ModelKind, norms: Vec<NormStats>, seed: u64) -> Self {
+        LightTraderBuilder {
+            norms,
+            ..Self::builder(kind).seed(seed)
+        }
+        .build()
+    }
+
+    /// Kept only for the benchmark, which passes its shard count; ROADMAP
+    /// item 0 deletes it. A drain serves every pending ticket.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap` is below the shard count.
+    pub fn with_batch_cap(self, cap: usize) -> Self {
+        assert!(
+            cap >= self.windows.len(),
+            "a drain serves every shard: cap {cap} < {} shards",
+            self.windows.len()
+        );
+        self
+    }
+
+    /// Kept only for the benchmark's callers, which pass 1; ROADMAP item
+    /// 0 deletes it. Batched forwards run on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `threads` is 1.
+    pub fn set_batch_threads(&mut self, threads: usize) {
+        assert_eq!(threads, 1, "batched forwards run on the calling thread");
     }
 
     /// The benchmark model tier currently serving queries.
@@ -223,10 +294,26 @@ impl LightTrader {
         self.active = kind;
     }
 
-    /// Inferences executed so far: every one ends as exactly one order or
-    /// one suppression.
+    /// Inferences executed so far, swept and batched: every swept one
+    /// ends as exactly one order or one suppression.
     pub fn inferences(&self) -> u64 {
-        self.orders_sent() + self.suppressed()
+        self.inferences
+    }
+
+    /// Batched forwards executed so far.
+    pub fn batches(&self) -> u64 {
+        self.batches
+    }
+
+    /// Tickets currently pending across all shards (at most one each).
+    pub fn queue_len(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Pending tickets replaced, unanswered, by a newer warm tick of
+    /// their shard.
+    pub fn superseded(&self) -> u64 {
+        self.superseded
     }
 
     /// How tier `kind`'s inferences were served: `hits` pushed only the
@@ -338,7 +425,8 @@ impl LightTrader {
             // The event count is the peer's to choose; a sweep is not. A
             // cold window is served tick by tick, so that every sweep is
             // served whole or not at all.
-            let cap = if self.window.is_warm() { MAX_SWEEP } else { 1 };
+            let warm = self.windows[0].is_warm();
+            let cap = if warm { MAX_SWEEP } else { 1 };
             let (sweep, later) = rest.split_at(rest.len().min(cap));
             for (event, snap) in sweep.iter().zip(&mut snaps) {
                 self.book.apply(event);
@@ -351,44 +439,117 @@ impl LightTrader {
     }
 
     /// One sweep from its ticks' book snapshots to their outcomes: pushes
-    /// every feature row and, once the window is warm, serves all the
-    /// queries with one registry call and gates the decisions one by one
-    /// in arrival order, each against its own snapshot and timestamp.
-    /// Nothing downstream of a prediction feeds back into book or
-    /// features, so kill switch, rate limiter and position see what a
-    /// sweep per tick shows them.
+    /// every feature row into shard 0's window and, once it is warm,
+    /// serves all the queries with one registry call and gates the
+    /// decisions one by one in arrival order, each against its own
+    /// snapshot and timestamp. Nothing downstream of a prediction feeds
+    /// back into book or features, so kill switch, rate limiter and
+    /// position see what a sweep per tick shows them.
     fn serve(&mut self, snaps: &[LobSnapshot], mut sink: impl FnMut(TickOutcome)) {
-        let (rows, width) = (self.window_buf.shape()[0], self.window_buf.shape()[1]);
-        let window_len = rows + 1 - MAX_SWEEP;
-        let mut at = (MAX_SWEEP - snaps.len()) * width;
-        let mut served = 0;
-        for snap in snaps {
-            if !self.window.push(snap) {
-                sink(TickOutcome::Warmup);
-                continue;
-            }
-            let staged = &mut self.window_buf.data_mut()[at..];
-            if served == 0 {
-                self.window.write_into(&mut staged[..window_len * width]);
-                at += window_len * width;
-            } else {
-                self.window.write_newest_row_into(&mut staged[..width]);
-                at += width;
-            }
-            served += 1;
+        let served = snaps
+            .iter()
+            .filter(|snap| self.push(0, snap).is_some())
+            .count();
+        // Once warm a window stays warm: the served ticks are the last.
+        for _ in served..snaps.len() {
+            sink(TickOutcome::Warmup);
         }
         if served == 0 {
             return;
         }
-        assert_eq!(at, rows * width, "a warm sweep is served whole");
+        // The traded shard's window has moved on: a ticket pending there
+        // would be answered from it, not from its own.
+        if let Some(i) = self.pending.iter().position(|t| t.shard == 0) {
+            self.pending.remove(i);
+            self.superseded += 1;
+        }
+        let width = self.window_buf.shape()[1];
+        self.windows[0].write_newest_rows_into(
+            &mut self.window_buf.data_mut()[(MAX_SWEEP - served) * width..],
+        );
         // In the functional path the "accelerator" is the host: it runs
         // the tiny model on the staged windows before the next sweep.
         self.registry
             .forward_slides(self.active, &self.window_buf, served, &mut self.preds);
+        self.inferences += served as u64;
         for (i, snap) in snaps[snaps.len() - served..].iter().enumerate() {
             let prediction = self.preds[i];
             sink(self.gated_decision(&prediction, snap));
         }
+    }
+
+    /// Pushes `snapshot`'s feature row into `shard`'s window, returning
+    /// the tick's id once the window is warm.
+    fn push(&mut self, shard: usize, snapshot: &LobSnapshot) -> Option<u64> {
+        let warm = self.windows[shard].push(snapshot);
+        let tick_id = self.ticks[shard];
+        self.ticks[shard] += 1;
+        warm.then_some(tick_id)
+    }
+
+    /// Ingests one tick for `shard` arriving at `ts`, returning its
+    /// ticket once the shard's window is warm. The ticket replaces the
+    /// shard's pending one, if any, in its place in the drain order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range.
+    pub fn on_tick(
+        &mut self,
+        shard: u16,
+        snapshot: &LobSnapshot,
+        ts: Timestamp,
+    ) -> Option<ShardTicket> {
+        let ticket = ShardTicket {
+            shard,
+            ticket: TensorTicket {
+                tick_id: self.push(shard as usize, snapshot)?,
+                tick_ts: snapshot.ts,
+                ready_at: ts,
+            },
+        };
+        match self.pending.iter_mut().find(|t| t.shard == shard) {
+            Some(older) => {
+                *older = ticket;
+                self.superseded += 1;
+            }
+            None => self.pending.push(ticket),
+        }
+        Some(ticket)
+    }
+
+    /// Serves every pending ticket (oldest first across all shards, at
+    /// most one per shard) with **one** batched forward of the active
+    /// tier, pushing `(ticket, prediction)` pairs onto `out` (which is
+    /// cleared first) in drain order. Returns the number of queries
+    /// served.
+    ///
+    /// Steady-state drains at or below the largest batch seen are
+    /// allocation-free: tickets, staging lanes, and predictions all live
+    /// in recycled buffers (`lt-pipeline`'s `tests/zero_alloc.rs`).
+    pub fn drain_batch(&mut self, out: &mut Vec<(ShardTicket, Prediction)>) -> usize {
+        out.clear();
+        let n = self.pending.len();
+        if n == 0 {
+            return 0;
+        }
+        let model = self.registry.model(self.active).expect("a registered tier");
+        let shape = [model.window(), model.features()];
+        if self.lanes.first().is_some_and(|lane| lane.shape() != shape) {
+            self.lanes.clear();
+        }
+        while self.lanes.len() < n {
+            self.lanes.push(Tensor::zeros(&shape));
+        }
+        for (t, lane) in self.pending.iter().zip(&mut self.lanes) {
+            self.windows[t.shard as usize].write_newest_rows_into(lane.data_mut());
+        }
+        self.registry
+            .forward_batch(self.active, &self.lanes[..n], &mut self.preds);
+        self.inferences += n as u64;
+        self.batches += 1;
+        out.extend(self.pending.drain(..).zip(self.preds.iter().copied()));
+        n
     }
 
     /// Applies the kill switch and rate limiter around the trading
@@ -459,8 +620,7 @@ impl std::fmt::Debug for LightTrader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lt_feed::{SessionBuilder, TickRecord};
-    use lt_lob::Timestamp;
+    use lt_feed::{MultiSessionBuilder, SessionBuilder, TickRecord};
 
     /// Serves a recorded trace's ticks from their book snapshots, each
     /// one a sweep of one, returning one outcome per tick.
@@ -1095,6 +1255,203 @@ mod tests {
             };
             assert_eq!(staging(&swept), staging(&small), "{kind}");
         }
+    }
+
+    fn session(symbols: usize, seed: u64) -> lt_feed::MultiMarketSession {
+        MultiSessionBuilder::normal_traffic()
+            .symbols(symbols)
+            .duration_secs(0.3)
+            .seed(seed)
+            .build()
+    }
+
+    /// The cross-symbol batch is bit-identical, ticket for ticket, to
+    /// running each shard through its own feature window and a plain
+    /// registry forward — batching never changes an answer.
+    #[test]
+    fn cross_symbol_batch_matches_single_symbol_forwards() {
+        let multi = session(3, 21);
+        let norms: Vec<NormStats> = multi.sessions.iter().map(|s| s.norm.clone()).collect();
+        let mut trader = MultiSymbolTrader::new(ModelKind::VanillaCnn, norms.clone(), 5);
+        let mut reference = ModelRegistry::tiny_with_kinds(&[ModelKind::VanillaCnn], 5);
+        let (window, width) = (trader.windows[0].window(), trader.windows[0].width());
+        let mut singles: Vec<FeatureWindow> = norms
+            .into_iter()
+            .map(|n| FeatureWindow::new(n, window))
+            .collect();
+        let mut alone = Tensor::zeros(&[window, width]);
+
+        let rounds = multi.sessions.iter().map(|s| s.trace.len()).min().unwrap();
+        let mut out = Vec::new();
+        let mut served = 0usize;
+        for round in 0..rounds {
+            for (shard, session) in multi.sessions.iter().enumerate() {
+                let tick = &session.trace.ticks[round];
+                trader.on_tick(shard as u16, &tick.snapshot, tick.ts);
+                singles[shard].push(&tick.snapshot);
+            }
+            let n = trader.drain_batch(&mut out);
+            assert_eq!(n, trader.queue_len().max(n), "drain empties the queue");
+            for (ticket, prediction) in &out {
+                let shard = ticket.shard as usize;
+                singles[shard].write_newest_rows_into(alone.data_mut());
+                let expect = reference.forward(ModelKind::VanillaCnn, &alone);
+                assert_eq!(
+                    prediction.probs.map(f32::to_bits),
+                    expect.probs.map(f32::to_bits),
+                    "round {round} shard {shard}"
+                );
+            }
+            served += n;
+        }
+        assert!(served > 0, "session long enough to warm every shard");
+        // One batched forward per non-empty drain, one inference per
+        // drained query.
+        assert_eq!(trader.inferences(), served as u64);
+        assert!(trader.batches() < trader.inferences());
+    }
+
+    /// Drained every other round, a shard's ticket can wait while its
+    /// shard ticks again. The newer tick replaces it, and every answer is
+    /// its own tick's batch-1 forward, bit for bit. (This covers what
+    /// `duplicate_shard_in_one_batch_panics` guarded: a drain cannot meet
+    /// one shard twice.)
+    #[test]
+    fn a_ticket_is_answered_with_its_own_window() {
+        let multi = session(2, 9);
+        let norms: Vec<NormStats> = multi.sessions.iter().map(|s| s.norm.clone()).collect();
+        let mut trader = MultiSymbolTrader::new(ModelKind::VanillaCnn, norms.clone(), 5);
+        let mut reference = ModelRegistry::tiny_with_kinds(&[ModelKind::VanillaCnn], 5);
+        let (window, width) = (trader.windows[0].window(), trader.windows[0].width());
+        let mut singles: Vec<FeatureWindow> = norms
+            .into_iter()
+            .map(|n| FeatureWindow::new(n, window))
+            .collect();
+        let mut alone = Tensor::zeros(&[window, width]);
+        // Per shard, the batch-1 answer of every tick id, and the ids
+        // issued but not yet answered or replaced.
+        let mut expected: Vec<Vec<Option<Prediction>>> = vec![Vec::new(); 2];
+        let mut unanswered: Vec<Option<u64>> = vec![None; 2];
+        let (mut replaced, mut answered) = (0u64, 0usize);
+        let mut out = Vec::new();
+        let rounds = multi.sessions.iter().map(|s| s.trace.len()).min().unwrap();
+        for round in 0..rounds {
+            for (shard, session) in multi.sessions.iter().enumerate() {
+                let tick = &session.trace.ticks[round];
+                let ticket = trader.on_tick(shard as u16, &tick.snapshot, tick.ts);
+                let answer = singles[shard].push(&tick.snapshot).then(|| {
+                    singles[shard].write_newest_rows_into(alone.data_mut());
+                    reference.forward(ModelKind::VanillaCnn, &alone)
+                });
+                expected[shard].push(answer);
+                assert_eq!(
+                    ticket.map(|t| t.ticket.tick_id),
+                    answer.map(|_| round as u64),
+                    "a warm tick issues a ticket with its own tick id"
+                );
+                if let Some(t) = ticket {
+                    replaced += u64::from(unanswered[shard].is_some());
+                    unanswered[shard] = Some(t.ticket.tick_id);
+                }
+            }
+            if round % 2 == 0 {
+                continue;
+            }
+            trader.drain_batch(&mut out);
+            for (ticket, prediction) in &out {
+                let (shard, id) = (ticket.shard as usize, ticket.ticket.tick_id);
+                assert_eq!(unanswered[shard].take(), Some(id), "newest ticket served");
+                let want = expected[shard][id as usize].expect("a warm tick");
+                assert_eq!(
+                    prediction.probs.map(f32::to_bits),
+                    want.probs.map(f32::to_bits),
+                    "shard {shard} tick {id} answered from another window"
+                );
+                answered += 1;
+            }
+        }
+        assert!(
+            answered > 20 && replaced > 0,
+            "{answered} answers, {replaced} replaced"
+        );
+        assert_eq!(trader.superseded(), replaced);
+        assert_eq!(trader.inferences(), answered as u64);
+    }
+
+    /// Shard 0 takes both intakes. A datagram tick served there moves
+    /// its window on, so the ticket `on_tick` left pending on it is
+    /// superseded, not answered from the newer window.
+    #[test]
+    fn a_served_datagram_tick_supersedes_the_traded_shards_ticket() {
+        let events = flow_events(5, 26);
+        let session = SessionBuilder::normal_traffic()
+            .duration_secs(0.3)
+            .seed(3)
+            .build();
+        let mut system = LightTrader::builder(ModelKind::VanillaCnn).seed(7).build();
+        // The CNN's window is 20 ticks: events 19 to 24 are served.
+        for event in &events[..25] {
+            system.on_event(event);
+        }
+        let tick = &session.trace.ticks[0];
+        let ticket = system.on_tick(0, &tick.snapshot, tick.ts);
+        assert_eq!(ticket.map(|t| t.ticket.tick_id), Some(25));
+        assert_ne!(system.on_event(&events[25]), TickOutcome::Warmup);
+        let mut out = Vec::new();
+        assert_eq!(system.drain_batch(&mut out), 0, "answered {out:?}");
+        assert_eq!((system.queue_len(), system.superseded()), (0, 1));
+        assert_eq!(system.inferences(), 7);
+    }
+
+    /// A drain's lanes are the active tier's window: switching tiers
+    /// between drains changes no answer from a batch-1 forward of that
+    /// tier on the ticket's trailing window.
+    #[test]
+    fn drains_serve_the_active_tier_across_switches() {
+        let multi = session(3, 17);
+        let norms: Vec<NormStats> = multi.sessions.iter().map(|s| s.norm.clone()).collect();
+        let mut trader = LightTraderBuilder {
+            norms: norms.clone(),
+            ..LightTrader::builder(ModelKind::DeepLob)
+                .seed(5)
+                .tier_models(&ModelKind::ALL)
+        }
+        .build();
+        let mut reference = ModelRegistry::tiny(5);
+        let window = trader.windows[0].window();
+        let mut singles: Vec<FeatureWindow> = norms
+            .into_iter()
+            .map(|n| FeatureWindow::new(n, window))
+            .collect();
+        let (mut alone, mut out) = (Vec::new(), Vec::new());
+        let mut served = [0usize; 3];
+        let rounds = multi.sessions.iter().map(|s| s.trace.len()).min().unwrap();
+        for round in 0..rounds.min(window + 42) {
+            let t = (round / 7) % 3;
+            let kind = ModelKind::ALL[t];
+            trader.serve_tier(kind);
+            for (shard, session) in multi.sessions.iter().enumerate() {
+                let tick = &session.trace.ticks[round];
+                trader.on_tick(shard as u16, &tick.snapshot, tick.ts);
+                singles[shard].push(&tick.snapshot);
+            }
+            trader.drain_batch(&mut out);
+            let model = reference.model(kind).expect("registered");
+            let shape = [model.window(), model.features()];
+            for (ticket, prediction) in &out {
+                let shard = ticket.shard as usize;
+                let mut lane = Tensor::zeros(&shape);
+                singles[shard].write_newest_rows_into(lane.data_mut());
+                reference.forward_batch(kind, &[lane], &mut alone);
+                assert_eq!(
+                    prediction.probs.map(f32::to_bits),
+                    alone[0].probs.map(f32::to_bits),
+                    "round {round} shard {shard} on {kind}"
+                );
+                served[t] += 1;
+            }
+        }
+        assert!(served.iter().all(|&n| n > 0), "{served:?}");
     }
 
     #[test]

@@ -258,9 +258,15 @@ impl MultiOffload {
         self.windows[0].width()
     }
 
-    /// As [`FeatureWindow::write_into`], on `shard`'s window.
+    /// Writes `shard`'s current window into `out`, which must be one
+    /// window long.
     pub fn write_shard_window_into(&self, shard: usize, out: &mut [f32]) {
-        self.windows[shard].write_into(out);
+        assert_eq!(
+            out.len(),
+            self.window() * self.width(),
+            "window buffer size"
+        );
+        self.windows[shard].write_newest_rows_into(out);
     }
 
     /// Stages one tick for `shard` arriving at `now` into its window and

@@ -12,7 +12,7 @@
 use crate::multi_offload::TicketQueue;
 use crate::stages::PipelineLatencies;
 use lt_dnn::bf16::bf16_round;
-use lt_dnn::Tensor;
+use lt_dnn::{Tensor, MAX_SWEEP};
 use lt_feed::NormStats;
 use lt_lob::{LobSnapshot, Timestamp};
 
@@ -30,20 +30,23 @@ pub struct TensorTicket {
 }
 
 /// The sliding feature window of one instrument shard: one flat,
-/// pre-allocated ring of `window × 4·depth` floats. Each tick's features
-/// are written, normalized, and BF16-rounded *in place* in the next row
-/// slot, so steady-state ingestion never allocates. `LightTrader`, which
-/// serves each warm tick before the next sweep and so never queues one,
-/// and `MultiSymbolTrader`'s shards read their own; the back-test stages
-/// no window at all, only [`TicketQueue`] tickets.
+/// pre-allocated ring of `window + MAX_SWEEP − 1` rows of `4·depth`
+/// floats, so a sweep of up to [`MAX_SWEEP`] windows ending at the newest
+/// rows can be written out whole. Each tick's features are written,
+/// normalized, and BF16-rounded *in place* in the next row slot, so
+/// steady-state ingestion never allocates. `LightTrader` reads one per
+/// shard, serving each warm tick before the next sweep and so never
+/// queueing one; the back-test stages no window at all, only
+/// [`TicketQueue`] tickets.
 #[derive(Debug, Clone)]
 pub struct FeatureWindow {
     norm: NormStats,
     window: usize,
     depth: usize,
-    /// Flat ring of `window` normalized feature rows, recycled in place.
+    /// Flat ring of `window + MAX_SWEEP - 1` normalized feature rows,
+    /// recycled in place.
     ring: Vec<f32>,
-    /// Rows currently valid (saturates at `window` once warm).
+    /// Rows the ring holds (saturates at its row count).
     rows: usize,
     /// Ring slot the next tick's row will overwrite.
     next_row: usize,
@@ -62,10 +65,15 @@ impl FeatureWindow {
             norm,
             window,
             depth,
-            ring: vec![0.0; window * LobSnapshot::feature_count(depth)],
+            ring: vec![0.0; (window + MAX_SWEEP - 1) * LobSnapshot::feature_count(depth)],
             rows: 0,
             next_row: 0,
         }
+    }
+
+    /// Rows the ring has room for.
+    fn slots(&self) -> usize {
+        self.window + MAX_SWEEP - 1
     }
 
     /// Writes `snapshot`'s feature row into the next ring slot,
@@ -79,16 +87,19 @@ impl FeatureWindow {
         for f in row {
             *f = bf16_round(*f);
         }
-        self.next_row = (self.next_row + 1) % self.window;
-        if self.rows < self.window {
+        self.next_row += 1;
+        if self.next_row == self.slots() {
+            self.next_row = 0;
+        }
+        if self.rows < self.slots() {
             self.rows += 1;
         }
-        self.rows == self.window
+        self.rows >= self.window
     }
 
     /// True once the ring holds a full window of rows.
     pub fn is_warm(&self) -> bool {
-        self.rows == self.window
+        self.rows >= self.window
     }
 
     /// The configured window length, in ticks.
@@ -101,39 +112,31 @@ impl FeatureWindow {
         self.depth * 4
     }
 
-    /// Writes the window into `out` as `window × 4·depth` floats, rows
-    /// in chronological order — the allocation-free staging primitive;
-    /// batched consumers use it to fill recycled lane buffers.
+    /// Writes the newest `out.len() / width` rows into `out`, oldest
+    /// first — the allocation-free staging primitive. A window's worth is
+    /// the current window; `window + k − 1` rows hold the `k` windows
+    /// ending at the last `k` pushes, window `j` being rows
+    /// `j..j + window`.
     ///
     /// # Panics
     ///
-    /// Panics if the window is not warm yet or `out` has the wrong
-    /// length.
-    pub fn write_into(&self, out: &mut [f32]) {
-        assert!(self.is_warm(), "feature FIFO not warm yet");
+    /// Panics if `out` is not whole rows, or asks for more rows than
+    /// were pushed or than the ring holds.
+    pub fn write_newest_rows_into(&self, out: &mut [f32]) {
         let width = self.width();
-        assert_eq!(out.len(), self.window * width, "window buffer size");
-        // Once warm, `next_row` is the oldest row in the ring; emit rows
-        // in chronological order from there.
-        for k in 0..self.window {
-            let r = (self.next_row + k) % self.window;
-            out[k * width..(k + 1) * width].copy_from_slice(&self.ring[r * width..(r + 1) * width]);
-        }
-    }
-
-    /// Writes the row the last [`Self::push`] stored — the last row of
-    /// what [`Self::write_into`] would write — into `out`. A consumer that
-    /// wrote the window out one push ago appends this row to hold that
-    /// window and the current one in `window + 1` rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if nothing was pushed yet or `out` is not one row long.
-    pub fn write_newest_row_into(&self, out: &mut [f32]) {
-        assert!(self.rows > 0, "feature FIFO is empty");
-        let width = self.width();
-        let r = (self.next_row + self.window - 1) % self.window;
-        out.copy_from_slice(&self.ring[r * width..(r + 1) * width]);
+        let n = out.len() / width;
+        assert_eq!(n * width, out.len(), "whole feature rows");
+        assert!(
+            n <= self.rows,
+            "feature FIFO not warm yet: {n} rows asked, {} pushed",
+            self.rows
+        );
+        // The oldest row asked for, then up to the ring's end, then on
+        // from its start.
+        let first = (self.next_row + self.slots() - n) % self.slots();
+        let head = n.min(self.slots() - first) * width;
+        out[..head].copy_from_slice(&self.ring[first * width..][..head]);
+        out[head..].copy_from_slice(&self.ring[..n * width - head]);
     }
 }
 
@@ -216,9 +219,12 @@ impl OffloadEngine {
         Tensor::from_vec(data, &[window, width])
     }
 
-    /// As [`FeatureWindow::write_into`].
+    /// Writes the current window into `out`, which must be one window
+    /// long.
     pub fn write_window_into(&self, out: &mut [f32]) {
-        self.window.write_into(out);
+        let len = self.window.window() * self.window.width();
+        assert_eq!(out.len(), len, "window buffer size");
+        self.window.write_newest_rows_into(out);
     }
 }
 
@@ -226,7 +232,7 @@ impl OffloadEngine {
 pub(crate) mod tests {
     //! The pin on one-shard semantics: literal tick ids, admission
     //! order, capacity drops, window recency and BF16 rounding, all
-    //! through the view; and the window's newest-row staging.
+    //! through the view; and the window's newest-rows staging.
 
     use super::*;
     use lt_lob::snapshot::SnapshotLevel;
@@ -349,23 +355,27 @@ pub(crate) mod tests {
         assert_eq!(t.at(&[0, 0]), 103.0);
     }
 
-    /// A window written out at one tick plus the newest row of each later
-    /// tick is every later window: window `j` is rows `j..j + window`.
+    /// The newest `window + MAX_SWEEP - 1` rows, read at every phase of
+    /// the ring's wrap, are the last pushes oldest first, so window `j`
+    /// of the sweep is rows `j..j + window`.
     #[test]
-    fn newest_rows_extend_a_written_window_into_the_later_ones() {
+    fn newest_rows_are_the_last_pushes_at_every_wrap_phase() {
         let (window, width) = (3, 4);
+        let rows = window + MAX_SWEEP - 1;
         let mut w = FeatureWindow::new(NormStats::identity(1), window);
-        for i in 0..4u64 {
-            w.push(&snap(i, 100 + i as i64));
-        }
-        let mut swept = vec![0.0; (window + 5) * width];
-        w.write_into(&mut swept[..window * width]);
-        let mut whole = vec![0.0; window * width];
-        for j in 1..=5 {
-            w.push(&snap(4 + j as u64, 200 + 7 * j as i64));
-            w.write_newest_row_into(&mut swept[(window + j - 1) * width..][..width]);
-            w.write_into(&mut whole);
-            assert_eq!(&swept[j * width..][..window * width], whole, "window {j}");
+        let mut swept = vec![0.0; rows * width];
+        for pushed in 1..=3 * rows {
+            // Mids up to 100 + 54 are exact in BF16; the first column is
+            // the best ask, one tick over the mid.
+            w.push(&snap(pushed as u64, 100 + pushed as i64));
+            if pushed < rows {
+                continue;
+            }
+            w.write_newest_rows_into(&mut swept);
+            for (r, row) in swept.chunks(width).enumerate() {
+                let mid = 100 + (pushed - rows + 1 + r) as i64;
+                assert_eq!(row[0], (mid + 1) as f32, "row {r} after {pushed} pushes");
+            }
         }
     }
 

@@ -43,6 +43,23 @@ for f in $(find crates/sim/src -name '*.rs' | sort); do
 done
 [[ "$staged" == "0" ]]
 
+echo "== one trader: no feature window or tiny registry built outside LightTrader and the two offload views =="
+# LightTraderBuilder is the one place a registry is built and windows are
+# sized, for one shard or N (MultiSymbolTrader is an alias). OffloadEngine
+# and MultiOffload build their own windows until the benchmark stops
+# naming them.
+built=0
+for f in $(find crates/*/src -name '*.rs' | sort); do
+    case "$f" in
+        crates/core/src/system.rs | crates/pipeline/src/offload.rs | crates/pipeline/src/multi_offload.rs) continue ;;
+    esac
+    if sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$f" | grep -nE 'FeatureWindow::new|ModelRegistry::tiny'; then
+        echo "a second trader core in $f (build through LightTraderBuilder)"
+        built=1
+    fi
+done
+[[ "$built" == "0" ]]
+
 echo "== one way to run a batch: no thread in lt-dnn's non-test code, no precision knob in any crate's =="
 # A batch runs on the calling thread (the zero-alloc gates count this
 # thread's allocations only), and every forward is priced in BF16.
@@ -129,8 +146,9 @@ echo "== hot-path gates: ladder ≡ reference through the engine's events + zero
 cargo test -q --release -p lt-lob --test book_equivalence
 cargo test -q --release -p lt-pipeline --test zero_alloc
 # Warm-up boundary, tier switch and 300-event datagram, each against
-# event-by-event intake, optimized as the facade serves; and the fleet at
-# batch cap 1, where every answer must be its own tick's batch-1 forward.
+# event-by-event intake, optimized as the facade serves; and the fleet
+# drained every other round and across tier switches, where every answer
+# must be its own tick's batch-1 forward of the serving tier.
 cargo test -q --release -p lighttrader --lib
 
 echo "== inference gates: nonlinearity contract + model-output goldens + packed-vs-reference equivalence + batch-N-vs-batch-1 + swept-vs-whole-window bit-equivalence + zero-alloc + datagram-vs-event differential =="
