@@ -54,7 +54,6 @@ fn main() {
                             kind,
                             deadline,
                             100,
-                            64,
                         )
                         .response_rate();
                         let fpga = run_single_device(
@@ -63,7 +62,6 @@ fn main() {
                             kind,
                             deadline,
                             100,
-                            64,
                         )
                         .response_rate();
                         err += (lt - TARGET_LT[i]).powi(2)

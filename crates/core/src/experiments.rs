@@ -134,7 +134,6 @@ pub fn fig8(secs: f64, seed: u64) -> Vec<Fig8Row> {
                 ModelKind::VanillaCnn,
                 evaluation_deadline(),
                 100,
-                64,
             );
             Fig8Row {
                 label,
@@ -208,7 +207,7 @@ pub fn fig11(secs: f64, seed: u64) -> Fig11 {
     }
     for system in [SingleDeviceSystem::gpu(), SingleDeviceSystem::fpga()] {
         for kind in ModelKind::ALL {
-            let m = run_single_device(trace, &system, kind, deadline, 100, 64);
+            let m = run_single_device(trace, &system, kind, deadline, 100);
             rows.push(Fig11Row {
                 system: system.name,
                 kind,
@@ -298,7 +297,7 @@ pub fn stage_latency(secs: f64, seed: u64) -> Vec<StageLatencyRow> {
     }
     for system in [SingleDeviceSystem::gpu(), SingleDeviceSystem::fpga()] {
         for kind in ModelKind::ALL {
-            let m = run_single_device(trace, &system, kind, deadline, 100, 64);
+            let m = run_single_device(trace, &system, kind, deadline, 100);
             push(system.name.to_string(), kind, &m);
         }
     }

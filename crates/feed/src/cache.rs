@@ -29,11 +29,11 @@ use std::sync::{Arc, Mutex};
 ///
 /// Single-symbol specs build through [`SessionBuilder`] (the historical
 /// evaluation path, bit-identical to `evaluation_session`); multi-symbol
-/// specs build through [`MultiSessionBuilder`]. The `skew` and
-/// `shared_fraction` knobs only exist for multi-symbol sessions, so
-/// [`SessionSpec::with_symbols`] normalizes them to zero when
-/// `symbols == 1` — a 1-symbol spec never splits the cache by knobs that
-/// cannot affect its build.
+/// specs build through [`MultiSessionBuilder`] with
+/// [`DEFAULT_SHARED_FRACTION`]. The `skew` knob only exists for
+/// multi-symbol sessions, so [`SessionSpec::with_symbols`] normalizes it
+/// to zero when `symbols == 1` — a 1-symbol spec never splits the cache
+/// by a knob that cannot affect its build.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionSpec {
     /// Per-symbol base Hawkes arrival parameters.
@@ -48,12 +48,10 @@ pub struct SessionSpec {
     pub symbols: usize,
     /// Zipf traffic skew across symbols (0 when `symbols == 1`).
     pub skew: f64,
-    /// Shared market-factor fraction (0 when `symbols == 1`).
-    pub shared_fraction: f64,
 }
 
-/// Default shared market-factor fraction for multi-symbol specs,
-/// matching [`MultiSessionBuilder`]'s default.
+/// Shared market-factor fraction of every multi-symbol spec, matching
+/// [`MultiSessionBuilder`]'s default.
 pub const DEFAULT_SHARED_FRACTION: f64 = 0.25;
 
 impl SessionSpec {
@@ -67,7 +65,6 @@ impl SessionSpec {
             seed,
             symbols: 1,
             skew: 0.0,
-            shared_fraction: 0.0,
         }
     }
 
@@ -78,10 +75,9 @@ impl SessionSpec {
         self
     }
 
-    /// Makes this a `symbols`-instrument spec with Zipf skew `skew` and
-    /// the default shared market-factor fraction. With `symbols == 1`
-    /// the multi-only knobs normalize to zero so the spec stays on (and
-    /// hashes onto) the single-symbol build path.
+    /// Makes this a `symbols`-instrument spec with Zipf skew `skew`. With
+    /// `symbols == 1` the skew normalizes to zero so the spec stays on
+    /// (and hashes onto) the single-symbol build path.
     #[must_use]
     pub fn with_symbols(mut self, symbols: usize, skew: f64) -> Self {
         assert!(symbols >= 1, "need at least one symbol");
@@ -92,13 +88,7 @@ impl SessionSpec {
         );
         assert!(skew >= 0.0 && skew.is_finite(), "skew must be >= 0");
         self.symbols = symbols;
-        if symbols == 1 {
-            self.skew = 0.0;
-            self.shared_fraction = 0.0;
-        } else {
-            self.skew = skew;
-            self.shared_fraction = DEFAULT_SHARED_FRACTION;
-        }
+        self.skew = if symbols == 1 { 0.0 } else { skew };
         self
     }
 
@@ -117,7 +107,7 @@ impl SessionSpec {
             let mut b = MultiSessionBuilder::new(self.hawkes)
                 .symbols(self.symbols)
                 .skew(self.skew)
-                .shared_fraction(self.shared_fraction)
+                .shared_fraction(DEFAULT_SHARED_FRACTION)
                 .duration_secs(self.duration_secs)
                 .seed(self.seed);
             if let Some(flash) = self.flash {
@@ -151,8 +141,7 @@ impl Hash for SessionSpec {
 impl SessionSpec {
     /// The spec's identity as plain bits (floats by `to_bits`), shared
     /// by `Eq` and `Hash` so the two can never disagree.
-    #[allow(clippy::type_complexity)]
-    fn key(&self) -> ([u64; 3], Option<[u64; 3]>, u64, u64, usize, u64, u64) {
+    fn key(&self) -> ([u64; 3], Option<[u64; 3]>, u64, u64, usize, u64) {
         (
             [
                 self.hawkes.mu.to_bits(),
@@ -170,7 +159,6 @@ impl SessionSpec {
             self.seed,
             self.symbols,
             self.skew.to_bits(),
-            self.shared_fraction.to_bits(),
         )
     }
 }

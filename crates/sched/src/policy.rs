@@ -15,10 +15,9 @@ pub enum Policy {
     /// Both schedulers (the full LightTrader configuration).
     Both,
     /// Deadline-aware model-tier scheduling (anytime inference) layered
-    /// on top of a fixed base configuration: the [`crate::TierPlanner`]
-    /// picks a model tier per query from its remaining deadline budget.
-    /// The base WS/DS flags come from the simulator's tier parameters,
-    /// not from this variant.
+    /// on top of the full WS+DS machinery: the [`crate::TierPlanner`]
+    /// picks a model tier per query from its remaining deadline budget,
+    /// over the ladder up to the configured model.
     DeadlineTiered,
 }
 
@@ -32,8 +31,7 @@ impl Policy {
     ];
 
     /// True when Algorithm 1 (batch + DVFS candidate search) runs.
-    /// `DeadlineTiered` defaults to the full machinery; the simulator
-    /// overrides from its configured base policy.
+    /// `DeadlineTiered` runs on the full machinery.
     pub fn workload_enabled(self) -> bool {
         matches!(
             self,
@@ -42,8 +40,7 @@ impl Policy {
     }
 
     /// True when Algorithm 2 (dynamic power distribution) runs.
-    /// `DeadlineTiered` defaults to the full machinery; the simulator
-    /// overrides from its configured base policy.
+    /// `DeadlineTiered` runs on the full machinery.
     pub fn dvfs_enabled(self) -> bool {
         matches!(
             self,

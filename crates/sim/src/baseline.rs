@@ -10,6 +10,7 @@
 //! calibrated so the Fig. 11(c) energy-efficiency ratios (23.6x / 11.6x)
 //! come out.
 
+use crate::config::QUEUE_CAPACITY;
 use crate::engine::{self, EngineCtx, Event, PendingOrder, SimModel};
 use crate::metrics::BacktestMetrics;
 use crate::telemetry::QueryTimeline;
@@ -203,15 +204,14 @@ impl SimModel for SingleDeviceModel<'_> {
 /// Replays `trace` through a single-device system and reports metrics.
 ///
 /// The device serves queries one at a time in FIFO order; queued queries
-/// whose deadline lapses are dropped (stale management); the queue is
-/// capacity-bounded like LightTrader's.
+/// whose deadline lapses are dropped (stale management); the queue holds
+/// [`QUEUE_CAPACITY`] tickets, like LightTrader's.
 pub fn run_single_device(
     trace: &TickTrace,
     system: &SingleDeviceSystem,
     kind: ModelKind,
     t_avail: Duration,
     window: usize,
-    queue_capacity: usize,
 ) -> BacktestMetrics {
     let service = system.inference_latency(kind);
     let egress = system.stages.egress();
@@ -222,7 +222,7 @@ pub fn run_single_device(
         egress,
         stale_budget: t_avail.saturating_sub(egress + service),
         t_avail,
-        queue: TicketQueue::new(1, window, queue_capacity),
+        queue: TicketQueue::new(1, window, QUEUE_CAPACITY),
         device_free: Timestamp::ZERO,
     };
     engine::run(&mut model, trace)
@@ -277,7 +277,6 @@ mod tests {
             ModelKind::VanillaCnn,
             Duration::from_millis(5),
             10,
-            64,
         );
         assert!(m.total() > 100);
         assert!(
@@ -302,7 +301,6 @@ mod tests {
             ModelKind::DeepLob,
             Duration::from_millis(5),
             10,
-            64,
         );
         assert!(m.response_rate() < 0.2, "got {:.3}", m.response_rate());
         assert!(m.total() > 1_000);
@@ -322,7 +320,6 @@ mod tests {
                 ModelKind::TransLob,
                 Duration::from_millis(5),
                 10,
-                64,
             )
         };
         let a = run();

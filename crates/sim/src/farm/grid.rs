@@ -8,7 +8,6 @@
 //! it replays; cells sharing a spec share one cached session build.
 
 use crate::config::BacktestConfig;
-use crate::execution::ExecutionConfig;
 use crate::ingress::IngressFaults;
 use crate::traffic;
 use lt_accel::PowerCondition;
@@ -25,8 +24,6 @@ pub enum GridDeadline {
     /// The per-model scheduling horizon of the Fig. 13 study
     /// ([`traffic::scheduling_deadline_for`]).
     Scheduling,
-    /// One fixed deadline for every cell.
-    Fixed(Duration),
 }
 
 impl GridDeadline {
@@ -34,7 +31,6 @@ impl GridDeadline {
         match self {
             GridDeadline::Evaluation => traffic::evaluation_deadline(),
             GridDeadline::Scheduling => traffic::scheduling_deadline_for(kind),
-            GridDeadline::Fixed(d) => d,
         }
     }
 }
@@ -89,17 +85,9 @@ pub struct SweepGrid {
     pub hawkes: HawkesParams,
     /// Optional flash-burst overlay behind every session.
     pub flash: Option<FlashParams>,
-    /// Offload-engine queue capacity for every cell.
-    pub queue_capacity: usize,
-    /// Feature-window length for every cell.
-    pub window: usize,
     /// Per-tick deadline budget applied to [`Policy::DeadlineTiered`]
     /// cells (`None` = unbounded); ignored by fixed-policy cells.
     pub tier_budget: Option<Duration>,
-    /// Execution & portfolio layer applied to every cell. Disabled by
-    /// default (latency-only grid, bit-identical to grids predating the
-    /// field).
-    pub execution: ExecutionConfig,
 }
 
 impl SweepGrid {
@@ -120,18 +108,8 @@ impl SweepGrid {
             deadline: GridDeadline::Evaluation,
             hawkes: traffic::evaluation_hawkes(),
             flash: Some(traffic::evaluation_flash()),
-            queue_capacity: 64,
-            window: 100,
             tier_budget: None,
-            execution: ExecutionConfig::default(),
         }
-    }
-
-    /// Sets the execution & portfolio layer for every cell.
-    #[must_use]
-    pub fn execution(mut self, execution: ExecutionConfig) -> Self {
-        self.execution = execution;
-        self
     }
 
     /// Sets the deadline budget for [`Policy::DeadlineTiered`] cells.
@@ -274,9 +252,6 @@ impl SweepGrid {
                                     if policy == Policy::DeadlineTiered {
                                         config = config.with_deadline_tiered(self.tier_budget);
                                     }
-                                    config.queue_capacity = self.queue_capacity;
-                                    config.window = self.window;
-                                    config.execution = self.execution;
                                     let id = cell_id(
                                         kind, n_accels, condition, policy, fault_idx, symbols,
                                         skew, seed,
@@ -443,7 +418,7 @@ mod tests {
         let tiered = &cells[1].config;
         assert_eq!(fixed.policy, Policy::Both);
         assert_eq!(tiered.policy, Policy::DeadlineTiered);
-        assert_eq!(tiered.tier.budget, Some(budget));
+        assert_eq!(tiered.tier_budget, Some(budget));
         assert!(cells[1].id.contains("p=tiered"));
         tiered.validate();
     }

@@ -43,7 +43,7 @@ pub mod telemetry;
 pub mod traffic;
 
 pub use baseline::{run_single_device, SingleDeviceSystem};
-pub use config::{BacktestConfig, TierParams};
+pub use config::{BacktestConfig, QUEUE_CAPACITY};
 pub use engine::{EngineCtx, Event, EventQueue, PendingOrder, SimModel};
 pub use execution::{precompute_signals, ExecutionConfig, ExecutionStats, SignalConfig};
 pub use farm::{

@@ -34,7 +34,7 @@
 //! changing in DVFS policy ... increases the risk of a power failure as
 //! well as the overall latency" (§III-D).
 
-use crate::config::BacktestConfig;
+use crate::config::{BacktestConfig, QUEUE_CAPACITY};
 use crate::engine::{self, EngineCtx, Event, PendingOrder, SimModel};
 use crate::execution::{precompute_signals, ExecState, ExecutionConfig};
 use crate::metrics::{BacktestMetrics, TierOutcomes};
@@ -46,7 +46,9 @@ use lt_dnn::ModelKind;
 use lt_feed::{TickRecord, TickTrace};
 use lt_lob::Timestamp;
 use lt_pipeline::{PipelineLatencies, ShardTicket, TicketQueue};
-use lt_sched::{plan_uprates, schedule_workload, LatencyModel, TierDecision, TierPlanner};
+use lt_sched::{
+    plan_uprates, schedule_workload, LatencyModel, TierDecision, TierLadder, TierPlanner,
+};
 use std::time::Duration;
 
 /// One batch in flight on an accelerator.
@@ -110,9 +112,9 @@ pub(crate) struct SimState {
     /// Table restricted to clocks >= the static plan (the WS risk guard).
     ws_table: DvfsTable,
     kind: ModelKind,
-    /// Effective Algorithm 1 flag (the base policy's for `DeadlineTiered`).
+    /// Algorithm 1 runs (WS, WS+DS and `DeadlineTiered`).
     ws_on: bool,
-    /// Effective Algorithm 2 flag (the base policy's for `DeadlineTiered`).
+    /// Algorithm 2 runs (DS, WS+DS and `DeadlineTiered`).
     dvfs_on: bool,
     /// Deadline-tier scheduler state; `None` for fixed-model policies.
     tiered: Option<TieredSched>,
@@ -743,16 +745,8 @@ pub(crate) fn build_state(
     tick_shards: Vec<u16>,
 ) -> SimState {
     let profile = DeviceProfile::lighttrader();
-    // DeadlineTiered runs whichever WS/DS machinery its configured base
-    // policy enables; the fixed policies use their own flags.
-    let (ws_on, dvfs_on) = if cfg.policy == lt_sched::Policy::DeadlineTiered {
-        (
-            cfg.tier.base.workload_enabled(),
-            cfg.tier.base.dvfs_enabled(),
-        )
-    } else {
-        (cfg.policy.workload_enabled(), cfg.policy.dvfs_enabled())
-    };
+    // DeadlineTiered's flags are WS+DS, so it runs on the full machinery.
+    let (ws_on, dvfs_on) = (cfg.policy.workload_enabled(), cfg.policy.dvfs_enabled());
     // The static (conservative) grid is capped at 2.0 GHz — Table III
     // never exceeds it — but the chip itself reaches 2.2 GHz (Table I).
     // DVFS scheduling, which tracks the pool's actual draw, may exploit
@@ -763,7 +757,7 @@ pub(crate) fn build_state(
     } else {
         DvfsTable::evaluation()
     };
-    let stages = cfg.stages;
+    let stages = PipelineLatencies::fpga();
     let plan = static_plan(cfg.kind, cfg.n_accels, cfg.condition);
     let egress = stages.egress();
     // The WS risk guard: never under-clock below the static plan.
@@ -797,11 +791,11 @@ pub(crate) fn build_state(
     // The tiered scheduler's latency model is seeded with the static-plan
     // batch-1 service times so the very first plan is already sane.
     let tiered = (cfg.policy == lt_sched::Policy::DeadlineTiered).then(|| TieredSched {
-        planner: TierPlanner::new(cfg.tier.ladder),
+        planner: TierPlanner::new(TierLadder::up_to(cfg.kind)),
         latency: LatencyModel::with_priors(
             ModelKind::ALL.map(|k| profile.t_total(k, 1, plan.point)),
         ),
-        budget: cfg.tier.budget.map(|b| b.saturating_sub(egress)),
+        budget: cfg.tier_budget.map(|b| b.saturating_sub(egress)),
     });
 
     SimState {
@@ -824,7 +818,7 @@ pub(crate) fn build_state(
             .map(|i| Accelerator::new(i, plan.point))
             .collect(),
         in_flight: vec![None; cfg.n_accels],
-        queue: TicketQueue::new(n_shards, cfg.window, cfg.queue_capacity),
+        queue: TicketQueue::new(n_shards, cfg.window, QUEUE_CAPACITY),
         tick_shards,
         tick_index: 0,
         exec: None,

@@ -55,7 +55,6 @@ fn single_device_runs_are_byte_identical() {
                     kind,
                     Duration::from_millis(5),
                     100,
-                    64,
                 )
             };
             let first = serialize(&run());

@@ -24,7 +24,7 @@ use lt_sim::traffic::{
 };
 use lt_sim::{
     run_lighttrader, run_multi, run_single_device, BacktestConfig, BacktestMetrics,
-    ExecutionConfig, SignalConfig, SingleDeviceSystem, TierParams,
+    ExecutionConfig, SignalConfig, SingleDeviceSystem,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -71,7 +71,6 @@ fn scenarios() -> Vec<Scenario> {
                     ModelKind::DeepLob,
                     Duration::from_millis(5),
                     100,
-                    64,
                 ));
                 scenario!("a_fpga_translob", |t| run_single_device(
                     t,
@@ -79,7 +78,6 @@ fn scenarios() -> Vec<Scenario> {
                     ModelKind::TransLob,
                     Duration::from_millis(5),
                     100,
-                    64,
                 ));
                 scenario!("a_lt_baseline", |t| run_lighttrader(
                     t,
@@ -130,7 +128,6 @@ fn scenarios() -> Vec<Scenario> {
                     ModelKind::DeepLob,
                     Duration::from_millis(5),
                     100,
-                    64,
                 ));
                 scenario!("b_fpga_translob", |t| run_single_device(
                     t,
@@ -138,7 +135,6 @@ fn scenarios() -> Vec<Scenario> {
                     ModelKind::TransLob,
                     Duration::from_millis(5),
                     100,
-                    64,
                 ));
                 scenario!("b_lt_baseline", |t| run_lighttrader(
                     t,
@@ -273,14 +269,19 @@ fn lighttrader_scenarios() -> Vec<(&'static str, BacktestConfig)> {
     ]
 }
 
-/// Differential reduction: `DeadlineTiered` with a single registered
-/// tier and an unbounded budget must be **byte-identical** to the fixed
-/// policy it wraps — checked against the very same golden files, for
-/// every LightTrader scenario in the pinned matrix.
+/// Differential reduction: `DeadlineTiered` with an unbounded budget
+/// always serves the ladder's best tier, the configured kind, on the
+/// WS+DS machinery, so it must be **byte-identical** to the fixed WS+DS
+/// policy — checked against the very same golden files, for every WS+DS
+/// scenario in the pinned matrix.
 #[test]
 fn tiered_passthrough_matches_fixed_policy_goldens() {
     let mut traces: Vec<(u64, TickTrace)> = Vec::new();
-    for (name, fixed_cfg) in lighttrader_scenarios() {
+    let both = lighttrader_scenarios()
+        .into_iter()
+        .filter(|(_, cfg)| cfg.policy == Policy::Both);
+    let mut checked = Vec::new();
+    for (name, fixed_cfg) in both {
         let seed = if name.starts_with('a') {
             101u64
         } else {
@@ -290,9 +291,7 @@ fn tiered_passthrough_matches_fixed_policy_goldens() {
             traces.push((seed, evaluation_trace(4.0, seed)));
         }
         let trace = &traces.iter().find(|(s, _)| *s == seed).unwrap().1;
-        let mut tiered_cfg = fixed_cfg;
-        tiered_cfg.policy = Policy::DeadlineTiered;
-        tiered_cfg.tier = TierParams::passthrough(fixed_cfg.kind, fixed_cfg.policy);
+        let tiered_cfg = fixed_cfg.with_deadline_tiered(None);
         let got = encode(&run_lighttrader(trace, &tiered_cfg));
         let want = std::fs::read_to_string(golden_path(name))
             .unwrap_or_else(|e| panic!("missing golden {name}: {e}"));
@@ -300,7 +299,9 @@ fn tiered_passthrough_matches_fixed_policy_goldens() {
             got, want,
             "tiered passthrough diverged from the {name} golden"
         );
+        checked.push(name);
     }
+    assert_eq!(checked, ["a_lt_both", "a_lt_defer", "b_lt_both"]);
 }
 
 /// Differential isolation: enabling the execution & portfolio layer in

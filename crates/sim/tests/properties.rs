@@ -105,7 +105,6 @@ proptest! {
             kind,
             Duration::from_millis(5),
             100,
-            64,
         );
         let expected = (trace.len() as u64).saturating_sub(99);
         prop_assert_eq!(m.total(), expected);

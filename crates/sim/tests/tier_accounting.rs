@@ -104,7 +104,7 @@ fn deadline_hit_rate_reconciles_with_recorded_latencies() {
     let trace = burst_storm_trace(2.0, 17);
     let cfg = storm_cfg();
     let m = run_lighttrader(&trace, &cfg);
-    let budget = cfg.tier.budget.unwrap();
+    let budget = cfg.tier_budget.unwrap();
     // The hit count is exactly the number of recorded latencies at or
     // under the budget — recomputed here from the raw stream.
     let by_hand = m

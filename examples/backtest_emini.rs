@@ -58,7 +58,7 @@ fn main() {
     }
     for system in [SingleDeviceSystem::gpu(), SingleDeviceSystem::fpga()] {
         for kind in ModelKind::ALL {
-            let m = run_single_device(&session.trace, &system, kind, deadline, 100, 64);
+            let m = run_single_device(&session.trace, &system, kind, deadline, 100);
             table.push_row(vec![
                 system.name.into(),
                 kind.name().into(),

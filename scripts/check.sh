@@ -79,6 +79,20 @@ for f in $(find crates/*/src -name '*.rs' | sort); do
 done
 [[ "$knobs" == "0" ]]
 
+echo "== one back-test configuration: no tier parameters, ladder or base override, fixed grid deadline or queue-capacity field in any crate's non-test code =="
+# DeadlineTiered runs on WS+DS over TierLadder::up_to(kind), and its budget
+# (BacktestConfig::tier_budget) is its one knob; every back-test queue holds
+# lt_sim::QUEUE_CAPACITY tickets a shard.
+config=0
+for f in $(find crates/*/src -name '*.rs' | sort); do
+    if sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$f" \
+        | grep -nE 'TierParams|with_tier_base|with_tier_ladder|GridDeadline::Fixed|(^|[^A-Za-z0-9_])queue_capacity[[:space:]]*:[^:]'; then
+        echo "a second back-test configuration in $f (tier_budget is the tiered scheduler's one knob)"
+        config=1
+    fi
+done
+[[ "$config" == "0" ]]
+
 echo "== bounded unsafe: the three tile-sweep dispatches in lt-dnn's kernels.rs, each under a // SAFETY: comment, AVX2 or AVX-512F only =="
 # Every crate root forbids unsafe_code but lt-dnn's, which denies it:
 # gemm_packed (its AVX-512F and AVX2 instances) and conv2d_kw1_direct_bf16
