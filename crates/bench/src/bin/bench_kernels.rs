@@ -1,9 +1,11 @@
 //! Kernel-regression benchmark: times every naive `forward_reference`
 //! against its packed counterpart at batch 1 (the lone query), plus one
 //! batched dense layer (`linear_b128`: TransLOB's FFN shape over a batch
-//! of eight 16-step windows, full row blocks throughout), and emits a
-//! machine-readable `BENCH_kernels.json` in the current directory, with
-//! the register tile's instruction set on this CPU (`"tile_isa"`).
+//! of eight 16-step windows, full row blocks throughout) and one batched
+//! model (`translob_b8`: eight tiny-TransLOB windows in one forward, the
+//! `multi_translob` workload's round), and emits a machine-readable
+//! `BENCH_kernels.json` in the current directory, with the register
+//! tile's instruction set on this CPU (`"tile_isa"`).
 //!
 //! ```text
 //! cargo run --release -p lt-bench --bin bench_kernels
@@ -15,7 +17,7 @@
 #![forbid(unsafe_code)]
 
 use lighttrader::dnn::kernels::tile_isa;
-use lighttrader::dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
+use lighttrader::dnn::models::{CnnSpec, DeepLobSpec, TransLob, TransLobSpec};
 use lighttrader::dnn::ops::{Conv2d, Linear, Lstm, MultiHeadAttention};
 use lighttrader::dnn::{Model, Prediction, ScratchPad, Tensor};
 use lt_bench::time_ns;
@@ -88,6 +90,26 @@ fn measure_model(
             let _ = reference(input);
         },
         || model.forward_batch_scratch(std::slice::from_ref(input), &packed, &mut pad, &mut out),
+    )
+}
+
+/// Eight distinct tiny-TransLOB windows: eight `forward_reference` calls
+/// against one batch-8 packed forward.
+fn measure_translob_b8(translob: &TransLob) -> Row {
+    let inputs: Vec<Tensor> = (0..8)
+        .map(|s| Tensor::random(&[16, 40], 1.0, 20 + s))
+        .collect();
+    let packed = translob.pack_weights();
+    let mut pad = ScratchPad::new();
+    let mut out = Vec::new();
+    measure(
+        "translob_b8",
+        || {
+            for x in &inputs {
+                let _ = translob.forward_reference(x);
+            }
+        },
+        || translob.forward_batch_scratch(&inputs, &packed, &mut pad, &mut out),
     )
 }
 
@@ -188,6 +210,7 @@ fn main() {
             |x| translob.forward_reference(x),
             &x16,
         ),
+        measure_translob_b8(&translob),
     ];
 
     let deeplob_speedup = models

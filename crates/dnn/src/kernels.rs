@@ -33,13 +33,14 @@
 //! # The packed path
 //!
 //! Every floating-point contraction runs on one register tile of up to
-//! [`MR`] chains, in two loops. A chain's lanes are `NR` (or, paired,
-//! `2 * NR`) *different outputs* whose operands sit side by side in
-//! memory (a k-major [`pack_bt_panels`] panel, or neighbouring positions
-//! of an activation map); the chain's input is one scalar per step,
-//! broadcast across them. In `shared_panel_tile` up to `MR` chains read
-//! the same lanes against different inputs (a full block of `MR` rows,
-//! or up to `MR` output channels of the direct convolution); in
+//! [`MR`] chains. A chain's lanes are `NR` (or `2 * NR`) *different
+//! outputs* whose operands sit side by side in memory (a k-major
+//! [`pack_bt_panels`] panel, a staged word of neighbouring positions of
+//! an activation map, or a block of query rows); the chain's input is
+//! one scalar per step, broadcast across them. In `shared_panel_tile` up
+//! to `MR` chains read the same lanes against different inputs (a full
+//! block of `MR` rows, up to `MR` output channels of the direct
+//! convolution, or up to `MR` keys of an attention head); in
 //! `row_tail_tile` one input row runs up to `MR` chains over different
 //! lane blocks, so a lone row still keeps several chains in flight. A
 //! tile computes each output once: where fewer than `MR` chains are live
@@ -47,25 +48,38 @@
 //! scalar accumulator that happens to share an instruction with its
 //! neighbours — seeded, accumulated in increasing `k` and rounded
 //! exactly as the naive loop does it — and the contract above holds
-//! without a single partial sum. [`gemm_packed`] and
-//! [`conv2d_kw1_direct_bf16`] are the two sweeps that drive the tile.
+//! without a single partial sum. [`gemm_packed`],
+//! [`conv2d_kw1_direct_bf16`] and `attention_sample` drive the tile;
+//! `layer_norm_rows` folds rows one per lane.
 //!
 //! # One body, three instances
 //!
-//! Each sweep's body is compiled for the x86-64 baseline (SSE2, an
-//! `NR`-lane block in two xmm registers) and with AVX2 enabled (one ymm
-//! register). [`gemm_packed`]'s body is also compiled with AVX-512F at
-//! width `2 * NR`: each chain of a full row block carries two
-//! neighbouring lane blocks in one zmm register. Its entry picks that
-//! instance only for sweeps of at least `MR` rows over more than one lane
-//! block; batch-1 and single-block sweeps, and the direct convolution,
-//! run AVX2 ([`tile_isa`] reports the batched sweeps' instance). `NR`
-//! and the panel layout are the same in all three. Rust never contracts
-//! `a * b + c` into a fused multiply-add — even where `avx512f` makes the
-//! instruction available — so every instance rounds every product and
-//! every sum exactly as the scalar loop does: same bits.
+//! Each of those four passes has one `#[inline(always)]` body, compiled
+//! for the x86-64 baseline (SSE2), with AVX2 enabled and with AVX-512F
+//! enabled, and its entry picks one at run time by the CPU's features
+//! and the input's shape. The baseline and AVX2 instances run `NR` lanes
+//! (two xmm registers, or one ymm); the AVX-512F instance runs `2 * NR`
+//! (one zmm) where the input fills them:
+//!
+//! * [`gemm_packed`]: sweeps of at least `MR` rows over more than one
+//!   lane block pair neighbouring lane blocks in each full row block's
+//!   chains;
+//! * [`conv2d_kw1_direct_bf16`]: maps of more than `NR` positions stage
+//!   and sweep `2 * NR` positions a block;
+//! * `attention_sample`: sequences of more than `NR` queries take
+//!   `2 * NR` query rows (two Q panels) a block;
+//! * `layer_norm_rows`: more than `NR` rows fold `2 * NR` to a block.
+//!
+//! Every other input runs the AVX2 instance (or, without AVX2, the
+//! baseline); [`tile_isa`] names the widest. `NR` and the panel layout
+//! are the same in all three. Rust never contracts `a * b + c` into a
+//! fused multiply-add — even where `avx512f` makes the instruction
+//! available — so every instance rounds every product and every sum
+//! exactly as the scalar loop does: same bits.
 
 use crate::bf16::bf16_round;
+use crate::math::exp;
+use crate::ops::fold_rows;
 
 /// Register-tile width: independent accumulator chains per inner loop.
 const MR: usize = 4;
@@ -141,30 +155,32 @@ pub fn im2col(
 /// Output lanes per packed register tile: the width of one k-major panel.
 pub const NR: usize = 8;
 
-/// Whether this CPU runs AVX2: the two sweeps' entries pick their
-/// instance by it (the standard library caches the probe).
+/// Whether this CPU runs AVX2: the passes' entries pick their instance by
+/// it (the standard library caches the probe).
 #[cfg(target_arch = "x86_64")]
 #[inline]
 fn avx2() -> bool {
     std::arch::is_x86_feature_detected!("avx2")
 }
 
-/// Whether this CPU runs AVX-512F: [`gemm_packed`] runs its batched
-/// sweeps at `2 * NR` lanes by it.
+/// Whether this CPU runs AVX-512F: the passes run their inputs that fill
+/// `2 * NR` lanes at that width by it.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 fn avx512() -> bool {
     std::arch::is_x86_feature_detected!("avx512f")
 }
 
-/// The instruction set the register tile's batched sweeps run at on this
-/// CPU: `"avx512"` (a [`gemm_packed`] sweep of at least [`MR`] rows over
-/// more than one lane block pairs its [`NR`]-lane blocks into one zmm
-/// register), `"avx2"` (an `NR`-lane block is one ymm register), `"sse2"`
-/// (two xmm registers: the x86-64 baseline) or `"portable"` on other
-/// targets. On an AVX-512 host, batch-1 and single-block sweeps and the
-/// direct convolution still run AVX2. An observation, not a setting:
-/// nothing forces any instance, and all compute the same bits.
+/// The widest instance the packed passes run at on this CPU: `"avx512"`
+/// (an input that fills `2 * NR` lanes — a [`gemm_packed`] sweep of at
+/// least [`MR`] rows over more than one lane block, a direct convolution
+/// of more than [`NR`] positions, attention over more than `NR` queries,
+/// a layer norm of more than `NR` rows — runs them in one zmm register),
+/// `"avx2"` (an `NR`-lane block is one ymm register), `"sse2"` (two xmm
+/// registers: the x86-64 baseline) or `"portable"` on other targets. On
+/// an AVX-512 host, smaller inputs (batch-1 and single-block sweeps,
+/// among them) still run AVX2. An observation, not a setting: nothing
+/// forces any instance, and all compute the same bits.
 pub fn tile_isa() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     if avx512() {
@@ -269,7 +285,7 @@ fn each<const C: usize, T: Copy>(fill: T, f: impl Fn(usize) -> T) -> [T; C] {
     out
 }
 
-/// The `NR` lanes at `at` of a strided lane operand.
+/// The `NR` lanes at `at` of a row-major lane operand.
 #[inline(always)]
 fn lane_block(p: &[f32], at: usize) -> &[f32; NR] {
     p[at..].first_chunk().expect("a lane block is NR wide")
@@ -319,18 +335,13 @@ pub fn pack_bt_panels(a: &[f32], m: usize, k: usize, out: &mut Vec<f32>) {
 }
 
 /// One reduction segment of a packed contraction: `k` steps of every
-/// output's dot product, lane operands against broadcast row inputs.
+/// output's dot product, [`pack_bt_panels`] lane operands against
+/// broadcast row inputs.
 #[derive(Debug, Clone, Copy)]
 pub struct Segment<'a> {
-    /// Lane operands. Lane block `b` starts at `b * block_stride` and
-    /// advances `step` elements per reduction step.
+    /// Lane operands: `NR`-lane panels of reduction width `k`, panel `b`
+    /// at `b * k * NR`, one `NR`-lane word per step.
     pub panels: &'a [f32],
-    /// Distance between consecutive lane blocks.
-    pub block_stride: usize,
-    /// Distance between consecutive reduction steps of one lane block
-    /// ([`NR`] for packed panels, the row width for a row-major
-    /// activation matrix read column-block-wise).
-    pub step: usize,
     /// Reduction length.
     pub k: usize,
     /// Row inputs: row `r` reads `x[r * x_stride..][..k]`.
@@ -345,27 +356,16 @@ impl<'a> Segment<'a> {
     pub fn packed(panels: &'a [f32], k: usize, x: &'a [f32], x_stride: usize) -> Self {
         Segment {
             panels,
-            block_stride: k * NR,
-            step: NR,
             k,
             x,
             x_stride,
         }
     }
 
-    /// Lane block `b`, cut to exactly the elements its `k` steps read.
-    #[inline(always)]
-    fn block(&self, b: usize) -> &'a [f32] {
-        match self.k {
-            0 => &[],
-            k => &self.panels[b * self.block_stride..][..(k - 1) * self.step + NR],
-        }
-    }
-
-    /// Lane block `b` of a `step == NR` segment as its `k` lane words.
+    /// Lane block `b` as its `k` lane words.
     #[inline(always)]
     fn words(&self, b: usize) -> &'a [[f32; NR]] {
-        &self.block(b).as_chunks().0[..self.k]
+        &self.panels[b * self.k * NR..][..self.k * NR].as_chunks().0[..self.k]
     }
 
     #[inline(always)]
@@ -379,16 +379,8 @@ impl<'a> Segment<'a> {
     #[inline(always)]
     fn accumulate_rows<const W: usize>(&self, acc: &mut [[f32; W]; MR], b: usize, r0: usize) {
         let xs = each(&[][..], |c| self.row(r0 + c));
-        let hi = b + W / NR - 1;
-        if self.step == NR {
-            let (lo, hi) = (self.words(b), self.words(hi));
-            shared_panel_tile(acc, xs, |t| join(&lo[t], &hi[t]));
-        } else {
-            let (lo, hi, step) = (self.block(b), self.block(hi), self.step);
-            shared_panel_tile(acc, xs, |t| {
-                join(lane_block(lo, t * step), lane_block(hi, t * step))
-            });
-        }
+        let (lo, hi) = (self.words(b), self.words(b + W / NR - 1));
+        shared_panel_tile(acc, xs, |t| join(&lo[t], &hi[t]));
     }
 
     /// This segment's steps of a row-tail tile: row `r` against lane
@@ -396,13 +388,8 @@ impl<'a> Segment<'a> {
     #[inline(always)]
     fn accumulate_blocks<const C: usize>(&self, acc: &mut [[f32; NR]; C], r: usize, b0: usize) {
         let x = self.row(r);
-        if self.step == NR {
-            let words: [_; C] = each(&[][..], |c| self.words(b0 + c));
-            row_tail_tile(acc, x, |c, t| words[c][t]);
-        } else {
-            let blocks: [_; C] = each(&[][..], |c| self.block(b0 + c));
-            row_tail_tile(acc, x, |c, t| *lane_block(blocks[c], t * self.step));
-        }
+        let words: [_; C] = each(&[][..], |c| self.words(b0 + c));
+        row_tail_tile(acc, x, |c, t| words[c][t]);
     }
 }
 
@@ -410,10 +397,11 @@ impl<'a> Segment<'a> {
 /// post(bias[o] + sum over segments, then over t, of lane operand
 /// (o, t) * row r's input t)` for `r < rows`, `o < n`.
 ///
-/// Dense layers, im2col convolutions, LSTM gate pre-activations and both
-/// attention contractions are this one sweep of the register tile; they
-/// differ in their segments, their seed (`None` seeds `0.0`), their
-/// store layout and `post` (BF16 rounding, a scale, or nothing). Full
+/// Dense layers (attention's four projections among them), im2col
+/// convolutions and LSTM gate pre-activations are this one sweep of the
+/// register tile; they differ in their segments, their seed (`None`
+/// seeds `0.0`), their store layout and `post` (BF16 rounding or
+/// nothing). Full
 /// blocks of [`MR`] rows share each lane block (`shared_panel_tile`);
 /// the `rows % MR` tail rows instead block across up to `MR` lane blocks
 /// each (`row_tail_tile`), so the lone row of a batch-1 forward keeps
@@ -661,18 +649,23 @@ pub fn lstm_gates_packed_batch(
 /// inception branch). Bit-identical to `im2col` + GEMM.
 ///
 /// With `kw == 1`, `stride == (1, 1)`, `pw == 0`, the im2col "patch
-/// column" for tap `(ic, ky)` is just the input channel shifted by
-/// `(ky - ph)` rows, so no patch matrix is materialized: the sample is
-/// copied once into `stage` with `ph` zero rows around every channel,
-/// and each tap's [`NR`] lane operands are then one contiguous load from
-/// it. A tile is `NR` consecutive output positions x up to [`MR`] output
-/// channels (the last group runs only the channels left), whose weights
-/// are the broadcast inputs; its accumulators
-/// stay in registers across all `in_c * kh` taps. Per output element the
-/// accumulation order is exactly the GEMM's: seeded with the bias, taps
-/// in increasing `(ic, ky)` order, rounded once at the end. Padded taps
-/// read the staged zeros and add `weight * 0.0`, exactly as the GEMM
-/// multiplies the patch matrix's materialized zeros.
+/// column" for tap `t = (ic, ky)` is just input channel `ic` shifted by
+/// `(ky - ph)` rows, so no patch matrix is materialized. A block of `W`
+/// consecutive output positions stages one `W`-lane word per tap — the
+/// shifted channel's lanes, zero where the shift leaves the channel —
+/// and its tiles of up to [`MR`] output channels (the last group runs
+/// only the channels left), whose weights are the broadcast inputs, then
+/// run all `in_c * kh` taps in one loop with their accumulators in
+/// registers. Per output element the accumulation order is exactly the
+/// GEMM's: seeded with the bias, taps in increasing `(ic, ky)` order,
+/// rounded once at the end. Padded taps read the staged zeros and add
+/// `weight * 0.0`, exactly as the GEMM multiplies the patch matrix's
+/// materialized zeros.
+///
+/// A map of more than [`NR`] positions runs, on an AVX-512 CPU, the
+/// instance whose blocks are `2 * NR` positions wide; every other map
+/// runs the AVX2 (or baseline) instance at `NR`. All compute the same
+/// bits.
 ///
 /// `a` is the row-major `[out_c, in_c * kh]` kernel matrix; `x` is one
 /// `[in_c, h, w]` sample; `stage` is a workspace of
@@ -697,6 +690,14 @@ pub fn conv2d_kw1_direct_bf16(
     out: &mut [f32],
 ) {
     #[cfg(target_arch = "x86_64")]
+    if (h + 2 * ph + 1).saturating_sub(kh) * w > NR && avx512() {
+        // SAFETY: `avx512()` has just found AVX-512F on this CPU, the one
+        // feature `conv2d_kw1_direct_avx512` is compiled for.
+        return unsafe {
+            conv2d_kw1_direct_avx512(a, bias, x, in_c, h, w, kh, ph, out_c, stage, out)
+        };
+    }
+    #[cfg(target_arch = "x86_64")]
     if avx2() {
         // SAFETY: `avx2()` has just found AVX2 on this CPU, the one
         // feature `conv2d_kw1_direct_avx2` is compiled for.
@@ -704,10 +705,32 @@ pub fn conv2d_kw1_direct_bf16(
             conv2d_kw1_direct_avx2(a, bias, x, in_c, h, w, kh, ph, out_c, stage, out)
         };
     }
-    conv2d_kw1_direct_body(a, bias, x, in_c, h, w, kh, ph, out_c, stage, out)
+    conv2d_kw1_direct_body::<NR>(a, bias, x, in_c, h, w, kh, ph, out_c, stage, out)
 }
 
-/// [`conv2d_kw1_direct_body`] compiled for AVX2.
+/// [`conv2d_kw1_direct_body`] at `2 * NR` positions a block, compiled for
+/// AVX-512F: one zmm register per chain.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+fn conv2d_kw1_direct_avx512(
+    a: &[f32],
+    bias: &[f32],
+    x: &[f32],
+    in_c: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    ph: usize,
+    out_c: usize,
+    stage: &mut [f32],
+    out: &mut [f32],
+) {
+    conv2d_kw1_direct_body::<{ 2 * NR }>(a, bias, x, in_c, h, w, kh, ph, out_c, stage, out)
+}
+
+/// [`conv2d_kw1_direct_body`] compiled for AVX2: one ymm register per
+/// chain.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
@@ -724,13 +747,14 @@ fn conv2d_kw1_direct_avx2(
     stage: &mut [f32],
     out: &mut [f32],
 ) {
-    conv2d_kw1_direct_body(a, bias, x, in_c, h, w, kh, ph, out_c, stage, out)
+    conv2d_kw1_direct_body::<NR>(a, bias, x, in_c, h, w, kh, ph, out_c, stage, out)
 }
 
-/// [`conv2d_kw1_direct_bf16`]'s one body, inlined into both instances.
+/// [`conv2d_kw1_direct_bf16`]'s one body, inlined into every instance, at
+/// `W` positions a block.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn conv2d_kw1_direct_body(
+fn conv2d_kw1_direct_body<const W: usize>(
     a: &[f32],
     bias: &[f32],
     x: &[f32],
@@ -744,78 +768,493 @@ fn conv2d_kw1_direct_body(
     out: &mut [f32],
 ) {
     let k = in_c * kh;
-    let oh = h + 2 * ph + 1 - kh;
-    let positions = oh * w;
-    let chan = (h + 2 * ph) * w;
+    assert!(kh > 0, "direct conv kernel height");
+    let positions = (h + 2 * ph + 1 - kh) * w;
     assert_eq!(a.len(), out_c * k, "direct conv kernel length");
     assert_eq!(bias.len(), out_c, "direct conv bias length");
     assert_eq!(x.len(), in_c * h * w, "direct conv input length");
     assert_eq!(
         stage.len(),
-        conv2d_kw1_stage_len(in_c, h, w, ph),
+        conv2d_kw1_stage_len(in_c, kh),
         "direct conv workspace length"
     );
     assert_eq!(out.len(), out_c * positions, "direct conv output length");
-    assert!(kh > 0, "direct conv kernel height");
-    if out_c == 0 {
-        return;
-    }
-    // The slack is what the last lane block over-reads into lanes
-    // nobody stores.
-    let (padded, slack) = stage.split_at_mut(in_c * chan);
-    slack.fill(0.0);
-    for (dst, src) in padded
-        .chunks_exact_mut(chan.max(1))
-        .zip(x.chunks_exact((h * w).max(1)))
-    {
-        dst[..ph * w].fill(0.0);
-        dst[ph * w..][..h * w].copy_from_slice(src);
-        dst[(ph + h) * w..].fill(0.0);
-    }
-    let (stage, shape) = (&*stage, (in_c, kh, w, chan, positions));
-    for oc0 in (0..out_c).step_by(MR) {
-        match out_c - oc0 {
-            1 => kw1_channel_group::<1>(a, bias, stage, shape, oc0, out),
-            2 => kw1_channel_group::<2>(a, bias, stage, shape, oc0, out),
-            3 => kw1_channel_group::<3>(a, bias, stage, shape, oc0, out),
-            _ => kw1_channel_group::<MR>(a, bias, stage, shape, oc0, out),
+    let words = &mut stage.as_chunks_mut::<W>().0[..k];
+    let hw = (h * w) as isize;
+    for p0 in (0..positions).step_by(W) {
+        // Tap (ic, ky)'s lane `l` reads channel `ic` at `p0 + l + (ky -
+        // ph) * w` if that lies in the channel and `p0 + l` is a
+        // position; any other lane is a padded tap's zero. Which lanes
+        // read depends on `ky` alone.
+        let live = (positions - p0) as isize;
+        for ky in 0..kh {
+            let at = p0 as isize + (ky as isize - ph as isize) * w as isize;
+            let lo = (-at).clamp(0, W as isize) as usize;
+            let hi = (hw - at).min(live).clamp(lo as isize, W as isize) as usize;
+            let mask = lane_mask::<W>(lo..hi);
+            for (ic, taps) in words.chunks_exact_mut(kh).enumerate() {
+                shifted_word(x, ic as isize * hw + at, &mask, lo..hi, &mut taps[ky]);
+            }
+        }
+        let words = &*words;
+        for oc0 in (0..out_c).step_by(MR) {
+            match out_c - oc0 {
+                1 => kw1_tile::<1, W>(a, bias, words, oc0, p0, positions, out),
+                2 => kw1_tile::<2, W>(a, bias, words, oc0, p0, positions, out),
+                3 => kw1_tile::<3, W>(a, bias, words, oc0, p0, positions, out),
+                _ => kw1_tile::<MR, W>(a, bias, words, oc0, p0, positions, out),
+            }
         }
     }
 }
 
-/// Output channels `oc0..oc0 + C` of [`conv2d_kw1_direct_bf16`] over the
-/// staged sample, one chain per channel; `chan` is one staged channel's
-/// length.
+/// All ones in lanes `live`, zero in the others (`W <= 2 * NR`): two
+/// loads from sliding windows and an `and`, not a compare per lane.
 #[inline(always)]
-fn kw1_channel_group<const C: usize>(
+fn lane_mask<const W: usize>(live: std::ops::Range<usize>) -> [u32; W] {
+    const FROM: [u32; 4 * NR] = {
+        let mut m = [u32::MAX; 4 * NR];
+        let mut l = 0;
+        while l < 2 * NR {
+            m[l] = 0;
+            l += 1;
+        }
+        m
+    };
+    // `FROM[2 * NR - lo + l]` is set iff `l >= lo`; `UNTIL[2 * NR - hi +
+    // l]` iff `l < hi`.
+    const UNTIL: [u32; 4 * NR] = {
+        let mut m = [0; 4 * NR];
+        let mut l = 0;
+        while l < 2 * NR {
+            m[l] = u32::MAX;
+            l += 1;
+        }
+        m
+    };
+    let from: &[u32; W] = FROM[2 * NR - live.start..]
+        .first_chunk()
+        .expect("W <= 2 * NR");
+    let until: &[u32; W] = UNTIL[2 * NR - live.end..]
+        .first_chunk()
+        .expect("W <= 2 * NR");
+    each(0, |l| from[l] & until[l])
+}
+
+/// Writes `x[start + l]` to the lanes of `live` (where `mask` is all
+/// ones) and zero to the others. Where all `W` lanes lie in `x` (every
+/// tap but those at a sample's two ends), that is one load and one
+/// `and`, with no call and no per-lane branch.
+#[inline(always)]
+fn shifted_word<const W: usize>(
+    x: &[f32],
+    start: isize,
+    mask: &[u32; W],
+    live: std::ops::Range<usize>,
+    word: &mut [f32; W],
+) {
+    let window = usize::try_from(start)
+        .ok()
+        .and_then(|s| x.get(s..))
+        .and_then(|rest| rest.first_chunk::<W>());
+    match window {
+        Some(window) => {
+            for l in 0..W {
+                word[l] = f32::from_bits(window[l].to_bits() & mask[l]);
+            }
+        }
+        None => {
+            *word = [0.0; W];
+            if !live.is_empty() {
+                let from = (start + live.start as isize) as usize;
+                word[live.clone()].copy_from_slice(&x[from..][..live.len()]);
+            }
+        }
+    }
+}
+
+/// Output channels `oc0..oc0 + C` of [`conv2d_kw1_direct_bf16`] at
+/// positions `p0..p0 + W`, one chain per channel, every staged tap word in
+/// one tile loop.
+#[inline(always)]
+fn kw1_tile<const C: usize, const W: usize>(
     a: &[f32],
     bias: &[f32],
-    stage: &[f32],
-    (in_c, kh, w, chan, positions): (usize, usize, usize, usize, usize),
+    words: &[[f32; W]],
     oc0: usize,
+    p0: usize,
+    positions: usize,
     out: &mut [f32],
 ) {
-    let k = in_c * kh;
-    let rows: [&[f32]; C] = std::array::from_fn(|c| &a[(oc0 + c) * k..][..k]);
-    for p0 in (0..positions).step_by(NR) {
-        let mut acc = std::array::from_fn(|c| [bias[oc0 + c]; NR]);
-        for ic in 0..in_c {
-            let lanes = &stage[ic * chan + p0..][..(kh - 1) * w + NR];
-            let taps = rows.map(|r| &r[ic * kh..(ic + 1) * kh]);
-            shared_panel_tile(&mut acc, taps, |t| *lane_block(lanes, t * w));
+    let k = words.len();
+    let rows: [_; C] = each(&[][..], |c| &a[(oc0 + c) * k..][..k]);
+    let mut acc = each([0.0; W], |c| [bias[oc0 + c]; W]);
+    shared_panel_tile(&mut acc, rows, |t| words[t]);
+    let valid = W.min(positions - p0);
+    for (c, lanes) in acc.iter().enumerate() {
+        let dst = &mut out[(oc0 + c) * positions + p0..][..valid];
+        store_lanes(dst, lanes, bf16_round);
+    }
+}
+
+/// Workspace length [`conv2d_kw1_direct_bf16`] needs: one widest block's
+/// staged word per tap, `in_c * kh` of them.
+pub fn conv2d_kw1_stage_len(in_c: usize, kh: usize) -> usize {
+    in_c * kh * 2 * NR
+}
+
+/// Query lanes [`attention_sample`] keeps per key: its largest query
+/// block.
+pub(crate) const ATTENTION_LANES: usize = 2 * NR;
+
+/// Multi-head self-attention's core over one sample: for every head,
+/// `context = softmax(Q K^T * scale) V` on that head's columns, per query
+/// row bit for bit the reference's scores, row softmax and context.
+///
+/// `qt` is the sample's `[t, d]` queries packed by [`pack_bt_panels`];
+/// `k` is its row-major `[t, d]` keys, and `v` its row-major values
+/// followed by at least [`NR`] more elements (a head's last column block
+/// reads past its columns into lanes nobody stores). `probs` is a
+/// workspace of `t * ATTENTION_LANES` elements; `context` is the
+/// sample's `[t, d]` output.
+///
+/// Each (head, block of query rows) is one pass, with the queries on the
+/// lanes, so every row reduction runs down a lane:
+/// * the scores are a register tile whose chains are keys, several in
+///   flight, and whose lanes are queries (a Q panel word per head column,
+///   the key's column broadcast), seeded with `0.0` and accumulated in
+///   increasing column order, then `* scale`; the running max takes them
+///   in key order from `-inf`;
+/// * `exp(score - max)` is summed in key order from `0.0`, then each is
+///   divided by its lane's sum — the row softmax's own steps, in its
+///   order;
+/// * the context is a tile whose chains are queries and whose lanes are
+///   the head's value columns, each key's probability broadcast from the
+///   block, seeded with `0.0` and accumulated in key order.
+///
+/// Every product has the operands the reference multiplies, and every
+/// sum its order: same bits. On an AVX-512 CPU a sample of more than
+/// [`NR`] queries runs blocks of `2 * NR` query rows (two panels), an odd
+/// last panel alone; every other sample runs the AVX2 (or baseline)
+/// instance, a panel at a time.
+///
+/// # Panics
+///
+/// Panics unless `heads` divides `d` and the buffers have those lengths.
+#[allow(clippy::too_many_arguments, unsafe_code)]
+pub(crate) fn attention_sample(
+    qt: &[f32],
+    k: &[f32],
+    v: &[f32],
+    t: usize,
+    d: usize,
+    heads: usize,
+    probs: &mut [f32],
+    context: &mut [f32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if t > NR && avx512() {
+        // SAFETY: `avx512()` has just found AVX-512F on this CPU, the one
+        // feature `attention_sample_avx512` is compiled for.
+        return unsafe { attention_sample_avx512(qt, k, v, t, d, heads, probs, context) };
+    }
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: `avx2()` has just found AVX2 on this CPU, the one
+        // feature `attention_sample_avx2` is compiled for.
+        return unsafe { attention_sample_avx2(qt, k, v, t, d, heads, probs, context) };
+    }
+    attention_sample_body::<NR>(qt, k, v, t, d, heads, probs, context)
+}
+
+/// [`attention_sample_body`] at `2 * NR` query lanes compiled for
+/// AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+fn attention_sample_avx512(
+    qt: &[f32],
+    k: &[f32],
+    v: &[f32],
+    t: usize,
+    d: usize,
+    heads: usize,
+    probs: &mut [f32],
+    context: &mut [f32],
+) {
+    attention_sample_body::<{ 2 * NR }>(qt, k, v, t, d, heads, probs, context)
+}
+
+/// [`attention_sample_body`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+fn attention_sample_avx2(
+    qt: &[f32],
+    k: &[f32],
+    v: &[f32],
+    t: usize,
+    d: usize,
+    heads: usize,
+    probs: &mut [f32],
+    context: &mut [f32],
+) {
+    attention_sample_body::<NR>(qt, k, v, t, d, heads, probs, context)
+}
+
+/// [`attention_sample`]'s one body, inlined into every instance: query
+/// blocks of `W` rows (`NR`, or `2 * NR`: neighbouring panels in pairs,
+/// an odd last panel alone at `NR`).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn attention_sample_body<const W: usize>(
+    qt: &[f32],
+    k: &[f32],
+    v: &[f32],
+    t: usize,
+    d: usize,
+    heads: usize,
+    probs: &mut [f32],
+    context: &mut [f32],
+) {
+    assert!(
+        heads > 0 && d.is_multiple_of(heads),
+        "heads must divide d_model"
+    );
+    let blocks = t.div_ceil(NR);
+    assert_eq!(qt.len(), blocks * NR * d, "attention packed-query length");
+    assert_eq!(k.len(), t * d, "attention key length");
+    assert!(v.len() >= t * d + NR, "attention value length");
+    assert_eq!(
+        probs.len(),
+        t * ATTENTION_LANES,
+        "attention workspace length"
+    );
+    assert_eq!(context.len(), t * d, "attention context length");
+    if t == 0 || d == 0 {
+        return;
+    }
+    let d_head = d / heads;
+    let paired = blocks - blocks % (W / NR);
+    for off in (0..d).step_by(d_head) {
+        let head = AttentionHead {
+            qt,
+            k,
+            v,
+            t,
+            d,
+            off,
+            d_head,
+            scale: 1.0 / (d_head as f32).sqrt(),
+        };
+        for b in (0..paired).step_by(W / NR) {
+            head.block::<W>(b, probs, context);
         }
-        let valid = NR.min(positions - p0);
-        for (c, lanes) in acc.iter().enumerate() {
-            let dst = &mut out[(oc0 + c) * positions + p0..][..valid];
-            store_lanes(dst, lanes, bf16_round);
+        for b in paired..blocks {
+            head.block::<NR>(b, probs, context);
         }
     }
 }
 
-/// Workspace length [`conv2d_kw1_direct_bf16`] needs: every channel with
-/// its `ph` zero rows above and below, plus one lane block of slack.
-pub fn conv2d_kw1_stage_len(in_c: usize, h: usize, w: usize, ph: usize) -> usize {
-    in_c * (h + 2 * ph) * w + NR
+/// One head of [`attention_sample`]: its columns `off..off + d_head` of
+/// the sample's packed queries, keys and values.
+struct AttentionHead<'a> {
+    qt: &'a [f32],
+    k: &'a [f32],
+    v: &'a [f32],
+    t: usize,
+    d: usize,
+    off: usize,
+    d_head: usize,
+    scale: f32,
+}
+
+impl AttentionHead<'_> {
+    /// Query panel `b`'s words at this head's columns: one per column.
+    #[inline(always)]
+    fn queries(&self, b: usize) -> &[[f32; NR]] {
+        let panel = &self.qt[b * NR * self.d..][..NR * self.d];
+        &panel.as_chunks().0[self.off..][..self.d_head]
+    }
+
+    /// Query rows `b * NR..` (`W` lanes: panel `b`, and at `2 * NR` panel
+    /// `b + 1` too) through scores, softmax and context.
+    #[inline(always)]
+    fn block<const W: usize>(&self, b: usize, probs: &mut [f32], context: &mut [f32]) {
+        let t = self.t;
+        let (lo, hi) = (self.queries(b), self.queries(b + W / NR - 1));
+        let probs = &mut probs.as_chunks_mut::<W>().0[..t];
+        let mut max = [f32::NEG_INFINITY; W];
+        for j0 in (0..t).step_by(MR) {
+            match t - j0 {
+                1 => self.scores::<1, W>(lo, hi, j0, probs, &mut max),
+                2 => self.scores::<2, W>(lo, hi, j0, probs, &mut max),
+                3 => self.scores::<3, W>(lo, hi, j0, probs, &mut max),
+                _ => self.scores::<MR, W>(lo, hi, j0, probs, &mut max),
+            }
+        }
+        let mut sum = [0.0f32; W];
+        for p in probs.iter_mut() {
+            for l in 0..W {
+                p[l] = exp(p[l] - max[l]);
+                sum[l] += p[l];
+            }
+        }
+        for p in probs.iter_mut() {
+            for l in 0..W {
+                p[l] /= sum[l];
+            }
+        }
+        let probs = &*probs;
+        let live = W.min(t - b * NR);
+        for i0 in (0..live).step_by(MR) {
+            match live - i0 {
+                1 => self.context::<1, W>(probs, b * NR + i0, i0, context),
+                2 => self.context::<2, W>(probs, b * NR + i0, i0, context),
+                3 => self.context::<3, W>(probs, b * NR + i0, i0, context),
+                _ => self.context::<MR, W>(probs, b * NR + i0, i0, context),
+            }
+        }
+    }
+
+    /// Keys `j0..j0 + C` against the block's `W` queries: one chain per
+    /// key, the block's query word at each head column against the key's
+    /// column; the scaled scores land in `probs[j0 + c]` and the running
+    /// max takes them in key order.
+    #[inline(always)]
+    fn scores<const C: usize, const W: usize>(
+        &self,
+        lo: &[[f32; NR]],
+        hi: &[[f32; NR]],
+        j0: usize,
+        probs: &mut [[f32; W]],
+        max: &mut [f32; W],
+    ) {
+        let keys: [_; C] = each(&[][..], |c| {
+            &self.k[(j0 + c) * self.d + self.off..][..self.d_head]
+        });
+        let mut acc = [[0.0; W]; C];
+        shared_panel_tile(&mut acc, keys, |col| join(&lo[col], &hi[col]));
+        for (chain, p) in acc.iter().zip(&mut probs[j0..]) {
+            for l in 0..W {
+                p[l] = chain[l] * self.scale;
+                max[l] = max[l].max(p[l]);
+            }
+        }
+    }
+
+    /// Query rows `q0..q0 + C` (lanes `i0..` of the block's `probs`)
+    /// against the head's value columns, [`NR`] to a lane block: one chain
+    /// per query, each key's value word against the query's probability
+    /// of it.
+    #[inline(always)]
+    fn context<const C: usize, const W: usize>(
+        &self,
+        probs: &[[f32; W]],
+        q0: usize,
+        i0: usize,
+        context: &mut [f32],
+    ) {
+        assert!(i0 + C <= W, "query lanes of one block");
+        let d = self.d;
+        for c0 in (0..self.d_head).step_by(NR) {
+            let values = &self.v[self.off + c0..][..(self.t - 1) * d + NR];
+            let mut chains = [[0.0f32; NR]; C];
+            for (j, p) in probs.iter().enumerate() {
+                let word = lane_block(values, j * d);
+                for (c, chain) in chains.iter_mut().enumerate() {
+                    let pv = p[i0 + c];
+                    for l in 0..NR {
+                        chain[l] += word[l] * pv;
+                    }
+                }
+            }
+            let valid = NR.min(self.d_head - c0);
+            for (c, chain) in chains.iter().enumerate() {
+                let dst = &mut context[(q0 + c) * d + self.off + c0..][..valid];
+                store_lanes(dst, chain, |v| v);
+            }
+        }
+    }
+}
+
+/// Layer norm over every `gamma.len()`-wide row of the flat `x`, into
+/// `out`: per row, the mean and the variance about it (each an
+/// `Iterator::sum`-order fold from `-0.0`, one row per lane of
+/// [`fold_rows`]), then `(v - mean) * inv * gamma + beta` with `inv = 1 /
+/// sqrt(var / d + eps)` — `LayerNorm::forward_reference`'s arithmetic,
+/// bit for bit.
+///
+/// On an AVX-512 CPU more than [`NR`] rows fold `2 * NR` to a block; fewer
+/// rows, or another CPU, fold `NR` to a block on the AVX2 (or baseline)
+/// instance.
+///
+/// # Panics
+///
+/// Panics if the buffers differ in length or are not whole rows.
+#[allow(unsafe_code)]
+pub(crate) fn layer_norm_rows(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if x.len() > NR * gamma.len() && avx512() {
+        // SAFETY: `avx512()` has just found AVX-512F on this CPU, the one
+        // feature `layer_norm_rows_avx512` is compiled for.
+        return unsafe { layer_norm_rows_avx512(x, gamma, beta, eps, out) };
+    }
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: `avx2()` has just found AVX2 on this CPU, the one
+        // feature `layer_norm_rows_avx2` is compiled for.
+        return unsafe { layer_norm_rows_avx2(x, gamma, beta, eps, out) };
+    }
+    layer_norm_rows_body::<NR>(x, gamma, beta, eps, out)
+}
+
+/// [`layer_norm_rows_body`] at `2 * NR` rows a block compiled for
+/// AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn layer_norm_rows_avx512(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) {
+    layer_norm_rows_body::<{ 2 * NR }>(x, gamma, beta, eps, out)
+}
+
+/// [`layer_norm_rows_body`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn layer_norm_rows_avx2(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) {
+    layer_norm_rows_body::<NR>(x, gamma, beta, eps, out)
+}
+
+/// [`layer_norm_rows`]' one body, inlined into every instance, at `L`
+/// rows a block.
+#[inline(always)]
+fn layer_norm_rows_body<const L: usize>(
+    x: &[f32],
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+    out: &mut [f32],
+) {
+    let d = gamma.len();
+    assert_eq!(beta.len(), d, "layer norm shift length");
+    assert_eq!(x.len(), out.len(), "layer norm buffer lengths");
+    assert!(
+        d > 0 && x.len().is_multiple_of(d),
+        "layer norm input is not whole rows"
+    );
+    // `Iterator::sum` seeds an `f32` sum with -0.0; so do the lanes.
+    let width = d as f32;
+    for (block, oblock) in x.chunks(L * d).zip(out.chunks_mut(L * d)) {
+        let mean = fold_rows::<L>(block, d, -0.0, |s, v, _| s + v).map(|s| s / width);
+        let var = fold_rows::<L>(block, d, -0.0, |s, v, l| s + (v - mean[l]).powi(2));
+        let rows = block.chunks_exact(d).zip(oblock.chunks_exact_mut(d));
+        for (l, (row, orow)) in rows.enumerate() {
+            let inv = 1.0 / (var[l] / width + eps).sqrt();
+            let affine = gamma.iter().zip(beta);
+            for ((o, &v), (&g, &b)) in orow.iter_mut().zip(row).zip(affine) {
+                *o = (v - mean[l]) * inv * g + b;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1105,7 +1544,7 @@ mod tests {
                 .collect();
             let bias = vec![-0.0f32; out_c];
             for (x, signed_zeros) in [(&zeros, true), (&random, false)] {
-                let mut stage = vec![f32::NAN; conv2d_kw1_stage_len(in_c, h, w, ph)];
+                let mut stage = vec![f32::NAN; conv2d_kw1_stage_len(in_c, kh)];
                 let mut got = vec![f32::NAN; out_c * positions];
                 conv2d_kw1_direct_bf16(
                     &kern, &bias, x, in_c, h, w, kh, ph, out_c, &mut stage, &mut got,
@@ -1138,80 +1577,124 @@ mod tests {
         }
     }
 
-    #[test]
-    fn attn_kernels_match_scalar_loops() {
-        let (t, d_model, off, d_head) = (5usize, 8usize, 2usize, 6usize);
-        let q: Vec<f32> = (0..t * d_model).map(|i| (i as f32 * 0.31).sin()).collect();
-        let k: Vec<f32> = (0..t * d_model).map(|i| (i as f32 * 0.17).cos()).collect();
-        // One lane block of slack: the head's last block over-reads.
-        let v: Vec<f32> = (0..t * d_model + NR)
-            .map(|i| (i as f32 * 0.11).sin())
-            .collect();
+    /// The scalar loops of one sample's attention core: per head, each
+    /// query's scores (a column-order dot from `0.0`, then `* scale`),
+    /// its row softmax (max from `-inf`, `exp(s - max)`, a key-order sum
+    /// from `0.0`, divide) and its context (a key-order sum from `0.0`).
+    fn attention_scalar(q: &[f32], k: &[f32], v: &[f32], t: usize, heads: usize) -> Vec<f32> {
+        let d = q.len() / t;
+        let d_head = d / heads;
         let scale = 1.0 / (d_head as f32).sqrt();
-        // Scores: the lanes are keys, read `d_head` steps into k-major
-        // panels of the whole K matrix.
-        let mut kt = Vec::new();
-        pack_bt_panels(&k, t, d_model, &mut kt);
-        let mut scores = vec![f32::NAN; t * t];
-        gemm_packed(
-            [Segment {
-                panels: &kt[off * NR..],
-                block_stride: d_model * NR,
-                step: NR,
-                k: d_head,
-                x: &q[off..],
-                x_stride: d_model,
-            }],
-            None,
-            t,
-            t,
-            |dot| dot * scale,
-            &mut scores,
-            (t, 1),
-        );
-        for i in 0..t {
-            for j in 0..t {
-                let qi = &q[i * d_model + off..i * d_model + off + d_head];
-                let kj = &k[j * d_model + off..j * d_model + off + d_head];
-                let dot: f32 = qi.iter().zip(kj).map(|(a, b)| a * b).sum();
-                assert_eq!(scores[i * t + j], dot * scale, "score {i},{j}");
+        let mut context = vec![f32::NAN; t * d];
+        for off in (0..d).step_by(d_head) {
+            for i in 0..t {
+                let mut p: Vec<f32> = (0..t)
+                    .map(|j| {
+                        let mut dot = 0.0f32;
+                        for c in off..off + d_head {
+                            dot += q[i * d + c] * k[j * d + c];
+                        }
+                        dot * scale
+                    })
+                    .collect();
+                let max = p.iter().fold(f32::NEG_INFINITY, |m, &s| m.max(s));
+                let mut sum = 0.0f32;
+                for s in &mut p {
+                    *s = crate::math::exp(*s - max);
+                    sum += *s;
+                }
+                for c in off..off + d_head {
+                    let mut acc = 0.0f32;
+                    for (j, s) in p.iter().enumerate() {
+                        acc += s / sum * v[j * d + c];
+                    }
+                    context[i * d + c] = acc;
+                }
             }
         }
-        // Context: the lanes are the head's value columns, read from the
-        // row-major V with a row-width step.
-        let mut ctx = vec![f32::NAN; t * d_model];
-        gemm_packed(
-            [Segment {
-                panels: &v[off..],
-                block_stride: NR,
-                step: d_model,
-                k: t,
-                x: &scores,
-                x_stride: t,
-            }],
-            None,
-            t,
-            d_head,
-            |acc| acc,
-            &mut ctx[off..],
-            (d_model, 1),
-        );
-        for i in 0..t {
-            for d in 0..d_head {
-                let mut acc = 0.0f32;
-                for j in 0..t {
-                    acc += scores[i * t + j] * v[j * d_model + off + d];
+        context
+    }
+
+    #[test]
+    fn attention_instances_match_the_scalar_loops() {
+        // Query counts below one panel, at it, and across pairs of panels
+        // with an odd last one; head widths across a value column block.
+        // The entry runs this CPU's instance, the body both widths
+        // compiled for the baseline.
+        let mut rng = StdRng::seed_from_u64(0xa77e);
+        for _ in 0..150 {
+            let t = rng.gen_range(1..=41usize);
+            let (heads, d_head) = (rng.gen_range(1..=3usize), rng.gen_range(1..=10usize));
+            let d = heads * d_head;
+            let mut draw = |len: usize| -> Vec<f32> {
+                (0..len).map(|_| rng.gen_range(-3.0f32..=3.0)).collect()
+            };
+            let (q, k, v) = (draw(t * d), draw(t * d), draw(t * d + NR));
+            let want = bits(&attention_scalar(&q, &k, &v[..t * d], t, heads));
+            let mut qt = Vec::new();
+            pack_bt_panels(&q, t, d, &mut qt);
+            type Sweep = fn(&[f32], &[f32], &[f32], usize, usize, usize, &mut [f32], &mut [f32]);
+            let run = |sweep: Sweep| {
+                let mut probs = vec![f32::NAN; t * ATTENTION_LANES];
+                let mut context = vec![f32::NAN; t * d];
+                sweep(&qt, &k, &v, t, d, heads, &mut probs, &mut context);
+                bits(&context)
+            };
+            let shape = format!("t={t} heads={heads} d_head={d_head}");
+            let isa = tile_isa();
+            assert_eq!(
+                run(attention_sample),
+                want,
+                "{shape}: {isa} entry vs scalar"
+            );
+            assert_eq!(run(attention_sample_body::<NR>), want, "{shape}: portable");
+            assert_eq!(
+                run(attention_sample_body::<{ 2 * NR }>),
+                want,
+                "{shape}: portable paired"
+            );
+        }
+    }
+
+    #[test]
+    fn layer_norm_instances_match_the_scalar_loops() {
+        // Row counts across one and several blocks of either width, with
+        // a short last block; the entry and the body at both widths.
+        let mut rng = StdRng::seed_from_u64(0x1a7e);
+        for _ in 0..150 {
+            let (rows, d) = (rng.gen_range(1..=40usize), rng.gen_range(1..=20usize));
+            let x: Vec<f32> = (0..rows * d)
+                .map(|_| rng.gen_range(-4.0f32..=4.0))
+                .collect();
+            let gamma: Vec<f32> = (0..d).map(|_| rng.gen_range(0.5f32..=1.5)).collect();
+            let beta: Vec<f32> = (0..d).map(|_| rng.gen_range(-1.0f32..=1.0)).collect();
+            let eps = 1e-5;
+            let mut want = vec![f32::NAN; rows * d];
+            for (row, orow) in x.chunks_exact(d).zip(want.chunks_exact_mut(d)) {
+                let mean = row.iter().sum::<f32>() / d as f32;
+                let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / d as f32;
+                let inv = 1.0 / (var + eps).sqrt();
+                for (c, o) in orow.iter_mut().enumerate() {
+                    *o = (row[c] - mean) * inv * gamma[c] + beta[c];
                 }
-                assert_eq!(ctx[i * d_model + off + d], acc, "ctx {i},{d}");
             }
+            type Sweep = fn(&[f32], &[f32], &[f32], f32, &mut [f32]);
+            let run = |sweep: Sweep| {
+                let mut out = vec![f32::NAN; rows * d];
+                sweep(&x, &gamma, &beta, eps, &mut out);
+                bits(&out)
+            };
+            let (want, shape) = (bits(&want), format!("rows={rows} d={d}"));
+            assert_eq!(run(layer_norm_rows), want, "{shape}: {} entry", tile_isa());
+            assert_eq!(run(layer_norm_rows_body::<NR>), want, "{shape}: portable");
+            let paired = run(layer_norm_rows_body::<{ 2 * NR }>);
+            assert_eq!(paired, want, "{shape}: portable paired");
         }
     }
 
     /// A [`Segment`]'s operands, owned.
     struct SegmentData {
         panels: Vec<f32>,
-        block_stride: usize,
-        step: usize,
         k: usize,
         x: Vec<f32>,
     }
@@ -1227,11 +1710,8 @@ mod tests {
     }
 
     impl GemmCase {
-        /// Draws a case. Each segment is either [`pack_bt_panels`] panels
-        /// (`step == NR`) or a row-major matrix read column-block-wise
-        /// with a row-width step (the attention context's `step != NR`);
-        /// the store is row-major or transposed (im2col's `lane_stride !=
-        /// 1`).
+        /// Draws a case of [`pack_bt_panels`] segments; the store is
+        /// row-major or transposed (im2col's `lane_stride != 1`).
         fn draw<const S: usize>(rng: &mut StdRng) -> Self {
             // Up to two full row blocks and every tail; one to five lane
             // blocks, so the wide instance pairs all of them or leaves
@@ -1243,28 +1723,10 @@ mod tests {
                 .map(|_| {
                     let k = rng.gen_range(0..=19usize);
                     let x = (0..rows * k).map(|_| val(rng)).collect();
-                    if rng.gen_range(0..2u32) == 0 {
-                        let w: Vec<f32> = (0..n * k).map(|_| val(rng)).collect();
-                        let mut panels = Vec::new();
-                        pack_bt_panels(&w, n, k, &mut panels);
-                        SegmentData {
-                            panels,
-                            block_stride: k * NR,
-                            step: NR,
-                            k,
-                            x,
-                        }
-                    } else {
-                        let step = n + rng.gen_range(0..=5usize);
-                        let panels = (0..strided_len(k, step, n)).map(|_| val(rng)).collect();
-                        SegmentData {
-                            panels,
-                            block_stride: NR,
-                            step,
-                            k,
-                            x,
-                        }
-                    }
+                    let w: Vec<f32> = (0..n * k).map(|_| val(rng)).collect();
+                    let mut panels = Vec::new();
+                    pack_bt_panels(&w, n, k, &mut panels);
+                    SegmentData { panels, k, x }
                 })
                 .collect();
             let bias = (rng.gen_range(0..2u32) == 0).then(|| (0..n).map(|_| val(rng)).collect());
@@ -1284,14 +1746,7 @@ mod tests {
         fn segments<const S: usize>(&self) -> [Segment<'_>; S] {
             std::array::from_fn(|i| {
                 let seg = &self.segs[i];
-                Segment {
-                    panels: &seg.panels,
-                    block_stride: seg.block_stride,
-                    step: seg.step,
-                    k: seg.k,
-                    x: &seg.x,
-                    x_stride: seg.k,
-                }
+                Segment::packed(&seg.panels, seg.k, &seg.x, seg.k)
             })
         }
 
@@ -1305,7 +1760,7 @@ mod tests {
                     let mut acc = self.bias.as_ref().map_or(0.0, |b| b[o]);
                     for seg in &self.segs {
                         for t in 0..seg.k {
-                            let at = (o / NR) * seg.block_stride + t * seg.step + o % NR;
+                            let at = (o / NR) * seg.k * NR + t * NR + o % NR;
                             acc += seg.panels[at] * seg.x[r * seg.k + t];
                         }
                     }
@@ -1318,18 +1773,6 @@ mod tests {
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|f| f.to_bits()).collect()
-    }
-
-    /// The words a row-major strided operand of width `step >= n` needs
-    /// for `k` steps: its last lane block over-reads the last row by up
-    /// to `NR - 1` lanes, and nothing further. The draw cuts every strided
-    /// operand to exactly this, so a chain over a pair of lane blocks
-    /// that read past one block's slack would panic.
-    fn strided_len(k: usize, step: usize, n: usize) -> usize {
-        match k {
-            0 => 0,
-            k => (k - 1) * step + n.div_ceil(NR) * NR,
-        }
     }
 
     /// Runs a drawn case through the dispatched entry and the body at
@@ -1356,9 +1799,8 @@ mod tests {
             case.strides,
         );
         let ks: Vec<usize> = case.segs.iter().map(|s| s.k).collect();
-        let steps: Vec<usize> = case.segs.iter().map(|s| s.step).collect();
         let shape = format!(
-            "S={S} rows={rows} n={n} k={ks:?} step={steps:?} strides={:?}",
+            "S={S} rows={rows} n={n} k={ks:?} strides={:?}",
             case.strides
         );
         let isa = tile_isa();
@@ -1374,8 +1816,7 @@ mod tests {
         // so a host without AVX-512 still runs the block pairing. All
         // must equal the scalar loops bit for bit, over row tails
         // (rows % MR), lane tails (n % NR), odd and even lane-block
-        // counts, one and two segments, packed and strided lanes,
-        // row-major and transposed stores.
+        // counts, one and two segments, row-major and transposed stores.
         let mut rng = StdRng::seed_from_u64(0x7113);
         for _ in 0..300 {
             gemm_instances_agree::<1>(&mut rng);
@@ -1413,22 +1854,34 @@ mod tests {
                 })
                 .collect();
             let oh = h + 2 * ph + 1 - kh;
-            let run = |dispatch: bool| {
-                let mut stage = vec![f32::NAN; conv2d_kw1_stage_len(in_c, h, w, ph)];
+            type Sweep = fn(
+                &[f32],
+                &[f32],
+                &[f32],
+                usize,
+                usize,
+                usize,
+                usize,
+                usize,
+                usize,
+                &mut [f32],
+                &mut [f32],
+            );
+            let run = |sweep: Sweep| {
+                let mut stage = vec![f32::NAN; conv2d_kw1_stage_len(in_c, kh)];
                 let mut out = vec![f32::NAN; out_c * oh * w];
-                let sweep = match dispatch {
-                    true => conv2d_kw1_direct_bf16,
-                    false => conv2d_kw1_direct_body,
-                };
                 sweep(
                     &kern, &bias, &x, in_c, h, w, kh, ph, out_c, &mut stage, &mut out,
                 );
                 bits(&out)
             };
-            let (entry, body) = (run(true), run(false));
+            let entry = run(conv2d_kw1_direct_bf16);
+            let body = run(conv2d_kw1_direct_body::<NR>);
+            let paired = run(conv2d_kw1_direct_body::<{ 2 * NR }>);
             let shape =
                 format!("in_c={in_c} h={h} w={w} kh={kh} ph={ph} out_c={out_c} zeros={zeros}");
             assert_eq!(entry, body, "{shape}: {} vs portable", tile_isa());
+            assert_eq!(paired, body, "{shape}: portable wide vs portable");
             let mut patches = vec![f32::NAN; oh * w * k];
             im2col(&x, in_c, h, w, kh, 1, (1, 1), (ph, 0), oh, w, &mut patches);
             let gemm = packed_gemm_bt(&kern, &patches, &bias, out_c, oh * w, k);

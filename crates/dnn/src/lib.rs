@@ -20,19 +20,20 @@
 //! * [`ops`] — linear, conv2d, LSTM, multi-head attention, layer norm
 //!   and activations, each with an analytic MAC counter used by the
 //!   latency model;
-//! * [`kernels`] — the register-tile micro-kernel and the packed GEMM,
-//!   direct-convolution and im2col sweeps behind the ops'
-//!   `forward_batch_packed` methods, bit-identical to the naive
-//!   `forward_reference` oracles (an SSE2 and an AVX2 instance of each
-//!   sweep, picked at run time, with the same bits);
+//! * [`kernels`] — the register-tile micro-kernel and the passes behind
+//!   the ops' packed forwards (the packed GEMM, the direct and im2col
+//!   convolutions, the fused attention core and the layer norm's row
+//!   folds), bit-identical to the naive `forward_reference` oracles
+//!   (an SSE2, an AVX2 and an AVX-512F instance of each pass, picked at
+//!   run time by the CPU and the input's shape, with the same bits);
 //! * [`scratch`] — the [`ScratchPad`] buffer pool that makes steady-state
 //!   inference allocation-free;
 //! * [`stream`] — the line buffers and the bitwise slid-window check
 //!   that let [`ModelRegistry::forward`] push only the newest tick row
 //!   through a valid-convolution trunk;
-//! * [`batch`] — prepacked weight panels ([`PackedWeights`]) and the
-//!   scoped sample scatter behind [`Model::forward_batch_scratch`], the
-//!   one inference method: a single query is a batch of one;
+//! * [`batch`] — the prepacked weight panels ([`PackedWeights`]) that
+//!   [`Model::forward_batch_scratch`], the one inference method, sweeps
+//!   on the calling thread: a single query is a batch of one;
 //! * [`models`] — [`VanillaCnn`],
 //!   [`TransLob`], and [`DeepLob`],
 //!   each in two sizes: a `paper()` configuration whose analytic op count
@@ -43,8 +44,10 @@
 //! invariants (softmax sums to one, layer norm normalizes, BF16
 //! round-trips, ...).
 
-// Only the two register-tile sweeps in `kernels` may call their
-// AVX2 instances (`#[allow(unsafe_code)]` on each entry).
+// Only the four passes in `kernels` with instances (`gemm_packed`,
+// `conv2d_kw1_direct_bf16`, `attention_sample`, `layer_norm_rows`) may
+// call their AVX-512F and AVX2 instances (`#[allow(unsafe_code)]` on each
+// entry).
 #![deny(unsafe_code)]
 
 pub mod batch;

@@ -53,8 +53,10 @@ pub fn softmax_last_dim(t: &mut Tensor) {
     softmax_rows(t.data_mut(), rows, cols);
 }
 
-/// [`softmax_last_dim`] over a raw `rows x cols` slice (used by the
-/// packed path's flat buffers; identical arithmetic).
+/// [`softmax_last_dim`] over a raw `rows x cols` slice: the three-class
+/// heads' probabilities on the packed path (identical arithmetic).
+/// Attention's row softmax runs inside `kernels::attention_sample`, in
+/// these steps and this order.
 ///
 /// Per row: subtract the max, [`exp_slice`], then sum left to right and
 /// divide. The max and the sum are [`fold_rows`] folds, eight rows to a
@@ -66,14 +68,14 @@ pub fn softmax_rows(data: &mut [f32], rows: usize, cols: usize) {
         return;
     }
     for block in data[..rows * cols].chunks_mut(ROW_LANES * cols) {
-        let max = fold_rows(block, cols, f32::NEG_INFINITY, |m, v, _| m.max(v));
+        let max = fold_rows::<ROW_LANES>(block, cols, f32::NEG_INFINITY, |m, v, _| m.max(v));
         for (row, max) in block.chunks_exact_mut(cols).zip(max) {
             for v in row {
                 *v -= max;
             }
         }
         exp_slice(block);
-        let sum = fold_rows(block, cols, 0.0, |s, v, _| s + v);
+        let sum = fold_rows::<ROW_LANES>(block, cols, 0.0, |s, v, _| s + v);
         for (row, sum) in block.chunks_exact_mut(cols).zip(sum) {
             for v in row {
                 *v /= sum;

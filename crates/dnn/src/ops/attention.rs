@@ -1,8 +1,8 @@
 //! Multi-head self-attention (the TransLOB building block).
 
 use crate::batch::PackedPanels;
-use crate::kernels::{gemm_packed, pack_bt_panels, Segment, NR};
-use crate::ops::activation::{softmax_last_dim, softmax_rows};
+use crate::kernels::{attention_sample, pack_bt_panels, ATTENTION_LANES, NR};
+use crate::ops::activation::softmax_last_dim;
 use crate::ops::count::attention_macs;
 use crate::ops::expect_rank;
 use crate::ops::linear::Linear;
@@ -64,14 +64,11 @@ impl MultiHeadAttention {
     /// [`Self::forward_reference`].
     ///
     /// The four projections each sweep all `batch * t` rows at once.
-    /// Attention itself couples tokens within a sample only, so scores,
-    /// softmax and context run per (sample, head) — both contractions on
-    /// the packed register tile. For the scores the lanes are keys: the
-    /// sample's K is transposed into k-major panels once, and each
-    /// head reads its `d_head` reduction steps out of them. For the
-    /// context the lanes are the head's value columns, read straight
-    /// from the row-major V with a row-width step. The `[t, t]` score
-    /// matrix of one head stays cache-resident between the two.
+    /// Attention itself couples tokens within a sample only: each
+    /// sample's Q is packed into k-major query panels, and
+    /// `kernels::attention_sample` then takes every (head, block of query rows)
+    /// through scores, row softmax and context in one pass, queries on
+    /// the lanes. No score matrix is written between passes.
     ///
     /// # Panics
     ///
@@ -87,8 +84,6 @@ impl MultiHeadAttention {
     ) {
         let d = self.d_model;
         let rows = batch * t;
-        let d_head = d / self.heads;
-        let scale = 1.0 / (d_head as f32).sqrt();
         let [pq, pk, pv, po] = packed;
         let mut q = pad.take_dirty(rows * d);
         self.wq.forward_batch_packed(x, rows, pq, &mut q);
@@ -101,50 +96,24 @@ impl MultiHeadAttention {
             .forward_batch_packed(x, rows, pv, &mut v[..rows * d]);
         v[rows * d..].fill(0.0);
         let mut context = pad.take_dirty(rows * d);
-        let mut kt = pad.take_dirty(t.div_ceil(NR) * NR * d);
-        let mut scores = pad.take_dirty(t * t);
+        let mut qt = pad.take_dirty(t.div_ceil(NR) * NR * d);
+        let mut probs = pad.take_dirty(t * ATTENTION_LANES);
         for s in 0..batch {
             let sample = s * t * d;
-            pack_bt_panels(&k[sample..sample + t * d], t, d, &mut kt);
-            for h in 0..self.heads {
-                let off = h * d_head;
-                gemm_packed(
-                    [Segment {
-                        panels: &kt[off * NR..],
-                        block_stride: d * NR,
-                        step: NR,
-                        k: d_head,
-                        x: &q[sample + off..],
-                        x_stride: d,
-                    }],
-                    None,
-                    t,
-                    t,
-                    |dot| dot * scale,
-                    &mut scores,
-                    (t, 1),
-                );
-                softmax_rows(&mut scores, t, t);
-                gemm_packed(
-                    [Segment {
-                        panels: &v[sample + off..],
-                        block_stride: NR,
-                        step: d,
-                        k: t,
-                        x: &scores,
-                        x_stride: t,
-                    }],
-                    None,
-                    t,
-                    d_head,
-                    |acc| acc,
-                    &mut context[sample + off..],
-                    (d, 1),
-                );
-            }
+            pack_bt_panels(&q[sample..sample + t * d], t, d, &mut qt);
+            attention_sample(
+                &qt,
+                &k[sample..sample + t * d],
+                &v[sample..],
+                t,
+                d,
+                self.heads,
+                &mut probs,
+                &mut context[sample..sample + t * d],
+            );
         }
-        pad.give(scores);
-        pad.give(kt);
+        pad.give(probs);
+        pad.give(qt);
         pad.give(q);
         pad.give(k);
         pad.give(v);

@@ -159,17 +159,12 @@ impl Conv2d {
             return;
         }
         // Width-1 unit-stride kernels (the dominant shape in all three
-        // networks) skip patch materialization entirely: each tap's lanes
-        // are a shifted slice of the zero-padded staged sample.
+        // networks) skip patch materialization entirely: each block of
+        // positions stages one word of lanes per tap.
         if kw == 1 && self.stride == (1, 1) && self.padding.1 == 0 {
-            let stage_len = conv2d_kw1_stage_len(in_c, h, w, self.padding.0);
-            let mut stage = pad.take_dirty(batch * stage_len);
+            let mut stage = pad.take_dirty(conv2d_kw1_stage_len(in_c, kh));
             let samples = x.chunks_exact(in_c * h * w);
-            let stages = stage.chunks_exact_mut(stage_len);
-            for ((xs, st), o) in samples
-                .zip(stages)
-                .zip(out.chunks_exact_mut(out_c * positions))
-            {
+            for (xs, o) in samples.zip(out.chunks_exact_mut(out_c * positions)) {
                 conv2d_kw1_direct_bf16(
                     self.kernel.data(),
                     &self.bias,
@@ -180,7 +175,7 @@ impl Conv2d {
                     kh,
                     self.padding.0,
                     out_c,
-                    st,
+                    &mut stage,
                     o,
                 );
             }

@@ -25,28 +25,29 @@ pub use norm::LayerNorm;
 
 use crate::tensor::Tensor;
 
-/// Rows a row reduction folds side by side: [`fold_rows`]' lane count.
+/// Rows [`softmax_rows`] folds side by side.
 const ROW_LANES: usize = 8;
 
-/// Folds each row of a block of up to [`ROW_LANES`] `cols`-wide rows left
-/// to right, one row per lane: `acc[l] = f(acc[l], row_l[c], l)` for `c`
+/// Folds each row of a block of up to `L` `cols`-wide rows left to right,
+/// one row per lane: `acc[l] = f(acc[l], row_l[c], l)` for `c`
 /// increasing, from `seed`. Each lane is its own row's fold in its own
 /// order, so the bits are a per-row loop's; the lanes are independent
 /// chains, so the folds overlap instead of waiting on one add at a time.
 /// A short block repeats its last row in the spare lanes, whose results
 /// nobody reads.
 ///
-/// `block` is whole rows (`chunks(ROW_LANES * cols)` of a row-major
-/// buffer, `cols > 0`).
-fn fold_rows(
+/// `block` is whole rows (`chunks(L * cols)` of a row-major buffer,
+/// `cols > 0`).
+#[inline(always)]
+pub(crate) fn fold_rows<const L: usize>(
     block: &[f32],
     cols: usize,
     seed: f32,
     f: impl Fn(f32, f32, usize) -> f32,
-) -> [f32; ROW_LANES] {
+) -> [f32; L] {
     let last = block.len() / cols - 1;
-    let rows: [&[f32]; ROW_LANES] = std::array::from_fn(|l| &block[l.min(last) * cols..][..cols]);
-    let mut acc = [seed; ROW_LANES];
+    let rows: [&[f32]; L] = std::array::from_fn(|l| &block[l.min(last) * cols..][..cols]);
+    let mut acc = [seed; L];
     for c in 0..cols {
         for (l, (acc, row)) in acc.iter_mut().zip(rows).enumerate() {
             *acc = f(*acc, row[c], l);

@@ -1,6 +1,7 @@
 //! Layer normalization (used by the transformer blocks).
 
-use crate::ops::{expect_rank, fold_rows, ROW_LANES};
+use crate::kernels::layer_norm_rows;
+use crate::ops::expect_rank;
 use crate::tensor::Tensor;
 
 /// Layer norm over the last dimension of a `[T, D]` tensor, with learned
@@ -31,29 +32,14 @@ impl LayerNorm {
     /// `x` to zero mean / unit variance, then applies scale and shift,
     /// writing `out` — [`Self::forward_reference`] over the packed path's
     /// flat activation buffers, bit-identical to it. The sums are
-    /// [`fold_rows`] folds, eight rows to a block, one row per lane.
+    /// `fold_rows` folds, one row per lane, sixteen rows to a block on
+    /// an AVX-512 CPU and eight otherwise (`kernels::layer_norm_rows`).
     ///
     /// # Panics
     ///
     /// Panics if the buffers differ in length or are not whole rows.
     pub fn forward_rows(&self, x: &[f32], out: &mut [f32]) {
-        let d = self.dim();
-        assert_eq!(x.len(), out.len(), "layer norm buffer lengths");
-        assert_eq!(x.len() % d, 0, "layer norm input is not whole rows");
-        // `Iterator::sum` seeds an `f32` sum with -0.0; so do the lanes.
-        let width = d as f32;
-        for (block, oblock) in x.chunks(ROW_LANES * d).zip(out.chunks_mut(ROW_LANES * d)) {
-            let mean = fold_rows(block, d, -0.0, |s, v, _| s + v).map(|s| s / width);
-            let var = fold_rows(block, d, -0.0, |s, v, l| s + (v - mean[l]).powi(2));
-            let rows = block.chunks_exact(d).zip(oblock.chunks_exact_mut(d));
-            for (l, (row, orow)) in rows.enumerate() {
-                let inv = 1.0 / (var[l] / width + self.eps).sqrt();
-                let affine = self.gamma.iter().zip(&self.beta);
-                for ((o, &v), (&g, &b)) in orow.iter_mut().zip(row).zip(affine) {
-                    *o = (v - mean[l]) * inv * g + b;
-                }
-            }
-        }
+        layer_norm_rows(x, &self.gamma, &self.beta, self.eps, out);
     }
 
     /// The naive reference implementation (kept for equivalence tests

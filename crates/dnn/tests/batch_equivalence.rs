@@ -118,17 +118,18 @@ proptest! {
 
     /// TransLob off the tile grid: model widths and head widths that are
     /// not lane multiples, channel counts that are not chain multiples,
-    /// windows shorter than one lane block and between two.
+    /// windows shorter than one lane block, between two, and one or two
+    /// past a wide block of query rows and positions.
     #[test]
     fn translob_off_grid_batch_matches_loop(
-        (di, hi, ci, wi) in (0usize..3, 0usize..3, 0usize..3, 0usize..3),
+        (di, hi, ci, wi) in (0usize..3, 0usize..3, 0usize..3, 0usize..5),
         (batch, seed) in (0usize..=9, 0u64..500),
     ) {
         let d_model = [12, 20, 24][di];
         let heads = [2, 3, 4][hi];
         prop_assume!(d_model % heads == 0);
         let spec = TransLobSpec {
-            window: [5, 13, 16][wi],
+            window: [5, 13, 16, 17, 33][wi],
             conv_channels: [3, 5, 8][ci],
             d_model,
             heads,

@@ -83,38 +83,51 @@ fn assert_kernel_sized_matches_reference(conv: &Conv2d, seed: u64) {
     }
 }
 
+/// The packed convolution over `[in_c, h, w]` samples `==` to
+/// `forward_reference`, at batch 1 and 3, twice on one pad (the second
+/// pass reuses pooled buffers).
+fn assert_conv_matches_reference(conv: &Conv2d, h: usize, w: usize, seed: u64) {
+    let (in_c, out_c) = (conv.in_channels(), conv.out_channels());
+    let packed = conv.pack();
+    let (oh, ow) = conv.output_hw(h, w);
+    let mut pad = ScratchPad::new();
+    for batch in BATCHES {
+        let xs = random_inputs(&[in_c, h, w], 1.0, batch, seed);
+        let reference: Vec<Tensor> = xs.iter().map(|x| conv.forward_reference(x)).collect();
+        let flat = stack(&xs);
+        let mut out = vec![f32::NAN; batch * out_c * oh * ow];
+        for _ in 0..2 {
+            conv.forward_batch_packed(&flat, batch, h, w, &packed, &mut pad, &mut out);
+            assert_eq!(unstack(&out, &[out_c, oh, ow]), reference, "batch {batch}");
+        }
+    }
+}
+
 proptest! {
     /// Conv2d: direct register-tile convolution / im2col + packed GEMM
     /// == naive sliding window, across channel counts, kernel sizes,
     /// strides, and paddings (including padding > 0, which exercises the
-    /// zero-filled im2col edge rows and the staged zero rows). Every case
-    /// also runs a sample exactly one kernel in size — a streamed row's
-    /// line buffer, which is its own patch row — bit for bit.
+    /// zero-filled im2col edge rows and the staged zero lanes). Every
+    /// case also runs a sample exactly one kernel in size — a streamed
+    /// row's line buffer, which is its own patch row — bit for bit, and a
+    /// width-1 map of 1 to 135 positions through the direct convolution:
+    /// maps of more than one lane block run, on an AVX-512 CPU, its wide
+    /// instance, over every tail length of its `2 * NR` positions.
     #[test]
     fn conv_fast_matches_reference(
         (in_c, out_c, kh, kw) in (1usize..=3, 1usize..=4, 1usize..=3, 1usize..=3),
         (extra_h, extra_w, sh, sw) in (0usize..=4, 0usize..=4, 1usize..=2, 1usize..=2),
         (ph, pw, seed) in (0usize..=2, 0usize..=2, 0u64..1000),
         (one_in_c, one_out_c, one_kh, one_kw) in (1usize..=8, 1usize..=33, 1usize..=4, 1usize..=40),
+        (kw1_in_c, kw1_out_c, kw1_kh, (kw1_extra_h, kw1_w)) in
+            (1usize..=6, 1usize..=9, 1usize..=5, (0usize..=40, 1usize..=3)),
     ) {
         let one = Conv2d::new(one_in_c, one_out_c, (one_kh, one_kw), (sh, sw), (0, 0), seed);
         assert_kernel_sized_matches_reference(&one, seed);
-        let (h, w) = (kh + extra_h, kw + extra_w);
         let conv = Conv2d::new(in_c, out_c, (kh, kw), (sh, sw), (ph, pw), seed);
-        let packed = conv.pack();
-        let (oh, ow) = conv.output_hw(h, w);
-        let mut pad = ScratchPad::new();
-        for batch in BATCHES {
-            let xs = random_inputs(&[in_c, h, w], 1.0, batch, seed);
-            let reference: Vec<Tensor> = xs.iter().map(|x| conv.forward_reference(x)).collect();
-            let flat = stack(&xs);
-            let mut out = vec![f32::NAN; batch * out_c * oh * ow];
-            // Second pass reuses pooled buffers; must still be identical.
-            for _ in 0..2 {
-                conv.forward_batch_packed(&flat, batch, h, w, &packed, &mut pad, &mut out);
-                prop_assert_eq!(&unstack(&out, &[out_c, oh, ow]), &reference);
-            }
-        }
+        assert_conv_matches_reference(&conv, kh + extra_h, kw + extra_w, seed);
+        let kw1 = Conv2d::new(kw1_in_c, kw1_out_c, (kw1_kh, 1), (1, 1), (ph, 0), seed);
+        assert_conv_matches_reference(&kw1, kw1_kh + kw1_extra_h, kw1_w, seed);
     }
 
     /// Linear: packed register tile == naive loop, rank-1 and rank-2.
@@ -168,11 +181,13 @@ proptest! {
         }
     }
 
-    /// Attention: packed score/context contractions == naive
-    /// `at`-indexed loops.
+    /// Attention: the fused pass per (head, block of query rows) ==
+    /// naive `at`-indexed loops, over sequences shorter than one query
+    /// panel, one or two full blocks at either width and every tail, and
+    /// head widths across a value column block.
     #[test]
     fn attention_fast_matches_reference(
-        (heads, d_head, t, seed) in (1usize..=4, 1usize..=5, 1usize..=7, 0u64..1000),
+        (heads, d_head, t, seed) in (1usize..=4, 1usize..=10, 1usize..=41, 0u64..1000),
     ) {
         let d_model = heads * d_head;
         let mha = MultiHeadAttention::new(d_model, heads, seed);

@@ -93,11 +93,12 @@ for f in $(find crates/*/src -name '*.rs' | sort); do
 done
 [[ "$config" == "0" ]]
 
-echo "== bounded unsafe: the three tile-sweep dispatches in lt-dnn's kernels.rs, each under a // SAFETY: comment, AVX2 or AVX-512F only =="
-# Every crate root forbids unsafe_code but lt-dnn's, which denies it:
-# gemm_packed (its AVX-512F and AVX2 instances) and conv2d_kw1_direct_bf16
-# (its AVX2 instance) allow it to call an instance right after the runtime
-# feature check. A fourth site fails here, as does an instance compiled for
+echo "== bounded unsafe: the eight instance dispatches in lt-dnn's kernels.rs, each under a // SAFETY: comment, AVX2 or AVX-512F only =="
+# Every crate root forbids unsafe_code but lt-dnn's, which denies it: the
+# four kernels.rs passes with instances (gemm_packed,
+# conv2d_kw1_direct_bf16, attention_sample and layer_norm_rows) allow it
+# to call their AVX-512F and AVX2 instances, each right after the runtime
+# feature check. A ninth site fails here, as does an instance compiled for
 # any feature but avx2 or avx512f.
 sites=$(for f in $(find crates/*/src -name '*.rs' | sort); do
     sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$f" | awk -v f="$f" '
@@ -106,9 +107,9 @@ sites=$(for f in $(find crates/*/src -name '*.rs' | sort); do
         { safety = 0 }'
 done)
 echo "$sites"
-if [[ "$(grep -c . <<< "$sites")" != "3" ]] \
+if [[ "$(grep -c . <<< "$sites")" != "8" ]] \
     || grep -v '^crates/dnn/src/kernels.rs:[0-9]*:safety$' <<< "$sites"; then
-    echo "unsafe outside the three tile-sweep dispatches, or without a // SAFETY: comment"
+    echo "unsafe outside the eight instance dispatches, or without a // SAFETY: comment"
     exit 1
 fi
 if grep -rnE 'target_feature\(enable = "' crates/*/src | grep -vE 'enable = "(avx2|avx512f)"\)'; then
@@ -175,11 +176,13 @@ cargo test -q --release -p lt-dnn --test golden
 # oracle, and release is what serves: run it optimized, not only in debug.
 cargo test -q --release -p lt-dnn --test kernel_equivalence
 # The register tile's own grids (every live-chain count, lane and row tail)
-# against scalar loops, for the same reason; the sweeps' dispatched entries
-# (this CPU's instance, `tile_isa()`) against their portable bodies.
+# against scalar loops, for the same reason; every pass's dispatched entry
+# (this CPU's instance, `tile_isa()`) and its portable body at both widths
+# against scalar loops.
 cargo test -q --release -p lt-dnn --lib kernels
-# softmax_rows and LayerNorm::forward_rows, eight rows to a block, against
-# per-row oracles, with NaN, infinite and signed-zero rows.
+# softmax_rows (eight rows to a block) and LayerNorm::forward_rows (eight,
+# or sixteen on AVX-512) against per-row oracles, with NaN, infinite and
+# signed-zero rows.
 cargo test -q --release -p lt-dnn --test row_reductions
 cargo test -q --release -p lt-dnn --test batch_equivalence
 # Sweeps of 1..=12 windows through forward_slides. Release also runs the
