@@ -1,9 +1,12 @@
 //! Kernel-regression benchmark: times every naive `forward_reference`
 //! against its packed counterpart at batch 1 (the lone query), plus one
 //! batched dense layer (`linear_b128`: TransLOB's FFN shape over a batch
-//! of eight 16-step windows, full row blocks throughout) and one batched
+//! of eight 16-step windows, full row blocks throughout), one batched
 //! model (`translob_b8`: eight tiny-TransLOB windows in one forward, the
-//! `multi_translob` workload's round), and emits a machine-readable
+//! `multi_translob` workload's round) and one streamed model
+//! (`deeplob_tick`: tiny DeepLOB's `k = 1` hit through
+//! `ModelRegistry::forward`, the `storm_deeplob` workload's tick), and
+//! emits a machine-readable
 //! `BENCH_kernels.json` in the current directory, with the register
 //! tile's instruction set on this CPU (`"tile_isa"`).
 //!
@@ -19,7 +22,7 @@
 use lighttrader::dnn::kernels::tile_isa;
 use lighttrader::dnn::models::{CnnSpec, DeepLobSpec, TransLob, TransLobSpec};
 use lighttrader::dnn::ops::{Conv2d, Linear, Lstm, MultiHeadAttention};
-use lighttrader::dnn::{Model, Prediction, ScratchPad, Tensor};
+use lighttrader::dnn::{Model, ModelKind, ModelRegistry, Prediction, ScratchPad, Tensor};
 use lt_bench::time_ns;
 
 /// Minimum acceptable DeepLOB full-forward speedup (fast vs naive).
@@ -91,6 +94,42 @@ fn measure_model(
         },
         || model.forward_batch_scratch(std::slice::from_ref(input), &packed, &mut pad, &mut out),
     )
+}
+
+/// Tiny DeepLOB's streamed tick, `storm_deeplob`'s shape: consecutive
+/// windows of one cyclic stream of 256 tick rows, so every window is the
+/// one before slid by a row and each `ModelRegistry::forward` is a `k = 1`
+/// hit (one new row through the trunk), against `forward_reference` on
+/// the same windows.
+fn measure_deeplob_tick() -> Row {
+    const ROWS: usize = 256;
+    let spec = DeepLobSpec::tiny();
+    let (window, features) = (spec.window, spec.features);
+    let deeplob = spec.build(3);
+    let stream = Tensor::random(&[ROWS, features], 1.0, 6);
+    let windows: Vec<Tensor> = (0..ROWS)
+        .map(|start| {
+            let rows = (start..start + window).flat_map(|r| stream.row(r % ROWS).to_vec());
+            Tensor::from_vec(rows.collect(), &[window, features])
+        })
+        .collect();
+    let mut registry = ModelRegistry::new();
+    registry.register(Box::new(deeplob.clone()));
+    let (mut naive_at, mut fast_at) = (0, 0);
+    let row = measure(
+        "deeplob_tick",
+        || {
+            let _ = deeplob.forward_reference(&windows[naive_at]);
+            naive_at = (naive_at + 1) % ROWS;
+        },
+        || {
+            let _ = registry.forward(ModelKind::DeepLob, &windows[fast_at]);
+            fast_at = (fast_at + 1) % ROWS;
+        },
+    );
+    let stats = registry.stream_stats(ModelKind::DeepLob);
+    assert_eq!(stats.misses, 1, "every window but the first streams");
+    row
 }
 
 /// Eight distinct tiny-TransLOB windows: eight `forward_reference` calls
@@ -211,6 +250,7 @@ fn main() {
             &x16,
         ),
         measure_translob_b8(&translob),
+        measure_deeplob_tick(),
     ];
 
     let deeplob_speedup = models

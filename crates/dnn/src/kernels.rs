@@ -49,36 +49,47 @@
 //! neighbours — seeded, accumulated in increasing `k` and rounded
 //! exactly as the naive loop does it — and the contract above holds
 //! without a single partial sum. [`gemm_packed`],
-//! [`conv2d_kw1_direct_bf16`] and `attention_sample` drive the tile;
-//! `layer_norm_rows` folds rows one per lane.
+//! [`conv2d_direct_bf16`] and `attention_sample` drive the tile;
+//! `layer_norm_rows` folds rows one per lane, and `lstm_cell` runs one
+//! hidden unit per lane.
 //!
-//! # One body, three instances
+//! The direct convolution stages its lane words in one of two forms: a
+//! masked shifted load where the output positions are contiguous in the
+//! channel (a width-1 kernel at unit stride), and a gather of each lane's
+//! element otherwise (DeepLOB's strided level folds). A full block of
+//! contiguous positions whose tap windows all lie inside their channels
+//! stages nothing: the tile reads its words from the input in place.
 //!
-//! Each of those four passes has one `#[inline(always)]` body, compiled
-//! for the x86-64 baseline (SSE2), with AVX2 enabled and with AVX-512F
-//! enabled, and its entry picks one at run time by the CPU's features
-//! and the input's shape. The baseline and AVX2 instances run `NR` lanes
-//! (two xmm registers, or one ymm); the AVX-512F instance runs `2 * NR`
-//! (one zmm) where the input fills them:
+//! # One body, several instances
+//!
+//! Each of those five passes has one `#[inline(always)]` body, compiled
+//! for the x86-64 baseline (SSE2) and with AVX2 enabled — and, for all
+//! but `lstm_cell`, with AVX-512F enabled — and its entry picks one at
+//! run time by the CPU's features and the input's shape. The baseline
+//! and AVX2 instances run `NR` lanes (two xmm registers, or one ymm);
+//! the AVX-512F instance runs `2 * NR` (one zmm) where the input fills
+//! them:
 //!
 //! * [`gemm_packed`]: sweeps of at least `MR` rows over more than one
 //!   lane block pair neighbouring lane blocks in each full row block's
 //!   chains;
-//! * [`conv2d_kw1_direct_bf16`]: maps of more than `NR` positions stage
+//! * [`conv2d_direct_bf16`]: maps of more than `NR` positions stage
 //!   and sweep `2 * NR` positions a block;
 //! * `attention_sample`: sequences of more than `NR` queries take
 //!   `2 * NR` query rows (two Q panels) a block;
 //! * `layer_norm_rows`: more than `NR` rows fold `2 * NR` to a block.
 //!
 //! Every other input runs the AVX2 instance (or, without AVX2, the
-//! baseline); [`tile_isa`] names the widest. `NR` and the panel layout
-//! are the same in all three. Rust never contracts `a * b + c` into a
-//! fused multiply-add — even where `avx512f` makes the instruction
-//! available — so every instance rounds every product and every sum
-//! exactly as the scalar loop does: same bits.
+//! baseline), as does every LSTM cell step: no model's hidden width
+//! fills a wider block. [`tile_isa`] names the widest. `NR` and the
+//! panel layout are the same in all. Rust never contracts `a * b + c`
+//! into a fused multiply-add — even where `avx512f` makes the
+//! instruction available — so every instance rounds every product and
+//! every sum exactly as the scalar loop does: same bits.
 
 use crate::bf16::bf16_round;
-use crate::math::exp;
+use crate::math::{exp, sigmoid, tanh};
+use crate::ops::count::conv_out_len;
 use crate::ops::fold_rows;
 
 /// Register-tile width: independent accumulator chains per inner loop.
@@ -643,22 +654,163 @@ pub fn lstm_gates_packed_batch(
     );
 }
 
-/// Direct convolution for width-1 kernels at unit stride with no
-/// horizontal padding — the dominant layer shape in all three benchmark
-/// networks (every temporal `(kh, 1)` convolution and every 1x1
-/// inception branch). Bit-identical to `im2col` + GEMM.
+/// One LSTM cell step for every sample of a batch, in place: from the
+/// unrounded gate pre-activations `gates` (`[batch, 4 * hidden]`, gate
+/// order `i, f, g, o`, as [`lstm_gates_packed_batch`] writes them) and
+/// the states `c` and `h` (`[batch, hidden]`), `c = bf16(σ(f)·c +
+/// σ(i)·tanh(g))`, then `h = bf16(σ(o)·tanh(c))`.
 ///
-/// With `kw == 1`, `stride == (1, 1)`, `pw == 0`, the im2col "patch
-/// column" for tap `t = (ic, ky)` is just input channel `ic` shifted by
-/// `(ky - ph)` rows, so no patch matrix is materialized. A block of `W`
-/// consecutive output positions stages one `W`-lane word per tap — the
-/// shifted channel's lanes, zero where the shift leaves the channel —
-/// and its tiles of up to [`MR`] output channels (the last group runs
+/// Blocks of `W` hidden units read unit `j`'s four gates at `j`,
+/// `hidden + j`, `2 * hidden + j` and `3 * hidden + j` and keep the whole
+/// update in registers, running [`crate::math`]'s scalar `sigmoid` and
+/// `tanh` lane by lane: every element's operations and rounding points are
+/// the reference cell's, so are its bits. On an AVX2 CPU it runs the AVX2
+/// instance (one ymm register a block), otherwise the baseline, both at
+/// [`NR`] units a block.
+///
+/// # Panics
+///
+/// Panics unless the buffers hold `batch` samples.
+#[allow(unsafe_code)]
+pub(crate) fn lstm_cell(gates: &[f32], c: &mut [f32], h: &mut [f32], batch: usize, hidden: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: `avx2()` has just found AVX2 on this CPU, the one
+        // feature `lstm_cell_avx2` is compiled for.
+        return unsafe { lstm_cell_avx2(gates, c, h, batch, hidden) };
+    }
+    lstm_cell_body::<NR>(gates, c, h, batch, hidden)
+}
+
+/// [`lstm_cell_body`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn lstm_cell_avx2(gates: &[f32], c: &mut [f32], h: &mut [f32], batch: usize, hidden: usize) {
+    lstm_cell_body::<NR>(gates, c, h, batch, hidden)
+}
+
+/// [`lstm_cell`]'s one body, inlined into every instance, at `W` hidden
+/// units a block; the last block's lanes past `hidden` compute on zeros
+/// and are not stored.
+#[inline(always)]
+fn lstm_cell_body<const W: usize>(
+    gates: &[f32],
+    c: &mut [f32],
+    h: &mut [f32],
+    batch: usize,
+    hidden: usize,
+) {
+    assert_eq!(c.len(), batch * hidden, "lstm cell state length");
+    assert_eq!(h.len(), batch * hidden, "lstm hidden state length");
+    assert_eq!(gates.len(), 4 * batch * hidden, "lstm cell gates length");
+    for s in 0..batch {
+        let g = &gates[s * 4 * hidden..][..4 * hidden];
+        let cs = &mut c[s * hidden..][..hidden];
+        let hs = &mut h[s * hidden..][..hidden];
+        for j0 in (0..hidden).step_by(W) {
+            let live = W.min(hidden - j0);
+            let gate = |q: usize| load_lanes::<W>(&g[q * hidden + j0..][..live]);
+            let (i, f, cand, o) = (gate(0), gate(1), gate(2), gate(3));
+            let cs = &mut cs[j0..][..live];
+            let old = load_lanes::<W>(cs);
+            let (mut cell, mut out) = ([0.0; W], [0.0; W]);
+            for l in 0..W {
+                cell[l] = bf16_round(sigmoid(f[l]) * old[l] + sigmoid(i[l]) * tanh(cand[l]));
+                out[l] = bf16_round(sigmoid(o[l]) * tanh(cell[l]));
+            }
+            store_lanes(cs, &cell, |v| v);
+            store_lanes(&mut hs[j0..][..live], &out, |v| v);
+        }
+    }
+}
+
+/// `src` (at most `W` elements) as a `W`-lane word, zero past its end.
+#[inline(always)]
+fn load_lanes<const W: usize>(src: &[f32]) -> [f32; W] {
+    match src.first_chunk::<W>() {
+        Some(word) => *word,
+        None => {
+            let mut word = [0.0; W];
+            word[..src.len()].copy_from_slice(src);
+            word
+        }
+    }
+}
+
+/// One sample's shape for [`conv2d_direct_bf16`]: an `[in_c, h, w]` input,
+/// an `[out_c, in_c, kh, kw]` kernel at unit vertical stride and
+/// horizontal stride `sw`, `ph` zero rows above and below the input and
+/// no horizontal padding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DirectConv {
+    /// Input channels.
+    pub in_c: usize,
+    /// Input rows.
+    pub h: usize,
+    /// Input columns.
+    pub w: usize,
+    /// Kernel rows.
+    pub kh: usize,
+    /// Kernel columns.
+    pub kw: usize,
+    /// Horizontal stride.
+    pub sw: usize,
+    /// Zero rows padded above and below.
+    pub ph: usize,
+    /// Output channels.
+    pub out_c: usize,
+}
+
+impl DirectConv {
+    /// Output rows and columns, `(h + 2 * ph + 1 - kh, (w - kw) / sw + 1)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the kernel fits the padded input and `sw > 0`.
+    pub fn output_hw(&self) -> (usize, usize) {
+        assert!(
+            self.h > 0 && self.kh > 0 && self.kh <= self.h + 2 * self.ph,
+            "direct conv kernel height"
+        );
+        assert!(
+            self.kw > 0 && self.kw <= self.w && self.sw > 0,
+            "direct conv kernel width"
+        );
+        let ow = conv_out_len(self.w as u64, self.kw as u64, self.sw as u64, 0);
+        (self.h + 2 * self.ph + 1 - self.kh, ow as usize)
+    }
+}
+
+/// Direct convolution for every kernel at unit vertical stride with no
+/// horizontal padding: the temporal `(kh, 1)` convolutions, the 1x1 and
+/// same-padded inception branches, DeepLOB's strided level folds (`(1, 2)`
+/// at stride 2, `(1, 10)`) — every convolution of the three benchmark
+/// networks but the CNN's full-width first layer, which `Conv2d` sweeps as
+/// a GEMM over its input in place. Bit-identical to `im2col` + GEMM.
+///
+/// Tap `t = (ic, ky, kx)`'s im2col patch column, at output position `p =
+/// oy * ow + ox`, is channel `ic` at row `oy + ky - ph` and column `ox *
+/// sw + kx`, so no patch matrix is materialized. A block of `W`
+/// consecutive output positions reads one `W`-lane word per tap, zero
+/// where the row leaves the channel, in one of three ways:
+///
+/// * **in place** where the positions are contiguous in the channel (`kw
+///   == 1`, `sw == 1`), the block is full and every tap's window lies
+///   inside its channel: the tile loads tap `(ic, ky)`'s word straight
+///   from `x`, one channel's `kh` taps after another;
+/// * **shifted** for the other blocks of such a map: tap `(ic, ky)`'s
+///   staged word is channel `ic` shifted by `(ky - ph)` rows, one masked
+///   load;
+/// * **gathered** where the positions are not contiguous (`kw > 1` or
+///   `sw > 1`): each staged lane is the element its position reads, from
+///   a per-block table of each lane's row and column.
+///
+/// The block's tiles of up to [`MR`] output channels (the last group runs
 /// only the channels left), whose weights are the broadcast inputs, then
-/// run all `in_c * kh` taps in one loop with their accumulators in
-/// registers. Per output element the accumulation order is exactly the
-/// GEMM's: seeded with the bias, taps in increasing `(ic, ky)` order,
-/// rounded once at the end. Padded taps read the staged zeros and add
+/// run all `in_c * kh * kw` taps with their accumulators in registers.
+/// Per output element the accumulation order is exactly the GEMM's:
+/// seeded with the bias, taps in increasing `(ic, ky, kx)` order, rounded
+/// once at the end. Padded taps read the staged zeros and add
 /// `weight * 0.0`, exactly as the GEMM multiplies the patch matrix's
 /// materialized zeros.
 ///
@@ -667,142 +819,209 @@ pub fn lstm_gates_packed_batch(
 /// runs the AVX2 (or baseline) instance at `NR`. All compute the same
 /// bits.
 ///
-/// `a` is the row-major `[out_c, in_c * kh]` kernel matrix; `x` is one
+/// `a` is the row-major `[out_c, in_c * kh * kw]` kernel matrix; `x` is one
 /// `[in_c, h, w]` sample; `stage` is a workspace of
-/// [`conv2d_kw1_stage_len`] elements; `out` is the `[out_c, oh * w]`
+/// [`conv2d_direct_stage_len`] elements; `out` is the `[out_c, oh * ow]`
 /// output.
 ///
 /// # Panics
 ///
 /// Panics on buffer-length mismatches.
-#[allow(clippy::too_many_arguments, unsafe_code)]
-pub fn conv2d_kw1_direct_bf16(
+#[allow(unsafe_code)]
+pub fn conv2d_direct_bf16(
+    conv: DirectConv,
     a: &[f32],
     bias: &[f32],
     x: &[f32],
-    in_c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    ph: usize,
-    out_c: usize,
     stage: &mut [f32],
     out: &mut [f32],
 ) {
+    // More than `NR` positions, with no division: `out` is `[out_c, oh * ow]`.
     #[cfg(target_arch = "x86_64")]
-    if (h + 2 * ph + 1).saturating_sub(kh) * w > NR && avx512() {
+    if out.len() > NR * conv.out_c && avx512() {
         // SAFETY: `avx512()` has just found AVX-512F on this CPU, the one
-        // feature `conv2d_kw1_direct_avx512` is compiled for.
-        return unsafe {
-            conv2d_kw1_direct_avx512(a, bias, x, in_c, h, w, kh, ph, out_c, stage, out)
-        };
+        // feature `conv2d_direct_avx512` is compiled for.
+        return unsafe { conv2d_direct_avx512(conv, a, bias, x, stage, out) };
     }
     #[cfg(target_arch = "x86_64")]
     if avx2() {
         // SAFETY: `avx2()` has just found AVX2 on this CPU, the one
-        // feature `conv2d_kw1_direct_avx2` is compiled for.
-        return unsafe {
-            conv2d_kw1_direct_avx2(a, bias, x, in_c, h, w, kh, ph, out_c, stage, out)
-        };
+        // feature `conv2d_direct_avx2` is compiled for.
+        return unsafe { conv2d_direct_avx2(conv, a, bias, x, stage, out) };
     }
-    conv2d_kw1_direct_body::<NR>(a, bias, x, in_c, h, w, kh, ph, out_c, stage, out)
+    conv2d_direct_body::<NR>(conv, a, bias, x, stage, out)
 }
 
-/// [`conv2d_kw1_direct_body`] at `2 * NR` positions a block, compiled for
+/// [`conv2d_direct_body`] at `2 * NR` positions a block, compiled for
 /// AVX-512F: one zmm register per chain.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-fn conv2d_kw1_direct_avx512(
+fn conv2d_direct_avx512(
+    conv: DirectConv,
     a: &[f32],
     bias: &[f32],
     x: &[f32],
-    in_c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    ph: usize,
-    out_c: usize,
     stage: &mut [f32],
     out: &mut [f32],
 ) {
-    conv2d_kw1_direct_body::<{ 2 * NR }>(a, bias, x, in_c, h, w, kh, ph, out_c, stage, out)
+    conv2d_direct_body::<{ 2 * NR }>(conv, a, bias, x, stage, out)
 }
 
-/// [`conv2d_kw1_direct_body`] compiled for AVX2: one ymm register per
-/// chain.
+/// [`conv2d_direct_body`] compiled for AVX2: one ymm register per chain.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-fn conv2d_kw1_direct_avx2(
+fn conv2d_direct_avx2(
+    conv: DirectConv,
     a: &[f32],
     bias: &[f32],
     x: &[f32],
-    in_c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    ph: usize,
-    out_c: usize,
     stage: &mut [f32],
     out: &mut [f32],
 ) {
-    conv2d_kw1_direct_body::<NR>(a, bias, x, in_c, h, w, kh, ph, out_c, stage, out)
+    conv2d_direct_body::<NR>(conv, a, bias, x, stage, out)
 }
 
-/// [`conv2d_kw1_direct_bf16`]'s one body, inlined into every instance, at
-/// `W` positions a block.
+/// [`conv2d_direct_bf16`]'s one body, inlined into every instance, at `W`
+/// positions a block.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn conv2d_kw1_direct_body<const W: usize>(
+fn conv2d_direct_body<const W: usize>(
+    conv: DirectConv,
     a: &[f32],
     bias: &[f32],
     x: &[f32],
-    in_c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    ph: usize,
-    out_c: usize,
     stage: &mut [f32],
     out: &mut [f32],
 ) {
-    let k = in_c * kh;
-    assert!(kh > 0, "direct conv kernel height");
-    let positions = (h + 2 * ph + 1 - kh) * w;
+    let DirectConv {
+        in_c,
+        h,
+        w,
+        kh,
+        kw,
+        ph,
+        out_c,
+        ..
+    } = conv;
+    let (oh, ow) = conv.output_hw();
+    let (k, positions) = (in_c * kh * kw, oh * ow);
     assert_eq!(a.len(), out_c * k, "direct conv kernel length");
     assert_eq!(bias.len(), out_c, "direct conv bias length");
     assert_eq!(x.len(), in_c * h * w, "direct conv input length");
     assert_eq!(
         stage.len(),
-        conv2d_kw1_stage_len(in_c, kh),
+        conv2d_direct_stage_len(in_c, kh, kw),
         "direct conv workspace length"
     );
     assert_eq!(out.len(), out_c * positions, "direct conv output length");
     let words = &mut stage.as_chunks_mut::<W>().0[..k];
-    let hw = (h * w) as isize;
+    let mut next = (0, 0);
     for p0 in (0..positions).step_by(W) {
-        // Tap (ic, ky)'s lane `l` reads channel `ic` at `p0 + l + (ky -
-        // ph) * w` if that lies in the channel and `p0 + l` is a
-        // position; any other lane is a padded tap's zero. Which lanes
-        // read depends on `ky` alone.
-        let live = (positions - p0) as isize;
-        for ky in 0..kh {
-            let at = p0 as isize + (ky as isize - ph as isize) * w as isize;
-            let lo = (-at).clamp(0, W as isize) as usize;
-            let hi = (hw - at).min(live).clamp(lo as isize, W as isize) as usize;
-            let mask = lane_mask::<W>(lo..hi);
-            for (ic, taps) in words.chunks_exact_mut(kh).enumerate() {
-                shifted_word(x, ic as isize * hw + at, &mask, lo..hi, &mut taps[ky]);
+        if ow == w {
+            // A full block whose tap windows `p0 + (ky - ph) * w..` all
+            // lie inside their channels needs no stage.
+            let first = p0 + W <= positions && p0 >= ph * w;
+            if first && p0 + (kh - 1) * w + W <= (h + ph) * w {
+                let taps = InPlace {
+                    x: &x[p0 - ph * w..],
+                    conv,
+                };
+                direct_tiles::<W>(a, bias, &taps, p0, positions, out);
+                continue;
             }
+            shifted_words(conv, x, p0, positions, words);
+        } else {
+            gathered_words(conv, ow, x, &mut next, W.min(positions - p0), words);
         }
-        let words = &*words;
-        for oc0 in (0..out_c).step_by(MR) {
-            match out_c - oc0 {
-                1 => kw1_tile::<1, W>(a, bias, words, oc0, p0, positions, out),
-                2 => kw1_tile::<2, W>(a, bias, words, oc0, p0, positions, out),
-                3 => kw1_tile::<3, W>(a, bias, words, oc0, p0, positions, out),
-                _ => kw1_tile::<MR, W>(a, bias, words, oc0, p0, positions, out),
+        direct_tiles(a, bias, &Staged(&*words), p0, positions, out);
+    }
+}
+
+/// Stages the block at `p0` of a map whose positions are contiguous in
+/// the channel (`kw == 1`, `sw == 1`): tap `(ic, ky)`'s lane `l` reads
+/// channel `ic` at `p0 + l + (ky - ph) * w` if that lies in the channel
+/// and `p0 + l` is a position; any other lane is a padded tap's zero.
+/// Which lanes read depends on `ky` alone.
+#[inline(always)]
+fn shifted_words<const W: usize>(
+    conv: DirectConv,
+    x: &[f32],
+    p0: usize,
+    positions: usize,
+    words: &mut [[f32; W]],
+) {
+    let DirectConv { h, w, kh, ph, .. } = conv;
+    let hw = (h * w) as isize;
+    let live = (positions - p0) as isize;
+    for ky in 0..kh {
+        let at = p0 as isize + (ky as isize - ph as isize) * w as isize;
+        let lo = (-at).clamp(0, W as isize) as usize;
+        let hi = (hw - at).min(live).clamp(lo as isize, W as isize) as usize;
+        let mask = lane_mask::<W>(lo..hi);
+        for ic in 0..conv.in_c {
+            let word = &mut words[ic * kh + ky];
+            shifted_word(x, ic as isize * hw + at, &mask, lo..hi, word);
+        }
+    }
+}
+
+/// Stages a block of `live` positions of a strided or wide kernel, the
+/// first at output row and column `at`, which it advances past the block:
+/// tap `(ic, ky, kx)`'s lane `l` reads channel `ic` at row `oy + ky - ph`
+/// and column `ox * sw + kx` of lane `l`'s position `(oy, ox)`, zero where
+/// that row leaves the channel and in lanes past `live`.
+#[inline(always)]
+fn gathered_words<const W: usize>(
+    conv: DirectConv,
+    ow: usize,
+    x: &[f32],
+    at: &mut (usize, usize),
+    live: usize,
+    words: &mut [[f32; W]],
+) {
+    let DirectConv {
+        in_c,
+        h,
+        w,
+        kh,
+        kw,
+        sw,
+        ph,
+        ..
+    } = conv;
+    // Each lane's output row, and its first column's offset from its
+    // row's start in a channel.
+    let (mut rows, mut cols) = ([0usize; W], [0usize; W]);
+    let (mut oy, mut ox) = *at;
+    for l in 0..live {
+        (rows[l], cols[l]) = (oy, oy * w + ox * sw);
+        ox += 1;
+        if ox == ow {
+            (oy, ox) = (oy + 1, 0);
+        }
+    }
+    *at = (oy, ox);
+    let last = x.len() - 1;
+    for ky in 0..kh {
+        // All ones where lane `l` is a position whose row `oy + ky - ph`
+        // lies in the channel. A masked lane loads some element of `x`
+        // (its index clamped) and stages zero.
+        let mask: [u32; W] = each(0, |l| {
+            let iy = rows[l] + ky;
+            if l < live && iy >= ph && iy < h + ph {
+                u32::MAX
+            } else {
+                0
+            }
+        });
+        for ic in 0..in_c {
+            let row0 = (ic * h + ky) * w;
+            for kx in 0..kw {
+                let word = &mut words[(ic * kh + ky) * kw + kx];
+                let base = (row0 + kx).wrapping_sub(ph * w);
+                for l in 0..W {
+                    let v = x[base.wrapping_add(cols[l]).min(last)];
+                    word[l] = f32::from_bits(v.to_bits() & mask[l]);
+                }
             }
         }
     }
@@ -873,23 +1092,102 @@ fn shifted_word<const W: usize>(
     }
 }
 
-/// Output channels `oc0..oc0 + C` of [`conv2d_kw1_direct_bf16`] at
-/// positions `p0..p0 + W`, one chain per channel, every staged tap word in
-/// one tile loop.
+/// Where a block of [`conv2d_direct_bf16`] reads its tap words.
+trait Taps<const W: usize> {
+    /// Taps per output: `in_c * kh * kw`.
+    fn len(&self) -> usize;
+
+    /// Runs every tap of the block through `acc`, in increasing `(ic, ky,
+    /// kx)` order, chain `c` broadcasting `rows[c][t]` across tap `t`'s
+    /// word.
+    fn sweep<const C: usize>(&self, acc: &mut [[f32; W]; C], rows: [&[f32]; C]);
+}
+
+/// The words staged in the workspace, one per tap.
+struct Staged<'a, const W: usize>(&'a [[f32; W]]);
+
+impl<const W: usize> Taps<W> for Staged<'_, W> {
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    #[inline(always)]
+    fn sweep<const C: usize>(&self, acc: &mut [[f32; W]; C], rows: [&[f32]; C]) {
+        shared_panel_tile(acc, rows, |t| self.0[t]);
+    }
+}
+
+/// A full block of positions contiguous in the channel (`kw == 1`, `sw ==
+/// 1`) whose every tap window lies inside its channel: tap `(ic, ky)`'s
+/// word is the `W` elements at `x[ic * h * w + ky * w..]`, read where they
+/// lie (`x` starts at the block's first tap of channel 0).
+struct InPlace<'a> {
+    x: &'a [f32],
+    conv: DirectConv,
+}
+
+impl<const W: usize> Taps<W> for InPlace<'_> {
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.conv.in_c * self.conv.kh
+    }
+
+    #[inline(always)]
+    fn sweep<const C: usize>(&self, acc: &mut [[f32; W]; C], rows: [&[f32]; C]) {
+        let DirectConv { in_c, h, w, kh, .. } = self.conv;
+        for ic in 0..in_c {
+            let chan = &self.x[ic * h * w..][..(kh - 1) * w + W];
+            let taps = each(&[][..], |c| &rows[c][ic * kh..][..kh]);
+            shared_panel_tile(acc, taps, |ky| {
+                *chan[ky * w..]
+                    .first_chunk()
+                    .expect("a tap window in its channel")
+            });
+        }
+    }
+}
+
+/// Every output channel of [`conv2d_direct_bf16`] at positions `p0..p0 +
+/// W`, in tiles of up to [`MR`] channels (the last group runs only the
+/// channels left), one chain per channel, each tile sweeping every tap
+/// word of `taps` in one pass.
 #[inline(always)]
-fn kw1_tile<const C: usize, const W: usize>(
+fn direct_tiles<const W: usize>(
     a: &[f32],
     bias: &[f32],
-    words: &[[f32; W]],
+    taps: &impl Taps<W>,
+    p0: usize,
+    positions: usize,
+    out: &mut [f32],
+) {
+    let out_c = bias.len();
+    for oc0 in (0..out_c).step_by(MR) {
+        match out_c - oc0 {
+            1 => direct_tile::<1, W>(a, bias, taps, oc0, p0, positions, out),
+            2 => direct_tile::<2, W>(a, bias, taps, oc0, p0, positions, out),
+            3 => direct_tile::<3, W>(a, bias, taps, oc0, p0, positions, out),
+            _ => direct_tile::<MR, W>(a, bias, taps, oc0, p0, positions, out),
+        }
+    }
+}
+
+/// Output channels `oc0..oc0 + C` of [`conv2d_direct_bf16`] at positions
+/// `p0..p0 + W`, seeded with the bias and rounded once.
+#[inline(always)]
+fn direct_tile<const C: usize, const W: usize>(
+    a: &[f32],
+    bias: &[f32],
+    taps: &impl Taps<W>,
     oc0: usize,
     p0: usize,
     positions: usize,
     out: &mut [f32],
 ) {
-    let k = words.len();
+    let k = taps.len();
     let rows: [_; C] = each(&[][..], |c| &a[(oc0 + c) * k..][..k]);
     let mut acc = each([0.0; W], |c| [bias[oc0 + c]; W]);
-    shared_panel_tile(&mut acc, rows, |t| words[t]);
+    taps.sweep(&mut acc, rows);
     let valid = W.min(positions - p0);
     for (c, lanes) in acc.iter().enumerate() {
         let dst = &mut out[(oc0 + c) * positions + p0..][..valid];
@@ -897,10 +1195,10 @@ fn kw1_tile<const C: usize, const W: usize>(
     }
 }
 
-/// Workspace length [`conv2d_kw1_direct_bf16`] needs: one widest block's
-/// staged word per tap, `in_c * kh` of them.
-pub fn conv2d_kw1_stage_len(in_c: usize, kh: usize) -> usize {
-    in_c * kh * 2 * NR
+/// Workspace length [`conv2d_direct_bf16`] needs: one widest block's
+/// staged word per tap, `in_c * kh * kw` of them.
+pub fn conv2d_direct_stage_len(in_c: usize, kh: usize, kw: usize) -> usize {
+    in_c * kh * kw * 2 * NR
 }
 
 /// Query lanes [`attention_sample`] keeps per key: its largest query
@@ -1543,12 +1841,20 @@ mod tests {
                 .map(|i| if i % k == 0 { 0.5 } else { -0.25 })
                 .collect();
             let bias = vec![-0.0f32; out_c];
+            let shape = DirectConv {
+                in_c,
+                h,
+                w,
+                kh,
+                kw: 1,
+                sw: 1,
+                ph,
+                out_c,
+            };
             for (x, signed_zeros) in [(&zeros, true), (&random, false)] {
-                let mut stage = vec![f32::NAN; conv2d_kw1_stage_len(in_c, kh)];
+                let mut stage = vec![f32::NAN; conv2d_direct_stage_len(in_c, kh, 1)];
                 let mut got = vec![f32::NAN; out_c * positions];
-                conv2d_kw1_direct_bf16(
-                    &kern, &bias, x, in_c, h, w, kh, ph, out_c, &mut stage, &mut got,
-                );
+                conv2d_direct_bf16(shape, &kern, &bias, x, &mut stage, &mut got);
                 let mut patches = vec![f32::NAN; positions * k];
                 im2col(x, in_c, h, w, kh, 1, (1, 1), (ph, 0), h, w, &mut patches);
                 let want = packed_gemm_bt(&kern, &patches, &bias, out_c, positions, k);
@@ -1692,6 +1998,71 @@ mod tests {
         }
     }
 
+    #[test]
+    fn lstm_cell_instances_match_the_scalar_loops() {
+        // Hidden widths below, at and across one and two blocks of either
+        // width, with every tail; one to three samples. Gates draw NaN,
+        // the infinities, signed zeros and ±100 among ordinary values, so
+        // a lane reading the wrong gate, unit or sample shows in the bits.
+        // Rust leaves the sign and payload of a NaN that arithmetic makes
+        // unspecified (vector and scalar code differ in it), so every NaN
+        // counts as one value. The entry runs this CPU's instance, the
+        // body both widths compiled for the baseline.
+        let bits = |v: &[f32]| -> Vec<u32> {
+            v.iter()
+                .map(|f| if f.is_nan() { f32::NAN } else { *f }.to_bits())
+                .collect()
+        };
+        let specials = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            100.0,
+            -100.0,
+        ];
+        let mut rng = StdRng::seed_from_u64(0x157c);
+        for _ in 0..200 {
+            let (hidden, batch) = (rng.gen_range(1..=20usize), rng.gen_range(1..=3usize));
+            let mut draw = |len: usize, scale: f32| -> Vec<f32> {
+                (0..len)
+                    .map(|_| match rng.gen_range(0..4u32) {
+                        0 => specials[rng.gen_range(0..specials.len())],
+                        _ => rng.gen_range(-scale..=scale),
+                    })
+                    .collect()
+            };
+            let gates = draw(batch * 4 * hidden, 6.0);
+            let (c0, h0) = (draw(batch * hidden, 2.0), draw(batch * hidden, 1.0));
+            let (mut c_want, mut h_want) = (c0.clone(), h0.clone());
+            for s in 0..batch {
+                let g = &gates[s * 4 * hidden..][..4 * hidden];
+                for j in 0..hidden {
+                    let at = s * hidden + j;
+                    let i_g = crate::math::sigmoid(g[j]);
+                    let f_g = crate::math::sigmoid(g[hidden + j]);
+                    let g_g = crate::math::tanh(g[2 * hidden + j]);
+                    let o_g = crate::math::sigmoid(g[3 * hidden + j]);
+                    c_want[at] = bf16_round(f_g * c_want[at] + i_g * g_g);
+                    h_want[at] = bf16_round(o_g * crate::math::tanh(c_want[at]));
+                }
+            }
+            let want = (bits(&c_want), bits(&h_want));
+            type Step = fn(&[f32], &mut [f32], &mut [f32], usize, usize);
+            let run = |step: Step| {
+                let (mut c, mut h) = (c0.clone(), h0.clone());
+                step(&gates, &mut c, &mut h, batch, hidden);
+                (bits(&c), bits(&h))
+            };
+            let shape = format!("hidden={hidden} batch={batch}");
+            assert_eq!(run(lstm_cell), want, "{shape}: {} entry", tile_isa());
+            assert_eq!(run(lstm_cell_body::<NR>), want, "{shape}: portable");
+            let paired = run(lstm_cell_body::<{ 2 * NR }>);
+            assert_eq!(paired, want, "{shape}: portable paired");
+        }
+    }
+
     /// A [`Segment`]'s operands, owned.
     struct SegmentData {
         panels: Vec<f32>,
@@ -1822,13 +2193,20 @@ mod tests {
             gemm_instances_agree::<1>(&mut rng);
             gemm_instances_agree::<2>(&mut rng);
         }
-        for _ in 0..200 {
-            let kh = rng.gen_range(1..=5usize);
-            let ph = rng.gen_range(0..=2usize);
+        for _ in 0..300 {
+            // Half the cases a width-1 unit-stride kernel (its full blocks
+            // inside the channels read in place, the others the shifted
+            // words), half a kernel up to 4 wide at stride up to 3 (the
+            // gathered words wherever either exceeds 1).
+            let (kh, ph) = (rng.gen_range(1..=5usize), rng.gen_range(0..=2usize));
+            let (kw, sw) = match rng.gen_range(0..2u32) {
+                0 => (1, 1),
+                _ => (rng.gen_range(1..=4usize), rng.gen_range(1..=3usize)),
+            };
             let (in_c, out_c) = (rng.gen_range(1..=3usize), rng.gen_range(1..=9usize));
-            let w = rng.gen_range(1..=11usize);
+            let w = rng.gen_range(kw..=kw + 10);
             let h = rng.gen_range(kh.saturating_sub(2 * ph).max(1)..=kh + 6);
-            let k = in_c * kh;
+            let k = in_c * kh * kw;
             let kern: Vec<f32> = (0..out_c * k)
                 .map(|_| rng.gen_range(-1.0f32..=1.0))
                 .collect();
@@ -1853,50 +2231,57 @@ mod tests {
                     }
                 })
                 .collect();
-            let oh = h + 2 * ph + 1 - kh;
-            type Sweep = fn(
-                &[f32],
-                &[f32],
-                &[f32],
-                usize,
-                usize,
-                usize,
-                usize,
-                usize,
-                usize,
-                &mut [f32],
-                &mut [f32],
-            );
+            let conv = DirectConv {
+                in_c,
+                h,
+                w,
+                kh,
+                kw,
+                sw,
+                ph,
+                out_c,
+            };
+            let (oh, ow) = conv.output_hw();
+            type Sweep = fn(DirectConv, &[f32], &[f32], &[f32], &mut [f32], &mut [f32]);
             let run = |sweep: Sweep| {
-                let mut stage = vec![f32::NAN; conv2d_kw1_stage_len(in_c, kh)];
-                let mut out = vec![f32::NAN; out_c * oh * w];
-                sweep(
-                    &kern, &bias, &x, in_c, h, w, kh, ph, out_c, &mut stage, &mut out,
-                );
+                let mut stage = vec![f32::NAN; conv2d_direct_stage_len(in_c, kh, kw)];
+                let mut out = vec![f32::NAN; out_c * oh * ow];
+                sweep(conv, &kern, &bias, &x, &mut stage, &mut out);
                 bits(&out)
             };
-            let entry = run(conv2d_kw1_direct_bf16);
-            let body = run(conv2d_kw1_direct_body::<NR>);
-            let paired = run(conv2d_kw1_direct_body::<{ 2 * NR }>);
-            let shape =
-                format!("in_c={in_c} h={h} w={w} kh={kh} ph={ph} out_c={out_c} zeros={zeros}");
+            let entry = run(conv2d_direct_bf16);
+            let body = run(conv2d_direct_body::<NR>);
+            let paired = run(conv2d_direct_body::<{ 2 * NR }>);
+            let shape = format!("{conv:?} zeros={zeros}");
             assert_eq!(entry, body, "{shape}: {} vs portable", tile_isa());
             assert_eq!(paired, body, "{shape}: portable wide vs portable");
-            let mut patches = vec![f32::NAN; oh * w * k];
-            im2col(&x, in_c, h, w, kh, 1, (1, 1), (ph, 0), oh, w, &mut patches);
-            let gemm = packed_gemm_bt(&kern, &patches, &bias, out_c, oh * w, k);
+            let mut patches = vec![f32::NAN; oh * ow * k];
+            im2col(
+                &x,
+                in_c,
+                h,
+                w,
+                kh,
+                kw,
+                (1, sw),
+                (ph, 0),
+                oh,
+                ow,
+                &mut patches,
+            );
+            let gemm = packed_gemm_bt(&kern, &patches, &bias, out_c, oh * ow, k);
             assert_eq!(body, bits(&gemm), "{shape}: portable vs im2col gemm");
             for (i, &v) in body.iter().enumerate() {
-                let (oc, p) = (i / (oh * w), i % (oh * w));
+                let (oc, p) = (i / (oh * ow), i % (oh * ow));
                 let cell = naive_conv_cell(
                     &x,
                     &kern,
                     bias[oc],
                     (in_c, h, w),
-                    (kh, 1),
-                    (1, 1),
+                    (kh, kw),
+                    (1, sw),
                     (ph, 0),
-                    (p / w, p % w),
+                    (p / ow, p % ow),
                     oc,
                 );
                 // The scalar loop skips padded taps; the sweeps add

@@ -14,18 +14,19 @@
 //!   computational precision" (§III-C), and the only one modelled;
 //! * [`tensor`] — a dense row-major `f32` tensor with the shape algebra
 //!   the layers need;
-//! * [`math`] — the repo's own `exp`, `tanh` and `sigmoid` (scalar and
-//!   in-place slice forms), so no answer depends on the host's libm and
+//! * [`math`] — the repo's own `exp`, `tanh` and `sigmoid` (and an
+//!   in-place `exp_slice`), so no answer depends on the host's libm and
 //!   the elementwise steps vectorise;
 //! * [`ops`] — linear, conv2d, LSTM, multi-head attention, layer norm
 //!   and activations, each with an analytic MAC counter used by the
 //!   latency model;
 //! * [`kernels`] — the register-tile micro-kernel and the passes behind
 //!   the ops' packed forwards (the packed GEMM, the direct and im2col
-//!   convolutions, the fused attention core and the layer norm's row
-//!   folds), bit-identical to the naive `forward_reference` oracles
-//!   (an SSE2, an AVX2 and an AVX-512F instance of each pass, picked at
-//!   run time by the CPU and the input's shape, with the same bits);
+//!   convolutions, the fused attention core, the layer norm's row folds
+//!   and the LSTM cell), bit-identical to the naive `forward_reference`
+//!   oracles (an SSE2 and an AVX2 instance of each pass, and an AVX-512F
+//!   one of all but the LSTM cell, picked at run time by the CPU and the
+//!   input's shape, with the same bits);
 //! * [`scratch`] — the [`ScratchPad`] buffer pool that makes steady-state
 //!   inference allocation-free;
 //! * [`stream`] — the line buffers and the bitwise slid-window check
@@ -44,10 +45,10 @@
 //! invariants (softmax sums to one, layer norm normalizes, BF16
 //! round-trips, ...).
 
-// Only the four passes in `kernels` with instances (`gemm_packed`,
-// `conv2d_kw1_direct_bf16`, `attention_sample`, `layer_norm_rows`) may
-// call their AVX-512F and AVX2 instances (`#[allow(unsafe_code)]` on each
-// entry).
+// Only the five passes in `kernels` with instances (`gemm_packed`,
+// `conv2d_direct_bf16`, `attention_sample`, `layer_norm_rows`,
+// `lstm_cell`) may call their AVX-512F and AVX2 instances
+// (`#[allow(unsafe_code)]` on each entry).
 #![deny(unsafe_code)]
 
 pub mod batch;

@@ -11,9 +11,11 @@
 //! IEEE-754 target computes the same bits, and an element costs the same
 //! whatever its value.
 //!
-//! Each function has an in-place slice form (`*_slice`) whose loop
-//! vectorises; a slice element is bit for bit the scalar function of it,
-//! so a packed path running the slices and a reference running the
+//! `exp` also has an in-place slice form, [`exp_slice`], whose loop
+//! vectorises (the three-class head's softmax runs it); `tanh` and
+//! `sigmoid` run lane by lane inside the LSTM cell pass
+//! (`kernels::lstm_cell`). Either way an element is bit for bit the
+//! scalar function of it, so a packed path and a reference running the
 //! scalars agree `to_bits`.
 //!
 //! Accuracy against `f64`, in units of the `f32` spacing at the true
@@ -107,20 +109,6 @@ pub fn sigmoid(x: f32) -> f32 {
 pub fn exp_slice(xs: &mut [f32]) {
     for v in xs {
         *v = exp(*v);
-    }
-}
-
-/// [`tanh`] of every element, in place.
-pub fn tanh_slice(xs: &mut [f32]) {
-    for v in xs {
-        *v = tanh(*v);
-    }
-}
-
-/// [`sigmoid`] of every element, in place.
-pub fn sigmoid_slice(xs: &mut [f32]) {
-    for v in xs {
-        *v = sigmoid(*v);
     }
 }
 
@@ -226,14 +214,13 @@ mod tests {
         }
     }
 
+    /// `exp_slice` is `exp` element by element at every vector tail. The
+    /// LSTM cell's sigmoid and tanh run lane by lane in
+    /// `kernels::lstm_cell`, whose instances
+    /// `kernels::tests::lstm_cell_instances_match_the_scalar_loops` checks
+    /// against these scalars.
     #[test]
     fn slices_match_the_scalars_at_every_length() {
-        type Pair = (fn(f32) -> f32, fn(&mut [f32]));
-        let pairs: [Pair; 3] = [
-            (exp, exp_slice),
-            (tanh, tanh_slice),
-            (sigmoid, sigmoid_slice),
-        ];
         let specials = [
             f32::NAN,
             -0.0,
@@ -249,13 +236,11 @@ mod tests {
                     _ => (i as f32 * 0.731 - 9.0) * if i % 2 == 0 { 1.0 } else { 0.1 },
                 })
                 .collect();
-            for (scalar, slice) in pairs {
-                let mut got = xs.clone();
-                slice(&mut got);
-                let want: Vec<u32> = xs.iter().map(|&x| scalar(x).to_bits()).collect();
-                let got: Vec<u32> = got.iter().map(|y| y.to_bits()).collect();
-                assert_eq!(got, want, "length {len}");
-            }
+            let mut got = xs.clone();
+            exp_slice(&mut got);
+            let want: Vec<u32> = xs.iter().map(|&x| exp(x).to_bits()).collect();
+            let got: Vec<u32> = got.iter().map(|y| y.to_bits()).collect();
+            assert_eq!(got, want, "length {len}");
         }
     }
 

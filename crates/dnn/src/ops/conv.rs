@@ -2,7 +2,9 @@
 
 use crate::batch::PackedPanels;
 use crate::bf16::bf16_round;
-use crate::kernels::{conv2d_kw1_direct_bf16, conv2d_kw1_stage_len, gemm_packed, im2col, Segment};
+use crate::kernels::{
+    conv2d_direct_bf16, conv2d_direct_stage_len, gemm_packed, im2col, DirectConv, Segment,
+};
 use crate::ops::count::{conv2d_macs, conv_out_len};
 use crate::ops::expect_rank;
 use crate::scratch::ScratchPad;
@@ -106,13 +108,17 @@ impl Conv2d {
     ///
     /// A sample exactly one kernel in size with no padding is its own
     /// patch row, so the whole batch runs as one GEMM sweep over `x` in
-    /// place. Every other shape runs sample by sample: width-1
-    /// unit-stride kernels through the direct register-tile convolution,
-    /// the rest by unfolding the sample into an `[oh * ow, k]` im2col
-    /// patch matrix drawn from `pad` and sweeping it with the packed
-    /// GEMM. Each sample is `==` to [`Self::forward_reference`], since
-    /// packing only permutes the A layout (see [`crate::kernels`] for the
-    /// accumulation-order contract).
+    /// place. Every other shape runs sample by sample: a kernel as wide as
+    /// a one-channel input (the CNN's first layer) as one GEMM over its
+    /// overlapping patch rows in place; the other kernels at unit
+    /// vertical stride with no horizontal padding (every other
+    /// convolution of the three models) through the direct register-tile
+    /// convolution; the rest — vertically strided or horizontally padded,
+    /// which no model has — by unfolding the sample into an `[oh * ow,
+    /// k]` im2col patch matrix drawn from `pad` and sweeping it with the
+    /// packed GEMM. Each sample is `==` to [`Self::forward_reference`],
+    /// since packing only permutes the A layout (see [`crate::kernels`]
+    /// for the accumulation-order contract).
     ///
     /// # Panics
     ///
@@ -158,26 +164,50 @@ impl Conv2d {
             );
             return;
         }
-        // Width-1 unit-stride kernels (the dominant shape in all three
-        // networks) skip patch materialization entirely: each block of
-        // positions stages one word of lanes per tap.
-        if kw == 1 && self.stride == (1, 1) && self.padding.1 == 0 {
-            let mut stage = pad.take_dirty(conv2d_kw1_stage_len(in_c, kh));
-            let samples = x.chunks_exact(in_c * h * w);
-            for (xs, o) in samples.zip(out.chunks_exact_mut(out_c * positions)) {
-                conv2d_kw1_direct_bf16(
-                    self.kernel.data(),
-                    &self.bias,
-                    xs,
-                    in_c,
-                    h,
-                    w,
-                    kh,
-                    self.padding.0,
+        // A kernel as wide as a one-channel input (the CNN's first layer):
+        // output row `oy`'s patch is `x[oy * w..][..kh * w]`, contiguous
+        // and in `ky → kx` order, so one GEMM per sample reads its rows in
+        // place, `w` apart. (The direct convolution would transpose all
+        // `kh * w` taps of every block into its stage.)
+        if in_c == 1 && kw == w && self.stride.0 == 1 && self.padding == (0, 0) {
+            for s in 0..batch {
+                gemm_packed(
+                    [Segment::packed(
+                        packed.data(),
+                        k,
+                        &x[s * h * w..][..h * w],
+                        w,
+                    )],
+                    Some(&self.bias),
+                    oh,
                     out_c,
-                    &mut stage,
-                    o,
+                    bf16_round,
+                    &mut out[s * out_c * oh..][..out_c * oh],
+                    (1, oh),
                 );
+            }
+            return;
+        }
+        // Unit vertical stride with no horizontal padding — every
+        // convolution of the three networks — skips patch
+        // materialization: each block of positions stages one word of
+        // lanes per tap.
+        if self.stride.0 == 1 && self.padding.1 == 0 {
+            let shape = DirectConv {
+                in_c,
+                h,
+                w,
+                kh,
+                kw,
+                sw: self.stride.1,
+                ph: self.padding.0,
+                out_c,
+            };
+            let mut stage = pad.take_dirty(conv2d_direct_stage_len(in_c, kh, kw));
+            let (x_len, out_len) = (in_c * h * w, out_c * positions);
+            for s in 0..batch {
+                let (xs, o) = (&x[s * x_len..][..x_len], &mut out[s * out_len..][..out_len]);
+                conv2d_direct_bf16(shape, self.kernel.data(), &self.bias, xs, &mut stage, o);
             }
             pad.give(stage);
             return;
@@ -347,7 +377,7 @@ mod tests {
     /// reads `x` in place, so the pad neither allocates nor lends.
     #[test]
     fn kernel_sized_sample_reads_its_input_in_place() {
-        // The CNN's conv1 (im2col otherwise) and conv2 (direct otherwise).
+        // The CNN's conv1 and conv2 (each the direct convolution otherwise).
         for (in_c, (h, w)) in [(1, (4, 40)), (5, (4, 1))] {
             let conv = Conv2d::new(in_c, 9, (h, w), (1, 1), (0, 0), 3);
             let packed = conv.pack();

@@ -29,7 +29,11 @@ pub fn conv_out_len(input: u64, kernel: u64, stride: u64, padding: u64) -> u64 {
         padded >= kernel,
         "kernel {kernel} larger than padded input {padded}"
     );
-    (padded - kernel) / stride + 1
+    // Unit stride (every convolution but DeepLOB's level folds) skips
+    // the division: it costs tens of cycles, a streamed row's whole
+    // convolution a few hundred.
+    let span = padded - kernel;
+    (if stride == 1 { span } else { span / stride }) + 1
 }
 
 /// MACs of an LSTM over `steps` timesteps with `input`-wide inputs and

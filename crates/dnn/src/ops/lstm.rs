@@ -2,8 +2,8 @@
 
 use crate::batch::PackedPanels;
 use crate::bf16::bf16_round;
-use crate::kernels::lstm_gates_packed_batch;
-use crate::math::{sigmoid, sigmoid_slice, tanh, tanh_slice};
+use crate::kernels::{lstm_cell, lstm_gates_packed_batch};
+use crate::math::{sigmoid, tanh};
 use crate::ops::count::lstm_macs;
 use crate::ops::expect_rank;
 use crate::scratch::ScratchPad;
@@ -110,15 +110,14 @@ impl Lstm {
     /// states `[batch, hidden]` into `out`.
     ///
     /// Each timestep computes every sample's fused gate vector in one
-    /// packed sweep ([`lstm_gates_packed_batch`]) before the elementwise
-    /// state update, which runs over slices: `sigmoid` on the `i`/`f`
-    /// gates, `tanh` on `g`, `sigmoid` on `o`, the BF16 cell update, then
-    /// `tanh` of a copy of `c` and the BF16 product with `o`. Per sample
-    /// the bias -> `W_x x_t` -> `W_h h` chain, every element's operations
-    /// ([`crate::math`]'s slice forms are its scalars, element by element)
-    /// and the BF16 rounding points are exactly those of
-    /// [`Self::forward_reference`], so the result is `==` to its last
-    /// row.
+    /// packed sweep ([`lstm_gates_packed_batch`]), then the whole state
+    /// update in one pass ([`lstm_cell`]): per block of hidden units, in
+    /// registers, `c = bf16(σ(f)·c + σ(i)·tanh(g))` and `h =
+    /// bf16(σ(o)·tanh(c))`. Per sample the bias -> `W_x x_t` -> `W_h h`
+    /// chain, every element's operations ([`crate::math`]'s scalar
+    /// functions, lane by lane) and the BF16 rounding points are exactly
+    /// those of [`Self::forward_reference`], so the result is `==` to its
+    /// last row.
     ///
     /// # Panics
     ///
@@ -162,25 +161,7 @@ impl Lstm {
                 h_dim,
                 &mut gates,
             );
-            for s in 0..batch {
-                let g = &mut gates[s * 4 * h_dim..(s + 1) * 4 * h_dim];
-                let (i_f, g_o) = g.split_at_mut(2 * h_dim);
-                let (g_g, o_g) = g_o.split_at_mut(h_dim);
-                sigmoid_slice(i_f);
-                tanh_slice(g_g);
-                sigmoid_slice(o_g);
-                let (i_g, f_g) = i_f.split_at(h_dim);
-                let cs = &mut c[s * h_dim..(s + 1) * h_dim];
-                let hs = &mut h[s * h_dim..(s + 1) * h_dim];
-                for j in 0..h_dim {
-                    cs[j] = bf16_round(f_g[j] * cs[j] + i_g[j] * g_g[j]);
-                }
-                hs.copy_from_slice(cs);
-                tanh_slice(hs);
-                for j in 0..h_dim {
-                    hs[j] = bf16_round(o_g[j] * hs[j]);
-                }
-            }
+            lstm_cell(&gates, &mut c, &mut h, batch, h_dim);
         }
         out.copy_from_slice(&h);
         pad.give(h);

@@ -109,10 +109,15 @@ proptest! {
     /// strides, and paddings (including padding > 0, which exercises the
     /// zero-filled im2col edge rows and the staged zero lanes). Every
     /// case also runs a sample exactly one kernel in size — a streamed
-    /// row's line buffer, which is its own patch row — bit for bit, and a
-    /// width-1 map of 1 to 135 positions through the direct convolution:
-    /// maps of more than one lane block run, on an AVX-512 CPU, its wide
-    /// instance, over every tail length of its `2 * NR` positions.
+    /// row's line buffer, which is its own patch row — bit for bit; a
+    /// width-1 map of 1 to 135 positions through the direct convolution's
+    /// shifted words: maps of more than one lane block run, on an AVX-512
+    /// CPU, its wide instance, over every tail length of its `2 * NR`
+    /// positions; a fold (a kernel 2 to 10 wide at horizontal stride 1 to
+    /// 3, DeepLOB's level folds among them) through its gathered words,
+    /// over 1 to 40 output positions: every tail at both widths; and a
+    /// kernel as wide as a one-channel input (the CNN's first layer),
+    /// whose GEMM reads 1 to 41 overlapping patch rows in place.
     #[test]
     fn conv_fast_matches_reference(
         (in_c, out_c, kh, kw) in (1usize..=3, 1usize..=4, 1usize..=3, 1usize..=3),
@@ -121,6 +126,10 @@ proptest! {
         (one_in_c, one_out_c, one_kh, one_kw) in (1usize..=8, 1usize..=33, 1usize..=4, 1usize..=40),
         (kw1_in_c, kw1_out_c, kw1_kh, (kw1_extra_h, kw1_w)) in
             (1usize..=6, 1usize..=9, 1usize..=5, (0usize..=40, 1usize..=3)),
+        (fold_in_c, fold_out_c, fold_kw, fold_sw) in
+            (1usize..=5, 1usize..=9, 2usize..=10, 1usize..=3),
+        (fold_kh, fold_positions, fold_ow_cap, fold_extra_w) in
+            (1usize..=3, 1usize..=40, 1usize..=12, 0usize..=2),
     ) {
         let one = Conv2d::new(one_in_c, one_out_c, (one_kh, one_kw), (sh, sw), (0, 0), seed);
         assert_kernel_sized_matches_reference(&one, seed);
@@ -128,6 +137,25 @@ proptest! {
         assert_conv_matches_reference(&conv, kh + extra_h, kw + extra_w, seed);
         let kw1 = Conv2d::new(kw1_in_c, kw1_out_c, (kw1_kh, 1), (1, 1), (ph, 0), seed);
         assert_conv_matches_reference(&kw1, kw1_kh + kw1_extra_h, kw1_w, seed);
+        // `oh * ow` is exactly `fold_positions`: `ow` its largest divisor
+        // up to the cap. `ph` shrinks where the input would have no row.
+        let ow = (1..=fold_ow_cap).rev().find(|d| fold_positions % d == 0).unwrap_or(1);
+        let oh = fold_positions / ow;
+        let fold_ph = ph.min((oh + fold_kh - 2) / 2);
+        let h = oh + fold_kh - 1 - 2 * fold_ph;
+        let w = (ow - 1) * fold_sw + fold_kw + fold_extra_w % fold_sw;
+        let fold = Conv2d::new(
+            fold_in_c,
+            fold_out_c,
+            (fold_kh, fold_kw),
+            (1, fold_sw),
+            (fold_ph, 0),
+            seed,
+        );
+        assert_eq!(fold.output_hw(h, w), (oh, ow));
+        assert_conv_matches_reference(&fold, h, w, seed);
+        let full = Conv2d::new(1, fold_out_c, (fold_kh, fold_kw), (1, fold_sw), (0, 0), seed);
+        assert_conv_matches_reference(&full, fold_kh + kw1_extra_h, fold_kw, seed);
     }
 
     /// Linear: packed register tile == naive loop, rank-1 and rank-2.
@@ -157,7 +185,7 @@ proptest! {
     /// causal, and prefix `p`'s last state is the reference's row `p - 1`.
     #[test]
     fn lstm_fast_matches_reference(
-        (input, hidden, steps, seed) in (1usize..=9, 1usize..=9, 1usize..=6, 0u64..1000),
+        (input, hidden, steps, seed) in (1usize..=9, 1usize..=20, 1usize..=6, 0u64..1000),
     ) {
         let lstm = Lstm::new(input, hidden, seed);
         let (pwx, pwh) = (lstm.pack_wx(), lstm.pack_wh());

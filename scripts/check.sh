@@ -93,13 +93,13 @@ for f in $(find crates/*/src -name '*.rs' | sort); do
 done
 [[ "$config" == "0" ]]
 
-echo "== bounded unsafe: the eight instance dispatches in lt-dnn's kernels.rs, each under a // SAFETY: comment, AVX2 or AVX-512F only =="
+echo "== bounded unsafe: the nine instance dispatches in lt-dnn's kernels.rs, each under a // SAFETY: comment, AVX2 or AVX-512F only =="
 # Every crate root forbids unsafe_code but lt-dnn's, which denies it: the
-# four kernels.rs passes with instances (gemm_packed,
-# conv2d_kw1_direct_bf16, attention_sample and layer_norm_rows) allow it
-# to call their AVX-512F and AVX2 instances, each right after the runtime
-# feature check. A ninth site fails here, as does an instance compiled for
-# any feature but avx2 or avx512f.
+# five kernels.rs passes with instances allow it to call them, each right
+# after the runtime feature check: gemm_packed, conv2d_direct_bf16,
+# attention_sample and layer_norm_rows their AVX-512F and AVX2 instances
+# (two sites each), lstm_cell its AVX2 instance (one). A tenth site fails
+# here, as does an instance compiled for any feature but avx2 or avx512f.
 sites=$(for f in $(find crates/*/src -name '*.rs' | sort); do
     sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$f" | awk -v f="$f" '
         /^[[:space:]]*\/\// { if ($0 ~ /\/\/ SAFETY: /) safety = 1; next }
@@ -107,9 +107,9 @@ sites=$(for f in $(find crates/*/src -name '*.rs' | sort); do
         { safety = 0 }'
 done)
 echo "$sites"
-if [[ "$(grep -c . <<< "$sites")" != "8" ]] \
+if [[ "$(grep -c . <<< "$sites")" != "9" ]] \
     || grep -v '^crates/dnn/src/kernels.rs:[0-9]*:safety$' <<< "$sites"; then
-    echo "unsafe outside the eight instance dispatches, or without a // SAFETY: comment"
+    echo "unsafe outside the nine instance dispatches, or without a // SAFETY: comment"
     exit 1
 fi
 if grep -rnE 'target_feature\(enable = "' crates/*/src | grep -vE 'enable = "(avx2|avx512f)"\)'; then
@@ -167,8 +167,8 @@ cargo test -q --release -p lt-pipeline --test zero_alloc
 cargo test -q --release -p lighttrader --lib
 
 echo "== inference gates: nonlinearity contract + model-output goldens + packed-vs-reference equivalence + batch-N-vs-batch-1 + swept-vs-whole-window bit-equivalence + zero-alloc + datagram-vs-event differential =="
-# exp/tanh/sigmoid against f64, special values, oddness, slice == scalar
-# at every vector tail, and a pinned bit table.
+# exp/tanh/sigmoid against f64, special values, oddness, exp_slice ==
+# exp at every vector tail, and a pinned bit table.
 cargo test -q --release -p lt-dnn --lib math
 # The answers' bits; release also runs the NaN-window check.
 cargo test -q --release -p lt-dnn --test golden
