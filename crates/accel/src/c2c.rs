@@ -5,9 +5,9 @@
 //! dedicated bits, striping across 16-bit lanes, and watermark-based FIFO
 //! flow control. [`C2cLink`] is what the profile prices transfers with
 //! (`t_trans[bs]` in [`crate::profile`] and [`crate::latency`]).
-//! [`InterlakenLink`] has no caller outside this file: it is kept as the
-//! other side of the paper's 2.4x effective-bandwidth claim, which the
-//! unit test `custom_link_is_2_4x_interlaken` asserts.
+//! `InterlakenLink` is compiled for the tests only: it is the other side
+//! of the paper's 2.4x effective-bandwidth claim, which the unit test
+//! `custom_link_is_2_4x_interlaken` asserts.
 
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -37,7 +37,7 @@ impl C2cLink {
 
     /// Effective payload bandwidth in bits per second: every 16-bit lane
     /// symbol is payload because flow control travels out-of-band.
-    pub fn payload_bits_per_sec(&self) -> f64 {
+    fn payload_bits_per_sec(&self) -> f64 {
         self.lanes as f64 * self.lane_gbaud * 1e9 * 16.0
     }
 
@@ -52,19 +52,20 @@ impl C2cLink {
 /// An Interlaken-style baseline: same physical lanes, but 64b/67b coding
 /// plus in-band control words eat into payload bandwidth, and framing
 /// adds latency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct InterlakenLink {
+#[cfg(test)]
+struct InterlakenLink {
     /// Number of lanes (matched to the custom link for a fair ablation).
-    pub lanes: u32,
+    lanes: u32,
     /// Per-lane symbol rate in Gbaud.
-    pub lane_gbaud: f64,
+    lane_gbaud: f64,
     /// Fixed framing latency.
-    pub fixed_latency: Duration,
+    fixed_latency: Duration,
 }
 
+#[cfg(test)]
 impl InterlakenLink {
     /// The 150G-class configuration the paper compares against.
-    pub fn interlaken_150g() -> Self {
+    fn interlaken_150g() -> Self {
         InterlakenLink {
             lanes: 16,
             lane_gbaud: 1.4,
@@ -75,7 +76,7 @@ impl InterlakenLink {
     /// Effective payload bandwidth: 64/67 line coding, in-band control
     /// words every 2048 bits, and protocol overhead reduce the payload
     /// fraction to ~41.7% of the raw symbol rate.
-    pub fn payload_bits_per_sec(&self) -> f64 {
+    fn payload_bits_per_sec(&self) -> f64 {
         let raw = self.lanes as f64 * self.lane_gbaud * 1e9 * 16.0;
         let coding = 64.0 / 67.0;
         let control = 2048.0 / (2048.0 + 64.0);
@@ -84,7 +85,7 @@ impl InterlakenLink {
     }
 
     /// Time to move `bytes` across the link.
-    pub fn transfer_time(&self, bytes: usize) -> Duration {
+    fn transfer_time(&self, bytes: usize) -> Duration {
         let bits = bytes as f64 * 8.0;
         let secs = bits / self.payload_bits_per_sec();
         self.fixed_latency + Duration::from_secs_f64(secs)

@@ -19,16 +19,14 @@ pub struct BatchId(u64);
 ///
 /// The scheduler mutates this through [`Accelerator::set_point`] (which
 /// charges the PMIC switching delay and enforces the minimum dwell time)
-/// and [`Accelerator::start_batch`]; the discrete-event simulator reads
-/// [`Accelerator::busy_until`] to know when the chip frees up.
+/// and [`Accelerator::start_batch`], whose token the discrete-event
+/// simulator's completion event carries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Accelerator {
     id: usize,
     point: OperatingPoint,
     busy_until: Option<Timestamp>,
     last_switch: Option<Timestamp>,
-    switches: u64,
-    batches: u64,
     issued: u64,
     current: Option<BatchId>,
 }
@@ -41,8 +39,6 @@ impl Accelerator {
             point,
             busy_until: None,
             last_switch: None,
-            switches: 0,
-            batches: 0,
             issued: 0,
             current: None,
         }
@@ -58,27 +54,12 @@ impl Accelerator {
         self.point
     }
 
-    /// When the current batch completes, if busy.
-    pub fn busy_until(&self) -> Option<Timestamp> {
-        self.busy_until
-    }
-
     /// True when no batch is in flight at `now`.
-    pub fn is_idle(&self, now: Timestamp) -> bool {
+    fn is_idle(&self, now: Timestamp) -> bool {
         match self.busy_until {
             Some(t) => t <= now,
             None => true,
         }
-    }
-
-    /// Total DVFS switches performed.
-    pub fn switch_count(&self) -> u64 {
-        self.switches
-    }
-
-    /// Total batches executed.
-    pub fn batch_count(&self) -> u64 {
-        self.batches
     }
 
     /// Requests a DVFS change at `now`.
@@ -103,7 +84,6 @@ impl Accelerator {
         let delay = dwell_wait + DvfsTable::SWITCH_DELAY;
         self.point = target;
         self.last_switch = Some(now + delay);
-        self.switches += 1;
         delay
     }
 
@@ -122,7 +102,6 @@ impl Accelerator {
         );
         assert!(completion >= now, "completion before start");
         self.busy_until = Some(completion);
-        self.batches += 1;
         self.next_token()
     }
 
@@ -180,8 +159,6 @@ mod tests {
     fn starts_idle() {
         let a = accel();
         assert!(a.is_idle(ts(0)));
-        assert_eq!(a.busy_until(), None);
-        assert_eq!(a.switch_count(), 0);
     }
 
     #[test]
@@ -192,7 +169,6 @@ mod tests {
         assert!(a.is_idle(ts(110)), "idle exactly at completion");
         a.finish_batch();
         assert!(a.is_idle(ts(50)));
-        assert_eq!(a.batch_count(), 1);
     }
 
     #[test]
@@ -208,7 +184,6 @@ mod tests {
         let mut a = accel();
         let d = a.set_point(OperatingPoint::at_freq(2.0), ts(0));
         assert_eq!(d, Duration::ZERO);
-        assert_eq!(a.switch_count(), 0);
     }
 
     #[test]
@@ -216,7 +191,6 @@ mod tests {
         let mut a = accel();
         let d = a.set_point(OperatingPoint::at_freq(1.5), ts(0));
         assert_eq!(d, DvfsTable::SWITCH_DELAY);
-        assert_eq!(a.switch_count(), 1);
         assert!((a.point().freq_ghz - 1.5).abs() < 1e-12);
     }
 
@@ -229,7 +203,7 @@ mod tests {
         let second = a.retime_batch(ts(80));
         assert_ne!(first, second);
         assert_eq!(a.current_batch(), Some(second));
-        assert_eq!(a.busy_until(), Some(ts(80)));
+        assert!(!a.is_idle(ts(79)) && a.is_idle(ts(80)));
         a.finish_batch();
         assert_eq!(a.current_batch(), None);
         // Tokens never repeat across batches.

@@ -67,7 +67,7 @@ impl LatencyModel {
 
     /// Marginal per-sample efficiency of batch-`b` execution: 1.0 at
     /// batch 1, falling toward 0.5 as the grid fills.
-    pub fn batch_efficiency(batch: u32) -> f64 {
+    fn batch_efficiency(batch: u32) -> f64 {
         assert!(batch >= 1, "batch must be at least 1");
         0.5 + 0.5 * (batch as f64).powf(-0.6)
     }
@@ -83,7 +83,7 @@ impl LatencyModel {
 
     /// Input-tensor byte size of one query of `kind` (BF16: 2 bytes per
     /// feature over the `[window, 40]` map).
-    pub fn query_bytes(kind: ModelKind) -> usize {
+    fn query_bytes(kind: ModelKind) -> usize {
         // All three paper specs use a 100-tick window of 40 features.
         let _ = kind;
         100 * 40 * 2

@@ -30,7 +30,7 @@ pub enum PowerCondition {
 
 impl PowerCondition {
     /// Total card power in watts.
-    pub fn card_budget_w(self) -> f64 {
+    fn card_budget_w(self) -> f64 {
         match self {
             PowerCondition::Sufficient => 75.0,
             PowerCondition::Limited => 40.0,
@@ -105,7 +105,7 @@ impl PowerModel {
     /// Utilization lift of batch-`b` execution relative to batch 1:
     /// batching fills more of the PE grid, so dynamic power rises,
     /// saturating around +50%.
-    pub fn batch_utilization(batch: u32) -> f64 {
+    fn batch_utilization(batch: u32) -> f64 {
         assert!(batch >= 1, "batch must be at least 1");
         1.0 + 0.5 * (1.0 - 1.0 / batch as f64)
     }

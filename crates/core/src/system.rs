@@ -83,17 +83,6 @@ impl LightTraderBuilder {
         self
     }
 
-    /// Registers additional model tiers alongside the preferred kind so
-    /// the system can serve at any of them ([`LightTrader::serve_tier`])
-    /// without a rebuild — the substrate for deadline-aware anytime
-    /// inference. The preferred kind is always registered; the feature
-    /// window is sized for the widest registered tier.
-    #[must_use]
-    pub fn tier_models(mut self, kinds: &[ModelKind]) -> Self {
-        self.tiers = kinds.to_vec();
-        self
-    }
-
     /// Sets the weight-initialization seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
@@ -174,7 +163,6 @@ impl LightTraderBuilder {
             registry,
             inferences: 0,
             batches: 0,
-            superseded: 0,
         }
     }
 }
@@ -221,7 +209,6 @@ pub struct LightTrader {
     preds: Vec<Prediction>,
     inferences: u64,
     batches: u64,
-    superseded: u64,
 }
 
 impl LightTrader {
@@ -269,31 +256,6 @@ impl LightTrader {
         assert_eq!(threads, 1, "batched forwards run on the calling thread");
     }
 
-    /// The benchmark model tier currently serving queries.
-    pub fn model_kind(&self) -> ModelKind {
-        self.active
-    }
-
-    /// Registered tiers, cheapest first.
-    pub fn registered_tiers(&self) -> Vec<ModelKind> {
-        self.registry.kinds().collect()
-    }
-
-    /// Switches the serving tier (anytime inference: a deadline-aware
-    /// scheduler degrades to a cheaper registered tier under load).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `kind` was not registered at build time
-    /// ([`LightTraderBuilder::tier_models`]).
-    pub fn serve_tier(&mut self, kind: ModelKind) {
-        assert!(
-            self.registry.contains(kind),
-            "{kind} is not a registered tier"
-        );
-        self.active = kind;
-    }
-
     /// Inferences executed so far, swept and batched: every swept one
     /// ends as exactly one order or one suppression.
     pub fn inferences(&self) -> u64 {
@@ -308,12 +270,6 @@ impl LightTrader {
     /// Tickets currently pending across all shards (at most one each).
     pub fn queue_len(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Pending tickets replaced, unanswered, by a newer warm tick of
-    /// their shard.
-    pub fn superseded(&self) -> u64 {
-        self.superseded
     }
 
     /// How tier `kind`'s inferences were served: `hits` pushed only the
@@ -356,22 +312,13 @@ impl LightTrader {
     }
 
     /// Mark-to-market P&L in ticks x contracts against the local book's
-    /// current mid price (`None` when the book is one-sided). Truncates
-    /// [`Self::mark_to_market_half`] toward zero; use the half-tick form
-    /// where exactness matters.
+    /// current mid price (`None` when the book is one-sided): the P&L in
+    /// half-ticks at the exact mid (`bid + ask` in ticks), truncated
+    /// toward zero.
     pub fn mark_to_market(&self) -> Option<i64> {
-        Some(self.mark_to_market_half()? / 2)
-    }
-
-    /// Mark-to-market P&L in **half-ticks** x contracts against the local
-    /// book's exact mid (`bid + ask` in ticks), `None` when the book is
-    /// one-sided. Exact on odd spreads where the integer-tick mid
-    /// truncates toward the bid and disagrees with
-    /// [`lt_lob::LobSnapshot::mid_price`].
-    pub fn mark_to_market_half(&self) -> Option<i64> {
         let bid = self.book.best_bid()?;
         let ask = self.book.best_ask()?;
-        Some(self.trading.mark_to_market_half(bid.ticks() + ask.ticks()))
+        Some(self.trading.mark_to_market_half(bid.ticks() + ask.ticks()) / 2)
     }
 
     /// Packet-parser intake counters.
@@ -461,7 +408,6 @@ impl LightTrader {
         // would be answered from it, not from its own.
         if let Some(i) = self.pending.iter().position(|t| t.shard == 0) {
             self.pending.remove(i);
-            self.superseded += 1;
         }
         let width = self.window_buf.shape()[1];
         self.windows[0].write_newest_rows_into(
@@ -509,10 +455,7 @@ impl LightTrader {
             },
         };
         match self.pending.iter_mut().find(|t| t.shard == shard) {
-            Some(older) => {
-                *older = ticket;
-                self.superseded += 1;
-            }
+            Some(older) => *older = ticket,
             None => self.pending.push(ticket),
         }
         Some(ticket)
@@ -614,6 +557,38 @@ impl std::fmt::Debug for LightTrader {
             .field("position", &self.trading.position())
             .field("orders_sent", &self.trading.orders_sent())
             .finish()
+    }
+}
+
+#[cfg(test)]
+impl LightTraderBuilder {
+    /// Registers additional model tiers alongside the preferred kind so
+    /// the system can serve at any of them ([`LightTrader::serve_tier`])
+    /// without a rebuild — the substrate for deadline-aware anytime
+    /// inference. The preferred kind is always registered; the feature
+    /// window is sized for the widest registered tier.
+    #[must_use]
+    fn tier_models(mut self, kinds: &[ModelKind]) -> Self {
+        self.tiers = kinds.to_vec();
+        self
+    }
+}
+
+#[cfg(test)]
+impl LightTrader {
+    /// Switches the serving tier (anytime inference: a deadline-aware
+    /// scheduler degrades to a cheaper registered tier under load).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `kind` was not registered at build time
+    /// (`LightTraderBuilder::tier_models`).
+    fn serve_tier(&mut self, kind: ModelKind) {
+        assert!(
+            self.registry.contains(kind),
+            "{kind} is not a registered tier"
+        );
+        self.active = kind;
     }
 }
 
@@ -930,8 +905,6 @@ mod tests {
             .tier_models(&ModelKind::ALL)
             .normalization(session.norm.clone())
             .build();
-        assert_eq!(system.registered_tiers(), ModelKind::ALL.to_vec());
-        assert_eq!(system.model_kind(), ModelKind::DeepLob);
         // Serve a stretch at each tier on the same staged window; every
         // tier must produce valid predictions from the shared pipeline.
         let mut per_tier = [0u64; 3];
@@ -1374,7 +1347,6 @@ mod tests {
             answered > 20 && replaced > 0,
             "{answered} answers, {replaced} replaced"
         );
-        assert_eq!(trader.superseded(), replaced);
         assert_eq!(trader.inferences(), answered as u64);
     }
 
@@ -1399,7 +1371,7 @@ mod tests {
         assert_ne!(system.on_event(&events[25]), TickOutcome::Warmup);
         let mut out = Vec::new();
         assert_eq!(system.drain_batch(&mut out), 0, "answered {out:?}");
-        assert_eq!((system.queue_len(), system.superseded()), (0, 1));
+        assert_eq!(system.queue_len(), 0, "the superseded ticket is dropped");
         assert_eq!(system.inferences(), 7);
     }
 

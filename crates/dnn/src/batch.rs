@@ -4,8 +4,9 @@
 //! The accelerator keeps weights stationary and streams batched queries
 //! past them (paper §III); the software path mirrors that with a
 //! [`PackedWeights`] cache built once per model. Every operand that
-//! supplies the lanes of the packed register tile — im2col convolution
-//! kernels, dense and attention weights, the LSTM's `wx`/`wh` stacks —
+//! supplies the lanes of the packed register tile — the kernels of the
+//! convolutions swept as a GEMM, dense and attention weights, the LSTM's
+//! `wx`/`wh` stacks —
 //! is repacked into k-major panels
 //! ([`crate::kernels::pack_bt_panels`]). Packing is a pure layout
 //! permutation: the packed path preserves each output element's

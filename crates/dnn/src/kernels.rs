@@ -21,10 +21,11 @@
 //!   reduction is never split, reordered, or vectorized with partial
 //!   sums — register tiling computes several independent accumulator
 //!   chains in parallel, each of which is order-identical to naive;
-//! * [`im2col`] materializes zero entries where the naive convolution
-//!   *skips* padded taps. Adding `w * 0.0` instead of skipping can only
-//!   flip the sign of an exact zero (`-0.0 + 0.0 == +0.0`), which `f32`
-//!   equality and every downstream consumer treat as identical.
+//! * [`conv2d_direct_bf16`] stages zero lanes where the naive
+//!   convolution *skips* padded taps. Adding `w * 0.0` instead of
+//!   skipping can only flip the sign of an exact zero (`-0.0 + 0.0 ==
+//!   +0.0`), which `f32` equality and every downstream consumer treat as
+//!   identical.
 //!
 //! The `kernel_equivalence` integration test property-checks these
 //! guarantees against the `forward_reference` implementations across
@@ -94,74 +95,6 @@ use crate::ops::fold_rows;
 
 /// Register-tile width: independent accumulator chains per inner loop.
 const MR: usize = 4;
-
-/// Unfolds a `[in_c, h, w]` input into im2col patch rows.
-///
-/// `out` must hold `oh * ow * in_c * kh * kw` elements and is written as
-/// a row-major `[oh * ow, in_c * kh * kw]` matrix: one row per output
-/// position (scanning `oy` then `ox`), columns ordered `ic → ky → kx` to
-/// match the naive convolution's accumulation order. Taps that fall in
-/// the zero-padding region are stored as `0.0`.
-///
-/// # Panics
-///
-/// Panics if `x` or `out` have the wrong length.
-#[allow(clippy::too_many_arguments)]
-pub fn im2col(
-    x: &[f32],
-    in_c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: (usize, usize),
-    padding: (usize, usize),
-    oh: usize,
-    ow: usize,
-    out: &mut [f32],
-) {
-    let k = in_c * kh * kw;
-    assert_eq!(x.len(), in_c * h * w, "im2col input length");
-    assert_eq!(out.len(), oh * ow * k, "im2col patch-buffer length");
-    let (ph, pw) = padding;
-    let mut row = 0usize;
-    for oy in 0..oh {
-        let base_y = oy * stride.0;
-        for ox in 0..ow {
-            let base_x = ox * stride.1;
-            let patch = &mut out[row..row + k];
-            let mut col = 0usize;
-            for ic in 0..in_c {
-                let chan = &x[ic * h * w..(ic + 1) * h * w];
-                for ky in 0..kh {
-                    let iy = base_y + ky;
-                    if iy < ph || iy - ph >= h {
-                        patch[col..col + kw].fill(0.0);
-                        col += kw;
-                        continue;
-                    }
-                    let src = &chan[(iy - ph) * w..(iy - ph + 1) * w];
-                    if pw == 0 && base_x + kw <= w {
-                        // Common case (no horizontal padding): one memcpy.
-                        patch[col..col + kw].copy_from_slice(&src[base_x..base_x + kw]);
-                        col += kw;
-                    } else {
-                        for kx in 0..kw {
-                            let ix = base_x + kx;
-                            patch[col] = if ix < pw || ix - pw >= w {
-                                0.0
-                            } else {
-                                src[ix - pw]
-                            };
-                            col += 1;
-                        }
-                    }
-                }
-            }
-            row += k;
-        }
-    }
-}
 
 /// Output lanes per packed register tile: the width of one k-major panel.
 pub const NR: usize = 8;
@@ -408,9 +341,9 @@ impl<'a> Segment<'a> {
 /// post(bias[o] + sum over segments, then over t, of lane operand
 /// (o, t) * row r's input t)` for `r < rows`, `o < n`.
 ///
-/// Dense layers (attention's four projections among them), im2col
-/// convolutions and LSTM gate pre-activations are this one sweep of the
-/// register tile; they differ in their segments, their seed (`None`
+/// Dense layers (attention's four projections among them), convolutions
+/// whose patch rows lie in place in their input and LSTM gate
+/// pre-activations are this one sweep of the register tile; they differ in their segments, their seed (`None`
 /// seeds `0.0`), their store layout and `post` (BF16 rounding or
 /// nothing). Full
 /// blocks of [`MR`] rows share each lane block (`shared_panel_tile`);
@@ -786,11 +719,12 @@ impl DirectConv {
 /// same-padded inception branches, DeepLOB's strided level folds (`(1, 2)`
 /// at stride 2, `(1, 10)`) — every convolution of the three benchmark
 /// networks but the CNN's full-width first layer, which `Conv2d` sweeps as
-/// a GEMM over its input in place. Bit-identical to `im2col` + GEMM.
+/// a GEMM over its input in place. Bit-identical to an unfolded patch
+/// matrix swept by [`gemm_packed`].
 ///
-/// Tap `t = (ic, ky, kx)`'s im2col patch column, at output position `p =
-/// oy * ow + ox`, is channel `ic` at row `oy + ky - ph` and column `ox *
-/// sw + kx`, so no patch matrix is materialized. A block of `W`
+/// Tap `t = (ic, ky, kx)`'s patch column, at output position
+/// `p = oy * ow + ox`, is channel `ic` at row `oy + ky - ph` and column
+/// `ox * sw + kx`, so no patch matrix is materialized. A block of `W`
 /// consecutive output positions reads one `W`-lane word per tap, zero
 /// where the row leaves the channel, in one of three ways:
 ///
@@ -1560,6 +1494,74 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Unfolds a `[in_c, h, w]` input into im2col patch rows.
+    ///
+    /// `out` must hold `oh * ow * in_c * kh * kw` elements and is written as
+    /// a row-major `[oh * ow, in_c * kh * kw]` matrix: one row per output
+    /// position (scanning `oy` then `ox`), columns ordered `ic → ky → kx` to
+    /// match the naive convolution's accumulation order. Taps that fall in
+    /// the zero-padding region are stored as `0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` or `out` have the wrong length.
+    #[allow(clippy::too_many_arguments)]
+    fn im2col(
+        x: &[f32],
+        in_c: usize,
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+        stride: (usize, usize),
+        padding: (usize, usize),
+        oh: usize,
+        ow: usize,
+        out: &mut [f32],
+    ) {
+        let k = in_c * kh * kw;
+        assert_eq!(x.len(), in_c * h * w, "im2col input length");
+        assert_eq!(out.len(), oh * ow * k, "im2col patch-buffer length");
+        let (ph, pw) = padding;
+        let mut row = 0usize;
+        for oy in 0..oh {
+            let base_y = oy * stride.0;
+            for ox in 0..ow {
+                let base_x = ox * stride.1;
+                let patch = &mut out[row..row + k];
+                let mut col = 0usize;
+                for ic in 0..in_c {
+                    let chan = &x[ic * h * w..(ic + 1) * h * w];
+                    for ky in 0..kh {
+                        let iy = base_y + ky;
+                        if iy < ph || iy - ph >= h {
+                            patch[col..col + kw].fill(0.0);
+                            col += kw;
+                            continue;
+                        }
+                        let src = &chan[(iy - ph) * w..(iy - ph + 1) * w];
+                        if pw == 0 && base_x + kw <= w {
+                            // Common case (no horizontal padding): one memcpy.
+                            patch[col..col + kw].copy_from_slice(&src[base_x..base_x + kw]);
+                            col += kw;
+                        } else {
+                            for kx in 0..kw {
+                                let ix = base_x + kx;
+                                patch[col] = if ix < pw || ix - pw >= w {
+                                    0.0
+                                } else {
+                                    src[ix - pw]
+                                };
+                                col += 1;
+                            }
+                        }
+                    }
+                }
+                row += k;
+            }
+        }
+    }
 
     /// Scalar model of the naive convolution accumulation, for one output.
     #[allow(clippy::too_many_arguments)]

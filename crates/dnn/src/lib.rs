@@ -21,8 +21,8 @@
 //!   and activations, each with an analytic MAC counter used by the
 //!   latency model;
 //! * [`kernels`] — the register-tile micro-kernel and the passes behind
-//!   the ops' packed forwards (the packed GEMM, the direct and im2col
-//!   convolutions, the fused attention core, the layer norm's row folds
+//!   the ops' packed forwards (the packed GEMM, the direct convolution,
+//!   the fused attention core, the layer norm's row folds
 //!   and the LSTM cell), bit-identical to the naive `forward_reference`
 //!   oracles (an SSE2 and an AVX2 instance of each pass, and an AVX-512F
 //!   one of all but the LSTM cell, picked at run time by the CPU and the

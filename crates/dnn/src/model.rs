@@ -79,7 +79,7 @@ pub enum PriceDirection {
 
 impl PriceDirection {
     /// Class index in the models' output layout `[up, stationary, down]`.
-    pub fn class_index(self) -> usize {
+    fn class_index(self) -> usize {
         match self {
             PriceDirection::Up => 0,
             PriceDirection::Stationary => 1,
@@ -92,7 +92,7 @@ impl PriceDirection {
     /// # Panics
     ///
     /// Panics for indices above 2.
-    pub fn from_class_index(index: usize) -> Self {
+    fn from_class_index(index: usize) -> Self {
         match index {
             0 => PriceDirection::Up,
             1 => PriceDirection::Stationary,

@@ -59,7 +59,7 @@ impl DeepLobSpec {
     }
 
     /// Sequence length reaching the LSTM.
-    pub fn lstm_steps(&self) -> usize {
+    fn lstm_steps(&self) -> usize {
         self.window - TRUNK_SHRINK
     }
 

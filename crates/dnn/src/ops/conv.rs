@@ -3,14 +3,15 @@
 use crate::batch::PackedPanels;
 use crate::bf16::bf16_round;
 use crate::kernels::{
-    conv2d_direct_bf16, conv2d_direct_stage_len, gemm_packed, im2col, DirectConv, Segment,
+    conv2d_direct_bf16, conv2d_direct_stage_len, gemm_packed, DirectConv, Segment,
 };
 use crate::ops::count::{conv2d_macs, conv_out_len};
 use crate::ops::expect_rank;
 use crate::scratch::ScratchPad;
 use crate::tensor::Tensor;
 
-/// A 2-D convolution with optional stride and zero padding.
+/// A 2-D convolution with optional horizontal stride and vertical zero
+/// padding — the shapes of the three models.
 ///
 /// Input layout is `[in_c, H, W]`; kernels are `[out_c, in_c, k_h, k_w]`.
 /// LOB models treat `H` as tick time and `W` as the flattened level axis
@@ -28,7 +29,8 @@ impl Conv2d {
     ///
     /// # Panics
     ///
-    /// Panics if a stride component is zero.
+    /// Panics unless the vertical stride is 1, the horizontal stride is
+    /// positive and the horizontal padding is 0.
     pub fn new(
         in_c: usize,
         out_c: usize,
@@ -37,35 +39,13 @@ impl Conv2d {
         padding: (usize, usize),
         seed: u64,
     ) -> Self {
-        assert!(stride.0 > 0 && stride.1 > 0, "stride must be positive");
+        assert_model_shape(stride, padding);
         let fan_in = in_c * kernel.0 * kernel.1;
         let fan_out = out_c * kernel.0 * kernel.1;
         let scale = (6.0 / (fan_in + fan_out) as f32).sqrt();
         Conv2d {
             kernel: Tensor::random(&[out_c, in_c, kernel.0, kernel.1], scale, seed).quantize_bf16(),
             bias: vec![0.0; out_c],
-            stride,
-            padding,
-        }
-    }
-
-    /// Creates a convolution from explicit weights (tests / references).
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank/shape mismatches.
-    pub fn from_weights(
-        kernel: Tensor,
-        bias: Vec<f32>,
-        stride: (usize, usize),
-        padding: (usize, usize),
-    ) -> Self {
-        assert_eq!(kernel.shape().len(), 4, "kernel must be [out,in,kh,kw]");
-        assert_eq!(kernel.shape()[0], bias.len(), "bias length mismatch");
-        assert!(stride.0 > 0 && stride.1 > 0, "stride must be positive");
-        Conv2d {
-            kernel,
-            bias,
             stride,
             padding,
         }
@@ -110,15 +90,10 @@ impl Conv2d {
     /// patch row, so the whole batch runs as one GEMM sweep over `x` in
     /// place. Every other shape runs sample by sample: a kernel as wide as
     /// a one-channel input (the CNN's first layer) as one GEMM over its
-    /// overlapping patch rows in place; the other kernels at unit
-    /// vertical stride with no horizontal padding (every other
-    /// convolution of the three models) through the direct register-tile
-    /// convolution; the rest — vertically strided or horizontally padded,
-    /// which no model has — by unfolding the sample into an `[oh * ow,
-    /// k]` im2col patch matrix drawn from `pad` and sweeping it with the
-    /// packed GEMM. Each sample is `==` to [`Self::forward_reference`],
-    /// since packing only permutes the A layout (see [`crate::kernels`]
-    /// for the accumulation-order contract).
+    /// overlapping patch rows in place, every other kernel through the
+    /// direct register-tile convolution. Each sample is `==` to
+    /// [`Self::forward_reference`] (see [`crate::kernels`] for the
+    /// accumulation-order contract).
     ///
     /// # Panics
     ///
@@ -149,8 +124,8 @@ impl Conv2d {
             "batched conv output length"
         );
         // A sample exactly one kernel in size — a streamed `k = 1` row's
-        // line buffer — is its own (single) im2col patch row: `[in_c, kh,
-        // kw]` is `ic → ky → kx` order. One GEMM row per sample reads `x`
+        // line buffer — is its own (single) patch row: `[in_c, kh, kw]` is
+        // `ic → ky → kx` order. One GEMM row per sample reads `x`
         // in place, lanes on output channels; nothing is staged.
         if (h, w) == (kh, kw) && self.padding == (0, 0) {
             gemm_packed(
@@ -169,7 +144,7 @@ impl Conv2d {
         // and in `ky → kx` order, so one GEMM per sample reads its rows in
         // place, `w` apart. (The direct convolution would transpose all
         // `kh * w` taps of every block into its stage.)
-        if in_c == 1 && kw == w && self.stride.0 == 1 && self.padding == (0, 0) {
+        if in_c == 1 && kw == w && self.padding == (0, 0) {
             for s in 0..batch {
                 gemm_packed(
                     [Segment::packed(
@@ -188,65 +163,25 @@ impl Conv2d {
             }
             return;
         }
-        // Unit vertical stride with no horizontal padding — every
-        // convolution of the three networks — skips patch
-        // materialization: each block of positions stages one word of
-        // lanes per tap.
-        if self.stride.0 == 1 && self.padding.1 == 0 {
-            let shape = DirectConv {
-                in_c,
-                h,
-                w,
-                kh,
-                kw,
-                sw: self.stride.1,
-                ph: self.padding.0,
-                out_c,
-            };
-            let mut stage = pad.take_dirty(conv2d_direct_stage_len(in_c, kh, kw));
-            let (x_len, out_len) = (in_c * h * w, out_c * positions);
-            for s in 0..batch {
-                let (xs, o) = (&x[s * x_len..][..x_len], &mut out[s * out_len..][..out_len]);
-                conv2d_direct_bf16(shape, self.kernel.data(), &self.bias, xs, &mut stage, o);
-            }
-            pad.give(stage);
-            return;
+        // Every other convolution skips patch materialization: each block
+        // of positions stages one word of lanes per tap.
+        let shape = DirectConv {
+            in_c,
+            h,
+            w,
+            kh,
+            kw,
+            sw: self.stride.1,
+            ph: self.padding.0,
+            out_c,
+        };
+        let mut stage = pad.take_dirty(conv2d_direct_stage_len(in_c, kh, kw));
+        let (x_len, out_len) = (in_c * h * w, out_c * positions);
+        for s in 0..batch {
+            let (xs, o) = (&x[s * x_len..][..x_len], &mut out[s * out_len..][..out_len]);
+            conv2d_direct_bf16(shape, self.kernel.data(), &self.bias, xs, &mut stage, o);
         }
-        // Fully overwritten below (im2col writes every patch element,
-        // the GEMM writes every output), so both skip the zero fill.
-        let mut patches = pad.take_dirty(batch * positions * k);
-        let samples = x.chunks_exact(in_c * h * w);
-        let patch_rows = patches.chunks_exact_mut(positions * k);
-        for ((xs, patch), o) in samples
-            .zip(patch_rows)
-            .zip(out.chunks_exact_mut(out_c * positions))
-        {
-            im2col(
-                xs,
-                in_c,
-                h,
-                w,
-                kh,
-                kw,
-                self.stride,
-                self.padding,
-                oh,
-                ow,
-                patch,
-            );
-            // Lanes are output channels, rows are patch rows; the store
-            // transposes into the `[out_c, positions]` layout.
-            gemm_packed(
-                [Segment::packed(packed.data(), k, patch, k)],
-                Some(&self.bias),
-                positions,
-                out_c,
-                bf16_round,
-                o,
-                (1, positions),
-            );
-        }
-        pad.give(patches);
+        pad.give(stage);
     }
 
     /// The naive reference convolution (kept for equivalence tests and
@@ -307,6 +242,41 @@ impl Conv2d {
     }
 }
 
+/// The one stride and padding family `forward_batch_packed` lowers:
+/// unit vertical stride, a positive horizontal one, no horizontal padding.
+fn assert_model_shape(stride: (usize, usize), padding: (usize, usize)) {
+    assert!(stride.1 > 0, "stride must be positive");
+    assert!(
+        stride.0 == 1 && padding.1 == 0,
+        "Conv2d takes unit vertical stride and no horizontal padding"
+    );
+}
+
+#[cfg(test)]
+impl Conv2d {
+    /// Creates a convolution from explicit weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics on rank/shape mismatches and where [`Self::new`] does.
+    fn from_weights(
+        kernel: Tensor,
+        bias: Vec<f32>,
+        stride: (usize, usize),
+        padding: (usize, usize),
+    ) -> Self {
+        assert_eq!(kernel.shape().len(), 4, "kernel must be [out,in,kh,kw]");
+        assert_eq!(kernel.shape()[0], bias.len(), "bias length mismatch");
+        assert_model_shape(stride, padding);
+        Conv2d {
+            kernel,
+            bias,
+            stride,
+            padding,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,24 +304,33 @@ mod tests {
     #[test]
     fn stride_downsamples() {
         let kernel = Tensor::from_vec(vec![1.0], &[1, 1, 1, 1]);
-        let conv = Conv2d::from_weights(kernel, vec![0.0], (2, 2), (0, 0));
+        let conv = Conv2d::from_weights(kernel, vec![0.0], (1, 2), (0, 0));
         let x = Tensor::from_vec((0..16).map(|v| v as f32).collect(), &[1, 4, 4]);
         let y = conv.forward_reference(&x);
-        assert_eq!(y.shape(), &[1, 2, 2]);
-        assert_eq!(y.data(), &[0.0, 2.0, 8.0, 10.0]);
+        assert_eq!(y.shape(), &[1, 4, 2]);
+        assert_eq!(y.data(), &[0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0]);
     }
 
     #[test]
     fn padding_preserves_size() {
-        let kernel = Tensor::from_vec(
-            vec![0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-            &[1, 1, 3, 3],
-        );
-        let conv = Conv2d::from_weights(kernel, vec![0.0], (1, 1), (1, 1));
+        let kernel = Tensor::from_vec(vec![0.0, 1.0, 0.0], &[1, 1, 3, 1]);
+        let conv = Conv2d::from_weights(kernel, vec![0.0], (1, 1), (1, 0));
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 2, 2]);
         let y = conv.forward_reference(&x);
         assert_eq!(y.shape(), &[1, 2, 2]);
         assert_eq!(y.data(), x.data(), "center-tap kernel with same padding");
+    }
+
+    #[test]
+    #[should_panic(expected = "unit vertical stride")]
+    fn vertical_stride_is_rejected() {
+        let _ = Conv2d::new(1, 1, (1, 1), (2, 1), (0, 0), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "no horizontal padding")]
+    fn horizontal_padding_is_rejected() {
+        let _ = Conv2d::new(1, 1, (1, 3), (1, 1), (0, 1), 0);
     }
 
     #[test]

@@ -26,19 +26,8 @@ impl Linear {
         }
     }
 
-    /// Creates a layer from explicit weights (tests / references).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is not rank 2 or `bias` length mismatches.
-    pub fn from_weights(weight: Tensor, bias: Vec<f32>) -> Self {
-        assert_eq!(weight.shape().len(), 2, "weight must be [out, in]");
-        assert_eq!(weight.shape()[0], bias.len(), "bias length mismatch");
-        Linear { weight, bias }
-    }
-
     /// Input width.
-    pub fn input_dim(&self) -> usize {
+    fn input_dim(&self) -> usize {
         self.weight.shape()[1]
     }
 
@@ -127,6 +116,20 @@ impl Linear {
     /// MACs of a forward pass over `rows` rows.
     pub fn macs(&self, rows: u64) -> u64 {
         linear_macs(rows, self.input_dim() as u64, self.output_dim() as u64)
+    }
+}
+
+#[cfg(test)]
+impl Linear {
+    /// Creates a layer from explicit weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weight` is not rank 2 or `bias` length mismatches.
+    fn from_weights(weight: Tensor, bias: Vec<f32>) -> Self {
+        assert_eq!(weight.shape().len(), 2, "weight must be [out, in]");
+        assert_eq!(weight.shape()[0], bias.len(), "bias length mismatch");
+        Linear { weight, bias }
     }
 }
 

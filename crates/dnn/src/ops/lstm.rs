@@ -41,11 +41,6 @@ impl Lstm {
         }
     }
 
-    /// Input width.
-    pub fn input_dim(&self) -> usize {
-        self.input
-    }
-
     /// Hidden-state width.
     pub fn hidden_dim(&self) -> usize {
         self.hidden

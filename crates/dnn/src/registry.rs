@@ -112,7 +112,7 @@ impl ModelRegistry {
     }
 
     /// Registered kinds, cheapest first (Table II order).
-    pub fn kinds(&self) -> impl Iterator<Item = ModelKind> + '_ {
+    fn kinds(&self) -> impl Iterator<Item = ModelKind> + '_ {
         ModelKind::ALL.into_iter().filter(|&k| self.contains(k))
     }
 

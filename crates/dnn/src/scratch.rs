@@ -59,8 +59,9 @@ impl ScratchPad {
     /// Cheaper than [`Self::take`] on large buffers because pooled
     /// storage is not re-zeroed (only capacity growth is zero-filled).
     /// Only for buffers the caller fully overwrites before reading —
-    /// im2col patch matrices and GEMM outputs in the batched inference
-    /// path, where every element is written by construction.
+    /// activation maps, direct-convolution stages and GEMM outputs in the
+    /// batched inference path, where every element is written by
+    /// construction.
     pub fn take_dirty(&mut self, len: usize) -> Vec<f32> {
         let mut buf = match best_fit(&self.f32_pool, len) {
             Some(i) => self.f32_pool.swap_remove(i),

@@ -143,11 +143,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multi-dimensional index.
     ///
     /// # Panics
@@ -213,21 +208,6 @@ impl Tensor {
         self
     }
 
-    /// The index of the maximum element (first on ties).
-    ///
-    /// # Panics
-    ///
-    /// Never panics: tensors always hold at least one element.
-    pub fn argmax(&self) -> usize {
-        let mut best = 0;
-        for (i, &v) in self.data.iter().enumerate() {
-            if v > self.data[best] {
-                best = i;
-            }
-        }
-        best
-    }
-
     /// Row `r` of a rank-2 tensor as a slice.
     ///
     /// # Panics
@@ -280,12 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn argmax_first_on_ties() {
-        let t = Tensor::from_vec(vec![1.0, 3.0, 3.0, 2.0], &[4]);
-        assert_eq!(t.argmax(), 1);
-    }
-
-    #[test]
     fn quantize_bf16_rounds_all() {
         let t = Tensor::from_vec(vec![1.0001, 2.0003], &[2]).quantize_bf16();
         for &v in t.data() {
@@ -308,8 +282,6 @@ mod tests {
         let ptr = data.as_ptr();
         let t = Tensor::from_vec(data, &[2, 2]);
         assert_eq!(t.data().as_ptr(), ptr, "from_vec must reuse the buffer");
-        let back = t.into_vec();
-        assert_eq!(back.as_ptr(), ptr, "into_vec must reuse the buffer");
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl HawkesParams {
 
     /// The branching ratio `α/β` (the expected number of direct children of
     /// one event).
-    pub fn branching_ratio(&self) -> f64 {
+    fn branching_ratio(&self) -> f64 {
         self.alpha / self.beta
     }
 
@@ -98,14 +98,9 @@ impl HawkesProcess {
         self.params
     }
 
-    /// Current total intensity λ(now) in events per second.
-    pub fn intensity(&self) -> f64 {
-        self.params.mu + self.excitation
-    }
-
     /// Samples the next arrival time in seconds (absolute, since process
     /// start) using Ogata thinning.
-    pub fn next_arrival(&mut self) -> f64 {
+    fn next_arrival(&mut self) -> f64 {
         loop {
             let lambda_bar = self.params.mu + self.excitation;
             // Candidate wait from a homogeneous Poisson at the current

@@ -29,7 +29,7 @@ pub const MAX_SYMBOLS: usize = 99;
 /// weights sum to `n`. With `skew = 0` every weight is exactly 1.0, so
 /// each symbol carries the single-instrument base load and aggregate
 /// traffic scales linearly with the symbol count.
-pub fn zipf_weights(n: usize, skew: f64) -> Vec<f64> {
+fn zipf_weights(n: usize, skew: f64) -> Vec<f64> {
     assert!(n >= 1, "need at least one symbol");
     assert!(skew >= 0.0 && skew.is_finite(), "skew must be >= 0");
     let raw: Vec<f64> = (0..n).map(|i| ((i + 1) as f64).powf(-skew)).collect();
@@ -38,7 +38,7 @@ pub fn zipf_weights(n: usize, skew: f64) -> Vec<f64> {
 }
 
 /// Deterministic symbol name for shard `i`: "S00", "S01", ...
-pub fn symbol_for(i: usize) -> Symbol {
+fn symbol_for(i: usize) -> Symbol {
     assert!(i < MAX_SYMBOLS, "symbol index out of range");
     let bytes = [b'S', b'0' + (i / 10) as u8, b'0' + (i % 10) as u8];
     Symbol::new(std::str::from_utf8(&bytes).expect("ascii"))

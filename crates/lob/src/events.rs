@@ -93,14 +93,6 @@ impl MarketEvent {
             MarketEventKind::Book(_) => None,
         }
     }
-
-    /// The book-delta payload, if this event is a book change.
-    pub fn as_book(&self) -> Option<&BookDelta> {
-        match &self.kind {
-            MarketEventKind::Book(d) => Some(d),
-            MarketEventKind::Trade(_) => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -122,7 +114,6 @@ mod tests {
         };
         assert!(trade.is_trade());
         assert!(trade.as_trade().is_some());
-        assert!(trade.as_book().is_none());
 
         let add = MarketEvent {
             seq: 2,
@@ -135,7 +126,6 @@ mod tests {
             }),
         };
         assert!(!add.is_trade());
-        assert!(add.as_book().is_some());
         assert!(add.as_trade().is_none());
     }
 }

@@ -102,11 +102,6 @@ impl Fill {
         fee_half: 0,
         slippage_half: 0,
     };
-
-    /// Net cash movement in half-ticks, fees included.
-    pub fn net_cash_half(&self) -> i64 {
-        self.cash_delta_half - self.fee_half
-    }
 }
 
 /// Settles an immediate-or-cancel order against the book state `book`,
@@ -296,7 +291,7 @@ mod tests {
             &fees,
         );
         assert_eq!(hit.fee_half, 2 + 3);
-        assert_eq!(hit.net_cash_half(), -2 * 101 * 3 - 5);
+        assert_eq!(hit.cash_delta_half, -2 * 101 * 3);
         let miss = fill_ioc(
             &book,
             Side::Bid,

@@ -125,7 +125,7 @@ impl PriceLadder {
 
     /// Number of occupied price levels.
     #[inline]
-    pub fn level_count(&self) -> usize {
+    fn level_count(&self) -> usize {
         self.occupied
     }
 
@@ -148,12 +148,6 @@ impl PriceLadder {
             Some(i) if self.slots[i].present => self.slots[i].total,
             _ => Qty::ZERO,
         }
-    }
-
-    /// True if a level exists at `price` (even with zero quantity).
-    #[inline]
-    pub fn level_exists(&self, price: Price) -> bool {
-        matches!(self.index_of(price), Some(i) if self.slots[i].present)
     }
 
     /// Visits the best `depth` occupied levels, most aggressive first,
@@ -878,7 +872,7 @@ mod tests {
         ladder.rescale(Price::new(100), Qty::new(10), Qty::new(4));
         assert_eq!(ladder.qty_at(Price::new(100)), Qty::new(4));
         ladder.rescale(Price::new(100), Qty::new(4), Qty::ZERO);
-        assert!(!ladder.level_exists(Price::new(100)));
+        assert!(ladder.is_empty(), "a zero rescale removes the level");
         // Rescale and withdraw on absent levels are no-ops.
         ladder.rescale(Price::new(100), Qty::new(1), Qty::new(2));
         ladder.withdraw(Price::new(100), Qty::new(1));
@@ -889,10 +883,10 @@ mod tests {
     fn zero_qty_level_exists_until_touched() {
         let mut ladder = PriceLadder::new(Side::Ask);
         ladder.deposit(Price::new(100), Qty::ZERO);
-        assert!(ladder.level_exists(Price::new(100)));
+        assert!(!ladder.is_empty());
         assert_eq!(ladder.best_price(), Some(Price::new(100)));
         ladder.withdraw(Price::new(100), Qty::ZERO);
-        assert!(!ladder.level_exists(Price::new(100)));
+        assert!(ladder.is_empty());
     }
 
     #[test]

@@ -93,11 +93,6 @@ impl Order {
     pub fn filled(&self) -> Qty {
         self.original - self.remaining
     }
-
-    /// True once the order has no remaining quantity.
-    pub fn is_filled(&self) -> bool {
-        self.remaining.is_zero()
-    }
 }
 
 #[cfg(test)]
@@ -127,6 +122,5 @@ mod tests {
             seq: 0,
         };
         assert_eq!(o.filled(), Qty::new(3));
-        assert!(!o.is_filled());
     }
 }

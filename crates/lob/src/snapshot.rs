@@ -116,10 +116,13 @@ impl LobSnapshot {
             }
         }
     }
+}
 
+#[cfg(test)]
+impl LobSnapshot {
     /// Order-book imbalance at the top level in `[-1, 1]`
     /// (`(bid_qty - ask_qty) / (bid_qty + ask_qty)`), or 0 when empty.
-    pub fn top_imbalance(&self) -> f64 {
+    fn top_imbalance(&self) -> f64 {
         let b = self.best_bid().map_or(0.0, |l| l.qty.contracts() as f64);
         let a = self.best_ask().map_or(0.0, |l| l.qty.contracts() as f64);
         if b + a == 0.0 {

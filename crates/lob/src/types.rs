@@ -32,11 +32,6 @@ impl Price {
     pub const fn offset(self, delta: i64) -> Self {
         Price(self.0 + delta)
     }
-
-    /// Converts to a decimal value given the tick size.
-    pub fn to_decimal(self, tick_size: f64) -> f64 {
-        self.0 as f64 * tick_size
-    }
 }
 
 impl fmt::Display for Price {
@@ -170,15 +165,6 @@ impl Side {
         match self {
             Side::Bid => resting >= incoming,
             Side::Ask => resting <= incoming,
-        }
-    }
-
-    /// Returns `true` when `a` is more aggressive than `b` on this side
-    /// (higher for bids, lower for asks).
-    pub fn more_aggressive(self, a: Price, b: Price) -> bool {
-        match self {
-            Side::Bid => a > b,
-            Side::Ask => a < b,
         }
     }
 }
@@ -360,7 +346,6 @@ mod tests {
         assert_eq!(Price::new(105) - p, 5);
         assert_eq!(p.offset(-100), Price::new(0));
         assert_eq!(p.to_string(), "100t");
-        assert!((Price::new(4).to_decimal(0.25) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -385,14 +370,6 @@ mod tests {
         assert!(!Side::Ask.crosses(Price::new(10), Price::new(9)));
         assert_eq!(Side::Bid.opposite(), Side::Ask);
         assert_eq!(Side::Ask.opposite(), Side::Bid);
-    }
-
-    #[test]
-    fn side_aggressiveness() {
-        assert!(Side::Bid.more_aggressive(Price::new(11), Price::new(10)));
-        assert!(!Side::Bid.more_aggressive(Price::new(10), Price::new(10)));
-        assert!(Side::Ask.more_aggressive(Price::new(9), Price::new(10)));
-        assert!(!Side::Ask.more_aggressive(Price::new(11), Price::new(10)));
     }
 
     #[test]

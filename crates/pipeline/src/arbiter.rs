@@ -105,20 +105,10 @@ impl FeedArbiter {
     /// packet look like a duplicate, and packets lost before a feed's
     /// first successful delivery still count against that feed.
     pub fn new() -> Self {
-        Self::starting_at(0)
-    }
-
-    /// Creates an arbiter joining mid-session at wire sequence `first`
-    /// (widened space): earlier sequences are treated as already
-    /// delivered.
-    pub fn starting_at(first: u64) -> Self {
         FeedArbiter {
             decoder: SbeDecoder::default(),
-            combined: SeqTracker::starting_at(first),
-            feeds: [
-                SeqTracker::starting_at(first),
-                SeqTracker::starting_at(first),
-            ],
+            combined: SeqTracker::starting_at(0),
+            feeds: [SeqTracker::starting_at(0), SeqTracker::starting_at(0)],
             health: [FeedHealth::default(); 2],
             stats: ArbiterStats::default(),
         }

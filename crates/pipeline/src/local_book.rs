@@ -28,9 +28,7 @@ pub struct LocalBook {
     bids: PriceLadder,
     asks: PriceLadder,
     orders: HashMap<OrderId, (Side, Price, Qty), IdHashBuilder>,
-    applied: u64,
     out_of_span: u64,
-    last_trade: Option<(Price, Qty)>,
 }
 
 impl Default for LocalBook {
@@ -46,9 +44,7 @@ impl LocalBook {
             bids: PriceLadder::new(Side::Bid),
             asks: PriceLadder::new(Side::Ask),
             orders: HashMap::default(),
-            applied: 0,
             out_of_span: 0,
-            last_trade: None,
         }
     }
 
@@ -66,20 +62,10 @@ impl LocalBook {
         self.orders.reserve(orders.saturating_mul(3));
     }
 
-    /// Number of events applied so far.
-    pub fn applied(&self) -> u64 {
-        self.applied
-    }
-
     /// Adds ignored because their price lay further from the side's
     /// resting band than a ladder may span.
     pub fn out_of_span(&self) -> u64 {
         self.out_of_span
-    }
-
-    /// The most recent trade print, if any.
-    pub fn last_trade(&self) -> Option<(Price, Qty)> {
-        self.last_trade
     }
 
     /// Best bid price.
@@ -99,12 +85,9 @@ impl LocalBook {
     /// so is an add priced out of the ladder's span, which is counted
     /// ([`Self::out_of_span`]).
     pub fn apply(&mut self, event: &MarketEvent) {
-        self.applied += 1;
-        match &event.kind {
-            MarketEventKind::Book(delta) => self.apply_delta(delta),
-            MarketEventKind::Trade(trade) => {
-                self.last_trade = Some((trade.price, trade.qty));
-            }
+        // A trade print leaves the mirror as it is.
+        if let MarketEventKind::Book(delta) = &event.kind {
+            self.apply_delta(delta);
         }
     }
 
@@ -223,7 +206,6 @@ mod tests {
         let snap = book.snapshot(10, Timestamp::from_nanos(3));
         assert_eq!(snap.best_bid().unwrap().qty, Qty::new(12));
         assert_eq!(snap.best_ask().unwrap().price, Price::new(101));
-        assert_eq!(book.applied(), 3);
     }
 
     #[test]
@@ -244,25 +226,6 @@ mod tests {
         let mut book = LocalBook::new();
         book.apply(&delete(1, 42, Side::Ask, 101));
         assert_eq!(book.best_ask(), None);
-        assert_eq!(book.applied(), 1);
-    }
-
-    #[test]
-    fn trade_updates_last_trade() {
-        use lt_lob::Trade;
-        let mut book = LocalBook::new();
-        book.apply(&MarketEvent {
-            seq: 1,
-            ts: Timestamp::from_nanos(1),
-            kind: MarketEventKind::Trade(Trade {
-                taker: OrderId::new(2),
-                maker: OrderId::new(1),
-                price: Price::new(100),
-                qty: Qty::new(3),
-                aggressor: Side::Bid,
-            }),
-        });
-        assert_eq!(book.last_trade(), Some((Price::new(100), Qty::new(3))));
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl PacketParser {
         self.stats
     }
 
-    /// Sequence values recorded as gaps and not yet filled.
-    pub fn outstanding_gaps(&self) -> u64 {
-        self.tracker.outstanding()
-    }
-
     /// Ingests one raw datagram, returning its decoded events in a fresh
     /// vector; the allocating wrapper over [`Self::ingest_into`].
     pub fn ingest(&mut self, bytes: &[u8]) -> Vec<MarketEvent> {
@@ -223,12 +218,14 @@ mod tests {
         assert_eq!(s.recovered, 1);
         assert_eq!(s.duplicates, 0);
         assert_eq!(s.packets, 3);
-        // Cumulative gap count is unchanged; one seq is still outstanding.
+        // Cumulative gap count is unchanged.
         assert_eq!(s.gap_packets, 2);
-        assert_eq!(parser.outstanding_gaps(), 1);
         // The same packet again *is* a duplicate.
         assert!(parser.ingest(&datagram(1, &[event(2)])).is_empty());
         assert_eq!(parser.stats().duplicates, 1);
+        // Packet 2 is still outstanding: it recovers too.
+        assert_eq!(parser.ingest(&datagram(2, &[event(3)])), vec![event(3)]);
+        assert_eq!(parser.stats().recovered, 2);
     }
 
     #[test]

@@ -44,14 +44,6 @@ impl OrderRateLimiter {
         self.rejected
     }
 
-    /// Orders currently counted in the window.
-    pub fn in_window(&self, now: Timestamp) -> usize {
-        self.sends
-            .iter()
-            .filter(|t| now.nanos_since(**t) < self.window_ns)
-            .count()
-    }
-
     /// Attempts to pass one order at `now`; `true` means send it.
     pub fn allow(&mut self, now: Timestamp) -> bool {
         if self.would_allow(now) {
@@ -156,7 +148,11 @@ mod tests {
         assert_eq!(limiter.rejected(), 1);
         // The window slides: the t0 send expires at t0+1s.
         assert!(limiter.allow(Timestamp::from_millis(1_001)));
-        assert_eq!(limiter.in_window(Timestamp::from_millis(1_001)), 3);
+        assert!(
+            !limiter.allow(Timestamp::from_millis(1_001)),
+            "window full again"
+        );
+        assert_eq!(limiter.rejected(), 2);
     }
 
     #[test]
@@ -218,10 +214,8 @@ mod tests {
         // One nanosecond short of expiry the t0 sends still count.
         let almost = Timestamp::from_nanos(5_000 + 999_999_999);
         assert!(!limiter.allow(almost));
-        assert_eq!(limiter.in_window(almost), 2);
         // At exactly t0 + 1 s both expire: a full burst passes again.
         let boundary = Timestamp::from_nanos(5_000 + 1_000_000_000);
-        assert_eq!(limiter.in_window(boundary), 0);
         assert!(limiter.allow(boundary));
         assert!(limiter.allow(boundary));
         assert!(!limiter.allow(boundary), "new window is also capped");

@@ -69,12 +69,6 @@ impl SeqTracker {
         self.outstanding
     }
 
-    /// Outstanding gap ranges as `(start, end_exclusive)` pairs in
-    /// widened space, ascending.
-    pub fn gap_ranges(&self) -> Vec<(u64, u64)> {
-        self.gaps.iter().map(|(&s, &e)| (s, e)).collect()
-    }
-
     /// Widens a raw `u32` wire sequence into the monotone `u64` space by
     /// picking the candidate (same low 32 bits) closest to `expected`.
     /// This is RFC 1982-style serial arithmetic: it makes the stream
@@ -175,7 +169,6 @@ mod tests {
         assert_eq!(t.observe(1), SeqObservation::Recovered);
         assert_eq!(t.observe(2), SeqObservation::Recovered);
         assert_eq!(t.outstanding(), 0);
-        assert!(t.gap_ranges().is_empty());
         // Filling twice is a duplicate.
         assert_eq!(t.observe(1), SeqObservation::Duplicate);
     }
@@ -186,8 +179,12 @@ mod tests {
         t.observe(0);
         t.observe(10); // gap [1, 10)
         assert_eq!(t.observe(5), SeqObservation::Recovered);
-        assert_eq!(t.gap_ranges(), vec![(1, 5), (6, 10)]);
         assert_eq!(t.outstanding(), 8);
+        assert_eq!(t.observe(5), SeqObservation::Duplicate);
+        // Both halves still recover: [1, 5) and [6, 10).
+        assert_eq!(t.observe(4), SeqObservation::Recovered);
+        assert_eq!(t.observe(6), SeqObservation::Recovered);
+        assert_eq!(t.outstanding(), 6);
     }
 
     #[test]
@@ -229,7 +226,6 @@ mod tests {
         // Packets 2..5 never arrive; closing the stream records them.
         t.close(5);
         assert_eq!(t.outstanding(), 3);
-        assert_eq!(t.gap_ranges(), vec![(2, 5)]);
         // A late fill after close still counts as recovered.
         assert_eq!(t.observe(3), SeqObservation::Recovered);
         assert_eq!(t.outstanding(), 2);

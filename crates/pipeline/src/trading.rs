@@ -172,9 +172,9 @@ impl TradingEngine {
     /// Runs the risk gates against one inference result and generates the
     /// order to transmit — or the reason it was suppressed. An Up
     /// prediction lifts the best ask (IOC); a Down prediction hits the
-    /// best bid. No fill is booked: the caller settles the venue's
-    /// response (real or assumed) through [`Self::settle`].
-    pub fn propose(
+    /// best bid. No fill is booked: [`Self::on_prediction`] settles the
+    /// assumed fill through [`Self::settle`].
+    fn propose(
         &mut self,
         prediction: &Prediction,
         book: &LobSnapshot,
@@ -234,7 +234,7 @@ impl TradingEngine {
     /// Books a settled fill for an order previously generated by
     /// [`Self::propose`] into the portfolio. A missed IOC (zero fill) is
     /// a no-op on the ledger.
-    pub fn settle(&mut self, side: Side, fill: &Fill) {
+    fn settle(&mut self, side: Side, fill: &Fill) {
         self.portfolio.apply(side, fill);
     }
 }

@@ -1,22 +1,15 @@
-//! Market-data datagram framing and wire-cost accounting.
+//! Market-data datagram framing.
 //!
 //! The feed handler receives tick data "through the Ethernet and UDP/IP
 //! connection" (§III-A). This module frames packed SBE payloads into
 //! UDP-style datagrams with a channel sequence number, packet send time,
 //! message count, and an additive checksum — enough structure for the
-//! packet parser to detect gaps and corruption — and provides a
-//! [`WireCost`] helper that converts frame sizes into serialization delay
-//! at a given line rate, which the latency model uses.
+//! packet parser to detect gaps and corruption.
 
 use crate::error::DecodeError;
 use crate::sbe::field;
 use bytes::{BufMut, BytesMut};
 use lt_lob::Timestamp;
-use std::time::Duration;
-
-/// Ethernet II + IPv4 + UDP header overhead in bytes (14 + 20 + 8), as
-/// charged by the wire-cost model on top of the payload.
-pub const ETHERNET_IPV4_UDP_OVERHEAD: usize = 42;
 
 /// Header bytes the checksum covers: seq + sent + count, everything in
 /// front of the checksum itself.
@@ -168,57 +161,6 @@ impl Datagram {
     pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
         DatagramRef::decode(bytes).map(DatagramRef::to_owned)
     }
-
-    /// Total bytes this datagram occupies on the wire, including L2-L4
-    /// headers.
-    pub fn wire_size(&self) -> usize {
-        ETHERNET_IPV4_UDP_OVERHEAD + Self::HEADER_SIZE + self.payload.len()
-    }
-}
-
-/// Converts frame sizes to serialization delay at a fixed line rate.
-///
-/// # Example
-///
-/// ```
-/// use lt_protocol::framing::WireCost;
-/// let wire = WireCost::ten_gbe();
-/// // A 1250-byte frame takes 1 µs at 10 Gb/s.
-/// assert_eq!(wire.serialization_delay(1250).as_nanos(), 1000);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireCost {
-    /// Line rate in bits per second.
-    bits_per_sec: u64,
-}
-
-impl WireCost {
-    /// Creates a cost model at `bits_per_sec`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits_per_sec` is zero.
-    pub fn new(bits_per_sec: u64) -> Self {
-        assert!(bits_per_sec > 0, "line rate must be positive");
-        WireCost { bits_per_sec }
-    }
-
-    /// 10GbE, the typical market-data line rate at a co-location venue.
-    pub fn ten_gbe() -> Self {
-        WireCost::new(10_000_000_000)
-    }
-
-    /// The configured line rate in bits per second.
-    pub fn bits_per_sec(&self) -> u64 {
-        self.bits_per_sec
-    }
-
-    /// Time to clock `bytes` onto the wire, rounded up to the next whole
-    /// nanosecond — a partial byte still occupies the wire.
-    pub fn serialization_delay(&self, bytes: usize) -> Duration {
-        let nanos = (bytes as u128 * 8 * 1_000_000_000).div_ceil(self.bits_per_sec as u128);
-        Duration::from_nanos(nanos as u64)
-    }
 }
 
 #[cfg(test)]
@@ -307,47 +249,5 @@ mod tests {
             bytes[Datagram::HEADER_SIZE..].as_ptr()
         );
         assert_eq!(borrowed.to_owned(), d);
-    }
-
-    #[test]
-    fn wire_size_includes_overhead() {
-        let d = Datagram::new(1, Timestamp::ZERO, 1, vec![0u8; 100]);
-        assert_eq!(
-            d.wire_size(),
-            ETHERNET_IPV4_UDP_OVERHEAD + Datagram::HEADER_SIZE + 100
-        );
-    }
-
-    #[test]
-    fn serialization_delay_scales_linearly() {
-        let wire = WireCost::ten_gbe();
-        let one = wire.serialization_delay(125); // 1000 bits @ 10 Gb/s = 100 ns
-        assert_eq!(one.as_nanos(), 100);
-        assert_eq!(wire.serialization_delay(250).as_nanos(), 200);
-        assert_eq!(wire.serialization_delay(0).as_nanos(), 0);
-        assert_eq!(
-            WireCost::new(1_000_000_000)
-                .serialization_delay(125)
-                .as_nanos(),
-            1000
-        );
-    }
-
-    #[test]
-    fn serialization_delay_rounds_up() {
-        let wire = WireCost::ten_gbe();
-        // 1 byte = 8 bits @ 10 Gb/s = 0.8 ns: a partial nanosecond still
-        // occupies the wire, so this must charge 1 ns, not 0.
-        assert_eq!(wire.serialization_delay(1).as_nanos(), 1);
-        // 3 bytes = 2.4 ns -> 3 ns.
-        assert_eq!(wire.serialization_delay(3).as_nanos(), 3);
-        // An exact division is unchanged.
-        assert_eq!(wire.serialization_delay(5).as_nanos(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "line rate must be positive")]
-    fn zero_rate_panics() {
-        let _ = WireCost::new(0);
     }
 }

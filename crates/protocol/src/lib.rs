@@ -35,7 +35,7 @@ pub mod sbe;
 
 pub use error::DecodeError;
 pub use fix::{FixDecoder, FixEncoder};
-pub use framing::{Datagram, WireCost, ETHERNET_IPV4_UDP_OVERHEAD};
+pub use framing::Datagram;
 pub use ilink::{OrderMessage, OrderMessageKind};
 pub use netem::{ChannelStats, Delivery, FaultRates, LossyChannel};
 pub use sbe::{MessageHeader, SbeDecoder, SbeEncoder, SCHEMA_ID, SCHEMA_VERSION};

@@ -158,7 +158,7 @@ impl EwmaEstimator {
 
     /// Exact state fingerprint (f64 bit pattern + counter) for
     /// determinism assertions.
-    pub fn state_bits(&self) -> (u64, u64) {
+    fn state_bits(&self) -> (u64, u64) {
         (self.mean_ns.to_bits(), self.samples)
     }
 }
@@ -239,7 +239,7 @@ impl QuantileEstimator {
     }
 
     /// Exact state fingerprint for determinism assertions.
-    pub fn state_bits(&self) -> (u64, u64, u64, i8) {
+    fn state_bits(&self) -> (u64, u64, u64, i8) {
         (
             self.estimate_ns.to_bits(),
             self.step_ns.to_bits(),

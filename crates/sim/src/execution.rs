@@ -213,14 +213,6 @@ impl ExecutionStats {
         self.unrealized_half += other.unrealized_half;
     }
 
-    /// Fraction of sent orders that achieved any fill.
-    pub fn fill_rate(&self) -> f64 {
-        if self.orders_sent == 0 {
-            return 0.0;
-        }
-        (self.filled + self.partial) as f64 / self.orders_sent as f64
-    }
-
     /// Panics unless fill outcomes tile the sent orders exactly:
     /// `filled + partial + missed == orders_sent`.
     pub fn assert_tiles(&self) {
@@ -563,7 +555,7 @@ mod tests {
         assert_eq!(a.filled, 3);
         assert_eq!(a.equity_half, -7);
         a.assert_tiles();
-        assert!((a.fill_rate() - 4.0 / 5.0).abs() < 1e-12);
+        assert_eq!(a.partial, 1);
     }
 
     #[test]

@@ -219,12 +219,15 @@ impl FarmResults {
 mod tests {
     use super::*;
     use crate::farm::SweepGrid;
+    use crate::telemetry::StageBreakdown;
     use std::time::Duration;
 
     fn metrics(responded: u64) -> BacktestMetrics {
         let mut m = BacktestMetrics::new();
         for i in 0..responded {
-            m.record_response(Duration::from_micros(100 + i));
+            m.record_breakdown(&StageBreakdown::inference_only(Duration::from_micros(
+                100 + i,
+            )));
         }
         m.late = 2;
         m.deferred = 1;

@@ -133,7 +133,7 @@ pub struct BacktestMetrics {
     /// Tick-to-trade latencies of answered (in-time) queries, in nanos.
     latencies_ns: Vec<u64>,
     /// Per-stage decomposition of `latencies_ns` (one column per stage,
-    /// one row per response). Empty for legacy recorders.
+    /// one row per response).
     stages: StageSamples,
     /// Total energy the accelerator pool consumed, in joules.
     pub energy_j: f64,
@@ -154,12 +154,6 @@ impl BacktestMetrics {
     /// Creates empty metrics.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Records an in-time response with its tick-to-trade latency.
-    pub fn record_response(&mut self, tick_to_trade: Duration) {
-        self.responded += 1;
-        self.latencies_ns.push(tick_to_trade.as_nanos() as u64);
     }
 
     /// Total queries across all outcome buckets.
@@ -265,14 +259,10 @@ impl BacktestMetrics {
         }
     }
 
-    /// True when every response carries a per-stage decomposition.
+    /// True once a response is recorded: each carries its per-stage
+    /// decomposition.
     pub fn has_stage_samples(&self) -> bool {
-        !self.latencies_ns.is_empty() && self.stages.network_rx.len() == self.latencies_ns.len()
-    }
-
-    /// The raw samples of one stage (nanoseconds, recording order).
-    pub fn stage_samples(&self, stage: Stage) -> &[u64] {
-        self.stages.column(stage)
+        !self.latencies_ns.is_empty()
     }
 
     /// The `q`-quantile (0.0–1.0) of one stage's latency distribution.
@@ -311,9 +301,6 @@ impl BacktestMetrics {
     /// decomposition makes this exact (tolerance 0 passes); the method
     /// exists so tests and reports can assert it.
     pub fn stage_sums_reconcile(&self, tolerance_ns: u64) -> bool {
-        if !self.has_stage_samples() {
-            return self.latencies_ns.is_empty();
-        }
         (0..self.latencies_ns.len()).all(|i| {
             let sum: u64 = Stage::ALL.iter().map(|&s| self.stages.column(s)[i]).sum();
             sum.abs_diff(self.latencies_ns[i]) <= tolerance_ns
@@ -343,11 +330,15 @@ impl std::fmt::Display for BacktestMetrics {
 mod tests {
     use super::*;
 
+    fn response(us: u64) -> StageBreakdown {
+        StageBreakdown::inference_only(Duration::from_micros(us))
+    }
+
     #[test]
     fn rates_sum_to_one() {
         let mut m = BacktestMetrics::new();
-        m.record_response(Duration::from_micros(100));
-        m.record_response(Duration::from_micros(200));
+        m.record_breakdown(&response(100));
+        m.record_breakdown(&response(200));
         m.late = 1;
         m.dropped_full = 1;
         m.dropped_stale = 1;
@@ -365,13 +356,16 @@ mod tests {
         assert_eq!(m.mean_latency(), Duration::ZERO);
         assert_eq!(m.latency_quantile(0.99), Duration::ZERO);
         assert_eq!(m.mean_batch(), 0.0);
+        assert!(!m.has_stage_samples());
+        assert_eq!(m.stage_quantile(Stage::Inference, 0.5), Duration::ZERO);
+        assert!(m.stage_sums_reconcile(0), "vacuously reconciled");
     }
 
     #[test]
     fn latency_statistics() {
         let mut m = BacktestMetrics::new();
         for us in [100u64, 200, 300, 400, 500] {
-            m.record_response(Duration::from_micros(us));
+            m.record_breakdown(&response(us));
         }
         assert_eq!(m.mean_latency(), Duration::from_micros(300));
         assert_eq!(m.latency_quantile(0.0), Duration::from_micros(100));
@@ -384,7 +378,7 @@ mod tests {
     fn deadline_hit_rate_counts_in_budget_responses() {
         let mut m = BacktestMetrics::new();
         for us in [100u64, 200, 300, 400, 500] {
-            m.record_response(Duration::from_micros(us));
+            m.record_breakdown(&response(us));
         }
         m.late = 3;
         m.dropped_deadline = 2;
@@ -464,7 +458,8 @@ mod tests {
         assert_eq!(m.responded, 2);
         assert_eq!(m.latency_samples(), 2);
         assert!(m.has_stage_samples());
-        assert_eq!(m.stage_samples(Stage::QueueWait), &[500, 2_500]);
+        assert_eq!(m.stage_quantile(Stage::QueueWait, 0.0).as_nanos(), 500);
+        assert_eq!(m.stage_quantile(Stage::QueueWait, 1.0).as_nanos(), 2_500);
         // Each response's stage column sums to its end-to-end latency.
         assert!(m.stage_sums_reconcile(0), "decomposition must be exact");
     }
@@ -494,16 +489,5 @@ mod tests {
         assert_eq!(wait.p50_ns, 300);
         assert_eq!(wait.p99_ns, 500);
         assert_eq!(wait.p999_ns, 500);
-    }
-
-    #[test]
-    fn legacy_recording_has_no_stage_samples() {
-        let mut m = BacktestMetrics::new();
-        m.record_response(Duration::from_micros(100));
-        assert!(!m.has_stage_samples());
-        assert!(!m.stage_sums_reconcile(0), "latency without stages");
-        assert_eq!(m.stage_quantile(Stage::Inference, 0.5), Duration::ZERO);
-        let empty = BacktestMetrics::new();
-        assert!(empty.stage_sums_reconcile(0), "vacuously reconciled");
     }
 }

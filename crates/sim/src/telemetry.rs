@@ -148,6 +148,16 @@ impl QueryTimeline {
 }
 
 #[cfg(test)]
+impl StageBreakdown {
+    /// A response whose whole tick-to-trade is inference.
+    pub(crate) fn inference_only(t2t: Duration) -> Self {
+        let mut ns = [0; 8];
+        ns[Stage::Inference as usize] = t2t.as_nanos() as u64;
+        StageBreakdown { ns }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

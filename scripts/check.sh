@@ -14,7 +14,7 @@ fast=0
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== reachability: no source file whose pub items nothing names =="
+echo "== reachability: no source file whose pub items nothing names, no pub fn with no caller outside its file =="
 ./scripts/islands.sh
 
 echo "== own nonlinearities: no libm transcendental in the inference ops' non-test code =="

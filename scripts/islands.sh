@@ -8,11 +8,11 @@
 # caller or delete it; the allow-list is empty and stays empty.
 #
 # Item pass: a `pub fn` (any indentation) under crates/*/src whose name
-# occurs, as a whole word, in all of the repo's .rs files (crates,
-# benchmark/src, examples, tests) no more often than `fn <name>` defines
-# it is named only by its definitions: no test, doc or caller names it,
-# however many same-named methods there are. Same rule, same empty
-# allow-list.
+# occurs, as a whole word outside `//` comment lines, only in the repo's
+# .rs files (crates, benchmark/src, examples, tests) that define a `fn` of
+# that name has no caller outside its own file: only its definitions, its
+# file's own code and tests, or a same-named method's file name it. Drop
+# its `pub`, or delete it if then nothing calls it. Same empty allow-list.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,13 +29,26 @@ for f in $(find crates/*/src -name '*.rs' ! -name lib.rs ! -name mod.rs | sort);
         END { exit !hit }' $others || { echo "island: $f ($names)"; status=1; }
 done
 
-names=$(sed -nE 's/^[ \t]*pub (const )?fn ([A-Za-z0-9_]+).*/\2/p' $(find crates/*/src -name '*.rs') | sort -u)
-all=$(cat $(find crates benchmark/src examples tests -name '*.rs'))
-lonely=$(awk 'NR == FNR { defs[$2] = $1; next } $1 <= defs[$2] { print $2 }' \
-    <(grep -oE '\bfn [A-Za-z0-9_]+' <<<"$all" | cut -c4- | sort | uniq -c) \
-    <(grep -owF "$names" <<<"$all" | sort | uniq -c))
+lonely=$(awk '
+    /^[ \t]*\/\// { next }
+    FILENAME ~ /^crates\/[^\/]+\/src\// && match($0, /^[ \t]*pub (const )?fn [A-Za-z0-9_]+/) {
+        n = split(substr($0, RSTART, RLENGTH), w, " "); pub[w[n]] = 1
+    }
+    {
+        line = $0
+        while (match(line, /(^|[^A-Za-z0-9_])fn [A-Za-z0-9_]+/)) {
+            n = split(substr(line, RSTART, RLENGTH), w, " "); def[w[n], FILENAME] = 1
+            line = substr(line, RSTART + RLENGTH)
+        }
+        n = split($0, w, /[^A-Za-z0-9_]+/)
+        for (i = 1; i <= n; i++) if (w[i] != "") seen[w[i], FILENAME] = 1
+    }
+    END {
+        for (k in seen) { split(k, p, SUBSEP); if (!(k in def)) called[p[1]] = 1 }
+        for (name in pub) if (!(name in called)) print name
+    }' $(find crates benchmark/src examples tests -name '*.rs' | sort) | sort)
 for name in $lonely; do
-    echo "zero-caller pub fn: $name ($(grep -rlw "fn $name" crates/*/src | paste -sd' ' -))"
+    echo "pub fn with no caller outside its file: $name ($(grep -rlw "fn $name" crates/*/src | paste -sd' ' -))"
     status=1
 done
 exit $status
