@@ -42,7 +42,7 @@ impl DeviceProfile {
     }
 
     /// Transfer latency `t_trans[bs]`.
-    pub fn t_trans(&self, kind: ModelKind, batch: u32) -> Duration {
+    fn t_trans(&self, kind: ModelKind, batch: u32) -> Duration {
         self.latency.transfer(kind, batch, &self.link)
     }
 

@@ -63,27 +63,13 @@
 //!
 //! # One body, several instances
 //!
-//! Each of those five passes has one `#[inline(always)]` body, compiled
-//! for the x86-64 baseline (SSE2) and with AVX2 enabled — and, for all
-//! but `lstm_cell`, with AVX-512F enabled — and its entry picks one at
-//! run time by the CPU's features and the input's shape. The baseline
-//! and AVX2 instances run `NR` lanes (two xmm registers, or one ymm);
-//! the AVX-512F instance runs `2 * NR` (one zmm) where the input fills
-//! them:
-//!
-//! * [`gemm_packed`]: sweeps of at least `MR` rows over more than one
-//!   lane block pair neighbouring lane blocks in each full row block's
-//!   chains;
-//! * [`conv2d_direct_bf16`]: maps of more than `NR` positions stage
-//!   and sweep `2 * NR` positions a block;
-//! * `attention_sample`: sequences of more than `NR` queries take
-//!   `2 * NR` query rows (two Q panels) a block;
-//! * `layer_norm_rows`: more than `NR` rows fold `2 * NR` to a block.
-//!
-//! Every other input runs the AVX2 instance (or, without AVX2, the
-//! baseline), as does every LSTM cell step: no model's hidden width
-//! fills a wider block. [`tile_isa`] names the widest. `NR` and the
-//! panel layout are the same in all. Rust never contracts `a * b + c`
+//! Each of those five passes has one `#[inline(always)]` body, generic in
+//! its lane width, and its entry is one `instances!` invocation: the body
+//! compiled for AVX-512F or AVX2 where the CPU has it and the input fills
+//! that instance's lanes, and for the x86-64 baseline (SSE2) otherwise
+//! (the macro says how one is picked). `NR` lanes are two xmm registers
+//! or one ymm, `2 * NR` one zmm. [`tile_isa`] names the widest. `NR` and
+//! the panel layout are the same in all. Rust never contracts `a * b + c`
 //! into a fused multiply-add — even where `avx512f` makes the
 //! instruction available — so every instance rounds every product and
 //! every sum exactly as the scalar loop does: same bits.
@@ -99,39 +85,21 @@ const MR: usize = 4;
 /// Output lanes per packed register tile: the width of one k-major panel.
 pub const NR: usize = 8;
 
-/// Whether this CPU runs AVX2: the passes' entries pick their instance by
-/// it (the standard library caches the probe).
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn avx2() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
-}
-
-/// Whether this CPU runs AVX-512F: the passes run their inputs that fill
-/// `2 * NR` lanes at that width by it.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn avx512() -> bool {
-    std::arch::is_x86_feature_detected!("avx512f")
-}
-
 /// The widest instance the packed passes run at on this CPU: `"avx512"`
-/// (an input that fills `2 * NR` lanes — a [`gemm_packed`] sweep of at
-/// least [`MR`] rows over more than one lane block, a direct convolution
-/// of more than [`NR`] positions, attention over more than `NR` queries,
-/// a layer norm of more than `NR` rows — runs them in one zmm register),
-/// `"avx2"` (an `NR`-lane block is one ymm register), `"sse2"` (two xmm
-/// registers: the x86-64 baseline) or `"portable"` on other targets. On
-/// an AVX-512 host, smaller inputs (batch-1 and single-block sweeps,
-/// among them) still run AVX2. An observation, not a setting: nothing
-/// forces any instance, and all compute the same bits.
+/// (`2 * NR` lanes, one zmm register), `"avx2"` (an `NR`-lane block is one
+/// ymm register), `"sse2"` (two xmm registers: the x86-64 baseline) or
+/// `"portable"` on other targets. A pass runs its AVX-512F instance only on
+/// inputs that fill its lanes, so on an AVX-512 host smaller inputs
+/// (batch-1 and single-block sweeps, among them) still run AVX2. An
+/// observation, not a setting: nothing forces any instance, and all
+/// compute the same bits.
 pub fn tile_isa() -> &'static str {
     #[cfg(target_arch = "x86_64")]
-    if avx512() {
+    if std::arch::is_x86_feature_detected!("avx512f") {
         return "avx512";
     }
     #[cfg(target_arch = "x86_64")]
-    if avx2() {
+    if std::arch::is_x86_feature_detected!("avx2") {
         return "avx2";
     }
     if cfg!(target_arch = "x86_64") {
@@ -139,6 +107,61 @@ pub fn tile_isa() -> &'static str {
     } else {
         "portable"
     }
+}
+
+/// Defines a pass's entry over its one `#[inline(always)]` body, whose
+/// last const parameter is its lane width:
+///
+/// ```text
+/// instances! {
+///     /// docs and attributes
+///     pub fn pass<const S: usize>(x: &[f32], n: usize) => pass_body;
+///     "avx512f" => { 2 * NR } if n > NR,
+///     "avx2" => NR,
+/// }
+/// ```
+///
+/// Each instance line compiles the body at its width with its target
+/// feature enabled. The entry tries the instances in order and runs the
+/// first whose predicate on the entry's arguments holds (an input that
+/// fills its lanes; no predicate always holds) on a CPU that has its
+/// feature; after the last it runs the body at `NR` lanes, compiled for
+/// the x86-64 baseline. The feature string is one token that feeds both
+/// `#[target_feature]` and `is_x86_feature_detected!`, so the feature an
+/// instance is compiled for is the one the entry checks.
+macro_rules! instances {
+    (
+        $(#[$attr:meta])*
+        $vis:vis fn $name:ident $(<$(const $gen:ident: $gty:ty),+>)?($($arg:ident: $aty:ty),* $(,)?)
+            => $body:ident;
+        $($instance:tt)+
+    ) => {
+        $(#[$attr])*
+        #[allow(unsafe_code)]
+        $vis fn $name $(<$(const $gen: $gty),+>)?($($arg: $aty),*) {
+            instances!(@each [$($($gen: $gty),+)?] [$($arg: $aty),*] $body; $($instance)+);
+            $body::<$($($gen,)+)? NR>($($arg),*)
+        }
+    };
+    (
+        @each [$($gen:ident: $gty:ty),*] [$($arg:ident: $aty:ty),*] $body:ident;
+        $feature:tt => $width:tt $(if $pred:expr)?, $($rest:tt)*
+    ) => {
+        #[cfg(target_arch = "x86_64")]
+        {
+            #[target_feature(enable = $feature)]
+            fn instance<$(const $gen: $gty),*>($($arg: $aty),*) {
+                $body::<$($gen,)* $width>($($arg),*)
+            }
+            if $($pred &&)? std::arch::is_x86_feature_detected!($feature) {
+                // SAFETY: the CPU has just been found to run `$feature`, the
+                // one feature `instance` is compiled for.
+                return unsafe { instance($($arg),*) };
+            }
+        }
+        instances!(@each [$($gen: $gty),*] [$($arg: $aty),*] $body; $($rest)*);
+    };
+    (@each $gens:tt $args:tt $body:ident;) => {};
 }
 
 /// The shared-panel loop of the register tile: `C` chains (at most
@@ -337,83 +360,36 @@ impl<'a> Segment<'a> {
     }
 }
 
-/// The packed GEMM driver: `out[r * row_stride + o * lane_stride] =
-/// post(bias[o] + sum over segments, then over t, of lane operand
-/// (o, t) * row r's input t)` for `r < rows`, `o < n`.
-///
-/// Dense layers (attention's four projections among them), convolutions
-/// whose patch rows lie in place in their input and LSTM gate
-/// pre-activations are this one sweep of the register tile; they differ in their segments, their seed (`None`
-/// seeds `0.0`), their store layout and `post` (BF16 rounding or
-/// nothing). Full
-/// blocks of [`MR`] rows share each lane block (`shared_panel_tile`);
-/// the `rows % MR` tail rows instead block across up to `MR` lane blocks
-/// each (`row_tail_tile`), so the lone row of a batch-1 forward keeps
-/// up to `MR` independent chains in flight, one per live lane block.
-/// Padded lanes past `n` are computed and not stored.
-///
-/// A sweep with at least `MR` rows over more than one lane block runs,
-/// on an AVX-512 CPU, the instance whose full row blocks carry two
-/// neighbouring lane blocks per chain; every other sweep runs the AVX2
-/// (or baseline) instance. All compute the same bits.
-///
-/// # Panics
-///
-/// Panics when a segment, the bias or `out` is too short for the shape.
-#[allow(unsafe_code)]
-pub fn gemm_packed<const S: usize>(
-    segs: [Segment<'_>; S],
-    bias: Option<&[f32]>,
-    rows: usize,
-    n: usize,
-    post: impl Fn(f32) -> f32,
-    out: &mut [f32],
-    strides: (usize, usize),
-) {
-    #[cfg(target_arch = "x86_64")]
-    if rows >= MR && n > NR && avx512() {
-        // SAFETY: `avx512()` has just found AVX-512F on this CPU, the one
-        // feature `gemm_packed_avx512` is compiled for.
-        return unsafe { gemm_packed_avx512(segs, bias, rows, n, post, out, strides) };
-    }
-    #[cfg(target_arch = "x86_64")]
-    if avx2() {
-        // SAFETY: `avx2()` has just found AVX2 on this CPU, the one
-        // feature `gemm_packed_avx2` is compiled for.
-        return unsafe { gemm_packed_avx2(segs, bias, rows, n, post, out, strides) };
-    }
-    gemm_packed_body::<S, NR>(segs, bias, rows, n, post, out, strides)
-}
-
-/// [`gemm_packed_body`] at `2 * NR` lanes compiled for AVX-512F: a full
-/// row block's chain is one zmm register over two lane blocks.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn gemm_packed_avx512<const S: usize>(
-    segs: [Segment<'_>; S],
-    bias: Option<&[f32]>,
-    rows: usize,
-    n: usize,
-    post: impl Fn(f32) -> f32,
-    out: &mut [f32],
-    strides: (usize, usize),
-) {
-    gemm_packed_body::<S, { 2 * NR }>(segs, bias, rows, n, post, out, strides)
-}
-
-/// [`gemm_packed_body`] compiled for AVX2: one ymm register per lane block.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn gemm_packed_avx2<const S: usize>(
-    segs: [Segment<'_>; S],
-    bias: Option<&[f32]>,
-    rows: usize,
-    n: usize,
-    post: impl Fn(f32) -> f32,
-    out: &mut [f32],
-    strides: (usize, usize),
-) {
-    gemm_packed_body::<S, NR>(segs, bias, rows, n, post, out, strides)
+instances! {
+    /// The packed GEMM driver: `out[r * row_stride + o * lane_stride] =
+    /// post(bias[o] + sum over segments, then over t, of lane operand
+    /// (o, t) * row r's input t)` for `r < rows`, `o < n`.
+    ///
+    /// Dense layers (attention's four projections among them), convolutions
+    /// whose patch rows lie in place in their input and LSTM gate
+    /// pre-activations are this one sweep of the register tile; they differ
+    /// in their segments, their seed (`None` seeds `0.0`), their store
+    /// layout and `post` (BF16 rounding or nothing). Full
+    /// blocks of [`MR`] rows share each lane block (`shared_panel_tile`);
+    /// the `rows % MR` tail rows instead block across up to `MR` lane blocks
+    /// each (`row_tail_tile`), so the lone row of a batch-1 forward keeps
+    /// up to `MR` independent chains in flight, one per live lane block.
+    /// Padded lanes past `n` are computed and not stored.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a segment, the bias or `out` is too short for the shape.
+    pub fn gemm_packed<const S: usize>(
+        segs: [Segment<'_>; S],
+        bias: Option<&[f32]>,
+        rows: usize,
+        n: usize,
+        post: impl Fn(f32) -> f32,
+        out: &mut [f32],
+        strides: (usize, usize),
+    ) => gemm_packed_body;
+    "avx512f" => { 2 * NR } if rows >= MR && n > NR,
+    "avx2" => NR,
 }
 
 /// [`gemm_packed`]'s one body, inlined into every instance. Full row
@@ -587,39 +563,31 @@ pub fn lstm_gates_packed_batch(
     );
 }
 
-/// One LSTM cell step for every sample of a batch, in place: from the
-/// unrounded gate pre-activations `gates` (`[batch, 4 * hidden]`, gate
-/// order `i, f, g, o`, as [`lstm_gates_packed_batch`] writes them) and
-/// the states `c` and `h` (`[batch, hidden]`), `c = bf16(σ(f)·c +
-/// σ(i)·tanh(g))`, then `h = bf16(σ(o)·tanh(c))`.
-///
-/// Blocks of `W` hidden units read unit `j`'s four gates at `j`,
-/// `hidden + j`, `2 * hidden + j` and `3 * hidden + j` and keep the whole
-/// update in registers, running [`crate::math`]'s scalar `sigmoid` and
-/// `tanh` lane by lane: every element's operations and rounding points are
-/// the reference cell's, so are its bits. On an AVX2 CPU it runs the AVX2
-/// instance (one ymm register a block), otherwise the baseline, both at
-/// [`NR`] units a block.
-///
-/// # Panics
-///
-/// Panics unless the buffers hold `batch` samples.
-#[allow(unsafe_code)]
-pub(crate) fn lstm_cell(gates: &[f32], c: &mut [f32], h: &mut [f32], batch: usize, hidden: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2() {
-        // SAFETY: `avx2()` has just found AVX2 on this CPU, the one
-        // feature `lstm_cell_avx2` is compiled for.
-        return unsafe { lstm_cell_avx2(gates, c, h, batch, hidden) };
-    }
-    lstm_cell_body::<NR>(gates, c, h, batch, hidden)
-}
-
-/// [`lstm_cell_body`] compiled for AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn lstm_cell_avx2(gates: &[f32], c: &mut [f32], h: &mut [f32], batch: usize, hidden: usize) {
-    lstm_cell_body::<NR>(gates, c, h, batch, hidden)
+instances! {
+    /// One LSTM cell step for every sample of a batch, in place: from the
+    /// unrounded gate pre-activations `gates` (`[batch, 4 * hidden]`, gate
+    /// order `i, f, g, o`, as [`lstm_gates_packed_batch`] writes them) and
+    /// the states `c` and `h` (`[batch, hidden]`), `c = bf16(σ(f)·c +
+    /// σ(i)·tanh(g))`, then `h = bf16(σ(o)·tanh(c))`.
+    ///
+    /// Blocks of `W` hidden units read unit `j`'s four gates at `j`,
+    /// `hidden + j`, `2 * hidden + j` and `3 * hidden + j` and keep the whole
+    /// update in registers, running [`crate::math`]'s scalar `sigmoid` and
+    /// `tanh` lane by lane: every element's operations and rounding points are
+    /// the reference cell's, so are its bits. Every block is [`NR`] units:
+    /// no model's hidden width fills a wider one.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the buffers hold `batch` samples.
+    pub(crate) fn lstm_cell(
+        gates: &[f32],
+        c: &mut [f32],
+        h: &mut [f32],
+        batch: usize,
+        hidden: usize,
+    ) => lstm_cell_body;
+    "avx2" => NR,
 }
 
 /// [`lstm_cell`]'s one body, inlined into every instance, at `W` hidden
@@ -714,105 +682,60 @@ impl DirectConv {
     }
 }
 
-/// Direct convolution for every kernel at unit vertical stride with no
-/// horizontal padding: the temporal `(kh, 1)` convolutions, the 1x1 and
-/// same-padded inception branches, DeepLOB's strided level folds (`(1, 2)`
-/// at stride 2, `(1, 10)`) — every convolution of the three benchmark
-/// networks but the CNN's full-width first layer, which `Conv2d` sweeps as
-/// a GEMM over its input in place. Bit-identical to an unfolded patch
-/// matrix swept by [`gemm_packed`].
-///
-/// Tap `t = (ic, ky, kx)`'s patch column, at output position
-/// `p = oy * ow + ox`, is channel `ic` at row `oy + ky - ph` and column
-/// `ox * sw + kx`, so no patch matrix is materialized. A block of `W`
-/// consecutive output positions reads one `W`-lane word per tap, zero
-/// where the row leaves the channel, in one of three ways:
-///
-/// * **in place** where the positions are contiguous in the channel (`kw
-///   == 1`, `sw == 1`), the block is full and every tap's window lies
-///   inside its channel: the tile loads tap `(ic, ky)`'s word straight
-///   from `x`, one channel's `kh` taps after another;
-/// * **shifted** for the other blocks of such a map: tap `(ic, ky)`'s
-///   staged word is channel `ic` shifted by `(ky - ph)` rows, one masked
-///   load;
-/// * **gathered** where the positions are not contiguous (`kw > 1` or
-///   `sw > 1`): each staged lane is the element its position reads, from
-///   a per-block table of each lane's row and column.
-///
-/// The block's tiles of up to [`MR`] output channels (the last group runs
-/// only the channels left), whose weights are the broadcast inputs, then
-/// run all `in_c * kh * kw` taps with their accumulators in registers.
-/// Per output element the accumulation order is exactly the GEMM's:
-/// seeded with the bias, taps in increasing `(ic, ky, kx)` order, rounded
-/// once at the end. Padded taps read the staged zeros and add
-/// `weight * 0.0`, exactly as the GEMM multiplies the patch matrix's
-/// materialized zeros.
-///
-/// A map of more than [`NR`] positions runs, on an AVX-512 CPU, the
-/// instance whose blocks are `2 * NR` positions wide; every other map
-/// runs the AVX2 (or baseline) instance at `NR`. All compute the same
-/// bits.
-///
-/// `a` is the row-major `[out_c, in_c * kh * kw]` kernel matrix; `x` is one
-/// `[in_c, h, w]` sample; `stage` is a workspace of
-/// [`conv2d_direct_stage_len`] elements; `out` is the `[out_c, oh * ow]`
-/// output.
-///
-/// # Panics
-///
-/// Panics on buffer-length mismatches.
-#[allow(unsafe_code)]
-pub fn conv2d_direct_bf16(
-    conv: DirectConv,
-    a: &[f32],
-    bias: &[f32],
-    x: &[f32],
-    stage: &mut [f32],
-    out: &mut [f32],
-) {
+instances! {
+    /// Direct convolution for every kernel at unit vertical stride with no
+    /// horizontal padding: the temporal `(kh, 1)` convolutions, the 1x1 and
+    /// same-padded inception branches, DeepLOB's strided level folds (`(1, 2)`
+    /// at stride 2, `(1, 10)`) — every convolution of the three benchmark
+    /// networks but the CNN's full-width first layer, which `Conv2d` sweeps as
+    /// a GEMM over its input in place. Bit-identical to an unfolded patch
+    /// matrix swept by [`gemm_packed`].
+    ///
+    /// Tap `t = (ic, ky, kx)`'s patch column, at output position
+    /// `p = oy * ow + ox`, is channel `ic` at row `oy + ky - ph` and column
+    /// `ox * sw + kx`, so no patch matrix is materialized. A block of `W`
+    /// consecutive output positions reads one `W`-lane word per tap, zero
+    /// where the row leaves the channel, in one of three ways:
+    ///
+    /// * **in place** where the positions are contiguous in the channel (`kw
+    ///   == 1`, `sw == 1`), the block is full and every tap's window lies
+    ///   inside its channel: the tile loads tap `(ic, ky)`'s word straight
+    ///   from `x`, one channel's `kh` taps after another;
+    /// * **shifted** for the other blocks of such a map: tap `(ic, ky)`'s
+    ///   staged word is channel `ic` shifted by `(ky - ph)` rows, one masked
+    ///   load;
+    /// * **gathered** where the positions are not contiguous (`kw > 1` or
+    ///   `sw > 1`): each staged lane is the element its position reads, from
+    ///   a per-block table of each lane's row and column.
+    ///
+    /// The block's tiles of up to [`MR`] output channels (the last group runs
+    /// only the channels left), whose weights are the broadcast inputs, then
+    /// run all `in_c * kh * kw` taps with their accumulators in registers.
+    /// Per output element the accumulation order is exactly the GEMM's:
+    /// seeded with the bias, taps in increasing `(ic, ky, kx)` order, rounded
+    /// once at the end. Padded taps read the staged zeros and add
+    /// `weight * 0.0`, exactly as the GEMM multiplies the patch matrix's
+    /// materialized zeros.
+    ///
+    /// `a` is the row-major `[out_c, in_c * kh * kw]` kernel matrix; `x` is one
+    /// `[in_c, h, w]` sample; `stage` is a workspace of
+    /// [`conv2d_direct_stage_len`] elements; `out` is the `[out_c, oh * ow]`
+    /// output.
+    ///
+    /// # Panics
+    ///
+    /// Panics on buffer-length mismatches.
+    pub fn conv2d_direct_bf16(
+        conv: DirectConv,
+        a: &[f32],
+        bias: &[f32],
+        x: &[f32],
+        stage: &mut [f32],
+        out: &mut [f32],
+    ) => conv2d_direct_body;
     // More than `NR` positions, with no division: `out` is `[out_c, oh * ow]`.
-    #[cfg(target_arch = "x86_64")]
-    if out.len() > NR * conv.out_c && avx512() {
-        // SAFETY: `avx512()` has just found AVX-512F on this CPU, the one
-        // feature `conv2d_direct_avx512` is compiled for.
-        return unsafe { conv2d_direct_avx512(conv, a, bias, x, stage, out) };
-    }
-    #[cfg(target_arch = "x86_64")]
-    if avx2() {
-        // SAFETY: `avx2()` has just found AVX2 on this CPU, the one
-        // feature `conv2d_direct_avx2` is compiled for.
-        return unsafe { conv2d_direct_avx2(conv, a, bias, x, stage, out) };
-    }
-    conv2d_direct_body::<NR>(conv, a, bias, x, stage, out)
-}
-
-/// [`conv2d_direct_body`] at `2 * NR` positions a block, compiled for
-/// AVX-512F: one zmm register per chain.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn conv2d_direct_avx512(
-    conv: DirectConv,
-    a: &[f32],
-    bias: &[f32],
-    x: &[f32],
-    stage: &mut [f32],
-    out: &mut [f32],
-) {
-    conv2d_direct_body::<{ 2 * NR }>(conv, a, bias, x, stage, out)
-}
-
-/// [`conv2d_direct_body`] compiled for AVX2: one ymm register per chain.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn conv2d_direct_avx2(
-    conv: DirectConv,
-    a: &[f32],
-    bias: &[f32],
-    x: &[f32],
-    stage: &mut [f32],
-    out: &mut [f32],
-) {
-    conv2d_direct_body::<NR>(conv, a, bias, x, stage, out)
+    "avx512f" => { 2 * NR } if out.len() > NR * conv.out_c,
+    "avx2" => NR,
 }
 
 /// [`conv2d_direct_bf16`]'s one body, inlined into every instance, at `W`
@@ -1139,99 +1062,51 @@ pub fn conv2d_direct_stage_len(in_c: usize, kh: usize, kw: usize) -> usize {
 /// block.
 pub(crate) const ATTENTION_LANES: usize = 2 * NR;
 
-/// Multi-head self-attention's core over one sample: for every head,
-/// `context = softmax(Q K^T * scale) V` on that head's columns, per query
-/// row bit for bit the reference's scores, row softmax and context.
-///
-/// `qt` is the sample's `[t, d]` queries packed by [`pack_bt_panels`];
-/// `k` is its row-major `[t, d]` keys, and `v` its row-major values
-/// followed by at least [`NR`] more elements (a head's last column block
-/// reads past its columns into lanes nobody stores). `probs` is a
-/// workspace of `t * ATTENTION_LANES` elements; `context` is the
-/// sample's `[t, d]` output.
-///
-/// Each (head, block of query rows) is one pass, with the queries on the
-/// lanes, so every row reduction runs down a lane:
-/// * the scores are a register tile whose chains are keys, several in
-///   flight, and whose lanes are queries (a Q panel word per head column,
-///   the key's column broadcast), seeded with `0.0` and accumulated in
-///   increasing column order, then `* scale`; the running max takes them
-///   in key order from `-inf`;
-/// * `exp(score - max)` is summed in key order from `0.0`, then each is
-///   divided by its lane's sum — the row softmax's own steps, in its
-///   order;
-/// * the context is a tile whose chains are queries and whose lanes are
-///   the head's value columns, each key's probability broadcast from the
-///   block, seeded with `0.0` and accumulated in key order.
-///
-/// Every product has the operands the reference multiplies, and every
-/// sum its order: same bits. On an AVX-512 CPU a sample of more than
-/// [`NR`] queries runs blocks of `2 * NR` query rows (two panels), an odd
-/// last panel alone; every other sample runs the AVX2 (or baseline)
-/// instance, a panel at a time.
-///
-/// # Panics
-///
-/// Panics unless `heads` divides `d` and the buffers have those lengths.
-#[allow(clippy::too_many_arguments, unsafe_code)]
-pub(crate) fn attention_sample(
-    qt: &[f32],
-    k: &[f32],
-    v: &[f32],
-    t: usize,
-    d: usize,
-    heads: usize,
-    probs: &mut [f32],
-    context: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if t > NR && avx512() {
-        // SAFETY: `avx512()` has just found AVX-512F on this CPU, the one
-        // feature `attention_sample_avx512` is compiled for.
-        return unsafe { attention_sample_avx512(qt, k, v, t, d, heads, probs, context) };
-    }
-    #[cfg(target_arch = "x86_64")]
-    if avx2() {
-        // SAFETY: `avx2()` has just found AVX2 on this CPU, the one
-        // feature `attention_sample_avx2` is compiled for.
-        return unsafe { attention_sample_avx2(qt, k, v, t, d, heads, probs, context) };
-    }
-    attention_sample_body::<NR>(qt, k, v, t, d, heads, probs, context)
-}
-
-/// [`attention_sample_body`] at `2 * NR` query lanes compiled for
-/// AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-fn attention_sample_avx512(
-    qt: &[f32],
-    k: &[f32],
-    v: &[f32],
-    t: usize,
-    d: usize,
-    heads: usize,
-    probs: &mut [f32],
-    context: &mut [f32],
-) {
-    attention_sample_body::<{ 2 * NR }>(qt, k, v, t, d, heads, probs, context)
-}
-
-/// [`attention_sample_body`] compiled for AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-fn attention_sample_avx2(
-    qt: &[f32],
-    k: &[f32],
-    v: &[f32],
-    t: usize,
-    d: usize,
-    heads: usize,
-    probs: &mut [f32],
-    context: &mut [f32],
-) {
-    attention_sample_body::<NR>(qt, k, v, t, d, heads, probs, context)
+instances! {
+    /// Multi-head self-attention's core over one sample: for every head,
+    /// `context = softmax(Q K^T * scale) V` on that head's columns, per query
+    /// row bit for bit the reference's scores, row softmax and context.
+    ///
+    /// `qt` is the sample's `[t, d]` queries packed by [`pack_bt_panels`];
+    /// `k` is its row-major `[t, d]` keys, and `v` its row-major values
+    /// followed by at least [`NR`] more elements (a head's last column block
+    /// reads past its columns into lanes nobody stores). `probs` is a
+    /// workspace of `t * ATTENTION_LANES` elements; `context` is the
+    /// sample's `[t, d]` output.
+    ///
+    /// Each (head, block of query rows) is one pass, with the queries on the
+    /// lanes, so every row reduction runs down a lane:
+    /// * the scores are a register tile whose chains are keys, several in
+    ///   flight, and whose lanes are queries (a Q panel word per head column,
+    ///   the key's column broadcast), seeded with `0.0` and accumulated in
+    ///   increasing column order, then `* scale`; the running max takes them
+    ///   in key order from `-inf`;
+    /// * `exp(score - max)` is summed in key order from `0.0`, then each is
+    ///   divided by its lane's sum — the row softmax's own steps, in its
+    ///   order;
+    /// * the context is a tile whose chains are queries and whose lanes are
+    ///   the head's value columns, each key's probability broadcast from the
+    ///   block, seeded with `0.0` and accumulated in key order.
+    ///
+    /// Every product has the operands the reference multiplies, and every
+    /// sum its order: same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `heads` divides `d` and the buffers have those lengths.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn attention_sample(
+        qt: &[f32],
+        k: &[f32],
+        v: &[f32],
+        t: usize,
+        d: usize,
+        heads: usize,
+        probs: &mut [f32],
+        context: &mut [f32],
+    ) => attention_sample_body;
+    "avx512f" => { 2 * NR } if t > NR,
+    "avx2" => NR,
 }
 
 /// [`attention_sample`]'s one body, inlined into every instance: query
@@ -1410,50 +1285,26 @@ impl AttentionHead<'_> {
     }
 }
 
-/// Layer norm over every `gamma.len()`-wide row of the flat `x`, into
-/// `out`: per row, the mean and the variance about it (each an
-/// `Iterator::sum`-order fold from `-0.0`, one row per lane of
-/// [`fold_rows`]), then `(v - mean) * inv * gamma + beta` with `inv = 1 /
-/// sqrt(var / d + eps)` — `LayerNorm::forward_reference`'s arithmetic,
-/// bit for bit.
-///
-/// On an AVX-512 CPU more than [`NR`] rows fold `2 * NR` to a block; fewer
-/// rows, or another CPU, fold `NR` to a block on the AVX2 (or baseline)
-/// instance.
-///
-/// # Panics
-///
-/// Panics if the buffers differ in length or are not whole rows.
-#[allow(unsafe_code)]
-pub(crate) fn layer_norm_rows(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if x.len() > NR * gamma.len() && avx512() {
-        // SAFETY: `avx512()` has just found AVX-512F on this CPU, the one
-        // feature `layer_norm_rows_avx512` is compiled for.
-        return unsafe { layer_norm_rows_avx512(x, gamma, beta, eps, out) };
-    }
-    #[cfg(target_arch = "x86_64")]
-    if avx2() {
-        // SAFETY: `avx2()` has just found AVX2 on this CPU, the one
-        // feature `layer_norm_rows_avx2` is compiled for.
-        return unsafe { layer_norm_rows_avx2(x, gamma, beta, eps, out) };
-    }
-    layer_norm_rows_body::<NR>(x, gamma, beta, eps, out)
-}
-
-/// [`layer_norm_rows_body`] at `2 * NR` rows a block compiled for
-/// AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn layer_norm_rows_avx512(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) {
-    layer_norm_rows_body::<{ 2 * NR }>(x, gamma, beta, eps, out)
-}
-
-/// [`layer_norm_rows_body`] compiled for AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn layer_norm_rows_avx2(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) {
-    layer_norm_rows_body::<NR>(x, gamma, beta, eps, out)
+instances! {
+    /// Layer norm over every `gamma.len()`-wide row of the flat `x`, into
+    /// `out`: per row, the mean and the variance about it (each an
+    /// `Iterator::sum`-order fold from `-0.0`, one row per lane of
+    /// [`fold_rows`]), then `(v - mean) * inv * gamma + beta` with `inv = 1 /
+    /// sqrt(var / d + eps)` — `LayerNorm::forward_reference`'s arithmetic,
+    /// bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffers differ in length or are not whole rows.
+    pub(crate) fn layer_norm_rows(
+        x: &[f32],
+        gamma: &[f32],
+        beta: &[f32],
+        eps: f32,
+        out: &mut [f32],
+    ) => layer_norm_rows_body;
+    "avx512f" => { 2 * NR } if x.len() > NR * gamma.len(),
+    "avx2" => NR,
 }
 
 /// [`layer_norm_rows`]' one body, inlined into every instance, at `L`

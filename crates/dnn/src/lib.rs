@@ -45,10 +45,9 @@
 //! invariants (softmax sums to one, layer norm normalizes, BF16
 //! round-trips, ...).
 
-// Only the five passes in `kernels` with instances (`gemm_packed`,
-// `conv2d_direct_bf16`, `attention_sample`, `layer_norm_rows`,
-// `lstm_cell`) may call their AVX-512F and AVX2 instances
-// (`#[allow(unsafe_code)]` on each entry).
+// Only the entries `kernels`' `instances!` macro defines may call the
+// AVX-512F and AVX2 instances it compiles (the macro puts
+// `#[allow(unsafe_code)]` on each entry, around its one `unsafe` call).
 #![deny(unsafe_code)]
 
 pub mod batch;

@@ -24,7 +24,7 @@ impl LayerNorm {
     }
 
     /// Normalized width.
-    pub fn dim(&self) -> usize {
+    fn dim(&self) -> usize {
         self.gamma.len()
     }
 

@@ -93,11 +93,6 @@ impl HawkesProcess {
         }
     }
 
-    /// The configured parameters.
-    pub fn params(&self) -> HawkesParams {
-        self.params
-    }
-
     /// Samples the next arrival time in seconds (absolute, since process
     /// start) using Ogata thinning.
     fn next_arrival(&mut self) -> f64 {

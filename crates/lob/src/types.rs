@@ -26,12 +26,6 @@ impl Price {
     pub const fn ticks(self) -> i64 {
         self.0
     }
-
-    /// Returns the price shifted by `delta` ticks.
-    #[must_use]
-    pub const fn offset(self, delta: i64) -> Self {
-        Price(self.0 + delta)
-    }
 }
 
 impl fmt::Display for Price {
@@ -344,7 +338,6 @@ mod tests {
         assert_eq!(p + 5, Price::new(105));
         assert_eq!(p - 5, Price::new(95));
         assert_eq!(Price::new(105) - p, 5);
-        assert_eq!(p.offset(-100), Price::new(0));
         assert_eq!(p.to_string(), "100t");
     }
 

@@ -59,11 +59,6 @@ impl SeqTracker {
         }
     }
 
-    /// The next expected widened sequence, if a start is known.
-    pub fn expected(&self) -> Option<u64> {
-        self.next
-    }
-
     /// Sequence values recorded as gaps and not yet filled.
     pub fn outstanding(&self) -> u64 {
         self.outstanding
@@ -204,7 +199,7 @@ mod tests {
         // The wire wraps to 0; the widened stream keeps climbing.
         assert_eq!(t.observe(0), SeqObservation::InOrder);
         assert_eq!(t.observe(1), SeqObservation::InOrder);
-        assert_eq!(t.expected(), Some(u64::from(u32::MAX) + 3));
+        assert_eq!(t.observe(2), SeqObservation::InOrder);
     }
 
     #[test]

@@ -141,11 +141,6 @@ impl LossyChannel {
         }
     }
 
-    /// The channel's configured fault profile.
-    pub fn rates(&self) -> FaultRates {
-        self.rates
-    }
-
     /// What the channel has done to its traffic so far.
     pub fn stats(&self) -> ChannelStats {
         self.stats

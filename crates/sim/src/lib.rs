@@ -56,7 +56,6 @@ pub use metrics::{BacktestMetrics, StageSummary, TierOutcomes};
 pub use multi::{run_multi, run_multi_merged, MultiMetrics, SymbolOutcome};
 pub use telemetry::{QueryTimeline, Stage, StageBreakdown};
 pub use traffic::{
-    burst_storm_session, burst_storm_trace, cached_evaluation_session, evaluation_deadline,
-    evaluation_spec, evaluation_trace, multi_evaluation_session, shared_trace_cache,
-    EVALUATION_SEED,
+    burst_storm_trace, cached_evaluation_session, evaluation_deadline, evaluation_trace,
+    multi_evaluation_session, shared_trace_cache, EVALUATION_SEED,
 };

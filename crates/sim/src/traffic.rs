@@ -76,19 +76,15 @@ pub fn burst_storm_flash() -> FlashParams {
     FlashParams::new(12.0, 50.0, 10e-6)
 }
 
-/// Generates the burst-storm session: the calibrated Hawkes background
+/// The burst-storm session's trace: the calibrated Hawkes background
 /// overlaid with [`burst_storm_flash`] cascades.
-pub fn burst_storm_session(secs: f64, seed: u64) -> MarketSession {
+pub fn burst_storm_trace(secs: f64, seed: u64) -> lt_feed::TickTrace {
     SessionBuilder::new(evaluation_hawkes())
         .flash_bursts(burst_storm_flash())
         .duration_secs(secs)
         .seed(seed)
         .build()
-}
-
-/// Convenience: just the trace of [`burst_storm_session`].
-pub fn burst_storm_trace(secs: f64, seed: u64) -> lt_feed::TickTrace {
-    burst_storm_session(secs, seed).trace
+        .trace
 }
 
 /// Generates the shared evaluation session: `secs` of synthetic E-mini
@@ -114,7 +110,7 @@ pub fn evaluation_trace(secs: f64, seed: u64) -> lt_feed::TickTrace {
 /// The [`SessionSpec`] of [`evaluation_session`]: same traffic, same
 /// seed, cacheable. `spec.build()` is bit-identical to the direct
 /// builder path.
-pub fn evaluation_spec(secs: f64, seed: u64) -> SessionSpec {
+fn evaluation_spec(secs: f64, seed: u64) -> SessionSpec {
     SessionSpec::single(evaluation_hawkes(), secs, seed).with_flash(evaluation_flash())
 }
 

@@ -11,18 +11,45 @@ cd "$(dirname "$0")/.."
 fast=0
 [[ "${1:-}" == "--fast" ]] && fast=1
 
+# A file's non-test code: its lines above its first #[cfg(test)]. The
+# per-file gates below read every file through this cut, so it fails (exit
+# 1, the reason on stderr) a file whose test code does not all come last:
+# a first #[cfg(test)] that is indented (a test-only item inside an impl)
+# or a column-0 item after it without its own #[cfg(test)] would hide that
+# file's later non-test code from every gate.
+nontest() {
+    awk '
+        !cut && /^[ \t]*#\[cfg\(test\)\]/ {
+            cut = tagged = 1
+            if (/^[ \t]/) { print FILENAME ":" FNR ": first #[cfg(test)] is indented" > "/dev/stderr"; bad = 1 }
+            next
+        }
+        !cut { print; next }
+        /^#\[cfg\(test\)\]/ { tagged = 1; next }
+        /^[A-Za-z]/ && !/^where([^A-Za-z0-9_]|$)/ {
+            if (!tagged) { print FILENAME ":" FNR ": item after #[cfg(test)] without its own" > "/dev/stderr"; bad = 1 }
+            tagged = 0
+        }
+        END { exit bad }' "$1"
+}
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 
 echo "== reachability: no source file whose pub items nothing names, no pub fn with no caller outside its file =="
 ./scripts/islands.sh
 
+echo "== test code last: every crates/*/src file's non-test code lies above its first #[cfg(test)] =="
+for f in $(find crates/*/src -name '*.rs' | sort); do
+    nontest "$f" >/dev/null
+done
+
 echo "== own nonlinearities: no libm transcendental in the inference ops' non-test code =="
 # The per-query path takes exp/tanh/sigmoid from lt_dnn::math, so no answer
 # depends on the host's libm. sqrt and powi(2) are exact IEEE operations.
 libm=0
 for f in crates/dnn/src/ops/*.rs crates/dnn/src/kernels.rs crates/dnn/src/math.rs; do
-    if sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$f" \
+    if nontest "$f" \
         | grep -nE '\.(exp|exp_m1|tanh|ln|powf|sin|cos)\('; then
         echo "libm call in $f (use lt_dnn::math)"
         libm=1
@@ -35,7 +62,7 @@ echo "== the back-test stages no tensor: no feature window, normalization or off
 # the wall-clock traders' job, and the offload views are the benchmark's.
 staged=0
 for f in $(find crates/sim/src -name '*.rs' | sort); do
-    if sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$f" \
+    if nontest "$f" \
         | grep -nE 'FeatureWindow|NormStats|MultiOffload|OffloadEngine|on_tick_staged'; then
         echo "tensor staging in $f (the back-test queues tickets: use TicketQueue)"
         staged=1
@@ -53,7 +80,7 @@ for f in $(find crates/*/src -name '*.rs' | sort); do
     case "$f" in
         crates/core/src/system.rs | crates/pipeline/src/offload.rs | crates/pipeline/src/multi_offload.rs) continue ;;
     esac
-    if sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$f" | grep -nE 'FeatureWindow::new|ModelRegistry::tiny'; then
+    if nontest "$f" | grep -nE 'FeatureWindow::new|ModelRegistry::tiny'; then
         echo "a second trader core in $f (build through LightTraderBuilder)"
         built=1
     fi
@@ -65,14 +92,14 @@ echo "== one way to run a batch: no thread in lt-dnn's non-test code, no precisi
 # thread's allocations only), and every forward is priced in BF16.
 knobs=0
 for f in $(find crates/dnn/src -name '*.rs' | sort); do
-    if sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$f" \
+    if nontest "$f" \
         | grep -nE 'std::thread|thread::scope|available_parallelism'; then
         echo "threads in $f (batched forwards run on the calling thread)"
         knobs=1
     fi
 done
 for f in $(find crates/*/src -name '*.rs' | sort); do
-    if sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$f" | grep -nw 'Precision'; then
+    if nontest "$f" | grep -nw 'Precision'; then
         echo "a precision knob in $f (INT8 is Table I's spec row only)"
         knobs=1
     fi
@@ -85,7 +112,7 @@ echo "== one back-test configuration: no tier parameters, ladder or base overrid
 # lt_sim::QUEUE_CAPACITY tickets a shard.
 config=0
 for f in $(find crates/*/src -name '*.rs' | sort); do
-    if sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$f" \
+    if nontest "$f" \
         | grep -nE 'TierParams|with_tier_base|with_tier_ladder|GridDeadline::Fixed|(^|[^A-Za-z0-9_])queue_capacity[[:space:]]*:[^:]'; then
         echo "a second back-test configuration in $f (tier_budget is the tiered scheduler's one knob)"
         config=1
@@ -93,27 +120,31 @@ for f in $(find crates/*/src -name '*.rs' | sort); do
 done
 [[ "$config" == "0" ]]
 
-echo "== bounded unsafe: the nine instance dispatches in lt-dnn's kernels.rs, each under a // SAFETY: comment, AVX2 or AVX-512F only =="
+echo "== bounded unsafe: one unsafe call and one #[target_feature], both in kernels.rs's instances! macro, the call under a // SAFETY: comment; AVX2 or AVX-512F instances only =="
 # Every crate root forbids unsafe_code but lt-dnn's, which denies it: the
-# five kernels.rs passes with instances allow it to call them, each right
-# after the runtime feature check: gemm_packed, conv2d_direct_bf16,
-# attention_sample and layer_norm_rows their AVX-512F and AVX2 instances
-# (two sites each), lstm_cell its AVX2 instance (one). A tenth site fails
-# here, as does an instance compiled for any feature but avx2 or avx512f.
+# entries the instances! macro defines in kernels.rs allow it to call the
+# instances it compiles for their target features, right after the
+# runtime feature check. A second site anywhere fails here, as does an
+# instance compiled for any feature but avx2 or avx512f.
 sites=$(for f in $(find crates/*/src -name '*.rs' | sort); do
-    sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$f" | awk -v f="$f" '
-        /^[[:space:]]*\/\// { if ($0 ~ /\/\/ SAFETY: /) safety = 1; next }
-        /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/ { print f ":" NR ":" (safety ? "safety" : "NO SAFETY COMMENT") }
+    nontest "$f" | awk -v f="$f" '
+        /^[ \t]*\/\// { if ($0 ~ /\/\/ SAFETY: /) safety = 1; next }
+        /^macro_rules! instances \{/ { macro = 1 }
+        /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/ { print f ":" NR ":unsafe:" (macro ? "macro" : "OUTSIDE THE MACRO") ":" (safety ? "safety" : "NO SAFETY COMMENT") }
+        /target_feature\(enable/ { print f ":" NR ":target_feature:" (macro ? "macro" : "OUTSIDE THE MACRO") }
+        /^\}/ { macro = 0 }
         { safety = 0 }'
 done)
 echo "$sites"
-if [[ "$(grep -c . <<< "$sites")" != "9" ]] \
-    || grep -v '^crates/dnn/src/kernels.rs:[0-9]*:safety$' <<< "$sites"; then
-    echo "unsafe outside the nine instance dispatches, or without a // SAFETY: comment"
+if [[ "$(grep -c . <<< "$sites")" != "2" ]] \
+    || ! grep -q '^crates/dnn/src/kernels.rs:[0-9]*:unsafe:macro:safety$' <<< "$sites" \
+    || ! grep -q '^crates/dnn/src/kernels.rs:[0-9]*:target_feature:macro$' <<< "$sites"; then
+    echo "unsafe or target_feature outside the instances! macro, or its unsafe without a // SAFETY: comment"
     exit 1
 fi
-if grep -rnE 'target_feature\(enable = "' crates/*/src | grep -vE 'enable = "(avx2|avx512f)"\)'; then
-    echo "a target_feature other than avx2 or avx512f"
+if nontest crates/dnn/src/kernels.rs | grep -nE '^[[:space:]]*"[^"]*"[[:space:]]*=>' \
+    | grep -vE '"(avx2|avx512f)"[[:space:]]*=>'; then
+    echo "an instance for a feature other than avx2 or avx512f"
     exit 1
 fi
 
@@ -123,7 +154,7 @@ echo "== unfused: no mul_add and no fmadd intrinsic in lt-dnn's non-test code ==
 # lets LLVM emit FMA instructions, so the feature list cannot guard this.
 fused=0
 for f in $(find crates/dnn/src -name '*.rs' | sort); do
-    if sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$f" | grep -nE 'mul_add|fmadd|fmsub|fnmadd|fnmsub' \
+    if nontest "$f" | grep -nE 'mul_add|fmadd|fmsub|fnmadd|fnmsub' \
         | grep -vE '^[0-9]+:[[:space:]]*//'; then
         echo "fused multiply-add in $f (round the product, then add)"
         fused=1

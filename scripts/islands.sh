@@ -7,12 +7,15 @@
 # Such a file is an island: nothing that runs reaches it. Connect it to a
 # caller or delete it; the allow-list is empty and stays empty.
 #
-# Item pass: a `pub fn` (any indentation) under crates/*/src whose name
-# occurs, as a whole word outside `//` comment lines, only in the repo's
-# .rs files (crates, benchmark/src, examples, tests) that define a `fn` of
-# that name has no caller outside its own file: only its definitions, its
-# file's own code and tests, or a same-named method's file name it. Drop
-# its `pub`, or delete it if then nothing calls it. Same empty allow-list.
+# Item pass: a `pub fn` (any indentation) under crates/*/src needs a call
+# from another file of the repo's .rs files (crates, benchmark/src,
+# examples, tests). A call is a call-shaped occurrence — `name(`,
+# `name::<`, `.name` or `::name`, outside `//` comments and `use` items,
+# not through `self.` or `Self::` — in a file that defines no `fn name`,
+# or in any file when more than one file defines a `fn name` (the call
+# may be the other's). A local variable or a `pub use` is no caller. Drop
+# the `pub`, or delete the fn if then nothing calls it. Same empty
+# allow-list.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,20 +34,26 @@ done
 
 lonely=$(awk '
     /^[ \t]*\/\// { next }
+    inuse { if (/;/) inuse = 0; next }
+    /^[ \t]*(pub(\([^)]*\))?[ \t]+)?use[ \t]/ { if (!/;/) inuse = 1; next }
     FILENAME ~ /^crates\/[^\/]+\/src\// && match($0, /^[ \t]*pub (const )?fn [A-Za-z0-9_]+/) {
         n = split(substr($0, RSTART, RLENGTH), w, " "); pub[w[n]] = 1
     }
     {
-        line = $0
-        while (match(line, /(^|[^A-Za-z0-9_])fn [A-Za-z0-9_]+/)) {
-            n = split(substr(line, RSTART, RLENGTH), w, " "); def[w[n], FILENAME] = 1
+        line = $0; sub(/[ \t]\/\/.*$/, "", line); pre = ""
+        while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
+            pre = pre substr(line, 1, RSTART - 1); name = substr(line, RSTART, RLENGTH)
             line = substr(line, RSTART + RLENGTH)
+            if (pre ~ /(^|[^A-Za-z0-9_])fn[ \t]+$/) {
+                if (!((name, FILENAME) in def)) { def[name, FILENAME] = 1; defs[name]++ }
+            } else if ((line ~ /^(\(|::<)/ || pre ~ /(\.|::)$/) && pre !~ /(^|[^A-Za-z0-9_])(self\.|Self::)$/) {
+                call[name, FILENAME] = 1
+            }
+            pre = pre name
         }
-        n = split($0, w, /[^A-Za-z0-9_]+/)
-        for (i = 1; i <= n; i++) if (w[i] != "") seen[w[i], FILENAME] = 1
     }
     END {
-        for (k in seen) { split(k, p, SUBSEP); if (!(k in def)) called[p[1]] = 1 }
+        for (k in call) { split(k, p, SUBSEP); if (!(k in def) || defs[p[1]] > 1) called[p[1]] = 1 }
         for (name in pub) if (!(name in called)) print name
     }' $(find crates benchmark/src examples tests -name '*.rs' | sort) | sort)
 for name in $lonely; do
