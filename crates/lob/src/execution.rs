@@ -72,9 +72,6 @@ pub struct OrderIntent {
     pub limit: Price,
     /// Order quantity.
     pub qty: Qty,
-    /// Visible quantity at the decision-time touch — what the assume-fill
-    /// functional path caps its fictional fill at.
-    pub touch_qty: Qty,
 }
 
 /// The outcome of settling one order against the venue.

@@ -26,11 +26,15 @@
 //!   query; the [`TensorTicket`]; and [`OffloadEngine`], a window in
 //!   front of a one-shard queue, kept for the same callers as
 //!   [`MultiOffload`];
-//! * [`trading`] — the trading engine: risk-checked order generation from
-//!   inference results, with position tracking, P&L accounting, and
-//!   iLink3/FIX encoding;
-//! * [`rate_limit`] — exchange messaging-rate limiting and the latching
-//!   kill switch behind the risk gates;
+//! * [`trading`] — the trading engine, the one risk path: every gate
+//!   (kill switch, rate limiter, confidence, book and spread, position
+//!   cap) between an inference result and an order, in one order, with
+//!   the [`Portfolio`] ledger and iLink3/FIX encoding. The functional
+//!   trader calls it per prediction; each back-test shard owns one and
+//!   settles its arriving orders through it;
+//! * [`rate_limit`] — the exchange messaging-rate window and the latching
+//!   kill switch the trading engine holds;
+//! * [`portfolio`] — the half-tick ledger of position, cash and fees;
 //! * [`stages`] — the per-stage latency budget of the conventional
 //!   pipeline (~1 µs end-to-end on an FPGA, §II-A), which the simulator
 //!   holds as configuration.

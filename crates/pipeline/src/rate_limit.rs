@@ -5,7 +5,8 @@
 //! "conservative risk management policy" the paper's trading engine
 //! embodies (§III-A). [`OrderRateLimiter`] is a token bucket over a
 //! sliding one-second window; [`KillSwitch`] trips permanently once the
-//! mark-to-market loss breaches a configured floor.
+//! mark-to-market loss breaches a configured floor. Both are gates of
+//! the [`crate::TradingEngine`], which counts the orders they refuse.
 
 use lt_lob::Timestamp;
 use serde::{Deserialize, Serialize};
@@ -20,7 +21,6 @@ pub struct OrderRateLimiter {
     window_ns: u64,
     /// Send times inside the current window.
     sends: VecDeque<Timestamp>,
-    rejected: u64,
 }
 
 impl OrderRateLimiter {
@@ -35,23 +35,6 @@ impl OrderRateLimiter {
             limit,
             window_ns: 1_000_000_000,
             sends: VecDeque::new(),
-            rejected: 0,
-        }
-    }
-
-    /// Orders rejected so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Attempts to pass one order at `now`; `true` means send it.
-    pub fn allow(&mut self, now: Timestamp) -> bool {
-        if self.would_allow(now) {
-            self.record(now);
-            true
-        } else {
-            self.rejected += 1;
-            false
         }
     }
 
@@ -71,14 +54,6 @@ impl OrderRateLimiter {
     /// Consumes a window slot for an order actually sent at `now`.
     pub fn record(&mut self, now: Timestamp) {
         self.sends.push_back(now);
-    }
-
-    /// Counts a rejection decided by the caller. Pairs with
-    /// [`Self::would_allow`]: callers that probe first and suppress the
-    /// order themselves must still record the rejection, or
-    /// [`Self::rejected`] undercounts.
-    pub fn note_rejected(&mut self) {
-        self.rejected += 1;
     }
 }
 
@@ -137,35 +112,64 @@ impl KillSwitch {
 mod tests {
     use super::*;
 
+    /// Sends at `now` if the window has room, as the trading engine does,
+    /// counting a refusal in `rejected`.
+    fn send(limiter: &mut OrderRateLimiter, now: Timestamp, rejected: &mut u64) -> bool {
+        let sent = limiter.would_allow(now);
+        if sent {
+            limiter.record(now);
+        } else {
+            *rejected += 1;
+        }
+        sent
+    }
+
     #[test]
     fn limiter_caps_per_second() {
         let mut limiter = OrderRateLimiter::per_second(3);
+        let mut rejected = 0;
         let t0 = Timestamp::from_millis(0);
-        assert!(limiter.allow(t0));
-        assert!(limiter.allow(Timestamp::from_millis(100)));
-        assert!(limiter.allow(Timestamp::from_millis(200)));
-        assert!(!limiter.allow(Timestamp::from_millis(300)), "4th in window");
-        assert_eq!(limiter.rejected(), 1);
-        // The window slides: the t0 send expires at t0+1s.
-        assert!(limiter.allow(Timestamp::from_millis(1_001)));
+        assert!(send(&mut limiter, t0, &mut rejected));
+        assert!(send(
+            &mut limiter,
+            Timestamp::from_millis(100),
+            &mut rejected
+        ));
+        assert!(send(
+            &mut limiter,
+            Timestamp::from_millis(200),
+            &mut rejected
+        ));
         assert!(
-            !limiter.allow(Timestamp::from_millis(1_001)),
+            !send(&mut limiter, Timestamp::from_millis(300), &mut rejected),
+            "4th in window"
+        );
+        assert_eq!(rejected, 1);
+        // The window slides: the t0 send expires at t0+1s.
+        assert!(send(
+            &mut limiter,
+            Timestamp::from_millis(1_001),
+            &mut rejected
+        ));
+        assert!(
+            !send(&mut limiter, Timestamp::from_millis(1_001), &mut rejected),
             "window full again"
         );
-        assert_eq!(limiter.rejected(), 2);
+        assert_eq!(rejected, 2);
     }
 
     #[test]
     fn limiter_handles_bursts_cleanly() {
         let mut limiter = OrderRateLimiter::per_second(10);
+        let mut rejected = 0;
         let mut allowed = 0;
         for i in 0..100u64 {
-            if limiter.allow(Timestamp::from_micros(i * 10)) {
+            if send(&mut limiter, Timestamp::from_micros(i * 10), &mut rejected) {
                 allowed += 1;
             }
         }
         assert_eq!(allowed, 10, "only the cap passes in one burst");
-        assert_eq!(limiter.rejected(), 90);
+        assert_eq!(rejected, 90);
     }
 
     #[test]
@@ -208,18 +212,22 @@ mod tests {
     #[test]
     fn burst_at_window_boundary() {
         let mut limiter = OrderRateLimiter::per_second(2);
+        let mut rejected = 0;
         let t0 = Timestamp::from_nanos(5_000);
-        assert!(limiter.allow(t0));
-        assert!(limiter.allow(t0));
+        assert!(send(&mut limiter, t0, &mut rejected));
+        assert!(send(&mut limiter, t0, &mut rejected));
         // One nanosecond short of expiry the t0 sends still count.
         let almost = Timestamp::from_nanos(5_000 + 999_999_999);
-        assert!(!limiter.allow(almost));
+        assert!(!send(&mut limiter, almost, &mut rejected));
         // At exactly t0 + 1 s both expire: a full burst passes again.
         let boundary = Timestamp::from_nanos(5_000 + 1_000_000_000);
-        assert!(limiter.allow(boundary));
-        assert!(limiter.allow(boundary));
-        assert!(!limiter.allow(boundary), "new window is also capped");
-        assert_eq!(limiter.rejected(), 2);
+        assert!(send(&mut limiter, boundary, &mut rejected));
+        assert!(send(&mut limiter, boundary, &mut rejected));
+        assert!(
+            !send(&mut limiter, boundary, &mut rejected),
+            "new window is also capped"
+        );
+        assert_eq!(rejected, 2);
     }
 
     #[test]
@@ -231,6 +239,5 @@ mod tests {
         }
         limiter.record(t0);
         assert!(!limiter.would_allow(t0));
-        assert_eq!(limiter.rejected(), 0, "would_allow never counts rejects");
     }
 }

@@ -7,11 +7,19 @@
 //! properties of AI algorithms" (§III-A). The strategy here is the
 //! paper's own illustration: a Down prediction sells holdings, an Up
 //! prediction buys, a Stationary prediction does nothing — each gated by
-//! confidence and position limits.
+//! confidence, the book, position limits, the messaging-rate limiter and
+//! the kill switch.
+//!
+//! The rules are two steps, which the functional trader runs back to back
+//! on one book and the back-test runs on two: [`TradingEngine::intent`],
+//! the stateless touch rule (an IOC at the touch, or a bad book), at
+//! decision time, and [`TradingEngine::settle`] (kill gate, position cap,
+//! fill, ledger, re-mark) when the order reaches the venue.
 
 use crate::portfolio::Portfolio;
+use crate::rate_limit::{KillSwitch, OrderRateLimiter};
 use lt_dnn::{Prediction, PriceDirection};
-use lt_lob::execution::{fill_ioc, FeeModel, Fill, FillModel};
+use lt_lob::execution::{fill_ioc, FeeModel, Fill, FillModel, OrderIntent};
 use lt_lob::{LobSnapshot, OrderId, Price, Qty, Side, Symbol};
 use lt_protocol::ilink::{OrderMessage, OrderMessageKind};
 use serde::{Deserialize, Serialize};
@@ -58,28 +66,57 @@ pub enum NoOrderReason {
     Killed,
 }
 
-/// The order generator with position and P&L tracking.
+/// The order generator with its risk gates and position and P&L tracking.
 #[derive(Debug, Clone)]
 pub struct TradingEngine {
     symbol: Symbol,
     limits: RiskLimits,
     portfolio: Portfolio,
+    /// The messaging-rate gate; `None` passes every order.
+    limiter: Option<OrderRateLimiter>,
+    /// The loss-floor gate; `None` never halts.
+    kill: Option<KillSwitch>,
     next_order_id: u64,
     orders_sent: u64,
     suppressed: u64,
+    rate_limited: u64,
 }
 
 impl TradingEngine {
-    /// Creates an engine with a flat position.
+    /// Creates an engine with a flat position and neither a rate limiter
+    /// nor a kill switch.
     pub fn new(symbol: Symbol, limits: RiskLimits) -> Self {
         TradingEngine {
             symbol,
             limits,
             portfolio: Portfolio::new(),
+            limiter: None,
+            kill: None,
             next_order_id: 1,
             orders_sent: 0,
             suppressed: 0,
+            rate_limited: 0,
         }
+    }
+
+    /// Arms the two gates [`RiskLimits`] leaves out: at most
+    /// `orders_per_second` orders in any one-second window (exchange
+    /// messaging limits), and a kill switch that halts trading for good
+    /// once the mark-to-market P&L falls to `loss_floor_ticks` (ticks x
+    /// contracts). `None` leaves a gate off.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `orders_per_second` is zero.
+    #[must_use]
+    pub fn with_gates(
+        mut self,
+        orders_per_second: Option<u32>,
+        loss_floor_ticks: Option<i64>,
+    ) -> Self {
+        self.limiter = orders_per_second.map(OrderRateLimiter::per_second);
+        self.kill = loss_floor_ticks.map(KillSwitch::new);
+        self
     }
 
     /// Current net position in contracts (positive = long).
@@ -93,6 +130,11 @@ impl TradingEngine {
     /// this conversion is exact.
     pub fn cash_ticks(&self) -> i64 {
         self.portfolio.cash_half() / 2
+    }
+
+    /// The ledger every settled fill is booked into.
+    pub fn portfolio(&self) -> &Portfolio {
+        &self.portfolio
     }
 
     /// Orders transmitted so far.
@@ -127,95 +169,47 @@ impl TradingEngine {
         self.suppressed
     }
 
-    /// Records a suppression decided *outside* the engine (the kill
-    /// switch or the messaging-rate limiter short-circuits before
-    /// [`Self::on_prediction`] runs), so the suppression total agrees
-    /// with the per-tick outcomes the caller reports.
-    pub fn note_suppressed(&mut self) {
-        self.suppressed += 1;
+    /// Signals the messaging-rate limiter suppressed: a subset of
+    /// [`Self::suppressed`].
+    pub fn rate_limited(&self) -> u64 {
+        self.rate_limited
     }
 
-    /// Post-processes one inference result against the current book:
-    /// [`Self::propose`] plus immediate settlement of the assumed fill.
+    /// Marks the open position to market at `book`'s exact half-tick mid
+    /// for the kill switch (a one-sided book marks nothing). It runs on
+    /// every tick, orders in flight or not, so a drawdown on a held
+    /// position halts trading on the tick that breaches the floor.
+    pub fn mark(&mut self, book: &LobSnapshot) {
+        if let Some(kill) = &mut self.kill {
+            if let Some(mid_half) = book.mid_half_ticks() {
+                kill.observe_pnl_half(self.portfolio.equity_half(mid_half));
+            }
+        }
+    }
+
+    /// Post-processes one inference result against the current book, at
+    /// its timestamp: every gate in order — mark, kill switch, rate
+    /// limiter, stationary, confidence, then [`Self::intent`]'s book and
+    /// spread and [`Self::settle`]'s position cap — and, when all pass,
+    /// the order to transmit, its assumed fill settled at once. The first
+    /// gate that fires names the suppression.
     ///
     /// This is the *functional* path, where no venue model replays the
-    /// book at order-arrival time. The order is assumed to fill at its
-    /// limit, but — unlike the historical behavior that booked the full
-    /// `order_qty` unconditionally — the assumed fill is capped at the
-    /// quantity visible at the touch. The back-test does not come through
-    /// here: it fills each order against the book at its arrival and
-    /// books the fill in its own per-shard [`Portfolio`].
+    /// book at order-arrival time: the IOC sweeps the levels `book`
+    /// shows at or better than its limit, fee-free. The back-test settles
+    /// its orders through [`Self::settle`] against the book at arrival.
     pub fn on_prediction(
         &mut self,
         prediction: &Prediction,
         book: &LobSnapshot,
     ) -> Result<OrderMessage, NoOrderReason> {
-        let order = self.propose(prediction, book)?;
-        let OrderMessageKind::New {
-            side, price, qty, ..
-        } = order.kind
-        else {
-            unreachable!("propose only emits new orders");
-        };
-        let fill = fill_ioc(
-            book,
-            side,
-            price,
-            qty,
-            FillModel::SweepVisible,
-            &FeeModel::zero(),
-        );
-        self.settle(side, &fill);
-        Ok(order)
-    }
-
-    /// Runs the risk gates against one inference result and generates the
-    /// order to transmit — or the reason it was suppressed. An Up
-    /// prediction lifts the best ask (IOC); a Down prediction hits the
-    /// best bid. No fill is booked: [`Self::on_prediction`] settles the
-    /// assumed fill through [`Self::settle`].
-    fn propose(
-        &mut self,
-        prediction: &Prediction,
-        book: &LobSnapshot,
-    ) -> Result<OrderMessage, NoOrderReason> {
-        let outcome = self.propose_inner(prediction, book);
-        match &outcome {
-            Ok(_) => self.orders_sent += 1,
-            Err(_) => self.suppressed += 1,
-        }
-        outcome
-    }
-
-    fn propose_inner(
-        &mut self,
-        prediction: &Prediction,
-        book: &LobSnapshot,
-    ) -> Result<OrderMessage, NoOrderReason> {
-        let direction = prediction.direction();
-        if direction == PriceDirection::Stationary {
-            return Err(NoOrderReason::Stationary);
-        }
-        // Negated so a NaN confidence is low: every NaN comparison is
-        // false, and a NaN answer's direction reads as Up.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(prediction.confidence() >= self.limits.min_confidence) {
-            return Err(NoOrderReason::LowConfidence);
-        }
-        let (Some(bid), Some(ask)) = (book.best_bid(), book.best_ask()) else {
-            return Err(NoOrderReason::BadBook);
-        };
-        if ask.price - bid.price > self.limits.max_spread_ticks {
-            return Err(NoOrderReason::BadBook);
-        }
-        let qty = self.limits.order_qty as i64;
-        let (side, price, position_delta) = match direction {
-            PriceDirection::Up => (Side::Bid, ask.price, qty),
-            PriceDirection::Down => (Side::Ask, bid.price, -qty),
-            PriceDirection::Stationary => unreachable!("handled above"),
-        };
-        if (self.portfolio.position() + position_delta).abs() > self.limits.max_position {
-            return Err(NoOrderReason::PositionLimit);
+        self.mark(book);
+        let intent = self
+            .gate(prediction, book)
+            .map_err(|reason| self.suppress(reason))?;
+        self.settle(intent, book, FillModel::SweepVisible, &FeeModel::zero())?;
+        if let Some(limiter) = &mut self.limiter {
+            limiter.record(book.ts);
         }
         let id = OrderId::new(self.next_order_id);
         self.next_order_id += 1;
@@ -223,19 +217,106 @@ impl TradingEngine {
             cl_ord_id: id,
             symbol: self.symbol,
             kind: OrderMessageKind::New {
-                side,
-                price,
-                qty: Qty::new(self.limits.order_qty),
+                side: intent.side,
+                price: intent.limit,
+                qty: intent.qty,
                 tif: lt_lob::TimeInForce::Ioc,
             },
         })
     }
 
-    /// Books a settled fill for an order previously generated by
-    /// [`Self::propose`] into the portfolio. A missed IOC (zero fill) is
-    /// a no-op on the ledger.
-    fn settle(&mut self, side: Side, fill: &Fill) {
-        self.portfolio.apply(side, fill);
+    /// The gates ahead of the touch rule, in order: kill switch, rate
+    /// limiter at `book.ts`, stationary, confidence; then the touch rule
+    /// on the predicted side.
+    fn gate(
+        &mut self,
+        prediction: &Prediction,
+        book: &LobSnapshot,
+    ) -> Result<OrderIntent, NoOrderReason> {
+        if self.killed() {
+            return Err(NoOrderReason::Killed);
+        }
+        if let Some(limiter) = &mut self.limiter {
+            if !limiter.would_allow(book.ts) {
+                return Err(NoOrderReason::RateLimited);
+            }
+        }
+        let side = match prediction.direction() {
+            PriceDirection::Stationary => return Err(NoOrderReason::Stationary),
+            PriceDirection::Up => Side::Bid,
+            PriceDirection::Down => Side::Ask,
+        };
+        // Negated so a NaN confidence is low: every NaN comparison is
+        // false, and a NaN answer's direction reads as Up.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        if !(prediction.confidence() >= self.limits.min_confidence) {
+            return Err(NoOrderReason::LowConfidence);
+        }
+        self.intent(side, book)
+    }
+
+    /// The touch rule: an IOC for `order_qty` contracts on `side` at the
+    /// touch it crosses (a buy lifts the best ask, a sell hits the best
+    /// bid), or [`NoOrderReason::BadBook`] when `book` is one-sided or
+    /// wider than the spread gate. It reads no state but the limits.
+    pub fn intent(&self, side: Side, book: &LobSnapshot) -> Result<OrderIntent, NoOrderReason> {
+        let (Some(bid), Some(ask)) = (book.best_bid(), book.best_ask()) else {
+            return Err(NoOrderReason::BadBook);
+        };
+        if ask.price - bid.price > self.limits.max_spread_ticks {
+            return Err(NoOrderReason::BadBook);
+        }
+        let limit = match side {
+            Side::Bid => ask.price,
+            Side::Ask => bid.price,
+        };
+        Ok(OrderIntent {
+            side,
+            limit,
+            qty: Qty::new(self.limits.order_qty),
+        })
+    }
+
+    /// The settle step: the kill switch and the position cap, then the
+    /// order counts as sent, fills against `book` under `model` and
+    /// `fees` (a miss books nothing), lands in the ledger, and the
+    /// position is marked again at `book`'s mid, so the fill that opens a
+    /// breach is the one that halts. A gate that fires counts the order
+    /// suppressed.
+    pub fn settle(
+        &mut self,
+        intent: OrderIntent,
+        book: &LobSnapshot,
+        model: FillModel,
+        fees: &FeeModel,
+    ) -> Result<Fill, NoOrderReason> {
+        if self.killed() {
+            return Err(self.suppress(NoOrderReason::Killed));
+        }
+        let qty = intent.qty.contracts() as i64;
+        let delta = match intent.side {
+            Side::Bid => qty,
+            Side::Ask => -qty,
+        };
+        if (self.portfolio.position() + delta).abs() > self.limits.max_position {
+            return Err(self.suppress(NoOrderReason::PositionLimit));
+        }
+        self.orders_sent += 1;
+        let fill = fill_ioc(book, intent.side, intent.limit, intent.qty, model, fees);
+        self.portfolio.apply(intent.side, &fill);
+        self.mark(book);
+        Ok(fill)
+    }
+
+    fn killed(&self) -> bool {
+        self.kill.as_ref().is_some_and(|kill| !kill.is_armed())
+    }
+
+    /// Counts a suppression by `reason`'s gate and hands `reason` back.
+    fn suppress(&mut self, reason: NoOrderReason) -> NoOrderReason {
+        self.suppressed += 1;
+        self.rate_limited += u64::from(reason == NoOrderReason::RateLimited);
+        reason
     }
 }
 
@@ -437,25 +518,21 @@ mod tests {
     #[test]
     fn propose_books_nothing_until_settled() {
         let mut e = engine();
-        let order = e.propose(&pred(0.9, 0.05, 0.05), &book(99, 101)).unwrap();
+        let intent = e.intent(Side::Bid, &book(99, 101)).unwrap();
         assert_eq!(e.position(), 0, "no fill settled yet");
         assert_eq!(e.cash_ticks(), 0);
+        assert_eq!(e.orders_sent(), 0, "the touch rule sends nothing");
+        assert_eq!((intent.limit, intent.qty), (Price::new(101), Qty::new(1)));
+        let fill = e
+            .settle(
+                intent,
+                &book(99, 101),
+                FillModel::SweepVisible,
+                &FeeModel::zero(),
+            )
+            .unwrap();
+        assert_eq!(fill.filled, Qty::new(1));
         assert_eq!(e.orders_sent(), 1);
-        let OrderMessageKind::New {
-            side, price, qty, ..
-        } = order.kind
-        else {
-            panic!("expected a new order");
-        };
-        let fill = lt_lob::execution::fill_ioc(
-            &book(99, 101),
-            side,
-            price,
-            qty,
-            lt_lob::FillModel::SweepVisible,
-            &lt_lob::FeeModel::zero(),
-        );
-        e.settle(side, &fill);
         assert_eq!(e.position(), 1);
         assert_eq!(e.cash_ticks(), -101);
     }
@@ -481,5 +558,103 @@ mod tests {
         assert_eq!(OrderMessage::decode(&bin).unwrap().0, a);
         let fix = lt_protocol::FixEncoder::new().encode(&a);
         assert_eq!(lt_protocol::FixDecoder::new().decode(&fix).unwrap(), a);
+    }
+
+    /// An engine with both optional gates armed: one order a second and a
+    /// kill switch at a 5-tick loss.
+    fn gated(limits: RiskLimits) -> TradingEngine {
+        TradingEngine::new(Symbol::new("ESU6"), limits).with_gates(Some(1), Some(-5))
+    }
+
+    /// When several gates fire on one tick, the first in decision order
+    /// names the outcome (mark → kill → rate limit → stationary →
+    /// confidence → book/spread → position), and the tick counts as one
+    /// suppression, a rate-limited one only when the limiter fired first.
+    #[test]
+    fn the_first_firing_gate_names_the_outcome() {
+        let up = pred(0.9, 0.05, 0.05);
+        let one_sided = LobSnapshot {
+            bids: Vec::new(),
+            ..book(99, 101)
+        };
+        // (row, max position, orders placed first, probe prediction,
+        //  probe book, first reason, suppressed, rate-limited)
+        let rows = [
+            // A long from 101 marked at 90 is 11 ticks under the −5 floor.
+            (
+                "killed and stationary",
+                50,
+                1,
+                pred(0.05, 0.9, 0.05),
+                book(89, 91),
+                NoOrderReason::Killed,
+                1,
+                0,
+            ),
+            // The one order a second the limiter passes went out at t = 0.
+            (
+                "rate-limited and low confidence",
+                50,
+                1,
+                pred(0.4, 0.3, 0.3),
+                book(99, 101),
+                NoOrderReason::RateLimited,
+                1,
+                1,
+            ),
+            (
+                "one-sided book and position cap",
+                0,
+                0,
+                up,
+                one_sided,
+                NoOrderReason::BadBook,
+                1,
+                0,
+            ),
+        ];
+        for (row, max_position, placed, probe, probe_book, reason, suppressed, rate_limited) in rows
+        {
+            let mut e = gated(RiskLimits {
+                max_position,
+                ..RiskLimits::default()
+            });
+            for _ in 0..placed {
+                assert!(e.on_prediction(&up, &book(99, 101)).is_ok(), "{row}");
+            }
+            assert_eq!(e.on_prediction(&probe, &probe_book), Err(reason), "{row}");
+            assert_eq!(
+                (e.suppressed(), e.rate_limited()),
+                (suppressed, rate_limited),
+                "{row}"
+            );
+        }
+    }
+
+    /// The kill switch latches at the mark that breaches the floor, and
+    /// the settle step refuses every later order, as the back-test's
+    /// arrivals meet it.
+    #[test]
+    fn a_drawdown_trips_the_kill_switch_at_the_breach_mark() {
+        let mut e = gated(RiskLimits::default());
+        e.on_prediction(&pred(0.9, 0.05, 0.05), &book(99, 101))
+            .unwrap();
+        e.mark(&book(89, 91));
+        assert_eq!(
+            e.kill.as_ref().unwrap().tripped(),
+            Some(crate::KillReason::LossLimit { pnl_ticks: -11 })
+        );
+        let intent = e.intent(Side::Ask, &book(89, 91)).unwrap();
+        assert_eq!(
+            e.settle(
+                intent,
+                &book(89, 91),
+                FillModel::SweepVisible,
+                &FeeModel::zero()
+            ),
+            Err(NoOrderReason::Killed)
+        );
+        assert_eq!((e.orders_sent(), e.suppressed()), (1, 1));
+        assert_eq!(e.position(), 1);
     }
 }

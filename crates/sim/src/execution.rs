@@ -2,16 +2,19 @@
 //!
 //! Until this layer existed, the back-test scored queries purely on
 //! latency: an answered query was a "response" and no order ever
-//! *traded*. This module closes the loop with the venue. At every tick
-//! the strategy may capture an [`OrderIntent`] (an IOC at the
-//! decision-time touch), recorded under the tick's per-shard id; when
-//! the engine's `OrderOut` event fires for that tick's ticket — after
-//! the full tick-to-trade pipeline latency — the order is filled against
-//! the book state *at arrival time* via [`lt_lob::fill_ioc`], the
-//! venue-side sweep pinned against the real matching engine. A per-shard [`Portfolio`] books the fills
-//! (cash, position, realized/unrealized P&L, fees — all in half-tick
-//! fixed point), and a latching [`KillSwitch`] marks to market on every
-//! tick.
+//! *traded*. This module closes the loop with the venue through the
+//! same risk rules the functional trader runs: each shard owns a
+//! [`TradingEngine`]. At every tick the engine marks the shard's
+//! position to market (its kill switch watches every tick) and, when the
+//! signal fires, its touch rule ([`TradingEngine::intent`]) captures an
+//! [`OrderIntent`] (an IOC at the decision-time touch), recorded under
+//! the tick's per-shard id. When the simulator's `OrderOut` event fires
+//! for that tick's ticket — after the full tick-to-trade pipeline
+//! latency — the engine's settle step ([`TradingEngine::settle`]) applies
+//! the kill gate and position cap and fills the order against the book
+//! *at arrival time*, under the configured fill model and fees, into the
+//! engine's ledger (cash, position, realized/unrealized P&L, fees — all
+//! in half-tick fixed point).
 //!
 //! The signal is an **oracle momentum** signal: the back-test has no
 //! real DNN alpha, so the per-tick direction is precomputed from the
@@ -24,8 +27,8 @@
 
 use crate::engine::PendingOrder;
 use lt_feed::TickTrace;
-use lt_lob::{fill_ioc, FeeModel, Fill, FillModel, LobSnapshot, OrderIntent, Qty, Side};
-use lt_pipeline::{KillSwitch, Portfolio, RiskLimits};
+use lt_lob::{FeeModel, FillModel, LobSnapshot, OrderIntent, Side, Symbol};
+use lt_pipeline::{RiskLimits, TradingEngine};
 use serde::{Deserialize, Serialize};
 
 /// The oracle momentum signal's parameters.
@@ -67,7 +70,9 @@ pub struct ExecutionConfig {
     /// fiction (full quantity at the decision-time limit), `SweepVisible`
     /// is the venue-side taker sweep of the arrival-time book.
     pub fill_model: FillModel,
-    /// Risk gates applied when an order arrives at the venue boundary.
+    /// Every shard's trading-engine limits: order size and spread gate
+    /// at decision time, position cap at arrival (the confidence gate
+    /// reads no oracle signal).
     pub limits: RiskLimits,
     /// The oracle momentum signal.
     pub signal: SignalConfig,
@@ -172,8 +177,8 @@ pub struct ExecutionStats {
     pub partial: u64,
     /// Orders that missed entirely (book ran away from the stale limit).
     pub missed: u64,
-    /// Orders suppressed at arrival by a risk gate (kill switch armed or
-    /// position cap); never sent, so outside the fill tiling.
+    /// Orders suppressed at arrival by a risk gate (kill switch tripped
+    /// or position cap); never sent, so outside the fill tiling.
     pub suppressed: u64,
     /// Total contracts filled across all orders.
     pub contracts_filled: u64,
@@ -286,51 +291,24 @@ pub fn precompute_signals(
     dirs
 }
 
-/// The order a signal direction asks for on `snap`: an IOC at the touch
-/// it crosses, or `None` when the signal holds or the book is one-sided
-/// or wider than the spread gate.
-fn decide(dir: i8, snap: &LobSnapshot, limits: &RiskLimits) -> Option<OrderIntent> {
-    if dir == 0 {
-        return None;
-    }
-    let bid = snap.best_bid()?;
-    let ask = snap.best_ask()?;
-    if ask.price.ticks() - bid.price.ticks() > limits.max_spread_ticks {
-        return None;
-    }
-    let (side, touch) = if dir > 0 {
-        (Side::Bid, ask)
-    } else {
-        (Side::Ask, bid)
-    };
-    Some(OrderIntent {
-        side,
-        limit: touch.price,
-        qty: Qty::new(limits.order_qty),
-        touch_qty: touch.qty,
-    })
-}
-
 /// Per-shard execution state: the venue-side view of one instrument.
 struct ShardExec {
-    portfolio: Portfolio,
-    kill: Option<KillSwitch>,
-    /// The book state at-or-before order arrival (the engine delivers
+    /// The shard's risk gates and ledger.
+    engine: TradingEngine,
+    /// The book state at-or-before order arrival (the simulator delivers
     /// `OrderOut` before the same-instant tick, so the snapshot captured
     /// on the previous tick IS the arrival-time book).
     last_snap: LobSnapshot,
-    last_mid_half: Option<i64>,
     /// The decision of every tick so far, indexed by the shard's tick id
     /// (`None`: the strategy held).
     decided: Vec<Option<OrderIntent>>,
     stats: ExecutionStats,
 }
 
-/// Runtime state of the execution layer: per-shard portfolios and the
-/// decisions their orders settle.
+/// Runtime state of the execution layer: per-shard trading engines and
+/// the decisions their orders settle.
 pub(crate) struct ExecState {
     fill_model: FillModel,
-    limits: RiskLimits,
     fees: FeeModel,
     /// Precomputed per-tick signal directions, indexed by trace position.
     signals: Vec<i8>,
@@ -341,15 +319,15 @@ impl ExecState {
     pub(crate) fn new(cfg: &ExecutionConfig, n_shards: usize, signals: Vec<i8>) -> Self {
         ExecState {
             fill_model: cfg.fill_model,
-            limits: cfg.limits,
             fees: cfg.fees,
             signals,
             shards: (0..n_shards.max(1))
                 .map(|_| ShardExec {
-                    portfolio: Portfolio::default(),
-                    kill: cfg.kill_floor_ticks.map(KillSwitch::new),
+                    // The symbol stamps order messages only, and the
+                    // back-test builds none.
+                    engine: TradingEngine::new(Symbol::new("ESU6"), cfg.limits)
+                        .with_gates(None, cfg.kill_floor_ticks),
                     last_snap: LobSnapshot::default(),
-                    last_mid_half: None,
                     decided: Vec::new(),
                     stats: ExecutionStats::default(),
                 })
@@ -358,21 +336,23 @@ impl ExecState {
     }
 
     /// Handles one arriving tick for `shard`: refreshes the venue-side
-    /// book view, marks the portfolio to market (the kill switch
-    /// observes P&L on *every* tick, orders in flight or not), and
-    /// records the tick's decision under its per-shard tick id: an
+    /// book view, marks the position to market (the kill switch observes
+    /// P&L on *every* tick, orders in flight or not), and records the
+    /// tick's decision under its per-shard tick id: the touch rule's
     /// intent when the signal fires on a tradeable book, else `None`.
     pub(crate) fn on_tick(&mut self, shard: usize, tick_index: usize, snap: &LobSnapshot) {
         let s = &mut self.shards[shard];
         s.last_snap.ts = snap.ts;
         s.last_snap.bids.clone_from(&snap.bids);
         s.last_snap.asks.clone_from(&snap.asks);
-        s.last_mid_half = snap.mid_half_ticks();
-        if let (Some(kill), Some(mid)) = (s.kill.as_mut(), s.last_mid_half) {
-            kill.observe_pnl_half(s.portfolio.equity_half(mid));
-        }
-        let dir = self.signals.get(tick_index).copied().unwrap_or(0);
-        s.decided.push(decide(dir, snap, &self.limits));
+        s.engine.mark(snap);
+        let side = match self.signals.get(tick_index).copied().unwrap_or(0) {
+            0 => None,
+            dir if dir > 0 => Some(Side::Bid),
+            _ => Some(Side::Ask),
+        };
+        s.decided
+            .push(side.and_then(|side| s.engine.intent(side, snap).ok()));
     }
 
     /// Settles one wired-out order against the arrival-time book. Both
@@ -383,27 +363,12 @@ impl ExecState {
         let Some(intent) = s.decided[order.tick_id as usize] else {
             return;
         };
-        if s.kill.as_ref().is_some_and(|k| !k.is_armed()) {
-            s.stats.suppressed += 1;
+        let Ok(fill) = s
+            .engine
+            .settle(intent, &s.last_snap, self.fill_model, &self.fees)
+        else {
             return;
-        }
-        let delta = match intent.side {
-            Side::Bid => intent.qty.contracts() as i64,
-            Side::Ask => -(intent.qty.contracts() as i64),
         };
-        if (s.portfolio.position() + delta).abs() > self.limits.max_position {
-            s.stats.suppressed += 1;
-            return;
-        }
-        s.stats.orders_sent += 1;
-        let fill = fill_ioc(
-            &s.last_snap,
-            intent.side,
-            intent.limit,
-            intent.qty,
-            self.fill_model,
-            &self.fees,
-        );
         if fill.filled == intent.qty {
             s.stats.filled += 1;
         } else if fill.filled.is_zero() {
@@ -414,25 +379,22 @@ impl ExecState {
         s.stats.contracts_filled += fill.filled.contracts();
         s.stats.fees_half += fill.fee_half;
         s.stats.slippage_half += fill.slippage_half;
-        if fill != Fill::MISS {
-            s.portfolio.apply(intent.side, &fill);
-        }
-        if let (Some(kill), Some(mid)) = (s.kill.as_mut(), s.last_mid_half) {
-            kill.observe_pnl_half(s.portfolio.equity_half(mid));
-        }
     }
 
-    /// Freezes the final valuation into every shard's stats (inventory
-    /// priced at the shard's last observed mid).
+    /// Freezes the engines' counts and final valuation into every
+    /// shard's stats (inventory priced at the shard's last observed mid).
     pub(crate) fn finalize(&mut self) {
         for s in &mut self.shards {
-            let mid = s.last_mid_half.unwrap_or(0);
-            s.stats.position = s.portfolio.position();
-            s.stats.cash_half = s.portfolio.cash_half();
-            s.stats.equity_half = s.portfolio.equity_half(mid);
-            s.stats.realized_half = s.portfolio.realized_half();
-            s.stats.unrealized_half = s.portfolio.unrealized_half(mid);
-            debug_assert_eq!(s.stats.fees_half, s.portfolio.fees_half());
+            let mid = s.last_snap.mid_half_ticks().unwrap_or(0);
+            let ledger = s.engine.portfolio();
+            s.stats.orders_sent = s.engine.orders_sent();
+            s.stats.suppressed = s.engine.suppressed();
+            s.stats.position = ledger.position();
+            s.stats.cash_half = ledger.cash_half();
+            s.stats.equity_half = ledger.equity_half(mid);
+            s.stats.realized_half = ledger.realized_half();
+            s.stats.unrealized_half = ledger.unrealized_half(mid);
+            debug_assert_eq!(s.stats.fees_half, ledger.fees_half());
             s.stats.assert_tiles();
         }
     }

@@ -120,6 +120,26 @@ for f in $(find crates/*/src -name '*.rs' | sort); do
 done
 [[ "$config" == "0" ]]
 
+echo "== one risk path: no kill switch, rate limiter, ledger or venue fill outside the trading engine and the modules it is built from =="
+# The trading engine owns every risk gate and the ledger, for the
+# functional trader and every back-test shard alike: anything else trades
+# through TradingEngine::{on_prediction, intent, settle}, so the rules
+# that settle a back-tested order are the rules that gate a live one.
+risk=0
+for f in $(find crates/*/src -name '*.rs' | sort); do
+    case "$f" in
+        crates/pipeline/src/trading.rs | crates/pipeline/src/rate_limit.rs \
+            | crates/pipeline/src/portfolio.rs | crates/pipeline/src/lib.rs \
+            | crates/lob/src/execution.rs | crates/lob/src/lib.rs) continue ;;
+    esac
+    if nontest "$f" | grep -nwE 'KillSwitch|OrderRateLimiter|Portfolio|fill_ioc' \
+        | grep -vE '^[0-9]+:[[:space:]]*//'; then
+        echo "a second risk path in $f (trade through lt_pipeline::TradingEngine)"
+        risk=1
+    fi
+done
+[[ "$risk" == "0" ]]
+
 echo "== bounded unsafe: one unsafe call and one #[target_feature], both in kernels.rs's instances! macro, the call under a // SAFETY: comment; AVX2 or AVX-512F instances only =="
 # Every crate root forbids unsafe_code but lt-dnn's, which denies it: the
 # entries the instances! macro defines in kernels.rs allow it to call the

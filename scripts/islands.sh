@@ -10,7 +10,8 @@
 # Item pass: a `pub fn` (any indentation) under crates/*/src needs a call
 # from another file of the repo's .rs files (crates, benchmark/src,
 # examples, tests). A call is a call-shaped occurrence — `name(`,
-# `name::<`, `.name` or `::name`, outside `//` comments and `use` items,
+# `name::<`, `.name` or `::name`, outside `//` comments, attributes
+# (`#[allow(...)]` calls no `fn allow`) and `use` items,
 # not through `self.` or `Self::` — in a file that defines no `fn name`,
 # or in any file when more than one file defines a `fn name` (the call
 # may be the other's). A local variable or a `pub use` is no caller. Drop
@@ -34,6 +35,7 @@ done
 
 lonely=$(awk '
     /^[ \t]*\/\// { next }
+    /^[ \t]*#!?\[/ { next }
     inuse { if (/;/) inuse = 0; next }
     /^[ \t]*(pub(\([^)]*\))?[ \t]+)?use[ \t]/ { if (!/;/) inuse = 1; next }
     FILENAME ~ /^crates\/[^\/]+\/src\// && match($0, /^[ \t]*pub (const )?fn [A-Za-z0-9_]+/) {
