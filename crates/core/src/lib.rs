@@ -71,7 +71,7 @@ pub mod prelude {
     pub use lt_sched::Policy;
     pub use lt_sim::{
         run_lighttrader, run_multi, run_single_device, BacktestConfig, BacktestMetrics,
-        ExecutionConfig, ExecutionStats, FarmResults, FarmRunner, GridDeadline, MultiMetrics,
-        SignalConfig, SweepGrid,
+        ExecutionConfig, ExecutionStats, FarmResults, FarmRunner, GridDeadline, SignalConfig,
+        SweepGrid,
     };
 }

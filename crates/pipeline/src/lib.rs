@@ -16,7 +16,8 @@
 //! * [`multi_offload`] — the queueing half of Fig. 5's offload engine
 //!   over N ≥ 1 instruments: [`TicketQueue`], the back-test's one
 //!   coalesced ticket queue (warm-up, admission, tick ids, stale-ticket
-//!   management), so a single accelerator batch mixes queries from many
+//!   management, and the per-shard counts the back-test's ledger reads
+//!   at run end), so a single accelerator batch mixes queries from many
 //!   instruments; and [`MultiOffload`], a feature window per shard in
 //!   front of it, which only the benchmark and the zero-alloc gates use;
 //! * [`offload`] — the staging half: the [`FeatureWindow`] (Z-score
@@ -58,7 +59,7 @@ pub use multi_offload::{MultiOffload, ShardCounters, ShardTicket, TicketQueue};
 pub use offload::{FeatureWindow, OffloadEngine, TensorTicket};
 pub use parser::{PacketParser, ParserStats};
 pub use portfolio::Portfolio;
-pub use rate_limit::{KillReason, KillSwitch, OrderRateLimiter};
+pub use rate_limit::{KillSwitch, OrderRateLimiter};
 pub use seq::{SeqObservation, SeqTracker};
 pub use stages::PipelineLatencies;
 pub use trading::{RiskLimits, TradingEngine};

@@ -4,10 +4,13 @@
 //! The paper's offload engine (Fig. 5) stages feature windows for the
 //! accelerators and queues tickets so Algorithms 1 and 2 can batch, defer
 //! and drop stale work. The simulator needs only the queueing, so
-//! [`TicketQueue`] is that alone: per-shard tick counts and outcome
-//! counters, warm-up counted without a ring, and one *shared* FIFO of
-//! [`ShardTicket`]s across N ≥ 1 symbol shards, so one accelerator batch
-//! coalesces queries from many symbols. Tickets carry their shard index,
+//! [`TicketQueue`] is that alone: one *shared* FIFO of [`ShardTicket`]s
+//! across N ≥ 1 symbol shards, so one accelerator batch coalesces queries
+//! from many symbols, and one [`ShardCounters`] per shard (its tick count,
+//! warm-up included, and every way a ticket leaves the queue unserved).
+//! The counters are the only copy of those counts: the back-test reads
+//! them into its ledger's per-shard rows once, at run end, and the
+//! queue-wide getters are their sums. Tickets carry their shard index,
 //! so completions fan back out to the right symbol. All storage is
 //! allocated up front; intake → pop allocates nothing
 //! (`tests/zero_alloc.rs`).
@@ -27,9 +30,11 @@ pub struct ShardTicket {
     pub ticket: TensorTicket,
 }
 
-/// Outcome counters of one symbol shard.
+/// One symbol shard's tick count and outcome counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardCounters {
+    /// Ticks the shard has taken, warm-up included: the next tick's id.
+    pub ticks: u64,
     /// Ticks dropped at admission because the shared queue was full.
     pub dropped_full: u64,
     /// Tickets dropped because their deadline lapsed while queued.
@@ -41,18 +46,10 @@ pub struct ShardCounters {
     pub dropped_deadline: u64,
 }
 
-/// One symbol's slice of the queue: its tick counter and outcome
-/// counters.
-#[derive(Debug, Clone, Copy, Default)]
-struct Shard {
-    next_tick_id: u64,
-    counters: ShardCounters,
-}
-
 /// The back-test's ticket queue: N symbol shards, one shared FIFO.
 #[derive(Debug, Clone)]
 pub struct TicketQueue {
-    shards: Vec<Shard>,
+    shards: Vec<ShardCounters>,
     /// Ticks a shard takes to warm up: its first ticket is tick
     /// `window - 1`, the first with a full window behind it.
     window: usize,
@@ -60,8 +57,6 @@ pub struct TicketQueue {
     queue: VecDeque<ShardTicket>,
     /// Shared capacity: `capacity_per_shard × shards`.
     capacity: usize,
-    dropped_full: u64,
-    dropped_stale: u64,
 }
 
 impl TicketQueue {
@@ -79,12 +74,10 @@ impl TicketQueue {
         assert!(shards <= u16::MAX as usize, "shard index must fit u16");
         let capacity = capacity_per_shard * shards;
         TicketQueue {
-            shards: vec![Shard::default(); shards],
+            shards: vec![ShardCounters::default(); shards],
             window,
             queue: VecDeque::with_capacity(capacity),
             capacity,
-            dropped_full: 0,
-            dropped_stale: 0,
         }
     }
 
@@ -105,14 +98,13 @@ impl TicketQueue {
         ready_at: Timestamp,
     ) -> Option<ShardTicket> {
         let s = &mut self.shards[shard as usize];
-        let tick_id = s.next_tick_id;
-        s.next_tick_id += 1;
+        let tick_id = s.ticks;
+        s.ticks += 1;
         if tick_id + 1 < self.window as u64 {
             return None;
         }
         if self.queue.len() >= self.capacity {
-            s.counters.dropped_full += 1;
-            self.dropped_full += 1;
+            s.dropped_full += 1;
             return None;
         }
         let ticket = ShardTicket {
@@ -139,21 +131,17 @@ impl TicketQueue {
 
     /// Ticks dropped because the shared queue was full (all shards).
     pub fn dropped_full(&self) -> u64 {
-        self.dropped_full
+        self.shards.iter().map(|s| s.dropped_full).sum()
     }
 
     /// Tickets dropped stale while queued (all shards).
     pub fn dropped_stale(&self) -> u64 {
-        self.dropped_stale
+        self.shards.iter().map(|s| s.dropped_stale).sum()
     }
 
-    /// Outcome counters of one shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn shard_counters(&self, shard: usize) -> ShardCounters {
-        self.shards[shard].counters
+    /// Every shard's tick count and outcome counters, in shard order.
+    pub fn shard_counters(&self) -> &[ShardCounters] {
+        &self.shards
     }
 
     /// Pops the oldest queued ticket, if any.
@@ -180,7 +168,7 @@ impl TicketQueue {
     pub fn defer_oldest(&mut self) -> Option<ShardTicket> {
         let t = self.queue.pop_front();
         if let Some(t) = t {
-            self.shards[t.shard as usize].counters.deferred += 1;
+            self.shards[t.shard as usize].deferred += 1;
         }
         t
     }
@@ -190,39 +178,29 @@ impl TicketQueue {
     pub fn drop_oldest_deadline(&mut self) -> Option<ShardTicket> {
         let t = self.queue.pop_front();
         if let Some(t) = t {
-            self.shards[t.shard as usize].counters.dropped_deadline += 1;
+            self.shards[t.shard as usize].dropped_deadline += 1;
         }
         t
     }
 
     /// Drops every queued ticket whose `tick_ts + deadline` is already in
-    /// the past, attributing each to its shard, and returns how many
-    /// were dropped. Allocation-free.
-    pub fn drop_stale(&mut self, now: Timestamp, deadline: std::time::Duration) -> u64 {
-        let mut dropped = 0u64;
+    /// the past, attributing each to its shard. Allocation-free.
+    pub fn drop_stale(&mut self, now: Timestamp, deadline: std::time::Duration) {
         while let Some(front) = self.queue.front() {
-            if (front.ticket.tick_ts + deadline) <= now {
-                let t = self.queue.pop_front().expect("front just seen");
-                self.shards[t.shard as usize].counters.dropped_stale += 1;
-                dropped += 1;
-            } else {
+            if front.ticket.tick_ts + deadline > now {
                 break;
             }
+            let t = self.queue.pop_front().expect("front just seen");
+            self.shards[t.shard as usize].dropped_stale += 1;
         }
-        self.dropped_stale += dropped;
-        dropped
     }
 
     /// Drains every still-queued ticket as stale (end-of-session
-    /// accounting), attributing each to its shard, and returns the count.
-    pub fn drain_leftover(&mut self) -> u64 {
-        let mut dropped = 0u64;
+    /// accounting), attributing each to its shard.
+    pub fn drain_leftover(&mut self) {
         while let Some(t) = self.queue.pop_front() {
-            self.shards[t.shard as usize].counters.dropped_stale += 1;
-            dropped += 1;
+            self.shards[t.shard as usize].dropped_stale += 1;
         }
-        self.dropped_stale += dropped;
-        dropped
     }
 }
 
@@ -349,8 +327,9 @@ mod tests {
         }
         assert_eq!(q.queue_len(), 4);
         assert_eq!(q.dropped_full(), 2);
-        assert_eq!(q.shard_counters(0).dropped_full, 1);
-        assert_eq!(q.shard_counters(1).dropped_full, 1);
+        assert_eq!(q.shard_counters()[0].dropped_full, 1);
+        assert_eq!(q.shard_counters()[1].dropped_full, 1);
+        assert_eq!(q.shard_counters()[0].ticks, 3);
     }
 
     #[test]
@@ -359,13 +338,13 @@ mod tests {
         tick(&mut q, 0, 0);
         tick(&mut q, 1, 10);
         tick(&mut q, 0, 900);
-        let dropped = q.drop_stale(Timestamp::from_micros(1_200), Duration::from_millis(1));
-        assert_eq!(dropped, 2);
-        assert_eq!(q.shard_counters(0).dropped_stale, 1);
-        assert_eq!(q.shard_counters(1).dropped_stale, 1);
+        q.drop_stale(Timestamp::from_micros(1_200), Duration::from_millis(1));
+        assert_eq!(q.dropped_stale(), 2);
+        assert_eq!(q.shard_counters()[0].dropped_stale, 1);
+        assert_eq!(q.shard_counters()[1].dropped_stale, 1);
         let d = q.defer_oldest().unwrap();
         assert_eq!(d.shard, 0);
-        assert_eq!(q.shard_counters(0).deferred, 1);
+        assert_eq!(q.shard_counters()[0].deferred, 1);
         assert_eq!(q.queue_len(), 0);
     }
 
@@ -376,12 +355,12 @@ mod tests {
         tick(&mut q, 0, 1);
         let d = q.drop_oldest_deadline().unwrap();
         assert_eq!(d.shard, 1);
-        assert_eq!(q.shard_counters(1).dropped_deadline, 1);
-        assert_eq!(q.shard_counters(0).dropped_deadline, 0);
+        assert_eq!(q.shard_counters()[1].dropped_deadline, 1);
+        assert_eq!(q.shard_counters()[0].dropped_deadline, 0);
         assert_eq!(q.queue_len(), 1);
         q.pop_ticket();
         assert!(q.drop_oldest_deadline().is_none());
-        assert_eq!(q.shard_counters(1).dropped_deadline, 1);
+        assert_eq!(q.shard_counters()[1].dropped_deadline, 1);
     }
 
     #[test]
@@ -390,10 +369,10 @@ mod tests {
         for i in 0..5u64 {
             tick(&mut q, (i % 2) as u16, i);
         }
-        assert_eq!(q.drain_leftover(), 5);
+        q.drain_leftover();
         assert_eq!(q.dropped_stale(), 5);
         assert_eq!(
-            q.shard_counters(0).dropped_stale + q.shard_counters(1).dropped_stale,
+            q.shard_counters()[0].dropped_stale + q.shard_counters()[1].dropped_stale,
             5
         );
         assert_eq!(q.queue_len(), 0);

@@ -9,7 +9,6 @@
 //! the [`crate::TradingEngine`], which counts the orders they refuse.
 
 use lt_lob::Timestamp;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A sliding-window order-rate limiter.
@@ -57,23 +56,13 @@ impl OrderRateLimiter {
     }
 }
 
-/// Why the kill switch tripped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum KillReason {
-    /// Mark-to-market loss breached the configured floor.
-    LossLimit {
-        /// The P&L (ticks x contracts) observed at the trip.
-        pnl_ticks: i64,
-    },
-}
-
 /// A latching kill switch: once tripped, all trading stops for good.
 #[derive(Debug, Clone)]
 pub struct KillSwitch {
     /// Most negative tolerable P&L in **half-ticks** x contracts (stored
     /// doubled so half-tick marks compare exactly).
     loss_floor_half: i64,
-    tripped: Option<KillReason>,
+    tripped: bool,
 }
 
 impl KillSwitch {
@@ -81,30 +70,20 @@ impl KillSwitch {
     pub fn new(loss_floor_ticks: i64) -> Self {
         KillSwitch {
             loss_floor_half: 2 * loss_floor_ticks,
-            tripped: None,
+            tripped: false,
         }
-    }
-
-    /// The trip reason, if tripped.
-    pub fn tripped(&self) -> Option<KillReason> {
-        self.tripped
     }
 
     /// True while trading is permitted.
     pub fn is_armed(&self) -> bool {
-        self.tripped.is_none()
+        !self.tripped
     }
 
     /// Feeds the latest mark-to-market P&L in **half-ticks** (the exact
     /// mid-valuation unit, see [`lt_lob::LobSnapshot::mid_half_ticks`]);
-    /// trips on breach. The reason reports the trip P&L truncated to
-    /// whole ticks.
+    /// trips on a mark at or below the floor.
     pub fn observe_pnl_half(&mut self, pnl_half: i64) {
-        if self.tripped.is_none() && pnl_half <= self.loss_floor_half {
-            self.tripped = Some(KillReason::LossLimit {
-                pnl_ticks: pnl_half / 2,
-            });
-        }
+        self.tripped |= pnl_half <= self.loss_floor_half;
     }
 }
 
@@ -174,15 +153,14 @@ mod tests {
 
     #[test]
     fn kill_switch_trips_on_loss() {
+        // Floor −100 ticks = −200 half-ticks.
         let mut ks = KillSwitch::new(-100);
         assert!(ks.is_armed());
         ks.observe_pnl_half(-100);
-        assert!(ks.is_armed());
-        ks.observe_pnl_half(-202);
-        assert_eq!(
-            ks.tripped(),
-            Some(KillReason::LossLimit { pnl_ticks: -101 })
-        );
+        ks.observe_pnl_half(-199);
+        assert!(ks.is_armed(), "the last mark above the floor");
+        ks.observe_pnl_half(-200);
+        assert!(!ks.is_armed(), "the first mark at the floor");
         // Latching: recovery does not re-arm.
         ks.observe_pnl_half(1_000);
         assert!(!ks.is_armed());
@@ -197,10 +175,14 @@ mod tests {
         ks.observe_pnl_half(-199);
         assert!(ks.is_armed());
         ks.observe_pnl_half(-201);
-        assert_eq!(
-            ks.tripped(),
-            Some(KillReason::LossLimit { pnl_ticks: -100 })
-        );
+        assert!(!ks.is_armed());
+        // One half-tick under a floor is a breach: −100.5 ticks against a
+        // floor of −101 still trades, −101 does not.
+        let mut ks = KillSwitch::new(-101);
+        ks.observe_pnl_half(-201);
+        assert!(ks.is_armed());
+        ks.observe_pnl_half(-202);
+        assert!(!ks.is_armed());
     }
 
     #[test]

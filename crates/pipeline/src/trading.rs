@@ -633,22 +633,27 @@ mod tests {
 
     /// The kill switch latches at the mark that breaches the floor, and
     /// the settle step refuses every later order, as the back-test's
-    /// arrivals meet it.
+    /// arrivals meet it, even once the P&L has recovered.
     #[test]
     fn a_drawdown_trips_the_kill_switch_at_the_breach_mark() {
         let mut e = gated(RiskLimits::default());
         e.on_prediction(&pred(0.9, 0.05, 0.05), &book(99, 101))
             .unwrap();
-        e.mark(&book(89, 91));
-        assert_eq!(
-            e.kill.as_ref().unwrap().tripped(),
-            Some(crate::KillReason::LossLimit { pnl_ticks: -11 })
-        );
-        let intent = e.intent(Side::Ask, &book(89, 91)).unwrap();
+        let armed = |e: &TradingEngine| e.kill.as_ref().unwrap().is_armed();
+        // Long 1 from 101 against a −5-tick floor: a 96.5 mid is −4.5.
+        e.mark(&book(95, 98));
+        assert!(armed(&e), "the last mark above the floor");
+        // A 96 mid is −5: at the floor.
+        e.mark(&book(95, 97));
+        assert!(!armed(&e), "the first mark at the floor");
+        // Back to a 100 mid (−1): still halted.
+        e.mark(&book(99, 101));
+        assert!(!armed(&e));
+        let intent = e.intent(Side::Ask, &book(99, 101)).unwrap();
         assert_eq!(
             e.settle(
                 intent,
-                &book(89, 91),
+                &book(99, 101),
                 FillModel::SweepVisible,
                 &FeeModel::zero()
             ),

@@ -387,7 +387,7 @@ fn backtest_ticket_queue_allocates_nothing_after_warmup() {
     let after = allocations();
 
     assert!(popped > 0);
-    let counters = (0..4).map(|s| queue.shard_counters(s));
+    let counters = queue.shard_counters().iter();
     let (stale, deferred, deadline) = counters.fold((0, 0, 0), |acc, c| {
         (
             acc.0 + c.dropped_stale,

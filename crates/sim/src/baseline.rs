@@ -128,7 +128,7 @@ impl SingleDeviceModel<'_> {
                 break;
             }
             // Stale management at issue time.
-            ctx.metrics.dropped_stale += self.queue.drop_stale(start, self.stale_budget);
+            self.queue.drop_stale(start, self.stale_budget);
             let Some(ticket) = self.queue.pop_ticket().map(|t| t.ticket) else {
                 break;
             };
@@ -171,10 +171,8 @@ impl SingleDeviceModel<'_> {
 
 impl SimModel for SingleDeviceModel<'_> {
     fn on_tick(&mut self, tick: &TickRecord, ctx: &mut EngineCtx) {
-        let before_full = self.queue.dropped_full();
         self.queue
             .on_tick(0, tick.snapshot.ts, tick.ts + self.system.stages.ingress());
-        ctx.metrics.dropped_full += self.queue.dropped_full() - before_full;
         self.try_issue(ctx);
     }
 
@@ -188,14 +186,16 @@ impl SimModel for SingleDeviceModel<'_> {
         self.try_issue(ctx);
     }
 
-    fn on_order_scored(&mut self, order: &PendingOrder, _in_time: bool, ctx: &mut EngineCtx) {
+    fn on_order_scored(&mut self, order: &PendingOrder, ctx: &mut EngineCtx) {
         // A single device serves one fixed model: never degraded.
         ctx.metrics
-            .tiers
-            .record(order.tier, order.tier != self.kind);
+            .record_tier(order.shard, order.tier, order.tier != self.kind);
     }
 
     fn on_finish(&mut self, ctx: &mut EngineCtx) {
+        // Every ticket was served or dropped stale before the events
+        // drained: an idle device always wakes for the oldest one.
+        ctx.metrics.read_queue(&self.queue);
         ctx.metrics.energy_j =
             self.system.power_w * self.service.as_secs_f64() * ctx.metrics.batches as f64;
     }
@@ -225,7 +225,7 @@ pub fn run_single_device(
         queue: TicketQueue::new(1, window, QUEUE_CAPACITY),
         device_free: Timestamp::ZERO,
     };
-    engine::run(&mut model, trace)
+    engine::run(&mut model, trace, 1)
 }
 
 #[cfg(test)]

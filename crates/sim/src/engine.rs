@@ -91,7 +91,7 @@ pub enum Event {
         target: OperatingPoint,
     },
     /// Answered queries leaving on the wire; the engine scores each
-    /// against its deadline and records the stage breakdown.
+    /// against its deadline in the ledger.
     OrderOut {
         /// The orders going out at this instant, in settlement order.
         orders: Vec<PendingOrder>,
@@ -201,8 +201,8 @@ pub struct EngineCtx<'a> {
     pub now: Timestamp,
     /// The event queue; push follow-up events here.
     pub queue: &'a mut EventQueue,
-    /// The run's metrics (outcome counters; the engine itself records
-    /// responses and lateness when `OrderOut` events fire).
+    /// The run's ledger: the engine scores responses and lateness when
+    /// `OrderOut` events fire, models count through its methods.
     pub metrics: &'a mut BacktestMetrics,
 }
 
@@ -231,26 +231,28 @@ pub trait SimModel {
     ) {
     }
 
-    /// The engine scored one wired-out order against its deadline
-    /// (`in_time` is the verdict it already recorded in the metrics).
-    /// Models that track per-shard outcomes hook in here; the default is
-    /// a no-op.
-    fn on_order_scored(&mut self, _order: &PendingOrder, _in_time: bool, _ctx: &mut EngineCtx) {}
+    /// The engine scored one wired-out order against its deadline in the
+    /// ledger; the model records the tier that served it (and settles
+    /// it, when it trades).
+    fn on_order_scored(&mut self, order: &PendingOrder, ctx: &mut EngineCtx);
 
-    /// The event queue has drained: account for whatever never ran.
+    /// The event queue has drained: account for whatever never ran and
+    /// read the model's per-shard counts into the ledger.
     fn on_finish(&mut self, ctx: &mut EngineCtx);
 }
 
-/// Replays `trace` through `model` and returns the run's metrics.
+/// Replays `trace` through `model` and returns the run's metrics, one
+/// outcome row for each of its `shards` symbol shards.
 ///
-/// The engine owns the virtual clock and the metrics; it feeds ticks in
+/// The engine owns the virtual clock and the ledger; it feeds ticks in
 /// trace order, dispatches model events in `(ts, rank, tie, seq)` order,
 /// scores `OrderOut` events against their deadlines (recording the
-/// per-stage breakdown of in-time responses), and calls
-/// [`SimModel::on_finish`] once every event has drained.
-pub fn run<M: SimModel>(model: &mut M, trace: &TickTrace) -> BacktestMetrics {
+/// per-stage breakdown of in-time responses), calls
+/// [`SimModel::on_finish`] once every event has drained, and then
+/// closes the ledger: the totals become the rows' sum.
+pub fn run<M: SimModel>(model: &mut M, trace: &TickTrace, shards: usize) -> BacktestMetrics {
     let mut queue = EventQueue::new();
-    let mut metrics = BacktestMetrics::new();
+    let mut metrics = BacktestMetrics::with_shards(shards);
     let ticks = &trace.ticks;
     if let Some(first) = ticks.first() {
         queue.push_at(first.ts, Event::TickArrival { idx: 0 });
@@ -279,13 +281,8 @@ pub fn run<M: SimModel>(model: &mut M, trace: &TickTrace) -> BacktestMetrics {
             }
             Event::OrderOut { orders } => {
                 for order in orders {
-                    let in_time = ts <= order.deadline;
-                    if in_time {
-                        ctx.metrics.record_breakdown(&order.breakdown);
-                    } else {
-                        ctx.metrics.late += 1;
-                    }
-                    model.on_order_scored(&order, in_time, &mut ctx);
+                    ctx.metrics.score(&order, ts <= order.deadline);
+                    model.on_order_scored(&order, &mut ctx);
                 }
             }
         }
@@ -296,6 +293,7 @@ pub fn run<M: SimModel>(model: &mut M, trace: &TickTrace) -> BacktestMetrics {
         metrics: &mut metrics,
     };
     model.on_finish(&mut ctx);
+    metrics.close();
     metrics
 }
 

@@ -70,10 +70,12 @@ pub struct ExecutionConfig {
     /// fiction (full quantity at the decision-time limit), `SweepVisible`
     /// is the venue-side taker sweep of the arrival-time book.
     pub fill_model: FillModel,
-    /// Every shard's trading-engine limits: order size and spread gate
-    /// at decision time, position cap at arrival (the confidence gate
-    /// reads no oracle signal).
-    pub limits: RiskLimits,
+    /// Contracts per order (the touch rule's size).
+    pub order_qty: u64,
+    /// Widest spread, in ticks, the touch rule trades into.
+    pub max_spread_ticks: i64,
+    /// Absolute net-position cap in contracts, checked at arrival.
+    pub max_position: i64,
     /// The oracle momentum signal.
     pub signal: SignalConfig,
     /// Venue fee schedule.
@@ -84,10 +86,14 @@ pub struct ExecutionConfig {
 
 impl Default for ExecutionConfig {
     fn default() -> Self {
+        // The functional trader's default limits.
+        let limits = RiskLimits::default();
         ExecutionConfig {
             enabled: false,
             fill_model: FillModel::SweepVisible,
-            limits: RiskLimits::default(),
+            order_qty: limits.order_qty,
+            max_spread_ticks: limits.max_spread_ticks,
+            max_position: limits.max_position,
             signal: SignalConfig::default(),
             fees: FeeModel::zero(),
             kill_floor_ticks: None,
@@ -128,13 +134,6 @@ impl ExecutionConfig {
         self
     }
 
-    /// Overrides the risk limits.
-    #[must_use]
-    pub fn with_limits(mut self, limits: RiskLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
     /// Validates internal consistency.
     ///
     /// # Panics
@@ -157,7 +156,7 @@ impl ExecutionConfig {
             self.signal.threshold_half >= 0,
             "signal threshold must be non-negative"
         );
-        assert!(self.limits.order_qty > 0, "order quantity must be positive");
+        assert!(self.order_qty > 0, "order quantity must be positive");
         assert!(
             self.fees.per_contract_half >= 0 && self.fees.per_order_half >= 0,
             "fees must be non-negative"
@@ -317,6 +316,14 @@ pub(crate) struct ExecState {
 
 impl ExecState {
     pub(crate) fn new(cfg: &ExecutionConfig, n_shards: usize, signals: Vec<i8>) -> Self {
+        // The oracle signal carries no confidence, so the confidence gate
+        // keeps its default: the back-test never reaches it.
+        let limits = RiskLimits {
+            order_qty: cfg.order_qty,
+            max_spread_ticks: cfg.max_spread_ticks,
+            max_position: cfg.max_position,
+            ..RiskLimits::default()
+        };
         ExecState {
             fill_model: cfg.fill_model,
             fees: cfg.fees,
@@ -325,7 +332,7 @@ impl ExecState {
                 .map(|_| ShardExec {
                     // The symbol stamps order messages only, and the
                     // back-test builds none.
-                    engine: TradingEngine::new(Symbol::new("ESU6"), cfg.limits)
+                    engine: TradingEngine::new(Symbol::new("ESU6"), limits)
                         .with_gates(None, cfg.kill_floor_ticks),
                     last_snap: LobSnapshot::default(),
                     decided: Vec::new(),
@@ -382,8 +389,9 @@ impl ExecState {
     }
 
     /// Freezes the engines' counts and final valuation into every
-    /// shard's stats (inventory priced at the shard's last observed mid).
-    pub(crate) fn finalize(&mut self) {
+    /// shard's stats (inventory priced at the shard's last observed mid)
+    /// and returns them in shard order.
+    pub(crate) fn finalize(&mut self) -> impl Iterator<Item = ExecutionStats> + '_ {
         for s in &mut self.shards {
             let mid = s.last_snap.mid_half_ticks().unwrap_or(0);
             let ledger = s.engine.portfolio();
@@ -397,20 +405,7 @@ impl ExecState {
             debug_assert_eq!(s.stats.fees_half, ledger.fees_half());
             s.stats.assert_tiles();
         }
-    }
-
-    /// One shard's finalized stats.
-    pub(crate) fn shard_stats(&self, shard: usize) -> ExecutionStats {
-        self.shards[shard].stats
-    }
-
-    /// The fleet-wide aggregate: the exact sum of every shard's stats.
-    pub(crate) fn aggregate(&self) -> ExecutionStats {
-        let mut total = ExecutionStats::default();
-        for s in &self.shards {
-            total.merge(&s.stats);
-        }
-        total
+        self.shards.iter().map(|s| s.stats)
     }
 }
 

@@ -57,6 +57,7 @@ impl CellSummary {
     /// Extracts the scalar row from full metrics.
     pub fn from_metrics(m: &BacktestMetrics) -> Self {
         let exec = m.execution.unwrap_or_default();
+        let [p50, p99, p999] = m.latency_quantiles([0.50, 0.99, 0.999]);
         CellSummary {
             responded: m.responded,
             late: m.late,
@@ -65,9 +66,9 @@ impl CellSummary {
             dropped_deadline: m.dropped_deadline,
             deferred: m.deferred,
             mean_t2t_ns: m.mean_latency().as_nanos() as u64,
-            p50_ns: m.latency_quantile(0.50).as_nanos() as u64,
-            p99_ns: m.latency_quantile(0.99).as_nanos() as u64,
-            p999_ns: m.latency_quantile(0.999).as_nanos() as u64,
+            p50_ns: p50.as_nanos() as u64,
+            p99_ns: p99.as_nanos() as u64,
+            p999_ns: p999.as_nanos() as u64,
             energy_j: m.energy_j,
             batches: m.batches,
             batched_queries: m.batched_queries,
@@ -219,16 +220,14 @@ impl FarmResults {
 mod tests {
     use super::*;
     use crate::farm::SweepGrid;
+    use crate::metrics::tests::responses;
     use crate::telemetry::StageBreakdown;
     use std::time::Duration;
 
     fn metrics(responded: u64) -> BacktestMetrics {
-        let mut m = BacktestMetrics::new();
-        for i in 0..responded {
-            m.record_breakdown(&StageBreakdown::inference_only(Duration::from_micros(
-                100 + i,
-            )));
-        }
+        let mut m = responses(
+            (0..responded).map(|i| StageBreakdown::inference_only(Duration::from_micros(100 + i))),
+        );
         m.late = 2;
         m.deferred = 1;
         m.energy_j = 1.25 * responded as f64;

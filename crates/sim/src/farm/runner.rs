@@ -182,6 +182,6 @@ fn run_cell(config: &BacktestConfig, artifact: &SessionArtifact) -> BacktestMetr
             session,
             merged,
             shards,
-        } => run_multi_merged(session, merged, shards, config).aggregate,
+        } => run_multi_merged(session, merged, shards, config),
     }
 }

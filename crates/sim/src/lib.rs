@@ -10,8 +10,9 @@
 //!
 //! Every back-test runs on one shared core: [`engine`] is the
 //! discrete-event engine (virtual clock, typed event queue, the
-//! [`SimModel`] trait), and [`telemetry`] decomposes each answered
-//! query's tick-to-trade across the stages it crossed. Two system models
+//! [`SimModel`] trait), [`metrics`] is the ledger every outcome is
+//! counted in, one row per symbol shard, and [`telemetry`] decomposes
+//! each answered query's tick-to-trade across the stages it crossed. Two system models
 //! plug into it, matching the paper's evaluation:
 //!
 //! * [`lighttrader`] — the full system: offload-engine queue, 1–16
@@ -52,8 +53,8 @@ pub use farm::{
 pub use ingress::{degrade_trace, FeedReport, IngressFaults, IngressReport};
 pub use lighttrader::run_lighttrader;
 pub use lt_protocol::netem::FaultRates;
-pub use metrics::{BacktestMetrics, StageSummary, TierOutcomes};
-pub use multi::{run_multi, run_multi_merged, MultiMetrics, SymbolOutcome};
+pub use metrics::{BacktestMetrics, ShardOutcomes, StageSummary, TierOutcomes};
+pub use multi::{run_multi, run_multi_merged};
 pub use telemetry::{QueryTimeline, Stage, StageBreakdown};
 pub use traffic::{
     burst_storm_trace, cached_evaluation_session, evaluation_deadline, evaluation_trace,

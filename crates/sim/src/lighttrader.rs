@@ -37,7 +37,7 @@
 use crate::config::{BacktestConfig, QUEUE_CAPACITY};
 use crate::engine::{self, EngineCtx, Event, PendingOrder, SimModel};
 use crate::execution::{precompute_signals, ExecState, ExecutionConfig};
-use crate::metrics::{BacktestMetrics, TierOutcomes};
+use crate::metrics::BacktestMetrics;
 use crate::telemetry::QueryTimeline;
 use lt_accel::device::BatchId;
 use lt_accel::dvfs::{static_plan, DvfsTable, OperatingPoint};
@@ -84,21 +84,6 @@ struct TieredSched {
     budget: Option<Duration>,
 }
 
-/// Per-shard outcome tallies the engine cannot see (it scores orders
-/// shard-blind); drops and defers live in the ticket queue's own
-/// per-shard counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ShardScore {
-    /// Raw trace ticks ingested for this shard (including warm-up).
-    pub(crate) ticks: u64,
-    /// Queries answered within the available time.
-    pub(crate) responded: u64,
-    /// Queries whose answer arrived after the deadline.
-    pub(crate) late: u64,
-    /// Per-tier serving outcomes of this shard's scored queries.
-    pub(crate) tiers: TierOutcomes,
-}
-
 /// The LightTrader system model driven by the shared event engine.
 ///
 /// One instance serves both the single-instrument back-test (one shard,
@@ -142,8 +127,6 @@ pub(crate) struct SimState {
     tick_index: usize,
     /// The execution & portfolio layer; `None` when disabled.
     exec: Option<ExecState>,
-    /// Per-shard outcome tallies (always at least one entry).
-    per_shard: Vec<ShardScore>,
     /// Recycled ticket buffers: batches pop into one of these and settle
     /// returns it, so steady-state issue never allocates ticket storage.
     spare: Vec<Vec<ShardTicket>>,
@@ -368,7 +351,7 @@ impl SimState {
             loop {
                 // Stale management before every scheduling attempt: a
                 // dropped ticket means its tick's order is never sent.
-                ctx.metrics.dropped_stale += self.queue.drop_stale(now, self.stale_budget);
+                self.queue.drop_stale(now, self.stale_budget);
                 let Some(oldest) = self.queue.oldest() else {
                     break 'accels; // queue empty: nothing for any accel
                 };
@@ -426,7 +409,6 @@ impl SimState {
                         // shed the query outright instead of burning
                         // accelerator time on a guaranteed miss.
                         self.queue.drop_oldest_deadline();
-                        ctx.metrics.dropped_deadline += 1;
                         continue;
                     }
                 };
@@ -494,7 +476,6 @@ impl SimState {
                         // conventional pipeline (Algorithm 1's "remove
                         // oldest input tensor") and reschedule.
                         if self.queue.defer_oldest().is_some() {
-                            ctx.metrics.deferred += 1;
                             continue;
                         }
                         break 'accels;
@@ -622,11 +603,8 @@ impl SimModel for SimState {
         } else {
             self.tick_shards[self.tick_index]
         };
-        self.per_shard[shard as usize].ticks += 1;
-        let before_full = self.queue.dropped_full();
         self.queue
             .on_tick(shard, tick.snapshot.ts, tick.ts + self.stages.ingress());
-        ctx.metrics.dropped_full += self.queue.dropped_full() - before_full;
         if let Some(exec) = self.exec.as_mut() {
             // The strategy decides on every tick (mark-to-market and the
             // kill switch run tick-by-tick); a decision reaches the venue
@@ -638,16 +616,9 @@ impl SimModel for SimState {
         self.try_issue(ctx);
     }
 
-    fn on_order_scored(&mut self, order: &PendingOrder, in_time: bool, ctx: &mut EngineCtx) {
-        let score = &mut self.per_shard[order.shard as usize];
-        if in_time {
-            score.responded += 1;
-        } else {
-            score.late += 1;
-        }
-        let degraded = order.tier != self.kind;
-        ctx.metrics.tiers.record(order.tier, degraded);
-        score.tiers.record(order.tier, degraded);
+    fn on_order_scored(&mut self, order: &PendingOrder, ctx: &mut EngineCtx) {
+        ctx.metrics
+            .record_tier(order.shard, order.tier, order.tier != self.kind);
         // Execution settles at wire-out for in-time AND late orders —
         // a late order still hit the wire; it just finds a book that
         // moved even further. Fills push no events and touch no
@@ -691,10 +662,10 @@ impl SimModel for SimState {
 
     fn on_finish(&mut self, ctx: &mut EngineCtx) {
         // Any tickets still queued at session end can never be answered.
-        ctx.metrics.dropped_stale += self.queue.drain_leftover();
+        self.queue.drain_leftover();
+        ctx.metrics.read_queue(&self.queue);
         if let Some(exec) = self.exec.as_mut() {
-            exec.finalize();
-            ctx.metrics.execution = Some(exec.aggregate());
+            ctx.metrics.read_execution(exec.finalize());
         }
     }
 }
@@ -731,7 +702,7 @@ pub fn run_lighttrader(trace: &TickTrace, cfg: &BacktestConfig) -> BacktestMetri
 fn run_clean(trace: &TickTrace, cfg: &BacktestConfig) -> BacktestMetrics {
     let mut state = build_state(cfg, 1, Vec::new());
     state.arm_execution(&cfg.execution, trace, &[], 1);
-    engine::run(&mut state, trace)
+    engine::run(&mut state, trace, 1)
 }
 
 /// Builds the system model for `n_shards` instruments sharing one
@@ -822,22 +793,11 @@ pub(crate) fn build_state(
         tick_shards,
         tick_index: 0,
         exec: None,
-        per_shard: vec![ShardScore::default(); n_shards],
         spare: Vec::new(),
     }
 }
 
 impl SimState {
-    /// Per-shard outcome tallies accumulated so far.
-    pub(crate) fn shard_scores(&self) -> &[ShardScore] {
-        &self.per_shard
-    }
-
-    /// Per-shard drop/defer counters from the ticket queue.
-    pub(crate) fn shard_counters(&self, shard: usize) -> lt_pipeline::ShardCounters {
-        self.queue.shard_counters(shard)
-    }
-
     /// Arms the execution & portfolio layer when `cfg` enables it: the
     /// oracle signal stream is precomputed over the (possibly degraded)
     /// trace the engine will actually replay, so decisions and fills see
@@ -854,12 +814,6 @@ impl SimState {
         }
         let signals = precompute_signals(trace, tick_shards, n_shards, &cfg.signal);
         self.exec = Some(ExecState::new(cfg, n_shards, signals));
-    }
-
-    /// One shard's finalized execution stats; `None` when the execution
-    /// layer is disabled. Only meaningful after the run finished.
-    pub(crate) fn shard_execution(&self, shard: usize) -> Option<crate::ExecutionStats> {
-        self.exec.as_ref().map(|e| e.shard_stats(shard))
     }
 }
 

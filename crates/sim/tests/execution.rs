@@ -38,12 +38,6 @@ const SIGNAL: SignalConfig = SignalConfig {
 fn storm_fill_pairs() -> Vec<(ExecutionStats, ExecutionStats)> {
     // Not the calibrated evaluation seed: the storm is a stress profile.
     let trace = burst_storm_trace(4.0, 70_823);
-    // Only trade into one-tick-wide books (the storm's median spread), so
-    // the half-spread paid at entry stays below the signalled move.
-    let limits = lt_pipeline::RiskLimits {
-        max_spread_ticks: 1,
-        ..Default::default()
-    };
     let schedulers = Policy::ALL
         .iter()
         .map(|&p| storm_cfg().with_policy(p))
@@ -51,7 +45,13 @@ fn storm_fill_pairs() -> Vec<(ExecutionStats, ExecutionStats)> {
     schedulers
         .map(|cfg| {
             let run = |mode: ExecutionConfig| {
-                let exec = mode.with_signal(SIGNAL).with_limits(limits);
+                // Only trade into one-tick-wide books (the storm's median
+                // spread), so the half-spread paid at entry stays below
+                // the signalled move.
+                let exec = ExecutionConfig {
+                    max_spread_ticks: 1,
+                    ..mode.with_signal(SIGNAL)
+                };
                 let stats = run_lighttrader(&trace, &cfg.with_execution(exec))
                     .execution
                     .expect("enabled layer reports stats");
@@ -166,13 +166,11 @@ fn multi_symbol_fill_outcomes_tile_per_symbol() {
         .with_policy(Policy::Both)
         .with_t_avail(scheduling_deadline_for(ModelKind::DeepLob))
         .with_execution(ExecutionConfig::realistic());
-    // run_multi's assert_consistent already checks per-symbol tiling and
-    // aggregate-equals-sum; re-derive the headline pieces here.
     let m = run_multi(&session, &cfg);
-    let agg = m.aggregate.execution.expect("trading run reports stats");
+    let agg = m.execution.expect("trading run reports stats");
     assert!(agg.orders_sent > 0, "the session must produce orders");
     let mut sent = 0;
-    for s in &m.per_symbol {
+    for s in m.shards() {
         let e = s.execution.expect("per-symbol stats present");
         e.assert_tiles();
         sent += e.orders_sent;

@@ -51,9 +51,7 @@ fn farm_matches_serial_engine_bit_for_bit() {
         .map(|cell| {
             CellSummary::from_metrics(&match cell.spec.build() {
                 SessionArtifact::Single(session) => run_lighttrader(&session.trace, &cell.config),
-                SessionArtifact::Multi { session, .. } => {
-                    run_multi(&session, &cell.config).aggregate
-                }
+                SessionArtifact::Multi { session, .. } => run_multi(&session, &cell.config),
             })
         })
         .collect();

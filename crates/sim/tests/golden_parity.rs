@@ -384,7 +384,7 @@ fn fills_report() -> String {
             .with_policy(Policy::Both)
             .with_t_avail(scheduling_deadline_for(ModelKind::DeepLob))
             .with_execution(ExecutionConfig::realistic().with_signal(signal));
-        for (i, symbol) in run_multi(&session, &cfg).per_symbol.iter().enumerate() {
+        for (i, symbol) in run_multi(&session, &cfg).shards().iter().enumerate() {
             let stats = symbol.execution.expect("trading run reports per symbol");
             writeln!(s, "multi {accels} accels, symbol {i} {stats:?}").unwrap();
         }

@@ -5,14 +5,14 @@
 //! core with one shard must be the historical single-instrument
 //! back-test bit for bit — same counters, same latency stream, same
 //! per-stage telemetry, same energy bit pattern. On top of that, a
-//! multi-symbol run must be a pure function of (seed, config), and its
-//! per-symbol breakdown must tile the aggregate exactly.
+//! multi-symbol run must be a pure function of (seed, config), and each
+//! symbol's outcome row must account for its own session's queries.
 
 use lt_accel::PowerCondition;
 use lt_dnn::ModelKind;
 use lt_sched::Policy;
 use lt_sim::traffic::{multi_evaluation_session, scheduling_deadline_for};
-use lt_sim::{run_lighttrader, run_multi, BacktestConfig, BacktestMetrics, MultiMetrics};
+use lt_sim::{run_lighttrader, run_multi, BacktestConfig, BacktestMetrics, ShardOutcomes};
 
 const SECS: f64 = 3.0;
 const SEED: u64 = 4242;
@@ -22,9 +22,14 @@ fn serialize(m: &BacktestMetrics) -> String {
     format!("{json}|energy_bits={:016x}", m.energy_j.to_bits())
 }
 
-fn serialize_multi(m: &MultiMetrics) -> String {
-    let json = serde_json::to_string(m).expect("multi metrics serialize");
-    format!("{json}|energy_bits={:016x}", m.aggregate.energy_j.to_bits())
+/// Queries across one row's outcome buckets.
+fn queries(row: &ShardOutcomes) -> u64 {
+    row.responded
+        + row.late
+        + row.dropped_full
+        + row.dropped_stale
+        + row.dropped_deadline
+        + row.deferred
 }
 
 fn cfg_for(kind: ModelKind, n_accels: usize, policy: Policy) -> BacktestConfig {
@@ -44,7 +49,7 @@ fn single_symbol_matches_run_lighttrader_exactly() {
         let single_cfg = cfg_for(ModelKind::DeepLob, 4, policy);
         let single = run_lighttrader(&session.sessions[0].trace, &single_cfg);
         assert_eq!(
-            serialize(&multi.aggregate),
+            serialize(&multi),
             serialize(&single),
             "{policy:?}: sharded core with one shard diverged from the \
              single-instrument back-test"
@@ -54,7 +59,7 @@ fn single_symbol_matches_run_lighttrader_exactly() {
 
 /// A multi-symbol back-test is a pure function of (seed, config): two
 /// independently generated runs serialize byte-identically, per-symbol
-/// breakdown included.
+/// rows included.
 #[test]
 fn multi_symbol_runs_are_byte_identical() {
     for (symbols, skew) in [(2usize, 0.0), (4, 1.0), (8, 2.5)] {
@@ -63,31 +68,35 @@ fn multi_symbol_runs_are_byte_identical() {
             let cfg = cfg_for(ModelKind::DeepLob, 8, Policy::Both);
             run_multi(&session, &cfg)
         };
-        let first = serialize_multi(&run());
-        let second = serialize_multi(&run());
+        let first = serialize(&run());
+        let second = serialize(&run());
         assert_eq!(first, second, "{symbols} symbols @ skew {skew} diverged");
     }
 }
 
-/// The per-symbol breakdown tiles the aggregate: every outcome counter
-/// equals the sum of its per-symbol attributions, and every symbol's
-/// query total matches its warm ticks.
+/// Each symbol's row holds its own session's ticks, and every query
+/// after the symbol's warm-up ends in one of the row's buckets; the
+/// totals are the rows' sum.
 #[test]
 fn per_symbol_tallies_tile_the_aggregate() {
     let symbols = 4;
     let session = multi_evaluation_session(SECS, SEED, symbols, 1.5);
     let cfg = cfg_for(ModelKind::DeepLob, 4, Policy::Both);
     let m = run_multi(&session, &cfg);
-    m.assert_consistent();
-    assert_eq!(m.per_symbol.len(), symbols);
-    for (i, s) in m.per_symbol.iter().enumerate() {
-        // Each shard's feature FIFO swallows window-1 warm-up ticks; all
-        // later ticks become queries with some outcome.
-        let expected = session.sessions[i].trace.len() as u64 - (cfg.window as u64 - 1);
-        assert_eq!(s.total(), expected, "{:?} leaks queries", s.symbol);
+    assert_eq!(m.shards().len(), symbols);
+    for (i, s) in m.shards().iter().enumerate() {
+        // Each shard swallows window-1 warm-up ticks; all later ticks
+        // become queries with some outcome.
+        let ticks = session.sessions[i].trace.len() as u64;
+        assert_eq!(s.ticks, ticks, "symbol {i}");
+        assert_eq!(
+            queries(s),
+            ticks - (cfg.window as u64 - 1),
+            "symbol {i} leaks queries"
+        );
     }
-    let aggregate_total: u64 = m.per_symbol.iter().map(|s| s.total()).sum();
-    assert_eq!(m.aggregate.total(), aggregate_total);
+    let rows_total: u64 = m.shards().iter().map(queries).sum();
+    assert_eq!(m.total(), rows_total);
 }
 
 /// Skewed traffic concentrates load on the leading symbol, and the
@@ -101,16 +110,15 @@ fn skew_concentrates_but_tail_still_answers() {
     // session; a short feature window lets every shard warm up.
     cfg.window = 20;
     let m = run_multi(&session, &cfg);
-    let ticks: Vec<u64> = m.per_symbol.iter().map(|s| s.ticks).collect();
+    let ticks: Vec<u64> = m.shards().iter().map(|s| s.ticks).collect();
     assert!(
         ticks[0] > 3 * ticks[symbols - 1],
         "skew 2.5 must concentrate traffic: {ticks:?}"
     );
-    for s in &m.per_symbol {
+    for (i, s) in m.shards().iter().enumerate() {
         assert!(
             s.responded > 0,
-            "{:?} starved despite the shared fleet",
-            s.symbol
+            "symbol {i} starved despite the shared fleet"
         );
     }
 }
@@ -136,7 +144,7 @@ fn coalesced_fleet_beats_independent_pipelines_under_skew() {
         cfg.condition = PowerCondition::Sufficient;
         cfg
     };
-    let coalesced = run_multi(&session, &fleet(symbols)).aggregate.responded;
+    let coalesced = run_multi(&session, &fleet(symbols)).responded;
     let independent: u64 = session
         .sessions
         .iter()

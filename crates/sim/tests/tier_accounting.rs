@@ -59,11 +59,25 @@ fn tier_outcomes_tile_the_storm_run() {
     assert!(m.total() > 1_000, "storm must generate load: {m}");
     assert_tiles(&m, ModelKind::DeepLob);
     // The aggressive budget must actually exercise the machinery: some
-    // queries degrade to cheaper tiers.
+    // queries degrade to cheaper tiers, and some are shed.
     assert!(
         m.tiers.degraded > 0,
         "storm at a 450 µs budget must degrade some queries"
     );
+    assert!(m.dropped_deadline > 0, "{m}");
+    // The printed buckets, the deadline drops among them, add up to the
+    // printed total: [total, responded, late, full, stale, deadline,
+    // deferred] ahead of the latency summary.
+    let shown = m.to_string();
+    let (buckets, _) = shown.split_once(';').expect("buckets, then latency");
+    let counts: Vec<u64> = buckets
+        .split(|c: char| !c.is_ascii_digit() && c != '.')
+        .filter_map(|word| word.parse().ok())
+        .collect();
+    assert_eq!(counts.len(), 7, "{shown}");
+    assert_eq!(counts[0], m.total(), "{shown}");
+    assert_eq!(counts[1..].iter().sum::<u64>(), counts[0], "{shown}");
+    assert_eq!(counts[5], m.dropped_deadline, "{shown}");
 }
 
 #[test]
@@ -131,14 +145,13 @@ fn multi_symbol_breakdown_tiles_per_symbol() {
         .with_t_avail(scheduling_deadline_for(ModelKind::DeepLob))
         .with_deadline_tiered(Some(BUDGET));
     let m = run_multi(&session, &cfg);
-    // run_multi already ran assert_consistent (aggregate == Σ symbols);
-    // additionally each symbol's own buckets must tile its total.
-    for s in &m.per_symbol {
+    // Each symbol's own buckets must tile its queries: every tick after
+    // its warm-up.
+    for (i, s) in m.shards().iter().enumerate() {
         assert_eq!(
             s.tiers.served_total(),
             s.responded + s.late,
-            "{:?}: per-tier served != scored",
-            s.symbol
+            "symbol {i}: per-tier served != scored"
         );
         assert_eq!(
             s.tiers.served_total()
@@ -146,12 +159,11 @@ fn multi_symbol_breakdown_tiles_per_symbol() {
                 + s.dropped_full
                 + s.dropped_stale
                 + s.dropped_deadline,
-            s.total(),
-            "{:?}: buckets must tile the symbol total",
-            s.symbol
+            s.ticks - (cfg.window as u64 - 1),
+            "symbol {i}: buckets must tile the symbol's queries"
         );
     }
-    assert_tiles(&m.aggregate, ModelKind::DeepLob);
+    assert_tiles(&m, ModelKind::DeepLob);
 }
 
 #[test]

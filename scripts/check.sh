@@ -140,6 +140,25 @@ for f in $(find crates/*/src -name '*.rs' | sort); do
 done
 [[ "$risk" == "0" ]]
 
+echo "== one outcome ledger: no outcome counter written outside the back-test's ledger and the ticket queue =="
+# BacktestMetrics counts every query outcome in its per-shard rows and
+# writes the totals once, as their sum; the ticket queue's per-shard
+# counters are read into those rows at run end. Anything else that
+# counts a response, a late answer, a drop or a defer is a second copy.
+ledger=0
+for f in $(find crates/*/src -name '*.rs' | sort); do
+    case "$f" in
+        crates/sim/src/metrics.rs | crates/pipeline/src/multi_offload.rs) continue ;;
+    esac
+    if nontest "$f" \
+        | grep -nE '(^|[^A-Za-z0-9_])(responded|late|dropped_full|dropped_stale|dropped_deadline|deferred)[[:space:]]*\+=' \
+        | grep -vE '^[0-9]+:[[:space:]]*//'; then
+        echo "a second outcome count in $f (count through lt_sim::BacktestMetrics)"
+        ledger=1
+    fi
+done
+[[ "$ledger" == "0" ]]
+
 echo "== bounded unsafe: one unsafe call and one #[target_feature], both in kernels.rs's instances! macro, the call under a // SAFETY: comment; AVX2 or AVX-512F instances only =="
 # Every crate root forbids unsafe_code but lt-dnn's, which denies it: the
 # entries the instances! macro defines in kernels.rs allow it to call the
