@@ -3,182 +3,223 @@
 //! batched dense layer (`linear_b128`: TransLOB's FFN shape over a batch
 //! of eight 16-step windows, full row blocks throughout), one batched
 //! model (`translob_b8`: eight tiny-TransLOB windows in one forward, the
-//! `multi_translob` workload's round) and one streamed model
+//! `multi_translob` workload's round) and two streamed ones
 //! (`deeplob_tick`: tiny DeepLOB's `k = 1` hit through
-//! `ModelRegistry::forward`, the `storm_deeplob` workload's tick), and
-//! emits a machine-readable
-//! `BENCH_kernels.json` in the current directory, with the register
-//! tile's instruction set on this CPU (`"tile_isa"`).
+//! `ModelRegistry::forward`, the `storm_deeplob` workload's tick;
+//! `deeplob_sweep4`: a `k = 4` hit through `forward_slides`, a sweep's
+//! batch-4 tail), and emits a machine-readable `BENCH_kernels.json` in the
+//! current directory, with the register tile's instruction set on this CPU
+//! (`"tile_isa"`).
 //!
 //! ```text
 //! cargo run --release -p lt-bench --bin bench_kernels
 //! ```
 //!
-//! Exits nonzero if the DeepLOB full-forward speedup falls below the
-//! 5x regression floor, so CI catches fast-path regressions.
+//! Every row is timed in each of [`ROUNDS`] interleaved rounds (a round
+//! times every row's naive then packed side once), so each row sees every
+//! phase of the host, and reports its median with quartiles. Exits nonzero
+//! if the DeepLOB full-forward speedup (of the medians) falls below the 5x
+//! regression floor, so CI catches fast-path regressions.
 
 #![forbid(unsafe_code)]
 
-use lighttrader::dnn::kernels::tile_isa;
-use lighttrader::dnn::models::{CnnSpec, DeepLobSpec, TransLob, TransLobSpec};
+use lighttrader::dnn::kernels::{tile_isa, Store};
+use lighttrader::dnn::models::{CnnSpec, DeepLob, DeepLobSpec, TransLob, TransLobSpec};
 use lighttrader::dnn::ops::{Conv2d, Linear, Lstm, MultiHeadAttention};
 use lighttrader::dnn::{Model, ModelKind, ModelRegistry, Prediction, ScratchPad, Tensor};
 use lt_bench::time_ns;
 
 /// Minimum acceptable DeepLOB full-forward speedup (fast vs naive).
 const DEEPLOB_SPEEDUP_FLOOR: f64 = 5.0;
-/// Interleaved measurement rounds per row. A speedup is a ratio of two
-/// timings, meaningful only when both were taken in the same machine
-/// state, and this box's speed drifts by a third for a second at a time:
-/// every round times naive then packed back to back, and each keeps its
-/// fastest round.
-const ROUNDS: usize = 7;
+/// Interleaved measurement rounds. A 2-core shared host's speed drifts by
+/// a third for seconds at a time, so one row timed in one stretch reads
+/// whatever phase it fell in: each round times every row's two sides back
+/// to back, and a row's figures are the median and quartiles of its
+/// rounds.
+const ROUNDS: usize = 9;
+
+/// One row's two sides, each a closure timed once a round.
+struct Bench<'a> {
+    name: &'static str,
+    naive: Box<dyn FnMut() + 'a>,
+    fast: Box<dyn FnMut() + 'a>,
+}
+
+impl<'a> Bench<'a> {
+    fn new(name: &'static str, naive: impl FnMut() + 'a, fast: impl FnMut() + 'a) -> Self {
+        Bench {
+            name,
+            naive: Box::new(naive),
+            fast: Box::new(fast),
+        }
+    }
+}
+
+/// The first quartile, median and third quartile of `samples`.
+fn quartiles(mut samples: Vec<f64>) -> [f64; 3] {
+    samples.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let i = q * (samples.len() - 1) as f64;
+        let (lo, hi) = (samples[i.floor() as usize], samples[i.ceil() as usize]);
+        lo + (hi - lo) * i.fract()
+    };
+    [at(0.25), at(0.5), at(0.75)]
+}
 
 struct Row {
     name: &'static str,
-    naive_ns: f64,
-    fast_ns: f64,
+    naive_ns: [f64; 3],
+    fast_ns: [f64; 3],
 }
 
 impl Row {
+    /// Median over median.
     fn speedup(&self) -> f64 {
-        self.naive_ns / self.fast_ns
+        self.naive_ns[1] / self.fast_ns[1]
     }
 
     fn json(&self) -> String {
+        let [n1, n, n3] = self.naive_ns;
+        let [f1, f, f3] = self.fast_ns;
         format!(
-            "    {{\"name\": \"{}\", \"naive_ns\": {:.1}, \"fast_ns\": {:.1}, \"speedup\": {:.2}}}",
+            "    {{\"name\": \"{}\", \"naive_ns\": {n:.1}, \"naive_q1_ns\": {n1:.1}, \
+             \"naive_q3_ns\": {n3:.1}, \"fast_ns\": {f:.1}, \"fast_q1_ns\": {f1:.1}, \
+             \"fast_q3_ns\": {f3:.1}, \"speedup\": {:.2}}}",
             self.name,
-            self.naive_ns,
-            self.fast_ns,
             self.speedup()
         )
     }
 }
 
-fn measure(name: &'static str, mut naive: impl FnMut(), mut fast: impl FnMut()) -> Row {
-    let (mut naive_ns, mut fast_ns) = (f64::INFINITY, f64::INFINITY);
+/// Times every bench in [`ROUNDS`] interleaved rounds and prints each
+/// row's median and quartiles.
+fn run(mut benches: Vec<Bench<'_>>) -> Vec<Row> {
+    let mut samples = vec![(Vec::new(), Vec::new()); benches.len()];
     for _ in 0..ROUNDS {
-        naive_ns = naive_ns.min(time_ns(&mut naive));
-        fast_ns = fast_ns.min(time_ns(&mut fast));
+        for (bench, (naive, fast)) in benches.iter_mut().zip(&mut samples) {
+            naive.push(time_ns(&mut bench.naive));
+            fast.push(time_ns(&mut bench.fast));
+        }
     }
-    let row = Row {
-        name,
-        naive_ns,
-        fast_ns,
-    };
-    println!(
-        "{:<16} naive {:>12.0} ns   fast {:>12.0} ns   speedup {:>6.2}x",
-        name,
-        naive_ns,
-        fast_ns,
-        row.speedup()
-    );
-    row
+    let rows: Vec<Row> = benches
+        .iter()
+        .zip(samples)
+        .map(|(bench, (naive, fast))| Row {
+            name: bench.name,
+            naive_ns: quartiles(naive),
+            fast_ns: quartiles(fast),
+        })
+        .collect();
+    for row in &rows {
+        let ([n1, n, n3], [f1, f, f3]) = (row.naive_ns, row.fast_ns);
+        println!(
+            "{:<16} naive {n:>12.0} ns [{n1:.0}, {n3:.0}]   fast {f:>10.1} ns [{f1:.1}, {f3:.1}]   \
+             speedup {:>6.2}x",
+            row.name,
+            row.speedup()
+        );
+    }
+    rows
 }
 
 /// One model row: `reference` against the packed trait path at batch 1.
-fn measure_model(
+fn model_bench<'a>(
     name: &'static str,
-    model: &dyn Model,
-    reference: impl Fn(&Tensor) -> Prediction,
-    input: &Tensor,
-) -> Row {
+    model: &'a dyn Model,
+    reference: impl Fn(&Tensor) -> Prediction + 'a,
+    input: &'a Tensor,
+) -> Bench<'a> {
     let packed = model.pack_weights();
     let mut pad = ScratchPad::new();
     let mut out = Vec::new();
-    measure(
+    Bench::new(
         name,
-        || {
+        move || {
             let _ = reference(input);
         },
-        || model.forward_batch_scratch(std::slice::from_ref(input), &packed, &mut pad, &mut out),
+        move || {
+            model.forward_batch_scratch(std::slice::from_ref(input), &packed, &mut pad, &mut out)
+        },
     )
 }
 
-/// Tiny DeepLOB's streamed tick, `storm_deeplob`'s shape: consecutive
-/// windows of one cyclic stream of 256 tick rows, so every window is the
-/// one before slid by a row and each `ModelRegistry::forward` is a `k = 1`
-/// hit (one new row through the trunk), against `forward_reference` on
-/// the same windows.
-fn measure_deeplob_tick() -> Row {
-    const ROWS: usize = 256;
-    let spec = DeepLobSpec::tiny();
+/// Rows of the cyclic tick stream the streamed rows slide over.
+const STREAM_ROWS: usize = 256;
+
+/// Tiny DeepLOB's streamed sweeps of `k` windows, `storm_deeplob`'s
+/// shape: consecutive sweeps over one cyclic stream of [`STREAM_ROWS`]
+/// tick rows, each starting where the last ended, so every window is the
+/// one before slid by a row and each `ModelRegistry::forward_slides` is a
+/// hit of `k` new rows through the trunk (`k = 1` is
+/// `ModelRegistry::forward`, the tick), against `forward_reference` on the
+/// same `k` windows. The sweeps run through `registry`, which the caller
+/// can check, once timed, for one miss: the first sweep.
+fn deeplob_sweep_bench<'a>(
+    name: &'static str,
+    deeplob: &'a DeepLob,
+    k: usize,
+    registry: &'a mut ModelRegistry,
+) -> Bench<'a> {
+    let spec = deeplob.spec();
     let (window, features) = (spec.window, spec.features);
-    let deeplob = spec.build(3);
-    let stream = Tensor::random(&[ROWS, features], 1.0, 6);
-    let windows: Vec<Tensor> = (0..ROWS)
-        .map(|start| {
-            let rows = (start..start + window).flat_map(|r| stream.row(r % ROWS).to_vec());
-            Tensor::from_vec(rows.collect(), &[window, features])
-        })
+    let stream = Tensor::random(&[STREAM_ROWS, features], 1.0, 6);
+    let rows = |start: usize, len: usize| {
+        let data = (start..start + len).flat_map(|r| stream.row(r % STREAM_ROWS).to_vec());
+        Tensor::from_vec(data.collect(), &[len, features])
+    };
+    let sweeps: Vec<Tensor> = (0..STREAM_ROWS)
+        .step_by(k)
+        .map(|start| rows(start, window + k - 1))
         .collect();
-    let mut registry = ModelRegistry::new();
+    let windows: Vec<Tensor> = (0..STREAM_ROWS).map(|start| rows(start, window)).collect();
     registry.register(Box::new(deeplob.clone()));
-    let (mut naive_at, mut fast_at) = (0, 0);
-    let row = measure(
-        "deeplob_tick",
-        || {
-            let _ = deeplob.forward_reference(&windows[naive_at]);
-            naive_at = (naive_at + 1) % ROWS;
+    let (mut naive_at, mut fast_at, mut out) = (0, 0, Vec::new());
+    Bench::new(
+        name,
+        move || {
+            for window in &windows[naive_at..naive_at + k] {
+                let _ = deeplob.forward_reference(window);
+            }
+            naive_at = (naive_at + k) % STREAM_ROWS;
         },
-        || {
-            let _ = registry.forward(ModelKind::DeepLob, &windows[fast_at]);
-            fast_at = (fast_at + 1) % ROWS;
+        move || {
+            registry.forward_slides(ModelKind::DeepLob, &sweeps[fast_at], k, &mut out);
+            fast_at = (fast_at + 1) % sweeps.len();
         },
-    );
-    let stats = registry.stream_stats(ModelKind::DeepLob);
-    assert_eq!(stats.misses, 1, "every window but the first streams");
-    row
+    )
 }
 
 /// Eight distinct tiny-TransLOB windows: eight `forward_reference` calls
 /// against one batch-8 packed forward.
-fn measure_translob_b8(translob: &TransLob) -> Row {
+fn translob_b8_bench(translob: &TransLob) -> Bench<'_> {
     let inputs: Vec<Tensor> = (0..8)
         .map(|s| Tensor::random(&[16, 40], 1.0, 20 + s))
         .collect();
     let packed = translob.pack_weights();
     let mut pad = ScratchPad::new();
     let mut out = Vec::new();
-    measure(
+    let reference = inputs.clone();
+    Bench::new(
         "translob_b8",
-        || {
-            for x in &inputs {
+        move || {
+            for x in &reference {
                 let _ = translob.forward_reference(x);
             }
         },
-        || translob.forward_batch_scratch(&inputs, &packed, &mut pad, &mut out),
+        move || translob.forward_batch_scratch(&inputs, &packed, &mut pad, &mut out),
     )
 }
 
 fn main() {
-    let mut kernels = Vec::new();
-    let mut pad = ScratchPad::new();
-
     let conv = Conv2d::new(16, 16, (4, 1), (1, 1), (0, 0), 1);
     let xc = Tensor::random(&[16, 64, 10], 1.0, 2);
     let conv_packed = conv.pack();
-    let mut conv_out = vec![0.0f32; 16 * 61 * 10];
-    kernels.push(measure(
-        "conv2d",
-        || {
-            let _ = conv.forward_reference(&xc);
-        },
-        || conv.forward_batch_packed(xc.data(), 1, 64, 10, &conv_packed, &mut pad, &mut conv_out),
-    ));
+    let (mut conv_pad, mut conv_out) = (ScratchPad::new(), vec![0.0f32; 16 * 61 * 10]);
 
     let linear = Linear::new(256, 128, 1);
     let xl = Tensor::random(&[256], 1.0, 2);
     let linear_packed = linear.pack();
     let mut linear_out = vec![0.0f32; 128];
-    kernels.push(measure(
-        "linear",
-        || {
-            let _ = linear.forward_reference(&xl);
-        },
-        || linear.forward_batch_packed(xl.data(), 1, &linear_packed, &mut linear_out),
-    ));
 
     // 128 rows, 16 -> 64: the batched sweep, which an AVX-512 CPU runs on
     // its wide instance.
@@ -186,48 +227,73 @@ fn main() {
     let xb = Tensor::random(&[128, 16], 1.0, 2);
     let ffn_packed = ffn.pack();
     let mut ffn_out = vec![0.0f32; 128 * 64];
-    kernels.push(measure(
-        "linear_b128",
-        || {
-            let _ = ffn.forward_reference(&xb);
-        },
-        || ffn.forward_batch_packed(xb.data(), 128, &ffn_packed, &mut ffn_out),
-    ));
 
     // The packed LSTM stores only the last hidden state; the recurrence
     // it runs is the reference's.
     let lstm = Lstm::new(48, 64, 1);
     let xs = Tensor::random(&[16, 48], 1.0, 2);
     let (pwx, pwh) = (lstm.pack_wx(), lstm.pack_wh());
-    let mut lstm_out = vec![0.0f32; 64];
-    kernels.push(measure(
-        "lstm",
-        || {
-            let _ = lstm.forward_reference(&xs);
-        },
-        || lstm.last_hidden_batch_packed(xs.data(), 1, 16, &pwx, &pwh, &mut pad, &mut lstm_out),
-    ));
+    let (mut lstm_pad, mut lstm_out) = (ScratchPad::new(), vec![0.0f32; 64]);
 
     let mha = MultiHeadAttention::new(64, 4, 1);
     let xa = Tensor::random(&[32, 64], 1.0, 2);
     let mha_packed = mha.pack();
-    let mut mha_out = vec![0.0f32; 32 * 64];
-    kernels.push(measure(
-        "attention",
-        || {
-            let _ = mha.forward_reference(&xa);
-        },
-        || {
-            mha.forward_batch_packed(
-                xa.data(),
-                1,
-                32,
-                mha_packed.each_ref(),
-                &mut pad,
-                &mut mha_out,
-            )
-        },
-    ));
+    let (mut mha_pad, mut mha_out) = (ScratchPad::new(), vec![0.0f32; 32 * 64]);
+
+    let kernels = run(vec![
+        Bench::new(
+            "conv2d",
+            || {
+                let _ = conv.forward_reference(&xc);
+            },
+            || {
+                let (x, packed, out) = (xc.data(), &conv_packed, &mut conv_out);
+                conv.forward_batch_packed(x, 1, 64, 10, packed, &mut conv_pad, Store::Bf16, out)
+            },
+        ),
+        Bench::new(
+            "linear",
+            || {
+                let _ = linear.forward_reference(&xl);
+            },
+            || {
+                linear.forward_batch_packed(
+                    xl.data(),
+                    1,
+                    &linear_packed,
+                    Store::Bf16,
+                    &mut linear_out,
+                )
+            },
+        ),
+        Bench::new(
+            "linear_b128",
+            || {
+                let _ = ffn.forward_reference(&xb);
+            },
+            || ffn.forward_batch_packed(xb.data(), 128, &ffn_packed, Store::Bf16, &mut ffn_out),
+        ),
+        Bench::new(
+            "lstm",
+            || {
+                let _ = lstm.forward_reference(&xs);
+            },
+            || {
+                let (x, out) = (xs.data(), &mut lstm_out);
+                lstm.last_hidden_batch_packed(x, 1, 16, &pwx, &pwh, &mut lstm_pad, out)
+            },
+        ),
+        Bench::new(
+            "attention",
+            || {
+                let _ = mha.forward_reference(&xa);
+            },
+            || {
+                let (x, packed) = (xa.data(), mha_packed.each_ref());
+                mha.forward_batch_packed(x, 1, 32, packed, &mut mha_pad, &mut mha_out)
+            },
+        ),
+    ]);
 
     let vanilla = CnnSpec::tiny().build(3);
     let deeplob = DeepLobSpec::tiny().build(3);
@@ -235,23 +301,29 @@ fn main() {
     let x20 = Tensor::random(&[20, 40], 1.0, 5);
     let x24 = Tensor::random(&[24, 40], 1.0, 5);
     let x16 = Tensor::random(&[16, 40], 1.0, 5);
-    let models = [
-        measure_model(
+    let (mut tick_registry, mut sweep4_registry) = (ModelRegistry::new(), ModelRegistry::new());
+    let models = run(vec![
+        model_bench(
             "vanilla_cnn",
             &vanilla,
             |x| vanilla.forward_reference(x),
             &x20,
         ),
-        measure_model("deeplob", &deeplob, |x| deeplob.forward_reference(x), &x24),
-        measure_model(
+        model_bench("deeplob", &deeplob, |x| deeplob.forward_reference(x), &x24),
+        model_bench(
             "translob",
             &translob,
             |x| translob.forward_reference(x),
             &x16,
         ),
-        measure_translob_b8(&translob),
-        measure_deeplob_tick(),
-    ];
+        translob_b8_bench(&translob),
+        deeplob_sweep_bench("deeplob_tick", &deeplob, 1, &mut tick_registry),
+        deeplob_sweep_bench("deeplob_sweep4", &deeplob, 4, &mut sweep4_registry),
+    ]);
+    for registry in [tick_registry, sweep4_registry] {
+        let stats = registry.stream_stats(ModelKind::DeepLob);
+        assert_eq!(stats.misses, 1, "every sweep but the first streams");
+    }
 
     let deeplob_speedup = models
         .iter()
@@ -265,9 +337,9 @@ fn main() {
     // The instance the batched sweeps ran on; batch-1 sweeps run AVX2 on
     // an AVX-512 CPU (see `tile_isa`).
     let json = format!(
-        "{{\n  \"tile_isa\": \"{}\",\n  \"kernels\": [\n{}\n  ],\n  \"models\": [\n{}\n  ],\n  \
-         \"deeplob_speedup\": {:.2},\n  \"deeplob_speedup_floor\": {:.1},\n  \
-         \"floor_met\": {}\n}}\n",
+        "{{\n  \"tile_isa\": \"{}\",\n  \"rounds\": {ROUNDS},\n  \"kernels\": [\n{}\n  ],\n  \
+         \"models\": [\n{}\n  ],\n  \"deeplob_speedup\": {:.2},\n  \
+         \"deeplob_speedup_floor\": {:.1},\n  \"floor_met\": {}\n}}\n",
         tile_isa(),
         kernel_rows.join(",\n"),
         model_rows.join(",\n"),

@@ -50,9 +50,12 @@
 //! neighbours — seeded, accumulated in increasing `k` and rounded
 //! exactly as the naive loop does it — and the contract above holds
 //! without a single partial sum. [`gemm_packed`],
-//! [`conv2d_direct_bf16`] and `attention_sample` drive the tile;
-//! `layer_norm_rows` folds rows one per lane, and `lstm_cell` runs one
-//! hidden unit per lane.
+//! [`conv2d_direct_bf16`] and `attention_sample` drive the tile, and
+//! `lstm_steps` runs one per LSTM gate, one hidden unit per lane, straight
+//! into the cell; `layer_norm_rows` folds rows one per lane. Every pass
+//! stores each sum as its [`Store`] says: BF16-rounded and, for a layer
+//! followed by one, activated, or exact (the LSTM's input half, whose
+//! partials the recurrence continues unrounded).
 //!
 //! The direct convolution stages its lane words in one of two forms: a
 //! masked shifted load where the output positions are contiguous in the
@@ -63,8 +66,11 @@
 //!
 //! # One body, several instances
 //!
-//! Each of those five passes has one `#[inline(always)]` body, generic in
-//! its lane width, and its entry is one `instances!` invocation: the body
+//! Each of those five passes (`gemm_packed`, `conv2d_direct_bf16`,
+//! `attention_sample`, `layer_norm_rows`, `lstm_steps`) has one
+//! `#[inline(always)]` body, generic in its lane width (`lstm_steps`'
+//! is written for `NR` lanes only), and its entry is
+//! one `instances!` invocation: the body
 //! compiled for AVX-512F or AVX2 where the CPU has it and the input fills
 //! that instance's lanes, and for the x86-64 baseline (SSE2) otherwise
 //! (the macro says how one is picked). `NR` lanes are two xmm registers
@@ -76,6 +82,7 @@
 
 use crate::bf16::bf16_round;
 use crate::math::{exp, sigmoid, tanh};
+use crate::ops::activation::{leaky_relu_of, relu_of};
 use crate::ops::count::conv_out_len;
 use crate::ops::fold_rows;
 
@@ -204,23 +211,23 @@ fn shared_panel_tile<const C: usize, const W: usize>(
 }
 
 /// The row-tail loop of the register tile: `C` chains (at most [`MR`]) x
-/// [`NR`] lanes against one input row, chain `c` reading its own lane
-/// block: `acc[c][l] += lanes(c, t)[l] * x[t]`, `t` increasing.
+/// `W` lanes against one input row, chain `c` reading its own lane words:
+/// `acc[c][l] += lanes(c, t)[l] * x[t]`, `t` increasing.
 ///
 /// A lone row thus still keeps up to `MR` independent chains in flight,
-/// one per live lane block. The accumulators live in locals, as in
-/// [`shared_panel_tile`].
+/// one per live lane block (or, in [`lstm_steps`], one per gate). The
+/// accumulators live in locals, as in [`shared_panel_tile`].
 #[inline(always)]
-fn row_tail_tile<const C: usize>(
-    acc: &mut [[f32; NR]; C],
+fn row_tail_tile<const C: usize, const W: usize>(
+    acc: &mut [[f32; W]; C],
     x: &[f32],
-    lanes: impl Fn(usize, usize) -> [f32; NR],
+    lanes: impl Fn(usize, usize) -> [f32; W],
 ) {
     let mut chains = *acc;
     for (t, &xv) in x.iter().enumerate() {
         for (c, chain) in chains.iter_mut().enumerate() {
             let word = lanes(c, t);
-            for l in 0..NR {
+            for l in 0..W {
                 chain[l] += word[l] * xv;
             }
         }
@@ -258,10 +265,55 @@ fn lane_block(p: &[f32], at: usize) -> &[f32; NR] {
     p[at..].first_chunk().expect("a lane block is NR wide")
 }
 
+/// What a pass stores of each finished sum: the sum itself, or its BF16
+/// rounding and, for a layer followed by one, the layer's activation of
+/// that — the reference's rounding then its activation, element by
+/// element. A closed set of values, not a closure, so every pass compiles
+/// once per instance (`gemm_packed` once per store of an instance) rather
+/// than once per caller, and a layer's activation costs no second pass
+/// over its output.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Store {
+    /// The sum, unrounded (the LSTM's input half, which the recurrence
+    /// continues).
+    Exact,
+    /// `bf16_round` of the sum.
+    Bf16,
+    /// ReLU of the rounded sum.
+    Relu,
+    /// Leaky ReLU of the rounded sum, at this slope.
+    LeakyRelu(f32),
+}
+
+impl Store {
+    /// This store of one sum.
+    #[inline(always)]
+    fn apply(self, v: f32) -> f32 {
+        match self {
+            Store::Exact => v,
+            Store::Bf16 => bf16_round(v),
+            Store::Relu => relu_of(bf16_round(v)),
+            Store::LeakyRelu(alpha) => leaky_relu_of(bf16_round(v), alpha),
+        }
+    }
+}
+
 /// Writes `post` of a chain's leading lanes to `dst` (a full chain, or
-/// the valid lanes of a tail block).
+/// the valid lanes of a tail block): one match a chain, then a loop
+/// specialised to the store.
 #[inline(always)]
-fn store_lanes<const W: usize>(dst: &mut [f32], lanes: &[f32; W], post: impl Fn(f32) -> f32) {
+fn store_lanes<const W: usize>(dst: &mut [f32], lanes: &[f32; W], post: Store) {
+    match post {
+        Store::Exact => write_lanes(dst, lanes, |v| v),
+        Store::Bf16 => write_lanes(dst, lanes, bf16_round),
+        Store::Relu => write_lanes(dst, lanes, |v| Store::Relu.apply(v)),
+        Store::LeakyRelu(alpha) => write_lanes(dst, lanes, |v| Store::LeakyRelu(alpha).apply(v)),
+    }
+}
+
+/// [`store_lanes`] for one store.
+#[inline(always)]
+fn write_lanes<const W: usize>(dst: &mut [f32], lanes: &[f32; W], post: impl Fn(f32) -> f32) {
     match <&mut [f32; W]>::try_from(&mut *dst) {
         // Fixed width: the rounding and the store vectorize.
         Ok(full) => {
@@ -269,9 +321,24 @@ fn store_lanes<const W: usize>(dst: &mut [f32], lanes: &[f32; W], post: impl Fn(
                 full[l] = post(lanes[l]);
             }
         }
+        // A short tail in pieces of fixed width: as a loop of `dst.len()`
+        // steps, an `Exact` store compiles to a call of `memcpy`, and
+        // to leave the vector registers for it costs more than the tile.
         Err(_) => {
-            for (o, &v) in dst.iter_mut().zip(lanes) {
-                *o = post(v);
+            let (quads, rest) = dst.as_chunks_mut::<4>();
+            for (q, quad) in quads.iter_mut().enumerate() {
+                for (i, o) in quad.iter_mut().enumerate() {
+                    *o = post(lanes[4 * q + i]);
+                }
+            }
+            let at = 4 * quads.len();
+            match rest {
+                [a] => *a = post(lanes[at]),
+                [a, b] => [*a, *b] = [post(lanes[at]), post(lanes[at + 1])],
+                [a, b, c] => {
+                    [*a, *b, *c] = [post(lanes[at]), post(lanes[at + 1]), post(lanes[at + 2])]
+                }
+                _ => {}
             }
         }
     }
@@ -366,10 +433,10 @@ instances! {
     /// (o, t) * row r's input t)` for `r < rows`, `o < n`.
     ///
     /// Dense layers (attention's four projections among them), convolutions
-    /// whose patch rows lie in place in their input and LSTM gate
-    /// pre-activations are this one sweep of the register tile; they differ
-    /// in their segments, their seed (`None` seeds `0.0`), their store
-    /// layout and `post` (BF16 rounding or nothing). Full
+    /// whose patch rows lie in place in their input and the LSTM's input
+    /// half are this one sweep of the register tile; they differ in their
+    /// segments, their seed (`None` seeds `0.0`), their store layout and
+    /// `post` (BF16 rounding, an activation of it, or nothing). Full
     /// blocks of [`MR`] rows share each lane block (`shared_panel_tile`);
     /// the `rows % MR` tail rows instead block across up to `MR` lane blocks
     /// each (`row_tail_tile`), so the lone row of a batch-1 forward keeps
@@ -384,7 +451,7 @@ instances! {
         bias: Option<&[f32]>,
         rows: usize,
         n: usize,
-        post: impl Fn(f32) -> f32,
+        post: Store,
         out: &mut [f32],
         strides: (usize, usize),
     ) => gemm_packed_body;
@@ -402,7 +469,7 @@ fn gemm_packed_body<const S: usize, const W: usize>(
     bias: Option<&[f32]>,
     rows: usize,
     n: usize,
-    post: impl Fn(f32) -> f32,
+    post: Store,
     out: &mut [f32],
     (row_stride, lane_stride): (usize, usize),
 ) {
@@ -425,28 +492,55 @@ fn gemm_packed_body<const S: usize, const W: usize>(
         }
         lanes
     };
-    let mut sink = Sink {
+    // One match a call: each store's sweep is compiled with its rounding
+    // and activation inline, so the tile's store is a fixed vector
+    // sequence (a match per stored chain made a 128-row, 16-step GEMM
+    // 13-20 % slower).
+    let sink = Sink {
         out,
-        post,
+        post: (),
         n,
         row_stride,
         lane_stride,
     };
+    match post {
+        Store::Exact => gemm_sweep::<S, W>(&segs, rows, blocks, seed, sink.with(|v| v)),
+        Store::Bf16 => gemm_sweep::<S, W>(&segs, rows, blocks, seed, sink.with(bf16_round)),
+        Store::Relu => {
+            let relu = |v| Store::Relu.apply(v);
+            gemm_sweep::<S, W>(&segs, rows, blocks, seed, sink.with(relu))
+        }
+        Store::LeakyRelu(a) => {
+            let leaky = move |v| Store::LeakyRelu(a).apply(v);
+            gemm_sweep::<S, W>(&segs, rows, blocks, seed, sink.with(leaky))
+        }
+    }
+}
+
+/// [`gemm_packed_body`] past its checks, for one store.
+#[inline(always)]
+fn gemm_sweep<const S: usize, const W: usize>(
+    segs: &[Segment<'_>; S],
+    rows: usize,
+    blocks: usize,
+    seed: impl Fn(usize) -> [f32; NR],
+    mut sink: Sink<'_, impl Fn(f32) -> f32>,
+) {
     let full = rows - rows % MR;
     let paired = blocks - blocks % (W / NR);
     for b in (0..paired).step_by(W / NR) {
-        row_block::<W, S>(&segs, full, b, &seed, &mut sink);
+        row_block::<W, S>(segs, full, b, &seed, &mut sink);
     }
     for b in paired..blocks {
-        row_block::<NR, S>(&segs, full, b, &seed, &mut sink);
+        row_block::<NR, S>(segs, full, b, &seed, &mut sink);
     }
     for r in full..rows {
         for b0 in (0..blocks).step_by(MR) {
             match blocks - b0 {
-                1 => row_tail::<1, S>(&segs, r, b0, &seed, &mut sink),
-                2 => row_tail::<2, S>(&segs, r, b0, &seed, &mut sink),
-                3 => row_tail::<3, S>(&segs, r, b0, &seed, &mut sink),
-                _ => row_tail::<MR, S>(&segs, r, b0, &seed, &mut sink),
+                1 => row_tail::<1, S>(segs, r, b0, &seed, &mut sink),
+                2 => row_tail::<2, S>(segs, r, b0, &seed, &mut sink),
+                3 => row_tail::<3, S>(segs, r, b0, &seed, &mut sink),
+                _ => row_tail::<MR, S>(segs, r, b0, &seed, &mut sink),
             }
         }
     }
@@ -463,6 +557,27 @@ struct Sink<'o, P> {
     lane_stride: usize,
 }
 
+impl<'o> Sink<'o, ()> {
+    /// This sink, storing `post` of each sum.
+    #[inline(always)]
+    fn with<P: Fn(f32) -> f32>(self, post: P) -> Sink<'o, P> {
+        let Sink {
+            out,
+            n,
+            row_stride,
+            lane_stride,
+            ..
+        } = self;
+        Sink {
+            out,
+            post,
+            n,
+            row_stride,
+            lane_stride,
+        }
+    }
+}
+
 impl<P: Fn(f32) -> f32> Sink<'_, P> {
     /// Stores a chain of `W` lanes, lane blocks `b..b + W / NR` of row `r`.
     #[inline(always)]
@@ -470,7 +585,7 @@ impl<P: Fn(f32) -> f32> Sink<'_, P> {
         let base = r * self.row_stride + b * NR * self.lane_stride;
         let valid = W.min(self.n - b * NR);
         if self.lane_stride == 1 {
-            store_lanes(&mut self.out[base..base + valid], lanes, &self.post);
+            write_lanes(&mut self.out[base..base + valid], lanes, &self.post);
         } else {
             for (l, &v) in lanes.iter().enumerate().take(valid) {
                 self.out[base + l * self.lane_stride] = (self.post)(v);
@@ -520,108 +635,154 @@ fn row_tail<const C: usize, const S: usize>(
     }
 }
 
-/// Batched LSTM gate pre-activations over prepacked weights: one
-/// timestep's `gates[s][g] = bias[g] + dot(wx[g], x_s) + dot(wh[g], h_s)`
-/// for every sequence in a batch, unrounded.
-///
-/// `packed_wx` / `packed_wh` are `[4 * hidden, input]` / `[4 * hidden,
-/// hidden]` operands packed by [`pack_bt_panels`]. Sample `s` reads its
-/// timestep input at `x[x_off + s * x_stride ..][..input]` (a strided
-/// view into a sample-major `[batch, steps, input]` sequence buffer)
-/// and its hidden state at `h[s * hidden..]`; its gates land at
-/// `gates[s * 4 * hidden..]`. The two dots are two segments of one
-/// [`gemm_packed`] sweep, input weights first — the reference LSTM's
-/// per-gate order.
-#[allow(clippy::too_many_arguments)]
-pub fn lstm_gates_packed_batch(
-    packed_wx: &[f32],
-    packed_wh: &[f32],
-    bias: &[f32],
-    x: &[f32],
-    x_off: usize,
-    x_stride: usize,
-    h: &[f32],
-    batch: usize,
-    input: usize,
-    hidden: usize,
-    gates: &mut [f32],
-) {
-    let n = 4 * hidden;
-    assert_eq!(h.len(), batch * hidden, "lstm hidden length");
-    assert_eq!(gates.len(), batch * n, "lstm gates length");
-    gemm_packed(
-        [
-            Segment::packed(packed_wx, input, x.get(x_off..).unwrap_or(&[]), x_stride),
-            Segment::packed(packed_wh, hidden, h, hidden),
-        ],
-        Some(bias),
-        batch,
-        n,
-        |v| v,
-        gates,
-        (n, 1),
+/// The rows of a stacked `[4 * hidden, hidden]` recurrent weight matrix
+/// (gate order `i, f, g, o`) in the order [`lstm_steps`] reads them as
+/// lanes, for [`pack_bt_panels`] to pack: for each block of [`NR`] hidden
+/// units, gate by gate, `NR` rows, zero past `hidden`. Packed, panel `4 * b
+/// + q` is gate `q`'s rows for units `b * NR..`, word `j` their column `j`.
+/// A permutation and zero padding of the operand: returns the rows and
+/// their count, `hidden.div_ceil(NR) * 4 * NR`.
+pub fn lstm_recurrent_rows(wh: &[f32], hidden: usize) -> (Vec<f32>, usize) {
+    assert_eq!(
+        wh.len(),
+        4 * hidden * hidden,
+        "lstm recurrent weight length"
     );
+    let m = hidden.div_ceil(NR) * 4 * NR;
+    let mut rows = vec![0.0; m * hidden];
+    for b in 0..hidden.div_ceil(NR) {
+        for q in 0..4 {
+            for l in 0..NR.min(hidden - b * NR) {
+                let (unit, row) = (b * NR + l, (4 * b + q) * NR + l);
+                rows[row * hidden..][..hidden]
+                    .copy_from_slice(&wh[(q * hidden + unit) * hidden..][..hidden]);
+            }
+        }
+    }
+    (rows, m)
 }
 
 instances! {
-    /// One LSTM cell step for every sample of a batch, in place: from the
-    /// unrounded gate pre-activations `gates` (`[batch, 4 * hidden]`, gate
-    /// order `i, f, g, o`, as [`lstm_gates_packed_batch`] writes them) and
-    /// the states `c` and `h` (`[batch, hidden]`), `c = bf16(σ(f)·c +
-    /// σ(i)·tanh(g))`, then `h = bf16(σ(o)·tanh(c))`.
+    /// The LSTM's recurrence over `steps` timesteps of every sample of a
+    /// batch, from the input half's partials to the last hidden state.
     ///
-    /// Blocks of `W` hidden units read unit `j`'s four gates at `j`,
-    /// `hidden + j`, `2 * hidden + j` and `3 * hidden + j` and keep the whole
-    /// update in registers, running [`crate::math`]'s scalar `sigmoid` and
-    /// `tanh` lane by lane: every element's operations and rounding points are
-    /// the reference cell's, so are its bits. Every block is [`NR`] units:
-    /// no model's hidden width fills a wider one.
+    /// `partials` is `[batch, steps, 4 * hidden]`: row `(s, t)` holds gate
+    /// `g`'s (order `i, f, g, o`) `bias[g] + W_x[g] · x_t` for sample `s` at
+    /// step `t`, accumulated in increasing input order and **not rounded**
+    /// (one [`gemm_packed`] over every sample's sequence-major rows, storing
+    /// [`Store::Exact`], writes it). `wh` is [`lstm_recurrent_rows`] packed;
+    /// `state` is a workspace of `3 * batch * hidden` elements; the last
+    /// hidden states land in `out`, `[batch, hidden]`.
+    ///
+    /// Step by step, sample by sample, each block of `W` hidden units keeps
+    /// its four gates as four register chains: seeded from the partials,
+    /// they run `W_h h` in increasing `j` against the previous step's `h`
+    /// broadcast (a row-tail tile, one chain per gate) and go straight into
+    /// the cell, `c = bf16(σ(f)·c + σ(i)·tanh(g))` then `h =
+    /// bf16(σ(o)·tanh(c))`, lane by lane with [`crate::math`]'s scalar
+    /// `sigmoid` and `tanh`. No gate vector is written. Every gate's chain
+    /// is the reference's bias → `W_x x_t` → `W_h h` in its order, and every
+    /// cell operation and rounding point the reference's: same bits. `h` and
+    /// `c` start at zero, as the reference's do.
     ///
     /// # Panics
     ///
-    /// Panics unless the buffers hold `batch` samples.
-    pub(crate) fn lstm_cell(
-        gates: &[f32],
-        c: &mut [f32],
-        h: &mut [f32],
+    /// Panics unless the buffers have those lengths and `steps > 0`.
+    pub(crate) fn lstm_steps(
+        wh: &[f32],
+        partials: &[f32],
         batch: usize,
+        steps: usize,
         hidden: usize,
-    ) => lstm_cell_body;
+        state: &mut [f32],
+        out: &mut [f32],
+    ) => lstm_steps_body;
     "avx2" => NR,
 }
 
-/// [`lstm_cell`]'s one body, inlined into every instance, at `W` hidden
-/// units a block; the last block's lanes past `hidden` compute on zeros
-/// and are not stored.
+/// [`lstm_steps`]' one body, inlined into every instance, at `NR` hidden
+/// units a block (`W`, the macro's lane width, is `NR` in every
+/// instance); lanes past `hidden` compute on zero weights and are not
+/// stored.
 #[inline(always)]
-fn lstm_cell_body<const W: usize>(
-    gates: &[f32],
-    c: &mut [f32],
-    h: &mut [f32],
+fn lstm_steps_body<const W: usize>(
+    wh: &[f32],
+    partials: &[f32],
     batch: usize,
+    steps: usize,
     hidden: usize,
+    state: &mut [f32],
+    out: &mut [f32],
 ) {
-    assert_eq!(c.len(), batch * hidden, "lstm cell state length");
-    assert_eq!(h.len(), batch * hidden, "lstm hidden state length");
-    assert_eq!(gates.len(), 4 * batch * hidden, "lstm cell gates length");
-    for s in 0..batch {
-        let g = &gates[s * 4 * hidden..][..4 * hidden];
-        let cs = &mut c[s * hidden..][..hidden];
-        let hs = &mut h[s * hidden..][..hidden];
-        for j0 in (0..hidden).step_by(W) {
-            let live = W.min(hidden - j0);
-            let gate = |q: usize| load_lanes::<W>(&g[q * hidden + j0..][..live]);
-            let (i, f, cand, o) = (gate(0), gate(1), gate(2), gate(3));
-            let cs = &mut cs[j0..][..live];
-            let old = load_lanes::<W>(cs);
-            let (mut cell, mut out) = ([0.0; W], [0.0; W]);
-            for l in 0..W {
-                cell[l] = bf16_round(sigmoid(f[l]) * old[l] + sigmoid(i[l]) * tanh(cand[l]));
-                out[l] = bf16_round(sigmoid(o[l]) * tanh(cell[l]));
+    const { assert!(W == NR, "the LSTM step runs NR units a block") };
+    let blocks = hidden.div_ceil(NR);
+    let sample = 4 * hidden * steps;
+    assert!(steps > 0, "an LSTM needs at least one timestep");
+    assert_eq!(wh.len(), blocks * 4 * NR * hidden, "lstm recurrent panels");
+    assert_eq!(partials.len(), batch * sample, "lstm partials length");
+    assert_eq!(state.len(), 3 * batch * hidden, "lstm state length");
+    assert_eq!(out.len(), batch * hidden, "lstm output length");
+    let panels = wh.as_chunks::<NR>().0;
+    let (c, hs) = state.split_at_mut(batch * hidden);
+    let (mut h, mut next) = hs.split_at_mut(batch * hidden);
+    c.fill(0.0);
+    h.fill(0.0);
+    // Step-major: the samples of one step are independent chains, so the
+    // CPU overlaps them where one sample's steps would wait on each other.
+    for t in 0..steps {
+        for (s, xw) in partials.chunks_exact(sample).enumerate() {
+            let step = LstmStep {
+                panels,
+                xw: &xw[t * 4 * hidden..][..4 * hidden],
+                hidden,
+            };
+            let at = s * hidden..(s + 1) * hidden;
+            let (c, h, next) = (&mut c[at.clone()], &h[at.clone()], &mut next[at]);
+            for b in 0..blocks {
+                step.block(b, c, h, next);
             }
-            store_lanes(cs, &cell, |v| v);
-            store_lanes(&mut hs[j0..][..live], &out, |v| v);
         }
+        std::mem::swap(&mut h, &mut next);
+    }
+    out.copy_from_slice(h);
+}
+
+/// One timestep of one sample in [`lstm_steps`]: its partials `xw`
+/// (`[4 * hidden]`, the step's row) against the recurrent panels.
+struct LstmStep<'a> {
+    panels: &'a [[f32; NR]],
+    xw: &'a [f32],
+    hidden: usize,
+}
+
+impl LstmStep<'_> {
+    /// Gate `q`'s words for unit block `b`, one per column `j`.
+    #[inline(always)]
+    fn words(&self, b: usize, q: usize) -> &[[f32; NR]] {
+        &self.panels[(4 * b + q) * self.hidden..][..self.hidden]
+    }
+
+    /// Units `b * NR..` (block `b`): the four gates from the partials
+    /// through `W_h h` into the cell; `c` is updated in place and the new
+    /// `h` written to `next`.
+    #[inline(always)]
+    fn block(&self, b: usize, c: &mut [f32], h: &[f32], next: &mut [f32]) {
+        let (j0, hidden) = (b * NR, self.hidden);
+        let live = NR.min(hidden - j0);
+        let mut gates: [[f32; NR]; 4] = each([0.0; NR], |q| {
+            load_lanes(&self.xw[q * hidden + j0..][..live])
+        });
+        let words: [_; 4] = each(&[][..], |q| self.words(b, q));
+        row_tail_tile(&mut gates, h, |q, j| words[q][j]);
+        let [i, f, g, o] = gates;
+        let old = load_lanes::<NR>(&c[j0..][..live]);
+        let (mut cell, mut out) = ([0.0; NR], [0.0; NR]);
+        for l in 0..NR {
+            cell[l] = bf16_round(sigmoid(f[l]) * old[l] + sigmoid(i[l]) * tanh(g[l]));
+            out[l] = bf16_round(sigmoid(o[l]) * tanh(cell[l]));
+        }
+        store_lanes(&mut c[j0..][..live], &cell, Store::Exact);
+        store_lanes(&mut next[j0..][..live], &out, Store::Exact);
     }
 }
 
@@ -712,10 +873,11 @@ instances! {
     /// only the channels left), whose weights are the broadcast inputs, then
     /// run all `in_c * kh * kw` taps with their accumulators in registers.
     /// Per output element the accumulation order is exactly the GEMM's:
-    /// seeded with the bias, taps in increasing `(ic, ky, kx)` order, rounded
-    /// once at the end. Padded taps read the staged zeros and add
-    /// `weight * 0.0`, exactly as the GEMM multiplies the patch matrix's
-    /// materialized zeros.
+    /// seeded with the bias, taps in increasing `(ic, ky, kx)` order, and
+    /// stored once as `post` says (BF16-rounded, and activated where the
+    /// layer is), as [`gemm_packed`] stores.
+    /// Padded taps read the staged zeros and add `weight * 0.0`, exactly as
+    /// the GEMM multiplies the patch matrix's materialized zeros.
     ///
     /// `a` is the row-major `[out_c, in_c * kh * kw]` kernel matrix; `x` is one
     /// `[in_c, h, w]` sample; `stage` is a workspace of
@@ -731,6 +893,7 @@ instances! {
         bias: &[f32],
         x: &[f32],
         stage: &mut [f32],
+        post: Store,
         out: &mut [f32],
     ) => conv2d_direct_body;
     // More than `NR` positions, with no division: `out` is `[out_c, oh * ow]`.
@@ -747,6 +910,7 @@ fn conv2d_direct_body<const W: usize>(
     bias: &[f32],
     x: &[f32],
     stage: &mut [f32],
+    post: Store,
     out: &mut [f32],
 ) {
     let DirectConv {
@@ -782,14 +946,14 @@ fn conv2d_direct_body<const W: usize>(
                     x: &x[p0 - ph * w..],
                     conv,
                 };
-                direct_tiles::<W>(a, bias, &taps, p0, positions, out);
+                direct_tiles::<W>(a, bias, &taps, p0, positions, post, out);
                 continue;
             }
             shifted_words(conv, x, p0, positions, words);
         } else {
             gathered_words(conv, ow, x, &mut next, W.min(positions - p0), words);
         }
-        direct_tiles(a, bias, &Staged(&*words), p0, positions, out);
+        direct_tiles(a, bias, &Staged(&*words), p0, positions, post, out);
     }
 }
 
@@ -1016,29 +1180,31 @@ fn direct_tiles<const W: usize>(
     taps: &impl Taps<W>,
     p0: usize,
     positions: usize,
+    post: Store,
     out: &mut [f32],
 ) {
     let out_c = bias.len();
     for oc0 in (0..out_c).step_by(MR) {
+        let at = (oc0, p0, positions);
         match out_c - oc0 {
-            1 => direct_tile::<1, W>(a, bias, taps, oc0, p0, positions, out),
-            2 => direct_tile::<2, W>(a, bias, taps, oc0, p0, positions, out),
-            3 => direct_tile::<3, W>(a, bias, taps, oc0, p0, positions, out),
-            _ => direct_tile::<MR, W>(a, bias, taps, oc0, p0, positions, out),
+            1 => direct_tile::<1, W>(a, bias, taps, at, post, out),
+            2 => direct_tile::<2, W>(a, bias, taps, at, post, out),
+            3 => direct_tile::<3, W>(a, bias, taps, at, post, out),
+            _ => direct_tile::<MR, W>(a, bias, taps, at, post, out),
         }
     }
 }
 
 /// Output channels `oc0..oc0 + C` of [`conv2d_direct_bf16`] at positions
-/// `p0..p0 + W`, seeded with the bias and rounded once.
+/// `p0..p0 + W` (of `positions`), seeded with the bias and stored once as
+/// `post` of the sum.
 #[inline(always)]
 fn direct_tile<const C: usize, const W: usize>(
     a: &[f32],
     bias: &[f32],
     taps: &impl Taps<W>,
-    oc0: usize,
-    p0: usize,
-    positions: usize,
+    (oc0, p0, positions): (usize, usize, usize),
+    post: Store,
     out: &mut [f32],
 ) {
     let k = taps.len();
@@ -1048,7 +1214,7 @@ fn direct_tile<const C: usize, const W: usize>(
     let valid = W.min(positions - p0);
     for (c, lanes) in acc.iter().enumerate() {
         let dst = &mut out[(oc0 + c) * positions + p0..][..valid];
-        store_lanes(dst, lanes, bf16_round);
+        store_lanes(dst, lanes, post);
     }
 }
 
@@ -1279,7 +1445,7 @@ impl AttentionHead<'_> {
             let valid = NR.min(self.d_head - c0);
             for (c, chain) in chains.iter().enumerate() {
                 let dst = &mut context[(q0 + c) * d + self.off + c0..][..valid];
-                store_lanes(dst, chain, |v| v);
+                store_lanes(dst, chain, Store::Exact);
             }
         }
     }
@@ -1534,7 +1700,7 @@ mod tests {
             Some(bias),
             rows,
             n,
-            bf16_round,
+            Store::Bf16,
             &mut out,
             (n, 1),
         );
@@ -1560,7 +1726,7 @@ mod tests {
             Some(bias),
             n,
             m,
-            bf16_round,
+            Store::Bf16,
             &mut out,
             (1, n),
         );
@@ -1627,52 +1793,6 @@ mod tests {
     }
 
     #[test]
-    fn lstm_gates_match_scalar_loop() {
-        let (input, hidden, batch) = (5usize, 3usize, 4usize); // 4*hidden = 12
-        let n = 4 * hidden;
-        let wx: Vec<f32> = (0..n * input).map(|i| (i as f32 * 0.7).sin()).collect();
-        let wh: Vec<f32> = (0..n * hidden).map(|i| (i as f32 * 1.3).cos()).collect();
-        let bias: Vec<f32> = (0..n).map(|i| i as f32 * 0.05).collect();
-        let (mut pwx, mut pwh) = (Vec::new(), Vec::new());
-        pack_bt_panels(&wx, n, input, &mut pwx);
-        pack_bt_panels(&wh, n, hidden, &mut pwh);
-        // Sample-major [batch, steps=2, input]; read timestep 1.
-        let steps = 2usize;
-        let x: Vec<f32> = (0..batch * steps * input)
-            .map(|i| (i as f32 * 0.11).sin())
-            .collect();
-        let h: Vec<f32> = (0..batch * hidden).map(|i| 0.1 * i as f32).collect();
-        let mut gates = vec![0.0; batch * n];
-        lstm_gates_packed_batch(
-            &pwx,
-            &pwh,
-            &bias,
-            &x,
-            input,
-            steps * input,
-            &h,
-            batch,
-            input,
-            hidden,
-            &mut gates,
-        );
-        for s in 0..batch {
-            let xt = &x[s * steps * input + input..][..input];
-            let hs = &h[s * hidden..][..hidden];
-            for g in 0..n {
-                let mut acc = bias[g];
-                for i in 0..input {
-                    acc += wx[g * input + i] * xt[i];
-                }
-                for j in 0..hidden {
-                    acc += wh[g * hidden + j] * hs[j];
-                }
-                assert_eq!(gates[s * n + g], acc, "sample {s} gate {g}");
-            }
-        }
-    }
-
-    #[test]
     fn direct_conv_padded_taps_add_signed_zeros_like_the_gemm() {
         // Same-padded (3, 1) kernel over an all-zero input with a -0.0
         // bias: every product is a signed zero, so the output's sign bit
@@ -1707,7 +1827,7 @@ mod tests {
             for (x, signed_zeros) in [(&zeros, true), (&random, false)] {
                 let mut stage = vec![f32::NAN; conv2d_direct_stage_len(in_c, kh, 1)];
                 let mut got = vec![f32::NAN; out_c * positions];
-                conv2d_direct_bf16(shape, &kern, &bias, x, &mut stage, &mut got);
+                conv2d_direct_bf16(shape, &kern, &bias, x, &mut stage, Store::Bf16, &mut got);
                 let mut patches = vec![f32::NAN; positions * k];
                 im2col(x, in_c, h, w, kh, 1, (1, 1), (ph, 0), h, w, &mut patches);
                 let want = packed_gemm_bt(&kern, &patches, &bias, out_c, positions, k);
@@ -1852,15 +1972,19 @@ mod tests {
     }
 
     #[test]
-    fn lstm_cell_instances_match_the_scalar_loops() {
-        // Hidden widths below, at and across one and two blocks of either
-        // width, with every tail; one to three samples. Gates draw NaN,
+    fn lstm_step_instances_match_the_scalar_loops() {
+        // Hidden widths below, at and across one and two unit blocks,
+        // with every tail; every sweep width a streamed
+        // tail runs at; one to eight steps. The partials come from the
+        // input half as the layer runs it: one GEMM over every sample's
+        // sequence-major rows, stored unrounded. The inputs draw NaN,
         // the infinities, signed zeros and ±100 among ordinary values, so
-        // a lane reading the wrong gate, unit or sample shows in the bits.
-        // Rust leaves the sign and payload of a NaN that arithmetic makes
-        // unspecified (vector and scalar code differ in it), so every NaN
-        // counts as one value. The entry runs this CPU's instance, the
-        // body both widths compiled for the baseline.
+        // the gates reach every special value and a lane reading the wrong
+        // gate, unit, step or sample shows in the bits. Rust leaves the
+        // sign and payload of a NaN that arithmetic makes unspecified
+        // (vector and scalar code differ in it), so every NaN counts as
+        // one value. The entry runs this CPU's instance, the body both
+        // widths compiled for the baseline.
         let bits = |v: &[f32]| -> Vec<u32> {
             v.iter()
                 .map(|f| if f.is_nan() { f32::NAN } else { *f }.to_bits())
@@ -1877,42 +2001,84 @@ mod tests {
         ];
         let mut rng = StdRng::seed_from_u64(0x157c);
         for _ in 0..200 {
-            let (hidden, batch) = (rng.gen_range(1..=20usize), rng.gen_range(1..=3usize));
-            let mut draw = |len: usize, scale: f32| -> Vec<f32> {
+            let (hidden, input) = (rng.gen_range(1..=20usize), rng.gen_range(1..=16usize));
+            let batch = rng.gen_range(1..=crate::stream::MAX_SWEEP);
+            let steps = rng.gen_range(1..=8usize);
+            let n = 4 * hidden;
+            let mut draw = |len: usize, scale: f32, special: bool| -> Vec<f32> {
                 (0..len)
-                    .map(|_| match rng.gen_range(0..4u32) {
-                        0 => specials[rng.gen_range(0..specials.len())],
+                    .map(|_| match rng.gen_range(0..16u32) {
+                        0 if special => specials[rng.gen_range(0..specials.len())],
                         _ => rng.gen_range(-scale..=scale),
                     })
                     .collect()
             };
-            let gates = draw(batch * 4 * hidden, 6.0);
-            let (c0, h0) = (draw(batch * hidden, 2.0), draw(batch * hidden, 1.0));
-            let (mut c_want, mut h_want) = (c0.clone(), h0.clone());
-            for s in 0..batch {
-                let g = &gates[s * 4 * hidden..][..4 * hidden];
-                for j in 0..hidden {
-                    let at = s * hidden + j;
-                    let i_g = crate::math::sigmoid(g[j]);
-                    let f_g = crate::math::sigmoid(g[hidden + j]);
-                    let g_g = crate::math::tanh(g[2 * hidden + j]);
-                    let o_g = crate::math::sigmoid(g[3 * hidden + j]);
-                    c_want[at] = bf16_round(f_g * c_want[at] + i_g * g_g);
-                    h_want[at] = bf16_round(o_g * crate::math::tanh(c_want[at]));
+            let (wx, wh, bias) = (
+                draw(n * input, 1.0, false),
+                draw(n * hidden, 1.0, false),
+                draw(n, 1.0, false),
+            );
+            // Sequence-major `[batch, steps, input]`.
+            let x = draw(batch * steps * input, 2.0, true);
+            let (mut h_want, mut c) = (vec![0.0f32; batch * hidden], vec![0.0f32; hidden]);
+            for (s, h_last) in h_want.chunks_exact_mut(hidden).enumerate() {
+                let xs = &x[s * steps * input..][..steps * input];
+                let mut h = vec![0.0f32; hidden];
+                c.fill(0.0);
+                for t in 0..steps {
+                    let gates: Vec<f32> = (0..n)
+                        .map(|g| {
+                            let mut acc = bias[g];
+                            for i in 0..input {
+                                acc += wx[g * input + i] * xs[t * input + i];
+                            }
+                            for j in 0..hidden {
+                                acc += wh[g * hidden + j] * h[j];
+                            }
+                            acc
+                        })
+                        .collect();
+                    for j in 0..hidden {
+                        let i_g = crate::math::sigmoid(gates[j]);
+                        let f_g = crate::math::sigmoid(gates[hidden + j]);
+                        let g_g = crate::math::tanh(gates[2 * hidden + j]);
+                        let o_g = crate::math::sigmoid(gates[3 * hidden + j]);
+                        c[j] = bf16_round(f_g * c[j] + i_g * g_g);
+                        h[j] = bf16_round(o_g * crate::math::tanh(c[j]));
+                    }
                 }
+                h_last.copy_from_slice(&h);
             }
-            let want = (bits(&c_want), bits(&h_want));
-            type Step = fn(&[f32], &mut [f32], &mut [f32], usize, usize);
-            let run = |step: Step| {
-                let (mut c, mut h) = (c0.clone(), h0.clone());
-                step(&gates, &mut c, &mut h, batch, hidden);
-                (bits(&c), bits(&h))
+            let mut pwx = Vec::new();
+            pack_bt_panels(&wx, n, input, &mut pwx);
+            let mut partials = vec![f32::NAN; batch * steps * n];
+            let segs = [Segment::packed(&pwx, input, &x, input)];
+            let rows = batch * steps;
+            gemm_packed(
+                segs,
+                Some(&bias),
+                rows,
+                n,
+                Store::Exact,
+                &mut partials,
+                (n, 1),
+            );
+            let (rows, m) = lstm_recurrent_rows(&wh, hidden);
+            let mut panels = Vec::new();
+            pack_bt_panels(&rows, m, hidden, &mut panels);
+            type Steps = fn(&[f32], &[f32], usize, usize, usize, &mut [f32], &mut [f32]);
+            let run = |sweep: Steps| {
+                let mut state = vec![f32::NAN; 3 * batch * hidden];
+                let mut out = vec![f32::NAN; batch * hidden];
+                sweep(
+                    &panels, &partials, batch, steps, hidden, &mut state, &mut out,
+                );
+                bits(&out)
             };
-            let shape = format!("hidden={hidden} batch={batch}");
-            assert_eq!(run(lstm_cell), want, "{shape}: {} entry", tile_isa());
-            assert_eq!(run(lstm_cell_body::<NR>), want, "{shape}: portable");
-            let paired = run(lstm_cell_body::<{ 2 * NR }>);
-            assert_eq!(paired, want, "{shape}: portable paired");
+            let want = bits(&h_want);
+            let shape = format!("hidden={hidden} input={input} batch={batch} steps={steps}");
+            assert_eq!(run(lstm_steps), want, "{shape}: {} entry", tile_isa());
+            assert_eq!(run(lstm_steps_body::<NR>), want, "{shape}: portable");
         }
     }
 
@@ -2009,16 +2175,16 @@ mod tests {
         let bias = case.bias.as_deref();
         let mut entry = vec![f32::NAN; rows * n];
         let segs = case.segments::<S>();
-        gemm_packed(segs, bias, rows, n, bf16_round, &mut entry, case.strides);
+        gemm_packed(segs, bias, rows, n, Store::Bf16, &mut entry, case.strides);
         let mut body = vec![f32::NAN; rows * n];
-        gemm_packed_body::<S, NR>(segs, bias, rows, n, bf16_round, &mut body, case.strides);
+        gemm_packed_body::<S, NR>(segs, bias, rows, n, Store::Bf16, &mut body, case.strides);
         let mut paired = vec![f32::NAN; rows * n];
         gemm_packed_body::<S, { 2 * NR }>(
             segs,
             bias,
             rows,
             n,
-            bf16_round,
+            Store::Bf16,
             &mut paired,
             case.strides,
         );
@@ -2095,11 +2261,11 @@ mod tests {
                 out_c,
             };
             let (oh, ow) = conv.output_hw();
-            type Sweep = fn(DirectConv, &[f32], &[f32], &[f32], &mut [f32], &mut [f32]);
+            type Sweep = fn(DirectConv, &[f32], &[f32], &[f32], &mut [f32], Store, &mut [f32]);
             let run = |sweep: Sweep| {
                 let mut stage = vec![f32::NAN; conv2d_direct_stage_len(in_c, kh, kw)];
                 let mut out = vec![f32::NAN; out_c * oh * ow];
-                sweep(conv, &kern, &bias, &x, &mut stage, &mut out);
+                sweep(conv, &kern, &bias, &x, &mut stage, Store::Bf16, &mut out);
                 bits(&out)
             };
             let entry = run(conv2d_direct_bf16);

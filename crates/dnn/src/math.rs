@@ -12,9 +12,9 @@
 //! whatever its value.
 //!
 //! `exp` also has an in-place slice form, [`exp_slice`], whose loop
-//! vectorises (the three-class head's softmax runs it); `tanh` and
-//! `sigmoid` run lane by lane inside the LSTM cell pass
-//! (`kernels::lstm_cell`). Either way an element is bit for bit the
+//! vectorises (TransLOB's three-class head's softmax runs it); `tanh` and
+//! `sigmoid` run lane by lane inside the LSTM step pass
+//! (`kernels::lstm_steps`). Either way an element is bit for bit the
 //! scalar function of it, so a packed path and a reference running the
 //! scalars agree `to_bits`.
 //!
@@ -216,8 +216,8 @@ mod tests {
 
     /// `exp_slice` is `exp` element by element at every vector tail. The
     /// LSTM cell's sigmoid and tanh run lane by lane in
-    /// `kernels::lstm_cell`, whose instances
-    /// `kernels::tests::lstm_cell_instances_match_the_scalar_loops` checks
+    /// `kernels::lstm_steps`, whose instances
+    /// `kernels::tests::lstm_step_instances_match_the_scalar_loops` checks
     /// against these scalars.
     #[test]
     fn slices_match_the_scalars_at_every_length() {

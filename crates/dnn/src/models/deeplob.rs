@@ -8,8 +8,9 @@
 //! 515.4 G OPs.
 
 use crate::batch::PackedWeights;
+use crate::kernels::Store;
 use crate::model::{Model, ModelKind, Prediction};
-use crate::ops::activation::{leaky_relu, leaky_relu_slice, softmax_last_dim, softmax_rows};
+use crate::ops::activation::{leaky_relu, softmax_last_dim};
 use crate::ops::count::{conv2d_macs, linear_macs, lstm_macs, macs_to_ops};
 use crate::ops::{Conv2d, Linear, Lstm};
 use crate::scratch::ScratchPad;
@@ -33,6 +34,8 @@ pub struct DeepLobSpec {
 const KERNEL_T: usize = 4;
 /// LeakyReLU slope used throughout (as in the DeepLOB paper).
 const LEAK: f32 = 0.01;
+/// Every convolution's store: its leaky ReLU of the BF16-rounded sum.
+const ACT: Store = Store::LeakyRelu(LEAK);
 /// Temporal shrinkage across the whole trunk: six valid k=4 convolutions.
 const TRUNK_SHRINK: usize = 6 * (KERNEL_T - 1);
 
@@ -130,10 +133,12 @@ impl DeepLobSpec {
             b3a: conv(c, c, 1, 10, 1, (0, 0), 6),
             b3b: conv(c, c, KERNEL_T, 1, 1, (0, 0), 7),
             b3c: conv(c, c, KERNEL_T, 1, 1, (0, 0), 8),
-            inc1: conv(c, c, 1, 1, 1, (0, 0), 9),
-            inc2a: conv(c, c, 1, 1, 1, (0, 0), 10),
+            inc_1x1: Conv2d::stacked(&[
+                conv(c, c, 1, 1, 1, (0, 0), 9),
+                conv(c, c, 1, 1, 1, (0, 0), 10),
+                conv(c, c, 1, 1, 1, (0, 0), 12),
+            ]),
             inc2b: conv(c, c, 3, 1, 1, (1, 0), 11),
-            inc3a: conv(c, c, 1, 1, 1, (0, 0), 12),
             inc3b: conv(c, c, 5, 1, 1, (2, 0), 13),
             lstm: Lstm::new(3 * c, self.lstm_hidden, seed.wrapping_add(14)),
             fc: Linear::new(self.lstm_hidden, 3, seed.wrapping_add(15)),
@@ -155,10 +160,11 @@ pub struct DeepLob {
     b3a: Conv2d,
     b3b: Conv2d,
     b3c: Conv2d,
-    inc1: Conv2d,
-    inc2a: Conv2d,
+    /// The inception's three 1x1 convolutions (its first branch, and the
+    /// second's and third's first layers), stacked into one of `3 * C`
+    /// output channels in that order.
+    inc_1x1: Conv2d,
     inc2b: Conv2d,
-    inc3a: Conv2d,
     inc3b: Conv2d,
     lstm: Lstm,
     fc: Linear,
@@ -200,12 +206,18 @@ impl DeepLob {
         let x = Self::conv_act_reference(&self.b3a, &x);
         let x = Self::conv_act_reference(&self.b3b, &x);
         let x = Self::conv_act_reference(&self.b3c, &x);
-        // Inception over [C, steps, 1].
-        let br1 = Self::conv_act_reference(&self.inc1, &x);
-        let br2 = Self::conv_act_reference(&self.inc2b, &Self::conv_act_reference(&self.inc2a, &x));
-        let br3 = Self::conv_act_reference(&self.inc3b, &Self::conv_act_reference(&self.inc3a, &x));
+        // Inception over [C, steps, 1]: the stacked 1x1 convolutions' three
+        // thirds are the first branch and the other two's inputs.
         let c = self.spec.channels;
         let steps = self.spec.lstm_steps();
+        let ones = Self::conv_act_reference(&self.inc_1x1, &x);
+        let third = |i: usize| {
+            let part = ones.data()[i * c * steps..][..c * steps].to_vec();
+            Tensor::from_vec(part, &[c, steps, 1])
+        };
+        let br1 = third(0);
+        let br2 = Self::conv_act_reference(&self.inc2b, &third(1));
+        let br3 = Self::conv_act_reference(&self.inc3b, &third(2));
         // Concatenate channels and flip to sequence-major [steps, 3C].
         let mut seq = Tensor::zeros(&[steps, 3 * c]);
         for s in 0..steps {
@@ -259,9 +271,9 @@ impl DeepLob {
             }
             let (oh, ow) = conv.output_hw(h, w);
             let mut nxt = pad.take_dirty(batch * c * oh * ow);
-            conv.forward_batch_packed(&cur, batch, h, w, packed.panel(idx), pad, &mut nxt);
+            let panel = packed.panel(idx);
+            conv.forward_batch_packed(&cur, batch, h, w, panel, pad, ACT, &mut nxt);
             pad.give(cur);
-            leaky_relu_slice(&mut nxt, LEAK);
             cur = nxt;
             (h, w) = (oh, ow);
         }
@@ -276,6 +288,10 @@ impl DeepLob {
     /// Everything after the trunk — inception, LSTM, dense head, softmax —
     /// over the trunk's `[batch, C, steps]` output, pushing one
     /// prediction per sample.
+    ///
+    /// The inception's three 1x1 convolutions are one call, `[batch, 3C,
+    /// steps]`: its first third is the first branch, and the same-padded
+    /// 3x1 and 5x1 convolutions read the other two, sample by sample.
     fn tail(
         &self,
         trunk_out: &[f32],
@@ -284,68 +300,59 @@ impl DeepLob {
         pad: &mut ScratchPad,
         out: &mut Vec<Prediction>,
     ) {
-        let c = self.spec.channels;
-        // Inception over [C, steps, 1]; same-padded branches keep shape.
-        let steps = self.spec.lstm_steps();
-        let act_len = batch * c * steps;
-        let inc = |conv: &Conv2d, idx: usize, x: &[f32], y: &mut [f32], pad: &mut ScratchPad| {
-            conv.forward_batch_packed(x, batch, steps, 1, packed.panel(idx), pad, y);
-            leaky_relu_slice(y, LEAK);
-        };
-        let mut br1 = pad.take_dirty(act_len);
-        inc(&self.inc1, 9, trunk_out, &mut br1, pad);
-        let mut mid = pad.take_dirty(act_len);
-        inc(&self.inc2a, 10, trunk_out, &mut mid, pad);
-        let mut br2 = pad.take_dirty(act_len);
-        inc(&self.inc2b, 11, &mid, &mut br2, pad);
-        inc(&self.inc3a, 12, trunk_out, &mut mid, pad);
-        let mut br3 = pad.take_dirty(act_len);
-        inc(&self.inc3b, 13, &mid, &mut br3, pad);
-        pad.give(mid);
-        // Concatenate channels and flip to sequence-major [steps, 3C]
-        // per sample. Branch layout is [C, steps, 1] row-major, so
-        // channel `ch` at step `st` lives at flat index `ch * steps + st`.
-        let mut seq = pad.take_dirty(batch * steps * 3 * c);
-        for s in 0..batch {
-            let (d1, d2, d3) = (
-                &br1[s * c * steps..(s + 1) * c * steps],
-                &br2[s * c * steps..(s + 1) * c * steps],
-                &br3[s * c * steps..(s + 1) * c * steps],
-            );
-            let sample = &mut seq[s * steps * 3 * c..(s + 1) * steps * 3 * c];
-            for st in 0..steps {
-                let row = &mut sample[st * 3 * c..(st + 1) * 3 * c];
-                for ch in 0..c {
-                    row[ch] = d1[ch * steps + st];
-                    row[c + ch] = d2[ch * steps + st];
-                    row[2 * c + ch] = d3[ch * steps + st];
+        let (c, steps) = (self.spec.channels, self.spec.lstm_steps());
+        let third = c * steps;
+        // One draw from the pad, cut into every buffer below; each is fully
+        // overwritten before it is read.
+        let sizes = [
+            batch * 3 * third,
+            batch * 2 * third,
+            self.inc3b.stage_len(),
+            batch * steps * 3 * c,
+            batch * self.lstm.hidden_dim(),
+        ];
+        let mut work = pad.take_dirty(sizes.iter().sum());
+        let (ones, rest) = work.split_at_mut(sizes[0]);
+        let (later, rest) = rest.split_at_mut(sizes[1]);
+        let (stage, rest) = rest.split_at_mut(sizes[2]);
+        let (seq, hidden) = rest.split_at_mut(sizes[3]);
+        let panel = packed.panel(9);
+        let inc = &self.inc_1x1;
+        inc.forward_batch_packed(trunk_out, batch, steps, 1, panel, pad, ACT, ones);
+        let (b2, b3) = (self.inc2b.direct(steps, 1), self.inc3b.direct(steps, 1));
+        let stage2 = self.inc2b.stage_len();
+        for (src, dst) in ones
+            .chunks_exact(3 * third)
+            .zip(later.chunks_exact_mut(2 * third))
+        {
+            let (br2, br3) = dst.split_at_mut(third);
+            let (mid2, mid3) = (&src[third..2 * third], &src[2 * third..]);
+            self.inc2b
+                .forward_direct(b2, mid2, &mut stage[..stage2], ACT, br2);
+            self.inc3b.forward_direct(b3, mid3, stage, ACT, br3);
+        }
+        // Concatenate the branches' channels and flip to sequence-major
+        // `[steps, 3C]` per sample: channel `ch` at step `st` lives at
+        // `ch * steps + st` of its branch's `[C, steps]` map.
+        let branches = ones
+            .chunks_exact(3 * third)
+            .zip(later.chunks_exact(2 * third));
+        for (sample, (first, rest)) in seq.chunks_exact_mut(steps * 3 * c).zip(branches) {
+            for (st, row) in sample.chunks_exact_mut(3 * c).enumerate() {
+                let (br1, rest_row) = row.split_at_mut(c);
+                for (ch, v) in br1.iter_mut().enumerate() {
+                    *v = first[ch * steps + st];
+                }
+                for (ch, v) in rest_row.iter_mut().enumerate() {
+                    *v = rest[ch * steps + st];
                 }
             }
         }
-        pad.give(br1);
-        pad.give(br2);
-        pad.give(br3);
-        let h_dim = self.lstm.hidden_dim();
-        let mut hidden = pad.take_dirty(batch * h_dim);
-        self.lstm.last_hidden_batch_packed(
-            &seq,
-            batch,
-            steps,
-            packed.panel(14),
-            packed.panel(15),
-            pad,
-            &mut hidden,
-        );
-        pad.give(seq);
-        let mut logits = pad.take_dirty(batch * 3);
-        self.fc
-            .forward_batch_packed(&hidden, batch, packed.panel(16), &mut logits);
-        pad.give(hidden);
-        softmax_rows(&mut logits, batch, 3);
-        for row in logits.chunks_exact(3) {
-            out.push(Prediction::new([row[0], row[1], row[2]]));
-        }
-        pad.give(logits);
+        let (wx, wh) = (packed.panel(10), packed.panel(11));
+        self.lstm
+            .last_hidden_batch_packed(seq, batch, steps, wx, wh, pad, hidden);
+        self.fc.softmax_head(hidden, batch, out);
+        pad.give(work);
     }
 }
 
@@ -362,23 +369,16 @@ impl Model for DeepLob {
         self.spec.features
     }
 
-    /// Panel order: the nine trunk convolutions, the five inception
-    /// convolutions, `lstm.wx`, `lstm.wh`, `fc`.
+    /// Panel order: the nine trunk convolutions, the inception's stacked
+    /// 1x1 convolutions, `lstm.wx`, `lstm.wh`. The same-padded branches
+    /// (direct convolutions) and the head read their weights unpacked.
     fn pack_weights(&self) -> PackedWeights {
         let mut pw = PackedWeights::new(self.kind());
-        let inception = [
-            &self.inc1,
-            &self.inc2a,
-            &self.inc2b,
-            &self.inc3a,
-            &self.inc3b,
-        ];
-        for conv in self.trunk().into_iter().chain(inception) {
+        for conv in self.trunk().into_iter().chain([&self.inc_1x1]) {
             pw.push(conv.pack());
         }
         pw.push(self.lstm.pack_wx());
         pw.push(self.lstm.pack_wh());
-        pw.push(self.fc.pack());
         pw
     }
 
@@ -413,11 +413,10 @@ impl Model for DeepLob {
             self.forward_windows(inputs, Some(&mut *lines), packed, pad, out);
         }
         if !rows.is_empty() {
-            let act = |x: &mut [f32]| leaky_relu_slice(x, LEAK);
             let tail = |trunk_out: &[f32], k: usize, pad: &mut ScratchPad| {
                 self.tail(trunk_out, k, packed, pad, out)
             };
-            advance_trunk(lines, self.trunk(), act, rows, packed, pad, tail);
+            advance_trunk(lines, self.trunk(), ACT, rows, packed, pad, tail);
         }
     }
 
@@ -462,10 +461,8 @@ mod tests {
             + m.b3a.macs(t - 12, 10)
             + m.b3b.macs(t - 12, 1)
             + m.b3c.macs(t - 15, 1)
-            + m.inc1.macs(t - 18, 1)
-            + m.inc2a.macs(t - 18, 1)
+            + m.inc_1x1.macs(t - 18, 1)
             + m.inc2b.macs(t - 18, 1)
-            + m.inc3a.macs(t - 18, 1)
             + m.inc3b.macs(t - 18, 1)
             + m.lstm.macs(spec.lstm_steps() as u64)
             + m.fc.macs(1);

@@ -7,8 +7,9 @@
 //! precedes mean pooling and the three-way softmax head.
 
 use crate::batch::PackedWeights;
+use crate::kernels::Store;
 use crate::model::{Model, ModelKind, Prediction};
-use crate::ops::activation::{relu, relu_slice, softmax_last_dim, softmax_rows};
+use crate::ops::activation::{relu, softmax_last_dim};
 use crate::ops::count::{attention_macs, conv2d_macs, ffn_macs, linear_macs, macs_to_ops};
 use crate::ops::{Conv2d, LayerNorm, Linear, MultiHeadAttention};
 use crate::scratch::ScratchPad;
@@ -198,12 +199,21 @@ impl TransformerBlock {
         // x = x + ffn(ln2(x))
         self.ln2.forward_rows(tokens, &mut norm);
         let mut hidden = pad.take_dirty(rows * self.ffn1.output_dim());
-        self.ffn1
-            .forward_batch_packed(&norm, rows, packed.panel(base + 4), &mut hidden);
+        self.ffn1.forward_batch_packed(
+            &norm,
+            rows,
+            packed.panel(base + 4),
+            Store::Relu,
+            &mut hidden,
+        );
         pad.give(norm);
-        relu_slice(&mut hidden);
-        self.ffn2
-            .forward_batch_packed(&hidden, rows, packed.panel(base + 5), &mut delta);
+        self.ffn2.forward_batch_packed(
+            &hidden,
+            rows,
+            packed.panel(base + 5),
+            Store::Bf16,
+            &mut delta,
+        );
         pad.give(hidden);
         for (v, add) in tokens.iter_mut().zip(&delta) {
             *v += add;
@@ -302,15 +312,15 @@ impl Model for TransLob {
         self.spec.features
     }
 
-    /// Panel order: the five front-end convolutions, `proj`, `head`,
-    /// then each transformer block's [`BLOCK_PANELS`] operands.
+    /// Panel order: the five front-end convolutions, `proj`, then each
+    /// transformer block's [`BLOCK_PANELS`] operands. The three-class
+    /// `head` runs unpacked ([`Linear::softmax_head`]).
     fn pack_weights(&self) -> PackedWeights {
         let mut pw = PackedWeights::new(self.kind());
         for conv in &self.convs {
             pw.push(conv.pack());
         }
         pw.push(self.proj.pack());
-        pw.push(self.head.pack());
         for block in &self.blocks {
             block.pack_into(&mut pw);
         }
@@ -350,8 +360,8 @@ impl Model for TransLob {
         // Same-padded convolution stack: shape stays [C, T, 1].
         for (idx, conv) in self.convs.iter().enumerate() {
             let mut nxt = pad.take_dirty(batch * c * t);
-            conv.forward_batch_packed(&cur, batch, t, 1, packed.panel(idx), pad, &mut nxt);
-            relu_slice(&mut nxt);
+            let panel = packed.panel(idx);
+            conv.forward_batch_packed(&cur, batch, t, 1, panel, pad, Store::Relu, &mut nxt);
             pad.give(cur);
             cur = nxt;
         }
@@ -371,8 +381,13 @@ impl Model for TransLob {
         pad.give(cur);
         // Project every token of every sample in one row-wise sweep.
         let mut tokens = pad.take_dirty(batch * t * d);
-        self.proj
-            .forward_batch_packed(&seq, batch * t, packed.panel(CONV_LAYERS), &mut tokens);
+        self.proj.forward_batch_packed(
+            &seq,
+            batch * t,
+            packed.panel(CONV_LAYERS),
+            Store::Bf16,
+            &mut tokens,
+        );
         pad.give(seq);
         for sample in tokens.chunks_exact_mut(t * d) {
             for (v, p) in sample.iter_mut().zip(self.pos.data()) {
@@ -380,7 +395,7 @@ impl Model for TransLob {
             }
         }
         for (l, block) in self.blocks.iter().enumerate() {
-            let base = CONV_LAYERS + 2 + l * BLOCK_PANELS;
+            let base = CONV_LAYERS + 1 + l * BLOCK_PANELS;
             block.forward_batch_packed(&mut tokens, batch, t, packed, base, pad);
         }
         // Mean pool over time. `take` (not `take_dirty`): the pooled
@@ -395,15 +410,8 @@ impl Model for TransLob {
             }
         }
         pad.give(tokens);
-        let mut logits = pad.take_dirty(batch * 3);
-        self.head
-            .forward_batch_packed(&pooled, batch, packed.panel(CONV_LAYERS + 1), &mut logits);
+        self.head.softmax_head(&pooled, batch, out);
         pad.give(pooled);
-        softmax_rows(&mut logits, batch, 3);
-        for row in logits.chunks_exact(3) {
-            out.push(Prediction::new([row[0], row[1], row[2]]));
-        }
-        pad.give(logits);
     }
 
     fn total_macs(&self) -> u64 {

@@ -5,8 +5,9 @@
 //! two dense layers and a three-way softmax.
 
 use crate::batch::PackedWeights;
+use crate::kernels::Store;
 use crate::model::{Model, ModelKind, Prediction};
-use crate::ops::activation::{relu, relu_slice, softmax_last_dim, softmax_rows};
+use crate::ops::activation::{relu, softmax_last_dim};
 use crate::ops::count::{conv2d_macs, linear_macs, macs_to_ops};
 use crate::ops::{Conv2d, Linear};
 use crate::scratch::ScratchPad;
@@ -211,23 +212,38 @@ fn conv_trunk_batch_packed(
         lines[0].prime(&x0, t);
     }
     let mut a1 = pad.take_dirty(batch * c * t1);
-    conv1.forward_batch_packed(&x0, batch, t, f, packed.panel(0), pad, &mut a1);
+    conv1.forward_batch_packed(&x0, batch, t, f, packed.panel(0), pad, Store::Relu, &mut a1);
     pad.give(x0);
-    relu_slice(&mut a1);
     if let Some(lines) = lines.as_deref_mut() {
         lines[1].prime(&a1, t1);
     }
     let mut a2 = pad.take_dirty(batch * c * t2);
-    conv2.forward_batch_packed(&a1, batch, t1, 1, packed.panel(1), pad, &mut a2);
+    conv2.forward_batch_packed(
+        &a1,
+        batch,
+        t1,
+        1,
+        packed.panel(1),
+        pad,
+        Store::Relu,
+        &mut a2,
+    );
     pad.give(a1);
-    relu_slice(&mut a2);
     if let Some(lines) = lines {
         lines[2].prime(&a2, t2);
     }
     let mut a3 = pad.take_dirty(batch * c * t3);
-    conv3.forward_batch_packed(&a2, batch, t2, 1, packed.panel(2), pad, &mut a3);
+    conv3.forward_batch_packed(
+        &a2,
+        batch,
+        t2,
+        1,
+        packed.panel(2),
+        pad,
+        Store::Relu,
+        &mut a3,
+    );
     pad.give(a2);
-    relu_slice(&mut a3);
     a3
 }
 
@@ -272,17 +288,9 @@ impl VanillaCnn {
         // Fully overwritten before it is read, like every buffer below.
         let mut h = pad.take_dirty(batch * self.spec.hidden);
         self.fc1
-            .forward_batch_packed(a3, batch, packed.panel(3), &mut h);
-        relu_slice(&mut h);
-        let mut logits = pad.take_dirty(batch * 3);
-        self.fc2
-            .forward_batch_packed(&h, batch, packed.panel(4), &mut logits);
+            .forward_batch_packed(a3, batch, packed.panel(3), Store::Relu, &mut h);
+        self.fc2.softmax_head(&h, batch, out);
         pad.give(h);
-        softmax_rows(&mut logits, batch, 3);
-        for row in logits.chunks_exact(3) {
-            out.push(Prediction::new([row[0], row[1], row[2]]));
-        }
-        pad.give(logits);
     }
 }
 
@@ -299,14 +307,13 @@ impl Model for VanillaCnn {
         self.spec.features
     }
 
-    /// Panel order: conv1, conv2, conv3, fc1, fc2.
+    /// Panel order: conv1, conv2, conv3, fc1 (the head reads fc2 unpacked).
     fn pack_weights(&self) -> PackedWeights {
         let mut pw = PackedWeights::new(self.kind());
         pw.push(self.conv1.pack());
         pw.push(self.conv2.pack());
         pw.push(self.conv3.pack());
         pw.push(self.fc1.pack());
-        pw.push(self.fc2.pack());
         pw
     }
 
@@ -346,7 +353,7 @@ impl Model for VanillaCnn {
             let tail = |trunk_out: &[f32], k: usize, pad: &mut ScratchPad| {
                 self.tail(trunk_out, k, packed, pad, out)
             };
-            advance_trunk(lines, convs, relu_slice, rows, packed, pad, tail);
+            advance_trunk(lines, convs, Store::Relu, rows, packed, pad, tail);
         }
     }
 

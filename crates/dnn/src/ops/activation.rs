@@ -7,30 +7,37 @@ use crate::tensor::Tensor;
 
 /// ReLU in place.
 pub fn relu(t: &mut Tensor) {
-    relu_slice(t.data_mut());
+    for v in t.data_mut() {
+        *v = relu_of(*v);
+    }
 }
 
-/// [`relu`] over a raw slice (used by the batched forward paths, which
-/// keep activations in flat sample-major buffers).
-///
-/// Written as a select, not a conditional store: the sign of an
+/// ReLU of one value. A select, not a conditional store: the sign of an
 /// activation is data, and a branch on it mispredicts about every other
 /// element on inputs the predictor has not memorised.
-pub fn relu_slice(data: &mut [f32]) {
-    for v in data {
-        *v = if *v < 0.0 { 0.0 } else { *v };
+#[inline(always)]
+pub(crate) fn relu_of(v: f32) -> f32 {
+    if v < 0.0 {
+        0.0
+    } else {
+        v
     }
 }
 
 /// Leaky ReLU in place (DeepLOB uses `alpha = 0.01`).
 pub fn leaky_relu(t: &mut Tensor, alpha: f32) {
-    leaky_relu_slice(t.data_mut(), alpha);
+    for v in t.data_mut() {
+        *v = leaky_relu_of(*v, alpha);
+    }
 }
 
-/// [`leaky_relu`] over a raw slice (a select, like [`relu_slice`]).
-pub fn leaky_relu_slice(data: &mut [f32], alpha: f32) {
-    for v in data {
-        *v = if *v < 0.0 { *v * alpha } else { *v };
+/// Leaky ReLU of one value (a select, like ReLU's).
+#[inline(always)]
+pub(crate) fn leaky_relu_of(v: f32, alpha: f32) -> f32 {
+    if v < 0.0 {
+        v * alpha
+    } else {
+        v
     }
 }
 
@@ -53,10 +60,10 @@ pub fn softmax_last_dim(t: &mut Tensor) {
     softmax_rows(t.data_mut(), rows, cols);
 }
 
-/// [`softmax_last_dim`] over a raw `rows x cols` slice: the three-class
-/// heads' probabilities on the packed path (identical arithmetic).
-/// Attention's row softmax runs inside `kernels::attention_sample`, in
-/// these steps and this order.
+/// [`softmax_last_dim`] over a raw `rows x cols` slice. The three-class
+/// heads' packed path (`Linear::softmax_head`) and attention's row
+/// softmax (inside `kernels::attention_sample`) run these steps in this
+/// order.
 ///
 /// Per row: subtract the max, [`exp_slice`], then sum left to right and
 /// divide. The max and the sum are [`fold_rows`] folds, eight rows to a

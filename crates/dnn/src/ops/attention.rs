@@ -1,7 +1,7 @@
 //! Multi-head self-attention (the TransLOB building block).
 
 use crate::batch::PackedPanels;
-use crate::kernels::{attention_sample, pack_bt_panels, ATTENTION_LANES, NR};
+use crate::kernels::{attention_sample, pack_bt_panels, Store, ATTENTION_LANES, NR};
 use crate::ops::activation::softmax_last_dim;
 use crate::ops::count::attention_macs;
 use crate::ops::expect_rank;
@@ -86,14 +86,16 @@ impl MultiHeadAttention {
         let rows = batch * t;
         let [pq, pk, pv, po] = packed;
         let mut q = pad.take_dirty(rows * d);
-        self.wq.forward_batch_packed(x, rows, pq, &mut q);
+        self.wq
+            .forward_batch_packed(x, rows, pq, Store::Bf16, &mut q);
         let mut k = pad.take_dirty(rows * d);
-        self.wk.forward_batch_packed(x, rows, pk, &mut k);
+        self.wk
+            .forward_batch_packed(x, rows, pk, Store::Bf16, &mut k);
         // A head's last lane block may read past its columns (into the
         // next head's, or this slack); those lanes are never stored.
         let mut v = pad.take_dirty(rows * d + NR);
         self.wv
-            .forward_batch_packed(x, rows, pv, &mut v[..rows * d]);
+            .forward_batch_packed(x, rows, pv, Store::Bf16, &mut v[..rows * d]);
         v[rows * d..].fill(0.0);
         let mut context = pad.take_dirty(rows * d);
         let mut qt = pad.take_dirty(t.div_ceil(NR) * NR * d);
@@ -117,7 +119,8 @@ impl MultiHeadAttention {
         pad.give(q);
         pad.give(k);
         pad.give(v);
-        self.wo.forward_batch_packed(&context, rows, po, out);
+        self.wo
+            .forward_batch_packed(&context, rows, po, Store::Bf16, out);
         pad.give(context);
     }
 

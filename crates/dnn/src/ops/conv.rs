@@ -3,7 +3,7 @@
 use crate::batch::PackedPanels;
 use crate::bf16::bf16_round;
 use crate::kernels::{
-    conv2d_direct_bf16, conv2d_direct_stage_len, gemm_packed, DirectConv, Segment,
+    conv2d_direct_bf16, conv2d_direct_stage_len, gemm_packed, DirectConv, Segment, Store,
 };
 use crate::ops::count::{conv2d_macs, conv_out_len};
 use crate::ops::expect_rank;
@@ -84,16 +84,14 @@ impl Conv2d {
     }
 
     /// Batched convolution over a sample-major `[batch, in_c, h, w]`
-    /// activation block, writing `[batch, out_c, oh * ow]` into `out`.
+    /// activation block, storing each `[batch, out_c, oh * ow]` output's
+    /// sum into `out` as `post` says (BF16-rounded, and activated where the
+    /// layer is: each layer's activation lives in its store).
     ///
-    /// A sample exactly one kernel in size with no padding is its own
-    /// patch row, so the whole batch runs as one GEMM sweep over `x` in
-    /// place. Every other shape runs sample by sample: a kernel as wide as
-    /// a one-channel input (the CNN's first layer) as one GEMM over its
-    /// overlapping patch rows in place, every other kernel through the
-    /// direct register-tile convolution. Each sample is `==` to
-    /// [`Self::forward_reference`] (see [`crate::kernels`] for the
-    /// accumulation-order contract).
+    /// [`Self::lowering`] says how the shape runs, then [`Self::run`] runs
+    /// it, with a workspace from `pad` where the lowering needs one. Each
+    /// sample is `==` to [`Self::forward_reference`] (see
+    /// [`crate::kernels`] for the accumulation-order contract).
     ///
     /// # Panics
     ///
@@ -107,81 +105,166 @@ impl Conv2d {
         w: usize,
         packed: &PackedPanels,
         pad: &mut ScratchPad,
+        post: Store,
         out: &mut [f32],
     ) {
-        let in_c = self.in_channels();
-        let out_c = self.out_channels();
-        let (kh, kw) = self.kernel_hw();
         let (oh, ow) = self.output_hw(h, w);
-        let k = in_c * kh * kw;
-        let positions = oh * ow;
-        assert_eq!(packed.m(), out_c, "packed kernel row mismatch");
-        assert_eq!(packed.k(), k, "packed kernel width mismatch");
+        let in_c = self.in_channels();
         assert_eq!(x.len(), batch * in_c * h * w, "batched conv input length");
         assert_eq!(
             out.len(),
-            batch * out_c * positions,
+            batch * self.out_channels() * oh * ow,
             "batched conv output length"
         );
-        // A sample exactly one kernel in size — a streamed `k = 1` row's
-        // line buffer — is its own (single) patch row: `[in_c, kh, kw]` is
-        // `ic → ky → kx` order. One GEMM row per sample reads `x`
-        // in place, lanes on output channels; nothing is staged.
-        if (h, w) == (kh, kw) && self.padding == (0, 0) {
-            gemm_packed(
-                [Segment::packed(packed.data(), k, x, k)],
-                Some(&self.bias),
-                batch,
-                out_c,
-                bf16_round,
-                out,
-                (out_c, 1),
-            );
-            return;
+        let lowering = self.lowering(h, w);
+        let mut stage = match lowering {
+            Lowering::Direct(_) => pad.take_dirty(self.stage_len()),
+            _ => Vec::new(),
+        };
+        self.run(lowering, x, batch, packed, &mut stage, post, out);
+        pad.give(stage);
+    }
+
+    /// How [`Self::forward_batch_packed`] runs an `(h, w)` input.
+    ///
+    /// A sample exactly one kernel in size with no padding (a streamed `k
+    /// = 1` row's line buffer) is its own patch row: `[in_c, kh, kw]` is
+    /// `ic → ky → kx` order, so the batch is one GEMM row per sample over
+    /// `x` in place, lanes on output channels. A kernel as wide as a
+    /// one-channel input (the CNN's first layer) has output row `oy`'s
+    /// patch at `x[oy * w..][..kh * w]`, contiguous and in `ky → kx` order:
+    /// one GEMM per sample over its rows in place, `w` apart (the direct
+    /// convolution would transpose all `kh * w` taps of every block into
+    /// its stage). Every other shape skips patch materialization: the
+    /// direct convolution stages one word of lanes per tap and block of
+    /// positions.
+    pub(crate) fn lowering(&self, h: usize, w: usize) -> Lowering {
+        let (kh, kw) = self.kernel_hw();
+        let unpadded = self.padding == (0, 0);
+        if (h, w) == (kh, kw) && unpadded {
+            Lowering::KernelSized
+        } else if self.in_channels() == 1 && kw == w && unpadded {
+            Lowering::FullWidth { h, w }
+        } else {
+            Lowering::Direct(self.direct(h, w))
         }
-        // A kernel as wide as a one-channel input (the CNN's first layer):
-        // output row `oy`'s patch is `x[oy * w..][..kh * w]`, contiguous
-        // and in `ky → kx` order, so one GEMM per sample reads its rows in
-        // place, `w` apart. (The direct convolution would transpose all
-        // `kh * w` taps of every block into its stage.)
-        if in_c == 1 && kw == w && self.padding == (0, 0) {
-            for s in 0..batch {
-                gemm_packed(
-                    [Segment::packed(
-                        packed.data(),
-                        k,
-                        &x[s * h * w..][..h * w],
-                        w,
-                    )],
-                    Some(&self.bias),
-                    oh,
-                    out_c,
-                    bf16_round,
-                    &mut out[s * out_c * oh..][..out_c * oh],
-                    (1, oh),
-                );
+    }
+
+    /// Runs `batch` samples at `lowering` (from [`Self::lowering`]) with
+    /// its workspace: [`Self::stage_len`] elements for the direct
+    /// convolution, none for the GEMMs. A caller that keeps the lowering
+    /// and the workspace (a streamed tick) derives and draws nothing per
+    /// call.
+    ///
+    /// # Panics
+    ///
+    /// Panics on buffer-length or packed-shape mismatches.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run(
+        &self,
+        lowering: Lowering,
+        x: &[f32],
+        batch: usize,
+        packed: &PackedPanels,
+        stage: &mut [f32],
+        post: Store,
+        out: &mut [f32],
+    ) {
+        let (in_c, out_c) = (self.in_channels(), self.out_channels());
+        let (kh, kw) = self.kernel_hw();
+        let k = in_c * kh * kw;
+        let gemm =
+            |x: &[f32], stride: usize, rows: usize, out: &mut [f32], store: (usize, usize)| {
+                assert_eq!((packed.m(), packed.k()), (out_c, k), "packed kernel shape");
+                let segs = [Segment::packed(packed.data(), k, x, stride)];
+                gemm_packed(segs, Some(&self.bias), rows, out_c, post, out, store);
+            };
+        match lowering {
+            Lowering::KernelSized => gemm(x, k, batch, out, (out_c, 1)),
+            Lowering::FullWidth { h, w } => {
+                let oh = h + 1 - kh;
+                let samples = x.chunks_exact(h * w).zip(out.chunks_exact_mut(out_c * oh));
+                for (xs, o) in samples.take(batch) {
+                    gemm(xs, w, oh, o, (1, oh));
+                }
             }
-            return;
+            Lowering::Direct(shape) => {
+                let (oh, ow) = shape.output_hw();
+                let (x_len, out_len) = (in_c * shape.h * shape.w, out_c * oh * ow);
+                let samples = x.chunks_exact(x_len).zip(out.chunks_exact_mut(out_len));
+                for (xs, o) in samples.take(batch) {
+                    self.forward_direct(shape, xs, stage, post, o);
+                }
+            }
         }
-        // Every other convolution skips patch materialization: each block
-        // of positions stages one word of lanes per tap.
-        let shape = DirectConv {
-            in_c,
+    }
+
+    /// The direct convolution's shape for one `[in_c, h, w]` sample.
+    pub(crate) fn direct(&self, h: usize, w: usize) -> DirectConv {
+        let (kh, kw) = self.kernel_hw();
+        DirectConv {
+            in_c: self.in_channels(),
             h,
             w,
             kh,
             kw,
             sw: self.stride.1,
             ph: self.padding.0,
-            out_c,
-        };
-        let mut stage = pad.take_dirty(conv2d_direct_stage_len(in_c, kh, kw));
-        let (x_len, out_len) = (in_c * h * w, out_c * positions);
-        for s in 0..batch {
-            let (xs, o) = (&x[s * x_len..][..x_len], &mut out[s * out_len..][..out_len]);
-            conv2d_direct_bf16(shape, self.kernel.data(), &self.bias, xs, &mut stage, o);
+            out_c: self.out_channels(),
         }
-        pad.give(stage);
+    }
+
+    /// The workspace [`Self::forward_direct`] needs.
+    pub(crate) fn stage_len(&self) -> usize {
+        let (kh, kw) = self.kernel_hw();
+        conv2d_direct_stage_len(self.in_channels(), kh, kw)
+    }
+
+    /// One sample through the direct convolution at `shape` (from
+    /// [`Self::direct`]), `post` of each sum stored in `out` (`[out_c, oh *
+    /// ow]`): what [`Self::forward_batch_packed`] runs per sample on any
+    /// shape that is not a GEMM over its input in place, for a caller whose
+    /// samples are not back to back (a slice of each sample's channels).
+    pub(crate) fn forward_direct(
+        &self,
+        shape: DirectConv,
+        x: &[f32],
+        stage: &mut [f32],
+        post: Store,
+        out: &mut [f32],
+    ) {
+        conv2d_direct_bf16(shape, self.kernel.data(), &self.bias, x, stage, post, out);
+    }
+
+    /// One convolution whose output channels are `parts`' in order: the
+    /// same kernels and biases stacked, so each output channel is its
+    /// part's, bit for bit, and one call serves all of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the parts agree in input channels, kernel, stride and
+    /// padding.
+    pub(crate) fn stacked(parts: &[Conv2d]) -> Self {
+        let first = &parts[0];
+        let shape_of = |c: &Conv2d| (c.in_channels(), c.kernel_hw(), c.stride, c.padding);
+        let (mut kernel, mut bias) = (Vec::new(), Vec::new());
+        for part in parts {
+            assert_eq!(
+                shape_of(part),
+                shape_of(first),
+                "stacked convolutions differ in shape"
+            );
+            kernel.extend_from_slice(part.kernel.data());
+            bias.extend_from_slice(&part.bias);
+        }
+        let (kh, kw) = first.kernel_hw();
+        let shape = [bias.len(), first.in_channels(), kh, kw];
+        Conv2d {
+            kernel: Tensor::from_vec(kernel, &shape),
+            bias,
+            stride: first.stride,
+            padding: first.padding,
+        }
     }
 
     /// The naive reference convolution (kept for equivalence tests and
@@ -240,6 +323,18 @@ impl Conv2d {
             ow as u64,
         )
     }
+}
+
+/// How [`Conv2d::run`] runs one input shape ([`Conv2d::lowering`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lowering {
+    /// Each sample is one kernel in size: one GEMM row, in place.
+    KernelSized,
+    /// A kernel as wide as a one-channel `[h, w]` input: a GEMM over each
+    /// sample's overlapping patch rows, in place.
+    FullWidth { h: usize, w: usize },
+    /// The direct convolution, at this shape.
+    Direct(DirectConv),
 }
 
 /// The one stride and padding family `forward_batch_packed` lowers:
@@ -363,7 +458,7 @@ mod tests {
             let x = Tensor::random(&[in_c, h, w], 1.0, 4);
             let mut pad = ScratchPad::new();
             let mut out = vec![f32::NAN; 9];
-            conv.forward_batch_packed(x.data(), 1, h, w, &packed, &mut pad, &mut out);
+            conv.forward_batch_packed(x.data(), 1, h, w, &packed, &mut pad, Store::Bf16, &mut out);
             assert_eq!((pad.misses(), pad.pooled_buffers()), (0, 0));
             let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&out), bits(conv.forward_reference(&x).data()));

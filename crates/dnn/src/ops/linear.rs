@@ -2,7 +2,9 @@
 
 use crate::batch::PackedPanels;
 use crate::bf16::bf16_round;
-use crate::kernels::{gemm_packed, Segment};
+use crate::kernels::{gemm_packed, Segment, Store};
+use crate::math::exp;
+use crate::model::Prediction;
 use crate::ops::count::linear_macs;
 use crate::tensor::Tensor;
 
@@ -43,10 +45,11 @@ impl Linear {
     }
 
     /// Applies the layer over a flat `[rows, in]` buffer using prepacked
-    /// weight panels, writing `[rows, out]` into `out`: one sweep of the
-    /// packed register tile over row blocks. Per row `==` to
-    /// [`Self::forward_reference`] — packing only permutes the weight
-    /// layout, never the `k` accumulation order.
+    /// weight panels, storing each `[rows, out]` sum into `out` as `post`
+    /// says (BF16-rounded, and activated where the layer is): one sweep of
+    /// the packed register tile over row blocks. Per row `==` to
+    /// [`Self::forward_reference`] then `post`'s activation — packing only
+    /// permutes the weight layout, never the `k` accumulation order.
     ///
     /// # Panics
     ///
@@ -56,6 +59,7 @@ impl Linear {
         x: &[f32],
         rows: usize,
         packed: &PackedPanels,
+        post: Store,
         out: &mut [f32],
     ) {
         let (input, output) = (self.input_dim(), self.output_dim());
@@ -68,10 +72,45 @@ impl Linear {
             Some(&self.bias),
             rows,
             output,
-            bf16_round,
+            post,
             out,
             (output, 1),
         );
+    }
+
+    /// A three-class head over a flat `[rows, in]` buffer in one pass: per
+    /// row, the three BF16-rounded logits, then their softmax, pushed to
+    /// `out` as one [`Prediction`] each. Bit for bit
+    /// [`Self::forward_reference`] then [`softmax_rows`]: each logit is
+    /// seeded with its bias and accumulated in increasing input order; the
+    /// softmax takes the max from `-inf` in class order, subtracts it,
+    /// exponentiates with [`crate::math::exp`], sums from `0.0` in class
+    /// order and divides.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the layer has three outputs and `x` holds `rows` rows.
+    ///
+    /// [`softmax_rows`]: crate::ops::softmax_rows
+    pub fn softmax_head(&self, x: &[f32], rows: usize, out: &mut Vec<Prediction>) {
+        let input = self.input_dim();
+        assert_eq!(self.output_dim(), 3, "a softmax head has three classes");
+        assert_eq!(x.len(), rows * input, "softmax head input length");
+        let w = self.weight.data();
+        let (w0, w1, w2) = (&w[..input], &w[input..2 * input], &w[2 * input..]);
+        for row in x.chunks_exact(input.max(1)).take(rows) {
+            let mut logits = [self.bias[0], self.bias[1], self.bias[2]];
+            for (j, &v) in row.iter().enumerate() {
+                logits[0] += w0[j] * v;
+                logits[1] += w1[j] * v;
+                logits[2] += w2[j] * v;
+            }
+            let logits = logits.map(bf16_round);
+            let max = logits.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+            let e = logits.map(|v| exp(v - max));
+            let sum = e.iter().fold(0.0, |s, &v| s + v);
+            out.push(Prediction::new(e.map(|v| v / sum)));
+        }
     }
 
     /// The naive reference implementation (kept for equivalence tests

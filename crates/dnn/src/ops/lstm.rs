@@ -2,7 +2,7 @@
 
 use crate::batch::PackedPanels;
 use crate::bf16::bf16_round;
-use crate::kernels::{lstm_cell, lstm_gates_packed_batch};
+use crate::kernels::{gemm_packed, lstm_recurrent_rows, lstm_steps, Segment, Store, NR};
 use crate::math::{sigmoid, tanh};
 use crate::ops::count::lstm_macs;
 use crate::ops::expect_rank;
@@ -95,19 +95,23 @@ impl Lstm {
     }
 
     /// Packs the stacked `[4 * hidden, hidden]` recurrent-weight matrix
-    /// into register panels for the batched forward path.
+    /// into the gate-blocked register panels the step kernel reads
+    /// ([`lstm_recurrent_rows`]).
     pub fn pack_wh(&self) -> PackedPanels {
-        PackedPanels::pack(self.wh.data(), 4 * self.hidden, self.hidden)
+        let (rows, m) = lstm_recurrent_rows(self.wh.data(), self.hidden);
+        PackedPanels::pack(&rows, m, self.hidden)
     }
 
     /// Runs `batch` sequences of a sample-major `[batch, steps, input]`
     /// buffer with prepacked weight panels, writing the final hidden
     /// states `[batch, hidden]` into `out`.
     ///
-    /// Each timestep computes every sample's fused gate vector in one
-    /// packed sweep ([`lstm_gates_packed_batch`]), then the whole state
-    /// update in one pass ([`lstm_cell`]): per block of hidden units, in
-    /// registers, `c = bf16(σ(f)·c + σ(i)·tanh(g))` and `h =
+    /// Two calls. The input half `bias + W_x x_t`, for every step of every
+    /// sample at once, is one [`gemm_packed`] sweep over the sequence rows,
+    /// stored unrounded (`Store::Exact`). The recurrence is
+    /// [`lstm_steps`]: per step and block of hidden units, the four gates
+    /// are seeded from those partials, run `W_h h` and go straight into the
+    /// cell in registers, `c = bf16(σ(f)·c + σ(i)·tanh(g))` and `h =
     /// bf16(σ(o)·tanh(c))`. Per sample the bias -> `W_x x_t` -> `W_h h`
     /// chain, every element's operations ([`crate::math`]'s scalar
     /// functions, lane by lane) and the BF16 rounding points are exactly
@@ -129,39 +133,31 @@ impl Lstm {
         pad: &mut ScratchPad,
         out: &mut [f32],
     ) {
-        let h_dim = self.hidden;
+        let (input, h_dim) = (self.input, self.hidden);
+        let n = 4 * h_dim;
         assert!(steps > 0, "batched LSTM needs at least one timestep");
-        assert_eq!(packed_wx.m(), 4 * h_dim, "packed wx row mismatch");
-        assert_eq!(packed_wx.k(), self.input, "packed wx width mismatch");
-        assert_eq!(packed_wh.m(), 4 * h_dim, "packed wh row mismatch");
+        assert_eq!(packed_wx.m(), n, "packed wx row mismatch");
+        assert_eq!(packed_wx.k(), input, "packed wx width mismatch");
+        assert_eq!(packed_wh.m(), h_dim.div_ceil(NR) * 4 * NR, "packed wh rows");
         assert_eq!(packed_wh.k(), h_dim, "packed wh width mismatch");
-        assert_eq!(x.len(), batch * steps * self.input, "batched LSTM input");
-        assert_eq!(out.len(), batch * h_dim, "batched LSTM output");
-        // h and c must start zeroed (`take`); gates are fully
-        // overwritten every timestep so skip the zero fill.
-        let mut h = pad.take(batch * h_dim);
-        let mut c = pad.take(batch * h_dim);
-        let mut gates = pad.take_dirty(batch * 4 * h_dim);
-        for t in 0..steps {
-            lstm_gates_packed_batch(
-                packed_wx.data(),
-                packed_wh.data(),
-                &self.bias,
-                x,
-                t * self.input,
-                steps * self.input,
-                &h,
-                batch,
-                self.input,
-                h_dim,
-                &mut gates,
-            );
-            lstm_cell(&gates, &mut c, &mut h, batch, h_dim);
-        }
-        out.copy_from_slice(&h);
-        pad.give(h);
-        pad.give(c);
-        pad.give(gates);
+        assert_eq!(x.len(), batch * steps * input, "batched LSTM input");
+        // One draw for the partials and the state, each fully overwritten
+        // before it is read.
+        let rows = batch * steps;
+        let mut work = pad.take_dirty(rows * n + 3 * batch * h_dim);
+        let (partials, state) = work.split_at_mut(rows * n);
+        let input_half = [Segment::packed(packed_wx.data(), input, x, input)];
+        gemm_packed(
+            input_half,
+            Some(&self.bias),
+            rows,
+            n,
+            Store::Exact,
+            partials,
+            (n, 1),
+        );
+        lstm_steps(packed_wh.data(), partials, batch, steps, h_dim, state, out);
+        pad.give(work);
     }
 
     /// MACs of a forward pass over `steps` timesteps.

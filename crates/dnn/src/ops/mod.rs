@@ -14,9 +14,7 @@ pub mod linear;
 pub mod lstm;
 pub mod norm;
 
-pub use activation::{
-    leaky_relu, leaky_relu_slice, relu, relu_slice, softmax_last_dim, softmax_rows,
-};
+pub use activation::{leaky_relu, relu, softmax_last_dim, softmax_rows};
 pub use attention::MultiHeadAttention;
 pub use conv::Conv2d;
 pub use linear::Linear;

@@ -13,6 +13,8 @@
 //! that decides whether they may be reused.
 
 use crate::batch::PackedWeights;
+use crate::kernels::Store;
+use crate::ops::conv::Lowering;
 use crate::ops::Conv2d;
 use crate::scratch::ScratchPad;
 
@@ -32,6 +34,20 @@ pub struct LineBuffer {
     data: Vec<f32>,
     kh: usize,
     w: usize,
+    /// The `k = 1` call of the convolution that reads this buffer, planned
+    /// when the buffer is made; `None` for the trunk's output.
+    tick: Option<TickConv>,
+}
+
+/// A trunk convolution's `k = 1` call, planned once for its one shape:
+/// how it runs, where its output row goes and its workspace. A streamed
+/// tick thus derives no shape and draws nothing from the pad.
+#[derive(Debug, Clone)]
+struct TickConv {
+    lowering: Lowering,
+    /// The output row, `[out_c, ow]`: the next buffer's newest row.
+    out: Vec<f32>,
+    stage: Vec<f32>,
 }
 
 impl LineBuffer {
@@ -40,6 +56,27 @@ impl LineBuffer {
             data: vec![0.0; in_c * kh * w],
             kh,
             w,
+            tick: None,
+        }
+    }
+
+    /// A buffer of `conv`'s input rows, `w` wide, with its `k = 1` call
+    /// planned.
+    fn planned(conv: &Conv2d, w: usize) -> Self {
+        let kh = conv.kernel_hw().0;
+        let lowering = conv.lowering(kh, w);
+        let stage = match lowering {
+            Lowering::Direct(_) => vec![0.0; conv.stage_len()],
+            _ => Vec::new(),
+        };
+        let out = vec![0.0; conv.out_channels() * conv.output_hw(kh, w).1];
+        LineBuffer {
+            tick: Some(TickConv {
+                lowering,
+                out,
+                stage,
+            }),
+            ..LineBuffer::new(conv.in_channels(), kh, w)
         }
     }
 
@@ -51,6 +88,15 @@ impl LineBuffer {
         for (dst, src) in self.data.chunks_exact_mut(kept).zip(map.chunks_exact(full)) {
             dst.copy_from_slice(&src[full - kept..]);
         }
+    }
+
+    /// The planned `k = 1` call's output row.
+    fn tick_out(&self) -> &[f32] {
+        &self
+            .tick
+            .as_ref()
+            .expect("a trunk buffer plans its call")
+            .out
     }
 
     /// Drops every channel's oldest row and appends `row` (`[in_c, w]`).
@@ -100,9 +146,8 @@ pub(crate) fn trunk_lines<const N: usize>(
     let mut lines = Vec::with_capacity(N + 1);
     let mut channels = 0;
     for conv in convs {
-        let kh = conv.kernel_hw().0;
-        lines.push(LineBuffer::new(conv.in_channels(), kh, w));
-        (channels, w) = (conv.out_channels(), conv.output_hw(kh, w).1);
+        lines.push(LineBuffer::planned(conv, w));
+        (channels, w) = (conv.out_channels(), conv.output_hw(conv.kernel_hw().0, w).1);
     }
     lines.push(LineBuffer::new(channels, out_rows, w));
     lines
@@ -110,53 +155,66 @@ pub(crate) fn trunk_lines<const N: usize>(
 
 /// Streams `rows` — `k >= 1` tick rows, `[k, features]`, each sliding the
 /// window by one — through a trunk of `N` convolutions (panels `0..N` of
-/// `packed`), each followed by `act`, and hands `tail` the `k` trunk
-/// outputs they complete, `[k, C, out_rows]`, oldest window first, and `k`.
+/// `packed`), each storing its sums as `post` says (the BF16 rounding and
+/// the model's activation: no layer makes a second pass over its output),
+/// and hands `tail` the `k` trunk outputs they complete, `[k, C,
+/// out_rows]`, oldest window first, and `k`.
 ///
 /// Layer by layer the kept `kh - 1` rows and the `k` new ones become `k`
 /// output rows by the same packed convolution as the whole-window
 /// forward, once, at `h = kh - 1 + k`: each output's accumulator sees the
 /// operands the whole-window forward gives it, in its order. At `k = 1`
-/// the line buffer with the row pushed *is* that input and the kept trunk
-/// output *is* the one window; a longer sweep assembles both in `pad`.
-/// `lines` is [`trunk_lines`] of `convs` and ends as `k` one-row calls
-/// would leave it.
+/// the line buffer with the row pushed *is* that input, the call is the
+/// one its buffer planned (into the planned output row, which the next
+/// buffer takes as its newest), and the kept trunk output *is* the one
+/// window: the trunk draws nothing from `pad`. A longer sweep assembles
+/// each layer's input and the windows in `pad`. `lines` is [`trunk_lines`]
+/// of `convs` and ends as `k` one-row calls would leave it.
 pub(crate) fn advance_trunk<const N: usize>(
     lines: &mut [LineBuffer],
     convs: [&Conv2d; N],
-    act: impl Fn(&mut [f32]),
+    post: Store,
     rows: &[f32],
     packed: &PackedWeights,
     pad: &mut ScratchPad,
     tail: impl FnOnce(&[f32], usize, &mut ScratchPad),
 ) {
     let (trunk, out) = lines.split_at_mut(N);
+    let out = &mut out[0];
     // The first layer reads one channel: a tick row is one of its rows.
     let k = rows.len() / trunk[0].w;
+    if k == 1 {
+        for (idx, conv) in convs.into_iter().enumerate() {
+            let (done, rest) = trunk.split_at_mut(idx);
+            let row = done.last().map_or(rows, |prev| prev.tick_out());
+            let line = &mut rest[0];
+            line.push(row);
+            let tick = line.tick.as_mut().expect("a trunk buffer plans its call");
+            let panel = packed.panel(idx);
+            conv.run(
+                tick.lowering,
+                &line.data,
+                1,
+                panel,
+                &mut tick.stage,
+                post,
+                &mut tick.out,
+            );
+        }
+        out.push(trunk[N - 1].tick_out());
+        return tail(&out.data, k, pad);
+    }
     let mut cur = pad.take_dirty(rows.len());
     cur.copy_from_slice(rows);
     for (idx, (conv, line)) in convs.into_iter().zip(trunk).enumerate() {
         let h = line.kh - 1 + k;
         let ow = conv.output_hw(h, line.w).1;
         let mut nxt = pad.take_dirty(conv.out_channels() * k * ow);
-        let panel = packed.panel(idx);
-        if k == 1 {
-            line.push(&cur);
-            conv.forward_batch_packed(&line.data, 1, h, line.w, panel, pad, &mut nxt);
-        } else {
-            let mut map = pad.take_dirty(line.data.len() / line.kh * h);
-            line.extend_into(&cur, k, &mut map);
-            conv.forward_batch_packed(&map, 1, h, line.w, panel, pad, &mut nxt);
-            pad.give(map);
-        }
+        let mut map = pad.take_dirty(line.data.len() / line.kh * h);
+        line.extend_into(&cur, k, &mut map);
+        conv.forward_batch_packed(&map, 1, h, line.w, packed.panel(idx), pad, post, &mut nxt);
+        pad.give(map);
         pad.give(std::mem::replace(&mut cur, nxt));
-        act(&mut cur);
-    }
-    let out = &mut out[0];
-    if k == 1 {
-        out.push(&cur);
-        pad.give(cur);
-        return tail(&out.data, k, pad);
     }
     // Window `j`'s trunk output is rows `j..j + out_rows` of the map.
     let (per, h) = (out.kh * out.w, out.kh - 1 + k);

@@ -7,7 +7,7 @@
 //! packed kernels at degenerate shapes against a scalar triple loop.
 
 use lt_dnn::bf16_round;
-use lt_dnn::kernels::{gemm_packed, pack_bt_panels, Segment};
+use lt_dnn::kernels::{gemm_packed, pack_bt_panels, Segment, Store};
 use lt_dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
 use lt_dnn::{Model, PackedWeights, Prediction, ScratchPad, Tensor};
 use proptest::prelude::*;
@@ -205,7 +205,7 @@ fn packed_gemm(a: &[f32], b: &[f32], bias: &[f32], m: usize, n: usize, k: usize,
         Some(bias),
         n,
         m,
-        bf16_round,
+        Store::Bf16,
         out,
         (1, n),
     );

@@ -11,12 +11,42 @@
 //! [`ScratchPad`] so pooled-buffer reuse (the steady-state regime) is
 //! covered too.
 
+use lt_dnn::kernels::Store;
 use lt_dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
-use lt_dnn::ops::{Conv2d, LayerNorm, Linear, Lstm, MultiHeadAttention};
+use lt_dnn::ops::{leaky_relu, relu, Conv2d, LayerNorm, Linear, Lstm, MultiHeadAttention};
 use lt_dnn::{Model, Prediction, ScratchPad, Tensor};
 use proptest::prelude::*;
 
 const BATCHES: [usize; 2] = [1, 3];
+
+/// DeepLOB's leaky-ReLU slope.
+const LEAK: f32 = 0.01;
+
+/// The stores a packed layer can make of its BF16-rounded sums.
+const STORES: [Store; 3] = [Store::Bf16, Store::Relu, Store::LeakyRelu(LEAK)];
+
+/// `forward_reference`'s output through the activation `post` folds into
+/// the packed layer's store.
+fn activated(post: Store, mut y: Tensor) -> Tensor {
+    match post {
+        Store::Relu => relu(&mut y),
+        Store::LeakyRelu(alpha) => leaky_relu(&mut y, alpha),
+        Store::Bf16 | Store::Exact => {}
+    }
+    y
+}
+
+/// `batch` random `[in_c, h, w]` samples with every fifth element `-0.0`:
+/// a zero whose sign `==` ignores and the stores must keep.
+fn signed_inputs(shape: &[usize], batch: usize, seed: u64) -> Vec<Tensor> {
+    let mut xs = random_inputs(shape, 1.0, batch, seed);
+    for x in &mut xs {
+        for v in x.data_mut().iter_mut().step_by(5) {
+            *v = -0.0;
+        }
+    }
+    xs
+}
 
 /// `batch` random tensors of `shape`, seeded `seed + 1, seed + 2, ...`.
 fn random_inputs(shape: &[usize], scale: f32, batch: usize, seed: u64) -> Vec<Tensor> {
@@ -61,44 +91,51 @@ fn assert_model_matches_reference(
 }
 
 /// An unpadded convolution over samples exactly one kernel in size: the
-/// packed path's `[batch, out_c]` output is `forward_reference`'s bit for
-/// bit, at batch 1 and 3, on a fresh and a warmed pad.
-fn assert_kernel_sized_matches_reference(conv: &Conv2d, seed: u64) {
+/// packed path's `[batch, out_c]` output, stored through `post`, is
+/// `forward_reference`'s and then the activation's bit for bit, at batch 1
+/// and 3, on a fresh and a warmed pad.
+fn assert_kernel_sized_matches_reference(conv: &Conv2d, post: Store, seed: u64) {
     let (in_c, out_c, (h, w)) = (conv.in_channels(), conv.out_channels(), conv.kernel_hw());
     assert_eq!(conv.output_hw(h, w), (1, 1));
     let packed = conv.pack();
     let mut pad = ScratchPad::new();
     let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
     for batch in BATCHES {
-        let xs = random_inputs(&[in_c, h, w], 1.0, batch, seed);
+        let xs = signed_inputs(&[in_c, h, w], batch, seed);
         let want: Vec<u32> = xs
             .iter()
-            .flat_map(|x| bits(conv.forward_reference(x).data()))
+            .flat_map(|x| bits(activated(post, conv.forward_reference(x)).data()))
             .collect();
         let mut out = vec![f32::NAN; batch * out_c];
         for _ in 0..2 {
-            conv.forward_batch_packed(&stack(&xs), batch, h, w, &packed, &mut pad, &mut out);
+            let flat = stack(&xs);
+            conv.forward_batch_packed(&flat, batch, h, w, &packed, &mut pad, post, &mut out);
             assert_eq!(bits(&out), want, "batch {batch}");
         }
     }
 }
 
-/// The packed convolution over `[in_c, h, w]` samples `==` to
-/// `forward_reference`, at batch 1 and 3, twice on one pad (the second
-/// pass reuses pooled buffers).
-fn assert_conv_matches_reference(conv: &Conv2d, h: usize, w: usize, seed: u64) {
+/// The packed convolution over `[in_c, h, w]` samples, stored through
+/// `post`, bit for bit `forward_reference` and then the activation, at
+/// batch 1 and 3, twice on one pad (the second pass reuses pooled
+/// buffers).
+fn assert_conv_matches_reference(conv: &Conv2d, h: usize, w: usize, post: Store, seed: u64) {
     let (in_c, out_c) = (conv.in_channels(), conv.out_channels());
     let packed = conv.pack();
     let (oh, ow) = conv.output_hw(h, w);
     let mut pad = ScratchPad::new();
+    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
     for batch in BATCHES {
-        let xs = random_inputs(&[in_c, h, w], 1.0, batch, seed);
-        let reference: Vec<Tensor> = xs.iter().map(|x| conv.forward_reference(x)).collect();
+        let xs = signed_inputs(&[in_c, h, w], batch, seed);
+        let want: Vec<u32> = xs
+            .iter()
+            .flat_map(|x| bits(activated(post, conv.forward_reference(x)).data()))
+            .collect();
         let flat = stack(&xs);
         let mut out = vec![f32::NAN; batch * out_c * oh * ow];
         for _ in 0..2 {
-            conv.forward_batch_packed(&flat, batch, h, w, &packed, &mut pad, &mut out);
-            assert_eq!(unstack(&out, &[out_c, oh, ow]), reference, "batch {batch}");
+            conv.forward_batch_packed(&flat, batch, h, w, &packed, &mut pad, post, &mut out);
+            assert_eq!(bits(&out), want, "batch {batch} {post:?}");
         }
     }
 }
@@ -122,7 +159,7 @@ proptest! {
     fn conv_fast_matches_reference(
         (in_c, out_c, kh, kw) in (1usize..=3, 1usize..=4, 1usize..=3, 1usize..=3),
         (extra_h, extra_w, sw) in (0usize..=4, 0usize..=4, 1usize..=2),
-        (ph, seed) in (0usize..=2, 0u64..1000),
+        (ph, seed, post) in (0usize..=2, 0u64..1000, 0usize..STORES.len()),
         (one_in_c, one_out_c, one_kh, one_kw) in (1usize..=8, 1usize..=33, 1usize..=4, 1usize..=40),
         (kw1_in_c, kw1_out_c, kw1_kh, (kw1_extra_h, kw1_w)) in
             (1usize..=6, 1usize..=9, 1usize..=5, (0usize..=40, 1usize..=3)),
@@ -131,12 +168,13 @@ proptest! {
         (fold_kh, fold_positions, fold_ow_cap, fold_extra_w) in
             (1usize..=3, 1usize..=40, 1usize..=12, 0usize..=2),
     ) {
+        let post = STORES[post];
         let one = Conv2d::new(one_in_c, one_out_c, (one_kh, one_kw), (1, sw), (0, 0), seed);
-        assert_kernel_sized_matches_reference(&one, seed);
+        assert_kernel_sized_matches_reference(&one, post, seed);
         let conv = Conv2d::new(in_c, out_c, (kh, kw), (1, sw), (ph, 0), seed);
-        assert_conv_matches_reference(&conv, kh + extra_h, kw + extra_w, seed);
+        assert_conv_matches_reference(&conv, kh + extra_h, kw + extra_w, post, seed);
         let kw1 = Conv2d::new(kw1_in_c, kw1_out_c, (kw1_kh, 1), (1, 1), (ph, 0), seed);
-        assert_conv_matches_reference(&kw1, kw1_kh + kw1_extra_h, kw1_w, seed);
+        assert_conv_matches_reference(&kw1, kw1_kh + kw1_extra_h, kw1_w, post, seed);
         // `oh * ow` is exactly `fold_positions`: `ow` its largest divisor
         // up to the cap. `ph` shrinks where the input would have no row.
         let ow = (1..=fold_ow_cap).rev().find(|d| fold_positions % d == 0).unwrap_or(1);
@@ -153,9 +191,9 @@ proptest! {
             seed,
         );
         assert_eq!(fold.output_hw(h, w), (oh, ow));
-        assert_conv_matches_reference(&fold, h, w, seed);
+        assert_conv_matches_reference(&fold, h, w, post, seed);
         let full = Conv2d::new(1, fold_out_c, (fold_kh, fold_kw), (1, fold_sw), (0, 0), seed);
-        assert_conv_matches_reference(&full, fold_kh + kw1_extra_h, fold_kw, seed);
+        assert_conv_matches_reference(&full, fold_kh + kw1_extra_h, fold_kw, post, seed);
     }
 
     /// Linear: packed register tile == naive loop, rank-1 and rank-2.
@@ -169,12 +207,12 @@ proptest! {
             let x1 = random_inputs(&[input], 1.0, batch, seed);
             let r1: Vec<Tensor> = x1.iter().map(|x| layer.forward_reference(x)).collect();
             let mut out = vec![f32::NAN; batch * output];
-            layer.forward_batch_packed(&stack(&x1), batch, &packed, &mut out);
+            layer.forward_batch_packed(&stack(&x1), batch, &packed, Store::Bf16, &mut out);
             prop_assert_eq!(&unstack(&out, &[output]), &r1);
             let x2 = random_inputs(&[rows, input], 1.0, batch, seed.wrapping_add(1));
             let r2: Vec<Tensor> = x2.iter().map(|x| layer.forward_reference(x)).collect();
             let mut out = vec![f32::NAN; batch * rows * output];
-            layer.forward_batch_packed(&stack(&x2), batch * rows, &packed, &mut out);
+            layer.forward_batch_packed(&stack(&x2), batch * rows, &packed, Store::Bf16, &mut out);
             prop_assert_eq!(&unstack(&out, &[rows, output]), &r2);
         }
     }

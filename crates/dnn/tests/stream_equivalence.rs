@@ -21,6 +21,7 @@
 use lt_dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
 use lt_dnn::{
     Model, ModelKind, ModelRegistry, PackedWeights, Prediction, ScratchPad, StreamStats, Tensor,
+    MAX_SWEEP,
 };
 use proptest::prelude::*;
 
@@ -109,7 +110,8 @@ proptest! {
 
     /// Three tiers — two streamed, on tiny and off-tile-grid specs, and
     /// TransLOB, which never streams — interleaved over one row stream cut
-    /// into sweeps of 1 to 12 windows. `lead` extra leading rows make every
+    /// into sweeps of 1 to `MAX_SWEEP` windows, so the batch-`k` tail runs
+    /// at every width a sweep can have. `lead` extra leading rows make every
     /// input wider than its tier's sweep (the CNN's and TransLOB's always
     /// are: the registry stages the DeepLOB's 24 rows), so windows reach
     /// the models through the registry's trailing-row slicing too. Beside
@@ -120,7 +122,7 @@ proptest! {
     fn every_answer_is_the_reference_and_every_hit_is_a_slide(
         (cnn_c, cnn_h, dl_c, dl_h) in (0usize..4, 0usize..4, 0usize..3, 0usize..2),
         (seed, flavour, lead) in (0u64..500, 0usize..4, 0usize..3),
-        walk in proptest::collection::vec((0usize..3, 0usize..GAPS.len(), 1usize..13), 1..8),
+        walk in proptest::collection::vec((0usize..3, 0usize..GAPS.len(), 1..=MAX_SWEEP), 1..8),
     ) {
         let rows = [Rows::Random, Rows::Random, Rows::Constant, Rows::Signed][flavour];
         let cnn = CnnSpec {

@@ -161,9 +161,10 @@ done
 
 echo "== bounded unsafe: one unsafe call and one #[target_feature], both in kernels.rs's instances! macro, the call under a // SAFETY: comment; AVX2 or AVX-512F instances only =="
 # Every crate root forbids unsafe_code but lt-dnn's, which denies it: the
-# entries the instances! macro defines in kernels.rs allow it to call the
-# instances it compiles for their target features, right after the
-# runtime feature check. A second site anywhere fails here, as does an
+# entries the instances! macro defines in kernels.rs (its five passes:
+# gemm_packed, lstm_steps, conv2d_direct_bf16, attention_sample and
+# layer_norm_rows) allow it to call the instances it compiles for their
+# target features, right after the runtime feature check. A second site anywhere fails here, as does an
 # instance compiled for any feature but avx2 or avx512f.
 sites=$(for f in $(find crates/*/src -name '*.rs' | sort); do
     nontest "$f" | awk -v f="$f" '
@@ -200,6 +201,28 @@ for f in $(find crates/dnn/src -name '*.rs' | sort); do
     fi
 done
 [[ "$fused" == "0" ]]
+
+echo "== activations live in the stores: no activation pass in the streamed models or the stream, no gate vector in the kernels =="
+# A convolution or dense layer stores its activation of each BF16-rounded
+# sum (its post), so no layer makes a second pass over its output; the
+# LSTM's gates go from registers into the cell (lstm_steps), and no gate
+# vector is written.
+stores=0
+for f in crates/dnn/src/models/deeplob.rs crates/dnn/src/models/vanilla_cnn.rs crates/dnn/src/stream.rs crates/dnn/src/kernels.rs; do
+    # A renamed file would pass the greps below unread.
+    [[ -f "$f" ]] || { echo "missing $f (update this gate's file list)"; exit 1; }
+done
+for f in crates/dnn/src/models/deeplob.rs crates/dnn/src/models/vanilla_cnn.rs crates/dnn/src/stream.rs; do
+    if nontest "$f" | grep -nE 'relu_slice|leaky_relu_slice'; then
+        echo "an activation pass in $f (fold it into the layer's post)"
+        stores=1
+    fi
+done
+if nontest crates/dnn/src/kernels.rs | grep -n 'lstm_gates_packed_batch'; then
+    echo "a gate vector in crates/dnn/src/kernels.rs (the gates live in lstm_steps' registers)"
+    stores=1
+fi
+[[ "$stores" == "0" ]]
 
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -255,7 +278,7 @@ cargo test -q --release -p lt-dnn --lib kernels
 # signed-zero rows.
 cargo test -q --release -p lt-dnn --test row_reductions
 cargo test -q --release -p lt-dnn --test batch_equivalence
-# Sweeps of 1..=12 windows through forward_slides. Release also runs the
+# Sweeps of 1..=MAX_SWEEP windows through forward_slides. Release also runs the
 # NaN rows, which debug's Prediction assert refuses.
 cargo test -q --release -p lt-dnn --test stream_equivalence
 # Includes the k = 1 -> 12 -> 1 -> miss -> 6 sweep walk; the facade's
