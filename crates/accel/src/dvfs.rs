@@ -155,15 +155,6 @@ impl DvfsTable {
             .find(|q| q.freq_ghz > p.freq_ghz + 1e-9)
             .copied()
     }
-
-    /// The next point down from `p`, if any.
-    pub fn step_down(&self, p: OperatingPoint) -> Option<OperatingPoint> {
-        self.points
-            .iter()
-            .rev()
-            .find(|q| q.freq_ghz < p.freq_ghz - 1e-9)
-            .copied()
-    }
 }
 
 /// The static configuration of one accelerator under an even power split —
@@ -256,9 +247,7 @@ mod tests {
         let t = DvfsTable::evaluation();
         let p = OperatingPoint::at_freq(1.5);
         assert!((t.step_up(p).unwrap().freq_ghz - 1.6).abs() < 1e-9);
-        assert!((t.step_down(p).unwrap().freq_ghz - 1.4).abs() < 1e-9);
         assert!(t.step_up(t.max()).is_none());
-        assert!(t.step_down(t.min()).is_none());
     }
 
     /// The headline reproduction: `static_plan` regenerates every cell of

@@ -5,7 +5,7 @@
 //! ```
 //!
 //! `artifact` is one of `table1 table2 table3 fig8 fig11 fig12
-//! fig12tight fig13 stages faults grid all` (default `all`). `--secs`
+//! fig12tight fig13 stages faults fills grid all` (default `all`). `--secs`
 //! sets the simulated session length (default 60), `--seed` the session
 //! seed. `grid` additionally writes the machine-readable
 //! `GRID_sweep.json`.
@@ -69,6 +69,9 @@ fn main() {
     }
     if run("faults") {
         println!("{}", lt_bench::render_faults(secs, seed));
+    }
+    if run("fills") {
+        println!("{}", lt_bench::render_fills(secs, seed));
     }
     if run("grid") {
         let (table, json) = lt_bench::render_grid(secs, seed);

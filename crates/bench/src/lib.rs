@@ -1,5 +1,6 @@
 //! Rendering helpers for the `tables` binary (each function formats one
-//! paper artifact, table or figure, as paper-vs-measured text) and
+//! paper artifact, table or figure, as paper-vs-measured text, or one of
+//! the back-test's own reports) and
 //! [`time_ns`], the wall-clock loop of the `bench_kernels` micro-bench.
 
 #![forbid(unsafe_code)]
@@ -10,8 +11,10 @@ use lighttrader::experiments::{self, Fig11, Fig13};
 use lighttrader::report::{ingress_table, percent, ratio, stage_latency_table, TextTable};
 use lighttrader::sched::Policy;
 use lighttrader::sim::farm::{FarmRunner, GridDeadline, SweepGrid};
-use lighttrader::sim::traffic::{scheduling_deadline_for, shared_trace_cache};
-use lighttrader::sim::{run_lighttrader, BacktestConfig, FaultRates, IngressFaults};
+use lighttrader::sim::traffic::{burst_storm_trace, scheduling_deadline_for, shared_trace_cache};
+use lighttrader::sim::{
+    run_lighttrader, BacktestConfig, ExecutionConfig, FaultRates, IngressFaults,
+};
 use std::time::Instant;
 
 /// Wall time `time_ns` calibrates over, and roughly what each of its
@@ -354,6 +357,55 @@ pub fn render_faults(secs: f64, seed: u64) -> String {
     out
 }
 
+/// Renders the back-test's execution layer on the burst-storm session:
+/// per scheduling policy, the orders, fills, fees and final equity of
+/// realistic settlement (a taker sweep of the book at the order's
+/// arrival) beside assume-fill (every order filled in full at its
+/// decision-time limit). The signal is the oracle momentum signal, not
+/// the models' answers.
+pub fn render_fills(secs: f64, seed: u64) -> String {
+    let trace = burst_storm_trace(secs, seed);
+    let mut t = TextTable::new(vec![
+        "policy",
+        "fills",
+        "orders",
+        "filled",
+        "partial",
+        "missed",
+        "fees (ticks)",
+        "equity (ticks)",
+    ]);
+    let settlements = [
+        ("realistic", ExecutionConfig::realistic()),
+        ("assume-fill", ExecutionConfig::assume_fill()),
+    ];
+    for policy in Policy::ALL {
+        let cfg = BacktestConfig::new(ModelKind::DeepLob, 2, PowerCondition::Limited)
+            .with_policy(policy)
+            .with_t_avail(scheduling_deadline_for(ModelKind::DeepLob));
+        for (fills, execution) in settlements {
+            let s = run_lighttrader(&trace, &cfg.with_execution(execution))
+                .execution
+                .expect("an enabled execution layer reports its stats");
+            t.push_row(vec![
+                policy.label().into(),
+                fills.into(),
+                s.orders_sent.to_string(),
+                s.filled.to_string(),
+                s.partial.to_string(),
+                s.missed.to_string(),
+                format!("{:.1}", s.fees_half as f64 / 2.0),
+                format!("{:.1}", s.equity_half as f64 / 2.0),
+            ]);
+        }
+    }
+    format!(
+        "== Execution: fills and P&L by scheduling policy (burst storm, DeepLOB x2, \
+         limited power, oracle signal) ==\n{}",
+        t.render()
+    )
+}
+
 /// The demonstration grid behind `tables -- grid`: a compact slice of
 /// the paper's full evaluation surface (2 models × {1, 4} accelerators
 /// × 2 power conditions × baseline-vs-full scheduling × 2 seeds) that
@@ -422,6 +474,14 @@ mod tests {
         assert!(f8.contains("M5"));
         let f11 = render_fig11(2.0, 1);
         assert!(f11.contains("13.92x"));
+        let fills = render_fills(2.0, 1);
+        for policy in Policy::ALL {
+            assert!(fills.contains(policy.label()), "{fills}");
+        }
+        assert!(
+            fills.contains("realistic") && fills.contains("assume-fill"),
+            "{fills}"
+        );
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub mod prelude {
     pub use lt_lob::prelude::*;
     pub use lt_sched::Policy;
     pub use lt_sim::{
-        run_lighttrader, run_multi, run_single_device, BacktestConfig, BacktestMetrics,
+        run_lighttrader, run_multi_merged, run_single_device, BacktestConfig, BacktestMetrics,
         ExecutionConfig, ExecutionStats, FarmResults, FarmRunner, GridDeadline, SignalConfig,
         SweepGrid,
     };

@@ -338,7 +338,7 @@ impl LightTrader {
     /// (none for a datagram the parser rejects). The datagram, not the
     /// tick, is the unit of inference: its ticks are served in sweeps of
     /// up to [`MAX_SWEEP`], each one registry call, and every outcome is
-    /// what tick-by-tick [`Self::on_event`] calls produce.
+    /// what the same tick, alone in its own datagram, produces.
     ///
     /// Once the buffers have seen the largest datagram and sweep, this
     /// allocates nothing, `out` included when it has room.
@@ -349,13 +349,6 @@ impl LightTrader {
         out.reserve(events.len());
         self.on_events(&events, |outcome| out.push(outcome));
         self.events = events;
-    }
-
-    /// Feeds one already-decoded market event (bypasses the parser).
-    pub fn on_event(&mut self, event: &MarketEvent) -> TickOutcome {
-        let mut outcome = None;
-        self.on_events(std::slice::from_ref(event), |o| outcome = Some(o));
-        outcome.expect("one event, one outcome")
     }
 
     /// Applies `events` to the book and serves them, a sweep at a time,
@@ -543,7 +536,7 @@ impl LightTrader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lt_feed::{MultiSessionBuilder, SessionBuilder, TickRecord};
+    use lt_feed::{HawkesParams, MultiSessionBuilder, SessionBuilder, TickRecord};
 
     /// Serves a recorded trace's ticks from their book snapshots, each
     /// one a sweep of one, returning one outcome per tick.
@@ -576,29 +569,30 @@ mod tests {
     #[test]
     fn warms_up_then_infers() {
         let mut system = LightTrader::builder(ModelKind::VanillaCnn).seed(1).build();
-        let session = SessionBuilder::calm_traffic()
+        let session = SessionBuilder::new(HawkesParams::new(200.0, 30.0, 100.0))
             .duration_secs(0.5)
             .seed(2)
             .build();
-        let mut warmups = 0;
-        let mut decided = 0;
-        for tick in session.trace.iter().take(60) {
-            // A minimal Add event carrying the tick's timestamp.
-            let event = MarketEvent {
+        // A minimal Add event per tick, carrying the tick's timestamp.
+        let events: Vec<MarketEvent> = (1..)
+            .zip(session.trace.iter().take(60))
+            .map(|(id, tick)| MarketEvent {
                 seq: 1,
                 ts: tick.ts,
                 kind: lt_lob::events::MarketEventKind::Book(lt_lob::BookDelta::Add {
-                    id: lt_lob::OrderId::new(decided + warmups + 1),
+                    id: lt_lob::OrderId::new(id),
                     side: lt_lob::Side::Bid,
                     price: lt_lob::Price::new(100),
                     qty: lt_lob::Qty::new(1),
                 }),
-            };
-            match system.on_event(&event) {
-                TickOutcome::Warmup => warmups += 1,
-                _ => decided += 1,
-            }
-        }
+            })
+            .collect();
+        let outcomes = one_by_one(&mut system, &events);
+        let warmups = outcomes
+            .iter()
+            .filter(|o| **o == TickOutcome::Warmup)
+            .count();
+        let decided = outcomes.len() - warmups;
         // The CNN window is 20 ticks: 19 warmups, the rest decided.
         assert_eq!(warmups, 19);
         assert_eq!(decided, 41);
@@ -741,7 +735,7 @@ mod tests {
         };
         system.trading.on_prediction(&up, &book).unwrap();
         // Mirror the book into the local mirror via direct snapshot math:
-        // the engine-side mark agrees with mid_price exactly.
+        // the engine-side mark agrees with the half-tick mid exactly.
         assert_eq!(book.mid_half_ticks(), Some(201));
         assert_eq!(
             system.trading.mark_to_market_half(201),
@@ -992,6 +986,23 @@ mod tests {
             .encode()
     }
 
+    /// The reference intake: `events` fed to `system` one datagram each,
+    /// sequenced on from the datagrams it has taken, one outcome per
+    /// event. Its parser must take every datagram whole: one event each,
+    /// no sequence gap, none rejected.
+    fn one_by_one(system: &mut LightTrader, events: &[MarketEvent]) -> Vec<TickOutcome> {
+        let mut outcomes = Vec::with_capacity(events.len());
+        for event in events {
+            let seq = system.parser_stats().packets as u32;
+            system.on_datagram_into(&datagram(seq, std::slice::from_ref(event)), &mut outcomes);
+        }
+        let stats = system.parser_stats();
+        assert_eq!(stats.events, stats.packets, "one event per datagram");
+        assert_eq!(stats.gap_packets, 0, "no sequence gap");
+        assert_eq!((stats.corrupt, stats.duplicates), (0, 0), "none rejected");
+        outcomes
+    }
+
     /// A trader with every gate armed, so that decision order shows.
     fn gated(kind: ModelKind) -> LightTrader {
         LightTrader::builder(kind)
@@ -1064,8 +1075,7 @@ mod tests {
             let cut = window - 8;
             let mut outcomes = swept.on_datagram(&datagram(0, &events[..cut]));
             outcomes.extend(swept.on_datagram(&datagram(1, &events[cut..])));
-            let one_by_one: Vec<TickOutcome> = events.iter().map(|e| single.on_event(e)).collect();
-            assert_eq!(outcomes, one_by_one, "{kind}");
+            assert_eq!(outcomes, one_by_one(&mut single, &events), "{kind}");
             let warmups = outcomes
                 .iter()
                 .take_while(|o| **o == TickOutcome::Warmup)
@@ -1110,8 +1120,11 @@ mod tests {
             let leg = &events[at..at + k];
             at += k;
             let outcomes = swept.on_datagram(&datagram(seq as u32, leg));
-            let one_by_one: Vec<TickOutcome> = leg.iter().map(|e| single.on_event(e)).collect();
-            assert_eq!(outcomes, one_by_one, "leg {seq} on {kind}");
+            assert_eq!(
+                outcomes,
+                one_by_one(&mut single, leg),
+                "leg {seq} on {kind}"
+            );
             // Leg 0 serves only its last event; DeepLOB's later legs follow
             // its own last window (leg 1) or a stretch it sat out (leg 4).
             let (served, first) = match seq {
@@ -1129,7 +1142,7 @@ mod tests {
     }
 
     /// The event count of a datagram is its sender's to choose: 300 of
-    /// them are 300 `on_event` calls, served in bounded sweeps that leave
+    /// them are 300 one-event datagrams, served in bounded sweeps that leave
     /// every staging buffer the size a 16-event datagram leaves it.
     #[test]
     fn a_300_event_datagram_is_300_events_in_bounded_sweeps() {
@@ -1143,9 +1156,8 @@ mod tests {
             small.on_datagram(&warm_up);
             small.on_datagram(&datagram(1, &events[30..30 + MAX_SWEEP]));
             outcomes.extend(swept.on_datagram(&datagram(1, &events[30..])));
-            let one_by_one: Vec<TickOutcome> = events.iter().map(|e| single.on_event(e)).collect();
             assert_eq!(outcomes.len(), 330, "{kind}");
-            assert_eq!(outcomes, one_by_one, "{kind}");
+            assert_eq!(outcomes, one_by_one(&mut single, &events), "{kind}");
             assert_eq!(books(&swept), books(&single), "{kind}");
             assert_eq!(
                 swept.stream_stats(kind),
@@ -1295,13 +1307,14 @@ mod tests {
             .build();
         let mut system = LightTrader::builder(ModelKind::VanillaCnn).seed(7).build();
         // The CNN's window is 20 ticks: events 19 to 24 are served.
-        for event in &events[..25] {
-            system.on_event(event);
-        }
+        one_by_one(&mut system, &events[..25]);
         let tick = &session.trace.ticks[0];
         let ticket = system.on_tick(0, &tick.snapshot, tick.ts);
         assert_eq!(ticket.map(|t| t.ticket.tick_id), Some(25));
-        assert_ne!(system.on_event(&events[25]), TickOutcome::Warmup);
+        assert_ne!(
+            one_by_one(&mut system, &events[25..]),
+            [TickOutcome::Warmup]
+        );
         let mut out = Vec::new();
         assert_eq!(system.drain_batch(&mut out), 0, "answered {out:?}");
         assert_eq!(system.queue_len(), 0, "the superseded ticket is dropped");

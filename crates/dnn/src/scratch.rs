@@ -90,11 +90,6 @@ impl ScratchPad {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Buffers currently sitting in the free list.
-    pub fn pooled_buffers(&self) -> usize {
-        self.f32_pool.len()
-    }
 }
 
 /// Index of the smallest pooled buffer with capacity >= `len`.
@@ -107,6 +102,14 @@ fn best_fit(pool: &[Vec<f32>], len: usize) -> Option<usize> {
         }
     }
     best.map(|(i, _)| i)
+}
+
+#[cfg(test)]
+impl ScratchPad {
+    /// Buffers currently sitting in the free list.
+    pub(crate) fn pooled_buffers(&self) -> usize {
+        self.f32_pool.len()
+    }
 }
 
 #[cfg(test)]

@@ -202,7 +202,7 @@ mod tests {
         assert!(book.best_bid().is_some());
         assert!(book.best_ask().is_some());
         assert!(!book.is_crossed());
-        assert_eq!(book.spread(), Some(2));
+        assert_eq!(book.best_ask().unwrap() - book.best_bid().unwrap(), 2);
     }
 
     #[test]
@@ -222,7 +222,7 @@ mod tests {
         let mut book_changes = 0;
         for i in 0..5_000u64 {
             for e in f.step(Timestamp::from_micros(i)) {
-                if e.is_trade() {
+                if matches!(e.kind, lt_lob::events::MarketEventKind::Trade(_)) {
                     trades += 1;
                 } else {
                     book_changes += 1;
@@ -257,7 +257,7 @@ mod tests {
         assert!(book.best_bid().is_some(), "bid side drained");
         assert!(book.best_ask().is_some(), "ask side drained");
         // Price should not have wandered absurdly far from the seed mid.
-        let mid = book.mid_price_x2().unwrap() / 2;
+        let mid = (book.best_bid().unwrap().ticks() + book.best_ask().unwrap().ticks()) / 2;
         assert!((mid - 18_000).abs() < 4_000, "mid drifted to {mid}");
     }
 }

@@ -40,11 +40,6 @@ impl FlashParams {
         }
     }
 
-    /// Long-run event rate contributed by the bursts.
-    pub fn mean_event_rate(&self) -> f64 {
-        self.bursts_per_sec * self.mean_size
-    }
-
     /// Samples every flash-burst event time in `[0, horizon_secs)`,
     /// ascending. At storm intensities one burst's train can outlast the
     /// next burst's start, so the concatenated trains are re-sorted; the
@@ -116,7 +111,7 @@ mod tests {
         let p = FlashParams::new(2.0, 25.0, 10e-6);
         let events = p.sample_for(200.0, 7);
         let rate = events.len() as f64 / 200.0;
-        let theory = p.mean_event_rate();
+        let theory = p.bursts_per_sec * p.mean_size;
         assert!(
             (rate - theory).abs() / theory < 0.3,
             "rate {rate:.1} vs theory {theory:.1}"

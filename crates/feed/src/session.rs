@@ -93,21 +93,11 @@ impl SessionBuilder {
         }
     }
 
-    /// Calm traffic: a few hundred ticks per second, mild clustering.
-    pub fn calm_traffic() -> Self {
-        SessionBuilder::new(HawkesParams::new(200.0, 30.0, 100.0))
-    }
-
     /// The default evaluation traffic: ~2 000 ticks/s mean with strong
     /// self-excitation (branching ratio 0.8), producing the µs-to-ms gap
     /// range the paper's scheduler experiments stress.
     pub fn normal_traffic() -> Self {
         SessionBuilder::new(HawkesParams::new(400.0, 160.0, 200.0))
-    }
-
-    /// Stressed traffic: flash-crash-like cascades (branching ratio 0.9).
-    pub fn stressed_traffic() -> Self {
-        SessionBuilder::new(HawkesParams::new(300.0, 270.0, 300.0))
     }
 
     /// Sets the traded symbol (default `ESU6`).
@@ -150,6 +140,19 @@ impl SessionBuilder {
             self.seed,
             arrivals,
         )
+    }
+}
+
+#[cfg(test)]
+impl SessionBuilder {
+    /// Calm traffic: a few hundred ticks per second, mild clustering.
+    pub(crate) fn calm_traffic() -> Self {
+        SessionBuilder::new(HawkesParams::new(200.0, 30.0, 100.0))
+    }
+
+    /// Stressed traffic: flash-crash-like cascades (branching ratio 0.9).
+    fn stressed_traffic() -> Self {
+        SessionBuilder::new(HawkesParams::new(300.0, 270.0, 300.0))
     }
 }
 

@@ -94,21 +94,15 @@ impl NormStats {
             *f = ((*f as f64 - self.mean[i]) / self.std[i]) as f32;
         }
     }
-
-    /// Inverts [`Self::normalize`] (used by tests and diagnostics).
-    pub fn denormalize(&self, features: &mut [f32]) {
-        assert_eq!(features.len(), self.width());
-        for (i, f) in features.iter_mut().enumerate() {
-            *f = (*f as f64 * self.std[i] + self.mean[i]) as f32;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::SessionBuilder;
     use lt_lob::snapshot::SnapshotLevel;
     use lt_lob::{LobSnapshot, Price, Qty, Symbol, Timestamp};
+    use proptest::prelude::*;
 
     fn snap(mid: i64, qty: u64) -> LobSnapshot {
         LobSnapshot {
@@ -154,6 +148,14 @@ mod tests {
         }
     }
 
+    /// Inverts [`NormStats::normalize`].
+    fn denormalize(stats: &NormStats, features: &mut [f32]) {
+        assert_eq!(features.len(), stats.width());
+        for (i, f) in features.iter_mut().enumerate() {
+            *f = (*f as f64 * stats.std[i] + stats.mean[i]) as f32;
+        }
+    }
+
     #[test]
     fn round_trip_normalize_denormalize() {
         let trace = trace();
@@ -161,9 +163,31 @@ mod tests {
         let original = trace.ticks[7].snapshot.to_features(1);
         let mut f = original.clone();
         stats.normalize(&mut f);
-        stats.denormalize(&mut f);
+        denormalize(&stats, &mut f);
         for (a, b) in original.iter().zip(&f) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
+        }
+    }
+
+    proptest! {
+        /// Normalize/denormalize is the identity (within float tolerance)
+        /// for stats fitted on any session.
+        #[test]
+        fn norm_round_trips(seed in 0u64..200) {
+            let session = SessionBuilder::calm_traffic()
+                .duration_secs(0.1)
+                .seed(seed)
+                .build();
+            prop_assume!(session.trace.len() > 10);
+            let stats = NormStats::fit(&session.trace, 10);
+            let original = session.trace.ticks[5].snapshot.to_features(10);
+            let mut f = original.clone();
+            stats.normalize(&mut f);
+            denormalize(&stats, &mut f);
+            for (a, b) in original.iter().zip(&f) {
+                let tol = 1e-2_f32.max(a.abs() * 1e-3);
+                prop_assert!((a - b).abs() < tol, "{} vs {}", a, b);
+            }
         }
     }
 

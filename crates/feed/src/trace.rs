@@ -83,14 +83,6 @@ impl TickTrace {
         self.ticks.iter()
     }
 
-    /// Wall-clock span from first to last tick.
-    pub fn duration(&self) -> std::time::Duration {
-        match (self.ticks.first(), self.ticks.last()) {
-            (Some(first), Some(last)) => last.ts.since(first.ts),
-            _ => std::time::Duration::ZERO,
-        }
-    }
-
     /// Computes arrival statistics over the trace.
     pub fn stats(&self) -> TraceStats {
         let gaps: Vec<f64> = self
@@ -177,12 +169,11 @@ mod tests {
         trace.push(Timestamp::from_micros(1), snap(100));
         trace.push(Timestamp::from_micros(3), snap(101));
         assert_eq!(trace.len(), 2);
-        assert_eq!(trace.duration(), std::time::Duration::from_micros(2));
-        let mids: Vec<f64> = trace
+        let mids: Vec<i64> = trace
             .iter()
-            .filter_map(|t| t.snapshot.mid_price())
+            .filter_map(|t| t.snapshot.mid_half_ticks())
             .collect();
-        assert_eq!(mids, vec![100.0, 101.0]);
+        assert_eq!(mids, vec![200, 202]);
         // IntoIterator on &trace works in for loops.
         let mut n = 0;
         for _ in &trace {
@@ -210,7 +201,6 @@ mod tests {
     fn empty_trace_stats_are_zero() {
         let trace = TickTrace::new(Symbol::new("ESU6"));
         assert_eq!(trace.stats(), TraceStats::default());
-        assert_eq!(trace.duration(), std::time::Duration::ZERO);
     }
 
     #[test]

@@ -80,14 +80,10 @@ pub enum MarketEventKind {
     Trade(Trade),
 }
 
+#[cfg(test)]
 impl MarketEvent {
-    /// True if this event is a trade print.
-    pub fn is_trade(&self) -> bool {
-        matches!(self.kind, MarketEventKind::Trade(_))
-    }
-
     /// The trade payload, if this event is a trade.
-    pub fn as_trade(&self) -> Option<&Trade> {
+    pub(crate) fn as_trade(&self) -> Option<&Trade> {
         match &self.kind {
             MarketEventKind::Trade(t) => Some(t),
             MarketEventKind::Book(_) => None,
@@ -112,7 +108,6 @@ mod tests {
                 aggressor: Side::Bid,
             }),
         };
-        assert!(trade.is_trade());
         assert!(trade.as_trade().is_some());
 
         let add = MarketEvent {
@@ -125,7 +120,6 @@ mod tests {
                 qty: Qty::new(4),
             }),
         };
-        assert!(!add.is_trade());
         assert!(add.as_trade().is_none());
     }
 }

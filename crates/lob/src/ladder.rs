@@ -123,12 +123,6 @@ impl PriceLadder {
         self.side
     }
 
-    /// Number of occupied price levels.
-    #[inline]
-    fn level_count(&self) -> usize {
-        self.occupied
-    }
-
     /// True when no levels are occupied.
     #[inline]
     pub fn is_empty(&self) -> bool {
@@ -494,19 +488,6 @@ impl LadderBook {
         self.asks.best_price()
     }
 
-    /// Mid price in half-ticks (`bid + ask`), or `None` if either side is
-    /// empty. Returned doubled so that it stays an exact integer.
-    #[inline]
-    pub fn mid_price_x2(&self) -> Option<i64> {
-        Some(self.best_bid()?.ticks() + self.best_ask()?.ticks())
-    }
-
-    /// Bid/ask spread in ticks, or `None` if either side is empty.
-    #[inline]
-    pub fn spread(&self) -> Option<i64> {
-        Some(self.best_ask()? - self.best_bid()?)
-    }
-
     /// True if the book is *crossed* (best bid >= best ask).
     #[inline]
     pub fn is_crossed(&self) -> bool {
@@ -541,14 +522,6 @@ impl LadderBook {
     #[inline]
     pub fn for_each_level<F: FnMut(LevelView)>(&self, side: Side, depth: usize, f: F) {
         self.ladder(side).for_each_level(depth, f);
-    }
-
-    /// Iterates the best `depth` levels of `side` from most to least
-    /// aggressive. Thin allocating wrapper over [`Self::for_each_level`].
-    pub fn levels(&self, side: Side, depth: usize) -> Vec<LevelView> {
-        let mut out = Vec::with_capacity(depth.min(self.ladder(side).level_count()));
-        self.for_each_level(side, depth, |v| out.push(v));
-        out
     }
 
     /// Builds the `depth`-level snapshot consumed by the trading pipeline.
@@ -748,6 +721,14 @@ impl LadderBook {
             Side::Bid => (&mut self.bids, &mut self.arena),
             Side::Ask => (&mut self.asks, &mut self.arena),
         }
+    }
+}
+
+#[cfg(test)]
+impl PriceLadder {
+    /// Number of occupied price levels.
+    fn level_count(&self) -> usize {
+        self.occupied
     }
 }
 

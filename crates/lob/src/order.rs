@@ -55,17 +55,6 @@ impl NewOrder {
             tif: TimeInForce::Ioc,
         }
     }
-
-    /// Creates a fill-or-kill limit order.
-    pub fn fok(id: OrderId, side: Side, price: Price, qty: Qty) -> Self {
-        NewOrder {
-            id,
-            side,
-            price,
-            qty,
-            tif: TimeInForce::Fok,
-        }
-    }
 }
 
 /// An order resting on the book.
@@ -106,7 +95,6 @@ mod tests {
         let q = Qty::new(5);
         assert_eq!(NewOrder::limit(id, Side::Bid, p, q).tif, TimeInForce::Gtc);
         assert_eq!(NewOrder::ioc(id, Side::Bid, p, q).tif, TimeInForce::Ioc);
-        assert_eq!(NewOrder::fok(id, Side::Bid, p, q).tif, TimeInForce::Fok);
         assert_eq!(TimeInForce::default(), TimeInForce::Gtc);
     }
 

@@ -45,17 +45,9 @@ impl LobSnapshot {
         self.asks.first().copied()
     }
 
-    /// Mid price in ticks as a float, or `None` if either side is empty.
-    pub fn mid_price(&self) -> Option<f64> {
-        let b = self.best_bid()?.price.ticks() as f64;
-        let a = self.best_ask()?.price.ticks() as f64;
-        Some((a + b) / 2.0)
-    }
-
     /// Mid price in **half-ticks** (`bid + ask` in ticks), or `None` if
-    /// either side is empty. Exact where the integer-tick mid truncates on
-    /// odd spreads, and always agrees with [`Self::mid_price`]:
-    /// `mid_half_ticks == 2 × mid_price`.
+    /// either side is empty: exact where the integer-tick mid truncates
+    /// on odd spreads.
     pub fn mid_half_ticks(&self) -> Option<i64> {
         let b = self.best_bid()?.price.ticks();
         let a = self.best_ask()?.price.ticks();
@@ -155,10 +147,10 @@ mod tests {
     #[test]
     fn mid_price_and_imbalance() {
         let s = snap();
-        assert_eq!(s.mid_price(), Some(100.0));
+        assert_eq!(s.mid_half_ticks(), Some(200));
         let imb = s.top_imbalance();
         assert!((imb - (10.0 - 5.0) / 15.0).abs() < 1e-12);
-        assert_eq!(LobSnapshot::default().mid_price(), None);
+        assert_eq!(LobSnapshot::default().mid_half_ticks(), None);
         assert_eq!(LobSnapshot::default().top_imbalance(), 0.0);
     }
 

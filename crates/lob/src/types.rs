@@ -224,11 +224,6 @@ impl Timestamp {
         Timestamp(millis * 1_000_000)
     }
 
-    /// Creates a timestamp from whole seconds since the epoch.
-    pub const fn from_secs(secs: u64) -> Self {
-        Timestamp(secs * 1_000_000_000)
-    }
-
     /// Raw nanoseconds since the epoch.
     pub const fn nanos(self) -> u64 {
         self.0
@@ -373,7 +368,6 @@ mod tests {
         assert_eq!(b.nanos_since(a), 500);
         assert_eq!(a.nanos_since(b), 0, "saturating");
         assert_eq!(Timestamp::from_millis(1).nanos(), 1_000_000);
-        assert_eq!(Timestamp::from_secs(1).nanos(), 1_000_000_000);
         let mut c = a;
         c += Duration::from_nanos(10);
         assert_eq!(c, Timestamp::from_nanos(5_010));

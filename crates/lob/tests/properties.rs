@@ -41,6 +41,27 @@ fn action_strategy() -> impl Strategy<Value = Action> {
     ]
 }
 
+/// The order `tif` picks: GTC, IOC or FOK.
+fn new_order(id: OrderId, side: Side, price: i64, qty: u64, tif: u8) -> NewOrder {
+    let tif = match tif {
+        0 => TimeInForce::Gtc,
+        1 => TimeInForce::Ioc,
+        _ => TimeInForce::Fok,
+    };
+    NewOrder {
+        tif,
+        ..NewOrder::limit(id, side, Price::new(price), Qty::new(qty))
+    }
+}
+
+/// The trade an event prints, if it is one.
+fn trade(event: &MarketEvent) -> Option<&Trade> {
+    match &event.kind {
+        lt_lob::events::MarketEventKind::Trade(t) => Some(t),
+        lt_lob::events::MarketEventKind::Book(_) => None,
+    }
+}
+
 fn run(actions: Vec<Action>) -> (MatchingEngine, Vec<MarketEvent>) {
     let mut engine = MatchingEngine::new(Symbol::new("ESU6"));
     let mut events = Vec::new();
@@ -58,11 +79,7 @@ fn run(actions: Vec<Action>) -> (MatchingEngine, Vec<MarketEvent>) {
                 let id = OrderId::new(next_id);
                 next_id += 1;
                 known.push(id);
-                let order = match tif {
-                    0 => NewOrder::limit(id, side, Price::new(price), Qty::new(qty)),
-                    1 => NewOrder::ioc(id, side, Price::new(price), Qty::new(qty)),
-                    _ => NewOrder::fok(id, side, Price::new(price), Qty::new(qty)),
-                };
+                let order = new_order(id, side, price, qty, tif);
                 engine.submit(order, ts)
             }
             Action::Cancel { target } => {
@@ -119,13 +136,9 @@ proptest! {
                 let id = OrderId::new(next_id);
                 next_id += 1;
                 limits.insert(id, (side, Price::new(price)));
-                let order = match tif {
-                    0 => NewOrder::limit(id, side, Price::new(price), Qty::new(qty)),
-                    1 => NewOrder::ioc(id, side, Price::new(price), Qty::new(qty)),
-                    _ => NewOrder::fok(id, side, Price::new(price), Qty::new(qty)),
-                };
+                let order = new_order(id, side, price, qty, tif);
                 let out = engine.submit(order, ts);
-                for trade in out.events.iter().filter_map(MarketEvent::as_trade) {
+                for trade in out.events.iter().filter_map(trade) {
                     let (side, limit) = limits[&trade.taker];
                     match side {
                         Side::Bid => prop_assert!(trade.price <= limit),
@@ -152,11 +165,7 @@ proptest! {
                     let id = OrderId::new(next_id);
                     next_id += 1;
                     known.push(id);
-                    let order = match tif {
-                        0 => NewOrder::limit(id, side, Price::new(price), Qty::new(qty)),
-                        1 => NewOrder::ioc(id, side, Price::new(price), Qty::new(qty)),
-                        _ => NewOrder::fok(id, side, Price::new(price), Qty::new(qty)),
-                    };
+                    let order = new_order(id, side, price, qty, tif);
                     let out = engine.submit(order, ts);
                     if !out.report.is_rejected() {
                         submitted += qty;
@@ -164,7 +173,7 @@ proptest! {
                     if let ExecutionReport::Cancelled { filled } = out.report {
                         cancelled += (Qty::new(qty) - filled).contracts();
                     }
-                    for t in out.events.iter().filter_map(MarketEvent::as_trade) {
+                    for t in out.events.iter().filter_map(trade) {
                         traded_x2 += 2 * t.qty.contracts();
                     }
                 }
@@ -183,11 +192,10 @@ proptest! {
                 }
             }
         }
-        let resting: u64 = [Side::Bid, Side::Ask]
-            .iter()
-            .flat_map(|&s| engine.book().levels(s, usize::MAX))
-            .map(|l| l.qty.contracts())
-            .sum();
+        let mut resting = 0u64;
+        for side in [Side::Bid, Side::Ask] {
+            engine.book().for_each_level(side, usize::MAX, |l| resting += l.qty.contracts());
+        }
         prop_assert_eq!(submitted, traded_x2 + resting + cancelled);
     }
 

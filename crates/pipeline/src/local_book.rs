@@ -48,20 +48,6 @@ impl LocalBook {
         }
     }
 
-    /// Pre-sizes the per-order index for a session expected to carry up
-    /// to `orders` resting orders.
-    ///
-    /// The ladders grow to their steady-state span on first touch, but
-    /// the order index is a hash map whose deletion tombstones can force
-    /// a reallocating rehash at a load-dependent (and hash-seed-
-    /// dependent) moment. Reserving ~3× the expected live-order
-    /// high-water mark keeps the table sparse enough that tombstone
-    /// cleanup always rehashes in place, making the post-warm-up tick
-    /// path deterministically allocation-free.
-    pub fn reserve_orders(&mut self, orders: usize) {
-        self.orders.reserve(orders.saturating_mul(3));
-    }
-
     /// Adds ignored because their price lay further from the side's
     /// resting band than a ladder may span.
     pub fn out_of_span(&self) -> u64 {

@@ -14,7 +14,9 @@
 use lighttrader::{LightTrader, TickOutcome};
 use lt_dnn::{ModelKind, Prediction};
 use lt_lob::events::MarketEventKind;
-use lt_lob::{BookDelta, MarketEvent, OrderId, Price, Qty, Side, Symbol, Timestamp, Trade};
+use lt_lob::{
+    BookDelta, MarketEvent, OrderId, Price, Qty, Side, Symbol, TimeInForce, Timestamp, Trade,
+};
 use lt_pipeline::trading::NoOrderReason;
 use lt_pipeline::{FeedArbiter, FeedId, LocalBook, PacketParser};
 use lt_protocol::framing::Datagram;
@@ -335,13 +337,16 @@ fn far_priced_adds_are_counted_and_leave_the_book_alone() {
 
 #[test]
 fn order_decode_rejects_short_blocks() {
-    let new = OrderMessage::new_limit(
-        OrderId::new(7),
-        Symbol::new("ESU6"),
-        Side::Bid,
-        Price::new(100),
-        Qty::new(2),
-    );
+    let new = OrderMessage {
+        cl_ord_id: OrderId::new(7),
+        symbol: Symbol::new("ESU6"),
+        kind: OrderMessageKind::New {
+            side: Side::Bid,
+            price: Price::new(100),
+            qty: Qty::new(2),
+            tif: TimeInForce::Gtc,
+        },
+    };
     let replace = OrderMessageKind::Replace {
         price: Price::new(101),
         qty: Qty::new(1),

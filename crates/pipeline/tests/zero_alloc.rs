@@ -3,18 +3,18 @@
 //! feature extraction → normalization → ticket queue.
 //!
 //! So is the whole wire path on top of it: datagram bytes through
-//! `LightTrader::on_datagram_into` (or `FeedArbiter::on_packet_events_into`
-//! and `LightTrader::on_event`) to iLink3 order bytes from
+//! `LightTrader::on_datagram_into` to iLink3 order bytes from
 //! `OrderMessage::encode_into`, into kept buffers, allocates nothing per
-//! datagram; the allocating `on_datagram` wrapper allocates exactly the
-//! `Vec` it returns. The fleet's `MultiSymbolTrader` rounds — one tick
+//! datagram, and nor does `FeedArbiter::on_packet_events_into` decoding
+//! both feeds' copies into the parser's events; the allocating
+//! `on_datagram` wrapper allocates exactly the `Vec` it returns. The fleet's `MultiSymbolTrader` rounds — one tick
 //! per shard, then one batched drain — allocate nothing either, and nor
 //! does the back-test's `TicketQueue` under its scheduler's calls.
 //!
 //! Same counting-global-allocator technique as `lt-dnn`'s
 //! `tests/zero_alloc.rs`: every allocation on this thread bumps a
-//! thread-local counter, a warm-up replay sizes the ladder band, order
-//! index, snapshot buffers, and feature ring, and a second replay of the
+//! thread-local counter, warm-up replays size the ladder band, order
+//! index, snapshot buffers, and feature ring, and one more replay of the
 //! identical event stream is then asserted to allocate nothing at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -27,8 +27,8 @@ use lt_lob::events::MarketEventKind;
 use lt_lob::prelude::*;
 use lt_pipeline::stages::PipelineLatencies;
 use lt_pipeline::{
-    FeedArbiter, FeedId, LocalBook, MultiOffload, OffloadEngine, RiskLimits, ShardTicket,
-    TensorTicket, TicketQueue,
+    FeedArbiter, FeedId, LocalBook, MultiOffload, OffloadEngine, PacketParser, RiskLimits,
+    ShardTicket, TensorTicket, TicketQueue,
 };
 use lt_protocol::framing::Datagram;
 use lt_protocol::sbe::SbeEncoder;
@@ -161,19 +161,18 @@ fn tick_hot_path_is_allocation_free_after_warmup() {
     let mut snap = LobSnapshot::default();
     let stages = PipelineLatencies::fpga();
 
-    // Size the order index for the whole session up front; without this
-    // the hash map's deletion tombstones can force one reallocating
-    // rehash at a hash-seed-dependent moment mid-replay.
-    book.reserve_orders(2_000);
-
-    // Warm-up: two full replays. The first sizes the ladder band, the
+    // Warm-up: three full replays. The first sizes the ladder band, the
     // snapshot vectors, and fills the feature ring; the second covers
     // capacity high-water effects of replaying onto an already-populated
     // book (the order index briefly holds both the leftover resting
-    // orders and the stream's own).
-    let warm_a = replay(&events, &mut book, &mut offload, &mut snap, &stages);
-    let warm_b = replay(&events, &mut book, &mut offload, &mut snap, &stages);
-    assert!(warm_a > 0 && warm_b > 0, "offload engine must emit tickets");
+    // orders and the stream's own). In the third, the order index's
+    // deletion tombstones use up its free slots, and the rehash that
+    // follows grows it once more: the book is not pre-sized, as the
+    // trader's is not.
+    for _ in 0..3 {
+        let warm = replay(&events, &mut book, &mut offload, &mut snap, &stages);
+        assert!(warm > 0, "offload engine must emit tickets");
+    }
 
     let before = allocations();
     let tickets = replay(&events, &mut book, &mut offload, &mut snap, &stages);
@@ -222,25 +221,19 @@ fn batched_pop_path_is_allocation_free_after_warmup() {
     let mut snap = LobSnapshot::default();
     let stages = PipelineLatencies::fpga();
     let mut batch_buf: Vec<TensorTicket> = Vec::new();
-    book.reserve_orders(2_000);
 
-    let warm_a = replay_batched(
-        &events,
-        &mut book,
-        &mut offload,
-        &mut snap,
-        &stages,
-        &mut batch_buf,
-    );
-    let warm_b = replay_batched(
-        &events,
-        &mut book,
-        &mut offload,
-        &mut snap,
-        &stages,
-        &mut batch_buf,
-    );
-    assert!(warm_a > 0 && warm_b > 0, "batched pops must drain tickets");
+    // Three warm-up replays, as on the unbatched path.
+    for _ in 0..3 {
+        let warm = replay_batched(
+            &events,
+            &mut book,
+            &mut offload,
+            &mut snap,
+            &stages,
+            &mut batch_buf,
+        );
+        assert!(warm > 0, "batched pops must drain tickets");
+    }
 
     let before = allocations();
     let tickets = replay_batched(
@@ -293,9 +286,6 @@ fn replay_multi(
 fn cross_symbol_path_is_allocation_free_after_warmup() {
     let events = generate_events(2_000);
     let mut books: Vec<LocalBook> = (0..4).map(|_| LocalBook::new()).collect();
-    for book in &mut books {
-        book.reserve_orders(2_000);
-    }
     let mut offload = MultiOffload::new(vec![NormStats::identity(10); 4], 50, 64);
     let mut snap = LobSnapshot::default();
     let stages = PipelineLatencies::fpga();
@@ -436,9 +426,6 @@ fn fleet_rounds_allocate_nothing_after_warmup() {
     // this unoptimized.
     let events = generate_events(600);
     let mut books: Vec<LocalBook> = (0..4).map(|_| LocalBook::new()).collect();
-    for book in &mut books {
-        book.reserve_orders(600);
-    }
     let mut trader =
         MultiSymbolTrader::new(ModelKind::DeepLob, vec![NormStats::identity(10); 4], 3)
             .with_batch_cap(4);
@@ -562,11 +549,10 @@ fn datagram_to_order_bytes_allocates_nothing() {
     };
     for kind in ModelKind::ALL {
         let build = || LightTrader::builder(kind).seed(3).risk(risk).build();
-        let (mut direct, mut arbitrated, mut wrapped) = (build(), build(), build());
-        let mut arbiter = FeedArbiter::new();
+        let (mut direct, mut wrapped) = (build(), build());
+        let (mut arbiter, mut parser) = (FeedArbiter::new(), PacketParser::new());
         let (mut outcomes, mut wire) = (Vec::new(), Vec::new());
-        let (mut events, mut arbitrated_outcomes, mut arbitrated_wire) =
-            (Vec::new(), Vec::new(), Vec::new());
+        let (mut events, mut parsed) = (Vec::new(), Vec::new());
         let (mut served, mut orders) = (0, 0);
         for (i, bytes) in session.iter().enumerate() {
             let before = allocations();
@@ -577,26 +563,22 @@ fn datagram_to_order_bytes_allocates_nothing() {
             let direct_allocs = allocations() - before;
 
             // Both feeds carry the datagram: the B copy is decoded, found
-            // a cross-duplicate and truncated away.
+            // a cross-duplicate and truncated away, leaving the events the
+            // parser decodes.
             let before = allocations();
             events.clear();
-            arbitrated_outcomes.clear();
-            arbitrated_wire.clear();
             for feed in FeedId::ALL {
                 arbiter.on_packet_events_into(feed, bytes, &mut events);
             }
-            for event in &events {
-                arbitrated_outcomes.push(arbitrated.on_event(event));
-            }
-            encode_orders(&arbitrated_outcomes, &mut arbitrated_wire);
             let arbitrated_allocs = allocations() - before;
 
             let before = allocations();
             let returned = wrapped.on_datagram(bytes);
             let wrapper_allocs = allocations() - before;
 
-            assert_eq!(arbitrated_outcomes, outcomes, "{kind}: datagram {i}");
-            assert_eq!(arbitrated_wire, wire, "{kind}: datagram {i}");
+            parsed.clear();
+            parser.ingest_into(bytes, &mut parsed);
+            assert_eq!(events, parsed, "{kind}: datagram {i}");
             assert_eq!(returned, outcomes, "{kind}: datagram {i}");
             // Two passes size the events, snapshots, pads, lanes and wire
             // for the widest datagram and sweep; the third allocates
@@ -606,7 +588,7 @@ fn datagram_to_order_bytes_allocates_nothing() {
                 orders += sent;
                 let case = format!("{kind}: datagram {i} of {} events", outcomes.len());
                 assert_eq!(direct_allocs, 0, "direct intake, {case}");
-                assert_eq!(arbitrated_allocs, 0, "arbitrated intake, {case}");
+                assert_eq!(arbitrated_allocs, 0, "arbiter, {case}");
                 assert_eq!(wrapper_allocs, 1, "on_datagram wrapper, {case}");
             }
         }

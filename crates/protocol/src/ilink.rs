@@ -62,26 +62,6 @@ pub struct OrderMessage {
 }
 
 impl OrderMessage {
-    /// Convenience constructor for a new GTC limit order.
-    pub fn new_limit(
-        cl_ord_id: OrderId,
-        symbol: Symbol,
-        side: Side,
-        price: Price,
-        qty: Qty,
-    ) -> Self {
-        OrderMessage {
-            cl_ord_id,
-            symbol,
-            kind: OrderMessageKind::New {
-                side,
-                price,
-                qty,
-                tif: TimeInForce::Gtc,
-            },
-        }
-    }
-
     /// Encodes the message into a fresh buffer.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(MAX_FRAME);
@@ -209,6 +189,29 @@ impl OrderMessage {
             },
             header.encoded_len(),
         ))
+    }
+}
+
+#[cfg(test)]
+impl OrderMessage {
+    /// A new GTC limit order.
+    pub(crate) fn new_limit(
+        cl_ord_id: OrderId,
+        symbol: Symbol,
+        side: Side,
+        price: Price,
+        qty: Qty,
+    ) -> Self {
+        OrderMessage {
+            cl_ord_id,
+            symbol,
+            kind: OrderMessageKind::New {
+                side,
+                price,
+                qty,
+                tif: TimeInForce::Gtc,
+            },
+        }
     }
 }
 

@@ -3,7 +3,9 @@
 //! to these vectors is a breaking protocol revision.
 
 use lt_lob::events::MarketEventKind;
-use lt_lob::{BookDelta, MarketEvent, OrderId, Price, Qty, Side, Symbol, Timestamp, Trade};
+use lt_lob::{
+    BookDelta, MarketEvent, OrderId, Price, Qty, Side, Symbol, TimeInForce, Timestamp, Trade,
+};
 use lt_protocol::framing::Datagram;
 use lt_protocol::ilink::{OrderMessage, OrderMessageKind};
 use lt_protocol::sbe::SbeEncoder;
@@ -98,13 +100,16 @@ fn ilink_new_order_golden_bytes() {
 
 #[test]
 fn fix_new_order_golden_frame() {
-    let msg = OrderMessage::new_limit(
-        OrderId::new(42),
-        Symbol::new("ESU6"),
-        Side::Bid,
-        Price::new(18_000),
-        Qty::new(3),
-    );
+    let msg = OrderMessage {
+        cl_ord_id: OrderId::new(42),
+        symbol: Symbol::new("ESU6"),
+        kind: OrderMessageKind::New {
+            side: Side::Bid,
+            price: Price::new(18_000),
+            qty: Qty::new(3),
+            tif: TimeInForce::Gtc,
+        },
+    };
     let frame = FixEncoder::new().encode(&msg);
     let text = String::from_utf8(frame).unwrap();
     assert_eq!(

@@ -16,7 +16,8 @@
 //!   upgrade fits. One function per half: [`scale_down_to_deadline`] and
 //!   [`plan_uprates`]. The simulator runs only the second
 //!   (`SimState::rebalance`): it never under-clocks below the static
-//!   plan, so nothing in `lt-sim` calls `scale_down_to_deadline`.
+//!   plan, so nothing in `lt-sim` calls `scale_down_to_deadline`; the
+//!   `scheduler_explorer` example prints its choices.
 //!
 //! [`Policy`] selects which of the two run, matching the four
 //! configurations of the paper's Fig. 13 (baseline, WS, DS, WS+DS).

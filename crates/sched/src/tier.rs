@@ -31,11 +31,6 @@ pub struct TierLadder {
 }
 
 impl TierLadder {
-    /// No registered tiers.
-    pub fn empty() -> Self {
-        TierLadder { mask: 0 }
-    }
-
     /// All three benchmark tiers.
     pub fn full() -> Self {
         TierLadder {
@@ -155,12 +150,6 @@ impl EwmaEstimator {
     pub fn samples(&self) -> u64 {
         self.samples
     }
-
-    /// Exact state fingerprint (f64 bit pattern + counter) for
-    /// determinism assertions.
-    fn state_bits(&self) -> (u64, u64) {
-        (self.mean_ns.to_bits(), self.samples)
-    }
 }
 
 /// Deterministic streaming quantile tracker (Robbins–Monro with a
@@ -237,16 +226,6 @@ impl QuantileEstimator {
     pub fn samples(&self) -> u64 {
         self.samples
     }
-
-    /// Exact state fingerprint for determinism assertions.
-    fn state_bits(&self) -> (u64, u64, u64, i8) {
-        (
-            self.estimate_ns.to_bits(),
-            self.step_ns.to_bits(),
-            self.samples,
-            self.last_dir,
-        )
-    }
 }
 
 /// The online latency model behind a deadline-tiered scheduler: one
@@ -308,21 +287,6 @@ impl LatencyModel {
     /// horizon allows, so the planner should drain with cheap tiers.
     pub fn congested(&self, horizon: Duration) -> bool {
         self.wait.samples() > 0 && self.wait.predicted() > horizon
-    }
-
-    /// Exact state fingerprint across every estimator, for determinism
-    /// assertions (seed-replayed streams must match bit for bit).
-    pub fn state_fingerprint(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(10);
-        let (m, n) = self.slack.state_bits();
-        out.extend([m, n]);
-        let (e, s, n, d) = self.wait.state_bits();
-        out.extend([e, s, n, d as u64]);
-        for svc in &self.service {
-            let (m, n) = svc.state_bits();
-            out.extend([m, n]);
-        }
-        out
     }
 }
 
@@ -408,10 +372,9 @@ mod tests {
         let up = TierLadder::up_to(ModelKind::TransLob);
         assert!(up.contains(ModelKind::VanillaCnn) && up.contains(ModelKind::TransLob));
         assert!(!up.contains(ModelKind::DeepLob));
-        assert!(TierLadder::empty().is_empty());
         assert_eq!(
-            TierLadder::empty().with(ModelKind::DeepLob),
-            TierLadder::single(ModelKind::DeepLob)
+            TierLadder::single(ModelKind::VanillaCnn).with(ModelKind::TransLob),
+            up
         );
         let order: Vec<ModelKind> = full.tiers().collect();
         assert_eq!(order, ModelKind::ALL.to_vec(), "cheapest first");
@@ -482,6 +445,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "register a model")]
     fn empty_ladder_rejected() {
-        let _ = TierPlanner::new(TierLadder::empty());
+        let _ = TierPlanner::new(TierLadder { mask: 0 });
     }
 }

@@ -73,7 +73,8 @@ proptest! {
         let feasible_at = |p: OperatingPoint| profile.t_total(kind, batch, p) <= t_avail;
         if feasible_at(table.max()) {
             prop_assert!(feasible_at(point));
-            if let Some(down) = table.step_down(point) {
+            let slower = table.points().iter().filter(|p| p.freq_ghz < point.freq_ghz);
+            for &down in slower {
                 prop_assert!(!feasible_at(down), "a slower feasible point exists");
             }
         } else {

@@ -231,7 +231,7 @@ pub fn run_single_device(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lt_feed::SessionBuilder;
+    use lt_feed::{HawkesParams, SessionBuilder};
 
     #[test]
     fn latency_factors_average_to_paper_speedups() {
@@ -266,7 +266,7 @@ mod tests {
 
     #[test]
     fn calm_traffic_yields_high_response_rate() {
-        let trace = SessionBuilder::calm_traffic()
+        let trace = SessionBuilder::new(HawkesParams::new(200.0, 30.0, 100.0))
             .duration_secs(5.0)
             .seed(1)
             .build()
@@ -290,7 +290,7 @@ mod tests {
     fn overload_yields_low_response_rate() {
         // Stressed traffic (thousands of ticks/s) vs a 3.3 ms service
         // time: the GPU system must miss most queries.
-        let trace = SessionBuilder::stressed_traffic()
+        let trace = SessionBuilder::new(HawkesParams::new(300.0, 270.0, 300.0))
             .duration_secs(2.0)
             .seed(2)
             .build()
@@ -308,7 +308,7 @@ mod tests {
 
     #[test]
     fn deterministic_replay() {
-        let trace = SessionBuilder::calm_traffic()
+        let trace = SessionBuilder::new(HawkesParams::new(200.0, 30.0, 100.0))
             .duration_secs(2.0)
             .seed(3)
             .build()

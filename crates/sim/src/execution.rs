@@ -120,20 +120,6 @@ impl ExecutionConfig {
         }
     }
 
-    /// Overrides the signal parameters.
-    #[must_use]
-    pub fn with_signal(mut self, signal: SignalConfig) -> Self {
-        self.signal = signal;
-        self
-    }
-
-    /// Arms a kill switch with a loss floor in whole ticks.
-    #[must_use]
-    pub fn with_kill_floor(mut self, floor_ticks: i64) -> Self {
-        self.kill_floor_ticks = Some(floor_ticks);
-        self
-    }
-
     /// Validates internal consistency.
     ///
     /// # Panics
@@ -412,7 +398,7 @@ impl ExecState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lt_feed::SessionBuilder;
+    use lt_feed::{HawkesParams, SessionBuilder};
 
     #[test]
     fn disabled_config_validates_anything() {
@@ -431,7 +417,7 @@ mod tests {
 
     #[test]
     fn signals_are_deterministic_and_bounded() {
-        let trace = SessionBuilder::calm_traffic()
+        let trace = SessionBuilder::new(HawkesParams::new(200.0, 30.0, 100.0))
             .duration_secs(1.0)
             .seed(9)
             .build()
@@ -452,7 +438,7 @@ mod tests {
 
     #[test]
     fn perfect_signal_points_at_the_future_move() {
-        let trace = SessionBuilder::calm_traffic()
+        let trace = SessionBuilder::new(HawkesParams::new(200.0, 30.0, 100.0))
             .duration_secs(1.0)
             .seed(5)
             .build()

@@ -59,7 +59,7 @@ pub struct FarmCell {
 ///
 /// Invalid combinations are pruned rather than expanded: ingress fault
 /// injection is defined per A/B feed pair, not for merged multi-symbol
-/// streams (see [`crate::run_multi`]), so a fault-enabled profile
+/// streams (see [`crate::run_multi_merged`]), so a fault-enabled profile
 /// crossed with a `symbols > 1` axis point produces no cell.
 #[derive(Debug, Clone)]
 pub struct SweepGrid {

@@ -6,7 +6,7 @@
 //! expensive part a naive sweep repeats per cell). Phase two scatters
 //! the cells over the worker pool; every cell replays its session's
 //! immutable `Arc`'d artifact through the serial engine, so results are
-//! bit-identical to [`run_lighttrader`] / [`crate::run_multi`] on the
+//! bit-identical to [`run_lighttrader`] / [`run_multi_merged`] on the
 //! same inputs, at any worker count, merged back in expansion order.
 
 use super::grid::{FarmCell, SweepGrid};

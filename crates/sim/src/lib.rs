@@ -54,9 +54,9 @@ pub use ingress::{degrade_trace, FeedReport, IngressFaults, IngressReport};
 pub use lighttrader::run_lighttrader;
 pub use lt_protocol::netem::FaultRates;
 pub use metrics::{BacktestMetrics, ShardOutcomes, StageSummary, TierOutcomes};
-pub use multi::{run_multi, run_multi_merged};
+pub use multi::run_multi_merged;
 pub use telemetry::{QueryTimeline, Stage, StageBreakdown};
 pub use traffic::{
     burst_storm_trace, cached_evaluation_session, evaluation_deadline, evaluation_trace,
-    multi_evaluation_session, shared_trace_cache, EVALUATION_SEED,
+    shared_trace_cache, EVALUATION_SEED,
 };

@@ -822,7 +822,7 @@ mod tests {
     use super::*;
     use crate::traffic::{evaluation_trace, scheduling_deadline};
     use lt_accel::PowerCondition;
-    use lt_feed::SessionBuilder;
+    use lt_feed::{HawkesParams, SessionBuilder};
     use lt_sched::Policy;
 
     fn quick_trace() -> TickTrace {
@@ -840,7 +840,7 @@ mod tests {
 
     #[test]
     fn calm_traffic_achieves_high_response() {
-        let trace = SessionBuilder::calm_traffic()
+        let trace = SessionBuilder::new(HawkesParams::new(200.0, 30.0, 100.0))
             .duration_secs(5.0)
             .seed(3)
             .build()
@@ -936,7 +936,11 @@ mod tests {
         let m = run_lighttrader(&trace, &cfg);
         assert!(m.energy_j > 0.0);
         // Busy energy can never exceed budget x wall-clock.
-        let wall = trace.duration().as_secs_f64() + 1.0;
+        let wall = trace
+            .ticks
+            .last()
+            .map_or(0.0, |last| last.ts.since(trace.ticks[0].ts).as_secs_f64())
+            + 1.0;
         assert!(m.energy_j <= cfg.condition.accelerator_budget_w() * wall);
     }
 
@@ -958,7 +962,11 @@ mod tests {
             .with_policy(Policy::DvfsScheduling)
             .with_t_avail(scheduling_deadline());
         let m = run_lighttrader(&trace, &cfg);
-        let wall = trace.duration().as_secs_f64() + 1.0;
+        let wall = trace
+            .ticks
+            .last()
+            .map_or(0.0, |last| last.ts.since(trace.ticks[0].ts).as_secs_f64())
+            + 1.0;
         assert!(m.energy_j <= 20.0 * wall, "{} J over {wall} s", m.energy_j);
         assert!(m.total() > 0);
     }

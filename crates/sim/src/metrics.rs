@@ -43,16 +43,6 @@ impl TierOutcomes {
         }
     }
 
-    /// Scored queries served at `kind`.
-    pub fn served_at(&self, kind: ModelKind) -> u64 {
-        self.served[kind.index()]
-    }
-
-    /// Scored queries across all tiers.
-    pub fn served_total(&self) -> u64 {
-        self.served.iter().sum()
-    }
-
     /// Merges another tally into this one.
     pub fn merge(&mut self, other: &TierOutcomes) {
         for (a, b) in self.served.iter_mut().zip(other.served) {
@@ -356,21 +346,10 @@ impl BacktestMetrics {
         qs.map(|q| quantile(&sorted, q))
     }
 
-    /// Number of recorded responses: the length of every stage column.
-    pub fn latency_samples(&self) -> usize {
-        self.stages.len()
-    }
-
     /// Every in-time response's tick-to-trade (nanoseconds) in recording
     /// order, summed from its stage row.
     pub fn latencies(&self) -> Vec<u64> {
         self.stages.tick_to_trade()
-    }
-
-    /// True once a response is recorded: each carries its per-stage
-    /// decomposition.
-    pub fn has_stage_samples(&self) -> bool {
-        self.stages.len() > 0
     }
 
     /// The `q`-quantile (0.0–1.0) of one stage's latency distribution.
@@ -505,7 +484,7 @@ pub(crate) mod tests {
         assert_eq!(m.mean_latency(), Duration::ZERO);
         assert_eq!(m.latency_quantile(0.99), Duration::ZERO);
         assert_eq!(m.mean_batch(), 0.0);
-        assert!(!m.has_stage_samples());
+        assert!(m.latencies().is_empty());
         assert_eq!(m.stage_quantile(Stage::Inference, 0.5), Duration::ZERO);
         assert!(m.stage_sums_reconcile(0), "vacuously reconciled");
     }
@@ -521,7 +500,7 @@ pub(crate) mod tests {
             m.latency_quantiles([0.0, 0.5, 1.0]),
             [100, 300, 500].map(Duration::from_micros)
         );
-        assert_eq!(m.latency_samples(), 5);
+        assert_eq!(m.latencies().len(), 5);
     }
 
     #[test]
@@ -545,14 +524,12 @@ pub(crate) mod tests {
         t.record(ModelKind::DeepLob, false);
         t.record(ModelKind::VanillaCnn, true);
         t.record(ModelKind::VanillaCnn, true);
-        assert_eq!(t.served_at(ModelKind::VanillaCnn), 2);
-        assert_eq!(t.served_at(ModelKind::DeepLob), 1);
-        assert_eq!(t.served_total(), 3);
+        assert_eq!(t.served, [2, 0, 1]);
         assert_eq!(t.degraded, 2);
         let mut other = TierOutcomes::default();
         other.record(ModelKind::TransLob, true);
         t.merge(&other);
-        assert_eq!(t.served_total(), 4);
+        assert_eq!(t.served, [2, 1, 1]);
         assert_eq!(t.degraded, 3);
         // dropped_deadline participates in the outcome tiling.
         let m = BacktestMetrics {
@@ -599,7 +576,7 @@ pub(crate) mod tests {
             (m.responded, m.late, m.deferred, m.dropped_stale),
             (2, 1, 1, 2)
         );
-        assert_eq!(m.tiers.served_total(), 3);
+        assert_eq!(m.tiers.served.iter().sum::<u64>(), 3);
         assert_eq!(m.tiers.degraded, 1);
         assert_eq!(m.execution, Some(stats(5)));
         assert_eq!(m.latencies(), [100_000, 200_000]);
@@ -670,8 +647,7 @@ pub(crate) mod tests {
         let (a, b) = (breakdown(500), breakdown(2_500));
         let m = responses([a, b]);
         assert_eq!(m.responded, 2);
-        assert_eq!(m.latency_samples(), 2);
-        assert!(m.has_stage_samples());
+        assert_eq!(m.latencies().len(), 2);
         assert_eq!(m.stage_quantile(Stage::QueueWait, 0.0).as_nanos(), 500);
         assert_eq!(m.stage_quantile(Stage::QueueWait, 1.0).as_nanos(), 2_500);
         // Each response's tick-to-trade is its stage row's sum.

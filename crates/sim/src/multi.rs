@@ -1,6 +1,6 @@
 //! The multi-symbol sharded back-test.
 //!
-//! [`run_multi`] replays a correlated multi-instrument session
+//! [`run_multi_merged`] replays a correlated multi-instrument session
 //! ([`lt_feed::MultiMarketSession`]) through ONE LightTrader system
 //! model: every symbol's ticks feed a single coalesced ticket queue, so
 //! one accelerator batch mixes queries from many instruments and the
@@ -13,8 +13,8 @@
 //! ([`BacktestMetrics::shards`]) are the per-symbol tallies in shard
 //! order (symbol `i` of [`MultiMarketSession::symbols`] is row `i`), and
 //! its totals are their sum. With one symbol the sharded core is the
-//! historical single-instrument back-test **bit for bit**: `run_multi`
-//! on a 1-symbol session serializes byte-identically to
+//! historical single-instrument back-test **bit for bit**:
+//! `run_multi_merged` on a 1-symbol session serializes byte-identically to
 //! [`crate::run_lighttrader`] on the same trace.
 
 use crate::config::BacktestConfig;
@@ -26,32 +26,19 @@ use lt_feed::MultiMarketSession;
 /// Replays a multi-instrument session through one sharded LightTrader
 /// configuration and reports its metrics, one outcome row per symbol.
 ///
-/// The accelerator fleet, power condition, and scheduling policy come
-/// from `cfg` exactly as in [`crate::run_lighttrader`]; the session
-/// alone sets the symbol count.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid, or if it carries ingress
-/// faults — the fault-injected A/B ingress models a single feed pair and
-/// is not defined for merged multi-symbol streams.
-pub fn run_multi(session: &MultiMarketSession, cfg: &BacktestConfig) -> BacktestMetrics {
-    let (trace, tick_shards) = session.merged();
-    run_multi_merged(session, &trace, &tick_shards, cfg)
-}
-
-/// [`run_multi`] with the k-way merge precomputed by the caller.
-///
 /// `merged` and `tick_shards` must be exactly what
 /// [`MultiMarketSession::merged`] returns for `session` — the back-test
 /// farm caches that pair per session so hundreds of cells replay it
-/// without re-merging. Bit-identical to [`run_multi`] by construction
-/// (the latter is now a thin wrapper).
+/// without re-merging. The accelerator fleet, power condition, and
+/// scheduling policy come from `cfg` exactly as in
+/// [`crate::run_lighttrader`]; the session alone sets the symbol count.
 ///
 /// # Panics
 ///
-/// As [`run_multi`], plus if `merged` and `tick_shards` disagree in
-/// length.
+/// Panics if the configuration is invalid, if it carries ingress
+/// faults — the fault-injected A/B ingress models a single feed pair and
+/// is not defined for merged multi-symbol streams — or if `merged` and
+/// `tick_shards` disagree in length.
 pub fn run_multi_merged(
     session: &MultiMarketSession,
     merged: &lt_feed::TickTrace,
@@ -78,9 +65,10 @@ pub fn run_multi_merged(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traffic::{multi_evaluation_session, scheduling_deadline_for};
+    use crate::traffic::{evaluation_flash, evaluation_hawkes, scheduling_deadline_for};
     use lt_accel::PowerCondition;
     use lt_dnn::ModelKind;
+    use lt_feed::MultiSessionBuilder;
     use lt_sched::Policy;
 
     fn quick_cfg() -> BacktestConfig {
@@ -89,10 +77,22 @@ mod tests {
             .with_t_avail(scheduling_deadline_for(ModelKind::DeepLob))
     }
 
+    /// `symbols` evaluation-traffic feeds with a Zipf skew of `skew`.
+    fn session(secs: f64, seed: u64, symbols: usize, skew: f64) -> MultiMarketSession {
+        MultiSessionBuilder::new(evaluation_hawkes())
+            .flash_bursts(evaluation_flash())
+            .symbols(symbols)
+            .skew(skew)
+            .duration_secs(secs)
+            .seed(seed)
+            .build()
+    }
+
     #[test]
     fn shards_fan_back_to_their_symbols() {
-        let session = multi_evaluation_session(2.0, 42, 4, 1.0);
-        let m = run_multi(&session, &quick_cfg());
+        let session = session(2.0, 42, 4, 1.0);
+        let (trace, shards) = session.merged();
+        let m = run_multi_merged(&session, &trace, &shards, &quick_cfg());
         assert_eq!(m.shards().len(), 4);
         // Every symbol took its own session's ticks and got answers.
         for (row, symbol) in m.shards().iter().zip(&session.sessions) {
@@ -103,8 +103,9 @@ mod tests {
 
     #[test]
     fn skew_shows_up_in_per_symbol_tallies() {
-        let session = multi_evaluation_session(2.0, 42, 4, 2.0);
-        let m = run_multi(&session, &quick_cfg());
+        let session = session(2.0, 42, 4, 2.0);
+        let (trace, shards) = session.merged();
+        let m = run_multi_merged(&session, &trace, &shards, &quick_cfg());
         let ticks: Vec<u64> = m.shards().iter().map(|s| s.ticks).collect();
         assert!(
             ticks[0] > 2 * ticks[3],
@@ -115,9 +116,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "lossless fault profile")]
     fn faulted_config_rejected() {
-        let session = multi_evaluation_session(0.1, 1, 2, 0.0);
+        let session = session(0.1, 1, 2, 0.0);
         let mut cfg = quick_cfg();
         cfg.faults.feed_a.drop = 0.1;
-        let _ = run_multi(&session, &cfg);
+        let (trace, shards) = session.merged();
+        let _ = run_multi_merged(&session, &trace, &shards, &cfg);
     }
 }

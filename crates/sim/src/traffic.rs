@@ -128,24 +128,6 @@ pub fn cached_evaluation_session(secs: f64, seed: u64) -> Arc<SessionArtifact> {
     shared_trace_cache().get_or_build(&evaluation_spec(secs, seed))
 }
 
-/// Generates the multi-instrument evaluation session: `symbols`
-/// correlated synthetic feeds at the calibrated per-symbol traffic, with
-/// a Zipf skew of `skew` concentrating load on the leading symbols.
-pub fn multi_evaluation_session(
-    secs: f64,
-    seed: u64,
-    symbols: usize,
-    skew: f64,
-) -> lt_feed::MultiMarketSession {
-    lt_feed::MultiSessionBuilder::new(evaluation_hawkes())
-        .flash_bursts(evaluation_flash())
-        .symbols(symbols)
-        .skew(skew)
-        .duration_secs(secs)
-        .seed(seed)
-        .build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,7 +137,8 @@ mod tests {
         let trace = evaluation_trace(30.0, EVALUATION_SEED);
         let stats = trace.stats();
         let mean_rate = stats.mean_rate();
-        let theory = evaluation_hawkes().mean_rate() + evaluation_flash().mean_event_rate();
+        let flash = evaluation_flash();
+        let theory = evaluation_hawkes().mean_rate() + flash.bursts_per_sec * flash.mean_size;
         assert!(
             (mean_rate - theory).abs() / theory < 0.25,
             "rate {mean_rate:.0}/s vs theory {theory:.0}/s"

@@ -7,14 +7,18 @@
 //! tile the aggregate, runs must be deterministic, and the kill switch
 //! must act on mark-to-market drawdown even with no order in flight.
 
+mod support;
+
 use lt_accel::PowerCondition;
 use lt_dnn::ModelKind;
 use lt_sched::Policy;
-use lt_sim::traffic::{burst_storm_trace, multi_evaluation_session, scheduling_deadline_for};
+use lt_sim::traffic::{burst_storm_trace, scheduling_deadline_for};
 use lt_sim::{
-    run_lighttrader, run_multi, BacktestConfig, ExecutionConfig, ExecutionStats, SignalConfig,
+    run_lighttrader, run_multi_merged, BacktestConfig, ExecutionConfig, ExecutionStats,
+    SignalConfig,
 };
 use std::time::Duration;
+use support::multi_evaluation_session;
 
 fn storm_cfg() -> BacktestConfig {
     BacktestConfig::new(ModelKind::DeepLob, 2, PowerCondition::Limited)
@@ -50,7 +54,8 @@ fn storm_fill_pairs() -> Vec<(ExecutionStats, ExecutionStats)> {
                 // the signalled move.
                 let exec = ExecutionConfig {
                     max_spread_ticks: 1,
-                    ..mode.with_signal(SIGNAL)
+                    signal: SIGNAL,
+                    ..mode
                 };
                 let stats = run_lighttrader(&trace, &cfg.with_execution(exec))
                     .execution
@@ -166,7 +171,8 @@ fn multi_symbol_fill_outcomes_tile_per_symbol() {
         .with_policy(Policy::Both)
         .with_t_avail(scheduling_deadline_for(ModelKind::DeepLob))
         .with_execution(ExecutionConfig::realistic());
-    let m = run_multi(&session, &cfg);
+    let (trace, shards) = session.merged();
+    let m = run_multi_merged(&session, &trace, &shards, &cfg);
     let agg = m.execution.expect("trading run reports stats");
     assert!(agg.orders_sent > 0, "the session must produce orders");
     let mut sent = 0;
@@ -185,7 +191,10 @@ fn kill_switch_suppresses_all_orders_at_a_zero_floor() {
     // observation (flat equity 0 <= floor 0) — before any order settles,
     // proving the switch acts on ticks, not on settlements.
     let trace = burst_storm_trace(1.0, 7);
-    let cfg = storm_cfg().with_execution(ExecutionConfig::realistic().with_kill_floor(0));
+    let cfg = storm_cfg().with_execution(ExecutionConfig {
+        kill_floor_ticks: Some(0),
+        ..ExecutionConfig::realistic()
+    });
     let exec = run_lighttrader(&trace, &cfg).execution.unwrap();
     assert_eq!(exec.orders_sent, 0, "tripped switch wires nothing out");
     assert!(exec.suppressed > 0, "the strategy still tried to trade");
@@ -204,7 +213,10 @@ fn deep_loss_floor_changes_nothing() {
     .unwrap();
     let deep = run_lighttrader(
         &trace,
-        &storm_cfg().with_execution(ExecutionConfig::realistic().with_kill_floor(-1_000_000)),
+        &storm_cfg().with_execution(ExecutionConfig {
+            kill_floor_ticks: Some(-1_000_000),
+            ..ExecutionConfig::realistic()
+        }),
     )
     .execution
     .unwrap();

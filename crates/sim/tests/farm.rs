@@ -9,7 +9,7 @@ use lt_dnn::ModelKind;
 use lt_feed::{HawkesParams, SessionArtifact, TraceCache};
 use lt_sched::Policy;
 use lt_sim::farm::{CellSummary, FarmRunner, GridDeadline, SweepGrid};
-use lt_sim::{run_lighttrader, run_multi, FaultRates, IngressFaults};
+use lt_sim::{run_lighttrader, run_multi_merged, FaultRates, IngressFaults};
 use std::sync::Arc;
 
 fn calm() -> HawkesParams {
@@ -51,7 +51,11 @@ fn farm_matches_serial_engine_bit_for_bit() {
         .map(|cell| {
             CellSummary::from_metrics(&match cell.spec.build() {
                 SessionArtifact::Single(session) => run_lighttrader(&session.trace, &cell.config),
-                SessionArtifact::Multi { session, .. } => run_multi(&session, &cell.config),
+                SessionArtifact::Multi {
+                    session,
+                    merged,
+                    shards,
+                } => run_multi_merged(&session, &merged, &shards, &cell.config),
             })
         })
         .collect();

@@ -15,20 +15,21 @@
 //! cargo test -p lt-sim --release --test golden_parity -- --ignored
 //! ```
 
+mod support;
+
 use lt_accel::PowerCondition;
 use lt_dnn::ModelKind;
 use lt_feed::TickTrace;
 use lt_sched::Policy;
-use lt_sim::traffic::{
-    burst_storm_trace, evaluation_trace, multi_evaluation_session, scheduling_deadline_for,
-};
+use lt_sim::traffic::{burst_storm_trace, evaluation_trace, scheduling_deadline_for};
 use lt_sim::{
-    run_lighttrader, run_multi, run_single_device, BacktestConfig, BacktestMetrics,
+    run_lighttrader, run_multi_merged, run_single_device, BacktestConfig, BacktestMetrics,
     ExecutionConfig, SignalConfig, SingleDeviceSystem,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Duration;
+use support::multi_evaluation_session;
 
 /// One golden scenario: a named back-test whose metrics are pinned.
 struct Scenario {
@@ -361,7 +362,10 @@ fn fills_report() -> String {
         ("assume_fill", ExecutionConfig::assume_fill()),
         (
             "kill_floor_-40",
-            ExecutionConfig::realistic().with_kill_floor(-40),
+            ExecutionConfig {
+                kill_floor_ticks: Some(-40),
+                ..ExecutionConfig::realistic()
+            },
         ),
     ];
     for (scheduler, cfg) in schedulers {
@@ -383,8 +387,16 @@ fn fills_report() -> String {
         let cfg = BacktestConfig::new(ModelKind::DeepLob, accels, PowerCondition::Sufficient)
             .with_policy(Policy::Both)
             .with_t_avail(scheduling_deadline_for(ModelKind::DeepLob))
-            .with_execution(ExecutionConfig::realistic().with_signal(signal));
-        for (i, symbol) in run_multi(&session, &cfg).shards().iter().enumerate() {
+            .with_execution(ExecutionConfig {
+                signal,
+                ..ExecutionConfig::realistic()
+            });
+        let (trace, shards) = session.merged();
+        for (i, symbol) in run_multi_merged(&session, &trace, &shards, &cfg)
+            .shards()
+            .iter()
+            .enumerate()
+        {
             let stats = symbol.execution.expect("trading run reports per symbol");
             writeln!(s, "multi {accels} accels, symbol {i} {stats:?}").unwrap();
         }

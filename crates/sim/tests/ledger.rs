@@ -1,22 +1,25 @@
 //! The outcome ledger at every back-test entry point.
 //!
 //! Each entry (`run_lighttrader` clean and with ingress faults,
-//! `run_single_device`, and a 4-symbol `run_multi`) reports one outcome
+//! `run_single_device`, and a 4-symbol `run_multi_merged`) reports one outcome
 //! row per shard. The rows must hold every tick the run replayed, every
 //! query after a shard's warm-up must end in one of its row's buckets,
 //! the totals must be the rows' sum, and every response must carry one
 //! sample in each stage column.
 
+mod support;
+
 use lt_accel::PowerCondition;
 use lt_dnn::ModelKind;
 use lt_sched::Policy;
-use lt_sim::traffic::{evaluation_trace, multi_evaluation_session, scheduling_deadline_for};
+use lt_sim::traffic::{evaluation_trace, scheduling_deadline_for};
 use lt_sim::{
-    degrade_trace, run_lighttrader, run_multi, run_single_device, BacktestConfig, BacktestMetrics,
-    ExecutionConfig, ExecutionStats, FaultRates, IngressFaults, ShardOutcomes, SingleDeviceSystem,
-    TierOutcomes,
+    degrade_trace, run_lighttrader, run_multi_merged, run_single_device, BacktestConfig,
+    BacktestMetrics, ExecutionConfig, ExecutionStats, FaultRates, IngressFaults, ShardOutcomes,
+    SingleDeviceSystem, TierOutcomes,
 };
 use std::time::Duration;
+use support::multi_evaluation_session;
 
 const SECS: f64 = 2.0;
 const SEED: u64 = 4242;
@@ -44,7 +47,7 @@ fn assert_ledger(m: &BacktestMetrics, replayed_ticks: usize, window: usize) {
             + row.deferred;
         assert_eq!(queries, row.ticks - warm_up, "shard {i} leaks queries");
         assert_eq!(
-            row.tiers.served_total(),
+            row.tiers.served.iter().sum::<u64>(),
             row.responded + row.late,
             "shard {i} tiers"
         );
@@ -71,7 +74,7 @@ fn assert_ledger(m: &BacktestMetrics, replayed_ticks: usize, window: usize) {
             Some(sum)
         });
     assert_eq!(m.execution, execution, "execution");
-    assert_eq!(m.latency_samples() as u64, m.responded);
+    assert_eq!(m.latencies().len() as u64, m.responded);
     assert!(m.stage_sums_reconcile(0));
     assert!(m.responded > 0, "the run must answer something: {m}");
 }
@@ -123,7 +126,8 @@ fn run_single_device_rows_sum_to_the_totals() {
 fn four_symbol_run_multi_rows_sum_to_the_totals() {
     let session = multi_evaluation_session(SECS, SEED, 4, 1.0);
     let cfg = cfg().with_execution(ExecutionConfig::realistic());
-    let m = run_multi(&session, &cfg);
+    let (trace, shards) = session.merged();
+    let m = run_multi_merged(&session, &trace, &shards, &cfg);
     assert_eq!(m.shards().len(), 4);
     for (row, symbol) in m.shards().iter().zip(&session.sessions) {
         assert_eq!(row.ticks, symbol.trace.len() as u64);

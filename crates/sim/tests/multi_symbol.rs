@@ -8,11 +8,14 @@
 //! multi-symbol run must be a pure function of (seed, config), and each
 //! symbol's outcome row must account for its own session's queries.
 
+mod support;
+
 use lt_accel::PowerCondition;
 use lt_dnn::ModelKind;
 use lt_sched::Policy;
-use lt_sim::traffic::{multi_evaluation_session, scheduling_deadline_for};
-use lt_sim::{run_lighttrader, run_multi, BacktestConfig, BacktestMetrics, ShardOutcomes};
+use lt_sim::traffic::scheduling_deadline_for;
+use lt_sim::{run_lighttrader, run_multi_merged, BacktestConfig, BacktestMetrics, ShardOutcomes};
+use support::multi_evaluation_session;
 
 const SECS: f64 = 3.0;
 const SEED: u64 = 4242;
@@ -45,7 +48,8 @@ fn single_symbol_matches_run_lighttrader_exactly() {
     for policy in Policy::ALL {
         let session = multi_evaluation_session(SECS, SEED, 1, 0.0);
         let cfg = cfg_for(ModelKind::DeepLob, 4, policy);
-        let multi = run_multi(&session, &cfg);
+        let (trace, shards) = session.merged();
+        let multi = run_multi_merged(&session, &trace, &shards, &cfg);
         let single_cfg = cfg_for(ModelKind::DeepLob, 4, policy);
         let single = run_lighttrader(&session.sessions[0].trace, &single_cfg);
         assert_eq!(
@@ -66,7 +70,8 @@ fn multi_symbol_runs_are_byte_identical() {
         let run = || {
             let session = multi_evaluation_session(SECS, SEED, symbols, skew);
             let cfg = cfg_for(ModelKind::DeepLob, 8, Policy::Both);
-            run_multi(&session, &cfg)
+            let (trace, shards) = session.merged();
+            run_multi_merged(&session, &trace, &shards, &cfg)
         };
         let first = serialize(&run());
         let second = serialize(&run());
@@ -82,7 +87,8 @@ fn per_symbol_tallies_tile_the_aggregate() {
     let symbols = 4;
     let session = multi_evaluation_session(SECS, SEED, symbols, 1.5);
     let cfg = cfg_for(ModelKind::DeepLob, 4, Policy::Both);
-    let m = run_multi(&session, &cfg);
+    let (trace, shards) = session.merged();
+    let m = run_multi_merged(&session, &trace, &shards, &cfg);
     assert_eq!(m.shards().len(), symbols);
     for (i, s) in m.shards().iter().enumerate() {
         // Each shard swallows window-1 warm-up ticks; all later ticks
@@ -109,7 +115,8 @@ fn skew_concentrates_but_tail_still_answers() {
     // The coldest tail symbol sees only tens of ticks in a short
     // session; a short feature window lets every shard warm up.
     cfg.window = 20;
-    let m = run_multi(&session, &cfg);
+    let (trace, shards) = session.merged();
+    let m = run_multi_merged(&session, &trace, &shards, &cfg);
     let ticks: Vec<u64> = m.shards().iter().map(|s| s.ticks).collect();
     assert!(
         ticks[0] > 3 * ticks[symbols - 1],
@@ -144,7 +151,8 @@ fn coalesced_fleet_beats_independent_pipelines_under_skew() {
         cfg.condition = PowerCondition::Sufficient;
         cfg
     };
-    let coalesced = run_multi(&session, &fleet(symbols)).responded;
+    let (trace, shards) = session.merged();
+    let coalesced = run_multi_merged(&session, &trace, &shards, &fleet(symbols)).responded;
     let independent: u64 = session
         .sessions
         .iter()

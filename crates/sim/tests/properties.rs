@@ -56,7 +56,7 @@ proptest! {
         let m = run_lighttrader(&trace, &cfg);
         let expected = (trace.len() as u64).saturating_sub(cfg.window as u64 - 1);
         prop_assert_eq!(m.total(), expected);
-        prop_assert_eq!(m.latency_samples() as u64, m.responded);
+        prop_assert_eq!(m.latencies().len() as u64, m.responded);
         prop_assert!(m.batched_queries >= m.batches);
     }
 
@@ -70,7 +70,11 @@ proptest! {
         let cfg = BacktestConfig::new(ModelKind::TransLob, n, PowerCondition::Limited)
             .with_policy(policy);
         let m = run_lighttrader(&trace, &cfg);
-        let wall = trace.duration().as_secs_f64() + 1.0;
+        let wall = trace
+            .ticks
+            .last()
+            .map_or(0.0, |last| last.ts.since(trace.ticks[0].ts).as_secs_f64())
+            + 1.0;
         prop_assert!(
             m.energy_j <= PowerCondition::Limited.accelerator_budget_w() * wall + 1e-6,
             "energy {} over {} s", m.energy_j, wall

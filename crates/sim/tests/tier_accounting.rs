@@ -6,12 +6,15 @@
 //! and the deadline-hit-rate reconciles with the recorded per-query
 //! latencies (mirroring the per-stage `stage_sums_reconcile` guarantee).
 
+mod support;
+
 use lt_accel::PowerCondition;
 use lt_dnn::ModelKind;
 use lt_sched::Policy;
-use lt_sim::traffic::{burst_storm_trace, multi_evaluation_session, scheduling_deadline_for};
-use lt_sim::{run_lighttrader, run_multi, BacktestConfig, BacktestMetrics};
+use lt_sim::traffic::{burst_storm_trace, scheduling_deadline_for};
+use lt_sim::{run_lighttrader, run_multi_merged, BacktestConfig, BacktestMetrics};
 use std::time::Duration;
+use support::multi_evaluation_session;
 
 /// The aggressive per-tick budget every storm run is scored against.
 const BUDGET: Duration = Duration::from_micros(450);
@@ -34,12 +37,16 @@ fn assert_tiles(m: &BacktestMetrics, preferred: ModelKind) {
     // Served (scored at wire-out: responded + late) plus every drop and
     // defer bucket accounts for each query exactly once.
     assert_eq!(
-        m.tiers.served_total(),
+        m.tiers.served.iter().sum::<u64>(),
         m.responded + m.late,
         "per-tier served counts must sum to the scored queries"
     );
     assert_eq!(
-        m.tiers.served_total() + m.deferred + m.dropped_full + m.dropped_stale + m.dropped_deadline,
+        m.tiers.served.iter().sum::<u64>()
+            + m.deferred
+            + m.dropped_full
+            + m.dropped_stale
+            + m.dropped_deadline,
         m.total(),
         "outcome buckets must tile the total"
     );
@@ -47,7 +54,7 @@ fn assert_tiles(m: &BacktestMetrics, preferred: ModelKind) {
     let below: u64 = ModelKind::ALL
         .iter()
         .filter(|&&k| k != preferred)
-        .map(|&k| m.tiers.served_at(k))
+        .map(|&k| m.tiers.served[k.index()])
         .sum();
     assert_eq!(m.tiers.degraded, below, "degraded = served below preferred");
 }
@@ -87,8 +94,8 @@ fn fixed_policies_never_degrade_or_deadline_drop() {
     assert_tiles(&m, ModelKind::DeepLob);
     assert_eq!(m.tiers.degraded, 0);
     assert_eq!(m.dropped_deadline, 0);
-    assert_eq!(m.tiers.served_at(ModelKind::VanillaCnn), 0);
-    assert_eq!(m.tiers.served_at(ModelKind::TransLob), 0);
+    assert_eq!(m.tiers.served[ModelKind::VanillaCnn.index()], 0);
+    assert_eq!(m.tiers.served[ModelKind::TransLob.index()], 0);
 }
 
 /// The fixed policies must serve DeepLOB for every query; the tiered
@@ -144,17 +151,18 @@ fn multi_symbol_breakdown_tiles_per_symbol() {
     let cfg = BacktestConfig::new(ModelKind::DeepLob, 4, PowerCondition::Limited)
         .with_t_avail(scheduling_deadline_for(ModelKind::DeepLob))
         .with_deadline_tiered(Some(BUDGET));
-    let m = run_multi(&session, &cfg);
+    let (trace, shards) = session.merged();
+    let m = run_multi_merged(&session, &trace, &shards, &cfg);
     // Each symbol's own buckets must tile its queries: every tick after
     // its warm-up.
     for (i, s) in m.shards().iter().enumerate() {
         assert_eq!(
-            s.tiers.served_total(),
+            s.tiers.served.iter().sum::<u64>(),
             s.responded + s.late,
             "symbol {i}: per-tier served != scored"
         );
         assert_eq!(
-            s.tiers.served_total()
+            s.tiers.served.iter().sum::<u64>()
                 + s.deferred
                 + s.dropped_full
                 + s.dropped_stale

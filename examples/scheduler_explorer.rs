@@ -7,14 +7,15 @@
 //! Prints, for a grid of queue depths and deadline budgets, the
 //! `(batch, clock)` pair the PPW-based workload scheduler commits for
 //! each benchmark — making the latency/energy trade-off of §III-D
-//! visible — and then shows what the Algorithm 2 boost does to a lone
+//! visible — then Algorithm 2's two halves: the slowest clock that still
+//! meets each deadline (saving power), and what the boost does to a lone
 //! busy accelerator as the pool empties out.
 
 use lighttrader::accel::dvfs::static_plan;
 use lighttrader::accel::{DeviceProfile, DvfsTable, PowerCondition};
 use lighttrader::prelude::*;
 use lighttrader::report::TextTable;
-use lighttrader::sched::schedule_workload;
+use lighttrader::sched::{scale_down_to_deadline, schedule_workload};
 use std::time::Duration;
 
 fn main() {
@@ -53,6 +54,29 @@ fn main() {
         println!("-- {kind} (static floor {:.1} GHz) --", plan.point.freq_ghz);
         println!("{}", out.render());
     }
+
+    println!("== Algorithm 2, saving power: slowest GHz meeting the deadline at batch 1 ==\n");
+    let table = DvfsTable::evaluation();
+    let mut out = TextTable::new(
+        std::iter::once("deadline")
+            .chain(ModelKind::ALL.map(ModelKind::name))
+            .collect(),
+    );
+    for deadline_us in [150u64, 200, 300, 400, 620] {
+        let deadline = Duration::from_micros(deadline_us);
+        let mut row = vec![format!("{deadline_us} us")];
+        for kind in ModelKind::ALL {
+            let point = scale_down_to_deadline(&profile, kind, 1, deadline, &table);
+            let met = profile.t_total(kind, 1, point) <= deadline;
+            row.push(format!(
+                "{:.1}{}",
+                point.freq_ghz,
+                if met { "" } else { " (miss)" }
+            ));
+        }
+        out.push_row(row);
+    }
+    println!("{}", out.render());
 
     println!("== Algorithm 2: lone-accelerator boost vs pool occupancy ==\n");
     let kind = ModelKind::DeepLob;

@@ -36,7 +36,7 @@ nontest() {
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== reachability: no source file whose pub items nothing names, no pub fn with no caller outside its file =="
+echo "== reachability: no source file whose pub items nothing names, no pub fn without a production caller (tests do not count) =="
 ./scripts/islands.sh
 
 echo "== test code last: every crates/*/src file's non-test code lies above its first #[cfg(test)] =="
@@ -233,6 +233,13 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
+echo "== examples: each runs to completion in release =="
+# The reachability gate counts the examples as production callers, so
+# they run here, not only compile: a panicking example fails.
+for example in quickstart backtest_emini burst_storm record_replay scheduler_explorer; do
+    cargo run -q --release --example "$example" >/dev/null
+done
+
 echo "== benchmark package: harness units + every workload at smoke size =="
 # Its own workspace, so tier-1 does not reach it: the facade-vs-shadow
 # digest and the batched-vs-batch-1 answer parity fail here, not later.
@@ -250,16 +257,16 @@ cargo test -q --release -p lt-protocol --test golden
 # Release drops the debug-only checks: it is the build that must not panic.
 cargo test -q --release -p lt-pipeline --test hostile_wire
 
-echo "== hot-path gates: ladder ≡ reference through the engine's events + zero-alloc from datagram bytes to order bytes, for the fleet's rounds and for the back-test's ticket-queue walk + the trader's datagram-vs-event and the fleet's own-window differentials =="
+echo "== hot-path gates: ladder ≡ reference through the engine's events + zero-alloc from datagram bytes to order bytes, for the fleet's rounds and for the back-test's ticket-queue walk + the trader's datagram-vs-one-event-datagram and the fleet's own-window differentials =="
 cargo test -q --release -p lt-lob --test book_equivalence
 cargo test -q --release -p lt-pipeline --test zero_alloc
-# Warm-up boundary, tier switch and 300-event datagram, each against
-# event-by-event intake, optimized as the facade serves; and the fleet
-# drained every other round and across tier switches, where every answer
-# must be its own tick's batch-1 forward of the serving tier.
+# Warm-up boundary, tier switch and 300-event datagram, each against the
+# same events sent one to a datagram, optimized as the facade serves; and
+# the fleet drained every other round and across tier switches, where
+# every answer must be its own tick's batch-1 forward of the serving tier.
 cargo test -q --release -p lighttrader --lib
 
-echo "== inference gates: nonlinearity contract + model-output goldens + packed-vs-reference equivalence + batch-N-vs-batch-1 + swept-vs-whole-window bit-equivalence + zero-alloc + datagram-vs-event differential =="
+echo "== inference gates: nonlinearity contract + model-output goldens + packed-vs-reference equivalence + batch-N-vs-batch-1 + swept-vs-whole-window bit-equivalence + zero-alloc + datagram-vs-one-event-datagram differential =="
 # exp/tanh/sigmoid against f64, special values, oddness, exp_slice ==
 # exp at every vector tail, and a pinned bit table.
 cargo test -q --release -p lt-dnn --lib math
@@ -284,7 +291,8 @@ cargo test -q --release -p lt-dnn --test stream_equivalence
 # Includes the k = 1 -> 12 -> 1 -> miss -> 6 sweep walk; the facade's
 # per-datagram allocations are in lt-pipeline's zero_alloc above.
 cargo test -q --release -p lt-dnn --test zero_alloc
-# One registry call per datagram sweep must trade as one call per event.
+# One registry call per datagram sweep must trade as the same events sent
+# one to a datagram, whose parser sees no gap and rejects nothing.
 cargo test -q --release -p lighttrader --test end_to_end datagrams_and_single_events_drive_the_same_trades
 
 echo "== multi-symbol gates: single-shard parity + sharded determinism + coalesced-vs-independent floor =="

@@ -7,16 +7,24 @@
 # Such a file is an island: nothing that runs reaches it. Connect it to a
 # caller or delete it; the allow-list is empty and stays empty.
 #
-# Item pass: a `pub fn` (any indentation) under crates/*/src needs a call
-# from another file of the repo's .rs files (crates, benchmark/src,
-# examples, tests). A call is a call-shaped occurrence — `name(`,
-# `name::<`, `.name` or `::name`, outside `//` comments, attributes
-# (`#[allow(...)]` calls no `fn allow`) and `use` items,
-# not through `self.` or `Self::` — in a file that defines no `fn name`,
-# or in any file when more than one file defines a `fn name` (the call
-# may be the other's). A local variable or a `pub use` is no caller. Drop
-# the `pub`, or delete the fn if then nothing calls it. Same empty
-# allow-list.
+# Item pass: a `pub fn` (any indentation) under crates/*/src needs a
+# production caller. Production is the non-test code of crates/*/src,
+# benchmark/src and examples; a file's tail from its first #[cfg(test)],
+# crates/*/tests and tests/ are test code. A `pub fn` passes if
+#   - a production call reaches it from another file, or
+#   - a production call reaches it from its own file (`self.` and `Self::`
+#     count there), and another file, test code included, calls it: that
+#     caller is why it is `pub`.
+# A call is a call-shaped occurrence — `name(`, `name::<`, `.name` or
+# `::name` — outside `//` comments, attributes (`#[allow(...)]` calls no
+# `fn allow`) and `use` items. A call from another file goes not through
+# `self.` or `Self::`, and that file defines no `fn name`; when more than
+# one file defines a `fn name`, any production call outside `self.` and
+# `Self::`, in any file, passes it (the call may be the other's). A local
+# variable or a `pub use` is no caller. A test-only fn gets a production
+# caller, moves into its file's #[cfg(test)] tail or a tests/ support
+# module, or goes; a fn only its own file calls drops the `pub`. Same
+# empty allow-list.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,6 +42,8 @@ for f in $(find crates/*/src -name '*.rs' ! -name lib.rs ! -name mod.rs | sort);
 done
 
 lonely=$(awk '
+    FNR == 1 { test = (FILENAME ~ /^(crates\/[^\/]+\/)?tests\//) }
+    /^[ \t]*#\[cfg\(test\)\]/ { test = 1 }
     /^[ \t]*\/\// { next }
     /^[ \t]*#!?\[/ { next }
     inuse { if (/;/) inuse = 0; next }
@@ -48,18 +58,26 @@ lonely=$(awk '
             line = substr(line, RSTART + RLENGTH)
             if (pre ~ /(^|[^A-Za-z0-9_])fn[ \t]+$/) {
                 if (!((name, FILENAME) in def)) { def[name, FILENAME] = 1; defs[name]++ }
-            } else if ((line ~ /^(\(|::<)/ || pre ~ /(\.|::)$/) && pre !~ /(^|[^A-Za-z0-9_])(self\.|Self::)$/) {
-                call[name, FILENAME] = 1
+            } else if (line ~ /^(\(|::<)/ || pre ~ /(\.|::)$/) {
+                if (!test) live[name, FILENAME] = 1
+                if (pre !~ /(^|[^A-Za-z0-9_])(self\.|Self::)$/) {
+                    call[name, FILENAME] = 1
+                    if (!test) outer[name, FILENAME] = 1
+                }
             }
             pre = pre name
         }
     }
     END {
-        for (k in call) { split(k, p, SUBSEP); if (!(k in def) || defs[p[1]] > 1) called[p[1]] = 1 }
+        # outer: production calls not through self; live: any production
+        # call; call: any call not through self, test code included.
+        for (k in outer) { split(k, p, SUBSEP); if (!(k in def) || defs[p[1]] > 1) called[p[1]] = 1 }
+        for (k in call) { split(k, p, SUBSEP); if (!(k in def)) elsewhere[p[1]] = 1 }
+        for (k in live) { split(k, p, SUBSEP); if ((k in def) && (p[1] in elsewhere)) called[p[1]] = 1 }
         for (name in pub) if (!(name in called)) print name
     }' $(find crates benchmark/src examples tests -name '*.rs' | sort) | sort)
 for name in $lonely; do
-    echo "pub fn with no caller outside its file: $name ($(grep -rlw "fn $name" crates/*/src | paste -sd' ' -))"
+    echo "pub fn with no production caller: $name ($(grep -rlw "fn $name" crates/*/src | paste -sd' ' -))"
     status=1
 done
 exit $status

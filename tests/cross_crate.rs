@@ -47,7 +47,7 @@ fn feed_to_parser_book_consistency() {
 /// normalization, and BF16 rounding all line up.
 #[test]
 fn offload_feeds_models() {
-    let session = SessionBuilder::calm_traffic()
+    let session = SessionBuilder::new(HawkesParams::new(200.0, 30.0, 100.0))
         .duration_secs(1.0)
         .seed(4)
         .build();
@@ -117,7 +117,7 @@ fn scheduler_profile_consistency() {
 /// and experiment outputs.
 #[test]
 fn serde_round_trips() {
-    let session = SessionBuilder::calm_traffic()
+    let session = SessionBuilder::new(HawkesParams::new(200.0, 30.0, 100.0))
         .duration_secs(0.2)
         .seed(8)
         .build();

@@ -136,8 +136,10 @@ fn agent_wire() -> (Vec<Vec<u8>>, u16) {
 /// The datagram is the unit of inference dispatch, the tick the unit of
 /// decision: a trader fed a wire session datagram by datagram — sweeps of
 /// up to 16 windows a registry call — and one fed the same decoded events
-/// one `on_event` at a time make the same decisions in the same order,
-/// with kill switch and rate limiter armed, on all three models.
+/// re-sent one to a datagram, with consecutive sequence numbers, make the
+/// same decisions in the same order, with kill switch and rate limiter
+/// armed, on all three models. The second trader's parser takes every
+/// one-event datagram whole: no gap, none rejected.
 #[test]
 fn datagrams_and_single_events_drive_the_same_trades() {
     use lighttrader::pipeline::trading::NoOrderReason;
@@ -146,6 +148,7 @@ fn datagrams_and_single_events_drive_the_same_trades() {
     let (wire, widest) = agent_wire();
     assert!(widest > 32, "a datagram of several sweeps: {widest} events");
 
+    let encoder = SbeEncoder::new();
     let (mut rate_limited, mut killed) = (0, 0);
     for kind in ModelKind::ALL {
         let build = || {
@@ -163,13 +166,16 @@ fn datagrams_and_single_events_drive_the_same_trades() {
         };
         let (mut by_datagram, mut by_event) = (build(), build());
         let mut decoder = PacketParser::new();
+        let (mut single, mut resent) = (Vec::new(), 0u32);
         for (seq, bytes) in wire.iter().enumerate() {
             let swept = by_datagram.on_datagram(bytes);
-            let single: Vec<TickOutcome> = decoder
-                .ingest(bytes)
-                .iter()
-                .map(|event| by_event.on_event(event))
-                .collect();
+            single.clear();
+            for event in decoder.ingest(bytes) {
+                let one =
+                    Datagram::new(resent, Timestamp::from_nanos(1), 1, encoder.encode(&event));
+                by_event.on_datagram_into(&one.encode(), &mut single);
+                resent += 1;
+            }
             assert_eq!(swept, single, "{kind}: datagram {seq}");
             killed += swept
                 .iter()
@@ -196,6 +202,19 @@ fn datagrams_and_single_events_drive_the_same_trades() {
             )
         };
         assert_eq!(shown(&by_datagram), shown(&by_event), "{kind}");
+        let stats = by_event.parser_stats();
+        let resent = u64::from(resent);
+        assert_eq!(
+            (stats.packets, stats.events),
+            (resent, resent),
+            "{kind}: one event per datagram"
+        );
+        assert_eq!(stats.gap_packets, 0, "{kind}: no sequence gap");
+        assert_eq!(
+            (stats.corrupt, stats.duplicates),
+            (0, 0),
+            "{kind}: no rejected datagram"
+        );
         for trader in [&by_datagram, &by_event] {
             let stats = trader.stream_stats(kind);
             assert_eq!(stats.hits + stats.misses, trader.inferences(), "{kind}");
@@ -262,7 +281,7 @@ fn backtest_accounting_consistency() {
                 m.responded + m.late + m.dropped_full + m.dropped_stale + m.deferred,
                 "{kind}/{policy}"
             );
-            assert_eq!(m.latency_samples() as u64, m.responded);
+            assert_eq!(m.latencies().len() as u64, m.responded);
             assert!(m.response_rate() >= 0.0 && m.response_rate() <= 1.0);
             assert!((m.response_rate() + m.miss_rate() - 1.0).abs() < 1e-12);
             assert!(m.batched_queries >= m.batches);
