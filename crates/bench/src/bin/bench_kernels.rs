@@ -24,9 +24,9 @@
 #![forbid(unsafe_code)]
 
 use lighttrader::dnn::kernels::{tile_isa, Store};
-use lighttrader::dnn::models::{CnnSpec, DeepLob, DeepLobSpec, TransLob, TransLobSpec};
+use lighttrader::dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
 use lighttrader::dnn::ops::{Conv2d, Linear, Lstm, MultiHeadAttention};
-use lighttrader::dnn::{Model, ModelKind, ModelRegistry, Prediction, ScratchPad, Tensor};
+use lighttrader::dnn::{ModelKind, ModelRegistry, Net, Prediction, ScratchPad, Tensor};
 use lt_bench::time_ns;
 
 /// Minimum acceptable DeepLOB full-forward speedup (fast vs naive).
@@ -122,10 +122,10 @@ fn run(mut benches: Vec<Bench<'_>>) -> Vec<Row> {
     rows
 }
 
-/// One model row: `reference` against the packed trait path at batch 1.
+/// One model row: `reference` against the packed path at batch 1.
 fn model_bench<'a>(
     name: &'static str,
-    model: &'a dyn Model,
+    model: &'a Net,
     reference: impl Fn(&Tensor) -> Prediction + 'a,
     input: &'a Tensor,
 ) -> Bench<'a> {
@@ -156,12 +156,11 @@ const STREAM_ROWS: usize = 256;
 /// can check, once timed, for one miss: the first sweep.
 fn deeplob_sweep_bench<'a>(
     name: &'static str,
-    deeplob: &'a DeepLob,
+    deeplob: &'a Net,
     k: usize,
     registry: &'a mut ModelRegistry,
 ) -> Bench<'a> {
-    let spec = deeplob.spec();
-    let (window, features) = (spec.window, spec.features);
+    let (window, features) = (deeplob.window(), deeplob.features());
     let stream = Tensor::random(&[STREAM_ROWS, features], 1.0, 6);
     let rows = |start: usize, len: usize| {
         let data = (start..start + len).flat_map(|r| stream.row(r % STREAM_ROWS).to_vec());
@@ -172,7 +171,7 @@ fn deeplob_sweep_bench<'a>(
         .map(|start| rows(start, window + k - 1))
         .collect();
     let windows: Vec<Tensor> = (0..STREAM_ROWS).map(|start| rows(start, window)).collect();
-    registry.register(Box::new(deeplob.clone()));
+    registry.register(deeplob.clone());
     let (mut naive_at, mut fast_at, mut out) = (0, 0, Vec::new());
     Bench::new(
         name,
@@ -191,7 +190,7 @@ fn deeplob_sweep_bench<'a>(
 
 /// Eight distinct tiny-TransLOB windows: eight `forward_reference` calls
 /// against one batch-8 packed forward.
-fn translob_b8_bench(translob: &TransLob) -> Bench<'_> {
+fn translob_b8_bench(translob: &Net) -> Bench<'_> {
     let inputs: Vec<Tensor> = (0..8)
         .map(|s| Tensor::random(&[16, 40], 1.0, 20 + s))
         .collect();

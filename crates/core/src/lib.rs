@@ -62,7 +62,7 @@ pub use system::{LightTrader, LightTraderBuilder, MultiSymbolTrader, TickOutcome
 pub mod prelude {
     pub use crate::system::{LightTrader, LightTraderBuilder, MultiSymbolTrader, TickOutcome};
     pub use lt_accel::{AccelSpec, DeviceProfile, OperatingPoint, PowerCondition};
-    pub use lt_dnn::{Model, ModelKind, Prediction, PriceDirection, Tensor};
+    pub use lt_dnn::{ModelKind, Net, Prediction, PriceDirection, Tensor};
     pub use lt_feed::{
         HawkesParams, MarketSession, MultiMarketSession, MultiSessionBuilder, SessionBuilder,
         SessionSpec, TickTrace, TraceCache,

@@ -1,5 +1,5 @@
 //! Batched inference support: the prepacked weight panels behind
-//! `Model::forward_batch_scratch`.
+//! `Net::forward_batch_scratch`.
 //!
 //! The accelerator keeps weights stationary and streams batched queries
 //! past them (paper §III); the software path mirrors that with a
@@ -53,12 +53,11 @@ impl PackedPanels {
     }
 }
 
-/// A model's full set of prepacked GEMM operands.
+/// A net's full set of prepacked GEMM operands.
 ///
-/// Built once per model by `Model::pack_weights` and held in
-/// `ModelRegistry` beside each tier's `ScratchPad`. The panel order is
-/// model-private: each `forward_batch_scratch` indexes the panels it
-/// pushed in `pack_weights`.
+/// Built once per net by `Net::pack_weights` and held in
+/// `ModelRegistry` beside each tier's `ScratchPad`. The panels are in
+/// layer order; the net's lowering records where each layer's begin.
 #[derive(Debug, Clone)]
 pub struct PackedWeights {
     kind: ModelKind,
@@ -72,11 +71,6 @@ impl PackedWeights {
             kind,
             panels: Vec::new(),
         }
-    }
-
-    /// Which model family the panels belong to.
-    pub fn kind(&self) -> ModelKind {
-        self.kind
     }
 
     /// Appends a packed operand, returning its index.

@@ -4,7 +4,7 @@
 //! element through `Tensor::at` (rank assert + bounds checks + index
 //! arithmetic per multiply). These kernels compute the same contractions
 //! over raw slices on a register tile, which is where the packed
-//! `forward_batch_packed` ops and `Model::forward_batch_scratch` get
+//! `forward_batch_packed` ops and `Net::forward_batch_scratch` get
 //! their speed.
 //!
 //! # The bit-exactness contract

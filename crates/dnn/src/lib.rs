@@ -18,8 +18,8 @@
 //!   in-place `exp_slice`), so no answer depends on the host's libm and
 //!   the elementwise steps vectorise;
 //! * [`ops`] — linear, conv2d, LSTM, multi-head attention, layer norm
-//!   and activations, each with an analytic MAC counter used by the
-//!   latency model;
+//!   and activations, and the analytic MAC counters (`ops::count`) a
+//!   spec's layer list is priced with for the latency model;
 //! * [`kernels`] — the register-tile micro-kernel and the passes behind
 //!   the ops' packed forwards (the packed GEMM, the direct convolution,
 //!   the fused attention core, the layer norm's row folds
@@ -33,13 +33,18 @@
 //!   that let [`ModelRegistry::forward`] push only the newest tick row
 //!   through a valid-convolution trunk;
 //! * [`batch`] — the prepacked weight panels ([`PackedWeights`]) that
-//!   [`Model::forward_batch_scratch`], the one inference method, sweeps
+//!   [`Net::forward_batch_scratch`], the one inference method, sweeps
 //!   on the calling thread: a single query is a batch of one;
-//! * [`models`] — [`VanillaCnn`],
-//!   [`TransLob`], and [`DeepLob`],
+//! * [`models`] — the specs of the Vanilla CNN, TransLOB and DeepLOB,
 //!   each in two sizes: a `paper()` configuration whose analytic op count
 //!   matches Table II, and a `tiny()` configuration that runs functionally
-//!   in microseconds for tests, examples and the benchmark.
+//!   in microseconds for tests, examples and the benchmark. A spec is a
+//!   weightless list of layers and nothing else;
+//! * [`net`] — [`Net`], what a spec builds: its layers with their weights,
+//!   *lowered* once (every layer's shapes and panels, and the streamable
+//!   prefix of valid convolutions), and one executor that runs every
+//!   packed forward — whole windows at any batch, and the layers behind a
+//!   streamed prefix — beside one reference walk of the same list.
 //!
 //! Every op has a naive-reference test; property tests cover numerical
 //! invariants (softmax sums to one, layer norm normalizes, BF16
@@ -56,6 +61,7 @@ pub mod kernels;
 pub mod math;
 pub mod model;
 pub mod models;
+pub mod net;
 pub mod ops;
 pub mod registry;
 pub mod scratch;
@@ -64,8 +70,8 @@ pub mod tensor;
 
 pub use batch::{PackedPanels, PackedWeights};
 pub use bf16::bf16_round;
-pub use model::{Model, ModelKind, Prediction, PriceDirection};
-pub use models::{DeepLob, TransLob, VanillaCnn};
+pub use model::{ModelKind, Prediction, PriceDirection};
+pub use net::Net;
 pub use registry::ModelRegistry;
 pub use scratch::ScratchPad;
 pub use stream::{StreamStats, MAX_SWEEP};

@@ -1,10 +1,6 @@
-//! The model abstraction shared by the pipeline, scheduler, and simulator.
+//! The model vocabulary shared by the pipeline, scheduler, and simulator:
+//! which network, and what it answers.
 
-use crate::batch::PackedWeights;
-use crate::ops::count::macs_to_ops;
-use crate::scratch::ScratchPad;
-use crate::stream::LineBuffer;
-use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 /// Which of the paper's three benchmark networks (Table II).
@@ -147,100 +143,6 @@ impl Prediction {
     /// The winning probability.
     pub fn confidence(&self) -> f32 {
         self.probs[self.direction().class_index()]
-    }
-}
-
-/// A runnable price-movement model.
-///
-/// Implementors are the instantiated networks in [`crate::models`]; the
-/// trait is object-safe so the trading pipeline can hold `Box<dyn Model>`.
-pub trait Model: Send + Sync {
-    /// Which benchmark family this is.
-    fn kind(&self) -> ModelKind;
-
-    /// Tick-window length `T` of the input feature map.
-    fn window(&self) -> usize;
-
-    /// Features per tick (40 for ten levels of `(price, qty)` x 2 sides).
-    fn features(&self) -> usize;
-
-    /// Packs this model's GEMM operands into register-tile panels for
-    /// [`Self::forward_batch_scratch`]; the panel order is model-private.
-    fn pack_weights(&self) -> PackedWeights;
-
-    /// Runs inference over a batch of `[window, features]` inputs,
-    /// appending one [`Prediction`] per input to `out` (cleared first).
-    /// A single query is a batch of one. Stateless: it never streams —
-    /// nothing of one call survives into the next but `pad`'s buffers.
-    ///
-    /// Every intermediate buffer comes from `pad`: after a warm-up call
-    /// at the same batch size this performs zero heap allocations
-    /// (asserted by the `zero_alloc` integration test). Per sample the
-    /// result does not depend on the batch it rides in and is `==` to
-    /// the model's `forward_reference`: batching stacks samples along
-    /// GEMM output dimensions and packing permutes operand layout,
-    /// neither touches any `k` accumulation chain (pinned by the
-    /// `kernel_equivalence` and `batch_equivalence` proptests). Pass the
-    /// pack from [`Self::pack_weights`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input is not `[window, features]`.
-    fn forward_batch_scratch(
-        &self,
-        inputs: &[Tensor],
-        packed: &PackedWeights,
-        pad: &mut ScratchPad,
-        out: &mut Vec<Prediction>,
-    );
-
-    /// The buffers [`Self::forward_stream`] works through, sized for this
-    /// model: one [`LineBuffer`] per trunk convolution and a last one for
-    /// the trunk's output. Empty (the default) when the trunk is not
-    /// shift-invariant in time, and such a model is never streamed.
-    fn stream_lines(&self) -> Vec<LineBuffer> {
-        Vec::new()
-    }
-
-    /// One sweep through the state in `lines` (from
-    /// [`Self::stream_lines`]): `whole`, when given, and then the windows
-    /// that follow it — or, without it, the last window served through
-    /// these `lines` — each by sliding in one more row of `rows`
-    /// (`[k, features]`, `k` may be zero). `out` is cleared and gets one
-    /// prediction per window, in that order, each bit for bit
-    /// [`Self::forward_batch_scratch`] on that window alone.
-    ///
-    /// `whole` runs as a whole window and refills `lines` from its
-    /// activations; the caller passes it whenever the first window is not,
-    /// bit for bit, the previous one slid by a row. The `k` slid windows
-    /// send only their `k` new rows through the trunk — `k` output rows
-    /// per layer from one call of the same packed convolution, at
-    /// `h = kh - 1 + k` — and the model's unchanged tail runs once, at
-    /// batch `k`, over the `k` overlapping trunk outputs.
-    ///
-    /// # Panics
-    ///
-    /// The default panics: a model that returns no
-    /// [`Self::stream_lines`] has nothing to stream through.
-    fn forward_stream(
-        &self,
-        whole: Option<&Tensor>,
-        rows: &[f32],
-        lines: &mut [LineBuffer],
-        packed: &PackedWeights,
-        pad: &mut ScratchPad,
-        out: &mut Vec<Prediction>,
-    ) {
-        let _ = (whole, rows, lines, packed, pad, out);
-        unimplemented!("{} has no streaming trunk", self.kind());
-    }
-
-    /// Analytic multiply-accumulate count of one forward pass.
-    fn total_macs(&self) -> u64;
-
-    /// Analytic operation count (2 ops per MAC, Table II convention).
-    fn total_ops(&self) -> u64 {
-        macs_to_ops(self.total_macs())
     }
 }
 

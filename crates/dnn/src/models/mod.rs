@@ -1,22 +1,24 @@
-//! The three benchmark networks of Table II.
+//! The three benchmark networks of Table II, as specs.
 //!
-//! Each model comes as a *spec* (dimensions only — computes the analytic
-//! op count without allocating weights, so paper-scale networks can be
-//! priced) and an *instantiated network* built from a spec (owns weights,
-//! runs `forward_batch_scratch`). The `paper()` specs are dimensioned so
-//! their analytic op counts reproduce Table II within 0.1%; the `tiny()`
-//! specs run functionally in microseconds and share the exact same code
-//! path.
+//! A spec is dimensions and the weightless layer list they make
+//! (`crate::net::LayerSpec`), each layer carrying the offset from the
+//! build seed its weights are drawn from. [`CnnSpec::ops`] and the others
+//! price the list without allocating weights, so paper-scale networks can
+//! be priced; `build(seed)` turns it into a runnable [`Net`]. The
+//! `paper()` specs are dimensioned so their analytic op counts reproduce
+//! Table II within 0.1%; the `tiny()` specs run functionally in
+//! microseconds and share the exact same code path.
 
 mod deeplob;
 mod translob;
 mod vanilla_cnn;
 
-pub use deeplob::{DeepLob, DeepLobSpec};
-pub use translob::{TransLob, TransLobSpec};
-pub use vanilla_cnn::{CnnSpec, VanillaCnn};
+pub use deeplob::DeepLobSpec;
+pub use translob::TransLobSpec;
+pub use vanilla_cnn::CnnSpec;
 
 use crate::model::ModelKind;
+use crate::net::Net;
 
 /// The analytic op count of a kind's paper-scale spec.
 pub fn paper_spec_ops(kind: ModelKind) -> u64 {
@@ -28,11 +30,11 @@ pub fn paper_spec_ops(kind: ModelKind) -> u64 {
 }
 
 /// Builds a tiny (runnable) instance of `kind` with deterministic weights.
-pub fn build_tiny(kind: ModelKind, seed: u64) -> Box<dyn crate::model::Model> {
+pub fn build_tiny(kind: ModelKind, seed: u64) -> Net {
     match kind {
-        ModelKind::VanillaCnn => Box::new(CnnSpec::tiny().build(seed)),
-        ModelKind::TransLob => Box::new(TransLobSpec::tiny().build(seed)),
-        ModelKind::DeepLob => Box::new(DeepLobSpec::tiny().build(seed)),
+        ModelKind::VanillaCnn => CnnSpec::tiny().build(seed),
+        ModelKind::TransLob => TransLobSpec::tiny().build(seed),
+        ModelKind::DeepLob => DeepLobSpec::tiny().build(seed),
     }
 }
 
@@ -56,6 +58,20 @@ mod tests {
         }
     }
 
+    /// Each tiny spec's multiply-accumulates, pinned: what its layer list
+    /// prices is what one forward of the tiny net multiplies.
+    #[test]
+    fn tiny_spec_macs_are_pinned() {
+        use crate::net::macs;
+        let (cnn, translob, deeplob) = (CnnSpec::tiny(), TransLobSpec::tiny(), DeepLobSpec::tiny());
+        let counts = [
+            macs(cnn.window, cnn.features, &cnn.layers()),
+            macs(translob.window, translob.features, &translob.layers()),
+            macs(deeplob.window, deeplob.features, &deeplob.layers()),
+        ];
+        assert_eq!(counts, [29_616, 144_432, 84_600], "in ModelKind::ALL order");
+    }
+
     /// Op counts are ordered as in the paper: CNN < TransLOB < DeepLOB.
     #[test]
     fn complexity_ordering() {
@@ -72,7 +88,6 @@ mod tests {
             let model = reg.model(kind).expect("kind was just registered");
             let input = crate::tensor::Tensor::random(&[model.window(), model.features()], 1.0, 1);
             assert_eq!(model.kind(), kind);
-            assert!(model.total_ops() > 0);
             let pred = reg.forward(kind, &input);
             let sum: f32 = pred.probs.iter().sum();
             assert!((sum - 1.0).abs() < 1e-4, "{kind}: probs {:?}", pred.probs);

@@ -3,7 +3,6 @@
 use crate::batch::PackedPanels;
 use crate::kernels::{attention_sample, pack_bt_panels, Store, ATTENTION_LANES, NR};
 use crate::ops::activation::softmax_last_dim;
-use crate::ops::count::attention_macs;
 use crate::ops::expect_rank;
 use crate::ops::linear::Linear;
 use crate::scratch::ScratchPad;
@@ -41,16 +40,6 @@ impl MultiHeadAttention {
             heads,
             d_model,
         }
-    }
-
-    /// Model width.
-    pub fn d_model(&self) -> usize {
-        self.d_model
-    }
-
-    /// Head count.
-    pub fn heads(&self) -> usize {
-        self.heads
     }
 
     /// Packs the Q, K, V and output projections, in that order, for
@@ -166,10 +155,13 @@ impl MultiHeadAttention {
         }
         self.wo.forward_reference(&context)
     }
+}
 
+#[cfg(test)]
+impl MultiHeadAttention {
     /// MACs of a forward pass over a length-`seq` sequence.
-    pub fn macs(&self, seq: u64) -> u64 {
-        attention_macs(seq, self.d_model as u64)
+    fn macs(&self, seq: u64) -> u64 {
+        crate::ops::count::attention_macs(seq, self.d_model as u64)
     }
 }
 

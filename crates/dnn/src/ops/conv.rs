@@ -5,7 +5,7 @@ use crate::bf16::bf16_round;
 use crate::kernels::{
     conv2d_direct_bf16, conv2d_direct_stage_len, gemm_packed, DirectConv, Segment, Store,
 };
-use crate::ops::count::{conv2d_macs, conv_out_len};
+use crate::ops::count::conv_out_len;
 use crate::ops::expect_rank;
 use crate::scratch::ScratchPad;
 use crate::tensor::Tensor;
@@ -310,19 +310,6 @@ impl Conv2d {
         }
         out
     }
-
-    /// MACs of a forward pass on an `(h, w)` input.
-    pub fn macs(&self, h: usize, w: usize) -> u64 {
-        let (oh, ow) = self.output_hw(h, w);
-        conv2d_macs(
-            self.out_channels() as u64,
-            self.in_channels() as u64,
-            self.kernel.shape()[2] as u64,
-            self.kernel.shape()[3] as u64,
-            oh as u64,
-            ow as u64,
-        )
-    }
 }
 
 /// How [`Conv2d::run`] runs one input shape ([`Conv2d::lowering`]).
@@ -349,6 +336,15 @@ fn assert_model_shape(stride: (usize, usize), padding: (usize, usize)) {
 
 #[cfg(test)]
 impl Conv2d {
+    /// MACs of a forward pass on an `(h, w)` input.
+    fn macs(&self, h: usize, w: usize) -> u64 {
+        let (oh, ow) = self.output_hw(h, w);
+        let (kh, kw) = self.kernel_hw();
+        let dims = [self.out_channels(), self.in_channels(), kh, kw, oh, ow];
+        let [oc, ic, kh, kw, oh, ow] = dims.map(|d| d as u64);
+        crate::ops::count::conv2d_macs(oc, ic, kh, kw, oh, ow)
+    }
+
     /// Creates a convolution from explicit weights.
     ///
     /// # Panics

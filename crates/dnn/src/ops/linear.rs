@@ -5,7 +5,6 @@ use crate::bf16::bf16_round;
 use crate::kernels::{gemm_packed, Segment, Store};
 use crate::math::exp;
 use crate::model::Prediction;
-use crate::ops::count::linear_macs;
 use crate::tensor::Tensor;
 
 /// A dense layer `y = W x + b` with BF16-rounded weights.
@@ -151,15 +150,16 @@ impl Linear {
             Tensor::from_vec(out, &[rows, output])
         }
     }
-
-    /// MACs of a forward pass over `rows` rows.
-    pub fn macs(&self, rows: u64) -> u64 {
-        linear_macs(rows, self.input_dim() as u64, self.output_dim() as u64)
-    }
 }
 
 #[cfg(test)]
 impl Linear {
+    /// MACs of a forward pass over `rows` rows.
+    fn macs(&self, rows: u64) -> u64 {
+        let (input, output) = (self.input_dim() as u64, self.output_dim() as u64);
+        crate::ops::count::linear_macs(rows, input, output)
+    }
+
     /// Creates a layer from explicit weights.
     ///
     /// # Panics

@@ -4,7 +4,6 @@ use crate::batch::PackedPanels;
 use crate::bf16::bf16_round;
 use crate::kernels::{gemm_packed, lstm_recurrent_rows, lstm_steps, Segment, Store, NR};
 use crate::math::{sigmoid, tanh};
-use crate::ops::count::lstm_macs;
 use crate::ops::expect_rank;
 use crate::scratch::ScratchPad;
 use crate::tensor::Tensor;
@@ -159,10 +158,13 @@ impl Lstm {
         lstm_steps(packed_wh.data(), partials, batch, steps, h_dim, state, out);
         pad.give(work);
     }
+}
 
+#[cfg(test)]
+impl Lstm {
     /// MACs of a forward pass over `steps` timesteps.
-    pub fn macs(&self, steps: u64) -> u64 {
-        lstm_macs(steps, self.input as u64, self.hidden as u64)
+    fn macs(&self, steps: u64) -> u64 {
+        crate::ops::count::lstm_macs(steps, self.input as u64, self.hidden as u64)
     }
 }
 

@@ -2,9 +2,9 @@
 //!
 //! Each layer owns its weights and offers two forward passes: a naive
 //! `forward_reference` on [`Tensor`]s (the oracle) and a packed one over
-//! flat batch buffers (what the models serve through). It exposes the MAC count of a pass through
-//! [`count`]; the counters are what the accelerator's latency model
-//! consumes.
+//! flat batch buffers (what `crate::net`'s executor runs). The MAC count
+//! of a pass is [`count`]'s, which prices a spec's layer list for the
+//! accelerator's latency model without building it.
 
 pub mod activation;
 pub mod attention;

@@ -14,14 +14,15 @@
 //! slices the trailing rows each smaller tier needs.
 
 use crate::batch::PackedWeights;
-use crate::model::{Model, ModelKind, Prediction};
+use crate::model::{ModelKind, Prediction};
 use crate::models::build_tiny;
+use crate::net::Net;
 use crate::scratch::ScratchPad;
 use crate::stream::{slid_by_one, LineBuffer, StreamStats, MAX_SWEEP};
 use crate::tensor::Tensor;
 
 struct Entry {
-    model: Box<dyn Model>,
+    model: Net,
     pad: ScratchPad,
     /// Panel-packed weights, built once at registration; every
     /// steady-state forward multiplies against these instead of the
@@ -30,7 +31,7 @@ struct Entry {
     /// The `[window, features]` window a streamed tier served last: what
     /// `stream` was last advanced to.
     input: Tensor,
-    /// The model's streaming state ([`Model::stream_lines`]), consistent
+    /// The net's streaming state (`Net::stream_lines`), consistent
     /// with `input` from registration on; empty for a tier that is not
     /// streamed.
     stream: Vec<LineBuffer>,
@@ -41,7 +42,7 @@ struct Entry {
 }
 
 impl Entry {
-    fn new(model: Box<dyn Model>) -> Self {
+    fn new(model: Net) -> Self {
         let input = Tensor::zeros(&[model.window(), model.features()]);
         let packed = model.pack_weights();
         let mut entry = Entry {
@@ -101,7 +102,7 @@ impl ModelRegistry {
     }
 
     /// Adds (or replaces) the tier `model.kind()`.
-    pub fn register(&mut self, model: Box<dyn Model>) {
+    pub fn register(&mut self, model: Net) {
         let idx = model.kind().index();
         self.entries[idx] = Some(Entry::new(model));
     }
@@ -132,8 +133,8 @@ impl ModelRegistry {
     }
 
     /// The registered model for `kind`.
-    pub fn model(&self, kind: ModelKind) -> Option<&dyn Model> {
-        self.entries[kind.index()].as_ref().map(|e| &*e.model)
+    pub fn model(&self, kind: ModelKind) -> Option<&Net> {
+        self.entries[kind.index()].as_ref().map(|e| &e.model)
     }
 
     /// The widest input window across registered tiers: the number of
@@ -177,12 +178,12 @@ impl ModelRegistry {
     /// steady-state calls (`k` at or below the largest seen) are
     /// allocation-free.
     ///
-    /// Memoises per tier: a tier whose trunk is shift-invariant in time
-    /// (DeepLOB, the CNN) keeps its last window and trunk activations,
+    /// Memoises per tier: a tier whose net has a streamable prefix
+    /// (DeepLOB, the CNN) keeps its last window and prefix activations,
     /// and a sweep whose first window is bit for bit the last one served
-    /// slid by one row sends only its `k` newest rows through the trunk,
-    /// one call per layer, and runs the tail once at batch `k`
-    /// ([`Model::forward_stream`]). Only the first window is compared —
+    /// slid by one row sends only its `k` newest rows through the prefix,
+    /// one call per layer, and runs the layers after it once at batch `k`
+    /// (`Net::forward_stream`). Only the first window is compared —
     /// the rest are slides by construction, being views of one buffer;
     /// when it is not a slide it runs whole and the rest stream behind it.
     /// A tier that cannot stream (TransLOB) stages the `k` windows and

@@ -1,7 +1,7 @@
 //! A reusable buffer arena for allocation-free inference.
 //!
 //! Every packed layer ([`Conv2d::forward_batch_packed`] and friends) and
-//! every model's `forward_batch_scratch` draws its intermediate buffers
+//! the net executor behind `Net::forward_batch_scratch` draw their buffers
 //! from a [`ScratchPad`] instead of the global allocator. The pad keeps
 //! a free list of retired buffers; once a model has run a couple of
 //! forward passes the pool holds a buffer for every shape the network

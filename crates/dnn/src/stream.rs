@@ -13,7 +13,7 @@
 //! that decides whether they may be reused.
 
 use crate::batch::PackedWeights;
-use crate::kernels::Store;
+use crate::net::Layer;
 use crate::ops::conv::Lowering;
 use crate::ops::Conv2d;
 use crate::scratch::ScratchPad;
@@ -51,7 +51,8 @@ struct TickConv {
 }
 
 impl LineBuffer {
-    fn new(in_c: usize, kh: usize, w: usize) -> Self {
+    /// A buffer of the trailing `kh` rows of an `[in_c, h, w]` map.
+    pub(crate) fn new(in_c: usize, kh: usize, w: usize) -> Self {
         LineBuffer {
             data: vec![0.0; in_c * kh * w],
             kh,
@@ -62,7 +63,7 @@ impl LineBuffer {
 
     /// A buffer of `conv`'s input rows, `w` wide, with its `k = 1` call
     /// planned.
-    fn planned(conv: &Conv2d, w: usize) -> Self {
+    pub(crate) fn planned(conv: &Conv2d, w: usize) -> Self {
         let kh = conv.kernel_hw().0;
         let lowering = conv.lowering(kh, w);
         let stage = match lowering {
@@ -135,30 +136,12 @@ impl LineBuffer {
     }
 }
 
-/// The buffers [`advance_trunk`] works through for a trunk of `convs` over
-/// rows of width `w` whose output keeps `out_rows` rows: one
-/// [`LineBuffer`] per convolution's input, then one for the output.
-pub(crate) fn trunk_lines<const N: usize>(
-    convs: [&Conv2d; N],
-    mut w: usize,
-    out_rows: usize,
-) -> Vec<LineBuffer> {
-    let mut lines = Vec::with_capacity(N + 1);
-    let mut channels = 0;
-    for conv in convs {
-        lines.push(LineBuffer::planned(conv, w));
-        (channels, w) = (conv.out_channels(), conv.output_hw(conv.kernel_hw().0, w).1);
-    }
-    lines.push(LineBuffer::new(channels, out_rows, w));
-    lines
-}
-
 /// Streams `rows` — `k >= 1` tick rows, `[k, features]`, each sliding the
-/// window by one — through a trunk of `N` convolutions (panels `0..N` of
-/// `packed`), each storing its sums as `post` says (the BF16 rounding and
-/// the model's activation: no layer makes a second pass over its output),
-/// and hands `tail` the `k` trunk outputs they complete, `[k, C,
-/// out_rows]`, oldest window first, and `k`.
+/// window by one — through a net's streamable prefix, `trunk` (its
+/// convolutions, panels `0..N` of `packed`), each storing its sums as its
+/// post says (the BF16 rounding and the layer's activation: no layer makes
+/// a second pass over its output), and hands `tail` the `k` trunk outputs
+/// they complete, `[k, C, out_rows]`, oldest window first, and `k`.
 ///
 /// Layer by layer the kept `kh - 1` rows and the `k` new ones become `k`
 /// output rows by the same packed convolution as the whole-window
@@ -168,24 +151,25 @@ pub(crate) fn trunk_lines<const N: usize>(
 /// one its buffer planned (into the planned output row, which the next
 /// buffer takes as its newest), and the kept trunk output *is* the one
 /// window: the trunk draws nothing from `pad`. A longer sweep assembles
-/// each layer's input and the windows in `pad`. `lines` is [`trunk_lines`]
-/// of `convs` and ends as `k` one-row calls would leave it.
-pub(crate) fn advance_trunk<const N: usize>(
+/// each layer's input and the windows in `pad`. `lines` is the net's
+/// `stream_lines` and ends as `k` one-row calls would leave it.
+pub(crate) fn advance_trunk(
     lines: &mut [LineBuffer],
-    convs: [&Conv2d; N],
-    post: Store,
+    trunk: &[Layer],
     rows: &[f32],
     packed: &PackedWeights,
     pad: &mut ScratchPad,
     tail: impl FnOnce(&[f32], usize, &mut ScratchPad),
 ) {
-    let (trunk, out) = lines.split_at_mut(N);
+    let n = trunk.len();
+    let (buffers, out) = lines.split_at_mut(n);
     let out = &mut out[0];
     // The first layer reads one channel: a tick row is one of its rows.
-    let k = rows.len() / trunk[0].w;
+    let k = rows.len() / buffers[0].w;
     if k == 1 {
-        for (idx, conv) in convs.into_iter().enumerate() {
-            let (done, rest) = trunk.split_at_mut(idx);
+        for (idx, layer) in trunk.iter().enumerate() {
+            let (conv, post) = layer.trunk_conv();
+            let (done, rest) = buffers.split_at_mut(idx);
             let row = done.last().map_or(rows, |prev| prev.tick_out());
             let line = &mut rest[0];
             line.push(row);
@@ -201,12 +185,13 @@ pub(crate) fn advance_trunk<const N: usize>(
                 &mut tick.out,
             );
         }
-        out.push(trunk[N - 1].tick_out());
+        out.push(buffers[n - 1].tick_out());
         return tail(&out.data, k, pad);
     }
     let mut cur = pad.take_dirty(rows.len());
     cur.copy_from_slice(rows);
-    for (idx, (conv, line)) in convs.into_iter().zip(trunk).enumerate() {
+    for (idx, (layer, line)) in trunk.iter().zip(buffers).enumerate() {
+        let (conv, post) = layer.trunk_conv();
         let h = line.kh - 1 + k;
         let ow = conv.output_hw(h, line.w).1;
         let mut nxt = pad.take_dirty(conv.out_channels() * k * ow);

@@ -1,4 +1,4 @@
-//! The batched-inference contract: `Model::forward_batch_scratch` over
+//! The batched-inference contract: `Net::forward_batch_scratch` over
 //! prepacked weight panels answers every sample of a batch **bit for
 //! bit** as it answers that sample alone (batch 1 of the same packed
 //! path), and `==` to the model's per-sample `forward_reference` —
@@ -9,11 +9,11 @@
 use lt_dnn::bf16_round;
 use lt_dnn::kernels::{gemm_packed, pack_bt_panels, Segment, Store};
 use lt_dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
-use lt_dnn::{Model, PackedWeights, Prediction, ScratchPad, Tensor};
+use lt_dnn::{Net, PackedWeights, Prediction, ScratchPad, Tensor};
 use proptest::prelude::*;
 
 /// Random `[window, features]` inputs for `model`, one per sample.
-fn random_batch(model: &dyn Model, batch: usize, seed: u64) -> Vec<Tensor> {
+fn random_batch(model: &Net, batch: usize, seed: u64) -> Vec<Tensor> {
     (0..batch)
         .map(|i| {
             Tensor::random(
@@ -30,7 +30,7 @@ fn random_batch(model: &dyn Model, batch: usize, seed: u64) -> Vec<Tensor> {
 /// bit), and returns the predictions.
 fn assert_batch_matches_loop(
     name: &str,
-    model: &dyn Model,
+    model: &Net,
     reference: impl Fn(&Tensor) -> Prediction,
     packed: &PackedWeights,
     inputs: &[Tensor],

@@ -14,7 +14,7 @@
 use lt_dnn::kernels::Store;
 use lt_dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
 use lt_dnn::ops::{leaky_relu, relu, Conv2d, LayerNorm, Linear, Lstm, MultiHeadAttention};
-use lt_dnn::{Model, Prediction, ScratchPad, Tensor};
+use lt_dnn::{Net, Prediction, ScratchPad, Tensor};
 use proptest::prelude::*;
 
 const BATCHES: [usize; 2] = [1, 3];
@@ -72,7 +72,7 @@ fn unstack(flat: &[f32], shape: &[usize]) -> Vec<Tensor> {
 /// Full model: the packed trait path at batch 1 and 3 == the naive
 /// composition, sample by sample.
 fn assert_model_matches_reference(
-    model: &dyn Model,
+    model: &Net,
     reference: impl Fn(&Tensor) -> Prediction,
     seed: u64,
 ) {

@@ -20,7 +20,7 @@
 
 use lt_dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
 use lt_dnn::{
-    Model, ModelKind, ModelRegistry, PackedWeights, Prediction, ScratchPad, StreamStats, Tensor,
+    ModelKind, ModelRegistry, Net, PackedWeights, Prediction, ScratchPad, StreamStats, Tensor,
     MAX_SWEEP,
 };
 use proptest::prelude::*;
@@ -81,7 +81,7 @@ fn assert_same(got: Prediction, want: Prediction, nan_is_nan: bool, what: &str) 
 
 /// One tier under test: the model, its pack and its oracle.
 struct Tier<'a> {
-    model: &'a dyn Model,
+    model: &'a Net,
     packed: PackedWeights,
     reference: &'a dyn Fn(&Tensor) -> Prediction,
 }
@@ -153,9 +153,9 @@ proptest! {
         ];
         let registry = || {
             let mut reg = ModelRegistry::new();
-            reg.register(Box::new(cnn.clone()));
-            reg.register(Box::new(translob.clone()));
-            reg.register(Box::new(deeplob.clone()));
+            reg.register(cnn.clone());
+            reg.register(translob.clone());
+            reg.register(deeplob.clone());
             reg
         };
         let (mut reg, mut one_by_one) = (registry(), registry());

@@ -14,7 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use lt_dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
-use lt_dnn::{Model, ModelKind, ModelRegistry, Prediction, ScratchPad, StreamStats, Tensor};
+use lt_dnn::{ModelKind, ModelRegistry, Net, Prediction, ScratchPad, StreamStats, Tensor};
 
 thread_local! {
     // `const` init so reading the counter never allocates.
@@ -64,7 +64,7 @@ fn allocations() -> u64 {
 /// pad's buffers and the output vector, forwards at the same batch size
 /// allocate nothing — staging, unfold, packed GEMM and prediction output
 /// all live in recycled storage.
-fn assert_steady_state_batch_alloc_free(name: &str, model: &dyn Model, inputs: &[Tensor]) {
+fn assert_steady_state_batch_alloc_free(name: &str, model: &Net, inputs: &[Tensor]) {
     let packed = model.pack_weights();
     let mut pad = ScratchPad::new();
     let mut out: Vec<Prediction> = Vec::new();
@@ -96,7 +96,7 @@ fn assert_steady_state_batch_alloc_free(name: &str, model: &dyn Model, inputs: &
 /// output vector, smaller batches and a return to the largest allocate
 /// nothing — best-fit hands every smaller request one of the larger
 /// batch's buffers.
-fn assert_batch_walk_alloc_free(name: &str, model: &dyn Model, inputs: &[Tensor], small: usize) {
+fn assert_batch_walk_alloc_free(name: &str, model: &Net, inputs: &[Tensor], small: usize) {
     let packed = model.pack_weights();
     let mut pad = ScratchPad::new();
     let mut out: Vec<Prediction> = Vec::new();

@@ -28,6 +28,11 @@ pub struct LocalBook {
     bids: PriceLadder,
     asks: PriceLadder,
     orders: HashMap<OrderId, (Side, Price, Qty), IdHashBuilder>,
+    /// The capacity `orders` was last reserved to: at least twice its
+    /// live count. A rehash when deletion tombstones have used up the free
+    /// slots then clears them in place; over half full, it would grow the
+    /// table instead, an allocation long after warm-up.
+    reserved: usize,
     out_of_span: u64,
 }
 
@@ -44,6 +49,7 @@ impl LocalBook {
             bids: PriceLadder::new(Side::Bid),
             asks: PriceLadder::new(Side::Ask),
             orders: HashMap::default(),
+            reserved: 0,
             out_of_span: 0,
         }
     }
@@ -86,6 +92,11 @@ impl LocalBook {
                 qty,
             } => {
                 if self.side_mut(side).deposit(price, qty) {
+                    let live = self.orders.len() + 1;
+                    if 2 * live > self.reserved {
+                        self.orders.reserve(2 * live - self.orders.len());
+                        self.reserved = self.orders.capacity();
+                    }
                     self.orders.insert(id, (side, price, qty));
                 } else {
                     self.out_of_span += 1;

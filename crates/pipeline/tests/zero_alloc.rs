@@ -187,6 +187,31 @@ fn tick_hot_path_is_allocation_free_after_warmup() {
     );
 }
 
+/// One book's order index over a long session: once the first replay has
+/// sized it, replaying the same stream again and again allocates nothing.
+/// Every replay deletes thousands of orders, and their tombstones use up
+/// the index's free slots; the rehash that follows clears them in place
+/// only while the index is at most half full, and grows it otherwise.
+#[test]
+fn order_index_allocates_nothing_after_the_first_pass() {
+    let events = generate_events(2_000);
+    let mut book = LocalBook::new();
+    for event in &events {
+        book.apply(event);
+    }
+    let before = allocations();
+    for pass in 2..=10 {
+        for event in &events {
+            book.apply(event);
+        }
+        assert_eq!(
+            allocations() - before,
+            0,
+            "the order index allocated by pass {pass}"
+        );
+    }
+}
+
 /// The batched pop path: ingest as usual, and every fourth event drain a
 /// coalesced batch into a recycled caller-owned buffer via
 /// `pop_batch_into`. The warm-up replays size the buffer once; after

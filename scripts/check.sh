@@ -202,17 +202,17 @@ for f in $(find crates/dnn/src -name '*.rs' | sort); do
 done
 [[ "$fused" == "0" ]]
 
-echo "== activations live in the stores: no activation pass in the streamed models or the stream, no gate vector in the kernels =="
+echo "== activations live in the stores: no activation pass in the executor, the stream or any spec, no gate vector in the kernels =="
 # A convolution or dense layer stores its activation of each BF16-rounded
 # sum (its post), so no layer makes a second pass over its output; the
 # LSTM's gates go from registers into the cell (lstm_steps), and no gate
 # vector is written.
 stores=0
-for f in crates/dnn/src/models/deeplob.rs crates/dnn/src/models/vanilla_cnn.rs crates/dnn/src/stream.rs crates/dnn/src/kernels.rs; do
+for f in crates/dnn/src/net.rs crates/dnn/src/stream.rs crates/dnn/src/kernels.rs crates/dnn/src/models/mod.rs; do
     # A renamed file would pass the greps below unread.
     [[ -f "$f" ]] || { echo "missing $f (update this gate's file list)"; exit 1; }
 done
-for f in crates/dnn/src/models/deeplob.rs crates/dnn/src/models/vanilla_cnn.rs crates/dnn/src/stream.rs; do
+for f in crates/dnn/src/net.rs crates/dnn/src/stream.rs $(find crates/dnn/src/models -name '*.rs' | sort); do
     if nontest "$f" | grep -nE 'relu_slice|leaky_relu_slice'; then
         echo "an activation pass in $f (fold it into the layer's post)"
         stores=1
@@ -223,6 +223,21 @@ if nontest crates/dnn/src/kernels.rs | grep -n 'lstm_gates_packed_batch'; then
     stores=1
 fi
 [[ "$stores" == "0" ]]
+
+echo "== models are specs: no packed forward, reference forward or scratch pad in crates/dnn/src/models =="
+# A model is its spec's weightless layer list; lt_dnn::net lowers it and
+# runs it, packed and reference alike. A spec that ran a layer itself
+# would be a second executor.
+specs=0
+for f in $(find crates/dnn/src/models -name '*.rs' | sort); do
+    if nontest "$f" \
+        | grep -nE 'forward_batch|forward_reference|forward_direct|forward_rows|softmax_head|last_hidden_batch|advance_trunk|ScratchPad|take_dirty|\.give\(' \
+        | grep -vE '^[0-9]+:[[:space:]]*//'; then
+        echo "a model runs its own layers in $f (list them; lt_dnn::net runs them)"
+        specs=1
+    fi
+done
+[[ "$specs" == "0" ]]
 
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
