@@ -44,11 +44,6 @@ impl Accelerator {
         }
     }
 
-    /// Device id (index on the card).
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
     /// The current operating point.
     pub fn point(&self) -> OperatingPoint {
         self.point

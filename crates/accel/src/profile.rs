@@ -61,15 +61,14 @@ impl DeviceProfile {
         self.power.idle_power_w(kind)
     }
 
-    /// The §III-D PPW metric: `batch / (latency_secs · power_watts)`.
+    /// The §III-D PPW metric: `batch / (latency_secs · power_watts)`, the
+    /// queries a joule buys.
     pub fn ppw(&self, kind: ModelKind, batch: u32, point: OperatingPoint) -> f64 {
-        let latency = self.t_total(kind, batch, point).as_secs_f64();
-        let power = self.power_w(kind, batch, point);
-        batch as f64 / (latency * power)
+        batch as f64 / self.energy_j(kind, batch, point)
     }
 
-    /// Energy per batch in joules (diagnostics).
-    pub fn energy_j(&self, kind: ModelKind, batch: u32, point: OperatingPoint) -> f64 {
+    /// Energy per batch in joules.
+    fn energy_j(&self, kind: ModelKind, batch: u32, point: OperatingPoint) -> f64 {
         self.t_total(kind, batch, point).as_secs_f64() * self.power_w(kind, batch, point)
     }
 

@@ -3,11 +3,12 @@
 //! batched dense layer (`linear_b128`: TransLOB's FFN shape over a batch
 //! of eight 16-step windows, full row blocks throughout), one batched
 //! model (`translob_b8`: eight tiny-TransLOB windows in one forward, the
-//! `multi_translob` workload's round) and two streamed ones
+//! `multi_translob` workload's round) and three streamed ones
 //! (`deeplob_tick`: tiny DeepLOB's `k = 1` hit through
 //! `ModelRegistry::forward`, the `storm_deeplob` workload's tick;
-//! `deeplob_sweep4`: a `k = 4` hit through `forward_slides`, a sweep's
-//! batch-4 tail), and emits a machine-readable `BENCH_kernels.json` in the
+//! `deeplob_sweep4` and `cnn_sweep4`: a `k = 4` hit through
+//! `forward_slides`, a sweep's batch-4 tail, of `storm_deeplob` and
+//! `t2t_cnn`), and emits a machine-readable `BENCH_kernels.json` in the
 //! current directory, with the register tile's instruction set on this CPU
 //! (`"tile_isa"`).
 //!
@@ -26,7 +27,7 @@
 use lighttrader::dnn::kernels::{tile_isa, Store};
 use lighttrader::dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
 use lighttrader::dnn::ops::{Conv2d, Linear, Lstm, MultiHeadAttention};
-use lighttrader::dnn::{ModelKind, ModelRegistry, Net, Prediction, ScratchPad, Tensor};
+use lighttrader::dnn::{ModelRegistry, Net, Prediction, Tensor};
 use lt_bench::time_ns;
 
 /// Minimum acceptable DeepLOB full-forward speedup (fast vs naive).
@@ -130,7 +131,7 @@ fn model_bench<'a>(
     input: &'a Tensor,
 ) -> Bench<'a> {
     let packed = model.pack_weights();
-    let mut pad = ScratchPad::new();
+    let mut arena = model.arena();
     let mut out = Vec::new();
     Bench::new(
         name,
@@ -138,7 +139,7 @@ fn model_bench<'a>(
             let _ = reference(input);
         },
         move || {
-            model.forward_batch_scratch(std::slice::from_ref(input), &packed, &mut pad, &mut out)
+            model.forward_batch_scratch(std::slice::from_ref(input), &packed, &mut arena, &mut out)
         },
     )
 }
@@ -146,21 +147,22 @@ fn model_bench<'a>(
 /// Rows of the cyclic tick stream the streamed rows slide over.
 const STREAM_ROWS: usize = 256;
 
-/// Tiny DeepLOB's streamed sweeps of `k` windows, `storm_deeplob`'s
-/// shape: consecutive sweeps over one cyclic stream of [`STREAM_ROWS`]
-/// tick rows, each starting where the last ended, so every window is the
-/// one before slid by a row and each `ModelRegistry::forward_slides` is a
-/// hit of `k` new rows through the trunk (`k = 1` is
-/// `ModelRegistry::forward`, the tick), against `forward_reference` on the
-/// same `k` windows. The sweeps run through `registry`, which the caller
-/// can check, once timed, for one miss: the first sweep.
-fn deeplob_sweep_bench<'a>(
+/// A streamed tiny model's sweeps of `k` windows (DeepLOB's are
+/// `storm_deeplob`'s shape, the CNN's `t2t_cnn`'s): consecutive sweeps
+/// over one cyclic stream of [`STREAM_ROWS`] tick rows, each starting
+/// where the last ended, so every window is the one before slid by a row
+/// and each `ModelRegistry::forward_slides` is a hit of `k` new rows
+/// through the trunk (`k = 1` is `ModelRegistry::forward`, the tick),
+/// against `forward_reference` on the same `k` windows. The sweeps run
+/// through `registry`, which the caller can check, once timed, for one
+/// miss: the first sweep.
+fn sweep_bench<'a>(
     name: &'static str,
-    deeplob: &'a Net,
+    model: &'a Net,
     k: usize,
     registry: &'a mut ModelRegistry,
 ) -> Bench<'a> {
-    let (window, features) = (deeplob.window(), deeplob.features());
+    let (window, features) = (model.window(), model.features());
     let stream = Tensor::random(&[STREAM_ROWS, features], 1.0, 6);
     let rows = |start: usize, len: usize| {
         let data = (start..start + len).flat_map(|r| stream.row(r % STREAM_ROWS).to_vec());
@@ -171,18 +173,18 @@ fn deeplob_sweep_bench<'a>(
         .map(|start| rows(start, window + k - 1))
         .collect();
     let windows: Vec<Tensor> = (0..STREAM_ROWS).map(|start| rows(start, window)).collect();
-    registry.register(deeplob.clone());
+    registry.register(model.clone());
     let (mut naive_at, mut fast_at, mut out) = (0, 0, Vec::new());
     Bench::new(
         name,
         move || {
             for window in &windows[naive_at..naive_at + k] {
-                let _ = deeplob.forward_reference(window);
+                let _ = model.forward_reference(window);
             }
             naive_at = (naive_at + k) % STREAM_ROWS;
         },
         move || {
-            registry.forward_slides(ModelKind::DeepLob, &sweeps[fast_at], k, &mut out);
+            registry.forward_slides(model.kind(), &sweeps[fast_at], k, &mut out);
             fast_at = (fast_at + 1) % sweeps.len();
         },
     )
@@ -195,7 +197,7 @@ fn translob_b8_bench(translob: &Net) -> Bench<'_> {
         .map(|s| Tensor::random(&[16, 40], 1.0, 20 + s))
         .collect();
     let packed = translob.pack_weights();
-    let mut pad = ScratchPad::new();
+    let mut arena = translob.arena();
     let mut out = Vec::new();
     let reference = inputs.clone();
     Bench::new(
@@ -205,7 +207,7 @@ fn translob_b8_bench(translob: &Net) -> Bench<'_> {
                 let _ = translob.forward_reference(x);
             }
         },
-        move || translob.forward_batch_scratch(&inputs, &packed, &mut pad, &mut out),
+        move || translob.forward_batch_scratch(&inputs, &packed, &mut arena, &mut out),
     )
 }
 
@@ -213,7 +215,8 @@ fn main() {
     let conv = Conv2d::new(16, 16, (4, 1), (1, 1), (0, 0), 1);
     let xc = Tensor::random(&[16, 64, 10], 1.0, 2);
     let conv_packed = conv.pack();
-    let (mut conv_pad, mut conv_out) = (ScratchPad::new(), vec![0.0f32; 16 * 61 * 10]);
+    let (mut conv_stage, mut conv_out) =
+        (vec![0.0f32; conv.stage_len()], vec![0.0f32; 16 * 61 * 10]);
 
     let linear = Linear::new(256, 128, 1);
     let xl = Tensor::random(&[256], 1.0, 2);
@@ -232,12 +235,13 @@ fn main() {
     let lstm = Lstm::new(48, 64, 1);
     let xs = Tensor::random(&[16, 48], 1.0, 2);
     let (pwx, pwh) = (lstm.pack_wx(), lstm.pack_wh());
-    let (mut lstm_pad, mut lstm_out) = (ScratchPad::new(), vec![0.0f32; 64]);
+    let (mut lstm_work, mut lstm_out) = (vec![0.0f32; lstm.workspace(16)], vec![0.0f32; 64]);
 
     let mha = MultiHeadAttention::new(64, 4, 1);
     let xa = Tensor::random(&[32, 64], 1.0, 2);
     let mha_packed = mha.pack();
-    let (mut mha_pad, mut mha_out) = (ScratchPad::new(), vec![0.0f32; 32 * 64]);
+    let (per, fixed) = mha.workspace(32);
+    let (mut mha_work, mut mha_out) = (vec![0.0f32; per + fixed], vec![0.0f32; 32 * 64]);
 
     let kernels = run(vec![
         Bench::new(
@@ -247,7 +251,7 @@ fn main() {
             },
             || {
                 let (x, packed, out) = (xc.data(), &conv_packed, &mut conv_out);
-                conv.forward_batch_packed(x, 1, 64, 10, packed, &mut conv_pad, Store::Bf16, out)
+                conv.forward_batch_packed(x, 1, 64, 10, packed, &mut conv_stage, Store::Bf16, out)
             },
         ),
         Bench::new(
@@ -279,7 +283,7 @@ fn main() {
             },
             || {
                 let (x, out) = (xs.data(), &mut lstm_out);
-                lstm.last_hidden_batch_packed(x, 1, 16, &pwx, &pwh, &mut lstm_pad, out)
+                lstm.last_hidden_batch_packed(x, 1, 16, &pwx, &pwh, &mut lstm_work, out)
             },
         ),
         Bench::new(
@@ -289,7 +293,7 @@ fn main() {
             },
             || {
                 let (x, packed) = (xa.data(), mha_packed.each_ref());
-                mha.forward_batch_packed(x, 1, 32, packed, &mut mha_pad, &mut mha_out)
+                mha.forward_batch_packed(x, 1, 32, packed, &mut mha_work, &mut mha_out)
             },
         ),
     ]);
@@ -300,7 +304,8 @@ fn main() {
     let x20 = Tensor::random(&[20, 40], 1.0, 5);
     let x24 = Tensor::random(&[24, 40], 1.0, 5);
     let x16 = Tensor::random(&[16, 40], 1.0, 5);
-    let (mut tick_registry, mut sweep4_registry) = (ModelRegistry::new(), ModelRegistry::new());
+    let mut registries: [ModelRegistry; 3] = Default::default();
+    let [tick_registry, sweep4_registry, cnn_registry] = &mut registries;
     let models = run(vec![
         model_bench(
             "vanilla_cnn",
@@ -316,11 +321,12 @@ fn main() {
             &x16,
         ),
         translob_b8_bench(&translob),
-        deeplob_sweep_bench("deeplob_tick", &deeplob, 1, &mut tick_registry),
-        deeplob_sweep_bench("deeplob_sweep4", &deeplob, 4, &mut sweep4_registry),
+        sweep_bench("deeplob_tick", &deeplob, 1, tick_registry),
+        sweep_bench("deeplob_sweep4", &deeplob, 4, sweep4_registry),
+        sweep_bench("cnn_sweep4", &vanilla, 4, cnn_registry),
     ]);
-    for registry in [tick_registry, sweep4_registry] {
-        let stats = registry.stream_stats(ModelKind::DeepLob);
+    for (registry, model) in registries.iter().zip([&deeplob, &deeplob, &vanilla]) {
+        let stats = registry.stream_stats(model.kind());
         assert_eq!(stats.misses, 1, "every sweep but the first streams");
     }
 

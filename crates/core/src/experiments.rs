@@ -536,13 +536,9 @@ pub struct FaultSweepRow {
 /// drop patterns overlap, ticks vanish before the book, and the
 /// response-rate/tick-to-trade surface degrades.
 pub fn fault_sweep(secs: f64, seed: u64) -> Vec<FaultSweepRow> {
-    let session = cached_trace(secs, seed);
-    let trace = session.trace();
-    let cfg = BacktestConfig::new(ModelKind::DeepLob, 4, PowerCondition::Limited)
-        .with_t_avail(lt_sim::traffic::scheduling_deadline_for(ModelKind::DeepLob));
-    let mut rows = Vec::new();
-    for loss in [0.0, 0.005, 0.01, 0.02, 0.05, 0.10] {
-        let faults = lt_sim::IngressFaults::symmetric(
+    const LOSSES: [f64; 6] = [0.0, 0.005, 0.01, 0.02, 0.05, 0.10];
+    let faults = LOSSES.map(|loss| {
+        lt_sim::IngressFaults::symmetric(
             lt_sim::FaultRates {
                 drop: loss,
                 reorder: loss,
@@ -550,23 +546,44 @@ pub fn fault_sweep(secs: f64, seed: u64) -> Vec<FaultSweepRow> {
                 ..lt_sim::FaultRates::lossless()
             },
             seed,
-        );
-        let m = run_lighttrader(trace, &cfg.with_faults(faults));
-        let (offered, recovered, lost) = match m.ingress {
-            Some(r) => (r.offered, r.recovered, r.lost),
-            None => (trace.len() as u64, 0, 0),
-        };
-        rows.push(FaultSweepRow {
-            loss_rate: loss,
-            offered,
-            recovered,
-            lost,
-            response_rate: m.response_rate(),
-            mean_t2t_us: m.mean_latency().as_secs_f64() * 1e6,
-            p99_t2t_us: m.latency_quantile(0.99).as_secs_f64() * 1e6,
-        });
-    }
-    rows
+        )
+    });
+    // One cell per loss rate, in order: the fault axis is the only one
+    // with more than one value.
+    let grid = SweepGrid::evaluation(secs)
+        .accel_counts([4])
+        .conditions([PowerCondition::Limited])
+        .policies([Policy::Baseline])
+        .faults(faults)
+        .deadline(GridDeadline::Scheduling)
+        .seeds([seed]);
+    let results = farm().run(&grid);
+    let session = cached_trace(secs, seed);
+    let trace = session.trace();
+    LOSSES
+        .iter()
+        .zip(&faults)
+        .enumerate()
+        .map(|(i, (&loss_rate, faults))| {
+            let (offered, recovered, lost) = if faults.enabled() {
+                let (_, r) = lt_sim::degrade_trace(trace, faults);
+                (r.offered, r.recovered, r.lost)
+            } else {
+                (trace.len() as u64, 0, 0)
+            };
+            let s = results.summary(i);
+            let us = |ns| std::time::Duration::from_nanos(ns).as_secs_f64() * 1e6;
+            FaultSweepRow {
+                loss_rate,
+                offered,
+                recovered,
+                lost,
+                response_rate: s.response_rate(),
+                mean_t2t_us: us(s.mean_t2t_ns),
+                p99_t2t_us: us(s.p99_ns),
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -75,13 +75,6 @@ impl LightTraderBuilder {
         }
     }
 
-    /// Sets the traded symbol (default `ESU6`).
-    #[must_use]
-    pub fn symbol(mut self, symbol: Symbol) -> Self {
-        self.symbol = symbol;
-        self
-    }
-
     /// Sets the weight-initialization seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
@@ -179,9 +172,8 @@ pub struct LightTrader {
     ticks: Vec<u64>,
     /// Tickets awaiting a drain, oldest first, at most one per shard.
     pending: Vec<ShardTicket>,
-    /// Every registered tier's weights + per-tier scratch pads: after
-    /// the first (warm-up) forward pass per tier, steady-state inference
-    /// is allocation-free.
+    /// Every registered tier's weights and the memory its forwards run
+    /// in, made at registration: inference allocates nothing.
     registry: ModelRegistry,
     /// The tier currently serving queries.
     active: ModelKind,
@@ -322,6 +314,12 @@ impl LightTrader {
     /// Packet-parser intake counters.
     pub fn parser_stats(&self) -> lt_pipeline::ParserStats {
         self.parser.stats()
+    }
+
+    /// Book adds the local book ignored, each priced more than
+    /// `lt_lob::MAX_SPAN` ticks from its side's band.
+    pub fn book_out_of_span(&self) -> u64 {
+        self.book.out_of_span()
     }
 
     /// Feeds one raw market-data datagram through the full pipeline,

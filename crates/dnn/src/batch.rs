@@ -56,7 +56,7 @@ impl PackedPanels {
 /// A net's full set of prepacked GEMM operands.
 ///
 /// Built once per net by `Net::pack_weights` and held in
-/// `ModelRegistry` beside each tier's `ScratchPad`. The panels are in
+/// `ModelRegistry` beside each tier's `Arena`. The panels are in
 /// layer order; the net's lowering records where each layer's begin.
 #[derive(Debug, Clone)]
 pub struct PackedWeights {

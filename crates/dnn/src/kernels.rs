@@ -357,9 +357,18 @@ fn write_lanes<const W: usize>(dst: &mut [f32], lanes: &[f32; W], post: impl Fn(
 /// unchanged. `out` is cleared and filled with `m.div_ceil(NR) * NR * k`
 /// elements.
 pub fn pack_bt_panels(a: &[f32], m: usize, k: usize, out: &mut Vec<f32>) {
-    assert_eq!(a.len(), m * k, "pack operand length");
     out.clear();
     out.resize(m.div_ceil(NR) * NR * k, 0.0);
+    pack_bt_panels_into(a, m, k, out);
+}
+
+/// [`pack_bt_panels`] into a caller's `out` of exactly `m.div_ceil(NR) *
+/// NR * k` elements, whatever they hold: the lanes past row `m` are
+/// zeroed, every other one written.
+pub(crate) fn pack_bt_panels_into(a: &[f32], m: usize, k: usize, out: &mut [f32]) {
+    assert_eq!(a.len(), m * k, "pack operand length");
+    assert_eq!(out.len(), m.div_ceil(NR) * NR * k, "packed panels length");
+    out[m / NR * NR * k..].fill(0.0);
     for (i, row) in a.chunks_exact(k.max(1)).take(m).enumerate() {
         let panel = &mut out[(i / NR) * NR * k..][..NR * k];
         for (t, &v) in row.iter().enumerate() {

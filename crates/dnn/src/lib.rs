@@ -27,8 +27,6 @@
 //!   oracles (an SSE2 and an AVX2 instance of each pass, and an AVX-512F
 //!   one of all but the LSTM cell, picked at run time by the CPU and the
 //!   input's shape, with the same bits);
-//! * [`scratch`] — the [`ScratchPad`] buffer pool that makes steady-state
-//!   inference allocation-free;
 //! * [`stream`] — the line buffers and the bitwise slid-window check
 //!   that let [`ModelRegistry::forward`] push only the newest tick row
 //!   through a valid-convolution trunk;
@@ -44,7 +42,11 @@
 //!   *lowered* once (every layer's shapes and panels, and the streamable
 //!   prefix of valid convolutions), and one executor that runs every
 //!   packed forward — whole windows at any batch, and the layers behind a
-//!   streamed prefix — beside one reference walk of the same list.
+//!   streamed prefix — beside one reference walk of the same list. Every
+//!   forward runs in memory the lowering sized and [`Net::arena`] (or
+//!   [`ModelRegistry::register`], per tier) made once: an [`Arena`] for
+//!   up to [`MAX_SWEEP`] samples, and the prefix's line buffers, so no
+//!   forward allocates.
 //!
 //! Every op has a naive-reference test; property tests cover numerical
 //! invariants (softmax sums to one, layer norm normalizes, BF16
@@ -64,15 +66,13 @@ pub mod models;
 pub mod net;
 pub mod ops;
 pub mod registry;
-pub mod scratch;
 pub mod stream;
 pub mod tensor;
 
 pub use batch::{PackedPanels, PackedWeights};
 pub use bf16::bf16_round;
 pub use model::{ModelKind, Prediction, PriceDirection};
-pub use net::Net;
+pub use net::{Arena, Net};
 pub use registry::ModelRegistry;
-pub use scratch::ScratchPad;
 pub use stream::{StreamStats, MAX_SWEEP};
 pub use tensor::Tensor;

@@ -10,12 +10,15 @@
 //! [`PackedWeights`], the workspace the layers from it on need, and the
 //! *streamable prefix* — the leading run of valid-padded convolutions,
 //! whose outputs a window slid by one tick row can reuse
-//! (`crate::stream`).
+//! (`crate::stream`). From the lowering comes all the memory a forward
+//! uses, made once: the [`Arena`] (the workspace at `MAX_SWEEP` samples)
+//! and the prefix's line buffers (`Net::stream_lines`), so no forward
+//! allocates.
 //!
 //! One executor runs `layers[from..]` at batch `k` for the whole-window
 //! forward ([`Net::forward_batch_scratch`], and a streamed miss, which
 //! primes the prefix's line buffers on the way) and for the tail behind
-//! the streamed prefix. [`Net::forward_reference`] is a second walk of the
+//! the streamed prefix, in the arena. [`Net::forward_reference`] is a second walk of the
 //! same list through each op's `forward_reference` only: the oracle.
 
 use crate::batch::{PackedPanels, PackedWeights};
@@ -26,8 +29,7 @@ use crate::ops::count::{
     attention_macs, conv2d_macs, conv_out_len, ffn_macs, linear_macs, lstm_macs,
 };
 use crate::ops::{Conv2d, LayerNorm, Linear, Lstm, MultiHeadAttention};
-use crate::scratch::ScratchPad;
-use crate::stream::{advance_trunk, LineBuffer};
+use crate::stream::{advance_trunk, LineBuffer, MAX_SWEEP};
 use crate::tensor::Tensor;
 use std::ops::ControlFlow;
 
@@ -382,7 +384,8 @@ impl Layer {
     }
 
     /// The workspace the executor hands this layer at `input`: elements
-    /// per sample, and a fixed stage for the direct convolutions.
+    /// per sample, and a fixed part after `k` samples' share (the direct
+    /// convolutions' stage, the attention's one-sample buffers).
     fn workspace(&self, input: Shape) -> (usize, usize) {
         match self {
             Layer::Conv { conv, .. } => (0, conv.stage_len()),
@@ -395,18 +398,21 @@ impl Layer {
                     .max(five.stage_len());
                 (5 * input.c * input.h, stage)
             }
+            Layer::LastHidden(lstm) => (lstm.workspace(input.h), 0),
             Layer::Transformer(block) => {
                 let (t, d) = (input.h, input.w);
-                (t * (2 * d + block.ffn1.output_dim()), 0)
+                let (attn, stage) = block.attn.workspace(t);
+                (t * (2 * d + block.ffn1.output_dim()) + attn, stage)
             }
             _ => (0, 0),
         }
     }
 
     /// Runs this layer over `k` samples of `src` (`[k, input]`) into `dst`
-    /// (`[k, output]`), from panel `panel` of `packed` on, with `scratch`
-    /// (`k` samples' share) and `stage` from the executor's workspace. The
-    /// head pushes one prediction per sample to `out` instead.
+    /// (`[k, output]`), from panel `panel` of `packed` on, in `work`: at
+    /// least [`Self::workspace`]'s `k` samples' share and then its fixed
+    /// part, every element written before it is read. The head pushes one
+    /// prediction per sample to `out` instead.
     #[allow(clippy::too_many_arguments)]
     fn run(
         &self,
@@ -414,15 +420,14 @@ impl Layer {
         k: usize,
         input: Shape,
         (packed, panel): (&PackedWeights, usize),
-        (scratch, stage): (&mut [f32], &mut [f32]),
-        pad: &mut ScratchPad,
+        work: &mut [f32],
         dst: &mut [f32],
         out: &mut Vec<Prediction>,
     ) {
         let Shape { c, h, w } = input;
         match self {
             Layer::Conv { conv, post } => {
-                let stage = &mut stage[..conv.stage_len()];
+                let stage = &mut work[..conv.stage_len()];
                 let lowering = conv.lowering(h, w);
                 conv.run(lowering, src, k, packed.panel(panel), stage, *post, dst);
             }
@@ -437,8 +442,8 @@ impl Layer {
                 // convolutions read the other two, sample by sample; the
                 // three branches are flipped together into `dst`.
                 let third = c * h;
-                let (first, later) = scratch.split_at_mut(k * 3 * third);
-                let later = &mut later[..k * 2 * third];
+                let (first, rest) = work.split_at_mut(k * 3 * third);
+                let (later, stage) = rest.split_at_mut(k * 2 * third);
                 let stage1 = &mut stage[..ones.stage_len()];
                 let lowering = ones.lowering(h, w);
                 ones.run(lowering, src, k, packed.panel(panel), stage1, *post, first);
@@ -471,7 +476,7 @@ impl Layer {
             }
             Layer::LastHidden(lstm) => {
                 let (wx, wh) = (packed.panel(panel), packed.panel(panel + 1));
-                lstm.last_hidden_batch_packed(src, k, h, wx, wh, pad, dst);
+                lstm.last_hidden_batch_packed(src, k, h, wx, wh, work, dst);
             }
             Layer::Transpose => {
                 let len = input.len();
@@ -502,13 +507,13 @@ impl Layer {
                     ffn2,
                 } = &**block;
                 let (rows, d) = (k * h, w);
-                let (norm, rest) = scratch.split_at_mut(rows * d);
-                let (delta, hidden) = rest.split_at_mut(rows * d);
-                let hidden = &mut hidden[..rows * ffn1.output_dim()];
+                let (norm, rest) = work.split_at_mut(rows * d);
+                let (delta, rest) = rest.split_at_mut(rows * d);
+                let (hidden, attn_work) = rest.split_at_mut(rows * ffn1.output_dim());
                 // x = x + attn(ln1(x))
                 ln1.forward_rows(src, norm);
                 let attn_panels = std::array::from_fn(|i| packed.panel(panel + i));
-                attn.forward_batch_packed(norm, k, h, attn_panels, pad, delta);
+                attn.forward_batch_packed(norm, k, h, attn_panels, attn_work, delta);
                 for ((v, x), add) in dst.iter_mut().zip(src).zip(&*delta) {
                     *v = x + add;
                 }
@@ -631,7 +636,7 @@ struct Lowered {
 }
 
 /// A run's one workspace: two activation buffers the layers ping-pong
-/// between and the layers' scratch, per sample, and a fixed stage.
+/// between and the layers' scratch, per sample, and a fixed part.
 #[derive(Debug, Clone, Copy, Default)]
 struct Workspace {
     act: usize,
@@ -651,6 +656,15 @@ impl Workspace {
             stage: self.stage.max(other.stage),
         }
     }
+}
+
+/// The memory a net's forwards run in: the lowering's workspace at
+/// [`MAX_SWEEP`] samples, made once by [`Net::arena`]. Every activation,
+/// every layer's scratch and a batch's staged windows are cut from it, so
+/// no forward allocates.
+#[derive(Debug, Clone)]
+pub struct Arena {
+    data: Vec<f32>,
 }
 
 /// A runnable benchmark network: a spec's layers with their weights,
@@ -756,15 +770,24 @@ impl Net {
         pw
     }
 
+    /// The memory [`Self::forward_batch_scratch`] runs in, allocated here
+    /// once: the workspace the lowering sized, for [`MAX_SWEEP`] samples.
+    pub fn arena(&self) -> Arena {
+        Arena {
+            data: vec![0.0; self.plan[0].work.len(MAX_SWEEP)],
+        }
+    }
+
     /// Runs inference over a batch of `[window, features]` inputs,
     /// appending one [`Prediction`] per input to `out` (cleared first).
     /// A single query is a batch of one. Stateless: it never streams —
-    /// nothing of one call survives into the next but `pad`'s buffers.
+    /// nothing of one call survives into the next.
     ///
-    /// Every intermediate buffer comes from `pad`: after a warm-up call
-    /// at the same batch size this performs zero heap allocations
-    /// (asserted by the `zero_alloc` integration test). Per sample the
-    /// result does not depend on the batch it rides in and is `==` to
+    /// Every intermediate buffer is cut from `arena` (from [`Self::arena`]),
+    /// so nothing but `out`'s growth allocates, from the first call on
+    /// (asserted by the `zero_alloc` integration test); a batch of more
+    /// than [`MAX_SWEEP`] inputs runs in chunks of `MAX_SWEEP`. Per sample
+    /// the result does not depend on the batch it rides in and is `==` to
     /// [`Self::forward_reference`]: batching stacks samples along GEMM
     /// output dimensions and packing permutes operand layout, neither
     /// touches any `k` accumulation chain (pinned by the
@@ -773,16 +796,24 @@ impl Net {
     ///
     /// # Panics
     ///
-    /// Panics if any input is not `[window, features]`.
+    /// Panics if any input is not `[window, features]`, or `arena` is
+    /// another, smaller net's.
     pub fn forward_batch_scratch(
         &self,
         inputs: &[Tensor],
         packed: &PackedWeights,
-        pad: &mut ScratchPad,
+        arena: &mut Arena,
         out: &mut Vec<Prediction>,
     ) {
         out.clear();
-        self.forward_windows(inputs, None, packed, pad, out);
+        let shape = [self.window, self.features];
+        for batch in inputs.chunks(MAX_SWEEP) {
+            for input in batch {
+                assert_eq!(input.shape(), shape, "input must be [window, features]");
+            }
+            let window = |j: usize| batch[j].data();
+            self.forward_windows(batch.len(), window, None, packed, arena, out);
+        }
     }
 
     /// The naive reference forward pass: the same layer list walked
@@ -827,75 +858,76 @@ impl Net {
     /// [`Self::stream_lines`]): `whole`, when given, and then the windows
     /// that follow it — or, without it, the last window served through
     /// these `lines` — each by sliding in one more row of `rows`
-    /// (`[k, features]`, `k` may be zero). `out` is cleared and gets one
-    /// prediction per window, in that order, each bit for bit
-    /// [`Self::forward_batch_scratch`] on that window alone.
+    /// (`[k, features]`, `k` at most [`MAX_SWEEP`], may be zero). `out` is
+    /// cleared and gets one prediction per window, in that order, each bit
+    /// for bit [`Self::forward_batch_scratch`] on that window alone.
     ///
     /// `whole` runs as a whole window and refills `lines` from its
     /// activations; the caller passes it whenever the first window is not,
     /// bit for bit, the previous one slid by a row. The `k` slid windows
     /// send only their `k` new rows through the prefix — `k` output rows
     /// per layer from one call of the same packed convolution, at
-    /// `h = kh - 1 + k` — and the unchanged layers after it run once, at
-    /// batch `k`, over the `k` overlapping prefix outputs.
+    /// `h = kh - 1 + k`, in the memory each line buffer holds — and the
+    /// unchanged layers after it run once, at batch `k`, in `arena`, over
+    /// the `k` overlapping prefix outputs.
     pub(crate) fn forward_stream(
         &self,
         whole: Option<&Tensor>,
         rows: &[f32],
         lines: &mut [LineBuffer],
         packed: &PackedWeights,
-        pad: &mut ScratchPad,
+        arena: &mut Arena,
         out: &mut Vec<Prediction>,
     ) {
         out.clear();
         if let Some(window) = whole {
-            let inputs = std::slice::from_ref(window);
-            self.forward_windows(inputs, Some(&mut *lines), packed, pad, out);
+            let lines = Some(&mut *lines);
+            self.forward_windows(1, |_| window.data(), lines, packed, arena, out);
         }
         if !rows.is_empty() {
+            let k = rows.len() / self.features;
             let prefix = &self.layers[..self.prefix];
-            advance_trunk(lines, prefix, rows, packed, pad, |trunk_out, k, pad| {
-                let mut work = pad.take_dirty(self.plan[self.prefix].work.len(k));
-                let run = (packed, &mut *pad, &mut *out);
-                self.run(self.prefix, k, Some(trunk_out), &mut work, None, run);
-                pad.give(work);
-            });
+            let input = advance_trunk(lines, prefix, rows, packed, &mut arena.data);
+            self.run(self.prefix, k, input, &mut arena.data, None, (packed, out));
         }
     }
 
-    /// The whole-window forward behind [`Self::forward_batch_scratch`]
-    /// (`lines` = `None`) and a streamed miss, which passes its one
-    /// window's `lines` to be primed from the prefix's activations on the
-    /// way.
-    fn forward_windows(
+    /// The whole-window forward of `k` windows, window `j` being the
+    /// `[window, features]` rows `window(j)`, appending one prediction
+    /// each to `out`: [`Self::forward_batch_scratch`]'s batches of at most
+    /// [`MAX_SWEEP`], an unstreamed tier's sweep, and a streamed miss,
+    /// which passes its one window's `lines` to be primed from the
+    /// prefix's activations on the way. A lone window is read in place;
+    /// more are staged at the start of `arena`.
+    pub(crate) fn forward_windows<'a>(
         &self,
-        inputs: &[Tensor],
+        k: usize,
+        window: impl Fn(usize) -> &'a [f32],
         lines: Option<&mut [LineBuffer]>,
         packed: &PackedWeights,
-        pad: &mut ScratchPad,
+        arena: &mut Arena,
         out: &mut Vec<Prediction>,
     ) {
-        let k = inputs.len();
         if k == 0 {
             return;
         }
         debug_assert!(lines.is_none() || k == 1, "lines follow one stream");
-        let shape = [self.window, self.features];
-        // Every buffer in the workspace is fully overwritten before it is
-        // read, so it skips the pool's zero fill.
-        let mut work = pad.take_dirty(self.plan[0].work.len(k));
-        let samples = work.chunks_exact_mut(self.window * self.features);
-        for (staged, input) in samples.zip(inputs) {
-            assert_eq!(input.shape(), shape, "input must be [window, features]");
-            staged.copy_from_slice(input.data());
-        }
-        self.run(0, k, None, &mut work, lines, (packed, &mut *pad, out));
-        pad.give(work);
+        let len = self.window * self.features;
+        let input = if k == 1 {
+            Some(window(0))
+        } else {
+            for (j, staged) in arena.data.chunks_exact_mut(len).take(k).enumerate() {
+                staged.copy_from_slice(window(j));
+            }
+            None
+        };
+        debug_assert!(input.is_none_or(|x| x.len() == len), "one whole window");
+        self.run(0, k, input, &mut arena.data, lines, (packed, out));
     }
 
-    /// The executor: runs `layers[from..]` over `k` samples. `input` is
-    /// their activations entering layer `from`, or `None` when they are
-    /// staged at the start of `work`, which is at least
+    /// The executor: runs `layers[from..]` over `k <= MAX_SWEEP` samples.
+    /// `input` is their activations entering layer `from`, or `None` when
+    /// they are staged at the start of `work`, which is at least
     /// `plan[from].work.len(k)` long. Each layer reads one half of the
     /// activation buffers and writes the other. `lines`, for one sample
     /// from layer 0, is primed with each prefix convolution's input and
@@ -907,12 +939,16 @@ impl Net {
         mut input: Option<&[f32]>,
         work: &mut [f32],
         mut lines: Option<&mut [LineBuffer]>,
-        (packed, pad, out): (&PackedWeights, &mut ScratchPad, &mut Vec<Prediction>),
+        (packed, out): (&PackedWeights, &mut Vec<Prediction>),
     ) {
         let ws = self.plan[from].work;
+        assert!(
+            work.len() >= ws.len(k),
+            "an arena of {} elements is short of the {} a batch of {k} runs in",
+            work.len(),
+            ws.len(k)
+        );
         let (halves, rest) = work.split_at_mut(2 * k * ws.act);
-        let (scratch, stage) = rest.split_at_mut(k * ws.scratch);
-        let stage = &mut stage[..ws.stage];
         // Which half holds the activations entering the next layer.
         let mut current = 0;
         for (i, (layer, step)) in self.layers.iter().zip(&self.plan).enumerate().skip(from) {
@@ -929,17 +965,8 @@ impl Net {
             if let Some(lines) = lines.as_deref_mut().filter(|_| i < self.prefix) {
                 lines[i].prime(src, step.input.h);
             }
-            let work = (&mut scratch[..], &mut stage[..]);
-            layer.run(
-                src,
-                k,
-                step.input,
-                (packed, step.panel),
-                work,
-                pad,
-                dst,
-                out,
-            );
+            let at = (packed, step.panel);
+            layer.run(src, k, step.input, at, &mut *rest, dst, out);
             if let Some(lines) = lines.as_deref_mut().filter(|_| i + 1 == self.prefix) {
                 lines[i + 1].prime(dst, step.output.h);
             }

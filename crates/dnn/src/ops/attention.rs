@@ -1,11 +1,10 @@
 //! Multi-head self-attention (the TransLOB building block).
 
 use crate::batch::PackedPanels;
-use crate::kernels::{attention_sample, pack_bt_panels, Store, ATTENTION_LANES, NR};
+use crate::kernels::{attention_sample, pack_bt_panels_into, Store, ATTENTION_LANES, NR};
 use crate::ops::activation::softmax_last_dim;
 use crate::ops::expect_rank;
 use crate::ops::linear::Linear;
-use crate::scratch::ScratchPad;
 use crate::tensor::Tensor;
 
 /// Multi-head scaled-dot-product self-attention over `[T, D]` sequences.
@@ -48,9 +47,22 @@ impl MultiHeadAttention {
         [&self.wq, &self.wk, &self.wv, &self.wo].map(Linear::pack)
     }
 
+    /// The workspace [`Self::forward_batch_packed`] takes over `t`-token
+    /// sequences: elements per sample (the Q, K, V and context rows) and a
+    /// fixed part (one sample's packed queries, the softmax lanes, and the
+    /// slack a head's last value block reads past its columns).
+    pub fn workspace(&self, t: usize) -> (usize, usize) {
+        let d = self.d_model;
+        (
+            4 * t * d,
+            NR + t.div_ceil(NR) * NR * d + t * ATTENTION_LANES,
+        )
+    }
+
     /// Batched self-attention over a flat `[batch * t, d_model]` token
-    /// buffer, writing the same shape into `out`; per sample `==` to
-    /// [`Self::forward_reference`].
+    /// buffer, writing the same shape into `out`, working in `work`
+    /// ([`Self::workspace`]: `batch` samples' share and the fixed part,
+    /// or more); per sample `==` to [`Self::forward_reference`].
     ///
     /// The four projections each sweep all `batch * t` rows at once.
     /// Attention itself couples tokens within a sample only: each
@@ -68,49 +80,41 @@ impl MultiHeadAttention {
         batch: usize,
         t: usize,
         packed: [&PackedPanels; 4],
-        pad: &mut ScratchPad,
+        work: &mut [f32],
         out: &mut [f32],
     ) {
         let d = self.d_model;
         let rows = batch * t;
         let [pq, pk, pv, po] = packed;
-        let mut q = pad.take_dirty(rows * d);
-        self.wq
-            .forward_batch_packed(x, rows, pq, Store::Bf16, &mut q);
-        let mut k = pad.take_dirty(rows * d);
-        self.wk
-            .forward_batch_packed(x, rows, pk, Store::Bf16, &mut k);
+        let (q, rest) = work.split_at_mut(rows * d);
+        let (k, rest) = rest.split_at_mut(rows * d);
+        let (context, rest) = rest.split_at_mut(rows * d);
         // A head's last lane block may read past its columns (into the
         // next head's, or this slack); those lanes are never stored.
-        let mut v = pad.take_dirty(rows * d + NR);
+        let (v, rest) = rest.split_at_mut(rows * d + NR);
+        let (qt, probs) = rest.split_at_mut(t.div_ceil(NR) * NR * d);
+        let probs = &mut probs[..t * ATTENTION_LANES];
+        self.wq.forward_batch_packed(x, rows, pq, Store::Bf16, q);
+        self.wk.forward_batch_packed(x, rows, pk, Store::Bf16, k);
         self.wv
             .forward_batch_packed(x, rows, pv, Store::Bf16, &mut v[..rows * d]);
         v[rows * d..].fill(0.0);
-        let mut context = pad.take_dirty(rows * d);
-        let mut qt = pad.take_dirty(t.div_ceil(NR) * NR * d);
-        let mut probs = pad.take_dirty(t * ATTENTION_LANES);
         for s in 0..batch {
             let sample = s * t * d;
-            pack_bt_panels(&q[sample..sample + t * d], t, d, &mut qt);
+            pack_bt_panels_into(&q[sample..sample + t * d], t, d, qt);
             attention_sample(
-                &qt,
+                qt,
                 &k[sample..sample + t * d],
                 &v[sample..],
                 t,
                 d,
                 self.heads,
-                &mut probs,
+                probs,
                 &mut context[sample..sample + t * d],
             );
         }
-        pad.give(probs);
-        pad.give(qt);
-        pad.give(q);
-        pad.give(k);
-        pad.give(v);
         self.wo
-            .forward_batch_packed(&context, rows, po, Store::Bf16, out);
-        pad.give(context);
+            .forward_batch_packed(context, rows, po, Store::Bf16, out);
     }
 
     /// The naive reference implementation (kept for equivalence tests

@@ -7,7 +7,6 @@ use crate::kernels::{
 };
 use crate::ops::count::conv_out_len;
 use crate::ops::expect_rank;
-use crate::scratch::ScratchPad;
 use crate::tensor::Tensor;
 
 /// A 2-D convolution with optional horizontal stride and vertical zero
@@ -89,13 +88,15 @@ impl Conv2d {
     /// layer is: each layer's activation lives in its store).
     ///
     /// [`Self::lowering`] says how the shape runs, then [`Self::run`] runs
-    /// it, with a workspace from `pad` where the lowering needs one. Each
+    /// it. `stage` is the caller's workspace: the direct convolution works
+    /// in its first [`Self::stage_len`] elements, the GEMMs in none. Each
     /// sample is `==` to [`Self::forward_reference`] (see
     /// [`crate::kernels`] for the accumulation-order contract).
     ///
     /// # Panics
     ///
-    /// Panics on buffer-length or packed-shape mismatches.
+    /// Panics on buffer-length or packed-shape mismatches, or a `stage`
+    /// shorter than the lowering works in.
     #[allow(clippy::too_many_arguments)]
     pub fn forward_batch_packed(
         &self,
@@ -104,7 +105,7 @@ impl Conv2d {
         h: usize,
         w: usize,
         packed: &PackedPanels,
-        pad: &mut ScratchPad,
+        stage: &mut [f32],
         post: Store,
         out: &mut [f32],
     ) {
@@ -117,12 +118,11 @@ impl Conv2d {
             "batched conv output length"
         );
         let lowering = self.lowering(h, w);
-        let mut stage = match lowering {
-            Lowering::Direct(_) => pad.take_dirty(self.stage_len()),
-            _ => Vec::new(),
+        let stage = match lowering {
+            Lowering::Direct(_) => &mut stage[..self.stage_len()],
+            _ => &mut [],
         };
-        self.run(lowering, x, batch, packed, &mut stage, post, out);
-        pad.give(stage);
+        self.run(lowering, x, batch, packed, stage, post, out);
     }
 
     /// How [`Self::forward_batch_packed`] runs an `(h, w)` input.
@@ -153,8 +153,7 @@ impl Conv2d {
     /// Runs `batch` samples at `lowering` (from [`Self::lowering`]) with
     /// its workspace: [`Self::stage_len`] elements for the direct
     /// convolution, none for the GEMMs. A caller that keeps the lowering
-    /// and the workspace (a streamed tick) derives and draws nothing per
-    /// call.
+    /// (a streamed tick) derives nothing per call.
     ///
     /// # Panics
     ///
@@ -214,8 +213,9 @@ impl Conv2d {
         }
     }
 
-    /// The workspace [`Self::forward_direct`] needs.
-    pub(crate) fn stage_len(&self) -> usize {
+    /// The workspace [`Self::forward_direct`] needs, and so the most
+    /// [`Self::forward_batch_packed`] works in at any shape.
+    pub fn stage_len(&self) -> usize {
         let (kh, kw) = self.kernel_hw();
         conv2d_direct_stage_len(self.in_channels(), kh, kw)
     }
@@ -444,7 +444,7 @@ mod tests {
     }
 
     /// A kernel-sized sample is its own patch row: the packed forward
-    /// reads `x` in place, so the pad neither allocates nor lends.
+    /// reads `x` in place and works in no stage.
     #[test]
     fn kernel_sized_sample_reads_its_input_in_place() {
         // The CNN's conv1 and conv2 (each the direct convolution otherwise).
@@ -452,10 +452,8 @@ mod tests {
             let conv = Conv2d::new(in_c, 9, (h, w), (1, 1), (0, 0), 3);
             let packed = conv.pack();
             let x = Tensor::random(&[in_c, h, w], 1.0, 4);
-            let mut pad = ScratchPad::new();
             let mut out = vec![f32::NAN; 9];
-            conv.forward_batch_packed(x.data(), 1, h, w, &packed, &mut pad, Store::Bf16, &mut out);
-            assert_eq!((pad.misses(), pad.pooled_buffers()), (0, 0));
+            conv.forward_batch_packed(x.data(), 1, h, w, &packed, &mut [], Store::Bf16, &mut out);
             let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&out), bits(conv.forward_reference(&x).data()));
         }

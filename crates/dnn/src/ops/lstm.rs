@@ -5,7 +5,6 @@ use crate::bf16::bf16_round;
 use crate::kernels::{gemm_packed, lstm_recurrent_rows, lstm_steps, Segment, Store, NR};
 use crate::math::{sigmoid, tanh};
 use crate::ops::expect_rank;
-use crate::scratch::ScratchPad;
 use crate::tensor::Tensor;
 
 /// A single-layer LSTM processing `[T, input]` sequences.
@@ -101,9 +100,17 @@ impl Lstm {
         PackedPanels::pack(&rows, m, self.hidden)
     }
 
+    /// The workspace [`Self::last_hidden_batch_packed`] takes over
+    /// `steps`-step sequences, in elements per sample: each step's gate
+    /// partials and the sample's cell, hidden and next hidden state.
+    pub fn workspace(&self, steps: usize) -> usize {
+        steps * 4 * self.hidden + 3 * self.hidden
+    }
+
     /// Runs `batch` sequences of a sample-major `[batch, steps, input]`
     /// buffer with prepacked weight panels, writing the final hidden
-    /// states `[batch, hidden]` into `out`.
+    /// states `[batch, hidden]` into `out`, working in `work` (at least
+    /// `batch` times [`Self::workspace`]).
     ///
     /// Two calls. The input half `bias + W_x x_t`, for every step of every
     /// sample at once, is one [`gemm_packed`] sweep over the sequence rows,
@@ -129,7 +136,7 @@ impl Lstm {
         steps: usize,
         packed_wx: &PackedPanels,
         packed_wh: &PackedPanels,
-        pad: &mut ScratchPad,
+        work: &mut [f32],
         out: &mut [f32],
     ) {
         let (input, h_dim) = (self.input, self.hidden);
@@ -140,11 +147,11 @@ impl Lstm {
         assert_eq!(packed_wh.m(), h_dim.div_ceil(NR) * 4 * NR, "packed wh rows");
         assert_eq!(packed_wh.k(), h_dim, "packed wh width mismatch");
         assert_eq!(x.len(), batch * steps * input, "batched LSTM input");
-        // One draw for the partials and the state, each fully overwritten
-        // before it is read.
+        // The partials and the state, each fully overwritten before it is
+        // read.
         let rows = batch * steps;
-        let mut work = pad.take_dirty(rows * n + 3 * batch * h_dim);
         let (partials, state) = work.split_at_mut(rows * n);
+        let state = &mut state[..3 * batch * h_dim];
         let input_half = [Segment::packed(packed_wx.data(), input, x, input)];
         gemm_packed(
             input_half,
@@ -156,7 +163,6 @@ impl Lstm {
             (n, 1),
         );
         lstm_steps(packed_wh.data(), partials, batch, steps, h_dim, state, out);
-        pad.give(work);
     }
 }
 

@@ -4,9 +4,11 @@
 //! all three benchmark networks resident at once so a query can be
 //! served at whichever tier fits its remaining budget. [`ModelRegistry`]
 //! owns one instantiated model per registered [`ModelKind`] together
-//! with a dedicated [`ScratchPad`] and a reusable input buffer per tier,
-//! so switching tiers between queries never touches the allocator in
-//! steady state.
+//! with every buffer its forwards use, made once in
+//! [`ModelRegistry::register`] from the net's lowering: its [`Arena`] and
+//! its line buffers, each sized for [`MAX_SWEEP`] windows. No query
+//! touches the allocator, the first included, and switching tiers
+//! between queries touches nothing shared.
 //!
 //! The tiers have different input windows (e.g. tiny CNN sees 20 ticks,
 //! tiny DeepLOB 24); the feature pipeline stages the *largest* window
@@ -16,14 +18,14 @@
 use crate::batch::PackedWeights;
 use crate::model::{ModelKind, Prediction};
 use crate::models::build_tiny;
-use crate::net::Net;
-use crate::scratch::ScratchPad;
+use crate::net::{Arena, Net};
 use crate::stream::{slid_by_one, LineBuffer, StreamStats, MAX_SWEEP};
 use crate::tensor::Tensor;
 
 struct Entry {
     model: Net,
-    pad: ScratchPad,
+    /// The memory every forward of the tier runs in (`Net::arena`).
+    arena: Arena,
     /// Panel-packed weights, built once at registration; every
     /// steady-state forward multiplies against these instead of the
     /// row-major weight tensors.
@@ -36,9 +38,6 @@ struct Entry {
     /// streamed.
     stream: Vec<LineBuffer>,
     stats: StreamStats,
-    /// Reusable `[window, features]` staging lanes for an unstreamed
-    /// tier's sweep, grown to the most seen and then recycled.
-    lanes: Vec<Tensor>,
 }
 
 impl Entry {
@@ -47,12 +46,11 @@ impl Entry {
         let packed = model.pack_weights();
         let mut entry = Entry {
             stream: model.stream_lines(),
+            arena: model.arena(),
             model,
-            pad: ScratchPad::new(),
             packed,
             input,
             stats: StreamStats::default(),
-            lanes: Vec::new(),
         };
         // Fill the stream from the all-zero window `input` holds, so the
         // two agree before the first query as after every later one.
@@ -62,7 +60,7 @@ impl Entry {
                 &[],
                 &mut entry.stream,
                 &entry.packed,
-                &mut entry.pad,
+                &mut entry.arena,
                 &mut Vec::new(),
             );
         }
@@ -101,7 +99,8 @@ impl ModelRegistry {
         Self::tiny_with_kinds(&ModelKind::ALL, seed)
     }
 
-    /// Adds (or replaces) the tier `model.kind()`.
+    /// Adds (or replaces) the tier `model.kind()`, with every buffer its
+    /// forwards will use.
     pub fn register(&mut self, model: Net) {
         let idx = model.kind().index();
         self.entries[idx] = Some(Entry::new(model));
@@ -174,9 +173,8 @@ impl ModelRegistry {
     /// one before slid by a tick (extra leading rows — staged for a wider
     /// tier — are skipped). `out` is cleared and gets one prediction per
     /// window, bit for bit what `k` single-window [`Self::forward`] calls
-    /// return. Uses the tier's own scratch pad and staging buffers, so
-    /// steady-state calls (`k` at or below the largest seen) are
-    /// allocation-free.
+    /// return. Runs in the memory the tier was registered with, so no call
+    /// allocates.
     ///
     /// Memoises per tier: a tier whose net has a streamable prefix
     /// (DeepLOB, the CNN) keeps its last window and prefix activations,
@@ -222,18 +220,13 @@ impl ModelRegistry {
         );
         let swept = &input.data()[(rows - needed) * features..];
         if entry.stream.is_empty() {
-            while entry.lanes.len() < k {
-                entry.lanes.push(Tensor::zeros(&[window, features]));
-            }
-            let lanes = &mut entry.lanes[..k];
-            for (j, lane) in lanes.iter_mut().enumerate() {
-                let src = &swept[j * features..][..window * features];
-                lane.data_mut().copy_from_slice(src);
-            }
             entry.stats.misses += k as u64;
+            out.clear();
+            let lane = |j: usize| &swept[j * features..][..window * features];
+            let (packed, arena) = (&entry.packed, &mut entry.arena);
             return entry
                 .model
-                .forward_batch_scratch(lanes, &entry.packed, &mut entry.pad, out);
+                .forward_windows(k, lane, None, packed, arena, out);
         }
         let (first, last) = (&swept[..window * features], &swept[(k - 1) * features..]);
         let slid = slid_by_one(entry.input.data(), first, features);
@@ -246,7 +239,7 @@ impl ModelRegistry {
             &swept[(needed - slides) * features..],
             &mut entry.stream,
             &entry.packed,
-            &mut entry.pad,
+            &mut entry.arena,
             out,
         );
         if slides > 0 {
@@ -272,11 +265,12 @@ impl ModelRegistry {
             .stats
     }
 
-    /// Runs tier `kind` once over a whole batch of `[window, features]`
+    /// Runs tier `kind` over a whole batch of `[window, features]`
     /// windows, writing one prediction per input (in order) into `out`.
-    /// The whole batch runs as **one** packed batched forward per layer,
-    /// and steady-state calls (batch size at or below the largest seen)
-    /// allocate nothing. Batches never stream: each window is served
+    /// Each [`MAX_SWEEP`] windows run as **one** packed batched forward per
+    /// layer (a longer batch, in chunks of that many: no answer depends on
+    /// its batch), in the tier's registered memory, so nothing allocates
+    /// but `out`'s growth. Batches never stream: each window is served
     /// whole.
     ///
     /// # Panics
@@ -297,7 +291,7 @@ impl ModelRegistry {
         }
         entry
             .model
-            .forward_batch_scratch(inputs, &entry.packed, &mut entry.pad, out);
+            .forward_batch_scratch(inputs, &entry.packed, &mut entry.arena, out);
     }
 
     /// Kept only for the benchmark's callers, which pass 1; ROADMAP item
@@ -366,8 +360,8 @@ mod tests {
         }
     }
 
-    /// Steady-state tier switching reuses pads and staging buffers and
-    /// stays deterministic.
+    /// Tier switching reuses each tier's registered memory and stays
+    /// deterministic.
     #[test]
     fn repeated_forwards_are_deterministic() {
         let mut reg = ModelRegistry::tiny(42);
@@ -402,6 +396,28 @@ mod tests {
             assert_eq!(batched.len(), inputs.len());
             for (s, (b, l)) in batched.iter().zip(&singles).enumerate() {
                 assert_eq!(&b.probs.map(f32::to_bits), l, "{kind} sample {s}");
+            }
+        }
+    }
+
+    /// A batch of more than `MAX_SWEEP` windows runs in chunks and answers
+    /// each window bit for bit as a batch of one does.
+    #[test]
+    fn a_batch_past_max_sweep_answers_each_window_as_alone() {
+        let mut reg = ModelRegistry::tiny(42);
+        for kind in ModelKind::ALL {
+            let window = reg.model(kind).unwrap().window();
+            let inputs: Vec<Tensor> = (0..MAX_SWEEP as u64 + 3)
+                .map(|i| Tensor::random(&[window, 40], 1.0, 300 + i))
+                .collect();
+            let mut batched = Vec::new();
+            reg.forward_batch(kind, &inputs, &mut batched);
+            assert_eq!(batched.len(), inputs.len(), "{kind}");
+            let mut alone = Vec::new();
+            for (s, (b, input)) in batched.iter().zip(&inputs).enumerate() {
+                reg.forward_batch(kind, std::slice::from_ref(input), &mut alone);
+                let bits = |p: &Prediction| p.probs.map(f32::to_bits);
+                assert_eq!(bits(b), bits(&alone[0]), "{kind} window {s}");
             }
         }
     }

@@ -16,36 +16,40 @@ use crate::batch::PackedWeights;
 use crate::net::Layer;
 use crate::ops::conv::Lowering;
 use crate::ops::Conv2d;
-use crate::scratch::ScratchPad;
 
 /// The most windows one sweep serves: `ModelRegistry::forward_slides`
 /// takes no more, and a caller holding more (a datagram's event count is
 /// its sender's to choose) serves them in sweeps of at most this many.
-/// Every buffer a sweep sizes by `k` is therefore bounded by it, and
-/// where the cut falls changes no answer.
+/// Every buffer a sweep sizes by `k` is therefore sized for it once, when
+/// the tier is registered, and where the cut falls changes no answer.
 pub const MAX_SWEEP: usize = 16;
 
 /// The trailing `kh` rows of a `[in_c, h, w]` activation map, in the
 /// `[in_c, kh, w]` layout a convolution of kernel height `kh` reads: one
 /// `Conv2d::forward_batch_packed` call on it at `h = kh` yields exactly
-/// the output row a full-height call stores last.
+/// the output row a full-height call stores last. It also holds the
+/// memory a sweep of up to [`MAX_SWEEP`] rows passes through it in.
 #[derive(Debug, Clone)]
 pub struct LineBuffer {
     data: Vec<f32>,
     kh: usize,
     w: usize,
-    /// The `k = 1` call of the convolution that reads this buffer, planned
-    /// when the buffer is made; `None` for the trunk's output.
-    tick: Option<TickConv>,
+    /// `[in_c, kh - 1 + MAX_SWEEP, w]`: a sweep's kept and new rows
+    /// ([`Self::extend`]).
+    map: Vec<f32>,
+    /// The convolution that reads this buffer, its calls planned when the
+    /// buffer is made; `None` for the trunk's output.
+    conv: Option<TrunkConv>,
 }
 
-/// A trunk convolution's `k = 1` call, planned once for its one shape:
-/// how it runs, where its output row goes and its workspace. A streamed
-/// tick thus derives no shape and draws nothing from the pad.
+/// A trunk convolution's calls, planned once: how its `k = 1` call runs,
+/// and the memory every call works in. A streamed tick thus derives no
+/// shape, and no sweep allocates.
 #[derive(Debug, Clone)]
-struct TickConv {
-    lowering: Lowering,
-    /// The output row, `[out_c, ow]`: the next buffer's newest row.
+struct TrunkConv {
+    tick: Lowering,
+    /// `[out_c, k, ow]` for a sweep of `k <= MAX_SWEEP` rows: the next
+    /// buffer's new rows (at `k = 1`, its newest).
     out: Vec<f32>,
     stage: Vec<f32>,
 }
@@ -57,25 +61,20 @@ impl LineBuffer {
             data: vec![0.0; in_c * kh * w],
             kh,
             w,
-            tick: None,
+            map: vec![0.0; in_c * (kh - 1 + MAX_SWEEP) * w],
+            conv: None,
         }
     }
 
-    /// A buffer of `conv`'s input rows, `w` wide, with its `k = 1` call
-    /// planned.
+    /// A buffer of `conv`'s input rows, `w` wide, with its calls planned.
     pub(crate) fn planned(conv: &Conv2d, w: usize) -> Self {
         let kh = conv.kernel_hw().0;
-        let lowering = conv.lowering(kh, w);
-        let stage = match lowering {
-            Lowering::Direct(_) => vec![0.0; conv.stage_len()],
-            _ => Vec::new(),
-        };
-        let out = vec![0.0; conv.out_channels() * conv.output_hw(kh, w).1];
+        let out_len = conv.out_channels() * MAX_SWEEP * conv.output_hw(kh, w).1;
         LineBuffer {
-            tick: Some(TickConv {
-                lowering,
-                out,
-                stage,
+            conv: Some(TrunkConv {
+                tick: conv.lowering(kh, w),
+                out: vec![0.0; out_len],
+                stage: vec![0.0; conv.stage_len()],
             }),
             ..LineBuffer::new(conv.in_channels(), kh, w)
         }
@@ -84,20 +83,13 @@ impl LineBuffer {
     /// Refills from a full `[in_c, h, w]` map (`h >= kh`): every channel's
     /// last `kh` rows.
     pub(crate) fn prime(&mut self, map: &[f32], h: usize) {
-        let (kept, full) = (self.kh * self.w, h * self.w);
-        assert_eq!(map.len() * kept, self.data.len() * full, "map length");
-        for (dst, src) in self.data.chunks_exact_mut(kept).zip(map.chunks_exact(full)) {
-            dst.copy_from_slice(&src[full - kept..]);
-        }
+        prime(&mut self.data, self.kh * self.w, map, h * self.w);
     }
 
-    /// The planned `k = 1` call's output row.
-    fn tick_out(&self) -> &[f32] {
-        &self
-            .tick
-            .as_ref()
-            .expect("a trunk buffer plans its call")
-            .out
+    /// The planned convolution's last `k` output rows, `[out_c, k, ow]`.
+    fn swept_out(&self, k: usize) -> &[f32] {
+        let conv = self.conv.as_ref().expect("a trunk buffer plans its calls");
+        &conv.out[..conv.out.len() / MAX_SWEEP * k]
     }
 
     /// Drops every channel's oldest row and appends `row` (`[in_c, w]`).
@@ -110,20 +102,17 @@ impl LineBuffer {
         }
     }
 
-    /// [`Self::push`] for `k` rows at once (`rows` is `[in_c, k, w]`),
-    /// leaving in `map` what the buffer passed through on the way: every
-    /// channel's kept `kh - 1` rows followed by its `k` new ones,
-    /// `[in_c, kh - 1 + k, w]`. Rows `j..j + kh` of `map` are the buffer as
-    /// `j + 1` single pushes would have left it.
-    fn extend_into(&mut self, rows: &[f32], k: usize, map: &mut [f32]) {
+    /// [`Self::push`] for `k <= MAX_SWEEP` rows at once (`rows` is
+    /// `[in_c, k, w]`), leaving in the first `map_len(k)` elements of `map`
+    /// what the buffer passed through on the way: every channel's kept
+    /// `kh - 1` rows followed by its `k` new ones, `[in_c, kh - 1 + k, w]`.
+    /// Rows `j..j + kh` of it are the buffer as `j + 1` single pushes would
+    /// have left it.
+    fn extend(&mut self, rows: &[f32], k: usize) {
         let (kept, w) = (self.kh * self.w, self.w);
         let (old, new) = (kept - w, k * w);
         assert_eq!(rows.len() * kept, self.data.len() * new, "rows length");
-        assert_eq!(
-            map.len() * kept,
-            self.data.len() * (old + new),
-            "map length"
-        );
+        let map = &mut self.map[..self.data.len() / kept * (old + new)];
         let channels = map.chunks_exact_mut(old + new);
         for ((dst, line), src) in channels
             .zip(self.data.chunks_exact(kept))
@@ -132,83 +121,89 @@ impl LineBuffer {
             dst[..old].copy_from_slice(&line[w..]);
             dst[old..].copy_from_slice(src);
         }
-        self.prime(map, self.kh - 1 + k);
+        prime(&mut self.data, kept, map, old + new);
+    }
+
+    /// The length of [`Self::extend`]'s map after `k` rows.
+    fn map_len(&self, k: usize) -> usize {
+        self.data.len() / self.kh * (self.kh - 1 + k)
     }
 }
 
-/// Streams `rows` — `k >= 1` tick rows, `[k, features]`, each sliding the
-/// window by one — through a net's streamable prefix, `trunk` (its
-/// convolutions, panels `0..N` of `packed`), each storing its sums as its
-/// post says (the BF16 rounding and the layer's activation: no layer makes
-/// a second pass over its output), and hands `tail` the `k` trunk outputs
-/// they complete, `[k, C, out_rows]`, oldest window first, and `k`.
+/// Every channel's last `kept` elements of `map`'s channels, each `full`
+/// long, into `data`'s.
+fn prime(data: &mut [f32], kept: usize, map: &[f32], full: usize) {
+    assert_eq!(map.len() * kept, data.len() * full, "map length");
+    for (dst, src) in data.chunks_exact_mut(kept).zip(map.chunks_exact(full)) {
+        dst.copy_from_slice(&src[full - kept..]);
+    }
+}
+
+/// Streams `rows` — `1..=MAX_SWEEP` tick rows, `[k, features]`, each
+/// sliding the window by one — through a net's streamable prefix, `trunk`
+/// (its convolutions, panels `0..N` of `packed`), each storing its sums as
+/// its post says (the BF16 rounding and the layer's activation: no layer
+/// makes a second pass over its output), and returns the `k` trunk outputs
+/// they complete, `[k, C, out_rows]`, oldest window first: the kept trunk
+/// output itself at `k = 1`, or `None` when they are gathered at the start
+/// of `staged`.
 ///
 /// Layer by layer the kept `kh - 1` rows and the `k` new ones become `k`
 /// output rows by the same packed convolution as the whole-window
 /// forward, once, at `h = kh - 1 + k`: each output's accumulator sees the
 /// operands the whole-window forward gives it, in its order. At `k = 1`
-/// the line buffer with the row pushed *is* that input, the call is the
-/// one its buffer planned (into the planned output row, which the next
-/// buffer takes as its newest), and the kept trunk output *is* the one
-/// window: the trunk draws nothing from `pad`. A longer sweep assembles
-/// each layer's input and the windows in `pad`. `lines` is the net's
+/// the line buffer with the row pushed *is* that input and the call is the
+/// one its buffer planned; a longer sweep assembles each layer's input in
+/// its buffer's map. Either way the call's output rows land in the
+/// buffer's planned output, which the next buffer takes as its new rows,
+/// and the first layer reads `rows` in place. `lines` is the net's
 /// `stream_lines` and ends as `k` one-row calls would leave it.
-pub(crate) fn advance_trunk(
-    lines: &mut [LineBuffer],
+pub(crate) fn advance_trunk<'a>(
+    lines: &'a mut [LineBuffer],
     trunk: &[Layer],
     rows: &[f32],
     packed: &PackedWeights,
-    pad: &mut ScratchPad,
-    tail: impl FnOnce(&[f32], usize, &mut ScratchPad),
-) {
+    staged: &mut [f32],
+) -> Option<&'a [f32]> {
     let n = trunk.len();
     let (buffers, out) = lines.split_at_mut(n);
     let out = &mut out[0];
     // The first layer reads one channel: a tick row is one of its rows.
     let k = rows.len() / buffers[0].w;
-    if k == 1 {
-        for (idx, layer) in trunk.iter().enumerate() {
-            let (conv, post) = layer.trunk_conv();
-            let (done, rest) = buffers.split_at_mut(idx);
-            let row = done.last().map_or(rows, |prev| prev.tick_out());
-            let line = &mut rest[0];
-            line.push(row);
-            let tick = line.tick.as_mut().expect("a trunk buffer plans its call");
-            let panel = packed.panel(idx);
-            conv.run(
-                tick.lowering,
-                &line.data,
-                1,
-                panel,
-                &mut tick.stage,
-                post,
-                &mut tick.out,
-            );
-        }
-        out.push(buffers[n - 1].tick_out());
-        return tail(&out.data, k, pad);
-    }
-    let mut cur = pad.take_dirty(rows.len());
-    cur.copy_from_slice(rows);
-    for (idx, (layer, line)) in trunk.iter().zip(buffers).enumerate() {
+    for (idx, layer) in trunk.iter().enumerate() {
         let (conv, post) = layer.trunk_conv();
-        let h = line.kh - 1 + k;
-        let ow = conv.output_hw(h, line.w).1;
-        let mut nxt = pad.take_dirty(conv.out_channels() * k * ow);
-        let mut map = pad.take_dirty(line.data.len() / line.kh * h);
-        line.extend_into(&cur, k, &mut map);
-        conv.forward_batch_packed(&map, 1, h, line.w, packed.panel(idx), pad, post, &mut nxt);
-        pad.give(map);
-        pad.give(std::mem::replace(&mut cur, nxt));
+        let (done, rest) = buffers.split_at_mut(idx);
+        let src = done.last().map_or(rows, |prev| prev.swept_out(k));
+        let line = &mut rest[0];
+        let (x, h) = if k == 1 {
+            line.push(src);
+            (&line.data[..], line.kh)
+        } else {
+            line.extend(src, k);
+            (&line.map[..line.map_len(k)], line.kh - 1 + k)
+        };
+        let planned = line.conv.as_mut().expect("a trunk buffer plans its calls");
+        let lowering = if k == 1 {
+            planned.tick
+        } else {
+            conv.lowering(h, line.w)
+        };
+        let len = planned.out.len() / MAX_SWEEP * k;
+        let (stage, rows_out) = (&mut planned.stage, &mut planned.out[..len]);
+        conv.run(lowering, x, 1, packed.panel(idx), stage, post, rows_out);
+    }
+    let last = buffers[n - 1].swept_out(k);
+    if k == 1 {
+        out.push(last);
+        return Some(&out.data);
     }
     // Window `j`'s trunk output is rows `j..j + out_rows` of the map.
+    out.extend(last, k);
     let (per, h) = (out.kh * out.w, out.kh - 1 + k);
+    let map = &out.map[..out.map_len(k)];
     let channels = out.data.len() / per;
-    let mut map = pad.take_dirty(channels * h * out.w);
-    out.extend_into(&cur, k, &mut map);
-    pad.give(cur);
-    let mut windows = pad.take_dirty(k * channels * per);
-    for (j, window) in windows.chunks_exact_mut(channels * per).enumerate() {
+    let windows = staged[..k * channels * per].chunks_exact_mut(channels * per);
+    for (j, window) in windows.enumerate() {
         for (dst, src) in window
             .chunks_exact_mut(per)
             .zip(map.chunks_exact(h * out.w))
@@ -216,9 +211,7 @@ pub(crate) fn advance_trunk(
             dst.copy_from_slice(&src[j * out.w..][..per]);
         }
     }
-    pad.give(map);
-    tail(&windows, k, pad);
-    pad.give(windows);
+    None
 }
 
 /// True when the `[window, features]` map `next` is `prev` slid by one
@@ -275,8 +268,8 @@ mod tests {
         assert_eq!(one.data, [1., 2., 3., 4.]);
     }
 
-    /// `extend_into` at any `k` — shorter than, equal to and longer than
-    /// `kh` — leaves the buffer where `k` pushes leave it, and `map` holds
+    /// `extend` at any `k` — shorter than, equal to and longer than `kh`
+    /// — leaves the buffer where `k` pushes leave it, and its map holds
     /// every state it passed through.
     #[test]
     fn extending_by_k_rows_is_k_pushes_and_the_map_keeps_every_step() {
@@ -286,12 +279,14 @@ mod tests {
                 let seed: Vec<f32> = (0..in_c * 5 * w).map(|v| v as f32).collect();
                 let mut swept = LineBuffer::new(in_c, kh, w);
                 swept.prime(&seed, 5);
+                swept.map.fill(f32::NAN);
                 let mut pushed = swept.clone();
                 // `rows` is [in_c, k, w]; row `j` of every channel is one push.
                 let rows: Vec<f32> = (0..in_c * k * w).map(|v| 100.0 + v as f32).collect();
                 let h = kh - 1 + k;
-                let mut map = vec![f32::NAN; in_c * h * w];
-                swept.extend_into(&rows, k, &mut map);
+                swept.extend(&rows, k);
+                let map = &swept.map[..swept.map_len(k)];
+                assert_eq!(map.len(), in_c * h * w);
                 for j in 0..k {
                     let row: Vec<f32> = (0..in_c)
                         .flat_map(|c| rows[(c * k + j) * w..][..w].to_vec())

@@ -8,8 +8,8 @@ use rand::{Rng, SeedableRng};
 ///
 /// The deepest shape any layer uses is the rank-4 convolution kernel
 /// `[out_c, in_c, k_h, k_w]`; storing dimensions inline (instead of in a
-/// heap-allocated `Vec`) is what lets [`crate::scratch::ScratchPad`] hand
-/// out tensors without touching the allocator.
+/// heap-allocated `Vec`) keeps a tensor's shape off the allocator: a
+/// tensor allocates its data only.
 pub const MAX_RANK: usize = 4;
 
 /// Inline shape: up to [`MAX_RANK`] dimensions, no heap storage.

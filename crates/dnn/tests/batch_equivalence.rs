@@ -9,7 +9,7 @@
 use lt_dnn::bf16_round;
 use lt_dnn::kernels::{gemm_packed, pack_bt_panels, Segment, Store};
 use lt_dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
-use lt_dnn::{Net, PackedWeights, Prediction, ScratchPad, Tensor};
+use lt_dnn::{Net, PackedWeights, Prediction, Tensor};
 use proptest::prelude::*;
 
 /// Random `[window, features]` inputs for `model`, one per sample.
@@ -35,9 +35,9 @@ fn assert_batch_matches_loop(
     packed: &PackedWeights,
     inputs: &[Tensor],
 ) -> Vec<Prediction> {
-    let mut pad = ScratchPad::new();
+    let mut arena = model.arena();
     let mut batched = Vec::new();
-    model.forward_batch_scratch(inputs, packed, &mut pad, &mut batched);
+    model.forward_batch_scratch(inputs, packed, &mut arena, &mut batched);
     assert_eq!(batched.len(), inputs.len(), "{name}: prediction count");
     let mut single = Vec::new();
     for (s, (b, input)) in batched.iter().zip(inputs).enumerate() {
@@ -46,7 +46,7 @@ fn assert_batch_matches_loop(
             b.probs, oracle.probs,
             "{name}: sample {s} diverged from forward_reference"
         );
-        model.forward_batch_scratch(std::slice::from_ref(input), packed, &mut pad, &mut single);
+        model.forward_batch_scratch(std::slice::from_ref(input), packed, &mut arena, &mut single);
         assert_eq!(
             b.probs.map(f32::to_bits),
             single[0].probs.map(f32::to_bits),
@@ -177,9 +177,9 @@ fn batch_output_order_and_reuse() {
     let model = CnnSpec::tiny().build(4);
     let packed = model.pack_weights();
     let inputs = random_batch(&model, 4, 9);
-    let mut pad = ScratchPad::new();
+    let mut arena = model.arena();
     let mut out = vec![Prediction::new([1.0, 0.0, 0.0]); 7];
-    model.forward_batch_scratch(&inputs, &packed, &mut pad, &mut out);
+    model.forward_batch_scratch(&inputs, &packed, &mut arena, &mut out);
     assert_eq!(out.len(), 4);
     for (got, input) in out.iter().zip(&inputs) {
         assert_eq!(got.probs, model.forward_reference(input).probs);
@@ -187,7 +187,7 @@ fn batch_output_order_and_reuse() {
     // Reversing the inputs reverses the outputs.
     let rev: Vec<Tensor> = inputs.iter().rev().cloned().collect();
     let mut out_rev = Vec::new();
-    model.forward_batch_scratch(&rev, &packed, &mut pad, &mut out_rev);
+    model.forward_batch_scratch(&rev, &packed, &mut arena, &mut out_rev);
     for (a, b) in out.iter().zip(out_rev.iter().rev()) {
         assert_eq!(a.probs.map(f32::to_bits), b.probs.map(f32::to_bits));
     }

@@ -7,14 +7,14 @@
 //! Equality is asserted with `Tensor`'s derived `PartialEq` (elementwise
 //! f32 `==`), so even a one-ulp accumulation-order difference fails.
 //! Every property runs at batch 1 (the lone query: row tails only) and
-//! batch 3, and runs each padded path twice with the same
-//! [`ScratchPad`] so pooled-buffer reuse (the steady-state regime) is
-//! covered too.
+//! batch 3, and runs each padded path twice in the same workspace, so
+//! a workspace that still holds the last call's values (every call after
+//! the first) is covered too.
 
 use lt_dnn::kernels::Store;
 use lt_dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
 use lt_dnn::ops::{leaky_relu, relu, Conv2d, LayerNorm, Linear, Lstm, MultiHeadAttention};
-use lt_dnn::{Net, Prediction, ScratchPad, Tensor};
+use lt_dnn::{Net, Prediction, Tensor};
 use proptest::prelude::*;
 
 const BATCHES: [usize; 2] = [1, 3];
@@ -77,13 +77,13 @@ fn assert_model_matches_reference(
     seed: u64,
 ) {
     let packed = model.pack_weights();
-    let mut pad = ScratchPad::new();
+    let mut arena = model.arena();
     let mut out = Vec::new();
     for batch in BATCHES {
         let xs = random_inputs(&[model.window(), model.features()], 1.0, batch, seed);
         let want: Vec<[f32; 3]> = xs.iter().map(|x| reference(x).probs).collect();
         for _ in 0..2 {
-            model.forward_batch_scratch(&xs, &packed, &mut pad, &mut out);
+            model.forward_batch_scratch(&xs, &packed, &mut arena, &mut out);
             let got: Vec<[f32; 3]> = out.iter().map(|p| p.probs).collect();
             assert_eq!(got, want, "batch {batch}");
         }
@@ -93,12 +93,12 @@ fn assert_model_matches_reference(
 /// An unpadded convolution over samples exactly one kernel in size: the
 /// packed path's `[batch, out_c]` output, stored through `post`, is
 /// `forward_reference`'s and then the activation's bit for bit, at batch 1
-/// and 3, on a fresh and a warmed pad.
+/// and 3, in a fresh and a used stage.
 fn assert_kernel_sized_matches_reference(conv: &Conv2d, post: Store, seed: u64) {
     let (in_c, out_c, (h, w)) = (conv.in_channels(), conv.out_channels(), conv.kernel_hw());
     assert_eq!(conv.output_hw(h, w), (1, 1));
     let packed = conv.pack();
-    let mut pad = ScratchPad::new();
+    let mut stage = vec![0.0; conv.stage_len()];
     let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
     for batch in BATCHES {
         let xs = signed_inputs(&[in_c, h, w], batch, seed);
@@ -109,7 +109,7 @@ fn assert_kernel_sized_matches_reference(conv: &Conv2d, post: Store, seed: u64) 
         let mut out = vec![f32::NAN; batch * out_c];
         for _ in 0..2 {
             let flat = stack(&xs);
-            conv.forward_batch_packed(&flat, batch, h, w, &packed, &mut pad, post, &mut out);
+            conv.forward_batch_packed(&flat, batch, h, w, &packed, &mut stage, post, &mut out);
             assert_eq!(bits(&out), want, "batch {batch}");
         }
     }
@@ -117,13 +117,13 @@ fn assert_kernel_sized_matches_reference(conv: &Conv2d, post: Store, seed: u64) 
 
 /// The packed convolution over `[in_c, h, w]` samples, stored through
 /// `post`, bit for bit `forward_reference` and then the activation, at
-/// batch 1 and 3, twice on one pad (the second pass reuses pooled
-/// buffers).
+/// batch 1 and 3, twice in one stage (the second pass in what the first
+/// left).
 fn assert_conv_matches_reference(conv: &Conv2d, h: usize, w: usize, post: Store, seed: u64) {
     let (in_c, out_c) = (conv.in_channels(), conv.out_channels());
     let packed = conv.pack();
     let (oh, ow) = conv.output_hw(h, w);
-    let mut pad = ScratchPad::new();
+    let mut stage = vec![0.0; conv.stage_len()];
     let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
     for batch in BATCHES {
         let xs = signed_inputs(&[in_c, h, w], batch, seed);
@@ -134,7 +134,7 @@ fn assert_conv_matches_reference(conv: &Conv2d, h: usize, w: usize, post: Store,
         let flat = stack(&xs);
         let mut out = vec![f32::NAN; batch * out_c * oh * ow];
         for _ in 0..2 {
-            conv.forward_batch_packed(&flat, batch, h, w, &packed, &mut pad, post, &mut out);
+            conv.forward_batch_packed(&flat, batch, h, w, &packed, &mut stage, post, &mut out);
             assert_eq!(bits(&out), want, "batch {batch} {post:?}");
         }
     }
@@ -227,7 +227,7 @@ proptest! {
     ) {
         let lstm = Lstm::new(input, hidden, seed);
         let (pwx, pwh) = (lstm.pack_wx(), lstm.pack_wh());
-        let mut pad = ScratchPad::new();
+        let mut work = vec![0.0; BATCHES[1] * lstm.workspace(steps)];
         for batch in BATCHES {
             let xs = random_inputs(&[steps, input], 1.0, batch, seed);
             let reference: Vec<Tensor> = xs.iter().map(|x| lstm.forward_reference(x)).collect();
@@ -238,7 +238,7 @@ proptest! {
                     .collect();
                 let mut out = vec![f32::NAN; batch * hidden];
                 for _ in 0..2 {
-                    lstm.last_hidden_batch_packed(&prefix, batch, p, &pwx, &pwh, &mut pad, &mut out);
+                    lstm.last_hidden_batch_packed(&prefix, batch, p, &pwx, &pwh, &mut work, &mut out);
                     for (got, want) in out.chunks_exact(hidden).zip(&reference) {
                         prop_assert_eq!(got, want.row(p - 1));
                     }
@@ -258,14 +258,15 @@ proptest! {
         let d_model = heads * d_head;
         let mha = MultiHeadAttention::new(d_model, heads, seed);
         let packed = mha.pack();
-        let mut pad = ScratchPad::new();
+        let (per, fixed) = mha.workspace(t);
+        let mut work = vec![0.0; BATCHES[1] * per + fixed];
         for batch in BATCHES {
             let xs = random_inputs(&[t, d_model], 1.0, batch, seed);
             let reference: Vec<Tensor> = xs.iter().map(|x| mha.forward_reference(x)).collect();
             let flat = stack(&xs);
             let mut out = vec![f32::NAN; batch * t * d_model];
             for _ in 0..2 {
-                mha.forward_batch_packed(&flat, batch, t, packed.each_ref(), &mut pad, &mut out);
+                mha.forward_batch_packed(&flat, batch, t, packed.each_ref(), &mut work, &mut out);
                 prop_assert_eq!(&unstack(&out, &[t, d_model]), &reference);
             }
         }

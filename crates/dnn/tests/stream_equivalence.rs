@@ -20,8 +20,7 @@
 
 use lt_dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
 use lt_dnn::{
-    ModelKind, ModelRegistry, Net, PackedWeights, Prediction, ScratchPad, StreamStats, Tensor,
-    MAX_SWEEP,
+    ModelKind, ModelRegistry, Net, PackedWeights, Prediction, StreamStats, Tensor, MAX_SWEEP,
 };
 use proptest::prelude::*;
 
@@ -94,7 +93,7 @@ impl Tier<'_> {
         let mut alone = Vec::new();
         let inputs = std::slice::from_ref(exact);
         self.model
-            .forward_batch_scratch(inputs, &self.packed, &mut ScratchPad::new(), &mut alone);
+            .forward_batch_scratch(inputs, &self.packed, &mut self.model.arena(), &mut alone);
         assert_same(got, alone[0], k > 1, &format!("{what}: stateless forward"));
         let reference = (self.reference)(exact);
         assert_same(got, reference, true, &format!("{what}: forward_reference"));

@@ -1,10 +1,12 @@
-//! Proves the zero-allocation claim: after a warm-up pass populates the
-//! [`ScratchPad`]'s free lists, steady-state `forward_batch_scratch`
-//! performs **zero** heap allocations for every benchmark model, for a
-//! lone query (batch 1) as for a batch, and so does
-//! `ModelRegistry::forward` whether a query streams (hit), runs its whole
-//! window (miss) or lands on another tier, and `forward_slides` at any
-//! sweep length once the longest has been seen.
+//! Proves the zero-allocation claim: every forward runs in memory planned
+//! when its net's [`Arena`] is made or its tier registered, so
+//! `forward_batch_scratch` performs **zero** heap allocations for every
+//! benchmark model from its first call on, for a lone query (batch 1) as
+//! for a batch, and so does a freshly registered `ModelRegistry` on its
+//! first forward of each tier — a hit or a miss, a sweep of any `k` up
+//! to `MAX_SWEEP`, a batch of up to `MAX_SWEEP` — and on every later one,
+//! whether a query streams (hit), runs its whole window (miss) or lands on
+//! another tier.
 //!
 //! The proof uses a counting `#[global_allocator]` wrapping the system
 //! allocator; the whole file is one `#[test]` so the allocator and its
@@ -14,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use lt_dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
-use lt_dnn::{ModelKind, ModelRegistry, Net, Prediction, ScratchPad, StreamStats, Tensor};
+use lt_dnn::{Arena, ModelKind, ModelRegistry, Net, Prediction, StreamStats, Tensor, MAX_SWEEP};
 
 thread_local! {
     // `const` init so reading the counter never allocates.
@@ -60,22 +62,19 @@ fn allocations() -> u64 {
     ALLOCS.with(|c| c.get())
 }
 
-/// Once the weight panels are packed and a warm-up batch has sized the
-/// pad's buffers and the output vector, forwards at the same batch size
-/// allocate nothing — staging, unfold, packed GEMM and prediction output
-/// all live in recycled storage.
+/// Once the weight panels are packed and the arena made, forwards
+/// allocate nothing, the first included — staging, packed GEMM and every
+/// layer's workspace live in the arena, predictions in an output vector
+/// sized for the batch.
 fn assert_steady_state_batch_alloc_free(name: &str, model: &Net, inputs: &[Tensor]) {
     let packed = model.pack_weights();
-    let mut pad = ScratchPad::new();
-    let mut out: Vec<Prediction> = Vec::new();
-    for _ in 0..3 {
-        model.forward_batch_scratch(inputs, &packed, &mut pad, &mut out);
-    }
-    let misses_before = pad.misses();
+    let mut arena: Arena = model.arena();
+    let mut out: Vec<Prediction> = Vec::with_capacity(inputs.len());
     let allocs_before = allocations();
-    model.forward_batch_scratch(inputs, &packed, &mut pad, &mut out);
+    for _ in 0..4 {
+        model.forward_batch_scratch(inputs, &packed, &mut arena, &mut out);
+    }
     let allocs_after = allocations();
-    let misses_after = pad.misses();
     assert_eq!(out.len(), inputs.len(), "{name}: prediction count");
     assert!(
         out.iter().all(|p| p.probs.iter().all(|v| v.is_finite())),
@@ -84,47 +83,31 @@ fn assert_steady_state_batch_alloc_free(name: &str, model: &Net, inputs: &[Tenso
     assert_eq!(
         allocs_after - allocs_before,
         0,
-        "{name}: steady-state forward_batch_scratch allocated"
-    );
-    assert_eq!(
-        misses_after, misses_before,
-        "{name}: scratch pad missed in steady state"
+        "{name}: forward_batch_scratch allocated"
     );
 }
 
-/// A batch-size walk: once the largest batch has sized the pad and the
-/// output vector, smaller batches and a return to the largest allocate
-/// nothing — best-fit hands every smaller request one of the larger
-/// batch's buffers.
+/// A batch-size walk: one arena serves every batch size, larger and
+/// smaller in any order, from the first call on.
 fn assert_batch_walk_alloc_free(name: &str, model: &Net, inputs: &[Tensor], small: usize) {
     let packed = model.pack_weights();
-    let mut pad = ScratchPad::new();
-    let mut out: Vec<Prediction> = Vec::new();
-    for _ in 0..3 {
-        model.forward_batch_scratch(inputs, &packed, &mut pad, &mut out);
-    }
-    let misses_before = pad.misses();
+    let mut arena = model.arena();
+    let mut out: Vec<Prediction> = Vec::with_capacity(inputs.len());
     let allocs_before = allocations();
     for batch in [small, inputs.len(), small, inputs.len()] {
-        model.forward_batch_scratch(&inputs[..batch], &packed, &mut pad, &mut out);
+        model.forward_batch_scratch(&inputs[..batch], &packed, &mut arena, &mut out);
         assert_eq!(out.len(), batch, "{name}: prediction count");
     }
     assert_eq!(
         allocations() - allocs_before,
         0,
-        "{name}: batch walk allocated after the largest batch was seen"
-    );
-    assert_eq!(
-        pad.misses(),
-        misses_before,
-        "{name}: scratch pad missed during the batch walk"
+        "{name}: batch walk allocated"
     );
 }
 
-/// The registry's streaming forward: every stream buffer is sized at
-/// `register` and every pad buffer by the tiers' first queries, so a hit,
-/// a miss (a jump in the row stream, a repeated window) and a tier switch
-/// all allocate nothing. Windows are cut from one row stream: offset + 1
+/// The registry's streaming forward: every buffer is sized at `register`,
+/// so a hit, a miss (a jump in the row stream, a repeated window) and a
+/// tier switch all allocate nothing. Windows are cut from one row stream: offset + 1
 /// is a slide.
 fn assert_streamed_walk_alloc_free() {
     let mut reg = ModelRegistry::tiny(3);
@@ -175,11 +158,9 @@ fn assert_streamed_walk_alloc_free() {
     assert_eq!(warm[2], StreamStats { hits: 1, misses: 1 });
 }
 
-/// Sweeps of `k` windows through `forward_slides`: one pass at the
-/// largest `k` sizes every buffer a sweep sizes by `k` (the per-layer maps,
-/// the gathered trunk outputs, the batch-`k` tail, an unstreamed tier's
-/// lanes), after which shorter sweeps, a return to `k = 1`, a miss with a
-/// sweep streaming behind it and a mid-sized sweep allocate nothing.
+/// Sweeps of `k` windows through `forward_slides`: shorter sweeps after a
+/// long one, a return to `k = 1`, a miss with a sweep streaming behind it
+/// and a mid-sized sweep allocate nothing.
 fn assert_swept_walk_alloc_free() {
     let mut reg = ModelRegistry::tiny(3);
     let rows = reg.max_window();
@@ -225,6 +206,67 @@ fn assert_swept_walk_alloc_free() {
     }
 }
 
+/// A freshly registered registry, with no warm-up: its first call on each
+/// tier allocates nothing — a `forward` that hits (the window registration
+/// primed the stream with, all zeros, slid by one row) and one that
+/// misses, a sweep of every `k` in `1..=MAX_SWEEP` whose first window hits
+/// or misses, and a `forward_batch` of every size up to `MAX_SWEEP`.
+fn assert_first_forwards_alloc_free() {
+    let fresh = || ModelRegistry::tiny(3);
+    let rows = fresh().max_window();
+    let mut data = vec![0.0; rows * 40];
+    data.extend_from_slice(Tensor::random(&[MAX_SWEEP + 40, 40], 1.0, 11).data());
+    let stream = Tensor::from_vec(data, &[rows + MAX_SWEEP + 40, 40]);
+    // The sweep of `k` windows whose first ends just before row `end`.
+    let swept = |end: usize, k: usize| {
+        let data = stream.data()[(end - rows) * 40..(end + k - 1) * 40].to_vec();
+        Tensor::from_vec(data, &[rows + k - 1, 40])
+    };
+    let mut out = Vec::with_capacity(MAX_SWEEP);
+    for kind in ModelKind::ALL {
+        let streamed = kind != ModelKind::TransLob;
+        for (end, slid) in [(rows + 1, true), (rows + 30, false)] {
+            let mut reg = fresh();
+            let input = swept(end, 1);
+            let before = allocations();
+            let p = reg.forward(kind, &input);
+            assert_eq!(allocations() - before, 0, "{kind}: first forward");
+            assert!(p.probs.iter().all(|v| v.is_finite()));
+            let hit = u64::from(slid && streamed);
+            let want = StreamStats {
+                hits: hit,
+                misses: 1 - hit,
+            };
+            assert_eq!(reg.stream_stats(kind), want, "{kind}: first forward");
+            for k in 1..=MAX_SWEEP {
+                let mut reg = fresh();
+                let input = swept(end, k);
+                let before = allocations();
+                reg.forward_slides(kind, &input, k, &mut out);
+                assert_eq!(allocations() - before, 0, "{kind}: first sweep of {k}");
+                assert_eq!(out.len(), k, "{kind}");
+                let misses = if streamed { u64::from(!slid) } else { k as u64 };
+                let want = StreamStats {
+                    hits: k as u64 - misses,
+                    misses,
+                };
+                assert_eq!(reg.stream_stats(kind), want, "{kind}: first sweep of {k}");
+            }
+        }
+        let window = fresh().model(kind).unwrap().window();
+        let inputs: Vec<Tensor> = (0..MAX_SWEEP as u64)
+            .map(|i| Tensor::random(&[window, 40], 1.0, 70 + i))
+            .collect();
+        for batch in 1..=MAX_SWEEP {
+            let mut reg = fresh();
+            let before = allocations();
+            reg.forward_batch(kind, &inputs[..batch], &mut out);
+            assert_eq!(allocations() - before, 0, "{kind}: first batch of {batch}");
+            assert_eq!(out.len(), batch, "{kind}");
+        }
+    }
+}
+
 #[test]
 fn steady_state_forward_is_allocation_free() {
     let vanilla = CnnSpec::tiny().build(3);
@@ -253,4 +295,5 @@ fn steady_state_forward_is_allocation_free() {
     assert_batch_walk_alloc_free("VanillaCnn 8 -> 3 -> 8", &vanilla, &batch(20), 3);
     assert_streamed_walk_alloc_free();
     assert_swept_walk_alloc_free();
+    assert_first_forwards_alloc_free();
 }

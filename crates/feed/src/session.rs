@@ -42,7 +42,7 @@ impl MarketSession {
             arrivals = merge_sorted(arrivals, bursts);
         }
         let mut flow = AgentFlow::new(symbol, AgentParams::default(), seed.wrapping_add(1));
-        let mut trace = TickTrace::new(symbol);
+        let mut trace = TickTrace::new(flow.engine().symbol());
         for t in arrivals {
             let ts = Timestamp::from_nanos((t * 1e9) as u64);
             let events = flow.step(ts);
@@ -98,12 +98,6 @@ impl SessionBuilder {
     /// range the paper's scheduler experiments stress.
     pub fn normal_traffic() -> Self {
         SessionBuilder::new(HawkesParams::new(400.0, 160.0, 200.0))
-    }
-
-    /// Sets the traded symbol (default `ESU6`).
-    pub fn symbol(mut self, symbol: Symbol) -> Self {
-        self.symbol = symbol;
-        self
     }
 
     /// Sets the RNG seed shared by arrivals and agent flow.

@@ -53,7 +53,7 @@ impl FeeModel {
 
     /// Total fee for a fill of `contracts`, in half-ticks. Zero when
     /// nothing filled.
-    pub fn fee_half(&self, contracts: u64) -> i64 {
+    fn fee_half(&self, contracts: u64) -> i64 {
         if contracts == 0 {
             0
         } else {

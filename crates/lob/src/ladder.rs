@@ -117,12 +117,6 @@ impl PriceLadder {
         }
     }
 
-    /// The side this ladder stores.
-    #[inline]
-    pub fn side(&self) -> Side {
-        self.side
-    }
-
     /// True when no levels are occupied.
     #[inline]
     pub fn is_empty(&self) -> bool {
@@ -514,7 +508,7 @@ impl LadderBook {
     /// True if an order with `id` currently rests on the book.
     #[inline]
     pub fn contains(&self, id: OrderId) -> bool {
-        self.index.contains_key(&id)
+        self.order(id).is_some()
     }
 
     /// Visits the best `depth` levels of `side`, most aggressive first,

@@ -77,9 +77,10 @@ pub struct Order {
     pub seq: u64,
 }
 
+#[cfg(test)]
 impl Order {
     /// Quantity filled so far.
-    pub fn filled(&self) -> Qty {
+    fn filled(&self) -> Qty {
         self.original - self.remaining
     }
 }

@@ -31,13 +31,6 @@ pub struct TierLadder {
 }
 
 impl TierLadder {
-    /// All three benchmark tiers.
-    pub fn full() -> Self {
-        TierLadder {
-            mask: (1 << ModelKind::ALL.len()) - 1,
-        }
-    }
-
     /// Exactly one registered tier.
     pub fn single(kind: ModelKind) -> Self {
         TierLadder {
@@ -351,6 +344,16 @@ impl TierPlanner {
         match pick {
             Some(kind) => TierDecision::Serve(kind),
             None => TierDecision::Drop,
+        }
+    }
+}
+
+#[cfg(test)]
+impl TierLadder {
+    /// All three benchmark tiers.
+    fn full() -> Self {
+        TierLadder {
+            mask: (1 << ModelKind::ALL.len()) - 1,
         }
     }
 }

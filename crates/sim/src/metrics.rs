@@ -286,28 +286,6 @@ impl BacktestMetrics {
         1.0 - self.response_rate()
     }
 
-    /// Queries whose answer wired out within `budget` of the tick: the
-    /// count of recorded tick-to-trade latencies at or under the budget.
-    /// Late and dropped queries never hit (a budget is at most
-    /// `t_avail`, and late answers already exceeded `t_avail`).
-    pub fn deadline_hits(&self, budget: Duration) -> u64 {
-        let budget_ns = budget.as_nanos() as u64;
-        self.latencies()
-            .into_iter()
-            .filter(|&ns| ns <= budget_ns)
-            .count() as u64
-    }
-
-    /// Fraction of all queries answered within `budget` of their tick —
-    /// the deadline-hit-rate the tiered scheduler optimizes. Computable
-    /// for fixed policies too, which is what makes them comparable.
-    pub fn deadline_hit_rate(&self, budget: Duration) -> f64 {
-        if self.total() == 0 {
-            return 0.0;
-        }
-        self.deadline_hits(budget) as f64 / self.total() as f64
-    }
-
     /// Mean batch size over all issued batches.
     pub fn mean_batch(&self) -> f64 {
         if self.batches == 0 {
@@ -342,7 +320,7 @@ impl BacktestMetrics {
     ///
     /// Panics if a `q` is outside `[0, 1]`.
     pub(crate) fn latency_quantiles<const N: usize>(&self, qs: [f64; N]) -> [Duration; N] {
-        let sorted = sorted(self.stages.tick_to_trade());
+        let sorted = sorted(self.latencies());
         qs.map(|q| quantile(&sorted, q))
     }
 
@@ -425,7 +403,40 @@ impl std::fmt::Display for BacktestMetrics {
             self.deferred,
             self.mean_latency(),
             self.mean_batch(),
-        )
+        )?;
+        let shards = self.shards();
+        if shards.len() > 1 {
+            write!(f, "; responded per shard")?;
+            for (i, row) in shards.iter().enumerate() {
+                write!(f, "{} {}", if i == 0 { "" } else { "," }, row.responded)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+impl BacktestMetrics {
+    /// Queries whose answer wired out within `budget` of the tick: the
+    /// count of recorded tick-to-trade latencies at or under the budget.
+    /// Late and dropped queries never hit (a budget is at most
+    /// `t_avail`, and late answers already exceeded `t_avail`).
+    pub(crate) fn deadline_hits(&self, budget: Duration) -> u64 {
+        let budget_ns = budget.as_nanos() as u64;
+        self.latencies()
+            .into_iter()
+            .filter(|&ns| ns <= budget_ns)
+            .count() as u64
+    }
+
+    /// Fraction of all queries answered within `budget` of their tick —
+    /// the deadline-hit-rate the tiered scheduler optimizes. Computable
+    /// for fixed policies too, which is what makes them comparable.
+    pub(crate) fn deadline_hit_rate(&self, budget: Duration) -> f64 {
+        if self.total() == 0 {
+            return 0.0;
+        }
+        self.deadline_hits(budget) as f64 / self.total() as f64
     }
 }
 

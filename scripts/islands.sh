@@ -15,13 +15,15 @@
 #   - a production call reaches it from its own file (`self.` and `Self::`
 #     count there), and another file, test code included, calls it: that
 #     caller is why it is `pub`.
-# A call is a call-shaped occurrence — `name(`, `name::<`, `.name` or
-# `::name` — outside `//` comments, attributes (`#[allow(...)]` calls no
-# `fn allow`) and `use` items. A call from another file goes not through
-# `self.` or `Self::`, and that file defines no `fn name`; when more than
-# one file defines a `fn name`, any production call outside `self.` and
-# `Self::`, in any file, passes it (the call may be the other's). A local
-# variable or a `pub use` is no caller. A test-only fn gets a production
+# A call is a call-shaped occurrence — `name(`, `name::<` or `::name` —
+# outside `//` comments, attributes (`#[allow(...)]` calls no `fn allow`)
+# and `use` items. A bare `.name` is a field read, not a call: counting
+# it let a field hide an uncalled method of the same name. A call from
+# another file goes not through `self.` or `Self::`, and that file
+# defines no `fn name`; when more than one file defines a `fn name`, any
+# production call outside `self.` and `Self::`, in any file, passes it
+# (the call may be the other's). A local variable or a `pub use` is no
+# caller. A test-only fn gets a production
 # caller, moves into its file's #[cfg(test)] tail or a tests/ support
 # module, or goes; a fn only its own file calls drops the `pub`. Same
 # empty allow-list.
@@ -58,7 +60,7 @@ lonely=$(awk '
             line = substr(line, RSTART + RLENGTH)
             if (pre ~ /(^|[^A-Za-z0-9_])fn[ \t]+$/) {
                 if (!((name, FILENAME) in def)) { def[name, FILENAME] = 1; defs[name]++ }
-            } else if (line ~ /^(\(|::<)/ || pre ~ /(\.|::)$/) {
+            } else if (line ~ /^(\(|::<)/ || pre ~ /::$/) {
                 if (!test) live[name, FILENAME] = 1
                 if (pre !~ /(^|[^A-Za-z0-9_])(self\.|Self::)$/) {
                     call[name, FILENAME] = 1
