@@ -130,7 +130,6 @@ fn model_bench<'a>(
     reference: impl Fn(&Tensor) -> Prediction + 'a,
     input: &'a Tensor,
 ) -> Bench<'a> {
-    let packed = model.pack_weights();
     let mut arena = model.arena();
     let mut out = Vec::new();
     Bench::new(
@@ -138,9 +137,7 @@ fn model_bench<'a>(
         move || {
             let _ = reference(input);
         },
-        move || {
-            model.forward_batch_scratch(std::slice::from_ref(input), &packed, &mut arena, &mut out)
-        },
+        move || model.forward_batch_scratch(std::slice::from_ref(input), &mut arena, &mut out),
     )
 }
 
@@ -196,7 +193,6 @@ fn translob_b8_bench(translob: &Net) -> Bench<'_> {
     let inputs: Vec<Tensor> = (0..8)
         .map(|s| Tensor::random(&[16, 40], 1.0, 20 + s))
         .collect();
-    let packed = translob.pack_weights();
     let mut arena = translob.arena();
     let mut out = Vec::new();
     let reference = inputs.clone();
@@ -207,39 +203,34 @@ fn translob_b8_bench(translob: &Net) -> Bench<'_> {
                 let _ = translob.forward_reference(x);
             }
         },
-        move || translob.forward_batch_scratch(&inputs, &packed, &mut arena, &mut out),
+        move || translob.forward_batch_scratch(&inputs, &mut arena, &mut out),
     )
 }
 
 fn main() {
     let conv = Conv2d::new(16, 16, (4, 1), (1, 1), (0, 0), 1);
     let xc = Tensor::random(&[16, 64, 10], 1.0, 2);
-    let conv_packed = conv.pack();
     let (mut conv_stage, mut conv_out) =
         (vec![0.0f32; conv.stage_len()], vec![0.0f32; 16 * 61 * 10]);
 
     let linear = Linear::new(256, 128, 1);
     let xl = Tensor::random(&[256], 1.0, 2);
-    let linear_packed = linear.pack();
     let mut linear_out = vec![0.0f32; 128];
 
     // 128 rows, 16 -> 64: the batched sweep, which an AVX-512 CPU runs on
     // its wide instance.
     let ffn = Linear::new(16, 64, 1);
     let xb = Tensor::random(&[128, 16], 1.0, 2);
-    let ffn_packed = ffn.pack();
     let mut ffn_out = vec![0.0f32; 128 * 64];
 
     // The packed LSTM stores only the last hidden state; the recurrence
     // it runs is the reference's.
     let lstm = Lstm::new(48, 64, 1);
     let xs = Tensor::random(&[16, 48], 1.0, 2);
-    let (pwx, pwh) = (lstm.pack_wx(), lstm.pack_wh());
     let (mut lstm_work, mut lstm_out) = (vec![0.0f32; lstm.workspace(16)], vec![0.0f32; 64]);
 
     let mha = MultiHeadAttention::new(64, 4, 1);
     let xa = Tensor::random(&[32, 64], 1.0, 2);
-    let mha_packed = mha.pack();
     let (per, fixed) = mha.workspace(32);
     let (mut mha_work, mut mha_out) = (vec![0.0f32; per + fixed], vec![0.0f32; 32 * 64]);
 
@@ -250,8 +241,8 @@ fn main() {
                 let _ = conv.forward_reference(&xc);
             },
             || {
-                let (x, packed, out) = (xc.data(), &conv_packed, &mut conv_out);
-                conv.forward_batch_packed(x, 1, 64, 10, packed, &mut conv_stage, Store::Bf16, out)
+                let (x, out) = (xc.data(), &mut conv_out);
+                conv.forward_batch_packed(x, 1, 64, 10, &mut conv_stage, Store::Bf16, out)
             },
         ),
         Bench::new(
@@ -259,22 +250,14 @@ fn main() {
             || {
                 let _ = linear.forward_reference(&xl);
             },
-            || {
-                linear.forward_batch_packed(
-                    xl.data(),
-                    1,
-                    &linear_packed,
-                    Store::Bf16,
-                    &mut linear_out,
-                )
-            },
+            || linear.forward_batch_packed(xl.data(), 1, Store::Bf16, &mut linear_out),
         ),
         Bench::new(
             "linear_b128",
             || {
                 let _ = ffn.forward_reference(&xb);
             },
-            || ffn.forward_batch_packed(xb.data(), 128, &ffn_packed, Store::Bf16, &mut ffn_out),
+            || ffn.forward_batch_packed(xb.data(), 128, Store::Bf16, &mut ffn_out),
         ),
         Bench::new(
             "lstm",
@@ -283,7 +266,7 @@ fn main() {
             },
             || {
                 let (x, out) = (xs.data(), &mut lstm_out);
-                lstm.last_hidden_batch_packed(x, 1, 16, &pwx, &pwh, &mut lstm_work, out)
+                lstm.last_hidden_batch_packed(x, 1, 16, &mut lstm_work, out)
             },
         ),
         Bench::new(
@@ -291,10 +274,7 @@ fn main() {
             || {
                 let _ = mha.forward_reference(&xa);
             },
-            || {
-                let (x, packed) = (xa.data(), mha_packed.each_ref());
-                mha.forward_batch_packed(x, 1, 32, packed, &mut mha_work, &mut mha_out)
-            },
+            || mha.forward_batch_packed(xa.data(), 1, 32, &mut mha_work, &mut mha_out),
         ),
     ]);
 

@@ -558,18 +558,16 @@ pub fn fault_sweep(secs: f64, seed: u64) -> Vec<FaultSweepRow> {
         .deadline(GridDeadline::Scheduling)
         .seeds([seed]);
     let results = farm().run(&grid);
-    let session = cached_trace(secs, seed);
-    let trace = session.trace();
+    // A lossless cell skips the ingress stage, which would deliver the
+    // whole trace.
+    let ticks = cached_trace(secs, seed).trace().len() as u64;
     LOSSES
         .iter()
-        .zip(&faults)
         .enumerate()
-        .map(|(i, (&loss_rate, faults))| {
-            let (offered, recovered, lost) = if faults.enabled() {
-                let (_, r) = lt_sim::degrade_trace(trace, faults);
-                (r.offered, r.recovered, r.lost)
-            } else {
-                (trace.len() as u64, 0, 0)
+        .map(|(i, &loss_rate)| {
+            let (offered, recovered, lost) = match results.ingress(i) {
+                Some(r) => (r.offered, r.recovered, r.lost),
+                None => (ticks, 0, 0),
             };
             let s = results.summary(i);
             let us = |ns| std::time::Duration::from_nanos(ns).as_secs_f64() * 1e6;

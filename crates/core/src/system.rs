@@ -51,7 +51,6 @@ pub enum TickOutcome {
 pub struct LightTraderBuilder {
     kind: ModelKind,
     tiers: Vec<ModelKind>,
-    symbol: Symbol,
     seed: u64,
     risk: RiskLimits,
     /// One normalization per shard, shard 0 the traded symbol.
@@ -66,7 +65,6 @@ impl LightTraderBuilder {
         LightTraderBuilder {
             kind,
             tiers: Vec::new(),
-            symbol: Symbol::new("ESU6"),
             seed: 0,
             risk: RiskLimits::default(),
             norms: vec![NormStats::identity(10)],
@@ -143,7 +141,7 @@ impl LightTraderBuilder {
                 .collect(),
             ticks: vec![0; shards],
             pending: Vec::with_capacity(shards),
-            trading: TradingEngine::new(self.symbol, self.risk)
+            trading: TradingEngine::new(Symbol::new("ESU6"), self.risk)
                 .with_gates(self.rate_limit, self.loss_floor_ticks),
             events: Vec::new(),
             window_buf: Tensor::zeros(&[window + MAX_SWEEP - 1, width]),

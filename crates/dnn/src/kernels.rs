@@ -117,12 +117,12 @@ pub fn tile_isa() -> &'static str {
 }
 
 /// Defines a pass's entry over its one `#[inline(always)]` body, whose
-/// last const parameter is its lane width:
+/// one const parameter is its lane width:
 ///
 /// ```text
 /// instances! {
 ///     /// docs and attributes
-///     pub fn pass<const S: usize>(x: &[f32], n: usize) => pass_body;
+///     pub fn pass(x: &[f32], n: usize) => pass_body;
 ///     "avx512f" => { 2 * NR } if n > NR,
 ///     "avx2" => NR,
 /// }
@@ -139,26 +139,25 @@ pub fn tile_isa() -> &'static str {
 macro_rules! instances {
     (
         $(#[$attr:meta])*
-        $vis:vis fn $name:ident $(<$(const $gen:ident: $gty:ty),+>)?($($arg:ident: $aty:ty),* $(,)?)
-            => $body:ident;
+        $vis:vis fn $name:ident($($arg:ident: $aty:ty),* $(,)?) => $body:ident;
         $($instance:tt)+
     ) => {
         $(#[$attr])*
         #[allow(unsafe_code)]
-        $vis fn $name $(<$(const $gen: $gty),+>)?($($arg: $aty),*) {
-            instances!(@each [$($($gen: $gty),+)?] [$($arg: $aty),*] $body; $($instance)+);
-            $body::<$($($gen,)+)? NR>($($arg),*)
+        $vis fn $name($($arg: $aty),*) {
+            instances!(@each [$($arg: $aty),*] $body; $($instance)+);
+            $body::<NR>($($arg),*)
         }
     };
     (
-        @each [$($gen:ident: $gty:ty),*] [$($arg:ident: $aty:ty),*] $body:ident;
+        @each [$($arg:ident: $aty:ty),*] $body:ident;
         $feature:tt => $width:tt $(if $pred:expr)?, $($rest:tt)*
     ) => {
         #[cfg(target_arch = "x86_64")]
         {
             #[target_feature(enable = $feature)]
-            fn instance<$(const $gen: $gty),*>($($arg: $aty),*) {
-                $body::<$($gen,)* $width>($($arg),*)
+            fn instance($($arg: $aty),*) {
+                $body::<$width>($($arg),*)
             }
             if $($pred &&)? std::arch::is_x86_feature_detected!($feature) {
                 // SAFETY: the CPU has just been found to run `$feature`, the
@@ -166,9 +165,9 @@ macro_rules! instances {
                 return unsafe { instance($($arg),*) };
             }
         }
-        instances!(@each [$($gen: $gty),*] [$($arg: $aty),*] $body; $($rest)*);
+        instances!(@each [$($arg: $aty),*] $body; $($rest)*);
     };
-    (@each $gens:tt $args:tt $body:ident;) => {};
+    (@each $args:tt $body:ident;) => {};
 }
 
 /// The shared-panel loop of the register tile: `C` chains (at most
@@ -181,8 +180,8 @@ macro_rules! instances {
 /// increasing-`k` order — the contract at the top of this file — while
 /// the `C * W` chains are mutually independent, so the adds pipeline
 /// instead of serialising on one chain's latency. Callers seed `acc`, may
-/// run several segments back to back (an LSTM gate's `W_x x` then `W_h
-/// h`), and round once when they store.
+/// run several tiles back to back (the direct convolution's input
+/// channels), and round once when they store.
 ///
 /// The accumulators live in locals for the whole loop, and every input is
 /// cut to the reduction length once, so a step stores nothing and checks
@@ -438,13 +437,13 @@ impl<'a> Segment<'a> {
 
 instances! {
     /// The packed GEMM driver: `out[r * row_stride + o * lane_stride] =
-    /// post(bias[o] + sum over segments, then over t, of lane operand
-    /// (o, t) * row r's input t)` for `r < rows`, `o < n`.
+    /// post(bias[o] + sum over t of lane operand (o, t) * row r's input
+    /// t)` for `r < rows`, `o < n`.
     ///
     /// Dense layers (attention's four projections among them), convolutions
     /// whose patch rows lie in place in their input and the LSTM's input
     /// half are this one sweep of the register tile; they differ in their
-    /// segments, their seed (`None` seeds `0.0`), their store layout and
+    /// segment, their seed (`None` seeds `0.0`), their store layout and
     /// `post` (BF16 rounding, an activation of it, or nothing). Full
     /// blocks of [`MR`] rows share each lane block (`shared_panel_tile`);
     /// the `rows % MR` tail rows instead block across up to `MR` lane blocks
@@ -454,9 +453,10 @@ instances! {
     ///
     /// # Panics
     ///
-    /// Panics when a segment, the bias or `out` is too short for the shape.
-    pub fn gemm_packed<const S: usize>(
-        segs: [Segment<'_>; S],
+    /// Panics when the segment, the bias or `out` is too short for the
+    /// shape.
+    pub fn gemm_packed(
+        seg: Segment<'_>,
         bias: Option<&[f32]>,
         rows: usize,
         n: usize,
@@ -473,8 +473,8 @@ instances! {
 /// blocks in pairs, an odd last block alone at `NR`); tail rows always
 /// run `NR`.
 #[inline(always)]
-fn gemm_packed_body<const S: usize, const W: usize>(
-    segs: [Segment<'_>; S],
+fn gemm_packed_body<const W: usize>(
+    seg: Segment<'_>,
     bias: Option<&[f32]>,
     rows: usize,
     n: usize,
@@ -513,23 +513,23 @@ fn gemm_packed_body<const S: usize, const W: usize>(
         lane_stride,
     };
     match post {
-        Store::Exact => gemm_sweep::<S, W>(&segs, rows, blocks, seed, sink.with(|v| v)),
-        Store::Bf16 => gemm_sweep::<S, W>(&segs, rows, blocks, seed, sink.with(bf16_round)),
+        Store::Exact => gemm_sweep::<W>(&seg, rows, blocks, seed, sink.with(|v| v)),
+        Store::Bf16 => gemm_sweep::<W>(&seg, rows, blocks, seed, sink.with(bf16_round)),
         Store::Relu => {
             let relu = |v| Store::Relu.apply(v);
-            gemm_sweep::<S, W>(&segs, rows, blocks, seed, sink.with(relu))
+            gemm_sweep::<W>(&seg, rows, blocks, seed, sink.with(relu))
         }
         Store::LeakyRelu(a) => {
             let leaky = move |v| Store::LeakyRelu(a).apply(v);
-            gemm_sweep::<S, W>(&segs, rows, blocks, seed, sink.with(leaky))
+            gemm_sweep::<W>(&seg, rows, blocks, seed, sink.with(leaky))
         }
     }
 }
 
 /// [`gemm_packed_body`] past its checks, for one store.
 #[inline(always)]
-fn gemm_sweep<const S: usize, const W: usize>(
-    segs: &[Segment<'_>; S],
+fn gemm_sweep<const W: usize>(
+    seg: &Segment<'_>,
     rows: usize,
     blocks: usize,
     seed: impl Fn(usize) -> [f32; NR],
@@ -538,18 +538,18 @@ fn gemm_sweep<const S: usize, const W: usize>(
     let full = rows - rows % MR;
     let paired = blocks - blocks % (W / NR);
     for b in (0..paired).step_by(W / NR) {
-        row_block::<W, S>(segs, full, b, &seed, &mut sink);
+        row_block::<W>(seg, full, b, &seed, &mut sink);
     }
     for b in paired..blocks {
-        row_block::<NR, S>(segs, full, b, &seed, &mut sink);
+        row_block::<NR>(seg, full, b, &seed, &mut sink);
     }
     for r in full..rows {
         for b0 in (0..blocks).step_by(MR) {
             match blocks - b0 {
-                1 => row_tail::<1, S>(segs, r, b0, &seed, &mut sink),
-                2 => row_tail::<2, S>(segs, r, b0, &seed, &mut sink),
-                3 => row_tail::<3, S>(segs, r, b0, &seed, &mut sink),
-                _ => row_tail::<MR, S>(segs, r, b0, &seed, &mut sink),
+                1 => row_tail::<1>(seg, r, b0, &seed, &mut sink),
+                2 => row_tail::<2>(seg, r, b0, &seed, &mut sink),
+                3 => row_tail::<3>(seg, r, b0, &seed, &mut sink),
+                _ => row_tail::<MR>(seg, r, b0, &seed, &mut sink),
             }
         }
     }
@@ -606,8 +606,8 @@ impl<P: Fn(f32) -> f32> Sink<'_, P> {
 /// Rows `0..full` of [`gemm_packed`] against lane blocks `b..b + W / NR`,
 /// [`MR`] rows to a tile.
 #[inline(always)]
-fn row_block<const W: usize, const S: usize>(
-    segs: &[Segment<'_>; S],
+fn row_block<const W: usize>(
+    seg: &Segment<'_>,
     full: usize,
     b: usize,
     seed: impl Fn(usize) -> [f32; NR],
@@ -616,9 +616,7 @@ fn row_block<const W: usize, const S: usize>(
     let lanes = join(&seed(b), &seed(b + W / NR - 1));
     for r0 in (0..full).step_by(MR) {
         let mut acc = [lanes; MR];
-        for seg in segs {
-            seg.accumulate_rows::<W>(&mut acc, b, r0);
-        }
+        seg.accumulate_rows::<W>(&mut acc, b, r0);
         for (c, chain) in acc.iter().enumerate() {
             sink.store(chain, r0 + c, b);
         }
@@ -628,17 +626,15 @@ fn row_block<const W: usize, const S: usize>(
 /// One tail row `r` of [`gemm_packed`] against lane blocks `b0..b0 + C`,
 /// one chain per block.
 #[inline(always)]
-fn row_tail<const C: usize, const S: usize>(
-    segs: &[Segment<'_>; S],
+fn row_tail<const C: usize>(
+    seg: &Segment<'_>,
     r: usize,
     b0: usize,
     seed: impl Fn(usize) -> [f32; NR],
     sink: &mut Sink<'_, impl Fn(f32) -> f32>,
 ) {
     let mut acc = each([0.0; NR], |c| seed(b0 + c));
-    for seg in segs {
-        seg.accumulate_blocks::<C>(&mut acc, r, b0);
-    }
+    seg.accumulate_blocks::<C>(&mut acc, r, b0);
     for (c, lanes) in acc.iter().enumerate() {
         sink.store(lanes, r, b0 + c);
     }
@@ -1705,7 +1701,7 @@ mod tests {
         pack_bt_panels(w, n, k, &mut packed);
         let mut out = vec![f32::NAN; rows * n];
         gemm_packed(
-            [Segment::packed(&packed, k, x, k)],
+            Segment::packed(&packed, k, x, k),
             Some(bias),
             rows,
             n,
@@ -1731,7 +1727,7 @@ mod tests {
         pack_bt_panels(a, m, k, &mut packed);
         let mut out = vec![f32::NAN; m * n];
         gemm_packed(
-            [Segment::packed(&packed, k, b, k)],
+            Segment::packed(&packed, k, b, k),
             Some(bias),
             n,
             m,
@@ -2061,10 +2057,10 @@ mod tests {
             let mut pwx = Vec::new();
             pack_bt_panels(&wx, n, input, &mut pwx);
             let mut partials = vec![f32::NAN; batch * steps * n];
-            let segs = [Segment::packed(&pwx, input, &x, input)];
+            let seg = Segment::packed(&pwx, input, &x, input);
             let rows = batch * steps;
             gemm_packed(
-                segs,
+                seg,
                 Some(&bias),
                 rows,
                 n,
@@ -2091,17 +2087,12 @@ mod tests {
         }
     }
 
-    /// A [`Segment`]'s operands, owned.
-    struct SegmentData {
+    /// One randomized [`gemm_packed`] case: its segment's operands, as
+    /// laid out in memory, and the shape they are swept at.
+    struct GemmCase {
         panels: Vec<f32>,
         k: usize,
         x: Vec<f32>,
-    }
-
-    /// One randomized [`gemm_packed`] case: its segments' operands, as
-    /// laid out in memory, and the shape they are swept at.
-    struct GemmCase {
-        segs: Vec<SegmentData>,
         bias: Option<Vec<f32>>,
         rows: usize,
         n: usize,
@@ -2109,32 +2100,29 @@ mod tests {
     }
 
     impl GemmCase {
-        /// Draws a case of [`pack_bt_panels`] segments; the store is
+        /// Draws a case of a [`pack_bt_panels`] segment; the store is
         /// row-major or transposed (im2col's `lane_stride != 1`).
-        fn draw<const S: usize>(rng: &mut StdRng) -> Self {
+        fn draw(rng: &mut StdRng) -> Self {
             // Up to two full row blocks and every tail; one to five lane
             // blocks, so the wide instance pairs all of them or leaves
             // an odd last block alone.
             let rows = rng.gen_range(0..=2 * MR + 3);
             let n = rng.gen_range(1..=5 * NR);
             let val = |rng: &mut StdRng| rng.gen_range(-2.0f32..=2.0);
-            let segs = (0..S)
-                .map(|_| {
-                    let k = rng.gen_range(0..=19usize);
-                    let x = (0..rows * k).map(|_| val(rng)).collect();
-                    let w: Vec<f32> = (0..n * k).map(|_| val(rng)).collect();
-                    let mut panels = Vec::new();
-                    pack_bt_panels(&w, n, k, &mut panels);
-                    SegmentData { panels, k, x }
-                })
-                .collect();
+            let k = rng.gen_range(0..=19usize);
+            let x = (0..rows * k).map(|_| val(rng)).collect();
+            let w: Vec<f32> = (0..n * k).map(|_| val(rng)).collect();
+            let mut panels = Vec::new();
+            pack_bt_panels(&w, n, k, &mut panels);
             let bias = (rng.gen_range(0..2u32) == 0).then(|| (0..n).map(|_| val(rng)).collect());
             let strides = match rng.gen_range(0..2u32) {
                 0 => (n, 1),
                 _ => (1, rows.max(1)),
             };
             GemmCase {
-                segs,
+                panels,
+                k,
+                x,
                 bias,
                 rows,
                 n,
@@ -2142,26 +2130,22 @@ mod tests {
             }
         }
 
-        fn segments<const S: usize>(&self) -> [Segment<'_>; S] {
-            std::array::from_fn(|i| {
-                let seg = &self.segs[i];
-                Segment::packed(&seg.panels, seg.k, &seg.x, seg.k)
-            })
+        fn segment(&self) -> Segment<'_> {
+            Segment::packed(&self.panels, self.k, &self.x, self.k)
         }
 
         /// The scalar loop: each output seeded with its bias and
-        /// accumulated segment by segment in increasing `t`.
+        /// accumulated in increasing `t`.
         fn scalar(&self) -> Vec<f32> {
             let (rs, ls) = self.strides;
+            let k = self.k;
             let mut out = vec![f32::NAN; self.rows * self.n];
             for r in 0..self.rows {
                 for o in 0..self.n {
                     let mut acc = self.bias.as_ref().map_or(0.0, |b| b[o]);
-                    for seg in &self.segs {
-                        for t in 0..seg.k {
-                            let at = (o / NR) * seg.k * NR + t * NR + o % NR;
-                            acc += seg.panels[at] * seg.x[r * seg.k + t];
-                        }
+                    for t in 0..k {
+                        let at = (o / NR) * k * NR + t * NR + o % NR;
+                        acc += self.panels[at] * self.x[r * k + t];
                     }
                     out[r * rs + o * ls] = bf16_round(acc);
                 }
@@ -2177,31 +2161,19 @@ mod tests {
     /// Runs a drawn case through the dispatched entry and the body at
     /// both widths, compiled for the baseline, and asserts that all three
     /// equal the scalar loop bit for bit.
-    fn gemm_instances_agree<const S: usize>(rng: &mut StdRng) {
-        let case = GemmCase::draw::<S>(rng);
+    fn gemm_instances_agree(rng: &mut StdRng) {
+        let case = GemmCase::draw(rng);
         let (rows, n) = (case.rows, case.n);
         let want = bits(&case.scalar());
         let bias = case.bias.as_deref();
         let mut entry = vec![f32::NAN; rows * n];
-        let segs = case.segments::<S>();
-        gemm_packed(segs, bias, rows, n, Store::Bf16, &mut entry, case.strides);
+        let seg = case.segment();
+        gemm_packed(seg, bias, rows, n, Store::Bf16, &mut entry, case.strides);
         let mut body = vec![f32::NAN; rows * n];
-        gemm_packed_body::<S, NR>(segs, bias, rows, n, Store::Bf16, &mut body, case.strides);
+        gemm_packed_body::<NR>(seg, bias, rows, n, Store::Bf16, &mut body, case.strides);
         let mut paired = vec![f32::NAN; rows * n];
-        gemm_packed_body::<S, { 2 * NR }>(
-            segs,
-            bias,
-            rows,
-            n,
-            Store::Bf16,
-            &mut paired,
-            case.strides,
-        );
-        let ks: Vec<usize> = case.segs.iter().map(|s| s.k).collect();
-        let shape = format!(
-            "S={S} rows={rows} n={n} k={ks:?} strides={:?}",
-            case.strides
-        );
+        gemm_packed_body::<{ 2 * NR }>(seg, bias, rows, n, Store::Bf16, &mut paired, case.strides);
+        let shape = format!("rows={rows} n={n} k={} strides={:?}", case.k, case.strides);
         let isa = tile_isa();
         assert_eq!(bits(&entry), want, "{shape}: {isa} entry vs scalar");
         assert_eq!(bits(&body), want, "{shape}: portable vs scalar");
@@ -2215,11 +2187,10 @@ mod tests {
         // so a host without AVX-512 still runs the block pairing. All
         // must equal the scalar loops bit for bit, over row tails
         // (rows % MR), lane tails (n % NR), odd and even lane-block
-        // counts, one and two segments, row-major and transposed stores.
+        // counts, row-major and transposed stores.
         let mut rng = StdRng::seed_from_u64(0x7113);
         for _ in 0..300 {
-            gemm_instances_agree::<1>(&mut rng);
-            gemm_instances_agree::<2>(&mut rng);
+            gemm_instances_agree(&mut rng);
         }
         for _ in 0..300 {
             // Half the cases a width-1 unit-stride kernel (its full blocks

@@ -30,17 +30,19 @@
 //! * [`stream`] — the line buffers and the bitwise slid-window check
 //!   that let [`ModelRegistry::forward`] push only the newest tick row
 //!   through a valid-convolution trunk;
-//! * [`batch`] — the prepacked weight panels ([`PackedWeights`]) that
-//!   [`Net::forward_batch_scratch`], the one inference method, sweeps
-//!   on the calling thread: a single query is a batch of one;
+//! * `batch` — the prepacked weight panels each op makes in its
+//!   constructor and its packed forward reads, so the resident form of a
+//!   layer's weights is the layer's own; [`Net::forward_batch_scratch`],
+//!   the one inference method, sweeps them on the calling thread: a
+//!   single query is a batch of one;
 //! * [`models`] — the specs of the Vanilla CNN, TransLOB and DeepLOB,
 //!   each in two sizes: a `paper()` configuration whose analytic op count
 //!   matches Table II, and a `tiny()` configuration that runs functionally
 //!   in microseconds for tests, examples and the benchmark. A spec is a
 //!   weightless list of layers and nothing else;
 //! * [`net`] — [`Net`], what a spec builds: its layers with their weights,
-//!   *lowered* once (every layer's shapes and panels, and the streamable
-//!   prefix of valid convolutions), and one executor that runs every
+//!   *lowered* once (every layer's shapes and workspace, and the
+//!   streamable prefix of valid convolutions), and one executor that runs every
 //!   packed forward — whole windows at any batch, and the layers behind a
 //!   streamed prefix — beside one reference walk of the same list. Every
 //!   forward runs in memory the lowering sized and [`Net::arena`] (or
@@ -57,7 +59,7 @@
 // `#[allow(unsafe_code)]` on each entry, around its one `unsafe` call).
 #![deny(unsafe_code)]
 
-pub mod batch;
+mod batch;
 pub mod bf16;
 pub mod kernels;
 pub mod math;
@@ -69,7 +71,6 @@ pub mod registry;
 pub mod stream;
 pub mod tensor;
 
-pub use batch::{PackedPanels, PackedWeights};
 pub use bf16::bf16_round;
 pub use model::{ModelKind, Prediction, PriceDirection};
 pub use net::{Arena, Net};

@@ -5,15 +5,15 @@
 //! `LayerSpec` list that carries each layer's seed offset. The list is
 //! all a spec knows. Pricing it (`macs`) walks its shapes and needs no
 //! weights, so paper-scale networks are priced without being built.
-//! Building it (`Net::new`) draws each layer's weights and *lowers* the
-//! list: every layer's input and output shape, its first panel in the
-//! [`PackedWeights`], the workspace the layers from it on need, and the
-//! *streamable prefix* — the leading run of valid-padded convolutions,
-//! whose outputs a window slid by one tick row can reuse
-//! (`crate::stream`). From the lowering comes all the memory a forward
-//! uses, made once: the [`Arena`] (the workspace at `MAX_SWEEP` samples)
-//! and the prefix's line buffers (`Net::stream_lines`), so no forward
-//! allocates.
+//! Building it (`Net::new`) draws each layer's weights, which each op
+//! packs into its own register panels as it is made, and *lowers* the
+//! list: every layer's input and output shape, the workspace the layers
+//! from it on need, and the *streamable prefix* — the leading run of
+//! valid-padded convolutions, whose outputs a window slid by one tick row
+//! can reuse (`crate::stream`). From the lowering comes all the memory a
+//! forward uses, made once: the [`Arena`] (the workspace at `MAX_SWEEP`
+//! samples) and the prefix's line buffers (`Net::stream_lines`), so no
+//! forward allocates.
 //!
 //! One executor runs `layers[from..]` at batch `k` for the whole-window
 //! forward ([`Net::forward_batch_scratch`], and a streamed miss, which
@@ -21,7 +21,6 @@
 //! the streamed prefix, in the arena. [`Net::forward_reference`] is a second walk of the
 //! same list through each op's `forward_reference` only: the oracle.
 
-use crate::batch::{PackedPanels, PackedWeights};
 use crate::kernels::Store;
 use crate::model::{ModelKind, Prediction};
 use crate::ops::activation::{leaky_relu, relu, softmax_last_dim};
@@ -213,8 +212,8 @@ impl LayerSpec {
                         conv(1, seeds[1]),
                         conv(1, seeds[2]),
                     ]),
-                    three: conv(3, seeds[3]),
-                    five: conv(5, seeds[4]),
+                    three: Box::new(conv(3, seeds[3])),
+                    five: Box::new(conv(5, seeds[4])),
                     post,
                 }
             }
@@ -312,7 +311,9 @@ pub(crate) struct Block {
     ffn2: Linear,
 }
 
-/// One layer with its weights: [`LayerSpec`] built.
+/// One layer with its weights: [`LayerSpec`] built. Each op holds its
+/// weights' register panels too; the head and the inception's same-padded
+/// branches read their weights unpacked and leave theirs unread.
 #[derive(Debug, Clone)]
 pub(crate) enum Layer {
     Conv {
@@ -321,11 +322,12 @@ pub(crate) enum Layer {
     },
     /// The three 1x1 convolutions stacked into one of `3C` output channels
     /// (the first branch, then the other two's inputs), and the two
-    /// same-padded ones.
+    /// same-padded ones (boxed, as the transformer is, so no variant is
+    /// three convolutions wide).
     Inception {
         ones: Conv2d,
-        three: Conv2d,
-        five: Conv2d,
+        three: Box<Conv2d>,
+        five: Box<Conv2d>,
         post: Store,
     },
     LastHidden(Lstm),
@@ -342,35 +344,6 @@ pub(crate) enum Layer {
 }
 
 impl Layer {
-    /// The layer's GEMM operands packed into register panels, in the order
-    /// its executor arm reads them. The head and the inception's
-    /// same-padded branches read their weights unpacked.
-    fn pack(&self) -> Vec<PackedPanels> {
-        match self {
-            Layer::Conv { conv, .. } | Layer::Inception { ones: conv, .. } => vec![conv.pack()],
-            Layer::LastHidden(lstm) => vec![lstm.pack_wx(), lstm.pack_wh()],
-            Layer::Dense { linear, .. } => vec![linear.pack()],
-            Layer::Transformer(block) => {
-                let mut panels = Vec::from(block.attn.pack());
-                panels.extend([block.ffn1.pack(), block.ffn2.pack()]);
-                panels
-            }
-            Layer::Transpose | Layer::Positional(_) | Layer::MeanPool | Layer::Head(_) => {
-                Vec::new()
-            }
-        }
-    }
-
-    /// How many operands [`Self::pack`] packs.
-    fn panels(&self) -> usize {
-        match self {
-            Layer::Conv { .. } | Layer::Inception { .. } | Layer::Dense { .. } => 1,
-            Layer::LastHidden(_) => 2,
-            Layer::Transformer(_) => 6,
-            Layer::Transpose | Layer::Positional(_) | Layer::MeanPool | Layer::Head(_) => 0,
-        }
-    }
-
     /// The convolution of a streamable-prefix layer, and its store.
     ///
     /// # Panics
@@ -409,17 +382,15 @@ impl Layer {
     }
 
     /// Runs this layer over `k` samples of `src` (`[k, input]`) into `dst`
-    /// (`[k, output]`), from panel `panel` of `packed` on, in `work`: at
-    /// least [`Self::workspace`]'s `k` samples' share and then its fixed
-    /// part, every element written before it is read. The head pushes one
-    /// prediction per sample to `out` instead.
-    #[allow(clippy::too_many_arguments)]
+    /// (`[k, output]`), each op against its own packed weights, in `work`:
+    /// at least [`Self::workspace`]'s `k` samples' share and then its
+    /// fixed part, every element written before it is read. The head
+    /// pushes one prediction per sample to `out` instead.
     fn run(
         &self,
         src: &[f32],
         k: usize,
         input: Shape,
-        (packed, panel): (&PackedWeights, usize),
         work: &mut [f32],
         dst: &mut [f32],
         out: &mut Vec<Prediction>,
@@ -429,7 +400,7 @@ impl Layer {
             Layer::Conv { conv, post } => {
                 let stage = &mut work[..conv.stage_len()];
                 let lowering = conv.lowering(h, w);
-                conv.run(lowering, src, k, packed.panel(panel), stage, *post, dst);
+                conv.run(lowering, src, k, stage, *post, dst);
             }
             Layer::Inception {
                 ones,
@@ -446,7 +417,7 @@ impl Layer {
                 let (later, stage) = rest.split_at_mut(k * 2 * third);
                 let stage1 = &mut stage[..ones.stage_len()];
                 let lowering = ones.lowering(h, w);
-                ones.run(lowering, src, k, packed.panel(panel), stage1, *post, first);
+                ones.run(lowering, src, k, stage1, *post, first);
                 let (d3, d5) = (three.direct(h, 1), five.direct(h, 1));
                 let samples = first
                     .chunks_exact(3 * third)
@@ -474,10 +445,7 @@ impl Layer {
                     }
                 }
             }
-            Layer::LastHidden(lstm) => {
-                let (wx, wh) = (packed.panel(panel), packed.panel(panel + 1));
-                lstm.last_hidden_batch_packed(src, k, h, wx, wh, work, dst);
-            }
+            Layer::LastHidden(lstm) => lstm.last_hidden_batch_packed(src, k, h, work, dst),
             Layer::Transpose => {
                 let len = input.len();
                 for (s, d) in src.chunks_exact(len).zip(dst.chunks_exact_mut(len)) {
@@ -486,7 +454,7 @@ impl Layer {
             }
             Layer::Dense { linear, post } => {
                 let rows = k * input.rows().0;
-                linear.forward_batch_packed(src, rows, packed.panel(panel), *post, dst);
+                linear.forward_batch_packed(src, rows, *post, dst);
             }
             Layer::Positional(pos) => {
                 let len = input.len();
@@ -512,16 +480,14 @@ impl Layer {
                 let (hidden, attn_work) = rest.split_at_mut(rows * ffn1.output_dim());
                 // x = x + attn(ln1(x))
                 ln1.forward_rows(src, norm);
-                let attn_panels = std::array::from_fn(|i| packed.panel(panel + i));
-                attn.forward_batch_packed(norm, k, h, attn_panels, attn_work, delta);
+                attn.forward_batch_packed(norm, k, h, attn_work, delta);
                 for ((v, x), add) in dst.iter_mut().zip(src).zip(&*delta) {
                     *v = x + add;
                 }
                 // x = x + ffn(ln2(x))
                 ln2.forward_rows(dst, norm);
-                let (p1, p2) = (packed.panel(panel + 4), packed.panel(panel + 5));
-                ffn1.forward_batch_packed(norm, rows, p1, Store::Relu, hidden);
-                ffn2.forward_batch_packed(hidden, rows, p2, Store::Bf16, delta);
+                ffn1.forward_batch_packed(norm, rows, Store::Relu, hidden);
+                ffn2.forward_batch_packed(hidden, rows, Store::Bf16, delta);
                 for (v, add) in dst.iter_mut().zip(&*delta) {
                     *v += add;
                 }
@@ -629,8 +595,6 @@ impl Layer {
 struct Lowered {
     input: Shape,
     output: Shape,
-    /// The layer's first operand in the pack.
-    panel: usize,
     /// The workspace running this layer and every one after it takes.
     work: Workspace,
 }
@@ -677,7 +641,7 @@ pub struct Net {
     layers: Vec<Layer>,
     plan: Vec<Lowered>,
     /// The streamable prefix's length: the leading valid-padded
-    /// convolutions, which hold panels `0..prefix`.
+    /// convolutions.
     prefix: usize,
 }
 
@@ -706,17 +670,14 @@ impl Net {
             .zip(&shapes)
             .map(|(spec, &input)| spec.build(input, seed))
             .collect();
-        let mut plan = Vec::with_capacity(layers.len());
-        let mut panel = 0;
-        for (layer, io) in layers.iter().zip(shapes.windows(2)) {
-            plan.push(Lowered {
+        let mut plan: Vec<Lowered> = shapes
+            .windows(2)
+            .map(|io| Lowered {
                 input: io[0],
                 output: io[1],
-                panel,
                 work: Workspace::default(),
-            });
-            panel += layer.panels();
-        }
+            })
+            .collect();
         let mut work = Workspace::default();
         for (layer, step) in layers.iter().zip(&mut plan).rev() {
             let (scratch, stage) = layer.workspace(step.input);
@@ -757,19 +718,6 @@ impl Net {
         self.features
     }
 
-    /// Packs every layer's GEMM operands into register-tile panels, in
-    /// layer order, for [`Self::forward_batch_scratch`].
-    pub fn pack_weights(&self) -> PackedWeights {
-        let mut pw = PackedWeights::new(self.kind);
-        for (layer, step) in self.layers.iter().zip(&self.plan) {
-            for (i, panels) in layer.pack().into_iter().enumerate() {
-                let at = pw.push(panels);
-                debug_assert_eq!(at, step.panel + i, "the lowering's panel order");
-            }
-        }
-        pw
-    }
-
     /// The memory [`Self::forward_batch_scratch`] runs in, allocated here
     /// once: the workspace the lowering sized, for [`MAX_SWEEP`] samples.
     pub fn arena(&self) -> Arena {
@@ -791,8 +739,7 @@ impl Net {
     /// [`Self::forward_reference`]: batching stacks samples along GEMM
     /// output dimensions and packing permutes operand layout, neither
     /// touches any `k` accumulation chain (pinned by the
-    /// `kernel_equivalence` and `batch_equivalence` proptests). Pass the
-    /// pack from [`Self::pack_weights`].
+    /// `kernel_equivalence` and `batch_equivalence` proptests).
     ///
     /// # Panics
     ///
@@ -801,7 +748,6 @@ impl Net {
     pub fn forward_batch_scratch(
         &self,
         inputs: &[Tensor],
-        packed: &PackedWeights,
         arena: &mut Arena,
         out: &mut Vec<Prediction>,
     ) {
@@ -812,7 +758,7 @@ impl Net {
                 assert_eq!(input.shape(), shape, "input must be [window, features]");
             }
             let window = |j: usize| batch[j].data();
-            self.forward_windows(batch.len(), window, None, packed, arena, out);
+            self.forward_windows(batch.len(), window, None, arena, out);
         }
     }
 
@@ -875,20 +821,19 @@ impl Net {
         whole: Option<&Tensor>,
         rows: &[f32],
         lines: &mut [LineBuffer],
-        packed: &PackedWeights,
         arena: &mut Arena,
         out: &mut Vec<Prediction>,
     ) {
         out.clear();
         if let Some(window) = whole {
             let lines = Some(&mut *lines);
-            self.forward_windows(1, |_| window.data(), lines, packed, arena, out);
+            self.forward_windows(1, |_| window.data(), lines, arena, out);
         }
         if !rows.is_empty() {
             let k = rows.len() / self.features;
             let prefix = &self.layers[..self.prefix];
-            let input = advance_trunk(lines, prefix, rows, packed, &mut arena.data);
-            self.run(self.prefix, k, input, &mut arena.data, None, (packed, out));
+            let input = advance_trunk(lines, prefix, rows, &mut arena.data);
+            self.run(self.prefix, k, input, &mut arena.data, None, out);
         }
     }
 
@@ -904,7 +849,6 @@ impl Net {
         k: usize,
         window: impl Fn(usize) -> &'a [f32],
         lines: Option<&mut [LineBuffer]>,
-        packed: &PackedWeights,
         arena: &mut Arena,
         out: &mut Vec<Prediction>,
     ) {
@@ -922,7 +866,7 @@ impl Net {
             None
         };
         debug_assert!(input.is_none_or(|x| x.len() == len), "one whole window");
-        self.run(0, k, input, &mut arena.data, lines, (packed, out));
+        self.run(0, k, input, &mut arena.data, lines, out);
     }
 
     /// The executor: runs `layers[from..]` over `k <= MAX_SWEEP` samples.
@@ -939,7 +883,7 @@ impl Net {
         mut input: Option<&[f32]>,
         work: &mut [f32],
         mut lines: Option<&mut [LineBuffer]>,
-        (packed, out): (&PackedWeights, &mut Vec<Prediction>),
+        out: &mut Vec<Prediction>,
     ) {
         let ws = self.plan[from].work;
         assert!(
@@ -965,8 +909,7 @@ impl Net {
             if let Some(lines) = lines.as_deref_mut().filter(|_| i < self.prefix) {
                 lines[i].prime(src, step.input.h);
             }
-            let at = (packed, step.panel);
-            layer.run(src, k, step.input, at, &mut *rest, dst, out);
+            layer.run(src, k, step.input, &mut *rest, dst, out);
             if let Some(lines) = lines.as_deref_mut().filter(|_| i + 1 == self.prefix) {
                 lines[i + 1].prime(dst, step.output.h);
             }

@@ -1,6 +1,5 @@
 //! Multi-head self-attention (the TransLOB building block).
 
-use crate::batch::PackedPanels;
 use crate::kernels::{attention_sample, pack_bt_panels_into, Store, ATTENTION_LANES, NR};
 use crate::ops::activation::softmax_last_dim;
 use crate::ops::expect_rank;
@@ -41,12 +40,6 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Packs the Q, K, V and output projections, in that order, for
-    /// [`Self::forward_batch_packed`].
-    pub fn pack(&self) -> [PackedPanels; 4] {
-        [&self.wq, &self.wk, &self.wv, &self.wo].map(Linear::pack)
-    }
-
     /// The workspace [`Self::forward_batch_packed`] takes over `t`-token
     /// sequences: elements per sample (the Q, K, V and context rows) and a
     /// fixed part (one sample's packed queries, the softmax lanes, and the
@@ -64,7 +57,8 @@ impl MultiHeadAttention {
     /// ([`Self::workspace`]: `batch` samples' share and the fixed part,
     /// or more); per sample `==` to [`Self::forward_reference`].
     ///
-    /// The four projections each sweep all `batch * t` rows at once.
+    /// The four projections each sweep all `batch * t` rows at once, each
+    /// against its own packed weights.
     /// Attention itself couples tokens within a sample only: each
     /// sample's Q is packed into k-major query panels, and
     /// `kernels::attention_sample` then takes every (head, block of query rows)
@@ -73,19 +67,17 @@ impl MultiHeadAttention {
     ///
     /// # Panics
     ///
-    /// Panics on buffer-length or packed-shape mismatches.
+    /// Panics on buffer-length mismatches.
     pub fn forward_batch_packed(
         &self,
         x: &[f32],
         batch: usize,
         t: usize,
-        packed: [&PackedPanels; 4],
         work: &mut [f32],
         out: &mut [f32],
     ) {
         let d = self.d_model;
         let rows = batch * t;
-        let [pq, pk, pv, po] = packed;
         let (q, rest) = work.split_at_mut(rows * d);
         let (k, rest) = rest.split_at_mut(rows * d);
         let (context, rest) = rest.split_at_mut(rows * d);
@@ -94,10 +86,10 @@ impl MultiHeadAttention {
         let (v, rest) = rest.split_at_mut(rows * d + NR);
         let (qt, probs) = rest.split_at_mut(t.div_ceil(NR) * NR * d);
         let probs = &mut probs[..t * ATTENTION_LANES];
-        self.wq.forward_batch_packed(x, rows, pq, Store::Bf16, q);
-        self.wk.forward_batch_packed(x, rows, pk, Store::Bf16, k);
+        self.wq.forward_batch_packed(x, rows, Store::Bf16, q);
+        self.wk.forward_batch_packed(x, rows, Store::Bf16, k);
         self.wv
-            .forward_batch_packed(x, rows, pv, Store::Bf16, &mut v[..rows * d]);
+            .forward_batch_packed(x, rows, Store::Bf16, &mut v[..rows * d]);
         v[rows * d..].fill(0.0);
         for s in 0..batch {
             let sample = s * t * d;
@@ -114,7 +106,7 @@ impl MultiHeadAttention {
             );
         }
         self.wo
-            .forward_batch_packed(context, rows, po, Store::Bf16, out);
+            .forward_batch_packed(context, rows, Store::Bf16, out);
     }
 
     /// The naive reference implementation (kept for equivalence tests

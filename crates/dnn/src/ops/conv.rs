@@ -21,6 +21,9 @@ pub struct Conv2d {
     bias: Vec<f32>,
     stride: (usize, usize),
     padding: (usize, usize),
+    /// The `[out_c, in_c * kh * kw]` kernel matrix packed into register
+    /// panels for the GEMM lowerings.
+    packed: PackedPanels,
 }
 
 impl Conv2d {
@@ -42,11 +45,26 @@ impl Conv2d {
         let fan_in = in_c * kernel.0 * kernel.1;
         let fan_out = out_c * kernel.0 * kernel.1;
         let scale = (6.0 / (fan_in + fan_out) as f32).sqrt();
+        let weights = Tensor::random(&[out_c, in_c, kernel.0, kernel.1], scale, seed);
+        Conv2d::with_weights(weights.quantize_bf16(), vec![0.0; out_c], stride, padding)
+    }
+
+    /// The convolution of `kernel` (`[out_c, in_c, kh, kw]`) and `bias`,
+    /// its kernel matrix packed.
+    fn with_weights(
+        kernel: Tensor,
+        bias: Vec<f32>,
+        stride: (usize, usize),
+        padding: (usize, usize),
+    ) -> Self {
+        let [out_c, in_c, kh, kw] = [0, 1, 2, 3].map(|d| kernel.shape()[d]);
+        let packed = PackedPanels::pack(kernel.data(), out_c, in_c * kh * kw);
         Conv2d {
-            kernel: Tensor::random(&[out_c, in_c, kernel.0, kernel.1], scale, seed).quantize_bf16(),
-            bias: vec![0.0; out_c],
+            kernel,
+            bias,
             stride,
             padding,
+            packed,
         }
     }
 
@@ -75,13 +93,6 @@ impl Conv2d {
         )
     }
 
-    /// Packs the `[out_c, in_c * kh * kw]` kernel matrix into register
-    /// panels for the batched forward path.
-    pub fn pack(&self) -> PackedPanels {
-        let k = self.in_channels() * self.kernel.shape()[2] * self.kernel.shape()[3];
-        PackedPanels::pack(self.kernel.data(), self.out_channels(), k)
-    }
-
     /// Batched convolution over a sample-major `[batch, in_c, h, w]`
     /// activation block, storing each `[batch, out_c, oh * ow]` output's
     /// sum into `out` as `post` says (BF16-rounded, and activated where the
@@ -95,8 +106,8 @@ impl Conv2d {
     ///
     /// # Panics
     ///
-    /// Panics on buffer-length or packed-shape mismatches, or a `stage`
-    /// shorter than the lowering works in.
+    /// Panics on buffer-length mismatches, or a `stage` shorter than the
+    /// lowering works in.
     #[allow(clippy::too_many_arguments)]
     pub fn forward_batch_packed(
         &self,
@@ -104,7 +115,6 @@ impl Conv2d {
         batch: usize,
         h: usize,
         w: usize,
-        packed: &PackedPanels,
         stage: &mut [f32],
         post: Store,
         out: &mut [f32],
@@ -122,7 +132,7 @@ impl Conv2d {
             Lowering::Direct(_) => &mut stage[..self.stage_len()],
             _ => &mut [],
         };
-        self.run(lowering, x, batch, packed, stage, post, out);
+        self.run(lowering, x, batch, stage, post, out);
     }
 
     /// How [`Self::forward_batch_packed`] runs an `(h, w)` input.
@@ -157,14 +167,12 @@ impl Conv2d {
     ///
     /// # Panics
     ///
-    /// Panics on buffer-length or packed-shape mismatches.
-    #[allow(clippy::too_many_arguments)]
+    /// Panics on buffer-length mismatches.
     pub(crate) fn run(
         &self,
         lowering: Lowering,
         x: &[f32],
         batch: usize,
-        packed: &PackedPanels,
         stage: &mut [f32],
         post: Store,
         out: &mut [f32],
@@ -174,9 +182,8 @@ impl Conv2d {
         let k = in_c * kh * kw;
         let gemm =
             |x: &[f32], stride: usize, rows: usize, out: &mut [f32], store: (usize, usize)| {
-                assert_eq!((packed.m(), packed.k()), (out_c, k), "packed kernel shape");
-                let segs = [Segment::packed(packed.data(), k, x, stride)];
-                gemm_packed(segs, Some(&self.bias), rows, out_c, post, out, store);
+                let seg = Segment::packed(self.packed.data(), k, x, stride);
+                gemm_packed(seg, Some(&self.bias), rows, out_c, post, out, store);
             };
         match lowering {
             Lowering::KernelSized => gemm(x, k, batch, out, (out_c, 1)),
@@ -259,12 +266,8 @@ impl Conv2d {
         }
         let (kh, kw) = first.kernel_hw();
         let shape = [bias.len(), first.in_channels(), kh, kw];
-        Conv2d {
-            kernel: Tensor::from_vec(kernel, &shape),
-            bias,
-            stride: first.stride,
-            padding: first.padding,
-        }
+        let kernel = Tensor::from_vec(kernel, &shape);
+        Conv2d::with_weights(kernel, bias, first.stride, first.padding)
     }
 
     /// The naive reference convolution (kept for equivalence tests and
@@ -359,12 +362,7 @@ impl Conv2d {
         assert_eq!(kernel.shape().len(), 4, "kernel must be [out,in,kh,kw]");
         assert_eq!(kernel.shape()[0], bias.len(), "bias length mismatch");
         assert_model_shape(stride, padding);
-        Conv2d {
-            kernel,
-            bias,
-            stride,
-            padding,
-        }
+        Conv2d::with_weights(kernel, bias, stride, padding)
     }
 }
 
@@ -450,10 +448,9 @@ mod tests {
         // The CNN's conv1 and conv2 (each the direct convolution otherwise).
         for (in_c, (h, w)) in [(1, (4, 40)), (5, (4, 1))] {
             let conv = Conv2d::new(in_c, 9, (h, w), (1, 1), (0, 0), 3);
-            let packed = conv.pack();
             let x = Tensor::random(&[in_c, h, w], 1.0, 4);
             let mut out = vec![f32::NAN; 9];
-            conv.forward_batch_packed(x.data(), 1, h, w, &packed, &mut [], Store::Bf16, &mut out);
+            conv.forward_batch_packed(x.data(), 1, h, w, &mut [], Store::Bf16, &mut out);
             let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&out), bits(conv.forward_reference(&x).data()));
         }

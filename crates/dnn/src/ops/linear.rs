@@ -15,15 +15,26 @@ use crate::tensor::Tensor;
 pub struct Linear {
     weight: Tensor, // [out, in]
     bias: Vec<f32>,
+    /// `weight` packed into register panels for the batched forward.
+    packed: PackedPanels,
 }
 
 impl Linear {
     /// Creates a layer with Xavier-uniform weights from `seed`.
     pub fn new(input: usize, output: usize, seed: u64) -> Self {
         let scale = (6.0 / (input + output) as f32).sqrt();
+        let weight = Tensor::random(&[output, input], scale, seed).quantize_bf16();
+        Linear::with_weights(weight, vec![0.0; output])
+    }
+
+    /// The layer of `weight` (`[out, in]`) and `bias`, its weights packed.
+    fn with_weights(weight: Tensor, bias: Vec<f32>) -> Self {
+        let (output, input) = (weight.shape()[0], weight.shape()[1]);
+        let packed = PackedPanels::pack(weight.data(), output, input);
         Linear {
-            weight: Tensor::random(&[output, input], scale, seed).quantize_bf16(),
-            bias: vec![0.0; output],
+            weight,
+            bias,
+            packed,
         }
     }
 
@@ -37,13 +48,7 @@ impl Linear {
         self.weight.shape()[0]
     }
 
-    /// Packs the `[out, in]` weight matrix into register panels for the
-    /// batched forward path.
-    pub fn pack(&self) -> PackedPanels {
-        PackedPanels::pack(self.weight.data(), self.output_dim(), self.input_dim())
-    }
-
-    /// Applies the layer over a flat `[rows, in]` buffer using prepacked
+    /// Applies the layer over a flat `[rows, in]` buffer using its packed
     /// weight panels, storing each `[rows, out]` sum into `out` as `post`
     /// says (BF16-rounded, and activated where the layer is): one sweep of
     /// the packed register tile over row blocks. Per row `==` to
@@ -52,22 +57,13 @@ impl Linear {
     ///
     /// # Panics
     ///
-    /// Panics on buffer-length or packed-shape mismatches.
-    pub fn forward_batch_packed(
-        &self,
-        x: &[f32],
-        rows: usize,
-        packed: &PackedPanels,
-        post: Store,
-        out: &mut [f32],
-    ) {
+    /// Panics on buffer-length mismatches.
+    pub fn forward_batch_packed(&self, x: &[f32], rows: usize, post: Store, out: &mut [f32]) {
         let (input, output) = (self.input_dim(), self.output_dim());
-        assert_eq!(packed.m(), output, "packed weight row mismatch");
-        assert_eq!(packed.k(), input, "packed weight width mismatch");
         assert_eq!(x.len(), rows * input, "batched linear input length");
         assert_eq!(out.len(), rows * output, "batched linear output length");
         gemm_packed(
-            [Segment::packed(packed.data(), input, x, input)],
+            Segment::packed(self.packed.data(), input, x, input),
             Some(&self.bias),
             rows,
             output,
@@ -168,7 +164,7 @@ impl Linear {
     fn from_weights(weight: Tensor, bias: Vec<f32>) -> Self {
         assert_eq!(weight.shape().len(), 2, "weight must be [out, in]");
         assert_eq!(weight.shape()[0], bias.len(), "bias length mismatch");
-        Linear { weight, bias }
+        Linear::with_weights(weight, bias)
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::batch::PackedPanels;
 use crate::bf16::bf16_round;
-use crate::kernels::{gemm_packed, lstm_recurrent_rows, lstm_steps, Segment, Store, NR};
+use crate::kernels::{gemm_packed, lstm_recurrent_rows, lstm_steps, Segment, Store};
 use crate::math::{sigmoid, tanh};
 use crate::ops::expect_rank;
 use crate::tensor::Tensor;
@@ -19,6 +19,11 @@ pub struct Lstm {
     bias: Vec<f32>,
     input: usize,
     hidden: usize,
+    /// `wx` packed into register panels, for the input half.
+    packed_wx: PackedPanels,
+    /// `wh` packed in the gate-blocked order the step kernel reads
+    /// ([`lstm_recurrent_rows`]).
+    packed_wh: PackedPanels,
 }
 
 impl Lstm {
@@ -30,12 +35,19 @@ impl Lstm {
         for b in bias.iter_mut().skip(hidden).take(hidden) {
             *b = 1.0;
         }
+        let wx = Tensor::random(&[4 * hidden, input], scale, seed).quantize_bf16();
+        let wh = Tensor::random(&[4 * hidden, hidden], scale, seed.wrapping_add(1)).quantize_bf16();
+        let packed_wx = PackedPanels::pack(wx.data(), 4 * hidden, input);
+        let (rows, m) = lstm_recurrent_rows(wh.data(), hidden);
+        let packed_wh = PackedPanels::pack(&rows, m, hidden);
         Lstm {
-            wx: Tensor::random(&[4 * hidden, input], scale, seed).quantize_bf16(),
-            wh: Tensor::random(&[4 * hidden, hidden], scale, seed.wrapping_add(1)).quantize_bf16(),
+            wx,
+            wh,
             bias,
             input,
             hidden,
+            packed_wx,
+            packed_wh,
         }
     }
 
@@ -86,20 +98,6 @@ impl Lstm {
         out
     }
 
-    /// Packs the stacked `[4 * hidden, input]` input-weight matrix into
-    /// register panels for the batched forward path.
-    pub fn pack_wx(&self) -> PackedPanels {
-        PackedPanels::pack(self.wx.data(), 4 * self.hidden, self.input)
-    }
-
-    /// Packs the stacked `[4 * hidden, hidden]` recurrent-weight matrix
-    /// into the gate-blocked register panels the step kernel reads
-    /// ([`lstm_recurrent_rows`]).
-    pub fn pack_wh(&self) -> PackedPanels {
-        let (rows, m) = lstm_recurrent_rows(self.wh.data(), self.hidden);
-        PackedPanels::pack(&rows, m, self.hidden)
-    }
-
     /// The workspace [`Self::last_hidden_batch_packed`] takes over
     /// `steps`-step sequences, in elements per sample: each step's gate
     /// partials and the sample's cell, hidden and next hidden state.
@@ -108,7 +106,7 @@ impl Lstm {
     }
 
     /// Runs `batch` sequences of a sample-major `[batch, steps, input]`
-    /// buffer with prepacked weight panels, writing the final hidden
+    /// buffer with its packed weight panels, writing the final hidden
     /// states `[batch, hidden]` into `out`, working in `work` (at least
     /// `batch` times [`Self::workspace`]).
     ///
@@ -126,33 +124,26 @@ impl Lstm {
     ///
     /// # Panics
     ///
-    /// Panics on buffer-length or packed-shape mismatches, or when
-    /// `steps == 0` (no final hidden state exists).
-    #[allow(clippy::too_many_arguments)]
+    /// Panics on buffer-length mismatches, or when `steps == 0` (no final
+    /// hidden state exists).
     pub fn last_hidden_batch_packed(
         &self,
         x: &[f32],
         batch: usize,
         steps: usize,
-        packed_wx: &PackedPanels,
-        packed_wh: &PackedPanels,
         work: &mut [f32],
         out: &mut [f32],
     ) {
         let (input, h_dim) = (self.input, self.hidden);
         let n = 4 * h_dim;
         assert!(steps > 0, "batched LSTM needs at least one timestep");
-        assert_eq!(packed_wx.m(), n, "packed wx row mismatch");
-        assert_eq!(packed_wx.k(), input, "packed wx width mismatch");
-        assert_eq!(packed_wh.m(), h_dim.div_ceil(NR) * 4 * NR, "packed wh rows");
-        assert_eq!(packed_wh.k(), h_dim, "packed wh width mismatch");
         assert_eq!(x.len(), batch * steps * input, "batched LSTM input");
         // The partials and the state, each fully overwritten before it is
         // read.
         let rows = batch * steps;
         let (partials, state) = work.split_at_mut(rows * n);
         let state = &mut state[..3 * batch * h_dim];
-        let input_half = [Segment::packed(packed_wx.data(), input, x, input)];
+        let input_half = Segment::packed(self.packed_wx.data(), input, x, input);
         gemm_packed(
             input_half,
             Some(&self.bias),
@@ -162,7 +153,15 @@ impl Lstm {
             partials,
             (n, 1),
         );
-        lstm_steps(packed_wh.data(), partials, batch, steps, h_dim, state, out);
+        lstm_steps(
+            self.packed_wh.data(),
+            partials,
+            batch,
+            steps,
+            h_dim,
+            state,
+            out,
+        );
     }
 }
 

@@ -1,8 +1,10 @@
 //! Neural-network layers and their analytic cost counters.
 //!
-//! Each layer owns its weights and offers two forward passes: a naive
+//! Each layer owns its weights, and the register panels its constructor
+//! packs them into once, and offers two forward passes: a naive
 //! `forward_reference` on [`Tensor`]s (the oracle) and a packed one over
-//! flat batch buffers (what `crate::net`'s executor runs). The MAC count
+//! flat batch buffers against its own panels (what `crate::net`'s
+//! executor runs). The MAC count
 //! of a pass is [`count`]'s, which prices a spec's layer list for the
 //! accelerator's latency model without building it.
 

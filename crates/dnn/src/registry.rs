@@ -3,8 +3,9 @@
 //! Deadline-aware tier scheduling (see `lt-sched`'s `tier` module) needs
 //! all three benchmark networks resident at once so a query can be
 //! served at whichever tier fits its remaining budget. [`ModelRegistry`]
-//! owns one instantiated model per registered [`ModelKind`] together
-//! with every buffer its forwards use, made once in
+//! owns one instantiated model per registered [`ModelKind`] (its weights
+//! already packed, each op holding its own panels) together with every
+//! buffer its forwards use, made once in
 //! [`ModelRegistry::register`] from the net's lowering: its [`Arena`] and
 //! its line buffers, each sized for [`MAX_SWEEP`] windows. No query
 //! touches the allocator, the first included, and switching tiers
@@ -15,7 +16,6 @@
 //! ([`ModelRegistry::max_window`]) and [`ModelRegistry::forward_slides`]
 //! slices the trailing rows each smaller tier needs.
 
-use crate::batch::PackedWeights;
 use crate::model::{ModelKind, Prediction};
 use crate::models::build_tiny;
 use crate::net::{Arena, Net};
@@ -26,10 +26,6 @@ struct Entry {
     model: Net,
     /// The memory every forward of the tier runs in (`Net::arena`).
     arena: Arena,
-    /// Panel-packed weights, built once at registration; every
-    /// steady-state forward multiplies against these instead of the
-    /// row-major weight tensors.
-    packed: PackedWeights,
     /// The `[window, features]` window a streamed tier served last: what
     /// `stream` was last advanced to.
     input: Tensor,
@@ -43,12 +39,10 @@ struct Entry {
 impl Entry {
     fn new(model: Net) -> Self {
         let input = Tensor::zeros(&[model.window(), model.features()]);
-        let packed = model.pack_weights();
         let mut entry = Entry {
             stream: model.stream_lines(),
             arena: model.arena(),
             model,
-            packed,
             input,
             stats: StreamStats::default(),
         };
@@ -59,7 +53,6 @@ impl Entry {
                 Some(&entry.input),
                 &[],
                 &mut entry.stream,
-                &entry.packed,
                 &mut entry.arena,
                 &mut Vec::new(),
             );
@@ -223,10 +216,8 @@ impl ModelRegistry {
             entry.stats.misses += k as u64;
             out.clear();
             let lane = |j: usize| &swept[j * features..][..window * features];
-            let (packed, arena) = (&entry.packed, &mut entry.arena);
-            return entry
-                .model
-                .forward_windows(k, lane, None, packed, arena, out);
+            let arena = &mut entry.arena;
+            return entry.model.forward_windows(k, lane, None, arena, out);
         }
         let (first, last) = (&swept[..window * features], &swept[(k - 1) * features..]);
         let slid = slid_by_one(entry.input.data(), first, features);
@@ -238,7 +229,6 @@ impl ModelRegistry {
             (!slid).then_some(&entry.input),
             &swept[(needed - slides) * features..],
             &mut entry.stream,
-            &entry.packed,
             &mut entry.arena,
             out,
         );
@@ -291,7 +281,7 @@ impl ModelRegistry {
         }
         entry
             .model
-            .forward_batch_scratch(inputs, &entry.packed, &mut entry.arena, out);
+            .forward_batch_scratch(inputs, &mut entry.arena, out);
     }
 
     /// Kept only for the benchmark's callers, which pass 1; ROADMAP item

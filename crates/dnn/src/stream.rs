@@ -12,7 +12,6 @@
 //! holds the trunk's whole output; [`slid_by_one`] is the content check
 //! that decides whether they may be reused.
 
-use crate::batch::PackedWeights;
 use crate::net::Layer;
 use crate::ops::conv::Lowering;
 use crate::ops::Conv2d;
@@ -141,12 +140,12 @@ fn prime(data: &mut [f32], kept: usize, map: &[f32], full: usize) {
 
 /// Streams `rows` — `1..=MAX_SWEEP` tick rows, `[k, features]`, each
 /// sliding the window by one — through a net's streamable prefix, `trunk`
-/// (its convolutions, panels `0..N` of `packed`), each storing its sums as
-/// its post says (the BF16 rounding and the layer's activation: no layer
-/// makes a second pass over its output), and returns the `k` trunk outputs
-/// they complete, `[k, C, out_rows]`, oldest window first: the kept trunk
-/// output itself at `k = 1`, or `None` when they are gathered at the start
-/// of `staged`.
+/// (its convolutions, each against its own packed kernels), each storing
+/// its sums as its post says (the BF16 rounding and the layer's
+/// activation: no layer makes a second pass over its output), and returns
+/// the `k` trunk outputs they complete, `[k, C, out_rows]`, oldest window
+/// first: the kept trunk output itself at `k = 1`, or `None` when they are
+/// gathered at the start of `staged`.
 ///
 /// Layer by layer the kept `kh - 1` rows and the `k` new ones become `k`
 /// output rows by the same packed convolution as the whole-window
@@ -162,7 +161,6 @@ pub(crate) fn advance_trunk<'a>(
     lines: &'a mut [LineBuffer],
     trunk: &[Layer],
     rows: &[f32],
-    packed: &PackedWeights,
     staged: &mut [f32],
 ) -> Option<&'a [f32]> {
     let n = trunk.len();
@@ -190,7 +188,7 @@ pub(crate) fn advance_trunk<'a>(
         };
         let len = planned.out.len() / MAX_SWEEP * k;
         let (stage, rows_out) = (&mut planned.stage, &mut planned.out[..len]);
-        conv.run(lowering, x, 1, packed.panel(idx), stage, post, rows_out);
+        conv.run(lowering, x, 1, stage, post, rows_out);
     }
     let last = buffers[n - 1].swept_out(k);
     if k == 1 {

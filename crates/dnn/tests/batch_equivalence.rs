@@ -9,7 +9,7 @@
 use lt_dnn::bf16_round;
 use lt_dnn::kernels::{gemm_packed, pack_bt_panels, Segment, Store};
 use lt_dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
-use lt_dnn::{Net, PackedWeights, Prediction, Tensor};
+use lt_dnn::{Net, Prediction, Tensor};
 use proptest::prelude::*;
 
 /// Random `[window, features]` inputs for `model`, one per sample.
@@ -32,12 +32,11 @@ fn assert_batch_matches_loop(
     name: &str,
     model: &Net,
     reference: impl Fn(&Tensor) -> Prediction,
-    packed: &PackedWeights,
     inputs: &[Tensor],
 ) -> Vec<Prediction> {
     let mut arena = model.arena();
     let mut batched = Vec::new();
-    model.forward_batch_scratch(inputs, packed, &mut arena, &mut batched);
+    model.forward_batch_scratch(inputs, &mut arena, &mut batched);
     assert_eq!(batched.len(), inputs.len(), "{name}: prediction count");
     let mut single = Vec::new();
     for (s, (b, input)) in batched.iter().zip(inputs).enumerate() {
@@ -46,7 +45,7 @@ fn assert_batch_matches_loop(
             b.probs, oracle.probs,
             "{name}: sample {s} diverged from forward_reference"
         );
-        model.forward_batch_scratch(std::slice::from_ref(input), packed, &mut arena, &mut single);
+        model.forward_batch_scratch(std::slice::from_ref(input), &mut arena, &mut single);
         assert_eq!(
             b.probs.map(f32::to_bits),
             single[0].probs.map(f32::to_bits),
@@ -65,27 +64,24 @@ proptest! {
     #[test]
     fn vanilla_batch_matches_loop(seed in 0u64..500, batch in 0usize..6) {
         let model = CnnSpec::tiny().build(seed);
-        let packed = model.pack_weights();
         let inputs = random_batch(&model, batch, seed);
-        assert_batch_matches_loop("VanillaCnn", &model, |x| model.forward_reference(x), &packed, &inputs);
+        assert_batch_matches_loop("VanillaCnn", &model, |x| model.forward_reference(x), &inputs);
     }
 
     /// TransLob: batched packed path == per-sample oracle, any batch size.
     #[test]
     fn translob_batch_matches_loop(seed in 0u64..500, batch in 0usize..6) {
         let model = TransLobSpec::tiny().build(seed);
-        let packed = model.pack_weights();
         let inputs = random_batch(&model, batch, seed);
-        assert_batch_matches_loop("TransLob", &model, |x| model.forward_reference(x), &packed, &inputs);
+        assert_batch_matches_loop("TransLob", &model, |x| model.forward_reference(x), &inputs);
     }
 
     /// DeepLob: batched packed path == per-sample oracle, any batch size.
     #[test]
     fn deeplob_batch_matches_loop(seed in 0u64..500, batch in 0usize..6) {
         let model = DeepLobSpec::tiny().build(seed);
-        let packed = model.pack_weights();
         let inputs = random_batch(&model, batch, seed);
-        assert_batch_matches_loop("DeepLob", &model, |x| model.forward_reference(x), &packed, &inputs);
+        assert_batch_matches_loop("DeepLob", &model, |x| model.forward_reference(x), &inputs);
     }
 }
 
@@ -105,13 +101,11 @@ proptest! {
             ..CnnSpec::tiny()
         };
         let model = spec.build(seed);
-        let packed = model.pack_weights();
         let inputs = random_batch(&model, batch, seed);
         assert_batch_matches_loop(
             "VanillaCnn off-grid",
             &model,
             |x| model.forward_reference(x),
-            &packed,
             &inputs,
         );
     }
@@ -136,13 +130,11 @@ proptest! {
             ..TransLobSpec::tiny()
         };
         let model = spec.build(seed);
-        let packed = model.pack_weights();
         let inputs = random_batch(&model, batch, seed);
         assert_batch_matches_loop(
             "TransLob off-grid",
             &model,
             |x| model.forward_reference(x),
-            &packed,
             &inputs,
         );
     }
@@ -159,13 +151,11 @@ proptest! {
             ..DeepLobSpec::tiny()
         };
         let model = spec.build(seed);
-        let packed = model.pack_weights();
         let inputs = random_batch(&model, batch, seed);
         assert_batch_matches_loop(
             "DeepLob off-grid",
             &model,
             |x| model.forward_reference(x),
-            &packed,
             &inputs,
         );
     }
@@ -175,11 +165,10 @@ proptest! {
 #[test]
 fn batch_output_order_and_reuse() {
     let model = CnnSpec::tiny().build(4);
-    let packed = model.pack_weights();
     let inputs = random_batch(&model, 4, 9);
     let mut arena = model.arena();
     let mut out = vec![Prediction::new([1.0, 0.0, 0.0]); 7];
-    model.forward_batch_scratch(&inputs, &packed, &mut arena, &mut out);
+    model.forward_batch_scratch(&inputs, &mut arena, &mut out);
     assert_eq!(out.len(), 4);
     for (got, input) in out.iter().zip(&inputs) {
         assert_eq!(got.probs, model.forward_reference(input).probs);
@@ -187,7 +176,7 @@ fn batch_output_order_and_reuse() {
     // Reversing the inputs reverses the outputs.
     let rev: Vec<Tensor> = inputs.iter().rev().cloned().collect();
     let mut out_rev = Vec::new();
-    model.forward_batch_scratch(&rev, &packed, &mut arena, &mut out_rev);
+    model.forward_batch_scratch(&rev, &mut arena, &mut out_rev);
     for (a, b) in out.iter().zip(out_rev.iter().rev()) {
         assert_eq!(a.probs.map(f32::to_bits), b.probs.map(f32::to_bits));
     }
@@ -201,7 +190,7 @@ fn packed_gemm(a: &[f32], b: &[f32], bias: &[f32], m: usize, n: usize, k: usize,
     let mut packed = Vec::new();
     pack_bt_panels(a, m, k, &mut packed);
     gemm_packed(
-        [Segment::packed(&packed, k, b, k)],
+        Segment::packed(&packed, k, b, k),
         Some(bias),
         n,
         m,

@@ -76,14 +76,13 @@ fn assert_model_matches_reference(
     reference: impl Fn(&Tensor) -> Prediction,
     seed: u64,
 ) {
-    let packed = model.pack_weights();
     let mut arena = model.arena();
     let mut out = Vec::new();
     for batch in BATCHES {
         let xs = random_inputs(&[model.window(), model.features()], 1.0, batch, seed);
         let want: Vec<[f32; 3]> = xs.iter().map(|x| reference(x).probs).collect();
         for _ in 0..2 {
-            model.forward_batch_scratch(&xs, &packed, &mut arena, &mut out);
+            model.forward_batch_scratch(&xs, &mut arena, &mut out);
             let got: Vec<[f32; 3]> = out.iter().map(|p| p.probs).collect();
             assert_eq!(got, want, "batch {batch}");
         }
@@ -97,7 +96,6 @@ fn assert_model_matches_reference(
 fn assert_kernel_sized_matches_reference(conv: &Conv2d, post: Store, seed: u64) {
     let (in_c, out_c, (h, w)) = (conv.in_channels(), conv.out_channels(), conv.kernel_hw());
     assert_eq!(conv.output_hw(h, w), (1, 1));
-    let packed = conv.pack();
     let mut stage = vec![0.0; conv.stage_len()];
     let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
     for batch in BATCHES {
@@ -109,7 +107,7 @@ fn assert_kernel_sized_matches_reference(conv: &Conv2d, post: Store, seed: u64) 
         let mut out = vec![f32::NAN; batch * out_c];
         for _ in 0..2 {
             let flat = stack(&xs);
-            conv.forward_batch_packed(&flat, batch, h, w, &packed, &mut stage, post, &mut out);
+            conv.forward_batch_packed(&flat, batch, h, w, &mut stage, post, &mut out);
             assert_eq!(bits(&out), want, "batch {batch}");
         }
     }
@@ -121,7 +119,6 @@ fn assert_kernel_sized_matches_reference(conv: &Conv2d, post: Store, seed: u64) 
 /// left).
 fn assert_conv_matches_reference(conv: &Conv2d, h: usize, w: usize, post: Store, seed: u64) {
     let (in_c, out_c) = (conv.in_channels(), conv.out_channels());
-    let packed = conv.pack();
     let (oh, ow) = conv.output_hw(h, w);
     let mut stage = vec![0.0; conv.stage_len()];
     let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
@@ -134,7 +131,7 @@ fn assert_conv_matches_reference(conv: &Conv2d, h: usize, w: usize, post: Store,
         let flat = stack(&xs);
         let mut out = vec![f32::NAN; batch * out_c * oh * ow];
         for _ in 0..2 {
-            conv.forward_batch_packed(&flat, batch, h, w, &packed, &mut stage, post, &mut out);
+            conv.forward_batch_packed(&flat, batch, h, w, &mut stage, post, &mut out);
             assert_eq!(bits(&out), want, "batch {batch} {post:?}");
         }
     }
@@ -202,17 +199,16 @@ proptest! {
         (input, output, rows, seed) in (1usize..=33, 1usize..=17, 1usize..=5, 0u64..1000),
     ) {
         let layer = Linear::new(input, output, seed);
-        let packed = layer.pack();
         for batch in BATCHES {
             let x1 = random_inputs(&[input], 1.0, batch, seed);
             let r1: Vec<Tensor> = x1.iter().map(|x| layer.forward_reference(x)).collect();
             let mut out = vec![f32::NAN; batch * output];
-            layer.forward_batch_packed(&stack(&x1), batch, &packed, Store::Bf16, &mut out);
+            layer.forward_batch_packed(&stack(&x1), batch, Store::Bf16, &mut out);
             prop_assert_eq!(&unstack(&out, &[output]), &r1);
             let x2 = random_inputs(&[rows, input], 1.0, batch, seed.wrapping_add(1));
             let r2: Vec<Tensor> = x2.iter().map(|x| layer.forward_reference(x)).collect();
             let mut out = vec![f32::NAN; batch * rows * output];
-            layer.forward_batch_packed(&stack(&x2), batch * rows, &packed, Store::Bf16, &mut out);
+            layer.forward_batch_packed(&stack(&x2), batch * rows, Store::Bf16, &mut out);
             prop_assert_eq!(&unstack(&out, &[rows, output]), &r2);
         }
     }
@@ -226,7 +222,6 @@ proptest! {
         (input, hidden, steps, seed) in (1usize..=9, 1usize..=20, 1usize..=6, 0u64..1000),
     ) {
         let lstm = Lstm::new(input, hidden, seed);
-        let (pwx, pwh) = (lstm.pack_wx(), lstm.pack_wh());
         let mut work = vec![0.0; BATCHES[1] * lstm.workspace(steps)];
         for batch in BATCHES {
             let xs = random_inputs(&[steps, input], 1.0, batch, seed);
@@ -238,7 +233,7 @@ proptest! {
                     .collect();
                 let mut out = vec![f32::NAN; batch * hidden];
                 for _ in 0..2 {
-                    lstm.last_hidden_batch_packed(&prefix, batch, p, &pwx, &pwh, &mut work, &mut out);
+                    lstm.last_hidden_batch_packed(&prefix, batch, p, &mut work, &mut out);
                     for (got, want) in out.chunks_exact(hidden).zip(&reference) {
                         prop_assert_eq!(got, want.row(p - 1));
                     }
@@ -257,7 +252,6 @@ proptest! {
     ) {
         let d_model = heads * d_head;
         let mha = MultiHeadAttention::new(d_model, heads, seed);
-        let packed = mha.pack();
         let (per, fixed) = mha.workspace(t);
         let mut work = vec![0.0; BATCHES[1] * per + fixed];
         for batch in BATCHES {
@@ -266,7 +260,7 @@ proptest! {
             let flat = stack(&xs);
             let mut out = vec![f32::NAN; batch * t * d_model];
             for _ in 0..2 {
-                mha.forward_batch_packed(&flat, batch, t, packed.each_ref(), &mut work, &mut out);
+                mha.forward_batch_packed(&flat, batch, t, &mut work, &mut out);
                 prop_assert_eq!(&unstack(&out, &[t, d_model]), &reference);
             }
         }

@@ -19,9 +19,7 @@
 //! the windows behind a sweep's first always are.
 
 use lt_dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
-use lt_dnn::{
-    ModelKind, ModelRegistry, Net, PackedWeights, Prediction, StreamStats, Tensor, MAX_SWEEP,
-};
+use lt_dnn::{ModelKind, ModelRegistry, Net, Prediction, StreamStats, Tensor, MAX_SWEEP};
 use proptest::prelude::*;
 
 const FEATURES: usize = 40;
@@ -78,10 +76,9 @@ fn assert_same(got: Prediction, want: Prediction, nan_is_nan: bool, what: &str) 
     }
 }
 
-/// One tier under test: the model, its pack and its oracle.
+/// One tier under test: the model and its oracle.
 struct Tier<'a> {
     model: &'a Net,
-    packed: PackedWeights,
     reference: &'a dyn Fn(&Tensor) -> Prediction,
 }
 
@@ -93,7 +90,7 @@ impl Tier<'_> {
         let mut alone = Vec::new();
         let inputs = std::slice::from_ref(exact);
         self.model
-            .forward_batch_scratch(inputs, &self.packed, &mut self.model.arena(), &mut alone);
+            .forward_batch_scratch(inputs, &mut self.model.arena(), &mut alone);
         assert_same(got, alone[0], k > 1, &format!("{what}: stateless forward"));
         let reference = (self.reference)(exact);
         assert_same(got, reference, true, &format!("{what}: forward_reference"));
@@ -138,15 +135,13 @@ proptest! {
         .build(seed);
         let translob = TransLobSpec::tiny().build(seed);
         let tiers = [
-            Tier { model: &cnn, packed: cnn.pack_weights(), reference: &|x| cnn.forward_reference(x) },
+            Tier { model: &cnn, reference: &|x| cnn.forward_reference(x) },
             Tier {
                 model: &translob,
-                packed: translob.pack_weights(),
                 reference: &|x| translob.forward_reference(x),
             },
             Tier {
                 model: &deeplob,
-                packed: deeplob.pack_weights(),
                 reference: &|x| deeplob.forward_reference(x),
             },
         ];

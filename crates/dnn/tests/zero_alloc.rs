@@ -67,12 +67,11 @@ fn allocations() -> u64 {
 /// layer's workspace live in the arena, predictions in an output vector
 /// sized for the batch.
 fn assert_steady_state_batch_alloc_free(name: &str, model: &Net, inputs: &[Tensor]) {
-    let packed = model.pack_weights();
     let mut arena: Arena = model.arena();
     let mut out: Vec<Prediction> = Vec::with_capacity(inputs.len());
     let allocs_before = allocations();
     for _ in 0..4 {
-        model.forward_batch_scratch(inputs, &packed, &mut arena, &mut out);
+        model.forward_batch_scratch(inputs, &mut arena, &mut out);
     }
     let allocs_after = allocations();
     assert_eq!(out.len(), inputs.len(), "{name}: prediction count");
@@ -90,12 +89,11 @@ fn assert_steady_state_batch_alloc_free(name: &str, model: &Net, inputs: &[Tenso
 /// A batch-size walk: one arena serves every batch size, larger and
 /// smaller in any order, from the first call on.
 fn assert_batch_walk_alloc_free(name: &str, model: &Net, inputs: &[Tensor], small: usize) {
-    let packed = model.pack_weights();
     let mut arena = model.arena();
     let mut out: Vec<Prediction> = Vec::with_capacity(inputs.len());
     let allocs_before = allocations();
     for batch in [small, inputs.len(), small, inputs.len()] {
-        model.forward_batch_scratch(&inputs[..batch], &packed, &mut arena, &mut out);
+        model.forward_batch_scratch(&inputs[..batch], &mut arena, &mut out);
         assert_eq!(out.len(), batch, "{name}: prediction count");
     }
     assert_eq!(

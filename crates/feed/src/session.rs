@@ -74,7 +74,6 @@ impl MarketSession {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SessionBuilder {
-    symbol: Symbol,
     seed: u64,
     duration_secs: f64,
     hawkes: HawkesParams,
@@ -85,7 +84,6 @@ impl SessionBuilder {
     /// Starts a builder with explicit Hawkes parameters.
     pub fn new(hawkes: HawkesParams) -> Self {
         SessionBuilder {
-            symbol: Symbol::new("ESU6"),
             seed: 0,
             duration_secs: 1.0,
             hawkes,
@@ -128,7 +126,7 @@ impl SessionBuilder {
     pub fn build(&self) -> MarketSession {
         let arrivals = HawkesProcess::new(self.hawkes, self.seed).sample_for(self.duration_secs);
         MarketSession::record(
-            self.symbol,
+            Symbol::new("ESU6"),
             self.flash,
             self.duration_secs,
             self.seed,

@@ -19,7 +19,7 @@
 
 use crate::hash::IdHashBuilder;
 use crate::order::Order;
-use crate::snapshot::{LobSnapshot, SnapshotLevel};
+use crate::snapshot::LobSnapshot;
 use crate::types::{OrderId, Price, Qty, Side, Timestamp};
 use std::collections::HashMap;
 
@@ -528,21 +528,7 @@ impl LadderBook {
     /// Refills `out` with the `depth`-level snapshot, reusing its level
     /// buffers so steady-state snapshotting never allocates.
     pub fn snapshot_into(&self, depth: usize, ts: Timestamp, out: &mut LobSnapshot) {
-        out.ts = ts;
-        out.bids.clear();
-        out.asks.clear();
-        self.for_each_level(Side::Bid, depth, |v| {
-            out.bids.push(SnapshotLevel {
-                price: v.price,
-                qty: v.qty,
-            });
-        });
-        self.for_each_level(Side::Ask, depth, |v| {
-            out.asks.push(SnapshotLevel {
-                price: v.price,
-                qty: v.qty,
-            });
-        });
+        out.fill_from_ladders(depth, ts, &self.bids, &self.asks);
     }
 
     /// Inserts a resting order at the back of its price-level queue.

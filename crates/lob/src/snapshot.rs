@@ -1,5 +1,6 @@
 //! Ten-level book snapshots — the raw material of DNN input feature maps.
 
+use crate::ladder::{LevelView, PriceLadder};
 use crate::types::{Price, Qty, Timestamp};
 use serde::{Deserialize, Serialize};
 
@@ -107,6 +108,28 @@ impl LobSnapshot {
                 }
             }
         }
+    }
+
+    /// Refills this snapshot with the best `depth` levels of `bids` and
+    /// `asks` at `ts`, reusing its level buffers: once they have grown to
+    /// `depth`, a refill never allocates. Both books' `snapshot_into`.
+    #[inline]
+    pub fn fill_from_ladders(
+        &mut self,
+        depth: usize,
+        ts: Timestamp,
+        bids: &PriceLadder,
+        asks: &PriceLadder,
+    ) {
+        self.ts = ts;
+        self.bids.clear();
+        self.asks.clear();
+        let level = |v: LevelView| SnapshotLevel {
+            price: v.price,
+            qty: v.qty,
+        };
+        bids.for_each_level(depth, |v| self.bids.push(level(v)));
+        asks.for_each_level(depth, |v| self.asks.push(level(v)));
     }
 }
 

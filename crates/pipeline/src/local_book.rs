@@ -15,7 +15,6 @@
 //! anyway.
 
 use lt_lob::events::MarketEventKind;
-use lt_lob::snapshot::SnapshotLevel;
 use lt_lob::IdHashBuilder;
 use lt_lob::{
     BookDelta, LobSnapshot, MarketEvent, OrderId, Price, PriceLadder, Qty, Side, Timestamp,
@@ -137,37 +136,25 @@ impl LocalBook {
         }
     }
 
-    /// Builds the ten-level snapshot the offload engine consumes.
-    pub fn snapshot(&self, depth: usize, ts: Timestamp) -> LobSnapshot {
-        let mut out = LobSnapshot::default();
-        self.snapshot_into(depth, ts, &mut out);
-        out
-    }
-
-    /// Refills `out` with the `depth`-level snapshot, reusing its level
-    /// buffers — the allocation-free path the tick loop uses.
+    /// Refills `out` with the `depth`-level snapshot the offload engine
+    /// consumes, reusing its level buffers — the allocation-free path the
+    /// tick loop uses.
     pub fn snapshot_into(&self, depth: usize, ts: Timestamp, out: &mut LobSnapshot) {
-        out.ts = ts;
-        out.bids.clear();
-        out.asks.clear();
-        self.bids.for_each_level(depth, |v| {
-            out.bids.push(SnapshotLevel {
-                price: v.price,
-                qty: v.qty,
-            });
-        });
-        self.asks.for_each_level(depth, |v| {
-            out.asks.push(SnapshotLevel {
-                price: v.price,
-                qty: v.qty,
-            });
-        });
+        out.fill_from_ladders(depth, ts, &self.bids, &self.asks);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lt_lob::snapshot::SnapshotLevel;
+
+    /// `book`'s `depth`-level snapshot at `ts`, into a fresh buffer.
+    fn snapshot_of(book: &LocalBook, depth: usize, ts: Timestamp) -> LobSnapshot {
+        let mut out = LobSnapshot::default();
+        book.snapshot_into(depth, ts, &mut out);
+        out
+    }
 
     fn add(seq: u64, id: u64, side: Side, price: i64, qty: u64) -> MarketEvent {
         MarketEvent {
@@ -200,7 +187,7 @@ mod tests {
         book.apply(&add(1, 1, Side::Bid, 99, 5));
         book.apply(&add(2, 2, Side::Bid, 99, 7));
         book.apply(&add(3, 3, Side::Ask, 101, 2));
-        let snap = book.snapshot(10, Timestamp::from_nanos(3));
+        let snap = snapshot_of(&book, 10, Timestamp::from_nanos(3));
         assert_eq!(snap.best_bid().unwrap().qty, Qty::new(12));
         assert_eq!(snap.best_ask().unwrap().price, Price::new(101));
     }
@@ -211,7 +198,7 @@ mod tests {
         book.apply(&add(1, 1, Side::Bid, 99, 5));
         book.apply(&add(2, 2, Side::Bid, 99, 7));
         book.apply(&delete(3, 1, Side::Bid, 99));
-        let snap = book.snapshot(10, Timestamp::from_nanos(3));
+        let snap = snapshot_of(&book, 10, Timestamp::from_nanos(3));
         assert_eq!(snap.best_bid().unwrap().qty, Qty::new(7));
         // Deleting the last order clears the level.
         book.apply(&delete(4, 2, Side::Bid, 99));
@@ -231,7 +218,7 @@ mod tests {
         for (i, p) in (90..110).enumerate() {
             book.apply(&add(i as u64, i as u64 + 1, Side::Bid, p, 1));
         }
-        let snap = book.snapshot(3, Timestamp::ZERO);
+        let snap = snapshot_of(&book, 3, Timestamp::ZERO);
         assert_eq!(snap.bids.len(), 3);
         assert_eq!(snap.bids[0].price, Price::new(109));
     }
@@ -265,7 +252,7 @@ mod tests {
         for depth in [1usize, 3, 10, 20] {
             let ts = Timestamp::from_nanos(depth as u64);
             book.snapshot_into(depth, ts, &mut reused);
-            assert_eq!(reused, book.snapshot(depth, ts), "depth {depth}");
+            assert_eq!(reused, snapshot_of(&book, depth, ts), "depth {depth}");
         }
     }
 
@@ -275,18 +262,24 @@ mod tests {
         book.apply(&add(1, 1, Side::Ask, 101, 5));
         book.apply(&add(2, 2, Side::Ask, 101, 7));
         book.apply(&modify(3, 1, Side::Ask, 101, 2));
-        let snap = book.snapshot(10, Timestamp::ZERO);
+        let snap = snapshot_of(&book, 10, Timestamp::ZERO);
         assert_eq!(snap.best_ask().unwrap().qty, Qty::new(9));
         // Modify-to-zero drops the order; level keeps the survivor.
         book.apply(&modify(4, 1, Side::Ask, 101, 0));
         assert_eq!(
-            book.snapshot(10, Timestamp::ZERO).best_ask().unwrap().qty,
+            snapshot_of(&book, 10, Timestamp::ZERO)
+                .best_ask()
+                .unwrap()
+                .qty,
             Qty::new(7)
         );
         // Unknown modify is ignored.
         book.apply(&modify(5, 42, Side::Ask, 101, 1));
         assert_eq!(
-            book.snapshot(10, Timestamp::ZERO).best_ask().unwrap().qty,
+            snapshot_of(&book, 10, Timestamp::ZERO)
+                .best_ask()
+                .unwrap()
+                .qty,
             Qty::new(7)
         );
     }
@@ -328,7 +321,7 @@ mod tests {
             mirror.apply(&e);
         }
         let truth = engine.book().snapshot(10, ts);
-        let local = mirror.snapshot(10, ts);
+        let local = snapshot_of(&mirror, 10, ts);
         assert_eq!(truth, local);
     }
 }

@@ -15,7 +15,8 @@ use lighttrader::{LightTrader, TickOutcome};
 use lt_dnn::{ModelKind, Prediction};
 use lt_lob::events::MarketEventKind;
 use lt_lob::{
-    BookDelta, MarketEvent, OrderId, Price, Qty, Side, Symbol, TimeInForce, Timestamp, Trade,
+    BookDelta, LobSnapshot, MarketEvent, OrderId, Price, Qty, Side, Symbol, TimeInForce, Timestamp,
+    Trade,
 };
 use lt_pipeline::trading::NoOrderReason;
 use lt_pipeline::{FeedArbiter, FeedId, LocalBook, PacketParser};
@@ -308,8 +309,10 @@ fn far_priced_adds_are_counted_and_leave_the_book_alone() {
         assert_eq!(paths.trader.parser_stats().corrupt, 0);
         parsed_book.apply(&event);
         arbited_book.apply(&event);
-        let snapshot = parsed_book.snapshot(10, Timestamp::ZERO);
-        assert_eq!(arbited_book.snapshot(10, Timestamp::ZERO), snapshot);
+        let (mut snapshot, mut arbited) = (LobSnapshot::default(), LobSnapshot::default());
+        parsed_book.snapshot_into(10, Timestamp::ZERO, &mut snapshot);
+        arbited_book.snapshot_into(10, Timestamp::ZERO, &mut arbited);
+        assert_eq!(arbited, snapshot);
         assert_eq!(arbited_book.out_of_span(), parsed_book.out_of_span());
         (parsed_book.out_of_span(), snapshot)
     };

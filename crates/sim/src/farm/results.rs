@@ -3,11 +3,12 @@
 //! A grid must not hold one heavyweight [`BacktestMetrics`] per cell
 //! (each carries every latency sample and its full per-stage
 //! decomposition). [`FarmResults`] keeps one [`CellSummary`] per cell —
-//! outcome counters, latency quantiles, energy, batching — indexed in
-//! expansion order. A caller that wants one cell's full metrics runs
+//! outcome counters, latency quantiles, energy, batching — and, beside
+//! it, the cell's ingress accounting, both indexed in expansion order. A caller that wants one cell's full metrics runs
 //! [`crate::run_lighttrader`] on the cached session.
 
 use super::grid::FarmCell;
+use crate::ingress::IngressReport;
 use crate::metrics::BacktestMetrics;
 
 /// The scalar summary of one cell — one row of [`FarmResults`].
@@ -116,12 +117,15 @@ impl CellSummary {
     }
 }
 
-/// Results of one farm run: cells and their scalar rows, both in
-/// expansion order.
+/// Results of one farm run: cells, their scalar rows and their ingress
+/// reports, all in expansion order.
 #[derive(Debug, Clone, Default)]
 pub struct FarmResults {
     cells: Vec<FarmCell>,
     rows: Vec<CellSummary>,
+    /// Each cell's `BacktestMetrics::ingress`: a column of its own, so the
+    /// rows (and the grid JSON made of them) stay as they are.
+    ingress: Vec<Option<IngressReport>>,
 }
 
 impl FarmResults {
@@ -130,6 +134,7 @@ impl FarmResults {
         FarmResults {
             cells: Vec::with_capacity(capacity),
             rows: Vec::with_capacity(capacity),
+            ingress: Vec::with_capacity(capacity),
         }
     }
 
@@ -137,6 +142,7 @@ impl FarmResults {
     pub(crate) fn push(&mut self, cell: FarmCell, metrics: &BacktestMetrics) {
         self.cells.push(cell);
         self.rows.push(CellSummary::from_metrics(metrics));
+        self.ingress.push(metrics.ingress);
     }
 
     /// Number of cells.
@@ -157,6 +163,12 @@ impl FarmResults {
     /// One cell's scalar row.
     pub fn summary(&self, i: usize) -> CellSummary {
         self.rows[i]
+    }
+
+    /// What one cell's fault-injected ingress did to its feed; `None` for
+    /// a cell without ingress faults, whose back-test bypasses the stage.
+    pub fn ingress(&self, i: usize) -> Option<IngressReport> {
+        self.ingress[i]
     }
 
     /// Renders the grid as deterministic JSON: one row per cell with its

@@ -9,7 +9,7 @@ use lt_dnn::ModelKind;
 use lt_feed::{HawkesParams, SessionArtifact, TraceCache};
 use lt_sched::Policy;
 use lt_sim::farm::{CellSummary, FarmRunner, GridDeadline, SweepGrid};
-use lt_sim::{run_lighttrader, run_multi_merged, FaultRates, IngressFaults};
+use lt_sim::{run_lighttrader, run_multi_merged, FaultRates, IngressFaults, IngressReport};
 use std::sync::Arc;
 
 fn calm() -> HawkesParams {
@@ -45,29 +45,40 @@ fn farm_matches_serial_engine_bit_for_bit() {
     let grid = mixed_grid();
     // Rebuild every session independently and run the serial engine —
     // the farm must not have perturbed anything.
-    let serial: Vec<CellSummary> = grid
+    let serial: Vec<(CellSummary, Option<IngressReport>)> = grid
         .expand()
         .iter()
         .map(|cell| {
-            CellSummary::from_metrics(&match cell.spec.build() {
+            let metrics = match cell.spec.build() {
                 SessionArtifact::Single(session) => run_lighttrader(&session.trace, &cell.config),
                 SessionArtifact::Multi {
                     session,
                     merged,
                     shards,
                 } => run_multi_merged(&session, &merged, &shards, &cell.config),
-            })
+            };
+            (CellSummary::from_metrics(&metrics), metrics.ingress)
         })
         .collect();
+    assert!(
+        serial.iter().any(|(_, ingress)| ingress.is_some()),
+        "the grid must have faulted cells"
+    );
     for workers in [1, 4, 0] {
         let results = FarmRunner::new().workers(workers).run(&grid);
         assert_eq!(results.len(), grid.n_cells());
-        for (cell, expect) in results.cells().iter().zip(&serial) {
+        for (cell, (expect, ingress)) in results.cells().iter().zip(&serial) {
             let row = results.summary(cell.index);
             assert!(
                 row == *expect && row.energy_j.to_bits() == expect.energy_j.to_bits(),
                 "cell {} diverged from the serial engine at workers={workers}: \
                  {row:?} vs {expect:?}",
+                cell.id
+            );
+            assert_eq!(
+                results.ingress(cell.index),
+                *ingress,
+                "cell {} ingress diverged at workers={workers}",
                 cell.id
             );
         }

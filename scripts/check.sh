@@ -239,6 +239,35 @@ for f in $(find crates/dnn/src/models -name '*.rs' | sort); do
 done
 [[ "$specs" == "0" ]]
 
+echo "== packs stay in their ops: no PackedWeights or pack_weights in lt-dnn, no fn outside batch.rs taking a PackedPanels =="
+# Each op packs its GEMM operands once, in its constructor, and its packed
+# forward reads its own panels: no side table of packs to thread through
+# the net, the executor, the stream or the registry, and no forward that
+# takes a pack. Return types do not count; batch.rs defines the type.
+packs=0
+for f in $(find crates/dnn/src -name '*.rs' | sort); do
+    if nontest "$f" | grep -nwE 'PackedWeights|pack_weights' \
+        | grep -vE '^[0-9]+:[[:space:]]*//'; then
+        echo "a side table of packs in $f (an op owns its panels)"
+        packs=1
+    fi
+    [[ "$f" == crates/dnn/src/batch.rs ]] && continue
+    if nontest "$f" | awk '
+        /^[[:space:]]*\/\// { next }
+        /(^|[^A-Za-z0-9_])fn[[:space:]]+[A-Za-z0-9_]+/ { sig = 1 }
+        sig {
+            line = $0
+            sub(/->.*/, "", line)
+            if (line ~ /PackedPanels/) { print NR ": " $0; found = 1 }
+            if ($0 ~ /[{;][[:space:]]*$/) sig = 0
+        }
+        END { exit !found }'; then
+        echo "a function taking a pack in $f (read the op's own panels)"
+        packs=1
+    fi
+done
+[[ "$packs" == "0" ]]
+
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 

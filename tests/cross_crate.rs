@@ -39,7 +39,8 @@ fn feed_to_parser_book_consistency() {
     // The mirror's view equals the exchange's ten-level snapshot.
     let ts = Timestamp::from_micros(3_000);
     let truth = flow.engine().book().snapshot(10, ts);
-    let local = mirror.snapshot(10, ts);
+    let mut local = LobSnapshot::default();
+    mirror.snapshot_into(10, ts, &mut local);
     assert_eq!(truth, local);
 }
 
