@@ -7,7 +7,8 @@
 //! budget is split evenly across accelerators and no runtime scheduling
 //! is active.
 
-use crate::power::{PowerCondition, PowerModel};
+use crate::power::PowerCondition;
+use crate::profile::DeviceProfile;
 use lt_dnn::ModelKind;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -178,15 +179,10 @@ pub struct StaticPlan {
 /// per-accelerator budget.
 pub fn static_plan(kind: ModelKind, n_accels: usize, condition: PowerCondition) -> StaticPlan {
     assert!(n_accels > 0, "need at least one accelerator");
-    let model = PowerModel::calibrated();
     let budget = condition.accelerator_budget_w() / n_accels as f64;
     let table = DvfsTable::evaluation();
-    let point = table
-        .points()
-        .iter()
-        .rev()
-        .find(|p| model.power_w(kind, 1, **p) <= budget + 1e-9)
-        .copied()
+    let point = DeviceProfile::lighttrader()
+        .fastest_within(kind, 1, budget + 1e-9, &table)
         .unwrap_or_else(|| {
             panic!(
                 "budget {budget:.2} W per accelerator cannot power {kind} even at {}",

@@ -16,9 +16,10 @@
 //! functional or cycle-level model of the array: nothing the simulator,
 //! the tables or the benchmark runs would read one.
 //!
-//! [`device::Accelerator`] is the per-chip state machine (busy/idle, DVFS
-//! point with PMIC switching delay) that the discrete-event simulator
-//! drives.
+//! [`device::Accelerator`] is the per-chip DVFS state (operating point,
+//! PMIC switching delay and dwell) that the discrete-event simulator
+//! drives; the simulator's batch in flight is its one record of what a
+//! chip runs.
 
 #![forbid(unsafe_code)]
 

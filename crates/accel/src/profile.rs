@@ -11,7 +11,7 @@
 //! ```
 
 use crate::c2c::C2cLink;
-use crate::dvfs::OperatingPoint;
+use crate::dvfs::{DvfsTable, OperatingPoint};
 use crate::latency::LatencyModel;
 use crate::power::PowerModel;
 use lt_dnn::ModelKind;
@@ -59,6 +59,23 @@ impl DeviceProfile {
     /// Idle chip power in watts.
     pub fn idle_power_w(&self, kind: ModelKind) -> f64 {
         self.power.idle_power_w(kind)
+    }
+
+    /// The fastest point of `table` whose draw at `batch` fits within
+    /// `watts`, or `None` when even the slowest one draws more.
+    pub fn fastest_within(
+        &self,
+        kind: ModelKind,
+        batch: u32,
+        watts: f64,
+        table: &DvfsTable,
+    ) -> Option<OperatingPoint> {
+        table
+            .points()
+            .iter()
+            .rev()
+            .find(|p| self.power_w(kind, batch, **p) <= watts)
+            .copied()
     }
 
     /// The §III-D PPW metric: `batch / (latency_secs · power_watts)`, the

@@ -7,14 +7,12 @@
 
 use lighttrader::accel::PowerCondition;
 use lighttrader::dnn::ModelKind;
-use lighttrader::experiments::{self, Fig11, Fig13};
+use lighttrader::experiments::{self, Fig11, Fig12Row, Fig13};
 use lighttrader::report::{ingress_table, percent, ratio, stage_latency_table, TextTable};
 use lighttrader::sched::Policy;
 use lighttrader::sim::farm::{FarmRunner, GridDeadline, SweepGrid};
 use lighttrader::sim::traffic::{burst_storm_trace, scheduling_deadline_for, shared_trace_cache};
-use lighttrader::sim::{
-    run_lighttrader, BacktestConfig, ExecutionConfig, FaultRates, IngressFaults,
-};
+use lighttrader::sim::{run_lighttrader, BacktestConfig, ExecutionConfig};
 use std::time::Instant;
 
 /// Wall time `time_ns` calibrates over, and roughly what each of its
@@ -198,30 +196,23 @@ pub fn render_fig11(secs: f64, seed: u64) -> String {
 
 /// Renders Fig. 12 (response rate vs accelerator count).
 pub fn render_fig12(secs: f64, seed: u64) -> String {
-    let rows = experiments::fig12(secs, seed);
-    let mut t = TextTable::new(vec!["condition", "model", "x1", "x2", "x4", "x8", "x16"]);
-    for condition in [PowerCondition::Sufficient, PowerCondition::Limited] {
-        for kind in ModelKind::ALL {
-            let mut cells = vec![format!("{condition}"), kind.name().into()];
-            for n in [1usize, 2, 4, 8, 16] {
-                let r = rows
-                    .iter()
-                    .find(|r| r.condition == condition && r.kind == kind && r.n_accels == n)
-                    .expect("cell");
-                cells.push(percent(r.response_rate));
-            }
-            t.push_row(cells);
-        }
-    }
-    format!(
-        "== Fig. 12: response rate vs #accelerators (paper: suff. x8 = 99.5/98.7/95.9%) ==\n{}",
-        t.render()
+    response_grid(
+        "Fig. 12: response rate vs #accelerators (paper: suff. x8 = 99.5/98.7/95.9%)",
+        &experiments::fig12(secs, seed),
     )
 }
 
 /// Renders the tight-window Fig. 12 variant (the x16 decline regime).
 pub fn render_fig12_tight(secs: f64, seed: u64) -> String {
-    let rows = experiments::fig12_tight(secs, seed);
+    response_grid(
+        "Fig. 12 (tight window, 1.5x service): the paper's x16 saturation/decline",
+        &experiments::fig12_tight(secs, seed),
+    )
+}
+
+/// One Fig. 12 table under `title`: a row per (condition, model), a
+/// response-rate column per accelerator count.
+fn response_grid(title: &str, rows: &[Fig12Row]) -> String {
     let mut t = TextTable::new(vec!["condition", "model", "x1", "x2", "x4", "x8", "x16"]);
     for condition in [PowerCondition::Sufficient, PowerCondition::Limited] {
         for kind in ModelKind::ALL {
@@ -236,10 +227,7 @@ pub fn render_fig12_tight(secs: f64, seed: u64) -> String {
             t.push_row(cells);
         }
     }
-    format!(
-        "== Fig. 12 (tight window, 1.5x service): the paper's x16 saturation/decline ==\n{}",
-        t.render()
-    )
+    format!("== {title} ==\n{}", t.render())
 }
 
 /// Renders the per-stage tick-to-trade telemetry (p50/p99/p99.9 per
@@ -304,9 +292,9 @@ pub fn render_fig13(secs: f64, seed: u64) -> String {
 
 /// Renders the ingress fault sweep: loss rate vs recovery accounting,
 /// response rate, and tick-to-trade degradation, plus the full ingress
-/// ledger of one exemplar degraded run.
+/// ledger of the heaviest loss level.
 pub fn render_faults(secs: f64, seed: u64) -> String {
-    let rows = experiments::fault_sweep(secs, seed);
+    let (rows, heaviest) = experiments::fault_sweep(secs, seed);
     let mut t = TextTable::new(vec![
         "loss/feed",
         "offered",
@@ -331,26 +319,12 @@ pub fn render_faults(secs: f64, seed: u64) -> String {
         "== Fault sweep: symmetric A/B packet loss vs back-test degradation ==\n{}",
         t.render()
     );
-    // One exemplar ledger at the heaviest sweep point, for the per-feed
-    // view the summary rows aggregate away.
-    let heaviest = rows.last().map(|r| r.loss_rate).unwrap_or(0.1);
-    let trace = lighttrader::sim::traffic::evaluation_trace(secs, seed);
-    let cfg = BacktestConfig::new(ModelKind::DeepLob, 4, PowerCondition::Limited)
-        .with_t_avail(scheduling_deadline_for(ModelKind::DeepLob))
-        .with_faults(IngressFaults::symmetric(
-            FaultRates {
-                drop: heaviest,
-                reorder: heaviest,
-                reorder_delay_ns: 5_000,
-                ..FaultRates::lossless()
-            },
-            seed,
-        ));
-    let m = run_lighttrader(&trace, &cfg);
-    if let Some(report) = m.ingress {
+    // The heaviest sweep point's ledger, for the per-feed view the
+    // summary rows aggregate away.
+    if let (Some(row), Some(report)) = (rows.last(), heaviest) {
         out.push_str(&format!(
             "\n-- ingress ledger at {} loss/feed --\n{}",
-            percent(heaviest),
+            percent(row.loss_rate),
             ingress_table(&report).render()
         ));
     }

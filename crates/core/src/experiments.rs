@@ -17,7 +17,7 @@ use lt_sched::Policy;
 use lt_sim::traffic::{cached_evaluation_session, evaluation_deadline, shared_trace_cache};
 use lt_sim::{
     run_lighttrader, run_single_device, BacktestConfig, FarmResults, FarmRunner, GridDeadline,
-    SingleDeviceSystem, StageSummary, SweepGrid,
+    IngressReport, SingleDeviceSystem, StageSummary, SweepGrid,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -535,7 +535,10 @@ pub struct FaultSweepRow {
 /// A-side gap and nothing reaches the `lost` column; as loss grows, the
 /// drop patterns overlap, ticks vanish before the book, and the
 /// response-rate/tick-to-trade surface degrades.
-pub fn fault_sweep(secs: f64, seed: u64) -> Vec<FaultSweepRow> {
+///
+/// Also returns the full ingress ledger of the heaviest loss level, the
+/// per-feed view the rows aggregate away.
+pub fn fault_sweep(secs: f64, seed: u64) -> (Vec<FaultSweepRow>, Option<IngressReport>) {
     const LOSSES: [f64; 6] = [0.0, 0.005, 0.01, 0.02, 0.05, 0.10];
     let faults = LOSSES.map(|loss| {
         lt_sim::IngressFaults::symmetric(
@@ -561,7 +564,7 @@ pub fn fault_sweep(secs: f64, seed: u64) -> Vec<FaultSweepRow> {
     // A lossless cell skips the ingress stage, which would deliver the
     // whole trace.
     let ticks = cached_trace(secs, seed).trace().len() as u64;
-    LOSSES
+    let rows = LOSSES
         .iter()
         .enumerate()
         .map(|(i, &loss_rate)| {
@@ -581,7 +584,8 @@ pub fn fault_sweep(secs: f64, seed: u64) -> Vec<FaultSweepRow> {
                 p99_t2t_us: us(s.p99_ns),
             }
         })
-        .collect()
+        .collect();
+    (rows, results.ingress(LOSSES.len() - 1))
 }
 
 #[cfg(test)]
@@ -675,7 +679,7 @@ mod tests {
 
     #[test]
     fn fault_sweep_has_two_regimes() {
-        let rows = fault_sweep(SECS, SEED);
+        let (rows, _) = fault_sweep(SECS, SEED);
         assert_eq!(rows.len(), 6);
         // The clean wire is a clean back-test: nothing lost or recovered.
         assert_eq!(rows[0].loss_rate, 0.0);

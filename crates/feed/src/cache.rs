@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex};
 /// an exact generator input, not an approximate one.
 ///
 /// Single-symbol specs build through [`SessionBuilder`] (the historical
-/// evaluation path, bit-identical to `evaluation_session`); multi-symbol
+/// evaluation path, bit-identical to `evaluation_trace`); multi-symbol
 /// specs build through [`MultiSessionBuilder`] with
 /// [`DEFAULT_SHARED_FRACTION`]. The `skew` knob only exists for
 /// multi-symbol sessions, so [`SessionSpec::with_symbols`] normalizes it

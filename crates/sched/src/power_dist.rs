@@ -35,13 +35,13 @@ pub fn scale_down_to_deadline(
 /// `desired` holds one entry per accelerator — `Some((batch, point))`
 /// for a running batch, `None` for an idle slot — and is updated in
 /// place with the target points. This is pure planning: the simulator
-/// applies the plan as DVFS-rescale events, with its own hysteresis
+/// applies it to the running batches, with its own hysteresis
 /// (mid-flight climbs need at least two notches, §III-D's guard against
 /// frequent scaling).
 pub fn plan_uprates(
     profile: &DeviceProfile,
     kind: ModelKind,
-    idle_reservation_w: f64,
+    reservation_w: f64,
     pool_budget_w: f64,
     table: &DvfsTable,
     desired: &mut [Option<(u32, OperatingPoint)>],
@@ -51,7 +51,7 @@ pub fn plan_uprates(
             .iter()
             .map(|d| match d {
                 Some((batch, point)) => profile.power_w(kind, *batch, *point),
-                None => idle_reservation_w,
+                None => reservation_w,
             })
             .sum();
         let avail = pool_budget_w - total;

@@ -14,7 +14,6 @@ use crate::config::QUEUE_CAPACITY;
 use crate::engine::{self, EngineCtx, Event, PendingOrder, SimModel};
 use crate::metrics::BacktestMetrics;
 use crate::telemetry::QueryTimeline;
-use lt_accel::device::BatchId;
 use lt_dnn::ModelKind;
 use lt_feed::{TickRecord, TickTrace};
 use lt_lob::Timestamp;
@@ -158,13 +157,8 @@ impl SingleDeviceModel<'_> {
                     }],
                 },
             );
-            ctx.queue.push_at(
-                completion,
-                Event::BatchComplete {
-                    aid: 0,
-                    batch: BatchId::default(),
-                },
-            );
+            ctx.queue
+                .push_at(completion, Event::BatchComplete { aid: 0 });
         }
     }
 }
@@ -180,9 +174,9 @@ impl SimModel for SingleDeviceModel<'_> {
         self.try_issue(ctx);
     }
 
-    fn on_batch_complete(&mut self, _aid: usize, _batch: BatchId, ctx: &mut EngineCtx) {
+    fn on_batch_complete(&mut self, _aid: usize, ctx: &mut EngineCtx) {
         // A single FIFO device never re-times a batch, so every
-        // completion token is current.
+        // completion is due when it fires.
         self.try_issue(ctx);
     }
 

@@ -14,7 +14,6 @@
 //!
 //! | rank | event          | why this rank                                  |
 //! |------|----------------|------------------------------------------------|
-//! | 0    | `DvfsRescale`  | a rescale decided while handling one completion must re-time flights *before* any other same-instant completion is examined (it may move that completion) |
 //! | 1    | `BatchComplete`| completions at `t` settle before the tick at `t` is ingested (ties broken by accelerator id, matching "lowest device first") |
 //! | 2    | `BatchIssue`   | deferred issue opportunities run after the completion that may have freed the device |
 //! | 3    | `OrderOut`     | deadline scoring happens at wire-out time       |
@@ -22,11 +21,15 @@
 //!
 //! `seq` (insertion order) breaks remaining ties, so equal-priority
 //! events replay deterministically in the order the model raised them.
+//!
+//! A completion event names only its accelerator. A DVFS rescale moves a
+//! running batch's due time in place and pushes a completion at the new
+//! time; the event pushed for the old time still fires, finds the batch
+//! due at another instant and does nothing. A model therefore settles a
+//! batch only at the instant it is due.
 
 use crate::metrics::BacktestMetrics;
 use crate::telemetry::StageBreakdown;
-use lt_accel::device::BatchId;
-use lt_accel::OperatingPoint;
 use lt_dnn::ModelKind;
 use lt_feed::{TickRecord, TickTrace};
 use lt_lob::Timestamp;
@@ -72,23 +75,11 @@ pub enum Event {
         /// Accelerator the opportunity belongs to.
         aid: usize,
     },
-    /// An in-flight batch finishes — if `batch` still matches the
-    /// device's current token (a DVFS rescale invalidates it).
+    /// The batch on accelerator `aid` may be due: it finishes if it is
+    /// due at this instant (a DVFS rescale may have moved it).
     BatchComplete {
-        /// Accelerator the batch ran on.
+        /// Accelerator the batch runs on.
         aid: usize,
-        /// Completion token from [`lt_accel::Accelerator::start_batch`].
-        batch: BatchId,
-    },
-    /// A scheduler decision to re-time a running batch at a new
-    /// operating point.
-    DvfsRescale {
-        /// Accelerator to rescale.
-        aid: usize,
-        /// Token of the flight the decision was made against.
-        batch: BatchId,
-        /// The new operating point.
-        target: OperatingPoint,
     },
     /// Answered queries leaving on the wire; the engine scores each
     /// against its deadline in the ledger.
@@ -102,7 +93,6 @@ impl Event {
     /// Same-timestamp priority (lower runs first); see module docs.
     fn rank(&self) -> u8 {
         match self {
-            Event::DvfsRescale { .. } => 0,
             Event::BatchComplete { .. } => 1,
             Event::BatchIssue { .. } => 2,
             Event::OrderOut { .. } => 3,
@@ -114,7 +104,7 @@ impl Event {
     /// accelerator first (the order the hand-rolled loops used).
     fn tie(&self) -> u64 {
         match self {
-            Event::BatchComplete { aid, .. } => *aid as u64,
+            Event::BatchComplete { aid } => *aid as u64,
             _ => 0,
         }
     }
@@ -179,7 +169,7 @@ impl EventQueue {
     }
 
     /// Pops the earliest event, if any.
-    fn pop(&mut self) -> Option<(Timestamp, Event)> {
+    pub(crate) fn pop(&mut self) -> Option<(Timestamp, Event)> {
         self.heap.pop().map(|e| (e.ts, e.event))
     }
 
@@ -217,19 +207,9 @@ pub trait SimModel {
     /// A previously scheduled issue opportunity fires.
     fn on_batch_issue(&mut self, _aid: usize, _ctx: &mut EngineCtx) {}
 
-    /// A batch completion event fires. The model must ignore it if
-    /// `batch` no longer matches the device's current token.
-    fn on_batch_complete(&mut self, aid: usize, batch: BatchId, ctx: &mut EngineCtx);
-
-    /// A scheduled DVFS rescale fires.
-    fn on_dvfs_rescale(
-        &mut self,
-        _aid: usize,
-        _batch: BatchId,
-        _target: OperatingPoint,
-        _ctx: &mut EngineCtx,
-    ) {
-    }
+    /// A batch completion event fires. The model must ignore it unless
+    /// the batch on `aid` is due at `ctx.now`.
+    fn on_batch_complete(&mut self, aid: usize, ctx: &mut EngineCtx);
 
     /// The engine scored one wired-out order against its deadline in the
     /// ledger; the model records the tier that served it (and settles
@@ -275,10 +255,7 @@ pub fn run<M: SimModel>(model: &mut M, trace: &TickTrace, shards: usize) -> Back
                 model.on_tick(&ticks[idx], &mut ctx);
             }
             Event::BatchIssue { aid } => model.on_batch_issue(aid, &mut ctx),
-            Event::BatchComplete { aid, batch } => model.on_batch_complete(aid, batch, &mut ctx),
-            Event::DvfsRescale { aid, batch, target } => {
-                model.on_dvfs_rescale(aid, batch, target, &mut ctx)
-            }
+            Event::BatchComplete { aid } => model.on_batch_complete(aid, &mut ctx),
             Event::OrderOut { orders } => {
                 for order in orders {
                     ctx.metrics.score(&order, ts <= order.deadline);
@@ -322,15 +299,11 @@ mod tests {
     #[test]
     fn completions_tie_break_by_accelerator_id() {
         let mut q = EventQueue::new();
-        let mut a = lt_accel::Accelerator::new(0, OperatingPoint::at_freq(2.0));
-        let b2 = a.start_batch(ts(0), ts(50));
-        a.finish_batch();
-        let b1 = a.start_batch(ts(60), ts(90));
-        q.push_at(ts(100), Event::BatchComplete { aid: 3, batch: b1 });
-        q.push_at(ts(100), Event::BatchComplete { aid: 1, batch: b2 });
+        q.push_at(ts(100), Event::BatchComplete { aid: 3 });
+        q.push_at(ts(100), Event::BatchComplete { aid: 1 });
         let aids: Vec<usize> = std::iter::from_fn(|| q.pop())
             .map(|(_, e)| match e {
-                Event::BatchComplete { aid, .. } => aid,
+                Event::BatchComplete { aid } => aid,
                 _ => unreachable!(),
             })
             .collect();
@@ -350,23 +323,5 @@ mod tests {
             })
             .collect();
         assert_eq!(aids, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn rescale_outranks_pending_completion_at_same_instant() {
-        let mut q = EventQueue::new();
-        let mut a = lt_accel::Accelerator::new(0, OperatingPoint::at_freq(2.0));
-        let b = a.start_batch(ts(0), ts(50));
-        q.push_at(ts(50), Event::BatchComplete { aid: 0, batch: b });
-        q.push_at(
-            ts(50),
-            Event::DvfsRescale {
-                aid: 0,
-                batch: b,
-                target: OperatingPoint::at_freq(2.2),
-            },
-        );
-        let (_, first) = q.pop().unwrap();
-        assert!(matches!(first, Event::DvfsRescale { .. }));
     }
 }

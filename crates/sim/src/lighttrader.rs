@@ -39,7 +39,6 @@ use crate::engine::{self, EngineCtx, Event, PendingOrder, SimModel};
 use crate::execution::{precompute_signals, ExecState, ExecutionConfig};
 use crate::metrics::BacktestMetrics;
 use crate::telemetry::QueryTimeline;
-use lt_accel::device::BatchId;
 use lt_accel::dvfs::{static_plan, DvfsTable, OperatingPoint};
 use lt_accel::{Accelerator, DeviceProfile};
 use lt_dnn::ModelKind;
@@ -51,26 +50,33 @@ use lt_sched::{
 };
 use std::time::Duration;
 
-/// One batch in flight on an accelerator.
+/// One batch in flight on an accelerator. It runs at its chip's
+/// operating point, which only an issue or a rescale of this batch moves.
 #[derive(Debug, Clone)]
 struct InFlight {
+    /// When the batch is due; a rescale moves it.
     completion: Timestamp,
     /// Start of the current power segment (issue or last rescale).
     segment_start: Timestamp,
     /// Energy consumed by finished segments of this batch.
     energy_j: f64,
     batch: u32,
-    point: OperatingPoint,
     /// The model tier this batch runs (always the configured kind for
     /// fixed-model policies).
     kind: ModelKind,
     tickets: Vec<ShardTicket>,
-    /// Completion token; a rescale invalidates the previous one.
-    batch_id: BatchId,
     /// When the batch claimed the accelerator (before the DVFS switch).
     issue_base: Timestamp,
     /// Accumulated PMIC switch + dwell delay charged to this batch.
     switch_total: Duration,
+}
+
+/// One accelerator: its DVFS state and the batch it runs, the one record
+/// of what the chip is doing.
+#[derive(Debug, Clone)]
+struct Chip {
+    dvfs: Accelerator,
+    flight: Option<InFlight>,
 }
 
 /// The deadline-tier scheduler's runtime state: the pure planner plus
@@ -113,10 +119,17 @@ pub(crate) struct SimState {
     /// Stale-drop budget (dnn_budget minus the fastest possible service).
     stale_budget: Duration,
     static_point: OperatingPoint,
+    /// The power reserved for an idle accelerator: its batch-1 draw at
+    /// the Table III static clock. Charging this reservation for every
+    /// idle chip means a burst that activates the whole pool always
+    /// finds at least the no-scheduling configuration startable — DVFS
+    /// scheduling can only ever *boost* relative to the baseline, never
+    /// starve it (the conservative stance the co-location power
+    /// constraint demands).
+    reservation: f64,
     pool_budget_w: f64,
     per_accel_budget_w: f64,
-    accels: Vec<Accelerator>,
-    in_flight: Vec<Option<InFlight>>,
+    chips: Vec<Chip>,
     queue: TicketQueue,
     /// Shard of each trace tick, parallel to the merged trace (empty for
     /// single-instrument runs, where every tick is shard 0).
@@ -135,58 +148,26 @@ pub(crate) struct SimState {
 impl SimState {
     /// Rescales a busy accelerator to `target` at `ctx.now`, stretching
     /// or shrinking the remaining compute by the clock ratio, charging
-    /// the PMIC switch delay, and re-scheduling the completion event
-    /// under a fresh token (the old completion event goes stale).
+    /// the PMIC switch delay, and scheduling a completion at the new due
+    /// time (the event for the old one finds the batch not due).
     fn rescale(&mut self, aid: usize, target: OperatingPoint, ctx: &mut EngineCtx) {
         let now = ctx.now;
-        let profile = self.profile;
-        let switch = {
-            let flight = self.in_flight[aid]
-                .as_ref()
-                .expect("rescale needs a busy accel");
-            if (flight.point.freq_ghz - target.freq_ghz).abs() < 1e-12 {
-                return;
-            }
-            let _ = flight;
-            self.accels[aid].set_point(target, now)
-        };
-        let flight = self.in_flight[aid].as_mut().expect("still busy");
+        let chip = &mut self.chips[aid];
+        let flight = chip.flight.as_mut().expect("rescale needs a busy chip");
+        let from = chip.dvfs.point();
+        let switch = chip.dvfs.set_point(target, now);
         // Close the current power segment.
         let seg_start = flight.segment_start.min(now);
         flight.energy_j += now.since(seg_start).as_secs_f64()
-            * profile.power_w(flight.kind, flight.batch, flight.point);
-        let remaining = if flight.completion > now {
-            flight.completion.since(now)
-        } else {
-            Duration::ZERO
-        };
-        let ratio = flight.point.freq_ghz / target.freq_ghz;
+            * self.profile.power_w(flight.kind, flight.batch, from);
+        let remaining = flight.completion.since(now);
+        let ratio = from.freq_ghz / target.freq_ghz;
         let stretched = Duration::from_secs_f64(remaining.as_secs_f64() * ratio);
-        flight.point = target;
         flight.segment_start = now;
         flight.completion = now + switch + stretched;
         flight.switch_total += switch;
-        flight.batch_id = self.accels[aid].retime_batch(flight.completion);
-        ctx.queue.push_at(
-            flight.completion,
-            Event::BatchComplete {
-                aid,
-                batch: flight.batch_id,
-            },
-        );
-    }
-
-    /// The power reserved for an idle accelerator: its batch-1 draw at
-    /// the Table III static clock. Charging this reservation for every
-    /// idle chip means a burst that activates the whole pool always
-    /// finds at least the no-scheduling configuration startable — DVFS
-    /// scheduling can only ever *boost* relative to the baseline, never
-    /// starve it (the conservative stance the co-location power
-    /// constraint demands).
-    fn idle_reservation(&self) -> f64 {
-        self.profile
-            .idle_power_w(self.kind)
-            .max(self.profile.power_w(self.kind, 1, self.static_point))
+        ctx.queue
+            .push_at(flight.completion, Event::BatchComplete { aid });
     }
 
     /// Distributable power for an issue on `aid`: the pool budget minus
@@ -200,13 +181,16 @@ impl SimState {
     /// static plan provided the pool's *actual* draw allows it (the
     /// boosted batch finishes shortly and returns its excess).
     fn power_avail_for(&self, aid: usize) -> f64 {
-        let reservation = self.idle_reservation();
+        let reservation = self.reservation;
         let mut claims = 0.0;
         let mut actual = 0.0;
-        for i in (0..self.accels.len()).filter(|&i| i != aid) {
-            match &self.in_flight[i] {
+        for (i, chip) in self.chips.iter().enumerate() {
+            if i == aid {
+                continue;
+            }
+            match &chip.flight {
                 Some(f) => {
-                    let draw = self.profile.power_w(f.kind, f.batch, f.point);
+                    let draw = self.profile.power_w(f.kind, f.batch, chip.dvfs.point());
                     claims += draw.max(reservation);
                     actual += draw;
                 }
@@ -240,51 +224,40 @@ impl SimState {
         let now = ctx.now;
         // Pure planning first (Algorithm 2, in lt-sched): desired points
         // per busy accelerator.
-        let n = self.accels.len();
-        let mut desired: Vec<Option<(u32, OperatingPoint)>> = (0..n)
-            .map(|aid| match &self.in_flight[aid] {
-                Some(f) if f.completion > now => Some((f.batch, f.point)),
+        let mut desired: Vec<Option<(u32, OperatingPoint)>> = self
+            .chips
+            .iter()
+            .map(|c| match &c.flight {
+                Some(f) if f.completion > now => Some((f.batch, c.dvfs.point())),
                 _ => None,
             })
             .collect();
         plan_uprates(
             &self.profile,
             self.kind,
-            self.idle_reservation(),
+            self.reservation,
             self.pool_budget_w,
             &self.table,
             &mut desired,
         );
-        // Apply with hysteresis — one jump per accelerator, >= 2 notches
-        // — as DVFS-rescale events. They carry the current completion
-        // token and fire before any other same-instant event (rank 0),
-        // so the re-timing lands before the next completion is examined.
-        for (aid, want) in desired.iter().enumerate().take(n) {
-            if let (Some(flight), Some((_, target))) = (&self.in_flight[aid], *want) {
-                if target.freq_ghz - flight.point.freq_ghz > 0.15 {
-                    ctx.queue.push_at(
-                        now,
-                        Event::DvfsRescale {
-                            aid,
-                            batch: flight.batch_id,
-                            target,
-                        },
-                    );
+        // Apply with hysteresis — one jump per accelerator, >= 2 notches.
+        for (aid, want) in desired.into_iter().enumerate() {
+            if let Some((_, target)) = want {
+                if target.freq_ghz - self.chips[aid].dvfs.point().freq_ghz > 0.15 {
+                    self.rescale(aid, target, ctx);
                 }
             }
         }
     }
 
-    /// Settles one completed batch: accumulates its energy and emits the
-    /// order-out event that scores every ticket against the available
-    /// time at wire-out.
-    fn settle(&mut self, flight: InFlight, ctx: &mut EngineCtx) {
+    /// Settles one completed batch, which ran at `point`: accumulates its
+    /// energy and emits the order-out event that scores every ticket
+    /// against the available time at wire-out.
+    fn settle(&mut self, flight: InFlight, point: OperatingPoint, ctx: &mut EngineCtx) {
         let seg_start = flight.segment_start.min(flight.completion);
         ctx.metrics.energy_j += flight.energy_j
             + flight.completion.since(seg_start).as_secs_f64()
-                * self
-                    .profile
-                    .power_w(flight.kind, flight.batch, flight.point);
+                * self.profile.power_w(flight.kind, flight.batch, point);
         let order_out = flight.completion + self.egress;
         let orders: Vec<PendingOrder> = flight
             .tickets
@@ -318,10 +291,8 @@ impl SimState {
             // planner costs a query against an idle-start serve, and
             // feeding raw batch-16 storm services would inflate the
             // estimate and shed queries a batch-1 issue could still win.
-            let t_b = self
-                .profile
-                .t_total(flight.kind, flight.batch, flight.point);
-            let t_1 = self.profile.t_total(flight.kind, 1, flight.point);
+            let t_b = self.profile.t_total(flight.kind, flight.batch, point);
+            let t_1 = self.profile.t_total(flight.kind, 1, point);
             let sample = if t_b.is_zero() {
                 service
             } else {
@@ -344,8 +315,8 @@ impl SimState {
     /// Issues work onto every idle accelerator at `ctx.now`.
     fn try_issue(&mut self, ctx: &mut EngineCtx) {
         let now = ctx.now;
-        'accels: for aid in 0..self.accels.len() {
-            if self.in_flight[aid].is_some() {
+        'accels: for aid in 0..self.chips.len() {
+            if self.chips[aid].flight.is_some() {
                 continue;
             }
             loop {
@@ -416,7 +387,7 @@ impl SimState {
                 let decision =
                     self.decide(aid, queued, horizon, serve_kind)
                         .map(|(batch, point)| {
-                            let current = self.accels[aid].point();
+                            let current = self.chips[aid].dvfs.point();
                             let near = (current.freq_ghz - point.freq_ghz).abs() <= 0.15;
                             let in_range = !self.ws_on
                                 || current.freq_ghz >= self.ws_table.min().freq_ghz - 1e-9;
@@ -434,7 +405,7 @@ impl SimState {
                         });
                 match decision {
                     Some((batch, point)) => {
-                        let switch = self.accels[aid].set_point(point, effective_now);
+                        let switch = self.chips[aid].dvfs.set_point(point, effective_now);
                         let mut tickets = self.spare.pop().unwrap_or_default();
                         self.queue.pop_batch_into(batch as usize, &mut tickets);
                         debug_assert_eq!(tickets.len(), batch as usize);
@@ -446,28 +417,19 @@ impl SimState {
                         let issue_base = effective_now.max(ready);
                         let start = issue_base + switch;
                         let completion = start + self.profile.t_total(serve_kind, batch, point);
-                        let batch_id = self.accels[aid].start_batch(start, completion);
-                        self.in_flight[aid] = Some(InFlight {
+                        self.chips[aid].flight = Some(InFlight {
                             completion,
                             segment_start: start,
                             energy_j: 0.0,
                             batch,
-                            point,
                             kind: serve_kind,
                             tickets,
-                            batch_id,
                             issue_base,
                             switch_total: switch,
                         });
                         ctx.metrics.batches += 1;
                         ctx.metrics.batched_queries += u64::from(batch);
-                        ctx.queue.push_at(
-                            completion,
-                            Event::BatchComplete {
-                                aid,
-                                batch: batch_id,
-                            },
-                        );
+                        ctx.queue.push_at(completion, Event::BatchComplete { aid });
                         continue 'accels;
                     }
                     None if self.hopeless(aid, t_remaining, serve_kind) => {
@@ -505,7 +467,7 @@ impl SimState {
             return true;
         }
         let grant = if self.dvfs_on {
-            self.power_avail_for(aid).max(self.idle_reservation())
+            self.power_avail_for(aid).max(self.reservation)
         } else {
             self.per_accel_budget_w
         };
@@ -514,15 +476,9 @@ impl SimState {
         } else {
             &self.table
         };
-        let best = candidates
-            .points()
-            .iter()
-            .rev()
-            .find(|p| self.profile.power_w(kind, 1, **p) <= grant);
-        match best {
-            Some(p) => self.profile.t_total(kind, 1, *p) > t_remaining,
-            None => false,
-        }
+        self.profile
+            .fastest_within(kind, 1, grant, candidates)
+            .is_some_and(|p| self.profile.t_total(kind, 1, p) > t_remaining)
     }
 
     /// Picks `(batch, point)` for accelerator `aid` under the active
@@ -559,15 +515,9 @@ impl SimState {
                 // accelerators while fully consuming the constrained
                 // power"), keeping the batch.
                 let boosted = self
-                    .table
-                    .points()
-                    .iter()
-                    .rev()
-                    .find(|p| {
-                        p.freq_ghz >= d.point.freq_ghz - 1e-12
-                            && self.profile.power_w(kind, d.batch, **p) <= power_avail
-                    })
-                    .copied()
+                    .profile
+                    .fastest_within(kind, d.batch, power_avail, &self.table)
+                    .filter(|p| p.freq_ghz >= d.point.freq_ghz - 1e-12)
                     .unwrap_or(d.point);
                 return Some((d.batch, boosted));
             }
@@ -578,12 +528,8 @@ impl SimState {
             // the freed power). The idle reservations guarantee at least
             // the slowest point is always affordable.
             let point = self
-                .table
-                .points()
-                .iter()
-                .rev()
-                .find(|p| self.profile.power_w(kind, 1, **p) <= power_avail)
-                .copied()?;
+                .profile
+                .fastest_within(kind, 1, power_avail, &self.table)?;
             if self.profile.t_total(kind, 1, point) > t_remaining {
                 return None; // doomed at achievable speed -> None arm
             }
@@ -628,36 +574,17 @@ impl SimModel for SimState {
         }
     }
 
-    fn on_batch_complete(&mut self, aid: usize, batch: BatchId, ctx: &mut EngineCtx) {
-        // A rescale re-timed this batch and invalidated the token the
-        // event was scheduled with: the re-scheduled completion event is
-        // already in the queue.
-        if self.accels[aid].current_batch() != Some(batch) {
+    fn on_batch_complete(&mut self, aid: usize, ctx: &mut EngineCtx) {
+        // A rescale moved this batch's due time and scheduled a
+        // completion at the new one; the event for the old time finds the
+        // batch due at another instant (or the chip idle) and does nothing.
+        let chip = &mut self.chips[aid];
+        let Some(flight) = chip.flight.take_if(|f| f.completion == ctx.now) else {
             return;
-        }
-        let flight = self.in_flight[aid].take().expect("in flight");
-        debug_assert_eq!(flight.completion, ctx.now);
-        self.accels[aid].finish_batch();
-        self.settle(flight, ctx);
+        };
+        let point = chip.dvfs.point();
+        self.settle(flight, point, ctx);
         self.try_issue(ctx);
-    }
-
-    fn on_dvfs_rescale(
-        &mut self,
-        aid: usize,
-        batch: BatchId,
-        target: OperatingPoint,
-        ctx: &mut EngineCtx,
-    ) {
-        // Rescale events fire at the instant they are raised (rank 0
-        // outruns every other same-instant event), so the flight can not
-        // have changed under the token; the guard is pure defence.
-        if self.in_flight[aid]
-            .as_ref()
-            .is_some_and(|f| f.batch_id == batch)
-        {
-            self.rescale(aid, target, ctx);
-        }
     }
 
     fn on_finish(&mut self, ctx: &mut EngineCtx) {
@@ -747,12 +674,8 @@ pub(crate) fn build_state(
         plan.per_accel_power_w
     };
     let candidate_table = if ws_on { &ws_table } else { &table };
-    let fastest_point = candidate_table
-        .points()
-        .iter()
-        .rev()
-        .find(|p| profile.power_w(cfg.kind, 1, **p) <= best_share + 1e-9)
-        .copied()
+    let fastest_point = profile
+        .fastest_within(cfg.kind, 1, best_share + 1e-9, candidate_table)
         .unwrap_or(plan.point);
     let fastest = profile.t_total(cfg.kind, 1, fastest_point);
     let dnn_budget = cfg.t_avail.saturating_sub(egress);
@@ -783,12 +706,16 @@ pub(crate) fn build_state(
         dnn_budget,
         stale_budget,
         static_point: plan.point,
+        reservation,
         pool_budget_w: cfg.condition.accelerator_budget_w(),
         per_accel_budget_w: cfg.condition.accelerator_budget_w() / cfg.n_accels as f64,
-        accels: (0..cfg.n_accels)
-            .map(|i| Accelerator::new(i, plan.point))
-            .collect(),
-        in_flight: vec![None; cfg.n_accels],
+        chips: vec![
+            Chip {
+                dvfs: Accelerator::new(plan.point),
+                flight: None,
+            };
+            cfg.n_accels
+        ],
         queue: TicketQueue::new(n_shards, cfg.window, QUEUE_CAPACITY),
         tick_shards,
         tick_index: 0,
@@ -820,6 +747,7 @@ impl SimState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EventQueue;
     use crate::traffic::{evaluation_trace, scheduling_deadline};
     use lt_accel::PowerCondition;
     use lt_feed::{HawkesParams, SessionBuilder};
@@ -952,6 +880,60 @@ mod tests {
         let m = run_lighttrader(&trace, &cfg);
         assert_eq!(m.responded, 0, "{m}");
         assert!(m.total() > 0);
+    }
+
+    fn ctx_at<'a>(
+        now: Timestamp,
+        queue: &'a mut EventQueue,
+        metrics: &'a mut BacktestMetrics,
+    ) -> EngineCtx<'a> {
+        EngineCtx {
+            now,
+            queue,
+            metrics,
+        }
+    }
+
+    /// A rescale moves its batch's due time in place: a completion at any
+    /// other instant settles nothing, and the one at the new due time
+    /// settles the batch once.
+    #[test]
+    fn a_rescaled_batch_completes_only_when_due() {
+        let trace = quick_trace();
+        let cfg = BacktestConfig::new(ModelKind::DeepLob, 16, PowerCondition::Limited)
+            .with_policy(Policy::DvfsScheduling);
+        let mut state = build_state(&cfg, 1, Vec::new());
+        let (mut queue, mut metrics) = (EventQueue::new(), BacktestMetrics::with_shards(1));
+        // The first warm tick issues its ticket onto chip 0.
+        for tick in &trace.ticks[..cfg.window] {
+            state.on_tick(tick, &mut ctx_at(tick.ts, &mut queue, &mut metrics));
+        }
+        let flight = state.chips[0].flight.as_ref().expect("one batch issued");
+        let old_due = flight.completion;
+        let mid = flight.segment_start + old_due.since(flight.segment_start) / 2;
+        let from = state.chips[0].dvfs.point();
+        let top = state.table.max();
+        assert!(from.freq_ghz < top.freq_ghz, "issued at {from}");
+        state.rescale(0, top, &mut ctx_at(mid, &mut queue, &mut metrics));
+        let new_due = state.chips[0].flight.as_ref().expect("busy").completion;
+        assert!(new_due < old_due, "an up-rescale finishes sooner");
+
+        let pending = queue.len();
+        state.on_batch_complete(0, &mut ctx_at(old_due, &mut queue, &mut metrics));
+        assert!(state.chips[0].flight.is_some(), "settled while not due");
+        assert_eq!(queue.len(), pending, "a completion not due pushed events");
+
+        state.on_batch_complete(0, &mut ctx_at(new_due, &mut queue, &mut metrics));
+        assert!(state.chips[0].flight.is_none(), "the chip is idle");
+        // The event left behind at the old due time finds the chip idle.
+        state.on_batch_complete(0, &mut ctx_at(old_due, &mut queue, &mut metrics));
+        let orders: Vec<usize> = std::iter::from_fn(|| queue.pop())
+            .filter_map(|(_, e)| match e {
+                Event::OrderOut { orders } => Some(orders.len()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(orders, vec![1], "one order out for the one ticket");
     }
 
     /// DS must never let the pool exceed the power budget.

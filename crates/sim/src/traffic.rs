@@ -19,8 +19,7 @@
 //! full-length runs.
 
 use lt_feed::{
-    FlashParams, HawkesParams, MarketSession, SessionArtifact, SessionBuilder, SessionSpec,
-    TraceCache,
+    FlashParams, HawkesParams, SessionArtifact, SessionBuilder, SessionSpec, TraceCache,
 };
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -87,27 +86,23 @@ pub fn burst_storm_trace(secs: f64, seed: u64) -> lt_feed::TickTrace {
         .trace
 }
 
-/// Generates the shared evaluation session: `secs` of synthetic E-mini
-/// trading plus fitted normalization statistics.
-pub fn evaluation_session(secs: f64, seed: u64) -> MarketSession {
-    SessionBuilder::new(evaluation_hawkes())
-        .flash_bursts(evaluation_flash())
-        .duration_secs(secs)
-        .seed(seed)
-        .build()
-}
-
-/// Convenience: just the trace of [`evaluation_session`].
+/// Generates the shared evaluation trace: `secs` of synthetic E-mini
+/// trading.
 ///
 /// Deliberately uncached: the determinism suite relies on independently
 /// regenerated traces to cover the whole feed → engine → metrics
 /// pipeline. Callers that want sharing go through
 /// [`cached_evaluation_session`].
 pub fn evaluation_trace(secs: f64, seed: u64) -> lt_feed::TickTrace {
-    evaluation_session(secs, seed).trace
+    SessionBuilder::new(evaluation_hawkes())
+        .flash_bursts(evaluation_flash())
+        .duration_secs(secs)
+        .seed(seed)
+        .build()
+        .trace
 }
 
-/// The [`SessionSpec`] of [`evaluation_session`]: same traffic, same
+/// The [`SessionSpec`] of [`evaluation_trace`]: same traffic, same
 /// seed, cacheable. `spec.build()` is bit-identical to the direct
 /// builder path.
 fn evaluation_spec(secs: f64, seed: u64) -> SessionSpec {
@@ -122,7 +117,7 @@ pub fn shared_trace_cache() -> Arc<TraceCache> {
     Arc::clone(CACHE.get_or_init(|| Arc::new(TraceCache::new())))
 }
 
-/// [`evaluation_session`] through [`shared_trace_cache`]: builds once
+/// The session of [`evaluation_trace`] through [`shared_trace_cache`]: builds once
 /// per (secs, seed) per process and hands out shared immutable `Arc`s.
 pub fn cached_evaluation_session(secs: f64, seed: u64) -> Arc<SessionArtifact> {
     shared_trace_cache().get_or_build(&evaluation_spec(secs, seed))
@@ -163,11 +158,11 @@ mod tests {
 
     #[test]
     fn cached_session_matches_the_direct_build_bit_for_bit() {
-        let direct = evaluation_session(2.0, 77);
+        let direct = evaluation_trace(2.0, 77);
         let spec = evaluation_spec(2.0, 77);
-        assert_eq!(spec.build().single().trace, direct.trace);
+        assert_eq!(spec.build().single().trace, direct);
         let cached = cached_evaluation_session(2.0, 77);
-        assert_eq!(cached.single().trace, direct.trace);
+        assert_eq!(cached.single().trace, direct);
         // A second lookup shares the same artifact, not a rebuild.
         let again = cached_evaluation_session(2.0, 77);
         assert!(std::sync::Arc::ptr_eq(&cached, &again));

@@ -11,7 +11,7 @@
 
 use lighttrader::prelude::*;
 use lighttrader::report::{percent, TextTable};
-use lighttrader::sim::traffic::{evaluation_deadline, evaluation_session, EVALUATION_SEED};
+use lighttrader::sim::traffic::{evaluation_deadline, evaluation_trace, EVALUATION_SEED};
 use lighttrader::sim::SingleDeviceSystem;
 
 fn main() {
@@ -23,8 +23,8 @@ fn main() {
         .unwrap_or(EVALUATION_SEED);
 
     println!("generating {secs} s of synthetic E-mini S&P 500 trading (seed {seed})...");
-    let session = evaluation_session(secs, seed);
-    let stats = session.trace.stats();
+    let trace = evaluation_trace(secs, seed);
+    let stats = trace.stats();
     println!(
         "  {} ticks, mean rate {:.0}/s, burstiness cv {:.2}, gaps {} ns .. {:.1} ms\n",
         stats.ticks,
@@ -46,7 +46,7 @@ fn main() {
 
     for kind in ModelKind::ALL {
         let cfg = BacktestConfig::new(kind, 1, PowerCondition::Sufficient);
-        let m = run_lighttrader(&session.trace, &cfg);
+        let m = run_lighttrader(&trace, &cfg);
         table.push_row(vec![
             "LightTrader".into(),
             kind.name().into(),
@@ -58,7 +58,7 @@ fn main() {
     }
     for system in [SingleDeviceSystem::gpu(), SingleDeviceSystem::fpga()] {
         for kind in ModelKind::ALL {
-            let m = run_single_device(&session.trace, &system, kind, deadline, 100);
+            let m = run_single_device(&trace, &system, kind, deadline, 100);
             table.push_row(vec![
                 system.name.into(),
                 kind.name().into(),

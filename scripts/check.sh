@@ -268,6 +268,22 @@ for f in $(find crates/dnn/src -name '*.rs' | sort); do
 done
 [[ "$packs" == "0" ]]
 
+echo "== a batch completes when it is due: no completion token, rescale event or idle-reservation recompute in any crate's non-test code =="
+# The back-test's batch in flight is the one record of what a chip runs. A
+# completion settles it only at its due time, and a rescale moves that time
+# in place, so no token tells a stale completion apart, no event carries a
+# rescale, and the idle reservation is computed once, when the model is
+# built.
+due=0
+for f in $(find crates/*/src -name '*.rs' | sort); do
+    if nontest "$f" \
+        | grep -nE '\b(BatchId|DvfsRescale|on_dvfs_rescale|retime_batch|current_batch)\b|\bfn[[:space:]]+idle_reservation\b'; then
+        echo "a second record of a chip's batch in $f (settle the flight when it is due)"
+        due=1
+    fi
+done
+[[ "$due" == "0" ]]
+
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
