@@ -2,6 +2,9 @@
 //! against its packed counterpart at batch 1 (the lone query), plus one
 //! batched dense layer (`linear_b128`: TransLOB's FFN shape over a batch
 //! of eight 16-step windows, full row blocks throughout), one batched
+//! attention (`attention_b8`: tiny TransLOB's attention over eight
+//! distinct 16-token samples in one call, against eight per-sample
+//! `forward_reference` calls), one batched
 //! model (`translob_b8`: eight tiny-TransLOB windows in one forward, the
 //! `multi_translob` workload's round) and three streamed ones
 //! (`deeplob_tick`: tiny DeepLOB's `k = 1` hit through
@@ -234,6 +237,18 @@ fn main() {
     let (per, fixed) = mha.workspace(32);
     let (mut mha_work, mut mha_out) = (vec![0.0f32; per + fixed], vec![0.0f32; 32 * 64]);
 
+    // Tiny TransLOB's attention (t 16, d_model 16, two heads) over eight
+    // distinct samples in one call: `multi_translob`'s round, which an
+    // AVX-512 CPU runs on its wide instance.
+    let mha8 = MultiHeadAttention::new(16, 2, 1);
+    let xa8: Vec<Tensor> = (0..8)
+        .map(|s| Tensor::random(&[16, 16], 1.0, 30 + s))
+        .collect();
+    let xa8_flat: Vec<f32> = xa8.iter().flat_map(|x| x.data().iter().copied()).collect();
+    let (per8, fixed8) = mha8.workspace(16);
+    let (mut mha8_work, mut mha8_out) =
+        (vec![0.0f32; 8 * per8 + fixed8], vec![0.0f32; 8 * 16 * 16]);
+
     let kernels = run(vec![
         Bench::new(
             "conv2d",
@@ -275,6 +290,15 @@ fn main() {
                 let _ = mha.forward_reference(&xa);
             },
             || mha.forward_batch_packed(xa.data(), 1, 32, &mut mha_work, &mut mha_out),
+        ),
+        Bench::new(
+            "attention_b8",
+            || {
+                for x in &xa8 {
+                    let _ = mha8.forward_reference(x);
+                }
+            },
+            || mha8.forward_batch_packed(&xa8_flat, 8, 16, &mut mha8_work, &mut mha8_out),
         ),
     ]);
 

@@ -34,28 +34,29 @@
 //! # The packed path
 //!
 //! Every floating-point contraction runs on one register tile of up to
-//! [`MR`] chains. A chain's lanes are `NR` (or `2 * NR`) *different
-//! outputs* whose operands sit side by side in memory (a k-major
-//! [`pack_bt_panels`] panel, a staged word of neighbouring positions of
-//! an activation map, or a block of query rows); the chain's input is
-//! one scalar per step, broadcast across them. In `shared_panel_tile` up
-//! to `MR` chains read the same lanes against different inputs (a full
-//! block of `MR` rows, up to `MR` output channels of the direct
-//! convolution, or up to `MR` keys of an attention head); in
-//! `row_tail_tile` one input row runs up to `MR` chains over different
-//! lane blocks, so a lone row still keeps several chains in flight. A
-//! tile computes each output once: where fewer than `MR` chains are live
-//! it runs that many, not clamped duplicates. A lane is an ordinary
-//! scalar accumulator that happens to share an instruction with its
-//! neighbours — seeded, accumulated in increasing `k` and rounded
-//! exactly as the naive loop does it — and the contract above holds
-//! without a single partial sum. [`gemm_packed`],
-//! [`conv2d_direct_bf16`] and `attention_sample` drive the tile, and
-//! `lstm_steps` runs one per LSTM gate, one hidden unit per lane, straight
-//! into the cell; `layer_norm_rows` folds rows one per lane. Every pass
-//! stores each sum as its [`Store`] says: BF16-rounded and, for a layer
-//! followed by one, activated, or exact (the LSTM's input half, whose
-//! partials the recurrence continues unrounded).
+//! [`MR`] chains, or [`ATTENTION_CHAINS`] in the attention core. A
+//! chain's lanes are `NR` (or `2 * NR`) *different outputs* whose
+//! operands sit side by side in memory (a k-major [`pack_bt_panels`]
+//! panel, a staged word of neighbouring positions of an activation map,
+//! or a block of queries' column of the transposed Q); the chain's input
+//! is one scalar per step, broadcast across them. In `shared_panel_tile`
+//! up to `MR` chains read the same lanes against different inputs (a
+//! full block of `MR` rows, or up to `MR` output channels of the direct
+//! convolution), or up to `ATTENTION_CHAINS` keys of an attention head;
+//! in `row_tail_tile` one input row runs up to `MR` chains over
+//! different lane blocks, so a lone row still keeps several chains in
+//! flight. A tile computes each output once: where fewer chains are live
+//! than it holds it runs that many (the attention's tails 4, 2 and 1),
+//! not clamped duplicates. A lane is an ordinary scalar accumulator that
+//! happens to share an instruction with its neighbours — seeded,
+//! accumulated in increasing `k` and rounded exactly as the naive loop
+//! does it — and the contract above holds without a single partial sum.
+//! [`gemm_packed`], [`conv2d_direct_bf16`] and `attention_batch` drive the
+//! tile, and `lstm_steps` runs one per LSTM gate, one hidden unit per
+//! lane, straight into the cell; `layer_norm_rows` folds rows one per
+//! lane. Every pass stores each sum as its [`Store`] says: BF16-rounded
+//! and, for a layer followed by one, activated, or exact (the LSTM's
+//! input half, whose partials the recurrence continues unrounded).
 //!
 //! The direct convolution stages its lane words in one of two forms: a
 //! masked shifted load where the output positions are contiguous in the
@@ -67,7 +68,7 @@
 //! # One body, several instances
 //!
 //! Each of those five passes (`gemm_packed`, `conv2d_direct_bf16`,
-//! `attention_sample`, `layer_norm_rows`, `lstm_steps`) has one
+//! `attention_batch`, `layer_norm_rows`, `lstm_steps`) has one
 //! `#[inline(always)]` body, generic in its lane width (`lstm_steps`'
 //! is written for `NR` lanes only), and its entry is
 //! one `instances!` invocation: the body
@@ -356,18 +357,9 @@ fn write_lanes<const W: usize>(dst: &mut [f32], lanes: &[f32; W], post: impl Fn(
 /// unchanged. `out` is cleared and filled with `m.div_ceil(NR) * NR * k`
 /// elements.
 pub fn pack_bt_panels(a: &[f32], m: usize, k: usize, out: &mut Vec<f32>) {
+    assert_eq!(a.len(), m * k, "pack operand length");
     out.clear();
     out.resize(m.div_ceil(NR) * NR * k, 0.0);
-    pack_bt_panels_into(a, m, k, out);
-}
-
-/// [`pack_bt_panels`] into a caller's `out` of exactly `m.div_ceil(NR) *
-/// NR * k` elements, whatever they hold: the lanes past row `m` are
-/// zeroed, every other one written.
-pub(crate) fn pack_bt_panels_into(a: &[f32], m: usize, k: usize, out: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "pack operand length");
-    assert_eq!(out.len(), m.div_ceil(NR) * NR * k, "packed panels length");
-    out[m / NR * NR * k..].fill(0.0);
     for (i, row) in a.chunks_exact(k.max(1)).take(m).enumerate() {
         let panel = &mut out[(i / NR) * NR * k..][..NR * k];
         for (t, &v) in row.iter().enumerate() {
@@ -601,6 +593,42 @@ impl<P: Fn(f32) -> f32> Sink<'_, P> {
             }
         }
     }
+
+    /// Stores a full block's chains: rows `r0..r0 + MR`, lane blocks
+    /// `b..b + W / NR`. Where the rows are adjacent (`row_stride == 1`, a
+    /// transposed output such as attention's queries) the block goes out
+    /// transposed, one `MR`-element word per lane; otherwise chain by
+    /// chain.
+    #[inline(always)]
+    fn store_block<const W: usize>(&mut self, acc: &[[f32; W]; MR], r0: usize, b: usize) {
+        if self.row_stride != 1 || self.lane_stride == 1 {
+            for (c, chain) in acc.iter().enumerate() {
+                self.store(chain, r0 + c, b);
+            }
+            return;
+        }
+        let mut posted = *acc;
+        for chain in &mut posted {
+            for v in chain.iter_mut() {
+                *v = (self.post)(*v);
+            }
+        }
+        // Lane by lane, each cut off the front: one bounds check a lane,
+        // and a whole block unrolls, each lane's word a shuffle of the
+        // chains' registers (`array::map` here is left out of line, and
+        // the words then go through the stack one element at a time).
+        let mut out = &mut self.out[r0 + b * NR * self.lane_stride..];
+        let mut store = |l: usize| {
+            let at = self.lane_stride.min(out.len());
+            let (lane, rest) = std::mem::take(&mut out).split_at_mut(at);
+            lane[..MR].copy_from_slice(&each::<MR, _>(0.0, |c| posted[c][l]));
+            out = rest;
+        };
+        match W.min(self.n - b * NR) {
+            valid if valid == W => (0..W).for_each(&mut store),
+            valid => (0..valid).for_each(&mut store),
+        }
+    }
 }
 
 /// Rows `0..full` of [`gemm_packed`] against lane blocks `b..b + W / NR`,
@@ -617,9 +645,7 @@ fn row_block<const W: usize>(
     for r0 in (0..full).step_by(MR) {
         let mut acc = [lanes; MR];
         seg.accumulate_rows::<W>(&mut acc, b, r0);
-        for (c, chain) in acc.iter().enumerate() {
-            sink.store(chain, r0 + c, b);
-        }
+        sink.store_block(&acc, r0, b);
     }
 }
 
@@ -1229,32 +1255,46 @@ pub fn conv2d_direct_stage_len(in_c: usize, kh: usize, kw: usize) -> usize {
     in_c * kh * kw * 2 * NR
 }
 
-/// Query lanes [`attention_sample`] keeps per key: its largest query
+/// Query lanes [`attention_batch`] keeps per key: its largest query
 /// block.
 pub(crate) const ATTENTION_LANES: usize = 2 * NR;
 
+/// Chains of [`attention_batch`]'s score and context tiles: keys of a
+/// score tile, queries of a context tile. Twice the GEMM's [`MR`]: a
+/// (head, query block) reduces over one head's `d_head` columns or one
+/// sample's `t` keys, too short a run for four chains to hide the adds'
+/// latency, and eight accumulators of a wide block still fit the
+/// registers (sixteen spilled).
+const ATTENTION_CHAINS: usize = 2 * MR;
+
 instances! {
-    /// Multi-head self-attention's core over one sample: for every head,
-    /// `context = softmax(Q K^T * scale) V` on that head's columns, per query
-    /// row bit for bit the reference's scores, row softmax and context.
+    /// Multi-head self-attention's core over a batch: for every sample and
+    /// head, `context = softmax(Q K^T * scale) V` on that head's columns,
+    /// per query row bit for bit the reference's scores, row softmax and
+    /// context.
     ///
-    /// `qt` is the sample's `[t, d]` queries packed by [`pack_bt_panels`];
-    /// `k` is its row-major `[t, d]` keys, and `v` its row-major values
-    /// followed by at least [`NR`] more elements (a head's last column block
-    /// reads past its columns into lanes nobody stores). `probs` is a
-    /// workspace of `t * ATTENTION_LANES` elements; `context` is the
-    /// sample's `[t, d]` output.
+    /// `qt` is the batch's queries transposed, `[d, batch * t]` (column
+    /// `c` of every query row, sample after sample, then the next
+    /// column), followed by at least [`NR`] more elements (a
+    /// sample's last query block reads past its queries into lanes nobody
+    /// stores); `k` is the row-major `[batch * t, d]` keys, and `v` the
+    /// row-major values followed by at least [`NR`] more elements (a
+    /// head's last column block reads past its columns likewise). `probs`
+    /// is a workspace of `t * ATTENTION_LANES` elements; `context` is the
+    /// row-major `[batch * t, d]` output.
     ///
-    /// Each (head, block of query rows) is one pass, with the queries on the
-    /// lanes, so every row reduction runs down a lane:
-    /// * the scores are a register tile whose chains are keys, several in
-    ///   flight, and whose lanes are queries (a Q panel word per head column,
-    ///   the key's column broadcast), seeded with `0.0` and accumulated in
-    ///   increasing column order, then `* scale`; the running max takes them
-    ///   in key order from `-inf`;
+    /// Each (sample, head, block of query rows) is one pass, with the
+    /// queries on the lanes, so every row reduction runs down a lane:
+    /// * the scores are a register tile whose chains are keys, up to
+    ///   [`ATTENTION_CHAINS`] in flight, and whose lanes are queries (the
+    ///   block's word of each head column of `qt`, the key's column
+    ///   broadcast), seeded with `0.0` and accumulated in increasing column
+    ///   order, then `* scale`; the running max takes them in key order
+    ///   from `-inf`;
     /// * `exp(score - max)` is summed in key order from `0.0`, then each is
     ///   divided by its lane's sum — the row softmax's own steps, in its
-    ///   order;
+    ///   order. The first context tile divides each key's whole word as it
+    ///   reads it, and the later ones read the quotients;
     /// * the context is a tile whose chains are queries and whose lanes are
     ///   the head's value columns, each key's probability broadcast from the
     ///   block, seeded with `0.0` and accumulated in key order.
@@ -1266,29 +1306,31 @@ instances! {
     ///
     /// Panics unless `heads` divides `d` and the buffers have those lengths.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn attention_sample(
+    pub(crate) fn attention_batch(
         qt: &[f32],
         k: &[f32],
         v: &[f32],
+        batch: usize,
         t: usize,
         d: usize,
         heads: usize,
         probs: &mut [f32],
         context: &mut [f32],
-    ) => attention_sample_body;
+    ) => attention_batch_body;
     "avx512f" => { 2 * NR } if t > NR,
     "avx2" => NR,
 }
 
-/// [`attention_sample`]'s one body, inlined into every instance: query
-/// blocks of `W` rows (`NR`, or `2 * NR`: neighbouring panels in pairs,
-/// an odd last panel alone at `NR`).
+/// [`attention_batch`]'s one body, inlined into every instance: query
+/// blocks of `W` rows (`NR`, or `2 * NR`: `NR`-row blocks in pairs, an odd
+/// last one alone at `NR`).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn attention_sample_body<const W: usize>(
+fn attention_batch_body<const W: usize>(
     qt: &[f32],
     k: &[f32],
     v: &[f32],
+    batch: usize,
     t: usize,
     d: usize,
     heads: usize,
@@ -1299,77 +1341,78 @@ fn attention_sample_body<const W: usize>(
         heads > 0 && d.is_multiple_of(heads),
         "heads must divide d_model"
     );
-    let blocks = t.div_ceil(NR);
-    assert_eq!(qt.len(), blocks * NR * d, "attention packed-query length");
-    assert_eq!(k.len(), t * d, "attention key length");
-    assert!(v.len() >= t * d + NR, "attention value length");
+    let rows = batch * t;
+    assert!(qt.len() >= rows * d + NR, "attention query length");
+    assert_eq!(k.len(), rows * d, "attention key length");
+    assert!(v.len() >= rows * d + NR, "attention value length");
     assert_eq!(
         probs.len(),
         t * ATTENTION_LANES,
         "attention workspace length"
     );
-    assert_eq!(context.len(), t * d, "attention context length");
-    if t == 0 || d == 0 {
+    assert_eq!(context.len(), rows * d, "attention context length");
+    if rows == 0 || d == 0 {
         return;
     }
     let d_head = d / heads;
+    let blocks = t.div_ceil(NR);
     let paired = blocks - blocks % (W / NR);
-    for off in (0..d).step_by(d_head) {
-        let head = AttentionHead {
-            qt,
-            k,
-            v,
-            t,
-            d,
-            off,
-            d_head,
-            scale: 1.0 / (d_head as f32).sqrt(),
-        };
-        for b in (0..paired).step_by(W / NR) {
-            head.block::<W>(b, probs, context);
-        }
-        for b in paired..blocks {
-            head.block::<NR>(b, probs, context);
+    for s in 0..batch {
+        let sample = s * t * d;
+        let context = &mut context[sample..][..t * d];
+        for off in (0..d).step_by(d_head) {
+            let head = AttentionHead {
+                qt: &qt[off * rows + s * t..],
+                k: &k[sample + off..][..(t - 1) * d + d_head],
+                v: &v[sample + off..][..(t - 1) * d + d_head.next_multiple_of(NR)],
+                t,
+                d,
+                rows,
+                off,
+                d_head,
+                scale: 1.0 / (d_head as f32).sqrt(),
+            };
+            for b in (0..paired).step_by(W / NR) {
+                head.block::<W>(b * NR, probs, context);
+            }
+            for b in paired..blocks {
+                head.block::<NR>(b * NR, probs, context);
+            }
         }
     }
 }
 
-/// One head of [`attention_sample`]: its columns `off..off + d_head` of
-/// the sample's packed queries, keys and values.
+/// One head of one sample of [`attention_batch`]: `qt` from its first
+/// query's element of column `off`, and its keys and values from their
+/// first row's column `off`.
 struct AttentionHead<'a> {
     qt: &'a [f32],
     k: &'a [f32],
     v: &'a [f32],
     t: usize,
     d: usize,
+    rows: usize,
     off: usize,
     d_head: usize,
     scale: f32,
 }
 
 impl AttentionHead<'_> {
-    /// Query panel `b`'s words at this head's columns: one per column.
+    /// Query rows `i0..` (`W` lanes) through scores, softmax and context.
     #[inline(always)]
-    fn queries(&self, b: usize) -> &[[f32; NR]] {
-        let panel = &self.qt[b * NR * self.d..][..NR * self.d];
-        &panel.as_chunks().0[self.off..][..self.d_head]
-    }
-
-    /// Query rows `b * NR..` (`W` lanes: panel `b`, and at `2 * NR` panel
-    /// `b + 1` too) through scores, softmax and context.
-    #[inline(always)]
-    fn block<const W: usize>(&self, b: usize, probs: &mut [f32], context: &mut [f32]) {
+    fn block<const W: usize>(&self, i0: usize, probs: &mut [f32], context: &mut [f32]) {
         let t = self.t;
-        let (lo, hi) = (self.queries(b), self.queries(b + W / NR - 1));
+        let queries = &self.qt[i0..][..(self.d_head - 1) * self.rows + W];
         let probs = &mut probs.as_chunks_mut::<W>().0[..t];
         let mut max = [f32::NEG_INFINITY; W];
-        for j0 in (0..t).step_by(MR) {
-            match t - j0 {
-                1 => self.scores::<1, W>(lo, hi, j0, probs, &mut max),
-                2 => self.scores::<2, W>(lo, hi, j0, probs, &mut max),
-                3 => self.scores::<3, W>(lo, hi, j0, probs, &mut max),
-                _ => self.scores::<MR, W>(lo, hi, j0, probs, &mut max),
-            }
+        let mut j0 = 0;
+        while j0 < t {
+            j0 += match t - j0 {
+                1 => self.scores::<1, W>(queries, j0, probs, &mut max),
+                2 | 3 => self.scores::<2, W>(queries, j0, probs, &mut max),
+                4..ATTENTION_CHAINS => self.scores::<4, W>(queries, j0, probs, &mut max),
+                _ => self.scores::<ATTENTION_CHAINS, W>(queries, j0, probs, &mut max),
+            };
         }
         let mut sum = [0.0f32; W];
         for p in probs.iter_mut() {
@@ -1378,81 +1421,90 @@ impl AttentionHead<'_> {
                 sum[l] += p[l];
             }
         }
-        for p in probs.iter_mut() {
-            for l in 0..W {
-                p[l] /= sum[l];
-            }
-        }
-        let probs = &*probs;
-        let live = W.min(t - b * NR);
-        for i0 in (0..live).step_by(MR) {
-            match live - i0 {
-                1 => self.context::<1, W>(probs, b * NR + i0, i0, context),
-                2 => self.context::<2, W>(probs, b * NR + i0, i0, context),
-                3 => self.context::<3, W>(probs, b * NR + i0, i0, context),
-                _ => self.context::<MR, W>(probs, b * NR + i0, i0, context),
-            }
+        let live = W.min(t - i0);
+        // The first context tile divides every key's word by the sums.
+        let mut divide = Some(&sum);
+        let mut c = 0;
+        while c < live {
+            let at = (i0 + c, c);
+            c += match live - c {
+                1 => self.context::<1, W>(probs, divide.take(), at, context),
+                2 | 3 => self.context::<2, W>(probs, divide.take(), at, context),
+                4..ATTENTION_CHAINS => self.context::<4, W>(probs, divide.take(), at, context),
+                _ => self.context::<ATTENTION_CHAINS, W>(probs, divide.take(), at, context),
+            };
         }
     }
 
     /// Keys `j0..j0 + C` against the block's `W` queries: one chain per
     /// key, the block's query word at each head column against the key's
     /// column; the scaled scores land in `probs[j0 + c]` and the running
-    /// max takes them in key order.
+    /// max takes them in key order. Returns `C`.
     #[inline(always)]
     fn scores<const C: usize, const W: usize>(
         &self,
-        lo: &[[f32; NR]],
-        hi: &[[f32; NR]],
+        queries: &[f32],
         j0: usize,
         probs: &mut [[f32; W]],
         max: &mut [f32; W],
-    ) {
-        let keys: [_; C] = each(&[][..], |c| {
-            &self.k[(j0 + c) * self.d + self.off..][..self.d_head]
-        });
+    ) -> usize {
+        let keys: [_; C] = each(&[][..], |c| &self.k[(j0 + c) * self.d..][..self.d_head]);
         let mut acc = [[0.0; W]; C];
-        shared_panel_tile(&mut acc, keys, |col| join(&lo[col], &hi[col]));
+        let rows = self.rows;
+        shared_panel_tile(&mut acc, keys, |col| {
+            *queries[col * rows..]
+                .first_chunk()
+                .expect("a query word is W wide")
+        });
         for (chain, p) in acc.iter().zip(&mut probs[j0..]) {
             for l in 0..W {
                 p[l] = chain[l] * self.scale;
                 max[l] = max[l].max(p[l]);
             }
         }
+        C
     }
 
-    /// Query rows `q0..q0 + C` (lanes `i0..` of the block's `probs`)
+    /// Query rows `q..q + C` (lanes `lane..` of the block's `probs`)
     /// against the head's value columns, [`NR`] to a lane block: one chain
     /// per query, each key's value word against the query's probability
-    /// of it.
+    /// of it. With `divide`, the first column block first divides each
+    /// key's word by the lanes' sums, in place. Returns `C`.
     #[inline(always)]
     fn context<const C: usize, const W: usize>(
         &self,
-        probs: &[[f32; W]],
-        q0: usize,
-        i0: usize,
+        probs: &mut [[f32; W]],
+        mut divide: Option<&[f32; W]>,
+        (q, lane): (usize, usize),
         context: &mut [f32],
-    ) {
-        assert!(i0 + C <= W, "query lanes of one block");
+    ) -> usize {
+        assert!(lane + C <= W, "query lanes of one block");
         let d = self.d;
         for c0 in (0..self.d_head).step_by(NR) {
-            let values = &self.v[self.off + c0..][..(self.t - 1) * d + NR];
+            let values = &self.v[c0..][..(self.t - 1) * d + NR];
             let mut chains = [[0.0f32; NR]; C];
-            for (j, p) in probs.iter().enumerate() {
+            for (j, p) in probs.iter_mut().enumerate() {
+                if let Some(sum) = divide {
+                    for l in 0..W {
+                        p[l] /= sum[l];
+                    }
+                }
                 let word = lane_block(values, j * d);
                 for (c, chain) in chains.iter_mut().enumerate() {
-                    let pv = p[i0 + c];
+                    let pv = p[lane + c];
                     for l in 0..NR {
                         chain[l] += word[l] * pv;
                     }
                 }
             }
+            divide = None;
             let valid = NR.min(self.d_head - c0);
             for (c, chain) in chains.iter().enumerate() {
-                let dst = &mut context[(q0 + c) * d + self.off + c0..][..valid];
+                let dst = &mut context[(q + c) * d + self.off + c0..][..valid];
                 store_lanes(dst, chain, Store::Exact);
             }
         }
+        C
     }
 }
 
@@ -1901,39 +1953,47 @@ mod tests {
 
     #[test]
     fn attention_instances_match_the_scalar_loops() {
-        // Query counts below one panel, at it, and across pairs of panels
-        // with an odd last one; head widths across a value column block.
-        // The entry runs this CPU's instance, the body both widths
-        // compiled for the baseline.
+        // Query counts below one block, at it, and across pairs of blocks
+        // with an odd last one; head widths across a value column block;
+        // one to three samples, whose query blocks read past their
+        // sample's queries. The entry runs this CPU's instance, the body
+        // both widths compiled for the baseline.
         let mut rng = StdRng::seed_from_u64(0xa77e);
         for _ in 0..150 {
-            let t = rng.gen_range(1..=41usize);
+            let (batch, t) = (rng.gen_range(1..=3usize), rng.gen_range(1..=41usize));
             let (heads, d_head) = (rng.gen_range(1..=3usize), rng.gen_range(1..=10usize));
-            let d = heads * d_head;
+            let (d, rows) = (heads * d_head, batch * t);
             let mut draw = |len: usize| -> Vec<f32> {
                 (0..len).map(|_| rng.gen_range(-3.0f32..=3.0)).collect()
             };
-            let (q, k, v) = (draw(t * d), draw(t * d), draw(t * d + NR));
-            let want = bits(&attention_scalar(&q, &k, &v[..t * d], t, heads));
-            let mut qt = Vec::new();
-            pack_bt_panels(&q, t, d, &mut qt);
-            type Sweep = fn(&[f32], &[f32], &[f32], usize, usize, usize, &mut [f32], &mut [f32]);
+            let (q, k, v) = (draw(rows * d), draw(rows * d), draw(rows * d + NR));
+            let sample = |x: &[f32], s: usize| x[s * t * d..][..t * d].to_vec();
+            let want: Vec<u32> = (0..batch)
+                .flat_map(|s| {
+                    let (q, k, v) = (sample(&q, s), sample(&k, s), sample(&v, s));
+                    bits(&attention_scalar(&q, &k, &v, t, heads))
+                })
+                .collect();
+            let mut qt = draw(rows * d + NR);
+            for (r, row) in q.chunks_exact(d).enumerate() {
+                for (c, &x) in row.iter().enumerate() {
+                    qt[c * rows + r] = x;
+                }
+            }
+            type Sweep =
+                fn(&[f32], &[f32], &[f32], usize, usize, usize, usize, &mut [f32], &mut [f32]);
             let run = |sweep: Sweep| {
                 let mut probs = vec![f32::NAN; t * ATTENTION_LANES];
-                let mut context = vec![f32::NAN; t * d];
-                sweep(&qt, &k, &v, t, d, heads, &mut probs, &mut context);
+                let mut context = vec![f32::NAN; rows * d];
+                sweep(&qt, &k, &v, batch, t, d, heads, &mut probs, &mut context);
                 bits(&context)
             };
-            let shape = format!("t={t} heads={heads} d_head={d_head}");
+            let shape = format!("batch={batch} t={t} heads={heads} d_head={d_head}");
             let isa = tile_isa();
+            assert_eq!(run(attention_batch), want, "{shape}: {isa} entry vs scalar");
+            assert_eq!(run(attention_batch_body::<NR>), want, "{shape}: portable");
             assert_eq!(
-                run(attention_sample),
-                want,
-                "{shape}: {isa} entry vs scalar"
-            );
-            assert_eq!(run(attention_sample_body::<NR>), want, "{shape}: portable");
-            assert_eq!(
-                run(attention_sample_body::<{ 2 * NR }>),
+                run(attention_batch_body::<{ 2 * NR }>),
                 want,
                 "{shape}: portable paired"
             );

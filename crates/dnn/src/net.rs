@@ -21,7 +21,7 @@
 //! the streamed prefix, in the arena. [`Net::forward_reference`] is a second walk of the
 //! same list through each op's `forward_reference` only: the oracle.
 
-use crate::kernels::Store;
+use crate::kernels::{Store, NR};
 use crate::model::{ModelKind, Prediction};
 use crate::ops::activation::{leaky_relu, relu, softmax_last_dim};
 use crate::ops::count::{
@@ -267,12 +267,32 @@ pub(crate) fn macs(window: usize, features: usize, layers: &[LayerSpec]) -> u64 
 
 /// Swaps the channel and column axes of one `[c, h, w]` sample, one of
 /// them 1: `dst` is `[w, h, c]`, the `[c·h, w]` or `[c, h]` matrix
-/// transposed, written row by row.
+/// transposed. Whole `NR x NR` tiles go as lane blocks, `NR` source rows'
+/// words in and `NR` destination rows' words out; the columns and rows past
+/// the last whole tile go element by element.
 fn transpose(src: &[f32], Shape { c, h, w }: Shape, dst: &mut [f32]) {
     let (m, n) = if c == 1 { (h, w) } else { (c, h) };
-    for (j, row) in dst.chunks_exact_mut(m).enumerate() {
-        for (i, v) in row.iter_mut().enumerate() {
-            *v = src[i * n + j];
+    let (src, dst) = (&src[..m * n], &mut dst[..m * n]);
+    let (full_m, full_n) = (m - m % NR, n - n % NR);
+    for i0 in (0..full_m).step_by(NR) {
+        for j0 in (0..full_n).step_by(NR) {
+            let tile: [&[f32; NR]; NR] = std::array::from_fn(|r| {
+                let row = &src[(i0 + r) * n + j0..];
+                row.first_chunk().expect("a tile row is NR wide")
+            });
+            for jj in 0..NR {
+                let out = &mut dst[(j0 + jj) * m + i0..];
+                let out: &mut [f32; NR] = out.first_chunk_mut().expect("a tile row is NR wide");
+                for (o, row) in out.iter_mut().zip(tile) {
+                    *o = row[jj];
+                }
+            }
+        }
+    }
+    for i in 0..m {
+        let from = if i < full_m { full_n } else { 0 };
+        for j in from..n {
+            dst[j * m + i] = src[i * n + j];
         }
     }
 }
@@ -914,6 +934,47 @@ impl Net {
                 lines[i + 1].prime(dst, step.output.h);
             }
             current = written;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `transpose`'s scalar loop: `dst` row by row, each element read from
+    /// its column of `src`.
+    fn transpose_scalar(src: &[f32], Shape { c, h, w }: Shape, dst: &mut [f32]) {
+        let (m, n) = if c == 1 { (h, w) } else { (c, h) };
+        for (j, row) in dst.chunks_exact_mut(m).enumerate() {
+            for (i, v) in row.iter_mut().enumerate() {
+                *v = src[i * n + j];
+            }
+        }
+    }
+
+    #[test]
+    fn tiled_transpose_matches_the_scalar_loop() {
+        // Every [m, n] up to five tiles a side, whole tiles and every
+        // ragged edge, as a `[1, m, n]` sample (`c == 1`) and as a `[m, n,
+        // 1]` one (`c > 1` from two rows); distinct values, a signed zero
+        // and a NaN among them, compared by their bits.
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for m in 1..=40 {
+            for n in 1..=40 {
+                let mut src: Vec<f32> = (0..m * n).map(|i| i as f32 + 0.5).collect();
+                src[0] = -0.0;
+                src[m * n - 1] = f32::NAN;
+                let wide = Shape { c: 1, h: m, w: n };
+                let deep = Shape { c: m, h: n, w: 1 };
+                for shape in [wide, deep] {
+                    let mut want = vec![1.0; m * n];
+                    let mut got = vec![2.0; m * n];
+                    transpose_scalar(&src, shape, &mut want);
+                    transpose(&src, shape, &mut got);
+                    assert_eq!(bits(&got), bits(&want), "{shape:?}");
+                }
+            }
         }
     }
 }

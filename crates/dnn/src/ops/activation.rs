@@ -62,7 +62,7 @@ pub fn softmax_last_dim(t: &mut Tensor) {
 
 /// [`softmax_last_dim`] over a raw `rows x cols` slice. The three-class
 /// heads' packed path (`Linear::softmax_head`) and attention's row
-/// softmax (inside `kernels::attention_sample`) run these steps in this
+/// softmax (inside `kernels::attention_batch`) run these steps in this
 /// order.
 ///
 /// Per row: subtract the max, [`exp_slice`], then sum left to right and

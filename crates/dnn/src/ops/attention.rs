@@ -1,6 +1,6 @@
 //! Multi-head self-attention (the TransLOB building block).
 
-use crate::kernels::{attention_sample, pack_bt_panels_into, Store, ATTENTION_LANES, NR};
+use crate::kernels::{attention_batch, Store, ATTENTION_LANES, NR};
 use crate::ops::activation::softmax_last_dim;
 use crate::ops::expect_rank;
 use crate::ops::linear::Linear;
@@ -42,14 +42,10 @@ impl MultiHeadAttention {
 
     /// The workspace [`Self::forward_batch_packed`] takes over `t`-token
     /// sequences: elements per sample (the Q, K, V and context rows) and a
-    /// fixed part (one sample's packed queries, the softmax lanes, and the
-    /// slack a head's last value block reads past its columns).
+    /// fixed part (the softmax lanes, and the slack a sample's last query
+    /// block and a head's last value block read past their ends).
     pub fn workspace(&self, t: usize) -> (usize, usize) {
-        let d = self.d_model;
-        (
-            4 * t * d,
-            NR + t.div_ceil(NR) * NR * d + t * ATTENTION_LANES,
-        )
+        (4 * t * self.d_model, 2 * NR + t * ATTENTION_LANES)
     }
 
     /// Batched self-attention over a flat `[batch * t, d_model]` token
@@ -58,12 +54,13 @@ impl MultiHeadAttention {
     /// or more); per sample `==` to [`Self::forward_reference`].
     ///
     /// The four projections each sweep all `batch * t` rows at once, each
-    /// against its own packed weights.
-    /// Attention itself couples tokens within a sample only: each
-    /// sample's Q is packed into k-major query panels, and
-    /// `kernels::attention_sample` then takes every (head, block of query rows)
-    /// through scores, row softmax and context in one pass, queries on
-    /// the lanes. No score matrix is written between passes.
+    /// against its own packed weights; the Q projection stores its output
+    /// transposed, `[d_model, batch * t]`, so a block of queries' column is
+    /// one lane word. Attention itself couples tokens within a sample only:
+    /// `kernels::attention_batch`, one call over the batch, takes every
+    /// (sample, head, block of query rows) through scores, row softmax and
+    /// context in one pass, queries on the lanes. No score matrix is
+    /// written between passes.
     ///
     /// # Panics
     ///
@@ -78,33 +75,22 @@ impl MultiHeadAttention {
     ) {
         let d = self.d_model;
         let rows = batch * t;
-        let (q, rest) = work.split_at_mut(rows * d);
+        // A sample's last query block and a head's last value block may read
+        // past their ends (into the next sample's or head's, or this slack);
+        // those lanes are never stored.
+        let (qt, rest) = work.split_at_mut(rows * d + NR);
         let (k, rest) = rest.split_at_mut(rows * d);
         let (context, rest) = rest.split_at_mut(rows * d);
-        // A head's last lane block may read past its columns (into the
-        // next head's, or this slack); those lanes are never stored.
-        let (v, rest) = rest.split_at_mut(rows * d + NR);
-        let (qt, probs) = rest.split_at_mut(t.div_ceil(NR) * NR * d);
+        let (v, probs) = rest.split_at_mut(rows * d + NR);
         let probs = &mut probs[..t * ATTENTION_LANES];
-        self.wq.forward_batch_packed(x, rows, Store::Bf16, q);
+        self.wq
+            .forward_batch_transposed(x, rows, Store::Bf16, &mut qt[..rows * d]);
         self.wk.forward_batch_packed(x, rows, Store::Bf16, k);
         self.wv
             .forward_batch_packed(x, rows, Store::Bf16, &mut v[..rows * d]);
+        qt[rows * d..].fill(0.0);
         v[rows * d..].fill(0.0);
-        for s in 0..batch {
-            let sample = s * t * d;
-            pack_bt_panels_into(&q[sample..sample + t * d], t, d, qt);
-            attention_sample(
-                qt,
-                &k[sample..sample + t * d],
-                &v[sample..],
-                t,
-                d,
-                self.heads,
-                probs,
-                &mut context[sample..sample + t * d],
-            );
-        }
+        attention_batch(qt, k, v, batch, t, d, self.heads, probs, context);
         self.wo
             .forward_batch_packed(context, rows, Store::Bf16, out);
     }

@@ -59,18 +59,27 @@ impl Linear {
     ///
     /// Panics on buffer-length mismatches.
     pub fn forward_batch_packed(&self, x: &[f32], rows: usize, post: Store, out: &mut [f32]) {
+        self.sweep(x, rows, post, out, (self.output_dim(), 1));
+    }
+
+    /// [`Self::forward_batch_packed`] storing its output transposed: row
+    /// `r`'s output `o` at `out[o * rows + r]`, a `[out, rows]` buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics on buffer-length mismatches.
+    pub fn forward_batch_transposed(&self, x: &[f32], rows: usize, post: Store, out: &mut [f32]) {
+        self.sweep(x, rows, post, out, (1, rows));
+    }
+
+    /// The packed sweep over `rows` rows of `x`, row `r`'s output `o`
+    /// stored at `out[r * strides.0 + o * strides.1]`.
+    fn sweep(&self, x: &[f32], rows: usize, post: Store, out: &mut [f32], strides: (usize, usize)) {
         let (input, output) = (self.input_dim(), self.output_dim());
         assert_eq!(x.len(), rows * input, "batched linear input length");
         assert_eq!(out.len(), rows * output, "batched linear output length");
-        gemm_packed(
-            Segment::packed(self.packed.data(), input, x, input),
-            Some(&self.bias),
-            rows,
-            output,
-            post,
-            out,
-            (output, 1),
-        );
+        let seg = Segment::packed(self.packed.data(), input, x, input);
+        gemm_packed(seg, Some(&self.bias), rows, output, post, out, strides);
     }
 
     /// A three-class head over a flat `[rows, in]` buffer in one pass: per

@@ -5,16 +5,17 @@
 //! the oracle.
 //!
 //! Equality is asserted with `Tensor`'s derived `PartialEq` (elementwise
-//! f32 `==`), so even a one-ulp accumulation-order difference fails.
-//! Every property runs at batch 1 (the lone query: row tails only) and
-//! batch 3, and runs each padded path twice in the same workspace, so
-//! a workspace that still holds the last call's values (every call after
-//! the first) is covered too.
+//! f32 `==`) or, where a signed zero must keep its sign, on the bits, so
+//! even a one-ulp accumulation-order difference fails. Every property
+//! runs at batch 1 (the lone query: row tails only) and batch 3
+//! (attention at 8 and `MAX_SWEEP` too), and runs each padded path twice
+//! in the same workspace, so a workspace that still holds the last call's
+//! values (every call after the first) is covered too.
 
 use lt_dnn::kernels::Store;
 use lt_dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
 use lt_dnn::ops::{leaky_relu, relu, Conv2d, LayerNorm, Linear, Lstm, MultiHeadAttention};
-use lt_dnn::{Net, Prediction, Tensor};
+use lt_dnn::{Net, Prediction, Tensor, MAX_SWEEP};
 use proptest::prelude::*;
 
 const BATCHES: [usize; 2] = [1, 3];
@@ -242,26 +243,39 @@ proptest! {
         }
     }
 
-    /// Attention: the fused pass per (head, block of query rows) ==
-    /// naive `at`-indexed loops, over sequences shorter than one query
-    /// panel, one or two full blocks at either width and every tail, and
-    /// head widths across a value column block.
+    /// Attention: the fused pass per (sample, head, block of query rows)
+    /// == naive `at`-indexed loops, bit for bit, over sequences shorter
+    /// than one query block, one or two full blocks at either width and
+    /// every tail, head widths across a value column block, and batches of
+    /// 1, 3, 8 (`multi_translob`'s round) and `MAX_SWEEP` samples, whose
+    /// last query blocks read into the next sample's queries. Every fifth
+    /// input is `-0.0`, a zero whose sign `==` ignores. Rust leaves the sign
+    /// and payload of a NaN that arithmetic makes unspecified, so every NaN
+    /// counts as one value.
     #[test]
     fn attention_fast_matches_reference(
         (heads, d_head, t, seed) in (1usize..=4, 1usize..=10, 1usize..=41, 0u64..1000),
     ) {
+        let bits = |v: &[f32]| -> Vec<u32> {
+            v.iter()
+                .map(|f| if f.is_nan() { f32::NAN } else { *f }.to_bits())
+                .collect()
+        };
         let d_model = heads * d_head;
         let mha = MultiHeadAttention::new(d_model, heads, seed);
         let (per, fixed) = mha.workspace(t);
-        let mut work = vec![0.0; BATCHES[1] * per + fixed];
-        for batch in BATCHES {
-            let xs = random_inputs(&[t, d_model], 1.0, batch, seed);
-            let reference: Vec<Tensor> = xs.iter().map(|x| mha.forward_reference(x)).collect();
+        let mut work = vec![0.0; MAX_SWEEP * per + fixed];
+        for batch in [1, 3, 8, MAX_SWEEP] {
+            let xs = signed_inputs(&[t, d_model], batch, seed);
+            let want: Vec<u32> = xs
+                .iter()
+                .flat_map(|x| bits(mha.forward_reference(x).data()))
+                .collect();
             let flat = stack(&xs);
             let mut out = vec![f32::NAN; batch * t * d_model];
             for _ in 0..2 {
                 mha.forward_batch_packed(&flat, batch, t, &mut work, &mut out);
-                prop_assert_eq!(&unstack(&out, &[t, d_model]), &reference);
+                prop_assert_eq!(bits(&out), want, "batch {}", batch);
             }
         }
     }

@@ -143,6 +143,9 @@ pub(crate) struct SimState {
     /// Recycled ticket buffers: batches pop into one of these and settle
     /// returns it, so steady-state issue never allocates ticket storage.
     spare: Vec<Vec<ShardTicket>>,
+    /// `rebalance`'s plan, one entry per chip: kept between calls, so a
+    /// rebalance (one per issue attempt) allocates nothing.
+    desired: Vec<Option<(u32, OperatingPoint)>>,
 }
 
 impl SimState {
@@ -224,14 +227,12 @@ impl SimState {
         let now = ctx.now;
         // Pure planning first (Algorithm 2, in lt-sched): desired points
         // per busy accelerator.
-        let mut desired: Vec<Option<(u32, OperatingPoint)>> = self
-            .chips
-            .iter()
-            .map(|c| match &c.flight {
-                Some(f) if f.completion > now => Some((f.batch, c.dvfs.point())),
-                _ => None,
-            })
-            .collect();
+        let mut desired = std::mem::take(&mut self.desired);
+        desired.clear();
+        desired.extend(self.chips.iter().map(|c| match &c.flight {
+            Some(f) if f.completion > now => Some((f.batch, c.dvfs.point())),
+            _ => None,
+        }));
         plan_uprates(
             &self.profile,
             self.kind,
@@ -241,13 +242,14 @@ impl SimState {
             &mut desired,
         );
         // Apply with hysteresis — one jump per accelerator, >= 2 notches.
-        for (aid, want) in desired.into_iter().enumerate() {
-            if let Some((_, target)) = want {
+        for (aid, want) in desired.iter().enumerate() {
+            if let Some((_, target)) = *want {
                 if target.freq_ghz - self.chips[aid].dvfs.point().freq_ghz > 0.15 {
                     self.rescale(aid, target, ctx);
                 }
             }
         }
+        self.desired = desired;
     }
 
     /// Settles one completed batch, which ran at `point`: accumulates its
@@ -721,6 +723,7 @@ pub(crate) fn build_state(
         tick_index: 0,
         exec: None,
         spare: Vec::new(),
+        desired: Vec::new(),
     }
 }
 

@@ -162,7 +162,7 @@ done
 echo "== bounded unsafe: one unsafe call and one #[target_feature], both in kernels.rs's instances! macro, the call under a // SAFETY: comment; AVX2 or AVX-512F instances only =="
 # Every crate root forbids unsafe_code but lt-dnn's, which denies it: the
 # entries the instances! macro defines in kernels.rs (its five passes:
-# gemm_packed, lstm_steps, conv2d_direct_bf16, attention_sample and
+# gemm_packed, lstm_steps, conv2d_direct_bf16, attention_batch and
 # layer_norm_rows) allow it to call the instances it compiles for their
 # target features, right after the runtime feature check. A second site anywhere fails here, as does an
 # instance compiled for any feature but avx2 or avx512f.
@@ -267,6 +267,17 @@ for f in $(find crates/dnn/src -name '*.rs' | sort); do
     fi
 done
 [[ "$packs" == "0" ]]
+
+echo "== queries are stored panel-ready: no query pack in the attention op's non-test code =="
+# The Q projection stores its output transposed, the layout the attention
+# core reads (a block of queries' column is one lane word), and the core
+# runs once over the whole batch: no per-sample repack of the queries
+# between the projection and the core.
+if nontest crates/dnn/src/ops/attention.rs | grep -nE '(^|[^A-Za-z0-9_])pack_bt_panels' \
+    | grep -vE '^[0-9]+:[[:space:]]*//'; then
+    echo "a query pack in crates/dnn/src/ops/attention.rs (store the Q projection in the core's layout)"
+    exit 1
+fi
 
 echo "== a batch completes when it is due: no completion token, rescale event or idle-reservation recompute in any crate's non-test code =="
 # The back-test's batch in flight is the one record of what a chip runs. A
